@@ -4,37 +4,52 @@ Case 1: both endpoints lie inside regions.  Same-region requests are answered
 from inner-region paths (most traversed first) with a fastest-path fallback.
 Cross-region requests first find a *region path* on the region graph — the
 search greedily follows region edges that bring it geometrically closer to the
-destination region, using a direct edge whenever one exists — and then maps
-the region path back to a road-network path by stitching the region edges'
-concrete paths together (fastest-path connectors fill any gaps).
+destination region, using a direct edge whenever one exists — and then map
+the region path back to a road-network path: the trajectory paths stored on
+its region edges form a *corridor*, and one search over corridor-discounted
+costs connects the request's exact endpoints through it.
 
 Case 2: at least one endpoint is outside all regions.  A fastest path between
 the endpoints is computed; the first and last region-covered vertices on it
 select the source / destination regions, and the final answer is the fastest
 prefix + the Case-1 path + the fastest suffix.  When no or only one candidate
 region is touched, the fastest path itself is returned.
+
+The router reads the fitted region graph once, when it is constructed, into
+:class:`_RegionTables`: every region edge's and every region's trajectory
+paths as CSR slot arrays of the road network, next to the region-level values
+a request looks up (neighbour sets, centroids, modal preferences).  A request
+then assembles its corridor with two array operations instead of re-walking
+the stored paths in Python.  Build a new router after changing the region
+graph; a change of the road network's *topology* is noticed by itself.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from ..exceptions import NoPathError, RegionGraphError
-from ..network.road_network import RoadNetwork, VertexId
-from ..network.spatial import equirectangular_m
+from ..exceptions import NoPathError
+from ..network.road_network import Edge, VertexId
+from ..network.spatial import LonLat, equirectangular_m
 from ..regions.region import RegionId
 from ..regions.region_graph import RegionEdge, RegionGraph
-from ..routing.dijkstra import fastest_path
+from ..routing.costs import CostFeature, cost_function
+from ..routing.dijkstra import dijkstra, fastest_path
 from ..routing.path import Path
 from ..routing.preference_dijkstra import preference_dijkstra
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..network.compiled import CompiledGraph
     from ..preferences.model import PreferenceVector
+
+PathCount = tuple[tuple[VertexId, ...], int]
+"""One stored trajectory path: its vertices and how often it was driven."""
 
 
 @dataclass(frozen=True)
@@ -53,13 +68,190 @@ class RouteDiagnostics:
     how stale a degraded route is."""
 
 
+def _hop_counts(path_counts: Iterable[PathCount]) -> dict[tuple[VertexId, VertexId], int]:
+    """How often the given trajectory paths traversed each road-network edge.
+
+    Every hop counts for both directions: drivers used the road, whichever
+    way the request now travels along it.
+    """
+    corridor: dict[tuple[VertexId, VertexId], int] = {}
+    for vertices, count in path_counts:
+        for hop in zip(vertices, vertices[1:]):
+            corridor[hop] = corridor.get(hop, 0) + count
+            reverse = (hop[1], hop[0])
+            corridor[reverse] = corridor.get(reverse, 0) + count
+    return corridor
+
+
+class _Hops(NamedTuple):
+    """The trajectory paths of one region edge (or inside one region)."""
+
+    paths: tuple[PathCount, ...]
+    slots: np.ndarray
+    """CSR slots of :func:`_hop_counts` of ``paths`` (int64, distinct); hops
+    whose reverse direction is not a road-network edge have no slot."""
+    counts: np.ndarray
+    """Traversal count per entry of ``slots`` (float64, whole numbers)."""
+
+
+@dataclass(frozen=True)
+class _RegionTables:
+    """What a request reads of the region graph; immutable once built."""
+
+    topology_version: int
+    """``network.topology_version`` the slots were looked up under."""
+    edge_count: int
+    discount: np.ndarray
+    """``discount[k] = 1 + log1p(k)`` from ``math.log1p``, so array and dict
+    corridor costs agree to the bit (``np.log1p`` differs in the last place)."""
+    steps: dict[tuple[RegionId, RegionId], tuple[RegionEdge, _Hops]]
+    """Per ordered pair of adjacent regions: the region edge that joins them
+    (the reverse edge where only that one exists) and its compiled paths."""
+    inner: dict[RegionId, _Hops]
+    neighbors: dict[RegionId, frozenset[RegionId]]
+    centroids: dict[RegionId, LonLat]
+    preferences: dict[RegionId, "PreferenceVector"]
+    """The most common preference among each region's region edges."""
+
+
+def _compile_tables(graph: RegionGraph) -> _RegionTables:
+    network = graph.network
+    # Read the stamp first: a mutation racing the build leaves it stale.
+    topology_version = network.topology_version
+    topology = network.compiled().topology
+    slot_of = topology.slot_of
+    totals = np.zeros(topology.edge_count, dtype=np.float64)
+
+    def hops(paths: tuple[PathCount, ...]) -> _Hops:
+        found = [
+            (slot_of[hop], count) for hop, count in _hop_counts(paths).items() if hop in slot_of
+        ]
+        slots = np.array([slot for slot, _ in found], dtype=np.int64)
+        counts = np.array([count for _, count in found], dtype=np.float64)
+        totals[slots] += counts
+        return _Hops(paths, slots, counts)
+
+    votes: dict[RegionId, Counter] = defaultdict(Counter)
+    edges: dict[tuple[RegionId, RegionId], tuple[RegionEdge, _Hops]] = {}
+    for edge in graph.edges():
+        edges[edge.key] = (edge, hops(tuple(edge.path_counts.items())))
+        if edge.preference is not None:
+            for region_id in {edge.region_a, edge.region_b}:
+                votes[region_id][edge.preference] += 1
+    neighbors = graph.adjacency()
+    inner = {r: hops(graph.inner_path_counts(r)) for r in neighbors}
+    # No request counts an edge more often than all stored paths together do.
+    most = int(totals.max()) if totals.size else 0
+    return _RegionTables(
+        topology_version=topology_version,
+        edge_count=topology.edge_count,
+        steps={
+            (a, b): edges.get((a, b)) or edges[(b, a)]
+            for a, adjacent in neighbors.items()
+            for b in adjacent
+        },
+        inner=inner,
+        neighbors=neighbors,
+        centroids={r: graph.region_centroid(r) for r in neighbors},
+        preferences={r: counter.most_common(1)[0][0] for r, counter in votes.items()},
+        discount=np.array([1.0 + math.log1p(k) for k in range(most + 1)], dtype=np.float64),
+    )
+
+
+class _CorridorCost:
+    """Edge cost of one cross-region request: hug the trajectory corridor.
+
+    The master cost of the (learned or transferred) preference is used,
+    discounted on corridor edges — the more trajectories traversed an edge,
+    the stronger the discount — so the answer follows the roads local drivers
+    chose while still adapting to the query's exact endpoints; edges violating
+    the slave road-condition preference outside the corridor are mildly
+    penalized.  The compiled search asks for :meth:`build_cost_array`; called
+    per edge (``compiled_disabled()``), the ``{hop: count}`` reference is used.
+    """
+
+    def __init__(
+        self, preference: "PreferenceVector | None", tables: _RegionTables, hops: list[_Hops]
+    ) -> None:
+        feature = preference.master if preference is not None else CostFeature.TRAVEL_TIME
+        self._master = cost_function(feature)
+        self._slave = preference.slave if preference is not None else None
+        self._tables = tables
+        self._hops = hops
+        self._corridor: dict[tuple[VertexId, VertexId], int] | None = None
+
+    def __call__(self, edge: Edge) -> float:
+        if self._corridor is None:
+            self._corridor = _hop_counts(chain.from_iterable(h.paths for h in self._hops))
+        cost = self._master(edge)
+        count = self._corridor.get(edge.key, 0)
+        if count > 0:
+            return cost / (1.0 + math.log1p(count))
+        if self._slave is not None and not self._slave.satisfied_by(edge.road_type):
+            return cost * 1.5
+        return cost
+
+    def slot_counts(self) -> np.ndarray:
+        """The corridor per CSR slot: traversal counts, zero off the corridor."""
+        return np.bincount(
+            np.concatenate([h.slots for h in self._hops]),
+            weights=np.concatenate([h.counts for h in self._hops]),
+            minlength=self._tables.edge_count,
+        )
+
+    def build_cost_array(self, graph: "CompiledGraph") -> np.ndarray:
+        attr = self._master.cost_attr  # type: ignore[attr-defined]
+        slave = self._slave
+
+        def base() -> tuple[np.ndarray, np.ndarray]:
+            raw = graph.array(attr)
+            if slave is None:
+                return raw, raw
+            satisfied = graph.memo(
+                ("corridor-slave-mask", slave),
+                lambda: np.fromiter(
+                    (slave.satisfied_by(edge.road_type) for edge in graph.edges),
+                    dtype=bool,
+                    count=graph.edge_count,
+                ),
+                cost_dependent=False,  # road types never change under traffic
+            )
+            penalized = raw.copy()
+            penalized[~satisfied] *= 1.5
+            return raw, penalized
+
+        # Stamped with the cost version: live traffic rebuilds it.
+        raw, penalized = graph.memo(("corridor-base", attr, slave), base)
+        counts = self.slot_counts()
+        on_corridor = np.flatnonzero(counts)
+        weights = penalized.copy()
+        discount = self._tables.discount[counts[on_corridor].astype(np.intp)]
+        weights[on_corridor] = raw[on_corridor] / discount
+        return weights
+
+
 class RegionRouter:
     """Answers (source, destination) requests using a fitted region graph."""
+
+    _tables: _RegionTables | None = None  # models pickled before the tables existed
 
     def __init__(self, region_graph: RegionGraph, max_region_hops: int = 64) -> None:
         self._graph = region_graph
         self._network = region_graph.network
         self._max_region_hops = max_region_hops
+        self._tables = _compile_tables(region_graph)
+
+    def __getstate__(self) -> dict:
+        # Slots index one process's CSR layout; a loaded model compiles anew.
+        return {**self.__dict__, "_tables": None}
+
+    def _current_tables(self) -> _RegionTables:
+        tables = self._tables
+        if tables is None or tables.topology_version != self._network.topology_version:
+            # Unlocked on purpose: racing requests at worst both compile, and
+            # either result is whole before it is published.
+            tables = self._tables = _compile_tables(self._graph)
+        return tables
 
     # ------------------------------------------------------------------ #
     def route(self, source: VertexId, destination: VertexId) -> Path:
@@ -89,33 +281,22 @@ class RegionRouter:
     def _route_same_region(
         self, source: VertexId, destination: VertexId, region_id: RegionId
     ) -> tuple[Path, RouteDiagnostics]:
-        best_path: Path | None = None
+        tables = self._current_tables()
+        best: tuple[VertexId, ...] | None = None
         best_count = 0
-        for inner, count in self._graph.inner_paths(region_id):
-            vertices = inner.vertices
-            if source in vertices and destination in vertices:
+        for vertices, count in tables.inner[region_id].paths:
+            if count > best_count and source in vertices and destination in vertices:
                 si = vertices.index(source)
                 di = vertices.index(destination, si) if destination in vertices[si:] else -1
-                if di > si and count > best_count:
-                    best_path = Path(vertices=vertices[si : di + 1])
+                if di > si:
+                    best = vertices[si : di + 1]
                     best_count = count
-        if best_path is not None:
-            return best_path, RouteDiagnostics(case="in-region-same")
+        if best is not None:
+            return Path(vertices=best), RouteDiagnostics(case="in-region-same")
         return (
-            self._connector(source, destination, self._region_preference(region_id)),
+            self._connector(source, destination, tables.preferences.get(region_id)),
             RouteDiagnostics(case="in-region-same"),
         )
-
-    def _region_preference(self, region_id: RegionId) -> "PreferenceVector | None":
-        """The most common learned preference among the region's T-edges."""
-        preferences = [
-            edge.preference
-            for edge in self._graph.edges()
-            if edge.preference is not None and region_id in (edge.region_a, edge.region_b)
-        ]
-        if not preferences:
-            return None
-        return Counter(preferences).most_common(1)[0][0]
 
     def _connector(
         self, source: VertexId, destination: VertexId, preference: "PreferenceVector | None"
@@ -141,7 +322,11 @@ class RegionRouter:
         region_d: RegionId,
         case_label: str = "in-region",
     ) -> tuple[Path, RouteDiagnostics]:
-        region_path = self._find_region_path(region_s, region_d)
+        tables = self._current_tables()
+        # Greedy geometric walk on the region graph with a BFS fallback.
+        region_path = self._greedy_region_walk(tables, region_s, region_d)
+        if region_path is None:
+            region_path = self._bfs_region_path(tables, region_s, region_d)
         if region_path is None:
             return (
                 fastest_path(self._network, source, destination),
@@ -151,121 +336,40 @@ class RegionRouter:
         # The region edges along the region path define the *corridor*: the
         # road-network edges that local drivers actually used when traveling
         # between these regions, plus the preference that explains them.
-        used_b = 0
-        corridor: dict[tuple[VertexId, VertexId], int] = {}
-        preferences: list["PreferenceVector"] = []
-
-        def add_corridor(hop: tuple[VertexId, VertexId], count: int) -> None:
-            corridor[hop] = corridor.get(hop, 0) + count
-            reverse = (hop[1], hop[0])
-            corridor[reverse] = corridor.get(reverse, 0) + count
-
-        for region_a, region_b in zip(region_path, region_path[1:]):
-            edge = self._edge_object(region_a, region_b)
-            if edge is None:
-                continue
-            if edge.is_b_edge:
-                used_b += 1
-            if edge.preference is not None:
-                preferences.append(edge.preference)
-            for vertices, count in edge.path_counts.items():
-                for hop in zip(vertices, vertices[1:]):
-                    add_corridor(hop, count)
-        # Inner-region paths of the endpoint regions belong to the corridor too.
-        for region_id in (region_s, region_d):
-            for inner, count in self._graph.inner_paths(region_id):
-                for hop in inner.edge_keys:
-                    add_corridor(hop, count)
-
+        # Inner-region paths of the endpoint regions belong to it too.
+        steps = [tables.steps[pair] for pair in zip(region_path, region_path[1:])]
+        preferences = [edge.preference for edge, _ in steps if edge.preference is not None]
         preference = Counter(preferences).most_common(1)[0][0] if preferences else None
-        path = self._corridor_route(source, destination, corridor, preference)
-        return path, RouteDiagnostics(
-            case=case_label, region_hops=len(region_path) - 1, used_b_edges=used_b
-        )
-
-    def _corridor_route(
-        self,
-        source: VertexId,
-        destination: VertexId,
-        corridor: dict[tuple[VertexId, VertexId], int],
-        preference: "PreferenceVector | None",
-    ) -> Path:
-        """Route ``source`` to ``destination`` hugging the trajectory corridor.
-
-        The master cost of the (learned or transferred) preference is used,
-        discounted on corridor edges — the more trajectories traversed an
-        edge, the stronger the discount — so the answer follows the roads
-        local drivers chose while still adapting to the query's exact
-        endpoints; edges violating the slave road-condition preference outside
-        the corridor are mildly penalized.
-        """
-        from ..routing.costs import CostFeature, cost_function
-        from ..routing.dijkstra import dijkstra
-
-        master = cost_function(preference.master) if preference is not None else cost_function(
-            CostFeature.TRAVEL_TIME
-        )
-        slave = preference.slave if preference is not None else None
-
-        def corridor_cost(edge) -> float:
-            cost = master(edge)
-            count = corridor.get(edge.key, 0)
-            if count > 0:
-                return cost / (1.0 + math.log1p(count))
-            if slave is not None and not slave.satisfied_by(edge.road_type):
-                return cost * 1.5
-            return cost
-
-        def build_cost_array(graph):
-            # Vectorized corridor cost: start from the master feature's flat
-            # array, penalize slave-violating edges, then overwrite corridor
-            # slots with the popularity discount (same precedence as above).
-            attr = getattr(master, "cost_attr", None)
-            if attr is None:
-                return None
-            base = graph.array(attr)
-            weights = base.copy()
-            if slave is not None:
-                satisfied = graph.memo(
-                    ("corridor-slave-mask", slave),
-                    lambda: np.fromiter(
-                        (slave.satisfied_by(edge.road_type) for edge in graph.edges),
-                        dtype=bool,
-                        count=graph.edge_count,
-                    ),
-                    cost_dependent=False,  # road types never change under traffic
-                )
-                weights[~satisfied] *= 1.5
-            slot = graph.slot
-            for hop, count in corridor.items():
-                index = slot(*hop)
-                if index is not None:
-                    weights[index] = base[index] / (1.0 + math.log1p(count))
-            return weights
-
-        corridor_cost.build_cost_array = build_cost_array  # type: ignore[attr-defined]
-
+        hops = [hops for _, hops in steps]
+        hops += (tables.inner[region_s], tables.inner[region_d])
         try:
-            return dijkstra(self._network, source, destination, corridor_cost)
+            path = dijkstra(
+                self._network, source, destination, _CorridorCost(preference, tables, hops)
+            )
         except NoPathError:
-            return fastest_path(self._network, source, destination)
+            path = fastest_path(self._network, source, destination)
+        return path, RouteDiagnostics(
+            case=case_label,
+            region_hops=len(steps),
+            used_b_edges=sum(edge.is_b_edge for edge, _ in steps),
+        )
 
-    def _find_region_path(self, region_s: RegionId, region_d: RegionId) -> list[RegionId] | None:
-        """Greedy geometric walk on the region graph with a BFS fallback."""
-        greedy = self._greedy_region_walk(region_s, region_d)
-        if greedy is not None:
-            return greedy
-        return self._bfs_region_path(region_s, region_d)
+    def _greedy_region_walk(
+        self, tables: _RegionTables, region_s: RegionId, region_d: RegionId
+    ) -> list[RegionId] | None:
+        centroids = tables.centroids
+        goal = centroids[region_d]
 
-    def _greedy_region_walk(self, region_s: RegionId, region_d: RegionId) -> list[RegionId] | None:
-        goal = self._graph.region_centroid(region_d)
+        def distance_to_goal(region: RegionId) -> float:
+            return equirectangular_m(centroids[region], goal)
+
         current = region_s
         path = [current]
         visited = {current}
         for _ in range(self._max_region_hops):
             if current == region_d:
                 return path
-            neighbors = self._graph.neighbors(current)
+            neighbors = tables.neighbors[current]
             if region_d in neighbors:
                 path.append(region_d)
                 return path
@@ -274,21 +378,18 @@ class RegionRouter:
                 return None
             # Prefer the neighbour whose centroid is closest to the goal, and
             # only move if it actually makes geometric progress.
-            def distance_to_goal(region: RegionId) -> float:
-                return equirectangular_m(self._graph.region_centroid(region), goal)
-
             best = min(candidates, key=distance_to_goal)
-            if distance_to_goal(best) >= distance_to_goal(current) and len(path) > 1:
+            if len(path) > 1 and distance_to_goal(best) >= distance_to_goal(current):
                 return None
             path.append(best)
             visited.add(best)
             current = best
         return None
 
-    def _bfs_region_path(self, region_s: RegionId, region_d: RegionId) -> list[RegionId] | None:
+    def _bfs_region_path(
+        self, tables: _RegionTables, region_s: RegionId, region_d: RegionId
+    ) -> list[RegionId] | None:
         """Fewest-region-edge path (the paper prefers few region edges)."""
-        from collections import deque
-
         parent: dict[RegionId, RegionId] = {}
         seen = {region_s}
         queue: deque[RegionId] = deque([region_s])
@@ -301,98 +402,12 @@ class RegionRouter:
                     path.append(current)
                 path.reverse()
                 return path
-            for neighbor in self._graph.neighbors(current):
+            for neighbor in tables.neighbors[current]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     parent[neighbor] = current
                     queue.append(neighbor)
         return None
-
-    def _edge_object(self, region_a: RegionId, region_b: RegionId) -> RegionEdge | None:
-        if self._graph.has_edge(region_a, region_b):
-            return self._graph.edge(region_a, region_b)
-        if self._graph.has_edge(region_b, region_a):
-            return self._graph.edge(region_b, region_a)
-        return None
-
-    def _edge_path(
-        self,
-        region_a: RegionId,
-        region_b: RegionId,
-        from_vertex: VertexId | None = None,
-        to_vertex: VertexId | None = None,
-    ) -> Path | None:
-        """A concrete road-network path for traversing region edge (a, b).
-
-        Among the paths associated with the region edge, the one whose
-        endpoints best fit the query (geometrically close to where the route
-        currently is and to where it is heading) is preferred; popularity
-        breaks ties.  Reverse-edge paths are used (reversed) when the forward
-        edge carries no paths.
-        """
-        candidates: list[tuple[Path, int]] = []
-        if self._graph.has_edge(region_a, region_b):
-            edge = self._graph.edge(region_a, region_b)
-            candidates = [(Path(vertices=v), c) for v, c in edge.path_counts.items()]
-        if not candidates and self._graph.has_edge(region_b, region_a):
-            reverse_edge = self._graph.edge(region_b, region_a)
-            for vertices, count in reverse_edge.path_counts.items():
-                candidate = Path(vertices=vertices).reversed()
-                if candidate.is_valid(self._network):
-                    candidates.append((candidate, count))
-        if not candidates:
-            return None
-        if from_vertex is None and to_vertex is None:
-            return max(candidates, key=lambda item: item[1])[0]
-
-        def detour_m(path: Path) -> float:
-            total = 0.0
-            if from_vertex is not None:
-                total += equirectangular_m(
-                    self._network.coordinates(from_vertex),
-                    self._network.coordinates(path.source),
-                )
-            if to_vertex is not None:
-                total += equirectangular_m(
-                    self._network.coordinates(path.destination),
-                    self._network.coordinates(to_vertex),
-                )
-            return total
-
-        return min(candidates, key=lambda item: (detour_m(item[0]), -item[1]))[0]
-
-    def _stitch(
-        self,
-        source: VertexId,
-        destination: VertexId,
-        segments: list[tuple[Path, "PreferenceVector | None"]],
-    ) -> Path:
-        """Join region-edge segments with preference-aware connectors.
-
-        Gaps before a segment are bridged with the segment's edge preference
-        (learned or transferred); the final gap to the destination uses the
-        last segment's preference.  This keeps the attachment portions
-        consistent with the routing behaviour the region edges encode.
-        """
-        full: Path | None = None
-        cursor = source
-        last_preference: "PreferenceVector | None" = None
-        try:
-            for segment, preference in segments:
-                if cursor != segment.source:
-                    connector = self._connector(cursor, segment.source, preference)
-                    full = connector if full is None else full.splice(connector)
-                full = segment if full is None else full.splice(segment)
-                cursor = segment.destination
-                last_preference = preference
-            if cursor != destination:
-                connector = self._connector(cursor, destination, last_preference)
-                full = connector if full is None else full.splice(connector)
-        except NoPathError:
-            return fastest_path(self._network, source, destination)
-        if full is None:
-            return fastest_path(self._network, source, destination)
-        return _remove_cycles(full)
 
     # ------------------------------------------------------------------ #
     # Case 2 — endpoints outside regions
@@ -405,21 +420,18 @@ class RegionRouter:
         region_d: RegionId | None,
     ) -> tuple[Path, RouteDiagnostics]:
         case_label = "out-region" if region_s is None and region_d is None else "in-out-region"
-        try:
-            baseline = fastest_path(self._network, source, destination)
-        except NoPathError:
-            raise
-        # Scan the fastest path for candidate regions.
-        first_idx, first_region = self._first_region_on(baseline.vertices)
-        last_idx, last_region = self._last_region_on(baseline.vertices)
-        if (
-            first_region is None
-            or last_region is None
-            or first_region == last_region
-            or first_idx >= last_idx
-        ):
+        baseline = fastest_path(self._network, source, destination)
+        # The first and last region-covered vertices on the fastest path.
+        region_of = self._graph.region_of
+        covered = [
+            (index, region)
+            for index, vertex in enumerate(baseline.vertices)
+            if (region := region_of(vertex)) is not None
+        ]
+        if len(covered) < 2 or covered[0][1] == covered[-1][1]:
             return baseline, RouteDiagnostics(case=case_label)
 
+        (first_idx, first_region), (last_idx, last_region) = covered[0], covered[-1]
         anchor_s = baseline.vertices[first_idx]
         anchor_d = baseline.vertices[last_idx]
         prefix = Path(vertices=baseline.vertices[: first_idx + 1])
@@ -436,20 +448,6 @@ class RegionRouter:
             region_hops=diagnostics.region_hops,
             used_b_edges=diagnostics.used_b_edges,
         )
-
-    def _first_region_on(self, vertices: tuple[VertexId, ...]) -> tuple[int, RegionId | None]:
-        for index, vertex in enumerate(vertices):
-            region = self._graph.region_of(vertex)
-            if region is not None:
-                return index, region
-        return -1, None
-
-    def _last_region_on(self, vertices: tuple[VertexId, ...]) -> tuple[int, RegionId | None]:
-        for index in range(len(vertices) - 1, -1, -1):
-            region = self._graph.region_of(vertices[index])
-            if region is not None:
-                return index, region
-        return -1, None
 
 
 def _remove_cycles(path: Path) -> Path:

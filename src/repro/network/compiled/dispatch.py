@@ -136,13 +136,13 @@ def try_dijkstra(
     key, array, version = resolved
     source_index = graph.index_of[source]
     destination_index = graph.index_of[destination]
-    if edge_filter is None and key is not None:
+    if edge_filter is None:
         # Fast path: scipy's C Dijkstra over the same CSR arrays, with an
-        # exact (reference-identical) path reconstruction.  Restricted to
-        # cacheable cost arrays: it runs a full SSSP with no destination
-        # early-stop, which only pays off once the CSR matrix is memoized —
-        # per-query arrays (key None, e.g. corridor costs) do better on the
-        # early-exiting python kernel below.
+        # exact (reference-identical) path reconstruction.  It runs a full
+        # SSSP with no destination early-stop; in C that still beats the
+        # early-exiting python kernel below once a query settles more than
+        # about a sixth of the graph, memoized matrix (keyed arrays) or not
+        # (per-query arrays, key None, e.g. corridor costs).
         result = sparse.shortest_path_indices(
             graph, key, array, source_index, destination_index, version
         )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -348,14 +348,21 @@ class CostStore:
 
     def reverse_weights(
         self, key: Hashable | None, array: np.ndarray, version: int | None = None
-    ) -> list[float]:
-        """The cost array permuted into reverse (predecessor) slot order."""
+    ) -> Sequence[float]:
+        """The cost array permuted into reverse (predecessor) slot order.
+
+        A keyed array comes back as its memoized list.  A per-query array
+        (``key`` None) has nothing to memoize and comes back as a memoryview
+        of the permuted array, whose items are Python floats like a list's:
+        its readers — backward walks, early-exit kernels — touch a few
+        hundred items, and listing every weight first would cost more.
+        """
 
         def build():
             return array[self.topology.r_slots].tolist() if len(array) else []
 
         if key is None:
-            return build()
+            return memoryview(array[self.topology.r_slots]) if len(array) else []
         stamp = self._stamp(True, version)
         return self._cached(self._r_weight_lists, key, build, stamp)  # type: ignore[return-value]
 
@@ -506,7 +513,7 @@ class CompiledGraph:
 
     def reverse_weights(
         self, key: Hashable | None, array: np.ndarray, version: int | None = None
-    ) -> list[float]:
+    ) -> Sequence[float]:
         """The cost array permuted into reverse (predecessor) slot order."""
         return self.costs.reverse_weights(key, array, version)
 

@@ -20,7 +20,8 @@ caller falls back to the pure-python array kernels.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable
+import copy
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
@@ -61,7 +62,19 @@ def _matrix(
         return _csr_matrix((array, indices, indptr), shape=(n, n))
 
     if key is None:
-        return build()
+        # Nothing to memoize, and the constructor's index checks would cost
+        # more than assembling a per-query array did: the indices are checked
+        # once, in a memoized matrix that is shallow-copied and given the data.
+        checked = graph.memo(
+            ("sparse-checked",),
+            lambda: _csr_matrix(
+                (np.ones(len(array), dtype=np.float64), indices, indptr), shape=(n, n)
+            ),
+            cost_dependent=False,
+        )
+        matrix = copy.copy(checked)
+        matrix.data = array
+        return matrix
     return graph.memo(("sparse-matrix", key), build, version=version)
 
 
@@ -86,7 +99,7 @@ def _all_positive(
 def reconstruct_path_indices(
     graph: "CompiledGraph",
     dist: list[float],
-    r_weights: list[float],
+    r_weights: Sequence[float],
     source: int,
     destination: int,
 ) -> list[int] | None:
@@ -95,7 +108,9 @@ def reconstruct_path_indices(
     ``dist`` is the full single-source distance list from ``source`` (any
     exact Dijkstra backend — scipy's C implementation or the python array
     kernel — produces suitable values) and ``r_weights`` the cost array in
-    reverse CSR slot order.  Returns the reference-identical vertex-index
+    reverse CSR slot order (any sequence whose items are Python floats: a
+    list, or a ``memoryview`` of a float64 array, which makes a float only
+    of the items the walk reads).  Returns the reference-identical vertex-index
     path, or ``None`` on a float anomaly (the caller falls back to the
     exact per-query kernel).  Weights must be strictly positive or the walk
     could cycle — callers guard with :func:`_all_positive`.

@@ -162,7 +162,26 @@ class RegionGraph:
 
     def inner_paths(self, region_id: RegionId) -> list[tuple[Path, int]]:
         """Inner-region paths with their traversal counts."""
-        return [(Path(vertices=v), c) for v, c in self._inner_paths.get(region_id, Counter()).items()]
+        return [(Path(vertices=v), c) for v, c in self.inner_path_counts(region_id)]
+
+    def adjacency(self) -> dict[RegionId, frozenset[RegionId]]:
+        """Every region's neighbours as one immutable snapshot.
+
+        For consumers that compile the graph once (the online router):
+        unlike :meth:`neighbors` nothing is copied per lookup afterwards.
+        """
+        return {
+            region_id: frozenset(self._adjacency.get(region_id, ()))
+            for region_id in self._regions
+        }
+
+    def inner_path_counts(self, region_id: RegionId) -> tuple[tuple[tuple[VertexId, ...], int], ...]:
+        """Inner-region paths as raw ``(vertex tuple, count)`` pairs.
+
+        The stored form behind :meth:`inner_paths`, without a fresh
+        :class:`Path` object per entry.
+        """
+        return tuple(self._inner_paths.get(region_id, {}).items())
 
     def region_centroid(self, region_id: RegionId) -> tuple[float, float]:
         return self.region(region_id).centroid(self._network)

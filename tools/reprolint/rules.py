@@ -84,6 +84,10 @@ _COST_SOURCE_ATTRS = frozenset(
     }
 )
 
+#: Attribute reads that look up CSR slots: what is derived from them is stale
+#: after a structural mutation, whatever the cost version says.
+_SLOT_SOURCE_ATTRS = frozenset({"slot", "slot_of"})
+
 #: Identifiers whose presence shows the function participates in the
 #: version-stamp protocol (reads a version counter, a stamp, or routes the
 #: artifact through the self-evicting ``memo()`` cache).
@@ -106,6 +110,11 @@ _VERSION_MARKERS = frozenset(
     }
 )
 
+#: The markers that vouch for the topology: its version counter, or the
+#: ``memo()`` of a compiled snapshot (a structural mutation replaces the
+#: snapshot, and its memo with it).
+_TOPOLOGY_MARKERS = frozenset({"topology_version", "built_topology_version", "memo"})
+
 
 class VersionStampRule(Rule):
     """RL001: cost-derived cache population must read a version stamp.
@@ -113,7 +122,11 @@ class VersionStampRule(Rule):
     Every memo/cache attribute in the compiled subsystem whose population
     reads a cost array must also read ``cost_version`` / ``weights_version``
     (or route through the version-stamped ``memo()``): an unstamped entry
-    survives live-traffic patches and replays pre-update answers.
+    survives live-traffic patches and replays pre-update answers.  A cache
+    populated from CSR slot lookups (``slot()`` / ``slot_of``) must read
+    ``topology_version`` (or go through ``memo()``) — a cost stamp does not
+    vouch for slots; the region router's compiled corridors are the case in
+    point, hence ``core/router.py`` in the scope.
     """
 
     rule_id = "RL001"
@@ -122,7 +135,12 @@ class VersionStampRule(Rule):
         "cost-derived cache populated without reading a version stamp "
         "(cost_version/weights_version/memo())"
     )
-    path_scopes = ("network/compiled/", "service/cache.py", "routing/contraction.py")
+    path_scopes = (
+        "network/compiled/",
+        "service/cache.py",
+        "routing/contraction.py",
+        "core/router.py",
+    )
 
     def visitor(self, context: FileContext) -> ast.NodeVisitor:
         rule = self
@@ -133,7 +151,9 @@ class VersionStampRule(Rule):
                     return
                 cache_writes: list[tuple[ast.stmt, str]] = []
                 reads_cost = False
+                reads_slots = False
                 reads_version = False
+                reads_topology = False
                 for child in ast.walk(node):
                     if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                         value = getattr(child, "value", None)
@@ -141,12 +161,16 @@ class VersionStampRule(Rule):
                             name = _cache_target_name(target)
                             if name is not None and not _is_reset_literal(value):
                                 cache_writes.append((child, name))
-                    if isinstance(child, ast.Attribute) and child.attr in _COST_SOURCE_ATTRS:
-                        reads_cost = True
-                    if isinstance(child, ast.Attribute) and child.attr in _VERSION_MARKERS:
-                        reads_version = True
-                    elif isinstance(child, ast.Name) and child.id in _VERSION_MARKERS:
-                        reads_version = True
+                    if isinstance(child, ast.Attribute):
+                        reads_cost = reads_cost or child.attr in _COST_SOURCE_ATTRS
+                        reads_slots = reads_slots or child.attr in _SLOT_SOURCE_ATTRS
+                        identifier = child.attr
+                    elif isinstance(child, ast.Name):
+                        identifier = child.id
+                    else:
+                        continue
+                    reads_version = reads_version or identifier in _VERSION_MARKERS
+                    reads_topology = reads_topology or identifier in _TOPOLOGY_MARKERS
                 if cache_writes and reads_cost and not reads_version:
                     for statement, name in cache_writes:
                         context.report(
@@ -156,6 +180,16 @@ class VersionStampRule(Rule):
                             "data without reading cost_version/weights_version or "
                             "routing through memo(); stale entries will replay after "
                             "live-traffic updates",
+                        )
+                if cache_writes and reads_slots and not reads_topology:
+                    for statement, name in cache_writes:
+                        context.report(
+                            rule,
+                            statement,
+                            f"cache attribute {name!r} is populated from CSR slot lookups "
+                            "without reading topology_version or routing through memo(); "
+                            "stale slots will index the wrong edges after a structural "
+                            "mutation",
                         )
 
             def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
