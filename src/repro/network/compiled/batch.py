@@ -19,6 +19,7 @@ per-landmark forward/backward distance rows.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
@@ -77,7 +78,7 @@ def dijkstra_many(
     """
     n = graph.vertex_count
     matrix_sources = list(sources)
-    if sparse.HAVE_SCIPY and (array.size == 0 or array.min() >= 0.0):
+    if sparse.HAVE_SCIPY and sparse.min_weight(graph, key, array, version) >= 0.0:
         if reverse:
             matrix = _reverse_matrix(graph, key, array, version)
         else:
@@ -134,16 +135,17 @@ def shortest_paths_many(
     distances = dijkstra_many(graph, key, array, version, unique_sources)
 
     r_weights = graph.reverse_weights(key, array, version)
-    rows: dict[int, list[float]] = {}
+    rows: dict[int, memoryview] = {}
     results: list[list[int] | tuple[()] | None] = []
     for source, destination in pairs:
         row = rows.get(source)
         if row is None:
-            row = rows[source] = distances[by_source[source]].tolist()
+            # The walk reads a few hundred of the row's floats: no list of all.
+            row = rows[source] = memoryview(distances[by_source[source]])
         if source == destination:
             results.append([source])
             continue
-        if not np.isfinite(row[destination]):
+        if math.isinf(row[destination]):
             results.append(())
             continue
         results.append(

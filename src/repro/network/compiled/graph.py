@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .workspace import SearchWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..road_network import Edge, RoadNetwork, VertexId
+    from .landmarks import BoundScratch
 
 #: Edge attributes compiled into flat cost arrays (the paper's wDI/wTT/wFC).
 #: These are also exactly the attributes that
@@ -55,6 +56,11 @@ EDGE_COST_ATTRIBUTES: tuple[str, ...] = ("distance_m", "travel_time_s", "fuel_ml
 #: Bounds memory on long-lived services where e.g. per-driver cost profiles
 #: would otherwise accrete one flat array each; evicted entries just rebuild.
 DEFAULT_MEMO_SIZE = 128
+
+#: Landmark tables kept per graph, most recently served first out last: each
+#: holds 2 x 8 distance rows (1.3 MB at 10^4 vertices), and per-request or
+#: per-driver cost views would otherwise accrete one apiece.
+LANDMARK_TABLE_LIMIT = 8
 
 #: Version stamp for artifacts that only depend on the immutable topology.
 TOPOLOGY_STAMP = -1
@@ -418,7 +424,8 @@ class CompiledGraph:
         # ALT landmark tables, keyed by cost cache key.  Deliberately *not*
         # in the version-stamped memo: a cost-version bump must revalidate
         # (rescale) a table rather than evict it — rebuilding costs 2k SSSPs.
-        self._landmark_tables: dict[Hashable, object] = {}
+        # The most recently served LANDMARK_TABLE_LIMIT are kept.
+        self._landmark_tables: OrderedDict[Hashable, object] = OrderedDict()
         self._landmark_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -568,6 +575,7 @@ class CompiledGraph:
         version: int | None,
         count: int | None = None,
         strategy: str | None = None,
+        build: bool = True,
     ):
         """The (lazily built) ALT landmark table for one cacheable cost view.
 
@@ -579,7 +587,8 @@ class CompiledGraph:
         :mod:`~repro.network.compiled.landmarks`).  ``count`` / ``strategy``
         force a rebuild when they differ from the cached table's
         configuration (used by ``RoadNetwork.prepare_landmarks``); left at
-        ``None`` they accept whatever is cached.
+        ``None`` they accept whatever is cached.  With ``build=False`` a view
+        without a servable table gets ``None`` instead of a build.
         """
         if key is None:
             return None
@@ -609,7 +618,10 @@ class CompiledGraph:
                         self._landmark_tables[key] = revalidated
                     table = revalidated
             if table is not None:
+                self._landmark_tables.move_to_end(key)
                 return table
+        if not build:
+            return None
         # Build outside the lock: ~2k SSSPs must not stall concurrent ALT
         # queries on other (already built) cost views.  Racing builders at
         # worst duplicate the work; the insert below is last-writer-wins and
@@ -621,10 +633,24 @@ class CompiledGraph:
             return None
         with self._landmark_lock:
             self._landmark_tables[key] = table
+            self._landmark_tables.move_to_end(key)
+            while len(self._landmark_tables) > LANDMARK_TABLE_LIMIT:
+                self._landmark_tables.popitem(last=False)
         return table
 
     @contextmanager
-    def borrowed_workspace(self) -> Iterator[SearchWorkspace]:
+    def _borrowed(self, pool_name: str, make: Callable[..., object], *sizes: int) -> Iterator:
+        pool = getattr(self._tls, pool_name, None)
+        if pool is None:
+            pool = []
+            setattr(self._tls, pool_name, pool)
+        item = pool.pop() if pool else make(*sizes)
+        try:
+            yield item
+        finally:
+            pool.append(item)
+
+    def borrowed_workspace(self) -> AbstractContextManager[SearchWorkspace]:
         """Check a preallocated workspace out of the calling thread's pool.
 
         Nested compiled searches (e.g. a heuristic or cost callback that
@@ -632,14 +658,14 @@ class CompiledGraph:
         inner search can never corrupt the generation stamps of an outer one.
         The pool grows to the maximum nesting depth ever seen per thread.
         """
-        pool = getattr(self._tls, "pool", None)
-        if pool is None:
-            pool = self._tls.pool = []
-        ws = pool.pop() if pool else SearchWorkspace(self.vertex_count)
-        try:
-            yield ws
-        finally:
-            pool.append(ws)
+        return self._borrowed("pool", SearchWorkspace, self.vertex_count)
+
+    def borrowed_scratch(self) -> AbstractContextManager["BoundScratch"]:
+        """Landmark-bound buffers, pooled like :meth:`borrowed_workspace`: what
+        a bounds call returned must not be read after the ``with`` block."""
+        from .landmarks import BoundScratch
+
+        return self._borrowed("scratch", BoundScratch, self.vertex_count, self.edge_count)
 
     def workspace(self) -> SearchWorkspace:
         """A dedicated workspace sized to this graph.

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 import numpy as np
 
@@ -61,7 +61,41 @@ DEFAULT_STRATEGY = "farthest"
 #: bounds shrunk past it prune too little to be worth keeping.
 REBUILD_RATIO = 0.5
 
+#: Bounded first attempts (``sparse.shortest_path_indices``) counted per table
+#: before both counts are halved, so the share that paid off follows the
+#: recent ones; a verdict needs half a window.  On the 60x60 and 100x100 grid
+#: cities 0.83 to 0.89 of the attempts pay off (1.15x and 1.4x over the full
+#: search); on ``country_network`` scaled to 5,060 and 11,220 vertices 0.46 to
+#: 0.50 do, and there the attempt is worth what the full search is (0.86x to
+#: 1.25x over eight runs), so a verdict that flips back and forth costs nothing.
+ATTEMPT_WINDOW = 512
+
+#: While under half pay off, one query in this many still makes the attempt,
+#: so the share keeps following the traffic and the verdict can turn back.
+SKIPPED_SAMPLE = 32
+
 _STRATEGIES = ("farthest", "avoid", "random")
+
+
+class BoundScratch:
+    """Preallocated buffers for landmark bounds over one graph snapshot.
+
+    Borrowed per call from :meth:`CompiledGraph.borrowed_scratch` (one per
+    thread and nesting depth, dying with the snapshot on a structural
+    mutation), so a query allocates no temporaries.
+    """
+
+    __slots__ = ("work", "to", "frm", "outside", "costs", "r_costs", "pruned", "matrix")
+
+    def __init__(self, vertex_count: int, edge_count: int) -> None:
+        self.work = np.empty((2, vertex_count), dtype=np.float64)
+        self.to = np.empty(vertex_count, dtype=np.float64)
+        self.frm = np.empty(vertex_count, dtype=np.float64)
+        self.outside = np.empty(vertex_count, dtype=np.bool_)
+        self.costs = np.empty(edge_count, dtype=np.float64)
+        self.r_costs = np.empty(edge_count, dtype=np.float64)
+        self.pruned = np.empty(edge_count, dtype=np.bool_)
+        self.matrix = None  # scipy CSR over ``costs``, made by its first user
 
 
 class LandmarkTable:
@@ -78,6 +112,10 @@ class LandmarkTable:
         "requested_count",
         "scale",
         "validated_version",
+        "span",
+        "attempts",
+        "paid_off",
+        "skipped",
     )
 
     def __init__(
@@ -104,10 +142,37 @@ class LandmarkTable:
         self.requested_count = requested_count if requested_count is not None else len(indices)
         self.scale = 1.0
         self.validated_version = build_version
+        finite = dist_from[np.isfinite(dist_from)]
+        self.span = float(finite.max()) if finite.size else 0.0  # ~ the graph's diameter
+        self.attempts = 0  # recent bounded first attempts ...
+        self.paid_off = 0  # ... how many of them paid off ...
+        self.skipped = 0  # ... and queries that went without while few did
 
     @property
     def count(self) -> int:
         return len(self.indices)
+
+    # ------------------------------------------------------------------ #
+    # Bounded-first-attempt bookkeeping
+    # ------------------------------------------------------------------ #
+    def wants_attempt(self) -> bool:
+        """Whether this query should make the bounded attempt: yes, unless
+        under half of the recent ones paid off — then one in
+        :data:`SKIPPED_SAMPLE` only."""
+        if self.attempts < ATTEMPT_WINDOW // 2 or 2 * self.paid_off >= self.attempts:
+            return True
+        self.skipped += 1
+        return self.skipped % SKIPPED_SAMPLE == 0
+
+    def note_attempt(self, paid_off: bool) -> None:
+        """Count one attempt; it paid off if it reached the destination
+        having settled at most half the graph.  Unlocked: a lost update only
+        delays the verdict."""
+        self.attempts += 1
+        self.paid_off += paid_off
+        if self.attempts >= ATTEMPT_WINDOW:
+            self.attempts //= 2
+            self.paid_off //= 2
 
     # ------------------------------------------------------------------ #
     # Cost-version admissibility
@@ -155,39 +220,66 @@ class LandmarkTable:
         )
         twin.scale = scale
         twin.validated_version = current_version
+        twin.attempts, twin.paid_off, twin.skipped = self.attempts, self.paid_off, self.skipped
         return twin
 
     # ------------------------------------------------------------------ #
     # Triangle-inequality bounds (vectorized over all vertices)
     # ------------------------------------------------------------------ #
-    def _bounds(self, fwd_ref: np.ndarray, bwd_ref: np.ndarray, sign: int) -> np.ndarray:
-        # ``inf - inf`` (both sides unreachable from a landmark) is NaN and
-        # carries no information; np.fmax drops NaNs in favour of any real
-        # bound, and the final fmax against 0.0 maps all-NaN columns to 0.
+    def _bounds(self, fwd_ref, bwd_ref, sign: int, scratch, rows) -> np.ndarray:
+        # One landmark row at a time (the work vectors stay in cache, and a
+        # subset of landmarks costs its share).  ``inf - inf`` (both sides
+        # unreachable from a landmark) is NaN and carries no information:
+        # np.fmax drops NaNs in favour of any real bound, and starting from
+        # 0.0 leaves 0 where every landmark said NaN.
         lf = self.dist_from
         lt = self.dist_to
+        a, b = scratch.work
+        h = scratch.to if sign > 0 else scratch.frm
+        h.fill(0.0)
         with np.errstate(invalid="ignore"):
-            if sign > 0:
-                b = np.fmax(fwd_ref[:, None] - lf, lt - bwd_ref[:, None])
-            else:
-                b = np.fmax(lf - fwd_ref[:, None], bwd_ref[:, None] - lt)
-            h = np.fmax.reduce(b, axis=0)
-        h = np.fmax(h, 0.0)
+            for i in range(len(lf)) if rows is None else rows:
+                if sign > 0:
+                    np.subtract(fwd_ref[i], lf[i], out=a)
+                    np.subtract(lt[i], bwd_ref[i], out=b)
+                else:
+                    np.subtract(lf[i], fwd_ref[i], out=a)
+                    np.subtract(bwd_ref[i], lt[i], out=b)
+                np.fmax(a, b, out=a)
+                np.fmax(h, a, out=h)
         if self.scale != 1.0:
             h *= self.scale
         return h
 
-    def bounds_to(self, target: int) -> np.ndarray:
+    def bounds_to(
+        self, target: int, scratch: BoundScratch, rows: Iterable[int] | None = None
+    ) -> np.ndarray:
         """Lower bounds on ``d(v, target)`` for every vertex ``v`` at once.
 
         ``inf`` entries are exact: a finite landmark row proving ``target``
         unreachable from ``v`` transfers through the triangle inequality.
+        The result is ``scratch.to`` (no allocation), valid until the scratch
+        is next used or handed back; ``rows`` restricts the bounds to those
+        landmarks (looser, cheaper).
         """
-        return self._bounds(self.dist_from[:, target], self.dist_to[:, target], +1)
+        return self._bounds(self.dist_from[:, target], self.dist_to[:, target], +1, scratch, rows)
 
-    def bounds_from(self, source: int) -> np.ndarray:
-        """Lower bounds on ``d(source, v)`` — the backward-search potential."""
-        return self._bounds(self.dist_from[:, source], self.dist_to[:, source], -1)
+    def bounds_from(
+        self, source: int, scratch: BoundScratch, rows: Iterable[int] | None = None
+    ) -> np.ndarray:
+        """Lower bounds on ``d(source, v)`` — the backward-search potential
+        (in ``scratch.frm``)."""
+        return self._bounds(self.dist_from[:, source], self.dist_to[:, source], -1, scratch, rows)
+
+    def tightest(self, source: int, target: int, count: int) -> tuple[float, list[int] | None]:
+        """The lower bound on ``d(source, target)`` and the ``count``
+        landmarks bounding it best (``None``: all of them)."""
+        lf, lt = self.dist_from, self.dist_to
+        with np.errstate(invalid="ignore"):
+            per = np.fmax(lf[:, target] - lf[:, source], lt[:, source] - lt[:, target])
+        per[np.isnan(per)] = -np.inf
+        rows = np.argsort(per)[-count:].tolist() if count < self.count else None
+        return float(per.max()) * self.scale, rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,6 +21,7 @@ caller falls back to the pure-python array kernels.
 from __future__ import annotations
 
 import copy
+import math
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
@@ -37,6 +38,35 @@ except Exception:  # pragma: no cover - exercised only without scipy
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import CompiledGraph
+    from .landmarks import LandmarkTable
+
+#: The bounded first attempt searches within ``CORRIDOR_RATIO`` times the
+#: landmark lower bound on the source-destination cost.  Measured on the
+#: 100x100 grid city against the full search (gain, share of attempts that
+#: reach the destination), travel time | distance: 1.2 -> 1.31x 0.79 | 1.64x
+#: 1.00; 1.3 -> 1.39x 0.84 | 1.55x 1.00; 1.4 -> 1.39x 0.95 | 1.41x 1.00;
+#: 1.6 -> 1.28x 0.98 | 1.29x 1.00.  Distance bounds are within 6 % of the
+#: cost there, travel-time bounds within 10 % at the median and 31 % at the
+#: ninetieth percentile, and congestion loosens them further.
+CORRIDOR_RATIO = 1.4
+
+#: Landmarks the corridor is bounded by — the tightest for the pair.  Each
+#: costs ~40 us per query at 10^4 vertices and prunes a little more; 2, 3, 4,
+#: 8 measured 1.34x, 1.40x, 1.39x, 1.32x there.
+CORRIDOR_LANDMARKS = 4
+
+#: No attempt for a pair whose lower bound exceeds this share of the table's
+#: span (its largest landmark distance, about the diameter): the corridor then
+#: holds most of the graph and the attempt costs more than the full search.
+#: Attempt / full time by bound / span on the 60x60 and 100x100 grid cities:
+#: 0.3-0.4 0.84 / 0.63, 0.4-0.5 0.98 / 0.80, 0.5-0.6 1.13 / 1.00, 0.6-0.7 1.34
+#: / 1.16, above 1.4 / 1.28 — these pairs were the slowest requests.
+CORRIDOR_MAX_SPAN = 0.5
+
+#: Landmark bounds are differences of float path sums, so one may exceed the
+#: true cost by rounding (~1e-13 relative); a vertex is pruned only when its
+#: bound clears the limit by far more than that.
+_CORRIDOR_SLACK = 1.0 + 1e-9
 
 
 def _matrix(
@@ -78,6 +108,22 @@ def _matrix(
     return graph.memo(("sparse-matrix", key), build, version=version)
 
 
+def min_weight(
+    graph: "CompiledGraph",
+    key: Hashable | None,
+    array: np.ndarray,
+    version: int | None,
+) -> float:
+    """The smallest weight (``inf`` without edges), memoized per keyed array."""
+
+    def scan() -> float:
+        return float(array.min()) if array.size else math.inf
+
+    if key is None:
+        return scan()
+    return graph.memo(("sparse-min", key), scan, version=version)  # type: ignore[return-value]
+
+
 def _all_positive(
     graph: "CompiledGraph",
     key: Hashable | None,
@@ -85,35 +131,38 @@ def _all_positive(
     version: int | None,
 ) -> bool:
     """Strictly positive weights guarantee the backward walk terminates."""
-    if key is None:
-        return bool(array.size == 0 or array.min() > 0.0)
-    return bool(
-        graph.memo(
-            ("sparse-positive", key),
-            lambda: array.size == 0 or array.min() > 0.0,
-            version=version,
-        )
+    return min_weight(graph, key, array, version) > 0.0
+
+
+def slot_targets(graph: "CompiledGraph") -> np.ndarray:
+    """The head vertex of every CSR slot as an int64 array (memoized)."""
+    return graph.memo(  # type: ignore[return-value]
+        ("csr-slot-targets",),
+        lambda: np.asarray(graph.targets, dtype=np.int64),
+        cost_dependent=False,
     )
 
 
 def reconstruct_path_indices(
     graph: "CompiledGraph",
-    dist: list[float],
+    dist: Sequence[float],
     r_weights: Sequence[float],
     source: int,
     destination: int,
 ) -> list[int] | None:
     """The deterministic backward walk over an exact distance array.
 
-    ``dist`` is the full single-source distance list from ``source`` (any
-    exact Dijkstra backend — scipy's C implementation or the python array
-    kernel — produces suitable values) and ``r_weights`` the cost array in
-    reverse CSR slot order (any sequence whose items are Python floats: a
-    list, or a ``memoryview`` of a float64 array, which makes a float only
-    of the items the walk reads).  Returns the reference-identical vertex-index
-    path, or ``None`` on a float anomaly (the caller falls back to the
-    exact per-query kernel).  Weights must be strictly positive or the walk
-    could cycle — callers guard with :func:`_all_positive`.
+    ``dist`` holds the single-source distances from ``source`` (any exact
+    Dijkstra backend — scipy's C implementation or the python array kernel —
+    produces suitable values; vertices on no shortest path to
+    ``destination`` may hold ``inf`` instead) and ``r_weights`` the cost
+    array in reverse CSR slot order.  Both are any sequence whose items are
+    Python floats: a list, or a ``memoryview`` of a float64 array, which
+    makes a float only of the items the walk reads.  Returns the
+    reference-identical vertex-index path, or ``None`` on a float anomaly
+    (the caller falls back to the exact per-query kernel).  Weights must be
+    strictly positive or the walk could cycle — callers guard with
+    :func:`_all_positive`.
     """
     r_offsets = graph.r_offsets
     r_targets = graph.r_targets
@@ -143,8 +192,8 @@ def reconstruct_path_indices(
 
 def reconstruct_path_indices_forward(
     graph: "CompiledGraph",
-    dist_to: list[float],
-    weights: list[float],
+    dist_to: Sequence[float],
+    weights: Sequence[float],
     source: int,
     destination: int,
 ) -> list[int] | None:
@@ -182,6 +231,45 @@ def reconstruct_path_indices_forward(
     return None  # pragma: no cover - cycle guard tripped; use the exact kernel
 
 
+def _corridor_distances(
+    graph: "CompiledGraph", array: np.ndarray, table: "LandmarkTable", source: int, destination: int
+) -> np.ndarray | None:
+    """Distances from ``source`` within a landmark corridor, or ``None``.
+
+    With ``limit`` = lower bound on the source-destination cost times
+    :data:`CORRIDOR_RATIO`, every vertex ``v`` on a shortest path of cost
+    ``<= limit`` has ``d(source, v) + d(v, destination) <= limit``, so edges
+    into vertices whose landmark bound on that sum exceeds ``limit`` cost
+    ``inf`` in a scratch copy and the C Dijkstra stops at ``limit``.  A
+    finite distance at ``destination`` is then exact, as is the distance of
+    every vertex on every shortest path to it — all the backward walk reads
+    to pick the same predecessors.  ``None``: the destination lies beyond
+    ``limit`` (or the bounds say nothing, or the pair is too far apart for a
+    corridor, :data:`CORRIDOR_MAX_SPAN`) and the full search must run.
+    """
+    lower, rows = table.tightest(source, destination, CORRIDOR_LANDMARKS)
+    if not 0.0 < lower <= CORRIDOR_MAX_SPAN * table.span:
+        return None
+    limit = lower * CORRIDOR_RATIO
+    with graph.borrowed_scratch() as scratch:
+        through = table.bounds_to(destination, scratch, rows)
+        through += table.bounds_from(source, scratch, rows)
+        np.greater(through, limit * _CORRIDOR_SLACK, out=scratch.outside)
+        np.take(scratch.outside, slot_targets(graph), out=scratch.pruned)
+        np.copyto(scratch.costs, array)
+        np.putmask(scratch.costs, scratch.pruned, math.inf)
+        if scratch.matrix is None:
+            scratch.matrix = _matrix(graph, None, scratch.costs, None)
+        distances = _csgraph_dijkstra(
+            scratch.matrix, indices=source, return_predecessors=False, limit=limit
+        )
+    reached = bool(distances[destination] != math.inf)
+    table.note_attempt(
+        reached and 2 * np.count_nonzero(distances != math.inf) <= len(distances)
+    )
+    return distances if reached else None
+
+
 def shortest_path_indices(
     graph: "CompiledGraph",
     key: Hashable | None,
@@ -189,24 +277,29 @@ def shortest_path_indices(
     source: int,
     destination: int,
     version: int | None = None,
+    table: "LandmarkTable | None" = None,
 ) -> list[int] | None | tuple[()]:
     """Point-to-point shortest path via scipy's C Dijkstra.
 
     ``version`` is the cost version ``array`` was resolved under; it stamps
     the memoized matrix / positivity artifacts so a patch racing the query
-    cannot leave pre-update data cached as current.  Returns the vertex-index
-    path, the empty tuple ``()`` when the destination is provably
-    unreachable, or ``None`` when this backend cannot answer (scipy missing /
-    non-positive weights / reconstruction anomaly) and the pure-python kernel
-    should run instead.
+    cannot leave pre-update data cached as current.  ``table`` (landmark
+    bounds admissible for ``array``) asks for a bounded first attempt, see
+    :func:`_corridor_distances`; the path is the same with or without it.
+    Returns the vertex-index path, the empty tuple ``()`` when the
+    destination is provably unreachable, or ``None`` when this backend
+    cannot answer (scipy missing / non-positive weights / reconstruction
+    anomaly) and the pure-python kernel should run instead.
     """
     if not HAVE_SCIPY or not _all_positive(graph, key, array, version):
         return None
-    matrix = _matrix(graph, key, array, version)
-    distances = _csgraph_dijkstra(matrix, indices=source, return_predecessors=False)
-    if not np.isfinite(distances[destination]):
-        return ()
-
-    dist = distances.tolist()
+    distances = None
+    if table is not None:
+        distances = _corridor_distances(graph, array, table, source, destination)
+    if distances is None:
+        matrix = _matrix(graph, key, array, version)
+        distances = _csgraph_dijkstra(matrix, indices=source, return_predecessors=False)
+        if distances[destination] == math.inf:
+            return ()
     r_weights = graph.reverse_weights(key, array, version)
-    return reconstruct_path_indices(graph, dist, r_weights, source, destination)
+    return reconstruct_path_indices(graph, memoryview(distances), r_weights, source, destination)

@@ -68,7 +68,8 @@ def _assert_admissible(network, table, sample_targets):
     graph = network.compiled()
     ids = sorted(network.vertex_ids())
     for target in sample_targets:
-        bounds = table.bounds_to(graph.index_of[target])
+        with graph.borrowed_scratch() as scratch:
+            bounds = table.bounds_to(graph.index_of[target], scratch).copy()
         for source in ids:
             true = _true_costs_from(network, source).get(target, math.inf)
             bound = bounds[graph.index_of[source]]
