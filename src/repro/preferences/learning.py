@@ -11,23 +11,34 @@ slave product, the paper's coordinate-descent-style procedure is used:
 2. with the master fixed, try each road-condition feature (via the
    preference-aware Dijkstra of Algorithm 2) and keep the one that improves
    similarity the most; if none improves, the slave stays empty.
+
+The procedure runs table-first: trajectories are skewed and sparse, so the
+paths of all T-edges leave from few distinct sources, and every constructed
+path a decision compares is searched in one batch per preference (one
+multi-source SSSP each) into a ``(path, preference) -> similarity`` table;
+the decisions themselves are lookups.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..exceptions import NoPathError
+from ..network.compiled.dispatch import try_route_many
 from ..network.road_network import RoadNetwork
 from ..routing.costs import CostFeature
-from ..routing.dijkstra import lowest_cost_path
 from ..routing.path import Path
-from ..routing.preference_dijkstra import preference_dijkstra
-from .features import FeatureCatalog, RoadConditionFeature
+from ..routing.preference_dijkstra import preference_cost, preference_dijkstra
+from .features import FeatureCatalog
 from .model import PreferenceVector
-from .similarity import path_similarity
+from .similarity import edge_lengths, shared_length_share
+
+_SCORE_SAMPLE = 4
+"""Paths of a T-edge its representative preference is scored against.  The
+score is diagnostic (it is reported, and breaks ties, but is not optimized
+over), so a small sample keeps Step 1 fast on T-edges with many paths."""
 
 
 @dataclass
@@ -45,6 +56,45 @@ class LearnedPreference:
         return len(set(self.per_path_preferences)) if self.per_path_preferences else 1
 
 
+class _SimilarityTable(dict):
+    """``(path index, preference) ->`` Eq. 1 similarity of the path the
+    preference constructs between the ground-truth path's endpoints, ``None``
+    where it constructs none (the pair is unreachable)."""
+
+    def __init__(self, network: RoadNetwork, paths: Sequence[Path]) -> None:
+        super().__init__()
+        self._network = network
+        self._pairs = [(path.source, path.destination) for path in paths]
+        self._lengths = [edge_lengths(network, path) for path in paths]
+
+    def fill(self, wanted: Iterable[tuple[int, PreferenceVector]]) -> None:
+        """Add the wanted entries not yet present: one batch search per preference."""
+        missing: dict[PreferenceVector, list[int]] = defaultdict(list)
+        for index, preference in wanted:
+            if (index, preference) not in self:
+                missing[preference].append(index)
+        for preference, indices in missing.items():
+            pairs = [self._pairs[index] for index in indices]
+            routes = try_route_many(self._network, pairs, preference_cost(preference))
+            for index, route in zip(indices, routes or [None] * len(pairs)):
+                self[index, preference] = self._similarity(index, preference, route)
+
+    def _similarity(self, index: int, preference: PreferenceVector, route) -> float | None:
+        if route is None:
+            # The batch search did not answer this pair: search it alone.
+            try:
+                route = preference_dijkstra(self._network, *self._pairs[index], preference)
+            except NoPathError:
+                return None
+        elif route == ():
+            # No route.  Under a slave, the constrained search ran dry and
+            # Algorithm 2 falls back to the master cost alone: that row.
+            if preference.slave is None:
+                return None
+            return self[index, PreferenceVector(preference.master)]
+        return shared_length_share(self._lengths[index], route)
+
+
 class PreferenceLearner:
     """Learns a representative routing preference from a set of paths."""
 
@@ -57,108 +107,119 @@ class PreferenceLearner:
     ) -> None:
         self._network = network
         self._catalog = catalog or FeatureCatalog()
+        self._masters = [PreferenceVector(feature) for feature in self._catalog.cost_features]
         self._min_improvement = min_improvement
         self._max_paths_per_edge = max_paths_per_edge
 
     # ------------------------------------------------------------------ #
     def learn(self, paths: Sequence[Path]) -> LearnedPreference:
         """Learn the representative preference for a T-edge path set."""
-        usable = [p for p in paths if len(p) >= 2][: self._max_paths_per_edge]
-        if not usable:
-            # Degenerate path sets carry no information: default to fastest.
-            default = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=None)
-            return LearnedPreference(preference=default, similarity=0.0)
+        return self.learn_many([paths])[0]
 
-        per_path: list[PreferenceVector] = [self._learn_single(path) for path in usable]
+    def learn_many(self, path_sets: Sequence[Sequence[Path]]) -> list[LearnedPreference]:
+        """Learn the representative preference of each path set (one per T-edge)."""
+        groups = [
+            [p for p in paths if len(p) >= 2][: self._max_paths_per_edge] for paths in path_sets
+        ]
+        paths = [path for group in groups for path in group]
+        table = _SimilarityTable(self._network, paths)
+        everything = range(len(paths))
+
+        # Coordinate descent per ground-truth path: master, then slave.
+        table.fill((i, master) for master in self._masters for i in everything)
+        masters = [self._master(table, i) for i in everything]
+        options = [self._slave_options(path, *master) for path, master in zip(paths, masters)]
+        table.fill((i, option) for i in everything for option in options[i])
+        per_path = [self._slave(table, i, *masters[i], options[i]) for i in everything]
 
         # The representative preference is the most common per-path preference
-        # (ties broken by re-scoring against the whole path set).
-        counted = Counter(per_path)
-        top_count = counted.most_common(1)[0][1]
-        candidates = [pref for pref, count in counted.items() if count == top_count]
-        best_pref = candidates[0]
-        best_score = -1.0
-        if len(candidates) > 1:
-            for pref in candidates:
-                score = self._score(pref, usable)
-                if score > best_score:
-                    best_score = score
-                    best_pref = pref
-        else:
-            best_score = self._score(best_pref, usable)
-        return LearnedPreference(
-            preference=best_pref,
-            similarity=best_score,
-            per_path_preferences=per_path,
+        # (ties broken by re-scoring against the path set).
+        members: list[range] = []
+        tied: list[list[PreferenceVector]] = []
+        for group in groups:
+            start = members[-1].stop if members else 0
+            members.append(range(start, start + len(group)))
+            counted = Counter(per_path[i] for i in members[-1])
+            top_count = max(counted.values(), default=0)
+            tied.append([pref for pref, count in counted.items() if count == top_count])
+        table.fill(
+            (i, pref)
+            for span, prefs in zip(members, tied)
+            for pref in prefs
+            for i in span[:_SCORE_SAMPLE]
         )
 
-    def _learn_single(self, path: Path) -> PreferenceVector:
-        """Coordinate-descent learning of one ground-truth path's preference."""
-        source, destination = path.source, path.destination
-
-        # Master dimension: the cost feature with the most similar lowest-cost path.
-        best_master = self._catalog.cost_features[0]
-        best_similarity = -1.0
-        for feature in self._catalog.cost_features:
-            try:
-                candidate = lowest_cost_path(self._network, source, destination, feature)
-            except NoPathError:
+        results: list[LearnedPreference] = []
+        for span, prefs in zip(members, tied):
+            if not span:
+                # Degenerate path sets carry no information: default to fastest.
+                default = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=None)
+                results.append(LearnedPreference(preference=default, similarity=0.0))
                 continue
-            similarity = path_similarity(self._network, path, candidate)
-            if similarity > best_similarity:
-                best_similarity = similarity
-                best_master = feature
-
-        # The master feature alone already reproduces the path: no road
-        # condition feature can improve on a perfect match.
-        if best_similarity >= 1.0 - 1e-9:
-            return PreferenceVector(master=best_master, slave=None)
-
-        # Slave dimension: the road-condition feature with the largest
-        # improvement.  Only features whose road types actually occur on the
-        # ground-truth path can increase the shared length, so the others are
-        # skipped (a substantial saving on large catalogs).
-        ground_truth_types = {
-            self._network.w_rt(u, v) for u, v in path.edge_keys
-        }
-        best_slave: RoadConditionFeature | None = None
-        best_gain = self._min_improvement
-        for road_feature in self._catalog.road_condition_features:
-            if not (road_feature.road_types & ground_truth_types):
-                continue
-            preference = PreferenceVector(master=best_master, slave=road_feature)
-            try:
-                candidate = preference_dijkstra(self._network, source, destination, preference)
-            except NoPathError:
-                continue
-            similarity = path_similarity(self._network, path, candidate)
-            gain = similarity - best_similarity
-            if gain > best_gain:
-                best_gain = gain
-                best_slave = road_feature
-        return PreferenceVector(master=best_master, slave=best_slave)
-
-    def _score(
-        self, preference: PreferenceVector, paths: Sequence[Path], sample: int = 4
-    ) -> float:
-        """Mean Eq. 1 similarity of preference-constructed paths to ``paths``.
-
-        Only a small sample of paths is scored; the score is diagnostic (it is
-        reported, not optimized over), so the sample keeps Step 1 fast on
-        T-edges with many associated paths.
-        """
-        total = 0.0
-        count = 0
-        for path in paths[:sample]:
-            try:
-                constructed = preference_dijkstra(
-                    self._network, path.source, path.destination, preference
+            best_pref, best_score = prefs[0], -1.0
+            for pref in prefs:
+                score = self._score(table, pref, span[:_SCORE_SAMPLE])
+                if score > best_score:
+                    best_pref, best_score = pref, score
+            results.append(
+                LearnedPreference(
+                    preference=best_pref,
+                    similarity=best_score,
+                    per_path_preferences=[per_path[i] for i in span],
                 )
-            except NoPathError:
-                continue
-            total += path_similarity(self._network, path, constructed)
-            count += 1
-        return total / count if count else 0.0
+            )
+        return results
+
+    def _master(self, table: _SimilarityTable, index: int) -> tuple[PreferenceVector, float]:
+        """The cost feature with the most similar lowest-cost path, and that similarity."""
+        best_master, best_similarity = self._masters[0], -1.0
+        for master in self._masters:
+            similarity = table[index, master]
+            if similarity is not None and similarity > best_similarity:
+                best_master, best_similarity = master, similarity
+        return best_master, best_similarity
+
+    def _slave_options(
+        self, path: Path, master: PreferenceVector, similarity: float
+    ) -> list[PreferenceVector]:
+        """The ``<master, slave>`` vectors worth trying on one ground-truth path.
+
+        None at all when the master feature alone already reproduces the path: no
+        road condition feature can improve on a perfect match.  Otherwise
+        only features whose road types actually occur on the ground-truth
+        path can increase the shared length, so the others are skipped (a
+        substantial saving on large catalogs).
+        """
+        if similarity >= 1.0 - 1e-9:
+            return []
+        ground_truth_types = {self._network.w_rt(u, v) for u, v in path.edge_keys}
+        return [
+            PreferenceVector(master.master, road_feature)
+            for road_feature in self._catalog.road_condition_features
+            if road_feature.road_types & ground_truth_types
+        ]
+
+    def _slave(
+        self,
+        table: _SimilarityTable,
+        index: int,
+        master: PreferenceVector,
+        similarity: float,
+        options: Sequence[PreferenceVector],
+    ) -> PreferenceVector:
+        """The option with the largest improvement over the master alone, if any."""
+        best, best_gain = master, self._min_improvement
+        for option in options:
+            constrained = table[index, option]
+            if constrained is not None and constrained - similarity > best_gain:
+                best, best_gain = option, constrained - similarity
+        return best
+
+    @staticmethod
+    def _score(table: _SimilarityTable, preference: PreferenceVector, sample: range) -> float:
+        """Mean Eq. 1 similarity of preference-constructed paths to the sampled paths."""
+        scores = [s for i in sample if (s := table[i, preference]) is not None]
+        return sum(scores) / len(scores) if scores else 0.0
 
 
 def learn_t_edge_preferences(
@@ -173,9 +234,9 @@ def learn_t_edge_preferences(
     also returned keyed by the edge's ``(region_a, region_b)`` pair.
     """
     learner = PreferenceLearner(network, catalog=catalog, max_paths_per_edge=max_paths_per_edge)
+    edges = region_graph.t_edges()
     results: dict[tuple[int, int], LearnedPreference] = {}
-    for edge in region_graph.t_edges():
-        learned = learner.learn(edge.paths())
+    for edge, learned in zip(edges, learner.learn_many([edge.paths() for edge in edges])):
         edge.preference = learned.preference
         edge.preference_transferred = False
         results[edge.key] = learned

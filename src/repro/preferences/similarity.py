@@ -9,7 +9,7 @@ type functionality sets, and drives the preference transfer of Step 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..network.road_network import RoadNetwork, VertexId
 from ..routing.path import Path
@@ -18,13 +18,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..regions.region_graph import RegionEdge
 
 
-def _edge_lengths(network: RoadNetwork, path: Path | Sequence[VertexId]) -> dict[tuple[VertexId, VertexId], float]:
+def edge_lengths(
+    network: RoadNetwork, path: Path | Sequence[VertexId]
+) -> dict[tuple[VertexId, VertexId], float]:
+    """``{directed edge: length in metres}`` over the edges of ``path``."""
     vertices = list(path)
-    lengths: dict[tuple[VertexId, VertexId], float] = {}
-    for i in range(len(vertices) - 1):
-        key = (vertices[i], vertices[i + 1])
-        lengths[key] = network.w_di(*key)
-    return lengths
+    return {key: network.w_di(*key) for key in zip(vertices, vertices[1:])}
+
+
+def shared_length_share(
+    ground_truth_lengths: Mapping[tuple[VertexId, VertexId], float],
+    constructed: Path | Sequence[VertexId],
+) -> float:
+    """Eq. 1 from the ground truth's :func:`edge_lengths`, for callers that
+    score many constructed paths against one ground truth.  Only the ground
+    truth's lengths enter Eq. 1; of ``constructed`` it takes the edge keys."""
+    vertices = list(constructed)
+    constructed_edges = set(zip(vertices, vertices[1:]))
+    shared = sum(
+        length for key, length in ground_truth_lengths.items() if key in constructed_edges
+    )
+    total = sum(ground_truth_lengths.values())
+    return shared / total if total > 0 else 0.0
 
 
 def path_similarity(
@@ -36,17 +51,12 @@ def path_similarity(
 
     ``pSim = sum_{e in Pk ∩ Pv} len(e) / sum_{e in Pk} len(e)``
     """
-    gt_lengths = _edge_lengths(network, ground_truth)
+    gt_lengths = edge_lengths(network, ground_truth)
     if not gt_lengths:
         # A trivial (single-vertex) ground truth is matched iff the
         # constructed path is also trivial and on the same vertex.
-        gt_vertices = list(ground_truth)
-        cons_vertices = list(constructed)
-        return 1.0 if gt_vertices == cons_vertices else 0.0
-    constructed_edges = set(_edge_lengths(network, constructed))
-    shared = sum(length for key, length in gt_lengths.items() if key in constructed_edges)
-    total = sum(gt_lengths.values())
-    return shared / total if total > 0 else 0.0
+        return 1.0 if list(ground_truth) == list(constructed) else 0.0
+    return shared_length_share(gt_lengths, constructed)
 
 
 def path_similarity_union(
@@ -58,8 +68,8 @@ def path_similarity_union(
 
     ``pSim = sum_{e in Pk ∩ Pv} len(e) / sum_{e in Pk ∪ Pv} len(e)``
     """
-    gt_lengths = _edge_lengths(network, ground_truth)
-    cons_lengths = _edge_lengths(network, constructed)
+    gt_lengths = edge_lengths(network, ground_truth)
+    cons_lengths = edge_lengths(network, constructed)
     if not gt_lengths and not cons_lengths:
         gt_vertices = list(ground_truth)
         cons_vertices = list(constructed)

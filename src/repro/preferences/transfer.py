@@ -9,7 +9,7 @@ Graph-based transduction following Section V-B:
   the :class:`~repro.preferences.features.FeatureCatalog`) is seeded with the
   T-edges' learned preferences; B-edge rows start at zero;
 * the transferred labels ``Yhat`` minimize Eq. 2 and are obtained by solving
-  Eq. 3, ``(S + mu1*L + mu2*I) Yhat_col = S Y_col``, once per feature column
+  Eq. 3, ``(S + mu1*L + mu2*I) Yhat = S Y``, for all feature columns together
   with an iterative solver;
 * each B-edge's transferred preference is decoded from its ``Yhat`` row
   (argmax over cost columns, argmax over road columns); rows whose cost
@@ -28,12 +28,11 @@ import numpy as np
 from ..exceptions import TransferError
 from .features import FeatureCatalog
 from .model import PreferenceVector
-from .similarity import region_edge_similarity
 from .solvers import solve
 
-_SPARSE_THRESHOLD = 600
-"""Above this number of region edges the Eq. 3 systems are solved with
-scipy's sparse conjugate gradients instead of the dense in-house solvers."""
+_BLOCK_ROWS = 256
+"""Rows of the adjacency matrix computed at a time: the temporaries of a
+block stay a few megabytes where whole-matrix ones would each be n x n."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,7 @@ class TransferResult:
     """Fraction of B-edges that received no preference (the paper's N-rate)."""
     runtime_s: float
     solver_iterations: int = 0
+    """Iterations of the one solve over all feature columns."""
     adjacency_density: float = 0.0
     diagnostics: dict[str, float] = field(default_factory=dict)
 
@@ -93,40 +93,41 @@ class PreferenceTransfer:
         distances and the functionality-Jaccard component from a binary
         edge x road-type-pair incidence matrix.  The result is identical to
         calling :func:`region_edge_similarity` pairwise (tested), but scales
-        to thousands of region edges.
+        to thousands of region edges: rows are computed a block at a time
+        into the one n x n result, so no other buffer of that size exists.
         """
         n = len(edges)
-        if n == 0:
-            return np.zeros((0, 0), dtype=float)
-        amr = self._config.amr
-
         distances = np.array([max(0.0, float(e.centroid_distance_m)) for e in edges], dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            minimum = np.minimum.outer(distances, distances)
-            maximum = np.maximum.outer(distances, distances)
-            ratio = np.where(maximum > 0.0, minimum / np.where(maximum > 0.0, maximum, 1.0), 1.0)
 
-        # Functionality Jaccard via a binary incidence matrix over the
-        # vocabulary of road-type pairs that actually occur.
+        # A binary incidence matrix over the vocabulary of road-type pairs
+        # that actually occur, for the functionality Jaccard.
         vocabulary: dict[tuple, int] = {}
         for edge in edges:
             for pair in edge.functionality:
                 vocabulary.setdefault(pair, len(vocabulary))
-        if vocabulary:
-            incidence = np.zeros((n, len(vocabulary)), dtype=float)
-            for i, edge in enumerate(edges):
-                for pair in edge.functionality:
-                    incidence[i, vocabulary[pair]] = 1.0
-            intersection = incidence @ incidence.T
-            sizes = incidence.sum(axis=1)
-            union = np.add.outer(sizes, sizes) - intersection
-            with np.errstate(divide="ignore", invalid="ignore"):
-                jaccard = np.where(union > 0.0, intersection / np.where(union > 0.0, union, 1.0), 0.0)
-        else:
-            jaccard = np.zeros((n, n), dtype=float)
+        incidence = np.zeros((n, len(vocabulary)), dtype=float)
+        for i, edge in enumerate(edges):
+            for pair in edge.functionality:
+                incidence[i, vocabulary[pair]] = 1.0
+        sizes = incidence.sum(axis=1)
 
-        matrix = ratio + jaccard
-        matrix[matrix < amr] = 0.0
+        matrix = np.empty((n, n), dtype=float)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = matrix[rows]
+            with np.errstate(invalid="ignore"):
+                # min / max of the two distances; 1 where both are zero (0 / 0).
+                larger = np.maximum(distances[rows, None], distances)
+                np.minimum(distances[rows, None], distances, out=block)
+                block /= larger
+                block[larger == 0.0] = 1.0
+                # |F_i & F_j| / |F_i | F_j|; 0 where both are empty (0 / 0).
+                shared = incidence[rows] @ incidence.T
+                union = sizes[rows, None] + sizes - shared
+                shared /= union
+                shared[union == 0.0] = 0.0
+            block += shared
+            block[block < self._config.amr] = 0.0
         np.fill_diagonal(matrix, 0.0)
         return matrix
 
@@ -174,41 +175,21 @@ class PreferenceTransfer:
         adjacency = self.build_adjacency(edges)
         y, s_diag = self.build_labels(edges, labelled)
         n = len(edges)
+        # Symmetric with a zero diagonal: every linked pair is counted twice.
+        linked_pairs = np.count_nonzero(adjacency) // 2
 
-        y_hat = np.zeros_like(y)
-        total_iterations = 0
-        if n > _SPARSE_THRESHOLD:
-            # Large instances: the thresholded adjacency is sparse, so Eq. 3
-            # is solved with scipy's sparse conjugate gradients.
-            from scipy import sparse
-            from scipy.sparse.linalg import cg as sparse_cg
-
-            adjacency_sp = sparse.csr_matrix(adjacency)
-            degree = np.asarray(adjacency_sp.sum(axis=1)).ravel()
-            laplacian = sparse.diags(degree) - adjacency_sp
-            system = (
-                sparse.diags(s_diag)
-                + self._config.mu1 * laplacian
-                + self._config.mu2 * sparse.identity(n, format="csr")
-            ).tocsr()
-            for column in range(y.shape[1]):
-                rhs = s_diag * y[:, column]
-                solution, info = sparse_cg(system, rhs, rtol=1e-8, maxiter=4 * n)
-                y_hat[:, column] = solution
-                total_iterations += 1 if info == 0 else 0
-        else:
-            degree = adjacency.sum(axis=1)
-            laplacian = np.diag(degree) - adjacency
-            system = (
-                np.diag(s_diag)
-                + self._config.mu1 * laplacian
-                + self._config.mu2 * np.eye(n)
+        # Eq. 3's matrix S + mu1 * (D - M) + mu2 * I, in the adjacency's buffer.
+        degree = adjacency.sum(axis=1)
+        system = adjacency
+        system *= -self._config.mu1
+        np.fill_diagonal(system, s_diag + self._config.mu1 * degree + self._config.mu2)
+        solved = solve(system, s_diag[:, None] * y, method=self._config.solver)
+        if not solved.converged:
+            raise TransferError(
+                f"the {self._config.solver!r} solve of Eq. 3 over {n} region edges stopped "
+                f"after {solved.iterations} iterations at residual {solved.residual_norm:.3g}"
             )
-            for column in range(y.shape[1]):
-                rhs = s_diag * y[:, column]
-                result = solve(system, rhs, method=self._config.solver)
-                y_hat[:, column] = result.x
-                total_iterations += result.iterations
+        y_hat = solved.x
 
         preferences: list[PreferenceVector | None] = []
         null_count = 0
@@ -225,15 +206,15 @@ class PreferenceTransfer:
                 null_count += 1
             preferences.append(decoded)
 
-        runtime = time.perf_counter() - started
         possible_pairs = n * (n - 1) / 2.0
-        density = float(np.count_nonzero(np.triu(adjacency, 1))) / possible_pairs if possible_pairs else 0.0
+        density = linked_pairs / possible_pairs if possible_pairs else 0.0
+        runtime = time.perf_counter() - started
         return TransferResult(
             preferences=preferences,
             y_hat=y_hat,
             null_rate=null_count / unlabelled_count if unlabelled_count else 0.0,
             runtime_s=runtime,
-            solver_iterations=total_iterations,
+            solver_iterations=solved.iterations,
             adjacency_density=density,
             diagnostics={
                 "n_edges": float(n),
@@ -241,6 +222,8 @@ class PreferenceTransfer:
                 "mu1": self._config.mu1,
                 "mu2": self._config.mu2,
                 "amr": self._config.amr,
+                "converged": float(solved.converged),
+                "residual_norm": solved.residual_norm,
             },
         )
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..exceptions import NoPathError, VertexNotFoundError
 from ..network.compiled import dispatch as _compiled
@@ -64,6 +67,39 @@ def preference_dijkstra(
     if vertices is not None:
         return Path.of(vertices)
     return _dict_preference_search(network, source, destination, preference)
+
+
+def preference_cost(preference: "PreferenceVector"):
+    """The cost view under which plain Dijkstra is Algorithm 2 for ``preference``.
+
+    Without a slave that is the master cost.  With one, Algorithm 2 relaxes
+    an edge when it satisfies the slave, or when no edge out of its tail does
+    (the masks the point-to-point kernel reads); Dijkstra over the master
+    cost with ``inf`` on every other slot settles the same vertices at the
+    same costs through the same parents.  The batch search
+    :func:`~repro.network.compiled.dispatch.try_route_many` therefore
+    reconstructs Algorithm 2's paths from this view, and a pair it reports
+    unreachable is one whose constrained search runs dry — where
+    :func:`preference_dijkstra` falls back to the master cost alone.  The
+    masked view serves the compiled searches only: it is not callable per edge.
+    """
+    master, slave = cost_function(preference.master), preference.slave
+    if slave is None:
+        return master
+    key = ("slave-masked", master.cost_attr, slave)
+
+    def build(graph) -> np.ndarray:
+        allowed, none_allowed = graph.memo(
+            ("slave-masks", slave), lambda: _compiled._slave_masks(graph, slave), cost_dependent=False
+        )
+        tails = np.repeat(np.arange(graph.vertex_count), np.diff(graph.offsets))
+        relaxed = np.array(allowed, dtype=bool) | np.array(none_allowed, dtype=bool)[tails]
+        return np.where(relaxed, graph.array(master.cost_attr), math.inf)
+
+    # Built from the store's own array: memo() stamps it with the cost version.
+    return SimpleNamespace(
+        cost_cache_key=key, build_cost_array=lambda graph: graph.memo(key, lambda: build(graph))
+    )
 
 
 def _dict_preference_search(
