@@ -1,47 +1,52 @@
-"""Boundary overlay graph and exact cross-shard route stitching.
+"""Boundary tables, the dense boundary overlay and exact cross-shard stitching.
 
 Any optimal s→t walk decomposes at its cut-edge traversals into maximal
 intra-shard segments whose endpoints are boundary vertices (plus s and t
-themselves).  The overlay graph materializes exactly that decomposition: its
-vertices are the boundary vertices of a :class:`~repro.service.sharding.plan.
-ShardPlan`, its edges are the real cut edges (original costs) plus, per
-shard, *shortcut* edges between same-shard boundary pairs carrying the
-shard-local shortest cost for every feature.  Boundary-to-boundary distances
-over this overlay therefore equal the true full-network distances, and a
-cross-shard query reduces to
+themselves).  Everything here is built on one mechanism that materializes
+that decomposition: per (shard, feature, direction) a **boundary table** —
+the shard-local costs from (``reverse``: to) each of the shard's boundary
+vertices to (from) every vertex of the shard, one batched SSSP call through
+the compiled dispatch layer, memoized on the sub-network's cost-versioned
+``graph.memo``.  Tables are built lazily, so a feature nobody serves never
+costs a search and an untouched shard's tables survive a diff elsewhere.
 
-    min over (b, b')  d_A(s, b) + D[b, b'] + d_B(b', t)
+* The **overlay** is, per feature, a dense |B| x |B| weight array over all
+  boundary vertices B: column selections of the forward tables (the shard's
+  boundary-to-boundary *shortcuts*) plus the cut edges' own costs.  One
+  all-pairs pass over it gives the boundary matrix ``D``, whose entries equal
+  the true full-network distances.
+* A cross-shard query is then pure lookups:
 
-with ``d_A`` / ``d_B`` shard-local distance rows (one ``dijkstra_many``
-batch per distinct source set, through the compiled dispatch layer) and
-``D`` the memoized overlay boundary matrix.  The same stitch bound doubles
-as the *escape check* for in-shard queries: a path may legitimately leave
-its shard and re-enter, and the stitch cost is exactly the best such escape.
+      min over (b, b')  d_A(s, b) + D[b, b'] + d_T(b', t)
 
-Cost updates never change reachability (all edge costs stay positive), so
-the overlay's topology is fixed at build time; live traffic only refreshes
-shortcut values through :meth:`BoundaryOverlay.apply`.
+  with ``d_A(s, ·)`` a column of the source shard's reverse table and
+  ``d_T(·, t)`` a column of the destination shard's forward table.  The same
+  bound is the *escape check* for an in-shard pair (a path may leave its
+  shard and re-enter); only the in-shard answer itself still searches — one
+  forward row per distinct in-shard source.
+* Paths come from the same tables without a search: the head from the exit
+  vertex's reverse row, the overlay walk hop by hop from ``D``, each shortcut
+  hop and the tail from a boundary vertex's forward row.
+
+A table costs |boundary| x |shard| floats — small on planar networks, not
+guaranteed small on hub-heavy ones.  Cost updates never change reachability
+(all edge costs stay positive), so everything but the costs is fixed at build
+time; :meth:`BoundaryOverlay.apply` patches costs and
+:meth:`BoundaryOverlay.refresh` rebuilds what the patch made stale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ...exceptions import NoPathError, ReproError
+from ...exceptions import EdgeNotFoundError, NoPathError, ShardingError
 from ...network.compiled import dispatch as _compiled
 from ...network.road_network import RoadNetwork
-from ...routing.costs import (
-    ALL_COST_FEATURES,
-    FEATURE_EDGE_ATTRIBUTES,
-    CostFeature,
-    cost_function,
-)
+from ...routing.costs import FEATURE_EDGE_ATTRIBUTES, CostFeature, cost_function
 from ...routing.dijkstra import dijkstra
-from ...routing.path import Path, splice_all
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...network.road_network import VertexId
@@ -75,22 +80,45 @@ def _improves(candidate: float, incumbent: float, rel_tol: float = ESCAPE_REL_TO
     return candidate < incumbent - rel_tol * max(1.0, abs(incumbent))
 
 
-@dataclass(frozen=True)
-class Stitch:
-    """One pair's best overlay decomposition: cost and the boundary pair."""
+def _all_pairs(weights: np.ndarray) -> np.ndarray:
+    """Floyd–Warshall over a dense weight array (``inf`` = no edge).
 
-    cost: float
-    exit_vertex: "VertexId"
-    entry_vertex: "VertexId"
+    One vectorised min-plus relaxation per intermediate vertex, all of them
+    through one scratch array.
+    """
+    distances = weights.copy()
+    np.fill_diagonal(distances, 0.0)
+    scratch = np.empty_like(distances)
+    for via in range(len(distances)):
+        np.add.outer(distances[:, via], distances[via], out=scratch)
+        np.minimum(distances, scratch, out=distances)
+    return distances
+
+
+class BoundaryTable(NamedTuple):
+    """Shard-local costs between a shard's boundary and all its vertices."""
+
+    costs: np.ndarray
+    """``costs[i, j]``: from boundary vertex ``i`` to the vertex in column
+    ``j`` (a reverse table: from ``j`` to ``i``); ``inf`` when unreachable."""
+    column_of: Mapping["VertexId", int]
+
+
+class Closure(NamedTuple):
+    """One feature's dense overlay at one cost state."""
+
+    weights: np.ndarray
+    """Single overlay hops: shortcuts and cut edges, ``inf`` elsewhere."""
+    distances: np.ndarray
+    """All-pairs boundary distances — the boundary matrix."""
 
 
 class BoundaryOverlay:
-    """The compiled boundary overlay of one shard plan.
+    """The boundary tables and dense overlay of one shard plan.
 
     Owns the per-shard induced sub-networks (the same objects the serving
     worker routes on, so cost updates applied through :meth:`apply` are seen
-    by both) and the overlay :class:`RoadNetwork` whose boundary matrix the
-    stitcher consumes.
+    by both) and the cut edges' costs.
     """
 
     def __init__(self, network: RoadNetwork, plan: "ShardPlan") -> None:
@@ -98,102 +126,35 @@ class BoundaryOverlay:
         self.subnets: tuple[RoadNetwork, ...] = tuple(
             plan.subnetwork(network, shard_id) for shard_id in range(plan.shard_count)
         )
-        self.network = self._build_overlay(network, plan)
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def _build_overlay(self, network: RoadNetwork, plan: "ShardPlan") -> RoadNetwork:
-        overlay = RoadNetwork(name=f"{network.name}-overlay")
-        for vertex_id in sorted(plan.boundary_vertices):
-            vertex = network.vertex(vertex_id)
-            overlay.add_vertex(vertex_id, vertex.lon, vertex.lat)
-        for source, target in plan.cut_edges:
-            edge = network.edge(source, target)
-            overlay.add_edge(
-                source,
-                target,
-                road_type=edge.road_type,
-                distance_m=edge.distance_m,
-                speed_kmh=edge.speed_kmh,
-                travel_time_s=edge.travel_time_s,
-                fuel_ml=edge.fuel_ml,
+        self.order: tuple["VertexId", ...] = tuple(sorted(plan.boundary_vertices))
+        self._index = {vertex: position for position, vertex in enumerate(self.order)}
+        #: Per shard: its boundary vertices' positions in :attr:`order`, and
+        #: each boundary vertex's row in the shard's tables.
+        self.positions = tuple(
+            np.asarray([self._index[vertex] for vertex in boundary], dtype=np.intp)
+            for boundary in plan.boundary
+        )
+        self.rows = tuple(
+            {vertex: row for row, vertex in enumerate(boundary)} for boundary in plan.boundary
+        )
+        self._cut_slot = {edge: slot for slot, edge in enumerate(plan.cut_edges)}
+        self._cut_tails = np.asarray(
+            [self._index[source] for source, _ in plan.cut_edges], dtype=np.intp
+        )
+        self._cut_heads = np.asarray(
+            [self._index[target] for _, target in plan.cut_edges], dtype=np.intp
+        )
+        self._cut_costs = {
+            attribute: np.asarray(
+                [getattr(network.edge(*edge), attribute) for edge in plan.cut_edges],
+                dtype=np.float64,
             )
-        for shard_id in range(plan.shard_count):
-            for (source, target), values in self._shortcut_values(shard_id).items():
-                overlay.add_edge(
-                    source,
-                    target,
-                    distance_m=values["distance_m"],
-                    speed_kmh=self._shortcut_speed(values),
-                    travel_time_s=values["travel_time_s"],
-                    fuel_ml=values["fuel_ml"],
-                )
-        return overlay
-
-    @staticmethod
-    def _shortcut_speed(values: Mapping[str, float]) -> float:
-        seconds = values["travel_time_s"]
-        if seconds <= 0.0:
-            return 50.0
-        return max(1.0, values["distance_m"] / seconds * 3.6)
-
-    def _shortcut_values(
-        self, shard_id: int
-    ) -> dict[tuple["VertexId", "VertexId"], dict[str, float]]:
-        """Shard-local shortest costs between the shard's boundary pairs.
-
-        Only finite pairs are returned: positive costs mean reachability is
-        a topological property, so the finite set — and with it the overlay
-        edge set — is stable under live-traffic updates.
-        """
-        boundary = self.plan.boundary[shard_id]
-        if len(boundary) < 2:
-            return {}
-        per_feature: dict[CostFeature, np.ndarray] = {}
-        for feature in ALL_COST_FEATURES:
-            rows = self.shard_rows(shard_id, feature)
-            if rows is None:
-                return self._shortcut_values_reference(shard_id)
-            matrix, index_of, _ = rows
-            columns = [index_of[vertex] for vertex in boundary]
-            per_feature[feature] = matrix[:, columns]
-        values: dict[tuple["VertexId", "VertexId"], dict[str, float]] = {}
-        for i, source in enumerate(boundary):
-            for j, target in enumerate(boundary):
-                if i == j:
-                    continue
-                distance = float(per_feature[CostFeature.DISTANCE][i, j])
-                if not math.isfinite(distance):
-                    continue
-                values[(source, target)] = {
-                    FEATURE_EDGE_ATTRIBUTES[feature]: float(per_feature[feature][i, j])
-                    for feature in ALL_COST_FEATURES
-                }
-        return values
-
-    def _shortcut_values_reference(
-        self, shard_id: int
-    ) -> dict[tuple["VertexId", "VertexId"], dict[str, float]]:
-        """Per-pair reference fallback when batched rows are unavailable."""
-        boundary = self.plan.boundary[shard_id]
-        subnet = self.subnets[shard_id]
-        values: dict[tuple["VertexId", "VertexId"], dict[str, float]] = {}
-        for source in boundary:
-            for target in boundary:
-                if source == target:
-                    continue
-                entry: dict[str, float] = {}
-                try:
-                    for feature in ALL_COST_FEATURES:
-                        path = dijkstra(subnet, source, target, cost_function(feature))
-                        entry[FEATURE_EDGE_ATTRIBUTES[feature]] = path_cost(
-                            subnet, tuple(path), feature
-                        )
-                except NoPathError:
-                    continue
-                values[(source, target)] = entry
-        return values
+            for attribute in FEATURE_EDGE_ATTRIBUTES.values()
+        }
+        self._cut_version = 0
+        #: What has been served, and so what :meth:`refresh` keeps current.
+        self._live_tables: set[tuple[int, CostFeature, bool]] = set()
+        self._closures: dict[CostFeature, tuple[tuple[int, ...], Closure]] = {}
 
     # ------------------------------------------------------------------ #
     # Live traffic
@@ -202,553 +163,150 @@ class BoundaryOverlay:
         self,
         changes: Mapping[tuple["VertexId", "VertexId"], Mapping[str, float]],
     ) -> frozenset[tuple["VertexId", "VertexId"]]:
-        """Propagate master-network cost changes into subnets and overlay.
+        """Propagate master-network cost changes into subnets and cut edges.
 
         Intra-shard changes patch the owning sub-network (the worker's
-        serving graph) and mark the shard dirty; dirty shards get their
-        shortcut values recomputed; cut-edge changes patch the overlay
-        directly.  Returns the changed intra-shard edge keys (the set a
-        serving cache over the sub-networks must invalidate against).
+        serving graph), which bumps its cost version and so retires its
+        tables; cut-edge changes patch the overlay's own cost arrays.
+        Nothing is rebuilt here — see :meth:`refresh`.  Returns the changed
+        intra-shard edge keys (the set a serving cache over the sub-networks
+        must invalidate against).
         """
-        per_shard: dict[int, dict[tuple["VertexId", "VertexId"], dict[str, float]]] = {}
-        overlay_changes: dict[tuple["VertexId", "VertexId"], dict[str, float]] = {}
+        per_shard: dict[int, dict[tuple["VertexId", "VertexId"], Mapping[str, float]]] = {}
         assignment = self.plan.assignment
-        for (source, target), attrs in changes.items():
-            shard_s = assignment.get(source)
-            shard_t = assignment.get(target)
+        for edge, attrs in changes.items():
+            shard_s = assignment.get(edge[0])
+            shard_t = assignment.get(edge[1])
             if shard_s is None or shard_t is None:
                 continue
             if shard_s == shard_t:
-                per_shard.setdefault(shard_s, {})[(source, target)] = dict(attrs)
-            else:
-                overlay_changes[(source, target)] = dict(attrs)
+                per_shard.setdefault(shard_s, {})[edge] = attrs
+                continue
+            slot = self._cut_slot.get(edge)
+            if slot is None:
+                raise EdgeNotFoundError(*edge)
+            for attribute, value in attrs.items():
+                costs = self._cut_costs[attribute]
+                if costs[slot] != value:
+                    costs[slot] = value
+                    self._cut_version += 1
         local: set[tuple["VertexId", "VertexId"]] = set()
         for shard_id, shard_changes in per_shard.items():
             local.update(self.subnets[shard_id].update_edge_costs(shard_changes))
-        for shard_id in sorted(per_shard):
-            overlay_changes.update(self._shortcut_values(shard_id))
-        if overlay_changes:
-            self.network.update_edge_costs(overlay_changes)
         return frozenset(local)
 
+    def refresh(self) -> None:
+        """Rebuild, at the current cost state, every table and boundary
+        matrix that has been served — so the request after a diff finds them
+        ready.  Current ones are memo hits; what was never asked for stays
+        unbuilt."""
+        for key in tuple(self._live_tables):
+            self.table(*key)
+        for feature in tuple(self._closures):
+            self.closure(feature)
+
     # ------------------------------------------------------------------ #
-    # Boundary matrix
+    # Boundary tables and the dense overlay
     # ------------------------------------------------------------------ #
-    @property
-    def order(self) -> tuple["VertexId", ...]:
-        return tuple(sorted(self.plan.boundary_vertices))
+    def table(
+        self, shard_id: int, feature: CostFeature, reverse: bool = False
+    ) -> BoundaryTable | None:
+        """The shard's boundary table (the shard must have a boundary).
 
-    def matrix(self, feature: CostFeature) -> tuple[np.ndarray, dict["VertexId", int]]:
-        """The all-pairs boundary distance matrix for one feature.
-
-        Memoized on the overlay's compiled snapshot, so live-traffic patches
-        (which bump the overlay's cost version through :meth:`apply`)
-        invalidate it automatically.
+        Memoized on the subnet's compiled snapshot; live-traffic updates bump
+        its cost version and invalidate automatically.  ``None`` when the
+        compiled path is unavailable; callers fall back to reference routing.
         """
-        order = self.order
-        index = {vertex: position for position, vertex in enumerate(order)}
-        if not order:
-            return np.zeros((0, 0), dtype=np.float64), index
-
-        def build() -> np.ndarray:
-            rows = self.walk_rows(feature)
-            if rows is None:
-                return self._matrix_reference(order, feature)
-            matrix, index_of, _ = rows
-            columns = [index_of[vertex] for vertex in order]
-            return np.ascontiguousarray(matrix[:, columns])
-
-        graph = self.network.compiled()
-        if graph is None:
-            return self._matrix_reference(order, feature), index
-        result = graph.memo(("sharding-overlay-matrix", feature), build)
-        return result, index  # type: ignore[return-value]
-
-    def walk_rows(
-        self, feature: CostFeature
-    ) -> tuple[np.ndarray, dict["VertexId", int], dict["VertexId", int]] | None:
-        """Memoized SSSP rows from every boundary vertex over the overlay.
-
-        The boundary matrix is a column selection of these rows, and — since
-        the rows carry distances to *all* overlay vertices — they also
-        reconstruct overlay walks without any fresh search.  Memoized on the
-        overlay's compiled snapshot like :meth:`matrix`.
-        """
-        order = self.order
-        if not order:
-            return None
-        graph = self.network.compiled()
-        if graph is None:
-            return None
-        computed = graph.memo(
-            ("sharding-overlay-rows", feature),
-            lambda: boundary_rows(self.network, order, feature),
-        )
-        if computed is None:
-            return None
-        row_of = {vertex: position for position, vertex in enumerate(order)}
-        return computed[0], computed[1], row_of
-
-    def shard_rows(
-        self, shard_id: int, feature: CostFeature
-    ) -> tuple[np.ndarray, dict["VertexId", int], dict["VertexId", int]] | None:
-        """Memoized SSSP rows from a shard's boundary over its sub-network.
-
-        Shortcut edges always start at a boundary vertex, so these rows
-        expand every shortcut leg of an overlay walk with zero searches.
-        Memoized on the subnet's compiled snapshot; live-traffic updates
-        bump its cost version and invalidate automatically.
-        """
-        boundary = self.plan.boundary[shard_id]
-        if not boundary:
-            return None
+        if not _compiled.is_enabled():
+            return None  # and no ``None`` memoized past the disabled stretch
         subnet = self.subnets[shard_id]
-        graph = subnet.compiled()
-        if graph is None:
-            return None
-        computed = graph.memo(
-            ("sharding-shard-boundary-rows", feature),
-            lambda: boundary_rows(subnet, boundary, feature),
-        )
-        if computed is None:
-            return None
-        row_of = {vertex: position for position, vertex in enumerate(boundary)}
-        return computed[0], computed[1], row_of
 
-    def _matrix_reference(
-        self, order: tuple["VertexId", ...], feature: CostFeature
-    ) -> np.ndarray:
-        cost = cost_function(feature)
-        matrix = np.full((len(order), len(order)), np.inf, dtype=np.float64)
-        for i, source in enumerate(order):
-            matrix[i, i] = 0.0
-            for j, target in enumerate(order):
-                if i == j:
-                    continue
-                try:
-                    path = dijkstra(self.network, source, target, cost)
-                except NoPathError:
-                    continue
-                matrix[i, j] = path_cost(self.network, tuple(path), feature)
-        return matrix
+        def build() -> BoundaryTable | None:
+            rows = _compiled.try_cost_rows(
+                subnet, self.plan.boundary[shard_id], cost_function(feature), reverse=reverse
+            )
+            return None if rows is None else BoundaryTable(*rows)
 
-    # ------------------------------------------------------------------ #
-    # Shortcut expansion
-    # ------------------------------------------------------------------ #
-    def expand(
-        self, overlay_vertices: Sequence["VertexId"], feature: CostFeature
-    ) -> Path:
-        """Expand an overlay walk into a full-network path.
+        table = subnet.compiled().memo(("sharding-boundary-table", feature, reverse), build)
+        if table is not None:
+            self._live_tables.add((shard_id, feature, reverse))
+        return table  # type: ignore[return-value]
 
-        Cut edges are real edges and pass through unchanged; shortcut edges
-        re-run the shard-local search that priced them.
+    def closure(self, feature: CostFeature) -> Closure | None:
+        """The dense overlay and its all-pairs pass for one feature.
+
+        Kept per feature under the cost state it was assembled from (every
+        sub-network's cost version and the cut edges'), so a diff retires it.
+        ``None`` when a table is unavailable.
         """
-        cost = cost_function(feature)
-        assignment = self.plan.assignment
-        legs: list[Path] = []
-        for source, target in zip(overlay_vertices, overlay_vertices[1:]):
-            if assignment[source] != assignment[target]:
-                legs.append(Path.of([source, target]))
-            else:
-                subnet = self.subnets[assignment[source]]
-                legs.append(dijkstra(subnet, source, target, cost))
-        if not legs:
-            return Path.of([overlay_vertices[0]])
-        return splice_all(legs)
+        stamp = (self._cut_version, *(subnet.cost_version for subnet in self.subnets))
+        held = self._closures.get(feature)
+        if held is not None and held[0] == stamp:
+            return held[1]
+        size = len(self.order)
+        weights = np.full((size, size), np.inf, dtype=np.float64)
+        for shard_id, positions in enumerate(self.positions):
+            if not len(positions):
+                continue
+            table = self.table(shard_id, feature)
+            if table is None:
+                return None
+            columns = [table.column_of[vertex] for vertex in self.plan.boundary[shard_id]]
+            weights[np.ix_(positions, positions)] = table.costs[:, columns]
+        np.fill_diagonal(weights, np.inf)
+        weights[self._cut_tails, self._cut_heads] = self._cut_costs[
+            FEATURE_EDGE_ATTRIBUTES[feature]
+        ]
+        closure = Closure(weights, _all_pairs(weights))
+        self._closures[feature] = (stamp, closure)
+        return closure
+
+    def matrix(self, feature: CostFeature) -> tuple[np.ndarray, Mapping["VertexId", int]]:
+        """The all-pairs boundary distance matrix for one feature, with the
+        position of every boundary vertex in it (:attr:`order`)."""
+        closure = self.closure(feature)
+        if closure is None:
+            raise ShardingError("boundary tables need the compiled search path")
+        return closure.distances, self._index
+
+    def walk(
+        self, closure: Closure, exit_vertex: "VertexId", entry_vertex: "VertexId"
+    ) -> list["VertexId"] | None:
+        """A shortest overlay walk, read back from the boundary matrix.
+
+        Each hop goes to the vertex minimizing hop weight plus remaining
+        distance; with positive costs the remaining distance falls every hop.
+        ``None`` when the matrix does not lead to ``entry_vertex``.
+        """
+        current, goal = self._index[exit_vertex], self._index[entry_vertex]
+        remaining = closure.distances[:, goal]
+        hops = [exit_vertex]
+        for _ in self.order:
+            if current == goal:
+                return hops
+            current = int(np.argmin(closure.weights[current] + remaining))
+            hops.append(self.order[current])
+        return None
 
 
-def boundary_rows(
-    network: RoadNetwork,
-    sources: Sequence["VertexId"],
-    feature: CostFeature,
-    reverse: bool = False,
-) -> tuple[np.ndarray, dict["VertexId", int]] | None:
-    """Batched per-source cost rows through the compiled dispatch layer.
-
-    ``None`` when the compiled path is unavailable (disabled, or a source is
-    unknown to the graph); callers fall back to reference routing then.
-    """
-    if not sources:
-        return np.zeros((0, 0), dtype=np.float64), {}
-    return _compiled.try_cost_rows(network, sources, cost_function(feature), reverse=reverse)
-
-
-#: Per-shard SSSP rows: (cost matrix, compiled column index map, row-of-vertex).
-_ShardRows = tuple[np.ndarray, dict["VertexId", int], dict["VertexId", int]]
-
-#: A batched leg answer: a path, ``()`` for a provably unreachable pair, or
-#: ``None`` when the batch could not answer and the caller must re-derive.
-_Leg = Path | tuple[()] | None
-
-
-def _legs_many(
-    network: RoadNetwork,
-    pairs: Sequence[tuple["VertexId", "VertexId"]],
-    cost,
-) -> list[_Leg]:
-    """Batched point-to-point legs through one shared kernel call.
-
-    Trivial pairs (source == destination) short-circuit to the zero-length
-    walk — with strictly positive edge costs nothing beats it — so stitch
-    endpoints sitting on the boundary never hit the kernel.
-    """
-    legs: list[_Leg] = [None] * len(pairs)
-    remaining: list[int] = []
-    for position, (source, destination) in enumerate(pairs):
-        if source == destination:
-            legs[position] = Path.of([source])
-        else:
-            remaining.append(position)
-    if not remaining:
-        return legs
-    batched = _compiled.try_route_many(
-        network, [pairs[position] for position in remaining], cost
-    )
-    if batched is None:
-        return legs
-    for position, answer in zip(remaining, batched):
-        if isinstance(answer, list) and answer:
-            legs[position] = Path.of(answer)
-        elif answer == ():
-            legs[position] = ()
-    return legs
-
-
-def _legs_from_rows(
-    network: RoadNetwork,
-    rows: np.ndarray,
-    specs: Sequence[tuple[int, "VertexId", "VertexId"]],
-    cost,
-    reverse: bool = False,
-) -> list[_Leg]:
-    """Legs reconstructed from precomputed SSSP rows — no new searches."""
-    if not specs:
-        return []
-    batched = _compiled.try_route_from_rows(network, rows, list(specs), cost, reverse=reverse)
-    if batched is None:
-        return [None] * len(specs)
-    legs: list[_Leg] = []
-    for answer in batched:
-        if isinstance(answer, list) and answer:
-            legs.append(Path.of(answer))
-        elif answer == ():
-            legs.append(())
-        else:
-            legs.append(None)
-    return legs
+#: A stitch the tables found: total cost, exit vertex, entry vertex.
+_Stitch = tuple[float, "VertexId", "VertexId"]
 
 
 class CrossShardRouter:
     """Exact stitched routing over a :class:`BoundaryOverlay`.
 
-    Stateless between calls apart from the overlay's memoized boundary
-    matrix; one :meth:`stitch` call batches all row computations for a group
-    of same-feature pairs.
+    Stateless between calls apart from the overlay's tables and
+    :attr:`fallbacks`, the number of pairs whose path the tables could not
+    produce (or whose spliced path failed the cost audit) and that a search
+    over the full network answered instead.
     """
 
     def __init__(self, network: RoadNetwork, overlay: BoundaryOverlay) -> None:
         self.network = network
         self.overlay = overlay
         self.plan = overlay.plan
-
-    def stitch(
-        self,
-        pairs: Sequence[tuple["VertexId", "VertexId"]],
-        feature: CostFeature,
-    ) -> list[Stitch | None] | None:
-        """The best overlay decomposition per pair.
-
-        Entry ``None`` means no boundary path exists for that pair; a
-        ``None`` *return* means the batched machinery is unavailable and the
-        caller must fall back to full-network routing.
-        """
-        rows = self._endpoint_rows(pairs, feature)
-        if rows is None:
-            return None
-        return self._stitch_from_rows(pairs, feature, *rows)
-
-    def _endpoint_rows(
-        self,
-        pairs: Sequence[tuple["VertexId", "VertexId"]],
-        feature: CostFeature,
-    ) -> tuple[dict[int, _ShardRows], dict[int, _ShardRows]] | None:
-        """Per-shard SSSP cost rows for every pair endpoint.
-
-        Forward rows (keyed by source shard) hold distances *from* each
-        source over its sub-network; backward rows (keyed by destination
-        shard) hold distances *to* each destination.  These rows price the
-        stitch **and** — through :func:`~repro.network.compiled.dispatch.
-        try_route_from_rows` — reconstruct shard-local legs without any
-        further SSSP, which is what makes the serving path competitive with
-        the single-process batched kernel.
-        """
-        plan = self.plan
-        forward: dict[int, _ShardRows] = {}
-        backward: dict[int, _ShardRows] = {}
-        for rows, reverse, selector in (
-            (forward, False, 0),
-            (backward, True, 1),
-        ):
-            grouped: dict[int, list["VertexId"]] = {}
-            for pair in pairs:
-                vertex = pair[selector]
-                shard_id = plan.shard_of(vertex)
-                if shard_id is None:
-                    return None
-                if reverse and not plan.boundary[shard_id]:
-                    # No stitch can enter a boundary-less shard, so its
-                    # backward rows would never be read.
-                    continue
-                bucket = grouped.setdefault(shard_id, [])
-                if vertex not in bucket:
-                    bucket.append(vertex)
-            for shard_id, vertices in grouped.items():
-                computed = boundary_rows(
-                    self.overlay.subnets[shard_id], vertices, feature, reverse=reverse
-                )
-                if computed is None:
-                    return None
-                row_of = {vertex: position for position, vertex in enumerate(vertices)}
-                rows[shard_id] = (computed[0], computed[1], row_of)
-        return forward, backward
-
-    def _stitch_from_rows(
-        self,
-        pairs: Sequence[tuple["VertexId", "VertexId"]],
-        feature: CostFeature,
-        forward: dict[int, _ShardRows],
-        backward: dict[int, _ShardRows],
-    ) -> list[Stitch | None]:
-        matrix, overlay_index = self.overlay.matrix(feature)
-        plan = self.plan
-        # The boundary column selections and the overlay block depend only on
-        # the (source shard, destination shard) pair — prepare each once.
-        prepared: dict[int, tuple] = {}
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-        for shard_id in set(forward) | set(backward):
-            boundary = plan.boundary[shard_id]
-            prepared[shard_id] = (
-                boundary,
-                np.asarray([forward[shard_id][1][b] for b in boundary], dtype=np.intp)
-                if shard_id in forward and boundary
-                else None,
-                np.asarray([backward[shard_id][1][b] for b in boundary], dtype=np.intp)
-                if shard_id in backward and boundary
-                else None,
-                [overlay_index[b] for b in boundary],
-            )
-
-        results: list[Stitch | None] = []
-        for source, destination in pairs:
-            shard_s = plan.shard_of(source)
-            shard_t = plan.shard_of(destination)
-            assert shard_s is not None and shard_t is not None
-            exits, fwd_columns, _, exit_overlay = prepared[shard_s]
-            entries, _, bwd_columns, entry_overlay = prepared[shard_t]
-            if not exits or not entries:
-                results.append(None)
-                continue
-            fwd_matrix, _, fwd_rows = forward[shard_s]
-            bwd_matrix, _, bwd_rows = backward[shard_t]
-            out_costs = fwd_matrix[fwd_rows[source], fwd_columns]
-            in_costs = bwd_matrix[bwd_rows[destination], bwd_columns]
-            overlay_block = blocks.get((shard_s, shard_t))
-            if overlay_block is None:
-                overlay_block = blocks[(shard_s, shard_t)] = matrix[
-                    np.ix_(exit_overlay, entry_overlay)
-                ]
-            total = out_costs[:, None] + overlay_block + in_costs[None, :]
-            flat = int(np.argmin(total))
-            best = float(total.flat[flat])
-            if not math.isfinite(best):
-                results.append(None)
-                continue
-            i, j = divmod(flat, len(entries))
-            results.append(Stitch(cost=best, exit_vertex=exits[i], entry_vertex=entries[j]))
-        return results
-
-    def reconstruct(
-        self,
-        source: "VertexId",
-        destination: "VertexId",
-        stitch: Stitch,
-        feature: CostFeature,
-    ) -> Path:
-        """The full-network path realizing one stitch, audited for cost.
-
-        Builds shard-local legs around the overlay walk between the stitch's
-        boundary pair, splices, and verifies the result prices at the stitch
-        cost (within :data:`AUDIT_REL_TOL`); any disagreement — or a leg
-        search failing outright — falls back to a direct full-network search
-        so a stitching bug can degrade throughput but never correctness.
-        """
-        cost = cost_function(feature)
-        try:
-            shard_s = self.plan.shard_of(source)
-            shard_t = self.plan.shard_of(destination)
-            assert shard_s is not None and shard_t is not None
-            head = dijkstra(
-                self.overlay.subnets[shard_s], source, stitch.exit_vertex, cost
-            )
-            overlay_walk = dijkstra(
-                self.overlay.network, stitch.exit_vertex, stitch.entry_vertex, cost
-            )
-            middle = self.overlay.expand(tuple(overlay_walk), feature)
-            tail = dijkstra(
-                self.overlay.subnets[shard_t], stitch.entry_vertex, destination, cost
-            )
-            path = splice_all([head, middle, tail])
-            if self._audit_passes(path, stitch, feature):
-                return path
-        except ReproError:
-            pass
-        return dijkstra(self.network, source, destination, cost)
-
-    def _audit_passes(self, path: Path, stitch: Stitch, feature: CostFeature) -> bool:
-        """Whether a spliced path prices at the stitch cost and walks real edges."""
-        realized = path_cost(self.network, tuple(path), feature)
-        return (
-            math.isfinite(realized)
-            and abs(realized - stitch.cost) <= AUDIT_REL_TOL * max(1.0, abs(stitch.cost))
-            and path.is_valid(self.network)
-        )
-
-    def _reconstruct_many(
-        self,
-        rebuilds: Sequence[tuple[int, "VertexId", "VertexId", Stitch]],
-        feature: CostFeature,
-        forward: dict[int, _ShardRows] | None = None,
-        backward: dict[int, _ShardRows] | None = None,
-    ) -> list[tuple[int, tuple["VertexId", ...]]]:
-        """Batched :meth:`reconstruct` over many stitches.
-
-        Head (source→exit) and tail (entry→destination) legs reconstruct
-        straight from the stitch's own SSSP rows when the caller passes them
-        — zero additional searches; otherwise (and for the overlay walks and
-        the shortcut expansions the walks reveal) one batched kernel call
-        per network answers the whole group.  Any pair whose legs the batch
-        could not produce — or whose spliced path fails the cost audit —
-        drops to the per-pair :meth:`reconstruct`, which carries its own
-        full-network fallback.
-        """
-        subnets = self.overlay.subnets
-        assignment = self.plan.assignment
-        cost = cost_function(feature)
-        count = len(rebuilds)
-
-        head_groups: dict[int, list[tuple[int, tuple["VertexId", "VertexId"]]]] = {}
-        tail_groups: dict[int, list[tuple[int, tuple["VertexId", "VertexId"]]]] = {}
-        walk_pairs: list[tuple["VertexId", "VertexId"]] = []
-        heads: list[_Leg] = [None] * count
-        tails: list[_Leg] = [None] * count
-        for position, (_, source, destination, stitch) in enumerate(rebuilds):
-            shard_s = self.plan.shard_of(source)
-            shard_t = self.plan.shard_of(destination)
-            assert shard_s is not None and shard_t is not None
-            head_groups.setdefault(shard_s, []).append(
-                (position, (source, stitch.exit_vertex))
-            )
-            tail_groups.setdefault(shard_t, []).append(
-                (position, (stitch.entry_vertex, destination))
-            )
-            walk_pairs.append((stitch.exit_vertex, stitch.entry_vertex))
-        for groups, slots, rows, reverse in (
-            (head_groups, heads, forward, False),
-            (tail_groups, tails, backward, True),
-        ):
-            for shard_id, group in groups.items():
-                shard_rows = rows.get(shard_id) if rows else None
-                if shard_rows is not None:
-                    matrix, _, row_of = shard_rows
-                    # Forward rows are keyed by the head's source, backward
-                    # rows by the tail's destination.
-                    batch = _legs_from_rows(
-                        subnets[shard_id],
-                        matrix,
-                        [
-                            (row_of[pair[1] if reverse else pair[0]], *pair)
-                            for _, pair in group
-                        ],
-                        cost,
-                        reverse=reverse,
-                    )
-                else:
-                    batch = _legs_many(
-                        subnets[shard_id], [pair for _, pair in group], cost
-                    )
-                for (position, _), leg in zip(group, batch):
-                    slots[position] = leg
-        overlay_rows = self.overlay.walk_rows(feature)
-        if overlay_rows is not None:
-            walk_matrix, _, walk_row_of = overlay_rows
-            walks = _legs_from_rows(
-                self.overlay.network,
-                walk_matrix,
-                [(walk_row_of[exit_], exit_, entry) for exit_, entry in walk_pairs],
-                cost,
-            )
-        else:
-            walks = _legs_many(self.overlay.network, walk_pairs, cost)
-
-        # Round two: shard-local expansion of the shortcut edges inside each
-        # overlay walk (cut edges are real and pass through unchanged).
-        middles: list[list[_Leg] | None] = [None] * count
-        expansion_groups: dict[
-            int, list[tuple[int, int, tuple["VertexId", "VertexId"]]]
-        ] = {}
-        for position, walk in enumerate(walks):
-            if not isinstance(walk, Path):
-                continue
-            vertices = tuple(walk)
-            legs: list[_Leg] = []
-            for walk_source, walk_target in zip(vertices, vertices[1:]):
-                if assignment[walk_source] != assignment[walk_target]:
-                    legs.append(Path.of([walk_source, walk_target]))
-                else:
-                    expansion_groups.setdefault(assignment[walk_source], []).append(
-                        (position, len(legs), (walk_source, walk_target))
-                    )
-                    legs.append(None)
-            middles[position] = legs
-        for shard_id, group in expansion_groups.items():
-            shard_rows = self.overlay.shard_rows(shard_id, feature)
-            if shard_rows is not None:
-                shard_matrix, _, shard_row_of = shard_rows
-                batch = _legs_from_rows(
-                    subnets[shard_id],
-                    shard_matrix,
-                    [(shard_row_of[pair[0]], *pair) for _, _, pair in group],
-                    cost,
-                )
-            else:
-                batch = _legs_many(
-                    subnets[shard_id], [pair for _, _, pair in group], cost
-                )
-            for (position, leg_index, _), leg in zip(group, batch):
-                middles[position][leg_index] = leg  # type: ignore[index]
-
-        results: list[tuple[int, tuple["VertexId", ...]]] = []
-        for position, (index, source, destination, stitch) in enumerate(rebuilds):
-            head, tail, legs = heads[position], tails[position], middles[position]
-            path: Path | None = None
-            if isinstance(head, Path) and isinstance(tail, Path) and legs is not None:
-                complete = [leg for leg in legs if isinstance(leg, Path)]
-                if len(complete) == len(legs):
-                    middle = (
-                        splice_all(complete)
-                        if complete
-                        else Path.of([stitch.exit_vertex])
-                    )
-                    try:
-                        candidate = splice_all([head, middle, tail])
-                        if self._audit_passes(candidate, stitch, feature):
-                            path = candidate
-                    except ReproError:
-                        path = None
-            if path is None:
-                path = self.reconstruct(source, destination, stitch, feature)
-            results.append((index, tuple(path)))
-        return results
+        self.fallbacks = 0
 
     def route_pairs(
         self,
@@ -758,66 +316,201 @@ class CrossShardRouter:
         """Route pairs through the overlay; ``(vertices, used_overlay)`` each.
 
         In-shard pairs are answered by the shard-local search unless the
-        stitch bound shows an escape path is strictly cheaper.  ``None``
-        return mirrors :meth:`stitch` (machinery unavailable).
+        stitch bound shows an escape path is strictly cheaper.  A ``None``
+        *return* means the batched machinery is unavailable and the caller
+        must fall back to full-network routing.
         """
-        rows = self._endpoint_rows(pairs, feature)
-        if rows is None:
+        closure = self.overlay.closure(feature)
+        if closure is None:
             return None
-        forward, backward = rows
-        stitches = self._stitch_from_rows(pairs, feature, forward, backward)
-        cost = cost_function(feature)
-
-        # In-shard pairs reconstruct straight from the stitch's forward rows
-        # (no further searches); entries the rows could not prove — or a
-        # provably unreachable ``()`` — re-derive or resolve per pair.
-        local_groups: dict[int, list[int]] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
         for index, (source, destination) in enumerate(pairs):
             shard_s = self.plan.shard_of(source)
-            if shard_s is not None and shard_s == self.plan.shard_of(destination):
-                local_groups.setdefault(shard_s, []).append(index)
-        local_paths: dict[int, Path | None] = {}
-        for shard_id, indices in local_groups.items():
-            subnet = self.overlay.subnets[shard_id]
-            matrix, _, row_of = forward[shard_id]
-            batch = _legs_from_rows(
-                subnet,
-                matrix,
-                [(row_of[pairs[index][0]], *pairs[index]) for index in indices],
-                cost,
-            )
-            for index, leg in zip(indices, batch):
-                if leg is None:
-                    try:
-                        leg = dijkstra(subnet, pairs[index][0], pairs[index][1], cost)
-                    except ReproError:
-                        leg = None
-                elif not isinstance(leg, Path):
-                    leg = None  # () — provably no shard-local path
-                local_paths[index] = leg
+            shard_t = self.plan.shard_of(destination)
+            if shard_s is None or shard_t is None:
+                return None
+            groups.setdefault((shard_s, shard_t), []).append(index)
 
-        answers: list[tuple[tuple["VertexId", ...] | None, bool]] = [
-            (None, True)
-        ] * len(pairs)
-        rebuilds: list[tuple[int, "VertexId", "VertexId", Stitch]] = []
-        for index, ((source, destination), stitch) in enumerate(zip(pairs, stitches)):
-            if index in local_paths:
-                local_path = local_paths[index]
-                local_cost = (
-                    path_cost(self.network, tuple(local_path), feature)
-                    if local_path is not None
-                    else math.inf
+        cost = cost_function(feature)
+        answers: list[tuple[tuple["VertexId", ...] | None, bool]] = [(None, True)] * len(pairs)
+        rebuilds: list[tuple[int, _Stitch]] = []
+        for (shard_s, shard_t), members in groups.items():
+            group = [pairs[index] for index in members]
+            stitches = self._stitch(shard_s, shard_t, group, feature, closure)
+            if stitches is None:
+                return None
+            if shard_s != shard_t:
+                rebuilds.extend(
+                    (index, stitch)
+                    for index, stitch in zip(members, stitches)
+                    if stitch is not None
                 )
-                if stitch is not None and _improves(stitch.cost, local_cost):
-                    rebuilds.append((index, source, destination, stitch))
-                elif local_path is not None:
-                    answers[index] = (tuple(local_path), False)
+                continue
+            # In-shard: one forward row per distinct source prices the local
+            # answer and, where it stands against the escape, reconstructs it.
+            subnet = self.overlay.subnets[shard_s]
+            sources = list(dict.fromkeys(source for source, _ in group))
+            searched = _compiled.try_cost_rows(subnet, sources, cost)
+            if searched is None:
+                return None
+            rows, column_of = searched
+            row_of = {source: row for row, source in enumerate(sources)}
+            kept: list[int] = []
+            legs: list[tuple[int, "VertexId", "VertexId"]] = []
+            for index, (source, destination), stitch in zip(members, group, stitches):
+                local = float(rows[row_of[source], column_of[destination]])
+                if stitch is not None and _improves(stitch[0], local):
+                    rebuilds.append((index, stitch))
+                elif math.isfinite(local):
+                    kept.append(index)
+                    legs.append((row_of[source], source, destination))
                 else:
                     answers[index] = (None, False)
-            elif stitch is not None:
-                rebuilds.append((index, source, destination, stitch))
-        for index, vertices in self._reconstruct_many(
-            rebuilds, feature, forward, backward
-        ):
+            walked = _compiled.try_route_from_rows(subnet, rows, legs, cost)
+            for position, index in enumerate(kept):
+                vertices = walked[position] if walked is not None else None
+                answers[index] = (
+                    tuple(vertices) if vertices else self._search(*pairs[index], cost),
+                    False,
+                )
+        for index, vertices in self._reconstruct(pairs, rebuilds, feature, closure):
             answers[index] = (vertices, True)
         return answers
+
+    def _stitch(
+        self,
+        shard_s: int,
+        shard_t: int,
+        group: Sequence[tuple["VertexId", "VertexId"]],
+        feature: CostFeature,
+        closure: Closure,
+    ) -> list[_Stitch | None] | None:
+        """The best overlay decomposition of every pair of one shard pair.
+
+        Entry ``None``: no boundary path exists for that pair.  All of it is
+        lookups: the two ends' table columns gathered for the whole group,
+        the block of the boundary matrix between the two boundaries, and per
+        pair two in-place sums and an ``argmin`` over one block-sized scratch.
+        """
+        exits, entries = self.plan.boundary[shard_s], self.plan.boundary[shard_t]
+        if not exits or not entries:
+            return [None] * len(group)
+        leaving = self.overlay.table(shard_s, feature, reverse=True)
+        entering = self.overlay.table(shard_t, feature)
+        if leaving is None or entering is None:
+            return None
+        out = leaving.costs[:, [leaving.column_of[source] for source, _ in group]].T
+        into = entering.costs[:, [entering.column_of[destination] for _, destination in group]].T
+        block = closure.distances[
+            np.ix_(self.overlay.positions[shard_s], self.overlay.positions[shard_t])
+        ]
+        scratch = np.empty_like(block)
+        stitches: list[_Stitch | None] = []
+        for leave, enter in zip(out, into):
+            np.add(block, enter, out=scratch)
+            scratch += leave[:, None]
+            choice = int(scratch.argmin())
+            total = scratch.item(choice)
+            if math.isfinite(total):
+                i, j = divmod(choice, len(entries))
+                stitches.append((total, exits[i], entries[j]))
+            else:
+                stitches.append(None)
+        return stitches
+
+    def _reconstruct(
+        self,
+        pairs: Sequence[tuple["VertexId", "VertexId"]],
+        rebuilds: Sequence[tuple[int, _Stitch]],
+        feature: CostFeature,
+        closure: Closure,
+    ) -> list[tuple[int, tuple["VertexId", ...] | None]]:
+        """The full-network path realizing each stitch, audited for cost.
+
+        Every leg inside a shard — head, shortcut hops of the overlay walk,
+        tail — is walked out of a boundary table row, one batched call per
+        table and no search; cut-edge hops are real edges.  The spliced path
+        must walk real edges and price at the stitch cost (within
+        :data:`AUDIT_REL_TOL`); a pair that does not, or whose legs the tables
+        could not produce, gets a direct full-network search, so a stitching
+        bug can degrade throughput but never correctness.
+        """
+        overlay = self.overlay
+        assignment = self.plan.assignment
+        cost = cost_function(feature)
+        wanted: dict[tuple[int, bool], list[tuple[int, "VertexId", "VertexId"]]] = {}
+
+        def leg(anchor: "VertexId", source: "VertexId", destination: "VertexId", reverse: bool):
+            """Queue a shard-local leg on the table row of ``anchor``."""
+            shard_id = assignment[anchor]
+            queued = wanted.setdefault((shard_id, reverse), [])
+            queued.append((overlay.rows[shard_id][anchor], source, destination))
+            return (shard_id, reverse), len(queued) - 1
+
+        # A part is a queued leg, or ``(None, vertex)`` for a cut-edge hop.
+        plans: list[list[tuple] | None] = []
+        for index, (_, exit_vertex, entry_vertex) in rebuilds:
+            source, destination = pairs[index]
+            walk = overlay.walk(closure, exit_vertex, entry_vertex)
+            if walk is None:
+                plans.append(None)
+                continue
+            parts = [leg(exit_vertex, source, exit_vertex, True)]
+            for tail, head in zip(walk, walk[1:]):
+                if assignment[tail] == assignment[head]:
+                    parts.append(leg(tail, tail, head, False))
+                else:
+                    parts.append((None, head))
+            parts.append(leg(entry_vertex, entry_vertex, destination, False))
+            plans.append(parts)
+
+        walked: dict[tuple[int, bool], list | None] = {}
+        for (shard_id, reverse), queued in wanted.items():
+            table = overlay.table(shard_id, feature, reverse)
+            walked[(shard_id, reverse)] = (
+                None
+                if table is None
+                else _compiled.try_route_from_rows(
+                    overlay.subnets[shard_id], table.costs, queued, cost, reverse=reverse
+                )
+            )
+
+        def splice(source: "VertexId", parts: list[tuple]) -> list["VertexId"] | None:
+            vertices = [source]
+            for key, item in parts:
+                if key is None:
+                    vertices.append(item)
+                    continue
+                path = walked[key][item] if walked[key] is not None else None
+                if not path:
+                    return None
+                vertices.extend(path[1:])
+            return vertices
+
+        # The audit prices each hop once, from the full network's compiled
+        # slot lookup and cost array; a hop with no slot is not an edge.
+        graph = self.network.compiled()
+        slot_of = graph.topology.slot_of
+        prices = graph.array(FEATURE_EDGE_ATTRIBUTES[feature])
+        results: list[tuple[int, tuple["VertexId", ...] | None]] = []
+        for (index, (expected, _, _)), parts in zip(rebuilds, plans):
+            source, destination = pairs[index]
+            vertices = splice(source, parts) if parts is not None else None
+            if vertices is not None:
+                slots = [slot_of.get(hop, -1) for hop in zip(vertices, vertices[1:])]
+                realized = float(prices[slots].sum()) if -1 not in slots else math.inf
+                if abs(realized - expected) <= AUDIT_REL_TOL * max(1.0, abs(expected)):
+                    results.append((index, tuple(vertices)))
+                    continue
+            results.append((index, self._search(source, destination, cost)))
+        return results
+
+    def _search(
+        self, source: "VertexId", destination: "VertexId", cost
+    ) -> tuple["VertexId", ...] | None:
+        """The last resort: one search over the full network."""
+        self.fallbacks += 1
+        try:
+            return tuple(dijkstra(self.network, source, destination, cost))
+        except NoPathError:
+            return None

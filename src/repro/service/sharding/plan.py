@@ -47,14 +47,17 @@ class ShardPlan:
     cut_edges: tuple[tuple["VertexId", "VertexId"], ...]
     """Directed edges whose endpoints live in different shards."""
     method: str = "regions"
+    boundary_vertices: frozenset["VertexId"] = field(init=False, repr=False, compare=False)
+    """Every shard's boundary vertices together (derived from ``boundary``)."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "boundary_vertices", frozenset(v for shard in self.boundary for v in shard)
+        )
 
     def shard_of(self, vertex: "VertexId") -> int | None:
         """The shard a vertex belongs to, or ``None`` for unknown vertices."""
         return self.assignment.get(vertex)
-
-    @property
-    def boundary_vertices(self) -> frozenset["VertexId"]:
-        return frozenset(v for shard in self.boundary for v in shard)
 
     def subnetwork(self, network: RoadNetwork, shard_id: int) -> RoadNetwork:
         """The induced sub-network of one shard (both endpoints inside)."""

@@ -18,7 +18,9 @@ Live traffic arrives as versioned :class:`CostDiff` broadcasts; a worker
 whose version does not match the diff's base resyncs from the segment (the
 authoritative state) instead of applying the diff.  Either way every route
 answer cached under the old version is dropped — the self-eviction the
-coordinator's broadcast protocol is designed around.
+coordinator's broadcast protocol is designed around — and the overlay's live
+boundary tables are rebuilt before the acknowledgement, so an acked version
+is one the next request finds ready.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import os
 import queue
 import time
 from collections import OrderedDict
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ...exceptions import NetworkError, ReproError
@@ -215,15 +216,23 @@ class ShardWorker:
         for index, request in enumerate(work.requests):
             feature = request.cost_override or default_feature
             groups.setdefault(feature, []).append(index)
-        slots: list[RouteAnswer | None] = [None] * len(work.requests)
+        # Per request ``(vertices, cross_shard, cache_hit, error)``; the
+        # answers are built once, when the latency they carry is known.
+        drafts: list[tuple] = [()] * len(work.requests)
         for feature, members in groups.items():
-            self._serve_group(work, engine, feature, members, slots)
-        elapsed = time.perf_counter() - started
-        per_request = elapsed / max(1, len(work.requests))
+            self._serve_group(work, feature, members, drafts)
+        per_request = (time.perf_counter() - started) / max(1, len(work.requests))
         finished = tuple(
-            replace(answer, latency_s=per_request)
-            for answer in slots
-            if answer is not None
+            RouteAnswer(
+                position=position,
+                vertices=vertices,
+                engine=engine,
+                latency_s=per_request,
+                cross_shard=cross_shard,
+                cache_hit=cache_hit,
+                error=error,
+            )
+            for position, (vertices, cross_shard, cache_hit, error) in zip(work.positions, drafts)
         )
         return RouteResults(
             task_id=work.task_id, worker_id=self.payload.worker_id, answers=finished
@@ -232,34 +241,31 @@ class ShardWorker:
     def _serve_group(
         self,
         work: RouteWork,
-        engine: str,
         feature: CostFeature,
         members: list[int],
-        slots: list[RouteAnswer | None],
+        drafts: list[tuple],
     ) -> None:
         assert self.router is not None
         plan = self.payload.plan
         pending: list[int] = []
         for index in members:
             request = work.requests[index]
-            position = work.positions[index]
             if plan.shard_of(request.source) is None or plan.shard_of(request.destination) is None:
                 missing = (
                     request.source
                     if plan.shard_of(request.source) is None
                     else request.destination
                 )
-                slots[index] = RouteAnswer(
-                    position=position,
-                    vertices=None,
-                    engine=engine,
-                    error=f"VertexNotFoundError: vertex {missing!r} is not in the network",
+                drafts[index] = (
+                    None,
+                    False,
+                    False,
+                    f"VertexNotFoundError: vertex {missing!r} is not in the network",
                 )
                 continue
             cached = self._answers.get((feature, request.source, request.destination))
             if cached is not None:
-                vertices, cross_shard = cached
-                slots[index] = self._answer(position, engine, feature, vertices, cross_shard, True)
+                drafts[index] = self._draft(*cached, True)
                 continue
             pending.append(index)
         if not pending:
@@ -283,35 +289,14 @@ class ShardWorker:
         for index, (vertices, cross_shard) in zip(pending, routed):
             request = work.requests[index]
             self._remember(feature, request.source, request.destination, vertices, cross_shard)
-            slots[index] = self._answer(
-                work.positions[index], engine, feature, vertices, cross_shard, False
-            )
+            drafts[index] = self._draft(vertices, cross_shard, False)
 
-    def _answer(
-        self,
-        position: int,
-        engine: str,
-        feature: CostFeature,
-        vertices: tuple["VertexId", ...] | None,
-        cross_shard: bool,
-        cache_hit: bool,
-    ) -> RouteAnswer:
-        if vertices is None:
-            return RouteAnswer(
-                position=position,
-                vertices=None,
-                engine=engine,
-                cross_shard=cross_shard,
-                cache_hit=cache_hit,
-                error="NoPathError: destination unreachable from source",
-            )
-        return RouteAnswer(
-            position=position,
-            vertices=vertices,
-            engine=engine,
-            cross_shard=cross_shard,
-            cache_hit=cache_hit,
-        )
+    @staticmethod
+    def _draft(
+        vertices: tuple["VertexId", ...] | None, cross_shard: bool, cache_hit: bool
+    ) -> tuple:
+        error = None if vertices is not None else "NoPathError: destination unreachable from source"
+        return vertices, cross_shard, cache_hit, error
 
     def _remember(
         self,
@@ -344,6 +329,7 @@ class ShardWorker:
         try:
             self.network.update_edge_costs(changes)
             self.overlay.apply(changes)
+            self.overlay.refresh()
         except ReproError:
             # A diff that no longer applies cleanly (e.g. replayed against a
             # restarted worker) is superseded by the segment's state.
@@ -367,6 +353,7 @@ class ShardWorker:
                     for feature in ALL_COST_FEATURES
                 }
             self.overlay.apply(updates)
+            self.overlay.refresh()
         self.version = self.view.cost_version
         self._answers.clear()
 
