@@ -9,9 +9,9 @@ Measures, on synthetic city grids:
   cost-identical to reference Dijkstra;
 * **ALT bidirectional vs plain compiled bidirectional** — both frontiers on
   landmark-reduced costs vs the exact reference mirror;
-* **batched vs threaded ``route_many``** — one ``RoutingService`` answering
+* **batched vs serial ``route_many``** — one ``RoutingService`` answering
   the same request batch through the partitioned ``dijkstra_many`` path and
-  through the legacy thread-pool fan-out (cache disabled for fairness),
+  through the one-request-at-a-time loop (cache disabled for fairness),
   asserting identical paths.
 
 Results are merged into the routing benchmark JSON (default
@@ -151,16 +151,16 @@ def _compare_route_many(service, requests, rows: int, cols: int) -> tuple[float,
     batched_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    threaded = service.route_many(requests, batch_min_size=len(requests) + 1)
-    threaded_seconds = time.perf_counter() - start
+    serial = service.route_many(requests, batch_min_size=len(requests) + 1)
+    serial_seconds = time.perf_counter() - start
 
-    for a, b in zip(batched, threaded):
+    for a, b in zip(batched, serial):
         if not (a.ok and b.ok) or a.path.vertices != b.path.vertices:
             raise AssertionError(
-                f"{rows}x{cols}: batched and threaded route_many disagree on "
+                f"{rows}x{cols}: batched and serial route_many disagree on "
                 f"({a.request.source}, {a.request.destination})"
             )
-    return threaded_seconds, batched_seconds, sum(1 for r in batched if r.batched)
+    return serial_seconds, batched_seconds, sum(1 for r in batched if r.batched)
 
 
 def bench_route_many(rows: int, cols: int, *, request_count: int, seed: int) -> dict:
@@ -169,12 +169,12 @@ def bench_route_many(rows: int, cols: int, *, request_count: int, seed: int) -> 
     service.register("Fastest", AlgorithmEngine(FastestBaseline(network)))
 
     # Worst case for batching: every request has its own source, so the
-    # batch saves only per-request service/thread overhead.
+    # batch saves only per-request service overhead.
     distinct = [
         RouteRequest(source=a, destination=b)
         for a, b in _queries(network, request_count, seed + 2)
     ]
-    threaded_seconds, batched_seconds, batch_answered = _compare_route_many(
+    serial_seconds, batched_seconds, batch_answered = _compare_route_many(
         service, distinct, rows, cols
     )
 
@@ -189,21 +189,21 @@ def bench_route_many(rows: int, cols: int, *, request_count: int, seed: int) -> 
         destination = rng.choice(ids)
         if destination != source:
             shared.append(RouteRequest(source=source, destination=destination))
-    shared_threaded, shared_batched, _ = _compare_route_many(service, shared, rows, cols)
+    shared_serial, shared_batched, _ = _compare_route_many(service, shared, rows, cols)
 
     service.close()
     return {
         "requests": request_count,
         "batched_requests": batch_answered,
-        "threaded_seconds": round(threaded_seconds, 6),
+        "serial_seconds": round(serial_seconds, 6),
         "batched_seconds": round(batched_seconds, 6),
-        "batched_vs_threaded_speedup": (
-            round(threaded_seconds / batched_seconds, 3) if batched_seconds else None
+        "batched_vs_serial_speedup": (
+            round(serial_seconds / batched_seconds, 3) if batched_seconds else None
         ),
-        "shared_source_threaded_seconds": round(shared_threaded, 6),
+        "shared_source_serial_seconds": round(shared_serial, 6),
         "shared_source_batched_seconds": round(shared_batched, 6),
-        "shared_source_batched_vs_threaded_speedup": (
-            round(shared_threaded / shared_batched, 3) if shared_batched else None
+        "shared_source_batched_vs_serial_speedup": (
+            round(shared_serial / shared_batched, 3) if shared_batched else None
         ),
     }
 
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         "--min-batch-speedup",
         type=float,
         default=0.0,
-        help="fail unless batched route_many beats the threaded fan-out by "
+        help="fail unless batched route_many beats the serial loop by "
         "this factor on the largest grid's hotspot (shared-source) workload "
         "(0 = report only)",
     )
@@ -279,10 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         rm = grid_report["route_many"]
         print(
-            f"  route_many x{rm['requests']}: threaded {rm['threaded_seconds']:.4f}s  "
+            f"  route_many x{rm['requests']}: serial {rm['serial_seconds']:.4f}s  "
             f"batched {rm['batched_seconds']:.4f}s  "
-            f"({rm['batched_vs_threaded_speedup']}x distinct sources, "
-            f"{rm['shared_source_batched_vs_threaded_speedup']}x hotspot sources; "
+            f"({rm['batched_vs_serial_speedup']}x distinct sources, "
+            f"{rm['shared_source_batched_vs_serial_speedup']}x hotspot sources; "
             f"{rm['batched_requests']}/{rm['requests']} batch-answered)"
         )
 
@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     # The headline batch ratio is the hotspot (shared-source) workload: with
     # fully distinct sources the batch saves only per-request overhead
     # (~1.1x, recorded per grid); source reuse is where dijkstra_many wins.
-    batch_speedup = largest["route_many"]["shared_source_batched_vs_threaded_speedup"]
+    batch_speedup = largest["route_many"]["shared_source_batched_vs_serial_speedup"]
     alt_report["largest_grid_alt_astar_speedup"] = astar_speedup
     alt_report["largest_grid_batched_route_many_speedup"] = batch_speedup
 

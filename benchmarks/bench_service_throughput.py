@@ -1,6 +1,6 @@
 """Serving throughput of ``RoutingService.route_many``.
 
-Measures requests/second of the batch API (thread-pool fan-out) against a
+Measures requests/second of the batch API against a
 plain single-call loop over the same request set, on the D2-like scenario,
 and reports the cache's effect on a repeated batch.  The timed unit is one
 uncached ``route_many`` batch; the printed table summarizes all three serving
@@ -46,7 +46,7 @@ def test_service_throughput(benchmark, d2):
     bench_service = build_service(enable_cache=False)
 
     def batched():
-        return bench_service.route_many(requests, max_workers=4)
+        return bench_service.route_many(requests)
 
     responses = benchmark(batched)
     assert len(responses) == len(requests)
@@ -60,19 +60,19 @@ def test_service_throughput(benchmark, d2):
 
     batch_service = build_service(enable_cache=False)
     started = time.perf_counter()
-    batch_responses = batch_service.route_many(requests, max_workers=4)
+    batch_responses = batch_service.route_many(requests)
     batch_s = time.perf_counter() - started
 
     cached_service = build_service(enable_cache=True)
-    cached_service.route_many(requests, max_workers=4)  # warm the cache
+    cached_service.route_many(requests)  # warm the cache
     started = time.perf_counter()
-    cached_responses = cached_service.route_many(requests, max_workers=4)
+    cached_responses = cached_service.route_many(requests)
     cached_s = time.perf_counter() - started
 
     print()
     print("RoutingService throughput (D2-like, %d requests)" % len(requests))
     print(f"  single-call loop : {_rps(len(requests), loop_s):>10.0f} req/s")
-    print(f"  route_many (4 w) : {_rps(len(requests), batch_s):>10.0f} req/s")
+    print(f"  route_many       : {_rps(len(requests), batch_s):>10.0f} req/s")
     print(f"  warm route cache : {_rps(len(requests), cached_s):>10.0f} req/s")
     stats = cached_service.stats()
     print(

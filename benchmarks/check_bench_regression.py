@@ -9,7 +9,10 @@ transport ratio (``bench_multinode.py``) — drops by more than ``--max-slowdown
 (default 30%).  Ratios, not absolute timings, are compared: both sides of a
 ratio come from the same machine and run, which makes the guard robust to CI
 hardware variance.  Only grids present in both reports (matched by
-``rows x cols``) are compared, so a smoke baseline guards smoke runs.
+``rows x cols``) are compared, so a smoke baseline guards smoke runs — but a
+whole section (``alt``, ``traffic``, ...) that the baseline has and the fresh
+run lacks fails the guard: deleting or skipping a benchmark script must not
+silently drop its gate (delete the section from the baseline with it).
 
 Usage::
 
@@ -34,7 +37,7 @@ def collect_ratios(report: dict) -> dict[str, float]:
         for kernel, numbers in grid.get("kernels", {}).items():
             speedup = numbers.get("speedup")
             if speedup:
-                ratios[f"{label}/{kernel}"] = float(speedup)
+                ratios[f"kernels/{label}/{kernel}"] = float(speedup)
     for grid in report.get("traffic", {}).get("grids", []):
         label = f"{grid['rows']}x{grid['cols']}"
         speedup = grid.get("patch_vs_recompile_speedup")
@@ -49,18 +52,9 @@ def collect_ratios(report: dict) -> dict[str, float]:
             speedup = grid.get(name)
             if speedup:
                 ratios[f"alt/{label}/{short}"] = float(speedup)
-        batch = grid.get("route_many", {}).get("shared_source_batched_vs_threaded_speedup")
+        batch = grid.get("route_many", {}).get("shared_source_batched_vs_serial_speedup")
         if batch:
             ratios[f"alt/{label}/route_many_shared_source"] = float(batch)
-    for grid in report.get("ch", {}).get("grids", []):
-        label = f"{grid['rows']}x{grid['cols']}"
-        for name, short in (
-            ("csr_vs_dict_ch_speedup", "query"),
-            ("reweight_vs_rebuild_speedup", "reweight"),
-        ):
-            speedup = grid.get(name)
-            if speedup:
-                ratios[f"ch/{label}/{short}"] = float(speedup)
     for grid in report.get("resilience", {}).get("grids", []):
         label = f"{grid['rows']}x{grid['cols']}"
         # plain/resilient throughput on the fault-free path: ~1.0 when the
@@ -139,6 +133,15 @@ def main(argv: list[str] | None = None) -> int:
     missing = sorted(set(baseline) - set(fresh))
     if missing:
         print(f"note: ratios only in baseline (not compared): {missing}")
+    dropped = sorted(
+        {key.split("/")[0] for key in baseline} - {key.split("/")[0] for key in fresh}
+    )
+    if dropped:
+        print(
+            f"FAIL: section(s) {dropped} are in the baseline but absent from the "
+            "fresh run; a deleted benchmark takes its baseline section with it",
+            file=sys.stderr,
+        )
 
     if failures:
         print(
@@ -146,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.max_slowdown:.0%} below baseline: {failures}",
             file=sys.stderr,
         )
+    if failures or dropped:
         return 1
     print(f"bench regression guard passed ({len(comparable)} ratios within tolerance)")
     return 0

@@ -52,7 +52,7 @@ def main() -> None:
     #    contraction hierarchy — the cheapest backend for repeated queries,
     #    and live-traffic updates re-weight it in place instead of
     #    rebuilding.
-    network.prepare_hierarchy()  # pay CH preprocessing up front (optional)
+    network.prepare_hierarchy()  # pay all CH preprocessing up front (optional)
     service = RoutingService(cache_size=1024)
     service.register("L2R", pipeline.as_engine(), fallback="Fastest", default=True)
     service.register("Shortest", ShortestBaseline(network).as_engine())
@@ -73,10 +73,7 @@ def main() -> None:
     print("\nPer-query Eq. 1 similarity against the driver's actual path:")
     print(f"{'query':>6} {'L2R':>8} {'Shortest':>10} {'Fastest':>10} {'CH':>8}")
     engine_names = ("L2R", "Shortest", "Fastest", "CH")
-    per_engine = {
-        name: service.route_many(requests, engine=name, max_workers=4)
-        for name in engine_names
-    }
+    per_engine = {name: service.route_many(requests, engine=name) for name in engine_names}
     for index, trajectory in enumerate(split.test[:8]):
         # Failed requests carry path=None plus an error instead of raising.
         scores = [

@@ -17,8 +17,9 @@ Two probes are installed while the :func:`sanitize` context is active:
   nor the store's **current** cost version is recorded as a
   ``stale-cost-cache-hit``: some caller replayed an artifact that predates a
   live-traffic patch.
-* **Hierarchy probe** — wraps the compiled contraction-hierarchy dispatch
-  (:func:`~repro.network.compiled.dispatch.try_ch`).  A query answered by a
+* **Hierarchy probe** — wraps the one network-aware contraction-hierarchy
+  query entry (:meth:`~repro.routing.contraction.ContractionHierarchy.
+  shortest_path`, which ``ch_shortest_path`` calls).  A query answered by a
   hierarchy whose ``built_version`` no longer matches the network's mutation
   counter is recorded as a ``stale-hierarchy-query``: pre-update shortcut
   weights are serving post-update traffic (the ``on_stale="ignore"`` escape
@@ -46,8 +47,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from ..network.compiled import dispatch as _dispatch
 from ..network.compiled.graph import TOPOLOGY_STAMP, CostStore
+from ..routing.contraction import ContractionHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.road_network import RoadNetwork
@@ -138,29 +139,27 @@ def _probed_cached(
     return cached
 
 
-def _probed_try_ch(original: Callable, sanitizer: CoherenceSanitizer) -> Callable:
-    """The :func:`dispatch.try_ch` wrapper recording stale hierarchy queries."""
+def _probed_shortest_path(original: Callable, sanitizer: CoherenceSanitizer) -> Callable:
+    """The :meth:`ContractionHierarchy.shortest_path` wrapper recording
+    queries answered from a stale hierarchy."""
 
-    def try_ch(network, source, destination, hierarchy):
-        built = getattr(hierarchy, "built_version", None)
-        live = getattr(network, "version", None)
-        result = original(network, source, destination, hierarchy)
-        # Only flag queries the compiled path actually answered: a None
-        # return fell back to the caller's dict walker (or was ineligible),
-        # and ch_shortest_path's own staleness handling already ran by now.
-        if result is not None and built is not None and live is not None and built != live:
+    def shortest_path(self, network, source, destination, on_stale="raise"):
+        path = original(self, network, source, destination, on_stale)
+        # An answer came back: the hierarchy's own staleness handling (raise,
+        # refresh) has run by now, so a version gap left here was served.
+        if self.built_version != network.version:
             sanitizer.record(
                 CoherenceFinding(
                     kind="stale-hierarchy-query",
                     detail=f"contraction-hierarchy query {source!r} -> {destination!r}",
-                    stamp=built,
-                    live_version=live,
+                    stamp=self.built_version,
+                    live_version=network.version,
                 )
             )
-        return result
+        return path
 
-    try_ch.__wrapped__ = original  # type: ignore[attr-defined]
-    return try_ch
+    shortest_path.__wrapped__ = original  # type: ignore[attr-defined]
+    return shortest_path
 
 
 #: Serializes installs/uninstalls so nested / concurrent ``sanitize()``
@@ -181,15 +180,17 @@ def sanitize(strict: bool = False) -> Iterator[CoherenceSanitizer]:
     sanitizer = CoherenceSanitizer(strict=strict)
     with _INSTALL_LOCK:
         original_cached = CostStore._cached
-        original_try_ch = _dispatch.try_ch
+        original_shortest_path = ContractionHierarchy.shortest_path
         CostStore._cached = _probed_cached(original_cached, sanitizer)
-        _dispatch.try_ch = _probed_try_ch(original_try_ch, sanitizer)
+        ContractionHierarchy.shortest_path = _probed_shortest_path(
+            original_shortest_path, sanitizer
+        )
     try:
         yield sanitizer
     finally:
         with _INSTALL_LOCK:
             CostStore._cached = original_cached
-            _dispatch.try_ch = original_try_ch
+            ContractionHierarchy.shortest_path = original_shortest_path
 
 
 def check_cost_coherence(

@@ -20,9 +20,9 @@ The subsystem has three layers:
   multi-source SSSP over the shared CSR arrays (one scipy C call for a whole
   batch) feeding both the landmark builds and ``RoutingService.route_many``;
 * :mod:`~repro.network.compiled.ch` — :class:`CompiledHierarchy`, the
-  array-compiled (customizable, re-weightable) contraction-hierarchy arc
-  sets behind ``ch_shortest_path``: metric-free contraction, elimination-tree
-  hub-label queries, and O(touched) live-traffic shortcut re-weighting.
+  customizable contraction hierarchy behind ``ch_shortest_path``: metric-free
+  contraction, elimination-tree hub-label queries, and O(touched)
+  live-traffic shortcut re-weighting.
 
 Use :func:`compiled_disabled` to force the reference implementations (the
 equivalence tests and the ``bench_compiled_graph`` benchmark do), and
@@ -46,7 +46,7 @@ from .dispatch import (
     is_enabled,
 )
 from .graph import EDGE_COST_ATTRIBUTES, CompiledGraph, CostStore, Topology
-from .ch import CompiledHierarchy, compiled_hierarchy
+from .ch import CompiledHierarchy
 from .batch import dijkstra_many, shortest_paths_many
 from .landmarks import DEFAULT_LANDMARK_COUNT, LandmarkTable, build_landmark_table
 
@@ -66,7 +66,6 @@ __all__ = [
     "bidirectional_kernel",
     "build_landmark_table",
     "compiled_disabled",
-    "compiled_hierarchy",
     "dijkstra_costs_kernel",
     "dijkstra_kernel",
     "dijkstra_many",

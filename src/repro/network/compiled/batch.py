@@ -11,8 +11,8 @@ paths from the rows.
 
 ``shortest_paths_many`` builds on that: a batch of ``(source, destination)``
 pairs shares one distance row per distinct source, which is how
-:meth:`~repro.service.RoutingService.route_many` turns a thread-per-request
-fan-out into a handful of batched kernel calls.  The landmark tables in
+:meth:`~repro.service.RoutingService.route_many` turns a search per request
+into a handful of batched kernel calls.  The landmark tables in
 :mod:`~repro.network.compiled.landmarks` use ``dijkstra_many`` for their
 per-landmark forward/backward distance rows.
 """

@@ -1,17 +1,17 @@
-"""Array-compiled contraction-hierarchy queries with live re-weighting.
+"""The customizable contraction hierarchy, with live re-weighting.
 
-A :class:`CompiledHierarchy` is the CSR-shaped counterpart of
-:class:`~repro.routing.contraction.ContractionHierarchy`: the upward and
-downward arc sets flattened into per-vertex arrays over the snapshot's dense
-vertex indices, queried through the hierarchy's *elimination tree* and
+A :class:`CompiledHierarchy` is the structure behind
+:class:`~repro.routing.contraction.ContractionHierarchy`: upward and
+downward arc sets flattened into per-vertex arrays over a topology snapshot's
+dense vertex indices, queried through the hierarchy's *elimination tree* and
 unpacked by expanding shortcut via-chains iteratively.  Everything is
 scipy-free.
 
 The structure is deliberately *metric-independent*, following the
 customizable-weight separation of Customizable Route Planning / Customizable
 Contraction Hierarchies: the arc set is built by contracting the **topology
-only** (every ``(in-neighbour, out-neighbour)`` pair of a contracted vertex
-becomes an arc — no witness pruning), under a fill-reducing order computed
+only** (every pair of a contracted vertex's neighbours becomes an arc —
+nothing is pruned against the metric), under a fill-reducing order computed
 from the graph structure alone (geometric nested dissection when vertex
 coordinates are available, lazy min-fill otherwise).  Arc weights are then
 *customized* from the current per-slot cost array: each arc's weight becomes
@@ -19,18 +19,21 @@ coordinates are available, lazy min-fill otherwise).  Arc weights are then
 bottom-up so every triangle reads final halves.  Because the arc set is
 closed under the order (a chordal supergraph), queries on the customized
 weights are exact for **any** cost metric — which is what makes live-traffic
-re-weighting sound:
+re-weighting sound: a hierarchy that prunes shortcuts against the build
+metric bakes that metric into its *structure* (change the costs and a pruned
+shortcut may become necessary, so only a rebuild is exact), whereas a cost
+change here only requires recomputing weights.
+:meth:`CompiledHierarchy.reweight` diffs the new cost array against the
+current base, seeds the touched arcs, and re-relaxes bottom-up along the
+recorded triangle dependencies — O(touched arcs x their lower triangles),
+not O(graph).  Each re-weight bumps :attr:`weights_version`; queries snapshot
+the versioned state atomically, so readers never observe a half-applied
+batch.
 
-* a witness-pruned hierarchy (the dict-based builder) bakes the build metric
-  into its *structure*; change the costs and a pruned shortcut may become
-  necessary, so only a full rebuild is exact;
-* the compiled arc set never pruned anything, so a cost change only requires
-  recomputing weights.  :meth:`CompiledHierarchy.reweight` diffs the new cost
-  array against the current base, seeds the touched arcs, and re-relaxes
-  bottom-up along the recorded triangle dependencies — O(touched arcs x
-  their lower triangles), not O(graph).  Each re-weight bumps
-  :attr:`weights_version`; queries snapshot the versioned state atomically,
-  so readers never observe a half-applied batch.
+The price of pruning nothing is fill: :attr:`CompiledHierarchy.arc_count`
+over the topology's edge count depends on how well the order separates the
+graph (about 10 on the grid cities), not on its degree statistics, so it is
+worth reading per topology.
 
 Queries run on **elimination-tree hub labels**: every monotone-upward path
 from a vertex stays inside its elimination-tree ancestor path, so the exact
@@ -53,16 +56,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...routing.contraction import ContractionHierarchy
-    from .graph import CompiledGraph, Topology
+    from .graph import Topology
 
 _INF = math.inf
-
-#: Serializes the lazy ``hierarchy._compiled`` cache fill in
-#: :func:`compiled_hierarchy` (first build wins; racing builders discard
-#: their duplicate and adopt the cached instance).
-_COMPILED_CACHE_LOCK = threading.Lock()
-
 
 # ---------------------------------------------------------------------- #
 # Contraction orders (metric-free)
@@ -782,60 +778,3 @@ class CompiledHierarchy:
             f"reweights={self.reweight_count})"
         )
 
-
-def compiled_hierarchy(
-    hierarchy: "ContractionHierarchy",
-    graph: "CompiledGraph",
-    network: object | None = None,
-) -> CompiledHierarchy | None:
-    """The (lazily built) compiled counterpart of a dict hierarchy.
-
-    Cached on the hierarchy object, keyed by the graph's topology (object
-    identity — a structural mutation produces a fresh topology and the old
-    compiled hierarchy is rebuilt on first use).  The initial weights are
-    customized from the hierarchy's *build-time* base costs, so a frozen
-    (``on_stale="ignore"``) hierarchy answers with frozen costs exactly like
-    the dict walker; :meth:`ContractionHierarchy.refresh` re-customizes to
-    the current arrays.  ``network`` supplies vertex coordinates for the
-    nested-dissection order when available.  Returns ``None`` when the
-    hierarchy carries no base weights (hand-built) or does not match the
-    topology — the caller then falls back to the dict walker.
-    """
-    compiled = getattr(hierarchy, "_compiled", None)
-    topology = graph.topology
-    if compiled is not None and compiled.topology is topology:
-        return compiled
-    base = getattr(hierarchy, "base_slot_weights", None)
-    if base is None:
-        return None
-    base = np.asarray(base, dtype=np.float64)
-    if base.shape[0] != topology.edge_count:
-        return None
-    if len(hierarchy.order) != topology.vertex_count:
-        return None
-    index_of = topology.index_of
-    for vertex_id in hierarchy.order:
-        if vertex_id not in index_of:
-            return None
-    coordinates = None
-    if network is not None:
-        vertex = network.vertex
-        lon = [0.0] * topology.vertex_count
-        lat = [0.0] * topology.vertex_count
-        for vertex_id, index in index_of.items():
-            point = vertex(vertex_id)
-            lon[index] = point.lon
-            lat[index] = point.lat
-        coordinates = (lon, lat)
-    # Build outside the lock (full customization is O(arcs x triangles) and
-    # must not stall queries on other hierarchies), then install first-build-
-    # wins: concurrent route_many workers racing the same cold hierarchy all
-    # end up querying (and re-weighting) ONE compiled instance, never a
-    # sibling whose weights_version drifts independently.
-    compiled = CompiledHierarchy(topology, base, coordinates=coordinates)
-    with _COMPILED_CACHE_LOCK:
-        cached = getattr(hierarchy, "_compiled", None)
-        if cached is not None and cached.topology is topology:
-            return cached
-        hierarchy._compiled = compiled
-    return compiled

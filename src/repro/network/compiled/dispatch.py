@@ -56,7 +56,11 @@ def is_enabled() -> bool:
 
 @contextmanager
 def compiled_disabled() -> Iterator[None]:
-    """Force the dict-based reference implementations (tests, benchmarks)."""
+    """Force the dict-based reference searches (tests, benchmarks).
+
+    A contraction hierarchy is prebuilt array state, not a search with a
+    dict twin: ``ch_shortest_path`` runs the same query either way.
+    """
     global _enabled
     previous = _enabled
     _enabled = False
@@ -566,46 +570,6 @@ def try_route_from_rows(
         if indices is not None:
             results[position] = graph.path_ids(indices)
     return results
-
-
-def try_ch(
-    network: "RoadNetwork",
-    source: "VertexId",
-    destination: "VertexId",
-    hierarchy,
-) -> list["VertexId"] | None:
-    """Compiled contraction-hierarchy query (see module docstring).
-
-    Runs the elimination-tree label query on the compiled arc sets of
-    :mod:`~repro.network.compiled.ch`, building them lazily on first use.
-    Returns ``None`` when the compiled path cannot serve this hierarchy —
-    compiled search disabled, a hand-built hierarchy without base weights,
-    or a topology that drifted from the build (the dict walker is then the
-    caller's fallback) — and raises :class:`NoPathError` when the query ran
-    and proved the destination unreachable.
-    """
-    graph = _view(network)
-    if graph is None:
-        return None
-    built_topology = getattr(hierarchy, "built_topology_version", None)
-    if built_topology is None:
-        return None
-    if getattr(network, "topology_version", None) != built_topology:
-        return None
-    from . import ch as _ch
-
-    compiled = _ch.compiled_hierarchy(hierarchy, graph, network)
-    if compiled is None:
-        return None
-    index_of = graph.index_of
-    source_index = index_of.get(source)
-    destination_index = index_of.get(destination)
-    if source_index is None or destination_index is None:
-        return None
-    indices = compiled.query_indices(source_index, destination_index)
-    if indices is None:
-        raise NoPathError(source, destination)
-    return graph.path_ids(indices)
 
 
 def _slave_masks(graph: "CompiledGraph", slave) -> tuple[list[bool], list[bool]]:

@@ -25,9 +25,8 @@ parts with very different lifetimes:
 
 Search scratch state lives in per-thread
 :class:`~repro.network.compiled.workspace.SearchWorkspace` objects obtained
-from :meth:`workspace`, so concurrent queries (the service layer fans
-``route_many`` out over a thread pool) never share ``dist`` / ``parent``
-arrays.
+from :meth:`workspace`, so concurrent queries (``RoutingService.route`` is
+safe to call from many threads) never share ``dist`` / ``parent`` arrays.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ class RoadNetwork:
         # The compiled view holds thread-local workspaces and is cheap to
         # rebuild, so it (and the build lock) is dropped from pickles
         # (model persistence).  Prepared contraction hierarchies likewise
-        # carry compiled arrays and locks; they rebuild on first use.
+        # carry large arrays and locks; prepare_hierarchy() builds them anew.
         state = self.__dict__.copy()
         state["_compiled"] = None
         state["_hierarchies"] = {}
@@ -458,8 +458,8 @@ class RoadNetwork:
         """The lazily-built CSR view used by the array-based search kernels.
 
         The snapshot is cached until the next mutation; see
-        :mod:`repro.network.compiled`.  Double-checked locking keeps a
-        ``route_many`` thread pool from compiling one snapshot per worker.
+        :mod:`repro.network.compiled`.  Double-checked locking keeps
+        concurrent ``route()`` callers from compiling one snapshot each.
         """
         view = self._compiled
         if view is None:
@@ -510,40 +510,38 @@ class RoadNetwork:
         key, array, version = resolved
         return graph.landmark_table(key, array, version, count=count, strategy=strategy)
 
-    def prepare_hierarchy(self, feature=None, *, edge_cost=None, hop_limit: int = 16):
+    def prepare_hierarchy(self, feature=None, *, edge_cost=None):
         """Build (or refresh) the cached contraction hierarchy for one cost.
 
         The :func:`~repro.routing.contraction.ch_shortest_path` family and
         the service layer's ``ContractionEngine`` answer from a prebuilt
         :class:`~repro.routing.contraction.ContractionHierarchy`; call this
-        to pay the construction up front (mirroring
-        :meth:`prepare_landmarks`) and to share one hierarchy per
-        ``(feature, edge_cost, hop_limit)`` across callers.  ``feature``
-        defaults to travel time.  A cached hierarchy that went stale is
-        refreshed in place before being returned — a cheap shortcut
-        re-weight when only costs drifted, a full rebuild after structural
-        mutations — so the result always answers with current costs.
+        to pay the whole preprocessing up front (mirroring
+        :meth:`prepare_landmarks` — the first query afterwards builds
+        nothing) and to share one hierarchy per ``(feature, edge_cost)``
+        across callers.  ``feature`` defaults to travel time.  A cached
+        hierarchy that went stale is refreshed in place before being
+        returned — a shortcut re-weight when only costs drifted, a rebuild
+        after structural mutations — so the result always answers with
+        current costs.
         """
         from ..routing.contraction import build_contraction_hierarchy
         from ..routing.costs import CostFeature
 
         if feature is None:
             feature = CostFeature.TRAVEL_TIME
-        key = (feature, edge_cost, hop_limit)
-        with self._hierarchy_lock:
-            hierarchy = self._hierarchies.get(key)
-        if hierarchy is not None:
-            if hierarchy.is_stale(self):
-                hierarchy.refresh(self)
-            return hierarchy
-        built = build_contraction_hierarchy(
-            self, feature=feature, edge_cost=edge_cost, hop_limit=hop_limit
-        )
-        with self._hierarchy_lock:
-            # First build wins so every caller shares (and refreshes) one
-            # hierarchy object; a racing builder's duplicate is discarded.
-            hierarchy = self._hierarchies.setdefault(key, built)
-        if hierarchy is not built and hierarchy.is_stale(self):
+        key = (feature, edge_cost)
+        hierarchy = self._hierarchies.get(key)
+        if hierarchy is None:
+            # Built under the lock: racing callers wait for the one build
+            # and share (and later refresh) its hierarchy object.
+            with self._hierarchy_lock:
+                hierarchy = self._hierarchies.get(key)
+                if hierarchy is None:
+                    hierarchy = self._hierarchies[key] = build_contraction_hierarchy(
+                        self, feature=feature, edge_cost=edge_cost
+                    )
+        if hierarchy.is_stale(self):
             hierarchy.refresh(self)
         return hierarchy
 

@@ -2,450 +2,190 @@
 
 The paper mentions contraction hierarchies [16] as the standard query-time
 speed-up for cost-centric routing and notes that such speed-ups are orthogonal
-to accuracy.  We provide a compact CH implementation so that the efficiency
-benchmarks can compare plain Dijkstra, bidirectional Dijkstra, and CH queries,
-and so the library is usable as a general routing substrate.
+to accuracy.  This module is the routing-side handle on the library's one
+hierarchy, :class:`~repro.network.compiled.ch.CompiledHierarchy`: a
+customizable arc set contracted from the topology alone, queried through
+elimination-tree hub labels, and re-weighted in place when live traffic moves
+the edge costs.
 
-The implementation follows the classical recipe: nodes are contracted in order
-of a lazy edge-difference priority; shortcuts preserve shortest-path distances
-between higher-ranked neighbours; queries run a bidirectional upward search.
-
-With compiled search enabled, :func:`ch_shortest_path` answers from the
-array-compiled counterpart (:mod:`repro.network.compiled.ch`): customizable
-arc sets queried through elimination-tree hub labels, cost-identical to the
-dict walker here (which stays the ground truth under
-:func:`~repro.network.compiled.dispatch.compiled_disabled`), and cheap to
-re-weight in place when live traffic moves the edge costs.
+A hierarchy is prebuilt array state, like a landmark table — not a search
+with a dict twin.  :func:`build_contraction_hierarchy` pays the whole
+preprocessing in the call, no query builds anything, and
+:func:`~repro.network.compiled.dispatch.compiled_disabled` does not change
+what a CH query runs; the oracle for CH answers is
+:func:`~repro.routing.dijkstra.dict_dijkstra`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+import threading
 
 import numpy as np
 
 from ..exceptions import NoPathError, StaleHierarchyError, VertexNotFoundError
-from ..network.compiled import dispatch as _dispatch
+from ..network.compiled.ch import CompiledHierarchy
 from ..network.road_network import RoadNetwork, VertexId
 from .costs import CostFeature, EdgeCost, cost_function
 from .path import Path
 
 
-@dataclass
-class _Shortcut:
-    """A CH arc: either an original edge or a shortcut bridging ``via``."""
-
-    target: VertexId
-    weight: float
-    via: VertexId | None = None
-
-
-@dataclass
 class ContractionHierarchy:
-    """A contracted search structure for one edge-cost function.
+    """The contraction hierarchy of one network for one edge-cost function.
 
-    The hierarchy is frozen at build time: its shortcut weights embed the
-    network's costs as of construction.  ``built_version`` /
-    ``built_cost_version`` record that moment so queries through
-    :func:`ch_shortest_path` can detect live-traffic (or topology) drift
-    instead of silently answering with pre-update costs.
+    Built eagerly: the constructor runs the full preprocessing.  The arc
+    weights embed the network's costs as of the last build or
+    :meth:`refresh`; ``built_version`` (``network.version`` then) and
+    ``built_cost_version`` (``network.cost_version``, for monitoring) record
+    that moment so :meth:`shortest_path` can detect live-traffic (or
+    topology) drift instead of silently answering with pre-update costs.
+    Vertex ids are translated through the hierarchy's own build-time
+    topology snapshot, so a frozen (``on_stale="ignore"``) hierarchy keeps
+    answering for the network it was built on.
     """
 
-    order: dict[VertexId, int]
-    upward: dict[VertexId, list[_Shortcut]]
-    downward: dict[VertexId, list[_Shortcut]]
-    middle: dict[tuple[VertexId, VertexId], VertexId] = field(default_factory=dict)
-    built_version: int | None = None
-    """``network.version`` at build time (``None`` on hand-built hierarchies:
-    staleness then goes unchecked, matching the pre-guard behaviour)."""
-    built_cost_version: int | None = None
-    """``network.cost_version`` at build time (monitoring / diagnostics)."""
-    build_args: tuple | None = None
-    """``(feature, edge_cost, hop_limit)`` for :meth:`refresh` rebuilds."""
-    built_topology_version: int | None = None
-    """``network.topology_version`` at build time: while it still matches,
-    staleness is cost-only and :meth:`refresh` can re-weight instead of
-    rebuilding."""
-    base_slot_weights: object | None = field(default=None, repr=False, compare=False)
-    """Build-time edge costs in compiled CSR slot order (numpy array).  The
-    compiled hierarchy customizes its arc weights from this array, so frozen
-    (``on_stale="ignore"``) answers match the dict walker's; ``None`` on
-    hand-built hierarchies (no compiled queries then)."""
-    _compiled: object | None = field(default=None, repr=False, compare=False)
-    """Cached :class:`~repro.network.compiled.ch.CompiledHierarchy` (built
-    lazily by the dispatch layer; dropped from pickles)."""
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_compiled"] = None  # holds a lock + large arrays; lazily rebuilt
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Defaults for pickles written before these fields existed.
-        self.__dict__.setdefault("built_topology_version", None)
-        self.__dict__.setdefault("base_slot_weights", None)
-        self.__dict__.setdefault("_compiled", None)
+    def __init__(
+        self,
+        network: RoadNetwork,
+        feature: CostFeature = CostFeature.TRAVEL_TIME,
+        edge_cost: EdgeCost | None = None,
+    ) -> None:
+        self.build_args = (feature, edge_cost)
+        self.built_version: int | None = None
+        self.built_cost_version: int | None = None
+        self._compiled: CompiledHierarchy | None = None
+        self._lock = threading.Lock()
+        self.refresh(network)
 
     @property
     def weights_version(self) -> int:
-        """Monotonic version of the compiled arc weights (0 until compiled).
-
-        Bumped by every successful re-weight; the service layer keys its
-        route cache on it so pre-re-weight answers are never replayed.
-        """
-        compiled = self._compiled
-        return compiled.weights_version if compiled is not None else 0
+        """Monotonic version of the arc weights; bumped by every re-weight
+        (the service layer keys its route cache on it); 0 again after a rebuild."""
+        return self._compiled.weights_version
 
     @property
     def reweight_count(self) -> int:
-        """How many live-traffic re-weights this hierarchy has absorbed."""
-        compiled = self._compiled
-        return compiled.reweight_count if compiled is not None else 0
+        """Live-traffic re-weights absorbed since the last (re)build."""
+        return self._compiled.reweight_count
+
+    @property
+    def arc_count(self) -> int:
+        """Arcs of the chordal supergraph (base edges plus every shortcut).
+
+        The fill — ``arc_count / edge_count`` — depends on how well the
+        topology-only order separates each network: measure it, do not
+        assume it from degree statistics.
+        """
+        return self._compiled.arc_count
 
     def is_stale(self, network: RoadNetwork) -> bool:
         """Whether ``network`` mutated (topology or costs) since the build."""
-        return self.built_version is not None and network.version != self.built_version
+        return network.version != self.built_version
 
     def refresh(self, network: RoadNetwork) -> "ContractionHierarchy":
         """Bring this hierarchy up to date with the network, *in place*.
 
-        When only costs drifted (live traffic — the network's topology
-        version still matches the build's) and compiled search is enabled,
-        this is a cheap re-weight: the compiled hierarchy re-customizes just
-        the arcs whose base costs changed, O(touched arcs x their lower
-        triangles) instead of a full witness-search reconstruction.  The
-        dict ``upward`` / ``downward`` maps keep their build-time weights in
-        that case — the compiled arc sets are authoritative and every query
-        through :func:`ch_shortest_path` uses them; run the whole lifecycle
-        under :func:`~repro.network.compiled.dispatch.compiled_disabled` for
-        pure dict-walker ground truth (refresh then falls back to a full
-        rebuild).
-
-        Topology changes — or anything the compiled path cannot absorb —
-        re-run the original construction (same feature / edge cost / hop
-        limit) and adopt the result, so every holder of this hierarchy
-        object sees current answers.  Returns ``self`` for chaining.
+        While the network still has the topology the hierarchy was contracted
+        from, this is a re-weight: only the arcs whose base costs changed are
+        re-customized, O(touched arcs x their lower triangles).  After a
+        structural mutation the hierarchy is rebuilt and swapped in by one
+        reference assignment, so in-flight queries finish on the old one and
+        every holder of this object sees current answers afterwards.
+        Concurrent callers serialize on the lock and the late ones find the
+        work done.  Returns ``self`` for chaining.
         """
-        if self.build_args is None:
-            raise StaleHierarchyError(self.built_version or 0, network.version)
-        if self._try_reweight(network):
-            return self
-        feature, edge_cost, hop_limit = self.build_args
-        fresh = build_contraction_hierarchy(
-            network, feature=feature, edge_cost=edge_cost, hop_limit=hop_limit
-        )
-        self.__dict__.update(fresh.__dict__)
+        with self._lock:
+            # Versions are read *before* the costs: a racing cost update can
+            # then only make the weights newer than the stamp — the hierarchy
+            # reads as stale once more, never as current over old weights.
+            version = network.version
+            cost_version = network.cost_version
+            if version == self.built_version:
+                return self
+            graph = network.compiled()
+            feature, edge_cost = self.build_args
+            cost_fn = edge_cost or cost_function(feature)
+            resolved = graph.resolve_cost(cost_fn)
+            if resolved is not None:
+                weights = np.asarray(resolved[1], dtype=np.float64)
+            else:  # opaque callable: price every edge through it
+                weights = np.array([cost_fn(edge) for edge in graph.edges], dtype=np.float64)
+            topology = graph.topology
+            compiled = self._compiled
+            if compiled is not None and compiled.topology is topology:
+                compiled.reweight(weights)
+            else:
+                points = [network.vertex(vertex) for vertex in topology.vertex_ids]
+                coordinates = ([p.lon for p in points], [p.lat for p in points])
+                self._compiled = CompiledHierarchy(topology, weights, coordinates)
+            self.built_version = version
+            self.built_cost_version = cost_version
         return self
-
-    def _try_reweight(self, network: RoadNetwork) -> bool:
-        """Absorb cost-only drift by re-weighting the compiled hierarchy."""
-        if not _dispatch.is_enabled():
-            return False
-        if self.built_topology_version is None or self.base_slot_weights is None:
-            return False
-        if getattr(network, "topology_version", None) != self.built_topology_version:
-            return False
-        feature, edge_cost, _ = self.build_args
-        cost_fn = edge_cost or cost_function(feature)
-        # Capture the network versions *before* resolving the cost array: a
-        # concurrent cost update racing this refresh can then only make the
-        # array newer than the stamp, so at worst the hierarchy still reads
-        # as stale and the next query refreshes again — never the reverse
-        # (current-looking stamps over pre-update weights).
-        version = network.version
-        cost_version = network.cost_version
-        graph = network.compiled()
-        resolved = graph.resolve_cost(cost_fn)
-        if resolved is None:
-            return False
-        _, array, _ = resolved
-        from ..network.compiled import ch as _ch
-
-        compiled = _ch.compiled_hierarchy(self, graph, network)
-        if compiled is None:
-            return False
-        compiled.reweight(array)
-        self.base_slot_weights = np.asarray(array, dtype=np.float64)
-        self.built_version = version
-        self.built_cost_version = cost_version
-        return True
 
     def query_cost(self, source: VertexId, destination: VertexId) -> float:
         """Shortest-path cost between two vertices (``inf`` if unreachable)."""
-        if source == destination:
-            return 0.0
-        dist_f = self._upward_search(source, self.upward)
-        dist_b = self._upward_search(destination, self.downward)
-        best = math.inf
-        smaller, larger = (dist_f, dist_b) if len(dist_f) <= len(dist_b) else (dist_b, dist_f)
-        for vertex, cost in smaller.items():
-            other = larger.get(vertex)
-            if other is not None and cost + other < best:
-                best = cost + other
-        return best
+        compiled = self._compiled
+        index_of = compiled.topology.index_of
+        s, d = index_of.get(source), index_of.get(destination)
+        if s is None or d is None:
+            return math.inf
+        return compiled.query_cost(s, d)
 
     def query(self, source: VertexId, destination: VertexId) -> Path:
         """Shortest path between two vertices with shortcuts unpacked."""
-        if source == destination:
-            return Path.of([source])
-        dist_f, parent_f = self._upward_search_with_parents(source, self.upward)
-        dist_b, parent_b = self._upward_search_with_parents(destination, self.downward)
-        best = math.inf
-        meeting: VertexId | None = None
-        for vertex, cost in dist_f.items():
-            other = dist_b.get(vertex)
-            if other is not None and cost + other < best:
-                best = cost + other
-                meeting = vertex
-        if meeting is None:
+        compiled = self._compiled
+        topology = compiled.topology
+        s, d = topology.index_of.get(source), topology.index_of.get(destination)
+        indices = compiled.query_indices(s, d) if s is not None and d is not None else None
+        if indices is None:
             raise NoPathError(source, destination)
+        ids = topology.vertex_ids
+        return Path.of([ids[i] for i in indices])
 
-        forward = self._walk(parent_f, source, meeting)
-        backward = self._walk(parent_b, destination, meeting)
-        backward.reverse()
-        contracted_path = forward + backward[1:]
-        return Path.of(self._unpack(contracted_path))
+    def shortest_path(
+        self,
+        network: RoadNetwork,
+        source: VertexId,
+        destination: VertexId,
+        on_stale: str = "raise",
+    ) -> Path:
+        """:meth:`query` guarded against drift between hierarchy and network.
 
-    # ------------------------------------------------------------------ #
-    def _upward_search(self, start: VertexId, arcs: dict[VertexId, list[_Shortcut]]) -> dict[VertexId, float]:
-        dist: dict[VertexId, float] = {start: 0.0}
-        settled: set[VertexId] = set()
-        heap: list[tuple[float, VertexId]] = [(0.0, start)]
-        while heap:
-            cost_u, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled.add(u)
-            for arc in arcs.get(u, ()):  # only upward arcs exist in the maps
-                candidate = cost_u + arc.weight
-                if candidate < dist.get(arc.target, math.inf):
-                    dist[arc.target] = candidate
-                    heapq.heappush(heap, (candidate, arc.target))
-        return dist
-
-    def _upward_search_with_parents(
-        self, start: VertexId, arcs: dict[VertexId, list[_Shortcut]]
-    ) -> tuple[dict[VertexId, float], dict[VertexId, VertexId]]:
-        dist: dict[VertexId, float] = {start: 0.0}
-        parent: dict[VertexId, VertexId] = {}
-        settled: set[VertexId] = set()
-        heap: list[tuple[float, VertexId]] = [(0.0, start)]
-        while heap:
-            cost_u, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled.add(u)
-            for arc in arcs.get(u, ()):
-                candidate = cost_u + arc.weight
-                if candidate < dist.get(arc.target, math.inf):
-                    dist[arc.target] = candidate
-                    parent[arc.target] = u
-                    heapq.heappush(heap, (candidate, arc.target))
-        return dist, parent
-
-    @staticmethod
-    def _walk(parent: dict[VertexId, VertexId], start: VertexId, end: VertexId) -> list[VertexId]:
-        vertices = [end]
-        current = end
-        while current != start:
-            current = parent[current]
-            vertices.append(current)
-        vertices.reverse()
-        return vertices
-
-    def _unpack(self, contracted_path: list[VertexId]) -> list[VertexId]:
-        """Recursively expand shortcuts back into original vertices."""
-        result: list[VertexId] = [contracted_path[0]]
-        for i in range(len(contracted_path) - 1):
-            result.extend(self._unpack_arc(contracted_path[i], contracted_path[i + 1]))
-        return result
-
-    def _unpack_arc(self, u: VertexId, v: VertexId) -> list[VertexId]:
-        via = self.middle.get((u, v))
-        if via is None:
-            return [v]
-        return self._unpack_arc(u, via) + self._unpack_arc(via, v)
+        A network that mutated since the last build or refresh (live-traffic
+        cost updates included) would silently get pre-update routes.
+        ``on_stale`` picks the remedy: ``"raise"`` (default) raises
+        :class:`~repro.exceptions.StaleHierarchyError`, ``"rebuild"`` runs
+        :meth:`refresh` and then answers, ``"ignore"`` knowingly answers
+        from the frozen structure.
+        """
+        if source not in network:
+            raise VertexNotFoundError(source)
+        if destination not in network:
+            raise VertexNotFoundError(destination)
+        if on_stale not in ("raise", "rebuild", "ignore"):
+            raise ValueError(f"on_stale must be 'raise', 'rebuild', or 'ignore', not {on_stale!r}")
+        if self.is_stale(network):
+            if on_stale == "raise":
+                raise StaleHierarchyError(self.built_version, network.version)
+            if on_stale == "rebuild":
+                self.refresh(network)
+        return self.query(source, destination)
 
 
 def build_contraction_hierarchy(
     network: RoadNetwork,
     feature: CostFeature = CostFeature.TRAVEL_TIME,
     edge_cost: EdgeCost | None = None,
-    hop_limit: int = 16,
 ) -> ContractionHierarchy:
     """Preprocess ``network`` into a :class:`ContractionHierarchy`.
 
-    ``hop_limit`` bounds the witness searches during contraction; smaller
-    values make preprocessing faster at the price of a few extra shortcuts.
-
-    The construction runs on the network's compiled view: vertices are dense
-    indices, the initial arc weights come from the precompiled cost arrays
-    (no per-edge Python cost calls for recognized costs), and the
-    O(vertices · degree²) witness searches share generation-stamped distance
-    arrays instead of allocating fresh dicts and sets per search.
+    All of the preprocessing happens here — a fill-reducing order from the
+    topology, the contraction, the customization of every arc weight — so
+    the first query is as fast as any other.  ``edge_cost`` overrides
+    ``feature``; a callable the compiled cost store cannot resolve to an
+    array is applied edge by edge.
     """
-    cost_fn = edge_cost or cost_function(feature)
-    built_version = network.version
-    built_cost_version = network.cost_version
-    graph = network.compiled()
-    n = graph.vertex_count
-    ids = graph.vertex_ids
-    offsets, csr_targets = graph.offsets, graph.targets
-
-    resolved = graph.resolve_cost(cost_fn)
-    if resolved is not None:
-        slot_weights = graph.forward_weights(*resolved)
-    else:
-        slot_weights = [cost_fn(edge) for edge in graph.edges]
-
-    # Working graph: adjacency of weights (min weight per vertex pair),
-    # indexed by dense vertex index.
-    forward: list[dict[int, float]] = [{} for _ in range(n)]
-    backward: list[dict[int, float]] = [{} for _ in range(n)]
-    middle_idx: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for i in range(offsets[u], offsets[u + 1]):
-            v = csr_targets[i]
-            weight = slot_weights[i]
-            if weight < forward[u].get(v, math.inf):
-                forward[u][v] = weight
-                backward[v][u] = weight
-
-    # Generation-stamped witness-search scratch state: one dedicated
-    # workspace for the whole build (CH construction is single-threaded and
-    # long-lived, so it gets its own rather than borrowing from the pool).
-    workspace = graph.workspace()
-    dist = workspace.dist
-    stamp = workspace.stamp
-    settled_stamp = workspace.closed
-
-    def witness_cost(start: int, end: int, exclude: int, limit: float) -> float:
-        """Cost of the best path start->end avoiding ``exclude`` (bounded)."""
-        gen = workspace.begin()
-        dist[start] = 0.0
-        stamp[start] = gen
-        heap: list[tuple[float, int, int]] = [(0.0, start, 0)]
-        while heap:
-            cost_u, u, hops = heapq.heappop(heap)
-            if settled_stamp[u] == gen:
-                continue
-            settled_stamp[u] = gen
-            if u == end:
-                return cost_u
-            if cost_u > limit or hops >= hop_limit:
-                continue
-            for v, weight in forward[u].items():
-                if v == exclude or settled_stamp[v] == gen:
-                    continue
-                candidate = cost_u + weight
-                if stamp[v] != gen or candidate < dist[v]:
-                    stamp[v] = gen
-                    dist[v] = candidate
-                    heapq.heappush(heap, (candidate, v, hops + 1))
-        return math.inf
-
-    def edge_difference(vertex: int) -> int:
-        in_neighbors = list(backward[vertex].items())
-        out_neighbors = list(forward[vertex].items())
-        shortcuts = 0
-        for u, w_in in in_neighbors:
-            for w, w_out in out_neighbors:
-                if u == w:
-                    continue
-                through = w_in + w_out
-                if witness_cost(u, w, vertex, through) > through:
-                    shortcuts += 1
-        return shortcuts - (len(in_neighbors) + len(out_neighbors))
-
-    heap: list[tuple[int, int]] = [(edge_difference(v), v) for v in range(n)]
-    heapq.heapify(heap)
-
-    order: dict[VertexId, int] = {}
-    rank = 0
-    contracted = [False] * n
-
-    while heap:
-        priority, vertex = heapq.heappop(heap)
-        if contracted[vertex]:
-            continue
-        # Lazy update: recompute and re-insert if the priority became stale.
-        current = edge_difference(vertex)
-        if heap and current > heap[0][0]:
-            heapq.heappush(heap, (current, vertex))
-            continue
-
-        order[ids[vertex]] = rank
-        rank += 1
-        contracted[vertex] = True
-
-        in_neighbors = [(u, w) for u, w in backward[vertex].items() if not contracted[u]]
-        out_neighbors = [(w, c) for w, c in forward[vertex].items() if not contracted[w]]
-        for u, w_in in in_neighbors:
-            for w, w_out in out_neighbors:
-                if u == w:
-                    continue
-                through = w_in + w_out
-                if witness_cost(u, w, vertex, through) > through:
-                    if through < forward[u].get(w, math.inf):
-                        forward[u][w] = through
-                        backward[w][u] = through
-                        middle_idx[(u, w)] = vertex
-        # Remove the contracted vertex from the working graph.
-        for u, _ in in_neighbors:
-            forward[u].pop(vertex, None)
-        for w, _ in out_neighbors:
-            backward[w].pop(vertex, None)
-        forward[vertex] = {}
-        backward[vertex] = {}
-
-    middle: dict[tuple[VertexId, VertexId], VertexId] = {
-        (ids[u], ids[w]): ids[via] for (u, w), via in middle_idx.items()
-    }
-
-    # Rebuild full arc sets (originals + shortcuts) partitioned by rank.
-    upward: dict[VertexId, list[_Shortcut]] = {v: [] for v in network.vertex_ids()}
-    downward: dict[VertexId, list[_Shortcut]] = {v: [] for v in network.vertex_ids()}
-
-    all_arcs: dict[tuple[VertexId, VertexId], float] = {}
-    for edge, weight in zip(graph.edges, slot_weights):
-        key = (edge.source, edge.target)
-        if weight < all_arcs.get(key, math.inf):
-            all_arcs[key] = weight
-    # Shortcut weights: the stored "through" weights may have been improved
-    # by later contractions, so reconstruct each one by summing its two
-    # halves recursively from the final arc set.
-    def arc_weight(u: VertexId, w: VertexId) -> float:
-        via = middle.get((u, w))
-        if via is None:
-            return all_arcs[(u, w)]
-        return arc_weight(u, via) + arc_weight(via, w)
-
-    shortcut_arcs = {key: arc_weight(*key) for key in middle}
-    combined = dict(all_arcs)
-    for key, weight in shortcut_arcs.items():
-        if weight < combined.get(key, math.inf):
-            combined[key] = weight
-
-    for (u, w), weight in combined.items():
-        if order[u] < order[w]:
-            upward[u].append(_Shortcut(target=w, weight=weight, via=middle.get((u, w))))
-        else:
-            downward[w].append(_Shortcut(target=u, weight=weight, via=middle.get((u, w))))
-
-    return ContractionHierarchy(
-        order=order,
-        upward=upward,
-        downward=downward,
-        middle=middle,
-        built_version=built_version,
-        built_cost_version=built_cost_version,
-        build_args=(feature, edge_cost, hop_limit),
-        built_topology_version=getattr(network, "topology_version", None),
-        base_slot_weights=np.asarray(slot_weights, dtype=np.float64),
-    )
+    return ContractionHierarchy(network, feature, edge_cost)
 
 
 def ch_shortest_path(
@@ -455,35 +195,6 @@ def ch_shortest_path(
     hierarchy: ContractionHierarchy,
     on_stale: str = "raise",
 ) -> Path:
-    """Query a prebuilt hierarchy for the path from ``source`` to ``destination``.
-
-    The hierarchy's shortcut weights are frozen at build time, so a network
-    that mutated since (live-traffic cost updates included) would silently
-    yield pre-update routes.  ``on_stale`` picks the remedy: ``"raise"``
-    (default) raises :class:`~repro.exceptions.StaleHierarchyError`,
-    ``"rebuild"`` refreshes the hierarchy in place against the current
-    network and then answers (a cheap shortcut re-weight for cost-only
-    drift, a full rebuild for topology changes — see
-    :meth:`ContractionHierarchy.refresh`), ``"ignore"`` knowingly answers
-    from the frozen structure.
-
-    With compiled search enabled the query runs on the CSR-compiled arc
-    sets (:mod:`repro.network.compiled.ch`) — cost-identical to the dict
-    walker, which remains the ground truth under
-    :func:`~repro.network.compiled.dispatch.compiled_disabled`.
-    """
-    if source not in network:
-        raise VertexNotFoundError(source)
-    if destination not in network:
-        raise VertexNotFoundError(destination)
-    if on_stale not in ("raise", "rebuild", "ignore"):
-        raise ValueError(f"on_stale must be 'raise', 'rebuild', or 'ignore', not {on_stale!r}")
-    if hierarchy.is_stale(network):
-        if on_stale == "raise":
-            raise StaleHierarchyError(hierarchy.built_version or 0, network.version)
-        if on_stale == "rebuild":
-            hierarchy.refresh(network)
-    compiled_path = _dispatch.try_ch(network, source, destination, hierarchy)
-    if compiled_path is not None:
-        return Path.of(compiled_path)
-    return hierarchy.query(source, destination)
+    """:meth:`ContractionHierarchy.shortest_path`, in the argument order of the
+    other :mod:`repro.routing` search functions (see there for ``on_stale``)."""
+    return hierarchy.shortest_path(network, source, destination, on_stale)

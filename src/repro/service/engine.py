@@ -221,14 +221,16 @@ class L2REngine(BaseEngine):
 class ContractionEngine(BaseEngine):
     """Single-cost engine answering through a contraction hierarchy.
 
-    The hierarchy is built lazily on first use (or taken prebuilt, e.g. from
-    :meth:`~repro.network.road_network.RoadNetwork.prepare_hierarchy`) and
-    queried through :func:`~repro.routing.contraction.ch_shortest_path` with
+    The hierarchy comes from
+    :meth:`~repro.network.road_network.RoadNetwork.prepare_hierarchy` on
+    first use (or is taken prebuilt — prepare it before opening to traffic,
+    or the first request pays the whole preprocessing) and is queried through
+    :func:`~repro.routing.contraction.ch_shortest_path` with
     ``on_stale="rebuild"`` by default: live-traffic cost drift is absorbed
-    by a cheap compiled shortcut re-weight at the next query, a topology
-    change by a full rebuild.  Answers are exact single-cost optima —
-    cost-identical to the Shortest / Fastest baselines for the same feature,
-    at compiled-hierarchy query speed on repeated queries.
+    by a shortcut re-weight at the next query, a topology change by a
+    rebuild.  Answers are exact single-cost optima — cost-identical to the
+    Shortest / Fastest baselines for the same feature, at hub-label query
+    speed on repeated queries.
 
     The engine exposes ``cache_version`` (the hierarchy's weights version
     plus the network's mutation counter), which the service folds into its
@@ -246,13 +248,11 @@ class ContractionEngine(BaseEngine):
         *,
         hierarchy: ContractionHierarchy | None = None,
         on_stale: str = "rebuild",
-        hop_limit: int = 16,
         name: str | None = None,
     ) -> None:
         super().__init__(network)
         self.cost_feature = feature
         self.on_stale = on_stale
-        self._hop_limit = hop_limit
         self._hierarchy = hierarchy
         self._hierarchy_lock = threading.Lock()
         if name is not None:
@@ -264,9 +264,7 @@ class ContractionEngine(BaseEngine):
         if built is None:
             with self._hierarchy_lock:
                 if self._hierarchy is None:
-                    self._hierarchy = self._network.prepare_hierarchy(
-                        self.cost_feature, hop_limit=self._hop_limit
-                    )
+                    self._hierarchy = self._network.prepare_hierarchy(self.cost_feature)
                 built = self._hierarchy
         return built
 

@@ -3,7 +3,8 @@
 The service owns a registry of named :class:`~repro.service.engine.RoutingEngine`
 backends (the fitted L2R pipeline, the baselines, anything satisfying the
 protocol), answers single requests with :meth:`RoutingService.route` and
-batches with :meth:`RoutingService.route_many` (thread-pool fan-out), follows
+batches with :meth:`RoutingService.route_many` (batched kernel calls for
+compatible requests, a serial loop for the rest), follows
 per-engine fallback chains when an engine fails (e.g. L2R -> Fastest on
 ``NoPathError``), caches answers in an LRU route cache, and exposes a
 :class:`~repro.service.stats.ServiceStats` snapshot for monitoring.
@@ -14,8 +15,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -68,7 +67,6 @@ class RoutingService:
         admission_wait_s: float = 0.0,
         serve_degraded: bool = True,
         stale_route_capacity: int = 512,
-        batch_result_timeout_s: float = 60.0,
     ) -> None:
         """``traffic_invalidate_threshold`` bounds the delta-aware cache scan:
         a live-traffic batch touching more edges than this drops the whole
@@ -78,7 +76,7 @@ class RoutingService:
         ``goal_directed`` field unset — the service-wide opt-in to ALT
         landmark search for single-cost queries.  ``batch_min_size`` is the
         smallest group of compatible ``route_many`` requests worth a batched
-        ``dijkstra_many`` call; smaller groups use the thread pool.
+        ``dijkstra_many`` call; smaller groups are routed one by one.
 
         The resilience knobs (all off by default, preserving the fault-free
         fast path):
@@ -97,10 +95,7 @@ class RoutingService:
         * ``serve_degraded`` — when the whole chain fails within budget,
           serve the last known good route for the OD pair flagged
           ``degraded=True`` (``stale_route_capacity`` bounds that store)
-          instead of a bare error;
-        * ``batch_result_timeout_s`` — hard per-future timeout of the
-          ``route_many`` thread-pool fan-out, so one stuck worker cannot
-          hang a whole batch."""
+          instead of a bare error."""
         self._engines: dict[str, RoutingEngine] = {}
         self._fallbacks: dict[str, str] = {}
         self._default_engine: str | None = None
@@ -114,11 +109,6 @@ class RoutingService:
         self._engine_generation: dict[str, int] = {}
         self._traffic_generation = 0
         self._stats = StatsAccumulator()
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_workers = 0
-        self._retired_executors: list[ThreadPoolExecutor] = []
-        self._pool_users: dict[ThreadPoolExecutor, int] = {}
-        self._executor_lock = threading.Lock()
         self._deadline_s = deadline_s
         self._retry_policy = retry_policy
         self._breaker_config = breaker
@@ -134,7 +124,6 @@ class RoutingService:
             OrderedDict()
         )
         self._stale_lock = threading.Lock()
-        self._batch_result_timeout_s = batch_result_timeout_s
         self._drain: "TrafficDrain | None" = None
 
     # ------------------------------------------------------------------ #
@@ -398,7 +387,6 @@ class RoutingService:
         self,
         requests: Sequence[RouteRequest] | Iterable[RouteRequest],
         engine: str | None = None,
-        max_workers: int = 4,
         batch_min_size: int | None = None,
     ) -> list[RouteResponse]:
         """Answer a batch of requests, preserving order.
@@ -406,8 +394,10 @@ class RoutingService:
         Compatible requests — same engine, the same resolved single-cost
         view, and the same peak bucket — are partitioned into batched
         ``dijkstra_many`` kernel calls (one C-level multi-source SSSP per
-        distinct source, no per-request GIL bouncing); everything else fans
-        out over the thread pool as before.  Cache hits are served first,
+        distinct source); everything else goes through :meth:`route` one
+        request at a time (the searches hold the GIL, so threads would not
+        overlap them; a slow engine is bounded per request by
+        ``deadline_s``).  Cache hits are served first,
         batch-computed answers land in the cache under the same in-flight
         guards as single requests, and failures (including unreachable
         pairs discovered *inside* a batch) re-run individually so the
@@ -415,7 +405,7 @@ class RoutingService:
         yields an error response in its slot instead of aborting the batch.
 
         ``batch_min_size`` overrides the service default: compatible groups
-        smaller than this are not worth the batch setup and stay threaded.
+        smaller than this are not worth the batch setup.
         """
         batch = [self._effective_request(request) for request in requests]
         if not batch:
@@ -429,48 +419,11 @@ class RoutingService:
         responses: list[RouteResponse | None] = [None] * len(batch)
         unbatched = self._route_batched(batch, name, responses, threshold)
 
-        if unbatched:
-            # These requests already took their cache miss in the first
-            # pass; _probe_cache keeps the counters at one outcome each
-            # (and reclassifies the miss if a concurrent insert landed).
-            if max_workers <= 1 or len(unbatched) == 1:
-                for position in unbatched:
-                    responses[position] = self.route(
-                        batch[position], engine=name, _probe_cache=True
-                    )
-            else:
-                pool = self._acquire_executor(max_workers)
-                try:
-                    futures = [
-                        (
-                            position,
-                            pool.submit(
-                                self.route, batch[position], name, True
-                            ),
-                        )
-                        for position in unbatched
-                    ]
-                    for position, future in futures:
-                        # Bounded wait: one stuck worker degrades its own slot
-                        # to a deadline error instead of hanging the batch.
-                        try:
-                            responses[position] = future.result(
-                                timeout=self._batch_result_timeout_s
-                            )
-                        except FutureTimeoutError:
-                            self._stats.record_deadline_exceeded()
-                            exc = DeadlineExceededError(
-                                self._batch_result_timeout_s,
-                                self._batch_result_timeout_s,
-                                stage="route_many-worker",
-                            )
-                            response = RouteResponse.from_error(
-                                batch[position], name, exc
-                            )
-                            self._stats.record(response)
-                            responses[position] = response
-                finally:
-                    self._release_executor(pool)
+        # These requests already took their cache miss in the first pass;
+        # _probe_cache keeps the counters at one outcome each (and
+        # reclassifies the miss if a concurrent insert landed).
+        for position in unbatched:
+            responses[position] = self.route(batch[position], engine=name, _probe_cache=True)
         return responses  # type: ignore[return-value]
 
     def _route_batched(
@@ -572,88 +525,16 @@ class RoutingService:
                 responses[position] = response
         return leftovers
 
-    def _acquire_executor(self, max_workers: int) -> ThreadPoolExecutor:
-        """The shared worker pool, grown (never shrunk) on demand.
-
-        Reused across :meth:`route_many` calls so per-batch pool setup does
-        not tax the throughput path.  Each batch holds a usage count on the
-        pool it was handed: growing the pool never shuts down one a
-        concurrent batch is still using — an idle pool is shut down at once,
-        a busy one is retired and reaped when its last batch releases it.
-        """
-        with self._executor_lock:
-            if self._executor is None or self._executor_workers < max_workers:
-                if self._executor is not None:
-                    if self._pool_users.get(self._executor, 0) == 0:
-                        self._executor.shutdown(wait=False)
-                    else:
-                        self._retired_executors.append(self._executor)
-                self._executor = ThreadPoolExecutor(max_workers=max_workers)
-                self._executor_workers = max_workers
-            self._pool_users[self._executor] = self._pool_users.get(self._executor, 0) + 1
-            return self._executor
-
-    def _release_executor(self, pool: ThreadPoolExecutor) -> None:
-        with self._executor_lock:
-            remaining = self._pool_users.get(pool, 1) - 1
-            if remaining > 0:
-                self._pool_users[pool] = remaining
-                return
-            self._pool_users.pop(pool, None)
-            if pool in self._retired_executors:
-                self._retired_executors.remove(pool)
-                pool.shutdown(wait=False)
-
     def close(self, timeout_s: float | None = 5.0) -> bool:
         """Orderly shutdown; idempotent; the service stays usable after.
 
-        The ordering matters: the attached :class:`TrafficDrain` (if any) is
-        stopped *first* — no new re-weights land mid-drain of the request
-        side — then in-flight batches are given up to ``timeout_s`` to
-        finish, then the worker pools are released.  Pools still held by an
-        in-flight batch after the timeout are retired, not shut down — the
-        batch's release reaps them — so close() can never crash or deadlock
-        a concurrent :meth:`route_many`, even one running on this thread's
-        own stack.  Returns ``False`` when something (drain thread,
-        in-flight batch) failed to stop within the timeout.
+        Stops the attached :class:`TrafficDrain` (if any), so no re-weight
+        lands after the call returns.  Returns ``False`` when the drain
+        thread failed to stop within ``timeout_s``.
         """
-        clean = True
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
-        if self._drain is not None:
-            budget = (
-                max(0.0, deadline - time.monotonic()) if deadline is not None else 5.0
-            )
-            clean = self._drain.close(timeout_s=budget) and clean
-        # Bounded wait for in-flight batches: each holds a usage count on its
-        # pool, so "all counts zero" means no route_many is mid-flight.
-        while deadline is not None and time.monotonic() < deadline:
-            with self._executor_lock:
-                busy = any(count > 0 for count in self._pool_users.values())
-            if not busy:
-                break
-            time.sleep(0.005)
-        with self._executor_lock:
-            if any(count > 0 for count in self._pool_users.values()):
-                clean = False
-            still_busy: list[ThreadPoolExecutor] = []
-            for retired in self._retired_executors:
-                if self._pool_users.get(retired, 0) == 0:
-                    self._pool_users.pop(retired, None)
-                    retired.shutdown(wait=True)
-                else:
-                    still_busy.append(retired)
-            self._retired_executors = still_busy
-            if self._executor is not None:
-                if self._pool_users.get(self._executor, 0) == 0:
-                    self._pool_users.pop(self._executor, None)
-                    self._executor.shutdown(wait=True)
-                else:
-                    self._retired_executors.append(self._executor)
-                self._executor = None
-                self._executor_workers = 0
-        return clean
+        if self._drain is None:
+            return True
+        return self._drain.close(timeout_s=timeout_s if timeout_s is not None else 5.0)
 
     def _route_with_fallbacks(
         self,

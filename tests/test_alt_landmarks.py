@@ -328,16 +328,16 @@ class TestBatchedRouteMany:
             for a, b in (rng.sample(ids, 2) for _ in range(count))
         ]
 
-    def test_batched_answers_match_threaded(self, network, service):
+    def test_batched_answers_match_serial(self, network, service):
         requests = self._requests(network, 40)
         batched = service.route_many(requests, engine="Fastest")
         service.clear_cache()
-        threaded = service.route_many(requests, engine="Fastest", batch_min_size=10_000)
-        for a, b in zip(batched, threaded):
+        serial = service.route_many(requests, engine="Fastest", batch_min_size=10_000)
+        for a, b in zip(batched, serial):
             assert a.ok and b.ok
             assert a.path.vertices == b.path.vertices
         assert any(r.batched for r in batched)
-        assert not any(r.batched for r in threaded)
+        assert not any(r.batched for r in serial)
 
     def test_batched_responses_populate_cache_and_stats(self, network, service):
         requests = self._requests(network, 24)
@@ -350,7 +350,7 @@ class TestBatchedRouteMany:
         assert stats.requests == len(requests) * 2
         assert stats.batched_latency_p95_s >= stats.batched_latency_p50_s >= 0.0
 
-    def test_small_groups_stay_threaded(self, network, service):
+    def test_small_groups_stay_unbatched(self, network, service):
         requests = self._requests(network, 4)
         responses = service.route_many(requests, engine="Fastest")
         assert all(r.ok for r in responses)

@@ -1,17 +1,19 @@
-"""Compiled contraction-hierarchy queries and live-traffic re-weighting.
+"""Contraction-hierarchy queries and live-traffic re-weighting.
 
-Property tests for :mod:`repro.network.compiled.ch` and its wiring:
+Property tests for :mod:`repro.network.compiled.ch` and its handle,
+:class:`~repro.routing.contraction.ContractionHierarchy`.  The oracle is
+:func:`~repro.routing.dijkstra.dict_dijkstra` throughout:
 
-* compiled CH path costs are identical to the dict-CH walker and to dict
-  Dijkstra on randomized grids (paths valid, unreachable pairs agree);
-* a re-weighted hierarchy answers exactly like a freshly rebuilt one after
+* CH path costs are identical to it on randomized grids and the country
+  network (paths valid, unreachable pairs agree) through the whole life
+  cycle: build, re-weight, rebuild, frozen (``"ignore"``), ``"raise"``;
+* a re-weighted hierarchy answers exactly like a freshly built one after
   randomized :class:`~repro.traffic.TrafficUpdate` sequences — through both
   the O(touched) propagation path and the vectorized full recustomization;
-* the staleness modes of :func:`~repro.routing.contraction.ch_shortest_path`
-  (``raise`` / ``rebuild`` / ``ignore``) are preserved, and ``ignore``
-  answers from the frozen weights on the compiled path too;
-* ``compiled_disabled()`` falls back to the dict walker (ground truth) and
-  ``refresh`` then performs a full rebuild instead of a re-weight;
+* one :class:`~repro.network.compiled.ch.CompiledHierarchy` is constructed
+  per topology — in the build call, never on the query path — and racing
+  callers share it;
+* ``compiled_disabled()`` does not change what a CH query or refresh runs;
 * ``RoadNetwork.prepare_hierarchy`` shares, refreshes, and rebuilds the
   cached hierarchy across cost and topology mutations.
 """
@@ -26,15 +28,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NoPathError, StaleHierarchyError
-from repro.network import compiled_disabled, grid_city_network
+from repro.network import compiled_disabled, country_network, grid_city_network
 from repro.network.compiled import ch as compiled_ch
 from repro.routing import (
     CostFeature,
     build_contraction_hierarchy,
     ch_shortest_path,
     cost_function,
-    dijkstra,
 )
+from repro.routing.dijkstra import dict_dijkstra as dijkstra
 from repro.traffic import TrafficFeed, TrafficUpdate
 
 COST = cost_function(CostFeature.TRAVEL_TIME)
@@ -66,31 +68,20 @@ def _random_updates(network, count: int, rng: random.Random, allow_decrease=True
 
 class TestCompiledQueries:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_costs_identical_to_dict_ch_and_dijkstra(self, seed):
+    def test_costs_identical_to_dict_dijkstra(self, seed):
         network = _grid(seed, rows=5 + seed, cols=6)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         rng = random.Random(seed)
         for source, destination in _random_pairs(network, 30, rng):
-            compiled = ch_shortest_path(network, source, destination, hierarchy)
-            with compiled_disabled():
-                dict_walker = ch_shortest_path(network, source, destination, hierarchy)
-                reference = dijkstra(network, source, destination, COST)
-            assert compiled.is_valid(network)
-            expected = _path_cost(network, reference)
-            assert _path_cost(network, compiled) == pytest.approx(expected, rel=1e-9)
-            assert _path_cost(network, dict_walker) == pytest.approx(expected, rel=1e-9)
+            candidate = ch_shortest_path(network, source, destination, hierarchy)
+            assert candidate.is_valid(network)
+            expected = _path_cost(network, dijkstra(network, source, destination, COST))
+            assert _path_cost(network, candidate) == pytest.approx(expected, rel=1e-9)
+            assert hierarchy.query_cost(source, destination) == pytest.approx(
+                expected, rel=1e-9
+            )
 
-    def test_compiled_hierarchy_is_cached_on_the_object(self):
-        network = _grid(11)
-        hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
-        ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
-        first = hierarchy._compiled
-        assert first is not None
-        ch_shortest_path(network, ids[1], ids[-2], hierarchy)
-        assert hierarchy._compiled is first
-
-    def test_unreachable_raises_on_both_paths(self):
+    def test_unreachable_raises_with_and_without_compiled_search(self):
         network = _grid(12, rows=3, cols=3)
         network.add_vertex(999, lon=0.0, lat=0.0)
         network.add_vertex(998, lon=0.001, lat=0.0)
@@ -110,21 +101,6 @@ class TestCompiledQueries:
 
         with pytest.raises(VertexNotFoundError):
             ch_shortest_path(network, 4, 12345, hierarchy)
-
-    def test_hand_built_hierarchy_uses_dict_walker(self):
-        from repro.routing.contraction import ContractionHierarchy, _Shortcut
-
-        hierarchy = ContractionHierarchy(
-            order={0: 0, 1: 1},
-            upward={0: [_Shortcut(target=1, weight=1.0)], 1: []},
-            downward={0: [], 1: []},
-        )
-        network = _grid(14, rows=2, cols=2)  # vertex ids 0..3: mismatched
-        # No base weights / no build metadata: the compiled path must decline
-        # and the dict walker answer (here: the hand-built arc).
-        assert list(hierarchy.query(0, 1).vertices) == [0, 1]
-        assert hierarchy.weights_version == 0
-        assert hierarchy.reweight_count == 0
 
 
 class TestDirectedGraphs:
@@ -180,7 +156,6 @@ class TestDirectedGraphs:
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         rng = random.Random(7)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[0], hierarchy)
         for _ in range(3):
             feed = TrafficFeed(network)
             feed.apply(_random_updates(network, 8, rng))
@@ -204,7 +179,6 @@ class TestReweighting:
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         rng = random.Random(batch_size)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)  # compile
         for round_ in range(4):
             feed = TrafficFeed(network)
             feed.apply(_random_updates(network, batch_size, rng))
@@ -223,7 +197,6 @@ class TestReweighting:
         network = _grid(21)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
         assert hierarchy.weights_version == 0
         edge = next(network.edges())
         network.update_edge_costs(
@@ -234,19 +207,21 @@ class TestReweighting:
         assert hierarchy.reweight_count == 1
         assert hierarchy.built_version == network.version
 
-    def test_refresh_under_compiled_disabled_rebuilds(self):
+    def test_compiled_disabled_does_not_change_refresh_or_query(self):
         network = _grid(22)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
+        compiled = hierarchy._compiled
         edge = next(network.edges())
         network.update_edge_costs(
             {(edge.source, edge.target): {"travel_time_s": edge.travel_time_s * 3}}
         )
         with compiled_disabled():
             hierarchy.refresh(network)
-            # A full rebuild: the dict arc maps now carry current weights.
-            assert hierarchy.reweight_count == 0
+            # The hierarchy is array state, not a search with a dict twin:
+            # the same structure is re-weighted and queried either way.
+            assert hierarchy.reweight_count == 1
+            assert hierarchy._compiled is compiled
             source, destination = ids[0], ids[-1]
             refreshed = ch_shortest_path(network, source, destination, hierarchy)
             reference = dijkstra(network, source, destination, COST)
@@ -258,7 +233,6 @@ class TestReweighting:
         network = _grid(23, rows=4, cols=4)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
         compiled_before = hierarchy._compiled
         network.add_vertex(777, lon=0.0, lat=0.0)
         network.add_edge(ids[0], 777)
@@ -274,7 +248,6 @@ class TestReweighting:
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         rng = random.Random(24)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
         updates = {}
         for edge in rng.sample(list(network.edges()), 25):
             updates[(edge.source, edge.target)] = {
@@ -293,7 +266,6 @@ class TestReweighting:
         network = _grid(25, rows=4, cols=4)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
         compiled = hierarchy._compiled
         assert compiled.reweight(compiled.base_weights.copy()) == 0
         assert compiled.weights_version == 0
@@ -304,7 +276,6 @@ class TestStalenessModes:
         network = _grid(seed, rows=4, cols=4)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
         edge = next(network.edges())
         network.update_edge_costs(
             {(edge.source, edge.target): {"travel_time_s": 999.0}}
@@ -317,27 +288,33 @@ class TestStalenessModes:
         with pytest.raises(StaleHierarchyError):
             ch_shortest_path(network, ids[0], ids[-1], hierarchy)
 
-    def test_ignore_answers_frozen_on_compiled_path(self):
-        network, hierarchy, ids = self._stale_pair(31)
+    def test_ignore_answers_with_the_pre_update_costs(self):
+        network = _grid(31, rows=4, cols=4)
+        hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
+        ids = sorted(network.vertex_ids())
+        frozen_costs = {edge.key: edge.travel_time_s for edge in network.edges()}
+        reference = _path_cost(network, dijkstra(network, ids[0], ids[-1], COST))
+        for edge in list(network.path_edges(dijkstra(network, ids[0], ids[-1], COST).vertices)):
+            network.update_edge_costs({edge.key: {"travel_time_s": 999.0}})
         frozen = ch_shortest_path(network, ids[0], ids[-1], hierarchy, on_stale="ignore")
-        with compiled_disabled():
-            dict_frozen = ch_shortest_path(
-                network, ids[0], ids[-1], hierarchy, on_stale="ignore"
-            )
-        # Both answer from the *build-time* weights: identical frozen costs
-        # under the build metric (stored base weights), and no re-weight ran.
+        # Answered from the build-time weights, and no re-weight ran.
         assert hierarchy.weights_version == 0
-        base = hierarchy.base_slot_weights
-        graph = network.compiled()
-        frozen_cost = sum(
-            base[graph.slot(a, b)]
-            for a, b in zip(frozen.vertices, frozen.vertices[1:])
-        )
-        dict_cost = sum(
-            base[graph.slot(a, b)]
-            for a, b in zip(dict_frozen.vertices, dict_frozen.vertices[1:])
-        )
-        assert frozen_cost == pytest.approx(dict_cost, rel=1e-9)
+        assert hierarchy.is_stale(network)
+        frozen_cost = sum(frozen_costs[hop] for hop in zip(frozen.vertices, frozen.vertices[1:]))
+        assert frozen_cost == pytest.approx(reference, rel=1e-9)
+        assert _path_cost(network, frozen) > reference  # not the live optimum
+
+    def test_ignore_after_a_topology_change_answers_from_the_build_snapshot(self):
+        network = _grid(33, rows=4, cols=4)
+        hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
+        ids = sorted(network.vertex_ids())
+        reference = _path_cost(network, dijkstra(network, ids[0], ids[-1], COST))
+        network.add_vertex(777, lon=0.0, lat=0.0)
+        network.add_edge(ids[0], 777)
+        frozen = ch_shortest_path(network, ids[0], ids[-1], hierarchy, on_stale="ignore")
+        assert _path_cost(network, frozen) == pytest.approx(reference, rel=1e-9)
+        with pytest.raises(NoPathError):  # 777 is not in the frozen hierarchy
+            ch_shortest_path(network, ids[0], 777, hierarchy, on_stale="ignore")
 
     def test_rebuild_reweights_and_answers_current(self):
         network, hierarchy, ids = self._stale_pair(32)
@@ -400,11 +377,9 @@ class TestCompiledHierarchyInternals:
     def test_min_fill_order_used_without_coordinates(self):
         network = _grid(50, rows=4, cols=4)
         graph = network.compiled()
-        hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         compiled = compiled_ch.CompiledHierarchy(
-            graph.topology, np.asarray(hierarchy.base_slot_weights)
+            graph.topology, graph.array("travel_time_s")
         )
-        ids = sorted(network.vertex_ids())
         index_of = graph.index_of
         rng = random.Random(50)
         for source, destination in _random_pairs(network, 20, rng):
@@ -422,7 +397,6 @@ class TestCompiledHierarchyInternals:
         network = _grid(51, rows=5, cols=4)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
         compiled = hierarchy._compiled
         assert sorted(compiled.rank) == list(range(network.vertex_count))
         # every vertex reaches its component root through strictly
@@ -433,51 +407,174 @@ class TestCompiledHierarchyInternals:
                 assert compiled.rank[parent] > compiled.rank[v]
 
 
-class TestCompiledHierarchyCacheRace:
-    """Regression: the lazy ``_compiled`` install is first-build-wins.
+class TestOneHierarchyBuiltOnce:
+    """The hierarchy is built in the build call and nowhere else."""
 
-    ``compiled_hierarchy`` used to write ``hierarchy._compiled`` with no
-    lock (reprolint RL002); two ``route_many`` workers racing the first
-    compiled query could each install *their own* CompiledHierarchy and
-    keep querying different instances whose ``weights_version`` counters
-    then drift independently under re-weights.  Every racer must come away
-    holding the one instance that won the install.
-    """
+    @pytest.fixture()
+    def constructions(self, monkeypatch):
+        built: list[object] = []
+        original = compiled_ch.CompiledHierarchy.__init__
 
-    def test_concurrent_first_builds_share_one_instance(self):
-        network = _grid(21, rows=5, cols=5)
-        hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
-        graph = network.compiled()
-        assert getattr(hierarchy, "_compiled", None) is None
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(compiled_ch.CompiledHierarchy, "__init__", counting)
+        return built
+
+    def test_one_construction_per_topology_none_on_the_query_path(self, constructions):
+        network = _grid(60, rows=5, cols=5)
+        rng = random.Random(60)
+        hierarchy = network.prepare_hierarchy()
+        assert len(constructions) == 1
+        for source, destination in _random_pairs(network, 50, rng):
+            ch_shortest_path(network, source, destination, hierarchy)
+        TrafficFeed(network).apply(_random_updates(network, 6, rng))
+        assert network.prepare_hierarchy() is hierarchy  # cost-only: re-weight
+        assert hierarchy.reweight_count == 1
+        assert len(constructions) == 1
+        ids = sorted(network.vertex_ids())
+        network.add_edge(ids[0], ids[-1])
+        assert network.prepare_hierarchy() is hierarchy  # topology: rebuild
+        assert len(constructions) == 2
+        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
+        assert len(constructions) == 2
+
+    def test_racing_callers_share_one_hierarchy(self, constructions):
+        """Eight threads race the first ``prepare_hierarchy``, queries and a
+        re-weight: one hierarchy object, one construction, exact answers."""
+        network = _grid(61, rows=5, cols=5)
+        ids = sorted(network.vertex_ids())
         workers = 8
         barrier = threading.Barrier(workers)
-        results: list[object] = []
+        seen: list[object] = []
         errors: list[BaseException] = []
 
-        def build() -> None:
+        def work(worker: int) -> None:
             try:
                 barrier.wait(timeout=30)
-                results.append(
-                    compiled_ch.compiled_hierarchy(hierarchy, graph, network)
-                )
+                hierarchy = network.prepare_hierarchy()
+                seen.append(hierarchy)
+                if worker == 0:
+                    edge = next(network.edges())
+                    network.update_edge_costs(
+                        {edge.key: {"travel_time_s": edge.travel_time_s * 5}}
+                    )
+                for source in ids[worker::workers]:
+                    path = ch_shortest_path(
+                        network, source, ids[-1], hierarchy, on_stale="rebuild"
+                    )
+                    assert path.is_valid(network)
             except BaseException as exc:  # surfaced below; never swallowed
                 errors.append(exc)
 
-        threads = [threading.Thread(target=build) for _ in range(workers)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, errors
-        assert len(results) == workers
-        winner = results[0]
-        assert winner is not None
-        assert all(result is winner for result in results)
-        assert hierarchy._compiled is winner
-        # ...and the shared instance answers correctly.
+        assert len(seen) == workers
+        assert all(hierarchy is seen[0] for hierarchy in seen)
+        assert len(constructions) == 1
+        hierarchy = seen[0]
+        assert not hierarchy.is_stale(network)
+        assert hierarchy.reweight_count == 1
+        for source in ids[::5]:
+            candidate = ch_shortest_path(network, source, ids[-1], hierarchy)
+            reference = dijkstra(network, source, ids[-1], COST)
+            assert _path_cost(network, candidate) == pytest.approx(
+                _path_cost(network, reference), rel=1e-9
+            )
+
+    def test_opaque_edge_cost_builds_and_refreshes(self, constructions):
+        network = _grid(62, rows=4, cols=5)
+
+        def opaque(edge):  # no cost_attr / cost_terms: unresolvable to an array
+            return edge.travel_time_s + 0.001 * edge.distance_m
+
+        assert network.compiled().resolve_cost(opaque) is None
+        hierarchy = build_contraction_hierarchy(network, edge_cost=opaque)
+        rng = random.Random(62)
+
+        def check():
+            for source, destination in _random_pairs(network, 20, rng):
+                candidate = ch_shortest_path(network, source, destination, hierarchy)
+                reference = dijkstra(network, source, destination, opaque)
+                assert sum(map(opaque, network.path_edges(candidate.vertices))) == (
+                    pytest.approx(
+                        sum(map(opaque, network.path_edges(reference.vertices))), rel=1e-9
+                    )
+                )
+
+        check()
+        TrafficFeed(network).apply(_random_updates(network, 6, rng))
+        hierarchy.refresh(network)
+        assert not hierarchy.is_stale(network)
+        check()
         ids = sorted(network.vertex_ids())
-        path = ch_shortest_path(network, ids[0], ids[-1], hierarchy)
-        assert path.is_valid(network)
+        network.add_edge(ids[0], ids[-1])
+        hierarchy.refresh(network)
+        assert len(constructions) == 2
+        check()
+
+
+class TestLifecycleAgainstDictDijkstra:
+    """Build -> 3 traffic batches -> ``add_edge`` -> ``"ignore"`` -> ``"raise"``,
+    every answer cost-identical (rel 1e-9) to ``dict_dijkstra``."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: _grid(5), id="grid-5"),
+            pytest.param(lambda: _grid(6, rows=7, cols=5), id="grid-6"),
+            pytest.param(country_network, id="country"),
+        ],
+    )
+    def test_costs_identical_through_every_state(self, make):
+        network = make()
+        rng = random.Random(network.vertex_count)
+        hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
+        fill = hierarchy.arc_count / network.compiled().edge_count
+        print(f"{network.name}: CH fill {fill:.2f} arcs/edge ({hierarchy.arc_count} arcs)")
+        assert math.isfinite(fill) and fill >= 1.0
+
+        def check(mode="raise"):
+            for source, destination in _random_pairs(network, 25, rng):
+                try:
+                    reference = _path_cost(network, dijkstra(network, source, destination, COST))
+                except NoPathError:
+                    with pytest.raises(NoPathError):
+                        ch_shortest_path(network, source, destination, hierarchy, on_stale=mode)
+                    continue
+                candidate = ch_shortest_path(network, source, destination, hierarchy, on_stale=mode)
+                assert candidate.is_valid(network)
+                assert _path_cost(network, candidate) == pytest.approx(reference, rel=1e-9)
+
+        check()
+        for batch in range(3):  # re-weight
+            TrafficFeed(network).apply(_random_updates(network, 5 + 15 * batch, rng))
+            check("rebuild")
+            assert hierarchy.reweight_count == batch + 1
+        ids = sorted(network.vertex_ids())
+        network.add_edge(ids[0], ids[-1])  # rebuild
+        check("rebuild")
+        assert hierarchy.reweight_count == 0
+
+        # Frozen: the hierarchy keeps answering at the costs it last saw.
+        pairs = _random_pairs(network, 25, rng)
+        frozen_costs = {edge.key: edge.travel_time_s for edge in network.edges()}
+        references = [
+            _path_cost(network, dijkstra(network, source, destination, COST))
+            for source, destination in pairs
+        ]
+        TrafficFeed(network).apply(_random_updates(network, 20, rng))
+        for (source, destination), reference in zip(pairs, references):
+            frozen = ch_shortest_path(network, source, destination, hierarchy, on_stale="ignore")
+            hops = zip(frozen.vertices, frozen.vertices[1:])
+            assert sum(frozen_costs[hop] for hop in hops) == pytest.approx(reference, rel=1e-9)
+        with pytest.raises(StaleHierarchyError):
+            ch_shortest_path(network, ids[0], ids[-1], hierarchy)
 
 
 class TestCompiledDtypeContracts:
@@ -488,7 +585,6 @@ class TestCompiledDtypeContracts:
         network = _grid(22)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
         ids = sorted(network.vertex_ids())
-        ch_shortest_path(network, ids[0], ids[-1], hierarchy)
         compiled = hierarchy._compiled
         assert compiled.base_weights.dtype == np.float64
         # Drive the vectorized full-recustomization path (touches the

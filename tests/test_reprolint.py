@@ -194,6 +194,12 @@ class TestRL002LockDiscipline:
     def test_out_of_scope_path_is_clean(self):
         assert _lint(RL002_BAD, UNSCOPED_PATH).ok
 
+    def test_the_hierarchy_handles_swapped_reference_is_in_scope(self):
+        handle = "src/repro/routing/contraction.py"
+        assert _codes(_lint(RL002_BAD, handle)) == ["RL002"]
+        assert _lint(RL002_GOOD, handle).ok
+        assert _lint(RL002_BAD, "src/repro/routing/dijkstra.py").ok
+
     def test_next_line_suppression(self):
         suppressed = RL002_BAD.replace(
             "        self._compiled = make_snapshot(self)",

@@ -576,7 +576,7 @@ class TestServiceResilience:
         results: list = []
 
         def batch():
-            results.append(service.route_many(requests, max_workers=4))
+            results.append(service.route_many(requests))
 
         worker = threading.Thread(target=batch)
         worker.start()
@@ -621,7 +621,7 @@ class TestServiceResilience:
         service.register("flaky", flaky, fallback="backup", default=True)
         service.register("backup", _engine(network, "backup"))
         requests = [RouteRequest(i % 30, (i * 3 + 1) % 30) for i in range(40)]
-        responses = service.route_many(requests, max_workers=4)
+        responses = service.route_many(requests)
         assert len(responses) == len(requests)
         for response in responses:
             assert response is not None

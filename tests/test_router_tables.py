@@ -214,18 +214,31 @@ class TestSharing:
         ods = _random_ods(tiny.network, 80, seed=9)
         assert _answers(loaded, ods) == _answers(fitted_l2r, ods)
 
-    def test_route_many_over_threads_equals_serial(self, tiny, fitted_l2r):
+    def test_concurrent_route_callers_equal_serial(self, tiny, fitted_l2r):
         ods = [(s, d) for s, d in _random_ods(tiny.network, 120, seed=13) if s != d]
         requests = [RouteRequest(source=s, destination=d) for s, d in ods]
         service = RoutingService(enable_cache=False)
         service.register("L2R", L2REngine(fitted_l2r))
-        try:
-            threaded = service.route_many(requests, max_workers=8)
-        finally:
-            service.close()
+        callers = 8
+        answered: dict[int, list] = {}
+        start = threading.Barrier(callers)
+
+        def caller(index: int) -> None:
+            start.wait(timeout=30)
+            answered[index] = [service.route(request) for request in requests[index::callers]]
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        service.close()
+        assert sorted(answered) == list(range(callers))
         serial = _answers(fitted_l2r, ods)
-        assert [r.path.vertices for r in threaded] == [path.vertices for path, _ in serial]
-        assert [r.diagnostics for r in threaded] == [diagnostics for _, diagnostics in serial]
+        for index, responses in answered.items():
+            expected = serial[index::callers]
+            assert [r.path.vertices for r in responses] == [path.vertices for path, _ in expected]
+            assert [r.diagnostics for r in responses] == [diagnostics for _, diagnostics in expected]
 
     def test_threads_racing_a_recompile_all_get_the_serial_answers(self, own_tiny):
         # The tables are republished without a lock after a topology change:

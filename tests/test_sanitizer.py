@@ -14,9 +14,13 @@ import pytest
 
 from repro.analysis import CoherenceViolation, sanitize
 from repro.network import grid_city_network
-from repro.network.compiled import dispatch
 from repro.network.compiled.graph import CostStore
-from repro.routing import CostFeature, build_contraction_hierarchy, ch_shortest_path
+from repro.routing import (
+    ContractionHierarchy,
+    CostFeature,
+    build_contraction_hierarchy,
+    ch_shortest_path,
+)
 from repro.service import ContractionEngine, RouteRequest, RoutingService
 
 
@@ -139,23 +143,23 @@ class TestCleanServiceCycle:
 class TestProbeLifecycle:
     def test_probes_installed_and_restored(self):
         original_cached = CostStore._cached
-        original_try_ch = dispatch.try_ch
+        original_query = ContractionHierarchy.shortest_path
         with sanitize():
             assert CostStore._cached is not original_cached
-            assert dispatch.try_ch is not original_try_ch
+            assert ContractionHierarchy.shortest_path is not original_query
             assert CostStore._cached.__wrapped__ is original_cached
-            assert dispatch.try_ch.__wrapped__ is original_try_ch
+            assert ContractionHierarchy.shortest_path.__wrapped__ is original_query
         assert CostStore._cached is original_cached
-        assert dispatch.try_ch is original_try_ch
+        assert ContractionHierarchy.shortest_path is original_query
 
     def test_probes_restored_on_error(self):
         original_cached = CostStore._cached
-        original_try_ch = dispatch.try_ch
+        original_query = ContractionHierarchy.shortest_path
         with pytest.raises(RuntimeError, match="boom"):
             with sanitize():
                 raise RuntimeError("boom")
         assert CostStore._cached is original_cached
-        assert dispatch.try_ch is original_try_ch
+        assert ContractionHierarchy.shortest_path is original_query
 
     def test_nested_contexts_unwind_in_order(self):
         original_cached = CostStore._cached

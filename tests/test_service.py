@@ -99,7 +99,7 @@ class TestRequestResponse:
 class TestEngines:
     def test_all_seven_engines_answer_batches(self, all_engine_service, requests, tiny):
         for name in all_engine_service.engines():
-            responses = all_engine_service.route_many(requests, engine=name, max_workers=4)
+            responses = all_engine_service.route_many(requests, engine=name)
             assert len(responses) == len(requests)
             for request, response in zip(requests, responses):
                 assert response.ok, f"{name} failed: {response.error}"
@@ -156,7 +156,7 @@ class TestRoutingService:
         assert response.path.is_valid(tiny.network)
 
     def test_route_many_preserves_order(self, all_engine_service, requests):
-        responses = all_engine_service.route_many(requests, engine="Shortest", max_workers=8)
+        responses = all_engine_service.route_many(requests, engine="Shortest")
         for request, response in zip(requests, responses):
             assert response.request.source == request.source
             assert response.request.destination == request.destination
@@ -166,7 +166,7 @@ class TestRoutingService:
         service.register("L2R", L2REngine(fitted_l2r))
         good = RouteRequest(source=0, destination=5)
         bad = RouteRequest(source=0, destination=777_777)
-        responses = service.route_many([good, bad, good], max_workers=3)
+        responses = service.route_many([good, bad, good])
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok
         assert responses[1].error
@@ -403,22 +403,12 @@ class TestRoutingService:
         service.register("l2r-v1", L2REngine(fitted_l2r))
         assert service.route(request, engine="l2r-v2").cache_hit
 
-    def test_route_many_reuses_the_worker_pool(self, tiny, fitted_l2r, requests):
-        # No cache: repeat batches must actually reach the worker pool
-        # (with the cache on, the second batch is all hits and the pool —
-        # correctly — is never touched).
+    def test_close_is_idempotent_and_leaves_the_service_usable(self, fitted_l2r, requests):
         service = RoutingService(enable_cache=False)
         service.register("L2R", L2REngine(fitted_l2r))
-        service.route_many(requests, max_workers=4)
-        pool = service._executor
-        service.route_many(requests, max_workers=2)
-        assert service._executor is pool  # never shrunk
-        service.route_many(requests, max_workers=8)
-        assert service._executor is not pool  # grown on demand
-        assert service._retired_executors == []  # idle old pool reaped at once
-        service.close()
-        assert service._executor is None
-        assert service.route_many(requests[:3], max_workers=2)  # still usable
+        assert all(response.ok for response in service.route_many(requests))
+        assert service.close() and service.close()
+        assert all(response.ok for response in service.route_many(requests[:3]))
 
     def test_exhausted_chain_reports_requested_engines_error(self, tiny):
         def boom_a(source, destination):

@@ -77,7 +77,6 @@ _COST_SOURCE_ATTRS = frozenset(
         "reverse_weights",
         "build_cost_array",
         "base_weights",
-        "base_slot_weights",
         "build_array",
         "_arrays",
         "_base",
@@ -102,7 +101,6 @@ _VERSION_MARKERS = frozenset(
         "build_version",
         "validated_version",
         "topology_version",
-        "built_topology_version",
         "cache_version",
         "stamp",
         "_stamp",
@@ -113,7 +111,7 @@ _VERSION_MARKERS = frozenset(
 #: The markers that vouch for the topology: its version counter, or the
 #: ``memo()`` of a compiled snapshot (a structural mutation replaces the
 #: snapshot, and its memo with it).
-_TOPOLOGY_MARKERS = frozenset({"topology_version", "built_topology_version", "memo"})
+_TOPOLOGY_MARKERS = frozenset({"topology_version", "memo"})
 
 
 class VersionStampRule(Rule):
@@ -238,9 +236,10 @@ def _mentions_lock(node: ast.expr) -> bool:
 class LockDisciplineRule(Rule):
     """RL002: compiled-snapshot/hierarchy fields are written under a lock.
 
-    The compiled snapshot (``RoadNetwork._compiled``), the versioned weight
-    state of a :class:`CompiledHierarchy`, and their sibling fields are read
-    concurrently by the ``route_many`` thread pool; a write outside a
+    The compiled snapshot (``RoadNetwork._compiled``), the one reference a
+    :class:`ContractionHierarchy` swaps on a rebuild (its ``_compiled``), the
+    versioned weight state of a :class:`CompiledHierarchy`, and their sibling
+    fields are read by concurrent ``route()`` callers; a write outside a
     ``with ..._lock:`` block can tear the snapshot/patch protocol.
     """
 
@@ -249,7 +248,7 @@ class LockDisciplineRule(Rule):
     description = (
         "compiled-snapshot/hierarchy field written outside a 'with ..._lock:' block"
     )
-    path_scopes = ("repro/network/", "repro/service/")
+    path_scopes = ("repro/network/", "repro/service/", "repro/routing/contraction.py")
 
     def visitor(self, context: FileContext) -> ast.NodeVisitor:
         rule = self
@@ -289,7 +288,7 @@ class LockDisciplineRule(Rule):
                             rule,
                             node,
                             f"write to guarded field {target.attr!r} outside a "
-                            "'with ..._lock:' block; concurrent route_many readers "
+                            "'with ..._lock:' block; concurrent route() callers "
                             "can observe a torn snapshot",
                         )
 
