@@ -252,7 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     alt_report = {
         "mode": "smoke" if args.smoke else "full",
         "landmarks": args.landmarks,
-        "strategy": "farthest",
         "grids": [],
     }
     for rows, cols in grids:

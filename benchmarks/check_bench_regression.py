@@ -1,9 +1,8 @@
 """CI guard: fail when a benchmark speedup ratio regresses past tolerance.
 
 Compares a freshly produced routing benchmark JSON against a committed
-baseline and fails when any *speedup ratio* — compiled-vs-dict per kernel
-(``bench_compiled_graph.py``), patch-vs-recompile for traffic updates
-(``bench_traffic_updates.py``), the fault-free plain-vs-resilient
+baseline and fails when any *speedup ratio* — patch-vs-recompile for traffic
+updates (``bench_traffic_updates.py``), the fault-free plain-vs-resilient
 throughput ratio (``bench_resilience.py``), or the loopback-TCP-vs-queue
 transport ratio (``bench_multinode.py``) — drops by more than ``--max-slowdown``
 (default 30%).  Ratios, not absolute timings, are compared: both sides of a
@@ -32,12 +31,6 @@ from pathlib import Path
 def collect_ratios(report: dict) -> dict[str, float]:
     """Flatten every named speedup ratio of one benchmark report."""
     ratios: dict[str, float] = {}
-    for grid in report.get("grids", []):
-        label = f"{grid['rows']}x{grid['cols']}"
-        for kernel, numbers in grid.get("kernels", {}).items():
-            speedup = numbers.get("speedup")
-            if speedup:
-                ratios[f"kernels/{label}/{kernel}"] = float(speedup)
     for grid in report.get("traffic", {}).get("grids", []):
         label = f"{grid['rows']}x{grid['cols']}"
         speedup = grid.get("patch_vs_recompile_speedup")

@@ -25,9 +25,10 @@ The subsystem has three layers:
   live-traffic shortcut re-weighting.
 
 Use :func:`compiled_disabled` to force the reference implementations (the
-equivalence tests and the ``bench_compiled_graph`` benchmark do), and
-:func:`alt_disabled` to keep the compiled kernels but turn off goal-directed
-ALT search (exact path-identity with the references).
+equivalence tests and the end-to-end output checks do — it is the switch
+that reaches the oracle, not a serving mode), and :func:`alt_disabled` to
+keep the compiled kernels but turn off goal-directed ALT search (exact
+path-identity with the references).
 """
 
 from .workspace import SearchWorkspace

@@ -97,9 +97,7 @@ def dijkstra_many(
     out = np.full((len(matrix_sources), n), np.inf, dtype=np.float64)
     with graph.borrowed_workspace() as ws:
         for row, source in enumerate(matrix_sources):
-            for vertex, cost in dijkstra_costs_kernel(
-                offsets, targets, weights, source, None, ws
-            ):
+            for vertex, cost in dijkstra_costs_kernel(offsets, targets, weights, source, ws):
                 out[row, vertex] = cost
     return out
 

@@ -12,8 +12,8 @@ customizable-weight separation of Customizable Route Planning / Customizable
 Contraction Hierarchies: the arc set is built by contracting the **topology
 only** (every pair of a contracted vertex's neighbours becomes an arc —
 nothing is pruned against the metric), under a fill-reducing order computed
-from the graph structure alone (geometric nested dissection when vertex
-coordinates are available, lazy min-fill otherwise).  Arc weights are then
+from the graph structure alone (geometric nested dissection over the vertex
+coordinates).  Arc weights are then
 *customized* from the current per-slot cost array: each arc's weight becomes
 ``min(base edge cost, min over lower triangles w(u,v) + w(v,w))``, processed
 bottom-up so every triangle reads final halves.  Because the arc set is
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -118,63 +118,6 @@ def _nested_dissection_order(
     return rank
 
 
-def _min_fill_order(topology: "Topology") -> list[int]:
-    """Fallback metric-free order: lazy greedy estimated edge difference.
-
-    Selects by ``in-degree x out-degree - (in-degree + out-degree)`` over
-    the working graph (contracted vertices removed, fill arcs added) — O(1)
-    per evaluation, re-checked lazily at pop time.  Used when no vertex
-    coordinates are available for the nested-dissection order.
-    """
-    n = topology.vertex_count
-    offsets, targets = topology.offsets, topology.targets
-    out_nb: list[set[int]] = [set() for _ in range(n)]
-    in_nb: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for i in range(offsets[u], offsets[u + 1]):
-            w = targets[i]
-            out_nb[u].add(w)
-            in_nb[w].add(u)
-
-    def priority(v: int) -> int:
-        ins, outs = len(in_nb[v]), len(out_nb[v])
-        return ins * outs - ins - outs
-
-    heap: list[tuple[int, int]] = [(priority(v), v) for v in range(n)]
-    heapify(heap)
-    rank = [0] * n
-    contracted = [False] * n
-    next_rank = 0
-    while heap:
-        _, v = heappop(heap)
-        if contracted[v]:
-            continue
-        current = priority(v)
-        if heap and current > heap[0][0]:
-            heappush(heap, (current, v))
-            continue
-        rank[v] = next_rank
-        next_rank += 1
-        contracted[v] = True
-        ins = in_nb[v]
-        outs = out_nb[v]
-        for u in ins:
-            ou = out_nb[u]
-            ou.discard(v)
-            for w in outs:
-                if w != u:
-                    ou.add(w)
-        for w in outs:
-            iw = in_nb[w]
-            iw.discard(v)
-            for u in ins:
-                if u != w:
-                    iw.add(u)
-        in_nb[v] = set()
-        out_nb[v] = set()
-    return rank
-
-
 class CompiledHierarchy:
     """Compiled CH arc sets with customizable (re-weightable) weights.
 
@@ -191,14 +134,11 @@ class CompiledHierarchy:
         self,
         topology: "Topology",
         base_weights: np.ndarray,
-        coordinates: tuple[list[float], list[float]] | None = None,
+        coordinates: tuple[list[float], list[float]],
     ) -> None:
         self.topology = topology
         n = topology.vertex_count
-        if coordinates is not None:
-            rank = _nested_dissection_order(topology, coordinates[0], coordinates[1])
-        else:
-            rank = _min_fill_order(topology)
+        rank = _nested_dissection_order(topology, coordinates[0], coordinates[1])
         self.rank = rank
 
         # ---- metric-independent contraction: keep every shortcut -------- #

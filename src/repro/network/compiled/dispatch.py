@@ -3,7 +3,7 @@
 The functions here are the bridge between the dict-based routing API
 (:mod:`repro.routing`) and the CSR kernels.  Each ``try_*`` function returns
 
-* a vertex-id path (or result mapping) when the compiled kernel ran,
+* a vertex-id path (or cost rows) when the compiled kernel ran,
 * ``None`` when the query is not eligible — compiled search disabled, or the
   edge-cost callable is opaque — in which case the caller falls back to its
   dict-based reference implementation,
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -28,13 +28,12 @@ from . import sparse
 from .kernels import (
     astar_kernel,
     bidirectional_kernel,
-    dijkstra_costs_kernel,
     dijkstra_kernel,
     preference_kernel,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..road_network import Edge, RoadNetwork, VertexId
+    from ..road_network import RoadNetwork, VertexId
     from .graph import CompiledGraph
 
 _enabled = True
@@ -56,10 +55,12 @@ def is_enabled() -> bool:
 
 @contextmanager
 def compiled_disabled() -> Iterator[None]:
-    """Force the dict-based reference searches (tests, benchmarks).
+    """Force the dict-based reference searches.
 
-    A contraction hierarchy is prebuilt array state, not a search with a
-    dict twin: ``ch_shortest_path`` runs the same query either way.
+    The switch that reaches the oracle, not a serving mode: tests and the
+    end-to-end output checks compare compiled answers against what runs
+    under it.  A contraction hierarchy is prebuilt array state, not a search
+    with a dict twin: ``ch_shortest_path`` runs the same query either way.
     """
     global _enabled
     previous = _enabled
@@ -92,34 +93,30 @@ def alt_disabled() -> Iterator[None]:
         _alt_enabled = previous
 
 
-def _recognized(edge_cost) -> bool:
-    """Whether the cost callable can map onto a compiled cost array.
+def _resolved(
+    network: "RoadNetwork", edge_cost
+) -> tuple["CompiledGraph", Hashable | None, np.ndarray, int] | None:
+    """``(graph, cache key, cost array, cost version)`` for a query the
+    compiled kernels can run, else ``None``: the cost callable is opaque, or
+    compiled search is disabled.
 
-    Checked *before* touching ``network.compiled()`` so opaque costs never
-    trigger (and then discard) a CSR compilation.
+    The callable is checked *before* touching ``network.compiled()`` so
+    opaque costs never trigger (and then discard) a CSR compilation.
     """
-    return (
+    if not _enabled or not (
         getattr(edge_cost, "cost_attr", None) is not None
         or getattr(edge_cost, "cost_terms", None) is not None
         or getattr(edge_cost, "build_cost_array", None) is not None
-    )
-
-
-def _view(network: "RoadNetwork") -> "CompiledGraph | None":
-    if not _enabled:
+    ):
         return None
     accessor = getattr(network, "compiled", None)
     if accessor is None:
         return None
-    return accessor()
-
-
-def _weights(graph: "CompiledGraph", edge_cost) -> list[float] | None:
+    graph = accessor()
     resolved = graph.resolve_cost(edge_cost)
     if resolved is None:
         return None
-    key, array, version = resolved
-    return graph.forward_weights(key, array, version)
+    return (graph, *resolved)
 
 
 #: The bounded first attempt of :func:`try_dijkstra` pays two landmark-bound
@@ -135,88 +132,44 @@ def try_dijkstra(
     source: "VertexId",
     destination: "VertexId",
     edge_cost,
-    edge_filter: Callable[["Edge"], bool] | None = None,
 ) -> list["VertexId"] | None:
     """Compiled point-to-point Dijkstra (see module docstring for protocol)."""
-    if not _recognized(edge_cost):
-        return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    resolved = graph.resolve_cost(edge_cost)
+    resolved = _resolved(network, edge_cost)
     if resolved is None:
         return None
-    key, array, version = resolved
+    graph, key, array, version = resolved
     source_index = graph.index_of[source]
     destination_index = graph.index_of[destination]
-    if edge_filter is None:
-        # Fast path: scipy's C Dijkstra over the same CSR arrays, with an
-        # exact (reference-identical) path reconstruction.  A full SSSP has
-        # no destination early-stop; in C that still beats the early-exiting
-        # python kernel below once a query settles more than about a sixth
-        # of the graph, memoized matrix (keyed arrays) or not (per-query
-        # arrays, key None, e.g. corridor costs).  Keyed arrays on graphs
-        # large enough first try a search bounded by the landmark table.  Only
-        # the attribute views, a fixed few, get a table built for that (16
-        # SSSPs): a weighted or per-driver view may be new with every request
-        # and is bounded only by a table something else already built.
-        table = None
-        if graph.vertex_count >= BOUNDED_DIJKSTRA_MIN_VERTICES and _alt_enabled and key is not None:
-            table = graph.landmark_table(key, array, version, build=key[0] == "attr")
-            if table is not None and not table.wants_attempt():
-                table = None
-        result = sparse.shortest_path_indices(
-            graph, key, array, source_index, destination_index, version, table
-        )
-        if result == ():
-            raise NoPathError(source, destination)
-        if result is not None:
-            return graph.path_ids(result)
+    # Fast path: scipy's C Dijkstra over the same CSR arrays, with an exact
+    # (reference-identical) path reconstruction.  A full SSSP has no
+    # destination early-stop; in C that still beats the early-exiting python
+    # kernel below once a query settles more than about a sixth of the graph,
+    # memoized matrix (keyed arrays) or not (per-query arrays, key None, e.g.
+    # corridor costs).  Keyed arrays on graphs large enough first try a search
+    # bounded by the landmark table.  Only the attribute views, a fixed few,
+    # get a table built for that (16 SSSPs): a weighted or per-driver view may
+    # be new with every request and is bounded only by a table something else
+    # already built.
+    table = None
+    if graph.vertex_count >= BOUNDED_DIJKSTRA_MIN_VERTICES and _alt_enabled and key is not None:
+        table = graph.landmark_table(key, array, version, build=key[0] == "attr")
+        if table is not None and not table.wants_attempt():
+            table = None
+    result = sparse.shortest_path_indices(
+        graph, key, array, source_index, destination_index, version, table
+    )
+    if result == ():
+        raise NoPathError(source, destination)
+    if result is not None:
+        return graph.path_ids(result)
     weights = graph.forward_weights(key, array, version)
     with graph.borrowed_workspace() as ws:
         indices = dijkstra_kernel(
-            graph.offsets,
-            graph.targets,
-            weights,
-            source_index,
-            destination_index,
-            ws,
-            graph.edges,
-            edge_filter,
+            graph.offsets, graph.targets, weights, source_index, destination_index, ws
         )
     if indices is None:
         raise NoPathError(source, destination)
     return graph.path_ids(indices)
-
-
-def try_dijkstra_costs(
-    network: "RoadNetwork",
-    source: "VertexId",
-    edge_cost,
-    targets: Iterable["VertexId"] | None = None,
-) -> dict["VertexId", float] | None:
-    """Compiled single-source costs with the reference early-stop semantics."""
-    if not _recognized(edge_cost):
-        return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    weights = _weights(graph, edge_cost)
-    if weights is None:
-        return None
-    target_set = set(targets) if targets is not None else None
-    remaining: set[int] | None = None
-    if target_set is not None:
-        index_of = graph.index_of
-        remaining = {index_of[t] for t in target_set if t in index_of}
-    with graph.borrowed_workspace() as ws:
-        settled = dijkstra_costs_kernel(
-            graph.offsets, graph.targets, weights, graph.index_of[source], remaining, ws
-        )
-    ids = graph.vertex_ids
-    if target_set is not None:
-        return {ids[i]: cost for i, cost in settled if ids[i] in target_set}
-    return {ids[i]: cost for i, cost in settled}
 
 
 def _alt_table(graph: "CompiledGraph", key, array, version):
@@ -232,7 +185,6 @@ def try_astar(
     destination: "VertexId",
     edge_cost,
     heuristic: Callable[["VertexId"], float] | None,
-    edge_filter: Callable[["Edge"], bool] | None = None,
 ) -> list["VertexId"] | None:
     """Compiled A*.
 
@@ -245,15 +197,10 @@ def try_astar(
     per-vertex callback path.  With ALT unavailable and no heuristic given,
     returns ``None`` so the caller picks its own fallback.
     """
-    if not _recognized(edge_cost):
-        return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    resolved = graph.resolve_cost(edge_cost)
+    resolved = _resolved(network, edge_cost)
     if resolved is None:
         return None
-    key, array, version = resolved
+    graph, key, array, version = resolved
     weights = graph.forward_weights(key, array, version)
     source_index = graph.index_of[source]
     destination_index = graph.index_of[destination]
@@ -291,8 +238,6 @@ def try_astar(
             kernel_heuristic,
             ws,
             gen,
-            graph.edges,
-            edge_filter,
         )
     if indices is None:
         raise NoPathError(source, destination)
@@ -375,15 +320,10 @@ def try_bidirectional(
     whenever the potentials cannot cover the whole graph — the plain
     mirror-of-the-reference kernel runs.
     """
-    if not _recognized(edge_cost):
-        return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    resolved = graph.resolve_cost(edge_cost)
+    resolved = _resolved(network, edge_cost)
     if resolved is None:
         return None
-    key, array, version = resolved
+    graph, key, array, version = resolved
     source_index = graph.index_of[source]
     destination_index = graph.index_of[destination]
 
@@ -432,15 +372,10 @@ def try_route_many(
     to the per-request path (unknown vertex / reconstruction anomaly).
     Paths are reference-identical to per-query compiled Dijkstra.
     """
-    if not _recognized(edge_cost):
-        return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    resolved = graph.resolve_cost(edge_cost)
+    resolved = _resolved(network, edge_cost)
     if resolved is None:
         return None
-    key, array, version = resolved
+    graph, key, array, version = resolved
 
     from . import batch
 
@@ -483,15 +418,10 @@ def try_cost_rows(
     opaque cost, compiled search disabled, or an unknown source vertex.
     The sharding layer's boundary-overlay stitching is the primary caller.
     """
-    if not _recognized(edge_cost):
-        return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    resolved = graph.resolve_cost(edge_cost)
+    resolved = _resolved(network, edge_cost)
     if resolved is None:
         return None
-    key, array, version = resolved
+    graph, key, array, version = resolved
     index_of = graph.index_of
     source_indices: list[int] = []
     for source in sources:
@@ -527,15 +457,10 @@ def try_route_from_rows(
     a leg the caller must re-derive (unknown vertex, or the exact-equality
     walk detecting the row no longer matches the live cost view).
     """
-    if not _recognized(edge_cost):
-        return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    resolved = graph.resolve_cost(edge_cost)
+    resolved = _resolved(network, edge_cost)
     if resolved is None:
         return None
-    key, array, version = resolved
+    graph, key, array, version = resolved
     if not sparse._all_positive(graph, key, array, version):
         return None
     if rows.ndim != 2 or rows.shape[1] != graph.vertex_count:
@@ -592,14 +517,11 @@ def try_preference(
 ) -> list["VertexId"] | None:
     """Compiled Algorithm 2; raises :class:`PreferenceSearchExhausted` when
     the (possibly slave-constrained) search runs dry."""
-    if not _recognized(master_cost):
+    resolved = _resolved(network, master_cost)
+    if resolved is None:
         return None
-    graph = _view(network)
-    if graph is None:
-        return None
-    weights = _weights(graph, master_cost)
-    if weights is None:
-        return None
+    graph, key, array, version = resolved
+    weights = graph.forward_weights(key, array, version)
     # The slave masks depend on road types only, which cost updates can
     # never change — they survive live-traffic patches (cost_dependent=False).
     if slave is None:

@@ -25,8 +25,9 @@ parts with very different lifetimes:
 
 Search scratch state lives in per-thread
 :class:`~repro.network.compiled.workspace.SearchWorkspace` objects obtained
-from :meth:`workspace`, so concurrent queries (``RoutingService.route`` is
-safe to call from many threads) never share ``dist`` / ``parent`` arrays.
+from :meth:`CompiledGraph.borrowed_workspace`, so concurrent queries
+(``RoutingService.route`` is safe to call from many threads) never share
+``dist`` / ``parent`` arrays.
 """
 
 from __future__ import annotations
@@ -191,12 +192,12 @@ class CostStore:
         """Patch cost values in place of a full recompilation.
 
         ``changes`` maps CSR slots to ``{attribute: new value}``; ``new_edges``
-        carries the replacement :class:`Edge` objects for the same slots (the
-        kernels hand edges to ``edge_filter`` callbacks, which must observe
-        the updated costs).  Touched arrays *and* the edge list are swapped
-        for patched copies, never mutated: a search that already resolved an
-        array (or captured the edge list) keeps one consistent pre-update
-        view; the version bump evicts every stamped derived artifact lazily.
+        carries the replacement :class:`Edge` objects for the same slots
+        (readers of ``graph.edges`` must observe the updated costs).  Touched
+        arrays *and* the edge list are swapped for patched copies, never
+        mutated: a search that already resolved an array (or captured the
+        edge list) keeps one consistent pre-update view; the version bump
+        evicts every stamped derived artifact lazily.
         """
         if not changes:
             return
@@ -448,8 +449,8 @@ class CompiledGraph:
         """The edge objects in CSR slot order.
 
         Cost patches swap the whole list, so capturing ``graph.edges`` once
-        gives a consistent snapshot — e.g. an ``edge_filter`` kernel run or a
-        ``zip(graph.edges, weights)`` never observes a half-applied batch.
+        gives a consistent snapshot — e.g. a ``zip(graph.edges, weights)``
+        never observes a half-applied batch.
         """
         return self.costs.edges
 
@@ -573,7 +574,6 @@ class CompiledGraph:
         array: np.ndarray,
         version: int | None,
         count: int | None = None,
-        strategy: str | None = None,
         build: bool = True,
     ):
         """The (lazily built) ALT landmark table for one cacheable cost view.
@@ -583,35 +583,29 @@ class CompiledGraph:
         revalidated against ``array`` whenever the cost version moved since
         it was last served: bounds are rescaled while that keeps them
         admissible and worth serving, rebuilt otherwise (see
-        :mod:`~repro.network.compiled.landmarks`).  ``count`` / ``strategy``
-        force a rebuild when they differ from the cached table's
-        configuration (used by ``RoadNetwork.prepare_landmarks``); left at
-        ``None`` they accept whatever is cached.  With ``build=False`` a view
-        without a servable table gets ``None`` instead of a build.
+        :mod:`~repro.network.compiled.landmarks`).  ``count`` forces a
+        rebuild when it differs from the cached table's (used by
+        ``RoadNetwork.prepare_landmarks``); left at ``None`` it accepts
+        whatever is cached.  With ``build=False`` a view without a servable
+        table gets ``None`` instead of a build.
         """
         if key is None:
             return None
         from .landmarks import build_landmark_table
 
         current_version = version if version is not None else self.costs.version
-        rebuild_count = count
-        rebuild_strategy = strategy
         with self._landmark_lock:
             table = self._landmark_tables.get(key)
             if table is not None:
                 # Compare against what was *requested*, not what selection
                 # yielded: a fragmented graph may cap the landmark count, and
                 # re-requesting the same number must not rebuild forever.
-                if (
-                    count is not None
-                    and table.requested_count != min(count, self.vertex_count)
-                ) or (strategy is not None and table.strategy != strategy):
+                if count is not None and table.requested_count != min(count, self.vertex_count):
                     table = None
                 else:
-                    # A degraded table rebuilds with *its own* configuration:
-                    # an operator-tuned count/strategy survives self-eviction.
-                    rebuild_count = count if count is not None else table.requested_count
-                    rebuild_strategy = strategy if strategy is not None else table.strategy
+                    # A degraded table rebuilds with *its own* count: an
+                    # operator-tuned one survives self-eviction.
+                    count = table.requested_count
                     revalidated = table.revalidated(array, current_version)
                     if revalidated is not None and revalidated is not table:
                         self._landmark_tables[key] = revalidated
@@ -625,9 +619,7 @@ class CompiledGraph:
         # queries on other (already built) cost views.  Racing builders at
         # worst duplicate the work; the insert below is last-writer-wins and
         # either result is admissible for its caller's resolved arrays.
-        table = build_landmark_table(
-            self, key, array, version, count=rebuild_count, strategy=rebuild_strategy
-        )
+        table = build_landmark_table(self, key, array, version, count=count)
         if table is None:
             return None
         with self._landmark_lock:
@@ -665,16 +657,6 @@ class CompiledGraph:
         from .landmarks import BoundScratch
 
         return self._borrowed("scratch", BoundScratch, self.vertex_count, self.edge_count)
-
-    def workspace(self) -> SearchWorkspace:
-        """A dedicated workspace sized to this graph.
-
-        For callers that hold search state across their own call boundaries
-        (e.g. contraction-hierarchy construction).  Kernel dispatch uses
-        :meth:`borrowed_workspace`, whose pooled instances must never be
-        retained outside the ``with`` block.
-        """
-        return SearchWorkspace(self.vertex_count)
 
     def path_ids(self, indices: Iterable[int]) -> list["VertexId"]:
         """Translate an index path back into original vertex ids."""

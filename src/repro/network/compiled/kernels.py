@@ -10,9 +10,7 @@ heap tie-breaking order-isomorphic to the dict kernels'.)
 The kernels work on plain Python lists (CSR ``offsets`` / ``targets`` plus a
 per-query ``weights`` list) and a generation-stamped
 :class:`~repro.network.compiled.workspace.SearchWorkspace`; they allocate
-nothing per query beyond the heap itself.  Optional edge filters are
-evaluated lazily, exactly like the reference implementations: only on edges
-adjacent to expanded vertices, never over the whole graph.
+nothing per query beyond the heap itself.
 """
 
 from __future__ import annotations
@@ -44,14 +42,8 @@ def dijkstra_kernel(
     source: int,
     destination: int,
     ws: SearchWorkspace,
-    edges: list | None = None,
-    edge_filter: Callable | None = None,
 ) -> list[int] | None:
-    """Point-to-point Dijkstra; returns the index path or ``None``.
-
-    ``edge_filter`` (with the CSR-ordered ``edges`` list) is consulted lazily
-    per relaxed edge, mirroring the reference implementation's call pattern.
-    """
+    """Point-to-point Dijkstra; returns the index path or ``None``."""
     gen = ws.begin()
     dist = ws.dist
     parent = ws.parent
@@ -59,7 +51,6 @@ def dijkstra_kernel(
     dist[source] = 0.0
     stamp[source] = gen
     heap: list[tuple[float, int]] = [(0.0, source)]
-    filtered = edge_filter is not None
     while heap:
         cost_u, u = heappop(heap)
         if cost_u > dist[u]:
@@ -67,8 +58,6 @@ def dijkstra_kernel(
         if u == destination:
             return _walk_parents(parent, source, destination)
         for i in range(offsets[u], offsets[u + 1]):
-            if filtered and not edge_filter(edges[i]):
-                continue
             v = targets[i]
             candidate = cost_u + weights[i]
             if stamp[v] != gen:
@@ -89,14 +78,9 @@ def dijkstra_costs_kernel(
     targets: list[int],
     weights: list[float],
     source: int,
-    remaining: set[int] | None,
     ws: SearchWorkspace,
 ) -> list[tuple[int, float]]:
-    """Single-source settle order: ``(vertex index, cost)`` pairs.
-
-    When ``remaining`` is given the search stops as soon as every index in it
-    has been settled (the set is consumed).
-    """
+    """Single-source settle order: ``(vertex index, cost)`` pairs."""
     gen = ws.begin()
     dist = ws.dist
     stamp = ws.stamp
@@ -111,10 +95,6 @@ def dijkstra_costs_kernel(
         # A vertex pops at its final distance exactly once: later duplicates
         # carry a strictly larger key and are skipped above.
         settled.append((u, cost_u))
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
         for i in range(offsets[u], offsets[u + 1]):
             v = targets[i]
             candidate = cost_u + weights[i]
@@ -138,14 +118,11 @@ def astar_kernel(
     heuristic: Callable[[int], float],
     ws: SearchWorkspace,
     gen: int,
-    edges: list | None = None,
-    edge_filter: Callable | None = None,
 ) -> list[int] | None:
     """A* on the CSR graph; ``heuristic`` maps a vertex *index* to a bound.
 
     The caller owns the generation (``gen = ws.begin()``) so it can share the
-    workspace's heuristic cache with the kernel.  ``edge_filter`` is
-    consulted lazily per relaxed edge, like the reference implementation.
+    workspace's heuristic cache with the kernel.
     """
     g_score = ws.dist
     parent = ws.parent
@@ -154,7 +131,6 @@ def astar_kernel(
     g_score[source] = 0.0
     stamp[source] = gen
     heap: list[tuple[float, int]] = [(heuristic(source), source)]
-    filtered = edge_filter is not None
     while heap:
         _, u = heappop(heap)
         if closed[u] == gen:
@@ -166,8 +142,6 @@ def astar_kernel(
         for i in range(offsets[u], offsets[u + 1]):
             v = targets[i]
             if closed[v] == gen:
-                continue
-            if filtered and not edge_filter(edges[i]):
                 continue
             tentative = cost_u + weights[i]
             if stamp[v] != gen:

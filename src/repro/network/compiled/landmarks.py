@@ -27,24 +27,17 @@ are **cost-version-aware** instead of merely evicting:
   have degraded enough that the table self-evicts and is rebuilt against
   the current cost arrays.
 
-Landmark selection runs on the CSR arrays only.  ``farthest`` iteratively
-adds the vertex maximizing the minimum distance from the chosen set (cheap,
-deterministic, good spread); ``avoid`` (Goldberg & Werneck) grows a
-shortest-path tree from a random root, weighs each vertex by the gap
-between its true distance and the current landmark bound, and descends the
-heaviest unclaimed subtree to a leaf — targeted at regions the existing
-landmarks cover poorly.  ``random`` exists as a baseline.
+Landmark selection runs on the CSR arrays only: *farthest* selection
+iteratively adds the vertex maximizing the minimum distance from the chosen
+set (cheap, deterministic, good spread).
 """
 
 from __future__ import annotations
 
-import random
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 import numpy as np
 
-from ...exceptions import ConfigurationError
 from . import batch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,9 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Landmarks per table: enough for tight grid/city bounds, cheap to build
 #: (two batched SSSPs per landmark) and to scan per query (k*n numpy max).
 DEFAULT_LANDMARK_COUNT = 8
-
-#: Default selection strategy (see module docstring).
-DEFAULT_STRATEGY = "farthest"
 
 #: Rescaled tables whose admissibility scale falls below this are rebuilt:
 #: bounds shrunk past it prune too little to be worth keeping.
@@ -73,8 +63,6 @@ ATTEMPT_WINDOW = 512
 #: While under half pay off, one query in this many still makes the attempt,
 #: so the share keeps following the traffic and the verdict can turn back.
 SKIPPED_SAMPLE = 32
-
-_STRATEGIES = ("farthest", "avoid", "random")
 
 
 class BoundScratch:
@@ -103,7 +91,6 @@ class LandmarkTable:
 
     __slots__ = (
         "key",
-        "strategy",
         "indices",
         "dist_from",
         "dist_to",
@@ -121,7 +108,6 @@ class LandmarkTable:
     def __init__(
         self,
         key: Hashable,
-        strategy: str,
         indices: list[int],
         dist_from: np.ndarray,
         dist_to: np.ndarray,
@@ -130,7 +116,6 @@ class LandmarkTable:
         requested_count: int | None = None,
     ) -> None:
         self.key = key
-        self.strategy = strategy
         self.indices = indices
         self.dist_from = dist_from  # (k, n): d(landmark, v) on the build metric
         self.dist_to = dist_to  # (k, n): d(v, landmark) on the build metric
@@ -210,7 +195,6 @@ class LandmarkTable:
             return self
         twin = LandmarkTable(
             self.key,
-            self.strategy,
             self.indices,
             self.dist_from,
             self.dist_to,
@@ -283,8 +267,8 @@ class LandmarkTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"LandmarkTable(landmarks={self.count}, strategy={self.strategy!r}, "
-            f"scale={self.scale:.3f}, build_version={self.build_version})"
+            f"LandmarkTable(landmarks={self.count}, scale={self.scale:.3f}, "
+            f"build_version={self.build_version})"
         )
 
 
@@ -322,22 +306,26 @@ def _uncovered_seed(graph: "CompiledGraph", min_dist: np.ndarray, chosen: list[i
     return -1
 
 
-def _greedy_extend(
+def _select_farthest(
     graph: "CompiledGraph",
     key: Hashable,
     array: np.ndarray,
     version: int | None,
-    chosen: list[int],
-    rows: list[np.ndarray],
-    min_dist: np.ndarray,
     count: int,
-) -> None:
-    """Grow ``chosen`` to ``count`` by greedy max-min distance (in place).
+) -> tuple[list[int], np.ndarray]:
+    """Greedy max-min-distance selection; returns indices + forward rows.
 
     When no reachable candidate remains (the covered component is
     exhausted), the next landmark jumps to an uncovered component so
     disconnected graphs still get bounds everywhere a search can run.
     """
+    seed = _seed_index(graph)
+    seed_row = _sssp_rows(graph, key, array, version, [seed])[0]
+    finite = np.where(np.isfinite(seed_row), seed_row, -1.0)
+    first = int(np.argmax(finite))
+    chosen = [first]
+    rows = [_sssp_rows(graph, key, array, version, [first])[0]]
+    min_dist = rows[0].copy()
     while len(chosen) < count:
         candidates = np.where(np.isfinite(min_dist), min_dist, -1.0)
         candidates[chosen] = -1.0
@@ -350,137 +338,6 @@ def _greedy_extend(
         row = _sssp_rows(graph, key, array, version, [nxt])[0]
         rows.append(row)
         np.minimum(min_dist, row, out=min_dist)
-
-
-def _select_farthest(
-    graph: "CompiledGraph",
-    key: Hashable,
-    array: np.ndarray,
-    version: int | None,
-    count: int,
-) -> tuple[list[int], np.ndarray]:
-    """Greedy max-min-distance selection; returns indices + forward rows."""
-    seed = _seed_index(graph)
-    seed_row = _sssp_rows(graph, key, array, version, [seed])[0]
-    finite = np.where(np.isfinite(seed_row), seed_row, -1.0)
-    first = int(np.argmax(finite))
-    chosen = [first]
-    rows = [_sssp_rows(graph, key, array, version, [first])[0]]
-    min_dist = rows[0].copy()
-    _greedy_extend(graph, key, array, version, chosen, rows, min_dist, count)
-    return chosen, np.vstack(rows)
-
-
-def _sssp_with_parents(
-    graph: "CompiledGraph", weights: list[float], source: int
-) -> tuple[list[float], list[int], list[int]]:
-    """Full forward SSSP returning ``(dist, parent, settle order)`` lists."""
-    n = graph.vertex_count
-    offsets, targets = graph.offsets, graph.targets
-    dist_out = [float("inf")] * n
-    parent_out = [-1] * n
-    order: list[int] = []
-    with graph.borrowed_workspace() as ws:
-        gen = ws.begin()
-        dist = ws.dist
-        parent = ws.parent
-        stamp = ws.stamp
-        dist[source] = 0.0
-        parent[source] = -1
-        stamp[source] = gen
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            cost_u, u = heappop(heap)
-            if cost_u > dist[u] or dist_out[u] != float("inf"):
-                continue
-            dist_out[u] = cost_u
-            parent_out[u] = parent[u]
-            order.append(u)
-            for i in range(offsets[u], offsets[u + 1]):
-                v = targets[i]
-                candidate = cost_u + weights[i]
-                if stamp[v] != gen:
-                    stamp[v] = gen
-                    dist[v] = candidate
-                    parent[v] = u
-                    heappush(heap, (candidate, v))
-                elif candidate < dist[v]:
-                    dist[v] = candidate
-                    parent[v] = u
-                    heappush(heap, (candidate, v))
-    return dist_out, parent_out, order
-
-
-def _select_avoid(
-    graph: "CompiledGraph",
-    key: Hashable,
-    array: np.ndarray,
-    version: int | None,
-    count: int,
-) -> tuple[list[int], np.ndarray]:
-    """Goldberg–Werneck *avoid* selection; returns indices + forward rows.
-
-    Each round roots a shortest-path tree at a (seeded) random vertex,
-    weighs vertices by how far the current landmark bounds fall short of
-    the true distance, and plants the next landmark at a leaf of the
-    heaviest subtree that contains no landmark yet.
-    """
-    chosen, rows_matrix = _select_farthest(graph, key, array, version, 1)
-    rows = [rows_matrix[0]]
-    n = graph.vertex_count
-    weights = graph.forward_weights(key, array, version)
-    rng = random.Random(0x5EED ^ n)
-    attempts = 0
-    while len(chosen) < count and attempts < 4 * count:
-        attempts += 1
-        root = rng.randrange(n)
-        if root in chosen:
-            continue
-        dist_r, parent_r, order = _sssp_with_parents(graph, weights, root)
-        if len(order) < 2:
-            continue
-        # Bound d(root, v) with the landmarks chosen so far (forward rows
-        # only — a valid, if looser, subset of the final table's bounds).
-        fwd = np.vstack(rows)
-        with np.errstate(invalid="ignore"):
-            pi = np.fmax.reduce(fwd - fwd[:, root][:, None], axis=0)
-        pi = np.fmax(pi, 0.0)
-        gap = np.asarray(dist_r, dtype=np.float64) - pi
-        gap[~np.isfinite(gap)] = 0.0
-
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in order:
-            if parent_r[v] >= 0:
-                children[parent_r[v]].append(v)
-        size = [0.0] * n
-        blocked = [False] * n
-        landmark_set = set(chosen)
-        for v in reversed(order):
-            in_blocked = v in landmark_set
-            total = float(gap[v])
-            for child in children[v]:
-                if blocked[child]:
-                    in_blocked = True
-                total += size[child]
-            blocked[v] = in_blocked
-            size[v] = 0.0 if in_blocked else total
-
-        best = max(order, key=lambda v: size[v])
-        if size[best] <= 0.0:
-            continue
-        while children[best]:
-            heaviest = max(children[best], key=lambda c: size[c])
-            if size[heaviest] <= 0.0:
-                break
-            best = heaviest
-        if best in landmark_set:
-            continue
-        chosen.append(best)
-        rows.append(_sssp_rows(graph, key, array, version, [best])[0])
-    # Random roots can run dry on tiny graphs; top up with farthest picks.
-    if len(chosen) < count:
-        min_dist = np.minimum.reduce(rows)
-        _greedy_extend(graph, key, array, version, chosen, rows, min_dist, count)
     return chosen, np.vstack(rows)
 
 
@@ -490,29 +347,15 @@ def build_landmark_table(
     array: np.ndarray,
     version: int | None,
     count: int | None = None,
-    strategy: str | None = None,
 ) -> LandmarkTable | None:
     """Select landmarks and precompute their distance rows for one cost view."""
     n = graph.vertex_count
     if n == 0 or key is None:
         return None
     count = min(count or DEFAULT_LANDMARK_COUNT, n)
-    strategy = strategy or DEFAULT_STRATEGY
-    if strategy not in _STRATEGIES:
-        raise ConfigurationError(
-            f"unknown landmark strategy {strategy!r}; choose one of {_STRATEGIES}"
-        )
-    if strategy == "farthest":
-        chosen, dist_from = _select_farthest(graph, key, array, version, count)
-    elif strategy == "avoid":
-        chosen, dist_from = _select_avoid(graph, key, array, version, count)
-    else:
-        rng = random.Random(0x5EED ^ n)
-        chosen = rng.sample(range(n), count)
-        dist_from = _sssp_rows(graph, key, array, version, chosen)
+    chosen, dist_from = _select_farthest(graph, key, array, version, count)
     dist_to = batch.dijkstra_many(graph, key, array, version, chosen, reverse=True)
     build_version = version if version is not None else graph.costs.version
     return LandmarkTable(
-        key, strategy, chosen, dist_from, dist_to, array, build_version,
-        requested_count=count,
+        key, chosen, dist_from, dist_to, array, build_version, requested_count=count
     )

@@ -23,7 +23,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import networkx as nx
 
-from ..exceptions import EdgeNotFoundError, NetworkError, VertexNotFoundError
+from ..exceptions import (
+    ConfigurationError,
+    EdgeNotFoundError,
+    NetworkError,
+    VertexNotFoundError,
+)
 from .road_types import RoadType
 from .spatial import BoundingBox, LonLat, equirectangular_m
 
@@ -481,17 +486,16 @@ class RoadNetwork:
         edge_cost: object | None = None,
         *,
         count: int | None = None,
-        strategy: str | None = None,
     ):
         """Eagerly build (or re-configure) the ALT landmark table for a cost.
 
         Goal-directed search builds its landmark tables lazily on the first
         A* / bidirectional query per cost view; call this to pay that cost
         up front (e.g. before opening a service to traffic) or to pick a
-        non-default landmark ``count`` / selection ``strategy`` (``"farthest"``,
-        ``"avoid"``, or ``"random"``).  ``edge_cost`` defaults to the
-        travel-time feature; any callable recognized by the compiled
-        dispatch (``cost_attr`` / ``cost_terms`` / cacheable
+        non-default landmark ``count`` (at least 1, else
+        :class:`~repro.exceptions.ConfigurationError`).  ``edge_cost``
+        defaults to the travel-time feature; any callable recognized by the
+        compiled dispatch (``cost_attr`` / ``cost_terms`` / cacheable
         ``build_cost_array``) works.  Returns the
         :class:`~repro.network.compiled.landmarks.LandmarkTable`, or ``None``
         when the cost cannot be compiled to a cacheable array.  The table
@@ -499,6 +503,8 @@ class RoadNetwork:
         mutation and rescales/rebuilds itself across live-traffic cost
         updates.
         """
+        if count is not None and count < 1:
+            raise ConfigurationError(f"landmark count must be at least 1, got {count!r}")
         if edge_cost is None:
             from ..routing.costs import CostFeature, cost_function
 
@@ -508,7 +514,7 @@ class RoadNetwork:
         if resolved is None:
             return None
         key, array, version = resolved
-        return graph.landmark_table(key, array, version, count=count, strategy=strategy)
+        return graph.landmark_table(key, array, version, count=count)
 
     def prepare_hierarchy(self, feature=None, *, edge_cost=None):
         """Build (or refresh) the cached contraction hierarchy for one cost.

@@ -15,7 +15,6 @@ from .dijkstra import (
     dict_dijkstra,
     dict_dijkstra_costs,
     dijkstra,
-    dijkstra_costs,
     fastest_path,
     lowest_cost_path,
     most_economical_path,
@@ -50,7 +49,6 @@ __all__ = [
     "dict_dijkstra",
     "dict_dijkstra_costs",
     "dijkstra",
-    "dijkstra_costs",
     "edge_distance",
     "edge_fuel",
     "edge_travel_time",

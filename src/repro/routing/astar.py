@@ -1,10 +1,10 @@
 """A* search with great-circle lower-bound heuristics.
 
-A* is used where a goal-directed search pays off — notably in the external
-routing-service simulator and in the Case-2 attachment searches of the unified
-router.  The heuristics are admissible lower bounds for each travel-cost
-feature (straight-line distance; straight-line distance at the maximum speed
-for travel time; at the most economical fuel rate for fuel).
+A* is used where a goal-directed search pays off: the external
+routing-service simulator and the service engines' ``goal_directed`` mode.
+The heuristics are admissible lower bounds for each travel-cost feature
+(straight-line distance; straight-line distance at the maximum speed for
+travel time; at the most economical fuel rate for fuel).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 from ..exceptions import NoPathError, VertexNotFoundError
 from ..network.compiled import dispatch as _compiled
-from ..network.road_network import Edge, RoadNetwork, VertexId
+from ..network.road_network import RoadNetwork, VertexId
 from ..network.road_types import DEFAULT_SPEED_KMH, RoadType
 from .costs import FEATURE_EDGE_ATTRIBUTES, CostFeature, EdgeCost, cost_function
 from .fuel import fuel_per_km_ml, most_economical_speed_kmh
@@ -97,7 +97,6 @@ def astar(
     destination: VertexId,
     edge_cost: EdgeCost,
     heuristic: Heuristic | None = None,
-    edge_filter: Callable[[Edge], bool] | None = None,
 ) -> Path:
     """A* lowest-cost path; raises :class:`NoPathError` if unreachable.
 
@@ -125,10 +124,10 @@ def astar(
         # geometric bound) rather than the dict reference; the default is
         # alt_replaceable, so ALT takes precedence whenever it exists.
         heuristic = default_heuristic(network, destination, edge_cost)
-    vertices = _compiled.try_astar(network, source, destination, edge_cost, heuristic, edge_filter)
+    vertices = _compiled.try_astar(network, source, destination, edge_cost, heuristic)
     if vertices is not None:
         return Path.of(vertices)
-    return dict_astar(network, source, destination, edge_cost, heuristic, edge_filter)
+    return dict_astar(network, source, destination, edge_cost, heuristic)
 
 
 def dict_astar(
@@ -137,7 +136,6 @@ def dict_astar(
     destination: VertexId,
     edge_cost: EdgeCost,
     heuristic: Heuristic | None = None,
-    edge_filter: Callable[[Edge], bool] | None = None,
 ) -> Path:
     """The dict-based reference A* (no compiled dispatch)."""
     if source not in network:
@@ -169,8 +167,6 @@ def dict_astar(
             return Path.of(vertices)
         for v, edge in network.successors(u).items():
             if v in closed:
-                continue
-            if edge_filter is not None and not edge_filter(edge):
                 continue
             tentative = g_score[u] + edge_cost(edge)
             if tentative < g_score.get(v, math.inf):

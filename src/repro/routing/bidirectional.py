@@ -2,8 +2,10 @@
 
 Searches simultaneously from the source (forward edges) and from the
 destination (reverse edges) and stops when the frontiers provably cannot
-improve the best meeting point.  Used by the efficiency benchmarks as the
-faster exact alternative to plain Dijkstra; results are identical.
+improve the best meeting point.  An exact alternative to plain Dijkstra that
+only the benchmarks call: the ``routing.bidirectional_us`` row of
+``benchmarks/e2e --trace`` places it behind both the bounded Dijkstra and
+ALT-A* on either tier.
 """
 
 from __future__ import annotations

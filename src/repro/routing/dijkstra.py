@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..exceptions import NoPathError, VertexNotFoundError
 from ..network.compiled import dispatch as _compiled
-from ..network.road_network import Edge, RoadNetwork, VertexId
+from ..network.road_network import RoadNetwork, VertexId
 from .costs import CostFeature, EdgeCost, cost_function
 from .path import Path
 
@@ -28,13 +28,11 @@ def dijkstra(
     source: VertexId,
     destination: VertexId,
     edge_cost: EdgeCost,
-    edge_filter: Callable[[Edge], bool] | None = None,
 ) -> Path:
     """Lowest-cost path from ``source`` to ``destination``.
 
-    ``edge_cost`` maps an :class:`Edge` to a non-negative cost; an optional
-    ``edge_filter`` restricts the search to edges for which it returns True.
-    Raises :class:`NoPathError` when the destination is unreachable.
+    ``edge_cost`` maps an :class:`Edge` to a non-negative cost.  Raises
+    :class:`NoPathError` when the destination is unreachable.
     """
     if source not in network:
         raise VertexNotFoundError(source)
@@ -43,10 +41,10 @@ def dijkstra(
     if source == destination:
         return Path.of([source])
 
-    vertices = _compiled.try_dijkstra(network, source, destination, edge_cost, edge_filter)
+    vertices = _compiled.try_dijkstra(network, source, destination, edge_cost)
     if vertices is not None:
         return Path.of(vertices)
-    return dict_dijkstra(network, source, destination, edge_cost, edge_filter)
+    return dict_dijkstra(network, source, destination, edge_cost)
 
 
 def dict_dijkstra(
@@ -54,7 +52,6 @@ def dict_dijkstra(
     source: VertexId,
     destination: VertexId,
     edge_cost: EdgeCost,
-    edge_filter: Callable[[Edge], bool] | None = None,
 ) -> Path:
     """The dict-based reference implementation (no compiled dispatch).
 
@@ -83,8 +80,6 @@ def dict_dijkstra(
         for v, edge in network.successors(u).items():
             if v in visited:
                 continue
-            if edge_filter is not None and not edge_filter(edge):
-                continue
             candidate = cost_u + edge_cost(edge)
             if candidate < dist.get(v, math.inf):
                 dist[v] = candidate
@@ -94,7 +89,7 @@ def dict_dijkstra(
     raise NoPathError(source, destination)
 
 
-def dijkstra_costs(
+def dict_dijkstra_costs(
     network: RoadNetwork,
     source: VertexId,
     edge_cost: EdgeCost,
@@ -102,28 +97,15 @@ def dijkstra_costs(
 ) -> dict[VertexId, float]:
     """Single-source lowest costs to all (or the given) reachable vertices.
 
+    The dict-based reference the compiled cost rows
+    (:func:`repro.network.compiled.batch.dijkstra_many`) are checked against.
     When ``targets`` is given, the search stops as soon as every target has
-    been settled, which is considerably faster for small target sets.
+    been settled, and only targets appear in the result.
     """
     if source not in network:
         raise VertexNotFoundError(source)
-    targets = list(targets) if targets is not None else None
-    result = _compiled.try_dijkstra_costs(network, source, edge_cost, targets)
-    if result is not None:
-        return result
-    return dict_dijkstra_costs(network, source, edge_cost, targets)
-
-
-def dict_dijkstra_costs(
-    network: RoadNetwork,
-    source: VertexId,
-    edge_cost: EdgeCost,
-    targets: Iterable[VertexId] | None = None,
-) -> dict[VertexId, float]:
-    """Dict-based reference implementation of :func:`dijkstra_costs`."""
-    if source not in network:
-        raise VertexNotFoundError(source)
-    remaining = set(targets) if targets is not None else None
+    target_set = set(targets) if targets is not None else None
+    remaining = set(target_set) if target_set is not None else None
     dist: dict[VertexId, float] = {source: 0.0}
     visited: set[VertexId] = set()
     heap: list[tuple[float, VertexId]] = [(0.0, source)]
@@ -147,8 +129,7 @@ def dict_dijkstra_costs(
                 dist[v] = candidate
                 heapq.heappush(heap, (candidate, v))
 
-    if targets is not None:
-        target_set = set(targets)
+    if target_set is not None:
         return {t: result[t] for t in result if t in target_set}
     return result
 

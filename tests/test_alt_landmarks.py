@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import NoPathError, StaleHierarchyError
+from repro.exceptions import ConfigurationError, NoPathError, StaleHierarchyError
 from repro.network import alt_disabled, grid_city_network
 from repro.network.compiled import batch as compiled_batch
 from repro.network.compiled import dispatch as compiled_dispatch
@@ -148,8 +148,8 @@ class TestAdmissibility:
 
     def test_rebuild_preserves_operator_configuration(self):
         network = _grid(13)
-        tuned = network.prepare_landmarks(count=6, strategy="avoid")
-        assert tuned.count == 6 and tuned.strategy == "avoid"
+        tuned = network.prepare_landmarks(count=6)
+        assert tuned.count == 6
         feed = TrafficFeed(network)
         edge = next(network.edges())
         feed.apply(
@@ -160,11 +160,11 @@ class TestAdmissibility:
             ]
         )
         # Plain query-path access (no explicit config) triggers the rebuild:
-        # the tuned count/strategy must survive the self-eviction.
+        # the tuned count must survive the self-eviction.
         graph, key, array, version = _resolved(network)
         rebuilt = graph.landmark_table(key, array, version)
         assert rebuilt is not tuned
-        assert rebuilt.count == 6 and rebuilt.strategy == "avoid"
+        assert rebuilt.count == 6
         assert rebuilt.scale == 1.0
 
     def test_increases_keep_buildtime_bounds_unscaled(self):
@@ -245,14 +245,11 @@ class TestGoalDirectedCostIdentity:
         assert table.count <= 4
         assert network.prepare_landmarks(count=9) is table
 
-    def test_strategies_all_admissible(self):
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_prepare_rejects_count_below_one(self, count):
         network = _grid(21)
-        rng = random.Random(3)
-        ids = sorted(network.vertex_ids())
-        for strategy in ("farthest", "avoid", "random"):
-            table = network.prepare_landmarks(count=4, strategy=strategy)
-            assert table.strategy == strategy
-            _assert_admissible(network, table, rng.sample(ids, 2))
+        with pytest.raises(ConfigurationError):
+            network.prepare_landmarks(count=count)
 
 
 class TestDijkstraMany:

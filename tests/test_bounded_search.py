@@ -222,7 +222,7 @@ class TestPathIdentity:
 # What never attempts it
 # ---------------------------------------------------------------------- #
 class TestBypasses:
-    def test_per_query_arrays_and_edge_filters_bypass(self, engage_all, attempts):
+    def test_per_query_arrays_and_alt_off_bypass(self, engage_all, attempts):
         network = grid_city_network(rows=10, cols=10, seed=5)
         s, t = sorted(network.vertex_ids())[22], sorted(network.vertex_ids())[35]
 
@@ -233,7 +233,6 @@ class TestBypasses:
         want = dict_dijkstra(network, s, t, cost_function(CostFeature.TRAVEL_TIME)).vertices
         assert dijkstra(network, s, t, per_query).vertices == want
         cost = cost_function(CostFeature.TRAVEL_TIME)
-        assert dijkstra(network, s, t, cost, edge_filter=lambda edge: True).vertices == want
         with alt_disabled():
             assert dijkstra(network, s, t, cost).vertices == want
         assert attempts == []

@@ -374,25 +374,6 @@ class TestPrepareHierarchy:
 
 
 class TestCompiledHierarchyInternals:
-    def test_min_fill_order_used_without_coordinates(self):
-        network = _grid(50, rows=4, cols=4)
-        graph = network.compiled()
-        compiled = compiled_ch.CompiledHierarchy(
-            graph.topology, graph.array("travel_time_s")
-        )
-        index_of = graph.index_of
-        rng = random.Random(50)
-        for source, destination in _random_pairs(network, 20, rng):
-            cost = compiled.query_cost(index_of[source], index_of[destination])
-            try:
-                reference = _path_cost(
-                    network, dijkstra(network, source, destination, COST)
-                )
-            except NoPathError:
-                assert cost == math.inf
-                continue
-            assert cost == pytest.approx(reference, rel=1e-9)
-
     def test_rank_is_a_permutation(self):
         network = _grid(51, rows=5, cols=4)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)

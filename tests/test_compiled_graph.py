@@ -3,13 +3,17 @@
 The compiled kernels (:mod:`repro.network.compiled`) must be drop-in
 replacements for the dict-based reference implementations: identical paths
 (not merely cost-identical), identical exceptions, across random graphs, all
-cost features, weighted combinations, edge filters, and unreachable pairs.
+cost features, weighted combinations, and unreachable pairs — with scipy's C
+Dijkstra and, ``HAVE_SCIPY`` patched off, with the python kernels that CI's
+no-scipy legs run.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +27,8 @@ from repro.network import (
     compiled_disabled,
     grid_city_network,
 )
-from repro.network.compiled import CompiledGraph, SearchWorkspace
+from repro.network.compiled import CompiledGraph, SearchWorkspace, sparse
+from repro.network.compiled.dispatch import try_cost_rows
 from repro.preferences import PreferenceVector
 from repro.preferences.features import MAJOR_ROADS, LOCAL_ROADS, single_type_feature
 from repro.routing import (
@@ -37,7 +42,6 @@ from repro.routing import (
     dict_dijkstra,
     dict_dijkstra_costs,
     dijkstra,
-    dijkstra_costs,
     heuristic_for,
     preference_dijkstra,
     weighted_cost,
@@ -89,6 +93,15 @@ def _both(fn_compiled, fn_dict):
     return compiled_result, dict_result
 
 
+@contextmanager
+def _scipy(available: bool):
+    """Run the block with the scipy backends as found, or switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not available:
+            patch.setattr(sparse, "HAVE_SCIPY", False)
+        yield
+
+
 HYPOTHESIS_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -96,15 +109,16 @@ HYPOTHESIS_SETTINGS = settings(
 
 class TestDijkstraEquivalence:
     @HYPOTHESIS_SETTINGS
-    @given(random_networks(), st.integers(min_value=0, max_value=1_000))
-    def test_all_cost_features(self, network, pair_seed):
+    @given(random_networks(), st.integers(min_value=0, max_value=1_000), st.booleans())
+    def test_all_cost_features(self, network, pair_seed, scipy):
         source, destination = _pair(network, pair_seed)
         for feature in ALL_COST_FEATURES:
             cost = cost_function(feature)
-            compiled_path, dict_path = _both(
-                lambda: dijkstra(network, source, destination, cost),
-                lambda: dict_dijkstra(network, source, destination, cost),
-            )
+            with _scipy(scipy):
+                compiled_path, dict_path = _both(
+                    lambda: dijkstra(network, source, destination, cost),
+                    lambda: dict_dijkstra(network, source, destination, cost),
+                )
             if compiled_path == "no-path":
                 assert dict_path == "no-path"
             else:
@@ -116,8 +130,9 @@ class TestDijkstraEquivalence:
         st.integers(min_value=0, max_value=1_000),
         st.floats(min_value=0.0, max_value=5.0),
         st.floats(min_value=0.0, max_value=5.0),
+        st.booleans(),
     )
-    def test_weighted_combination(self, network, pair_seed, w_distance, w_time):
+    def test_weighted_combination(self, network, pair_seed, w_distance, w_time, scipy):
         source, destination = _pair(network, pair_seed)
         cost = weighted_cost(
             {
@@ -126,55 +141,27 @@ class TestDijkstraEquivalence:
                 CostFeature.FUEL: 1.0,
             }
         )
-        compiled_path, dict_path = _both(
-            lambda: dijkstra(network, source, destination, cost),
-            lambda: dict_dijkstra(network, source, destination, cost),
-        )
-        if compiled_path == "no-path":
-            assert dict_path == "no-path"
-        else:
-            assert compiled_path.vertices == dict_path.vertices
-
-    @HYPOTHESIS_SETTINGS
-    @given(random_networks(), st.integers(min_value=0, max_value=1_000))
-    def test_edge_filter(self, network, pair_seed):
-        source, destination = _pair(network, pair_seed)
-        cost = cost_function(CostFeature.DISTANCE)
-
-        def no_motorways(edge):
-            return edge.road_type is not RoadType.MOTORWAY
-
-        compiled_path, dict_path = _both(
-            lambda: dijkstra(network, source, destination, cost, edge_filter=no_motorways),
-            lambda: dict_dijkstra(network, source, destination, cost, edge_filter=no_motorways),
-        )
-        if compiled_path == "no-path":
-            assert dict_path == "no-path"
-        else:
-            assert compiled_path.vertices == dict_path.vertices
-            assert all(
-                network.edge(u, v).road_type is not RoadType.MOTORWAY
-                for u, v in compiled_path.edge_keys
+        with _scipy(scipy):
+            compiled_path, dict_path = _both(
+                lambda: dijkstra(network, source, destination, cost),
+                lambda: dict_dijkstra(network, source, destination, cost),
             )
+        if compiled_path == "no-path":
+            assert dict_path == "no-path"
+        else:
+            assert compiled_path.vertices == dict_path.vertices
 
     @HYPOTHESIS_SETTINGS
-    @given(random_networks(), st.integers(min_value=0, max_value=1_000))
-    def test_dijkstra_costs(self, network, pair_seed):
+    @given(random_networks(), st.integers(min_value=0, max_value=1_000), st.booleans())
+    def test_dijkstra_costs(self, network, pair_seed, scipy):
+        """The compiled cost rows against the dict-based single-source costs."""
         source, _ = _pair(network, pair_seed)
         cost = cost_function(CostFeature.TRAVEL_TIME)
-        assert dijkstra_costs(network, source, cost) == dict_dijkstra_costs(
-            network, source, cost
-        )
-
-    @HYPOTHESIS_SETTINGS
-    @given(random_networks(), st.integers(min_value=0, max_value=1_000))
-    def test_dijkstra_costs_with_targets(self, network, pair_seed):
-        source, target = _pair(network, pair_seed)
-        targets = [target, source]
-        cost = cost_function(CostFeature.DISTANCE)
-        assert dijkstra_costs(network, source, cost, targets=targets) == (
-            dict_dijkstra_costs(network, source, cost, targets=targets)
-        )
+        with _scipy(scipy):
+            rows, column_of = try_cost_rows(network, [source], cost)
+        reference = dict_dijkstra_costs(network, source, cost)
+        for vertex, column in column_of.items():
+            assert rows[0, column] == reference.get(vertex, math.inf)
 
     def test_opaque_cost_falls_back_to_dict(self, demo_network):
         """Un-tagged callables still work (dict fallback) and agree."""
@@ -224,8 +211,13 @@ class TestOtherKernels:
             assert compiled_path.vertices == dict_path.vertices
 
     @HYPOTHESIS_SETTINGS
-    @given(random_networks(), st.integers(min_value=0, max_value=1_000), st.integers(0, 7))
-    def test_preference_dijkstra(self, network, pair_seed, slave_index):
+    @given(
+        random_networks(),
+        st.integers(min_value=0, max_value=1_000),
+        st.integers(0, 7),
+        st.booleans(),
+    )
+    def test_preference_dijkstra(self, network, pair_seed, slave_index, scipy):
         source, destination = _pair(network, pair_seed)
         slaves = [None, MAJOR_ROADS, LOCAL_ROADS] + [
             single_type_feature(rt) for rt in RoadType
@@ -234,10 +226,11 @@ class TestOtherKernels:
         preference = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=slave)
         if source == destination:
             return
-        compiled_path, dict_path = _both(
-            lambda: preference_dijkstra(network, source, destination, preference),
-            lambda: _dict_preference_search(network, source, destination, preference),
-        )
+        with _scipy(scipy):
+            compiled_path, dict_path = _both(
+                lambda: preference_dijkstra(network, source, destination, preference),
+                lambda: _dict_preference_search(network, source, destination, preference),
+            )
         if compiled_path == "no-path":
             assert dict_path == "no-path"
         else:
@@ -251,7 +244,7 @@ class TestOtherKernels:
         plain_heuristic = heuristic_for(network, 63, CostFeature.TRAVEL_TIME)
 
         def nosy_heuristic(vertex):
-            dijkstra_costs(network, vertex, cost, targets=[63])  # nested search
+            astar(network, vertex, 63, cost, plain_heuristic)  # nested search
             return plain_heuristic(vertex)
 
         for source in (0, 7, 56, 27):
@@ -394,12 +387,10 @@ class TestCompiledView:
 
     def test_workspace_sized_to_graph(self, demo_network):
         view = demo_network.compiled()
-        workspace = view.workspace()
-        assert isinstance(workspace, SearchWorkspace)
-        assert workspace.size == view.vertex_count
         # Pooled workspaces are reused per thread once released...
         with view.borrowed_workspace() as first:
-            pass
+            assert isinstance(first, SearchWorkspace)
+            assert first.size == view.vertex_count
         with view.borrowed_workspace() as second:
             assert second is first
         # ... but nested borrows get their own instance.

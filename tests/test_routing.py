@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NetworkError, NoPathError, VertexNotFoundError
-from repro.network import RoadNetwork, RoadType
+from repro.network import RoadNetwork
 from repro.routing import (
     CostFeature,
     Path,
@@ -14,8 +14,7 @@ from repro.routing import (
     build_contraction_hierarchy,
     ch_shortest_path,
     cost_function,
-    dijkstra,
-    dijkstra_costs,
+    dict_dijkstra_costs,
     fastest_path,
     fuel_consumption_ml,
     fuel_per_km_ml,
@@ -154,25 +153,22 @@ class TestDijkstra:
         with pytest.raises(NoPathError):
             shortest_path(network, 1, 2)
 
-    def test_edge_filter(self, line_network):
-        # Forbid motorways: fastest must fall back to the residential chain.
-        path = dijkstra(
-            line_network,
-            0,
-            4,
-            cost_function(CostFeature.TRAVEL_TIME),
-            edge_filter=lambda e: e.road_type is not RoadType.MOTORWAY,
-        )
-        assert path.vertices == (0, 1, 2, 3, 4)
-
     def test_dijkstra_costs_all(self, line_network):
-        costs = dijkstra_costs(line_network, 0, cost_function(CostFeature.DISTANCE))
+        costs = dict_dijkstra_costs(line_network, 0, cost_function(CostFeature.DISTANCE))
         assert costs[0] == 0.0
         assert costs[4] == pytest.approx(4_000.0)
 
     def test_dijkstra_costs_targets_early_stop(self, line_network):
-        costs = dijkstra_costs(line_network, 0, cost_function(CostFeature.DISTANCE), targets={1})
-        assert costs[1] == pytest.approx(1_000.0)
+        costs = dict_dijkstra_costs(
+            line_network, 0, cost_function(CostFeature.DISTANCE), targets={1}
+        )
+        assert costs == {1: pytest.approx(1_000.0)}
+
+    def test_dijkstra_costs_targets_one_shot_iterable(self, line_network):
+        costs = dict_dijkstra_costs(
+            line_network, 0, cost_function(CostFeature.DISTANCE), targets=iter([1, 2])
+        )
+        assert costs == {1: pytest.approx(1_000.0), 2: pytest.approx(2_000.0)}
 
     def test_lowest_cost_path_matches_per_feature(self, line_network):
         assert lowest_cost_path(line_network, 0, 4, CostFeature.DISTANCE).vertices == (0, 1, 2, 3, 4)
