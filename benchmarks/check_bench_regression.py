@@ -2,16 +2,16 @@
 
 Compares a freshly produced routing benchmark JSON against a committed
 baseline and fails when any *speedup ratio* — patch-vs-recompile for traffic
-updates (``bench_traffic_updates.py``), the fault-free plain-vs-resilient
-throughput ratio (``bench_resilience.py``), or the loopback-TCP-vs-queue
-transport ratio (``bench_multinode.py``) — drops by more than ``--max-slowdown``
-(default 30%).  Ratios, not absolute timings, are compared: both sides of a
-ratio come from the same machine and run, which makes the guard robust to CI
-hardware variance.  Only grids present in both reports (matched by
-``rows x cols``) are compared, so a smoke baseline guards smoke runs — but a
-whole section (``alt``, ``traffic``, ...) that the baseline has and the fresh
-run lacks fails the guard: deleting or skipping a benchmark script must not
-silently drop its gate (delete the section from the baseline with it).
+updates (``bench_traffic_updates.py``) or the fault-free plain-vs-resilient
+throughput ratio (``bench_resilience.py``) — drops by more than
+``--max-slowdown`` (default 30%).  Ratios, not absolute timings, are
+compared: both sides of a ratio come from the same machine and run, which
+makes the guard robust to CI hardware variance.  Only grids present in both
+reports (matched by ``rows x cols``) are compared, so a smoke baseline guards
+smoke runs — but a whole section (``alt``, ``traffic``, ...) that the
+baseline has and the fresh run lacks fails the guard: deleting or skipping a
+benchmark script must not silently drop its gate (delete the section from
+the baseline with it).
 
 Usage::
 
@@ -76,14 +76,6 @@ def collect_ratios(report: dict) -> dict[str, float]:
         split = grid.get("cross_vs_in_shard_throughput_ratio")
         if split:
             ratios[f"sharded/{label}/cross_vs_in_shard"] = float(split)
-    for grid in report.get("multinode", {}).get("grids", []):
-        label = f"{grid['rows']}x{grid['cols']}"
-        # Loopback-TCP vs queue throughput on the identical workload
-        # (bench_multinode.py): same run, same machine, higher is better.
-        # The absolute failover-blackout gate lives in the bench itself.
-        ratio = grid.get("tcp_vs_queue_throughput_ratio")
-        if ratio:
-            ratios[f"multinode/{label}/tcp_vs_queue_throughput"] = float(ratio)
     return ratios
 
 

@@ -9,9 +9,8 @@ Three layers, bottom up:
   atomic (temp → fsync → ``os.replace`` → dir fsync) snapshots of the cost
   arrays with bounded retention;
 * :mod:`~repro.service.durability.manager` — :class:`DurabilityManager`,
-  which wires both into the :class:`~repro.traffic.feed.TrafficFeed` /
-  :class:`~repro.service.sharding.replication.CostDiffJournal` write paths
-  and owns the snapshot-restore + WAL-replay recovery flow.
+  which wires both into the :class:`~repro.traffic.feed.TrafficFeed`
+  write path and owns the snapshot-restore + WAL-replay recovery flow.
 
 :mod:`~repro.service.durability.killpoints` and
 :mod:`~repro.service.durability.chaos` are the proof obligations: named
@@ -29,7 +28,6 @@ from .chaos import (
 )
 from .journal import (
     FSYNC_POLICIES,
-    RECORD_COSTDIFF,
     RECORD_TRAFFIC,
     DiskJournal,
     JournalError,
@@ -50,7 +48,6 @@ __all__ = [
     "JournalScan",
     "KILL_POINTS",
     "KillSwitch",
-    "RECORD_COSTDIFF",
     "RECORD_TRAFFIC",
     "RecoveryError",
     "RecoveryReport",

@@ -2,12 +2,10 @@
 
 The :class:`DiskJournal` is the persistence layer beneath the serving
 stack's live-traffic path: every :class:`~repro.traffic.updates.
-TrafficUpdate` batch is logged *before* it is applied (write-ahead), and
-every sharded :class:`~repro.service.sharding.protocol.CostDiff` broadcast
-may be mirrored behind the bounded in-memory
-:class:`~repro.service.sharding.replication.CostDiffJournal` as its
-persistent tail.  Records are opaque :class:`JournalRecord` envelopes —
-the journal neither interprets nor orders them beyond append order.
+TrafficUpdate` batch is logged *before* it is applied (write-ahead) — one
+record per batch, inputs only.  Records are opaque :class:`JournalRecord`
+envelopes — the journal neither interprets nor orders them beyond append
+order.
 
 On-disk format (one ``wal-<index>.seg`` file per segment, strictly
 increasing indices)::
@@ -59,7 +57,6 @@ from .killpoints import KillHook
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...traffic.updates import TrafficUpdate
-    from ..sharding.protocol import CostDiff
 
 #: Accepted fsync policies, strictest first.
 FSYNC_POLICIES: tuple[str, ...] = ("always", "interval", "never")
@@ -69,9 +66,8 @@ _HEADER = struct.Struct(">II")
 #: trigger a multi-gigabyte allocation during the recovery scan.
 _MAX_RECORD_BYTES = 64 * 1024 * 1024
 
-#: Record kinds the serving stack writes (the journal itself is agnostic).
+#: The record kind the serving stack writes (the journal itself is agnostic).
 RECORD_TRAFFIC = "traffic"
-RECORD_COSTDIFF = "costdiff"
 
 
 class JournalError(ReproError):
@@ -87,7 +83,7 @@ class JournalRecord:
     exactly at its base (earlier records are already absorbed, a gap means
     the chain is broken).  The payload is whatever the writer needs to
     replay: a tuple of :class:`TrafficUpdate` for write-ahead traffic
-    batches, a :class:`CostDiff` for mirrored broadcasts.
+    batches.
     """
 
     kind: str
@@ -102,11 +98,6 @@ class JournalRecord:
         return cls(
             kind=RECORD_TRAFFIC, base_version=int(base_version), payload=tuple(updates)
         )
-
-    @classmethod
-    def costdiff(cls, diff: "CostDiff") -> "JournalRecord":
-        """A mirror record of one already-applied versioned broadcast."""
-        return cls(kind=RECORD_COSTDIFF, base_version=int(diff.base_version), payload=diff)
 
 
 @dataclass

@@ -11,10 +11,8 @@ and stitches the two halves together with the live serving stack:
 * **Logging** — attach the manager to a :class:`~repro.traffic.feed.
   TrafficFeed` (``feed.attach_journal(manager)``) and every traffic batch
   is journaled *before* it is applied, stamped with the pre-apply
-  ``cost_version``.  The sharded coordinator's
-  :class:`~repro.service.sharding.replication.CostDiffJournal` mirrors its
-  post-apply broadcasts through :meth:`log_costdiff`, making the disk the
-  persistent tail behind the bounded in-memory ring.
+  ``cost_version`` — one ``traffic`` record per batch, whether the feed
+  belongs to an in-process service or to the sharded coordinator.
 * **Snapshots** — :meth:`snapshot` captures the cost arrays + version +
   topology stamp atomically, then prunes WAL segments the snapshot covers.
 * **Recovery** — :meth:`recover` restores the newest valid snapshot, replays
@@ -25,10 +23,8 @@ Replay is deterministic because the WAL stores *inputs* anchored to exact
 versions: a traffic record with ``base_version == v`` is resolved against
 precisely the state that existed when it was first applied, so scale/delta
 updates compose identically and each effective batch advances the version
-by exactly one.  The skip rule (``base_version < current`` → already
-absorbed) also deduplicates the two record kinds: once a batch's traffic
-record has replayed, the mirrored cost diff for the same batch anchors one
-version behind and is skipped.
+by exactly one; a record anchored below the current version
+(``base_version < current``) is already absorbed and skipped.
 """
 
 from __future__ import annotations
@@ -38,12 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ...exceptions import ReproError
-from .journal import (
-    RECORD_COSTDIFF,
-    RECORD_TRAFFIC,
-    DiskJournal,
-    JournalRecord,
-)
+from .journal import RECORD_TRAFFIC, DiskJournal, JournalRecord
 from .killpoints import KillHook
 from .snapshot import SnapshotStore, topology_stamp
 
@@ -51,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...network.road_network import RoadNetwork
     from ...traffic.feed import TrafficFeed
     from ...traffic.updates import TrafficUpdate
-    from ..sharding.protocol import CostDiff
 
 
 class RecoveryError(ReproError):
@@ -124,7 +114,7 @@ class DurabilityManager:
             self._kill(point)
 
     # ------------------------------------------------------------------ #
-    # Logging (the TrafficFeed / CostDiffJournal hooks)
+    # Logging (the TrafficFeed hook)
     # ------------------------------------------------------------------ #
     def log_traffic(
         self, updates: Iterable["TrafficUpdate"], base_version: int
@@ -134,22 +124,6 @@ class DurabilityManager:
         if self._replaying:
             return
         self.journal.append(JournalRecord.traffic(base_version, updates))
-
-    def log_costdiff(self, diff: "CostDiff") -> None:
-        """Mirror one applied broadcast (the in-memory ring's disk tail)."""
-        if self._replaying:
-            return
-        self.journal.append(JournalRecord.costdiff(diff))
-
-    def costdiff_records(self) -> list["CostDiff"]:
-        """Every replayable mirrored :class:`CostDiff` on disk, oldest
-        first — the persistent tail :meth:`CostDiffJournal.chain` falls
-        back to when its in-memory ring has already evicted a version."""
-        return [
-            record.payload
-            for record in self.journal.read_records().records
-            if record.kind == RECORD_COSTDIFF
-        ]
 
     # ------------------------------------------------------------------ #
     # Snapshots
@@ -187,10 +161,9 @@ class DurabilityManager:
         (pristine costs, ``cost_version`` as pickled).  Traffic records
         replay through ``feed`` (one is built if not given) so resolution
         semantics — absolute → scale → delta against current state — are
-        byte-for-byte the production ones; mirrored cost diffs apply their
-        absolute values directly.  With ``verify=True`` the recovered state
-        must pass the runtime coherence check or :class:`RecoveryError` is
-        raised.
+        byte-for-byte the production ones.  With ``verify=True`` the
+        recovered state must pass the runtime coherence check or
+        :class:`RecoveryError` is raised.
         """
         from ...traffic.feed import TrafficFeed
 
@@ -235,14 +208,11 @@ class DurabilityManager:
                         f"but network is at {current}; suffix not replayable"
                     )
                     break
+                if record.kind != RECORD_TRAFFIC:
+                    report.failed += 1
+                    continue
                 try:
-                    if record.kind == RECORD_TRAFFIC:
-                        feed.apply(record.payload)
-                    elif record.kind == RECORD_COSTDIFF:
-                        network.update_edge_costs(record.payload.as_updates())
-                    else:
-                        report.failed += 1
-                        continue
+                    feed.apply(record.payload)
                 except Exception:  # noqa: BLE001 - failed identically pre-crash
                     report.failed += 1
                     continue

@@ -6,19 +6,18 @@ The subsystem splits into independently testable layers:
   shards (regions clustering, boundary structure);
 * :mod:`~repro.service.sharding.overlay` — the boundary overlay graph and
   exact cross-shard stitching;
-* :mod:`~repro.service.sharding.protocol` — the transport-agnostic message
-  dataclasses (and the TCP wire framing they travel in);
-* :mod:`~repro.service.sharding.transport` — the TCP transport: the
-  worker-side auto-reconnecting :class:`SocketTransport` and the
-  coordinator-side :class:`TcpHub`;
+* :mod:`~repro.service.sharding.protocol` — the message dataclasses (and
+  the wire framing they travel in);
+* :mod:`~repro.service.sharding.transport` — the one transport, TCP
+  sockets: the worker-side auto-reconnecting :class:`SocketTransport` and
+  the coordinator-side :class:`TcpHub`;
 * :mod:`~repro.service.sharding.replication` — replica liveness
-  (:class:`HeartbeatMonitor`) and reconnect catch-up
-  (:class:`CostDiffJournal`);
+  (:class:`HeartbeatMonitor`);
 * :mod:`~repro.service.sharding.worker` / :mod:`~repro.service.sharding.
   pool` — the spawn-based worker loop and its process lifecycle;
 * :mod:`~repro.service.sharding.service` — the
   :class:`ShardedRoutingService` facade keeping the ``RoutingService`` API,
-  plus replica failover, hedged requests, and journal replay.
+  plus replica failover, hedged requests, and resync-on-reconnect.
 """
 
 from .overlay import BoundaryOverlay, CrossShardRouter
@@ -31,7 +30,6 @@ from .protocol import (
     Hello,
     Ping,
     Pong,
-    QueueTransport,
     ResyncRequired,
     RouteAnswer,
     RouteResults,
@@ -40,7 +38,7 @@ from .protocol import (
     VersionAck,
     WorkerPayload,
 )
-from .replication import CostDiffJournal, HeartbeatMonitor
+from .replication import HeartbeatMonitor
 from .service import ShardedRoutingService
 from .transport import (
     MAX_FRAME_BYTES,
@@ -56,7 +54,6 @@ from .worker import ShardWorker, resync_network
 __all__ = [
     "BoundaryOverlay",
     "CostDiff",
-    "CostDiffJournal",
     "CrossShardRouter",
     "DEFAULT_ENGINES",
     "Fatal",
@@ -66,7 +63,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "Ping",
     "Pong",
-    "QueueTransport",
     "ResyncRequired",
     "RouteAnswer",
     "RouteResults",

@@ -1,16 +1,14 @@
 """The spawn-based worker pool behind a :class:`ShardedRoutingService`.
 
 One process per worker, each booted from a :class:`WorkerPayload` pickled
-exactly once; all later coordination flows over one of two transports —
-``multiprocessing`` queues (a private inbox per worker, one shared outbox
-back to the coordinator) or TCP sockets through a :class:`~repro.service.
-sharding.transport.TcpHub` (``transport="tcp"``, the multi-node wire run
+exactly once; all later coordination flows over TCP sockets through a
+:class:`~repro.service.sharding.transport.TcpHub` (the multi-node wire, run
 here over loopback).  ``spawn`` — not ``fork`` — so workers never inherit
 the coordinator's thread/lock state and behave identically on every
 platform.
 
 The pool is deliberately dumb about routing: it moves protocol messages,
-tracks liveness (process handles *and*, over TCP, link state), and restarts
+tracks liveness (process handles *and* link state), and restarts
 dead workers (a restarted worker re-runs the full boot protocol, so it
 resyncs cost state from the shared segment rather than trusting anything in
 this process).  Request semantics — resubmission, response assembly,
@@ -27,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 from ...exceptions import ShardingError
 from .protocol import Fatal, Hello, Shutdown
 from .transport import TcpHub
-from .worker import _tcp_worker_entry, _worker_entry
+from .worker import _worker_entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .protocol import WorkerPayload
@@ -44,28 +42,15 @@ class ShardWorkerPool:
         payloads: Sequence["WorkerPayload"],
         *,
         boot_timeout_s: float = 120.0,
-        transport: str = "queue",
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         if not payloads:
             raise ShardingError("a worker pool needs at least one worker payload")
-        if transport not in ("queue", "tcp"):
-            raise ShardingError(
-                f"unknown pool transport {transport!r} (expected 'queue' or 'tcp')"
-            )
         self._payloads = list(payloads)
         self._boot_timeout_s = boot_timeout_s
-        self.transport = transport
         self._ctx = multiprocessing.get_context("spawn")
-        self._hub: TcpHub | None = None
-        self._outbox = None
-        self._inboxes: list[object] = []
-        if transport == "tcp":
-            self._hub = TcpHub(host, port, handshake_timeout_s=boot_timeout_s)
-        else:
-            self._outbox = self._ctx.Queue()
-            self._inboxes = [self._ctx.Queue() for _ in self._payloads]
+        self._hub = TcpHub(host, port, handshake_timeout_s=boot_timeout_s)
         self._processes: list[multiprocessing.process.BaseProcess | None] = [
             None for _ in self._payloads
         ]
@@ -96,28 +81,14 @@ class ShardWorkerPool:
         self._await_hello(set(range(self.size)))
 
     def _spawn(self, worker_id: int) -> None:
-        if self._hub is not None:
-            target, args = _tcp_worker_entry, (self._payloads[worker_id], self._hub.address)
-        else:
-            target, args = _worker_entry, (
-                self._payloads[worker_id],
-                self._inboxes[worker_id],
-                self._outbox,
-            )
         process = self._ctx.Process(
-            target=target,
-            args=args,
+            target=_worker_entry,
+            args=(self._payloads[worker_id], self._hub.address),
             name=f"shard-worker-{worker_id}",
             daemon=True,
         )
         process.start()
         self._processes[worker_id] = process
-
-    def _poll(self, timeout_s: float) -> object:
-        """One raw transport read (``queue.Empty`` on timeout)."""
-        if self._hub is not None:
-            return self._hub.recv(timeout_s=timeout_s)
-        return self._outbox.get(timeout=timeout_s)  # type: ignore[union-attr]
 
     def _await_hello(self, expected: set[int]) -> None:
         """Collect boot handshakes; stash unrelated traffic for recv()."""
@@ -131,7 +102,7 @@ class ShardWorkerPool:
                     f"{self._boot_timeout_s:.0f}s"
                 )
             try:
-                message = self._poll(min(0.5, remaining))
+                message = self._hub.recv(timeout_s=min(0.5, remaining))
             except queue.Empty:
                 dead = [w for w in waiting if not self._is_alive(w)]
                 if dead:
@@ -156,38 +127,27 @@ class ShardWorkerPool:
         return [self._is_alive(worker_id) for worker_id in range(self.size)]
 
     def connected(self, worker_id: int) -> bool:
-        """Whether the worker has a live transport link.
-
-        Over queues a link cannot die separately from the process, so this
-        is process liveness; over TCP it is the hub's connection registry —
-        a partitioned worker is alive but *not* connected.
-        """
-        if self._hub is not None:
-            return self._hub.connected(worker_id)
-        return self._is_alive(worker_id)
+        """Whether the worker has a live link in the hub's connection
+        registry — a partitioned worker is alive but *not* connected."""
+        return self._hub.connected(worker_id)
 
     def healthy(self, worker_id: int) -> bool:
         """Alive *and* reachable — the failover predicate."""
         return self._is_alive(worker_id) and self.connected(worker_id)
 
     def drop_connection(self, worker_id: int) -> bool:
-        """Chaos hook (TCP only): sever the worker's link without touching
-        the process.  Returns ``False`` over queues or for absent links."""
-        if self._hub is None:
-            return False
+        """Chaos hook: sever the worker's link without touching the
+        process.  Returns ``False`` for an absent link."""
         return self._hub.drop_connection(worker_id)
 
     def partition_worker(self, worker_id: int) -> bool:
-        """Chaos hook (TCP only): black-hole the worker — link severed and
-        re-dials refused — until :meth:`heal_worker`."""
-        if self._hub is None:
-            return False
+        """Chaos hook: black-hole the worker — link severed and re-dials
+        refused — until :meth:`heal_worker`."""
         return self._hub.partition_worker(worker_id)
 
     def heal_worker(self, worker_id: int) -> None:
-        """Close a :meth:`partition_worker` partition (TCP only)."""
-        if self._hub is not None:
-            self._hub.heal_worker(worker_id)
+        """Close a :meth:`partition_worker` partition."""
+        self._hub.heal_worker(worker_id)
 
     def restart_dead(self) -> list[int]:
         """Respawn every dead worker; returns the restarted ids.
@@ -214,26 +174,15 @@ class ShardWorkerPool:
     def close(self, timeout_s: float = _JOIN_TIMEOUT_S) -> bool:
         """Orderly shutdown; idempotent; returns False on terminate().
 
-        Shutdown is broadcast to every inbox, workers get ``timeout_s`` to
+        Shutdown is broadcast to every link, workers get ``timeout_s`` to
         drain and exit (closing their segment views on the way out), and
-        stragglers are terminated.  Queue feeder threads are cancelled so a
-        half-full queue can never hang interpreter exit.
+        stragglers are terminated.
         """
         if self._closed:
             return True
         self._closed = True
-        clean = True
-        if self._hub is not None:
-            delivered = self._hub.broadcast(Shutdown())
-            if delivered < sum(self.alive()):
-                clean = False  # someone alive had no link to hear the stop
-        else:
-            for worker_id in range(self.size):
-                if self._is_alive(worker_id):
-                    try:
-                        self._inboxes[worker_id].put(Shutdown())  # type: ignore[attr-defined]
-                    except (ValueError, OSError):
-                        clean = False
+        # Someone alive with no link to hear the stop cannot exit cleanly.
+        clean = self._hub.broadcast(Shutdown()) >= sum(self.alive())
         deadline = time.monotonic() + timeout_s
         for worker_id, process in enumerate(self._processes):
             if process is None:
@@ -243,13 +192,7 @@ class ShardWorkerPool:
                 clean = False
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT_S)
-        if self._hub is not None:
-            self._hub.close()
-        for q in [self._outbox, *self._inboxes]:
-            if q is None:
-                continue
-            q.cancel_join_thread()  # type: ignore[attr-defined]
-            q.close()  # type: ignore[attr-defined]
+        self._hub.close()
         return clean
 
     def __enter__(self) -> "ShardWorkerPool":
@@ -263,29 +206,21 @@ class ShardWorkerPool:
     # Transport
     # ------------------------------------------------------------------ #
     def submit(self, worker_id: int, message: object) -> bool:
-        """Deliver one message to one worker's transport.
+        """Deliver one message to one worker's link.
 
-        Returns whether the transport took it: always ``True`` over queues
-        (delivery to a dead process just parks the message), ``False`` over
-        TCP when the worker has no live link — the caller's liveness and
-        failover machinery owns what happens next.
+        Returns whether the hub took it: ``False`` when the worker has no
+        live link — the caller's liveness and failover machinery owns what
+        happens next.
         """
         if self._closed:
             raise ShardingError("worker pool is closed")
-        if self._hub is not None:
-            return self._hub.send(worker_id, message)
-        self._inboxes[worker_id].put(message)  # type: ignore[attr-defined]
-        return True
+        return self._hub.send(worker_id, message)
 
     def broadcast(self, message: object) -> int:
         """Deliver one message to every reachable worker; returns the count."""
         if self._closed:
             raise ShardingError("worker pool is closed")
-        if self._hub is not None:
-            return self._hub.broadcast(message)
-        for inbox in self._inboxes:
-            inbox.put(message)  # type: ignore[attr-defined]
-        return self.size
+        return self._hub.broadcast(message)
 
     def recv(self, timeout_s: float = 1.0) -> object:
         """The next worker-to-coordinator message (stashed first).
@@ -295,4 +230,4 @@ class ShardWorkerPool:
         """
         if self._stash:
             return self._stash.pop(0)
-        return self._poll(timeout_s)
+        return self._hub.recv(timeout_s=timeout_s)

@@ -1,9 +1,10 @@
-"""Transport-agnostic message protocol between coordinator and shard workers.
+"""The message protocol between coordinator and shard workers.
 
-Every message crossing the process boundary is a small frozen dataclass, so
-the same worker loop can sit behind any transport that moves pickled (or
-otherwise serialized) records — ``multiprocessing`` queues in-host, TCP
-sockets (:mod:`~repro.service.sharding.transport`) across nodes.  The
+Every message crossing the process boundary is a small frozen dataclass,
+framed over TCP sockets (:mod:`~repro.service.sharding.transport`; loopback
+on one host, the same wire across nodes).  The worker loop is written
+against the two-method :class:`Transport` protocol, which is what lets the
+chaos wrapper and the tests' in-memory fake stand in for a socket.  The
 coordinator-to-worker direction carries :class:`RouteWork` batches,
 versioned :class:`CostDiff` broadcasts, :class:`Ping` heartbeats,
 :class:`ResyncRequired`, and :class:`Shutdown`; the worker-to-coordinator
@@ -17,10 +18,10 @@ already holds the originating requests and rebuilding the response there
 keeps the wire payload (and pickling cost) proportional to the paths, not to
 the request metadata.
 
-Wire framing (TCP transport)
-----------------------------
+Wire framing
+------------
 
-Over sockets every message is one *frame*::
+Every message is one *frame*::
 
     +----------------------------+----------------------------------+
     | length: 4 bytes big-endian | payload: pickle.dumps(message)   |
@@ -35,12 +36,12 @@ enforces this), so a stalled peer surfaces as a timeout, never as a hung
 coordinator or worker.  The first frame a worker sends on every connection
 — initial dial *and* every reconnect — is a :class:`Hello` carrying its
 current ``cost_version``; the coordinator uses it to route the connection
-and to decide between a journal replay and a full segment resync.
+and, when the version is stale, to order a resync from the shared segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 from ...routing.costs import CostFeature
@@ -62,10 +63,9 @@ DEFAULT_ENGINES: tuple[tuple[str, CostFeature], ...] = (
 class Hello:
     """Worker boot handshake — and reconnect re-identification.
 
-    Sent once at boot over every transport, and again as the first frame of
-    every re-dialed TCP connection.  ``cost_version`` tells the coordinator
-    how far behind this worker is: a stale version triggers either a
-    :class:`CostDiff` journal replay or a :class:`ResyncRequired` order.
+    Sent once at boot, and again as the first frame of every re-dialed
+    connection.  ``cost_version`` tells the coordinator whether this worker
+    is behind: a stale version gets a :class:`ResyncRequired` order.
     """
 
     worker_id: int
@@ -127,10 +127,10 @@ class CostDiff:
 
     ``changes`` maps each touched edge key to its new per-feature values
     (absolute, not deltas — applying the same diff twice is idempotent,
-    which is what makes worker restarts, queue replays, and journal replays
-    safe).  A worker whose current version is not ``base_version`` missed a
-    broadcast and resyncs from the shared segment instead of applying the
-    diff.
+    which is what makes worker restarts and diffs landing on top of a
+    resync safe).  A worker whose current version is not ``base_version``
+    missed a broadcast and resyncs from the shared segment instead of
+    applying the diff.
     """
 
     version: int
@@ -167,8 +167,9 @@ class Pong:
 
 @dataclass(frozen=True)
 class ResyncRequired:
-    """Coordinator order: the journal cannot bridge this worker's version
-    gap — adopt the shared segment wholesale and acknowledge its version."""
+    """Coordinator order: this worker is behind (a reconnect after missed
+    broadcasts, or a coordinator recovery) — adopt the shared segment
+    wholesale and acknowledge its version."""
 
     version: int
     """The cost version the coordinator expects the resync to reach (the
@@ -220,24 +221,3 @@ class Transport(Protocol):
     def recv(self, timeout_s: float | None = None) -> object:  # pragma: no cover
         ...
 
-
-@dataclass
-class QueueTransport:
-    """The in-host transport: a pair of ``multiprocessing`` queues.
-
-    ``inbox`` is this endpoint's receive side, ``outbox`` its send side; the
-    coordinator and each worker hold mirrored pairs over the same two
-    queues.  ``recv`` raises ``queue.Empty`` on timeout — always pass a
-    timeout from the serving loops (reprolint RL008 enforces this).
-    """
-
-    inbox: object
-    outbox: object
-    default_timeout_s: float = field(default=1.0)
-
-    def send(self, message: object) -> None:
-        self.outbox.put(message)  # type: ignore[attr-defined]
-
-    def recv(self, timeout_s: float | None = None) -> object:
-        wait = self.default_timeout_s if timeout_s is None else timeout_s
-        return self.inbox.get(timeout=wait)  # type: ignore[attr-defined]

@@ -1,46 +1,20 @@
-"""Replica liveness and catch-up machinery for the fault-tolerant coordinator.
+"""Replica liveness accounting for the fault-tolerant coordinator.
 
-Two independent pieces the :class:`~repro.service.sharding.service.
-ShardedRoutingService` composes:
-
-* :class:`HeartbeatMonitor` — Ping/Pong liveness accounting.  The
-  coordinator stamps every inbound message (pongs, route results, acks —
-  any traffic proves life) and records when it last probed each worker; a
-  worker is *suspect* once a probe has gone unanswered past the timeout.
-  Process-handle liveness (``pool.alive``) catches same-host crashes
-  instantly; the heartbeat path is what catches the failures a process
-  handle cannot see — a wedged loop, a severed TCP link, a partitioned
-  node.  Clock-injectable so the chaos suite drives expiry
-  deterministically.
-* :class:`CostDiffJournal` — a bounded write-ahead journal of the versioned
-  :class:`~repro.service.sharding.protocol.CostDiff` broadcasts.  A worker
-  that reconnects (or respawns) behind the current cost version replays the
-  contiguous chain of diffs from its last version instead of rescanning the
-  whole shared segment; when the bounded journal has already evicted part
-  of that chain, the coordinator falls back to ordering a full resync.
-  Replays are safe to repeat: diffs carry absolute post-update values and
-  workers ignore versions at or below their own.
+:class:`HeartbeatMonitor` is the Ping/Pong bookkeeping the
+:class:`~repro.service.sharding.service.ShardedRoutingService` composes.
+The coordinator stamps every inbound message (pongs, route results, acks —
+any traffic proves life) and records when it last probed each worker; a
+worker is *suspect* once a probe has gone unanswered past the timeout.
+Process-handle liveness (``pool.alive``) catches same-host crashes
+instantly; the heartbeat path is what catches the failures a process handle
+cannot see — a wedged loop, a severed TCP link, a partitioned node.
+Clock-injectable so the chaos suite drives expiry deterministically.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from typing import Protocol
-
-    from .protocol import CostDiff
-
-    class DurableTail(Protocol):
-        """The disk half of the journal (see :class:`~repro.service.
-        durability.manager.DurabilityManager`): mirrors every appended diff
-        and serves the chains the bounded in-memory ring has evicted."""
-
-        def log_costdiff(self, diff: "CostDiff") -> None: ...
-
-        def costdiff_records(self) -> list["CostDiff"]: ...
+from typing import Callable, Iterable
 
 Clock = Callable[[], float]
 
@@ -125,139 +99,3 @@ class HeartbeatMonitor:
             f"pings={self._pings_sent}, timeouts={self._timeouts})"
         )
 
-
-class CostDiffJournal:
-    """Bounded, contiguous write-ahead journal of ``CostDiff`` broadcasts.
-
-    Diffs append in version order (each new diff's ``base_version`` must be
-    the previous diff's ``version``; a gap — e.g. after coordinator-side
-    truncation of the feed — clears the journal, because a broken chain can
-    never be replayed).  :meth:`chain` answers the replay question: the
-    list of diffs bridging ``from_version`` up to the journal head, or
-    ``None`` when the bounded history no longer reaches back that far.
-    """
-
-    def __init__(
-        self, capacity: int = 64, *, durability: "DurableTail | None" = None
-    ) -> None:
-        if capacity < 0:
-            raise ValueError("journal capacity must be >= 0")
-        self.capacity = capacity
-        # max(1, ...) keeps the deque constructible at capacity 0; append()
-        # simply never stores in that configuration.
-        self._diffs: deque["CostDiff"] = deque(maxlen=max(1, capacity))
-        self._durability = durability
-        self._replays = 0
-        self._resyncs = 0
-        self._disk_chains = 0
-
-    def __len__(self) -> int:
-        return len(self._diffs)
-
-    @property
-    def replays(self) -> int:
-        """Catch-ups served from the journal (delta replay, no segment scan)."""
-        return self._replays
-
-    @property
-    def resyncs(self) -> int:
-        """Catch-ups the journal could not serve (truncated chain -> full
-        segment resync ordered instead)."""
-        return self._resyncs
-
-    @property
-    def head_version(self) -> int | None:
-        return self._diffs[-1].version if self._diffs else None
-
-    @property
-    def tail_base_version(self) -> int | None:
-        """The oldest version the journal can still replay *from*."""
-        return self._diffs[0].base_version if self._diffs else None
-
-    @property
-    def disk_chains(self) -> int:
-        """Catch-ups the in-memory ring had evicted but the durable tail
-        could still bridge (saved resyncs)."""
-        return self._disk_chains
-
-    def append(self, diff: "CostDiff") -> None:
-        if self._durability is not None:
-            # Mirror to disk first: a crash between the two appends then
-            # leaves the durable tail *ahead* of the ring, which chain()
-            # tolerates, rather than behind it, which it must never be.
-            self._durability.log_costdiff(diff)
-        if self.capacity == 0:
-            return
-        if self._diffs and diff.base_version != self._diffs[-1].version:
-            # A discontinuity poisons every older entry: drop them all
-            # rather than ever replaying across the gap.
-            self._diffs.clear()
-        self._diffs.append(diff)
-
-    def clear(self) -> None:
-        """Drop the in-memory ring (coordinator recovery rebuilt the world;
-        pre-recovery chains must never bridge across it).  The durable tail
-        is not touched — version anchors already guard its replay."""
-        self._diffs.clear()
-
-    def chain(self, from_version: int) -> list["CostDiff"] | None:
-        """The contiguous diffs taking ``from_version`` to the head.
-
-        ``[]`` when the worker is already current (or ahead); ``None`` when
-        the journal's bounded history no longer covers the gap.  Callers
-        count the outcome via :meth:`record_replay` / :meth:`record_resync`
-        once they acted on it.
-        """
-        head = self.head_version
-        if head is None:
-            return self._disk_chain(from_version)  # ring empty: disk only
-        if from_version >= head:
-            return []
-        tail = self.tail_base_version
-        if tail is None or from_version < tail:
-            return self._disk_chain(from_version)
-        selected = [diff for diff in self._diffs if diff.base_version >= from_version]
-        if not selected or selected[0].base_version != from_version:
-            # The worker sits between journal boundaries (it should never —
-            # versions only take broadcast values — but replaying across a
-            # mismatched base would corrupt it, so order a resync instead).
-            return None
-        return selected
-
-    def _disk_chain(self, from_version: int) -> list["CostDiff"] | None:
-        """Bridge from the durable tail when the ring no longer reaches back.
-
-        The disk records are rescanned for the newest *contiguous* run; the
-        run must start at ``from_version`` (same boundary rule as the ring)
-        and reach at least the ring's head — a shorter disk chain would
-        leave the worker in a half-caught-up state worse than a resync.
-        """
-        if self._durability is None:
-            return None
-        run: list["CostDiff"] = []
-        for diff in self._durability.costdiff_records():
-            if run and diff.base_version != run[-1].version:
-                run = []  # discontinuity: only the newest run is trustworthy
-            run.append(diff)
-        selected = [diff for diff in run if diff.base_version >= from_version]
-        if not selected or selected[0].base_version != from_version:
-            return None
-        head = self.head_version
-        if head is not None and selected[-1].version < head:
-            return None
-        if selected[-1].version <= from_version:
-            return []
-        self._disk_chains += 1
-        return selected
-
-    def record_replay(self) -> None:
-        self._replays += 1
-
-    def record_resync(self) -> None:
-        self._resyncs += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CostDiffJournal(depth={len(self)}, head={self.head_version}, "
-            f"replays={self._replays}, resyncs={self._resyncs})"
-        )

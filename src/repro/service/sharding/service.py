@@ -4,21 +4,24 @@ multi-process worker pool.
 The coordinator owns the master :class:`~repro.network.road_network.
 RoadNetwork`, exports its compiled snapshot into one shared-memory segment,
 partitions the vertices into shards, and spawns ``replicas`` worker
-processes per shard (over ``multiprocessing`` queues or TCP sockets —
-``transport="tcp"``).  Queries are dispatched to the *primary* replica of
-the worker set owning the *source* vertex (cross-shard destinations are the
-worker's problem — it stitches through the boundary overlay); when the
-primary dies or loses its link, the batch fails over to a healthy replica,
-and optionally a *hedge* copy goes to a second replica after a p95-derived
-delay.  Live traffic is applied to the master network through a
+processes per shard, each linked to the coordinator by one TCP socket
+(loopback here; the wire is the multi-node one).  Queries are dispatched to
+the *primary* replica of the worker set owning the *source* vertex
+(cross-shard destinations are the worker's problem — it stitches through
+the boundary overlay); when the primary dies or loses its link, the batch
+fails over to a healthy replica, and optionally a *hedge* copy goes to a
+second replica after a p95-derived delay.
+
+Live traffic is applied to the master network through a
 :class:`~repro.traffic.TrafficFeed`, patched into the shared segment, and
 broadcast to every worker as a versioned :class:`CostDiff` so they
 self-evict stale caches and acknowledge the new version (the ack round-trip
-is the ``broadcast_lag_s`` statistic).  Each broadcast also lands in a
-bounded :class:`~repro.service.sharding.replication.CostDiffJournal`: a
-worker reconnecting behind the current version replays the missed diffs
-instead of rescanning the shared segment, falling back to a full
-:class:`ResyncRequired` order when the journal has been truncated.
+is the ``broadcast_lag_s`` statistic).  A worker reconnecting behind the
+current version is sent :class:`ResyncRequired` and adopts the shared
+segment wholesale — the one catch-up path, the same one boot and recovery
+use (replaying the missed diffs one by one measured slower than a resync
+for every gap above one version).
+
 Liveness beyond process handles comes from Ping/Pong heartbeats tracked by
 a :class:`~repro.service.sharding.replication.HeartbeatMonitor` — a worker
 whose probe goes unanswered has its link severed, which routes it through
@@ -61,7 +64,7 @@ from .protocol import (
     VersionAck,
     WorkerPayload,
 )
-from .replication import CostDiffJournal, HeartbeatMonitor
+from .replication import HeartbeatMonitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...network.road_network import RoadNetwork, VertexId
@@ -106,23 +109,30 @@ class ShardedRoutingService:
         boot_timeout_s: float = 120.0,
         request_timeout_s: float = 60.0,
         traffic_timeout_s: float = 30.0,
-        transport: str = "queue",
+        transport: str = "tcp",
         replicas: int = 1,
         hedge: bool = False,
         hedge_delay_s: float | None = None,
         heartbeat_interval_s: float = 2.0,
         heartbeat_timeout_s: float = 10.0,
-        journal_capacity: int = 64,
         durability: "DurabilityManager | None" = None,
     ) -> None:
         if replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
+        # Not an option: sockets are the only wire.  The keyword survives
+        # because benchmarks/e2e/systems.py (frozen for the PR that removed
+        # the queue transport) still passes transport="tcp"; it goes when a
+        # benchmark PR drops that argument.
+        if transport != "tcp":
+            raise ConfigurationError(
+                f"transport={transport!r}: the multiprocessing-queue transport "
+                "was removed; workers are always linked over TCP sockets"
+            )
         self._network = network
         self._engine_features = dict(DEFAULT_ENGINES)
         self._default_engine = DEFAULT_ENGINES[0][0]
         self._request_timeout_s = request_timeout_s
         self._traffic_timeout_s = traffic_timeout_s
-        self._transport = transport
         self._replicas = replicas
         self._hedge_enabled = hedge
         self._hedge_delay_s = hedge_delay_s
@@ -134,13 +144,10 @@ class ShardedRoutingService:
         self._feed = TrafficFeed(network)
         self._plan: ShardPlan = build_shard_plan(network, shard_count, method=method)
         # The durability manager (caller-owned; the coordinator never closes
-        # it) slots in at both write paths: write-ahead of raw batches via
-        # the feed, and a durable mirror of every broadcast diff behind the
-        # bounded in-memory journal.
+        # it) write-ahead logs every raw batch through the feed.
         self._durability = durability
         if durability is not None:
             self._feed.attach_journal(durability)
-        self._journal = CostDiffJournal(journal_capacity, durability=durability)
 
         self._pool: ShardWorkerPool | None = None
         self._segment: shm.SharedGraphSegment | None = shm.export_graph(
@@ -164,9 +171,7 @@ class ShardedRoutingService:
                 )
                 for worker_id in range(worker_count)
             ]
-            self._pool = ShardWorkerPool(
-                payloads, boot_timeout_s=boot_timeout_s, transport=transport
-            )
+            self._pool = ShardWorkerPool(payloads, boot_timeout_s=boot_timeout_s)
             self._pool.start()
         except BaseException:
             if self._pool is not None:
@@ -188,6 +193,7 @@ class ShardedRoutingService:
         self._failovers = 0
         self._hedged = 0
         self._hedge_wins = 0
+        self._worker_resyncs = 0
         self._reconnected: set[int] = set()
         self._crash_worker: int | None = None
         self._crash_diff_shards: tuple[int, ...] = ()
@@ -211,10 +217,6 @@ class ShardedRoutingService:
     @property
     def default_engine(self) -> str:
         return self._default_engine
-
-    @property
-    def transport(self) -> str:
-        return self._transport
 
     @property
     def replicas(self) -> int:
@@ -334,7 +336,7 @@ class ShardedRoutingService:
             )
             worker_id = self._primary(shard_id)
             if not self._pool.submit(worker_id, work):
-                # Link down at dispatch (TCP): fail straight over to a
+                # Link down at dispatch: fail straight over to a
                 # standby; a still-undelivered batch heals in the wait loop.
                 standby = self._standby(shard_id, worker_id)
                 if standby is not None and self._pool.submit(standby, work):
@@ -362,6 +364,10 @@ class ShardedRoutingService:
             if pending:
                 self._heal_and_resubmit(pending)
                 self._maybe_hedge(pending)
+        # Whatever is left belongs to no pending batch (a hedge loser, the
+        # answer to a resend, one that outlived its call's deadline): calls
+        # are serialized, so nothing will ever collect it.
+        self._results.clear()
 
         for task in pending.values():
             for request, position in zip(task.work.requests, task.work.positions):
@@ -489,24 +495,16 @@ class ShardedRoutingService:
 
     def _on_hello(self, hello: Hello) -> None:
         """A reconnect re-identification (boot Hellos are consumed by the
-        pool's handshake): mark the worker for pending-work resubmission and
-        bring its cost state forward — journal replay when the bounded
-        history still covers its version gap, full resync otherwise."""
+        pool's handshake): mark the worker for pending-work resubmission
+        and, when it is behind, order it to resync from the segment.  A send
+        that fails means the link died again; the next Hello asks again."""
         assert self._pool is not None
         self._reconnected.add(hello.worker_id)
         current = self._network.cost_version
-        if hello.cost_version >= current:
-            return
-        chain = self._journal.chain(hello.cost_version)
-        if chain:
-            if all(self._pool.submit(hello.worker_id, diff) for diff in chain):
-                self._journal.record_replay()
-            # A send that failed means the link died again mid-replay; the
-            # next Hello restarts the catch-up from the worker's new version.
-        elif self._pool.submit(hello.worker_id, ResyncRequired(version=current)):
-            # chain is None (journal truncated) or [] with a stale worker
-            # (empty journal): the segment is the only source wide enough.
-            self._journal.record_resync()
+        if hello.cost_version < current and self._pool.submit(
+            hello.worker_id, ResyncRequired(version=current)
+        ):
+            self._worker_resyncs += 1
 
     # ------------------------------------------------------------------ #
     # Heartbeats
@@ -598,9 +596,6 @@ class ShardedRoutingService:
                 changes=changes,
                 crash_workers=crash_workers,
             )
-            # The journal keeps the *clean* diff: a replay must catch a
-            # reconnecting worker up, not re-fire a chaos crash hook.
-            self._journal.append(replace(diff, crash_workers=()))
             self._pool.broadcast(diff)
             if wait:
                 self._await_acks(
@@ -657,11 +652,9 @@ class ShardedRoutingService:
         pre-crash directory.  The durable state (newest snapshot + WAL
         suffix) is replayed into the master network through the normal feed
         machinery, the whole shared segment is re-patched at the recovered
-        version, the in-memory diff journal is cleared (pre-crash chains
-        must never bridge across a recovery), and every worker is ordered
-        to resync from the segment.  Returns the durability layer's
-        :class:`RecoveryReport` once all workers have acknowledged the
-        recovered version.
+        version, and every worker is ordered to resync from the segment.
+        Returns the durability layer's :class:`RecoveryReport` once all
+        workers have acknowledged the recovered version.
         """
         with self._lock:
             self._ensure_open()
@@ -677,8 +670,9 @@ class ShardedRoutingService:
             self._segment.patch(
                 graph, list(range(graph.topology.edge_count)), version
             )
-            self._journal.clear()
-            self._pool.broadcast(ResyncRequired(version=version))
+            self._worker_resyncs += self._pool.broadcast(
+                ResyncRequired(version=version)
+            )
             self._await_acks(
                 version,
                 self._traffic_timeout_s if timeout_s is None else timeout_s,
@@ -699,16 +693,13 @@ class ShardedRoutingService:
                 in_shard_requests=self._in_shard,
                 broadcast_lag_s=self._broadcast_lag_s,
                 worker_restarts=self._pool.restarts if self._pool is not None else 0,
-                transport=self._transport,
                 replicas=self._replicas,
                 failovers=self._failovers,
                 hedged_requests=self._hedged,
                 hedge_wins=self._hedge_wins,
                 heartbeats_sent=self._monitor.pings_sent,
                 heartbeat_timeouts=self._monitor.timeouts,
-                journal_replays=self._journal.replays,
-                journal_resyncs=self._journal.resyncs,
-                journal_depth=len(self._journal),
+                worker_resyncs=self._worker_resyncs,
             )
 
     def reset_stats(self) -> None:
@@ -738,20 +729,19 @@ class ShardedRoutingService:
                 self._crash_diff_shards = (*self._crash_diff_shards, shard_id)
 
     def drop_connection(self, worker_id: int) -> bool:
-        """Chaos hook (TCP transport): sever one worker's link — a network
-        fault, not a crash; the worker redials and re-identifies on its
-        own.  Returns whether a live link existed."""
+        """Chaos hook: sever one worker's link — a network fault, not a
+        crash; the worker redials and re-identifies on its own.  Returns
+        whether a live link existed."""
         with self._lock:
             self._ensure_open()
             assert self._pool is not None
             return self._pool.drop_connection(worker_id)
 
     def partition_worker(self, worker_id: int) -> bool:
-        """Chaos hook (TCP transport): black-hole one worker — link severed
-        and every re-dial refused — until :meth:`heal_worker`.  The worker
-        keeps redialing with backoff; once healed, its reconnect Hello
-        triggers a journal replay (or full resync) of whatever broadcasts
-        it missed."""
+        """Chaos hook: black-hole one worker — link severed and every
+        re-dial refused — until :meth:`heal_worker`.  The worker keeps
+        redialing with backoff; once healed, its reconnect Hello gets it a
+        resync order for whatever broadcasts it missed."""
         with self._lock:
             self._ensure_open()
             assert self._pool is not None

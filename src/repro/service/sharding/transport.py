@@ -1,20 +1,18 @@
 """TCP socket transport for the sharded serving protocol.
 
-The same :class:`~repro.service.sharding.worker.ShardWorker` loop that runs
-over ``multiprocessing`` queues runs unchanged over sockets: this module
-supplies the two endpoints of that wire.
+The one wire between coordinator and workers: this module supplies its two
+endpoints.
 
 * :class:`SocketTransport` — the worker side.  Implements the
   :class:`~repro.service.sharding.protocol.Transport` protocol (``send`` /
   ``recv``) over one TCP connection to the coordinator, dialing lazily and
   *reconnecting* with :class:`~repro.service.resilience.RetryPolicy`
   seeded-jitter backoff when the link dies.  ``recv`` raises
-  ``queue.Empty`` on a poll timeout — exactly like the queue transport —
-  so the worker loop cannot tell the transports apart.  The first frame of
-  every re-dialed connection is the ``identify`` message (a
+  ``queue.Empty`` on a poll timeout (the worker loop's contract).  The
+  first frame of every re-dialed connection is the ``identify`` message (a
   :class:`~repro.service.sharding.protocol.Hello` carrying the worker's
-  current cost version), which is what lets the coordinator choose between
-  a journal replay and a full segment resync.
+  current cost version), which is what tells the coordinator to order a
+  segment resync.
 * :class:`TcpHub` — the coordinator side.  One listening socket, a
   background accept thread, and one reader thread per live connection;
   every inbound message lands in a single bounded-wait queue the pool
@@ -50,8 +48,7 @@ _LENGTH_STRUCT = struct.Struct(">I")
 #: peer) must not make the reader allocate gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: How long one worker-side ``recv`` poll blocks by default (mirrors the
-#: queue transport's default).
+#: How long one worker-side ``recv`` poll blocks by default.
 _DEFAULT_POLL_TIMEOUT_S = 1.0
 
 #: Socket timeout for whole-frame writes and for the mid-frame chunks of a
@@ -306,7 +303,7 @@ class TcpHub:
     :meth:`recv` drains with a bounded wait; outbound :meth:`send` /
     :meth:`broadcast` are best-effort — a send onto a dead link marks the
     connection gone and returns ``False`` rather than raising, because the
-    liveness/journal machinery (not the sender) owns recovery.
+    liveness/resync machinery (not the sender) owns recovery.
     """
 
     def __init__(
@@ -445,7 +442,7 @@ class TcpHub:
 
     def recv(self, timeout_s: float = 1.0) -> object:
         """The next worker-to-coordinator message (``queue.Empty`` on
-        timeout — callers own the retry loop, like the queue pool)."""
+        timeout — callers own the retry loop)."""
         return self._inbound.get(timeout=timeout_s)
 
     def partition_worker(self, worker_id: int) -> bool:
@@ -455,7 +452,7 @@ class TcpHub:
         handshake, so — unlike a bare :meth:`drop_connection`, which the
         worker heals in milliseconds — the worker *deterministically* stays
         unreachable across whatever the test does next (e.g. a traffic
-        broadcast it must later catch up on via journal replay).  Returns
+        broadcast it must later catch up on via a resync).  Returns
         whether a live link existed when the partition opened.
         """
         with self._registry_lock:
@@ -473,7 +470,7 @@ class TcpHub:
         Returns whether a live connection existed.  The worker process is
         untouched — this is a network fault, not a crash — so the next
         frames it sends redial and re-identify, which is exactly the
-        journal-replay path the partition tests exercise.
+        reconnect path the partition tests exercise.
         """
         with self._registry_lock:
             connection = self._connections.pop(worker_id, None)

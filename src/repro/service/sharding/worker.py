@@ -16,11 +16,13 @@ Boot protocol (the order matters):
 
 Live traffic arrives as versioned :class:`CostDiff` broadcasts; a worker
 whose version does not match the diff's base resyncs from the segment (the
-authoritative state) instead of applying the diff.  Either way every route
-answer cached under the old version is dropped — the self-eviction the
-coordinator's broadcast protocol is designed around — and the overlay's live
-boundary tables are rebuilt before the acknowledgement, so an acked version
-is one the next request finds ready.
+authoritative state) instead of applying the diff, and so does one the
+coordinator orders to (:class:`ResyncRequired`, sent when a worker
+reconnects behind the current version) — the one catch-up path, whatever
+the gap.  Either way every route answer cached under the old version is
+dropped — the self-eviction the coordinator's broadcast protocol is designed
+around — and the overlay's live boundary tables are rebuilt before the
+acknowledgement, so an acked version is one the next request finds ready.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .protocol import (
     Hello,
     Ping,
     Pong,
-    QueueTransport,
     ResyncRequired,
     RouteAnswer,
     RouteResults,
@@ -52,6 +53,7 @@ from .protocol import (
     VersionAck,
     WorkerPayload,
 )
+from .transport import SocketTransport
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...network.road_network import RoadNetwork, VertexId
@@ -115,9 +117,14 @@ class ShardWorker:
                     f"{self.payload.spec.segment_name!r} does not match the "
                     "pickled network's CSR topology"
                 )
+            # The owner writes values, then the version: stamp the version
+            # read *before* the scan, so a patch landing mid-scan leaves the
+            # worker behind (the next diff applies or forces a resync), never
+            # stamped current over edges the scan had already passed.
+            version = view.cost_version
             shm.sync_network(self.network, view)
             shm.adopt_shared_costs(self.network.compiled(), view)
-            self.version = view.cost_version
+            self.version = version
             self.overlay = BoundaryOverlay(self.network, self.payload.plan)
             self.router = CrossShardRouter(self.network, self.overlay)
         except BaseException:
@@ -339,8 +346,15 @@ class ShardWorker:
         self._answers.clear()
 
     def resync(self) -> None:
-        """Adopt the shared segment's cost state wholesale."""
+        """Adopt the shared segment's cost state wholesale.
+
+        The stamped version is the one read *before* the edge scan (same
+        reason as in :meth:`boot`): the diffs of any batch that lands during
+        the scan still apply, idempotently, on top of whatever part of it
+        the scan picked up.
+        """
         assert self.view is not None and self.overlay is not None
+        version = self.view.cost_version
         changed = resync_network(self.network, self.view)
         if changed:
             updates: dict[tuple["VertexId", "VertexId"], dict[str, float]] = {}
@@ -354,40 +368,20 @@ class ShardWorker:
                 }
             self.overlay.apply(updates)
             self.overlay.refresh()
-        self.version = self.view.cost_version
+        self.version = version
         self._answers.clear()
 
 
-def _worker_entry(payload: WorkerPayload, inbox: object, outbox: object) -> None:
-    """Spawn target: boot, serve, always close the segment view.
+def _worker_entry(payload: WorkerPayload, address: tuple[str, int]) -> None:
+    """Spawn target: dial the coordinator's hub, boot, serve, always close
+    the segment view.
 
     Module-level so the spawn pickle can import it; boot failures are
     reported as :class:`Fatal` so the pool does not hang on the handshake.
+    The transport's ``identify`` hook sends a fresh :class:`Hello` carrying
+    the worker's *live* cost version as the first frame of every re-dialed
+    connection, which is what tells the coordinator to order a resync.
     """
-    transport = QueueTransport(inbox=inbox, outbox=outbox)
-    worker = ShardWorker(payload, transport)
-    try:
-        worker.boot()
-    except BaseException as exc:  # noqa: BLE001 - reported, then re-raised
-        transport.send(Fatal(worker_id=payload.worker_id, error=f"{type(exc).__name__}: {exc}"))
-        raise
-    try:
-        worker.run()
-    finally:
-        worker.close()
-
-
-def _tcp_worker_entry(payload: WorkerPayload, address: tuple[str, int]) -> None:
-    """Spawn target for the TCP transport: dial the coordinator's hub.
-
-    Identical lifecycle to :func:`_worker_entry`, plus reconnect
-    re-identification: the transport's ``identify`` hook sends a fresh
-    :class:`Hello` carrying the worker's *live* cost version as the first
-    frame of every re-dialed connection, which is what lets the coordinator
-    choose between a :class:`CostDiff` journal replay and a full resync.
-    """
-    from .transport import SocketTransport
-
     transport = SocketTransport(address)
     worker = ShardWorker(payload, transport)
     transport.identify = lambda: Hello(

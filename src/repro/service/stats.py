@@ -97,9 +97,6 @@ class ServiceStats:
     shared segment to the last worker acknowledging its version."""
     worker_restarts: int = 0
     """Worker processes respawned by the pool after dying mid-service."""
-    transport: str = ""
-    """Pool transport behind a sharded service ("queue" or "tcp"; empty for
-    an in-process service)."""
     replicas: int = 0
     """Replicas per shard behind a sharded service (0 when not sharded)."""
     failovers: int = 0
@@ -113,13 +110,9 @@ class ServiceStats:
     """Ping probes sent by the coordinator's heartbeat monitor."""
     heartbeat_timeouts: int = 0
     """Probes that crossed the liveness deadline unanswered."""
-    journal_replays: int = 0
-    """Reconnecting workers caught up via CostDiff journal replay."""
-    journal_resyncs: int = 0
-    """Reconnecting workers beyond the journal's bounded history, ordered
-    to resync from the shared segment instead."""
-    journal_depth: int = 0
-    """CostDiff broadcasts currently retained in the write-ahead journal."""
+    worker_resyncs: int = 0
+    """Resync orders sent to workers: one per reconnect behind the current
+    cost version, one per worker reached by a coordinator recovery."""
 
     @property
     def cache_hit_rate(self) -> float:
@@ -221,16 +214,13 @@ class StatsAccumulator:
         in_shard_requests: int = 0,
         broadcast_lag_s: float = 0.0,
         worker_restarts: int = 0,
-        transport: str = "",
         replicas: int = 0,
         failovers: int = 0,
         hedged_requests: int = 0,
         hedge_wins: int = 0,
         heartbeats_sent: int = 0,
         heartbeat_timeouts: int = 0,
-        journal_replays: int = 0,
-        journal_resyncs: int = 0,
-        journal_depth: int = 0,
+        worker_resyncs: int = 0,
     ) -> ServiceStats:
         """Freeze the counters; ``hierarchy_reweights``, ``shed``, the
         breaker fields, ``drain``, and the sharding fields are sampled by
@@ -274,16 +264,13 @@ class StatsAccumulator:
                 in_shard_requests=in_shard_requests,
                 broadcast_lag_s=broadcast_lag_s,
                 worker_restarts=worker_restarts,
-                transport=transport,
                 replicas=replicas,
                 failovers=failovers,
                 hedged_requests=hedged_requests,
                 hedge_wins=hedge_wins,
                 heartbeats_sent=heartbeats_sent,
                 heartbeat_timeouts=heartbeat_timeouts,
-                journal_replays=journal_replays,
-                journal_resyncs=journal_resyncs,
-                journal_depth=journal_depth,
+                worker_resyncs=worker_resyncs,
             )
 
     def reset(self) -> None:

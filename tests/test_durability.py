@@ -37,6 +37,7 @@ from repro.service import (
     save_model,
 )
 from repro.service.durability import (
+    RECORD_TRAFFIC,
     crash_and_recover,
     final_state,
     reference_state,
@@ -45,8 +46,6 @@ from repro.service.durability import (
     topology_stamp,
 )
 from repro.service.durability.journal import _HEADER
-from repro.service.sharding.protocol import CostDiff
-from repro.service.sharding.replication import CostDiffJournal
 from repro.traffic import TrafficFeed
 from repro.traffic.updates import TrafficUpdate
 
@@ -595,55 +594,6 @@ class TestDiskFaults:
 
 
 # -------------------------------------------------------------------- #
-# CostDiffJournal disk tail
-# -------------------------------------------------------------------- #
-def _diff(version: int) -> CostDiff:
-    return CostDiff(
-        version=version,
-        base_version=version - 1,
-        changes=(((0, 1), (("travel_time_s", float(version)),)),),
-    )
-
-
-class TestCostDiffDiskTail:
-    def test_chain_falls_back_to_disk_past_ring_capacity(self, tmp_path):
-        with DurabilityManager(tmp_path) as manager:
-            journal = CostDiffJournal(capacity=2, durability=manager)
-            for version in range(1, 7):
-                journal.append(_diff(version))
-            # Ring holds [5, 6]; versions 1-4 are only on disk.
-            chain = journal.chain(0)
-            assert chain is not None
-            assert [d.version for d in chain] == [1, 2, 3, 4, 5, 6]
-            assert journal.disk_chains == 1
-
-    def test_ring_answers_without_touching_disk(self, tmp_path):
-        with DurabilityManager(tmp_path) as manager:
-            journal = CostDiffJournal(capacity=8, durability=manager)
-            for version in range(1, 5):
-                journal.append(_diff(version))
-            chain = journal.chain(2)
-            assert [d.version for d in chain] == [3, 4]
-            assert journal.disk_chains == 0
-
-    def test_clear_drops_ring_but_disk_tail_still_serves(self, tmp_path):
-        with DurabilityManager(tmp_path) as manager:
-            journal = CostDiffJournal(capacity=8, durability=manager)
-            for version in range(1, 4):
-                journal.append(_diff(version))
-            journal.clear()
-            chain = journal.chain(0)
-            assert chain is not None
-            assert [d.version for d in chain] == [1, 2, 3]
-
-    def test_without_durability_chain_is_bounded_by_ring(self):
-        journal = CostDiffJournal(capacity=2)
-        for version in range(1, 6):
-            journal.append(_diff(version))
-        assert journal.chain(0) is None  # history evicted, no disk tail
-
-
-# -------------------------------------------------------------------- #
 # RoutingService.recover
 # -------------------------------------------------------------------- #
 class TestServiceRecovery:
@@ -739,6 +689,22 @@ class TestShardedRecovery:
                     assert math.isclose(got, expected, rel_tol=1e-9)
         finally:
             manager.close()
+
+    def test_wal_holds_one_traffic_record_per_effective_batch(self, tmp_path):
+        """The WAL stores inputs only: the sharded coordinator adds nothing
+        to what its feed write-ahead logs."""
+        from repro.service import ShardedRoutingService
+
+        make = _make_network_factory(4, 4, seed=19)
+        batches = _effective_batches(make(), 4, seed=37, size=6)
+        with DurabilityManager(tmp_path) as manager:
+            with ShardedRoutingService(
+                make(), shard_count=2, durability=manager
+            ) as service:
+                for batch in batches:
+                    assert service.apply_traffic(batch, wait=True).applied
+            kinds = [record.kind for record in manager.journal.read_records().records]
+        assert kinds == [RECORD_TRAFFIC] * len(batches)
 
     def test_recover_without_durability_manager_is_refused(self):
         from repro.exceptions import ConfigurationError

@@ -5,11 +5,10 @@ Four layers:
 * **wire** — the length-prefixed pickle frame codec and its caps;
 * **endpoints** — :class:`SocketTransport` reconnect behaviour and the
   :class:`TcpHub` registry (displacement, drops, partitions);
-* **replication** — :class:`HeartbeatMonitor` with an injected clock,
-  :class:`CostDiffJournal` chain/truncation semantics, and the seeded
-  :class:`FaultyTransport` chaos wrapper;
-* **deployment** — kill-the-primary failover over replicas, journal replay
-  (and truncation fallback) through healed partitions, hedged requests, the
+* **replication** — :class:`HeartbeatMonitor` with an injected clock and
+  the seeded :class:`FaultyTransport` chaos wrapper;
+* **deployment** — kill-the-primary failover over replicas, a healed
+  partition caught up by a segment resync, hedged requests, the
   crash-between-broadcast-and-ack barrier, and shutdown stragglers — with
   100% cost identity against full-network Dijkstra throughout.
 
@@ -38,12 +37,9 @@ from repro.service.faults import FaultyTransport
 from repro.service.resilience import HedgePolicy
 from repro.service.sharding import (
     MAX_FRAME_BYTES,
-    CostDiff,
-    CostDiffJournal,
     FrameError,
     Hello,
     HeartbeatMonitor,
-    QueueTransport,
     ShardWorkerPool,
     SocketTransport,
     TcpHub,
@@ -328,52 +324,6 @@ class TestHeartbeatMonitor:
         assert monitor.pings_sent == 1 and monitor.timeouts == 0
 
 
-def _diff(version, base_version):
-    return CostDiff(version=version, base_version=base_version, changes=())
-
-
-class TestCostDiffJournal:
-    def test_chain_bridges_contiguous_versions(self):
-        journal = CostDiffJournal(capacity=8)
-        for v in range(1, 5):
-            journal.append(_diff(v, v - 1))
-        assert journal.head_version == 4
-        assert [d.version for d in journal.chain(0)] == [1, 2, 3, 4]
-        assert [d.version for d in journal.chain(2)] == [3, 4]
-        assert journal.chain(4) == []  # already current
-        assert journal.chain(9) == []  # ahead (stale coordinator restart)
-
-    def test_truncated_history_returns_none(self):
-        journal = CostDiffJournal(capacity=2)
-        for v in range(1, 6):
-            journal.append(_diff(v, v - 1))
-        assert len(journal) == 2
-        assert journal.tail_base_version == 3
-        assert journal.chain(0) is None
-        assert [d.version for d in journal.chain(3)] == [4, 5]
-
-    def test_discontinuity_clears_the_journal(self):
-        journal = CostDiffJournal(capacity=8)
-        journal.append(_diff(1, 0))
-        journal.append(_diff(2, 1))
-        journal.append(_diff(7, 5))  # gap: everything older is poisoned
-        assert len(journal) == 1
-        assert journal.chain(0) is None
-        assert [d.version for d in journal.chain(5)] == [7]
-
-    def test_capacity_zero_never_replays(self):
-        journal = CostDiffJournal(capacity=0)
-        journal.append(_diff(1, 0))
-        assert len(journal) == 0 and journal.chain(0) is None
-
-    def test_counters(self):
-        journal = CostDiffJournal()
-        journal.record_replay()
-        journal.record_resync()
-        journal.record_resync()
-        assert journal.replays == 1 and journal.resyncs == 2
-
-
 # -------------------------------------------------------------------- #
 # Transport chaos wrapper
 # -------------------------------------------------------------------- #
@@ -495,21 +445,25 @@ class TestFaultTolerantDeployment:
     def test_kill_primary_failover_serves_all_requests_identically(self):
         """Kill the primary replica mid-batch: every request is still
         answered, cost-identical, with zero drops — the standby absorbs the
-        batch while the pool respawns the corpse."""
+        batch while the pool respawns the corpse — and the disturbed batch
+        returns within 5 s of an undisturbed one (the failover blackout)."""
         network = grid_city_network(5, 5, seed=3)
         requests = _requests(network, 16)
-        with ShardedRoutingService(
-            network, shard_count=2, transport="tcp", replicas=2
-        ) as service:
+        with ShardedRoutingService(network, shard_count=2, replicas=2) as service:
             assert service.replicas_of(0) == [0, 2]
             assert service.replicas_of(1) == [1, 3]
+            _assert_identity(network, service, requests)  # warms the tables
+            started = time.perf_counter()
             _assert_identity(network, service, requests)
+            undisturbed_s = time.perf_counter() - started
 
             service.inject_crash(1, phase="work")
+            started = time.perf_counter()
             _assert_identity(network, service, requests)
+            assert time.perf_counter() - started - undisturbed_s < 5.0
 
             stats = service.stats()
-            assert stats.replicas == 2 and stats.transport == "tcp"
+            assert stats.replicas == 2
             assert stats.failovers >= 1
             # The crash batch may finish entirely via failover before the
             # coordinator observes the corpse; the respawn happens inside a
@@ -524,72 +478,36 @@ class TestFaultTolerantDeployment:
             # And the deployment still serves identically afterwards.
             _assert_identity(network, service, requests, engine="Fastest")
 
-    def test_journal_replay_catches_up_a_healed_partition(self):
-        """A partitioned worker misses a broadcast; on heal it replays the
-        CostDiff chain from the journal — observed via the journal_replays
-        counter, with journal_resyncs untouched — and identity holds."""
+    @pytest.mark.parametrize("missed", [1, 3])
+    def test_healed_partition_catches_up_by_resync(self, missed):
+        """A partitioned worker misses ``missed`` broadcasts; on heal its
+        reconnect Hello carries the stale version and the coordinator orders
+        one resync from the shared segment, whatever the gap — and identity
+        against the single-process reference holds."""
         network = grid_city_network(5, 5, seed=3)
         rng = random.Random(5)
         edges = [(e.source, e.target) for e in network.edges()]
         requests = _requests(network, 12)
-        with ShardedRoutingService(
-            network, shard_count=2, transport="tcp", journal_capacity=16
-        ) as service:
-            assert service.partition_worker(1)
-            batch = [
-                TrafficUpdate.scale_by(
-                    *rng.choice(edges), travel_time_s=rng.uniform(1.5, 2.5)
-                )
-                for _ in range(6)
-            ]
-            service.apply_traffic(batch, wait=False)
-            service.heal_worker(1)
-            # The next acked barrier forces the catch-up: the healed
-            # worker's reconnect Hello carries its stale version and the
-            # journal bridges the gap.
-            more = [
-                TrafficUpdate.scale_by(
-                    *rng.choice(edges), travel_time_s=rng.uniform(1.5, 2.5)
-                )
-                for _ in range(6)
-            ]
-            service.apply_traffic(more, wait=True)
-            stats = service.stats()
-            assert stats.journal_replays >= 1
-            assert stats.journal_resyncs == 0
-            assert stats.worker_restarts == 0  # a network fault, not a crash
-            _assert_identity(network, service, requests, engine="Fastest")
 
-    def test_truncated_journal_falls_back_to_full_resync(self):
-        """With a one-entry journal, a worker that missed several broadcasts
-        cannot be bridged: the coordinator orders ResyncRequired instead."""
-        network = grid_city_network(5, 5, seed=3)
-        rng = random.Random(6)
-        edges = [(e.source, e.target) for e in network.edges()]
-        requests = _requests(network, 12)
-        with ShardedRoutingService(
-            network, shard_count=2, transport="tcp", journal_capacity=1
-        ) as service:
-            assert service.partition_worker(1)
-            for _ in range(3):
-                batch = [
-                    TrafficUpdate.scale_by(
-                        *rng.choice(edges), travel_time_s=rng.uniform(1.5, 2.5)
-                    )
-                    for _ in range(4)
-                ]
-                service.apply_traffic(batch, wait=False)
-            service.heal_worker(1)
-            final = [
+        def batch():
+            return [
                 TrafficUpdate.scale_by(
                     *rng.choice(edges), travel_time_s=rng.uniform(1.5, 2.5)
                 )
-                for _ in range(4)
+                for _ in range(6)
             ]
-            service.apply_traffic(final, wait=True)
+
+        with ShardedRoutingService(network, shard_count=2) as service:
+            assert service.partition_worker(1)
+            for _ in range(missed):
+                service.apply_traffic(batch(), wait=False)
+            service.heal_worker(1)
+            # The next acked barrier cannot pass until the healed worker has
+            # caught up to the current version.
+            service.apply_traffic(batch(), wait=True)
             stats = service.stats()
-            assert stats.journal_resyncs >= 1
-            assert stats.journal_depth == 1
+            assert stats.worker_resyncs == 1
+            assert stats.worker_restarts == 0  # a network fault, not a crash
             _assert_identity(network, service, requests, engine="Fastest")
 
     def test_hedged_requests_duplicate_to_a_standby(self):
@@ -598,7 +516,6 @@ class TestFaultTolerantDeployment:
         with ShardedRoutingService(
             network,
             shard_count=2,
-            transport="tcp",
             replicas=2,
             hedge=True,
             hedge_delay_s=0.0,  # hedge immediately: every wait loop fires
@@ -610,10 +527,22 @@ class TestFaultTolerantDeployment:
             # answers that really came from the hedge target.
             assert 0 <= stats.hedge_wins <= stats.hedged_requests
 
+    def test_duplicate_results_do_not_accumulate(self):
+        """Every hedged batch is answered twice; the loser's RouteResults
+        matches no pending task and must not be kept."""
+        network = grid_city_network(4, 4, seed=3)
+        with ShardedRoutingService(
+            network, shard_count=2, replicas=2, hedge=True, hedge_delay_s=0.0
+        ) as service:
+            for call in range(20):
+                service.route_many(_requests(network, 16, seed=call))
+            assert service.stats().hedged_requests >= 1
+            assert len(service._results) == 0
+
     def test_heartbeat_round_probes_every_worker(self):
         network = grid_city_network(4, 4, seed=3)
         with ShardedRoutingService(
-            network, shard_count=2, transport="tcp", heartbeat_timeout_s=30.0
+            network, shard_count=2, heartbeat_timeout_s=30.0
         ) as service:
             assert service.heartbeat() == []  # all healthy
             stats = service.stats()
@@ -622,8 +551,7 @@ class TestFaultTolerantDeployment:
 
 
 class TestAckBarrierUnderCrash:
-    @pytest.mark.parametrize("transport", ["queue", "tcp"])
-    def test_worker_crashing_between_broadcast_and_ack(self, transport):
+    def test_worker_crashing_between_broadcast_and_ack(self):
         """The regression the barrier must survive: a worker dies *after*
         the CostDiff broadcast but *before* acking.  apply_traffic(wait=True)
         must complete (respawn + boot-resync counts as the ack), well inside
@@ -633,7 +561,7 @@ class TestAckBarrierUnderCrash:
         edges = [(e.source, e.target) for e in network.edges()]
         requests = _requests(network, 12)
         with ShardedRoutingService(
-            network, shard_count=2, transport=transport, traffic_timeout_s=60.0
+            network, shard_count=2, traffic_timeout_s=60.0
         ) as service:
             service.inject_crash(0, phase="diff")
             batch = [
@@ -653,10 +581,7 @@ class TestAckBarrierUnderCrash:
 
 
 class TestShutdownStragglers:
-    @pytest.mark.parametrize("transport", ["queue", "tcp"])
-    def test_worker_ignoring_shutdown_is_terminated_within_deadline(
-        self, transport
-    ):
+    def test_worker_ignoring_shutdown_is_terminated_within_deadline(self):
         """A wedged worker that drops Shutdown on the floor must be
         terminate()d by the pool's close deadline — reported unclean, never
         a deadlock."""
@@ -677,7 +602,7 @@ class TestShutdownStragglers:
                 )
                 for worker_id in range(2)
             ]
-            pool = ShardWorkerPool(payloads, transport=transport)
+            pool = ShardWorkerPool(payloads)
             pool.start()
             started = time.monotonic()
             clean = pool.close(timeout_s=2.0)
@@ -689,8 +614,7 @@ class TestShutdownStragglers:
             segment.close()
             segment.unlink()
 
-    @pytest.mark.parametrize("transport", ["queue", "tcp"])
-    def test_orderly_workers_close_clean(self, transport):
+    def test_orderly_workers_close_clean(self):
         network = grid_city_network(4, 4, seed=3)
         plan = build_shard_plan(network, 2)
         segment = shm.export_graph(
@@ -707,7 +631,7 @@ class TestShutdownStragglers:
                 )
                 for worker_id in range(2)
             ]
-            pool = ShardWorkerPool(payloads, transport=transport)
+            pool = ShardWorkerPool(payloads)
             pool.start()
             assert pool.close(timeout_s=15.0) is True
         finally:

@@ -22,7 +22,7 @@ small.
 from __future__ import annotations
 
 import math
-import queue
+import pickle
 import random
 
 import pytest
@@ -43,7 +43,8 @@ from repro.service.sharding import (
     BoundaryOverlay,
     CostDiff,
     CrossShardRouter,
-    QueueTransport,
+    ShardWorker,
+    WorkerPayload,
 )
 from repro.service.sharding.overlay import path_cost
 from repro.traffic import TrafficFeed
@@ -264,22 +265,6 @@ class TestBoundaryOverlay:
 # Protocol plumbing
 # -------------------------------------------------------------------- #
 class TestProtocol:
-    def test_queue_transport_times_out_instead_of_blocking(self):
-        transport = QueueTransport(
-            inbox=queue.Queue(), outbox=queue.Queue(), default_timeout_s=0.01
-        )
-        with pytest.raises(queue.Empty):
-            transport.recv()
-
-    def test_queue_transport_round_trip(self):
-        inbox: queue.Queue = queue.Queue()
-        outbox: queue.Queue = queue.Queue()
-        transport = QueueTransport(inbox=inbox, outbox=outbox)
-        inbox.put("ping")
-        assert transport.recv(timeout_s=1.0) == "ping"
-        transport.send("pong")
-        assert outbox.get(timeout=1.0) == "pong"
-
     def test_cost_diff_as_updates(self):
         diff = CostDiff(
             version=3,
@@ -289,6 +274,95 @@ class TestProtocol:
             ),
         )
         assert diff.as_updates() == {(1, 2): {"travel_time_s": 9.0, "fuel_ml": 1.5}}
+
+
+# -------------------------------------------------------------------- #
+# The worker's one catch-up path
+# -------------------------------------------------------------------- #
+class _PatchMidScan:
+    """A segment view that lets the owner's next patch land exactly when
+    ``resync_network`` moves on from the first cost attribute."""
+
+    def __init__(self, view, land_patch):
+        self._view = view
+        self._land_patch = land_patch
+        self._arrays_read = 0
+
+    def cost_array(self, attr):
+        self._arrays_read += 1
+        if self._arrays_read == 2:
+            self._land_patch()
+        return self._view.cost_array(attr)
+
+    def __getattr__(self, name):
+        return getattr(self._view, name)
+
+
+def test_patch_landing_during_resync_is_not_stamped_as_seen():
+    """The owner writes values, then the version.  A resync that stamps the
+    version it reads *after* its scan claims a batch whose edges the scan
+    had already passed, and then drops that batch's diff as old."""
+    network = grid_city_network(8, 8, seed=3)
+    graph = network.compiled()
+    plan = build_shard_plan(network, 2)
+    feed = TrafficFeed(network)
+    edges = sorted(e.key for e in network.edges())
+
+    with shm.export_graph(graph, cost_version=network.cost_version) as segment:
+        attributes = segment.spec.cost_attributes
+
+        def apply(batch) -> CostDiff:
+            base = network.cost_version
+            result = feed.apply(batch)
+            segment.patch(
+                graph,
+                [graph.topology.slot_of[key] for key in result.touched_edges],
+                result.cost_version,
+            )
+            return CostDiff(
+                version=result.cost_version,
+                base_version=base,
+                changes=tuple(
+                    (key, tuple(
+                        (attr, float(getattr(network.edge(*key), attr)))
+                        for attr in attributes
+                    ))
+                    for key in sorted(result.touched_edges)
+                ),
+            )
+
+        worker = ShardWorker(
+            WorkerPayload(
+                worker_id=0, shard_id=0, plan=plan,
+                network=pickle.loads(pickle.dumps(network)), spec=segment.spec,
+            ),
+            transport=None,
+        )
+        worker.boot()
+        try:
+            # Batch 1 is missed outright; batch 2 lands mid-scan.
+            apply([TrafficUpdate.scale_by(*edges[0], travel_time_s=2.0)])
+            landed = []
+            worker.view = _PatchMidScan(
+                worker.view,
+                lambda: landed.append(apply(
+                    [TrafficUpdate.scale_by(*key, **{attributes[0]: 1.5}) for key in edges[1:5]]
+                )),
+            )
+            worker.resync()
+            worker.apply_diff(landed[0])  # the broadcast that follows the patch
+
+            assert worker.version == network.cost_version == 2
+            stale = [
+                (key, attr)
+                for key in edges
+                for attr in attributes
+                if getattr(worker.network.edge(*key), attr)
+                != getattr(network.edge(*key), attr)
+            ]
+            assert stale == []
+        finally:
+            worker.close()
 
 
 # -------------------------------------------------------------------- #
@@ -302,8 +376,14 @@ def _costs(network, responses, feature):
 
 
 class TestShardedService:
-    @pytest.mark.parametrize("transport", ["queue", "tcp"])
-    def test_end_to_end_identity_traffic_and_crash_recovery(self, transport):
+    def test_queue_transport_is_refused(self):
+        """Sockets are the only wire; the removed option fails loudly,
+        before any segment or worker exists."""
+        network = grid_city_network(3, 3, seed=3)
+        with pytest.raises(ConfigurationError, match="removed"):
+            ShardedRoutingService(network, shard_count=2, transport="queue")
+
+    def test_end_to_end_identity_traffic_and_crash_recovery(self):
         network = grid_city_network(6, 6, seed=3)
         rng = random.Random(7)
         vertices = sorted(network.vertex_ids())
@@ -311,9 +391,7 @@ class TestShardedService:
             RouteRequest(source=rng.choice(vertices), destination=rng.choice(vertices))
             for _ in range(24)
         ]
-        with ShardedRoutingService(
-            network, shard_count=2, transport=transport
-        ) as service:
+        with ShardedRoutingService(network, shard_count=2) as service:
             segment_name = service.segment_name
             assert segment_name is not None and _segment_exists(segment_name)
 
@@ -373,7 +451,6 @@ class TestShardedService:
 
             stats = service.stats()
             assert stats.shards == 2
-            assert stats.transport == transport
             assert stats.worker_restarts >= 1
             assert stats.cross_shard_requests + stats.in_shard_requests > 0
             assert sum(stats.shard_requests.values()) > 0
