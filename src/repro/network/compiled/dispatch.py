@@ -17,9 +17,8 @@ routing modules import *it*), keeping the dependency graph acyclic.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -402,21 +401,62 @@ def try_route_many(
     return results
 
 
+class CostRows(NamedTuple):
+    """Batched SSSP rows of one network and cost view, with the search trees.
+
+    ``costs[row_of[s], column_of[v]]`` is the cost from source ``s`` to
+    vertex ``v`` — in ``reverse`` rows, from ``v`` *to* ``s`` — ``inf`` when
+    unreachable; ``predecessors`` is the matrix described at
+    :func:`~repro.network.compiled.batch.dijkstra_many`.
+    """
+
+    costs: np.ndarray
+    predecessors: np.ndarray
+    row_of: Mapping["VertexId", int]
+    column_of: Mapping["VertexId", int]
+    vertex_ids: Sequence["VertexId"]
+    reverse: bool
+
+    def path(
+        self, source: "VertexId", vertex: "VertexId"
+    ) -> list["VertexId"] | tuple[()] | None:
+        """The path the cost between ``source`` and ``vertex`` is the price
+        of, in travel order: from ``source`` to ``vertex``, in reverse rows
+        from ``vertex`` to ``source``.
+
+        Read off the source's predecessor row, one int per hop.  ``()`` when
+        the search did not reach ``vertex``; ``None`` when the chain breaks
+        off before the source or outruns the vertex count — the rows are not
+        a search tree, and the caller must search.
+        """
+        vertex_ids = self.vertex_ids
+        chain = memoryview(self.predecessors[self.row_of[source]])
+        end = self.column_of[source]
+        current = self.column_of[vertex]
+        path = [vertex]
+        for _ in range(len(vertex_ids)):
+            if current == end:
+                if not self.reverse:
+                    path.reverse()
+                return path
+            current = chain[current]
+            if current < 0:
+                return () if len(path) == 1 else None
+            path.append(vertex_ids[current])
+        return None
+
+
 def try_cost_rows(
     network: "RoadNetwork",
     sources: list["VertexId"],
     edge_cost,
     reverse: bool = False,
-) -> tuple[np.ndarray, dict["VertexId", int]] | None:
-    """Batched SSSP cost rows over one shared cost view.
+) -> CostRows | None:
+    """Batched SSSP cost rows, one per source, over one shared cost view.
 
-    Returns ``(matrix, index_of)`` where ``matrix[i, j]`` is the cost from
-    ``sources[i]`` to the vertex with compiled index ``j`` (with
-    ``reverse=True``: the cost *to* ``sources[i]`` from ``j``), ``inf``
-    marking unreachable vertices, and ``index_of`` maps vertex ids to the
-    column indices.  Returns ``None`` when the batch backend cannot run —
-    opaque cost, compiled search disabled, or an unknown source vertex.
-    The sharding layer's boundary-overlay stitching is the primary caller.
+    Returns ``None`` when the batch backend cannot run — opaque cost,
+    compiled search disabled, or an unknown source vertex.  The sharding
+    layer's boundary tables are the primary caller.
     """
     resolved = _resolved(network, edge_cost)
     if resolved is None:
@@ -432,69 +472,11 @@ def try_cost_rows(
 
     from . import batch
 
-    matrix = batch.dijkstra_many(graph, key, array, version, source_indices, reverse=reverse)
-    return matrix, index_of
-
-
-def try_route_from_rows(
-    network: "RoadNetwork",
-    rows: np.ndarray,
-    legs: list[tuple[int, "VertexId", "VertexId"]],
-    edge_cost,
-    reverse: bool = False,
-) -> list[list["VertexId"] | tuple[()] | None] | None:
-    """Reconstruct point-to-point paths from precomputed SSSP cost rows.
-
-    ``rows`` is the matrix a prior :func:`try_cost_rows` call returned for
-    the same network, cost, and ``reverse`` flag; ``legs`` holds ``(row,
-    source, destination)`` triples where ``row`` indexes ``rows`` —
-    forward rows are keyed by the leg's source, reverse rows by its
-    destination.  Because the deterministic walk only needs the distance
-    row plus the current weights, every leg is answered **without a new
-    SSSP**.  Returns ``None`` when unavailable (opaque cost, disabled,
-    non-positive weights, stale row shape); otherwise a legs-aligned list:
-    vertex-id path, ``()`` for a provably unreachable leg, or ``None`` for
-    a leg the caller must re-derive (unknown vertex, or the exact-equality
-    walk detecting the row no longer matches the live cost view).
-    """
-    resolved = _resolved(network, edge_cost)
-    if resolved is None:
-        return None
-    graph, key, array, version = resolved
-    if not sparse._all_positive(graph, key, array, version):
-        return None
-    if rows.ndim != 2 or rows.shape[1] != graph.vertex_count:
-        return None
-    if reverse:
-        weights = graph.forward_weights(key, array, version)
-    else:
-        weights = graph.reverse_weights(key, array, version)
-
-    index_of = graph.index_of
-    row_cache: dict[int, memoryview] = {}
-    results: list[list["VertexId"] | tuple[()] | None] = [None] * len(legs)
-    for position, (row_index, source, destination) in enumerate(legs):
-        s = index_of.get(source)
-        t = index_of.get(destination)
-        if s is None or t is None:
-            continue  # unknown vertex: the per-request path raises properly
-        if s == t:
-            results[position] = [source]
-            continue
-        row = row_cache.get(row_index)
-        if row is None:
-            # The walks read a few hundred of a row's floats: no list of all.
-            row = row_cache[row_index] = memoryview(rows[row_index])
-        if math.isinf(row[s if reverse else t]):
-            results[position] = ()
-            continue
-        if reverse:
-            indices = sparse.reconstruct_path_indices_forward(graph, row, weights, s, t)
-        else:
-            indices = sparse.reconstruct_path_indices(graph, row, weights, s, t)
-        if indices is not None:
-            results[position] = graph.path_ids(indices)
-    return results
+    costs, predecessors = batch.dijkstra_many(
+        graph, key, array, version, source_indices, reverse=reverse, return_predecessors=True
+    )
+    row_of = {source: row for row, source in enumerate(sources)}
+    return CostRows(costs, predecessors, row_of, index_of, graph.vertex_ids, reverse)
 
 
 def _slave_masks(graph: "CompiledGraph", slave) -> tuple[list[bool], list[bool]]:

@@ -80,9 +80,14 @@ def dijkstra_costs_kernel(
     source: int,
     ws: SearchWorkspace,
 ) -> list[tuple[int, float]]:
-    """Single-source settle order: ``(vertex index, cost)`` pairs."""
+    """Single-source settle order: ``(vertex index, cost)`` pairs.
+
+    On return ``ws.parent`` holds the search-tree parent of every settled
+    vertex but ``source`` (other slots are stale).
+    """
     gen = ws.begin()
     dist = ws.dist
+    parent = ws.parent
     stamp = ws.stamp
     dist[source] = 0.0
     stamp[source] = gen
@@ -102,9 +107,11 @@ def dijkstra_costs_kernel(
                 if candidate != _INF:
                     stamp[v] = gen
                     dist[v] = candidate
+                    parent[v] = u
                     heappush(heap, (candidate, v))
             elif candidate < dist[v]:
                 dist[v] = candidate
+                parent[v] = u
                 heappush(heap, (candidate, v))
     return settled
 

@@ -190,47 +190,6 @@ def reconstruct_path_indices(
     return None  # pragma: no cover - cycle guard tripped; use the exact kernel
 
 
-def reconstruct_path_indices_forward(
-    graph: "CompiledGraph",
-    dist_to: Sequence[float],
-    weights: Sequence[float],
-    source: int,
-    destination: int,
-) -> list[int] | None:
-    """The deterministic forward walk over exact distances *to* a target.
-
-    Mirror of :func:`reconstruct_path_indices` for callers holding a reverse
-    SSSP row: ``dist_to`` is the full distance list into ``destination`` and
-    ``weights`` the cost array in forward CSR slot order.  At every vertex
-    the successor minimizing ``(dist_to[v], v)`` among exact relaxers is
-    chosen, so the walk is deterministic and cost-exact.  Same strict
-    positivity requirement — callers guard with :func:`_all_positive`.
-    """
-    offsets = graph.offsets
-    targets = graph.targets
-
-    path = [source]
-    current = source
-    for _ in range(graph.vertex_count):
-        if current == destination:
-            return path
-        best = -1
-        best_key: tuple[float, int] | None = None
-        dist_u = dist_to[current]
-        for j in range(offsets[current], offsets[current + 1]):
-            v = targets[j]
-            if weights[j] + dist_to[v] == dist_u:
-                candidate = (dist_to[v], v)
-                if best_key is None or candidate < best_key:
-                    best_key = candidate
-                    best = v
-        if best < 0:  # pragma: no cover - float anomaly; use the exact kernel
-            return None
-        path.append(best)
-        current = best
-    return None  # pragma: no cover - cycle guard tripped; use the exact kernel
-
-
 def _corridor_distances(
     graph: "CompiledGraph", array: np.ndarray, table: "LandmarkTable", source: int, destination: int
 ) -> np.ndarray | None:

@@ -107,6 +107,7 @@ class RoadNetwork:
         self._bounding_box: BoundingBox | None = None
         self._version = 0
         self._cost_version = 0
+        self._cost_fell_version = 0
         self._topology_version = 0
         self._hierarchies: dict = {}
         self._hierarchy_lock = threading.Lock()
@@ -130,6 +131,7 @@ class RoadNetwork:
         self.__dict__.setdefault("_bounding_box", None)
         self.__dict__.setdefault("_version", 0)
         self.__dict__.setdefault("_cost_version", 0)
+        self.__dict__.setdefault("_cost_fell_version", 0)
         self.__dict__.setdefault("_topology_version", 0)
         self.__dict__.setdefault("_hierarchies", {})
         self._compiled_lock = threading.Lock()
@@ -275,6 +277,7 @@ class RoadNetwork:
         isfinite = math.isfinite
         known_edges = self._edges
         resolved: dict[tuple[VertexId, VertexId], dict[str, float]] = {}
+        fell = False
         for key, changes in updates.items():
             old = known_edges.get(key)
             if old is None:
@@ -292,8 +295,10 @@ class RoadNetwork:
                         f"edge {key} attribute {attribute!r} must be "
                         f"a finite positive number, got {value!r}"
                     )
-                if value != getattr(old, attribute):  # skip no-op writes
+                current = getattr(old, attribute)
+                if value != current:  # skip no-op writes
                     clean[attribute] = value
+                    fell = fell or value < current
             if clean:
                 resolved[key] = clean
         if not resolved:
@@ -338,6 +343,8 @@ class RoadNetwork:
                         slot_edges[slot] = edge
             self._version += 1
             self._cost_version += 1
+            if fell:
+                self._cost_fell_version = self._version
             if compiled is not None:
                 compiled.apply_cost_updates(slot_changes, slot_edges)
         return frozenset(resolved)
@@ -427,6 +434,8 @@ class RoadNetwork:
                 changed.add(key)
             self._version += 1
             self._cost_version = int(cost_version)
+            if changed:
+                self._cost_fell_version = self._version  # a restore may lower costs
             compiled.costs.restore(clean, slot_edges, int(cost_version))
         return frozenset(changed)
 
@@ -447,6 +456,20 @@ class RoadNetwork:
         Restored by pickling (old pickles default to 0).
         """
         return self._cost_version
+
+    @property
+    def cost_fell_version(self) -> int:
+        """:attr:`version` as of the last update that lowered an edge cost
+        (0: none has).
+
+        Raising costs leaves every path that avoids the touched edges as good
+        as it was; lowering one can make a path through it beat a route that
+        never touched it.  Caches of optimal routes compare this stamp to
+        tell the batches they can answer by dropping crossing routes from the
+        ones that retire everything.  Stamped with :attr:`version`, not
+        :attr:`cost_version`, which :meth:`restore_cost_state` sets back.
+        """
+        return self._cost_fell_version
 
     @property
     def topology_version(self) -> int:

@@ -188,11 +188,14 @@ class RouteCache:
     ) -> int:
         """Drop cached routes that cross any of the given directed edges.
 
-        The delta-aware remedy for live-traffic cost updates: a cached
-        answer stays valid exactly while none of its hops changed cost, so
-        only responses whose path crosses a touched edge are evicted.  When
-        the batch touches more than ``threshold`` edges the per-entry path
-        scan stops paying for itself and the whole cache is dropped instead
+        The delta-aware remedy for live-traffic updates that only *raise*
+        costs: a cached optimal answer stays optimal while none of its hops
+        changed cost and no edge anywhere got cheaper, so after congestion
+        only responses whose path crosses a touched edge are evicted.  A
+        batch that lowered any cost can improve on routes that cross none of
+        its edges — the caller passes ``threshold=0`` for those.  When the
+        batch touches more than ``threshold`` edges (there, the per-entry
+        path scan stops paying for itself) the whole cache is dropped instead
         (service-wide invalidation, same effect as :meth:`clear` but with
         the hit/miss counters kept).  Returns the number of entries dropped.
         """

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -44,6 +45,7 @@ from .resilience import (
 from .stats import ServiceStats, StatsAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..network.road_network import RoadNetwork
     from ..traffic.drain import TrafficDrain
     from ..traffic.feed import TrafficFeed
     from .durability import DurabilityManager, RecoveryReport
@@ -108,6 +110,10 @@ class RoutingService:
         self._batch_min_size = max(2, batch_min_size)
         self._engine_generation: dict[str, int] = {}
         self._traffic_generation = 0
+        #: Per engine network, the ``cost_fell_version`` already acted on.
+        self._cost_falls_seen: "weakref.WeakKeyDictionary[RoadNetwork, int]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._stats = StatsAccumulator()
         self._deadline_s = deadline_s
         self._retry_policy = retry_policy
@@ -763,26 +769,36 @@ class RoutingService:
         """React to a live-traffic cost update; returns routes evicted.
 
         Called by a :class:`~repro.traffic.TrafficFeed` subscription (wire it
-        with ``TrafficFeed(network, services=[service])``).  Cached
-        responses are invalidated *delta-aware*: only answers whose path
-        crosses a touched edge are dropped.  Batches touching more than the
-        service's ``traffic_invalidate_threshold`` edges fall back to
-        dropping the whole route cache — scanning every cached path per
-        entry would cost more than the misses it saves.  The batch count,
+        with ``TrafficFeed(network, services=[service])``).  After a batch
+        that only raised costs, cached responses are invalidated
+        *delta-aware*: only answers whose path crosses a touched edge are
+        dropped (an increase elsewhere cannot make another path better).
+        The whole route cache is dropped instead when a cost *fell* on any
+        registered engine's network since the last call (read from
+        :attr:`~repro.network.road_network.RoadNetwork.cost_fell_version`) —
+        a cheaper edge can improve routes that never crossed it — and when
+        the batch touches more than the service's
+        ``traffic_invalidate_threshold`` edges — scanning every cached path
+        per entry would cost more than the misses it saves.  The batch count,
         touched-edge count, evictions, and the reported cost version all
         surface in :meth:`stats`.
         """
         touched = set(touched_edges)
         evicted = 0
+        threshold = self._traffic_invalidate_threshold
+        for engine in list(self._engines.values()):
+            network = getattr(engine, "network", None)
+            fell = getattr(network, "cost_fell_version", 0)
+            if fell and fell > self._cost_falls_seen.get(network, 0):
+                self._cost_falls_seen[network] = fell
+                threshold = 0  # every cached route is suspect, crossing or not
         # Bump before evicting: an in-flight route() that snapshotted the old
         # generation is then vetoed at put() time (guard under the cache
         # lock), and anything it managed to insert earlier is dropped by the
         # eviction below — either way no pre-update answer survives.
         self._traffic_generation += 1
         if self._cache is not None and touched:
-            evicted = self._cache.invalidate_edges(
-                touched, threshold=self._traffic_invalidate_threshold
-            )
+            evicted = self._cache.invalidate_edges(touched, threshold=threshold)
         self._stats.record_traffic(len(touched), evicted, cost_version or 0)
         return evicted
 

@@ -3,9 +3,9 @@
 The subsystem splits into independently testable layers:
 
 * :mod:`~repro.service.sharding.plan` — partitioning the network into
-  shards (regions clustering, boundary structure);
-* :mod:`~repro.service.sharding.overlay` — the boundary overlay graph and
-  exact cross-shard stitching;
+  shards (coordinate bisection, boundary structure);
+* :mod:`~repro.service.sharding.overlay` — the boundary tables, the dense
+  overlay over them and exact cross-shard stitching;
 * :mod:`~repro.service.sharding.protocol` — the message dataclasses (and
   the wire framing they travel in);
 * :mod:`~repro.service.sharding.transport` — the one transport, TCP

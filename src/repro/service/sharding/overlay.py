@@ -5,10 +5,12 @@ intra-shard segments whose endpoints are boundary vertices (plus s and t
 themselves).  Everything here is built on one mechanism that materializes
 that decomposition: per (shard, feature, direction) a **boundary table** —
 the shard-local costs from (``reverse``: to) each of the shard's boundary
-vertices to (from) every vertex of the shard, one batched SSSP call through
-the compiled dispatch layer, memoized on the sub-network's cost-versioned
-``graph.memo``.  Tables are built lazily, so a feature nobody serves never
-costs a search and an untouched shard's tables survive a diff elsewhere.
+vertices to (from) every vertex of the shard, with the predecessor matrix of
+the searches that priced them, one batched SSSP call through the compiled
+dispatch layer (:class:`~repro.network.compiled.dispatch.CostRows`), memoized
+on the sub-network's cost-versioned ``graph.memo``.  Tables are built lazily,
+so a feature nobody serves never costs a search and an untouched shard's
+tables survive a diff elsewhere.
 
 * The **overlay** is, per feature, a dense |B| x |B| weight array over all
   boundary vertices B: column selections of the forward tables (the shard's
@@ -24,12 +26,17 @@ costs a search and an untouched shard's tables survive a diff elsewhere.
   bound is the *escape check* for an in-shard pair (a path may leave its
   shard and re-enter); only the in-shard answer itself still searches — one
   forward row per distinct in-shard source.
-* Paths come from the same tables without a search: the head from the exit
-  vertex's reverse row, the overlay walk hop by hop from ``D``, each shortcut
-  hop and the tail from a boundary vertex's forward row.
+* Paths come from the same tables without a search, each leg by following
+  its row's predecessors, one int per hop: the head from the exit vertex's
+  reverse row, the overlay walk hop by hop from ``D``, each shortcut hop and
+  the tail from a boundary vertex's forward row, an in-shard answer from its
+  source's row.  A leg is therefore *a* shortest path, the one the search
+  tree holds — cost-identical to the reference, not hop-identical.
 
-A table costs |boundary| x |shard| floats — small on planar networks, not
-guaranteed small on hub-heavy ones.  Cost updates never change reachability
+A table costs |boundary| x |shard| floats and as many int32 — everything
+here scales with the boundary the shard plan leaves (60 x 1,800 per table on
+the 60x60 grid at two shards), small on planar networks, not guaranteed
+small on hub-heavy ones.  Cost updates never change reachability
 (all edge costs stay positive), so everything but the costs is fixed at build
 time; :meth:`BoundaryOverlay.apply` patches costs and
 :meth:`BoundaryOverlay.refresh` rebuilds what the patch made stale.
@@ -95,15 +102,6 @@ def _all_pairs(weights: np.ndarray) -> np.ndarray:
     return distances
 
 
-class BoundaryTable(NamedTuple):
-    """Shard-local costs between a shard's boundary and all its vertices."""
-
-    costs: np.ndarray
-    """``costs[i, j]``: from boundary vertex ``i`` to the vertex in column
-    ``j`` (a reverse table: from ``j`` to ``i``); ``inf`` when unreachable."""
-    column_of: Mapping["VertexId", int]
-
-
 class Closure(NamedTuple):
     """One feature's dense overlay at one cost state."""
 
@@ -128,14 +126,10 @@ class BoundaryOverlay:
         )
         self.order: tuple["VertexId", ...] = tuple(sorted(plan.boundary_vertices))
         self._index = {vertex: position for position, vertex in enumerate(self.order)}
-        #: Per shard: its boundary vertices' positions in :attr:`order`, and
-        #: each boundary vertex's row in the shard's tables.
+        #: Per shard: its boundary vertices' positions in :attr:`order`.
         self.positions = tuple(
             np.asarray([self._index[vertex] for vertex in boundary], dtype=np.intp)
             for boundary in plan.boundary
-        )
-        self.rows = tuple(
-            {vertex: row for row, vertex in enumerate(boundary)} for boundary in plan.boundary
         )
         self._cut_slot = {edge: slot for slot, edge in enumerate(plan.cut_edges)}
         self._cut_tails = np.asarray(
@@ -210,8 +204,9 @@ class BoundaryOverlay:
     # ------------------------------------------------------------------ #
     def table(
         self, shard_id: int, feature: CostFeature, reverse: bool = False
-    ) -> BoundaryTable | None:
-        """The shard's boundary table (the shard must have a boundary).
+    ) -> "_compiled.CostRows | None":
+        """The shard's boundary table (the shard must have a boundary): one
+        row per vertex of ``plan.boundary[shard_id]``, in that order.
 
         Memoized on the subnet's compiled snapshot; live-traffic updates bump
         its cost version and invalidate automatically.  ``None`` when the
@@ -221,11 +216,10 @@ class BoundaryOverlay:
             return None  # and no ``None`` memoized past the disabled stretch
         subnet = self.subnets[shard_id]
 
-        def build() -> BoundaryTable | None:
-            rows = _compiled.try_cost_rows(
+        def build() -> "_compiled.CostRows | None":
+            return _compiled.try_cost_rows(
                 subnet, self.plan.boundary[shard_id], cost_function(feature), reverse=reverse
             )
-            return None if rows is None else BoundaryTable(*rows)
 
         table = subnet.compiled().memo(("sharding-boundary-table", feature, reverse), build)
         if table is not None:
@@ -353,26 +347,20 @@ class CrossShardRouter:
             searched = _compiled.try_cost_rows(subnet, sources, cost)
             if searched is None:
                 return None
-            rows, column_of = searched
-            row_of = {source: row for row, source in enumerate(sources)}
-            kept: list[int] = []
-            legs: list[tuple[int, "VertexId", "VertexId"]] = []
             for index, (source, destination), stitch in zip(members, group, stitches):
-                local = float(rows[row_of[source], column_of[destination]])
+                local = float(
+                    searched.costs[searched.row_of[source], searched.column_of[destination]]
+                )
                 if stitch is not None and _improves(stitch[0], local):
                     rebuilds.append((index, stitch))
                 elif math.isfinite(local):
-                    kept.append(index)
-                    legs.append((row_of[source], source, destination))
+                    vertices = searched.path(source, destination)
+                    answers[index] = (
+                        tuple(vertices) if vertices else self._search(source, destination, cost),
+                        False,
+                    )
                 else:
                     answers[index] = (None, False)
-            walked = _compiled.try_route_from_rows(subnet, rows, legs, cost)
-            for position, index in enumerate(kept):
-                vertices = walked[position] if walked is not None else None
-                answers[index] = (
-                    tuple(vertices) if vertices else self._search(*pairs[index], cost),
-                    False,
-                )
         for index, vertices in self._reconstruct(pairs, rebuilds, feature, closure):
             answers[index] = (vertices, True)
         return answers
@@ -428,63 +416,47 @@ class CrossShardRouter:
         """The full-network path realizing each stitch, audited for cost.
 
         Every leg inside a shard — head, shortcut hops of the overlay walk,
-        tail — is walked out of a boundary table row, one batched call per
-        table and no search; cut-edge hops are real edges.  The spliced path
-        must walk real edges and price at the stitch cost (within
-        :data:`AUDIT_REL_TOL`); a pair that does not, or whose legs the tables
-        could not produce, gets a direct full-network search, so a stitching
-        bug can degrade throughput but never correctness.
+        tail — is read off a boundary table row's predecessors, no search;
+        cut-edge hops are real edges.  The spliced path must walk real edges
+        and price at the stitch cost (within :data:`AUDIT_REL_TOL`); a pair
+        that does not, or whose legs the tables could not produce, gets a
+        direct full-network search, so a stitching bug can degrade throughput
+        but never correctness.
         """
         overlay = self.overlay
         assignment = self.plan.assignment
         cost = cost_function(feature)
-        wanted: dict[tuple[int, bool], list[tuple[int, "VertexId", "VertexId"]]] = {}
+        tables: dict[tuple[int, bool], "_compiled.CostRows | None"] = {}
 
-        def leg(anchor: "VertexId", source: "VertexId", destination: "VertexId", reverse: bool):
-            """Queue a shard-local leg on the table row of ``anchor``."""
+        def leg(anchor: "VertexId", vertex: "VertexId", reverse: bool):
+            """The shard-local leg between boundary vertex ``anchor`` and
+            ``vertex``, out of the table row of ``anchor``."""
             shard_id = assignment[anchor]
-            queued = wanted.setdefault((shard_id, reverse), [])
-            queued.append((overlay.rows[shard_id][anchor], source, destination))
-            return (shard_id, reverse), len(queued) - 1
+            if (shard_id, reverse) not in tables:
+                tables[(shard_id, reverse)] = overlay.table(shard_id, feature, reverse)
+            table = tables[(shard_id, reverse)]
+            return None if table is None else table.path(anchor, vertex)
 
-        # A part is a queued leg, or ``(None, vertex)`` for a cut-edge hop.
-        plans: list[list[tuple] | None] = []
-        for index, (_, exit_vertex, entry_vertex) in rebuilds:
-            source, destination = pairs[index]
+        def splice(
+            source: "VertexId",
+            destination: "VertexId",
+            exit_vertex: "VertexId",
+            entry_vertex: "VertexId",
+        ) -> list["VertexId"] | None:
             walk = overlay.walk(closure, exit_vertex, entry_vertex)
             if walk is None:
-                plans.append(None)
-                continue
-            parts = [leg(exit_vertex, source, exit_vertex, True)]
-            for tail, head in zip(walk, walk[1:]):
-                if assignment[tail] == assignment[head]:
-                    parts.append(leg(tail, tail, head, False))
-                else:
-                    parts.append((None, head))
-            parts.append(leg(entry_vertex, entry_vertex, destination, False))
-            plans.append(parts)
-
-        walked: dict[tuple[int, bool], list | None] = {}
-        for (shard_id, reverse), queued in wanted.items():
-            table = overlay.table(shard_id, feature, reverse)
-            walked[(shard_id, reverse)] = (
-                None
-                if table is None
-                else _compiled.try_route_from_rows(
-                    overlay.subnets[shard_id], table.costs, queued, cost, reverse=reverse
-                )
-            )
-
-        def splice(source: "VertexId", parts: list[tuple]) -> list["VertexId"] | None:
-            vertices = [source]
-            for key, item in parts:
-                if key is None:
-                    vertices.append(item)
-                    continue
-                path = walked[key][item] if walked[key] is not None else None
-                if not path:
-                    return None
-                vertices.extend(path[1:])
+                return None
+            legs = [leg(exit_vertex, source, True)]
+            legs += [
+                leg(tail, head, False) if assignment[tail] == assignment[head] else [tail, head]
+                for tail, head in zip(walk, walk[1:])  # shortcut hops and cut edges
+            ]
+            legs.append(leg(entry_vertex, destination, False))
+            if not all(legs):
+                return None
+            vertices = legs[0]
+            for part in legs[1:]:
+                vertices.extend(part[1:])
             return vertices
 
         # The audit prices each hop once, from the full network's compiled
@@ -493,9 +465,9 @@ class CrossShardRouter:
         slot_of = graph.topology.slot_of
         prices = graph.array(FEATURE_EDGE_ATTRIBUTES[feature])
         results: list[tuple[int, tuple["VertexId", ...] | None]] = []
-        for (index, (expected, _, _)), parts in zip(rebuilds, plans):
+        for index, (expected, exit_vertex, entry_vertex) in rebuilds:
             source, destination = pairs[index]
-            vertices = splice(source, parts) if parts is not None else None
+            vertices = splice(source, destination, exit_vertex, entry_vertex)
             if vertices is not None:
                 slots = [slot_of.get(hop, -1) for hop in zip(vertices, vertices[1:])]
                 realized = float(prices[slots].sum()) if -1 not in slots else math.inf

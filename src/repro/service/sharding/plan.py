@@ -8,24 +8,27 @@ intra-shard segments whose endpoints are boundary vertices (or s / t
 themselves) joined by cut edges, which is exactly the decomposition the
 overlay router exploits for exact cross-shard answers.
 
-The default partitioner reuses the paper's Algorithm 1 modularity
-clustering (:mod:`repro.regions`): the road network itself is treated as a
-uniform-popularity trajectory graph, the resulting clusters are packed into
-``shard_count`` balanced bins, and any stragglers (isolated vertices the
-clustering never saw) join the smallest bin.  A plain BFS partitioner is
-the fallback when clustering cannot produce enough usable units.
+Every boundary table, the |B|^3 all-pairs pass over the overlay and every
+stitch block scale with the number of boundary vertices |B|, so the one
+partitioner is the one that keeps the cut short on a road network: recursive
+coordinate bisection.  The vertex set is split across the axis of larger
+extent, at the rank that gives each side the vertices of its share of the
+shards, until one shard per part — every vertex has coordinates, so there is
+no fallback, and the shards come out equal in size within one vertex.  Not
+:mod:`repro.regions`: Algorithm 1 finds regions of coherent *driving*, and
+clusters packed into bins by size do not make a short cut (60x60 grid, two
+shards: |B| = 184 against the median cut's 120; three: 478 against 198).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
+
+import numpy as np
 
 from ...exceptions import NetworkError
 from ...network.road_network import RoadNetwork
-from ...regions.clustering import cluster_trajectory_graph
-from ...regions.trajectory_graph import TrajectoryGraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...network.road_network import VertexId
@@ -46,7 +49,6 @@ class ShardPlan:
     """Per shard, the sorted boundary vertices (endpoints of cut edges)."""
     cut_edges: tuple[tuple["VertexId", "VertexId"], ...]
     """Directed edges whose endpoints live in different shards."""
-    method: str = "regions"
     boundary_vertices: frozenset["VertexId"] = field(init=False, repr=False, compare=False)
     """Every shard's boundary vertices together (derived from ``boundary``)."""
 
@@ -82,66 +84,26 @@ class ShardPlan:
         return sub
 
 
-def _pack_units(
-    units: list[list["VertexId"]], shard_count: int
-) -> dict["VertexId", int] | None:
-    """Greedily pack partition units into balanced bins; ``None`` if any
-    bin would come out empty (too few units for the requested shards)."""
-    if len(units) < shard_count:
-        return None
-    loads = [0] * shard_count
-    assignment: dict["VertexId", int] = {}
-    for unit in sorted(units, key=len, reverse=True):
-        bin_id = loads.index(min(loads))
-        loads[bin_id] += len(unit)
-        for vertex in unit:
-            assignment[vertex] = bin_id
-    if min(loads) == 0:
-        return None
-    return assignment
+def _bisect(members: np.ndarray, x: np.ndarray, y: np.ndarray, count: int) -> list[np.ndarray]:
+    """``count`` parts of ``members`` (positions into the id-sorted vertex
+    list) by recursive coordinate bisection.
 
-
-def _cluster_units(network: RoadNetwork) -> list[list["VertexId"]]:
-    """Partition units from the paper's modularity clustering.
-
-    The network's own edges stand in as a uniform-popularity trajectory
-    graph: structure (not demand) drives the partition, which is exactly
-    what shard balance wants.
+    The cut runs across the axis of larger extent, at the rank that leaves
+    each side the vertices of its ``count // 2`` : rest shards (the sides'
+    part sizes stay within one vertex of each other all the way down); equal
+    coordinates are ranked by position, i.e. by vertex id.
     """
-    trajectory_graph = TrajectoryGraph()
-    for edge in network.edges():
-        trajectory_graph.add_traversal(edge.source, edge.target, edge.road_type)
-    result = cluster_trajectory_graph(trajectory_graph, enforce_road_types=False)
-    return [sorted(cluster) for cluster in result.clusters if cluster]
-
-
-def _bfs_units(network: RoadNetwork, shard_count: int) -> list[list["VertexId"]]:
-    """Contiguous chunks of roughly equal size via BFS over the undirected
-    adjacency — the deterministic fallback partitioner."""
-    vertices = sorted(network.vertex_ids())
-    if not vertices:
-        return []
-    target = max(1, (len(vertices) + shard_count - 1) // shard_count)
-    unassigned = set(vertices)
-    units: list[list["VertexId"]] = []
-    for seed in vertices:
-        if seed not in unassigned:
-            continue
-        unit: list["VertexId"] = []
-        queue: deque["VertexId"] = deque([seed])
-        unassigned.discard(seed)
-        while queue and len(unit) < target:
-            vertex = queue.popleft()
-            unit.append(vertex)
-            for neighbor in sorted(network.neighbors(vertex)):
-                if neighbor in unassigned:
-                    unassigned.discard(neighbor)
-                    queue.append(neighbor)
-        # Vertices pulled into the queue but not placed return to the pool.
-        for vertex in queue:
-            unassigned.add(vertex)
-        units.append(sorted(unit))
-    return units
+    if count == 1:
+        return [members]
+    xs, ys = x[members], y[members]
+    axis = xs if np.ptp(xs) >= np.ptp(ys) else ys
+    ranked = members[np.lexsort((members, axis))]
+    low_count = count // 2
+    share, extra = divmod(len(members), count)
+    low_size = low_count * share + min(extra, low_count)
+    return _bisect(ranked[:low_size], x, y, low_count) + _bisect(
+        ranked[low_size:], x, y, count - low_count
+    )
 
 
 def _boundary_structure(
@@ -162,15 +124,10 @@ def _boundary_structure(
     )
 
 
-def build_shard_plan(
-    network: RoadNetwork, shard_count: int, *, method: str = "regions"
-) -> ShardPlan:
-    """Partition ``network`` into ``shard_count`` shards.
-
-    ``method="regions"`` (default) packs Algorithm-1 clusters into balanced
-    bins, falling back to BFS chunks when clustering yields fewer usable
-    units than shards; ``method="bfs"`` forces the fallback partitioner.
-    """
+def build_shard_plan(network: RoadNetwork, shard_count: int) -> ShardPlan:
+    """Partition ``network`` into ``shard_count`` shards of equal size (within
+    one vertex) by recursive coordinate bisection; the same network always
+    gives the same plan."""
     vertex_count = network.vertex_count
     if shard_count < 1:
         raise NetworkError(f"shard_count must be >= 1, got {shard_count}")
@@ -181,45 +138,17 @@ def build_shard_plan(
             f"cannot split {vertex_count} vertices into {shard_count} shards"
         )
 
-    chosen = method
-    if shard_count == 1:
-        assignment = {vertex: 0 for vertex in network.vertex_ids()}
-    else:
-        if method == "regions":
-            units = _cluster_units(network)
-            covered = {vertex for unit in units for vertex in unit}
-            stragglers = sorted(set(network.vertex_ids()) - covered)
-            if stragglers:
-                units.append(stragglers)
-            assignment = _pack_units(units, shard_count)
-            if assignment is None:
-                chosen = "bfs"
-        elif method == "bfs":
-            assignment = None
-            chosen = "bfs"
-        else:
-            raise NetworkError(f"unknown shard-plan method {method!r}")
-        if chosen == "bfs":
-            units = _bfs_units(network, shard_count)
-            # BFS chunking can come up one unit short on tiny networks;
-            # halving the largest unit always restores feasibility.
-            while len(units) < shard_count and any(len(unit) > 1 for unit in units):
-                largest = max(units, key=len)
-                units.remove(largest)
-                mid = len(largest) // 2
-                units.append(largest[:mid])
-                units.append(largest[mid:])
-            assignment = _pack_units(units, shard_count)
-        if assignment is None:
-            raise NetworkError(
-                f"could not produce {shard_count} non-empty shards for "
-                f"{vertex_count} vertices"
-            )
-
+    vertex_ids = sorted(network.vertex_ids())
+    lon, lat = np.asarray(
+        [network.vertex(vertex).lonlat for vertex in vertex_ids], dtype=np.float64
+    ).T
+    # Degrees of longitude shrink with latitude; extents compare in metres.
+    x = lon * np.cos(np.radians(lat.mean()))
+    parts = _bisect(np.arange(vertex_count), x, lat, shard_count)
     shards = tuple(
-        tuple(sorted(v for v, shard in assignment.items() if shard == k))
-        for k in range(shard_count)
+        tuple(vertex_ids[position] for position in np.sort(part).tolist()) for part in parts
     )
+    assignment = {vertex: shard_id for shard_id, shard in enumerate(shards) for vertex in shard}
     boundary, cut_edges = _boundary_structure(network, assignment, shard_count)
     return ShardPlan(
         shard_count=shard_count,
@@ -227,5 +156,4 @@ def build_shard_plan(
         shards=shards,
         boundary=boundary,
         cut_edges=cut_edges,
-        method=chosen,
     )

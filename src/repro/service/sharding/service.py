@@ -104,7 +104,6 @@ class ShardedRoutingService:
         network: "RoadNetwork",
         shard_count: int = 2,
         *,
-        method: str = "regions",
         cache_size: int = 512,
         boot_timeout_s: float = 120.0,
         request_timeout_s: float = 60.0,
@@ -142,7 +141,7 @@ class ShardedRoutingService:
         self._lock = threading.RLock()
         self._stats = StatsAccumulator()
         self._feed = TrafficFeed(network)
-        self._plan: ShardPlan = build_shard_plan(network, shard_count, method=method)
+        self._plan: ShardPlan = build_shard_plan(network, shard_count)
         # The durability manager (caller-owned; the coordinator never closes
         # it) write-ahead logs every raw batch through the feed.
         self._durability = durability
@@ -787,6 +786,5 @@ class ShardedRoutingService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ShardedRoutingService(shards={self._plan.shard_count}, "
-            f"method={self._plan.method!r}, closed={self._closed})"
+            f"ShardedRoutingService(shards={self._plan.shard_count}, closed={self._closed})"
         )

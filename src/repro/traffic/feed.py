@@ -11,8 +11,10 @@ reporting the touched edges and the new cost version.
 
 The service layer subscribes through ``TrafficFeed(network, services=[...])``
 (or :meth:`TrafficFeed.subscribe`), wiring
-:meth:`~repro.service.RoutingService.on_traffic_update` so cached routes that
-cross a touched edge are evicted — and nothing else is.
+:meth:`~repro.service.RoutingService.on_traffic_update`: after a batch that
+only raised costs the cached routes that cross a touched edge are evicted and
+nothing else is; a batch that lowered any cost retires the whole cache, since
+a cheaper edge can improve routes that never crossed it.
 """
 
 from __future__ import annotations

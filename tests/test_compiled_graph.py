@@ -15,6 +15,7 @@ import pickle
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from repro.network import (
     compiled_disabled,
     grid_city_network,
 )
-from repro.network.compiled import CompiledGraph, SearchWorkspace, sparse
+from repro.network.compiled import CompiledGraph, SearchWorkspace, batch, sparse
 from repro.network.compiled.dispatch import try_cost_rows
 from repro.preferences import PreferenceVector
 from repro.preferences.features import MAJOR_ROADS, LOCAL_ROADS, single_type_feature
@@ -152,16 +153,53 @@ class TestDijkstraEquivalence:
             assert compiled_path.vertices == dict_path.vertices
 
     @HYPOTHESIS_SETTINGS
-    @given(random_networks(), st.integers(min_value=0, max_value=1_000), st.booleans())
-    def test_dijkstra_costs(self, network, pair_seed, scipy):
-        """The compiled cost rows against the dict-based single-source costs."""
+    @given(
+        random_networks(), st.integers(min_value=0, max_value=1_000), st.booleans(), st.booleans()
+    )
+    def test_dijkstra_costs(self, network, pair_seed, scipy, reverse):
+        """The compiled cost rows against the dict-based single-source costs,
+        and the path each row's predecessors hold against the row's cost."""
         source, _ = _pair(network, pair_seed)
         cost = cost_function(CostFeature.TRAVEL_TIME)
         with _scipy(scipy):
-            rows, column_of = try_cost_rows(network, [source], cost)
+            rows = try_cost_rows(network, [source], cost, reverse=reverse)
+        assert rows.predecessors.dtype == np.int32 and rows.reverse is reverse
         reference = dict_dijkstra_costs(network, source, cost)
-        for vertex, column in column_of.items():
-            assert rows[0, column] == reference.get(vertex, math.inf)
+        for vertex, column in rows.column_of.items():
+            got = rows.costs[0, column]
+            path = rows.path(source, vertex)
+            if reverse:
+                into = dict_dijkstra_costs(network, vertex, cost, targets=[source])
+                assert got == pytest.approx(into.get(source, math.inf), rel=1e-12)
+            else:
+                assert got == reference.get(vertex, math.inf)
+            if math.isinf(got):
+                assert path == ()  # one-way streets and pockets: not reached, not an error
+                continue
+            assert (path[0], path[-1]) == ((vertex, source) if reverse else (source, vertex))
+            # Priced the way the search summed it — outwards from the source —
+            # the path costs the row's float exactly.
+            hops = list(zip(path, path[1:]))
+            total = 0.0
+            for hop in reversed(hops) if reverse else hops:
+                total += cost(network.edge(*hop))
+            assert total == got
+
+    def test_a_predecessor_row_that_is_no_tree_gives_none(self, demo_network):
+        """A chain that loops, or stops short of the source, is ``None`` —
+        the caller searches — never a wrong path and never an endless walk."""
+        cost = cost_function(CostFeature.DISTANCE)
+        rows = try_cost_rows(demo_network, [0], cost)
+        path = rows.path(0, 35)
+        assert len(path) > 3
+        before_last, last = (rows.column_of[v] for v in path[-2:])
+        kept = rows.predecessors[0, before_last]
+        rows.predecessors[0, before_last] = last  # a two-vertex loop
+        assert rows.path(0, 35) is None
+        rows.predecessors[0, before_last] = batch.NO_PREDECESSOR  # the chain breaks off
+        assert rows.path(0, 35) is None
+        rows.predecessors[0, before_last] = kept
+        assert rows.path(0, 35) == path
 
     def test_opaque_cost_falls_back_to_dict(self, demo_network):
         """Un-tagged callables still work (dict fallback) and agree."""

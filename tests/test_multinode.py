@@ -173,7 +173,7 @@ class TestSocketEndpoints:
             finally:
                 transport.close()
 
-    def test_recv_timeout_raises_queue_empty_like_the_queue_transport(self):
+    def test_recv_timeout_raises_queue_empty(self):
         with TcpHub() as hub:
             transport = SocketTransport(hub.address)
             try:

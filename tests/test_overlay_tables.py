@@ -10,7 +10,8 @@ the shard's boundary and its vertices.  What is pinned here:
   after single-attribute traffic — with scipy, without it, and (through the
   worker's per-pair fallback) with the compiled path disabled;
 * **degenerate shards**: no boundary at all, and a single vertex;
-* **no last resort** on the benchmark's 60x60 grid;
+* **no last resort** on the benchmark's 60x60 grid — and the last resort,
+  counted, for a table whose predecessor chains break;
 * **what searches when**: nothing before the first request, nothing for a
   feature nobody serves, nothing for a shard a diff did not touch, nothing
   per request for a cross-shard pair.
@@ -27,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.network import RoadNetwork, compiled_disabled, grid_city_network
-from repro.network.compiled import dispatch, shm, sparse
+from repro.network.compiled import batch, dispatch, shm, sparse
 from repro.routing import CostFeature, cost_function
 from repro.routing.costs import FEATURE_EDGE_ATTRIBUTES
 from repro.routing.dijkstra import dict_dijkstra_costs
@@ -76,7 +77,7 @@ def _directed_grid(rows: int, cols: int, seed: int, pocket: bool = False) -> Roa
 
 
 def _plan_of(network: RoadNetwork, assignment: dict[int, int]) -> ShardPlan:
-    """A hand-made plan (the partitioners never make degenerate shards)."""
+    """A hand-made plan (the partitioner never makes degenerate shards)."""
     shard_count = max(assignment.values()) + 1
     boundary, cut_edges = _boundary_structure(network, assignment, shard_count)
     return ShardPlan(
@@ -88,7 +89,6 @@ def _plan_of(network: RoadNetwork, assignment: dict[int, int]) -> ShardPlan:
         ),
         boundary=boundary,
         cut_edges=cut_edges,
-        method="manual",
     )
 
 
@@ -279,6 +279,19 @@ def test_cost_identity_without_scipy(monkeypatch):
         _apply_traffic(network, overlay, rng, "distance_m")
         _assert_cost_identity(network, router, pairs)
         assert router.fallbacks == 0
+
+
+def test_a_table_whose_chains_break_sends_the_pair_to_the_full_search():
+    network = _directed_grid(5, 5, seed=8)
+    overlay = BoundaryOverlay(network, build_shard_plan(network, 2))
+    router = CrossShardRouter(network, overlay)
+    pairs = _random_pairs(network, random.Random(3), 12)
+    _assert_cost_identity(network, router, pairs, features=(CostFeature.FUEL,))
+    assert router.fallbacks == 0
+    for shard_id in range(2):
+        overlay.table(shard_id, CostFeature.FUEL).predecessors[:] = batch.NO_PREDECESSOR
+    _assert_cost_identity(network, router, pairs, features=(CostFeature.FUEL,))
+    assert router.fallbacks > 0
 
 
 def _booted_workers(network, plan, segment, **payload):

@@ -21,6 +21,7 @@ small.
 
 from __future__ import annotations
 
+import functools
 import math
 import pickle
 import random
@@ -30,7 +31,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, NetworkError, ShardingError
-from repro.network import grid_city_network
+from repro.datasets.synthetic import d2_like_scenario
+from repro.network import RoadNetwork, grid_city_network
+from repro.network.generators import country_network
 from repro.network.compiled import shm
 from repro.routing import CostFeature, cost_function, dijkstra
 from repro.service import (
@@ -60,6 +63,16 @@ def _segment_exists(name: str) -> bool:
         return False
     probe.close()
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def _named_network(name: str) -> RoadNetwork:
+    """The fixed networks of the plan tests (read-only there), built once."""
+    if name == "grid60":
+        return grid_city_network(60, 60, seed=5)  # the sharded_tcp benchmark's city
+    if name == "country":
+        return country_network()
+    return d2_like_scenario(0.25, 7).network
 
 
 def _reference_cost(network, source, destination, feature) -> float:
@@ -124,13 +137,46 @@ class TestShardPlan:
         with pytest.raises(NetworkError):
             build_shard_plan(network, 5)
 
-    def test_bfs_method_partitions_too(self):
-        network = grid_city_network(4, 4)
-        plan = build_shard_plan(network, 3, method="bfs")
-        assert plan.method == "bfs"
-        assert sorted(v for s in plan.shards for v in s) == sorted(
-            network.vertex_ids()
-        )
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        network=st.one_of(
+            st.builds(
+                grid_city_network,
+                st.integers(min_value=2, max_value=9),
+                st.integers(min_value=3, max_value=9),
+                seed=st.integers(min_value=0, max_value=50),
+            ),
+            st.sampled_from(["country", "city"]).map(_named_network),
+        ),
+        shard_count=st.integers(min_value=1, max_value=6),
+    )
+    def test_shards_are_a_balanced_deterministic_partition(self, network, shard_count):
+        plan = build_shard_plan(network, shard_count)
+        assert len(plan.shards) == plan.shard_count == shard_count
+        seen = [v for shard in plan.shards for v in shard]
+        assert sorted(seen) == sorted(network.vertex_ids())  # each exactly once
+        sizes = [len(shard) for shard in plan.shards]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert all(type(v) is int for v in seen)  # not numpy integers: ids are pickled and hashed
+        assert all(plan.assignment[v] == k for k, shard in enumerate(plan.shards) for v in shard)
+        assert build_shard_plan(network, shard_count) == plan
+
+    @pytest.mark.parametrize(
+        "name, shard_count, most",
+        [("grid60", 2, 130), ("grid60", 3, 210), ("grid60", 4, 250), ("country", 2, 10)],
+    )
+    def test_the_boundary_the_benchmark_pays_for_stays_small(self, name, shard_count, most):
+        """Every boundary table, the all-pairs pass and every stitch block
+        scale with |B|: a partitioner change that lengthens the cut shows
+        here before it shows in ``sharded_tcp``."""
+        plan = build_shard_plan(_named_network(name), shard_count)
+        assert len(plan.boundary_vertices) <= most
+
+    def test_equal_coordinates_are_split_by_vertex_id(self):
+        stacked = RoadNetwork(name="stacked")
+        for vertex in range(7):
+            stacked.add_vertex(vertex, 104.0, 30.0)
+        assert build_shard_plan(stacked, 3).shards == ((0, 1, 2), (3, 4), (5, 6))
 
 
 # -------------------------------------------------------------------- #

@@ -497,6 +497,47 @@ class TestServiceInvalidation:
         # Even a route crossing none of the touched edges was dropped.
         assert not service.route(RouteRequest(source=5, destination=30)).cache_hit
 
+    def test_a_cost_decrease_off_the_path_retires_the_cached_route(self):
+        """Raising costs off a cached path leaves it optimal; lowering them
+        does not.  40 edges (under the 64-edge scan threshold), none on the
+        cached corner-to-corner route, get ~free: the next answer must be the
+        new optimum, not a hit on the old one."""
+        network = grid_city_network(rows=12, cols=12, seed=1)
+        service = _service_on(network, threshold=64)
+        feed = TrafficFeed(network, services=[service])
+        request = RouteRequest(source=0, destination=143)
+        first = service.route(request)
+        other = service.route(RouteRequest(source=11, destination=132))
+        on_path = set(first.path.edge_keys) | set(other.path.edge_keys)
+        off_path = [e.key for e in network.edges() if e.key not in on_path][:40]
+
+        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.5) for u, v in off_path])
+        assert service.route(request).cache_hit  # congestion elsewhere: still optimal
+        assert service.stats().traffic_evicted_routes == 0
+
+        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=0.001) for u, v in off_path])
+        assert service.stats().traffic_evicted_routes == 2  # crossing or not
+        hits_before = service.stats().cache.hits
+        again = service.route(request)
+        assert not again.cache_hit
+        assert service.stats().cache.hits == hits_before > 0  # counters kept, entries gone
+        with compiled_disabled():
+            reference = dict_dijkstra(network, 0, 143, cost_function(CostFeature.TRAVEL_TIME))
+        cost = cost_function(CostFeature.TRAVEL_TIME)
+
+        def price(path) -> float:
+            return sum(cost(network.edge(u, v)) for u, v in path.edge_keys)
+
+        assert price(again.path) == pytest.approx(price(reference))
+        assert price(again.path) < price(first.path)
+        assert network.cost_fell_version == network.version
+
+        # The fall is acted on once: the next congestion-only batch is delta-aware again.
+        service.route(RouteRequest(source=11, destination=132))
+        u, v = again.path.edge_keys[0]
+        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.2)])
+        assert service.route(RouteRequest(source=11, destination=132)).cache_hit
+
     def test_cache_disabled_service_still_counts_updates(self):
         network = _line_network()
         service = RoutingService(enable_cache=False)
