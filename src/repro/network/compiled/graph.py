@@ -21,7 +21,11 @@ parts with very different lifetimes:
   topology: touched arrays are swapped for patched copies (readers holding
   the old array keep a consistent pre-update view), the cost version is
   bumped, and every memoized artifact that was stamped with the old version
-  self-evicts on its next lookup.
+  self-evicts on its next lookup.  Adopting a whole cost state (crash
+  recovery, a shard worker's boot and resync —
+  :meth:`RoadNetwork.restore_cost_state`) is the same patch over the slots
+  that differ, followed by :meth:`CostStore.rewind`, which *sets* the version
+  to the adopted state's and clears the caches outright.
 
 Search scratch state lives in per-thread
 :class:`~repro.network.compiled.workspace.SearchWorkspace` objects obtained
@@ -177,7 +181,8 @@ class CostStore:
     # ------------------------------------------------------------------ #
     @property
     def version(self) -> int:
-        """Monotonic cost version; bumped by every :meth:`apply_updates`."""
+        """Cost version: bumped by every :meth:`apply_updates`, set by
+        :meth:`rewind`."""
         return self._version
 
     def array(self, attribute: str) -> np.ndarray:
@@ -231,42 +236,18 @@ class CostStore:
         with self._memo_lock:
             return dict(self._arrays)
 
-    def restore(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        new_edges: Mapping[int, "Edge"],
-        version: int,
-    ) -> None:
-        """Adopt a persisted cost state wholesale (crash recovery).
+    def rewind(self, version: int) -> None:
+        """Set the cost version and drop every derived cache.
 
-        ``arrays`` carries one full-length array per compiled cost attribute
-        (they are copied and frozen); ``new_edges`` the replacement
-        :class:`Edge` objects for every slot whose costs differ from the
-        current ones; ``version`` the cost version the arrays were captured
-        under.  Unlike :meth:`apply_updates` the version is *set*, not
-        bumped — recovery must land on exactly the version the snapshot was
-        taken at — and every derived cache is cleared outright: entries
-        stamped under the pre-restore counter could otherwise alias the
-        restored version when recovery rewinds it.
+        The last step of adopting a cost state wholesale
+        (:meth:`RoadNetwork.restore_cost_state`), after the differing slots
+        went through :meth:`apply_updates`.  Unlike there the version is
+        *set*, not bumped — adoption must land on exactly the version the
+        state was captured at — and every derived cache is cleared outright:
+        entries stamped under the pre-adoption counter could otherwise alias
+        the adopted version when recovery rewinds it.
         """
-        if int(version) < 0:
-            raise ValueError(f"cost version must be >= 0, got {version!r}")
         with self._memo_lock:
-            for attr in EDGE_COST_ATTRIBUTES:
-                source = np.asarray(arrays[attr], dtype=np.float64)
-                if source.shape != (len(self.edges),):
-                    raise ValueError(
-                        f"restored array for {attr!r} has shape {source.shape}; "
-                        f"this topology compiles {len(self.edges)} edges"
-                    )
-                adopted = source.copy()
-                adopted.flags.writeable = False
-                self._arrays[attr] = adopted
-            if new_edges:
-                edges = self.edges.copy()
-                for slot, edge in new_edges.items():
-                    edges[slot] = edge
-                self.edges = edges
             self._version = int(version)
             self._weight_lists.clear()
             self._r_weight_lists.clear()
@@ -399,7 +380,8 @@ class CompiledGraph:
     cost-derived caching to its :class:`CostStore`.  The topology of a
     snapshot never changes; its costs may be patched through
     :meth:`apply_cost_updates` (driven by
-    :meth:`~repro.network.road_network.RoadNetwork.update_edge_costs`), which
+    :meth:`~repro.network.road_network.RoadNetwork.update_edge_costs` and
+    :meth:`~repro.network.road_network.RoadNetwork.restore_cost_state`), which
     bumps :attr:`cost_version` instead of forcing a rebuild.
     """
 
@@ -534,7 +516,9 @@ class CompiledGraph:
     ) -> int:
         """Patch cost values by CSR slot; returns the new cost version.
 
-        Called by :meth:`RoadNetwork.update_edge_costs` under the network's
+        Called by the network's one cost writer — the patch body behind
+        :meth:`RoadNetwork.update_edge_costs` and
+        :meth:`RoadNetwork.restore_cost_state` — under the network's
         compiled-view lock; see :meth:`CostStore.apply_updates` for the
         cache-eviction semantics.
         """

@@ -1,11 +1,10 @@
 """Shared-memory export of a compiled road-network snapshot.
 
-The :class:`~repro.network.compiled.graph.Topology` / ``CostStore`` split
-makes the CSR arrays of a snapshot trivially shareable across processes: the
-topology buffers are immutable for the snapshot's lifetime, and the
-per-feature cost arrays are patched copy-on-write by live traffic, so a
-worker process can serve queries from *views* over one shared segment
-instead of its own copies.
+The owner of a sharded deployment publishes one compiled snapshot — the
+immutable CSR topology and the per-feature cost arrays — where every worker
+process on the machine can read it: the topology to prove that the network a
+worker was handed compiles to the same slots (:func:`verify_topology`), the
+cost arrays as the authoritative cost state a worker catches up from.
 
 One :func:`export_graph` call packs everything into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment::
@@ -13,12 +12,16 @@ One :func:`export_graph` call packs everything into a single
     [ header int64[8] | array 0 | array 1 | ... ]     (16-byte aligned)
 
 with the topology buffers (``offsets`` / ``targets`` / reverse CSR /
-``r_slots`` / ``vertex_ids`` / per-slot ``edge_keys``), the per-feature cost
-arrays, and ``road_type_values`` packed back to back.  The header block
-carries the magic, the layout version, the shape counters, and — the one
-*mutable* slot — the network cost version the cost arrays currently
-reflect, so attached workers can detect staleness and resync without any
-side channel.
+``r_slots`` / ``vertex_ids``), ``road_type_values`` and the per-feature cost
+arrays packed back to back, each one-dimensional.  The header block carries
+the magic, the layout version, the shape counters, and — the one *mutable*
+slot — the network cost version the cost arrays currently reflect, so
+attached workers can detect staleness and resync without any side channel.
+The owner patches the cost arrays in place (:meth:`SharedGraphSegment.patch`:
+values first, then the version); a worker reads them at boot and on a resync
+only, copying them and adopting the copy through
+:meth:`~repro.network.road_network.RoadNetwork.restore_cost_state`, and serves
+from its own arrays in between.
 
 Lifecycle etiquette (enforced by reprolint RL009):
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from ...exceptions import NetworkError
 from .graph import EDGE_COST_ATTRIBUTES
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..road_network import RoadNetwork, VertexId
     from .graph import CompiledGraph
 
 #: ``b"RPRO"`` as one little-endian int64: guards against attaching a
@@ -54,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAGIC = 0x4F525052
 
 #: Bumped whenever the packed layout changes incompatibly.
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
 _HEADER_SLOTS = 8
 HEADER_BYTES = _HEADER_SLOTS * 8
@@ -75,7 +77,6 @@ _TOPOLOGY_DTYPES: dict[str, str] = {
     "r_targets": "int64",
     "r_slots": "int64",
     "vertex_ids": "int64",
-    "edge_keys": "int64",
     "road_type_values": "int64",
 }
 
@@ -110,11 +111,9 @@ def _exportable(name: str, raw: object) -> np.ndarray:
         raise NetworkError(
             f"array {name!r} cannot be exported as {dtype.name}: {exc}"
         ) from exc
-    expected_ndim = 2 if name == "edge_keys" else 1
-    if arr.ndim != expected_ndim:
+    if arr.ndim != 1:
         raise NetworkError(
-            f"array {name!r} must be {expected_ndim}-dimensional for export, "
-            f"got shape {arr.shape}"
+            f"array {name!r} must be 1-dimensional for export, got shape {arr.shape}"
         )
     if not arr.flags.c_contiguous or arr.dtype != dtype:
         raise NetworkError(
@@ -238,9 +237,6 @@ class SegmentView:
     def cost_array(self, attribute: str) -> np.ndarray:
         return self._views[_cost_name(attribute)]
 
-    def cost_arrays(self) -> dict[str, np.ndarray]:
-        return {attr: self.cost_array(attr) for attr in self.spec.cost_attributes}
-
     def close(self) -> None:
         """Drop this process's mapping (idempotent); never unlinks."""
         if self._shm is None:
@@ -357,24 +353,13 @@ def _verify_header(header: np.ndarray, spec: SegmentSpec) -> None:
 
 def _collect_arrays(graph: "CompiledGraph") -> list[tuple[str, np.ndarray]]:
     topology = graph.topology
-    edge_keys = np.empty((topology.edge_count, 2), dtype=np.int64)
-    try:
-        for (source, target), slot in topology.slot_of.items():
-            edge_keys[slot, 0] = source
-            edge_keys[slot, 1] = target
-        vertex_ids = _exportable("vertex_ids", topology.vertex_ids)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise NetworkError(
-            f"only integer vertex ids can be exported to shared memory: {exc}"
-        ) from exc
     pairs: list[tuple[str, np.ndarray]] = [
         ("offsets", _exportable("offsets", topology.offsets)),
         ("targets", _exportable("targets", topology.targets)),
         ("r_offsets", _exportable("r_offsets", topology.r_offsets)),
         ("r_targets", _exportable("r_targets", topology.r_targets)),
         ("r_slots", _exportable("r_slots", topology.r_slots)),
-        ("vertex_ids", vertex_ids),
-        ("edge_keys", _exportable("edge_keys", edge_keys)),
+        ("vertex_ids", _exportable("vertex_ids", topology.vertex_ids)),
         ("road_type_values", _exportable("road_type_values", graph.road_type_values)),
     ]
     for attr in EDGE_COST_ATTRIBUTES:
@@ -482,55 +467,3 @@ def verify_topology(graph: "CompiledGraph", view: SegmentView) -> bool:
             view.array("vertex_ids"), np.asarray(topology.vertex_ids, dtype=np.int64)
         )
     )
-
-
-def sync_network(network: "RoadNetwork", view: SegmentView) -> frozenset[tuple["VertexId", "VertexId"]]:
-    """Bring a worker's network copy up to the segment's cost state.
-
-    Diffs the shared per-feature arrays against the locally compiled ones,
-    maps changed CSR slots back to edge keys through the exported
-    ``edge_keys`` table, and applies the delta through
-    :meth:`~repro.network.road_network.RoadNetwork.update_edge_costs` — so
-    the worker's ``Edge`` objects, compiled arrays, and version counters all
-    advance through the one sanctioned patch path.  Returns the changed
-    edge keys (empty when already current).
-    """
-    graph = network.compiled()
-    if view.edge_count != graph.edge_count:
-        raise NetworkError(
-            f"segment describes {view.edge_count} edges but the network "
-            f"compiled to {graph.edge_count}; topology drift cannot be synced"
-        )
-    edge_keys = view.array("edge_keys")
-    changes: dict[tuple["VertexId", "VertexId"], dict[str, float]] = {}
-    for attr in view.spec.cost_attributes:
-        mine = graph.array(attr)
-        theirs = view.cost_array(attr)
-        for slot in np.flatnonzero(mine != theirs).tolist():
-            key = (int(edge_keys[slot, 0]), int(edge_keys[slot, 1]))
-            changes.setdefault(key, {})[attr] = float(theirs[slot])
-    if not changes:
-        return frozenset()
-    return network.update_edge_costs(changes)
-
-
-def adopt_shared_costs(graph: "CompiledGraph", view: SegmentView) -> bool:
-    """Swap a snapshot's private cost arrays for the segment's views.
-
-    Zero-copy boot path for workers: after :func:`sync_network` the local
-    arrays and the shared ones are value-identical, so the store can serve
-    the shared read-only views directly and drop its private copies (one
-    set of cost arrays per *machine*, not per worker).  Later live-traffic
-    patches copy-on-write away from the views through the store's normal
-    ``apply_updates``, so workers never write the segment.  Returns
-    ``False`` — leaving the store untouched — when any array disagrees.
-    """
-    store = graph.costs
-    shared = {attr: view.cost_array(attr) for attr in view.spec.cost_attributes}
-    with store._memo_lock:
-        for attr, arr in shared.items():
-            if not np.array_equal(store._arrays[attr], arr):
-                return False
-        for attr, arr in shared.items():
-            store._arrays[attr] = arr
-    return True

@@ -309,65 +309,80 @@ class RoadNetwork:
         # lands, so the cached snapshot and the dicts never diverge.
         with self._compiled_lock:
             compiled = self._compiled
-            slot_for = compiled.topology.slot_of.get if compiled is not None else None
-            slot_changes: dict[int, dict[str, float]] = {}
-            slot_edges: dict[int, Edge] = {}
-            edges = self._edges
-            adjacency = self._adjacency
-            reverse = self._reverse
-            for key, clean in resolved.items():
-                old = edges[key]
-                # Direct construction instead of dataclasses.replace(): this
-                # loop is the live-traffic hot path, and replace() costs ~3x
-                # as much per edge through the dataclass machinery.
-                edge = Edge(
-                    old.source,
-                    old.target,
-                    clean.get("distance_m", old.distance_m),
-                    clean.get("travel_time_s", old.travel_time_s),
-                    clean.get("fuel_ml", old.fuel_ml),
-                    old.road_type,
-                    old.speed_kmh,
-                )
-                edges[key] = edge
-                adjacency[key[0]][key[1]] = edge
-                reverse[key[1]][key[0]] = edge
-                if slot_for is not None:
-                    slot = slot_for(key)
-                    if slot is None:  # pragma: no cover - snapshot out of sync
-                        compiled = None
-                        slot_for = None
-                        self._compiled = None
-                    else:
-                        slot_changes[slot] = clean
-                        slot_edges[slot] = edge
-            self._version += 1
-            self._cost_version += 1
-            if fell:
-                self._cost_fell_version = self._version
-            if compiled is not None:
-                compiled.apply_cost_updates(slot_changes, slot_edges)
+            if compiled is not None and not resolved.keys() <= compiled.topology.slot_of.keys():
+                self._compiled = None  # pragma: no cover - snapshot out of sync
+            self._patch_costs(resolved, fell)
         return frozenset(resolved)
+
+    def _patch_costs(
+        self,
+        resolved: Mapping[tuple[VertexId, VertexId], Mapping[str, float]],
+        fell: bool,
+    ) -> None:
+        """The one writer of edge costs; the caller holds ``_compiled_lock``.
+
+        ``resolved`` is a validated batch in which every edge changes, over
+        edges the compiled view (if any) knows.  Edge objects, the three
+        dicts, the version counters and the compiled
+        :class:`~repro.network.compiled.graph.CostStore` move together.
+        """
+        compiled = self._compiled
+        slot_of = compiled.topology.slot_of if compiled is not None else None
+        slot_changes: dict[int, Mapping[str, float]] = {}
+        slot_edges: dict[int, Edge] = {}
+        edges = self._edges
+        adjacency = self._adjacency
+        reverse = self._reverse
+        for key, clean in resolved.items():
+            old = edges[key]
+            # Direct construction instead of dataclasses.replace(): this
+            # loop is the live-traffic hot path, and replace() costs ~3x
+            # as much per edge through the dataclass machinery.
+            edge = Edge(
+                old.source,
+                old.target,
+                clean.get("distance_m", old.distance_m),
+                clean.get("travel_time_s", old.travel_time_s),
+                clean.get("fuel_ml", old.fuel_ml),
+                old.road_type,
+                old.speed_kmh,
+            )
+            edges[key] = edge
+            adjacency[key[0]][key[1]] = edge
+            reverse[key[1]][key[0]] = edge
+            if slot_of is not None:
+                slot = slot_of[key]
+                slot_changes[slot] = clean
+                slot_edges[slot] = edge
+        self._version += 1
+        self._cost_version += 1
+        if fell:
+            self._cost_fell_version = self._version
+        if compiled is not None:
+            compiled.apply_cost_updates(slot_changes, slot_edges)
 
     def restore_cost_state(
         self,
         arrays: Mapping[str, "object"],
         cost_version: int,
     ) -> frozenset[tuple[VertexId, VertexId]]:
-        """Adopt persisted per-slot cost arrays wholesale (crash recovery).
+        """Adopt full per-slot cost arrays: the one way a network is brought
+        to a given cost state (crash recovery, shard-worker boot and resync).
 
         ``arrays`` maps each compiled cost attribute to a full-length array
-        in CSR slot order — exactly what
+        in CSR slot order — what
         :meth:`~repro.network.compiled.graph.CostStore.export_arrays`
-        captured and the durability layer's snapshot store persisted; the
-        network's :attr:`cost_version` is *set* to ``cost_version`` (not
+        captured and the durability layer's snapshot store persisted, or a
+        copy of the shared segment's cost arrays.  Every value must be finite
+        and strictly positive (same contract as :meth:`update_edge_costs`),
+        and nothing is touched unless all of them are.  The slots that differ
+        are found by comparing against the compiled store's arrays — they
+        mirror the edge objects, every cost write patching both under the
+        compiled-view lock — and go through the same writer as a live-traffic
+        batch; then :attr:`cost_version` is *set* to ``cost_version`` (not
         bumped), so replaying the write-ahead log from the restored state
-        reproduces the original version sequence bit for bit.  Edge objects,
-        adjacency dicts, and the compiled
-        :class:`~repro.network.compiled.graph.CostStore` all land on the
-        restored values in one transaction; every value must be finite and
-        strictly positive (same contract as :meth:`update_edge_costs`).
-        Returns the keys of the edges whose costs actually changed.
+        reproduces the original version sequence bit for bit.  Returns the
+        keys of the edges whose costs actually changed.
         """
         import numpy as np
 
@@ -375,20 +390,17 @@ class RoadNetwork:
 
         if cost_version < 0:
             raise NetworkError(f"cost_version must be >= 0, got {cost_version}")
-        with self._compiled_lock:
-            compiled = self._compiled
-        if compiled is None:
-            compiled = self.compiled()
-        topology = compiled.topology
+        compiled = self.compiled()
+        edge_count = compiled.topology.edge_count
         clean: dict[str, "np.ndarray"] = {}
         for attr in EDGE_COST_ATTRIBUTES:
             if attr not in arrays:
                 raise NetworkError(f"restored cost state is missing {attr!r}")
             values = np.asarray(arrays[attr], dtype=np.float64)
-            if values.shape != (topology.edge_count,):
+            if values.shape != (edge_count,):
                 raise NetworkError(
                     f"restored array for {attr!r} has shape {values.shape}; "
-                    f"this network compiles {topology.edge_count} edges"
+                    f"this network compiles {edge_count} edges"
                 )
             if not bool(np.all(np.isfinite(values)) and np.all(values > 0.0)):
                 raise NetworkError(
@@ -402,42 +414,28 @@ class RoadNetwork:
                 raise NetworkError(
                     "network was mutated while restoring its cost state"
                 )
-            edges = self._edges
-            adjacency = self._adjacency
-            reverse = self._reverse
-            slot_edges: dict[int, Edge] = {}
-            changed: set[tuple[VertexId, VertexId]] = set()
-            for key, slot in topology.slot_of.items():
-                old = edges[key]
-                distance = float(clean["distance_m"][slot])
-                travel = float(clean["travel_time_s"][slot])
-                fuel = float(clean["fuel_ml"][slot])
-                if (
-                    distance == old.distance_m
-                    and travel == old.travel_time_s
-                    and fuel == old.fuel_ml
-                ):
-                    continue
-                edge = Edge(
-                    old.source,
-                    old.target,
-                    distance,
-                    travel,
-                    fuel,
-                    old.road_type,
-                    old.speed_kmh,
-                )
-                edges[key] = edge
-                adjacency[key[0]][key[1]] = edge
-                reverse[key[1]][key[0]] = edge
-                slot_edges[slot] = edge
-                changed.add(key)
-            self._version += 1
+            differs = np.zeros(edge_count, dtype=bool)
+            for attr, values in clean.items():
+                differs |= values != compiled.array(attr)
+            slots = np.flatnonzero(differs)
+            # One tolist() per column and one dict display per slot: indexing
+            # the arrays element by element doubles the cost of a full restore.
+            distance, travel, fuel = (
+                clean[attr][slots].tolist()
+                for attr in ("distance_m", "travel_time_s", "fuel_ml")
+            )
+            slot_edges = compiled.edges
+            resolved: dict[tuple[VertexId, VertexId], dict[str, float]] = {}
+            for slot, d, t, f in zip(slots.tolist(), distance, travel, fuel):
+                old = slot_edges[slot]
+                resolved[old.source, old.target] = {
+                    "distance_m": d, "travel_time_s": t, "fuel_ml": f
+                }
+            if resolved:
+                self._patch_costs(resolved, fell=True)  # a restore may lower costs
             self._cost_version = int(cost_version)
-            if changed:
-                self._cost_fell_version = self._version  # a restore may lower costs
-            compiled.costs.restore(clean, slot_edges, int(cost_version))
-        return frozenset(changed)
+            compiled.costs.rewind(self._cost_version)
+        return frozenset(resolved)
 
     # ------------------------------------------------------------------ #
     # Compiled view

@@ -1,7 +1,8 @@
 """A* search with great-circle lower-bound heuristics.
 
-A* is used where a goal-directed search pays off: the external
-routing-service simulator and the service engines' ``goal_directed`` mode.
+A library search, off the serving path (the engines answer single-cost
+queries with the corridor-bounded Dijkstra, which has the better tail): the
+external routing-service simulator and the benchmark's layer table call it.
 The heuristics are admissible lower bounds for each travel-cost feature
 (straight-line distance; straight-line distance at the maximum speed for
 travel time; at the most economical fuel rate for fuel).

@@ -37,11 +37,6 @@ class RouteRequest:
     cost_override: CostFeature | None = None
     """Per-request preference override: when set, the engine answers with the
     single-cost optimal path for this feature instead of its own policy."""
-    goal_directed: bool | None = None
-    """Per-request opt-in to goal-directed (ALT landmark) search for requests
-    that reduce to a single-cost query.  ``None`` defers to the engine's (or
-    the service's) configuration.  Goal-directed answers are cost-optimal but
-    may pick a different equal-cost path than the Dijkstra reference."""
     request_id: str | None = None
     """Caller-chosen correlation id, echoed back unchanged."""
     deadline_s: float | None = None

@@ -114,7 +114,6 @@ class RouteCache:
             bucket,
             request.driver_id,
             request.cost_override,
-            request.goal_directed,
             version,
         )
 

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 from ..core.router import RouteDiagnostics
 from ..exceptions import ReproError
 from ..network.road_network import RoadNetwork
-from ..routing.astar import astar
 from ..routing.contraction import ContractionHierarchy, ch_shortest_path
 from ..routing.costs import CostFeature, cost_function
 from ..routing.dijkstra import lowest_cost_path
@@ -59,22 +58,12 @@ class BaseEngine(abc.ABC):
 
     name: str = "engine"
 
-    def __init__(self, network: RoadNetwork, goal_directed: bool = False) -> None:
+    def __init__(self, network: RoadNetwork) -> None:
         self._network = network
-        self.goal_directed = goal_directed
-        """Default for requests that reduce to a single-cost query: answer
-        with goal-directed ALT-A* instead of plain Dijkstra.  Cost-optimal
-        either way; ALT may pick a different equal-cost path.  Per-request
-        ``RouteRequest.goal_directed`` overrides this default."""
 
     @property
     def network(self) -> RoadNetwork:
         return self._network
-
-    def _wants_goal_directed(self, request: RouteRequest) -> bool:
-        if request.goal_directed is not None:
-            return request.goal_directed
-        return self.goal_directed
 
     def route(self, request: RouteRequest) -> RouteResponse:
         """Answer ``request``, timing the computation.
@@ -86,13 +75,9 @@ class BaseEngine(abc.ABC):
         started = time.perf_counter()
         try:
             if request.cost_override is not None:
-                cost = cost_function(request.cost_override)
-                if self._wants_goal_directed(request):
-                    path = astar(self._network, request.source, request.destination, cost)
-                else:
-                    path = lowest_cost_path(
-                        self._network, request.source, request.destination, request.cost_override
-                    )
+                path = lowest_cost_path(
+                    self._network, request.source, request.destination, request.cost_override
+                )
                 diagnostics: RouteDiagnostics | None = RouteDiagnostics(case="cost-override")
             else:
                 path, diagnostics = self._answer(request)
@@ -140,13 +125,8 @@ class BaseEngine(abc.ABC):
 class AlgorithmEngine(BaseEngine):
     """Adapter exposing a legacy :class:`RoutingAlgorithm` as an engine."""
 
-    def __init__(
-        self,
-        algorithm: "RoutingAlgorithm",
-        name: str | None = None,
-        goal_directed: bool = False,
-    ) -> None:
-        super().__init__(algorithm.network, goal_directed=goal_directed)
+    def __init__(self, algorithm: "RoutingAlgorithm", name: str | None = None) -> None:
+        super().__init__(algorithm.network)
         self._algorithm = algorithm
         self.name = name or algorithm.name
 
@@ -171,12 +151,6 @@ class AlgorithmEngine(BaseEngine):
         return cost_function(feature)
 
     def _answer(self, request: RouteRequest) -> tuple[Path, RouteDiagnostics | None]:
-        if self._wants_goal_directed(request):
-            cost = self._static_cost()
-            if cost is not None:
-                # Single-cost policy: answer goal-directed (ALT-A*) instead
-                # of running the algorithm's plain Dijkstra.
-                return astar(self._network, request.source, request.destination, cost), None
         path = self._algorithm.route(
             request.source,
             request.destination,
@@ -191,13 +165,8 @@ class L2REngine(BaseEngine):
 
     name = "L2R"
 
-    def __init__(
-        self,
-        pipeline: "LearnToRoute",
-        name: str | None = None,
-        goal_directed: bool = False,
-    ) -> None:
-        super().__init__(pipeline.network, goal_directed=goal_directed)
+    def __init__(self, pipeline: "LearnToRoute", name: str | None = None) -> None:
+        super().__init__(pipeline.network)
         self._pipeline = pipeline
         if name is not None:
             self.name = name

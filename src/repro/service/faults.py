@@ -10,7 +10,7 @@ run is exactly replayable: the same seed produces the same fault sequence,
 the same breaker trips, and the same shed / degraded counters — in tests
 and in CI.
 
-Three wrapper kinds:
+Four wrapper kinds, one schedule core (:class:`_Schedule`) under all of them:
 
 * :meth:`FaultInjector.engine` — a :class:`FaultyEngine` that, per call,
   may sleep (latency spike) and/or raise a ``TransientEngineError`` before
@@ -60,18 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import RoutingEngine
     from .sharding.protocol import Transport
 
-#: Engine actions a script may name.
-ENGINE_ACTIONS = ("ok", "error", "slow")
-#: Feed actions a script may name.
-FEED_ACTIONS = ("ok", "error", "drop", "delay")
-#: Transport send actions a script may name.
-TRANSPORT_ACTIONS = ("ok", "drop", "delay", "duplicate")
-#: Disk write actions a script may name.
-DISK_WRITE_ACTIONS = ("ok", "short", "eio", "enospc")
-#: Disk flush actions a script may name.
-DISK_FLUSH_ACTIONS = ("ok", "crash-before-fsync", "crash-after-fsync")
-
-
 @dataclass
 class FaultCounters:
     """Mutable per-wrapper accounting (thread-safe via the wrapper lock)."""
@@ -119,80 +107,25 @@ class FaultInjector:
             self._wrappers += 1
         return np.random.default_rng([self.seed, index])
 
-    def engine(
-        self,
-        engine: "RoutingEngine",
-        *,
-        error_rate: float = 0.0,
-        spike_rate: float = 0.0,
-        spike_s: float = 0.005,
-        script: Sequence[str] | None = None,
-    ) -> "FaultyEngine":
-        """Wrap a routing engine with a seeded (or scripted) fault schedule."""
-        return FaultyEngine(
-            engine,
-            rng=self._child_rng(),
-            error_rate=error_rate,
-            spike_rate=spike_rate,
-            spike_s=spike_s,
-            script=script,
-        )
+    def engine(self, engine: "RoutingEngine", **schedule) -> "FaultyEngine":
+        """Wrap a routing engine with a seeded (or scripted) fault schedule;
+        ``schedule`` holds :class:`FaultyEngine`'s keywords."""
+        return FaultyEngine(engine, rng=self._child_rng(), **schedule)
 
-    def feed(
-        self,
-        feed: "TrafficFeed",
-        *,
-        error_rate: float = 0.0,
-        drop_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        delay_s: float = 0.005,
-        script: Sequence[str] | None = None,
-    ) -> "FaultyFeed":
-        """Wrap a traffic feed with a seeded (or scripted) fault schedule."""
-        return FaultyFeed(
-            feed,
-            rng=self._child_rng(),
-            error_rate=error_rate,
-            drop_rate=drop_rate,
-            delay_rate=delay_rate,
-            delay_s=delay_s,
-            script=script,
-        )
+    def feed(self, feed: "TrafficFeed", **schedule) -> "FaultyFeed":
+        """Wrap a traffic feed with a seeded (or scripted) fault schedule;
+        ``schedule`` holds :class:`FaultyFeed`'s keywords."""
+        return FaultyFeed(feed, rng=self._child_rng(), **schedule)
 
-    def transport(
-        self,
-        transport: "Transport",
-        *,
-        drop_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        delay_s: float = 0.005,
-        script: Sequence[str] | None = None,
-    ) -> "FaultyTransport":
+    def transport(self, transport: "Transport", **schedule) -> "FaultyTransport":
         """Wrap a protocol transport with a seeded (or scripted) schedule of
-        message-level faults."""
-        return FaultyTransport(
-            transport,
-            rng=self._child_rng(),
-            drop_rate=drop_rate,
-            delay_rate=delay_rate,
-            duplicate_rate=duplicate_rate,
-            delay_s=delay_s,
-            script=script,
-        )
+        message-level faults; ``schedule`` holds :class:`FaultyTransport`'s
+        keywords."""
+        return FaultyTransport(transport, rng=self._child_rng(), **schedule)
 
-    def disk(
-        self,
-        *,
-        short_rate: float = 0.0,
-        eio_rate: float = 0.0,
-        enospc_rate: float = 0.0,
-        crash_before_fsync_rate: float = 0.0,
-        crash_after_fsync_rate: float = 0.0,
-        write_script: Sequence[str] | None = None,
-        flush_script: Sequence[str] | None = None,
-    ) -> "FaultyDisk":
-        """A seeded (or scripted) disk-fault layer for file-like objects.
+    def disk(self, **schedule) -> "FaultyDisk":
+        """A seeded (or scripted) disk-fault layer for file-like objects;
+        ``schedule`` holds :class:`FaultyDisk`'s keywords.
 
         The returned :class:`FaultyDisk` is callable with ``(path, mode)``
         so it can be handed directly to the ``opener=`` hook of
@@ -203,66 +136,71 @@ class FaultInjector:
         write schedule never perturbs the crash schedule.
         """
         return FaultyDisk(
-            write_rng=self._child_rng(),
-            flush_rng=self._child_rng(),
-            short_rate=short_rate,
-            eio_rate=eio_rate,
-            enospc_rate=enospc_rate,
-            crash_before_fsync_rate=crash_before_fsync_rate,
-            crash_after_fsync_rate=crash_after_fsync_rate,
-            write_script=write_script,
-            flush_script=flush_script,
+            write_rng=self._child_rng(), flush_rng=self._child_rng(), **schedule
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultInjector(seed={self.seed}, wrappers={self._wrappers})"
 
 
-class _ScheduledWrapper:
-    """Shared decision machinery: scripted actions or seeded draws."""
+class _Schedule:
+    """One fault schedule: scripted actions, or seeded draws.
+
+    ``faults`` lists ``(action, rate, counter field)`` in firing priority;
+    ``"ok"`` is the action of a call nothing fires on.  :attr:`lock` guards
+    :attr:`counters` and :attr:`rng` — for the wrappers' own sums and draws
+    too.
+    """
 
     def __init__(
         self,
         rng: np.random.Generator,
         script: Sequence[str] | None,
-        valid_actions: tuple[str, ...],
+        faults: Sequence[tuple[str, float, str]],
     ) -> None:
-        self._rng = rng
-        self._lock = threading.Lock()
+        self.rng = rng
+        self.lock = threading.Lock()
         self.counters = FaultCounters()
+        self._faults = tuple(faults)
+        self._counter_of = {action: counter for action, _, counter in self._faults}
+        self._script: "itertools.cycle[str] | None" = None
         if script is not None:
-            unknown = sorted(set(script) - set(valid_actions))
+            valid = ("ok", *self._counter_of)
+            unknown = sorted(set(script) - set(valid))
             if unknown:
                 raise ValueError(
-                    f"unknown fault-script action(s) {unknown}; valid: {valid_actions}"
+                    f"unknown fault-script action(s) {unknown}; valid: {valid}"
                 )
-            self._script: "itertools.cycle[str] | None" = itertools.cycle(script)
-        else:
-            self._script = None
+            self._script = itertools.cycle(script)
 
-    def _decide(self, rates: Sequence[tuple[str, float]]) -> str:
-        """One action for this call: scripted, or first rate that fires.
+    def next(self) -> str:
+        """One action for this call — scripted, or the first rate that fires
+        — appended to ``counters.actions`` and counted under its field.
 
         Exactly one uniform draw happens per configured rate per call —
         whether or not an earlier rate already fired — so the consumed
         randomness (and therefore the whole downstream schedule) depends
         only on the call index, never on prior outcomes.
         """
-        with self._lock:
-            self.counters.calls += 1
+        with self.lock:
+            counters = self.counters
+            counters.calls += 1
             if self._script is not None:
                 action = next(self._script)
             else:
                 action = "ok"
-                for name, rate in rates:
-                    draw = float(self._rng.random())
+                for name, rate, _ in self._faults:
+                    draw = float(self.rng.random())
                     if action == "ok" and rate > 0.0 and draw < rate:
                         action = name
-            self.counters.actions.append(action)
+            counters.actions.append(action)
+            if action != "ok":
+                counter = self._counter_of[action]
+                setattr(counters, counter, getattr(counters, counter) + 1)
             return action
 
 
-class FaultyEngine(_ScheduledWrapper):
+class FaultyEngine:
     """A routing engine that injects scheduled latency spikes and errors.
 
     Satisfies the :class:`~repro.service.engine.RoutingEngine` protocol.
@@ -282,12 +220,18 @@ class FaultyEngine(_ScheduledWrapper):
         spike_s: float = 0.005,
         script: Sequence[str] | None = None,
     ) -> None:
-        super().__init__(rng, script, ENGINE_ACTIONS)
+        self._schedule = _Schedule(
+            rng,
+            script,
+            (("error", error_rate, "injected_errors"), ("slow", spike_rate, "injected_spikes")),
+        )
         self.inner = engine
         self.name = engine.name
-        self.error_rate = error_rate
-        self.spike_rate = spike_rate
         self.spike_s = spike_s
+
+    @property
+    def counters(self) -> FaultCounters:
+        return self._schedule.counters
 
     @property
     def peak_hours(self):
@@ -305,16 +249,10 @@ class FaultyEngine(_ScheduledWrapper):
         return getattr(self.inner, "network", None)
 
     def route(self, request: RouteRequest) -> RouteResponse:
-        action = self._decide(
-            (("error", self.error_rate), ("slow", self.spike_rate))
-        )
+        action = self._schedule.next()
         if action == "slow":
-            with self._lock:
-                self.counters.injected_spikes += 1
             time.sleep(self.spike_s)
         elif action == "error":
-            with self._lock:
-                self.counters.injected_errors += 1
             raise TransientEngineError(
                 f"injected fault in engine {self.name!r} "
                 f"(call {self.counters.calls})"
@@ -344,16 +282,21 @@ class FaultyFeed:
         delay_s: float = 0.005,
         script: Sequence[str] | None = None,
     ) -> None:
-        self._scheduler = _ScheduledWrapper(rng, script, FEED_ACTIONS)
+        self._schedule = _Schedule(
+            rng,
+            script,
+            (
+                ("error", error_rate, "injected_errors"),
+                ("drop", drop_rate, "dropped_batches"),
+                ("delay", delay_rate, "delayed_batches"),
+            ),
+        )
         self.inner = feed
-        self.error_rate = error_rate
-        self.drop_rate = drop_rate
-        self.delay_rate = delay_rate
         self.delay_s = delay_s
 
     @property
     def counters(self) -> FaultCounters:
-        return self._scheduler.counters
+        return self._schedule.counters
 
     @property
     def network(self):
@@ -366,24 +309,12 @@ class FaultyFeed:
         from ..traffic.updates import TrafficUpdateResult
 
         batch = list(updates)
-        action = self._scheduler._decide(
-            (
-                ("error", self.error_rate),
-                ("drop", self.drop_rate),
-                ("delay", self.delay_rate),
-            )
-        )
-        counters = self._scheduler.counters
-        lock = self._scheduler._lock
+        action = self._schedule.next()
         if action == "error":
-            with lock:
-                counters.injected_errors += 1
             raise TransientEngineError(
-                f"injected fault applying traffic batch (call {counters.calls})"
+                f"injected fault applying traffic batch (call {self.counters.calls})"
             )
         if action == "drop":
-            with lock:
-                counters.dropped_batches += 1
             # The batch is lost: report an empty, truthful result.
             return TrafficUpdateResult(
                 touched_edges=frozenset(),
@@ -391,8 +322,6 @@ class FaultyFeed:
                 applied=0,
             )
         if action == "delay":
-            with lock:
-                counters.delayed_batches += 1
             time.sleep(self.delay_s)
         return self.inner.apply(batch)
 
@@ -427,18 +356,23 @@ class FaultyTransport:
         delay_s: float = 0.005,
         script: Sequence[str] | None = None,
     ) -> None:
-        self._scheduler = _ScheduledWrapper(rng, script, TRANSPORT_ACTIONS)
+        self._schedule = _Schedule(
+            rng,
+            script,
+            (
+                ("drop", drop_rate, "dropped_messages"),
+                ("delay", delay_rate, "delayed_messages"),
+                ("duplicate", duplicate_rate, "duplicated_messages"),
+            ),
+        )
         self.inner = transport
-        self.drop_rate = drop_rate
-        self.delay_rate = delay_rate
-        self.duplicate_rate = duplicate_rate
         self.delay_s = delay_s
         self._partition_outbound = False
         self._partition_inbound = False
 
     @property
     def counters(self) -> FaultCounters:
-        return self._scheduler.counters
+        return self._schedule.counters
 
     # -- partitions ------------------------------------------------------ #
     def partition(self, *, outbound: bool = True, inbound: bool = True) -> None:
@@ -458,29 +392,15 @@ class FaultyTransport:
     # -- Transport protocol ---------------------------------------------- #
     def send(self, message: object) -> None:
         if self._partition_outbound:
-            with self._scheduler._lock:
+            with self._schedule.lock:
                 self.counters.partitioned_messages += 1
             return
-        action = self._scheduler._decide(
-            (
-                ("drop", self.drop_rate),
-                ("delay", self.delay_rate),
-                ("duplicate", self.duplicate_rate),
-            )
-        )
-        counters = self._scheduler.counters
-        lock = self._scheduler._lock
+        action = self._schedule.next()
         if action == "drop":
-            with lock:
-                counters.dropped_messages += 1
             return
         if action == "delay":
-            with lock:
-                counters.delayed_messages += 1
             time.sleep(self.delay_s)
         elif action == "duplicate":
-            with lock:
-                counters.duplicated_messages += 1
             self.inner.send(message)
         self.inner.send(message)
 
@@ -524,13 +444,23 @@ class FaultyDisk:
         write_script: Sequence[str] | None = None,
         flush_script: Sequence[str] | None = None,
     ) -> None:
-        self._writes = _ScheduledWrapper(write_rng, write_script, DISK_WRITE_ACTIONS)
-        self._flushes = _ScheduledWrapper(flush_rng, flush_script, DISK_FLUSH_ACTIONS)
-        self.short_rate = short_rate
-        self.eio_rate = eio_rate
-        self.enospc_rate = enospc_rate
-        self.crash_before_fsync_rate = crash_before_fsync_rate
-        self.crash_after_fsync_rate = crash_after_fsync_rate
+        self._writes = _Schedule(
+            write_rng,
+            write_script,
+            (
+                ("short", short_rate, "short_writes"),
+                ("eio", eio_rate, "disk_errors"),
+                ("enospc", enospc_rate, "disk_errors"),
+            ),
+        )
+        self._flushes = _Schedule(
+            flush_rng,
+            flush_script,
+            (
+                ("crash-before-fsync", crash_before_fsync_rate, "disk_crashes"),
+                ("crash-after-fsync", crash_after_fsync_rate, "disk_crashes"),
+            ),
+        )
 
     @property
     def write_counters(self) -> FaultCounters:
@@ -588,32 +518,19 @@ class FaultyFile:
         import errno as _errno
 
         data = bytes(data)
-        disk = self._disk
-        action = disk._writes._decide(
-            (
-                ("short", disk.short_rate),
-                ("eio", disk.eio_rate),
-                ("enospc", disk.enospc_rate),
-            )
-        )
-        counters = disk._writes.counters
-        lock = disk._writes._lock
+        writes = self._disk._writes
+        action = writes.next()
         if action == "short":
             # The prefix length is a seeded draw from the *write* stream so
             # replays tear the frame at the same byte every time.
-            with lock:
-                counters.short_writes += 1
-                cut = int(disk._writes._rng.integers(0, len(data))) if data else 0
-                counters.lost_bytes += len(data) - cut
+            with writes.lock:
+                cut = int(writes.rng.integers(0, len(data))) if data else 0
+                writes.counters.lost_bytes += len(data) - cut
             self._buffer.extend(data[:cut])
             raise OSError(_errno.EIO, f"simulated short write ({cut}/{len(data)} bytes)")
         if action == "eio":
-            with lock:
-                counters.disk_errors += 1
             raise OSError(_errno.EIO, "simulated I/O error")
         if action == "enospc":
-            with lock:
-                counters.disk_errors += 1
             raise OSError(_errno.ENOSPC, "simulated: no space left on device")
         self._buffer.extend(data)
         return len(data)
@@ -627,19 +544,11 @@ class FaultyFile:
     def flush(self) -> None:
         from .durability.killpoints import SimulatedCrash
 
-        disk = self._disk
-        action = disk._flushes._decide(
-            (
-                ("crash-before-fsync", disk.crash_before_fsync_rate),
-                ("crash-after-fsync", disk.crash_after_fsync_rate),
-            )
-        )
-        counters = disk._flushes.counters
-        lock = disk._flushes._lock
+        flushes = self._disk._flushes
+        action = flushes.next()
         if action == "crash-before-fsync":
-            with lock:
-                counters.disk_crashes += 1
-                counters.lost_bytes += len(self._buffer)
+            with flushes.lock:
+                flushes.counters.lost_bytes += len(self._buffer)
             self._buffer.clear()
             raise SimulatedCrash("disk.crash-before-fsync")
         if action == "crash-after-fsync":
@@ -647,8 +556,6 @@ class FaultyFile:
             import os as _os
 
             _os.fsync(self.inner.fileno())
-            with lock:
-                counters.disk_crashes += 1
             raise SimulatedCrash("disk.crash-after-fsync")
         self._push()
 

@@ -16,7 +16,6 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.config import PeakHours
@@ -60,7 +59,6 @@ class RoutingService:
         peak_hours: PeakHours | None = None,
         enable_cache: bool = True,
         traffic_invalidate_threshold: int = 64,
-        goal_directed: bool | None = None,
         batch_min_size: int = 8,
         deadline_s: float | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -73,10 +71,7 @@ class RoutingService:
         """``traffic_invalidate_threshold`` bounds the delta-aware cache scan:
         a live-traffic batch touching more edges than this drops the whole
         route cache instead of checking every cached path (see
-        :meth:`on_traffic_update`).  ``goal_directed`` (when not ``None``)
-        becomes the default for requests that leave their own
-        ``goal_directed`` field unset — the service-wide opt-in to ALT
-        landmark search for single-cost queries.  ``batch_min_size`` is the
+        :meth:`on_traffic_update`).  ``batch_min_size`` is the
         smallest group of compatible ``route_many`` requests worth a batched
         ``dijkstra_many`` call; smaller groups are routed one by one.
 
@@ -106,7 +101,6 @@ class RoutingService:
         )
         self._peak_hours_pinned = peak_hours is not None
         self._traffic_invalidate_threshold = traffic_invalidate_threshold
-        self._goal_directed = goal_directed
         self._batch_min_size = max(2, batch_min_size)
         self._engine_generation: dict[str, int] = {}
         self._traffic_generation = 0
@@ -296,7 +290,6 @@ class RoutingService:
         if name is None:
             raise ConfigurationError("no engines registered with this RoutingService")
         self.engine(name)  # validates the name before cache lookup
-        request = self._effective_request(request)
 
         if self._cache is not None:
             cached = self._cache.get(
@@ -346,6 +339,18 @@ class RoutingService:
             degraded = self._degraded_response(name, request, response)
             if degraded is not None:
                 response = degraded
+        return self._finish(name, response, generations, traffic_generation)
+
+    def _finish(
+        self,
+        name: str,
+        response: RouteResponse,
+        generations: dict[str, int],
+        traffic_generation: int,
+    ) -> RouteResponse:
+        """The last step of every computed answer, single or batched: cache
+        insert under the in-flight guard (the generations are the caller's
+        snapshot from before computing), last-good store, stats."""
         if self._cache is not None and not response.degraded:
 
             def _still_current() -> bool:
@@ -383,12 +388,6 @@ class RoutingService:
         )
         return self.route(request, engine=engine)
 
-    def _effective_request(self, request: RouteRequest) -> RouteRequest:
-        """Fill service-level defaults into an incoming request."""
-        if request.goal_directed is None and self._goal_directed is not None:
-            return replace(request, goal_directed=self._goal_directed)
-        return request
-
     def route_many(
         self,
         requests: Sequence[RouteRequest] | Iterable[RouteRequest],
@@ -413,7 +412,7 @@ class RoutingService:
         ``batch_min_size`` overrides the service default: compatible groups
         smaller than this are not worth the batch setup.
         """
-        batch = [self._effective_request(request) for request in requests]
+        batch = list(requests)
         if not batch:
             return []
         name = engine or self._default_engine
@@ -501,12 +500,6 @@ class RoutingService:
                 leftovers.extend(group)
                 continue
             per_request = elapsed / len(group)
-
-            def _still_current() -> bool:
-                return self._traffic_generation == traffic_generation and (
-                    self._engine_generation.get(name, 0) == generations.get(name, 0)
-                )
-
             for position, answer in zip(group, answers):
                 if not isinstance(answer, list):
                     # Unreachable (or unknown vertex): run the per-request
@@ -520,15 +513,9 @@ class RoutingService:
                     latency_s=per_request,
                     batched=True,
                 )
-                if self._cache is not None:
-                    self._cache.put(
-                        name,
-                        response,
-                        guard=_still_current,
-                        version=self._cache_tag(name),
-                    )
-                self._stats.record(response)
-                responses[position] = response
+                responses[position] = self._finish(
+                    name, response, generations, traffic_generation
+                )
         return leftovers
 
     def close(self, timeout_s: float | None = 5.0) -> bool:
@@ -710,7 +697,6 @@ class RoutingService:
             request.destination,
             request.driver_id,
             request.cost_override,
-            request.goal_directed,
         )
 
     def _remember_last_good(self, name: str, response: RouteResponse) -> None:

@@ -49,7 +49,7 @@ from .transport import (
     recv_frame,
     send_frame,
 )
-from .worker import ShardWorker, resync_network
+from .worker import ShardWorker
 
 __all__ = [
     "BoundaryOverlay",
@@ -79,6 +79,5 @@ __all__ = [
     "build_shard_plan",
     "encode_frame",
     "recv_frame",
-    "resync_network",
     "send_frame",
 ]

@@ -7,11 +7,11 @@ Boot protocol (the order matters):
 2. verify the pickled network snapshot compiles to the *same* CSR topology
    the segment describes (slot-indexed patches would land on wrong edges
    otherwise);
-3. :func:`~repro.network.compiled.shm.sync_network` the snapshot up to the
-   segment's cost state (the pickle may predate live-traffic batches);
-4. adopt the segment's cost arrays zero-copy into the compiled snapshot
-   (one set of big float arrays per machine, not per worker);
-5. build the :class:`~repro.service.sharding.overlay.BoundaryOverlay` and
+3. read the segment's cost version, then copy its cost arrays and adopt the
+   copy (:meth:`~repro.network.road_network.RoadNetwork.restore_cost_state`
+   — the pickle may predate live-traffic batches); the worker serves from
+   its own arrays, and the owner's later patches reach it as messages only;
+4. build the :class:`~repro.service.sharding.overlay.BoundaryOverlay` and
    start answering.
 
 Live traffic arrives as versioned :class:`CostDiff` broadcasts; a worker
@@ -19,10 +19,11 @@ whose version does not match the diff's base resyncs from the segment (the
 authoritative state) instead of applying the diff, and so does one the
 coordinator orders to (:class:`ResyncRequired`, sent when a worker
 reconnects behind the current version) — the one catch-up path, whatever
-the gap.  Either way every route answer cached under the old version is
-dropped — the self-eviction the coordinator's broadcast protocol is designed
-around — and the overlay's live boundary tables are rebuilt before the
-acknowledgement, so an acked version is one the next request finds ready.
+the gap, and the same adoption step 3 is.  Either way every route answer
+cached under the old version is dropped — the self-eviction the
+coordinator's broadcast protocol is designed around — and the overlay's live
+boundary tables are rebuilt before the acknowledgement, so an acked version
+is one the next request finds ready.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ import os
 import queue
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from ...exceptions import NetworkError, ReproError
 from ...network.compiled import shm
-from ...routing.costs import ALL_COST_FEATURES, FEATURE_EDGE_ATTRIBUTES, CostFeature, cost_function
+from ...routing.costs import FEATURE_EDGE_ATTRIBUTES, CostFeature, cost_function
 from ...routing.dijkstra import dijkstra
 from .overlay import BoundaryOverlay, CrossShardRouter
 from .protocol import (
@@ -56,34 +57,10 @@ from .protocol import (
 from .transport import SocketTransport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...network.road_network import RoadNetwork, VertexId
+    from ...network.road_network import VertexId
 
 #: How long one ``recv`` blocks before the loop re-checks its running flag.
 _POLL_TIMEOUT_S = 0.2
-
-
-def resync_network(network: "RoadNetwork", view: shm.SegmentView) -> frozenset[tuple["VertexId", "VertexId"]]:
-    """Bring a network's *edge objects* up to the segment's cost state.
-
-    Unlike :func:`~repro.network.compiled.shm.sync_network` (which diffs the
-    compiled arrays and is the right tool at boot), this compares the
-    authoritative ``Edge`` attribute values — correct even after
-    :func:`~repro.network.compiled.shm.adopt_shared_costs` made the compiled
-    arrays aliases of the segment (patched in place by the owner, so an
-    array diff would see nothing while the edges are stale).
-    """
-    edge_keys = view.array("edge_keys")
-    changes: dict[tuple["VertexId", "VertexId"], dict[str, float]] = {}
-    for attr in view.spec.cost_attributes:
-        shared = view.cost_array(attr)
-        for slot in range(view.edge_count):
-            key = (int(edge_keys[slot, 0]), int(edge_keys[slot, 1]))
-            value = float(shared[slot])
-            if getattr(network.edge(*key), attr) != value:
-                changes.setdefault(key, {})[attr] = value
-    if not changes:
-        return frozenset()
-    return network.update_edge_costs(changes)
 
 
 class ShardWorker:
@@ -117,14 +94,7 @@ class ShardWorker:
                     f"{self.payload.spec.segment_name!r} does not match the "
                     "pickled network's CSR topology"
                 )
-            # The owner writes values, then the version: stamp the version
-            # read *before* the scan, so a patch landing mid-scan leaves the
-            # worker behind (the next diff applies or forces a resync), never
-            # stamped current over edges the scan had already passed.
-            version = view.cost_version
-            shm.sync_network(self.network, view)
-            shm.adopt_shared_costs(self.network.compiled(), view)
-            self.version = version
+            self.version, _ = self._adopt(view)
             self.overlay = BoundaryOverlay(self.network, self.payload.plan)
             self.router = CrossShardRouter(self.network, self.overlay)
         except BaseException:
@@ -326,7 +296,6 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     def apply_diff(self, diff: CostDiff) -> None:
         """Apply one versioned broadcast (or resync on a version gap)."""
-        assert self.overlay is not None
         if diff.version <= self.version:
             return
         if diff.base_version != self.version:
@@ -335,39 +304,51 @@ class ShardWorker:
         changes = diff.as_updates()
         try:
             self.network.update_edge_costs(changes)
-            self.overlay.apply(changes)
-            self.overlay.refresh()
+            self._advance(changes, diff.version)
         except ReproError:
             # A diff that no longer applies cleanly (e.g. replayed against a
             # restarted worker) is superseded by the segment's state.
             self.resync()
-            return
-        self.version = diff.version
-        self._answers.clear()
 
     def resync(self) -> None:
-        """Adopt the shared segment's cost state wholesale.
+        """Adopt the shared segment's cost state wholesale."""
+        assert self.view is not None
+        version, changed = self._adopt(self.view)
+        attributes = tuple(FEATURE_EDGE_ATTRIBUTES.values())
+        updates = {}
+        for key in changed:
+            edge = self.network.edge(*key)
+            updates[key] = {attribute: getattr(edge, attribute) for attribute in attributes}
+        self._advance(updates, version)
 
-        The stamped version is the one read *before* the edge scan (same
-        reason as in :meth:`boot`): the diffs of any batch that lands during
-        the scan still apply, idempotently, on top of whatever part of it
-        the scan picked up.
+    def _adopt(
+        self, view: shm.SegmentView
+    ) -> tuple[int, frozenset[tuple["VertexId", "VertexId"]]]:
+        """Bring the network to the segment's cost state; the version that
+        state is stamped with, and the keys of the edges that changed.
+
+        The owner writes values, then the version, and patches in place: the
+        version is the one read *before* the arrays, and the arrays are
+        copied so one state is compared and installed.  A patch landing
+        mid-copy then leaves the worker behind (the batch's diff still
+        applies, idempotently, on top of whatever part of it the copy picked
+        up), never stamped current over values the copy had already passed.
         """
-        assert self.view is not None and self.overlay is not None
-        version = self.view.cost_version
-        changed = resync_network(self.network, self.view)
-        if changed:
-            updates: dict[tuple["VertexId", "VertexId"], dict[str, float]] = {}
-            for key in changed:
-                edge = self.network.edge(*key)
-                updates[key] = {
-                    FEATURE_EDGE_ATTRIBUTES[feature]: getattr(
-                        edge, FEATURE_EDGE_ATTRIBUTES[feature]
-                    )
-                    for feature in ALL_COST_FEATURES
-                }
-            self.overlay.apply(updates)
-            self.overlay.refresh()
+        version = view.cost_version
+        arrays = {attr: view.cost_array(attr).copy() for attr in view.spec.cost_attributes}
+        return version, self.network.restore_cost_state(arrays, version)
+
+    def _advance(
+        self,
+        changes: Mapping[tuple["VertexId", "VertexId"], Mapping[str, float]],
+        version: int,
+    ) -> None:
+        """The tail of a diff and of a resync, after the network moved: carry
+        the changes into the overlay, rebuild what they made stale, stamp the
+        version and drop every answer cached under the old one."""
+        assert self.overlay is not None
+        self.overlay.apply(changes)
+        self.overlay.refresh()
         self.version = version
         self._answers.clear()
 

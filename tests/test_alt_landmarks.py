@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, NoPathError, StaleHierarchyError
-from repro.network import alt_disabled, grid_city_network
+from repro.network import grid_city_network
 from repro.network.compiled import batch as compiled_batch
 from repro.network.compiled import dispatch as compiled_dispatch
 from repro.network.compiled.landmarks import REBUILD_RATIO
@@ -369,21 +369,6 @@ class TestBatchedRouteMany:
         shortest = service.route_many(requests, engine="Shortest")
         for a, b in zip(fastest, shortest):
             assert a.engine == "Fastest" and b.engine == "Shortest"
-
-    def test_goal_directed_service_default_and_request_override(self, network):
-        service = RoutingService(goal_directed=True)
-        service.register("Fastest", AlgorithmEngine(FastestBaseline(network)))
-        request = RouteRequest(source=0, destination=60)
-        goal_response = service.route(request)
-        assert goal_response.ok
-        with alt_disabled():
-            plain = service.route(
-                RouteRequest(source=0, destination=60, goal_directed=False)
-            )
-        assert plain.ok
-        assert _path_cost(network, goal_response.path) == pytest.approx(
-            _path_cost(network, plain.path), rel=1e-9
-        )
 
 
 class TestHierarchyStaleness:

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.analysis import sanitize
+from repro.baselines import FastestBaseline
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -33,10 +34,11 @@ from repro.exceptions import (
     ServiceOverloadedError,
     TransientEngineError,
 )
-from repro.network import small_demo_network
+from repro.network import grid_city_network, small_demo_network
 from repro.routing import fastest_path
 from repro.service import (
     AdmissionController,
+    AlgorithmEngine,
     CircuitBreaker,
     CircuitBreakerConfig,
     DeadlineBudget,
@@ -462,6 +464,27 @@ class TestServiceResilience:
         assert degraded.diagnostics.case == "degraded-stale"
         assert degraded.diagnostics.served_cost_version == network.cost_version
         assert service.stats().degraded_responses == 1
+
+    @pytest.mark.parametrize("first_served_by", ["route_many", "route"])
+    def test_degraded_serving_remembers_batched_answers_too(self, first_served_by):
+        """What an outage degrades to must not depend on which method
+        happened to serve the OD pair first."""
+        grid = grid_city_network(8, 8, seed=1)
+        engine = AlgorithmEngine(FastestBaseline(grid), name="Fastest")
+        service = RoutingService(enable_cache=False)
+        service.register("Fastest", engine)
+        requests = [RouteRequest(0, destination) for destination in range(40, 52)]
+        if first_served_by == "route_many":
+            fresh = service.route_many(requests, "Fastest")
+            assert all(response.batched for response in fresh)
+        else:
+            fresh = [service.route(request, "Fastest") for request in requests]
+        assert all(response.ok for response in fresh)
+
+        service.register("Fastest", FaultInjector(0).engine(engine, script=["error"]))
+        outage = [service.route(request, "Fastest") for request in requests]
+        assert [response.degraded for response in outage] == [True] * len(requests)
+        assert [response.path for response in outage] == [response.path for response in fresh]
 
     def test_degraded_response_is_never_recached(self, network):
         injector = FaultInjector(seed=0)

@@ -26,6 +26,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from repro.datasets.synthetic import d2_like_scenario
 from repro.network import RoadNetwork, grid_city_network
 from repro.network.generators import country_network
 from repro.network.compiled import shm
+from repro.network.compiled.graph import EDGE_COST_ATTRIBUTES
 from repro.routing import CostFeature, cost_function, dijkstra
 from repro.service import (
     RouteRequest,
@@ -49,6 +51,7 @@ from repro.service.sharding import (
     ShardWorker,
     WorkerPayload,
 )
+from repro.service.durability import final_state, states_identical
 from repro.service.sharding.overlay import path_cost
 from repro.traffic import TrafficFeed
 from repro.traffic.updates import TrafficUpdate
@@ -326,8 +329,8 @@ class TestProtocol:
 # The worker's one catch-up path
 # -------------------------------------------------------------------- #
 class _PatchMidScan:
-    """A segment view that lets the owner's next patch land exactly when
-    ``resync_network`` moves on from the first cost attribute."""
+    """A segment view that lets the owner's next patch land exactly when the
+    worker's copy moves on from the first cost array."""
 
     def __init__(self, view, land_patch):
         self._view = view
@@ -344,55 +347,62 @@ class _PatchMidScan:
         return getattr(self._view, name)
 
 
+def _patched(network, segment, batch) -> CostDiff:
+    """Apply ``batch`` on the owner's side — network, then segment — and
+    return the broadcast that would follow."""
+    graph = network.compiled()
+    base = network.cost_version
+    result = TrafficFeed(network).apply(batch)
+    segment.patch(
+        graph, [graph.topology.slot_of[key] for key in result.touched_edges], result.cost_version
+    )
+    attributes = segment.spec.cost_attributes
+    return CostDiff(
+        version=result.cost_version,
+        base_version=base,
+        changes=tuple(
+            (key, tuple((attr, float(getattr(network.edge(*key), attr))) for attr in attributes))
+            for key in sorted(result.touched_edges)
+        ),
+    )
+
+
+def _booted_worker(network, segment, pickled=None) -> ShardWorker:
+    worker = ShardWorker(
+        WorkerPayload(
+            worker_id=0, shard_id=0, plan=build_shard_plan(network, 2),
+            network=pickle.loads(pickled or pickle.dumps(network)), spec=segment.spec,
+        ),
+        transport=None,
+    )
+    worker.boot()
+    return worker
+
+
+def _same_costs(left, right) -> bool:
+    """Bit-identical cost arrays at the same cost version."""
+    return states_identical(final_state(left), final_state(right))
+
+
 def test_patch_landing_during_resync_is_not_stamped_as_seen():
     """The owner writes values, then the version.  A resync that stamps the
-    version it reads *after* its scan claims a batch whose edges the scan
+    version it reads *after* its copy claims a batch whose values the copy
     had already passed, and then drops that batch's diff as old."""
     network = grid_city_network(8, 8, seed=3)
-    graph = network.compiled()
-    plan = build_shard_plan(network, 2)
-    feed = TrafficFeed(network)
     edges = sorted(e.key for e in network.edges())
 
-    with shm.export_graph(graph, cost_version=network.cost_version) as segment:
+    with shm.export_graph(network.compiled(), cost_version=network.cost_version) as segment:
         attributes = segment.spec.cost_attributes
-
-        def apply(batch) -> CostDiff:
-            base = network.cost_version
-            result = feed.apply(batch)
-            segment.patch(
-                graph,
-                [graph.topology.slot_of[key] for key in result.touched_edges],
-                result.cost_version,
-            )
-            return CostDiff(
-                version=result.cost_version,
-                base_version=base,
-                changes=tuple(
-                    (key, tuple(
-                        (attr, float(getattr(network.edge(*key), attr)))
-                        for attr in attributes
-                    ))
-                    for key in sorted(result.touched_edges)
-                ),
-            )
-
-        worker = ShardWorker(
-            WorkerPayload(
-                worker_id=0, shard_id=0, plan=plan,
-                network=pickle.loads(pickle.dumps(network)), spec=segment.spec,
-            ),
-            transport=None,
-        )
-        worker.boot()
+        worker = _booted_worker(network, segment)
         try:
-            # Batch 1 is missed outright; batch 2 lands mid-scan.
-            apply([TrafficUpdate.scale_by(*edges[0], travel_time_s=2.0)])
+            # Batch 1 is missed outright; batch 2 lands mid-copy.
+            _patched(network, segment, [TrafficUpdate.scale_by(*edges[0], travel_time_s=2.0)])
             landed = []
             worker.view = _PatchMidScan(
                 worker.view,
-                lambda: landed.append(apply(
-                    [TrafficUpdate.scale_by(*key, **{attributes[0]: 1.5}) for key in edges[1:5]]
+                lambda: landed.append(_patched(
+                    network, segment,
+                    [TrafficUpdate.scale_by(*key, **{attributes[0]: 1.5}) for key in edges[1:5]],
                 )),
             )
             worker.resync()
@@ -407,6 +417,83 @@ def test_patch_landing_during_resync_is_not_stamped_as_seen():
                 != getattr(network.edge(*key), attr)
             ]
             assert stale == []
+        finally:
+            worker.close()
+
+
+def test_boot_from_a_pickle_older_than_the_segment_lands_on_the_segment_state():
+    network = grid_city_network(6, 6, seed=2)
+    edges = sorted(e.key for e in network.edges())
+    old_pickle = pickle.dumps(network)
+    with shm.export_graph(network.compiled(), cost_version=0) as segment:
+        _patched(network, segment, [TrafficUpdate.scale_by(*edges[0], travel_time_s=2.0)])
+        _patched(network, segment, [TrafficUpdate.scale_by(*key, fuel_ml=0.5) for key in edges[3:9]])
+        worker = _booted_worker(network, segment, old_pickle)
+        try:
+            assert worker.version == worker.network.cost_version == network.cost_version == 2
+            assert _same_costs(worker.network, network)
+            for key in edges:
+                assert worker.network.edge(*key) == network.edge(*key)
+        finally:
+            worker.close()
+
+
+def test_a_segment_patch_is_invisible_to_a_worker_until_a_diff_or_a_resync():
+    """A worker's state changes only when it handles a message: it serves
+    from private arrays, never from views of what the owner patches."""
+    network = grid_city_network(6, 6, seed=2)
+    edges = sorted(e.key for e in network.edges())
+    with shm.export_graph(network.compiled(), cost_version=0) as segment:
+        worker = _booted_worker(network, segment)
+        try:
+            booted = final_state(worker.network)
+            for attr in EDGE_COST_ATTRIBUTES:
+                assert not np.shares_memory(
+                    worker.network.compiled().array(attr), worker.view.cost_array(attr)
+                )
+            first = _patched(network, segment, [TrafficUpdate.scale_by(*edges[0], fuel_ml=3.0)])
+            assert worker.view.cost_version == 1  # the segment moved ...
+            assert states_identical(final_state(worker.network), booted)  # ... the worker did not
+            assert worker.version == 0
+
+            worker.apply_diff(first)
+            assert worker.version == 1
+            assert _same_costs(worker.network, network)
+
+            _patched(network, segment, [TrafficUpdate.scale_by(*edges[1], distance_m=1.5)])
+            assert not _same_costs(worker.network, network)
+            worker.resync()
+            assert worker.version == 2
+            assert _same_costs(worker.network, network)
+        finally:
+            worker.close()
+
+
+def test_a_resync_that_finds_nothing_changed_keeps_every_live_table():
+    network = grid_city_network(8, 8, seed=3)
+    edges = sorted(e.key for e in network.edges())
+    with shm.export_graph(network.compiled(), cost_version=0) as segment:
+        worker = _booted_worker(network, segment)
+        try:
+            overlay = worker.overlay
+            live = [
+                (shard_id, feature, reverse)
+                for shard_id in range(2)
+                for feature in ALL_FEATURES
+                for reverse in (False, True)
+            ]
+            tables = [overlay.table(*key) for key in live]
+            closures = [overlay.closure(feature) for feature in ALL_FEATURES]
+            kept = [worker.network.edge(*key) for key in edges]
+
+            worker.resync()
+
+            assert all(overlay.table(*key) is table for key, table in zip(live, tables))
+            assert all(
+                overlay.closure(feature) is closure
+                for feature, closure in zip(ALL_FEATURES, closures)
+            )
+            assert all(worker.network.edge(*key) is edge for key, edge in zip(edges, kept))
         finally:
             worker.close()
 

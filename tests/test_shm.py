@@ -66,12 +66,6 @@ class TestRoundTrip:
             assert view.edge_count == graph.edge_count
             assert view.cost_version == network.cost_version
 
-    def test_edge_keys_table_maps_slots_back_to_edges(self, network, segment):
-        with shm.attach(segment.spec) as view:
-            edge_keys = view.array("edge_keys")
-            for key, slot in network.compiled().topology.slot_of.items():
-                assert (int(edge_keys[slot, 0]), int(edge_keys[slot, 1])) == key
-
     def test_view_close_is_idempotent_and_keeps_segment(self, segment):
         view = shm.attach(segment.spec)
         view.close()
@@ -81,10 +75,11 @@ class TestRoundTrip:
 
 class TestExportNormalization:
     def test_transposed_input_is_forced_contiguous(self):
-        raw = np.asarray(np.zeros((2, 5), dtype=np.int64).T, order="F")
+        raw = np.arange(10, dtype=np.int64).reshape(5, 2).T[0]  # one strided column
         assert not raw.flags.c_contiguous
-        arr = shm._exportable("edge_keys", raw)
+        arr = shm._exportable("targets", raw)
         assert arr.flags.c_contiguous and arr.dtype == np.int64
+        assert arr.tolist() == [0, 2, 4, 6, 8]
 
     def test_casted_input_is_normalized_to_pinned_dtype(self):
         arr = shm._exportable("offsets", np.arange(4, dtype=np.int32))
@@ -95,8 +90,8 @@ class TestExportNormalization:
     def test_wrong_dimensionality_is_refused(self):
         with pytest.raises(NetworkError, match="1-dimensional"):
             shm._exportable("offsets", np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(NetworkError, match="2-dimensional"):
-            shm._exportable("edge_keys", np.zeros(4, dtype=np.int64))
+        with pytest.raises(NetworkError, match="1-dimensional"):
+            shm._exportable("cost:fuel_ml", np.ones((4, 2)))
 
     def test_non_numeric_input_is_refused(self):
         with pytest.raises(NetworkError, match="cannot be exported"):
@@ -123,40 +118,26 @@ class TestCostPatches:
             assert view.cost_array("travel_time_s")[slot] == pytest.approx(before * 3.0)
             assert view.cost_version == network.cost_version
 
-    def test_sync_network_replays_the_segment_delta(self, network, segment):
+    def test_restore_cost_state_adopts_the_segment_delta(self, network, segment):
         edge = next(iter(network.edges()))
         key = (edge.source, edge.target)
         slot = network.compiled().topology.slot_of[key]
         network.update_edge_costs({key: {"distance_m": 777.0}})
         segment.patch(network.compiled(), [slot], cost_version=network.cost_version)
 
+        def adopt(stale, view):
+            copies = {attr: view.cost_array(attr).copy() for attr in EDGE_COST_ATTRIBUTES}
+            return stale.restore_cost_state(copies, view.cost_version)
+
         stale = grid_city_network(3, 3)
         with shm.attach(segment.spec) as view:
-            changed = shm.sync_network(stale, view)
-            assert key in changed
-            assert stale.edge(*key).distance_m == pytest.approx(777.0)
-            assert shm.sync_network(stale, view) == frozenset()
-
-    def test_adopt_shared_costs_serves_patches_zero_copy(self, network, segment):
-        worker_net = grid_city_network(3, 3)
-        with shm.attach(segment.spec) as view:
-            graph = worker_net.compiled()
-            assert shm.adopt_shared_costs(graph, view)
-            edge = next(iter(network.edges()))
-            key = (edge.source, edge.target)
-            slot = network.compiled().topology.slot_of[key]
-            network.update_edge_costs({key: {"fuel_ml": 424.2}})
-            segment.patch(network.compiled(), [slot], cost_version=network.cost_version)
-            # The adopted store aliases the segment, so the patch is visible
-            # without any sync call.
-            assert graph.array("fuel_ml")[slot] == pytest.approx(424.2)
-
-    def test_adopt_refuses_a_diverged_store(self, network, segment):
-        worker_net = grid_city_network(3, 3)
-        edge = next(iter(worker_net.edges()))
-        worker_net.update_edge_costs({(edge.source, edge.target): {"fuel_ml": 9.9}})
-        with shm.attach(segment.spec) as view:
-            assert not shm.adopt_shared_costs(worker_net.compiled(), view)
+            assert adopt(stale, view) == {key}
+            assert stale.edge(*key).distance_m == 777.0
+            assert stale.cost_version == network.cost_version
+            assert adopt(stale, view) == frozenset()
+            # What the network serves from afterwards is its own, not the segment's.
+            for attr in EDGE_COST_ATTRIBUTES:
+                assert not np.shares_memory(stale.compiled().array(attr), view.cost_array(attr))
 
 
 class TestTopologyVerification:
@@ -168,6 +149,15 @@ class TestTopologyVerification:
         other = grid_city_network(4, 2)
         with shm.attach(segment.spec) as view:
             assert not shm.verify_topology(other.compiled(), view)
+
+    def test_another_layout_version_is_refused(self, segment):
+        # What an owner running another revision of this module would export.
+        segment._header[shm._SLOT_LAYOUT] = shm.LAYOUT_VERSION - 1
+        with pytest.raises(
+            NetworkError,
+            match=f"uses layout {shm.LAYOUT_VERSION - 1}, expected {shm.LAYOUT_VERSION}",
+        ):
+            shm.attach(segment.spec)
 
     def test_foreign_segment_fails_the_magic_check(self, segment):
         # A zeroed header is what a foreign / torn segment looks like.

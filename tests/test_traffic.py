@@ -36,6 +36,7 @@ from repro.routing import (
 )
 from repro.routing.preference_dijkstra import _dict_preference_search
 from repro.service import RouteRequest, RoutingService
+from repro.service.durability import final_state, states_identical
 from repro.traffic import TrafficFeed, TrafficUpdate, synthetic_congestion
 
 
@@ -210,6 +211,104 @@ class TestPickleCostVersion:
         # ... and the restored network accepts live updates.
         old.update_edge_costs({(0, 1): {"travel_time_s": 7.0}})
         assert old.cost_version == 1
+
+
+# --------------------------------------------------------------------------- #
+# RoadNetwork.restore_cost_state — the one adopter (recovery, worker boot, resync)
+# --------------------------------------------------------------------------- #
+class TestRestoreCostState:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+    )
+    def test_adopting_a_state_equals_replaying_the_batches(
+        self, rows, cols, seed, n_batches, compiled_first
+    ):
+        def fresh():
+            return grid_city_network(rows=rows, cols=cols, seed=1)
+
+        source, replayed, adopter, pristine = fresh(), fresh(), fresh(), fresh()
+        if compiled_first:
+            adopter.compiled()
+        rng = random.Random(seed)
+        keys = sorted(edge.key for edge in source.edges())
+        batches = []
+        for _ in range(n_batches):
+            batch = {}
+            for key in rng.sample(keys, rng.randint(1, min(6, len(keys)))):
+                edge = source.edge(*key)
+                batch[key] = {
+                    # increases, decreases and writes of the current value
+                    attr: getattr(edge, attr) * rng.choice([0.25, 1.0, 1.0, 3.0])
+                    for attr in rng.sample(EDGE_COST_ATTRIBUTES, rng.randint(1, 3))
+                }
+            source.update_edge_costs(batch)
+            batches.append(batch)
+        for batch in batches:
+            replayed.update_edge_costs(batch)
+        target = source.compiled().costs.export_arrays()
+        before = {key: adopter.edge(*key) for key in keys}
+
+        changed = adopter.restore_cost_state(target, source.cost_version)
+
+        assert changed == {key for key in keys if source.edge(*key) != pristine.edge(*key)}
+        assert states_identical(final_state(adopter), final_state(source))
+        assert states_identical(final_state(adopter), final_state(replayed))
+        graph = adopter.compiled()
+        assert graph.cost_version == adopter.cost_version == source.cost_version
+        for slot, edge in enumerate(graph.edges):
+            assert edge is adopter.edge(*edge.key) is adopter.successors(edge.source)[edge.target]
+            assert edge == source.edge(*edge.key)
+            assert edge is before[edge.key] or edge.key in changed
+            for attr in EDGE_COST_ATTRIBUTES:
+                assert getattr(edge, attr) == graph.array(attr)[slot]
+
+        # An already identical state: nothing to report, no Edge replaced.
+        kept = list(graph.edges)
+        assert adopter.restore_cost_state(target, source.cost_version) == frozenset()
+        assert all(now is then for now, then in zip(adopter.compiled().edges, kept))
+        assert all(adopter.edge(*edge.key) is edge for edge in kept)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda arrays: arrays.pop("fuel_ml"), "missing 'fuel_ml'"),
+            (lambda arrays: arrays.update(fuel_ml=arrays["fuel_ml"][:-1]), "has shape"),
+            (lambda arrays: arrays["distance_m"].__setitem__(2, float("nan")), "non-finite"),
+            (lambda arrays: arrays["travel_time_s"].__setitem__(0, 0.0), "non-positive"),
+        ],
+    )
+    def test_bad_arrays_raise_before_anything_changes(self, damage, message):
+        network = grid_city_network(rows=3, cols=3, seed=1)
+        network.update_edge_costs({(0, 1): {"travel_time_s": 50.0}})
+        graph = network.compiled()
+        state, edges, version = final_state(network), list(graph.edges), network.version
+        arrays = {attr: array * 2.0 for attr, array in state[0].items()}
+        damage(arrays)
+        with pytest.raises(NetworkError, match=message):
+            network.restore_cost_state(arrays, 7)
+        assert states_identical(final_state(network), state)
+        assert network.version == version and network.compiled() is graph
+        assert all(now is then for now, then in zip(graph.edges, edges))
+
+    def test_a_cached_artifact_of_the_old_state_is_not_served_at_the_adopted_version(self):
+        """The version is set, not bumped, so it can land on a number the
+        store has already stamped entries with — under other costs."""
+        network = grid_city_network(rows=3, cols=3, seed=1)
+        graph = network.compiled()
+        network.update_edge_costs({(0, 1): {"travel_time_s": 50.0}})
+        terms = (("travel_time_s", 2.0),)
+        stale = graph.linear_array(terms)
+        assert graph.cost_version == 1
+        arrays = {attr: array * 3.0 for attr, array in final_state(network)[0].items()}
+        network.restore_cost_state(arrays, 1)
+        assert graph.cost_version == 1
+        assert graph.linear_array(terms) is not stale
+        assert graph.linear_array(terms).tolist() == (arrays["travel_time_s"] * 2.0).tolist()
 
 
 # --------------------------------------------------------------------------- #
