@@ -1,14 +1,14 @@
 """CI guard: fail when a benchmark speedup ratio regresses past tolerance.
 
 Compares a freshly produced routing benchmark JSON against a committed
-baseline and fails when any *speedup ratio* — ALT-A* over plain A*
-(``bench_alt_landmarks.py``), say, or the fault-free plain-vs-resilient
-throughput ratio (``bench_resilience.py``) — drops by more than
-``--max-slowdown`` (default 30%).  Ratios, not absolute timings, are
+baseline and fails when any *speedup ratio* — the fault-free
+plain-vs-resilient throughput ratio (``bench_resilience.py``), say, or the
+sharded-vs-single-process one (``bench_sharded_serving.py``) — drops by more
+than ``--max-slowdown`` (default 30%).  Ratios, not absolute timings, are
 compared: both sides of a ratio come from the same machine and run, which
 makes the guard robust to CI hardware variance.  Only grids present in both
 reports (matched by ``rows x cols``) are compared, so a smoke baseline guards
-smoke runs — but a whole section (``alt``, ``sharded``, ...) that the
+smoke runs — but a whole section (``resilience``, ``sharded``, ...) that the
 baseline has and the fresh run lacks fails the guard: deleting or skipping a
 benchmark script must not silently drop its gate (delete the section from
 the baseline with it).
@@ -31,18 +31,6 @@ from pathlib import Path
 def collect_ratios(report: dict) -> dict[str, float]:
     """Flatten every named speedup ratio of one benchmark report."""
     ratios: dict[str, float] = {}
-    for grid in report.get("alt", {}).get("grids", []):
-        label = f"{grid['rows']}x{grid['cols']}"
-        for name, short in (
-            ("alt_vs_plain_astar_speedup", "astar"),
-            ("alt_vs_plain_bidirectional_speedup", "bidirectional"),
-        ):
-            speedup = grid.get(name)
-            if speedup:
-                ratios[f"alt/{label}/{short}"] = float(speedup)
-        batch = grid.get("route_many", {}).get("shared_source_batched_vs_serial_speedup")
-        if batch:
-            ratios[f"alt/{label}/route_many_shared_source"] = float(batch)
     for grid in report.get("resilience", {}).get("grids", []):
         label = f"{grid['rows']}x{grid['cols']}"
         # plain/resilient throughput on the fault-free path: ~1.0 when the

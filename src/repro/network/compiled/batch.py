@@ -13,9 +13,10 @@ their search trees, in one convention (negative = none): a caller that needs
 layer's boundary tables — follows it, one int per hop, instead of walking.
 
 ``shortest_paths_many`` builds on that: a batch of ``(source, destination)``
-pairs shares one distance row per distinct source, which is how
-:meth:`~repro.service.RoutingService.route_many` turns a search per request
-into a handful of batched kernel calls.  The landmark tables in
+pairs shares one distance row per distinct source, which is how an engine's
+``route_batch`` (:meth:`~repro.service.engine.BaseEngine.route_batch`) turns
+the requests of a ``route_many`` that repeat a source into one row each
+instead of a search each.  The landmark tables in
 :mod:`~repro.network.compiled.landmarks` use ``dijkstra_many`` for their
 per-landmark forward/backward distance rows.
 """

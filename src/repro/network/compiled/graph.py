@@ -37,6 +37,7 @@ from :meth:`CompiledGraph.borrowed_workspace`, so concurrent queries
 from __future__ import annotations
 
 import threading
+import zlib
 from collections import OrderedDict
 from contextlib import AbstractContextManager, contextmanager
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -88,6 +89,7 @@ class Topology:
         "r_offsets",
         "r_targets",
         "r_slots",
+        "_stamp",
     )
 
     def __init__(self, network: "RoadNetwork") -> None:
@@ -121,6 +123,7 @@ class Topology:
         self.r_offsets = r_offsets
         self.r_targets = r_targets
         self.r_slots = np.asarray(r_slots, dtype=np.int64)
+        self._stamp: tuple[int, int, int] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -129,6 +132,24 @@ class Topology:
     @property
     def edge_count(self) -> int:
         return len(self.targets)
+
+    @property
+    def stamp(self) -> tuple[int, int, int]:
+        """``(vertex count, edge count, CRC-32)`` identifying this layout.
+
+        The CRC runs over ``offsets``, ``targets`` and ``vertex_ids`` (the
+        reverse CSR and ``slot_of`` are derived from them).  Slot-indexed
+        cost arrays from elsewhere — a durability snapshot, the sharded
+        deployment's shared segment — may be adopted only when their stamp
+        equals this one; computed once, the topology never changes.
+        """
+        stamp = self._stamp
+        if stamp is None:
+            crc = 0
+            for values in (self.offsets, self.targets, self.vertex_ids):
+                crc = zlib.crc32(np.asarray(values, dtype=np.int64).tobytes(), crc)
+            stamp = self._stamp = (self.vertex_count, self.edge_count, crc)
+        return stamp
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Topology(vertices={self.vertex_count}, edges={self.edge_count})"

@@ -1,22 +1,24 @@
-"""Shared-memory export of a compiled road-network snapshot.
+"""Shared-memory export of a compiled snapshot's cost state.
 
-The owner of a sharded deployment publishes one compiled snapshot — the
-immutable CSR topology and the per-feature cost arrays — where every worker
-process on the machine can read it: the topology to prove that the network a
-worker was handed compiles to the same slots (:func:`verify_topology`), the
-cost arrays as the authoritative cost state a worker catches up from.
+The owner of a sharded deployment publishes the per-feature cost arrays of
+one compiled snapshot where every worker process on the machine can read
+them: the authoritative cost state, and its version, that a worker adopts at
+boot and catches up from on a resync.  The topology itself is *not* in the
+segment — a worker compiles its own from the network it was handed — only
+its stamp (:attr:`~repro.network.compiled.graph.Topology.stamp`: vertex
+count, edge count, CRC over ``offsets`` / ``targets`` / ``vertex_ids``), which
+:func:`verify_topology` compares to prove that the worker's compile lands on
+the same slots these slot-indexed arrays belong to.
 
 One :func:`export_graph` call packs everything into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment::
 
-    [ header int64[8] | array 0 | array 1 | ... ]     (16-byte aligned)
+    [ header int64[8] | cost array 0 | cost array 1 | ... ]   (16-byte aligned)
 
-with the topology buffers (``offsets`` / ``targets`` / reverse CSR /
-``r_slots`` / ``vertex_ids``), ``road_type_values`` and the per-feature cost
-arrays packed back to back, each one-dimensional.  The header block carries
-the magic, the layout version, the shape counters, and — the one *mutable*
-slot — the network cost version the cost arrays currently reflect, so
-attached workers can detect staleness and resync without any side channel.
+each array one-dimensional ``float64``.  The header block carries the magic,
+the layout version, the topology stamp, and — the one *mutable* slot — the
+network cost version the cost arrays currently reflect, so attached workers
+can detect staleness and resync without any side channel.
 The owner patches the cost arrays in place (:meth:`SharedGraphSegment.patch`:
 values first, then the version); a worker reads them at boot and on a resync
 only, copying them and adopting the copy through
@@ -56,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAGIC = 0x4F525052
 
 #: Bumped whenever the packed layout changes incompatibly.
-LAYOUT_VERSION = 2
+LAYOUT_VERSION = 3
 
 _HEADER_SLOTS = 8
 HEADER_BYTES = _HEADER_SLOTS * 8
@@ -67,32 +69,20 @@ _SLOT_LAYOUT = 1
 _SLOT_VERTICES = 2
 _SLOT_EDGES = 3
 _SLOT_COST_VERSION = 4
-_SLOT_PAYLOAD = 5
+_SLOT_TOPOLOGY_CRC = 5
 
-#: Expected dtype (as a canonical string) per exported array name.
-_TOPOLOGY_DTYPES: dict[str, str] = {
-    "offsets": "int64",
-    "targets": "int64",
-    "r_offsets": "int64",
-    "r_targets": "int64",
-    "r_slots": "int64",
-    "vertex_ids": "int64",
-    "road_type_values": "int64",
-}
+_COST_PREFIX = "cost:"
 
 
 def _cost_name(attribute: str) -> str:
-    return f"cost:{attribute}"
+    return f"{_COST_PREFIX}{attribute}"
 
 
 def expected_dtype(name: str) -> np.dtype:
-    """The pinned dtype for one exported array name."""
-    if name.startswith("cost:"):
-        return np.dtype(np.float64)
-    try:
-        return np.dtype(_TOPOLOGY_DTYPES[name])
-    except KeyError as exc:
-        raise NetworkError(f"unknown shared-segment array {name!r}") from exc
+    """The pinned dtype for one exported array name (cost arrays only)."""
+    if not name.startswith(_COST_PREFIX):
+        raise NetworkError(f"unknown shared-segment array {name!r}")
+    return np.dtype(np.float64)
 
 
 def _exportable(name: str, raw: object) -> np.ndarray:
@@ -145,12 +135,6 @@ class SegmentSpec:
     size: int
     arrays: tuple[ArraySpec, ...]
     cost_attributes: tuple[str, ...]
-
-    def spec_for(self, name: str) -> ArraySpec:
-        for spec in self.arrays:
-            if spec.name == name:
-                return spec
-        raise NetworkError(f"shared segment carries no array named {name!r}")
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -229,6 +213,11 @@ class SegmentView:
     @property
     def edge_count(self) -> int:
         return int(self._header[_SLOT_EDGES])
+
+    @property
+    def topology_stamp(self) -> tuple[int, int, int]:
+        """The :attr:`Topology.stamp` of the snapshot the owner exported."""
+        return (self.vertex_count, self.edge_count, int(self._header[_SLOT_TOPOLOGY_CRC]))
 
     def array(self, name: str) -> np.ndarray:
         """The zero-copy read-only view of one packed array."""
@@ -352,19 +341,10 @@ def _verify_header(header: np.ndarray, spec: SegmentSpec) -> None:
 
 
 def _collect_arrays(graph: "CompiledGraph") -> list[tuple[str, np.ndarray]]:
-    topology = graph.topology
-    pairs: list[tuple[str, np.ndarray]] = [
-        ("offsets", _exportable("offsets", topology.offsets)),
-        ("targets", _exportable("targets", topology.targets)),
-        ("r_offsets", _exportable("r_offsets", topology.r_offsets)),
-        ("r_targets", _exportable("r_targets", topology.r_targets)),
-        ("r_slots", _exportable("r_slots", topology.r_slots)),
-        ("vertex_ids", _exportable("vertex_ids", topology.vertex_ids)),
-        ("road_type_values", _exportable("road_type_values", graph.road_type_values)),
+    return [
+        (_cost_name(attr), _exportable(_cost_name(attr), graph.array(attr)))
+        for attr in EDGE_COST_ATTRIBUTES
     ]
-    for attr in EDGE_COST_ATTRIBUTES:
-        pairs.append((_cost_name(attr), _exportable(_cost_name(attr), graph.array(attr))))
-    return pairs
 
 
 def export_graph(
@@ -403,10 +383,11 @@ def export_graph(
         header[:] = 0
         header[_SLOT_MAGIC] = MAGIC
         header[_SLOT_LAYOUT] = LAYOUT_VERSION
-        header[_SLOT_VERTICES] = graph.vertex_count
-        header[_SLOT_EDGES] = graph.edge_count
+        vertices, edges, crc = graph.topology.stamp
+        header[_SLOT_VERTICES] = vertices
+        header[_SLOT_EDGES] = edges
+        header[_SLOT_TOPOLOGY_CRC] = crc
         header[_SLOT_COST_VERSION] = int(cost_version)
-        header[_SLOT_PAYLOAD] = total
         for spec, (_, arr) in zip(specs, pairs):
             _view_from(shm.buf, spec, writeable=True)[...] = arr
         segment_spec = SegmentSpec(
@@ -448,22 +429,11 @@ def attach(spec: SegmentSpec) -> SegmentView:
 
 
 def verify_topology(graph: "CompiledGraph", view: SegmentView) -> bool:
-    """Whether a view's topology buffers match a locally compiled snapshot.
+    """Whether a locally compiled snapshot has the topology the owner exported.
 
     Workers run this once at boot as an integrity gate: the pickled network
-    they received and the segment they attached must describe the same CSR
-    topology, or slot-indexed cost patches would land on the wrong edges.
+    they received must compile to the CSR layout (and the vertex ids) the
+    segment's slot-indexed cost arrays belong to, or cost patches would land
+    on the wrong edges.
     """
-    topology = graph.topology
-    if view.vertex_count != topology.vertex_count:
-        return False
-    if view.edge_count != topology.edge_count:
-        return False
-    return (
-        np.array_equal(view.array("offsets"), np.asarray(topology.offsets, dtype=np.int64))
-        and np.array_equal(view.array("targets"), np.asarray(topology.targets, dtype=np.int64))
-        and np.array_equal(view.array("r_slots"), topology.r_slots)
-        and np.array_equal(
-            view.array("vertex_ids"), np.asarray(topology.vertex_ids, dtype=np.int64)
-        )
-    )
+    return graph.topology.stamp == view.topology_stamp

@@ -3,7 +3,9 @@
 * :mod:`repro.service.api` — typed :class:`RouteRequest` / :class:`RouteResponse`
 * :mod:`repro.service.engine` — the :class:`RoutingEngine` protocol + adapters
 * :mod:`repro.service.service` — the :class:`RoutingService` facade
-  (registry, batch routing, fallback chains, LRU route cache)
+  (registry, LRU route cache, and the one gate every computed answer —
+  single or batched — passes: admission, deadline, breaker, fallback chain,
+  degraded serving)
 * :mod:`repro.service.stats` — :class:`ServiceStats` monitoring snapshots
 * :mod:`repro.service.resilience` — deadline budgets, bounded retries,
   per-engine circuit breakers, admission control

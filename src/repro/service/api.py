@@ -68,10 +68,12 @@ class RouteResponse:
     fallback_used: bool = False
     """True when the answer came from a fallback engine, not the one asked."""
     batched: bool = False
-    """True when the answer was computed by a batched ``route_many`` kernel
-    call rather than a single-request engine invocation.  ``latency_s`` is
-    then the batch's wall-clock time amortized over its requests, and the
-    service accounts it separately (see ``ServiceStats``)."""
+    """True when the answer was computed by the engine's ``route_batch``
+    (one search shared with the other requests of a ``route_many`` that have
+    the same source) rather than a single-request engine invocation.
+    ``latency_s`` is then the kernel call's wall-clock time amortized over
+    the requests it answered, and the service accounts it separately (see
+    ``ServiceStats``)."""
     degraded: bool = False
     """True when every live engine failed (timeout, crash, open breaker)
     within the request's budget and the service served a **stale cached

@@ -85,16 +85,6 @@ class RouteCache:
             return "peak"
         return "offpeak"
 
-    def bucket_for(self, engine: str, request: RouteRequest) -> str:
-        """The peak bucket this request's answer is cached under.
-
-        Exposed so the service's batch partitioning can group requests by
-        the same time dimension the cache keys on, without reaching into
-        the key tuple's layout.
-        """
-        with self._lock:
-            return self._bucket(engine, request)
-
     def _key(
         self, engine: str, request: RouteRequest, version: object = None
     ) -> CacheKey:
@@ -149,9 +139,12 @@ class RouteCache:
             self._hits += 1
             if probe and self._misses > 0:
                 self._misses -= 1
-        # A replay is a cache answer whatever computed the entry: clearing
-        # ``batched`` keeps the batch counters at one count per computation.
-        return cached.with_request(request, cache_hit=True, latency_s=0.0, batched=False)
+        # A replay is a cache answer whatever computed the entry: it ran no
+        # fallback chain this time, and clearing ``batched`` keeps the batch
+        # counters at one count per computation.
+        return cached.with_request(
+            request, cache_hit=True, latency_s=0.0, batched=False, fallback_used=False
+        )
 
     def put(
         self,

@@ -3,8 +3,8 @@
 A snapshot is the compaction point of the durability layer: it captures the
 :class:`~repro.network.compiled.graph.CostStore` arrays together with the
 ``cost_version`` they correspond to and a topology stamp (vertex/edge
-counts plus a CRC of the CSR ``offsets``/``targets``), so recovery can
-refuse a snapshot taken against a different graph.  Once a snapshot at
+counts plus a CRC of the CSR ``offsets``/``targets`` and the vertex ids), so
+recovery can refuse a snapshot taken against a different graph.  Once a snapshot at
 version *v* is durable, every WAL segment whose records all have
 ``base_version < v`` is dead history and may be deleted.
 
@@ -38,7 +38,7 @@ from ...exceptions import ReproError
 from .killpoints import KillHook
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...network.compiled.graph import CompiledTopology
+    from ...network.compiled.graph import Topology
 
 _MAGIC = b"RSNAP1\n"
 _CRC = struct.Struct(">I")
@@ -49,20 +49,19 @@ class SnapshotError(ReproError):
     """A snapshot could not be written, or no valid snapshot exists."""
 
 
-def topology_stamp(topology: "CompiledTopology") -> dict:
-    """A compact identity stamp for the graph a snapshot belongs to.
+def topology_stamp(topology: "Topology") -> dict:
+    """The identity stamp of the graph a snapshot belongs to, as stored.
 
     Recovery compares stamps before adopting arrays: cost arrays are
     positional (slot-indexed), so replaying them onto a graph whose CSR
-    layout differs would silently scramble every edge cost.
+    layout differs would silently scramble every edge cost.  The stamp is
+    :attr:`~repro.network.compiled.graph.Topology.stamp`; a snapshot file
+    written when the CRC covered ``offsets`` / ``targets`` only carries
+    another CRC and is refused as a topology mismatch, like any foreign
+    snapshot (recovery then replays the journal from the model's state).
     """
-    offsets = np.asarray(topology.offsets, dtype=np.int64)
-    targets = np.asarray(topology.targets, dtype=np.int64)
-    return {
-        "vertices": int(topology.vertex_count),
-        "edges": int(topology.edge_count),
-        "crc": zlib.crc32(targets.tobytes(), zlib.crc32(offsets.tobytes())),
-    }
+    vertices, edges, crc = topology.stamp
+    return {"vertices": vertices, "edges": edges, "crc": crc}
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ method — is exposed to the service layer through one contract::
 :class:`BaseEngine` implements the shared answering discipline (timing,
 per-request cost overrides, converting :class:`~repro.exceptions.ReproError`
 failures into error responses instead of exceptions) so concrete engines only
-implement :meth:`BaseEngine._answer`.  :class:`AlgorithmEngine` adapts any
-legacy :class:`~repro.baselines.base.RoutingAlgorithm`, and
+implement :meth:`BaseEngine._answer`, and owns the batch search
+(:meth:`BaseEngine.route_batch`).  :class:`AlgorithmEngine` adapts any legacy :class:`~repro.baselines.base.RoutingAlgorithm`, and
 :class:`L2REngine` adapts a fitted :class:`~repro.core.l2r.LearnToRoute`
 pipeline with full routing diagnostics.
 """
@@ -19,10 +19,11 @@ from __future__ import annotations
 import abc
 import threading
 import time
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from ..core.router import RouteDiagnostics
 from ..exceptions import ReproError
+from ..network.compiled import dispatch
 from ..network.road_network import RoadNetwork
 from ..routing.contraction import ContractionHierarchy, ch_shortest_path
 from ..routing.costs import CostFeature, cost_function
@@ -44,6 +45,15 @@ class RoutingEngine(Protocol):
     :class:`~repro.core.config.PeakHours`, or ``None`` when static) so the
     service's route cache can bucket departure times with the same windows
     the engine switches models on.  Both built-in adapters do.
+
+    An engine that can answer several requests with one search may offer
+    ``route_batch(requests) -> list[RouteResponse | None]``: a successful
+    response (``batched=True``, ``latency_s`` the call's time amortised) in
+    the slot of each request it answered together with others, ``None`` in
+    every other — the service sends those through :meth:`route`.
+    ``RoutingService.route_many`` calls it as one unit of work (one admission
+    slot, one deadline budget, this engine's breaker); an engine without the
+    method is never batched.
     """
 
     name: str
@@ -101,22 +111,53 @@ class BaseEngine(abc.ABC):
         """The fixed single-feature edge cost this engine routes with.
 
         ``None`` (the default) marks the engine's policy as not reducible to
-        one Dijkstra per request — such engines never batch.
+        one Dijkstra per request — such engines batch ``cost_override``
+        requests only.
         """
         return None
 
-    def batch_cost(self, request: RouteRequest):
-        """Edge-cost callable when ``request`` reduces to one Dijkstra.
+    def route_batch(self, requests: Sequence[RouteRequest]) -> list[RouteResponse | None]:
+        """The optional batch method of :class:`RoutingEngine`.
 
-        The service's ``route_many`` partitions requests whose engine
-        resolves the *same* callable here into one batched
-        ``dijkstra_many`` kernel call.  Returns ``None`` for requests that
-        must run through :meth:`route` (personalized / multi-phase
-        policies).
+        A request shares a search when it reduces to one shortest-path query
+        over a cost view this engine can name (its ``cost_override``, else
+        :meth:`_static_cost`) *and* its source is asked for another
+        destination under that view: one SSSP row per such source.  A source
+        asked once, an unreachable pair or an unknown vertex is left to
+        :meth:`route` — the bounded point-to-point search beats a whole row,
+        and errors are reported there.
         """
-        if request.cost_override is not None:
-            return cost_function(request.cost_override)
-        return self._static_cost()
+        static = self._static_cost()
+        # cost_function returns per-feature singletons, so the callable
+        # itself (hashed by identity) is the cost view.
+        views: dict[object, dict[object, list[int]]] = {}
+        for position, request in enumerate(requests):
+            override = request.cost_override
+            cost = cost_function(override) if override is not None else static
+            if cost is not None:
+                views.setdefault(cost, {}).setdefault(request.source, []).append(position)
+
+        answers: list[RouteResponse | None] = [None] * len(requests)
+        for cost, by_source in views.items():
+            shared = [p for group in by_source.values() if len(group) > 1 for p in group]
+            if not shared:
+                continue
+            started = time.perf_counter()
+            pairs = [(requests[p].source, requests[p].destination) for p in shared]
+            routes = dispatch.try_route_many(self._network, pairs, cost)
+            if routes is None:
+                continue
+            latency_s = (time.perf_counter() - started) / len(shared)
+            for position, vertices in zip(shared, routes):
+                if isinstance(vertices, list):
+                    answers[position] = RouteResponse(
+                        request=requests[position],
+                        path=Path.of(vertices),
+                        engine=self.name,
+                        latency_s=latency_s,
+                        batched=True,
+                    )
+        return answers
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -14,8 +14,8 @@ Four wrapper kinds, one schedule core (:class:`_Schedule`) under all of them:
 
 * :meth:`FaultInjector.engine` — a :class:`FaultyEngine` that, per call,
   may sleep (latency spike) and/or raise a ``TransientEngineError`` before
-  delegating.  It deliberately does **not** forward ``batch_cost``, so the
-  service cannot batch around it — faults always apply.
+  delegating.  It deliberately does **not** offer the optional
+  ``route_batch``, so a seeded schedule stays one draw per request.
 * :meth:`FaultInjector.feed` — a :class:`FaultyFeed` whose ``apply`` may
   drop the batch (returning an empty result), delay it, or raise, modelling
   lossy / crashing ingestion in front of a
@@ -206,8 +206,8 @@ class FaultyEngine:
     Satisfies the :class:`~repro.service.engine.RoutingEngine` protocol.
     ``peak_hours``, ``cache_version``, and ``network`` are forwarded from
     the wrapped engine (cache and degraded-serving semantics must not
-    change); ``batch_cost`` is *not*, so batched ``route_many`` kernels
-    cannot bypass the faults.
+    change); the optional ``route_batch`` is *not* offered, so every request
+    of a ``route_many`` is one ``route`` call and one draw of the schedule.
     """
 
     def __init__(
@@ -244,8 +244,7 @@ class FaultyEngine:
     @property
     def network(self):
         """Forwarded so degraded responses can report the served cost
-        version; batching stays blocked because ``batch_cost`` is not
-        forwarded (``route_many`` requires both)."""
+        version."""
         return getattr(self.inner, "network", None)
 
     def route(self, request: RouteRequest) -> RouteResponse:

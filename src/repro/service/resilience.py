@@ -451,11 +451,9 @@ class AdmissionController:
 
     def acquire(self) -> None:
         """Admit one request or raise :class:`ServiceOverloadedError`."""
+        if self.try_acquire():  # uncontended fast path
+            return
         with self._lock:
-            if self._in_flight < self.max_in_flight:  # uncontended fast path
-                self._in_flight += 1
-                self._admitted += 1
-                return
             deadline = time.monotonic() + self.max_wait_s
             while self._in_flight >= self.max_in_flight:
                 remaining = deadline - time.monotonic()
@@ -469,6 +467,17 @@ class AdmissionController:
                     self._waiters -= 1
             self._in_flight += 1
             self._admitted += 1
+
+    def try_acquire(self) -> bool:
+        """Take a slot if one is free now; never waits, never counts a shed
+        (a refused ``route_many`` kernel call's members are admitted, or shed
+        and counted, one by one)."""
+        with self._lock:
+            if self._in_flight >= self.max_in_flight:
+                return False
+            self._in_flight += 1
+            self._admitted += 1
+            return True
 
     def release(self) -> None:
         with self._lock:

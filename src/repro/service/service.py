@@ -2,12 +2,15 @@
 
 The service owns a registry of named :class:`~repro.service.engine.RoutingEngine`
 backends (the fitted L2R pipeline, the baselines, anything satisfying the
-protocol), answers single requests with :meth:`RoutingService.route` and
-batches with :meth:`RoutingService.route_many` (batched kernel calls for
-compatible requests, a serial loop for the rest), follows
-per-engine fallback chains when an engine fails (e.g. L2R -> Fastest on
-``NoPathError``), caches answers in an LRU route cache, and exposes a
-:class:`~repro.service.stats.ServiceStats` snapshot for monitoring.
+protocol) and answers a request from its LRU route cache or through **one
+gate**, :meth:`RoutingService._compute`: admission slot, cache-generation
+snapshot, deadline budget, circuit breaker, work, degraded serving, finish.
+:meth:`RoutingService.route` is *cache lookup, else the gate on one request*
+(the work: the engine's fallback chain, e.g. L2R -> Fastest on
+``NoPathError``); :meth:`RoutingService.route_many` is *cache lookup per
+request, else the gate on what the engine's optional ``route_batch`` answers
+together, else the gate per request*.  The service partitions, gates and
+finishes; which requests share a search only the engine knows.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.config import PeakHours
 from ..core.router import RouteDiagnostics
@@ -26,9 +29,7 @@ from ..exceptions import (
     ReproError,
     ServiceOverloadedError,
 )
-from ..network.compiled import dispatch as _compiled
 from ..network.road_network import VertexId
-from ..routing.path import Path
 from .api import RouteRequest, RouteResponse
 from .cache import CacheStats, RouteCache
 from .engine import RoutingEngine
@@ -50,6 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .durability import DurabilityManager, RecoveryReport
 
 
+#: A live-traffic batch touching more edges than this drops the whole route
+#: cache instead of checking every cached path against it.
+TRAFFIC_SCAN_LIMIT = 64
+
+#: Last-good answers kept for degraded serving (least recently stored out).
+STALE_ROUTE_CAPACITY = 512
+
+
 class RoutingService:
     """Unified serving facade over interchangeable routing engines."""
 
@@ -58,25 +67,14 @@ class RoutingService:
         cache_size: int = 2048,
         peak_hours: PeakHours | None = None,
         enable_cache: bool = True,
-        traffic_invalidate_threshold: int = 64,
-        batch_min_size: int = 8,
         deadline_s: float | None = None,
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreakerConfig | None = None,
         max_in_flight: int | None = None,
-        admission_wait_s: float = 0.0,
         serve_degraded: bool = True,
-        stale_route_capacity: int = 512,
     ) -> None:
-        """``traffic_invalidate_threshold`` bounds the delta-aware cache scan:
-        a live-traffic batch touching more edges than this drops the whole
-        route cache instead of checking every cached path (see
-        :meth:`on_traffic_update`).  ``batch_min_size`` is the
-        smallest group of compatible ``route_many`` requests worth a batched
-        ``dijkstra_many`` call; smaller groups are routed one by one.
-
-        The resilience knobs (all off by default, preserving the fault-free
-        fast path):
+        """The resilience options are all off by default, preserving the
+        fault-free fast path:
 
         * ``deadline_s`` — service-wide wall-clock budget per request
           (``RouteRequest.deadline_s`` overrides per request); the budget is
@@ -86,13 +84,12 @@ class RoutingService:
         * ``breaker`` — when set, every registered engine gets its own
           :class:`CircuitBreaker` with this config; open breakers skip the
           engine and go straight to its fallback chain;
-        * ``max_in_flight`` — admission control: requests beyond this many
-          concurrently served are shed with ``ServiceOverloadedError``
-          (after waiting at most ``admission_wait_s`` for a slot);
+        * ``max_in_flight`` — admission control: units of work (a request, or
+          one ``route_many`` kernel call) beyond this many concurrently served
+          are refused at once, a request with ``ServiceOverloadedError``;
         * ``serve_degraded`` — when the whole chain fails within budget,
           serve the last known good route for the OD pair flagged
-          ``degraded=True`` (``stale_route_capacity`` bounds that store)
-          instead of a bare error."""
+          ``degraded=True`` instead of a bare error."""
         self._engines: dict[str, RoutingEngine] = {}
         self._fallbacks: dict[str, str] = {}
         self._default_engine: str | None = None
@@ -100,8 +97,6 @@ class RoutingService:
             RouteCache(max_size=cache_size, peak_hours=peak_hours) if enable_cache else None
         )
         self._peak_hours_pinned = peak_hours is not None
-        self._traffic_invalidate_threshold = traffic_invalidate_threshold
-        self._batch_min_size = max(2, batch_min_size)
         self._engine_generation: dict[str, int] = {}
         self._traffic_generation = 0
         #: Per engine network, the ``cost_fell_version`` already acted on.
@@ -114,12 +109,9 @@ class RoutingService:
         self._breaker_config = breaker
         self._breakers: dict[str, CircuitBreaker] = {}
         self._admission = (
-            AdmissionController(max_in_flight, max_wait_s=admission_wait_s)
-            if max_in_flight is not None
-            else None
+            AdmissionController(max_in_flight) if max_in_flight is not None else None
         )
         self._serve_degraded = serve_degraded
-        self._stale_capacity = stale_route_capacity
         self._stale_routes: OrderedDict[tuple, tuple[RouteResponse, int | None]] = (
             OrderedDict()
         )
@@ -265,26 +257,16 @@ class RoutingService:
     # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
-    def route(
-        self,
-        request: RouteRequest,
-        engine: str | None = None,
-        _probe_cache: bool = False,
-    ) -> RouteResponse:
+    def route(self, request: RouteRequest, engine: str | None = None) -> RouteResponse:
         """Answer one request with the named (or default) engine.
 
-        The answer is served from the route cache when possible; on failure
-        the engine's fallback chain is followed within the request's deadline
-        budget, and — when the whole chain fails — a stale cached route is
-        served flagged ``degraded=True`` before falling back to a structured
-        error.  Requests beyond the admission limit are shed immediately
-        with a ``ServiceOverloadedError`` error response (cache hits are
-        always served: they cost no engine work).  The returned response
-        always reports the engine that actually produced the path, the
-        latency, and the cache-hit flag.  ``_probe_cache`` (internal) marks
-        the cache lookup as a follow-up to one ``route_many`` already
-        counted, keeping the hit/miss counters at one outcome per logical
-        request.
+        Served from the route cache when possible (hits cost no engine work
+        and are never shed); otherwise through the gate (:meth:`_compute`):
+        shed beyond the admission limit, the engine's fallback chain within
+        the deadline budget, a stale last-good route flagged
+        ``degraded=True`` when the whole chain fails, else a structured
+        error.  The response reports the engine that produced the path, the
+        latency, and the cache-hit flag.
         """
         name = engine or self._default_engine
         if name is None:
@@ -292,54 +274,95 @@ class RoutingService:
         self.engine(name)  # validates the name before cache lookup
 
         if self._cache is not None:
-            cached = self._cache.get(
-                name, request, probe=_probe_cache, version=self._cache_tag(name)
-            )
+            cached = self._cache.get(name, request, version=self._cache_tag(name))
             if cached is not None:
-                # A replay from the requested engine's own key did not run the
-                # fallback chain this time, whatever produced the entry.
-                if cached.fallback_used:
-                    cached = cached.with_request(request, fallback_used=False)
                 self._stats.record(cached)
                 return cached
+        return self._compute(name, (request,))[0]  # type: ignore[return-value]
 
+    def _compute(
+        self,
+        name: str,
+        requests: Sequence[RouteRequest],
+        together: "Callable[[Sequence[RouteRequest]], list[RouteResponse | None]] | None" = None,
+    ) -> list[RouteResponse | None]:
+        """The one gate every computed answer passes: admission slot,
+        generation snapshot, deadline budget, breaker, work, degraded
+        serving, :meth:`_finish`.
+
+        The unit of work is one engine call.  Without ``together`` that is
+        one request walked down its fallback chain, and a refusal is its
+        answer (shed / ``DeadlineExceededError`` / ``CircuitOpenError``).
+        With ``together`` (the engine's ``route_batch``) it is one kernel
+        call under one slot and one budget, the smallest effective
+        ``deadline_s`` among its members; a refused call, like a member the
+        engine leaves out, yields ``None`` and the caller sends that request
+        through here alone — refusals are worded and counted once, per request.
+        """
         admission = self._admission
         if admission is not None:
-            try:
-                admission.acquire()
-            except ServiceOverloadedError as exc:
-                # Fast reject: no engine work, no fallback walk, no caching.
-                response = RouteResponse.from_error(request, name, exc)
-                self._stats.record(response)
-                return response
+            if together is not None:
+                if not admission.try_acquire():
+                    return [None] * len(requests)
+            else:
+                try:
+                    admission.acquire()
+                except ServiceOverloadedError as exc:
+                    # Fast reject: no engine work, no fallback walk, no caching.
+                    shed = RouteResponse.from_error(requests[0], name, exc)
+                    self._stats.record(shed)
+                    return [shed]
         try:
-            return self._route_admitted(name, request)
+            # Snapshot generations before computing: the guard in _finish
+            # rejects the insert if either the requested engine or the engine
+            # that actually answered (a fallback) was re-registered — or any
+            # live-traffic batch landed — while this work was in flight.
+            # Without the traffic check, a response computed with pre-update
+            # costs could be inserted *after* on_traffic_update evicted the
+            # stale entries, and then be replayed forever.  The veto is coarse
+            # (the path may not cross a touched edge) but a missed insert only
+            # costs one recompute.
+            generations = dict(self._engine_generation)
+            traffic_generation = self._traffic_generation
+            limits = [
+                r.deadline_s if r.deadline_s is not None else self._deadline_s
+                for r in requests
+            ]
+            budget = DeadlineBudget.start(
+                min((limit for limit in limits if limit is not None), default=None)
+            )
+            responses: list[RouteResponse | None]
+            if together is None:
+                responses = [self._route_with_fallbacks(name, requests[0], budget)]
+            else:
+                breaker = self._breakers.get(name)
+                if (budget is not None and budget.expired) or (
+                    breaker is not None and not breaker.allow()
+                ):
+                    return [None] * len(requests)
+                # Under the registry name, as in _route_with_fallbacks.
+                responses = [
+                    answer
+                    if answer is None or answer.engine == name
+                    else answer.with_request(answer.request, engine=name)
+                    for answer in together(requests)
+                ]
+                if breaker is not None:
+                    breaker.record_success()
+            for position, response in enumerate(responses):
+                if response is None:
+                    continue
+                if not response.ok and self._serve_degraded:
+                    response = (
+                        self._degraded_response(name, requests[position], response) or response
+                    )
+                responses[position] = self._finish(
+                    name, response, generations, traffic_generation
+                )
+            return responses
         finally:
             if admission is not None:
                 admission.release()
-
-    def _route_admitted(self, name: str, request: RouteRequest) -> RouteResponse:
-        """Compute one admitted request: fallback chain, degraded serving,
-        cache insert, stats."""
-        # Snapshot generations before computing: the guard rejects the insert
-        # if either the requested engine or the engine that actually answered
-        # (a fallback) was re-registered — or any live-traffic batch landed —
-        # while this request was in flight.  Without the traffic check, a
-        # response computed with pre-update costs could be inserted *after*
-        # on_traffic_update evicted the stale entries, and then be replayed
-        # forever.  The veto is coarse (the path may not cross a touched
-        # edge) but a missed insert only costs one recompute.
-        generations = dict(self._engine_generation)
-        traffic_generation = self._traffic_generation
-        budget = DeadlineBudget.start(
-            request.deadline_s if request.deadline_s is not None else self._deadline_s
-        )
-        response = self._route_with_fallbacks(name, request, budget)
-        if not response.ok and self._serve_degraded:
-            degraded = self._degraded_response(name, request, response)
-            if degraded is not None:
-                response = degraded
-        return self._finish(name, response, generations, traffic_generation)
 
     def _finish(
         self,
@@ -348,9 +371,9 @@ class RoutingService:
         generations: dict[str, int],
         traffic_generation: int,
     ) -> RouteResponse:
-        """The last step of every computed answer, single or batched: cache
-        insert under the in-flight guard (the generations are the caller's
-        snapshot from before computing), last-good store, stats."""
+        """The last step of the gate: cache insert under the in-flight
+        guard (the generations are the snapshot from before computing),
+        last-good store, stats."""
         if self._cache is not None and not response.degraded:
 
             def _still_current() -> bool:
@@ -392,25 +415,17 @@ class RoutingService:
         self,
         requests: Sequence[RouteRequest] | Iterable[RouteRequest],
         engine: str | None = None,
-        batch_min_size: int | None = None,
     ) -> list[RouteResponse]:
         """Answer a batch of requests, preserving order.
 
-        Compatible requests — same engine, the same resolved single-cost
-        view, and the same peak bucket — are partitioned into batched
-        ``dijkstra_many`` kernel calls (one C-level multi-source SSSP per
-        distinct source); everything else goes through :meth:`route` one
-        request at a time (the searches hold the GIL, so threads would not
-        overlap them; a slow engine is bounded per request by
-        ``deadline_s``).  Cache hits are served first,
-        batch-computed answers land in the cache under the same in-flight
-        guards as single requests, and failures (including unreachable
-        pairs discovered *inside* a batch) re-run individually so the
-        per-request fallback chains apply unchanged.  A failed request
-        yields an error response in its slot instead of aborting the batch.
-
-        ``batch_min_size`` overrides the service default: compatible groups
-        smaller than this are not worth the batch setup.
+        Cache hits are served first.  The rest is offered to the engine's
+        optional ``route_batch`` as one unit of work through the gate
+        (:meth:`_compute`); requests the engine leaves out — it shares a
+        search between repeated sources only — or whose kernel call was
+        refused go through the gate alone, so a batch is shed, bounded,
+        failed over and degraded exactly like a ``route()`` loop (the
+        searches hold the GIL: threads would not overlap them).  A failed
+        request yields an error response in its slot.
         """
         batch = list(requests)
         if not batch:
@@ -418,105 +433,25 @@ class RoutingService:
         name = engine or self._default_engine
         if name is None:
             raise ConfigurationError("no engines registered with this RoutingService")
-        self.engine(name)
-        threshold = self._batch_min_size if batch_min_size is None else max(2, batch_min_size)
+        together = getattr(self.engine(name), "route_batch", None)
 
         responses: list[RouteResponse | None] = [None] * len(batch)
-        unbatched = self._route_batched(batch, name, responses, threshold)
-
-        # These requests already took their cache miss in the first pass;
-        # _probe_cache keeps the counters at one outcome each (and
-        # reclassifies the miss if a concurrent insert landed).
-        for position in unbatched:
-            responses[position] = self.route(batch[position], engine=name, _probe_cache=True)
-        return responses  # type: ignore[return-value]
-
-    def _route_batched(
-        self,
-        batch: list[RouteRequest],
-        name: str,
-        responses: list[RouteResponse | None],
-        threshold: int,
-    ) -> list[int]:
-        """Serve what the cache and the batch kernels can; return the rest.
-
-        Fills ``responses`` in place for cache hits and batch-answered
-        requests and returns the positions that still need the per-request
-        path (uncacheable engines, too-small groups, failures needing the
-        fallback chain).
-        """
-        pending: list[int] = []
-        batch_tag = self._cache_tag(name)
-        for position, request in enumerate(batch):
-            if self._cache is not None:
-                cached = self._cache.get(name, request, version=batch_tag)
+        if self._cache is not None:
+            tag = self._cache_tag(name)
+            for position, request in enumerate(batch):
+                cached = self._cache.get(name, request, version=tag)
                 if cached is not None:
-                    if cached.fallback_used:
-                        cached = cached.with_request(request, fallback_used=False)
                     self._stats.record(cached)
                     responses[position] = cached
-                    continue
-            pending.append(position)
-        if not pending:
-            return []
-
-        engine_obj = self._engines[name]
-        resolver = getattr(engine_obj, "batch_cost", None)
-        network = getattr(engine_obj, "network", None)
-        if resolver is None or network is None:
-            return pending
-
-        # Partition by cost *object* (cost_function returns per-feature
-        # singletons, so identity is the cost view) and by peak bucket, the
-        # same time dimension the cache keys on.
-        groups: dict[tuple, tuple[object, list[int]]] = {}
-        leftovers: list[int] = []
+        pending = [position for position, response in enumerate(responses) if response is None]
+        if together is not None and len(pending) > 1:
+            answers = self._compute(name, [batch[position] for position in pending], together)
+            for position, answer in zip(pending, answers):
+                responses[position] = answer
         for position in pending:
-            request = batch[position]
-            cost = resolver(request)
-            if cost is None:
-                leftovers.append(position)
-                continue
-            bucket = (
-                self._cache.bucket_for(name, request) if self._cache is not None else None
-            )
-            group_key = (id(cost), bucket)
-            if group_key in groups:
-                groups[group_key][1].append(position)
-            else:
-                groups[group_key] = (cost, [position])
-
-        for cost, group in groups.values():
-            if len(group) < threshold:
-                leftovers.extend(group)
-                continue
-            generations = dict(self._engine_generation)
-            traffic_generation = self._traffic_generation
-            started = time.perf_counter()
-            pairs = [(batch[i].source, batch[i].destination) for i in group]
-            answers = _compiled.try_route_many(network, pairs, cost)
-            elapsed = time.perf_counter() - started
-            if answers is None:
-                leftovers.extend(group)
-                continue
-            per_request = elapsed / len(group)
-            for position, answer in zip(group, answers):
-                if not isinstance(answer, list):
-                    # Unreachable (or unknown vertex): run the per-request
-                    # path so the engine's error and fallback chain apply.
-                    leftovers.append(position)
-                    continue
-                response = RouteResponse(
-                    request=batch[position],
-                    path=Path.of(answer),
-                    engine=name,
-                    latency_s=per_request,
-                    batched=True,
-                )
-                responses[position] = self._finish(
-                    name, response, generations, traffic_generation
-                )
-        return leftovers
+            if responses[position] is None:
+                responses[position] = self._compute(name, (batch[position],))[0]
+        return responses  # type: ignore[return-value]
 
     def close(self, timeout_s: float | None = 5.0) -> bool:
         """Orderly shutdown; idempotent; the service stays usable after.
@@ -701,7 +636,7 @@ class RoutingService:
 
     def _remember_last_good(self, name: str, response: RouteResponse) -> None:
         """Keep the freshest good answer per OD line for degraded serving."""
-        if not self._serve_degraded or self._stale_capacity < 1:
+        if not self._serve_degraded:
             return
         key = self._stale_key(name, response.request)
         answering = self._engines.get(response.engine)
@@ -710,7 +645,7 @@ class RoutingService:
         with self._stale_lock:
             self._stale_routes[key] = (response, version)
             self._stale_routes.move_to_end(key)
-            while len(self._stale_routes) > self._stale_capacity:
+            while len(self._stale_routes) > STALE_ROUTE_CAPACITY:
                 self._stale_routes.popitem(last=False)
 
     def _degraded_response(
@@ -763,15 +698,15 @@ class RoutingService:
         registered engine's network since the last call (read from
         :attr:`~repro.network.road_network.RoadNetwork.cost_fell_version`) —
         a cheaper edge can improve routes that never crossed it — and when
-        the batch touches more than the service's
-        ``traffic_invalidate_threshold`` edges — scanning every cached path
-        per entry would cost more than the misses it saves.  The batch count,
+        the batch touches more than :data:`TRAFFIC_SCAN_LIMIT` edges —
+        scanning every cached path per entry would cost more than the misses
+        it saves.  The batch count,
         touched-edge count, evictions, and the reported cost version all
         surface in :meth:`stats`.
         """
         touched = set(touched_edges)
         evicted = 0
-        threshold = self._traffic_invalidate_threshold
+        threshold = TRAFFIC_SCAN_LIMIT
         for engine in list(self._engines.values()):
             network = getattr(engine, "network", None)
             fell = getattr(network, "cost_fell_version", 0)

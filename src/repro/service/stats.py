@@ -44,13 +44,13 @@ class ServiceStats:
     """Routing-diagnostics case -> count (cache hits replay the cached case)."""
     latency_p50_s: float = 0.0
     """p50 over *single-request* latencies (cache hits included).  Responses
-    computed by a batched ``route_many`` kernel call carry amortized
-    latencies that would skew these percentiles, so they are tracked
-    separately below."""
+    computed by an engine's ``route_batch`` carry amortized latencies that
+    would skew these percentiles, so they are tracked separately below."""
     latency_p95_s: float = 0.0
     latency_mean_s: float = 0.0
     batched_requests: int = 0
-    """Requests answered by batched ``route_many`` kernel calls."""
+    """Requests answered by an engine's ``route_batch`` (a search shared
+    with the other requests of one ``route_many`` from the same source)."""
     batched_latency_p50_s: float = 0.0
     """p50 over the amortized per-request latencies of batched answers."""
     batched_latency_p95_s: float = 0.0
@@ -67,7 +67,9 @@ class ServiceStats:
     """Live-traffic shortcut re-weights absorbed by contraction-hierarchy
     engines (cheap in-place re-customizations instead of full rebuilds)."""
     shed: int = 0
-    """Requests rejected by admission control (``ServiceOverloadedError``)."""
+    """Requests rejected by admission control (``ServiceOverloadedError``).
+    Counts requests: a ``route_many`` kernel call that finds no slot is not a
+    shed — its members are then admitted, or shed and counted, one by one."""
     retries: int = 0
     """Engine attempts beyond the first, summed across served requests."""
     deadline_exceeded: int = 0

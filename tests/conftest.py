@@ -17,6 +17,28 @@ from repro.regions import TrajectoryGraph, build_region_graph, cluster_trajector
 from repro.trajectories import GeneratorConfig, TrajectoryGenerator
 
 
+def _relabelled_network(network: RoadNetwork, offset: int) -> RoadNetwork:
+    """The same roads with every vertex id shifted (order-preserving, so the
+    CSR layout is identical)."""
+    copy = RoadNetwork(name=f"{network.name}+{offset}")
+    for vertex in network.vertices():
+        copy.add_vertex(vertex.vertex_id + offset, lon=vertex.lon, lat=vertex.lat)
+    for edge in network.edges():
+        copy.add_edge(
+            edge.source + offset,
+            edge.target + offset,
+            road_type=edge.road_type,
+            distance_m=edge.distance_m,
+        )
+    return copy
+
+
+@pytest.fixture(scope="session")
+def relabelled_network():
+    """``relabelled_network(network, offset)``: see :func:`_relabelled_network`."""
+    return _relabelled_network
+
+
 @pytest.fixture(scope="session")
 def demo_network() -> RoadNetwork:
     """A 6x6 grid network with arterials (36 vertices, deterministic)."""

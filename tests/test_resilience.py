@@ -547,6 +547,68 @@ class TestServiceResilience:
         finally:
             service.admission.release()
 
+    # -- one gate: a batch is admitted, bounded and broken like a request -- #
+    @staticmethod
+    def _gated(via, **options):
+        """16 requests from one source (one shared search if batched) and a
+        way to serve them; the same refusals must come out of either."""
+        grid = grid_city_network(12, 12, seed=1)
+        service = RoutingService(enable_cache=False, **options)
+        service.register("Fastest", AlgorithmEngine(FastestBaseline(grid), name="Fastest"))
+        requests = [RouteRequest(0, destination) for destination in range(100, 116)]
+
+        def serve():
+            if via == "route_many":
+                return service.route_many(requests, "Fastest")
+            return [service.route(request, "Fastest") for request in requests]
+
+        return service, serve
+
+    @pytest.mark.parametrize("via", ["route", "route_many"])
+    def test_gate_spent_deadline_fails_every_member(self, via):
+        service, serve = self._gated(via, deadline_s=1e-9)
+        responses = serve()
+        assert ["DeadlineExceededError" in (r.error or "") for r in responses] == [True] * 16
+        stats = service.stats()
+        assert stats.deadline_exceeded == 16 and stats.requests == 16
+        assert stats.batched_requests == 0
+
+    @pytest.mark.parametrize("via", ["route", "route_many"])
+    def test_gate_held_slot_sheds_every_member(self, via):
+        service, serve = self._gated(via, max_in_flight=1)
+        service.admission.acquire()  # saturate the only slot
+        try:
+            responses = serve()
+        finally:
+            service.admission.release()
+        assert ["ServiceOverloadedError" in (r.error or "") for r in responses] == [True] * 16
+        # shed counts requests: the kernel call that found no slot is not one.
+        assert service.stats().shed == 16 and service.stats().requests == 16
+        assert all(r.ok for r in serve())  # slot freed, serves again
+        assert service.admission.in_flight == 0
+        assert service.stats().batched_requests == (16 if via == "route_many" else 0)
+
+    @pytest.mark.parametrize("fallback", [None, "backup"])
+    @pytest.mark.parametrize("via", ["route", "route_many"])
+    def test_gate_open_breaker_skips_the_engine(self, via, fallback):
+        service, serve = self._gated(
+            via,
+            breaker=CircuitBreakerConfig(min_samples=1, failure_threshold=0.1, recovery_s=60.0),
+        )
+        if fallback is not None:
+            backup = _engine(service.engine("Fastest").network, "backup")
+            service.register("backup", backup)
+            service.set_fallback("Fastest", "backup")
+        service.breaker("Fastest").record_failure()
+        assert service.breaker("Fastest").state == "open"
+        responses = serve()
+        if fallback is None:
+            assert ["CircuitOpenError" in (r.error or "") for r in responses] == [True] * 16
+        else:
+            assert all(r.ok and r.fallback_used and r.engine == "backup" for r in responses)
+        assert service.stats().batched_requests == 0
+        assert service.breaker("Fastest").state == "open"
+
     def test_sanitize_strict_clean_on_non_degraded_path(self, network):
         service = RoutingService(enable_cache=True)
         service.register("engine", _engine(network))
@@ -593,7 +655,7 @@ class TestServiceResilience:
         assert run(7) == run(7)
 
     def test_close_mid_batch_does_not_deadlock(self, network):
-        service = RoutingService(enable_cache=False, batch_min_size=10_000)
+        service = RoutingService(enable_cache=False)
         service.register("engine", _engine(network))
         requests = [RouteRequest(i % 30, (i * 7) % 30) for i in range(200)]
         results: list = []

@@ -8,8 +8,13 @@ caching, fallback chains, stats), and model persistence round-trips.
 from __future__ import annotations
 
 import dataclasses
+import random
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     DomBaseline,
@@ -21,6 +26,8 @@ from repro.baselines import (
 )
 from repro.core import LearnToRoute
 from repro.exceptions import ConfigurationError, NoPathError
+from repro.network import grid_city_network
+from repro.network.compiled import dispatch
 from repro.routing import CostFeature, Path, shortest_path
 from repro.service import (
     AlgorithmEngine,
@@ -641,9 +648,9 @@ class TestContractionEngine:
     def test_route_many_batches_ch_requests(self):
         network, service = self._service(12)
         requests = [RouteRequest(source=0, destination=d) for d in range(18, 34)]
-        responses = service.route_many(requests, batch_min_size=4)
+        responses = service.route_many(requests)
         assert all(r.ok for r in responses)
-        assert sum(1 for r in responses if r.batched) >= len(requests) - 1
+        assert all(r.batched for r in responses)
         service.close()
 
     def test_on_stale_raise_engine_reports_error_response(self):
@@ -672,3 +679,79 @@ class TestContractionEngine:
         assert engine.hierarchy() is prepared
         lazy = ContractionEngine(network)
         assert lazy.hierarchy() is prepared  # prepare_hierarchy cache shared
+
+
+# --------------------------------------------------------------------------- #
+# route_many == a route() loop, whatever the batch looks like
+# --------------------------------------------------------------------------- #
+def _mixed_batch(network, rng: random.Random) -> list[RouteRequest]:
+    """Uniform pairs, a k x m hotspot block, duplicates, an unknown vertex,
+    an unreachable pair and a ``cost_override`` minority, shuffled."""
+    ids = sorted(network.vertex_ids())
+    isolated = ids[-1]  # added by the caller, no edges
+    ids = ids[:-1]
+    pairs = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 10))]
+    for source in rng.sample(ids, rng.randint(0, 3)):
+        pairs += [(source, d) for d in rng.sample(ids, rng.randint(1, 4)) if d != source]
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 3)) if pairs]
+    if rng.random() < 0.5:
+        pairs.append((rng.choice(ids), isolated + 1000))
+    if rng.random() < 0.5:
+        pairs.append((rng.choice(ids), isolated))
+    rng.shuffle(pairs)
+    return [
+        RouteRequest(
+            source=s,
+            destination=d,
+            cost_override=CostFeature.DISTANCE if rng.random() < 0.25 else None,
+        )
+        for s, d in pairs
+    ]
+
+
+class TestRouteManyEqualsRouteLoop:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=3, max_value=6),
+        st.integers(min_value=3, max_value=6),
+        st.booleans(),
+    )
+    def test_same_answers_one_outcome_per_request(self, seed, rows, cols, cache):
+        network = grid_city_network(rows=rows, cols=cols, seed=seed)
+        network.add_vertex(max(network.vertex_ids()) + 1, lon=0.0, lat=0.0)
+        batch = _mixed_batch(network, random.Random(seed))
+
+        def service():
+            built = RoutingService(enable_cache=cache)
+            built.register("Fastest", FastestBaseline(network).as_engine())
+            return built
+
+        real = dispatch.try_route_many
+        calls: list[tuple[object, list]] = []
+
+        def counting(net, pairs, cost):
+            calls.append((cost, list(pairs)))
+            return real(net, pairs, cost)
+
+        together, twin = service(), service()
+        with mock.patch.object(dispatch, "try_route_many", counting):
+            many = together.route_many(batch, "Fastest")
+        loop = [twin.route(request, "Fastest") for request in batch]
+
+        assert [r.request for r in many] == batch
+        assert [r.path for r in many] == [r.path for r in loop]
+        assert [r.error for r in many] == [r.error for r in loop]
+        stats = together.stats()
+        assert stats.requests == len(batch)
+        assert stats.cache.hits + stats.cache.misses == (len(batch) if cache else 0)
+
+        asked = Counter((r.cost_override, r.source) for r in batch)
+        for response in many:
+            if response.batched:
+                request = response.request
+                assert asked[(request.cost_override, request.source)] >= 2
+        # One kernel call per cost view, no SSSP row for a source asked once.
+        assert len({id(cost) for cost, _ in calls}) == len(calls) <= 2
+        for _, pairs in calls:
+            assert min(Counter(source for source, _ in pairs).values()) >= 2

@@ -438,6 +438,18 @@ def test_boot_from_a_pickle_older_than_the_segment_lands_on_the_segment_state():
             worker.close()
 
 
+def test_a_worker_handed_the_same_shape_under_other_vertex_ids_refuses_to_boot(
+    relabelled_network,
+):
+    """Counts and CSR arrays agree, so only the stamp's vertex-id part can
+    tell that the segment's slots belong to another network."""
+    network = grid_city_network(6, 6, seed=2)
+    relabelled = relabelled_network(network, offset=500)
+    with shm.export_graph(network.compiled(), cost_version=0) as segment:
+        with pytest.raises(NetworkError, match="does not match"):
+            _booted_worker(relabelled, segment)
+
+
 def test_a_segment_patch_is_invisible_to_a_worker_until_a_diff_or_a_resync():
     """A worker's state changes only when it handles a message: it serves
     from private arrays, never from views of what the owner patches."""

@@ -1,11 +1,11 @@
 """Shared-memory export of compiled snapshots (:mod:`repro.network.compiled.shm`).
 
-The zero-copy contract: every array an owner exports comes back, through a
-worker-side :func:`attach`, as a read-only C-contiguous view with the pinned
+The zero-copy contract: every cost array an owner exports comes back, through
+a worker-side :func:`attach`, as a read-only C-contiguous view with the pinned
 dtype and bit-identical contents; the header carries enough (magic, layout,
-shape counters, cost version) to reject foreign segments and detect stale
-cost state; and the owner/worker lifecycle split never leaks a segment —
-including on failed exports.
+topology stamp, cost version) to reject foreign segments and networks that
+compile to other slots, and to detect stale cost state; and the owner/worker
+lifecycle split never leaks a segment — including on failed exports.
 """
 
 from __future__ import annotations
@@ -77,25 +77,22 @@ class TestExportNormalization:
     def test_transposed_input_is_forced_contiguous(self):
         raw = np.arange(10, dtype=np.int64).reshape(5, 2).T[0]  # one strided column
         assert not raw.flags.c_contiguous
-        arr = shm._exportable("targets", raw)
-        assert arr.flags.c_contiguous and arr.dtype == np.int64
-        assert arr.tolist() == [0, 2, 4, 6, 8]
+        arr = shm._exportable("cost:fuel_ml", raw)
+        assert arr.flags.c_contiguous and arr.dtype == np.float64
+        assert arr.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
 
     def test_casted_input_is_normalized_to_pinned_dtype(self):
-        arr = shm._exportable("offsets", np.arange(4, dtype=np.int32))
-        assert arr.dtype == np.int64
-        cost = shm._exportable("cost:distance_m", np.arange(4, dtype=np.float32))
-        assert cost.dtype == np.float64
+        for dtype in (np.int32, np.float32):
+            cost = shm._exportable("cost:distance_m", np.arange(4, dtype=dtype))
+            assert cost.dtype == np.float64
 
     def test_wrong_dimensionality_is_refused(self):
-        with pytest.raises(NetworkError, match="1-dimensional"):
-            shm._exportable("offsets", np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(NetworkError, match="1-dimensional"):
             shm._exportable("cost:fuel_ml", np.ones((4, 2)))
 
     def test_non_numeric_input_is_refused(self):
         with pytest.raises(NetworkError, match="cannot be exported"):
-            shm._exportable("offsets", np.asarray(["a", "b"]))
+            shm._exportable("cost:fuel_ml", np.asarray(["a", "b"]))
 
     def test_unknown_array_name_is_refused(self):
         with pytest.raises(NetworkError, match="unknown shared-segment array"):
@@ -149,6 +146,25 @@ class TestTopologyVerification:
         other = grid_city_network(4, 2)
         with shm.attach(segment.spec) as view:
             assert not shm.verify_topology(other.compiled(), view)
+
+    def test_same_layout_under_other_vertex_ids_is_rejected(
+        self, network, segment, relabelled_network
+    ):
+        """Counts, ``offsets`` and ``targets`` all agree; the ids do not."""
+        relabelled = relabelled_network(network, offset=1000)
+        ours, theirs = network.compiled().topology, relabelled.compiled().topology
+        assert (ours.offsets, ours.targets) == (theirs.offsets, theirs.targets)
+        with shm.attach(segment.spec) as view:
+            assert not shm.verify_topology(relabelled.compiled(), view)
+
+    def test_the_segment_carries_the_cost_state_and_nothing_else(self, network, segment):
+        assert [spec.name for spec in segment.spec.arrays] == [
+            f"cost:{attr}" for attr in EDGE_COST_ATTRIBUTES
+        ]
+        edge_count = network.compiled().edge_count
+        assert segment.spec.size <= shm.HEADER_BYTES + len(EDGE_COST_ATTRIBUTES) * (
+            edge_count * 8 + 16
+        )
 
     def test_another_layout_version_is_refused(self, segment):
         # What an owner running another revision of this module would export.

@@ -37,6 +37,7 @@ from repro.routing import (
 from repro.routing.preference_dijkstra import _dict_preference_search
 from repro.service import RouteRequest, RoutingService
 from repro.service.durability import final_state, states_identical
+from repro.service.service import TRAFFIC_SCAN_LIMIT
 from repro.traffic import TrafficFeed, TrafficUpdate, synthetic_congestion
 
 
@@ -553,8 +554,8 @@ class TestSyntheticCongestion:
 # --------------------------------------------------------------------------- #
 # Service-layer delta-aware invalidation
 # --------------------------------------------------------------------------- #
-def _service_on(network, threshold: int = 10) -> RoutingService:
-    service = RoutingService(traffic_invalidate_threshold=threshold)
+def _service_on(network) -> RoutingService:
+    service = RoutingService()
     service.register("Fastest", FastestBaseline(network).as_engine(), default=True)
     return service
 
@@ -586,10 +587,13 @@ class TestServiceInvalidation:
 
     def test_large_batch_falls_back_to_full_invalidation(self):
         network = grid_city_network(rows=6, cols=6, seed=1)
-        service = _service_on(network, threshold=5)
+        service = _service_on(network)
         feed = TrafficFeed(network, services=[service])
-        service.route(RouteRequest(source=5, destination=30))
-        edges = list(network.edges())[:8]
+        route = service.route(RouteRequest(source=5, destination=30))
+        crossed = set(route.path.edge_keys)
+        edges = [e for e in network.edges() if (e.source, e.target) not in crossed]
+        edges = edges[: TRAFFIC_SCAN_LIMIT + 1]
+        assert len(edges) > TRAFFIC_SCAN_LIMIT
         feed.apply(
             [TrafficUpdate.scale_by(e.source, e.target, travel_time_s=1.2) for e in edges]
         )
@@ -602,7 +606,7 @@ class TestServiceInvalidation:
         cached corner-to-corner route, get ~free: the next answer must be the
         new optimum, not a hit on the old one."""
         network = grid_city_network(rows=12, cols=12, seed=1)
-        service = _service_on(network, threshold=64)
+        service = _service_on(network)
         feed = TrafficFeed(network, services=[service])
         request = RouteRequest(source=0, destination=143)
         first = service.route(request)

@@ -83,10 +83,6 @@ _COST_SOURCE_ATTRS = frozenset(
     }
 )
 
-#: Attribute reads that look up CSR slots: what is derived from them is stale
-#: after a structural mutation, whatever the cost version says.
-_SLOT_SOURCE_ATTRS = frozenset({"slot", "slot_of"})
-
 #: Identifiers whose presence shows the function participates in the
 #: version-stamp protocol (reads a version counter, a stamp, or routes the
 #: artifact through the self-evicting ``memo()`` cache).
@@ -108,23 +104,15 @@ _VERSION_MARKERS = frozenset(
     }
 )
 
-#: The markers that vouch for the topology: its version counter, or the
-#: ``memo()`` of a compiled snapshot (a structural mutation replaces the
-#: snapshot, and its memo with it).
-_TOPOLOGY_MARKERS = frozenset({"topology_version", "memo"})
-
-
 class VersionStampRule(Rule):
     """RL001: cost-derived cache population must read a version stamp.
 
     Every memo/cache attribute in the compiled subsystem whose population
     reads a cost array must also read ``cost_version`` / ``weights_version``
     (or route through the version-stamped ``memo()``): an unstamped entry
-    survives live-traffic patches and replays pre-update answers.  A cache
-    populated from CSR slot lookups (``slot()`` / ``slot_of``) must read
-    ``topology_version`` (or go through ``memo()``) — a cost stamp does not
-    vouch for slots; the region router's compiled corridors are the case in
-    point, hence ``core/router.py`` in the scope.
+    survives live-traffic patches and replays pre-update answers.  The
+    region router prices its corridors from the compiled cost arrays too,
+    hence ``core/router.py`` in the scope.
     """
 
     rule_id = "RL001"
@@ -149,9 +137,7 @@ class VersionStampRule(Rule):
                     return
                 cache_writes: list[tuple[ast.stmt, str]] = []
                 reads_cost = False
-                reads_slots = False
                 reads_version = False
-                reads_topology = False
                 for child in ast.walk(node):
                     if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                         value = getattr(child, "value", None)
@@ -161,14 +147,12 @@ class VersionStampRule(Rule):
                                 cache_writes.append((child, name))
                     if isinstance(child, ast.Attribute):
                         reads_cost = reads_cost or child.attr in _COST_SOURCE_ATTRS
-                        reads_slots = reads_slots or child.attr in _SLOT_SOURCE_ATTRS
                         identifier = child.attr
                     elif isinstance(child, ast.Name):
                         identifier = child.id
                     else:
                         continue
                     reads_version = reads_version or identifier in _VERSION_MARKERS
-                    reads_topology = reads_topology or identifier in _TOPOLOGY_MARKERS
                 if cache_writes and reads_cost and not reads_version:
                     for statement, name in cache_writes:
                         context.report(
@@ -179,17 +163,6 @@ class VersionStampRule(Rule):
                             "routing through memo(); stale entries will replay after "
                             "live-traffic updates",
                         )
-                if cache_writes and reads_slots and not reads_topology:
-                    for statement, name in cache_writes:
-                        context.report(
-                            rule,
-                            statement,
-                            f"cache attribute {name!r} is populated from CSR slot lookups "
-                            "without reading topology_version or routing through memo(); "
-                            "stale slots will index the wrong edges after a structural "
-                            "mutation",
-                        )
-
             def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
                 self._check_function(node)
                 self.generic_visit(node)
@@ -321,7 +294,10 @@ class DispatchOnlyRule(Rule):
     Importing ``kernels`` / ``sparse`` / ``batch`` / ``ch`` (or the
     ``dict_*`` reference implementations) directly from the serving layers
     bypasses the fallback protocol, the ``compiled_disabled()`` escape
-    hatch, and the version-stamp plumbing the dispatch layer carries.
+    hatch, and the version-stamp plumbing the dispatch layer carries.  The
+    service facade (``service/service.py``) partitions, gates and finishes;
+    which search answers a request only its engines know, so it imports not
+    even ``dispatch``.
     """
 
     rule_id = "RL003"
@@ -342,6 +318,15 @@ class DispatchOnlyRule(Rule):
                 module = node.module or ""
                 tail = self._module_tail(module)
                 compiled_module = "compiled" in module.split(".")
+                if context.path.endswith("service/service.py") and (
+                    tail == "dispatch" or any(a.name == "dispatch" for a in node.names)
+                ):
+                    context.report(
+                        rule,
+                        node,
+                        "the service facade imports dispatch; searches belong to "
+                        "the engines (BaseEngine.route / route_batch)",
+                    )
                 if compiled_module and tail in _KERNEL_MODULES:
                     context.report(
                         rule,
@@ -742,10 +727,10 @@ class SharedMemoryLifecycleRule(Rule):
     * attach sites: the enclosing scope must handle ``close`` and must
       never call ``.unlink(...)``.
 
-    Two structural escapes transfer the obligation instead: a call used as
-    a ``with`` context manager (the statement closes it), and a call
-    returned directly (``return SharedMemory(...)`` — ownership, and with
-    it the lifecycle obligation, passes to the caller).
+    One structural escape transfers the obligation instead: a call returned
+    directly (``return SharedMemory(...)`` — ownership, and with it the
+    lifecycle obligation, passes to the caller), which is how the one attach
+    site of ``network/compiled/shm.py`` hands its handle to ``attach``.
     """
 
     rule_id = "RL009"
@@ -803,43 +788,20 @@ class SharedMemoryLifecycleRule(Rule):
                 self._scopes.pop()
                 self._finish(scope)
 
-            def visit_With(self, node: ast.With) -> None:
-                # A with-managed constructor is closed by the statement;
-                # only the unlink half of the owner obligation remains.
-                for item in node.items:
-                    expr = item.context_expr
-                    if isinstance(expr, ast.Call) and is_shared_memory_call(expr):
-                        scope = self._scopes[-1] if self._scopes else None
-                        if scope is not None and is_owner_call(expr):
-                            scope.mentions_close = True
-                            scope.calls.append((expr, True))
-                self.generic_visit(node)
-
-            def visit_Return(self, node: ast.Return) -> None:
-                # return SharedMemory(...) — ownership (and the lifecycle
-                # obligation) transfers to the caller; nothing to check here.
-                self.generic_visit(node)
-
             def visit_Call(self, node: ast.Call) -> None:
                 if is_shared_memory_call(node) and self._scopes:
                     scope = self._scopes[-1]
-                    already = any(call is node for call, _ in scope.calls)
-                    if not already and not self._is_transferred(node):
+                    if not self._is_returned(node):
                         scope.calls.append((node, is_owner_call(node)))
                 self.generic_visit(node)
 
-            def _is_transferred(self, node: ast.Call) -> bool:
-                """Directly returned or with-managed calls carry no local
-                obligation (checked against the enclosing scope's body)."""
-                scope_node = self._scopes[-1].node
-                for stmt in ast.walk(scope_node):
-                    if isinstance(stmt, ast.Return) and stmt.value is node:
-                        return True
-                    if isinstance(stmt, ast.With) and any(
-                        item.context_expr is node for item in stmt.items
-                    ):
-                        return True
-                return False
+            def _is_returned(self, node: ast.Call) -> bool:
+                """``return SharedMemory(...)``: ownership, and the lifecycle
+                obligation with it, transfers to the caller."""
+                return any(
+                    isinstance(stmt, ast.Return) and stmt.value is node
+                    for stmt in ast.walk(self._scopes[-1].node)
+                )
 
             def visit_Attribute(self, node: ast.Attribute) -> None:
                 if self._scopes:
@@ -876,8 +838,7 @@ class SharedMemoryLifecycleRule(Rule):
                                 call,
                                 "SharedMemory(create=True) owner site must close "
                                 "its mapping and unlink the name (failure paths "
-                                "included), or hand the handle off via "
-                                "'return'/'with'",
+                                "included), or hand the handle off via 'return'",
                             )
                     else:
                         if unlink_called:
@@ -895,7 +856,7 @@ class SharedMemoryLifecycleRule(Rule):
                                 call,
                                 "attaching SharedMemory site never closes its "
                                 "mapping; attach sites are close-only (or hand "
-                                "the handle off via 'return'/'with')",
+                                "the handle off via 'return')",
                             )
 
         return Visitor()
