@@ -108,7 +108,8 @@ class Path:
         return Path(vertices=self.vertices[i : j + 1])
 
     def contains_edge(self, source: VertexId, target: VertexId) -> bool:
-        return (source, target) in set(self.edge_keys)
+        """True if some hop of the path is the directed ``source -> target``."""
+        return (source, target) in zip(self.vertices, self.vertices[1:])
 
     def coordinates(self, network: RoadNetwork) -> list[tuple[float, float]]:
         """The ``(lon, lat)`` polyline of the path."""

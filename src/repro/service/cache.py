@@ -1,4 +1,4 @@
-"""A thread-safe LRU cache for served routes.
+"""A thread-safe LRU cache for served routes, indexed by the vertices they visit.
 
 Answers are keyed by ``(engine, source, destination, peak bucket, driver,
 cost override)``: the peak bucket folds departure times into ``"peak"`` /
@@ -8,6 +8,19 @@ departure times inside one bucket share a single cache line — exactly the
 granularity at which the L2R region graphs differ.  Driver id and cost
 override are part of the key so personalized answers are never replayed to
 the wrong caller.
+
+Beside the LRU table the cache keeps an inverted index *vertex -> entries
+whose path visits it*, so that a live-traffic batch costs what it touches:
+:meth:`RouteCache.invalidate_edges` intersects the entry sets of a touched
+edge's two endpoints and confirms the hop on those few candidates instead of
+walking every cached path under the lock.  The index is keyed by vertex, not
+by edge — one dict lookup and one set insert per path vertex with no tuple to
+build or hash, which is what a miss pays on ``put`` (a few microseconds on a
+40-vertex path) — and its sets hold one small integer token per live entry
+rather than the seven-field cache key.  Every way an entry is born or dies
+(``put`` including an overwrite, LRU overflow, each ``invalidate_*``,
+``set_peak_hours``, ``clear``) goes through ``_index`` / ``_unindex`` /
+``_drop_all``: an empty cache has an empty index.
 """
 
 from __future__ import annotations
@@ -18,6 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Collection
 
 from ..core.config import PeakHours
+from ..network.road_network import VertexId
+from ..routing.path import Path
 from .api import RouteRequest, RouteResponse
 
 CacheKey = tuple[object, ...]
@@ -47,6 +62,12 @@ class RouteCache:
         self._max_size = max_size
         self._peak_hours = peak_hours or PeakHours()
         self._entries: OrderedDict[CacheKey, RouteResponse] = OrderedDict()
+        # The inverted index: a key holds one token for as long as it is
+        # cached, and that token sits in the set of every vertex on its path.
+        self._tokens: dict[CacheKey, int] = {}
+        self._keys: dict[int, CacheKey] = {}
+        self._visits: dict[VertexId, set[int]] = {}
+        self._next_token = 0
         self._time_dependent: set[str] = set()
         self._lock = threading.Lock()
         self._hits = 0
@@ -62,7 +83,7 @@ class RouteCache:
         since existing keys were derived under the old bucketing)."""
         with self._lock:
             self._peak_hours = peak_hours
-            self._entries.clear()
+            self._drop_all()
 
     def mark_time_dependent(self, engine: str, enabled: bool = True) -> None:
         """Declare that an engine's answers depend on the peak bucket.
@@ -168,10 +189,57 @@ class RouteCache:
             if guard is not None and not guard():
                 return
             key = self._key(engine, response.request, version)
+            replaced = self._entries.get(key)
             self._entries[key] = response
-            self._entries.move_to_end(key)
+            if replaced is None:
+                token = self._tokens[key] = self._next_token
+                self._keys[token] = key
+                self._next_token += 1
+                self._index(token, response.path)
+            else:
+                self._entries.move_to_end(key)
+                if replaced.path is not response.path:
+                    token = self._tokens[key]
+                    self._unindex(token, replaced.path)
+                    self._index(token, response.path)
             while len(self._entries) > self._max_size:
-                self._entries.popitem(last=False)
+                self._forget(*self._entries.popitem(last=False))
+
+    # ------------------------------------------------------------------ #
+    # The vertex index; every method below expects the lock to be held.
+    # ------------------------------------------------------------------ #
+    def _index(self, token: int, path: Path) -> None:
+        visits = self._visits
+        for vertex in path.vertices:
+            try:
+                visits[vertex].add(token)
+            except KeyError:
+                visits[vertex] = {token}
+
+    def _unindex(self, token: int, path: Path) -> None:
+        visits = self._visits
+        for vertex in path.vertices:
+            # ``None`` on the second visit of a non-simple path whose first
+            # visit emptied (and removed) the vertex's set.
+            at_vertex = visits.get(vertex)
+            if at_vertex is not None:
+                at_vertex.discard(token)
+                if not at_vertex:
+                    del visits[vertex]
+
+    def _forget(self, key: CacheKey, response: RouteResponse) -> None:
+        """Drop the index state of an entry already taken out of the table."""
+        token = self._tokens.pop(key)
+        del self._keys[token]
+        self._unindex(token, response.path)
+
+    def _drop_all(self) -> int:
+        dropped = len(self._entries)
+        self._entries.clear()
+        self._tokens.clear()
+        self._keys.clear()
+        self._visits.clear()
+        return dropped
 
     def invalidate_edges(
         self,
@@ -183,30 +251,39 @@ class RouteCache:
         The delta-aware remedy for live-traffic updates that only *raise*
         costs: a cached optimal answer stays optimal while none of its hops
         changed cost and no edge anywhere got cheaper, so after congestion
-        only responses whose path crosses a touched edge are evicted.  A
-        batch that lowered any cost can improve on routes that cross none of
-        its edges — the caller passes ``threshold=0`` for those.  When the
-        batch touches more than ``threshold`` edges (there, the per-entry
-        path scan stops paying for itself) the whole cache is dropped instead
-        (service-wide invalidation, same effect as :meth:`clear` but with
-        the hit/miss counters kept).  Returns the number of entries dropped.
+        only responses whose path crosses a touched edge are evicted.  They
+        are found through the vertex index, not by scanning the cache: the
+        entries visiting both ``tail`` and ``head`` are the only candidates
+        for a touched ``(tail, head)``, and each is confirmed against its
+        path (it may visit the two vertices without taking that hop, or take
+        it in the other direction), so the work is proportional to the routes
+        through the touched vertices, whatever the cache holds.
+
+        A batch that lowered any cost can improve on routes that cross none
+        of its edges — the caller passes ``threshold=0`` for those: when
+        ``edges`` (distinct edges, taken as given) number more than
+        ``threshold`` the whole cache is dropped instead (same effect as
+        :meth:`clear` but with the hit/miss counters kept).  Returns the
+        number of entries dropped.
         """
-        touched = set(edges)
-        if not touched:
-            return 0
         with self._lock:
-            if threshold is not None and len(touched) > threshold:
-                dropped = len(self._entries)
-                self._entries.clear()
-                return dropped
-            stale = [
-                key
-                for key, response in self._entries.items()
-                if response.path is not None
-                and any(hop in touched for hop in response.path.edge_keys)
-            ]
-            for key in stale:
-                del self._entries[key]
+            if threshold is not None and len(edges) > threshold:
+                return self._drop_all()
+            visits, keys, entries = self._visits, self._keys, self._entries
+            stale: set[int] = set()
+            for tail, head in edges:
+                at_tail = visits.get(tail)
+                at_head = visits.get(head)
+                if not at_tail or not at_head:
+                    continue
+                for token in at_tail & at_head:
+                    if token not in stale and entries[keys[token]].path.contains_edge(
+                        tail, head
+                    ):
+                        stale.add(token)
+            for token in stale:
+                key = keys[token]
+                self._forget(key, entries.pop(key))
             return len(stale)
 
     def invalidate_engine(self, engine: str) -> int:
@@ -223,7 +300,7 @@ class RouteCache:
                 if key[0] == engine or response.engine == engine
             ]
             for key in stale:
-                del self._entries[key]
+                self._forget(key, self._entries.pop(key))
             return len(stale)
 
     def reset_counters(self) -> None:
@@ -234,7 +311,7 @@ class RouteCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._drop_all()
             self._hits = 0
             self._misses = 0
 

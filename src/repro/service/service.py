@@ -51,10 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .durability import DurabilityManager, RecoveryReport
 
 
-#: A live-traffic batch touching more edges than this drops the whole route
-#: cache instead of checking every cached path against it.
-TRAFFIC_SCAN_LIMIT = 64
-
 #: Last-good answers kept for degraded serving (least recently stored out).
 STALE_ROUTE_CAPACITY = 512
 
@@ -693,20 +689,18 @@ class RoutingService:
         with ``TrafficFeed(network, services=[service])``).  After a batch
         that only raised costs, cached responses are invalidated
         *delta-aware*: only answers whose path crosses a touched edge are
-        dropped (an increase elsewhere cannot make another path better).
-        The whole route cache is dropped instead when a cost *fell* on any
-        registered engine's network since the last call (read from
-        :attr:`~repro.network.road_network.RoadNetwork.cost_fell_version`) —
-        a cheaper edge can improve routes that never crossed it — and when
-        the batch touches more than :data:`TRAFFIC_SCAN_LIMIT` edges —
-        scanning every cached path per entry would cost more than the misses
-        it saves.  The batch count,
-        touched-edge count, evictions, and the reported cost version all
-        surface in :meth:`stats`.
+        dropped (an increase elsewhere cannot make another path better),
+        whatever the size of the batch — the cache finds them through its
+        vertex index.  The whole route cache is dropped instead when a cost
+        *fell* on any registered engine's network since the last call (read
+        from :attr:`~repro.network.road_network.RoadNetwork.cost_fell_version`)
+        — a cheaper edge can improve routes that never crossed it.  The batch
+        count, touched-edge count, evictions, and the reported cost version
+        all surface in :meth:`stats`.
         """
         touched = set(touched_edges)
         evicted = 0
-        threshold = TRAFFIC_SCAN_LIMIT
+        threshold = None
         for engine in list(self._engines.values()):
             network = getattr(engine, "network", None)
             fell = getattr(network, "cost_fell_version", 0)

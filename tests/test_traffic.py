@@ -37,7 +37,6 @@ from repro.routing import (
 from repro.routing.preference_dijkstra import _dict_preference_search
 from repro.service import RouteRequest, RoutingService
 from repro.service.durability import final_state, states_identical
-from repro.service.service import TRAFFIC_SCAN_LIMIT
 from repro.traffic import TrafficFeed, TrafficUpdate, synthetic_congestion
 
 
@@ -585,26 +584,39 @@ class TestServiceInvalidation:
         assert untouched_route.path is not None
         assert service.route(RouteRequest(source=5, destination=30)).cache_hit
 
-    def test_large_batch_falls_back_to_full_invalidation(self):
+    def test_a_large_batch_evicts_only_crossing_routes(self):
+        """No batch size switches the delta-aware eviction off: 65 raised
+        edges cost the cache only the routes that cross one of them."""
         network = grid_city_network(rows=6, cols=6, seed=1)
         service = _service_on(network)
         feed = TrafficFeed(network, services=[service])
-        route = service.route(RouteRequest(source=5, destination=30))
-        crossed = set(route.path.edge_keys)
-        edges = [e for e in network.edges() if (e.source, e.target) not in crossed]
-        edges = edges[: TRAFFIC_SCAN_LIMIT + 1]
-        assert len(edges) > TRAFFIC_SCAN_LIMIT
+        requests = [RouteRequest(source=s, destination=d) for s, d in ((5, 30), (0, 35), (2, 33))]
+        routes = [service.route(request) for request in requests]
+        crossed = {hop for route in routes for hop in route.path.edge_keys}
+        off_path = [e.key for e in network.edges() if e.key not in crossed]
+
+        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.2) for u, v in off_path[:65]])
+        assert service.stats().traffic_touched_edges == 65
+        assert service.stats().traffic_evicted_routes == 0
+        assert all(service.route(request).cache_hit for request in requests)
+
+        # 65 again, three of them hops of the first route: whether the other
+        # two routes go is decided by what they cross, not by the batch size.
+        on_path = list(routes[0].path.edge_keys[:3])
+        hit = [any(hop in route.path.edge_keys for hop in on_path) for route in routes]
+        assert hit[0] and not all(hit)
         feed.apply(
-            [TrafficUpdate.scale_by(e.source, e.target, travel_time_s=1.2) for e in edges]
+            [TrafficUpdate.scale_by(u, v, travel_time_s=1.2) for u, v in off_path[:62] + on_path]
         )
-        # Even a route crossing none of the touched edges was dropped.
-        assert not service.route(RouteRequest(source=5, destination=30)).cache_hit
+        assert service.stats().traffic_evicted_routes == sum(hit)
+        for request, crossing in zip(requests, hit):
+            assert service.route(request).cache_hit is (not crossing)
 
     def test_a_cost_decrease_off_the_path_retires_the_cached_route(self):
         """Raising costs off a cached path leaves it optimal; lowering them
-        does not.  40 edges (under the 64-edge scan threshold), none on the
-        cached corner-to-corner route, get ~free: the next answer must be the
-        new optimum, not a hit on the old one."""
+        does not.  40 edges, none on the cached corner-to-corner route, get
+        ~free: the next answer must be the new optimum, not a hit on the old
+        one."""
         network = grid_city_network(rows=12, cols=12, seed=1)
         service = _service_on(network)
         feed = TrafficFeed(network, services=[service])
