@@ -1,6 +1,6 @@
 """The learn-to-route (L2R) pipeline: configuration, routing, and orchestration."""
 
-from .config import L2RConfig, PeakHours
+from .config import L2RConfig
 from .router import RegionRouter, RouteDiagnostics
 from .l2r import FittedModel, LearnToRoute, OfflineTimings
 
@@ -9,7 +9,6 @@ __all__ = [
     "L2RConfig",
     "LearnToRoute",
     "OfflineTimings",
-    "PeakHours",
     "RegionRouter",
     "RouteDiagnostics",
 ]

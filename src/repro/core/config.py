@@ -1,4 +1,8 @@
-"""Configuration of the learn-to-route (L2R) pipeline."""
+"""Configuration of the learn-to-route (L2R) pipeline.
+
+One configuration fits one region graph over all training trajectories;
+departure times are recorded on requests but select nothing.
+"""
 
 from __future__ import annotations
 
@@ -7,38 +11,6 @@ from dataclasses import dataclass, field
 from ..exceptions import ConfigurationError
 from ..preferences.apply import ApplyConfig
 from ..preferences.transfer import TransferConfig
-
-
-@dataclass(frozen=True)
-class PeakHours:
-    """Definition of the peak traffic periods (seconds of day)."""
-
-    morning_start_s: float = 7 * 3600.0
-    morning_end_s: float = 9 * 3600.0
-    evening_start_s: float = 16 * 3600.0
-    evening_end_s: float = 18 * 3600.0
-
-    def __post_init__(self) -> None:
-        for label, value in (
-            ("morning_start_s", self.morning_start_s),
-            ("morning_end_s", self.morning_end_s),
-            ("evening_start_s", self.evening_start_s),
-            ("evening_end_s", self.evening_end_s),
-        ):
-            if not 0.0 <= value <= 86_400.0:
-                raise ConfigurationError(f"{label} must lie within a day (0..86400 s)")
-        if self.morning_start_s >= self.morning_end_s:
-            raise ConfigurationError("morning_start_s must be before morning_end_s")
-        if self.evening_start_s >= self.evening_end_s:
-            raise ConfigurationError("evening_start_s must be before evening_end_s")
-
-    def is_peak(self, departure_time_s: float) -> bool:
-        """True if a departure time (seconds of day) falls inside a peak period."""
-        t = departure_time_s % 86_400.0
-        return (
-            self.morning_start_s <= t <= self.morning_end_s
-            or self.evening_start_s <= t <= self.evening_end_s
-        )
 
 
 @dataclass(frozen=True)
@@ -55,9 +27,6 @@ class L2RConfig:
     """Cap on T-edges produced by a single trajectory (m*(m-1)/2 blow-up)."""
     transfer: TransferConfig = field(default_factory=TransferConfig)
     apply: ApplyConfig = field(default_factory=ApplyConfig)
-    time_dependent: bool = False
-    """Build separate peak / off-peak region graphs (Section III scope note)."""
-    peak_hours: PeakHours = field(default_factory=PeakHours)
     max_region_hops: int = 64
     """Safety cap on the number of region edges followed by one routing query."""
 

@@ -12,8 +12,8 @@ trajectory set:
    preference-aware Dijkstra (Section V-C).
 
 ``route()`` then answers arbitrary (source, destination) requests on the
-region graph (Section VI).  When ``config.time_dependent`` is on, separate
-peak and off-peak region graphs are fitted and the departure time picks one.
+region graph (Section VI).  A fitted pipeline is one region graph: the
+departure time of a request is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -77,9 +77,7 @@ class LearnToRoute:
         self.config = config or L2RConfig()
         self.catalog = catalog or FeatureCatalog()
         self._network: RoadNetwork | None = None
-        self._default_model: FittedModel | None = None
-        self._peak_model: FittedModel | None = None
-        self._offpeak_model: FittedModel | None = None
+        self._model: FittedModel | None = None
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -87,21 +85,10 @@ class LearnToRoute:
     def fit(self, network: RoadNetwork, trajectories: Sequence[MatchedTrajectory]) -> "LearnToRoute":
         """Run the offline pipeline; returns ``self`` for chaining."""
         self._network = network
-        if self.config.time_dependent:
-            peak = [t for t in trajectories if self.config.peak_hours.is_peak(t.departure_time)]
-            offpeak = [t for t in trajectories if not self.config.peak_hours.is_peak(t.departure_time)]
-            # Degenerate splits fall back to a single model on all data.
-            if len(peak) >= 10 and len(offpeak) >= 10:
-                self._peak_model = self._fit_subset(network, peak)
-                self._offpeak_model = self._fit_subset(network, offpeak)
-                self._default_model = None
-                return self
-        self._default_model = self._fit_subset(network, list(trajectories))
-        self._peak_model = None
-        self._offpeak_model = None
+        self._model = self._fit_model(network, list(trajectories))
         return self
 
-    def _fit_subset(
+    def _fit_model(
         self, network: RoadNetwork, trajectories: list[MatchedTrajectory]
     ) -> FittedModel:
         timings = OfflineTimings()
@@ -158,41 +145,27 @@ class LearnToRoute:
     # ------------------------------------------------------------------ #
     @property
     def is_fitted(self) -> bool:
-        return self._default_model is not None or self._peak_model is not None
-
-    def _model_for(self, departure_time: float | None) -> FittedModel:
-        if self._default_model is not None:
-            return self._default_model
-        if self._peak_model is None or self._offpeak_model is None:
-            raise NotFittedError("LearnToRoute")
-        if departure_time is not None and self.config.peak_hours.is_peak(departure_time):
-            return self._peak_model
-        return self._offpeak_model
+        return self._model is not None
 
     def route(
         self, source: VertexId, destination: VertexId, departure_time: float | None = None
     ) -> Path:
         """Recommend a path for an arbitrary (source, destination) pair.
 
-        ``departure_time`` (seconds of day) selects the peak or off-peak model
-        when the pipeline was fitted with ``config.time_dependent``; otherwise
-        it does **not** influence path selection — the single fitted model
-        answers regardless of the requested time.  Callers who need the
-        requested time echoed back should route through the service layer,
-        whose :class:`~repro.service.api.RouteResponse` always records it on
-        the originating request.
+        ``departure_time`` (seconds of day) does **not** influence path
+        selection — the one fitted model answers regardless of the requested
+        time.  Callers who need the requested time echoed back should route
+        through the service layer, whose
+        :class:`~repro.service.api.RouteResponse` always records it on the
+        originating request.
         """
-        if not self.is_fitted:
-            raise NotFittedError("LearnToRoute")
-        return self._model_for(departure_time).router.route(source, destination)
+        return self.model.router.route(source, destination)
 
     def route_with_diagnostics(
         self, source: VertexId, destination: VertexId, departure_time: float | None = None
     ) -> tuple[Path, RouteDiagnostics]:
         """Recommend a path plus diagnostics on which routing case applied."""
-        if not self.is_fitted:
-            raise NotFittedError("LearnToRoute")
-        return self._model_for(departure_time).router.route_with_diagnostics(source, destination)
+        return self.model.router.route_with_diagnostics(source, destination)
 
     # ------------------------------------------------------------------ #
     # Serving and persistence
@@ -231,12 +204,10 @@ class LearnToRoute:
 
     @property
     def model(self) -> FittedModel:
-        """The fitted model (the off-peak model when time-dependent)."""
-        if self._default_model is not None:
-            return self._default_model
-        if self._offpeak_model is not None:
-            return self._offpeak_model
-        raise NotFittedError("LearnToRoute")
+        """The fitted model."""
+        if self._model is None:
+            raise NotFittedError("LearnToRoute")
+        return self._model
 
     @property
     def region_graph(self) -> RegionGraph:

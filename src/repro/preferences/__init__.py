@@ -17,7 +17,7 @@ from .similarity import (
     region_edge_similarity,
 )
 from .learning import LearnedPreference, PreferenceLearner, learn_t_edge_preferences
-from .solvers import SolverResult, conjugate_gradient, jacobi, solve
+from .solvers import SolverResult, conjugate_gradient
 from .transfer import (
     PreferenceTransfer,
     TransferConfig,
@@ -45,13 +45,11 @@ __all__ = [
     "default_road_condition_features",
     "evaluate_transfer_accuracy",
     "jaccard",
-    "jacobi",
     "learn_t_edge_preferences",
     "materialize_b_edge_paths",
     "path_similarity",
     "path_similarity_union",
     "region_edge_similarity",
     "single_type_feature",
-    "solve",
     "transfer_to_b_edges",
 ]

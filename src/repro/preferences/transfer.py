@@ -10,7 +10,7 @@ Graph-based transduction following Section V-B:
   T-edges' learned preferences; B-edge rows start at zero;
 * the transferred labels ``Yhat`` minimize Eq. 2 and are obtained by solving
   Eq. 3, ``(S + mu1*L + mu2*I) Yhat = S Y``, for all feature columns together
-  with an iterative solver;
+  with conjugate gradients;
 * each B-edge's transferred preference is decoded from its ``Yhat`` row
   (argmax over cost columns, argmax over road columns); rows whose cost
   probabilities are all ~zero yield a *null* preference — those B-edges later
@@ -28,7 +28,7 @@ import numpy as np
 from ..exceptions import TransferError
 from .features import FeatureCatalog
 from .model import PreferenceVector
-from .solvers import solve
+from .solvers import conjugate_gradient
 
 _BLOCK_ROWS = 256
 """Rows of the adjacency matrix computed at a time: the temporaries of a
@@ -45,8 +45,6 @@ class TransferConfig:
     """Weight of the Laplacian smoothing term in Eq. 2."""
     mu2: float = 0.01
     """Weight of the L2 regularization term in Eq. 2."""
-    solver: str = "cg"
-    """Iterative solver: ``"cg"``, ``"jacobi"``, or ``"direct"``."""
     null_threshold: float = 1e-6
     """Below this maximum cost-column probability a B-edge row is *null*."""
 
@@ -183,10 +181,10 @@ class PreferenceTransfer:
         system = adjacency
         system *= -self._config.mu1
         np.fill_diagonal(system, s_diag + self._config.mu1 * degree + self._config.mu2)
-        solved = solve(system, s_diag[:, None] * y, method=self._config.solver)
+        solved = conjugate_gradient(system, s_diag[:, None] * y)
         if not solved.converged:
             raise TransferError(
-                f"the {self._config.solver!r} solve of Eq. 3 over {n} region edges stopped "
+                f"the conjugate-gradient solve of Eq. 3 over {n} region edges stopped "
                 f"after {solved.iterations} iterations at residual {solved.residual_norm:.3g}"
             )
         y_hat = solved.x

@@ -29,9 +29,9 @@ class RouteRequest:
     source: VertexId
     destination: VertexId
     departure_time: float | None = None
-    """Requested departure time (seconds of day).  Engines that are not
-    time-dependent ignore it for path selection, but the value is always
-    echoed back on the response via :attr:`RouteResponse.request`."""
+    """Requested departure time (seconds of day).  Recorded, not used: no
+    engine selects its path by it, but the value is always echoed back on the
+    response via :attr:`RouteResponse.request`."""
     driver_id: int | None = None
     """Driver identity, used by the personalized engines (Dom, TRIP)."""
     cost_override: CostFeature | None = None

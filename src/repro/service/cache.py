@@ -1,13 +1,10 @@
 """A thread-safe LRU cache for served routes, indexed by the vertices they visit.
 
-Answers are keyed by ``(engine, source, destination, peak bucket, driver,
-cost override)``: the peak bucket folds departure times into ``"peak"`` /
-``"offpeak"`` (or ``"any"`` when no time was given) so that a time-dependent
-engine's peak and off-peak answers never shadow each other, while all
-departure times inside one bucket share a single cache line — exactly the
-granularity at which the L2R region graphs differ.  Driver id and cost
-override are part of the key so personalized answers are never replayed to
-the wrong caller.
+Answers are keyed by ``(engine, source, destination, driver, cost override,
+engine cache version)``.  The departure time is not part of the key: no
+engine's answer depends on it, so every departure time of one OD pair shares
+a single cache line.  Driver id and cost override are part of the key so
+personalized answers are never replayed to the wrong caller.
 
 Beside the LRU table the cache keeps an inverted index *vertex -> entries
 whose path visits it*, so that a live-traffic batch costs what it touches:
@@ -17,9 +14,9 @@ walking every cached path under the lock.  The index is keyed by vertex, not
 by edge — one dict lookup and one set insert per path vertex with no tuple to
 build or hash, which is what a miss pays on ``put`` (a few microseconds on a
 40-vertex path) — and its sets hold one small integer token per live entry
-rather than the seven-field cache key.  Every way an entry is born or dies
+rather than the six-field cache key.  Every way an entry is born or dies
 (``put`` including an overwrite, LRU overflow, each ``invalidate_*``,
-``set_peak_hours``, ``clear``) goes through ``_index`` / ``_unindex`` /
+``clear``) goes through ``_index`` / ``_unindex`` /
 ``_drop_all``: an empty cache has an empty index.
 """
 
@@ -30,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Collection
 
-from ..core.config import PeakHours
 from ..network.road_network import VertexId
 from ..routing.path import Path
 from .api import RouteRequest, RouteResponse
@@ -56,11 +52,10 @@ class CacheStats:
 class RouteCache:
     """LRU cache of successful :class:`RouteResponse` objects."""
 
-    def __init__(self, max_size: int = 2048, peak_hours: PeakHours | None = None) -> None:
+    def __init__(self, max_size: int = 2048) -> None:
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
         self._max_size = max_size
-        self._peak_hours = peak_hours or PeakHours()
         self._entries: OrderedDict[CacheKey, RouteResponse] = OrderedDict()
         # The inverted index: a key holds one token for as long as it is
         # cached, and that token sits in the set of every vertex on its path.
@@ -68,71 +63,28 @@ class RouteCache:
         self._keys: dict[int, CacheKey] = {}
         self._visits: dict[VertexId, set[int]] = {}
         self._next_token = 0
-        self._time_dependent: set[str] = set()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def peak_hours(self) -> PeakHours:
-        return self._peak_hours
-
-    def set_peak_hours(self, peak_hours: PeakHours) -> None:
-        """Re-bucket with different peak windows (drops all cached entries,
-        since existing keys were derived under the old bucketing)."""
-        with self._lock:
-            self._peak_hours = peak_hours
-            self._drop_all()
-
-    def mark_time_dependent(self, engine: str, enabled: bool = True) -> None:
-        """Declare that an engine's answers depend on the peak bucket.
-
-        Static engines (the default) share one ``"any"`` bucket regardless of
-        departure time — their answer is the same, so splitting it across
-        peak / off-peak lines would only waste capacity and depress hits.
-        """
-        with self._lock:
-            if enabled:
-                self._time_dependent.add(engine)
-            else:
-                self._time_dependent.discard(engine)
-
-    def _bucket(self, engine: str, request: RouteRequest) -> str:
-        """Peak bucket derivation; the caller must hold the lock."""
-        if engine not in self._time_dependent or request.departure_time is None:
-            return "any"
-        if self._peak_hours.is_peak(request.departure_time):
-            return "peak"
-        return "offpeak"
-
-    def _key(
-        self, engine: str, request: RouteRequest, version: object = None
-    ) -> CacheKey:
-        """Key derivation; the caller must hold the lock (peak windows can
-        be swapped concurrently by :meth:`set_peak_hours`).
+    @staticmethod
+    def key_for(engine: str, request: RouteRequest, version: object = None) -> CacheKey:
+        """The cache key of ``request`` answered by ``engine``.
 
         ``version`` is the engine's optional ``cache_version`` tag (e.g. a
         contraction hierarchy's weights version): answers computed under a
         different tag never shadow each other, so an engine whose internal
         state moved — without any re-registration — starts with fresh lines.
         """
-        bucket = self._bucket(engine, request)
         return (
             engine,
             request.source,
             request.destination,
-            bucket,
             request.driver_id,
             request.cost_override,
             version,
         )
-
-    def key_for(
-        self, engine: str, request: RouteRequest, version: object = None
-    ) -> CacheKey:
-        with self._lock:
-            return self._key(engine, request, version)
 
     def get(
         self,
@@ -149,8 +101,8 @@ class RouteCache:
         nothing, and a probe hit reclassifies that earlier miss as a hit —
         the counters stay at one outcome per logical request.
         """
+        key = self.key_for(engine, request, version)
         with self._lock:
-            key = self._key(engine, request, version)
             cached = self._entries.get(key)
             if cached is None:
                 if not probe:
@@ -185,10 +137,10 @@ class RouteCache:
         """
         if not response.ok:
             return
+        key = self.key_for(engine, response.request, version)
         with self._lock:
             if guard is not None and not guard():
                 return
-            key = self._key(engine, response.request, version)
             replaced = self._entries.get(key)
             self._entries[key] = response
             if replaced is None:

@@ -40,12 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class RoutingEngine(Protocol):
     """The single contract every routing backend satisfies.
 
-    Engines whose answers depend on peak / off-peak departure times should
-    additionally expose a ``peak_hours`` attribute (a
-    :class:`~repro.core.config.PeakHours`, or ``None`` when static) so the
-    service's route cache can bucket departure times with the same windows
-    the engine switches models on.  Both built-in adapters do.
-
     An engine that can answer several requests with one search may offer
     ``route_batch(requests) -> list[RouteResponse | None]``: a successful
     response (``batched=True``, ``latency_s`` the call's time amortised) in
@@ -175,15 +169,6 @@ class AlgorithmEngine(BaseEngine):
     def algorithm(self) -> "RoutingAlgorithm":
         return self._algorithm
 
-    @property
-    def peak_hours(self):
-        """Peak windows of a wrapped time-dependent pipeline (else ``None``)."""
-        pipeline = getattr(self._algorithm, "pipeline", None)
-        config = getattr(pipeline, "config", None)
-        if config is not None and getattr(config, "time_dependent", False):
-            return config.peak_hours
-        return None
-
     def _static_cost(self):
         """Cost-centric algorithms advertise their feature for batching."""
         feature = getattr(self._algorithm, "cost_feature", None)
@@ -215,12 +200,6 @@ class L2REngine(BaseEngine):
     @property
     def pipeline(self) -> "LearnToRoute":
         return self._pipeline
-
-    @property
-    def peak_hours(self):
-        """Peak windows driving model selection (``None`` for static models)."""
-        config = self._pipeline.config
-        return config.peak_hours if config.time_dependent else None
 
     def _answer(self, request: RouteRequest) -> tuple[Path, RouteDiagnostics | None]:
         return self._pipeline.route_with_diagnostics(

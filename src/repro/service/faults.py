@@ -1,25 +1,21 @@
 """Deterministic fault injection for chaos-testing the serving stack.
 
-A :class:`FaultInjector` wraps any :class:`~repro.service.engine.RoutingEngine`
-or :class:`~repro.traffic.feed.TrafficFeed` with a *seeded* schedule of
-latency spikes, raised :class:`~repro.exceptions.TransientEngineError`\\ s,
-and dropped / delayed traffic batches.  Every random decision comes from a
+A :class:`FaultInjector` wraps a :class:`~repro.service.engine.RoutingEngine`,
+a shard transport or a file with a *seeded* schedule of latency spikes,
+raised :class:`~repro.exceptions.TransientEngineError`\\ s, lost / delayed /
+duplicated messages and failing writes.  Every random decision comes from a
 per-wrapper ``np.random.Generator`` derived from the injector seed (in the
 style of the seeded condition grids of SNIPPETS.md Snippet 3), so a chaos
 run is exactly replayable: the same seed produces the same fault sequence,
 the same breaker trips, and the same shed / degraded counters — in tests
 and in CI.
 
-Four wrapper kinds, one schedule core (:class:`_Schedule`) under all of them:
+Three wrapper kinds, one schedule core (:class:`_Schedule`) under all of them:
 
 * :meth:`FaultInjector.engine` — a :class:`FaultyEngine` that, per call,
   may sleep (latency spike) and/or raise a ``TransientEngineError`` before
   delegating.  It deliberately does **not** offer the optional
   ``route_batch``, so a seeded schedule stays one draw per request.
-* :meth:`FaultInjector.feed` — a :class:`FaultyFeed` whose ``apply`` may
-  drop the batch (returning an empty result), delay it, or raise, modelling
-  lossy / crashing ingestion in front of a
-  :class:`~repro.traffic.drain.TrafficDrain`.
 * :meth:`FaultInjector.transport` — a :class:`FaultyTransport` wrapping any
   :class:`~repro.service.sharding.protocol.Transport` with send-side drops,
   delays, and duplicates, plus *one-way partitions* (sends silently lost,
@@ -47,7 +43,7 @@ import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -55,8 +51,6 @@ from ..exceptions import TransientEngineError
 from .api import RouteRequest, RouteResponse
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..traffic.feed import TrafficFeed
-    from ..traffic.updates import TrafficUpdate, TrafficUpdateResult
     from .engine import RoutingEngine
     from .sharding.protocol import Transport
 
@@ -67,8 +61,6 @@ class FaultCounters:
     calls: int = 0
     injected_errors: int = 0
     injected_spikes: int = 0
-    dropped_batches: int = 0
-    delayed_batches: int = 0
     dropped_messages: int = 0
     delayed_messages: int = 0
     duplicated_messages: int = 0
@@ -111,11 +103,6 @@ class FaultInjector:
         """Wrap a routing engine with a seeded (or scripted) fault schedule;
         ``schedule`` holds :class:`FaultyEngine`'s keywords."""
         return FaultyEngine(engine, rng=self._child_rng(), **schedule)
-
-    def feed(self, feed: "TrafficFeed", **schedule) -> "FaultyFeed":
-        """Wrap a traffic feed with a seeded (or scripted) fault schedule;
-        ``schedule`` holds :class:`FaultyFeed`'s keywords."""
-        return FaultyFeed(feed, rng=self._child_rng(), **schedule)
 
     def transport(self, transport: "Transport", **schedule) -> "FaultyTransport":
         """Wrap a protocol transport with a seeded (or scripted) schedule of
@@ -204,7 +191,7 @@ class FaultyEngine:
     """A routing engine that injects scheduled latency spikes and errors.
 
     Satisfies the :class:`~repro.service.engine.RoutingEngine` protocol.
-    ``peak_hours``, ``cache_version``, and ``network`` are forwarded from
+    ``cache_version`` and ``network`` are forwarded from
     the wrapped engine (cache and degraded-serving semantics must not
     change); the optional ``route_batch`` is *not* offered, so every request
     of a ``route_many`` is one ``route`` call and one draw of the schedule.
@@ -234,10 +221,6 @@ class FaultyEngine:
         return self._schedule.counters
 
     @property
-    def peak_hours(self):
-        return getattr(self.inner, "peak_hours", None)
-
-    @property
     def cache_version(self):
         return getattr(self.inner, "cache_version", None)
 
@@ -260,72 +243,6 @@ class FaultyEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultyEngine({self.inner!r}, calls={self.counters.calls})"
-
-
-class FaultyFeed:
-    """A traffic feed whose ``apply`` may drop, delay, or crash per schedule.
-
-    Duck-types the :class:`~repro.traffic.feed.TrafficFeed` surface a
-    :class:`~repro.traffic.drain.TrafficDrain` uses (``apply``, ``network``,
-    ``subscribe``), so it can sit between a drain and the real feed.
-    """
-
-    def __init__(
-        self,
-        feed: "TrafficFeed",
-        *,
-        rng: np.random.Generator,
-        error_rate: float = 0.0,
-        drop_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        delay_s: float = 0.005,
-        script: Sequence[str] | None = None,
-    ) -> None:
-        self._schedule = _Schedule(
-            rng,
-            script,
-            (
-                ("error", error_rate, "injected_errors"),
-                ("drop", drop_rate, "dropped_batches"),
-                ("delay", delay_rate, "delayed_batches"),
-            ),
-        )
-        self.inner = feed
-        self.delay_s = delay_s
-
-    @property
-    def counters(self) -> FaultCounters:
-        return self._schedule.counters
-
-    @property
-    def network(self):
-        return self.inner.network
-
-    def subscribe(self, callback):
-        return self.inner.subscribe(callback)
-
-    def apply(self, updates: "Iterable[TrafficUpdate]") -> "TrafficUpdateResult":
-        from ..traffic.updates import TrafficUpdateResult
-
-        batch = list(updates)
-        action = self._schedule.next()
-        if action == "error":
-            raise TransientEngineError(
-                f"injected fault applying traffic batch (call {self.counters.calls})"
-            )
-        if action == "drop":
-            # The batch is lost: report an empty, truthful result.
-            return TrafficUpdateResult(
-                touched_edges=frozenset(),
-                cost_version=self.inner.network.cost_version,
-                applied=0,
-            )
-        if action == "delay":
-            time.sleep(self.delay_s)
-        return self.inner.apply(batch)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultyFeed({self.inner!r}, calls={self.counters.calls})"
 
 
 class FaultyTransport:

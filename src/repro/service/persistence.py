@@ -3,12 +3,15 @@
 A serving process should not have to re-run the offline pipeline (region
 clustering, preference learning, transfer, path materialization) on every
 start.  :func:`save_model` persists a fitted
-:class:`~repro.core.l2r.LearnToRoute` — the road network, the region graph(s)
+:class:`~repro.core.l2r.LearnToRoute` — the road network, the region graph
 with learned and transferred preferences, and the materialized B-edge paths —
 into one gzip-compressed pickle with a format header; :func:`load_model`
 restores it and verifies the header.  A round-tripped model answers every
 query identically to the in-memory original (the state is carried verbatim;
-routing is deterministic).
+routing is deterministic).  A file that names a class or module this library
+no longer has — every file older than the current format version is such a
+file — fails with :class:`ModelPersistenceError`, never a bare unpickling
+error.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.l2r import LearnToRoute
 
 MODEL_FORMAT = "repro-l2r-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ModelPersistenceError(ReproError):
@@ -110,6 +113,12 @@ def load_model(path: str | FilePath) -> "LearnToRoute":
         raise ModelPersistenceError(f"model file {source} does not exist") from None
     except (OSError, pickle.UnpicklingError, EOFError) as exc:
         raise ModelPersistenceError(f"could not read model from {source}: {exc}") from exc
+    except (AttributeError, ImportError) as exc:
+        # The pickle names a class or module that is gone: an older format.
+        raise ModelPersistenceError(
+            f"{source} was written by an incompatible library version ({exc}); "
+            f"this library reads model format version {MODEL_FORMAT_VERSION}"
+        ) from exc
 
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelPersistenceError(f"{source} is not a saved L2R model")

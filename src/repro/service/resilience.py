@@ -15,8 +15,9 @@ to stay up under those conditions:
   a sliding failure-rate window; an open breaker skips the engine entirely
   so the fallback chain is consulted without paying the failure latency;
 * :class:`AdmissionController` — a bound on concurrently served requests
-  with a :class:`~repro.exceptions.ServiceOverloadedError` fast-reject path,
-  turning overload into cheap immediate sheds instead of queueing collapse.
+  that admits now or refuses now with
+  :class:`~repro.exceptions.ServiceOverloadedError`, turning overload into
+  cheap immediate sheds instead of queueing collapse.
 
 All four are deliberately clock-injectable (``clock=time.monotonic`` by
 default) so the chaos suite can drive state transitions deterministically.
@@ -50,7 +51,7 @@ class DeadlineBudget:
 
     The budget starts ticking at construction; every stage of the serving
     pipeline (engine attempts, retry backoff sleeps, fallback hops) checks
-    :meth:`remaining` / :meth:`check` before spending more time.  Engines
+    :attr:`expired` / :meth:`remaining` before spending more time.  Engines
     are cooperative — a hop that already started is not preempted — so the
     budget bounds *additional* work, which is the useful guarantee a
     GIL-bound service can actually make.
@@ -89,12 +90,6 @@ class DeadlineBudget:
     def expired(self) -> bool:
         return self._clock() >= self._deadline
 
-    def check(self, stage: str = "") -> None:
-        """Raise :class:`DeadlineExceededError` when the budget is spent."""
-        elapsed = self.elapsed()
-        if elapsed >= self.budget_s:
-            raise DeadlineExceededError(self.budget_s, elapsed, stage=stage)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeadlineBudget(budget_s={self.budget_s}, remaining={self.remaining():.3f})"
 
@@ -105,10 +100,10 @@ class DeadlineBudget:
 class RetryPolicy:
     """Bounded retries with exponential backoff and seeded jitter.
 
-    Only *retryable* failures are retried: transient engine errors (and any
-    extra exception types passed in), never request-level failures like
-    ``NoPathError`` — retrying a request that deterministically has no
-    answer only burns deadline budget.  Jitter is drawn from a seeded
+    Only the :class:`~repro.exceptions.TransientEngineError` family is
+    retried, never request-level failures like ``NoPathError`` — retrying a
+    request that deterministically has no answer only burns deadline
+    budget.  Jitter is drawn from a seeded
     ``np.random.Generator`` so two policies built with the same seed produce
     identical backoff schedules (the chaos suite depends on this).
     """
@@ -120,7 +115,6 @@ class RetryPolicy:
         multiplier: float = 2.0,
         jitter: float = 0.5,
         seed: int = 0,
-        retryable: tuple[type[BaseException], ...] = (TransientEngineError,),
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -130,8 +124,6 @@ class RetryPolicy:
         self.base_delay_s = base_delay_s
         self.multiplier = multiplier
         self.jitter = jitter
-        self.retryable = retryable
-        self._retryable_names = frozenset(cls.__name__ for cls in retryable)
         self._rng = np.random.default_rng(seed)
         self._lock = threading.Lock()
 
@@ -154,15 +146,14 @@ class RetryPolicy:
 
         Engines built on ``BaseEngine`` report failures as response strings
         of the form ``"TypeName: message"`` — the type-name prefix is matched
-        against the retryable classes (and their registered subclasses by
-        isinstance when a real exception is available).
+        against the names of the :class:`TransientEngineError` family, so an
+        exception and its flattened string always get the same answer.
         """
         if failure is None:
             return False
         if isinstance(failure, BaseException):
-            return isinstance(failure, self.retryable)
-        name = failure.split(":", 1)[0].strip()
-        return name in self._retryable_names or name in _TRANSIENT_ERROR_NAMES
+            return isinstance(failure, TransientEngineError)
+        return failure.split(":", 1)[0].strip() in _TRANSIENT_ERROR_NAMES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -406,72 +397,49 @@ class CircuitBreaker:
 class AdmissionController:
     """Bounds concurrently served requests; sheds the excess immediately.
 
-    :meth:`acquire` either admits the request or raises
-    :class:`ServiceOverloadedError` — optionally after waiting up to
-    ``max_wait_s`` for a slot (the wait always passes an explicit timeout,
-    so a stuck service cannot strand callers).  Use as a context manager::
-
-        with controller.admit():
-            ... serve the request ...
+    :meth:`acquire` admits the request now or counts a shed and raises
+    :class:`ServiceOverloadedError` now — it never waits for a slot; every
+    admitted request is paired with one :meth:`release`.
     """
 
-    def __init__(self, max_in_flight: int, max_wait_s: float = 0.0) -> None:
+    def __init__(self, max_in_flight: int) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
         self.max_in_flight = max_in_flight
-        self.max_wait_s = max_wait_s
-        # A plain Lock (not the default RLock) keeps the uncontended
-        # acquire/release pair cheap; nothing here re-enters.  The fast
-        # paths enter ``_lock`` directly (C-level context manager) instead
-        # of going through the Condition's Python-level ``__enter__``.
         self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
         self._in_flight = 0
-        self._waiters = 0
         self._shed = 0
         self._admitted = 0
 
     @property
     def in_flight(self) -> int:
-        with self._condition:
+        with self._lock:
             return self._in_flight
 
     @property
     def shed(self) -> int:
         """Requests rejected with :class:`ServiceOverloadedError`."""
-        with self._condition:
+        with self._lock:
             return self._shed
 
     @property
     def admitted(self) -> int:
-        with self._condition:
+        with self._lock:
             return self._admitted
 
     def acquire(self) -> None:
-        """Admit one request or raise :class:`ServiceOverloadedError`."""
-        if self.try_acquire():  # uncontended fast path
+        """Admit one request or count a shed and raise
+        :class:`ServiceOverloadedError`."""
+        if self.try_acquire():
             return
         with self._lock:
-            deadline = time.monotonic() + self.max_wait_s
-            while self._in_flight >= self.max_in_flight:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._shed += 1
-                    raise ServiceOverloadedError(self._in_flight, self.max_in_flight)
-                self._waiters += 1
-                try:
-                    self._condition.wait(timeout=remaining)
-                finally:
-                    self._waiters -= 1
-            self._in_flight += 1
-            self._admitted += 1
+            self._shed += 1
+            raise ServiceOverloadedError(self._in_flight, self.max_in_flight)
 
     def try_acquire(self) -> bool:
-        """Take a slot if one is free now; never waits, never counts a shed
-        (a refused ``route_many`` kernel call's members are admitted, or shed
-        and counted, one by one)."""
+        """Take a slot if one is free now; never counts a shed (a refused
+        ``route_many`` kernel call's members are admitted, or shed and
+        counted, one by one)."""
         with self._lock:
             if self._in_flight >= self.max_in_flight:
                 return False
@@ -482,32 +450,12 @@ class AdmissionController:
     def release(self) -> None:
         with self._lock:
             self._in_flight = max(0, self._in_flight - 1)
-            if self._waiters:
-                self._condition.notify()
-
-    def admit(self) -> "_Admission":
-        """Context-manager form of :meth:`acquire` / :meth:`release`."""
-        return _Admission(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AdmissionController(in_flight={self.in_flight}/"
             f"{self.max_in_flight}, shed={self.shed})"
         )
-
-
-class _Admission:
-    __slots__ = ("_controller",)
-
-    def __init__(self, controller: AdmissionController) -> None:
-        self._controller = controller
-
-    def __enter__(self) -> AdmissionController:
-        self._controller.acquire()
-        return self._controller
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._controller.release()
 
 
 def sleep_within(

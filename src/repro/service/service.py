@@ -21,7 +21,6 @@ import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ..core.config import PeakHours
 from ..core.router import RouteDiagnostics
 from ..exceptions import (
     ConfigurationError,
@@ -46,7 +45,6 @@ from .stats import ServiceStats, StatsAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.road_network import RoadNetwork
-    from ..traffic.drain import TrafficDrain
     from ..traffic.feed import TrafficFeed
     from .durability import DurabilityManager, RecoveryReport
 
@@ -61,7 +59,6 @@ class RoutingService:
     def __init__(
         self,
         cache_size: int = 2048,
-        peak_hours: PeakHours | None = None,
         enable_cache: bool = True,
         deadline_s: float | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -90,9 +87,8 @@ class RoutingService:
         self._fallbacks: dict[str, str] = {}
         self._default_engine: str | None = None
         self._cache: RouteCache | None = (
-            RouteCache(max_size=cache_size, peak_hours=peak_hours) if enable_cache else None
+            RouteCache(max_size=cache_size) if enable_cache else None
         )
-        self._peak_hours_pinned = peak_hours is not None
         self._engine_generation: dict[str, int] = {}
         self._traffic_generation = 0
         #: Per engine network, the ``cost_fell_version`` already acted on.
@@ -112,7 +108,6 @@ class RoutingService:
             OrderedDict()
         )
         self._stale_lock = threading.Lock()
-        self._drain: "TrafficDrain | None" = None
 
     # ------------------------------------------------------------------ #
     # Registry
@@ -130,19 +125,7 @@ class RoutingService:
         ``fallback`` names the engine to consult when this one fails (chains
         are followed transitively); the first registered engine — or the one
         registered with ``default=True`` — becomes the default.
-
-        A time-dependent L2R engine carries its own peak windows: the route
-        cache adopts them automatically so peak and off-peak answers are
-        bucketed exactly as the pipeline switches models.  If the service was
-        constructed with explicit (or already-adopted) ``peak_hours`` that
-        disagree, registration fails rather than risking a peak-model answer
-        being replayed for an off-peak request.
         """
-        self._adopt_peak_hours(name, engine)
-        if self._cache is not None:
-            self._cache.mark_time_dependent(
-                name, getattr(engine, "peak_hours", None) is not None
-            )
         reregistration = name in self._engines
         # Swap before bumping: a route() that observes the bumped generation
         # is then guaranteed to have computed on the new engine.
@@ -164,32 +147,6 @@ class RoutingService:
         if self._breaker_config is not None and name not in self._breakers:
             self._breakers[name] = CircuitBreaker(self._breaker_config)
         return self
-
-    def _adopt_peak_hours(self, name: str, engine: RoutingEngine) -> None:
-        """Align the cache's peak bucketing with a time-dependent engine.
-
-        An engine declares its windows through the optional ``peak_hours``
-        attribute of the ``RoutingEngine`` protocol (both built-in adapters
-        derive it from the wrapped pipeline's config).
-        """
-        if self._cache is None:
-            return
-        hours = getattr(engine, "peak_hours", None)
-        if hours is None:
-            return
-        if hours == self._cache.peak_hours:
-            # The engine's windows are in force now — a later time-dependent
-            # engine with different windows must not silently re-bucket them.
-            self._peak_hours_pinned = True
-            return
-        if self._peak_hours_pinned:
-            raise ConfigurationError(
-                f"engine {name!r} is time-dependent with peak hours that differ from "
-                "this service's cache bucketing; construct RoutingService(peak_hours=...) "
-                "with the pipeline's config.peak_hours (or disable the cache)"
-            )
-        self._cache.set_peak_hours(hours)
-        self._peak_hours_pinned = True
 
     def _cache_tag(self, name: str) -> object:
         """The engine's optional ``cache_version`` tag (``None`` for most).
@@ -238,17 +195,6 @@ class RoutingService:
     def admission(self) -> AdmissionController | None:
         """The admission controller (``None`` without ``max_in_flight``)."""
         return self._admission
-
-    def attach_drain(self, drain: "TrafficDrain") -> "TrafficDrain":
-        """Adopt a :class:`~repro.traffic.drain.TrafficDrain` for monitoring
-        and lifecycle: its counters surface in :meth:`stats` and
-        :meth:`close` stops it before draining in-flight requests."""
-        self._drain = drain
-        return drain
-
-    @property
-    def drain(self) -> "TrafficDrain | None":
-        return self._drain
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -449,16 +395,14 @@ class RoutingService:
                 responses[position] = self._compute(name, (batch[position],))[0]
         return responses  # type: ignore[return-value]
 
-    def close(self, timeout_s: float | None = 5.0) -> bool:
+    def close(self) -> bool:
         """Orderly shutdown; idempotent; the service stays usable after.
 
-        Stops the attached :class:`TrafficDrain` (if any), so no re-weight
-        lands after the call returns.  Returns ``False`` when the drain
-        thread failed to stop within ``timeout_s``.
+        An in-process service owns no thread or process, so there is nothing
+        to stop and the call returns ``True`` — the same contract as
+        ``ShardedRoutingService.close()``, whose workers do need stopping.
         """
-        if self._drain is None:
-            return True
-        return self._drain.close(timeout_s=timeout_s if timeout_s is not None else 5.0)
+        return True
 
     def _route_with_fallbacks(
         self,
@@ -619,9 +563,9 @@ class RoutingService:
     def _stale_key(name: str, request: RouteRequest) -> tuple:
         """Identity of one (engine, OD-pair, preference) answer line.
 
-        Deliberately coarser than the route-cache key: no peak bucket and no
-        cost version — degraded serving *wants* the last known good answer
-        even when it is stale, that is the point."""
+        Deliberately coarser than the route-cache key: no cost version —
+        degraded serving *wants* the last known good answer even when it is
+        stale, that is the point."""
         return (
             name,
             request.source,
@@ -765,7 +709,6 @@ class RoutingService:
             shed=self._admission.shed if self._admission is not None else 0,
             breaker_trips=sum(b.trips for b in self._breakers.values()),
             breaker_states={n: b.state for n, b in self._breakers.items()},
-            drain=self._drain.stats() if self._drain is not None else None,
         )
 
     def reset_stats(self) -> None:

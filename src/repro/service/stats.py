@@ -13,13 +13,9 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .api import RouteResponse
 from .cache import CacheStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..traffic.drain import DrainStats
 
 
 def percentile(values: list[float], fraction: float) -> float:
@@ -80,10 +76,6 @@ class ServiceStats:
     """Circuit-breaker open transitions, summed over all engines."""
     breaker_states: dict[str, str] = field(default_factory=dict)
     """Engine name -> current breaker state (only engines with breakers)."""
-    drain: "DrainStats | None" = None
-    """Snapshot of the attached :class:`~repro.traffic.drain.TrafficDrain`
-    (queue depth, staleness, crash counts), or ``None`` when no drain is
-    attached."""
     shards: int = 0
     """Worker shards behind a :class:`~repro.service.sharding.
     ShardedRoutingService` (0 for an in-process service)."""
@@ -209,7 +201,6 @@ class StatsAccumulator:
         shed: int = 0,
         breaker_trips: int = 0,
         breaker_states: dict[str, str] | None = None,
-        drain: "DrainStats | None" = None,
         shards: int = 0,
         shard_requests: dict[int, int] | None = None,
         cross_shard_requests: int = 0,
@@ -225,10 +216,10 @@ class StatsAccumulator:
         worker_resyncs: int = 0,
     ) -> ServiceStats:
         """Freeze the counters; ``hierarchy_reweights``, ``shed``, the
-        breaker fields, ``drain``, and the sharding fields are sampled by
-        the service from its engines / admission controller / breakers /
-        attached drain / worker pool (component state, not window counters,
-        so :meth:`reset` does not zero them)."""
+        breaker fields and the sharding fields are sampled by the service
+        from its engines / admission controller / breakers / worker pool
+        (component state, not window counters, so :meth:`reset` does not
+        zero them)."""
         with self._lock:
             latencies = list(self._latencies)
             batch_latencies = list(self._batch_latencies)
@@ -259,7 +250,6 @@ class StatsAccumulator:
                 degraded_responses=self._degraded,
                 breaker_trips=breaker_trips,
                 breaker_states=dict(breaker_states or {}),
-                drain=drain,
                 shards=shards,
                 shard_requests=dict(shard_requests or {}),
                 cross_shard_requests=cross_shard_requests,

@@ -1,32 +1,26 @@
 """Live-traffic cost updates.
 
-The paper's peak/off-peak preference models only matter in a serving system
-if edge travel costs can change while the system is running.  This subsystem
-is the write path for such changes:
+A serving system's routes are only as good as its edge costs, and those
+change while it runs.  This subsystem is the write path for such changes:
 
 * :mod:`repro.traffic.updates` — :class:`TrafficUpdate` (per-edge absolute /
   scale / delta cost changes) and :class:`TrafficUpdateResult` (touched
   edges + cost version of an applied batch);
 * :mod:`repro.traffic.feed` — :class:`TrafficFeed`, which applies batches
-  transactionally to the network (patching the live compiled CSR view in
-  place, see :class:`~repro.network.compiled.graph.CostStore`) and notifies
-  subscribers such as :class:`~repro.service.RoutingService`;
-* :mod:`repro.traffic.drain` — :class:`TrafficDrain`, a bounded background
-  queue draining update batches into the feed off the request path
-  (last-write-wins coalescing, bounded-staleness accounting, crash-restart);
+  transactionally and synchronously to the network (patching the live
+  compiled CSR view in place, see
+  :class:`~repro.network.compiled.graph.CostStore`) and notifies subscribers
+  such as :class:`~repro.service.RoutingService`;
 * :mod:`repro.traffic.synthetic` — :func:`synthetic_congestion`, rush-hour
   waves for benchmarks and load tests.
 """
 
-from .drain import DrainStats, TrafficDrain
 from .feed import TrafficFeed
 from .synthetic import synthetic_congestion
 from .updates import EdgeKey, TrafficUpdate, TrafficUpdateResult
 
 __all__ = [
-    "DrainStats",
     "EdgeKey",
-    "TrafficDrain",
     "TrafficFeed",
     "TrafficUpdate",
     "TrafficUpdateResult",

@@ -15,7 +15,7 @@ The patchable features are exactly the compiled cost attributes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..exceptions import NetworkError
 from ..network.compiled.graph import EDGE_COST_ATTRIBUTES
@@ -27,17 +27,26 @@ if TYPE_CHECKING:  # pragma: no cover
 EdgeKey = tuple[VertexId, VertexId]
 
 
-def _as_terms(values: Mapping[str, float], kind: str) -> tuple[tuple[str, float], ...]:
-    """Normalize a ``{attribute: number}`` mapping into a hashable tuple."""
-    terms = []
-    for attribute, value in values.items():
+def _as_terms(
+    terms: Iterable[tuple[str, float]], kind: str
+) -> tuple[tuple[str, float], ...]:
+    """Validate ``(attribute, number)`` pairs into a sorted hashable tuple."""
+    normalized = []
+    for term in terms:
+        try:
+            attribute, value = term
+            number = float(value)
+        except (TypeError, ValueError):
+            raise NetworkError(
+                f"traffic {kind} term {term!r} is not an (attribute, number) pair"
+            ) from None
         if attribute not in EDGE_COST_ATTRIBUTES:
             raise NetworkError(
                 f"traffic {kind} for unknown cost attribute {attribute!r}; "
                 f"patchable attributes are {EDGE_COST_ATTRIBUTES}"
             )
-        terms.append((attribute, float(value)))
-    return tuple(sorted(terms))
+        normalized.append((attribute, number))
+    return tuple(sorted(normalized))
 
 
 @dataclass(frozen=True)
@@ -51,7 +60,10 @@ class TrafficUpdate:
         TrafficUpdate.shift(u, v, fuel_ml=12.0)         # additive delta
 
     When one update carries several kinds they compose as
-    ``absolute -> scale -> delta`` per attribute.
+    ``absolute -> scale -> delta`` per attribute.  Every term is validated
+    on construction, whichever way the update is built, so a bad attribute
+    or value raises :class:`~repro.exceptions.NetworkError` before a batch
+    holding it can be journaled or applied.
     """
 
     source: VertexId
@@ -79,17 +91,17 @@ class TrafficUpdate:
     @classmethod
     def set(cls, source: VertexId, target: VertexId, **values: float) -> "TrafficUpdate":
         """Replace cost attributes with absolute values."""
-        return cls(source=source, target=target, absolute=_as_terms(values, "absolute"))
+        return cls(source=source, target=target, absolute=tuple(values.items()))
 
     @classmethod
     def scale_by(cls, source: VertexId, target: VertexId, **factors: float) -> "TrafficUpdate":
         """Multiply cost attributes by per-feature factors."""
-        return cls(source=source, target=target, scale=_as_terms(factors, "scale"))
+        return cls(source=source, target=target, scale=tuple(factors.items()))
 
     @classmethod
     def shift(cls, source: VertexId, target: VertexId, **deltas: float) -> "TrafficUpdate":
         """Add per-feature deltas to cost attributes."""
-        return cls(source=source, target=target, delta=_as_terms(deltas, "delta"))
+        return cls(source=source, target=target, delta=tuple(deltas.items()))
 
     # ------------------------------------------------------------------ #
     # Resolution
@@ -121,6 +133,8 @@ class TrafficUpdate:
         return resolved
 
     def __post_init__(self) -> None:
+        for kind in ("absolute", "scale", "delta"):
+            object.__setattr__(self, kind, _as_terms(getattr(self, kind), kind))
         if not (self.absolute or self.scale or self.delta):
             raise NetworkError(
                 f"traffic update for edge ({self.source}, {self.target}) "

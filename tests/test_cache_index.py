@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import FastestBaseline
-from repro.core.config import PeakHours
 from repro.network import grid_city_network
 from repro.routing import CostFeature, Path, cost_function, dict_dijkstra_costs
 from repro.service import RouteCache, RouteRequest, RouteResponse, RoutingService
@@ -83,7 +82,6 @@ operations = st.one_of(
     st.tuples(st.just("get"), st.sampled_from(ENGINES), st.integers(0, len(REQUESTS) - 1)),
     st.tuples(st.just("edges"), edge_sets, st.sampled_from([None, None, 0, 2, 64])),
     st.tuples(st.just("engine"), st.sampled_from(ENGINES)),
-    st.tuples(st.just("peak")),
     st.tuples(st.just("clear")),
 )
 
@@ -127,9 +125,6 @@ class TestIndexedCacheEqualsScannedModel:
                 assert cache.invalidate_engine(operation[1]) == len(stale)
                 for key in stale:
                     del model[key]
-            elif kind == "peak":
-                cache.set_peak_hours(PeakHours(morning_start_s=6 * 3600.0))
-                model.clear()
             else:
                 cache.clear()
                 model.clear()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import L2RConfig, LearnToRoute, PeakHours, RegionRouter
+from repro.core import L2RConfig, LearnToRoute, RegionRouter
 from repro.core.router import _remove_cycles
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.network import RoadNetwork, RoadType
@@ -29,29 +29,6 @@ class TestConfig:
             L2RConfig(max_region_hops=0)
         with pytest.raises(ConfigurationError):
             L2RConfig(transfer=TransferConfig(amr=3.0))
-
-    def test_peak_hours(self):
-        peak = PeakHours()
-        assert peak.is_peak(8 * 3600.0)
-        assert peak.is_peak(17 * 3600.0)
-        assert not peak.is_peak(12 * 3600.0)
-        assert not peak.is_peak(2 * 3600.0)
-
-    def test_peak_hours_wrap_midnight(self):
-        peak = PeakHours()
-        assert peak.is_peak(8 * 3600.0 + 86_400.0)
-
-    def test_peak_hours_rejects_inverted_windows(self):
-        with pytest.raises(ConfigurationError):
-            PeakHours(morning_start_s=9 * 3600.0, morning_end_s=7 * 3600.0)
-        with pytest.raises(ConfigurationError):
-            PeakHours(evening_start_s=18 * 3600.0, evening_end_s=16 * 3600.0)
-
-    def test_peak_hours_rejects_values_outside_a_day(self):
-        with pytest.raises(ConfigurationError):
-            PeakHours(morning_start_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            PeakHours(evening_end_s=90_000.0)
 
 
 class TestLearnToRoute:
@@ -126,15 +103,6 @@ class TestLearnToRoute:
         assert count > 10
         assert l2r_total >= min(shortest_total, fastest_total) * 0.95
         assert l2r_total >= max(shortest_total, fastest_total) * 0.85
-
-    def test_time_dependent_fit_builds_two_models(self, tiny, tiny_split):
-        pipeline = LearnToRoute(L2RConfig(time_dependent=True)).fit(tiny.network, tiny_split.train)
-        assert pipeline.is_fitted
-        trajectory = tiny_split.test[0]
-        peak_path = pipeline.route(trajectory.source, trajectory.destination, departure_time=8 * 3600.0)
-        off_path = pipeline.route(trajectory.source, trajectory.destination, departure_time=12 * 3600.0)
-        assert peak_path.is_valid(tiny.network)
-        assert off_path.is_valid(tiny.network)
 
     def test_region_of_passthrough(self, fitted_l2r, tiny_split):
         source = tiny_split.train[0].source

@@ -1,4 +1,4 @@
-"""Tests for preference learning (Step 1), solvers, transfer (Step 2), apply (Step 3)."""
+"""Tests for preference learning (Step 1), the CG solver, transfer (Step 2), apply (Step 3)."""
 
 from __future__ import annotations
 
@@ -16,10 +16,8 @@ from repro.preferences import (
     TransferConfig,
     conjugate_gradient,
     evaluate_transfer_accuracy,
-    jacobi,
     learn_t_edge_preferences,
     materialize_b_edge_paths,
-    solve,
     transfer_to_b_edges,
 )
 from repro.regions.region_graph import RegionEdge
@@ -92,25 +90,6 @@ class TestSolvers:
         result = conjugate_gradient(matrix, rhs)
         assert result.converged
         np.testing.assert_allclose(result.x, expected, rtol=1e-6, atol=1e-8)
-
-    def test_jacobi_matches_direct_on_diagonally_dominant(self):
-        matrix = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 1.0], [0.0, 1.0, 3.0]])
-        rhs = np.array([1.0, 2.0, 3.0])
-        expected = np.linalg.solve(matrix, rhs)
-        result = jacobi(matrix, rhs)
-        np.testing.assert_allclose(result.x, expected, rtol=1e-5, atol=1e-6)
-
-    def test_jacobi_zero_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
-
-    def test_solve_dispatch(self):
-        matrix, rhs = self._spd_system(5, seed=2)
-        for method in ("cg", "jacobi", "direct"):
-            result = solve(matrix, rhs, method=method)
-            assert result.x.shape == rhs.shape
-        with pytest.raises(ValueError):
-            solve(matrix, rhs, method="lu")
 
     def test_cg_on_trivial_zero_rhs(self):
         matrix = np.eye(3)

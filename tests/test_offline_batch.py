@@ -4,8 +4,8 @@ Step 1: the table-first learner must decide exactly what the per-path
 learner decided — a copy of that learner lives here as the reference — on
 every backend the batch search can run on, and the masked cost view must
 construct Algorithm 2's paths.  Step 2: the blocked adjacency must equal
-pairwise ``reSim``, and the one multi-column solve must match the direct
-solver at every size and honour ``TransferConfig.solver``.
+pairwise ``reSim``, and the one multi-column conjugate-gradient solve must
+match a dense ``np.linalg.solve`` of Eq. 3 at every size.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ from repro.preferences import (
     learning,
     path_similarity,
     region_edge_similarity,
+    conjugate_gradient,
     single_type_feature,
-    solve,
 )
+from repro.preferences import transfer as transfer_module
+from repro.preferences.solvers import SolverResult
 from repro.preferences.learning import _SimilarityTable
 from repro.regions import TrajectoryGraph, build_region_graph, cluster_trajectory_graph
 from repro.regions.region_graph import RegionEdge
@@ -392,50 +394,56 @@ class TestTransferSolve:
     def test_multi_column_cg_matches_direct(self, n):
         edges = _synthetic_edges(n, seed=n)
         labels = _labels(edges, seed=n)
-        results = {
-            solver: PreferenceTransfer(config=TransferConfig(solver=solver)).transfer(edges, labels)
-            for solver in ("cg", "direct")
-        }
-        cg, direct = results["cg"], results["direct"]
-        assert np.abs(cg.y_hat - direct.y_hat).max(axis=0).max() <= 1e-8
-        assert cg.preferences == direct.preferences
-        assert any(p is not None for p, known in zip(cg.preferences, labels) if known is None)
-        # ``solver`` is honoured at every size, iterations are those of the one solve.
-        assert direct.solver_iterations == 1
-        assert 1 < cg.solver_iterations < n
-        for result in results.values():
-            assert result.diagnostics["converged"] == 1.0
-            assert result.diagnostics["residual_norm"] < 1e-7
-            linked = np.count_nonzero(np.triu(PreferenceTransfer().build_adjacency(edges), 1))
-            assert result.adjacency_density == linked / (n * (n - 1) / 2)
+        transfer = PreferenceTransfer()
+        result = transfer.transfer(edges, labels)
+        # Eq. 3 solved densely: (S + mu1 (D - M) + mu2 I) Yhat = S Y.
+        config = transfer.config
+        adjacency = transfer.build_adjacency(edges)
+        y, s_diag = transfer.build_labels(edges, labels)
+        system = np.diag(s_diag + config.mu1 * adjacency.sum(axis=1) + config.mu2)
+        system -= config.mu1 * adjacency
+        direct = np.linalg.solve(system, s_diag[:, None] * y)
+        assert np.abs(result.y_hat - direct).max() <= 1e-8
+        decoded = [
+            known
+            if known is not None
+            else PreferenceVector.from_row(
+                row, transfer.catalog, slave_threshold=config.null_threshold
+            )
+            for known, row in zip(labels, direct)
+        ]
+        assert result.preferences == decoded
+        assert any(p is not None for p, known in zip(result.preferences, labels) if known is None)
+        # Iterations are those of the one solve over every column.
+        assert 1 < result.solver_iterations < n
+        assert result.diagnostics["converged"] == 1.0
+        assert result.diagnostics["residual_norm"] < 1e-7
+        linked = np.count_nonzero(np.triu(adjacency, 1))
+        assert result.adjacency_density == linked / (n * (n - 1) / 2)
 
     def test_solve_takes_all_columns_at_once(self):
         rng = np.random.default_rng(3)
         a = rng.uniform(-1.0, 1.0, size=(40, 40))
-        matrix = (a + a.T) / 2 + 40 * np.eye(40)  # diagonally dominant: Jacobi converges
+        matrix = (a + a.T) / 2 + 40 * np.eye(40)  # symmetric positive definite
         rhs = rng.normal(size=(40, 5))
         rhs[:, 2] = 0.0  # a feature no T-edge learnt
         expected = np.linalg.solve(matrix, rhs)
-        for method in ("cg", "jacobi", "direct"):
-            result = solve(matrix, rhs, method=method)
-            assert result.converged and result.x.shape == rhs.shape
-            np.testing.assert_allclose(result.x, expected, rtol=1e-6, atol=1e-7)
-            assert not result.x[:, 2].any()
-        one = solve(matrix, rhs[:, 0])
+        result = conjugate_gradient(matrix, rhs)
+        assert result.converged and result.x.shape == rhs.shape
+        np.testing.assert_allclose(result.x, expected, rtol=1e-6, atol=1e-7)
+        assert not result.x[:, 2].any()
+        one = conjugate_gradient(matrix, rhs[:, 0])
         np.testing.assert_allclose(one.x, expected[:, 0], rtol=1e-8, atol=1e-10)
 
-    def test_jacobi_is_honoured_and_reports_when_it_does_not_converge(self):
-        edges = _synthetic_edges(700, seed=5)
-        everything = [
-            label or PreferenceVector(CostFeature.DISTANCE) for label in _labels(edges, seed=5)
-        ]
-        sparse_graph = TransferConfig(solver="jacobi", amr=1.6)
-        converged = PreferenceTransfer(config=sparse_graph).transfer(edges, everything)
-        assert converged.solver_iterations > 1 and converged.diagnostics["converged"] == 1.0
-        # Unlabelled rows lean on mu2 alone: Jacobi contracts by deg / (deg + mu2).
-        stalls = TransferConfig(solver="jacobi", mu2=1e-6)
-        with pytest.raises(TransferError, match="jacobi"):
-            PreferenceTransfer(config=stalls).transfer(edges, _labels(edges, seed=5))
+    def test_unconverged_solve_is_reported(self, monkeypatch):
+        edges = _synthetic_edges(50, seed=5)
+
+        def stalls(matrix, rhs):
+            return SolverResult(x=np.zeros_like(rhs), iterations=7, residual_norm=1.0, converged=False)
+
+        monkeypatch.setattr(transfer_module, "conjugate_gradient", stalls)
+        with pytest.raises(TransferError, match="after 7 iterations"):
+            PreferenceTransfer().transfer(edges, _labels(edges, seed=5))
 
 
 class TestPersistence:

@@ -336,6 +336,19 @@ class TestRL008UnboundedBlocking:
         source = "def drain(self):\n    return self._queue.get()\n"
         assert _codes(_lint(source, TRAFFIC_PATH)) == ["RL008"]
 
+    def test_get_on_a_name_bound_to_a_queue_is_flagged(self):
+        source = (
+            "import queue\n"
+            "class Hub:\n"
+            "    def __init__(self):\n"
+            "        self._inbound: queue.Queue[object] = queue.Queue()\n"
+            "        self._routes = {}\n"
+            "    def recv(self):\n"
+            "        self._routes.get(1)\n"
+            "        return self._inbound.get()\n"
+        )
+        assert _codes(_lint(source, SERVICE_PATH)) == ["RL008"]
+
     def test_queue_get_with_timeout_is_clean(self):
         source = "def drain(self):\n    return self._queue.get(timeout=0.05)\n"
         assert _lint(source, TRAFFIC_PATH).ok

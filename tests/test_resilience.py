@@ -1,5 +1,5 @@
 """The resilience layer: deadline budgets, retries, breakers, admission,
-the traffic drain, fault injection, and the service-level chaos properties.
+fault injection, and the service-level chaos properties.
 
 The chaos tests are **deterministic**: every random fault decision comes
 from a seeded ``FaultInjector`` schedule (or an explicit script), so a fixed
@@ -21,7 +21,6 @@ Properties under chaos:
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -49,7 +48,7 @@ from repro.service import (
     RoutingService,
 )
 from repro.service.resilience import is_transient_failure, sleep_within
-from repro.traffic import TrafficDrain, TrafficFeed, TrafficUpdate
+from repro.traffic import TrafficFeed, TrafficUpdate
 
 
 @pytest.fixture()
@@ -80,10 +79,7 @@ class TestDeadlineBudget:
         assert budget.remaining() == pytest.approx(0.4)
         now[0] = 1.2
         assert budget.expired and budget.remaining() == 0.0
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            budget.check(stage="unit")
-        assert excinfo.value.budget_s == 1.0
-        assert excinfo.value.elapsed_s == pytest.approx(1.2)
+        assert budget.elapsed() == pytest.approx(1.2)
 
     def test_start_none_means_no_deadline(self):
         assert DeadlineBudget.start(None) is None
@@ -132,6 +128,16 @@ class TestRetryPolicy:
         assert not policy.is_retryable(NoPathError(0, 1))
         assert not policy.is_retryable("NoPathError: no path")
         assert not policy.is_retryable(None)
+        # A failure and its flattened response string always agree.
+        for failure in (
+            TransientEngineError("boom"),
+            CircuitOpenError("x"),
+            NoPathError(0, 1),
+            DeadlineExceededError(1.0, 2.0),
+            ServiceOverloadedError(1, 1),
+        ):
+            flattened = f"{type(failure).__name__}: {failure}"
+            assert policy.is_retryable(failure) == policy.is_retryable(flattened)
 
     def test_transient_failure_classification(self):
         assert is_transient_failure(TransientEngineError("x"))
@@ -216,25 +222,6 @@ class TestAdmissionController:
         controller.acquire()  # a freed slot admits again
         assert controller.admitted == 3
 
-    def test_context_manager_releases_on_error(self):
-        controller = AdmissionController(max_in_flight=1)
-        with pytest.raises(RuntimeError):
-            with controller.admit():
-                assert controller.in_flight == 1
-                raise RuntimeError("boom")
-        assert controller.in_flight == 0
-
-    def test_bounded_wait_for_a_slot(self):
-        controller = AdmissionController(max_in_flight=1, max_wait_s=2.0)
-        controller.acquire()
-        releaser = threading.Timer(0.05, controller.release)
-        releaser.start()
-        try:
-            controller.acquire()  # waits (bounded) until the timer fires
-        finally:
-            releaser.join(timeout=5.0)
-        assert controller.shed == 0
-
 
 # ---------------------------------------------------------------------- #
 # FaultInjector
@@ -275,101 +262,6 @@ class TestFaultInjector:
     def test_rejects_unknown_script_action(self, network):
         with pytest.raises(ValueError):
             FaultInjector(seed=0).engine(_engine(network), script=["explode"])
-
-    def test_faulty_feed_drop_and_crash(self, network):
-        injector = FaultInjector(seed=0)
-        feed = TrafficFeed(network)
-        faulty = injector.feed(feed, script=["drop", "error", "ok"])
-        update = TrafficUpdate.scale_by(0, 1, travel_time_s=2.0)
-        result = faulty.apply([update])
-        assert result.applied == 0 and not result.touched_edges
-        with pytest.raises(TransientEngineError):
-            faulty.apply([update])
-        assert faulty.apply([update]).applied == 1
-        assert faulty.counters.dropped_batches == 1
-        assert faulty.counters.injected_errors == 1
-
-
-# ---------------------------------------------------------------------- #
-# TrafficDrain
-# ---------------------------------------------------------------------- #
-class TestTrafficDrain:
-    def test_coalesces_last_write_wins(self, network):
-        feed = TrafficFeed(network)
-        drain = TrafficDrain(feed, start=False)
-        drain.submit([TrafficUpdate.set(0, 1, travel_time_s=100.0)])
-        drain.submit([TrafficUpdate.set(0, 1, travel_time_s=200.0)])
-        drain.submit([TrafficUpdate.set(1, 2, travel_time_s=50.0)])
-        applied = drain.drain_once()
-        assert applied == 2  # three updates, two distinct edges
-        stats = drain.stats()
-        assert stats.applied_batches == 1
-        assert stats.coalesced_updates == 1
-        assert network.edge(0, 1).travel_time_s == 200.0  # the newest won
-        assert network.edge(1, 2).travel_time_s == 50.0
-
-    def test_full_queue_sheds_newest(self, network):
-        drain = TrafficDrain(TrafficFeed(network), max_queue=2, start=False)
-        update = TrafficUpdate.scale_by(0, 1, travel_time_s=1.1)
-        assert drain.submit([update])
-        assert drain.submit([update])
-        assert not drain.submit([update])  # shed, never blocks
-        assert drain.stats().dropped_batches == 1
-
-    def test_crash_restart_keeps_draining(self, network):
-        injector = FaultInjector(seed=0)
-        faulty_feed = injector.feed(TrafficFeed(network), script=["error", "ok"])
-        drain = TrafficDrain(faulty_feed, start=False)
-        update = TrafficUpdate.scale_by(0, 1, travel_time_s=2.0)
-        drain.submit([update])
-        assert drain.drain_once() == 0  # the poisoned batch crashed apply
-        stats = drain.stats()
-        assert stats.crashes == 1
-        assert stats.last_error is not None and "TransientEngineError" in stats.last_error
-        drain.submit([update])
-        assert drain.drain_once() == 1  # ingestion survived the crash
-        assert drain.stats().applied_batches == 1
-
-    def test_crash_restart_with_live_thread(self, network):
-        injector = FaultInjector(seed=0)
-        faulty_feed = injector.feed(TrafficFeed(network), script=["error", "ok"])
-        drain = TrafficDrain(faulty_feed, poll_timeout_s=0.01)
-        update = TrafficUpdate.scale_by(0, 1, travel_time_s=2.0)
-        drain.submit([update])
-        assert drain.flush(timeout_s=5.0)
-        drain.submit([update])
-        assert drain.flush(timeout_s=5.0)
-        assert drain.close(timeout_s=5.0)
-        stats = drain.stats()
-        assert stats.crashes == 1 and stats.applied_batches == 1
-        assert not stats.running
-
-    def test_staleness_accounting(self, network):
-        drain = TrafficDrain(
-            TrafficFeed(network), staleness_budget_s=1e-9, start=False
-        )
-        drain.submit([TrafficUpdate.scale_by(0, 1, travel_time_s=1.5)])
-        time.sleep(0.002)
-        drain.drain_once()
-        stats = drain.stats()
-        assert stats.last_staleness_s > 0.0
-        assert stats.max_staleness_s >= stats.last_staleness_s
-        assert stats.staleness_violations == 1
-
-    def test_close_is_idempotent_and_submit_after_close_raises(self, network):
-        drain = TrafficDrain(TrafficFeed(network), poll_timeout_s=0.01)
-        assert drain.close(timeout_s=5.0)
-        assert drain.close(timeout_s=5.0)
-        with pytest.raises(RuntimeError):
-            drain.submit([TrafficUpdate.scale_by(0, 1, travel_time_s=2.0)])
-
-    def test_queued_batches_drain_before_shutdown(self, network):
-        feed = TrafficFeed(network)
-        drain = TrafficDrain(feed, start=False)
-        drain.submit([TrafficUpdate.set(0, 1, travel_time_s=123.0)])
-        drain.start()
-        assert drain.close(timeout_s=5.0)
-        assert network.edge(0, 1).travel_time_s == 123.0
 
 
 # ---------------------------------------------------------------------- #
@@ -665,36 +557,13 @@ class TestServiceResilience:
 
         worker = threading.Thread(target=batch)
         worker.start()
-        closed = service.close(timeout_s=10.0)
+        closed = service.close()
         worker.join(timeout=30.0)
         assert not worker.is_alive(), "route_many deadlocked against close()"
         assert len(results) == 1 and len(results[0]) == len(requests)
-        assert closed in (True, False)  # close returned (bounded), no hang
+        assert closed  # nothing to stop in-process
         # The service stays usable after close().
         assert service.route(RouteRequest(0, 20)).ok
-
-    def test_close_stops_attached_drain_first(self, network):
-        service = RoutingService(enable_cache=True)
-        service.register("engine", _engine(network))
-        feed = TrafficFeed(network, services=[service])
-        drain = service.attach_drain(TrafficDrain(feed, poll_timeout_s=0.01))
-        drain.submit([TrafficUpdate.scale_by(0, 1, travel_time_s=2.0)])
-        assert service.close(timeout_s=5.0)
-        assert drain.closed and not drain.stats().running
-        assert service.stats().drain is not None
-        assert service.stats().drain.applied_batches == 1  # drained, not lost
-
-    def test_stats_surface_drain_counters(self, network):
-        service = RoutingService(enable_cache=False)
-        service.register("engine", _engine(network))
-        assert service.stats().drain is None
-        drain = service.attach_drain(
-            TrafficDrain(TrafficFeed(network), start=False)
-        )
-        drain.submit([TrafficUpdate.scale_by(0, 1, travel_time_s=1.5)])
-        drain.drain_once()
-        snapshot = service.stats().drain
-        assert snapshot is not None and snapshot.applied_batches == 1
 
     def test_route_many_under_chaos_answers_every_slot(self, network):
         injector = FaultInjector(seed=13)

@@ -89,8 +89,8 @@ class TestRequestResponse:
         assert not response.ok
 
     def test_departure_time_recorded_even_when_model_ignores_it(self, fitted_l2r):
-        # The fitted tiny model is not time-dependent: the requested time does
-        # not change the path, but the response still records it.
+        # The requested time does not change the path, but the response still
+        # records it.
         engine = L2REngine(fitted_l2r)
         request = RouteRequest(source=0, destination=5, departure_time=8 * 3600.0)
         response = engine.route(request)
@@ -208,18 +208,18 @@ class TestRoutingService:
         )
 
     def test_cache_peak_bucket_separates_times_for_time_dependent_engines(self):
+        # The cache key has no time bucket: no engine's answer depends on the
+        # departure time, so every time of one OD pair shares one cache line.
         cache = RouteCache(max_size=8)
-        cache.mark_time_dependent("e")
-        peak = RouteRequest(source=0, destination=5, departure_time=8 * 3600.0)
-        off = RouteRequest(source=0, destination=5, departure_time=12 * 3600.0)
-        off2 = RouteRequest(source=0, destination=5, departure_time=13 * 3600.0)
-        assert cache.key_for("e", peak) != cache.key_for("e", off)
-        assert cache.key_for("e", off) == cache.key_for("e", off2)
-        # A static engine's answer does not depend on the departure time, so
-        # all times share one cache line.
         untimed = RouteRequest(source=0, destination=5)
-        assert cache.key_for("static", peak) == cache.key_for("static", off)
-        assert cache.key_for("static", peak) == cache.key_for("static", untimed)
+        morning = dataclasses.replace(untimed, departure_time=8 * 3600.0)
+        noon = dataclasses.replace(untimed, departure_time=12 * 3600.0)
+        for engine in ("e", "static"):
+            assert cache.key_for(engine, morning) == cache.key_for(engine, noon)
+            assert cache.key_for(engine, morning) == cache.key_for(engine, untimed)
+        cache.put("e", RouteResponse(request=morning, path=Path.of([0, 5]), engine="e"))
+        replay = cache.get("e", noon)
+        assert replay is not None and replay.path == Path.of([0, 5])
 
     def test_cache_lru_eviction(self):
         cache = RouteCache(max_size=2)
@@ -259,26 +259,6 @@ class TestRoutingService:
         assert "'typo' is not registered" in response.error  # typo surfaced
         responses = service.route_many([RouteRequest(source=0, destination=9)] * 3)
         assert all(not r.ok for r in responses)
-
-    def test_cache_adopts_time_dependent_peak_hours(self, tiny, tiny_split):
-        from repro.baselines import L2RAlgorithm
-        from repro.core import L2RConfig, PeakHours
-
-        custom = PeakHours(morning_start_s=6 * 3600.0, morning_end_s=10 * 3600.0)
-        pipeline = LearnToRoute(
-            L2RConfig(time_dependent=True, peak_hours=custom)
-        ).fit(tiny.network, tiny_split.train)
-        service = RoutingService()
-        service.register("L2R", pipeline.as_engine())
-        assert service._cache.peak_hours == custom
-        # The adoption also sees a pipeline one adapter deeper.
-        wrapped = RoutingService()
-        wrapped.register("L2R", L2RAlgorithm(pipeline).as_engine())
-        assert wrapped._cache.peak_hours == custom
-        # An explicitly pinned, disagreeing bucketing is refused.
-        pinned = RoutingService(peak_hours=PeakHours())
-        with pytest.raises(ConfigurationError):
-            pinned.register("L2R", pipeline.as_engine())
 
     def test_reregistering_engine_invalidates_its_cache(self, tiny, fitted_l2r):
         service = RoutingService()
@@ -329,24 +309,6 @@ class TestRoutingService:
         service.set_fallback("Raising", "Fastest")
         rescued = service.route(RouteRequest(source=0, destination=9), engine="Raising")
         assert rescued.ok and rescued.fallback_used
-
-    def test_default_window_engine_pins_peak_hours(self, tiny):
-        from types import SimpleNamespace
-
-        from repro.core import PeakHours
-
-        def fake_time_dependent(peak_hours):
-            return SimpleNamespace(
-                name="fake", route=lambda request: None, peak_hours=peak_hours
-            )
-
-        service = RoutingService()
-        service.register("first", fake_time_dependent(PeakHours()))
-        with pytest.raises(ConfigurationError):
-            service.register(
-                "second",
-                fake_time_dependent(PeakHours(morning_start_s=6 * 3600.0)),
-            )
 
     def test_reregistration_invalidates_by_internal_engine_name(self, tiny):
         def boom(source, destination):
@@ -575,6 +537,22 @@ class TestPersistence:
         with gzip.open(target, "wb") as handle:
             pickle.dump({"format": "something-else"}, handle)
         with pytest.raises(ModelPersistenceError):
+            load_model(target)
+
+    @pytest.mark.parametrize(
+        "missing", ["repro.core.config\nNoSuchClass", "repro.no_such_module\nThing"]
+    )
+    def test_file_naming_a_missing_class_is_an_older_format(self, tmp_path, missing):
+        import gzip
+
+        from repro.service.persistence import MODEL_FORMAT_VERSION
+
+        # A protocol-0 pickle calling a class (or module) the library lacks,
+        # as a model saved by an older library version does.
+        target = tmp_path / "old.pkl.gz"
+        with gzip.open(target, "wb") as handle:
+            handle.write(b"c" + missing.encode() + b"\n)R.")
+        with pytest.raises(ModelPersistenceError, match=f"version {MODEL_FORMAT_VERSION}"):
             load_model(target)
 
 

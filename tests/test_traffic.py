@@ -66,6 +66,23 @@ class TestTrafficUpdate:
         with pytest.raises(NetworkError):
             TrafficUpdate.set(1, 2, speed_kmh=90.0)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {"scale": (("bogus", 2.0),)},
+            {"absolute": (("travel_time_s", "fast"),)},
+            {"delta": (("fuel_ml", None),)},
+            {"scale": (("travel_time_s",),)},
+        ],
+    )
+    def test_direct_constructor_validates_every_term(self, terms):
+        with pytest.raises(NetworkError):
+            TrafficUpdate(source=0, target=1, **terms)
+
+    def test_direct_constructor_normalizes_like_the_helpers(self):
+        direct = TrafficUpdate(source=0, target=1, scale=(("travel_time_s", 2),))
+        assert direct == TrafficUpdate.scale_by(0, 1, travel_time_s=2.0)
+
     def test_resolution_order_absolute_scale_delta(self):
         network = _line_network()
         edge = network.edge(0, 1)

@@ -437,7 +437,7 @@ class SilentExceptRule(Rule):
     """RL005: the serving layer never swallows exceptions silently.
 
     A ``try/except Exception: pass`` in ``service/`` or ``traffic/`` hides
-    failed traffic drains and dead engines from ``ServiceStats``; failures
+    failed traffic subscribers and dead engines from ``ServiceStats``; failures
     must be converted into error responses, counted, or re-raised.
     """
 
@@ -620,7 +620,9 @@ class UnboundedBlockingRule(Rule):
     ``traffic/`` can block forever.  ``queue.Queue.get``, ``Future.result``,
     ``Thread.join``, and ``Condition``/``Event`` ``.wait`` therefore always
     pass an explicit ``timeout`` (or ``block=False`` for queue gets) — an
-    unbounded wait anywhere in these layers is a latent deadlock.
+    unbounded wait anywhere in these layers is a latent deadlock.  A ``.get``
+    is queue-shaped when its receiver's name mentions ``queue`` or the file
+    assigns that name a ``...Queue(...)`` instance.
     """
 
     rule_id = "RL008"
@@ -643,6 +645,23 @@ class UnboundedBlockingRule(Rule):
         def receiver_mentions(node: ast.expr, needle: str) -> bool:
             return any(needle in name.lower() for name in _attr_chain_names(node))
 
+        def last_name(node: ast.expr) -> str | None:
+            if isinstance(node, ast.Attribute):
+                return node.attr
+            if isinstance(node, ast.Name):
+                return node.id
+            return None
+
+        # Names bound to a queue instance anywhere in the file, whatever
+        # they are called (``self._inbound = queue.Queue()``).
+        queue_names = {
+            last_name(target)
+            for statement in ast.walk(context.tree)
+            if isinstance(getattr(statement, "value", None), ast.Call)
+            and (last_name(statement.value.func) or "").endswith("Queue")
+            for target in _assign_targets(statement)
+        } - {None}
+
         class Visitor(ast.NodeVisitor):
             def visit_Call(self, node: ast.Call) -> None:
                 func = node.func
@@ -658,7 +677,10 @@ class UnboundedBlockingRule(Rule):
                 if method == "get":
                     # Only queue-like receivers: dict.get is everywhere and
                     # never blocks.  Non-blocking gets pass block=False.
-                    if not receiver_mentions(func.value, "queue"):
+                    if not (
+                        receiver_mentions(func.value, "queue")
+                        or last_name(func.value) in queue_names
+                    ):
                         return
                     blockless = any(
                         kw.arg == "block" and is_false_constant(kw.value)
