@@ -47,11 +47,11 @@ from .resilience import (
     CircuitBreaker,
     CircuitBreakerConfig,
     DeadlineBudget,
-    HedgePolicy,
     RetryPolicy,
 )
 from .service import RoutingService
 from .sharding import (
+    ShardCoordinator,
     ShardedRoutingService,
     ShardPlan,
     ShardWorkerPool,
@@ -75,7 +75,6 @@ __all__ = [
     "FaultCounters",
     "FaultInjector",
     "FunctionEngine",
-    "HedgePolicy",
     "JournalError",
     "JournalRecord",
     "KILL_POINTS",
@@ -94,6 +93,7 @@ __all__ = [
     "RoutingEngine",
     "RoutingService",
     "ServiceStats",
+    "ShardCoordinator",
     "ShardPlan",
     "ShardWorkerPool",
     "ShardedRoutingService",

@@ -41,12 +41,13 @@ class RoutingEngine(Protocol):
     """The single contract every routing backend satisfies.
 
     An engine that can answer several requests with one search may offer
-    ``route_batch(requests) -> list[RouteResponse | None]``: a successful
-    response (``batched=True``, ``latency_s`` the call's time amortised) in
-    the slot of each request it answered together with others, ``None`` in
-    every other — the service sends those through :meth:`route`.
+    ``route_batch(requests) -> list[RouteResponse | None]``: a response
+    (``batched=True``, ``latency_s`` the call's time amortised) in the slot
+    of each request it answered together with others, ``None`` in every
+    other — the service sends those through :meth:`route`.
     ``RoutingService.route_many`` calls it as one unit of work (one admission
-    slot, one deadline budget, this engine's breaker); an engine without the
+    slot, one deadline budget, one outcome for this engine's breaker: a
+    failure if any slot holds an engine-health error); an engine without the
     method is never batched.
     """
 

@@ -162,64 +162,6 @@ class RetryPolicy:
         )
 
 
-# ---------------------------------------------------------------------- #
-# Hedged requests
-# ---------------------------------------------------------------------- #
-class HedgePolicy:
-    """The p95-derived delay before hedging a request to a second replica.
-
-    Hedging trades duplicate work for tail latency: fire the duplicate only
-    once the primary has been quiet for longer than the p95 of recent
-    round-trips (times ``multiplier``), so under healthy operation at most
-    ~5% of requests hedge, while a stalled or dead primary is cut off
-    quickly.  Latencies feed a bounded ring; until enough samples exist the
-    configured ``initial_delay_s`` applies.  Thread-safe.
-    """
-
-    def __init__(
-        self,
-        multiplier: float = 1.5,
-        min_delay_s: float = 0.01,
-        max_delay_s: float = 2.0,
-        initial_delay_s: float = 0.25,
-        window: int = 256,
-        min_samples: int = 8,
-    ) -> None:
-        if multiplier <= 0 or window < 1 or min_samples < 1:
-            raise ValueError("multiplier/window/min_samples must be positive")
-        if not (0 < min_delay_s <= max_delay_s):
-            raise ValueError("need 0 < min_delay_s <= max_delay_s")
-        self.multiplier = multiplier
-        self.min_delay_s = min_delay_s
-        self.max_delay_s = max_delay_s
-        self.initial_delay_s = initial_delay_s
-        self.min_samples = min_samples
-        self._window: deque[float] = deque(maxlen=window)
-        self._lock = threading.Lock()
-
-    def record(self, latency_s: float) -> None:
-        """Feed one completed round-trip (hedged or not) into the window."""
-        with self._lock:
-            self._window.append(float(latency_s))
-
-    def delay_s(self) -> float:
-        """The current hedge trigger delay, clamped to the configured band."""
-        with self._lock:
-            samples = sorted(self._window)
-        if len(samples) < self.min_samples:
-            base = self.initial_delay_s
-        else:
-            rank = min(len(samples) - 1, max(0, round(0.95 * (len(samples) - 1))))
-            base = samples[rank] * self.multiplier
-        return min(self.max_delay_s, max(self.min_delay_s, base))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HedgePolicy(delay_s={self.delay_s():.4f}, "
-            f"samples={len(self._window)})"
-        )
-
-
 def _transient_subclass_names() -> frozenset[str]:
     """Names of every known TransientEngineError subclass (string matching
     for failures that were flattened into response error strings)."""

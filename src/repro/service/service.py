@@ -290,7 +290,15 @@ class RoutingService:
                     for answer in together(requests)
                 ]
                 if breaker is not None:
-                    breaker.record_success()
+                    # One call, one outcome: an engine-health failure in any
+                    # slot (a shard that did not answer) is the call's.
+                    if any(
+                        answer is not None and is_transient_failure(answer.error)
+                        for answer in responses
+                    ):
+                        breaker.record_failure()
+                    else:
+                        breaker.record_success()
             for position, response in enumerate(responses):
                 if response is None:
                     continue
@@ -399,8 +407,10 @@ class RoutingService:
         """Orderly shutdown; idempotent; the service stays usable after.
 
         An in-process service owns no thread or process, so there is nothing
-        to stop and the call returns ``True`` — the same contract as
-        ``ShardedRoutingService.close()``, whose workers do need stopping.
+        to stop and the call returns ``True``.  ``ShardedRoutingService``
+        overrides it to stop its coordinator's workers (``False`` when one
+        had to be terminated); after that its requests raise
+        ``ShardingError``.
         """
         return True
 

@@ -11,15 +11,20 @@ The subsystem splits into independently testable layers:
 * :mod:`~repro.service.sharding.transport` — the one transport, TCP
   sockets: the worker-side auto-reconnecting :class:`SocketTransport` and
   the coordinator-side :class:`TcpHub`;
-* :mod:`~repro.service.sharding.replication` — replica liveness
+* :mod:`~repro.service.sharding.replication` — worker liveness
   (:class:`HeartbeatMonitor`);
 * :mod:`~repro.service.sharding.worker` / :mod:`~repro.service.sharding.
   pool` — the spawn-based worker loop and its process lifecycle;
-* :mod:`~repro.service.sharding.service` — the
-  :class:`ShardedRoutingService` facade keeping the ``RoutingService`` API,
-  plus replica failover, hedged requests, and resync-on-reconnect.
+* :mod:`~repro.service.sharding.coordinator` — the :class:`ShardCoordinator`
+  (dispatch, resend on reconnect, restart of dead workers, heartbeats, the
+  traffic ack barrier, durability) and its :class:`ShardEngine` per worker
+  engine, the ``RoutingEngine`` a ``RoutingService`` registers;
+* :mod:`~repro.service.sharding.service` — :class:`ShardedRoutingService`,
+  a ``RoutingService`` with those engines registered, so sharded requests
+  pass the same gate as in-process ones.
 """
 
+from .coordinator import ShardCoordinator, ShardEngine
 from .overlay import BoundaryOverlay, CrossShardRouter
 from .plan import ShardPlan, build_shard_plan
 from .pool import ShardWorkerPool
@@ -67,6 +72,8 @@ __all__ = [
     "RouteAnswer",
     "RouteResults",
     "RouteWork",
+    "ShardCoordinator",
+    "ShardEngine",
     "ShardPlan",
     "ShardWorker",
     "ShardWorkerPool",

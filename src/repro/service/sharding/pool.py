@@ -1,4 +1,4 @@
-"""The spawn-based worker pool behind a :class:`ShardedRoutingService`.
+"""The spawn-based worker pool behind a :class:`ShardCoordinator`.
 
 One process per worker, each booted from a :class:`WorkerPayload` pickled
 exactly once; all later coordination flows over TCP sockets through a
@@ -12,7 +12,7 @@ tracks liveness (process handles *and* link state), and restarts
 dead workers (a restarted worker re-runs the full boot protocol, so it
 resyncs cost state from the shared segment rather than trusting anything in
 this process).  Request semantics — resubmission, response assembly,
-version barriers, failover — live in the service facade.
+version barriers — live in the coordinator.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Grace given to one orderly worker exit before escalating to terminate().
 _JOIN_TIMEOUT_S = 5.0
 
+#: Seconds a spawned worker gets to attach, verify and send its boot Hello.
+BOOT_TIMEOUT_S = 120.0
+
 
 class ShardWorkerPool:
     """Lifecycle and transport for a set of shard worker processes."""
@@ -41,16 +44,14 @@ class ShardWorkerPool:
         self,
         payloads: Sequence["WorkerPayload"],
         *,
-        boot_timeout_s: float = 120.0,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         if not payloads:
             raise ShardingError("a worker pool needs at least one worker payload")
         self._payloads = list(payloads)
-        self._boot_timeout_s = boot_timeout_s
         self._ctx = multiprocessing.get_context("spawn")
-        self._hub = TcpHub(host, port, handshake_timeout_s=boot_timeout_s)
+        self._hub = TcpHub(host, port, handshake_timeout_s=BOOT_TIMEOUT_S)
         self._processes: list[multiprocessing.process.BaseProcess | None] = [
             None for _ in self._payloads
         ]
@@ -92,14 +93,14 @@ class ShardWorkerPool:
 
     def _await_hello(self, expected: set[int]) -> None:
         """Collect boot handshakes; stash unrelated traffic for recv()."""
-        deadline = time.monotonic() + self._boot_timeout_s
+        deadline = time.monotonic() + BOOT_TIMEOUT_S
         waiting = set(expected)
         while waiting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ShardingError(
                     f"workers {sorted(waiting)} did not finish booting within "
-                    f"{self._boot_timeout_s:.0f}s"
+                    f"{BOOT_TIMEOUT_S:.0f}s"
                 )
             try:
                 message = self._hub.recv(timeout_s=min(0.5, remaining))
@@ -125,15 +126,6 @@ class ShardWorkerPool:
 
     def alive(self) -> list[bool]:
         return [self._is_alive(worker_id) for worker_id in range(self.size)]
-
-    def connected(self, worker_id: int) -> bool:
-        """Whether the worker has a live link in the hub's connection
-        registry — a partitioned worker is alive but *not* connected."""
-        return self._hub.connected(worker_id)
-
-    def healthy(self, worker_id: int) -> bool:
-        """Alive *and* reachable — the failover predicate."""
-        return self._is_alive(worker_id) and self.connected(worker_id)
 
     def drop_connection(self, worker_id: int) -> bool:
         """Chaos hook: sever the worker's link without touching the
@@ -195,13 +187,6 @@ class ShardWorkerPool:
         self._hub.close()
         return clean
 
-    def __enter__(self) -> "ShardWorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
@@ -209,7 +194,7 @@ class ShardWorkerPool:
         """Deliver one message to one worker's link.
 
         Returns whether the hub took it: ``False`` when the worker has no
-        live link — the caller's liveness and failover machinery owns what
+        live link — the caller's liveness and reconnect machinery owns what
         happens next.
         """
         if self._closed:

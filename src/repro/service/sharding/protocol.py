@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
+from ...exceptions import ConfigurationError
 from ...routing.costs import CostFeature
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,7 +89,7 @@ class RouteWork:
     """One batch of requests for a single worker, all from its shard."""
 
     task_id: int
-    engine: str | None
+    engine: str
     requests: tuple["RouteRequest", ...]
     positions: tuple[int, ...]
     """Caller-side slot of each request in the originating batch."""
@@ -108,7 +109,6 @@ class RouteAnswer:
     engine: str
     latency_s: float = 0.0
     cross_shard: bool = False
-    cache_hit: bool = False
     error: str | None = None
 
 
@@ -178,7 +178,7 @@ class ResyncRequired:
 
 @dataclass(frozen=True)
 class VersionAck:
-    """A worker's confirmation that its caches reflect ``version``."""
+    """A worker's confirmation that its costs and tables reflect ``version``."""
 
     worker_id: int
     version: int
@@ -204,12 +204,20 @@ class WorkerPayload:
     resyncs against the shared segment before serving)."""
     spec: "SegmentSpec"
     engines: tuple[tuple[str, CostFeature], ...] = DEFAULT_ENGINES
-    default_engine: str = "Shortest"
-    cache_size: int = 512
     ignore_shutdown: bool = False
     """Chaos-test hook: the worker drops :class:`Shutdown` messages on the
     floor, modelling a wedged process the pool must ``terminate()`` within
     its close deadline."""
+    cache_size: int = 0
+    """Not an option: workers keep no answer cache.  The field survives
+    because the frozen ``benchmarks/e2e/layers.py`` replay still passes
+    ``cache_size=0``; any other value is refused."""
+
+    def __post_init__(self) -> None:
+        if self.cache_size != 0:
+            raise ConfigurationError(
+                f"cache_size={self.cache_size}: shard workers keep no answer cache"
+            )
 
 
 class Transport(Protocol):

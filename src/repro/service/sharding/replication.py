@@ -1,7 +1,7 @@
-"""Replica liveness accounting for the fault-tolerant coordinator.
+"""Worker liveness accounting for the shard coordinator.
 
 :class:`HeartbeatMonitor` is the Ping/Pong bookkeeping the
-:class:`~repro.service.sharding.service.ShardedRoutingService` composes.
+:class:`~repro.service.sharding.coordinator.ShardCoordinator` composes.
 The coordinator stamps every inbound message (pongs, route results, acks —
 any traffic proves life) and records when it last probed each worker; a
 worker is *suspect* once a probe has gone unanswered past the timeout.
@@ -66,12 +66,6 @@ class HeartbeatMonitor:
         """Any inbound message from the worker proves it alive."""
         if worker_id in self._last_seen or worker_id in self._last_ping_at:
             self._last_seen[worker_id] = self._clock()
-
-    def add_worker(self, worker_id: int) -> None:
-        self._last_seen.setdefault(worker_id, self._clock())
-
-    def last_seen(self, worker_id: int) -> float:
-        return self._last_seen.get(worker_id, 0.0)
 
     def is_suspect(self, worker_id: int, timeout_s: float) -> bool:
         """An unanswered probe older than ``timeout_s`` marks the worker."""

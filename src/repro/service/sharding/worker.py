@@ -19,9 +19,7 @@ whose version does not match the diff's base resyncs from the segment (the
 authoritative state) instead of applying the diff, and so does one the
 coordinator orders to (:class:`ResyncRequired`, sent when a worker
 reconnects behind the current version) — the one catch-up path, whatever
-the gap, and the same adoption step 3 is.  Either way every route answer
-cached under the old version is dropped — the self-eviction the
-coordinator's broadcast protocol is designed around — and the overlay's live
+the gap, and the same adoption step 3 is.  Either way the overlay's live
 boundary tables are rebuilt before the acknowledgement, so an acked version
 is one the next request finds ready.
 """
@@ -31,7 +29,6 @@ from __future__ import annotations
 import os
 import queue
 import time
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Mapping
 
 from ...exceptions import NetworkError, ReproError
@@ -75,10 +72,6 @@ class ShardWorker:
         self.router: CrossShardRouter | None = None
         self.version = 0
         self._engine_features = dict(payload.engines)
-        self._answers: OrderedDict[
-            tuple[CostFeature, "VertexId", "VertexId"],
-            tuple[tuple["VertexId", ...] | None, bool],
-        ] = OrderedDict()
         self._running = False
 
     # ------------------------------------------------------------------ #
@@ -171,30 +164,15 @@ class ShardWorker:
             # goodbye message, no cleanup, mid-batch.
             os._exit(23)
         started = time.perf_counter()
-        answers: list[RouteAnswer] = []
-        engine = work.engine or self.payload.default_engine
-        default_feature = self._engine_features.get(engine)
-        if default_feature is None:
-            for request, position in zip(work.requests, work.positions):
-                answers.append(
-                    RouteAnswer(
-                        position=position,
-                        vertices=None,
-                        engine=engine,
-                        error=f"ConfigurationError: no engine named {engine!r} "
-                        f"on shard workers (have: {sorted(self._engine_features)})",
-                    )
-                )
-            return RouteResults(
-                task_id=work.task_id, worker_id=self.payload.worker_id, answers=tuple(answers)
-            )
-
+        engine = work.engine
+        # The coordinator only hands out engines named in the payload.
+        default_feature = self._engine_features[engine]
         groups: dict[CostFeature, list[int]] = {}
         for index, request in enumerate(work.requests):
             feature = request.cost_override or default_feature
             groups.setdefault(feature, []).append(index)
-        # Per request ``(vertices, cross_shard, cache_hit, error)``; the
-        # answers are built once, when the latency they carry is known.
+        # Per request ``(vertices, cross_shard, error)``; the answers are
+        # built once, when the latency they carry is known.
         drafts: list[tuple] = [()] * len(work.requests)
         for feature, members in groups.items():
             self._serve_group(work, feature, members, drafts)
@@ -206,10 +184,9 @@ class ShardWorker:
                 engine=engine,
                 latency_s=per_request,
                 cross_shard=cross_shard,
-                cache_hit=cache_hit,
                 error=error,
             )
-            for position, (vertices, cross_shard, cache_hit, error) in zip(work.positions, drafts)
+            for position, (vertices, cross_shard, error) in zip(work.positions, drafts)
         )
         return RouteResults(
             task_id=work.task_id, worker_id=self.payload.worker_id, answers=finished
@@ -236,13 +213,8 @@ class ShardWorker:
                 drafts[index] = (
                     None,
                     False,
-                    False,
                     f"VertexNotFoundError: vertex {missing!r} is not in the network",
                 )
-                continue
-            cached = self._answers.get((feature, request.source, request.destination))
-            if cached is not None:
-                drafts[index] = self._draft(*cached, True)
                 continue
             pending.append(index)
         if not pending:
@@ -263,33 +235,9 @@ class ShardWorker:
                     routed.append((tuple(dijkstra(self.network, source, destination, cost)), False))
                 except ReproError:
                     routed.append((None, False))
+        unreachable = "NoPathError: destination unreachable from source"
         for index, (vertices, cross_shard) in zip(pending, routed):
-            request = work.requests[index]
-            self._remember(feature, request.source, request.destination, vertices, cross_shard)
-            drafts[index] = self._draft(vertices, cross_shard, False)
-
-    @staticmethod
-    def _draft(
-        vertices: tuple["VertexId", ...] | None, cross_shard: bool, cache_hit: bool
-    ) -> tuple:
-        error = None if vertices is not None else "NoPathError: destination unreachable from source"
-        return vertices, cross_shard, cache_hit, error
-
-    def _remember(
-        self,
-        feature: CostFeature,
-        source: "VertexId",
-        destination: "VertexId",
-        vertices: tuple["VertexId", ...] | None,
-        cross_shard: bool,
-    ) -> None:
-        capacity = self.payload.cache_size
-        if capacity < 1:
-            return
-        self._answers[(feature, source, destination)] = (vertices, cross_shard)
-        self._answers.move_to_end((feature, source, destination))
-        while len(self._answers) > capacity:
-            self._answers.popitem(last=False)
+            drafts[index] = (vertices, cross_shard, None if vertices is not None else unreachable)
 
     # ------------------------------------------------------------------ #
     # Live traffic
@@ -345,12 +293,11 @@ class ShardWorker:
     ) -> None:
         """The tail of a diff and of a resync, after the network moved: carry
         the changes into the overlay, rebuild what they made stale, stamp the
-        version and drop every answer cached under the old one."""
+        version."""
         assert self.overlay is not None
         self.overlay.apply(changes)
         self.overlay.refresh()
         self.version = version
-        self._answers.clear()
 
 
 def _worker_entry(payload: WorkerPayload, address: tuple[str, int]) -> None:

@@ -91,15 +91,6 @@ class ServiceStats:
     shared segment to the last worker acknowledging its version."""
     worker_restarts: int = 0
     """Worker processes respawned by the pool after dying mid-service."""
-    replicas: int = 0
-    """Replicas per shard behind a sharded service (0 when not sharded)."""
-    failovers: int = 0
-    """Pending batches re-dispatched to a different replica after their
-    assigned worker died or lost its link."""
-    hedged_requests: int = 0
-    """Batches duplicated to a second replica after the hedge delay."""
-    hedge_wins: int = 0
-    """Hedged batches whose *hedge* copy answered first."""
     heartbeats_sent: int = 0
     """Ping probes sent by the coordinator's heartbeat monitor."""
     heartbeat_timeouts: int = 0
@@ -201,25 +192,13 @@ class StatsAccumulator:
         shed: int = 0,
         breaker_trips: int = 0,
         breaker_states: dict[str, str] | None = None,
-        shards: int = 0,
-        shard_requests: dict[int, int] | None = None,
-        cross_shard_requests: int = 0,
-        in_shard_requests: int = 0,
-        broadcast_lag_s: float = 0.0,
-        worker_restarts: int = 0,
-        replicas: int = 0,
-        failovers: int = 0,
-        hedged_requests: int = 0,
-        hedge_wins: int = 0,
-        heartbeats_sent: int = 0,
-        heartbeat_timeouts: int = 0,
-        worker_resyncs: int = 0,
     ) -> ServiceStats:
-        """Freeze the counters; ``hierarchy_reweights``, ``shed``, the
-        breaker fields and the sharding fields are sampled by the service
-        from its engines / admission controller / breakers / worker pool
-        (component state, not window counters, so :meth:`reset` does not
-        zero them)."""
+        """Freeze the counters; ``hierarchy_reweights``, ``shed`` and the
+        breaker fields are sampled by the service from its engines /
+        admission controller / breakers (component state, not window
+        counters, so :meth:`reset` does not zero them).  The sharding fields
+        stay at their defaults here; a sharded service fills them in from its
+        coordinator."""
         with self._lock:
             latencies = list(self._latencies)
             batch_latencies = list(self._batch_latencies)
@@ -250,19 +229,6 @@ class StatsAccumulator:
                 degraded_responses=self._degraded,
                 breaker_trips=breaker_trips,
                 breaker_states=dict(breaker_states or {}),
-                shards=shards,
-                shard_requests=dict(shard_requests or {}),
-                cross_shard_requests=cross_shard_requests,
-                in_shard_requests=in_shard_requests,
-                broadcast_lag_s=broadcast_lag_s,
-                worker_restarts=worker_restarts,
-                replicas=replicas,
-                failovers=failovers,
-                hedged_requests=hedged_requests,
-                hedge_wins=hedge_wins,
-                heartbeats_sent=heartbeats_sent,
-                heartbeat_timeouts=heartbeat_timeouts,
-                worker_resyncs=worker_resyncs,
             )
 
     def reset(self) -> None:

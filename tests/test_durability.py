@@ -648,7 +648,7 @@ class TestShardedRecovery:
                     result = service.apply_traffic(batch, wait=True)
                     assert result.applied
                     if index == 2:
-                        service.snapshot()
+                        service.coordinator.snapshot()
         finally:
             manager.close()
 
@@ -659,7 +659,7 @@ class TestShardedRecovery:
             with ShardedRoutingService(
                 recovered, shard_count=2, durability=manager
             ) as service:
-                report = service.recover()
+                report = service.coordinator.recover()
                 assert report.verified
                 assert states_identical(final_state(recovered), reference)
 
@@ -713,9 +713,9 @@ class TestShardedRecovery:
         network = _make_network_factory(3, 3, seed=2)()
         with ShardedRoutingService(network, shard_count=2) as service:
             with pytest.raises(ConfigurationError):
-                service.snapshot()
+                service.coordinator.snapshot()
             with pytest.raises(ConfigurationError):
-                service.recover()
+                service.coordinator.recover()
 
 
 # -------------------------------------------------------------------- #

@@ -7,8 +7,9 @@ Four layers:
   :class:`TcpHub` registry (displacement, drops, partitions);
 * **replication** — :class:`HeartbeatMonitor` with an injected clock and
   the seeded :class:`FaultyTransport` chaos wrapper;
-* **deployment** — kill-the-primary failover over replicas, a healed
-  partition caught up by a segment resync, hedged requests, the
+* **deployment** — a healed partition caught up by a segment resync, a
+  batch resent over a dropped link, an unanswering shard seen by the
+  serving gate as an engine-health failure, the
   crash-between-broadcast-and-ack barrier, and shutdown stragglers — with
   100% cost identity against full-network Dijkstra throughout.
 
@@ -32,14 +33,21 @@ import pytest
 from repro.network import grid_city_network
 from repro.network.compiled import shm
 from repro.routing import CostFeature, cost_function, dijkstra
-from repro.service import FaultInjector, RouteRequest, ShardedRoutingService
+from repro.service import (
+    CircuitBreakerConfig,
+    FaultInjector,
+    RouteRequest,
+    RoutingService,
+    ShardedRoutingService,
+)
 from repro.service.faults import FaultyTransport
-from repro.service.resilience import HedgePolicy
 from repro.service.sharding import (
     MAX_FRAME_BYTES,
     FrameError,
     Hello,
     HeartbeatMonitor,
+    RouteWork,
+    ShardCoordinator,
     ShardWorkerPool,
     SocketTransport,
     TcpHub,
@@ -49,6 +57,7 @@ from repro.service.sharding import (
     recv_frame,
     send_frame,
 )
+from repro.service.sharding import coordinator as coordinator_module
 from repro.service.sharding.overlay import path_cost
 from repro.traffic.updates import TrafficUpdate
 
@@ -422,62 +431,10 @@ class TestFaultyTransport:
         assert len(actions) == 20
 
 
-class TestHedgePolicy:
-    def test_initial_delay_until_enough_samples(self):
-        policy = HedgePolicy(initial_delay_s=0.25, min_samples=4)
-        assert policy.delay_s() == 0.25
-        for _ in range(4):
-            policy.record(0.04)
-        assert math.isclose(policy.delay_s(), 0.06, rel_tol=1e-9)  # p95 * 1.5
-
-    def test_delay_clamped_to_band(self):
-        policy = HedgePolicy(min_delay_s=0.02, max_delay_s=0.5, min_samples=1)
-        policy.record(0.0001)
-        assert policy.delay_s() == 0.02
-        policy.record(10.0)
-        assert policy.delay_s() == 0.5
-
-
 # -------------------------------------------------------------------- #
 # Deployments
 # -------------------------------------------------------------------- #
 class TestFaultTolerantDeployment:
-    def test_kill_primary_failover_serves_all_requests_identically(self):
-        """Kill the primary replica mid-batch: every request is still
-        answered, cost-identical, with zero drops — the standby absorbs the
-        batch while the pool respawns the corpse — and the disturbed batch
-        returns within 5 s of an undisturbed one (the failover blackout)."""
-        network = grid_city_network(5, 5, seed=3)
-        requests = _requests(network, 16)
-        with ShardedRoutingService(network, shard_count=2, replicas=2) as service:
-            assert service.replicas_of(0) == [0, 2]
-            assert service.replicas_of(1) == [1, 3]
-            _assert_identity(network, service, requests)  # warms the tables
-            started = time.perf_counter()
-            _assert_identity(network, service, requests)
-            undisturbed_s = time.perf_counter() - started
-
-            service.inject_crash(1, phase="work")
-            started = time.perf_counter()
-            _assert_identity(network, service, requests)
-            assert time.perf_counter() - started - undisturbed_s < 5.0
-
-            stats = service.stats()
-            assert stats.replicas == 2
-            assert stats.failovers >= 1
-            # The crash batch may finish entirely via failover before the
-            # coordinator observes the corpse; the respawn happens inside a
-            # later serving loop once the process handle reads dead.
-            def _respawned() -> bool:
-                if service.stats().worker_restarts >= 1:
-                    return True
-                service.route_many(requests[:2])
-                return False
-
-            assert _wait_until(_respawned)
-            # And the deployment still serves identically afterwards.
-            _assert_identity(network, service, requests, engine="Fastest")
-
     @pytest.mark.parametrize("missed", [1, 3])
     def test_healed_partition_catches_up_by_resync(self, missed):
         """A partitioned worker misses ``missed`` broadcasts; on heal its
@@ -498,10 +455,10 @@ class TestFaultTolerantDeployment:
             ]
 
         with ShardedRoutingService(network, shard_count=2) as service:
-            assert service.partition_worker(1)
+            assert service.coordinator.partition_worker(1)
             for _ in range(missed):
                 service.apply_traffic(batch(), wait=False)
-            service.heal_worker(1)
+            service.coordinator.heal_worker(1)
             # The next acked barrier cannot pass until the healed worker has
             # caught up to the current version.
             service.apply_traffic(batch(), wait=True)
@@ -510,60 +467,93 @@ class TestFaultTolerantDeployment:
             assert stats.worker_restarts == 0  # a network fault, not a crash
             _assert_identity(network, service, requests, engine="Fastest")
 
-    def test_hedged_requests_duplicate_to_a_standby(self):
-        network = grid_city_network(4, 4, seed=3)
-        requests = _requests(network, 12)
-        with ShardedRoutingService(
-            network,
-            shard_count=2,
-            replicas=2,
-            hedge=True,
-            hedge_delay_s=0.0,  # hedge immediately: every wait loop fires
-        ) as service:
-            _assert_identity(network, service, requests)
-            stats = service.stats()
-            assert stats.hedged_requests >= 1
-            # Winners are timing-dependent; the counter only ever counts
-            # answers that really came from the hedge target.
-            assert 0 <= stats.hedge_wins <= stats.hedged_requests
-
-    def test_duplicate_results_do_not_accumulate(self):
-        """Every hedged batch is answered twice; the loser's RouteResults
+    def test_duplicate_results_do_not_accumulate(self, monkeypatch):
+        """A link dropped right after a batch went out gets the batch resent
+        on reconnect, so it may be answered twice; the spare RouteResults
         matches no pending task and must not be kept."""
         network = grid_city_network(4, 4, seed=3)
-        with ShardedRoutingService(
-            network, shard_count=2, replicas=2, hedge=True, hedge_delay_s=0.0
-        ) as service:
-            for call in range(20):
-                service.route_many(_requests(network, 16, seed=call))
-            assert service.stats().hedged_requests >= 1
-            assert len(service._results) == 0
+        with ShardedRoutingService(network, shard_count=2) as service:
+            coordinator = service.coordinator
+            pool = coordinator._pool
+            submit = pool.submit
+            drops = []
 
-    def test_heartbeat_round_probes_every_worker(self):
+            def submit_then_drop(worker_id, message):
+                delivered = submit(worker_id, message)
+                if isinstance(message, RouteWork) and len(drops) < 4:
+                    drops.append(worker_id)
+                    coordinator.drop_connection(worker_id)
+                return delivered
+
+            monkeypatch.setattr(pool, "submit", submit_then_drop)
+            for call in range(6):
+                _assert_identity(network, service, _requests(network, 16, seed=call))
+            assert len(drops) == 4
+            assert len(coordinator._results) == 0
+
+    def test_heartbeat_round_probes_every_worker(self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "HEARTBEAT_TIMEOUT_S", 30.0)
         network = grid_city_network(4, 4, seed=3)
-        with ShardedRoutingService(
-            network, shard_count=2, heartbeat_timeout_s=30.0
-        ) as service:
-            assert service.heartbeat() == []  # all healthy
+        with ShardedRoutingService(network, shard_count=2) as service:
+            assert service.coordinator.heartbeat() == []  # all healthy
             stats = service.stats()
             assert stats.heartbeats_sent == 2
             assert stats.heartbeat_timeouts == 0
 
+    def test_a_shard_that_does_not_answer_is_an_engine_health_failure(
+        self, monkeypatch
+    ):
+        """A partitioned worker's slots fail as TransientEngineError, so the
+        gate's breaker counts the call and degraded serving covers an OD
+        served before the partition."""
+        network = grid_city_network(4, 4, seed=3)
+        with ShardCoordinator(network, shard_count=2) as coordinator:
+            service = RoutingService(
+                enable_cache=False,
+                breaker=CircuitBreakerConfig(
+                    min_samples=1, failure_threshold=0.5, recovery_s=60.0
+                ),
+            )
+            service.register("Fastest", coordinator.engine("Fastest"))
+            shard_one = [
+                v for v in sorted(network.vertex_ids()) if coordinator.plan.shard_of(v) == 1
+            ]
+            served = RouteRequest(source=shard_one[0], destination=shard_one[-1])
+            unseen = RouteRequest(source=shard_one[-1], destination=shard_one[0])
+            fresh = service.route(served)
+            assert fresh.ok and not fresh.degraded
+
+            monkeypatch.setattr(coordinator_module, "REQUEST_TIMEOUT_S", 0.3)
+            assert coordinator.partition_worker(1)
+            try:
+                degraded, failed = service.route_many([served, unseen])
+            finally:
+                coordinator.heal_worker(1)
+            assert degraded.ok and degraded.degraded and degraded.path == fresh.path
+            assert not failed.ok and not failed.degraded
+            assert failed.error.startswith("TransientEngineError: shard 1")
+            assert service.breaker("Fastest").state == "open"
+            stats = service.stats()
+            assert stats.breaker_trips == 1 and stats.degraded_responses == 1
+
+            # Healed: the worker redials and answers again.
+            monkeypatch.undo()
+            assert coordinator.engine("Fastest").route(served).path == fresh.path
+
 
 class TestAckBarrierUnderCrash:
-    def test_worker_crashing_between_broadcast_and_ack(self):
+    def test_worker_crashing_between_broadcast_and_ack(self, monkeypatch):
         """The regression the barrier must survive: a worker dies *after*
         the CostDiff broadcast but *before* acking.  apply_traffic(wait=True)
         must complete (respawn + boot-resync counts as the ack), well inside
         the traffic timeout, and identity must hold right after."""
+        monkeypatch.setattr(coordinator_module, "TRAFFIC_TIMEOUT_S", 60.0)
         network = grid_city_network(5, 5, seed=3)
         rng = random.Random(9)
         edges = [(e.source, e.target) for e in network.edges()]
         requests = _requests(network, 12)
-        with ShardedRoutingService(
-            network, shard_count=2, traffic_timeout_s=60.0
-        ) as service:
-            service.inject_crash(0, phase="diff")
+        with ShardedRoutingService(network, shard_count=2) as service:
+            service.coordinator.inject_crash(0, phase="diff")
             batch = [
                 TrafficUpdate.scale_by(
                     *rng.choice(edges), travel_time_s=rng.uniform(1.5, 2.5)

@@ -15,7 +15,9 @@ Properties under chaos:
   ``repro.analysis.sanitize(strict=True)`` on the non-degraded path);
 * breaker state transitions match the scripted failure pattern;
 * ``RoutingService.close()`` mid-batch neither deadlocks nor crashes the
-  batch.
+  batch;
+* the gate cases give the same outcomes and counters whether the engine
+  runs in process or on shard workers (``ShardCoordinator.engine``).
 """
 
 from __future__ import annotations
@@ -48,12 +50,31 @@ from repro.service import (
     RoutingService,
 )
 from repro.service.resilience import is_transient_failure, sleep_within
+from repro.service.sharding import ShardCoordinator
 from repro.traffic import TrafficFeed, TrafficUpdate
+
+#: How a gate case is served: by an in-process engine or by shard workers,
+#: through a ``route`` loop or ``route_many``.  Both deployments must give
+#: the same outcomes and counters; the local cases keep their plain ids.
+GATE_CASES = [
+    pytest.param("local", "route", id="route"),
+    pytest.param("local", "route_many", id="route_many"),
+    pytest.param("sharded", "route", id="sharded-route"),
+    pytest.param("sharded", "route_many", id="sharded-route_many"),
+]
 
 
 @pytest.fixture()
 def network():
     return small_demo_network(seed=3)
+
+
+@pytest.fixture(scope="module")
+def gate_coordinator():
+    """One two-shard deployment of the gate cases' grid, shared by them all
+    (booting the worker processes takes about a second)."""
+    with ShardCoordinator(grid_city_network(12, 12, seed=1), shard_count=2) as coordinator:
+        yield coordinator
 
 
 def _engine(network, name="engine"):
@@ -441,12 +462,16 @@ class TestServiceResilience:
 
     # -- one gate: a batch is admitted, bounded and broken like a request -- #
     @staticmethod
-    def _gated(via, **options):
+    def _gated(fixtures, deployment, via, **options):
         """16 requests from one source (one shared search if batched) and a
-        way to serve them; the same refusals must come out of either."""
-        grid = grid_city_network(12, 12, seed=1)
+        way to serve them; the same refusals must come out of either, on
+        either deployment."""
         service = RoutingService(enable_cache=False, **options)
-        service.register("Fastest", AlgorithmEngine(FastestBaseline(grid), name="Fastest"))
+        if deployment == "sharded":
+            engine = fixtures.getfixturevalue("gate_coordinator").engine("Fastest")
+        else:
+            engine = AlgorithmEngine(FastestBaseline(grid_city_network(12, 12, seed=1)), name="Fastest")
+        service.register("Fastest", engine)
         requests = [RouteRequest(0, destination) for destination in range(100, 116)]
 
         def serve():
@@ -456,18 +481,18 @@ class TestServiceResilience:
 
         return service, serve
 
-    @pytest.mark.parametrize("via", ["route", "route_many"])
-    def test_gate_spent_deadline_fails_every_member(self, via):
-        service, serve = self._gated(via, deadline_s=1e-9)
+    @pytest.mark.parametrize("deployment, via", GATE_CASES)
+    def test_gate_spent_deadline_fails_every_member(self, request, deployment, via):
+        service, serve = self._gated(request, deployment, via, deadline_s=1e-9)
         responses = serve()
         assert ["DeadlineExceededError" in (r.error or "") for r in responses] == [True] * 16
         stats = service.stats()
         assert stats.deadline_exceeded == 16 and stats.requests == 16
         assert stats.batched_requests == 0
 
-    @pytest.mark.parametrize("via", ["route", "route_many"])
-    def test_gate_held_slot_sheds_every_member(self, via):
-        service, serve = self._gated(via, max_in_flight=1)
+    @pytest.mark.parametrize("deployment, via", GATE_CASES)
+    def test_gate_held_slot_sheds_every_member(self, request, deployment, via):
+        service, serve = self._gated(request, deployment, via, max_in_flight=1)
         service.admission.acquire()  # saturate the only slot
         try:
             responses = serve()
@@ -476,14 +501,19 @@ class TestServiceResilience:
         assert ["ServiceOverloadedError" in (r.error or "") for r in responses] == [True] * 16
         # shed counts requests: the kernel call that found no slot is not one.
         assert service.stats().shed == 16 and service.stats().requests == 16
-        assert all(r.ok for r in serve())  # slot freed, serves again
+        served = serve()  # slot freed, serves again
+        assert all(r.ok and r.batched == (via == "route_many") for r in served)
+        assert [r.path.vertices[-1] for r in served] == list(range(100, 116))
         assert service.admission.in_flight == 0
         assert service.stats().batched_requests == (16 if via == "route_many" else 0)
+        assert service.stats().errors == 16
 
     @pytest.mark.parametrize("fallback", [None, "backup"])
-    @pytest.mark.parametrize("via", ["route", "route_many"])
-    def test_gate_open_breaker_skips_the_engine(self, via, fallback):
+    @pytest.mark.parametrize("deployment, via", GATE_CASES)
+    def test_gate_open_breaker_skips_the_engine(self, request, deployment, via, fallback):
         service, serve = self._gated(
+            request,
+            deployment,
             via,
             breaker=CircuitBreakerConfig(min_samples=1, failure_threshold=0.1, recovery_s=60.0),
         )

@@ -22,9 +22,11 @@ small.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -528,6 +530,27 @@ class TestShardedService:
         with pytest.raises(ConfigurationError, match="removed"):
             ShardedRoutingService(network, shard_count=2, transport="queue")
 
+    def test_worker_answer_cache_is_refused(self):
+        """Workers keep no answer cache: ``cache_size=0`` is the only value
+        the constructor takes, refused before any segment or worker exists."""
+        network = grid_city_network(3, 3, seed=3)
+        with pytest.raises(ConfigurationError, match="no answer cache"):
+            ShardedRoutingService(network, shard_count=2, cache_size=512)
+
+    def test_a_closed_deployment_is_freed_by_reference_counting(self):
+        """Nothing the service hands out points back at it, so a caller that
+        builds deployments back to back (the benchmark's set-up repeats)
+        does not hold every earlier network until a full collection."""
+        service = ShardedRoutingService(grid_city_network(3, 3, seed=3), shard_count=2)
+        service.close()
+        freed = weakref.ref(service.coordinator.network)
+        gc.disable()
+        try:
+            del service
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_end_to_end_identity_traffic_and_crash_recovery(self):
         network = grid_city_network(6, 6, seed=3)
         rng = random.Random(7)
@@ -537,7 +560,7 @@ class TestShardedService:
             for _ in range(24)
         ]
         with ShardedRoutingService(network, shard_count=2) as service:
-            segment_name = service.segment_name
+            segment_name = service.coordinator.segment_name
             assert segment_name is not None and _segment_exists(segment_name)
 
             # 1. Cost identity against full-network Dijkstra, both engines.
@@ -583,7 +606,7 @@ class TestShardedService:
 
             # 4. Crash chaos: a worker hard-killed mid-batch is restarted and
             #    the resubmitted batch serves identical results.
-            service.inject_crash(1)
+            service.coordinator.inject_crash(1)
             responses = service.route_many(requests, engine="Shortest")
             expected = [
                 _reference_cost(network, r.source, r.destination, CostFeature.DISTANCE)
