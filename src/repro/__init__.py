@@ -14,7 +14,7 @@ subpackages for the full API:
 * :mod:`repro.regions` - trajectory graph, modularity clustering, region graph
 * :mod:`repro.preferences` - preference learning, transfer, application
 * :mod:`repro.core` - the L2R pipeline and region-graph router
-* :mod:`repro.baselines` - Shortest, Fastest, Dom, TRIP, Popular, Google-like
+* :mod:`repro.baselines` - Shortest, Fastest, Dom, TRIP, Google-like
 * :mod:`repro.evaluation` - accuracy / efficiency harness (Figs. 10-13)
 * :mod:`repro.datasets` - canned D1-like and D2-like scenarios
 * :mod:`repro.service` - the RoutingService serving layer (engines, batching,

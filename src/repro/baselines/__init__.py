@@ -4,7 +4,6 @@ from .base import L2RAlgorithm, RoutingAlgorithm
 from .cost_centric import FastestBaseline, ShortestBaseline
 from .dom import DomBaseline
 from .trip import TripBaseline
-from .popular import PopularRouteBaseline
 from .external_service import (
     ExternalRoutingService,
     ExternalServiceConfig,
@@ -17,7 +16,6 @@ __all__ = [
     "ExternalServiceConfig",
     "FastestBaseline",
     "L2RAlgorithm",
-    "PopularRouteBaseline",
     "RoutingAlgorithm",
     "ShortestBaseline",
     "TripBaseline",

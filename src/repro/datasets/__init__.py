@@ -1,7 +1,7 @@
 """Canned synthetic evaluation scenarios and train/test splitting."""
 
 from .synthetic import Scenario, d1_like_scenario, d2_like_scenario, tiny_scenario
-from .splits import TrainTestSplit, k_fold_partitions, split_by_id, split_by_time
+from .splits import TrainTestSplit, k_fold_partitions, split_by_id
 
 __all__ = [
     "Scenario",
@@ -10,6 +10,5 @@ __all__ = [
     "d2_like_scenario",
     "k_fold_partitions",
     "split_by_id",
-    "split_by_time",
     "tiny_scenario",
 ]

@@ -2,9 +2,8 @@
 
 The paper uses a temporal split (first 18 months / 21 days for training, the
 rest for testing).  The synthetic generator stamps departure times within a
-day, so the library offers both a temporal split (by departure time) and a
-deterministic hash split (by trajectory id), the latter being the default for
-benchmarks because it balances the distance bands better on synthetic data.
+day, so the library splits by a deterministic hash of the trajectory id
+instead, which balances the distance bands better on synthetic data.
 """
 
 from __future__ import annotations
@@ -28,24 +27,18 @@ class TrainTestSplit:
         return len(self.train) / total if total else 0.0
 
 
-def split_by_time(
-    trajectories: Sequence[MatchedTrajectory], train_fraction: float = 0.75
-) -> TrainTestSplit:
-    """Temporal split: the earliest departures form the training set."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    ordered = sorted(trajectories, key=lambda t: t.departure_time)
-    cut = int(len(ordered) * train_fraction)
-    return TrainTestSplit(train=ordered[:cut], test=ordered[cut:])
-
-
 def split_by_id(
     trajectories: Sequence[MatchedTrajectory], train_fraction: float = 0.75, modulus: int = 100
 ) -> TrainTestSplit:
-    """Deterministic hash split on the trajectory id."""
+    """Deterministic hash split on the trajectory id.
+
+    ``round(train_fraction * modulus)`` of the ``modulus`` hash buckets train;
+    rounding (not truncating) keeps fractions such as 0.29 that are not exact
+    in binary from losing a bucket.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    threshold = int(train_fraction * modulus)
+    threshold = round(train_fraction * modulus)
     train: list[MatchedTrajectory] = []
     test: list[MatchedTrajectory] = []
     for trajectory in trajectories:

@@ -155,10 +155,6 @@ class TransferError(PreferenceError):
     """The transduction-based preference transfer failed."""
 
 
-class EvaluationError(ReproError):
-    """Problems inside the evaluation harness."""
-
-
 class ConfigurationError(ReproError):
     """An invalid configuration value was supplied."""
 

@@ -42,7 +42,6 @@ from .kernels import (
 from .dispatch import (
     PreferenceSearchExhausted,
     alt_disabled,
-    alt_is_enabled,
     compiled_disabled,
     is_enabled,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "PreferenceSearchExhausted",
     "SearchWorkspace",
     "alt_disabled",
-    "alt_is_enabled",
     "astar_kernel",
     "bidirectional_kernel",
     "build_landmark_table",

@@ -70,11 +70,6 @@ def compiled_disabled() -> Iterator[None]:
         _enabled = previous
 
 
-def alt_is_enabled() -> bool:
-    """Whether goal-directed (ALT landmark) search is the compiled default."""
-    return _alt_enabled
-
-
 @contextmanager
 def alt_disabled() -> Iterator[None]:
     """Force the plain (non-goal-directed) compiled kernels.

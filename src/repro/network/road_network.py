@@ -10,8 +10,7 @@ segments carrying the four weight functions of the paper:
 * ``wRT``  — road type (:class:`~repro.network.road_types.RoadType`).
 
 The class is a thin, explicit wrapper around adjacency dictionaries rather
-than a :mod:`networkx` graph so that the hot routing loops touch plain dicts;
-conversion helpers to/from networkx are provided for analysis and testing.
+than a :mod:`networkx` graph so that the hot routing loops touch plain dicts.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import math
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from ..exceptions import (
     ConfigurationError,
@@ -642,10 +639,6 @@ class RoadNetwork:
             if predecessor not in successors:
                 yield predecessor
 
-    def incident_edges(self, vertex_id: VertexId) -> list[Edge]:
-        """All edges incident (either direction) to the vertex."""
-        return list(self.iter_incident_edges(vertex_id))
-
     def iter_incident_edges(self, vertex_id: VertexId) -> Iterator[Edge]:
         """Lazily iterate incident edges (outgoing first, then incoming)."""
         if vertex_id not in self._vertices:
@@ -704,55 +697,6 @@ class RoadNetwork:
 
     def path_fuel_ml(self, vertices: Iterable[VertexId]) -> float:
         return sum(e.fuel_ml for e in self.path_edges(vertices))
-
-    # ------------------------------------------------------------------ #
-    # Conversions
-    # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a :class:`networkx.DiGraph` (for analysis and tests)."""
-        graph = nx.DiGraph(name=self.name)
-        for v in self._vertices.values():
-            graph.add_node(v.vertex_id, lon=v.lon, lat=v.lat)
-        for e in self._edges.values():
-            graph.add_edge(
-                e.source,
-                e.target,
-                distance_m=e.distance_m,
-                travel_time_s=e.travel_time_s,
-                fuel_ml=e.fuel_ml,
-                road_type=e.road_type,
-                speed_kmh=e.speed_kmh,
-            )
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph: nx.DiGraph, name: str | None = None) -> "RoadNetwork":
-        """Build a :class:`RoadNetwork` from a networkx graph.
-
-        Nodes must carry ``lon`` / ``lat`` attributes; edges may carry any of
-        the weight attributes used by :meth:`to_networkx`.
-        """
-        network = cls(name=name or str(graph.name or "road-network"))
-        for node, data in graph.nodes(data=True):
-            network.add_vertex(int(node), float(data["lon"]), float(data["lat"]))
-        for source, target, data in graph.edges(data=True):
-            road_type = data.get("road_type", RoadType.RESIDENTIAL)
-            if not isinstance(road_type, RoadType):
-                road_type = RoadType(int(road_type))
-            network.add_edge(
-                int(source),
-                int(target),
-                road_type=road_type,
-                distance_m=data.get("distance_m"),
-                speed_kmh=data.get("speed_kmh"),
-                travel_time_s=data.get("travel_time_s"),
-                fuel_ml=data.get("fuel_ml"),
-            )
-        return network
-
-    def undirected_view(self) -> nx.Graph:
-        """Undirected networkx view used by connectivity checks."""
-        return self.to_networkx().to_undirected()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -37,18 +37,6 @@ class RoadType(IntEnum):
         """True for the high-capacity classes (motorway, trunk, primary)."""
         return self in (RoadType.MOTORWAY, RoadType.TRUNK, RoadType.PRIMARY)
 
-    @classmethod
-    def from_osm_tag(cls, tag: str) -> "RoadType":
-        """Map an OSM ``highway`` tag to a :class:`RoadType`.
-
-        Unknown or link tags degrade gracefully: ``*_link`` maps to the parent
-        class, anything unrecognised maps to :attr:`RESIDENTIAL`.
-        """
-        normalized = tag.strip().lower()
-        if normalized.endswith("_link"):
-            normalized = normalized[: -len("_link")]
-        return _FROM_OSM.get(normalized, cls.RESIDENTIAL)
-
 
 _OSM_TAGS: dict[RoadType, str] = {
     RoadType.MOTORWAY: "motorway",
@@ -58,15 +46,6 @@ _OSM_TAGS: dict[RoadType, str] = {
     RoadType.TERTIARY: "tertiary",
     RoadType.RESIDENTIAL: "residential",
 }
-
-_FROM_OSM: dict[str, RoadType] = {tag: rt for rt, tag in _OSM_TAGS.items()}
-_FROM_OSM.update(
-    {
-        "unclassified": RoadType.RESIDENTIAL,
-        "living_street": RoadType.RESIDENTIAL,
-        "service": RoadType.RESIDENTIAL,
-    }
-)
 
 DEFAULT_SPEED_KMH: dict[RoadType, float] = {
     RoadType.MOTORWAY: 110.0,

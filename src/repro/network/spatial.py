@@ -89,13 +89,6 @@ class LocalProjection:
         y = math.radians(point[1] - self.ref_lat) * EARTH_RADIUS_M
         return (x, y)
 
-    def to_lonlat(self, xy: tuple[float, float]) -> LonLat:
-        """Inverse of :meth:`to_xy`."""
-        cos_lat = math.cos(math.radians(self.ref_lat))
-        lon = self.ref_lon + math.degrees(xy[0] / (EARTH_RADIUS_M * cos_lat))
-        lat = self.ref_lat + math.degrees(xy[1] / EARTH_RADIUS_M)
-        return (lon, lat)
-
 
 def point_segment_distance_m(point: LonLat, seg_a: LonLat, seg_b: LonLat) -> float:
     """Distance in meters from ``point`` to the segment ``seg_a``–``seg_b``.
@@ -218,14 +211,6 @@ class BoundingBox:
             self.max_lon + lon_margin,
             self.max_lat + lat_margin,
         )
-
-    @property
-    def width_km(self) -> float:
-        return equirectangular_m((self.min_lon, self.min_lat), (self.max_lon, self.min_lat)) / 1000.0
-
-    @property
-    def height_km(self) -> float:
-        return equirectangular_m((self.min_lon, self.min_lat), (self.min_lon, self.max_lat)) / 1000.0
 
 
 def match_waypoints_to_polyline(

@@ -1,8 +1,6 @@
-"""A uniform-grid spatial index over road-network vertices and edges.
+"""A uniform-grid spatial index over road-network edges.
 
-Used by map matching (nearest candidate edges for a GPS record), by routing
-Case 2 (nearest vertex to an arbitrary coordinate), and by the trajectory
-generator.  The grid is intentionally simple — a dict of cell -> members —
+Used by map matching: the candidate edges near a GPS record.  The grid is intentionally simple — a dict of cell -> members —
 which is fast enough at the network scales this reproduction targets and has
 no third-party dependencies.
 """
@@ -21,7 +19,7 @@ _DEG_LAT_M = 111_320.0
 
 
 class SpatialIndex:
-    """Grid index over the vertices and edges of a :class:`RoadNetwork`."""
+    """Grid index over the edges of a :class:`RoadNetwork`."""
 
     def __init__(self, network: RoadNetwork, cell_size_m: float = 250.0) -> None:
         if cell_size_m <= 0:
@@ -34,7 +32,6 @@ class SpatialIndex:
         else:
             mid_lat = 0.0
         self._deg_lon_m = _DEG_LAT_M * max(0.2, math.cos(math.radians(mid_lat)))
-        self._vertex_cells: dict[tuple[int, int], list[VertexId]] = defaultdict(list)
         self._edge_cells: dict[tuple[int, int], list[Edge]] = defaultdict(list)
         self._build()
 
@@ -45,8 +42,6 @@ class SpatialIndex:
         return (cx, cy)
 
     def _build(self) -> None:
-        for vertex in self._network.vertices():
-            self._vertex_cells[self._cell_of(vertex.lonlat)].append(vertex.vertex_id)
         for edge in self._network.edges():
             a = self._network.coordinates(edge.source)
             b = self._network.coordinates(edge.target)
@@ -69,44 +64,6 @@ class SpatialIndex:
         for dx in range(-radius, radius + 1):
             for dy in range(-radius, radius + 1):
                 yield (cx + dx, cy + dy)
-
-    # ------------------------------------------------------------------ #
-    def nearest_vertex(self, point: LonLat, max_radius_m: float = 5_000.0) -> VertexId | None:
-        """Vertex id closest to ``point`` or ``None`` if none within range."""
-        center = self._cell_of(point)
-        best: VertexId | None = None
-        best_dist = math.inf
-        max_rings = max(1, int(max_radius_m // self._cell_size_m) + 1)
-        for radius in range(max_rings + 1):
-            found_any = False
-            for cell in self._rings(center, radius):
-                for vid in self._vertex_cells.get(cell, ()):  # pragma: no branch
-                    found_any = True
-                    dist = equirectangular_m(point, self._network.coordinates(vid))
-                    if dist < best_dist:
-                        best_dist = dist
-                        best = vid
-            # Stop once a hit exists and one more safety ring has been checked.
-            if best is not None and found_any and radius >= 1:
-                break
-        if best is not None and best_dist <= max_radius_m:
-            return best
-        return None
-
-    def vertices_within(self, point: LonLat, radius_m: float) -> list[VertexId]:
-        """All vertex ids within ``radius_m`` meters of ``point``."""
-        center = self._cell_of(point)
-        rings = max(1, int(radius_m // self._cell_size_m) + 1)
-        result: list[VertexId] = []
-        seen: set[VertexId] = set()
-        for cell in self._rings(center, rings):
-            for vid in self._vertex_cells.get(cell, ()):
-                if vid in seen:
-                    continue
-                seen.add(vid)
-                if equirectangular_m(point, self._network.coordinates(vid)) <= radius_m:
-                    result.append(vid)
-        return result
 
     def candidate_edges(self, point: LonLat, radius_m: float = 100.0) -> list[tuple[Edge, float]]:
         """Edges within ``radius_m`` of ``point`` with their distances.

@@ -127,14 +127,6 @@ class FeatureCatalog:
         """Road-condition feature stored at a slave-dimension column."""
         return self._road_features[column - self.n_cost]
 
-    def cost_columns(self) -> range:
-        """Range of master-dimension column indices."""
-        return range(0, self.n_cost)
-
-    def road_columns(self) -> range:
-        """Range of slave-dimension column indices."""
-        return range(self.n_cost, self.n_features)
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.column_names())
 

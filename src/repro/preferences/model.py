@@ -28,10 +28,6 @@ class PreferenceVector:
         slave = self.slave.name if self.slave is not None else "-"
         return f"<{self.master.short_name}, {slave}>"
 
-    @property
-    def has_slave(self) -> bool:
-        return self.slave is not None
-
     def to_row(self, catalog: FeatureCatalog) -> np.ndarray:
         """Encode this vector as a 0/1 row of the label matrix ``Y``.
 

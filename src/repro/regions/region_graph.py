@@ -78,13 +78,6 @@ class RegionEdge:
         """All distinct paths associated with this edge."""
         return [Path(vertices=vertices) for vertices in self.path_counts]
 
-    def most_popular_path(self) -> Path | None:
-        """The path used by the largest number of trajectories (None if empty)."""
-        if not self.path_counts:
-            return None
-        vertices, _ = self.path_counts.most_common(1)[0]
-        return Path(vertices=vertices)
-
 
 class RegionGraph:
     """The region graph ``G_R = (V_R, E_R)`` with T-edges and B-edges."""
@@ -338,13 +331,6 @@ class RegionGraph:
                     seen.add(neighbor)
                     stack.append(neighbor)
         return len(seen) == len(self._regions)
-
-    def undirected_edge_keys(self) -> set[tuple[RegionId, RegionId]]:
-        """Canonical (min, max) keys of all region edges."""
-        keys: set[tuple[RegionId, RegionId]] = set()
-        for a, b in self._edges:
-            keys.add((a, b) if a <= b else (b, a))
-        return keys
 
     def statistics(self) -> dict[str, float]:
         """Summary statistics used in reports and tests."""

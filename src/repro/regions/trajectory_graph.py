@@ -109,35 +109,3 @@ class TrajectoryGraph:
     def total_popularity(self) -> int:
         """``S`` — the sum of popularities of all edges in the graph."""
         return sum(self._popularity.values())
-
-    def covered_vertices(self) -> set[VertexId]:
-        return set(self._adjacency.keys())
-
-    def covered_edges(self) -> set[tuple[VertexId, VertexId]]:
-        """Undirected keys of all edges covered by trajectories."""
-        return set(self._popularity.keys())
-
-    def connected_components(self) -> list[set[VertexId]]:
-        """Connected components (the trajectory graph need not be connected)."""
-        seen: set[VertexId] = set()
-        components: list[set[VertexId]] = []
-        for start in self._adjacency:
-            if start in seen:
-                continue
-            component: set[VertexId] = set()
-            stack = [start]
-            while stack:
-                vertex = stack.pop()
-                if vertex in component:
-                    continue
-                component.add(vertex)
-                stack.extend(self._adjacency[vertex] - component)
-            seen |= component
-            components.append(component)
-        return components
-
-    def coverage_ratio(self, network: RoadNetwork) -> float:
-        """Fraction of road-network vertices that are covered by trajectories."""
-        if network.vertex_count == 0:
-            return 0.0
-        return self.vertex_count / network.vertex_count

@@ -17,7 +17,6 @@ from .dijkstra import (
     dijkstra,
     fastest_path,
     lowest_cost_path,
-    most_economical_path,
     shortest_path,
 )
 from .astar import astar, astar_by_feature, default_heuristic, dict_astar, heuristic_for
@@ -58,7 +57,6 @@ __all__ = [
     "fuel_rate_ml_per_s",
     "heuristic_for",
     "lowest_cost_path",
-    "most_economical_path",
     "most_economical_speed_kmh",
     "preference_dijkstra",
     "shortest_path",

@@ -159,11 +159,6 @@ def fastest_path(network: RoadNetwork, source: VertexId, destination: VertexId) 
     return dijkstra(network, source, destination, cost_function(CostFeature.TRAVEL_TIME))
 
 
-def most_economical_path(network: RoadNetwork, source: VertexId, destination: VertexId) -> Path:
-    """Fuel-minimal path."""
-    return dijkstra(network, source, destination, cost_function(CostFeature.FUEL))
-
-
 def lowest_cost_path(
     network: RoadNetwork,
     source: VertexId,

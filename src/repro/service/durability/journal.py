@@ -158,15 +158,20 @@ def _scan_frames(buffer: bytes) -> tuple[list[JournalRecord], int, bool]:
 
 
 def _default_opener(path: str, mode: str):
-    """Unbuffered binary file handles (see module docstring)."""
-    # Ownership moves to the DiskJournal, which stores the handle on a
-    # `self.` attribute and closes it in close()/rotation.
+    """Unbuffered binary file handles (see module docstring), shared with
+    :class:`~repro.service.durability.snapshot.SnapshotStore`."""
+    # Ownership moves to the caller: DiskJournal stores the handle on a
+    # `self.` attribute and closes it in close()/rotation; SnapshotStore.save
+    # context-manages it at its single write site.
     # reprolint: disable-next-line=RL011
     return open(path, mode, buffering=0)
 
 
 def _fsync_dir(directory: Path) -> None:
-    """Make directory entries (created/renamed/deleted files) durable."""
+    """Make directory entries (created/renamed/deleted files) durable.
+
+    The one directory fsync of the package: snapshots and saved models
+    publish through it too."""
     flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
     fd = os.open(directory, flags)
     try:

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 import numpy as np
 
 from ...exceptions import ReproError
+from .journal import _default_opener, _fsync_dir
 from .killpoints import KillHook
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,23 +73,6 @@ class SnapshotState:
     cost_version: int
     topology: dict
     arrays: dict[str, np.ndarray]
-
-
-def _default_opener(path: str, mode: str):
-    """Unbuffered handles so fault wrappers see every byte (cf. journal)."""
-    # The caller context-manages the returned handle at the single write
-    # site (SnapshotStore.save).
-    # reprolint: disable-next-line=RL011
-    return open(path, mode, buffering=0)
-
-
-def _fsync_dir(directory: Path) -> None:
-    flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
-    fd = os.open(directory, flags)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SnapshotStore:

@@ -208,17 +208,23 @@ class L2REngine(BaseEngine):
         )
 
 
+ON_STALE = "rebuild"
+"""How :class:`ContractionEngine` meets a stale hierarchy: re-weight
+shortcuts after cost drift, rebuild after a topology change."""
+
+
 class ContractionEngine(BaseEngine):
     """Single-cost engine answering through a contraction hierarchy.
 
     The hierarchy comes from
     :meth:`~repro.network.road_network.RoadNetwork.prepare_hierarchy` on
-    first use (or is taken prebuilt — prepare it before opening to traffic,
-    or the first request pays the whole preprocessing) and is queried through
+    first use (shared with every other caller for the same feature — call
+    it before opening to traffic, or the first request pays the whole
+    preprocessing) and is queried through
     :func:`~repro.routing.contraction.ch_shortest_path` with
-    ``on_stale="rebuild"`` by default: live-traffic cost drift is absorbed
-    by a shortcut re-weight at the next query, a topology change by a
-    rebuild.  Answers are exact single-cost optima — cost-identical to the
+    ``on_stale="rebuild"`` (:data:`ON_STALE`): live-traffic cost drift is
+    absorbed by a shortcut re-weight at the next query, a topology change by
+    a rebuild.  Answers are exact single-cost optima — cost-identical to the
     Shortest / Fastest baselines for the same feature, at hub-label query
     speed on repeated queries.
 
@@ -236,14 +242,11 @@ class ContractionEngine(BaseEngine):
         network: RoadNetwork,
         feature: CostFeature = CostFeature.TRAVEL_TIME,
         *,
-        hierarchy: ContractionHierarchy | None = None,
-        on_stale: str = "rebuild",
         name: str | None = None,
     ) -> None:
         super().__init__(network)
         self.cost_feature = feature
-        self.on_stale = on_stale
-        self._hierarchy = hierarchy
+        self._hierarchy: ContractionHierarchy | None = None
         self._hierarchy_lock = threading.Lock()
         if name is not None:
             self.name = name
@@ -265,7 +268,7 @@ class ContractionEngine(BaseEngine):
         Including ``network.version`` means a stale hierarchy (costs moved,
         re-weight not yet triggered) can never replay its pre-update cached
         answers: the first post-update request misses, refreshes the
-        hierarchy through ``on_stale``, and caches under the new tag.
+        hierarchy through :data:`ON_STALE`, and caches under the new tag.
         """
         built = self._hierarchy
         weights = built.weights_version if built is not None else None
@@ -289,13 +292,9 @@ class ContractionEngine(BaseEngine):
     def _static_cost(self):
         """CH answers one fixed feature: advertise it for request batching.
 
-        Only while ``on_stale="rebuild"``: batched answers run on the *live*
-        cost arrays, which matches a hierarchy that refreshes itself on
-        drift but would silently contradict a frozen (``"ignore"``) or
-        strict (``"raise"``) engine's single-request answers.
+        Batched answers run on the *live* cost arrays, which matches a
+        hierarchy that refreshes itself on drift (:data:`ON_STALE`).
         """
-        if self.on_stale != "rebuild":
-            return None
         return cost_function(self.cost_feature)
 
     def _answer(self, request: RouteRequest) -> tuple[Path, RouteDiagnostics | None]:
@@ -304,7 +303,7 @@ class ContractionEngine(BaseEngine):
             request.source,
             request.destination,
             self.hierarchy(),
-            on_stale=self.on_stale,
+            on_stale=ON_STALE,
         )
         return path, RouteDiagnostics(case="contraction-hierarchy")
 

@@ -1,26 +1,20 @@
 """Deterministic fault injection for chaos-testing the serving stack.
 
-A :class:`FaultInjector` wraps a :class:`~repro.service.engine.RoutingEngine`,
-a shard transport or a file with a *seeded* schedule of latency spikes,
-raised :class:`~repro.exceptions.TransientEngineError`\\ s, lost / delayed /
-duplicated messages and failing writes.  Every random decision comes from a
-per-wrapper ``np.random.Generator`` derived from the injector seed (in the
-style of the seeded condition grids of SNIPPETS.md Snippet 3), so a chaos
-run is exactly replayable: the same seed produces the same fault sequence,
-the same breaker trips, and the same shed / degraded counters — in tests
-and in CI.
+A :class:`FaultInjector` wraps a :class:`~repro.service.engine.RoutingEngine`
+or a file with a *seeded* schedule of latency spikes, raised
+:class:`~repro.exceptions.TransientEngineError`\\ s and failing writes.
+Every random decision comes from a per-wrapper ``np.random.Generator``
+derived from the injector seed (in the style of the seeded condition grids
+of SNIPPETS.md Snippet 3), so a chaos run is exactly replayable: the same
+seed produces the same fault sequence, the same breaker trips, and the same
+shed / degraded counters — in tests and in CI.
 
-Three wrapper kinds, one schedule core (:class:`_Schedule`) under all of them:
+Two wrapper kinds, one schedule core (:class:`_Schedule`) under both:
 
 * :meth:`FaultInjector.engine` — a :class:`FaultyEngine` that, per call,
   may sleep (latency spike) and/or raise a ``TransientEngineError`` before
   delegating.  It deliberately does **not** offer the optional
   ``route_batch``, so a seeded schedule stays one draw per request.
-* :meth:`FaultInjector.transport` — a :class:`FaultyTransport` wrapping any
-  :class:`~repro.service.sharding.protocol.Transport` with send-side drops,
-  delays, and duplicates, plus *one-way partitions* (sends silently lost,
-  or receives blacked out, independently) — the message-level chaos the
-  multi-node serving tests are built on.
 * :meth:`FaultInjector.disk` — a :class:`FaultyDisk` that wraps file-like
   objects (or stands in as the ``opener`` hook of a
   :class:`~repro.service.durability.journal.DiskJournal` /
@@ -39,7 +33,6 @@ are written against scripts.
 from __future__ import annotations
 
 import itertools
-import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,7 +45,7 @@ from .api import RouteRequest, RouteResponse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import RoutingEngine
-    from .sharding.protocol import Transport
+
 
 @dataclass
 class FaultCounters:
@@ -61,12 +54,6 @@ class FaultCounters:
     calls: int = 0
     injected_errors: int = 0
     injected_spikes: int = 0
-    dropped_messages: int = 0
-    delayed_messages: int = 0
-    duplicated_messages: int = 0
-    partitioned_messages: int = 0
-    """Messages silently lost to an active one-way partition (not part of
-    the seeded schedule — partitions are explicit test choreography)."""
     short_writes: int = 0
     disk_errors: int = 0
     """Injected ``EIO`` / ``ENOSPC`` write failures."""
@@ -103,12 +90,6 @@ class FaultInjector:
         """Wrap a routing engine with a seeded (or scripted) fault schedule;
         ``schedule`` holds :class:`FaultyEngine`'s keywords."""
         return FaultyEngine(engine, rng=self._child_rng(), **schedule)
-
-    def transport(self, transport: "Transport", **schedule) -> "FaultyTransport":
-        """Wrap a protocol transport with a seeded (or scripted) schedule of
-        message-level faults; ``schedule`` holds :class:`FaultyTransport`'s
-        keywords."""
-        return FaultyTransport(transport, rng=self._child_rng(), **schedule)
 
     def disk(self, **schedule) -> "FaultyDisk":
         """A seeded (or scripted) disk-fault layer for file-like objects;
@@ -243,96 +224,6 @@ class FaultyEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultyEngine({self.inner!r}, calls={self.counters.calls})"
-
-
-class FaultyTransport:
-    """A protocol transport whose *sends* misbehave per seeded schedule.
-
-    Satisfies the :class:`~repro.service.sharding.protocol.Transport`
-    protocol, so it drops between a :class:`~repro.service.sharding.worker.
-    ShardWorker` (or a coordinator-side endpoint) and any real transport.
-    The scheduled faults are send-side — ``drop`` loses the message,
-    ``delay`` sleeps before delivery, ``duplicate`` delivers it twice (the
-    at-least-once failure mode every versioned/idempotent message must
-    tolerate).  On top of the schedule, :meth:`partition` opens explicit
-    *one-way* partitions: an outbound partition silently swallows sends, an
-    inbound partition makes ``recv`` time out as if the peer went dark.
-    Partitions are deliberate test choreography (not random), so healing
-    them at a known point keeps chaos runs replayable.
-    """
-
-    def __init__(
-        self,
-        transport: "Transport",
-        *,
-        rng: np.random.Generator,
-        drop_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        delay_s: float = 0.005,
-        script: Sequence[str] | None = None,
-    ) -> None:
-        self._schedule = _Schedule(
-            rng,
-            script,
-            (
-                ("drop", drop_rate, "dropped_messages"),
-                ("delay", delay_rate, "delayed_messages"),
-                ("duplicate", duplicate_rate, "duplicated_messages"),
-            ),
-        )
-        self.inner = transport
-        self.delay_s = delay_s
-        self._partition_outbound = False
-        self._partition_inbound = False
-
-    @property
-    def counters(self) -> FaultCounters:
-        return self._schedule.counters
-
-    # -- partitions ------------------------------------------------------ #
-    def partition(self, *, outbound: bool = True, inbound: bool = True) -> None:
-        """Open a (possibly one-way) partition until :meth:`heal`."""
-        self._partition_outbound = self._partition_outbound or outbound
-        self._partition_inbound = self._partition_inbound or inbound
-
-    def heal(self) -> None:
-        """Close any open partition; scheduled faults keep applying."""
-        self._partition_outbound = False
-        self._partition_inbound = False
-
-    @property
-    def partitioned(self) -> bool:
-        return self._partition_outbound or self._partition_inbound
-
-    # -- Transport protocol ---------------------------------------------- #
-    def send(self, message: object) -> None:
-        if self._partition_outbound:
-            with self._schedule.lock:
-                self.counters.partitioned_messages += 1
-            return
-        action = self._schedule.next()
-        if action == "drop":
-            return
-        if action == "delay":
-            time.sleep(self.delay_s)
-        elif action == "duplicate":
-            self.inner.send(message)
-        self.inner.send(message)
-
-    def recv(self, timeout_s: float | None = None) -> object:
-        if self._partition_inbound:
-            # The peer has gone dark: behave exactly like an idle link —
-            # wait out the poll budget, then report nothing arrived.
-            time.sleep(timeout_s if timeout_s is not None else 0.05)
-            raise queue_module.Empty()
-        return self.inner.recv(timeout_s)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FaultyTransport({self.inner!r}, calls={self.counters.calls}, "
-            f"partitioned={self.partitioned})"
-        )
 
 
 class FaultyDisk:

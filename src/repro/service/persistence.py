@@ -24,6 +24,7 @@ from pathlib import Path as FilePath
 from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError
+from .durability.journal import _fsync_dir
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.l2r import LearnToRoute
@@ -34,16 +35,6 @@ MODEL_FORMAT_VERSION = 2
 
 class ModelPersistenceError(ReproError):
     """A model file could not be written, read, or understood."""
-
-
-def _fsync_parent_dir(path: FilePath) -> None:
-    """Make the rename that published ``path`` durable (directory fsync)."""
-    flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
-    fd = os.open(path.parent, flags)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def save_model(pipeline: "LearnToRoute", path: str | FilePath) -> FilePath:
@@ -85,7 +76,7 @@ def save_model(pipeline: "LearnToRoute", path: str | FilePath) -> FilePath:
             raw.flush()
             os.fsync(raw.fileno())
         os.replace(scratch, destination)
-        _fsync_parent_dir(destination)
+        _fsync_dir(destination.parent)
     except (OSError, pickle.PicklingError, TypeError, AttributeError) as exc:
         # TypeError/AttributeError are how pickle reports unpicklable state.
         raise ModelPersistenceError(f"could not write model to {destination}: {exc}") from exc

@@ -343,24 +343,6 @@ class RoutingService:
         self._stats.record(response)
         return response
 
-    def route_between(
-        self,
-        source: VertexId,
-        destination: VertexId,
-        *,
-        departure_time: float | None = None,
-        engine: str | None = None,
-        **request_fields: object,
-    ) -> RouteResponse:
-        """Convenience wrapper building the :class:`RouteRequest` inline."""
-        request = RouteRequest(
-            source=source,
-            destination=destination,
-            departure_time=departure_time,
-            **request_fields,  # type: ignore[arg-type]
-        )
-        return self.route(request, engine=engine)
-
     def route_many(
         self,
         requests: Sequence[RouteRequest] | Iterable[RouteRequest],

@@ -1,6 +1,7 @@
-"""Trajectory substrate: GPS models, simulation, map matching, statistics."""
+"""Trajectory substrate: GPS models, simulation, map matching, statistics,
+and files: raw GPS written as CSV, matched trajectories as JSON Lines."""
 
-from .models import GPSRecord, MatchedTrajectory, Trajectory, TrajectorySet, validate_against_network
+from .models import GPSRecord, MatchedTrajectory, Trajectory, TrajectorySet
 from .sampling import SamplingSpec, high_frequency_sampler, low_frequency_sampler, sample_path
 from .map_matching import HMMMapMatcher, MatchingConfig
 from .generator import (
@@ -20,10 +21,8 @@ from .statistics import (
 )
 from .io import (
     load_matched_jsonl,
-    load_raw_csv,
     save_matched_jsonl,
     save_raw_csv,
-    split_by_driver,
 )
 
 __all__ = [
@@ -47,11 +46,8 @@ __all__ = [
     "format_distance_table",
     "high_frequency_sampler",
     "load_matched_jsonl",
-    "load_raw_csv",
     "low_frequency_sampler",
     "sample_path",
     "save_matched_jsonl",
     "save_raw_csv",
-    "split_by_driver",
-    "validate_against_network",
 ]

@@ -42,7 +42,6 @@ from ..preferences.model import PreferenceVector
 from ..routing.costs import CostFeature
 from ..routing.dijkstra import fastest_path
 from ..routing.preference_dijkstra import preference_dijkstra
-from ..routing.path import Path
 from .map_matching import HMMMapMatcher, MatchingConfig
 from .models import MatchedTrajectory, Trajectory
 from .sampling import SamplingSpec, high_frequency_sampler, sample_path
@@ -410,8 +409,3 @@ def emit_and_match(
             )
         )
     return matcher.match_many(raw, skip_failures=True)
-
-
-def ground_truth_path(network: RoadNetwork, trajectory: MatchedTrajectory) -> Path:
-    """The ground-truth (driver-chosen) path of a generated trajectory."""
-    return trajectory.path

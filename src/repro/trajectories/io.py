@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import defaultdict
 from pathlib import Path as FilePath
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..routing.path import Path
-from .models import GPSRecord, MatchedTrajectory, Trajectory
+from .models import MatchedTrajectory, Trajectory
 
 _CSV_HEADER = ["trajectory_id", "driver_id", "timestamp", "lon", "lat", "speed_kmh", "occupied"]
 
@@ -37,39 +36,6 @@ def save_raw_csv(trajectories: Iterable[Trajectory], path: str | FilePath) -> No
                         int(trajectory.occupied),
                     ]
                 )
-
-
-def load_raw_csv(path: str | FilePath) -> list[Trajectory]:
-    """Read raw GPS trajectories previously written by :func:`save_raw_csv`."""
-    grouped: dict[int, list[tuple[float, GPSRecord]]] = defaultdict(list)
-    meta: dict[int, tuple[int, bool]] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            trajectory_id = int(row["trajectory_id"])
-            speed = row.get("speed_kmh") or ""
-            record = GPSRecord(
-                lon=float(row["lon"]),
-                lat=float(row["lat"]),
-                timestamp=float(row["timestamp"]),
-                speed_kmh=float(speed) if speed else None,
-            )
-            grouped[trajectory_id].append((record.timestamp, record))
-            meta[trajectory_id] = (int(row["driver_id"]), bool(int(row.get("occupied", 1))))
-
-    trajectories: list[Trajectory] = []
-    for trajectory_id, items in sorted(grouped.items()):
-        items.sort(key=lambda pair: pair[0])
-        driver_id, occupied = meta[trajectory_id]
-        trajectories.append(
-            Trajectory(
-                trajectory_id=trajectory_id,
-                driver_id=driver_id,
-                records=tuple(record for _, record in items),
-                occupied=occupied,
-            )
-        )
-    return trajectories
 
 
 def save_matched_jsonl(trajectories: Iterable[MatchedTrajectory], path: str | FilePath) -> None:
@@ -109,13 +75,3 @@ def load_matched_jsonl(path: str | FilePath) -> list[MatchedTrajectory]:
                 )
             )
     return trajectories
-
-
-def split_by_driver(
-    trajectories: Sequence[MatchedTrajectory],
-) -> dict[int, list[MatchedTrajectory]]:
-    """Group matched trajectories by driver id (used by Dom / TRIP baselines)."""
-    grouped: dict[int, list[MatchedTrajectory]] = defaultdict(list)
-    for trajectory in trajectories:
-        grouped[trajectory.driver_id].append(trajectory)
-    return dict(grouped)

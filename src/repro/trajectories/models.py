@@ -72,18 +72,6 @@ class Trajectory:
     def duration_s(self) -> float:
         return self.arrival_time - self.departure_time
 
-    @property
-    def sampling_interval_s(self) -> float:
-        """Mean time gap between consecutive records."""
-        if len(self.records) < 2:
-            return 0.0
-        return self.duration_s / (len(self.records) - 1)
-
-    @property
-    def sampling_rate_hz(self) -> float:
-        interval = self.sampling_interval_s
-        return 1.0 / interval if interval > 0 else 0.0
-
     def coordinates(self) -> list[LonLat]:
         return [r.lonlat for r in self.records]
 
@@ -129,10 +117,3 @@ class MatchedTrajectory:
 
 TrajectorySet = list[MatchedTrajectory]
 """A collection of matched trajectories (the library's working unit)."""
-
-
-def validate_against_network(
-    trajectories: Sequence[MatchedTrajectory], network: RoadNetwork
-) -> list[MatchedTrajectory]:
-    """Return only the trajectories whose path is valid on ``network``."""
-    return [t for t in trajectories if t.path.is_valid(network)]

@@ -49,13 +49,6 @@ class DistanceBandStatistics:
         lo, hi = self.bands_km[index]
         return f"({lo:g},{hi:g}]"
 
-    def as_rows(self) -> list[tuple[str, int, float]]:
-        """Rows of ``(band label, count, percentage)``."""
-        return [
-            (self.band_label(i), self.counts[i], self.percentages[i])
-            for i in range(len(self.bands_km))
-        ]
-
 
 def band_index(distance_km: float, bands_km: Sequence[tuple[float, float]]) -> int | None:
     """The index of the band containing ``distance_km`` (half-open ``(lo, hi]``)."""

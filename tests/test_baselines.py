@@ -10,7 +10,6 @@ from repro.baselines import (
     ExternalServiceConfig,
     FastestBaseline,
     L2RAlgorithm,
-    PopularRouteBaseline,
     ShortestBaseline,
     TripBaseline,
     waypoint_accuracy,
@@ -89,28 +88,6 @@ class TestTrip:
         assert path.travel_time_s(tiny.network) == pytest.approx(
             expected.travel_time_s(tiny.network), rel=1e-9
         )
-
-
-class TestPopular:
-    @pytest.fixture(scope="class")
-    def popular(self, tiny, tiny_split):
-        return PopularRouteBaseline(tiny.network, tiny_split.train)
-
-    def test_exact_od_lookup_returns_training_path(self, popular, tiny_split):
-        trajectory = tiny_split.train[0]
-        path = popular.route(trajectory.source, trajectory.destination)
-        assert path.source == trajectory.source
-        assert path.destination == trajectory.destination
-
-    def test_unseen_pair_spliced_and_valid(self, popular, tiny, tiny_split):
-        trajectory = tiny_split.test[0]
-        path = popular.route(trajectory.source, trajectory.destination)
-        assert path.is_valid(tiny.network)
-
-    def test_fallback_rate_tracked(self, popular, tiny_split):
-        for trajectory in tiny_split.test[:10]:
-            popular.route(trajectory.source, trajectory.destination)
-        assert 0.0 <= popular.fallback_rate <= 1.0
 
 
 class TestL2RAdapter:

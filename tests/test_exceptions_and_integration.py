@@ -65,7 +65,7 @@ class TestEndToEndIntegration:
 
     def test_generate_fit_route_evaluate(self):
         from repro.baselines import FastestBaseline, L2RAlgorithm, ShortestBaseline
-        from repro.datasets.splits import split_by_time
+        from repro.datasets.splits import split_by_id
         from repro.evaluation import EvaluationHarness
         from repro.network import grid_city_network
         from repro.trajectories import GeneratorConfig, TrajectoryGenerator
@@ -74,7 +74,7 @@ class TestEndToEndIntegration:
         network = grid_city_network(rows=8, cols=8, block_m=350.0, seed=21)
         config = GeneratorConfig(n_drivers=8, n_trajectories=70, hotspot_count=3, seed=21)
         data = TrajectoryGenerator(network, config).generate()
-        split = split_by_time(data.trajectories, train_fraction=0.7)
+        split = split_by_id(data.trajectories, train_fraction=0.7)
 
         pipeline = LearnToRoute().fit(network, split.train)
         assert pipeline.region_graph.is_connected()

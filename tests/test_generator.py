@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.datasets import d2_like_scenario, tiny_scenario
-from repro.datasets.splits import k_fold_partitions, split_by_id, split_by_time
+from repro.datasets.splits import k_fold_partitions, split_by_id
 from repro.trajectories import GeneratorConfig, TrajectoryGenerator, emit_and_match
 from repro.trajectories.generator import DriverProfile
 
@@ -88,13 +90,6 @@ class TestScenarios:
 
 
 class TestSplits:
-    def test_split_by_time_ordering(self, tiny):
-        split = split_by_time(tiny.trajectories, train_fraction=0.8)
-        assert split.train and split.test
-        assert max(t.departure_time for t in split.train) <= min(
-            t.departure_time for t in split.test
-        ) + 1e-9
-
     def test_split_by_id_deterministic_partition(self, tiny):
         a = split_by_id(tiny.trajectories, train_fraction=0.75)
         b = split_by_id(tiny.trajectories, train_fraction=0.75)
@@ -102,9 +97,17 @@ class TestSplits:
         assert len(a.train) + len(a.test) == len(tiny.trajectories)
         assert 0.5 < a.train_fraction < 0.95
 
+    @pytest.mark.parametrize("fraction, buckets", [(0.29, 29), (0.57, 57), (0.75, 75)])
+    def test_split_by_id_selects_rounded_bucket_count(self, fraction, buckets):
+        # The hash multiplier is coprime to 100, so ids 0..99 fill each of
+        # the 100 buckets once; 0.29 * 100 is 28.999... in binary.
+        trajectories = [SimpleNamespace(trajectory_id=i) for i in range(100)]
+        split = split_by_id(trajectories, train_fraction=fraction)
+        assert len(split.train) == buckets
+
     def test_split_fraction_validation(self, tiny):
         with pytest.raises(ValueError):
-            split_by_time(tiny.trajectories, train_fraction=1.5)
+            split_by_id(tiny.trajectories, train_fraction=1.5)
         with pytest.raises(ValueError):
             split_by_id(tiny.trajectories, train_fraction=0.0)
 

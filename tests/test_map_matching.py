@@ -19,22 +19,6 @@ from repro.trajectories import (
 
 
 class TestSpatialIndex:
-    def test_nearest_vertex_exact(self, grid_network):
-        index = SpatialIndex(grid_network)
-        target = grid_network.coordinates(42)
-        assert index.nearest_vertex(target) == 42
-
-    def test_nearest_vertex_none_far_away(self, grid_network):
-        index = SpatialIndex(grid_network)
-        assert index.nearest_vertex((0.0, 0.0), max_radius_m=1_000.0) is None
-
-    def test_vertices_within_radius(self, grid_network):
-        index = SpatialIndex(grid_network)
-        center = grid_network.coordinates(44)
-        nearby = index.vertices_within(center, radius_m=400.0)
-        assert 44 in nearby
-        assert len(nearby) >= 3  # grid spacing is 300 m
-
     def test_candidate_edges_sorted_by_distance(self, grid_network):
         index = SpatialIndex(grid_network)
         point = grid_network.coordinates(10)

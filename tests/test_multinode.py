@@ -5,8 +5,7 @@ Four layers:
 * **wire** — the length-prefixed pickle frame codec and its caps;
 * **endpoints** — :class:`SocketTransport` reconnect behaviour and the
   :class:`TcpHub` registry (displacement, drops, partitions);
-* **replication** — :class:`HeartbeatMonitor` with an injected clock and
-  the seeded :class:`FaultyTransport` chaos wrapper;
+* **replication** — :class:`HeartbeatMonitor` with an injected clock;
 * **deployment** — a healed partition caught up by a segment resync, a
   batch resent over a dropped link, an unanswering shard seen by the
   serving gate as an engine-health failure, the
@@ -25,7 +24,6 @@ import queue
 import random
 import socket
 import struct
-import threading
 import time
 
 import pytest
@@ -35,12 +33,10 @@ from repro.network.compiled import shm
 from repro.routing import CostFeature, cost_function, dijkstra
 from repro.service import (
     CircuitBreakerConfig,
-    FaultInjector,
     RouteRequest,
     RoutingService,
     ShardedRoutingService,
 )
-from repro.service.faults import FaultyTransport
 from repro.service.sharding import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -331,104 +327,6 @@ class TestHeartbeatMonitor:
         clock[0] = 100.0
         assert not monitor.is_suspect(0, timeout_s=5.0)
         assert monitor.pings_sent == 1 and monitor.timeouts == 0
-
-
-# -------------------------------------------------------------------- #
-# Transport chaos wrapper
-# -------------------------------------------------------------------- #
-class _Loopback:
-    """A minimal in-memory Transport: send() feeds its own recv()."""
-
-    def __init__(self):
-        self.inbox = queue.Queue()
-        self.sent = []
-
-    def send(self, message):
-        self.sent.append(message)
-        self.inbox.put(message)
-
-    def recv(self, timeout_s=None):
-        return self.inbox.get(timeout=timeout_s if timeout_s is not None else 0.05)
-
-
-class TestFaultyTransport:
-    def test_same_seed_same_schedule(self):
-        def run(seed):
-            wrapped = FaultInjector(seed).transport(
-                _Loopback(), drop_rate=0.3, delay_rate=0.2, duplicate_rate=0.2,
-                delay_s=0.0,
-            )
-            for i in range(60):
-                wrapped.send(i)
-            return list(wrapped.counters.actions)
-
-        assert run(11) == run(11)
-        assert run(11) != run(12)
-        actions = run(11)
-        assert {"drop", "duplicate"} <= set(actions)
-
-    def test_drop_loses_and_duplicate_doubles(self):
-        inner = _Loopback()
-        wrapped = FaultInjector(0).transport(
-            inner, script=["drop", "ok", "duplicate"]
-        )
-        wrapped.send("a")
-        wrapped.send("b")
-        wrapped.send("c")
-        assert inner.sent == ["b", "c", "c"]
-        counters = wrapped.counters
-        assert counters.dropped_messages == 1
-        assert counters.duplicated_messages == 1
-
-    def test_one_way_partition_outbound_only(self):
-        inner = _Loopback()
-        wrapped = FaultInjector(0).transport(inner)
-        inner.inbox.put("inbound-ok")
-        wrapped.partition(outbound=True, inbound=False)
-        wrapped.send("lost")
-        assert inner.sent == []
-        assert wrapped.recv(timeout_s=0.2) == "inbound-ok"  # other way open
-        assert wrapped.counters.partitioned_messages == 1
-        wrapped.heal()
-        wrapped.send("after-heal")
-        assert inner.sent == ["after-heal"]
-
-    def test_one_way_partition_inbound_only(self):
-        inner = _Loopback()
-        wrapped = FaultInjector(0).transport(inner)
-        inner.inbox.put("unreachable")
-        wrapped.partition(outbound=False, inbound=True)
-        wrapped.send("outbound-ok")
-        assert inner.sent == ["outbound-ok"]
-        with pytest.raises(queue.Empty):
-            wrapped.recv(timeout_s=0.02)
-        wrapped.heal()
-        assert wrapped.recv(timeout_s=0.2) == "unreachable"
-
-    def test_partition_chaos_schedule_is_cross_run_deterministic(self):
-        """The exact sequence a chaos run takes through partition + seeded
-        faults replays bit-identically (chaos-smoke reruns this test in a
-        separate process and diffs the schedules)."""
-        def run():
-            inner = _Loopback()
-            wrapped = FaultInjector(99).transport(
-                inner, drop_rate=0.25, duplicate_rate=0.25, delay_s=0.0
-            )
-            for i in range(10):
-                wrapped.send(("pre", i))
-            wrapped.partition(inbound=False)
-            for i in range(5):
-                wrapped.send(("dark", i))
-            wrapped.heal()
-            for i in range(10):
-                wrapped.send(("post", i))
-            return list(wrapped.counters.actions), list(inner.sent)
-
-        actions, delivered = run()
-        assert (actions, delivered) == run()
-        # Partitioned sends never consumed schedule randomness, so the
-        # post-heal schedule is independent of how long the partition held.
-        assert len(actions) == 20
 
 
 # -------------------------------------------------------------------- #

@@ -61,11 +61,6 @@ class TestFeatures:
         with pytest.raises(ValueError):
             FeatureCatalog(cost_features=[])
 
-    def test_catalog_column_ranges(self):
-        catalog = FeatureCatalog()
-        assert list(catalog.cost_columns()) == list(range(catalog.n_cost))
-        assert list(catalog.road_columns()) == list(range(catalog.n_cost, catalog.n_features))
-
 
 class TestPreferenceVector:
     def test_row_encoding_sets_expected_columns(self):

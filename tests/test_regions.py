@@ -110,19 +110,9 @@ class TestTrajectoryGraph:
         assert graph.edge_road_type(0, 1) is RoadType.PRIMARY
         assert graph.edge_road_type(1, 4) is RoadType.RESIDENTIAL
 
-    def test_components(self, figure3_network, figure3_trajectories):
-        graph = TrajectoryGraph.from_trajectories(figure3_network, figure3_trajectories)
-        components = graph.connected_components()
-        assert len(components) == 2
-        assert {7, 8} in components
-
     def test_uncovered_edges_absent(self, figure3_network, figure3_trajectories):
         graph = TrajectoryGraph.from_trajectories(figure3_network, figure3_trajectories)
         assert not graph.has_edge(6, 7)  # no trajectory used the connector
-
-    def test_coverage_ratio(self, figure3_network, figure3_trajectories):
-        graph = TrajectoryGraph.from_trajectories(figure3_network, figure3_trajectories)
-        assert graph.coverage_ratio(figure3_network) == pytest.approx(1.0)
 
 
 class TestModularity:
@@ -156,7 +146,7 @@ class TestClustering:
         graph = TrajectoryGraph.from_trajectories(figure3_network, figure3_trajectories)
         result = cluster_trajectory_graph(graph)
         all_members = [v for cluster in result.clusters for v in cluster]
-        assert sorted(all_members) == sorted(graph.covered_vertices())
+        assert sorted(all_members) == sorted(graph.vertices())
         assert len(all_members) == len(set(all_members))
 
     def test_popular_vertices_merge_with_their_strongest_neighbour(

@@ -1,7 +1,7 @@
 """Tests for the routing service layer.
 
 Covers the typed request/response objects, the engine protocol and adapters
-(L2R plus all six baselines), the ``RoutingService`` facade (batching,
+(L2R plus all five baselines), the ``RoutingService`` facade (batching,
 caching, fallback chains, stats), and model persistence round-trips.
 """
 
@@ -20,7 +20,6 @@ from repro.baselines import (
     DomBaseline,
     ExternalRoutingService,
     FastestBaseline,
-    PopularRouteBaseline,
     ShortestBaseline,
     TripBaseline,
 )
@@ -61,7 +60,7 @@ def requests(tiny_split) -> list[RouteRequest]:
 
 @pytest.fixture(scope="module")
 def all_engine_service(tiny, tiny_split, fitted_l2r) -> RoutingService:
-    """A service with L2R and all six baselines registered."""
+    """A service with L2R and all five baselines registered."""
     network, train = tiny.network, tiny_split.train
     service = RoutingService()
     service.register("L2R", L2REngine(fitted_l2r), fallback="Fastest", default=True)
@@ -69,7 +68,6 @@ def all_engine_service(tiny, tiny_split, fitted_l2r) -> RoutingService:
     service.register("Fastest", FastestBaseline(network).as_engine())
     service.register("Dom", DomBaseline(network, train, max_trajectories_per_driver=2).as_engine())
     service.register("TRIP", TripBaseline(network, train).as_engine())
-    service.register("Popular", PopularRouteBaseline(network, train).as_engine())
     service.register("Google", ExternalRoutingService(network).as_engine())
     return service
 
@@ -156,11 +154,6 @@ class TestRoutingService:
 
     def test_default_engine_is_first_registered(self, all_engine_service):
         assert all_engine_service.default_engine == "L2R"
-
-    def test_route_between_convenience(self, all_engine_service, tiny):
-        response = all_engine_service.route_between(0, 7, engine="Fastest")
-        assert response.ok
-        assert response.path.is_valid(tiny.network)
 
     def test_route_many_preserves_order(self, all_engine_service, requests):
         responses = all_engine_service.route_many(requests, engine="Shortest")
@@ -631,32 +624,14 @@ class TestContractionEngine:
         assert all(r.batched for r in responses)
         service.close()
 
-    def test_on_stale_raise_engine_reports_error_response(self):
-        from repro.network import grid_city_network
-
-        network = grid_city_network(rows=4, cols=4, seed=13)
-        service = RoutingService()
-        service.register(
-            "CH", ContractionEngine(network, on_stale="raise"), default=True
-        )
-        assert service.route(RouteRequest(source=0, destination=15)).ok
-        edge = next(network.edges())
-        network.update_edge_costs(
-            {(edge.source, edge.target): {"travel_time_s": edge.travel_time_s * 2}}
-        )
-        response = service.route(RouteRequest(source=0, destination=15))
-        assert not response.ok
-        assert "StaleHierarchyError" in response.error
-
     def test_prebuilt_hierarchy_is_shared(self):
         from repro.network import grid_city_network
 
         network = grid_city_network(rows=4, cols=4, seed=14)
         prepared = network.prepare_hierarchy(CostFeature.TRAVEL_TIME)
-        engine = ContractionEngine(network, hierarchy=prepared)
-        assert engine.hierarchy() is prepared
-        lazy = ContractionEngine(network)
-        assert lazy.hierarchy() is prepared  # prepare_hierarchy cache shared
+        engine = ContractionEngine(network)
+        assert engine.current_hierarchy is None  # built on first use
+        assert engine.hierarchy() is prepared  # prepare_hierarchy cache shared
 
 
 # --------------------------------------------------------------------------- #

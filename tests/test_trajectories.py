@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from repro.exceptions import TrajectoryError
@@ -17,13 +19,10 @@ from repro.trajectories import (
     format_distance_table,
     high_frequency_sampler,
     load_matched_jsonl,
-    load_raw_csv,
     low_frequency_sampler,
     sample_path,
     save_matched_jsonl,
     save_raw_csv,
-    split_by_driver,
-    validate_against_network,
 )
 from repro.trajectories.sampling import SamplingSpec
 
@@ -52,8 +51,7 @@ class TestTrajectoryModel:
     def test_duration_and_sampling(self):
         trajectory = _make_trajectory()
         assert trajectory.duration_s == 20.0
-        assert trajectory.sampling_interval_s == pytest.approx(10.0)
-        assert trajectory.sampling_rate_hz == pytest.approx(0.1)
+        assert [record.timestamp for record in trajectory.records] == [0.0, 10.0, 20.0]
 
     def test_coordinates(self):
         trajectory = _make_trajectory()
@@ -79,15 +77,6 @@ class TestMatchedTrajectory:
         assert matched.source == 0
         assert matched.destination == 2
         assert matched.distance_km(line_network) == pytest.approx(2.0)
-
-    def test_validate_against_network(self, line_network):
-        good = MatchedTrajectory(
-            trajectory_id=1, driver_id=1, path=Path.of([0, 1]), departure_time=0.0, duration_s=1.0
-        )
-        bad = MatchedTrajectory(
-            trajectory_id=2, driver_id=1, path=Path.of([0, 4]), departure_time=0.0, duration_s=1.0
-        )
-        assert validate_against_network([good, bad], line_network) == [good]
 
 
 class TestSampling:
@@ -172,12 +161,11 @@ class TestIO:
         trajectory = sample_path(grid_network, path, high_frequency_sampler(), 7, 3)
         target = tmp_path / "raw.csv"
         save_raw_csv([trajectory], target)
-        loaded = load_raw_csv(target)
-        assert len(loaded) == 1
-        assert loaded[0].trajectory_id == 7
-        assert loaded[0].driver_id == 3
-        assert len(loaded[0]) == len(trajectory)
-        assert loaded[0].records[0].lon == pytest.approx(trajectory.records[0].lon)
+        with open(target, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(trajectory)
+        assert {(row["trajectory_id"], row["driver_id"]) for row in rows} == {("7", "3")}
+        assert float(rows[0]["lon"]) == pytest.approx(trajectory.records[0].lon)
 
     def test_matched_jsonl_round_trip(self, tmp_path, tiny):
         target = tmp_path / "matched.jsonl"
@@ -187,9 +175,3 @@ class TestIO:
         assert len(loaded) == 10
         assert loaded[0].path.vertices == sample[0].path.vertices
         assert loaded[0].departure_time == pytest.approx(sample[0].departure_time)
-
-    def test_split_by_driver(self, tiny):
-        grouped = split_by_driver(tiny.trajectories)
-        assert sum(len(v) for v in grouped.values()) == len(tiny.trajectories)
-        for driver_id, items in grouped.items():
-            assert all(t.driver_id == driver_id for t in items)
