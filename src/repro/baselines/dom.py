@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
+from ..exceptions import NoPathError
 from ..network.road_network import RoadNetwork, VertexId
 from ..preferences.similarity import path_similarity
 from ..routing.costs import ALL_COST_FEATURES, CostFeature, weighted_cost
@@ -65,7 +66,7 @@ class DomBaseline(RoutingAlgorithm):
                         optimal = lowest_cost_path(
                             self._network, trajectory.source, trajectory.destination, feature
                         )
-                    except Exception:
+                    except NoPathError:
                         continue
                     scores[feature] += path_similarity(self._network, trajectory.path, optimal)
                 counted += 1
@@ -100,7 +101,7 @@ class DomBaseline(RoutingAlgorithm):
         for feature in ALL_COST_FEATURES:
             try:
                 candidates.append(lowest_cost_path(self._network, source, destination, feature))
-            except Exception:
+            except NoPathError:
                 continue
         # Normalize the weighted combination so that each cost contributes in
         # proportion to the driver's learned preference.

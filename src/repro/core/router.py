@@ -42,7 +42,7 @@ from ..regions.region_graph import RegionEdge, RegionGraph
 from ..routing.costs import CostFeature, cost_function
 from ..routing.dijkstra import dijkstra, fastest_path
 from ..routing.path import Path
-from ..routing.preference_dijkstra import preference_dijkstra
+from ..routing.preference_dijkstra import preference_dijkstra, slave_mask
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.compiled import CompiledGraph
@@ -207,17 +207,8 @@ class _CorridorCost:
             raw = graph.array(attr)
             if slave is None:
                 return raw, raw
-            satisfied = graph.memo(
-                ("corridor-slave-mask", slave),
-                lambda: np.fromiter(
-                    (slave.satisfied_by(edge.road_type) for edge in graph.edges),
-                    dtype=bool,
-                    count=graph.edge_count,
-                ),
-                cost_dependent=False,  # road types never change under traffic
-            )
             penalized = raw.copy()
-            penalized[~satisfied] *= 1.5
+            penalized[~slave_mask(graph, slave)] *= 1.5
             return raw, penalized
 
         # Stamped with the cost version: live traffic rebuilds it.
@@ -439,10 +430,7 @@ class RegionRouter:
         middle, diagnostics = self._route_between_regions(
             anchor_s, anchor_d, first_region, last_region, case_label=case_label
         )
-        try:
-            combined = prefix.splice(middle).splice(suffix)
-        except Exception:
-            return baseline, RouteDiagnostics(case=case_label)
+        combined = prefix.splice(middle).splice(suffix)
         return _remove_cycles(combined), RouteDiagnostics(
             case=case_label,
             region_hops=diagnostics.region_hops,

@@ -1,15 +1,17 @@
 """Compiled CSR graph kernels — the array-based routing hot path.
 
-The subsystem has three layers:
+The main modules:
 
 * :mod:`~repro.network.compiled.graph` — :class:`CompiledGraph`, the CSR
   snapshot of a :class:`~repro.network.road_network.RoadNetwork`: an immutable
   :class:`Topology` plus a monotonically-versioned :class:`CostStore` holding
   one flat numpy cost array per travel-cost feature (patched in place by
   live-traffic updates, see :mod:`repro.traffic`);
-* :mod:`~repro.network.compiled.kernels` — array-based Dijkstra / A* /
-  bidirectional / Algorithm-2 kernels over preallocated, generation-stamped
-  :class:`SearchWorkspace` state;
+* :mod:`~repro.network.compiled.kernels` — array-based Dijkstra / ALT-A* /
+  bidirectional kernels over preallocated, generation-stamped
+  :class:`SearchWorkspace` state (Algorithm 2 needs no kernel of its own: it
+  is Dijkstra over a masked cost view,
+  :func:`~repro.routing.preference_dijkstra.preference_cost`);
 * :mod:`~repro.network.compiled.dispatch` — the bridge the public routing
   functions call: eligible queries run on the kernels, opaque ones fall back
   to the dict-based reference implementations;
@@ -27,8 +29,9 @@ The subsystem has three layers:
 Use :func:`compiled_disabled` to force the reference implementations (the
 equivalence tests and the end-to-end output checks do — it is the switch
 that reaches the oracle, not a serving mode), and :func:`alt_disabled` to
-keep the compiled kernels but turn off goal-directed ALT search (exact
-path-identity with the references).
+turn off goal-directed ALT search (A* then runs its dict reference, the
+bidirectional search its plain kernel: exact path-identity with the
+references).
 """
 
 from .workspace import SearchWorkspace
@@ -37,14 +40,8 @@ from .kernels import (
     bidirectional_kernel,
     dijkstra_costs_kernel,
     dijkstra_kernel,
-    preference_kernel,
 )
-from .dispatch import (
-    PreferenceSearchExhausted,
-    alt_disabled,
-    compiled_disabled,
-    is_enabled,
-)
+from .dispatch import alt_disabled, compiled_disabled, is_enabled
 from .graph import EDGE_COST_ATTRIBUTES, CompiledGraph, CostStore, Topology
 from .ch import CompiledHierarchy
 from .batch import dijkstra_many, shortest_paths_many
@@ -58,7 +55,6 @@ __all__ = [
     "EDGE_COST_ATTRIBUTES",
     "LandmarkTable",
     "Topology",
-    "PreferenceSearchExhausted",
     "SearchWorkspace",
     "alt_disabled",
     "astar_kernel",
@@ -69,6 +65,5 @@ __all__ = [
     "dijkstra_kernel",
     "dijkstra_many",
     "is_enabled",
-    "preference_kernel",
     "shortest_paths_many",
 ]

@@ -4,9 +4,9 @@ The functions here are the bridge between the dict-based routing API
 (:mod:`repro.routing`) and the CSR kernels.  Each ``try_*`` function returns
 
 * a vertex-id path (or cost rows) when the compiled kernel ran,
-* ``None`` when the query is not eligible — compiled search disabled, or the
-  edge-cost callable is opaque — in which case the caller falls back to its
-  dict-based reference implementation,
+* ``None`` when the query is not eligible — compiled search disabled, the
+  edge-cost callable opaque, or (A*) no landmark table to run on — in which
+  case the caller falls back to its dict-based reference implementation,
 
 and raises :class:`~repro.exceptions.NoPathError` when the kernel ran and
 proved the destination unreachable.
@@ -17,19 +17,14 @@ routing modules import *it*), keeping the dependency graph acyclic.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ...exceptions import NoPathError
 from . import sparse
-from .kernels import (
-    astar_kernel,
-    bidirectional_kernel,
-    dijkstra_kernel,
-    preference_kernel,
-)
+from .kernels import astar_kernel, bidirectional_kernel, dijkstra_kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..road_network import RoadNetwork, VertexId
@@ -37,14 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _enabled = True
 _alt_enabled = True
-
-
-class PreferenceSearchExhausted(Exception):
-    """Internal signal: the compiled Algorithm-2 search found no path.
-
-    Raised instead of :class:`NoPathError` so the caller can apply the
-    paper's fall-back-to-unconstrained-master-cost behaviour.
-    """
 
 
 def is_enabled() -> bool:
@@ -72,11 +59,13 @@ def compiled_disabled() -> Iterator[None]:
 
 @contextmanager
 def alt_disabled() -> Iterator[None]:
-    """Force the plain (non-goal-directed) compiled kernels.
+    """Turn off goal-directed (ALT) search.
 
     ALT-A* and ALT-bidirectional answers are cost-optimal but may pick a
-    different equal-cost path than the dict-based references; the exact
-    path-identity tests and benchmarks run under this context.
+    different equal-cost path than the dict-based references.  Under this
+    context A* runs :func:`~repro.routing.astar.dict_astar` with the
+    caller's heuristic and the bidirectional search its plain kernel, which
+    the exact path-identity tests compare against the references.
     """
     global _alt_enabled
     previous = _alt_enabled
@@ -178,60 +167,34 @@ def try_astar(
     source: "VertexId",
     destination: "VertexId",
     edge_cost,
-    heuristic: Callable[["VertexId"], float] | None,
 ) -> list["VertexId"] | None:
-    """Compiled A*.
+    """Compiled ALT A*: the landmark lower bounds are the heuristic.
 
-    The goal-directed default: when the cost view is cacheable and ALT is
-    enabled, the per-vertex heuristic becomes one vectorized landmark-bound
-    pass plus pure list lookups inside the kernel — this applies when the
-    caller passed no heuristic at all or one of the built-in geometric
-    bounds (tagged ``alt_replaceable``), both of which ALT dominates while
-    staying admissible.  Custom heuristics are honoured unchanged via the
-    per-vertex callback path.  With ALT unavailable and no heuristic given,
-    returns ``None`` so the caller picks its own fallback.
+    One vectorized bound pass per query, then pure lookups inside the
+    kernel; on road networks the bounds are far tighter than geometric ones.
+    Returns ``None`` when there is no landmark table to run on — opaque or
+    per-query cost, compiled search or ALT disabled — and the caller runs
+    its dict reference with its own heuristic.
     """
     resolved = _resolved(network, edge_cost)
     if resolved is None:
         return None
     graph, key, array, version = resolved
-    weights = graph.forward_weights(key, array, version)
-    source_index = graph.index_of[source]
-    destination_index = graph.index_of[destination]
-
-    table = None
-    if heuristic is None or getattr(heuristic, "alt_replaceable", False):
-        table = _alt_table(graph, key, array, version)
-    if table is None and heuristic is None:
+    table = _alt_table(graph, key, array, version)
+    if table is None:
         return None
-
+    weights = graph.forward_weights(key, array, version)
+    destination_index = graph.index_of[destination]
     # The kernel reads the bounds of the vertices it opens, out of the buffer.
-    borrowed = graph.borrowed_scratch() if table is not None else nullcontext()
-    with graph.borrowed_workspace() as ws, borrowed as scratch:
-        gen = ws.begin()
-        if table is not None:
-            bounds = memoryview(table.bounds_to(destination_index, scratch))
-            kernel_heuristic: Callable[[int], float] = bounds.__getitem__
-        else:
-            ids = graph.vertex_ids
-            hval = ws.hval
-            hstamp = ws.hstamp
-
-            def kernel_heuristic(index: int) -> float:
-                if hstamp[index] != gen:
-                    hval[index] = heuristic(ids[index])
-                    hstamp[index] = gen
-                return hval[index]
-
+    with graph.borrowed_workspace() as ws, graph.borrowed_scratch() as scratch:
         indices = astar_kernel(
             graph.offsets,
             graph.targets,
             weights,
-            source_index,
+            graph.index_of[source],
             destination_index,
-            kernel_heuristic,
+            memoryview(table.bounds_to(destination_index, scratch)),
             ws,
-            gen,
         )
     if indices is None:
         raise NoPathError(source, destination)
@@ -472,61 +435,3 @@ def try_cost_rows(
     )
     row_of = {source: row for row, source in enumerate(sources)}
     return CostRows(costs, predecessors, row_of, index_of, graph.vertex_ids, reverse)
-
-
-def _slave_masks(graph: "CompiledGraph", slave) -> tuple[list[bool], list[bool]]:
-    """Per-slot "edge satisfies the slave" mask + per-vertex Case-ii flags."""
-    allowed = [slave.satisfied_by(edge.road_type) for edge in graph.edges]
-    offsets = graph.offsets
-    none_allowed = [
-        not any(allowed[offsets[u] : offsets[u + 1]])
-        for u in range(graph.vertex_count)
-    ]
-    return allowed, none_allowed
-
-
-def try_preference(
-    network: "RoadNetwork",
-    source: "VertexId",
-    destination: "VertexId",
-    master_cost,
-    slave,
-) -> list["VertexId"] | None:
-    """Compiled Algorithm 2; raises :class:`PreferenceSearchExhausted` when
-    the (possibly slave-constrained) search runs dry."""
-    resolved = _resolved(network, master_cost)
-    if resolved is None:
-        return None
-    graph, key, array, version = resolved
-    weights = graph.forward_weights(key, array, version)
-    # The slave masks depend on road types only, which cost updates can
-    # never change — they survive live-traffic patches (cost_dependent=False).
-    if slave is None:
-        allowed = graph.memo(
-            ("slave-none",), lambda: [True] * graph.edge_count, cost_dependent=False
-        )
-        none_allowed = graph.memo(
-            ("slave-none-vertices",),
-            lambda: [False] * graph.vertex_count,
-            cost_dependent=False,
-        )
-    else:
-        allowed, none_allowed = graph.memo(
-            ("slave-masks", slave),
-            lambda: _slave_masks(graph, slave),
-            cost_dependent=False,
-        )
-    with graph.borrowed_workspace() as ws:
-        indices = preference_kernel(
-            graph.offsets,
-            graph.targets,
-            weights,
-            allowed,  # type: ignore[arg-type]
-            none_allowed,  # type: ignore[arg-type]
-            graph.index_of[source],
-            graph.index_of[destination],
-            ws,
-        )
-    if indices is None:
-        raise PreferenceSearchExhausted()
-    return graph.path_ids(indices)

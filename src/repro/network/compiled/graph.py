@@ -649,8 +649,7 @@ class CompiledGraph:
     def borrowed_workspace(self) -> AbstractContextManager[SearchWorkspace]:
         """Check a preallocated workspace out of the calling thread's pool.
 
-        Nested compiled searches (e.g. a heuristic or cost callback that
-        routes on the same network) each borrow their own workspace, so an
+        Nested compiled searches each borrow their own workspace, so an
         inner search can never corrupt the generation stamps of an outer one.
         The pool grows to the maximum nesting depth ever seen per thread.
         """

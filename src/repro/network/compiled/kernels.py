@@ -1,11 +1,13 @@
 """Array-based search kernels over a CSR graph.
 
-Each kernel mirrors one of the dict-based reference implementations in
-:mod:`repro.routing` *exactly* — same relaxation order, same strict-less
-tie-breaking, same termination conditions — so the two produce identical
-paths, not merely cost-identical ones.  (Vertex indices are assigned in sorted
-vertex-id order and CSR slots preserve adjacency insertion order, which makes
-heap tie-breaking order-isomorphic to the dict kernels'.)
+The Dijkstra and bidirectional kernels mirror their dict-based reference
+implementations in :mod:`repro.routing` *exactly* — same relaxation order,
+same strict-less tie-breaking, same termination conditions — so the two
+produce identical paths, not merely cost-identical ones.  (Vertex indices are
+assigned in sorted vertex-id order and CSR slots preserve adjacency insertion
+order, which makes heap tie-breaking order-isomorphic to the dict kernels'.)
+The A* kernel runs on ALT landmark bounds only, which no dict search has: its
+answers are cost-identical to Dijkstra's, not path-identical to ``dict_astar``.
 
 The kernels work on plain Python lists (CSR ``offsets`` / ``targets`` plus a
 per-query ``weights`` list) and a generation-stamped
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Sequence
 
 from .workspace import SearchWorkspace
 
@@ -122,22 +124,19 @@ def astar_kernel(
     weights: list[float],
     source: int,
     destination: int,
-    heuristic: Callable[[int], float],
+    bounds: Sequence[float],
     ws: SearchWorkspace,
-    gen: int,
 ) -> list[int] | None:
-    """A* on the CSR graph; ``heuristic`` maps a vertex *index* to a bound.
-
-    The caller owns the generation (``gen = ws.begin()``) so it can share the
-    workspace's heuristic cache with the kernel.
-    """
+    """A* on the CSR graph; ``bounds[v]`` is a lower bound on the cost from
+    vertex index ``v`` to ``destination``."""
+    gen = ws.begin()
     g_score = ws.dist
     parent = ws.parent
     stamp = ws.stamp
     closed = ws.closed
     g_score[source] = 0.0
     stamp[source] = gen
-    heap: list[tuple[float, int]] = [(heuristic(source), source)]
+    heap: list[tuple[float, int]] = [(bounds[source], source)]
     while heap:
         _, u = heappop(heap)
         if closed[u] == gen:
@@ -156,11 +155,11 @@ def astar_kernel(
                     stamp[v] = gen
                     g_score[v] = tentative
                     parent[v] = u
-                    heappush(heap, (tentative + heuristic(v), v))
+                    heappush(heap, (tentative + bounds[v], v))
             elif tentative < g_score[v]:
                 g_score[v] = tentative
                 parent[v] = u
-                heappush(heap, (tentative + heuristic(v), v))
+                heappush(heap, (tentative + bounds[v], v))
     return None
 
 
@@ -262,52 +261,3 @@ def bidirectional_kernel(
         current = parent_b[current]
         forward.append(current)
     return forward
-
-
-def preference_kernel(
-    offsets: list[int],
-    targets: list[int],
-    weights: list[float],
-    allowed: list[bool],
-    none_allowed: list[bool],
-    source: int,
-    destination: int,
-    ws: SearchWorkspace,
-) -> list[int] | None:
-    """Algorithm 2 (preference-aware Dijkstra) on the CSR graph.
-
-    ``allowed[slot]`` says whether the edge satisfies the slave road-condition
-    feature; ``none_allowed[u]`` is precomputed as "no outgoing edge of ``u``
-    satisfies it", in which case all of ``u``'s edges are expanded (the
-    paper's Case ii).
-    """
-    gen = ws.begin()
-    dist = ws.dist
-    parent = ws.parent
-    stamp = ws.stamp
-    dist[source] = 0.0
-    stamp[source] = gen
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        cost_u, u = heappop(heap)
-        if cost_u > dist[u]:
-            continue
-        if u == destination:
-            return _walk_parents(parent, source, destination)
-        expand_all = none_allowed[u]
-        for i in range(offsets[u], offsets[u + 1]):
-            if not (allowed[i] or expand_all):
-                continue
-            v = targets[i]
-            candidate = cost_u + weights[i]
-            if stamp[v] != gen:
-                if candidate != _INF:
-                    stamp[v] = gen
-                    dist[v] = candidate
-                    parent[v] = u
-                    heappush(heap, (candidate, v))
-            elif candidate < dist[v]:
-                dist[v] = candidate
-                parent[v] = u
-                heappush(heap, (candidate, v))
-    return None

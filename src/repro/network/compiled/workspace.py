@@ -33,8 +33,6 @@ class SearchWorkspace:
         "parent_b",
         "stamp_b",
         "closed_b",
-        "hval",
-        "hstamp",
     )
 
     def __init__(self, size: int) -> None:
@@ -50,9 +48,6 @@ class SearchWorkspace:
         self.parent_b: list[int] = [-1] * size
         self.stamp_b: list[int] = [0] * size
         self.closed_b: list[int] = [0] * size
-        # Heuristic cache (A* kernel).
-        self.hval: list[float] = [0.0] * size
-        self.hstamp: list[int] = [0] * size
 
     def begin(self) -> int:
         """Start a new search and return its generation stamp."""

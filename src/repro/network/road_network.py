@@ -243,14 +243,15 @@ class RoadNetwork:
         ``updates`` maps directed edge keys to ``{attribute: new value}``
         dictionaries; the patchable attributes are exactly the compiled cost
         features (``distance_m`` / ``travel_time_s`` / ``fuel_ml``).  Values
-        must be finite and strictly positive.  Caution: the A* heuristics
-        (:mod:`repro.routing.astar`) are geometric lower bounds assuming
-        ``distance_m`` >= straight-line distance and ``travel_time_s`` >=
-        straight-line time at motorway speed — pushing an edge *below* those
-        bounds (as :meth:`add_edge` also allows) makes A* inadmissible and
-        its routes possibly suboptimal; congestion-style updates (costs at or
-        above free flow) are always safe, and the Dijkstra family is
-        unaffected either way.
+        must be finite and strictly positive.  Caution: the geometric A*
+        heuristics (:mod:`repro.routing.astar`, which steer the dict
+        reference A*) are lower bounds assuming ``distance_m`` >=
+        straight-line distance and ``travel_time_s`` >= straight-line time at
+        motorway speed — pushing an edge *below* those bounds (as
+        :meth:`add_edge` also allows) makes them inadmissible and their
+        routes possibly suboptimal; congestion-style updates (costs at or
+        above free flow) are always safe, and the Dijkstra family and ALT
+        (whose landmark bounds rescale when costs fall) stay exact either way.
 
         The whole batch is validated before anything is touched, so a bad
         entry leaves the network unchanged (transactional semantics — the

@@ -75,7 +75,8 @@ class _SimilarityTable(dict):
                 missing[preference].append(index)
         for preference, indices in missing.items():
             pairs = [self._pairs[index] for index in indices]
-            routes = try_route_many(self._network, pairs, preference_cost(preference))
+            cost = preference_cost(self._network, preference)
+            routes = try_route_many(self._network, pairs, cost)
             for index, route in zip(indices, routes or [None] * len(pairs)):
                 self[index, preference] = self._similarity(index, preference, route)
 

@@ -19,7 +19,7 @@ from .dijkstra import (
     lowest_cost_path,
     shortest_path,
 )
-from .astar import astar, astar_by_feature, default_heuristic, dict_astar, heuristic_for
+from .astar import astar, astar_by_feature, dict_astar, heuristic_for
 from .bidirectional import (
     bidirectional_by_feature,
     bidirectional_dijkstra,
@@ -42,7 +42,6 @@ __all__ = [
     "build_contraction_hierarchy",
     "ch_shortest_path",
     "cost_function",
-    "default_heuristic",
     "dict_astar",
     "dict_bidirectional_dijkstra",
     "dict_dijkstra",

@@ -1,11 +1,16 @@
-"""A* search with great-circle lower-bound heuristics.
+"""A* search: ALT on compiled cost views, the dict reference elsewhere.
 
 A library search, off the serving path (the engines answer single-cost
 queries with the corridor-bounded Dijkstra, which has the better tail): the
 external routing-service simulator and the benchmark's layer table call it.
-The heuristics are admissible lower bounds for each travel-cost feature
-(straight-line distance; straight-line distance at the maximum speed for
-travel time; at the most economical fuel rate for fuel).
+A cost view with an ALT landmark table runs the compiled kernel on the
+landmark bounds, far tighter than geometric ones on road networks, so a
+``heuristic`` argument only steers the dict reference: opaque costs (the
+external service's), and every query under ``compiled_disabled()`` or
+``alt_disabled()``.  The heuristics here are admissible lower bounds for
+each travel-cost feature (straight-line distance; straight-line distance at
+the maximum speed for travel time; at the most economical fuel rate for
+fuel).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from ..exceptions import NoPathError, VertexNotFoundError
 from ..network.compiled import dispatch as _compiled
 from ..network.road_network import RoadNetwork, VertexId
 from ..network.road_types import DEFAULT_SPEED_KMH, RoadType
-from .costs import FEATURE_EDGE_ATTRIBUTES, CostFeature, EdgeCost, cost_function
+from .costs import CostFeature, EdgeCost, cost_function
 from .fuel import fuel_per_km_ml, most_economical_speed_kmh
 from .path import Path
 from ..network.spatial import equirectangular_m
@@ -33,9 +38,6 @@ def euclidean_heuristic(network: RoadNetwork, destination: VertexId) -> Heuristi
     def h(vertex: VertexId) -> float:
         return equirectangular_m(network.coordinates(vertex), goal)
 
-    # Built-in geometric bounds are dominated by the ALT landmark bounds,
-    # so the compiled dispatch may substitute those (see try_astar).
-    h.alt_replaceable = True  # type: ignore[attr-defined]
     return h
 
 
@@ -47,7 +49,6 @@ def travel_time_heuristic(network: RoadNetwork, destination: VertexId) -> Heuris
     def h(vertex: VertexId) -> float:
         return equirectangular_m(network.coordinates(vertex), goal) / max_speed_ms
 
-    h.alt_replaceable = True  # type: ignore[attr-defined]
     return h
 
 
@@ -59,7 +60,6 @@ def fuel_heuristic(network: RoadNetwork, destination: VertexId) -> Heuristic:
     def h(vertex: VertexId) -> float:
         return equirectangular_m(network.coordinates(vertex), goal) * best_rate_per_m
 
-    h.alt_replaceable = True  # type: ignore[attr-defined]
     return h
 
 
@@ -72,24 +72,8 @@ def heuristic_for(network: RoadNetwork, destination: VertexId, feature: CostFeat
     return fuel_heuristic(network, destination)
 
 
-def default_heuristic(
-    network: RoadNetwork, destination: VertexId, edge_cost: EdgeCost
-) -> Heuristic:
-    """An admissible heuristic inferred from a tagged edge-cost callable.
-
-    Single-feature costs get their geometric bound; anything else gets the
-    zero heuristic (A* then degenerates to Dijkstra — correct, not fast).
-    """
-    attr = getattr(edge_cost, "cost_attr", None)
-    for feature, feature_attr in FEATURE_EDGE_ATTRIBUTES.items():
-        if attr == feature_attr:
-            return heuristic_for(network, destination, feature)
-
-    def zero(vertex: VertexId) -> float:
-        return 0.0
-
-    zero.alt_replaceable = True  # type: ignore[attr-defined]
-    return zero
+def _zero(vertex: VertexId) -> float:
+    return 0.0
 
 
 def astar(
@@ -101,16 +85,13 @@ def astar(
 ) -> Path:
     """A* lowest-cost path; raises :class:`NoPathError` if unreachable.
 
-    Recognized edge costs run on the compiled CSR kernel, goal-directed by
-    default: cacheable cost views use precomputed ALT landmark lower bounds
-    (pure array lookups per relaxation) whenever ``heuristic`` is omitted or
-    is one of the built-in geometric bounds, which the landmark bounds
-    dominate.  The answer is always cost-optimal, but ALT may pick a
-    different equal-cost path than :func:`dict_astar` — wrap calls in
-    ``repro.network.compiled.alt_disabled()`` for the exact mirror.  Opaque
-    costs (and custom heuristics on opaque costs) use :func:`dict_astar`,
-    the dict-based reference implementation; with ``heuristic=None`` an
-    admissible default is inferred from the cost callable's feature tag.
+    A cost view with an ALT landmark table (a cacheable view of a compiled
+    network) runs the compiled kernel with the landmark bounds as its
+    heuristic; ``heuristic`` is then not consulted.  The answer is
+    cost-optimal but may be a different equal-cost path than
+    :func:`dict_astar`.  Everywhere else — an opaque or per-query cost, or
+    under ``compiled_disabled()`` / ``alt_disabled()`` — :func:`dict_astar`
+    runs with ``heuristic`` (the zero bound when omitted).
     """
     if source not in network:
         raise VertexNotFoundError(source)
@@ -119,13 +100,7 @@ def astar(
     if source == destination:
         return Path.of([source])
 
-    if heuristic is None:
-        # Resolve the default up front so that when ALT is unavailable the
-        # query still runs on the compiled kernel (with the inferred
-        # geometric bound) rather than the dict reference; the default is
-        # alt_replaceable, so ALT takes precedence whenever it exists.
-        heuristic = default_heuristic(network, destination, edge_cost)
-    vertices = _compiled.try_astar(network, source, destination, edge_cost, heuristic)
+    vertices = _compiled.try_astar(network, source, destination, edge_cost)
     if vertices is not None:
         return Path.of(vertices)
     return dict_astar(network, source, destination, edge_cost, heuristic)
@@ -138,7 +113,8 @@ def dict_astar(
     edge_cost: EdgeCost,
     heuristic: Heuristic | None = None,
 ) -> Path:
-    """The dict-based reference A* (no compiled dispatch)."""
+    """The dict-based reference A* (no compiled dispatch); ``heuristic=None``
+    is the zero bound."""
     if source not in network:
         raise VertexNotFoundError(source)
     if destination not in network:
@@ -146,7 +122,7 @@ def dict_astar(
     if source == destination:
         return Path.of([source])
     if heuristic is None:
-        heuristic = default_heuristic(network, destination, edge_cost)
+        heuristic = _zero
 
     g_score: dict[VertexId, float] = {source: 0.0}
     parent: dict[VertexId, VertexId] = {}

@@ -6,25 +6,28 @@ on the master cost, but when expanding a vertex it restricts relaxation to
 edges whose road type satisfies the slave preference *whenever at least one
 such edge exists*; otherwise all outgoing edges are considered.  This soft
 treatment of the slave constraint is exactly the two cases in the paper's
-pseudo-code and guarantees that a path is found whenever one exists at all.
+pseudo-code.  Both cases are a property of each edge and its tail alone, so
+the algorithm is plain Dijkstra over a cost view (:func:`preference_cost`)
+and runs on whatever search :func:`~repro.routing.dijkstra.dijkstra` picks.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exceptions import NoPathError, VertexNotFoundError
-from ..network.compiled import dispatch as _compiled
+from ..exceptions import NoPathError
 from ..network.road_network import Edge, RoadNetwork, VertexId
 from .costs import cost_function
+from .dijkstra import dijkstra
 from .path import Path
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a routing <-> preferences cycle
+    from ..network.compiled import CompiledGraph
+    from ..preferences.features import RoadConditionFeature
     from ..preferences.model import PreferenceVector
 
 
@@ -42,64 +45,77 @@ def preference_dijkstra(
     returned whenever one exists.  Raises :class:`NoPathError` only when the
     destination is unreachable even without the slave restriction.
     """
-    if source not in network:
-        raise VertexNotFoundError(source)
-    if destination not in network:
-        raise VertexNotFoundError(destination)
-    if source == destination:
-        return Path.of([source])
-
-    master_cost = cost_function(preference.master)
-    slave = preference.slave
-
     try:
-        vertices = _compiled.try_preference(network, source, destination, master_cost, slave)
-    except _compiled.PreferenceSearchExhausted:
-        # The compiled kernel ran and the (slave-constrained) search was
-        # exhausted; apply the paper's best-effort fallback.
-        if slave is not None:
-            from .dijkstra import dijkstra
-
-            return dijkstra(network, source, destination, master_cost)
-        raise NoPathError(
-            source, destination, reason="preference-constrained search exhausted"
-        ) from None
-    if vertices is not None:
-        return Path.of(vertices)
-    return _dict_preference_search(network, source, destination, preference)
+        return dijkstra(network, source, destination, preference_cost(network, preference))
+    except NoPathError:
+        if preference.slave is None:
+            raise
+    return dijkstra(network, source, destination, cost_function(preference.master))
 
 
-def preference_cost(preference: "PreferenceVector"):
+def preference_cost(network: RoadNetwork, preference: "PreferenceVector"):
     """The cost view under which plain Dijkstra is Algorithm 2 for ``preference``.
 
     Without a slave that is the master cost.  With one, Algorithm 2 relaxes
-    an edge when it satisfies the slave, or when no edge out of its tail does
-    (the masks the point-to-point kernel reads); Dijkstra over the master
-    cost with ``inf`` on every other slot settles the same vertices at the
-    same costs through the same parents.  The batch search
-    :func:`~repro.network.compiled.dispatch.try_route_many` therefore
-    reconstructs Algorithm 2's paths from this view, and a pair it reports
-    unreachable is one whose constrained search runs dry — where
-    :func:`preference_dijkstra` falls back to the master cost alone.  The
-    masked view serves the compiled searches only: it is not callable per edge.
+    an edge when it satisfies the slave, or when no edge out of its tail does;
+    Dijkstra over the master cost with ``inf`` on every other edge settles
+    the same vertices at the same costs through the same parents.  A pair
+    the view leaves unreachable is one whose constrained search runs dry —
+    where :func:`preference_dijkstra` falls back to the master cost alone.
+    The view prices one edge of ``network`` when called (the dict reference
+    searches) and a whole CSR snapshot through ``build_cost_array``.
     """
-    master, slave = cost_function(preference.master), preference.slave
-    if slave is None:
+    master = cost_function(preference.master)
+    if preference.slave is None:
         return master
-    key = ("slave-masked", master.cost_attr, slave)
+    return _SlaveMaskedCost(network, master, preference.slave)
 
-    def build(graph) -> np.ndarray:
-        allowed, none_allowed = graph.memo(
-            ("slave-masks", slave), lambda: _compiled._slave_masks(graph, slave), cost_dependent=False
-        )
-        tails = np.repeat(np.arange(graph.vertex_count), np.diff(graph.offsets))
-        relaxed = np.array(allowed, dtype=bool) | np.array(none_allowed, dtype=bool)[tails]
-        return np.where(relaxed, graph.array(master.cost_attr), math.inf)
 
-    # Built from the store's own array: memo() stamps it with the cost version.
-    return SimpleNamespace(
-        cost_cache_key=key, build_cost_array=lambda graph: graph.memo(key, lambda: build(graph))
+def slave_mask(graph: "CompiledGraph", slave: "RoadConditionFeature") -> np.ndarray:
+    """Per CSR slot: whether the edge's road type satisfies ``slave``.
+
+    Road types never change under traffic, so the mask outlives cost patches.
+    """
+    return graph.memo(  # type: ignore[return-value]
+        ("slave-mask", slave),
+        lambda: np.fromiter(
+            (slave.satisfied_by(edge.road_type) for edge in graph.edges),
+            dtype=bool,
+            count=graph.edge_count,
+        ),
+        cost_dependent=False,
     )
+
+
+class _SlaveMaskedCost:
+    """The master cost, ``inf`` on the edges Algorithm 2's Case (i) skips."""
+
+    def __init__(self, network: RoadNetwork, master, slave: "RoadConditionFeature") -> None:
+        self._network = network
+        self._master = master
+        self._slave = slave
+        self.cost_cache_key = ("slave-masked", master.cost_attr, slave)
+
+    def __call__(self, edge: Edge) -> float:
+        satisfied = self._slave.satisfied_by
+        if satisfied(edge.road_type) or not any(
+            satisfied(out.road_type) for out in self._network.successors(edge.source).values()
+        ):
+            return self._master(edge)
+        return math.inf
+
+    def build_cost_array(self, graph: "CompiledGraph") -> np.ndarray:
+        # Built from the store's own array: memo() stamps it with the cost version.
+        return graph.memo(  # type: ignore[return-value]
+            self.cost_cache_key, lambda: self._masked(graph)
+        )
+
+    def _masked(self, graph: "CompiledGraph") -> np.ndarray:
+        allowed = slave_mask(graph, self._slave)
+        tails = np.repeat(np.arange(graph.vertex_count), np.diff(graph.offsets))
+        none_allowed = np.bincount(tails[allowed], minlength=graph.vertex_count) == 0
+        relaxed = allowed | none_allowed[tails]
+        return np.where(relaxed, graph.array(self._master.cost_attr), math.inf)
 
 
 def _dict_preference_search(
@@ -153,7 +169,5 @@ def _dict_preference_search(
         # The road-condition restriction pruned every route; fall back to the
         # unconstrained master-cost search (Algorithm 2 is best-effort on the
         # slave dimension).
-        from .dijkstra import dijkstra
-
         return dijkstra(network, source, destination, master_cost)
     raise NoPathError(source, destination, reason="preference-constrained search exhausted")

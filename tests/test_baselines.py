@@ -14,6 +14,7 @@ from repro.baselines import (
     TripBaseline,
     waypoint_accuracy,
 )
+from repro.baselines import dom as dom_module
 from repro.routing import CostFeature, fastest_path, shortest_path
 
 
@@ -59,6 +60,19 @@ class TestDom:
             assert path.is_valid(tiny.network)
             assert path.source == trajectory.source
             assert path.destination == trajectory.destination
+
+    def test_search_errors_other_than_no_path_propagate(self, dom, tiny, tiny_split, monkeypatch):
+        """Only NoPathError means "this feature has no optimum here"."""
+
+        def broken(*args):
+            raise RuntimeError("search bug")
+
+        monkeypatch.setattr(dom_module, "lowest_cost_path", broken)
+        with pytest.raises(RuntimeError, match="search bug"):
+            DomBaseline(tiny.network, tiny_split.train, max_trajectories_per_driver=1)
+        trajectory = tiny_split.test[0]
+        with pytest.raises(RuntimeError, match="search bug"):
+            dom.route(trajectory.source, trajectory.destination)
 
 
 class TestTrip:

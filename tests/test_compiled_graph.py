@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import pickle
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -47,7 +47,8 @@ from repro.routing import (
     preference_dijkstra,
     weighted_cost,
 )
-from repro.routing.preference_dijkstra import _dict_preference_search
+from repro.routing.preference_dijkstra import _dict_preference_search, preference_cost
+from repro.traffic import TrafficFeed, synthetic_congestion
 
 
 # --------------------------------------------------------------------------- #
@@ -101,6 +102,10 @@ def _scipy(available: bool):
         if not available:
             patch.setattr(sparse, "HAVE_SCIPY", False)
         yield
+
+
+#: Algorithm 2's slave road-condition features under test.
+SLAVES = [MAJOR_ROADS, LOCAL_ROADS] + [single_type_feature(rt) for rt in RoadType]
 
 
 HYPOTHESIS_SETTINGS = settings(
@@ -254,17 +259,18 @@ class TestOtherKernels:
         st.integers(min_value=0, max_value=1_000),
         st.integers(0, 7),
         st.booleans(),
+        st.booleans(),
     )
-    def test_preference_dijkstra(self, network, pair_seed, slave_index, scipy):
+    def test_preference_dijkstra(self, network, pair_seed, slave_index, scipy, compiled):
+        """Algorithm 2 against its dict reference: on the compiled searches
+        (scipy or the python kernel) and, under ``compiled_disabled()``, on
+        ``dict_dijkstra`` pricing the masked view one edge at a time."""
         source, destination = _pair(network, pair_seed)
-        slaves = [None, MAJOR_ROADS, LOCAL_ROADS] + [
-            single_type_feature(rt) for rt in RoadType
-        ]
-        slave = slaves[slave_index % len(slaves)]
+        slave = ([None] + SLAVES)[slave_index % (len(SLAVES) + 1)]
         preference = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=slave)
         if source == destination:
             return
-        with _scipy(scipy):
+        with _scipy(scipy), nullcontext() if compiled else compiled_disabled():
             compiled_path, dict_path = _both(
                 lambda: preference_dijkstra(network, source, destination, preference),
                 lambda: _dict_preference_search(network, source, destination, preference),
@@ -274,21 +280,55 @@ class TestOtherKernels:
         else:
             assert compiled_path.vertices == dict_path.vertices
 
-    def test_reentrant_search_inside_heuristic(self):
-        """A heuristic that routes on the same network must not corrupt the
-        outer search's workspace (nested searches borrow their own)."""
+    @HYPOTHESIS_SETTINGS
+    @given(random_networks(), st.integers(0, 7), st.integers(min_value=0, max_value=1_000))
+    def test_masked_view_prices_each_slot_like_its_array(self, network, slave_index, seed):
+        """The two forms of Algorithm 2's cost view agree slot for slot, ``inf``
+        where Case (i) skips the edge included — and again after traffic."""
+        if network.edge_count == 0:
+            return
+        slave = SLAVES[slave_index % len(SLAVES)]
+        view = preference_cost(network, PreferenceVector(CostFeature.TRAVEL_TIME, slave))
+        graph = network.compiled()
+
+        def assert_forms_agree():
+            per_edge = [view(edge) for edge in graph.edges]
+            assert per_edge == view.build_cost_array(graph).tolist()
+
+        assert_forms_agree()
+        feed = TrafficFeed(network)
+        for updates in synthetic_congestion(network, seed=seed, fraction=0.5, steps=1):
+            feed.apply(updates)
+        assert graph.cost_version > 0 and network.compiled() is graph
+        assert_forms_agree()
+
+    def test_custom_heuristic_steers_only_the_dict_reference(self):
+        """With a landmark table, A* runs on the landmark bounds and never
+        calls the caller's heuristic; under ``alt_disabled()`` it is
+        ``dict_astar`` with that heuristic, path for path."""
         network = grid_city_network(rows=8, cols=8, seed=3)
         cost = cost_function(CostFeature.TRAVEL_TIME)
         plain_heuristic = heuristic_for(network, 63, CostFeature.TRAVEL_TIME)
+        calls = []
 
-        def nosy_heuristic(vertex):
-            astar(network, vertex, 63, cost, plain_heuristic)  # nested search
+        def counting_heuristic(vertex):
+            calls.append(vertex)
             return plain_heuristic(vertex)
 
+        def path_cost(path):
+            return sum(cost(edge) for edge in network.path_edges(path.vertices))
+
         for source in (0, 7, 56, 27):
-            nested = astar(network, source, 63, cost, nosy_heuristic)
+            alt = astar(network, source, 63, cost, counting_heuristic)
+            assert calls == []
+            optimal = dict_dijkstra(network, source, 63, cost)
+            assert path_cost(alt) == pytest.approx(path_cost(optimal), rel=1e-12)
+            with alt_disabled():
+                steered = astar(network, source, 63, cost, counting_heuristic)
+            assert calls
+            calls.clear()
             reference = dict_astar(network, source, 63, cost, plain_heuristic)
-            assert nested.vertices == reference.vertices
+            assert steered.vertices == reference.vertices
 
     def test_workspace_reuse_is_stateless(self, grid_network):
         """Interleaved queries on the shared workspace stay reproducible."""

@@ -10,6 +10,7 @@ match a dense ``np.linalg.solve`` of Eq. 3 at every size.
 
 from __future__ import annotations
 
+import importlib
 import random
 import sys
 from collections import Counter
@@ -48,6 +49,9 @@ from repro.routing.dijkstra import lowest_cost_path
 from repro.routing.path import Path
 from repro.routing.preference_dijkstra import _dict_preference_search, preference_cost
 from repro.traffic import TrafficFeed, synthetic_congestion
+
+# The module, not the function the routing package re-exports under its name.
+preference_module = importlib.import_module("repro.routing.preference_dijkstra")
 
 REPO_ROOT = FilePath(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # `tools` lives at the repo root, not in src/
@@ -259,11 +263,11 @@ class TestTableFirstLearner:
         graph = network.compiled()
         feed = TrafficFeed(network)
         with sanitize(strict=True):
-            before = graph.resolve_cost(preference_cost(preference))[1]
+            before = graph.resolve_cost(preference_cost(network, preference))[1]
             for updates in synthetic_congestion(network, seed=4, fraction=0.3, steps=3):
                 feed.apply(updates)
                 _assert_same_as_reference(network, path_sets[:30])
-            key, after, version = graph.resolve_cost(preference_cost(preference))
+            key, after, version = graph.resolve_cost(preference_cost(network, preference))
         assert version == graph.cost_version > 0
         assert key == ("built", ("slave-masked", "travel_time_s", preference.slave))
         assert not np.array_equal(before, after)
@@ -289,23 +293,36 @@ def _random_pairs(network, count, seed):
 
 class TestMaskedCostView:
     @pytest.mark.parametrize("which", ["tiny", "city"])
-    def test_batch_equals_preference_dijkstra_pair_by_pair(self, which, tiny_sets, city_sets):
+    def test_batch_equals_preference_dijkstra_pair_by_pair(
+        self, which, tiny_sets, city_sets, monkeypatch
+    ):
         network = (tiny_sets if which == "tiny" else city_sets)[0]
         pairs = _random_pairs(network, 40, seed=11)
         catalog = FeatureCatalog()
+        # The reference search calls dijkstra only once its constrained
+        # search ran dry, to fall back to the master cost.
+        fallbacks = []
+
+        def recording_dijkstra(network, source, destination, cost):
+            fallbacks.append((source, destination))
+            return dijkstra(network, source, destination, cost)
+
         exhausted = 0
         for master in catalog.cost_features:
             for slave in catalog.road_condition_features:
                 preference = PreferenceVector(master, slave)
-                answers = dispatch.try_route_many(network, pairs, preference_cost(preference))
+                answers = dispatch.try_route_many(
+                    network, pairs, preference_cost(network, preference)
+                )
                 assert answers is not None
                 for (source, destination), answer in zip(pairs, answers):
                     if answer == ():
                         exhausted += 1
-                        with pytest.raises(dispatch.PreferenceSearchExhausted):
-                            dispatch.try_preference(
-                                network, source, destination, cost_function(master), slave
-                            )
+                        with monkeypatch.context() as patch:
+                            patch.setattr(preference_module, "dijkstra", recording_dijkstra)
+                            _dict_preference_search(network, source, destination, preference)
+                        assert fallbacks == [(source, destination)]
+                        fallbacks.clear()
                         continue
                     assert Path.of(answer) == preference_dijkstra(
                         network, source, destination, preference
@@ -316,7 +333,8 @@ class TestMaskedCostView:
         assert exhausted  # the fallback is not a corner case on these cities
 
     def test_no_slave_is_the_plain_master_cost(self):
-        assert preference_cost(PreferenceVector(CostFeature.FUEL)) is cost_function(CostFeature.FUEL)
+        master_only = preference_cost(RoadNetwork(), PreferenceVector(CostFeature.FUEL))
+        assert master_only is cost_function(CostFeature.FUEL)
 
     def test_slave_that_prunes_every_route_falls_back_to_the_master_path(self):
         # 0 -> 1 -> 2 is the ground truth, 0 -> 2 the cheaper road, and 0 -> 9 a
@@ -333,7 +351,8 @@ class TestMaskedCostView:
         master = PreferenceVector(CostFeature.DISTANCE)
         constrained = PreferenceVector(CostFeature.DISTANCE, single_type_feature(RoadType.MOTORWAY))
 
-        assert dispatch.try_route_many(network, [(0, 2)], preference_cost(constrained)) == [()]
+        view = preference_cost(network, constrained)
+        assert dispatch.try_route_many(network, [(0, 2)], view) == [()]
         fallback = preference_dijkstra(network, 0, 2, constrained)
         assert fallback == dijkstra(network, 0, 2, cost_function(CostFeature.DISTANCE))
 
