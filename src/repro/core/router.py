@@ -18,17 +18,23 @@ region is touched, the fastest path itself is returned.
 The router reads the fitted region graph once, when it is constructed, into
 :class:`_RegionTables`: every region edge's and every region's trajectory
 paths as CSR slot arrays of the road network, next to the region-level values
-a request looks up (neighbour sets, centroids, modal preferences).  A request
-then assembles its corridor with two array operations instead of re-walking
-the stored paths in Python.  Build a new router after changing the region
-graph; a change of the road network's *topology* is noticed by itself.
+a request looks up (neighbour sets, centroids, modal preferences).  Everything
+a cross-region request derives from the region graph depends only on its two
+endpoint regions, so the first request between an ordered region pair stores
+it in the tables as a :class:`_Plan` — the region walk's outcome, the modal
+preference and the corridor's slots with their discount divisors — and every
+later request between that pair reads it back.  Plans hold no costs (live
+traffic is read per request), are bounded by the number of region pairs, and
+die with the tables: on a change of the road network's *topology*, which is
+noticed by itself, and on pickling.  Build a new router after changing the
+region graph.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -94,9 +100,49 @@ class _Hops(NamedTuple):
     """Traversal count per entry of ``slots`` (float64, whole numbers)."""
 
 
+class _Plan(NamedTuple):
+    """What every request between one ordered pair of regions shares."""
+
+    preference: "PreferenceVector | None"
+    """The most common preference along the region path."""
+    region_hops: int
+    used_b_edges: int
+    slots: np.ndarray
+    """The corridor's CSR slots (int32, distinct, ascending)."""
+    divisors: np.ndarray
+    """``discount[count]`` per entry of ``slots``."""
+    hops: tuple[_Hops, ...]
+    """The region path's edge paths, then both endpoint regions' inner paths."""
+
+
+def _plan(
+    tables: "_RegionTables",
+    steps: list[tuple[RegionEdge, _Hops]],
+    ends: tuple[_Hops, ...],
+) -> _Plan:
+    """The plan of a region path's ``steps`` between the regions of ``ends``."""
+    preferences = [edge.preference for edge, _ in steps if edge.preference is not None]
+    hops = (*(edge_hops for _, edge_hops in steps), *ends)
+    counts = np.bincount(
+        np.concatenate([h.slots for h in hops]),
+        weights=np.concatenate([h.counts for h in hops]),
+        minlength=tables.edge_count,
+    )
+    slots = np.flatnonzero(counts)
+    return _Plan(
+        preference=Counter(preferences).most_common(1)[0][0] if preferences else None,
+        region_hops=len(steps),
+        used_b_edges=sum(edge.is_b_edge for edge, _ in steps),
+        slots=slots.astype(np.int32),
+        divisors=tables.discount[counts[slots].astype(np.intp)],
+        hops=hops,
+    )
+
+
 @dataclass(frozen=True)
 class _RegionTables:
-    """What a request reads of the region graph; immutable once built."""
+    """What a request reads of the region graph; immutable once built but for
+    the :attr:`plans` memo."""
 
     topology_version: int
     """``network.topology_version`` the slots were looked up under."""
@@ -112,6 +158,10 @@ class _RegionTables:
     centroids: dict[RegionId, LonLat]
     preferences: dict[RegionId, "PreferenceVector"]
     """The most common preference among each region's region edges."""
+    plans: dict[tuple[RegionId, RegionId], _Plan | None] = field(default_factory=dict)
+    """Per ordered pair of distinct regions served so far: its plan, or
+    ``None`` when no region path joins them.  Filled without a lock: racing
+    requests build equal plans, and storing one is atomic."""
 
 
 def _compile_tables(graph: RegionGraph) -> _RegionTables:
@@ -166,23 +216,24 @@ class _CorridorCost:
     the stronger the discount — so the answer follows the roads local drivers
     chose while still adapting to the query's exact endpoints; edges violating
     the slave road-condition preference outside the corridor are mildly
-    penalized.  The compiled search asks for :meth:`build_cost_array`; called
-    per edge (``compiled_disabled()``), the ``{hop: count}`` reference is used.
+    penalized.  Everything but the costs comes from the request's region-pair
+    :class:`_Plan`.  The compiled search asks for :meth:`build_cost_array`,
+    which divides the live costs on the plan's slots by the plan's divisors;
+    called per edge (``compiled_disabled()``), the ``{hop: count}`` reference
+    is rebuilt from the plan's stored paths.
     """
 
-    def __init__(
-        self, preference: "PreferenceVector | None", tables: _RegionTables, hops: list[_Hops]
-    ) -> None:
+    def __init__(self, plan: _Plan) -> None:
+        preference = plan.preference
         feature = preference.master if preference is not None else CostFeature.TRAVEL_TIME
         self._master = cost_function(feature)
         self._slave = preference.slave if preference is not None else None
-        self._tables = tables
-        self._hops = hops
+        self._plan = plan
         self._corridor: dict[tuple[VertexId, VertexId], int] | None = None
 
     def __call__(self, edge: Edge) -> float:
         if self._corridor is None:
-            self._corridor = _hop_counts(chain.from_iterable(h.paths for h in self._hops))
+            self._corridor = _hop_counts(chain.from_iterable(h.paths for h in self._plan.hops))
         cost = self._master(edge)
         count = self._corridor.get(edge.key, 0)
         if count > 0:
@@ -190,14 +241,6 @@ class _CorridorCost:
         if self._slave is not None and not self._slave.satisfied_by(edge.road_type):
             return cost * 1.5
         return cost
-
-    def slot_counts(self) -> np.ndarray:
-        """The corridor per CSR slot: traversal counts, zero off the corridor."""
-        return np.bincount(
-            np.concatenate([h.slots for h in self._hops]),
-            weights=np.concatenate([h.counts for h in self._hops]),
-            minlength=self._tables.edge_count,
-        )
 
     def build_cost_array(self, graph: "CompiledGraph") -> np.ndarray:
         attr = self._master.cost_attr  # type: ignore[attr-defined]
@@ -213,11 +256,9 @@ class _CorridorCost:
 
         # Stamped with the cost version: live traffic rebuilds it.
         raw, penalized = graph.memo(("corridor-base", attr, slave), base)
-        counts = self.slot_counts()
-        on_corridor = np.flatnonzero(counts)
+        slots = self._plan.slots
         weights = penalized.copy()
-        discount = self._tables.discount[counts[on_corridor].astype(np.intp)]
-        weights[on_corridor] = raw[on_corridor] / discount
+        weights[slots] = raw[slots] / self._plan.divisors
         return weights
 
 
@@ -314,36 +355,39 @@ class RegionRouter:
         case_label: str = "in-region",
     ) -> tuple[Path, RouteDiagnostics]:
         tables = self._current_tables()
+        pair = (region_s, region_d)
+        if pair in tables.plans:
+            plan = tables.plans[pair]
+        else:
+            plan = tables.plans[pair] = self._plan_between(tables, region_s, region_d)
+        if plan is None:
+            return (
+                fastest_path(self._network, source, destination),
+                RouteDiagnostics(case="fallback-fastest"),
+            )
+        try:
+            path = dijkstra(self._network, source, destination, _CorridorCost(plan))
+        except NoPathError:
+            path = fastest_path(self._network, source, destination)
+        return path, RouteDiagnostics(
+            case=case_label, region_hops=plan.region_hops, used_b_edges=plan.used_b_edges
+        )
+
+    def _plan_between(
+        self, tables: _RegionTables, region_s: RegionId, region_d: RegionId
+    ) -> _Plan | None:
         # Greedy geometric walk on the region graph with a BFS fallback.
         region_path = self._greedy_region_walk(tables, region_s, region_d)
         if region_path is None:
             region_path = self._bfs_region_path(tables, region_s, region_d)
         if region_path is None:
-            return (
-                fastest_path(self._network, source, destination),
-                RouteDiagnostics(case="fallback-fastest"),
-            )
-
+            return None
         # The region edges along the region path define the *corridor*: the
         # road-network edges that local drivers actually used when traveling
         # between these regions, plus the preference that explains them.
         # Inner-region paths of the endpoint regions belong to it too.
-        steps = [tables.steps[pair] for pair in zip(region_path, region_path[1:])]
-        preferences = [edge.preference for edge, _ in steps if edge.preference is not None]
-        preference = Counter(preferences).most_common(1)[0][0] if preferences else None
-        hops = [hops for _, hops in steps]
-        hops += (tables.inner[region_s], tables.inner[region_d])
-        try:
-            path = dijkstra(
-                self._network, source, destination, _CorridorCost(preference, tables, hops)
-            )
-        except NoPathError:
-            path = fastest_path(self._network, source, destination)
-        return path, RouteDiagnostics(
-            case=case_label,
-            region_hops=len(steps),
-            used_b_edges=sum(edge.is_b_edge for edge, _ in steps),
-        )
+        steps = [tables.steps[step] for step in zip(region_path, region_path[1:])]
+        return _plan(tables, steps, (tables.inner[region_s], tables.inner[region_d]))
 
     def _greedy_region_walk(
         self, tables: _RegionTables, region_s: RegionId, region_d: RegionId

@@ -11,7 +11,7 @@ query identically to the in-memory original (the state is carried verbatim;
 routing is deterministic).  A file that names a class or module this library
 no longer has — every file older than the current format version is such a
 file — fails with :class:`ModelPersistenceError`, never a bare unpickling
-error.
+error; so does a file whose gzip body or pickle bytes are corrupt.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import gzip
 import os
 import pickle
 import tempfile
+import zlib
 from pathlib import Path as FilePath
 from typing import TYPE_CHECKING
 
@@ -102,7 +103,9 @@ def load_model(path: str | FilePath) -> "LearnToRoute":
             payload = pickle.load(handle)
     except FileNotFoundError:
         raise ModelPersistenceError(f"model file {source} does not exist") from None
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+    except (OSError, zlib.error, pickle.UnpicklingError, EOFError, ValueError) as exc:
+        # ValueError (UnicodeDecodeError among them) is how the unpickler
+        # reports many corrupt byte strings; zlib.error a corrupt gzip body.
         raise ModelPersistenceError(f"could not read model from {source}: {exc}") from exc
     except (AttributeError, ImportError) as exc:
         # The pickle names a class or module that is gone: an older format.

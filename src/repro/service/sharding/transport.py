@@ -58,7 +58,7 @@ _IO_TIMEOUT_S = 10.0
 
 
 class FrameError(ShardingError):
-    """A malformed frame: oversized length prefix or truncated payload."""
+    """A malformed frame: oversized length prefix or undecodable payload."""
 
 
 # ---------------------------------------------------------------------- #
@@ -110,7 +110,8 @@ def recv_frame(sock: socket.socket, timeout_s: float) -> object:
     ``socket.timeout`` means "no frame started within ``timeout_s``" (the
     caller's poll loop continues); once a length prefix arrives the rest of
     the frame must follow within :data:`_IO_TIMEOUT_S`.  ``EOFError`` means
-    the peer closed the connection.
+    the peer closed the connection; :class:`FrameError` means an oversized
+    frame or a payload that does not unpickle, whatever the unpickler raised.
     """
     deadline = time.monotonic() + timeout_s
     try:
@@ -123,7 +124,10 @@ def recv_frame(sock: socket.socket, timeout_s: float) -> object:
             f"frame announces {length} bytes, above the {MAX_FRAME_BYTES}-byte cap"
         )
     payload = _recv_exact(sock, length, time.monotonic() + _IO_TIMEOUT_S)
-    return pickle.loads(payload)
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:  # corrupt bytes raise nearly any type from the unpickler
+        raise FrameError(f"undecodable {length}-byte frame payload: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------- #
@@ -134,7 +138,8 @@ class SocketTransport:
 
     Satisfies the :class:`~repro.service.sharding.protocol.Transport`
     protocol.  ``recv`` converts poll timeouts to ``queue.Empty`` (the
-    worker loop's contract) and treats a dead link as "no message yet":
+    worker loop's contract) and treats a dead link, or a frame it cannot
+    decode, as "no message yet":
     it redials with the retry policy's seeded backoff and keeps polling.
     Only when the whole reconnect budget is exhausted does it raise
     ``EOFError`` — the worker loop exits, the process dies, and the pool's
@@ -245,9 +250,9 @@ class SocketTransport:
             return recv_frame(sock, timeout_s=wait)
         except socket.timeout:
             raise queue.Empty() from None
-        except (OSError, EOFError):
-            # Dead link: redial (bounded by the retry policy) and report
-            # "nothing yet" — whatever was in flight is the coordinator's
+        except (OSError, EOFError, FrameError):
+            # Dead or garbled link: redial (bounded by the retry policy) and
+            # report "nothing yet" — whatever was in flight is the coordinator's
             # problem (it resubmits work to reconnected/respawned workers).
             # The pause keeps a worker whose connections keep dying at birth
             # (a coordinator-side partition) from busy-spinning the dial.
@@ -379,7 +384,7 @@ class TcpHub:
                 except socket.timeout:
                     continue
                 self._inbound.put(message)
-        except (OSError, EOFError, FrameError, pickle.UnpicklingError):
+        except (OSError, EOFError, FrameError):
             pass  # dead/garbled link: unregister below, liveness heals it
         finally:
             if worker_id is not None:

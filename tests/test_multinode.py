@@ -27,6 +27,8 @@ import struct
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network import grid_city_network
 from repro.network.compiled import shm
@@ -99,6 +101,17 @@ def _assert_identity(network, service, requests, engine="Shortest"):
 # -------------------------------------------------------------------- #
 # Wire framing
 # -------------------------------------------------------------------- #
+_HELLO_PAYLOAD = encode_frame(Hello(worker_id=3, shard_id=1, pid=123, cost_version=7))[4:]
+
+
+def _flip_bits(positions: list[int]) -> bytes:
+    """The pickled ``Hello`` with the given bits flipped."""
+    payload = bytearray(_HELLO_PAYLOAD)
+    for position in positions:
+        payload[position // 8] ^= 1 << (position % 8)
+    return bytes(payload)
+
+
 class TestFrameCodec:
     def test_round_trip_over_a_socketpair(self):
         left, right = socket.socketpair()
@@ -147,6 +160,50 @@ class TestFrameCodec:
         try:
             with pytest.raises(socket.timeout):
                 recv_frame(right, timeout_s=0.05)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"\x80\x09", b"X\x02\x00\x00\x00\xff\xfe."],
+        ids=["empty", "unsupported-protocol", "bad-binunicode"],
+    )
+    def test_undecodable_payload_raises_frame_error(self, payload):
+        # Empty input, an unknown protocol and bad BINUNICODE make the
+        # unpickler raise EOFError, ValueError and UnicodeDecodeError.
+        left, right = socket.socketpair()
+        try:
+            left.settimeout(2.0)
+            left.sendall(struct.pack(">I", len(payload)) + payload)
+            with pytest.raises(FrameError):
+                recv_frame(right, timeout_s=2.0)
+        finally:
+            left.close()
+            right.close()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=256),
+            st.lists(
+                st.integers(min_value=0, max_value=len(_HELLO_PAYLOAD) * 8 - 1),
+                min_size=1,
+                max_size=6,
+            ).map(_flip_bits),
+        )
+    )
+    def test_arbitrary_payload_decodes_or_raises_frame_error(self, payload):
+        left, right = socket.socketpair()
+        try:
+            left.settimeout(2.0)
+            left.sendall(struct.pack(">I", len(payload)) + payload)
+            started = time.monotonic()
+            try:
+                recv_frame(right, timeout_s=2.0)
+            except FrameError:
+                pass  # the one error a well-formed frame may raise
+            assert time.monotonic() - started < 2.0
         finally:
             left.close()
             right.close()
@@ -218,6 +275,43 @@ class TestSocketEndpoints:
                 assert isinstance(rehello, Hello) and rehello.cost_version == 4
             finally:
                 transport.close()
+
+    def test_worker_treats_an_undecodable_frame_as_a_dead_link(self):
+        garbled = struct.pack(">I", 2) + b"\x80\x09"
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(5.0)
+            transport = SocketTransport(server.getsockname()[:2])
+            transport.identify = lambda: Hello(
+                worker_id=4, shard_id=0, pid=1, cost_version=6
+            )
+            try:
+                transport.send(Hello(worker_id=4, shard_id=0, pid=1, cost_version=0))
+                first, _ = server.accept()
+                with first:
+                    assert recv_frame(first, timeout_s=5.0).cost_version == 0
+                    first.settimeout(5.0)
+                    first.sendall(garbled)
+                    # Dropped and redialed: the new link opens with identify.
+                    with pytest.raises(queue.Empty):
+                        transport.recv(timeout_s=5.0)
+                    assert transport.connects == 2
+                    second, _ = server.accept()
+                    with second:
+                        assert recv_frame(second, timeout_s=5.0).cost_version == 6
+            finally:
+                transport.close()
+
+    def test_hub_drops_a_link_that_sends_an_undecodable_frame(self, monkeypatch):
+        uncaught = []
+        monkeypatch.setattr("threading.excepthook", uncaught.append)
+        with TcpHub() as hub:
+            with socket.create_connection(hub.address, timeout=5.0) as worker:
+                send_frame(worker, Hello(worker_id=8, shard_id=0, pid=1, cost_version=0))
+                hub.recv(timeout_s=5.0)
+                assert _wait_until(lambda: hub.connected(8))
+                worker.sendall(struct.pack(">I", 2) + b"\x80\x09")
+                assert _wait_until(lambda: not hub.connected(8))
+        assert uncaught == []
 
     def test_newer_connection_displaces_older(self):
         with TcpHub() as hub:

@@ -1,14 +1,16 @@
 """The region router's compiled corridors (``core/router.py``).
 
-A request assembles its trajectory corridor from CSR slot arrays compiled
-once per router.  That path must give the paths and diagnostics of the
-dict-based reference (``compiled_disabled()``) to the last vertex, follow
-live traffic and topology changes, survive ``save``/``load``, and be safe
-to share between the service's worker threads.
+A cross-region request reads its trajectory corridor from the plan of its
+region pair, built from CSR slot arrays compiled once per router.  That path
+must give the paths and diagnostics of the dict-based reference
+(``compiled_disabled()``) to the last vertex, follow live traffic and
+topology changes, survive ``save``/``load``, and be safe to share between the
+service's worker threads.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 
@@ -17,16 +19,18 @@ import pytest
 
 from repro.analysis.sanitizer import sanitize
 from repro.core import LearnToRoute, RegionRouter
-from repro.core.router import _CorridorCost, _hop_counts
-from repro.datasets import d2_like_scenario, tiny_scenario
+from repro.core.router import _CorridorCost, _hop_counts, _plan
+from repro.datasets import d1_like_scenario, d2_like_scenario, tiny_scenario
 from repro.datasets.splits import split_by_id
 from repro.network import RoadNetwork, RoadType
-from repro.network.compiled import compiled_disabled
+from repro.network.compiled import compiled_disabled, sparse
 from repro.regions import TrajectoryGraph, build_region_graph, cluster_trajectory_graph
 from repro.regions.region import Region
 from repro.regions.region_graph import RegionGraph
-from repro.routing import Path
-from repro.service import L2REngine, RouteRequest, RoutingService
+from repro.routing import CostFeature, Path, cost_function
+from repro.routing.preference_dijkstra import slave_mask
+from repro.service import L2REngine, RouteRequest, RoutingService, load_model, save_model
+from repro.traffic import TrafficFeed, synthetic_congestion
 from repro.trajectories import MatchedTrajectory
 
 ALL_CASES = {"in-region-same", "in-region", "in-out-region", "out-region", "fallback-fastest"}
@@ -102,22 +106,23 @@ class TestCorridorArrays:
             )
         tables = RegionRouter(graph)._current_tables()
         # Region edges (0, 1) and (0, 2) both run over the hops 0-1 and 1-2.
-        hops = [tables.steps[(0, 1)][1], tables.steps[(0, 2)][1]]
-        cost = _CorridorCost(None, tables, hops)
-        counts = cost.slot_counts()
+        plan = _plan(tables, [tables.steps[(0, 1)], tables.steps[(0, 2)]], ())
 
-        corridor = _hop_counts(pair for h in hops for pair in h.paths)
+        corridor = _hop_counts(pair for h in plan.hops for pair in h.paths)
         assert corridor[(0, 1)] == corridor[(1, 0)] == 4  # 3 traversals + 1, added
         assert corridor[(3, 2)] == 1  # counted by the dict, but not a road edge
         compiled = network.compiled()
         assert compiled.slot(3, 2) is None
-        expected = np.zeros(compiled.edge_count)
-        for hop, count in corridor.items():
-            if compiled.slot(*hop) is not None:
-                expected[compiled.slot(*hop)] = count
-        assert counts.tolist() == expected.tolist()
+        expected = {
+            compiled.slot(*hop): count
+            for hop, count in corridor.items()
+            if compiled.slot(*hop) is not None
+        }
+        assert plan.slots.tolist() == sorted(expected)
+        assert plan.divisors.tolist() == [1.0 + math.log1p(expected[s]) for s in plan.slots]
 
         # The same numbers, seen as costs: array form == per-edge reference.
+        cost = _CorridorCost(plan)
         weights = cost.build_cost_array(compiled)
         assert weights.tolist() == [cost(edge) for edge in compiled.edges]
 
@@ -144,10 +149,11 @@ class TestCorridorArrays:
             )
         router = RegionRouter(graph)
         tables = router._current_tables()
-        edge_hops = tables.steps[(0, 1)][1]
-        assert tables.inner[0].counts.max() > edge_hops.counts.max()
-        every = [edge_hops, *tables.inner.values()]
-        assert _CorridorCost(None, tables, every).slot_counts().max() < len(tables.discount)
+        step = tables.steps[(0, 1)]
+        assert tables.inner[0].counts.max() > step[1].counts.max()
+        # Every stored path at once reaches the table's last entry, no further.
+        plan = _plan(tables, [step], tuple(tables.inner.values()))
+        assert plan.divisors.max() == tables.discount[-1]
 
         compiled = router.route_with_diagnostics(0, 5)
         with compiled_disabled():
@@ -158,9 +164,136 @@ class TestCorridorArrays:
     def test_discount_table_covers_every_count_a_request_can_reach(self, fitted_l2r):
         tables = fitted_l2r.model.router._current_tables()
         # Each region edge once (it may serve both orders of its region pair).
-        edges = {edge.key: hops for edge, hops in tables.steps.values()}
-        every = [*edges.values(), *tables.inner.values()]
-        assert _CorridorCost(None, tables, every).slot_counts().max() < len(tables.discount)
+        edges = {step[0].key: step for step in tables.steps.values()}
+        plan = _plan(tables, list(edges.values()), tuple(tables.inner.values()))
+        assert plan.divisors.max() == tables.discount[-1]
+
+
+@pytest.fixture(params=[True, False], ids=["scipy", "no-scipy"])
+def scipy(request, monkeypatch):
+    """Run the test with scipy's searches as found, then with them off."""
+    if not request.param:
+        monkeypatch.setattr(sparse, "HAVE_SCIPY", False)
+
+
+@pytest.fixture(scope="module")
+def d2_like():
+    scenario = d2_like_scenario(scale=0.25, seed=7)
+    return scenario.network, _fit(scenario).model.router
+
+
+@pytest.fixture(scope="module")
+def d1_like():
+    scenario = d1_like_scenario(scale=0.25, seed=11)
+    return scenario.network, _fit(scenario).model.router
+
+
+def _assembled(tables, plan, graph) -> np.ndarray:
+    """The corridor cost array as every request assembled it before plans."""
+    counts = np.bincount(
+        np.concatenate([h.slots for h in plan.hops]),
+        weights=np.concatenate([h.counts for h in plan.hops]),
+        minlength=tables.edge_count,
+    )
+    on_corridor = np.flatnonzero(counts)
+    preference = plan.preference
+    feature = preference.master if preference is not None else CostFeature.TRAVEL_TIME
+    raw = graph.array(cost_function(feature).cost_attr)
+    weights = raw.copy()
+    if preference is not None and preference.slave is not None:
+        weights[~slave_mask(graph, preference.slave)] *= 1.5
+    discount = tables.discount[counts[on_corridor].astype(np.intp)]
+    weights[on_corridor] = raw[on_corridor] / discount
+    return weights
+
+
+def _priced(plans, graph) -> dict:
+    """Each plan's cost array, checked against the per-edge reference."""
+    priced = {}
+    for pair, plan in plans.items():
+        if plan is not None:
+            cost = _CorridorCost(plan)
+            priced[pair] = cost.build_cost_array(graph)
+            with compiled_disabled():
+                assert priced[pair].tolist() == [cost(edge) for edge in graph.edges]
+    return priced
+
+
+@pytest.mark.usefixtures("scipy")
+class TestPlans:
+    def test_plan_arrays_equal_the_per_request_assembly(self, tiny, fitted_l2r):
+        router = fitted_l2r.model.router
+        _answers(router, _random_ods(tiny.network, 200, seed=21))
+        tables = router._current_tables()
+        graph = tiny.network.compiled()
+        priced = _priced(tables.plans, graph)
+        assert len(priced) > 20
+        for pair, weights in priced.items():
+            assert weights.tobytes() == _assembled(tables, tables.plans[pair], graph).tobytes()
+
+    def test_a_reused_plan_prices_the_live_costs(self, own_tiny):
+        scenario, pipeline = own_tiny
+        network = scenario.network
+        router = pipeline.model.router
+        ods = _random_ods(network, 80, seed=5)
+        _answers(router, ods)
+        tables = router._current_tables()
+        plans = dict(tables.plans)
+        before = _priced(plans, network.compiled())
+        for batch in synthetic_congestion(network, seed=2, fraction=0.5, steps=1):
+            TrafficFeed(network).apply(batch)
+        after = _answers(router, ods)
+        assert router._current_tables() is tables
+        assert all(tables.plans[pair] is plan for pair, plan in plans.items())
+        assert after == _answers(RegionRouter(pipeline.region_graph), ods)
+        repriced = _priced(plans, network.compiled())
+        assert any(not np.array_equal(before[pair], repriced[pair]) for pair in before)
+
+    def test_a_topology_change_rebuilds_the_plans(self, own_tiny):
+        scenario, pipeline = own_tiny
+        network = scenario.network
+        router = pipeline.model.router
+        ods = _random_ods(network, 80, seed=5)
+        _answers(router, ods)
+        old = router._current_tables()
+        ids = sorted(network.vertex_ids())
+        source, target = next(
+            (s, t) for s in ids for t in reversed(ids) if s != t and not network.has_edge(s, t)
+        )
+        network.add_edge(source, target, road_type=RoadType.RESIDENTIAL)
+        answers = _answers(router, ods)
+        tables = router._current_tables()
+        assert tables is not old and tables.plans
+        assert all(
+            tables.plans.get(pair) is not plan
+            for pair, plan in old.plans.items()
+            if plan is not None
+        )
+        _priced(tables.plans, network.compiled())
+        assert answers == _answers(RegionRouter(pipeline.region_graph), ods)
+
+    def test_a_loaded_model_routes_the_same_paths_from_empty_plans(
+        self, tiny, fitted_l2r, tmp_path
+    ):
+        ods = _random_ods(tiny.network, 80, seed=9)
+        expected = _answers(fitted_l2r.model.router, ods)
+        assert fitted_l2r.model.router._current_tables().plans
+        loaded = load_model(save_model(fitted_l2r, tmp_path / "l2r.model")).model.router
+        assert loaded._current_tables().plans == {}
+        assert _answers(loaded, ods) == expected
+
+    @pytest.mark.parametrize("scenario", ["d2_like", "d1_like"])
+    def test_warm_plans_answer_like_plans_cleared_before_every_call(self, request, scenario):
+        network, router = request.getfixturevalue(scenario)
+        # Every OD twice: the second pass is served from the first pass's plans.
+        ods = _random_ods(network, 150, seed=3) * 2
+        warm = _answers(router, ods)
+
+        def cold(source, destination):
+            router._current_tables().plans.clear()
+            return router.route_with_diagnostics(source, destination)
+
+        assert [cold(s, d) for s, d in ods] == warm
 
 
 class TestStaleness:
@@ -241,9 +374,10 @@ class TestSharing:
             assert [r.diagnostics for r in responses] == [diagnostics for _, diagnostics in expected]
 
     def test_threads_racing_a_recompile_all_get_the_serial_answers(self, own_tiny):
-        # The tables are republished without a lock after a topology change:
-        # more threads than cores hit the stale router at once, switching
-        # often, and every one of them must still answer like a fresh router.
+        # The tables are republished, and their region-pair plans filled,
+        # without a lock after a topology change: more threads than cores hit
+        # the stale router at once, switching often, and every one of them
+        # must still answer like a fresh router.
         scenario, pipeline = own_tiny
         network = scenario.network
         router = pipeline.model.router

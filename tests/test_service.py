@@ -533,6 +533,29 @@ class TestPersistence:
             load_model(target)
 
     @pytest.mark.parametrize(
+        "payload",
+        [b"\x80\x09", b"X\x02\x00\x00\x00\xff\xfe."],
+        ids=["unsupported-protocol", "bad-binunicode"],
+    )
+    def test_corrupt_pickle_rejected(self, tmp_path, payload):
+        import gzip
+
+        # The unpickler raises ValueError / UnicodeDecodeError for these.
+        target = tmp_path / "corrupt.pkl.gz"
+        with gzip.open(target, "wb") as handle:
+            handle.write(payload)
+        with pytest.raises(ModelPersistenceError, match="could not read"):
+            load_model(target)
+
+    def test_corrupt_gzip_body_rejected(self, fitted_l2r, tmp_path):
+        target = save_model(fitted_l2r, tmp_path / "m.pkl.gz")
+        body = bytearray(target.read_bytes())
+        body[20] ^= 0xFF  # inside the deflate stream, past the 10-byte header
+        target.write_bytes(bytes(body))
+        with pytest.raises(ModelPersistenceError, match="could not read"):
+            load_model(target)
+
+    @pytest.mark.parametrize(
         "missing", ["repro.core.config\nNoSuchClass", "repro.no_such_module\nThing"]
     )
     def test_file_naming_a_missing_class_is_an_older_format(self, tmp_path, missing):
