@@ -42,7 +42,6 @@ from pathlib import Path as FilePath
 from repro.network import grid_city_network
 from repro.routing import fastest_path
 from repro.service import (
-    CircuitBreakerConfig,
     FaultInjector,
     FunctionEngine,
     RetryPolicy,
@@ -74,7 +73,7 @@ def _build_service(network, *, resilient: bool) -> RoutingService:
             enable_cache=False,
             deadline_s=30.0,
             retry_policy=RetryPolicy(max_retries=2, seed=0),
-            breaker=CircuitBreakerConfig(),
+            breaker=True,
             max_in_flight=64,
         )
     else:
@@ -176,7 +175,7 @@ def chaos_determinism_check(seed: int) -> dict:
         service = RoutingService(
             enable_cache=False,
             retry_policy=RetryPolicy(max_retries=1, seed=seed),
-            breaker=CircuitBreakerConfig(),
+            breaker=True,
         )
         service.register("flaky", flaky, default=True)
         outcomes = []

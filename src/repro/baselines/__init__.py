@@ -4,16 +4,11 @@ from .base import L2RAlgorithm, RoutingAlgorithm
 from .cost_centric import FastestBaseline, ShortestBaseline
 from .dom import DomBaseline
 from .trip import TripBaseline
-from .external_service import (
-    ExternalRoutingService,
-    ExternalServiceConfig,
-    waypoint_accuracy,
-)
+from .external_service import ExternalRoutingService, waypoint_accuracy
 
 __all__ = [
     "DomBaseline",
     "ExternalRoutingService",
-    "ExternalServiceConfig",
     "FastestBaseline",
     "L2RAlgorithm",
     "RoutingAlgorithm",

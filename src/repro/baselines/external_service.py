@@ -13,12 +13,14 @@ Without network access we simulate a comparable service:
 * the comparison against a ground-truth path therefore uses the band-matching
   methodology (:func:`repro.network.spatial.match_waypoints_to_polyline`),
   exactly as the paper does for Google paths.
+
+The simulated service's behaviour is the module constants below.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
 
 from ..network.road_network import Edge, RoadNetwork, VertexId
 from ..network.spatial import LonLat, match_waypoints_to_polyline
@@ -27,21 +29,18 @@ from ..routing.path import Path
 from .base import RoutingAlgorithm
 
 
-@dataclass(frozen=True)
-class ExternalServiceConfig:
-    """Behavioural knobs of the simulated service."""
-
-    major_road_bias: float = 0.85
-    """Multiplier (< 1) applied to major-road travel times — the service
-    prefers the arterial hierarchy."""
-    speed_perturbation: float = 0.10
-    """Relative amplitude of the per-edge random perturbation of travel times
-    (models the service's independent traffic model)."""
-    waypoint_stride: int = 4
-    """A way-point is emitted every this many path vertices."""
-    waypoint_jitter_m: float = 3.0
-    """Gaussian jitter applied to emitted way-points."""
-    seed: int = 20180417
+MAJOR_ROAD_BIAS = 0.85
+"""Multiplier (< 1) applied to major-road travel times — the service
+prefers the arterial hierarchy."""
+SPEED_PERTURBATION = 0.10
+"""Relative amplitude of the per-edge random perturbation of travel times
+(models the service's independent traffic model)."""
+WAYPOINT_STRIDE = 4
+"""A way-point is emitted every this many path vertices."""
+WAYPOINT_JITTER_M = 3.0
+"""Gaussian jitter applied to emitted way-points."""
+SEED = 20180417
+"""Seed of the perturbation and of the per-request way-point jitter."""
 
 
 class ExternalRoutingService(RoutingAlgorithm):
@@ -49,20 +48,20 @@ class ExternalRoutingService(RoutingAlgorithm):
 
     name = "Google"
 
-    def __init__(self, network: RoadNetwork, config: ExternalServiceConfig | None = None) -> None:
+    def __init__(self, network: RoadNetwork) -> None:
         super().__init__(network)
-        self._config = config or ExternalServiceConfig()
-        rng = random.Random(self._config.seed)
+        rng = random.Random(SEED)
         self._perturbation: dict[tuple[VertexId, VertexId], float] = {}
         for edge in network.edges():
-            amplitude = self._config.speed_perturbation
-            self._perturbation[edge.key] = 1.0 + rng.uniform(-amplitude, amplitude)
+            self._perturbation[edge.key] = 1.0 + rng.uniform(
+                -SPEED_PERTURBATION, SPEED_PERTURBATION
+            )
 
     # ------------------------------------------------------------------ #
     def _service_time(self, edge: Edge) -> float:
         factor = self._perturbation.get(edge.key, 1.0)
         if edge.road_type.is_major:
-            factor *= self._config.major_road_bias
+            factor *= MAJOR_ROAD_BIAS
         return edge.travel_time_s * factor
 
     def route(
@@ -89,24 +88,19 @@ class ExternalRoutingService(RoutingAlgorithm):
     ) -> list[LonLat]:
         """The service's public answer: a sparse way-point polyline."""
         path = self.route(source, destination, departure_time=departure_time)
-        rng = random.Random(self._config.seed ^ (source * 1_000_003 + destination))
+        rng = random.Random(SEED ^ (source * 1_000_003 + destination))
         waypoints: list[LonLat] = []
         vertices = path.vertices
-        stride = max(1, self._config.waypoint_stride)
-        indices = list(range(0, len(vertices), stride))
+        indices = list(range(0, len(vertices), WAYPOINT_STRIDE))
         if indices[-1] != len(vertices) - 1:
             indices.append(len(vertices) - 1)
         for index in indices:
             lon, lat = self._network.coordinates(vertices[index])
-            if self._config.waypoint_jitter_m > 0:
-                import math
-
-                lat_jitter = rng.gauss(0.0, self._config.waypoint_jitter_m) / 111_320.0
-                lon_jitter = rng.gauss(0.0, self._config.waypoint_jitter_m) / (
-                    111_320.0 * max(0.2, math.cos(math.radians(lat)))
-                )
-                lon, lat = lon + lon_jitter, lat + lat_jitter
-            waypoints.append((lon, lat))
+            lat_jitter = rng.gauss(0.0, WAYPOINT_JITTER_M) / 111_320.0
+            lon_jitter = rng.gauss(0.0, WAYPOINT_JITTER_M) / (
+                111_320.0 * max(0.2, math.cos(math.radians(lat)))
+            )
+            waypoints.append((lon + lon_jitter, lat + lat_jitter))
         return waypoints
 
 

@@ -23,20 +23,18 @@ from ..routing.path import Path
 from ..trajectories.models import MatchedTrajectory
 from .base import RoutingAlgorithm
 
+#: Training trajectories per driver the ratios are learned from (the first
+#: ones in training order).
+MAX_TRAJECTORIES_PER_DRIVER = 20
+
 
 class TripBaseline(RoutingAlgorithm):
     """Per-driver travel-time-ratio routing."""
 
     name = "TRIP"
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        training: Sequence[MatchedTrajectory],
-        max_trajectories_per_driver: int = 20,
-    ) -> None:
+    def __init__(self, network: RoadNetwork, training: Sequence[MatchedTrajectory]) -> None:
         super().__init__(network)
-        self._max_per_driver = max_trajectories_per_driver
         self._ratios: dict[int, dict[RoadType, float]] = {}
         self._fit(training)
 
@@ -49,7 +47,7 @@ class TripBaseline(RoutingAlgorithm):
         for driver_id, trajectories in per_driver.items():
             observed: dict[RoadType, float] = defaultdict(float)
             freeflow: dict[RoadType, float] = defaultdict(float)
-            for trajectory in trajectories[: self._max_per_driver]:
+            for trajectory in trajectories[:MAX_TRAJECTORIES_PER_DRIVER]:
                 path_freeflow = trajectory.path.travel_time_s(self._network)
                 if path_freeflow <= 0:
                     continue

@@ -95,26 +95,12 @@ class LearnToRoute:
 
         started = time.perf_counter()
         trajectory_graph = TrajectoryGraph.from_trajectories(network, trajectories)
-        clustering = BottomUpClustering(
-            enforce_road_types=self.config.enforce_road_types
-        ).cluster(trajectory_graph)
-        region_graph = build_region_graph(
-            network,
-            clustering,
-            trajectories,
-            functionality_top_k=self.config.functionality_top_k,
-            connect=True,
-            max_region_pairs_per_trajectory=self.config.max_region_pairs_per_trajectory,
-        )
+        clustering = BottomUpClustering().cluster(trajectory_graph)
+        region_graph = build_region_graph(network, clustering, trajectories)
         timings.region_graph_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        learned = learn_t_edge_preferences(
-            network,
-            region_graph,
-            catalog=self.catalog,
-            max_paths_per_edge=self.config.max_paths_per_t_edge,
-        )
+        learned = learn_t_edge_preferences(network, region_graph, catalog=self.catalog)
         timings.preference_learning_s = time.perf_counter() - started
 
         transfer_result: TransferResult | None = None
@@ -126,10 +112,10 @@ class LearnToRoute:
         timings.preference_transfer_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        materialize_b_edge_paths(network, region_graph, config=self.config.apply)
+        materialize_b_edge_paths(network, region_graph)
         timings.path_materialization_s = time.perf_counter() - started
 
-        router = RegionRouter(region_graph, max_region_hops=self.config.max_region_hops)
+        router = RegionRouter(region_graph)
         return FittedModel(
             trajectory_graph=trajectory_graph,
             clustering=clustering,

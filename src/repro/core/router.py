@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
 PathCount = tuple[tuple[VertexId, ...], int]
 """One stored trajectory path: its vertices and how often it was driven."""
 
+MAX_REGION_HOPS = 64
+"""Safety cap on the region edges the greedy region walk follows for one
+region pair (the BFS fallback takes over past it)."""
+
 
 @dataclass(frozen=True)
 class RouteDiagnostics:
@@ -267,10 +271,9 @@ class RegionRouter:
 
     _tables: _RegionTables | None = None  # models pickled before the tables existed
 
-    def __init__(self, region_graph: RegionGraph, max_region_hops: int = 64) -> None:
+    def __init__(self, region_graph: RegionGraph) -> None:
         self._graph = region_graph
         self._network = region_graph.network
-        self._max_region_hops = max_region_hops
         self._tables = _compile_tables(region_graph)
 
     def __getstate__(self) -> dict:
@@ -401,7 +404,7 @@ class RegionRouter:
         current = region_s
         path = [current]
         visited = {current}
-        for _ in range(self._max_region_hops):
+        for _ in range(MAX_REGION_HOPS):
             if current == region_d:
                 return path
             neighbors = tables.neighbors[current]

@@ -60,7 +60,7 @@ EDGE_COST_ATTRIBUTES: tuple[str, ...] = ("distance_m", "travel_time_s", "fuel_ml
 #: Cap on memoized derived artifacts (cost arrays, masks, sparse matrices).
 #: Bounds memory on long-lived services where e.g. per-driver cost profiles
 #: would otherwise accrete one flat array each; evicted entries just rebuild.
-DEFAULT_MEMO_SIZE = 128
+MEMO_SIZE = 128
 
 #: Landmark tables kept per graph, most recently served first out last: each
 #: holds 2 x 8 distance rows (1.3 MB at 10^4 vertices), and per-request or
@@ -167,12 +167,7 @@ class CostStore:
     with :data:`TOPOLOGY_STAMP` and survive cost updates.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        edges: list["Edge"],
-        memo_size: int = DEFAULT_MEMO_SIZE,
-    ) -> None:
+    def __init__(self, topology: Topology, edges: list["Edge"]) -> None:
         self.topology = topology
         self.edges = edges
         m = len(edges)
@@ -194,7 +189,6 @@ class CostStore:
         self._weight_lists: OrderedDict[Hashable, tuple[int, list[float]]] = OrderedDict()
         self._r_weight_lists: OrderedDict[Hashable, tuple[int, list[float]]] = OrderedDict()
         self._memo: OrderedDict[Hashable, tuple[int, object]] = OrderedDict()
-        self._memo_size = max(8, int(memo_size))
         self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -317,7 +311,7 @@ class CostStore:
             if stamp == TOPOLOGY_STAMP or stamp == self._version:
                 cache[key] = (stamp, built)
                 cache.move_to_end(key)
-                while len(cache) > self._memo_size:
+                while len(cache) > MEMO_SIZE:
                     cache.popitem(last=False)
         return built
 
@@ -406,12 +400,12 @@ class CompiledGraph:
     bumps :attr:`cost_version` instead of forcing a rebuild.
     """
 
-    def __init__(self, network: "RoadNetwork", memo_size: int = DEFAULT_MEMO_SIZE) -> None:
+    def __init__(self, network: "RoadNetwork") -> None:
         topology = Topology(network)
         edges: list["Edge"] = [None] * topology.edge_count  # type: ignore[list-item]
         for (source, target), slot in topology.slot_of.items():
             edges[slot] = network.edge(source, target)
-        costs = CostStore(topology, edges, memo_size=memo_size)
+        costs = CostStore(topology, edges)
 
         self.topology = topology
         self.costs = costs
@@ -560,7 +554,7 @@ class CompiledGraph:
 
         Used for slave-preference edge masks, baseline cost arrays, and
         similar per-graph precomputations.  The cache is LRU-bounded
-        (``memo_size`` entries — evicted artifacts simply rebuild).  Entries
+        (:data:`MEMO_SIZE` entries — evicted artifacts simply rebuild).  Entries
         are stamped with the cost version by default, so live-traffic patches
         invalidate them; pass ``cost_dependent=False`` for artifacts that
         only depend on the immutable topology (index arrays, road-type

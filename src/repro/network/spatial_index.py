@@ -17,15 +17,15 @@ from .spatial import LonLat, equirectangular_m, point_segment_distance_m
 _DEG_LAT_M = 111_320.0
 """Approximate meters per degree of latitude."""
 
+CELL_SIZE_M = 250.0
+"""Side of one grid cell."""
+
 
 class SpatialIndex:
     """Grid index over the edges of a :class:`RoadNetwork`."""
 
-    def __init__(self, network: RoadNetwork, cell_size_m: float = 250.0) -> None:
-        if cell_size_m <= 0:
-            raise ValueError("cell_size_m must be positive")
+    def __init__(self, network: RoadNetwork) -> None:
         self._network = network
-        self._cell_size_m = float(cell_size_m)
         if network.vertex_count:
             box = network.bounding_box()
             mid_lat = (box.min_lat + box.max_lat) / 2.0
@@ -37,8 +37,8 @@ class SpatialIndex:
 
     # ------------------------------------------------------------------ #
     def _cell_of(self, point: LonLat) -> tuple[int, int]:
-        cx = int(point[0] * self._deg_lon_m // self._cell_size_m)
-        cy = int(point[1] * _DEG_LAT_M // self._cell_size_m)
+        cx = int(point[0] * self._deg_lon_m // CELL_SIZE_M)
+        cy = int(point[1] * _DEG_LAT_M // CELL_SIZE_M)
         return (cx, cy)
 
     def _build(self) -> None:
@@ -51,7 +51,7 @@ class SpatialIndex:
     def _cells_covering(self, a: LonLat, b: LonLat) -> set[tuple[int, int]]:
         """Cells intersected by the segment a-b (sampled densely enough)."""
         length = equirectangular_m(a, b)
-        steps = max(1, int(length // self._cell_size_m) + 1)
+        steps = max(1, int(length // CELL_SIZE_M) + 1)
         cells: set[tuple[int, int]] = set()
         for i in range(steps + 1):
             t = i / steps
@@ -72,7 +72,7 @@ class SpatialIndex:
         result is sorted by distance (closest first).
         """
         center = self._cell_of(point)
-        rings = max(1, int(radius_m // self._cell_size_m) + 1)
+        rings = max(1, int(radius_m // CELL_SIZE_M) + 1)
         seen: set[tuple[VertexId, VertexId]] = set()
         result: list[tuple[Edge, float]] = []
         for cell in self._rings(center, rings):

@@ -25,10 +25,9 @@ from .transfer import (
     evaluate_transfer_accuracy,
     transfer_to_b_edges,
 )
-from .apply import ApplyConfig, materialize_b_edge_paths
+from .apply import materialize_b_edge_paths
 
 __all__ = [
-    "ApplyConfig",
     "FeatureCatalog",
     "LOCAL_ROADS",
     "LearnedPreference",

@@ -10,8 +10,6 @@ uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..exceptions import NoPathError
 from ..network.road_network import RoadNetwork
 from ..routing.dijkstra import fastest_path
@@ -19,37 +17,23 @@ from ..routing.preference_dijkstra import preference_dijkstra
 from ..regions.region_graph import RegionEdge, RegionGraph
 
 
-@dataclass(frozen=True)
-class ApplyConfig:
-    """Controls for B-edge path materialization."""
-
-    max_transfer_center_pairs: int = 4
-    """Cap on the number of (center_a, center_b) pairs per B-edge; the most
-    central pairs (closest to the two regions' centroids) are preferred."""
+MAX_TRANSFER_CENTER_PAIRS = 4
+"""Cap on the number of (center_a, center_b) pairs per B-edge; the most
+central pairs (closest to the two regions' centroids) are preferred."""
 
 
-def materialize_b_edge_paths(
-    network: RoadNetwork,
-    region_graph: RegionGraph,
-    config: ApplyConfig | None = None,
-) -> int:
+def materialize_b_edge_paths(network: RoadNetwork, region_graph: RegionGraph) -> int:
     """Attach preference-based paths to every B-edge of the region graph.
 
     Returns the number of paths that were attached across all B-edges.
     """
-    config = config or ApplyConfig()
     attached = 0
     for edge in region_graph.b_edges():
-        attached += _materialize_edge(network, region_graph, edge, config)
+        attached += _materialize_edge(network, region_graph, edge)
     return attached
 
 
-def _materialize_edge(
-    network: RoadNetwork,
-    region_graph: RegionGraph,
-    edge: RegionEdge,
-    config: ApplyConfig,
-) -> int:
+def _materialize_edge(network: RoadNetwork, region_graph: RegionGraph, edge: RegionEdge) -> int:
     from ..network.spatial import equirectangular_m
 
     centers_a = list(region_graph.transfer_centers(edge.region_a))
@@ -70,9 +54,9 @@ def _materialize_edge(
         for b in centers_b:
             if a != b:
                 pairs.append((a, b))
-            if len(pairs) >= config.max_transfer_center_pairs:
+            if len(pairs) >= MAX_TRANSFER_CENTER_PAIRS:
                 break
-        if len(pairs) >= config.max_transfer_center_pairs:
+        if len(pairs) >= MAX_TRANSFER_CENTER_PAIRS:
             break
 
     attached = 0

@@ -40,6 +40,13 @@ _SCORE_SAMPLE = 4
 score is diagnostic (it is reported, and breaks ties, but is not optimized
 over), so a small sample keeps Step 1 fast on T-edges with many paths."""
 
+MAX_PATHS_PER_EDGE = 12
+"""Ground-truth paths of one T-edge its preference is learned from (the
+first ones; shorter than two vertices do not count)."""
+
+MIN_IMPROVEMENT = 1e-9
+"""Similarity gain a slave must bring over the master alone to be kept."""
+
 
 @dataclass
 class LearnedPreference:
@@ -99,18 +106,10 @@ class _SimilarityTable(dict):
 class PreferenceLearner:
     """Learns a representative routing preference from a set of paths."""
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        catalog: FeatureCatalog | None = None,
-        min_improvement: float = 1e-9,
-        max_paths_per_edge: int = 12,
-    ) -> None:
+    def __init__(self, network: RoadNetwork, catalog: FeatureCatalog | None = None) -> None:
         self._network = network
         self._catalog = catalog or FeatureCatalog()
         self._masters = [PreferenceVector(feature) for feature in self._catalog.cost_features]
-        self._min_improvement = min_improvement
-        self._max_paths_per_edge = max_paths_per_edge
 
     # ------------------------------------------------------------------ #
     def learn(self, paths: Sequence[Path]) -> LearnedPreference:
@@ -120,7 +119,7 @@ class PreferenceLearner:
     def learn_many(self, path_sets: Sequence[Sequence[Path]]) -> list[LearnedPreference]:
         """Learn the representative preference of each path set (one per T-edge)."""
         groups = [
-            [p for p in paths if len(p) >= 2][: self._max_paths_per_edge] for paths in path_sets
+            [p for p in paths if len(p) >= 2][:MAX_PATHS_PER_EDGE] for paths in path_sets
         ]
         paths = [path for group in groups for path in group]
         table = _SimilarityTable(self._network, paths)
@@ -209,7 +208,7 @@ class PreferenceLearner:
         options: Sequence[PreferenceVector],
     ) -> PreferenceVector:
         """The option with the largest improvement over the master alone, if any."""
-        best, best_gain = master, self._min_improvement
+        best, best_gain = master, MIN_IMPROVEMENT
         for option in options:
             constrained = table[index, option]
             if constrained is not None and constrained - similarity > best_gain:
@@ -227,14 +226,13 @@ def learn_t_edge_preferences(
     network: RoadNetwork,
     region_graph,
     catalog: FeatureCatalog | None = None,
-    max_paths_per_edge: int = 12,
 ) -> dict[tuple[int, int], LearnedPreference]:
     """Learn preferences for every T-edge of a region graph (Step 1).
 
     The learned preference is stored on each edge (``edge.preference``) and
     also returned keyed by the edge's ``(region_a, region_b)`` pair.
     """
-    learner = PreferenceLearner(network, catalog=catalog, max_paths_per_edge=max_paths_per_edge)
+    learner = PreferenceLearner(network, catalog=catalog)
     edges = region_graph.t_edges()
     results: dict[tuple[int, int], LearnedPreference] = {}
     for edge, learned in zip(edges, learner.learn_many([edge.paths() for edge in edges])):

@@ -35,18 +35,22 @@ _BLOCK_ROWS = 256
 block stay a few megabytes where whole-matrix ones would each be n x n."""
 
 
+MU1 = 1.0
+"""Weight of the Laplacian smoothing term in Eq. 2."""
+
+MU2 = 0.01
+"""Weight of the L2 regularization term in Eq. 2."""
+
+NULL_THRESHOLD = 1e-6
+"""Below this maximum cost-column probability a B-edge row is *null*."""
+
+
 @dataclass(frozen=True)
 class TransferConfig:
-    """Hyper-parameters of the transduction step."""
+    """The transduction step's setting (the one Fig. 9 sweeps)."""
 
     amr: float = 0.7
     """Adjacency-matrix reduction threshold (Table III default)."""
-    mu1: float = 1.0
-    """Weight of the Laplacian smoothing term in Eq. 2."""
-    mu2: float = 0.01
-    """Weight of the L2 regularization term in Eq. 2."""
-    null_threshold: float = 1e-6
-    """Below this maximum cost-column probability a B-edge row is *null*."""
 
 
 @dataclass
@@ -179,8 +183,8 @@ class PreferenceTransfer:
         # Eq. 3's matrix S + mu1 * (D - M) + mu2 * I, in the adjacency's buffer.
         degree = adjacency.sum(axis=1)
         system = adjacency
-        system *= -self._config.mu1
-        np.fill_diagonal(system, s_diag + self._config.mu1 * degree + self._config.mu2)
+        system *= -MU1
+        np.fill_diagonal(system, s_diag + MU1 * degree + MU2)
         solved = conjugate_gradient(system, s_diag[:, None] * y)
         if not solved.converged:
             raise TransferError(
@@ -198,7 +202,7 @@ class PreferenceTransfer:
                 continue
             unlabelled_count += 1
             decoded = PreferenceVector.from_row(
-                y_hat[i], self._catalog, slave_threshold=self._config.null_threshold
+                y_hat[i], self._catalog, slave_threshold=NULL_THRESHOLD
             )
             if decoded is None:
                 null_count += 1
@@ -217,8 +221,6 @@ class PreferenceTransfer:
             diagnostics={
                 "n_edges": float(n),
                 "n_labelled": float(sum(1 for p in labelled if p is not None)),
-                "mu1": self._config.mu1,
-                "mu2": self._config.mu2,
                 "amr": self._config.amr,
                 "converged": float(solved.converged),
                 "residual_norm": solved.residual_norm,

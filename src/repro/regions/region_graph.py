@@ -33,6 +33,13 @@ from .region import Region, RegionId
 if TYPE_CHECKING:  # pragma: no cover
     from ..preferences.model import PreferenceVector
 
+FUNCTIONALITY_TOP_K = 2
+"""Top road types describing a region's functionality (``re.F``)."""
+
+MAX_REGION_PAIRS_PER_TRAJECTORY = 200
+"""Cap on the T-edges one trajectory produces: a trajectory through ``m``
+regions yields up to ``m(m-1)/2`` of them."""
+
 
 @dataclass
 class RegionEdge:
@@ -82,7 +89,7 @@ class RegionEdge:
 class RegionGraph:
     """The region graph ``G_R = (V_R, E_R)`` with T-edges and B-edges."""
 
-    def __init__(self, network: RoadNetwork, regions: Sequence[Region], functionality_top_k: int = 2) -> None:
+    def __init__(self, network: RoadNetwork, regions: Sequence[Region]) -> None:
         self._network = network
         self._regions: dict[RegionId, Region] = {r.region_id: r for r in regions}
         self._vertex_to_region: dict[VertexId, RegionId] = {}
@@ -93,7 +100,6 @@ class RegionGraph:
         self._adjacency: dict[RegionId, set[RegionId]] = defaultdict(set)
         self._inner_paths: dict[RegionId, Counter] = defaultdict(Counter)
         self._transfer_centers: dict[RegionId, set[VertexId]] = defaultdict(set)
-        self._functionality_top_k = functionality_top_k
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -188,8 +194,8 @@ class RegionGraph:
     def _edge_functionality(
         self, region_a: RegionId, region_b: RegionId
     ) -> frozenset[tuple[RoadType, RoadType]]:
-        fa = self.region(region_a).functionality(self._network, self._functionality_top_k)
-        fb = self.region(region_b).functionality(self._network, self._functionality_top_k)
+        fa = self.region(region_a).functionality(self._network, FUNCTIONALITY_TOP_K)
+        fb = self.region(region_b).functionality(self._network, FUNCTIONALITY_TOP_K)
         return frozenset((a, b) for a in fa for b in fb)
 
     def _get_or_create_edge(self, region_a: RegionId, region_b: RegionId, kind: str) -> RegionEdge:
@@ -211,13 +217,11 @@ class RegionGraph:
             edge.kind = "T"
         return edge
 
-    def add_trajectory(self, trajectory: MatchedTrajectory, max_region_pairs: int | None = None) -> int:
+    def add_trajectory(self, trajectory: MatchedTrajectory) -> int:
         """Register one trajectory: T-edges, transfer centers, inner paths.
 
-        Returns the number of region edges this trajectory touched.  The
-        optional ``max_region_pairs`` caps the quadratic blow-up for
-        trajectories that traverse very many regions (the paper notes a
-        trajectory through ``m`` regions yields up to ``m(m-1)/2`` edges).
+        Returns the number of region edges this trajectory touched, at most
+        :data:`MAX_REGION_PAIRS_PER_TRAJECTORY`.
         """
         visits = self._region_visits(trajectory)
         touched = 0
@@ -229,10 +233,9 @@ class RegionGraph:
                 self._inner_paths[region_id][inner] += 1
 
         # T-edges for each ordered pair of visited regions.
-        pair_budget = max_region_pairs if max_region_pairs is not None else len(visits) ** 2
         for i in range(len(visits)):
             for j in range(i + 1, len(visits)):
-                if touched >= pair_budget:
+                if touched >= MAX_REGION_PAIRS_PER_TRAJECTORY:
                     return touched
                 region_i, _, exit_i = visits[i]
                 region_j, enter_j, _ = visits[j]
@@ -353,20 +356,17 @@ def build_region_graph(
     network: RoadNetwork,
     clustering: ClusteringResult,
     trajectories: Iterable[MatchedTrajectory],
-    functionality_top_k: int = 2,
-    connect: bool = True,
-    max_region_pairs_per_trajectory: int | None = 200,
 ) -> RegionGraph:
-    """Build the full region graph from a clustering and a trajectory set."""
+    """Build the full region graph from a clustering and a trajectory set:
+    T-edges from the trajectories, then B-edges until it is connected."""
     regions = [
         Region(region_id=i, vertices=frozenset(members), road_type=road_type)
         for i, (members, road_type) in enumerate(
             zip(clustering.clusters, clustering.cluster_road_types)
         )
     ]
-    graph = RegionGraph(network, regions, functionality_top_k=functionality_top_k)
+    graph = RegionGraph(network, regions)
     for trajectory in trajectories:
-        graph.add_trajectory(trajectory, max_region_pairs=max_region_pairs_per_trajectory)
-    if connect:
-        graph.connect_with_bfs()
+        graph.add_trajectory(trajectory)
+    graph.connect_with_bfs()
     return graph

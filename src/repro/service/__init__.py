@@ -45,7 +45,6 @@ from .persistence import ModelPersistenceError, load_model, save_model
 from .resilience import (
     AdmissionController,
     CircuitBreaker,
-    CircuitBreakerConfig,
     DeadlineBudget,
     RetryPolicy,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "BaseEngine",
     "CacheStats",
     "CircuitBreaker",
-    "CircuitBreakerConfig",
     "ContractionEngine",
     "DeadlineBudget",
     "DiskJournal",

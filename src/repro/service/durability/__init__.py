@@ -3,11 +3,11 @@
 Three layers, bottom up:
 
 * :mod:`~repro.service.durability.journal` — :class:`DiskJournal`, a
-  segmented CRC-framed write-ahead log with configurable fsync policy and
-  torn-tail repair;
+  segmented CRC-framed write-ahead log with an ``"always"`` / ``"interval"``
+  fsync policy and torn-tail repair;
 * :mod:`~repro.service.durability.snapshot` — :class:`SnapshotStore`,
   atomic (temp → fsync → ``os.replace`` → dir fsync) snapshots of the cost
-  arrays with bounded retention;
+  arrays, the newest two kept;
 * :mod:`~repro.service.durability.manager` — :class:`DurabilityManager`,
   which wires both into the :class:`~repro.traffic.feed.TrafficFeed`
   write path and owns the snapshot-restore + WAL-replay recovery flow.

@@ -101,7 +101,6 @@ def crash_and_recover(
     *,
     hits: int = 1,
     fsync: str = "always",
-    fsync_interval: int = 32,
     segment_max_bytes: int = 1 << 20,
     snapshot_after: int | None = None,
     reference: tuple[dict[str, np.ndarray], int] | None = None,
@@ -123,11 +122,7 @@ def crash_and_recover(
     initial_version = network.cost_version
     switch = KillSwitch(point, hits)
     manager = DurabilityManager(
-        directory,
-        fsync=fsync,
-        fsync_interval=fsync_interval,
-        segment_max_bytes=segment_max_bytes,
-        kill=switch,
+        directory, fsync=fsync, segment_max_bytes=segment_max_bytes, kill=switch
     )
     feed = TrafficFeed(network)
     feed.attach_journal(manager)
@@ -144,10 +139,7 @@ def crash_and_recover(
 
     recovered = make_network()
     recovery_manager = DurabilityManager(
-        directory,
-        fsync=fsync,
-        fsync_interval=fsync_interval,
-        segment_max_bytes=segment_max_bytes,
+        directory, fsync=fsync, segment_max_bytes=segment_max_bytes
     )
     try:
         recovered_feed = TrafficFeed(recovered)

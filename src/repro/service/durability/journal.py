@@ -22,14 +22,13 @@ suffix is discarded.  Segments rotate at ``segment_max_bytes`` so snapshots
 can retire covered history by deleting whole files
 (:meth:`DiskJournal.prune_through`).
 
-Durability is governed by the ``fsync`` policy:
+Durability is governed by the ``fsync`` policy, one of two:
 
 * ``"always"`` — fsync after every append: an acknowledged batch survives
   power loss (the bar the crash-chaos suite holds recovery to);
-* ``"interval"`` — fsync every ``fsync_interval`` appends (and on rotation
-  and close): bounded loss window, near-in-memory append latency;
-* ``"never"`` — leave flushing to the OS: fastest, survives process
-  crashes but not power loss.
+* ``"interval"`` — fsync every :data:`FSYNC_INTERVAL` appends (and on
+  rotation and close): bounded loss window, near-in-memory append latency
+  (the serving policy of the benchmarks).
 
 Segment files are opened **unbuffered** (the default opener passes
 ``buffering=0``), so with a plain opener every byte handed to ``write`` is
@@ -59,7 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...traffic.updates import TrafficUpdate
 
 #: Accepted fsync policies, strictest first.
-FSYNC_POLICIES: tuple[str, ...] = ("always", "interval", "never")
+FSYNC_POLICIES: tuple[str, ...] = ("always", "interval")
+
+#: Appends between fsyncs under the ``"interval"`` policy.
+FSYNC_INTERVAL = 32
 
 _HEADER = struct.Struct(">II")
 #: Upper bound on one record's payload; a corrupt length field must not
@@ -197,7 +199,6 @@ class DiskJournal:
         directory: str | Path,
         *,
         fsync: str = "always",
-        fsync_interval: int = 32,
         segment_max_bytes: int = 1 << 20,
         opener: Callable[[str, str], object] | None = None,
         kill: KillHook | None = None,
@@ -206,13 +207,10 @@ class DiskJournal:
             raise JournalError(
                 f"unknown fsync policy {fsync!r}; choose one of {FSYNC_POLICIES}"
             )
-        if fsync_interval < 1:
-            raise JournalError(f"fsync_interval must be >= 1, got {fsync_interval}")
         if segment_max_bytes < 1:
             raise JournalError(f"segment_max_bytes must be >= 1, got {segment_max_bytes}")
         self.directory = Path(directory)
         self.fsync_policy = fsync
-        self.fsync_interval = int(fsync_interval)
         self.segment_max_bytes = int(segment_max_bytes)
         self._opener = opener or _default_opener
         self._kill = kill
@@ -328,10 +326,7 @@ class DiskJournal:
                 (base, base) if span is None else (min(span[0], base), max(span[1], base))
             )
             self._hit("journal.append.pre-fsync")
-            if self.fsync_policy == "always" or (
-                self.fsync_policy == "interval"
-                and self._appends_since_sync >= self.fsync_interval
-            ):
+            if self.fsync_policy == "always" or self._appends_since_sync >= FSYNC_INTERVAL:
                 self._sync_active()
             self._hit("journal.append.post-fsync")
             if self._active_size >= self.segment_max_bytes:
@@ -342,10 +337,7 @@ class DiskJournal:
         """Seal the active segment and start the next one (durably)."""
         assert self._active is not None
         self._hit("journal.rotate.pre-create")
-        if self.fsync_policy == "never":
-            self._active.flush()
-        else:
-            self._sync_active()
+        self._sync_active()
         self._active.close()
         self._active_index += 1
         path = self._segment_path(self._active_index)
@@ -423,16 +415,13 @@ class DiskJournal:
             raise JournalError("this DiskJournal is closed")
 
     def close(self) -> None:
-        """Flush (and, unless ``fsync='never'``, fsync) and close; idempotent."""
+        """Flush, fsync and close; idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             if self._active is not None:
-                if self.fsync_policy == "never":
-                    self._active.flush()
-                else:
-                    self._sync_active()
+                self._sync_active()
                 self._active.close()
                 self._active = None
 

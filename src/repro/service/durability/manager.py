@@ -14,10 +14,12 @@ and stitches the two halves together with the live serving stack:
   ``cost_version`` — one ``traffic`` record per batch, whether the feed
   belongs to an in-process service or to the sharded coordinator.
 * **Snapshots** — :meth:`snapshot` captures the cost arrays + version +
-  topology stamp atomically, then prunes WAL segments the snapshot covers.
+  topology stamp atomically, then prunes the WAL segments that the *oldest*
+  retained snapshot covers (recovery falls back to it when a newer one is
+  damaged, and then replays everything after it).
 * **Recovery** — :meth:`recover` restores the newest valid snapshot, replays
-  the WAL suffix through the normal update machinery, and verifies the
-  result with the runtime sanitizer.
+  the WAL suffix through the normal update machinery, and always verifies
+  the result with the runtime sanitizer.
 
 Replay is deterministic because the WAL stores *inputs* anchored to exact
 versions: a traffic record with ``base_version == v`` is resolved against
@@ -85,9 +87,7 @@ class DurabilityManager:
         directory: str | Path,
         *,
         fsync: str = "always",
-        fsync_interval: int = 32,
         segment_max_bytes: int = 1 << 20,
-        retain: int = 2,
         opener: Callable[[str, str], object] | None = None,
         kill: KillHook | None = None,
     ) -> None:
@@ -95,17 +95,11 @@ class DurabilityManager:
         self.journal = DiskJournal(
             self.directory / "wal",
             fsync=fsync,
-            fsync_interval=fsync_interval,
             segment_max_bytes=segment_max_bytes,
             opener=opener,
             kill=kill,
         )
-        self.snapshots = SnapshotStore(
-            self.directory / "snapshots",
-            retain=retain,
-            opener=opener,
-            kill=kill,
-        )
+        self.snapshots = SnapshotStore(self.directory / "snapshots", opener=opener, kill=kill)
         self._kill = kill
         self._replaying = False
 
@@ -129,7 +123,8 @@ class DurabilityManager:
     # Snapshots
     # ------------------------------------------------------------------ #
     def snapshot(self, network: "RoadNetwork") -> Path:
-        """Atomically snapshot the current cost state, then prune the WAL.
+        """Atomically snapshot the current cost state, then prune the WAL
+        through the oldest retained snapshot's version.
 
         Must not race a concurrent ``feed.apply`` (call it from a feed
         subscriber, a quiesced maintenance window, or the serving loop's
@@ -142,7 +137,7 @@ class DurabilityManager:
         stamp = topology_stamp(compiled.topology)
         path = self.snapshots.save(version, arrays, stamp)
         self._hit("snapshot.pre-prune")
-        self.journal.prune_through(version)
+        self.journal.prune_through(self.snapshots.oldest_version())
         return path
 
     # ------------------------------------------------------------------ #
@@ -152,8 +147,6 @@ class DurabilityManager:
         self,
         network: "RoadNetwork",
         feed: "TrafficFeed | None" = None,
-        *,
-        verify: bool = True,
     ) -> RecoveryReport:
         """Restore snapshot + replay WAL suffix onto ``network``.
 
@@ -161,9 +154,8 @@ class DurabilityManager:
         (pristine costs, ``cost_version`` as pickled).  Traffic records
         replay through ``feed`` (one is built if not given) so resolution
         semantics — absolute → scale → delta against current state — are
-        byte-for-byte the production ones.  With ``verify=True`` the
-        recovered state must pass the runtime coherence check or
-        :class:`RecoveryError` is raised.
+        byte-for-byte the production ones.  The recovered state must pass
+        the runtime coherence check or :class:`RecoveryError` is raised.
         """
         from ...traffic.feed import TrafficFeed
 
@@ -218,8 +210,7 @@ class DurabilityManager:
                     continue
                 report.replayed += 1
             report.recovered_version = network.cost_version
-            if verify:
-                self._verify(network, report)
+            self._verify(network, report)
             return report
         finally:
             self._replaying = False

@@ -4,9 +4,11 @@ A snapshot is the compaction point of the durability layer: it captures the
 :class:`~repro.network.compiled.graph.CostStore` arrays together with the
 ``cost_version`` they correspond to and a topology stamp (vertex/edge
 counts plus a CRC of the CSR ``offsets``/``targets`` and the vertex ids), so
-recovery can refuse a snapshot taken against a different graph.  Once a snapshot at
-version *v* is durable, every WAL segment whose records all have
-``base_version < v`` is dead history and may be deleted.
+recovery can refuse a snapshot taken against a different graph.  Once the
+*oldest* retained snapshot, at version *v*, is durable, every WAL segment
+whose records all have ``base_version < v`` is dead history and may be
+deleted; newer records stay, since recovery falls back to that snapshot
+when a newer one is damaged.
 
 Publication is the classic atomic dance, in this exact order:
 
@@ -45,6 +47,10 @@ _MAGIC = b"RSNAP1\n"
 _CRC = struct.Struct(">I")
 SNAPSHOT_FORMAT_VERSION = 1
 
+#: Published snapshots kept: the newest, and one to fall back to when the
+#: newest turns out damaged.
+RETAIN = 2
+
 
 class SnapshotError(ReproError):
     """A snapshot could not be written, or no valid snapshot exists."""
@@ -78,7 +84,7 @@ class SnapshotState:
 class SnapshotStore:
     """Bounded-retention store of atomic cost-state snapshots.
 
-    ``retain`` caps how many published snapshots are kept; older ones are
+    The newest :data:`RETAIN` published snapshots are kept; older ones are
     deleted after each successful save.  Stale ``*.tmp`` leftovers from a
     crashed save are swept on open — they were never published, so deleting
     them is always safe.
@@ -88,14 +94,10 @@ class SnapshotStore:
         self,
         directory: str | Path,
         *,
-        retain: int = 2,
         opener: Callable[[str, str], object] | None = None,
         kill: KillHook | None = None,
     ) -> None:
-        if retain < 1:
-            raise SnapshotError(f"retain must be >= 1, got {retain}")
         self.directory = Path(directory)
-        self.retain = int(retain)
         self._opener = opener or _default_opener
         self._kill = kill
         self.saves = 0
@@ -156,10 +158,10 @@ class SnapshotStore:
 
     def _apply_retention(self) -> None:
         published = self.snapshot_paths()
-        for stale in published[: -self.retain]:
+        for stale in published[:-RETAIN]:
             stale.unlink()
             self.pruned_snapshots += 1
-        if len(published) > self.retain:
+        if len(published) > RETAIN:
             _fsync_dir(self.directory)
 
     # ------------------------------------------------------------------ #
@@ -168,6 +170,15 @@ class SnapshotStore:
     def snapshot_paths(self) -> list[Path]:
         """Published snapshot files, oldest first (names sort by version)."""
         return sorted(self.directory.glob("snapshot-*.snap"))
+
+    def oldest_version(self) -> int | None:
+        """Cost version of the oldest published snapshot, ``None`` if none.
+
+        The WAL must keep every record from here on: :meth:`latest` falls
+        back to this snapshot when the newer ones are damaged.
+        """
+        published = self.snapshot_paths()
+        return int(published[0].stem.split("-", 1)[1]) if published else None
 
     def _decode(self, path: Path) -> SnapshotState | None:
         try:
@@ -217,5 +228,5 @@ class SnapshotStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SnapshotStore(dir={str(self.directory)!r}, "
-            f"snapshots={len(self.snapshot_paths())}, retain={self.retain})"
+            f"snapshots={len(self.snapshot_paths())})"
         )

@@ -8,10 +8,12 @@ with learned and transferred preferences, and the materialized B-edge paths —
 into one gzip-compressed pickle with a format header; :func:`load_model`
 restores it and verifies the header.  A round-tripped model answers every
 query identically to the in-memory original (the state is carried verbatim;
-routing is deterministic).  A file that names a class or module this library
-no longer has — every file older than the current format version is such a
-file — fails with :class:`ModelPersistenceError`, never a bare unpickling
-error; so does a file whose gzip body or pickle bytes are corrupt.
+routing is deterministic).  A file of another format version fails with
+:class:`ModelPersistenceError`, never a bare unpickling error — format 2
+pickled a seven-field ``L2RConfig`` (one field an ``ApplyConfig``), format 3
+an ``L2RConfig`` holding only ``transfer`` — and so does a file that names a
+class or module this library no longer has, or whose gzip body or pickle
+bytes are corrupt.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.l2r import LearnToRoute
 
 MODEL_FORMAT = "repro-l2r-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class ModelPersistenceError(ReproError):

@@ -13,7 +13,8 @@ to stay up under those conditions:
   (:class:`~repro.exceptions.TransientEngineError`-shaped) failures;
 * :class:`CircuitBreaker` — per-engine closed / open / half-open breaker over
   a sliding failure-rate window; an open breaker skips the engine entirely
-  so the fallback chain is consulted without paying the failure latency;
+  (retries included) so the fallback chain is consulted without paying the
+  failure latency.  Its tuning is the ``BREAKER_*`` module constants;
 * :class:`AdmissionController` — a bound on concurrently served requests
   that admits now or refuses now with
   :class:`~repro.exceptions.ServiceOverloadedError`, turning overload into
@@ -28,7 +29,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -196,58 +196,41 @@ def is_transient_failure(failure: BaseException | str | None) -> bool:
 # ---------------------------------------------------------------------- #
 # Circuit breaker
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CircuitBreakerConfig:
-    """Tuning of one per-engine :class:`CircuitBreaker`."""
-
-    window: int = 16
-    """Sliding window of most-recent outcomes the failure rate is computed
-    over."""
-    failure_threshold: float = 0.5
-    """Open when the windowed failure fraction reaches this value."""
-    min_samples: int = 4
-    """Never open before this many outcomes are in the window (a single
-    startup failure must not blackhole an engine)."""
-    recovery_s: float = 5.0
-    """Seconds an open breaker waits before letting half-open probes through."""
-    half_open_probes: int = 1
-    """Concurrent trial requests allowed while half-open."""
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.failure_threshold <= 1.0):
-            raise ValueError("failure_threshold must be in (0, 1]")
-        if self.window < 1 or self.min_samples < 1 or self.half_open_probes < 1:
-            raise ValueError("window/min_samples/half_open_probes must be >= 1")
-        if self.recovery_s < 0:
-            raise ValueError("recovery_s must be >= 0")
+#: Sliding window of most-recent outcomes the failure rate is computed over.
+BREAKER_WINDOW = 16
+#: Open when the windowed failure fraction reaches this value.
+BREAKER_FAILURE_THRESHOLD = 0.5
+#: Never open before this many outcomes are in the window (a single startup
+#: failure must not blackhole an engine).
+BREAKER_MIN_SAMPLES = 4
+#: Seconds an open breaker waits before letting half-open probes through.
+BREAKER_RECOVERY_S = 5.0
+#: Concurrent trial requests allowed while half-open.
+BREAKER_HALF_OPEN_PROBES = 1
 
 
 class CircuitBreaker:
     """Closed / open / half-open breaker over a sliding failure-rate window.
 
-    * **closed** — calls flow; outcomes land in the window.  When the window
-      holds at least ``min_samples`` outcomes and the failure fraction
-      reaches ``failure_threshold``, the breaker *trips* open.
+    * **closed** — calls flow; outcomes land in the window
+      (:data:`BREAKER_WINDOW`).  When the window holds at least
+      :data:`BREAKER_MIN_SAMPLES` outcomes and the failure fraction reaches
+      :data:`BREAKER_FAILURE_THRESHOLD`, the breaker *trips* open.
     * **open** — :meth:`allow` answers ``False`` (callers skip straight to
-      the fallback chain) until ``recovery_s`` elapsed, then transitions to
-      half-open.
-    * **half-open** — up to ``half_open_probes`` concurrent trial calls are
-      let through; a success closes the breaker (window reset), a failure
-      re-opens it (counted as another trip).
+      the fallback chain) until :data:`BREAKER_RECOVERY_S` elapsed, then
+      transitions to half-open.
+    * **half-open** — up to :data:`BREAKER_HALF_OPEN_PROBES` concurrent trial
+      calls are let through; a success closes the breaker (window reset), a
+      failure re-opens it (counted as another trip).
 
     Thread-safe; the clock is injectable for deterministic tests.
     """
 
-    def __init__(
-        self,
-        config: CircuitBreakerConfig | None = None,
-        clock: Clock = time.monotonic,
-    ) -> None:
-        self.config = config or CircuitBreakerConfig()
+    def __init__(self, clock: Clock = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = "closed"
-        self._window: deque[bool] = deque(maxlen=self.config.window)
+        self._window: deque[bool] = deque(maxlen=BREAKER_WINDOW)
         self._opened_at = 0.0
         self._probes_in_flight = 0
         self._trips = 0
@@ -262,7 +245,7 @@ class CircuitBreaker:
     def _observable_state(self) -> str:
         """State as a caller would observe it; lock held by caller."""
         if self._state == "open" and (
-            self._clock() - self._opened_at >= self.config.recovery_s
+            self._clock() - self._opened_at >= BREAKER_RECOVERY_S
         ):
             return "half-open"
         return self._state
@@ -285,12 +268,12 @@ class CircuitBreaker:
             if self._state == "closed":
                 return True
             if self._state == "open":
-                if self._clock() - self._opened_at < self.config.recovery_s:
+                if self._clock() - self._opened_at < BREAKER_RECOVERY_S:
                     return False
                 self._state = "half-open"
                 self._probes_in_flight = 0
             # half-open: admit a bounded number of concurrent probes.
-            if self._probes_in_flight >= self.config.half_open_probes:
+            if self._probes_in_flight >= BREAKER_HALF_OPEN_PROBES:
                 return False
             self._probes_in_flight += 1
             return True
@@ -317,9 +300,9 @@ class CircuitBreaker:
             if self._state == "open":
                 return
             self._window.append(False)
-            if len(self._window) >= self.config.min_samples:
+            if len(self._window) >= BREAKER_MIN_SAMPLES:
                 failures = sum(1 for ok in self._window if not ok)
-                if failures / len(self._window) >= self.config.failure_threshold:
+                if failures / len(self._window) >= BREAKER_FAILURE_THRESHOLD:
                     self._state = "open"
                     self._opened_at = now
                     self._trips += 1

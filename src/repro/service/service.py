@@ -35,7 +35,6 @@ from .engine import RoutingEngine
 from .resilience import (
     AdmissionController,
     CircuitBreaker,
-    CircuitBreakerConfig,
     DeadlineBudget,
     RetryPolicy,
     is_transient_failure,
@@ -62,9 +61,8 @@ class RoutingService:
         enable_cache: bool = True,
         deadline_s: float | None = None,
         retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreakerConfig | None = None,
+        breaker: bool = False,
         max_in_flight: int | None = None,
-        serve_degraded: bool = True,
     ) -> None:
         """The resilience options are all off by default, preserving the
         fault-free fast path:
@@ -74,15 +72,16 @@ class RoutingService:
           consumed across fallback hops and retry backoff;
         * ``retry_policy`` — bounded seeded-jitter retries for transient
           engine failures (never for request errors like ``NoPathError``);
-        * ``breaker`` — when set, every registered engine gets its own
-          :class:`CircuitBreaker` with this config; open breakers skip the
-          engine and go straight to its fallback chain;
+        * ``breaker`` — when ``True``, every registered engine gets its own
+          :class:`CircuitBreaker`; an open breaker skips the engine, retries
+          included, and goes straight to its fallback chain;
         * ``max_in_flight`` — admission control: units of work (a request, or
           one ``route_many`` kernel call) beyond this many concurrently served
-          are refused at once, a request with ``ServiceOverloadedError``;
-        * ``serve_degraded`` — when the whole chain fails within budget,
-          serve the last known good route for the OD pair flagged
-          ``degraded=True`` instead of a bare error."""
+          are refused at once, a request with ``ServiceOverloadedError``.
+
+        Degraded serving is always on: when the whole chain fails on an
+        engine-health error, the last known good route for the OD pair is
+        served flagged ``degraded=True`` instead of a bare error."""
         self._engines: dict[str, RoutingEngine] = {}
         self._fallbacks: dict[str, str] = {}
         self._default_engine: str | None = None
@@ -98,12 +97,11 @@ class RoutingService:
         self._stats = StatsAccumulator()
         self._deadline_s = deadline_s
         self._retry_policy = retry_policy
-        self._breaker_config = breaker
+        self._breakers_on = breaker
         self._breakers: dict[str, CircuitBreaker] = {}
         self._admission = (
             AdmissionController(max_in_flight) if max_in_flight is not None else None
         )
-        self._serve_degraded = serve_degraded
         self._stale_routes: OrderedDict[tuple, tuple[RouteResponse, int | None]] = (
             OrderedDict()
         )
@@ -144,8 +142,8 @@ class RoutingService:
             self._fallbacks[name] = fallback
         if default or self._default_engine is None:
             self._default_engine = name
-        if self._breaker_config is not None and name not in self._breakers:
-            self._breakers[name] = CircuitBreaker(self._breaker_config)
+        if self._breakers_on and name not in self._breakers:
+            self._breakers[name] = CircuitBreaker()
         return self
 
     def _cache_tag(self, name: str) -> object:
@@ -187,7 +185,7 @@ class RoutingService:
         self._fallbacks[name] = fallback
 
     def breaker(self, name: str) -> CircuitBreaker | None:
-        """The engine's circuit breaker (``None`` without breaker config)."""
+        """The engine's circuit breaker (``None`` unless ``breaker=True``)."""
         self.engine(name)  # validates
         return self._breakers.get(name)
 
@@ -302,7 +300,7 @@ class RoutingService:
             for position, response in enumerate(responses):
                 if response is None:
                     continue
-                if not response.ok and self._serve_degraded:
+                if not response.ok:
                     response = (
                         self._degraded_response(name, requests[position], response) or response
                     )
@@ -511,9 +509,11 @@ class RoutingService:
         protocol cannot enforce that on arbitrary engines, and a raising
         engine must not abort a ``route_many`` batch — exceptions are folded
         into error responses here.  Transient failures feed the breaker and
-        are retried (with budget-bounded backoff); request-level errors like
-        ``NoPathError`` count as breaker *successes* — the engine is alive
-        and answering — and are never retried.
+        are retried (with budget-bounded backoff) while the breaker still
+        allows calls — a failure that opens it ends the retries;
+        request-level errors like ``NoPathError`` count as breaker
+        *successes* — the engine is alive and answering — and are never
+        retried.
         """
         policy = self._retry_policy
         attempt = 0
@@ -547,6 +547,8 @@ class RoutingService:
                 return response, attempt
             if not sleep_within(delay, budget):
                 return response, attempt
+            if breaker is not None and not breaker.allow():
+                return response, attempt
 
     # ------------------------------------------------------------------ #
     # Degraded serving (stale-route store)
@@ -568,8 +570,6 @@ class RoutingService:
 
     def _remember_last_good(self, name: str, response: RouteResponse) -> None:
         """Keep the freshest good answer per OD line for degraded serving."""
-        if not self._serve_degraded:
-            return
         key = self._stale_key(name, response.request)
         answering = self._engines.get(response.engine)
         network = getattr(answering, "network", None)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ...exceptions import ShardingError
 from .protocol import Fatal, Hello, Shutdown
-from .transport import TcpHub
+from .transport import HANDSHAKE_TIMEOUT_S, TcpHub
 from .worker import _worker_entry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,9 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Grace given to one orderly worker exit before escalating to terminate().
 _JOIN_TIMEOUT_S = 5.0
-
-#: Seconds a spawned worker gets to attach, verify and send its boot Hello.
-BOOT_TIMEOUT_S = 120.0
 
 
 class ShardWorkerPool:
@@ -51,7 +48,7 @@ class ShardWorkerPool:
             raise ShardingError("a worker pool needs at least one worker payload")
         self._payloads = list(payloads)
         self._ctx = multiprocessing.get_context("spawn")
-        self._hub = TcpHub(host, port, handshake_timeout_s=BOOT_TIMEOUT_S)
+        self._hub = TcpHub(host, port)
         self._processes: list[multiprocessing.process.BaseProcess | None] = [
             None for _ in self._payloads
         ]
@@ -93,14 +90,14 @@ class ShardWorkerPool:
 
     def _await_hello(self, expected: set[int]) -> None:
         """Collect boot handshakes; stash unrelated traffic for recv()."""
-        deadline = time.monotonic() + BOOT_TIMEOUT_S
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         waiting = set(expected)
         while waiting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ShardingError(
                     f"workers {sorted(waiting)} did not finish booting within "
-                    f"{BOOT_TIMEOUT_S:.0f}s"
+                    f"{HANDSHAKE_TIMEOUT_S:.0f}s"
                 )
             try:
                 message = self._hub.recv(timeout_s=min(0.5, remaining))

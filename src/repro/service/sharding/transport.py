@@ -56,6 +56,21 @@ _DEFAULT_POLL_TIMEOUT_S = 1.0
 #: is broken, not slow).
 _IO_TIMEOUT_S = 10.0
 
+#: A worker's dial timeout, and the redials its reconnect budget allows
+#: (exponential seeded-jitter backoff from the base delay).
+CONNECT_TIMEOUT_S = 5.0
+RECONNECT_RETRIES = 8
+RECONNECT_BASE_DELAY_S = 0.01
+
+#: How long the hub's accept and reader loops block before re-checking
+#: for shutdown.
+ACCEPT_TIMEOUT_S = 0.2
+
+#: Seconds a new connection gets to send its identify frame.  A spawned
+#: worker sends it once it has attached and verified, so this is also the
+#: pool's boot deadline.
+HANDSHAKE_TIMEOUT_S = 120.0
+
 
 class FrameError(ShardingError):
     """A malformed frame: oversized length prefix or undecodable payload."""
@@ -150,17 +165,12 @@ class SocketTransport:
         self,
         address: tuple[str, int],
         *,
-        retry: RetryPolicy | None = None,
-        connect_timeout_s: float = 5.0,
-        io_timeout_s: float = _IO_TIMEOUT_S,
         identify: Callable[[], object] | None = None,
     ) -> None:
         self.address = address
-        self.retry = retry or RetryPolicy(
-            max_retries=8, base_delay_s=0.01, multiplier=2.0, jitter=0.5
+        self.retry = RetryPolicy(
+            max_retries=RECONNECT_RETRIES, base_delay_s=RECONNECT_BASE_DELAY_S
         )
-        self.connect_timeout_s = connect_timeout_s
-        self.io_timeout_s = io_timeout_s
         self.identify = identify
         """Zero-arg factory for the re-identification message sent as the
         first frame of every connection (set by the worker entry to a
@@ -176,7 +186,7 @@ class SocketTransport:
         return self._connects
 
     def _dial_once(self) -> socket.socket:
-        sock = socket.create_connection(self.address, timeout=self.connect_timeout_s)
+        sock = socket.create_connection(self.address, timeout=CONNECT_TIMEOUT_S)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
@@ -203,7 +213,7 @@ class SocketTransport:
         # pool mark a dead worker as booted.
         if self._connects > 1 and self.identify is not None:
             try:
-                send_frame(sock, self.identify(), timeout_s=self.io_timeout_s)
+                send_frame(sock, self.identify())
             except OSError:
                 self._drop()
                 raise
@@ -235,10 +245,10 @@ class SocketTransport:
         worker loop treats it as transport teardown.
         """
         try:
-            send_frame(self._ensure_connected(), message, timeout_s=self.io_timeout_s)
+            send_frame(self._ensure_connected(), message)
         except (OSError, EOFError):
             self._drop()
-            send_frame(self._connect(), message, timeout_s=self.io_timeout_s)
+            send_frame(self._connect(), message)
 
     def recv(self, timeout_s: float | None = None) -> object:
         wait = _DEFAULT_POLL_TIMEOUT_S if timeout_s is None else timeout_s
@@ -311,18 +321,7 @@ class TcpHub:
     liveness/resync machinery (not the sender) owns recovery.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        accept_timeout_s: float = 0.2,
-        io_timeout_s: float = _IO_TIMEOUT_S,
-        handshake_timeout_s: float = 120.0,
-    ) -> None:
-        self.io_timeout_s = io_timeout_s
-        self.accept_timeout_s = accept_timeout_s
-        self.handshake_timeout_s = handshake_timeout_s
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -343,7 +342,7 @@ class TcpHub:
     def _accept_loop(self) -> None:
         while not self._closing:
             try:
-                self._listener.settimeout(self.accept_timeout_s)
+                self._listener.settimeout(ACCEPT_TIMEOUT_S)
                 conn_sock, _peer = self._listener.accept()
             except socket.timeout:
                 continue
@@ -363,7 +362,7 @@ class TcpHub:
     def _reader_loop(self, connection: _Connection) -> None:
         worker_id: int | None = None
         try:
-            first = recv_frame(connection.sock, timeout_s=self.handshake_timeout_s)
+            first = recv_frame(connection.sock, timeout_s=HANDSHAKE_TIMEOUT_S)
             worker_id = getattr(first, "worker_id", None)
             if not isinstance(worker_id, int):
                 raise FrameError(
@@ -380,7 +379,7 @@ class TcpHub:
             self._inbound.put(first)
             while not connection.closed and not self._closing:
                 try:
-                    message = recv_frame(connection.sock, timeout_s=self.accept_timeout_s)
+                    message = recv_frame(connection.sock, timeout_s=ACCEPT_TIMEOUT_S)
                 except socket.timeout:
                     continue
                 self._inbound.put(message)
@@ -430,7 +429,7 @@ class TcpHub:
             return False
         try:
             with connection.lock:
-                send_frame(connection.sock, message, timeout_s=self.io_timeout_s)
+                send_frame(connection.sock, message)
             return True
         except (OSError, FrameError):
             self._unregister(worker_id, connection)

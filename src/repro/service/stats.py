@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from .api import RouteResponse
 from .cache import CacheStats
 
+#: Most recent latencies kept per ring buffer (single and batched answers).
+MAX_LATENCY_SAMPLES = 10_000
+
 
 def percentile(values: list[float], fraction: float) -> float:
     """Nearest-rank percentile (0 for an empty sample)."""
@@ -111,7 +114,7 @@ class ServiceStats:
 class StatsAccumulator:
     """Thread-safe recorder behind :class:`ServiceStats` snapshots."""
 
-    def __init__(self, max_latency_samples: int = 10_000) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -127,7 +130,6 @@ class StatsAccumulator:
         self._batched = 0
         self._batch_latencies: list[float] = []
         self._batch_latency_seen = 0
-        self._max_latency_samples = max_latency_samples
         self._traffic_updates = 0
         self._traffic_touched = 0
         self._traffic_evicted = 0
@@ -164,10 +166,10 @@ class StatsAccumulator:
 
     def _push_latency(self, buffer: list[float], seen: int, value: float) -> int:
         """Append to a bounded ring buffer; returns the new seen-count."""
-        if len(buffer) < self._max_latency_samples:
+        if len(buffer) < MAX_LATENCY_SAMPLES:
             buffer.append(value)
         else:
-            buffer[seen % self._max_latency_samples] = value
+            buffer[seen % MAX_LATENCY_SAMPLES] = value
         return seen + 1
 
     def record_deadline_exceeded(self) -> None:

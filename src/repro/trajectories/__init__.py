@@ -3,7 +3,7 @@ and files: raw GPS written as CSV, matched trajectories as JSON Lines."""
 
 from .models import GPSRecord, MatchedTrajectory, Trajectory, TrajectorySet
 from .sampling import SamplingSpec, high_frequency_sampler, low_frequency_sampler, sample_path
-from .map_matching import HMMMapMatcher, MatchingConfig
+from .map_matching import HMMMapMatcher
 from .generator import (
     DriverProfile,
     GeneratedData,
@@ -35,7 +35,6 @@ __all__ = [
     "GeneratorConfig",
     "HMMMapMatcher",
     "MatchedTrajectory",
-    "MatchingConfig",
     "SamplingSpec",
     "Trajectory",
     "TrajectoryGenerator",

@@ -42,7 +42,7 @@ from ..preferences.model import PreferenceVector
 from ..routing.costs import CostFeature
 from ..routing.dijkstra import fastest_path
 from ..routing.preference_dijkstra import preference_dijkstra
-from .map_matching import HMMMapMatcher, MatchingConfig
+from .map_matching import HMMMapMatcher
 from .models import MatchedTrajectory, Trajectory
 from .sampling import SamplingSpec, high_frequency_sampler, sample_path
 
@@ -386,7 +386,6 @@ def emit_and_match(
     trajectories: Sequence[MatchedTrajectory],
     sampling: SamplingSpec | None = None,
     matcher: HMMMapMatcher | None = None,
-    matching_config: MatchingConfig | None = None,
 ) -> list[MatchedTrajectory]:
     """Run the full GPS pipeline: emit raw GPS, then HMM-match it back.
 
@@ -395,7 +394,7 @@ def emit_and_match(
     so the large evaluation benchmarks use it on a sample only.
     """
     sampling = sampling or high_frequency_sampler()
-    matcher = matcher or HMMMapMatcher(network, config=matching_config)
+    matcher = matcher or HMMMapMatcher(network)
     raw: list[Trajectory] = []
     for matched in trajectories:
         raw.append(

@@ -6,7 +6,8 @@ decrease with the perpendicular distance from the record to the candidate
 edge; transition probabilities decrease with the difference between the
 great-circle distance of consecutive records and the network distance between
 the candidate positions.  Viterbi decoding picks the most likely candidate
-sequence, which is then expanded into a connected vertex path.
+sequence, which is then expanded into a connected vertex path.  The
+matcher's tuning is the module constants below.
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ from ..routing.path import Path
 from .models import MatchedTrajectory, Trajectory
 
 
-@dataclass(frozen=True)
-class MatchingConfig:
-    """Tuning knobs of the HMM map matcher."""
-
-    candidate_radius_m: float = 120.0
-    max_candidates: int = 6
-    emission_sigma_m: float = 15.0
-    transition_beta: float = 40.0
-    max_route_detour_factor: float = 4.0
-    """Candidate transitions whose network distance exceeds this factor times
-    the great-circle distance are pruned (they imply an implausible detour)."""
+CANDIDATE_RADIUS_M = 120.0
+"""Edges farther than this from a GPS record are not its candidates."""
+MAX_CANDIDATES = 6
+"""Closest candidate edges kept per record."""
+EMISSION_SIGMA_M = 15.0
+"""Standard deviation of the Gaussian GPS-noise emission model."""
+TRANSITION_BETA = 40.0
+"""Scale of the exponential transition model over the great-circle vs
+network distance difference."""
+MAX_ROUTE_DETOUR_FACTOR = 4.0
+"""Candidate transitions whose network distance exceeds this factor times
+the great-circle distance are pruned (they imply an implausible detour)."""
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,8 @@ class _Candidate:
 class HMMMapMatcher:
     """Hidden-Markov-model map matcher over a fixed road network."""
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        config: MatchingConfig | None = None,
-        spatial_index: SpatialIndex | None = None,
-    ) -> None:
+    def __init__(self, network: RoadNetwork, spatial_index: SpatialIndex | None = None) -> None:
         self._network = network
-        self._config = config or MatchingConfig()
         self._index = spatial_index or SpatialIndex(network)
         self._distance_cost = cost_function(CostFeature.DISTANCE)
 
@@ -92,16 +88,15 @@ class HMMMapMatcher:
 
     # ------------------------------------------------------------------ #
     def _candidates_per_record(self, trajectory: Trajectory) -> list[list[_Candidate]]:
-        config = self._config
         result: list[list[_Candidate]] = []
         for record in trajectory.records:
-            found = self._index.candidate_edges(record.lonlat, config.candidate_radius_m)
+            found = self._index.candidate_edges(record.lonlat, CANDIDATE_RADIUS_M)
             if not found:
                 # Leave the record out rather than failing the whole match; a
                 # single noisy outlier should not discard the trajectory.
                 continue
             result.append(
-                [_Candidate(edge=e, distance_m=d) for e, d in found[: config.max_candidates]]
+                [_Candidate(edge=e, distance_m=d) for e, d in found[:MAX_CANDIDATES]]
             )
         if len(result) < 2:
             raise MapMatchingError(
@@ -111,8 +106,7 @@ class HMMMapMatcher:
         return result
 
     def _emission_log_prob(self, candidate: _Candidate) -> float:
-        sigma = self._config.emission_sigma_m
-        return -0.5 * (candidate.distance_m / sigma) ** 2
+        return -0.5 * (candidate.distance_m / EMISSION_SIGMA_M) ** 2
 
     def _transition_log_prob(
         self,
@@ -130,12 +124,12 @@ class HMMMapMatcher:
         # Prune only blatant detours; the margin absorbs the whole-edge
         # granularity of candidate anchors at dense sampling rates.
         detour_limit = max(
-            self._config.max_route_detour_factor * great_circle_m, 3.0 * curr.edge.distance_m + 200.0
+            MAX_ROUTE_DETOUR_FACTOR * great_circle_m, 3.0 * curr.edge.distance_m + 200.0
         )
         if network_m > detour_limit:
             return -math.inf
         delta = abs(great_circle_m - network_m)
-        return -delta / self._config.transition_beta
+        return -delta / TRANSITION_BETA
 
     def _network_distance(self, source: VertexId, target: VertexId) -> float | None:
         if source == target:
@@ -156,7 +150,7 @@ class HMMMapMatcher:
         usable_candidates = []
         idx = 0
         for record in records:
-            found = self._index.candidate_edges(record.lonlat, self._config.candidate_radius_m)
+            found = self._index.candidate_edges(record.lonlat, CANDIDATE_RADIUS_M)
             if not found:
                 continue
             usable_records.append(record)

@@ -7,7 +7,6 @@ import pytest
 from repro.baselines import (
     DomBaseline,
     ExternalRoutingService,
-    ExternalServiceConfig,
     FastestBaseline,
     L2RAlgorithm,
     ShortestBaseline,
@@ -15,6 +14,7 @@ from repro.baselines import (
     waypoint_accuracy,
 )
 from repro.baselines import dom as dom_module
+from repro.baselines import external_service
 from repro.routing import CostFeature, fastest_path, shortest_path
 
 
@@ -136,12 +136,12 @@ class TestExternalService:
         b = service.directions(trajectory.source, trajectory.destination)
         assert a == b
 
-    def test_waypoint_accuracy_perfect_for_own_path(self, service, tiny, tiny_split):
+    def test_waypoint_accuracy_perfect_for_own_path(self, service, tiny, tiny_split, monkeypatch):
         trajectory = tiny_split.test[0]
-        config = ExternalServiceConfig(waypoint_jitter_m=0.0, waypoint_stride=1)
-        exact_service = ExternalRoutingService(tiny.network, config)
-        path = exact_service.route(trajectory.source, trajectory.destination)
-        waypoints = exact_service.directions(trajectory.source, trajectory.destination)
+        monkeypatch.setattr(external_service, "WAYPOINT_JITTER_M", 0.0)
+        monkeypatch.setattr(external_service, "WAYPOINT_STRIDE", 1)
+        path = service.route(trajectory.source, trajectory.destination)
+        waypoints = service.directions(trajectory.source, trajectory.destination)
         assert waypoint_accuracy(tiny.network, path, waypoints) > 0.95
 
     def test_waypoint_accuracy_zero_for_far_waypoints(self, tiny, tiny_split):
@@ -149,12 +149,10 @@ class TestExternalService:
         accuracy = waypoint_accuracy(tiny.network, trajectory.path, [(0.0, 0.0), (1.0, 1.0)])
         assert accuracy == 0.0
 
-    def test_service_prefers_major_roads(self, tiny):
+    def test_service_prefers_major_roads(self, tiny, monkeypatch):
         """The simulated service's major-road bias shows up in its routes."""
-        config = ExternalServiceConfig(major_road_bias=0.5, speed_perturbation=0.0)
-        biased = ExternalRoutingService(tiny.network, config)
-        config_neutral = ExternalServiceConfig(major_road_bias=1.0, speed_perturbation=0.0)
-        neutral = ExternalRoutingService(tiny.network, config_neutral)
+        monkeypatch.setattr(external_service, "SPEED_PERTURBATION", 0.0)
+        service = ExternalRoutingService(tiny.network)
 
         def major_share(path):
             edges = tiny.network.path_edges(path.vertices)
@@ -164,6 +162,9 @@ class TestExternalService:
 
         vertices = list(tiny.network.vertex_ids())
         pairs = [(vertices[0], vertices[-1]), (vertices[3], vertices[-5])]
-        biased_share = sum(major_share(biased.route(s, d)) for s, d in pairs)
-        neutral_share = sum(major_share(neutral.route(s, d)) for s, d in pairs)
-        assert biased_share >= neutral_share
+
+        def share_under(bias):
+            monkeypatch.setattr(external_service, "MAJOR_ROAD_BIAS", bias)
+            return sum(major_share(service.route(s, d)) for s, d in pairs)
+
+        assert share_under(0.5) >= share_under(1.0)

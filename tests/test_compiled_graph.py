@@ -30,6 +30,7 @@ from repro.network import (
 )
 from repro.network.compiled import CompiledGraph, SearchWorkspace, batch, sparse
 from repro.network.compiled.dispatch import try_cost_rows
+from repro.network.compiled.graph import MEMO_SIZE
 from repro.preferences import PreferenceVector
 from repro.preferences.features import MAJOR_ROADS, LOCAL_ROADS, single_type_feature
 from repro.routing import (
@@ -505,9 +506,9 @@ class TestCompiledView:
     def test_memo_cache_is_bounded(self, demo_network):
         view = demo_network.compiled()
         store = view.costs
-        for i in range(store._memo_size + 50):
+        for i in range(MEMO_SIZE + 50):
             view.memo(("stress", i), lambda: object())
-        assert len(store._memo) <= store._memo_size
+        assert len(store._memo) <= MEMO_SIZE
 
     def test_pickle_drops_compiled_view(self, demo_network):
         demo_network.compiled()

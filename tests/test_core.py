@@ -18,15 +18,8 @@ class TestConfig:
     def test_defaults_valid(self):
         config = L2RConfig()
         assert config.transfer.amr == pytest.approx(0.7)
-        assert config.enforce_road_types
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            L2RConfig(functionality_top_k=0)
-        with pytest.raises(ConfigurationError):
-            L2RConfig(max_paths_per_t_edge=0)
-        with pytest.raises(ConfigurationError):
-            L2RConfig(max_region_hops=0)
         with pytest.raises(ConfigurationError):
             L2RConfig(transfer=TransferConfig(amr=3.0))
 

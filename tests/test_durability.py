@@ -45,7 +45,8 @@ from repro.service.durability import (
     states_identical,
     topology_stamp,
 )
-from repro.service.durability.journal import _HEADER
+from repro.service.durability import journal as journal_module
+from repro.service.durability.journal import _HEADER, FSYNC_INTERVAL
 from repro.traffic import TrafficFeed
 from repro.traffic.updates import TrafficUpdate
 
@@ -186,26 +187,21 @@ class TestDiskJournal:
             assert journal.prune_through(10**9) <= before - 3 - 1
             assert journal.segment_paths()
 
-    def test_fsync_policy_validation_and_counting(self, tmp_path):
-        with pytest.raises(JournalError):
-            DiskJournal(tmp_path / "a", fsync="sometimes")
-        with pytest.raises(JournalError):
-            DiskJournal(tmp_path / "b", fsync="interval", fsync_interval=0)
+    def test_fsync_policy_validation_and_counting(self, tmp_path, monkeypatch):
+        for unknown in ("sometimes", "never"):
+            with pytest.raises(JournalError):
+                DiskJournal(tmp_path / unknown, fsync=unknown)
         with DiskJournal(tmp_path / "c", fsync="always") as journal:
             journal.append(_record(1))
             journal.append(_record(2))
             assert journal.syncs == 2
-        with DiskJournal(
-            tmp_path / "d", fsync="interval", fsync_interval=3
-        ) as journal:
+        monkeypatch.setattr(journal_module, "FSYNC_INTERVAL", 3)
+        with DiskJournal(tmp_path / "d", fsync="interval") as journal:
             for version in range(7):
                 journal.append(_record(version))
             assert journal.syncs == 2  # after the 3rd and 6th appends
-        with DiskJournal(tmp_path / "e", fsync="never") as journal:
-            journal.append(_record(1))
-            assert journal.syncs == 0
             journal.sync()  # explicit sync works under any policy
-            assert journal.syncs == 1
+            assert journal.syncs == 3
 
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = DiskJournal(tmp_path)
@@ -215,8 +211,6 @@ class TestDiskJournal:
             journal.append(_record(1))
 
     def test_oversized_record_is_rejected_before_touching_disk(self, tmp_path):
-        from repro.service.durability import journal as journal_module
-
         with DiskJournal(tmp_path) as journal:
             blob = b"x" * (journal_module._MAX_RECORD_BYTES + 1)
             with pytest.raises(JournalError):
@@ -248,13 +242,13 @@ class TestSnapshotStore:
             assert np.array_equal(state.arrays[attr], _arrays(4)[attr])
 
     def test_latest_prefers_newest_valid(self, tmp_path):
-        store = SnapshotStore(tmp_path, retain=5)
+        store = SnapshotStore(tmp_path)
         store.save(1, _arrays(4, 1.0), STAMP)
         store.save(2, _arrays(4, 2.0), STAMP)
         assert store.latest().cost_version == 2
 
     def test_corrupt_snapshot_is_skipped_for_an_older_valid_one(self, tmp_path):
-        store = SnapshotStore(tmp_path, retain=5)
+        store = SnapshotStore(tmp_path)
         store.save(1, _arrays(4, 1.0), STAMP)
         newest = store.save(2, _arrays(4, 2.0), STAMP)
         blob = bytearray(newest.read_bytes())
@@ -278,7 +272,7 @@ class TestSnapshotStore:
         assert store.latest(topology=STAMP) is not None
 
     def test_retention_prunes_oldest(self, tmp_path):
-        store = SnapshotStore(tmp_path, retain=2)
+        store = SnapshotStore(tmp_path)  # keeps the newest two
         for version in (1, 2, 3, 4):
             store.save(version, _arrays(4), STAMP)
         names = [p.name for p in store.snapshot_paths()]
@@ -360,6 +354,33 @@ class TestRecovery:
             before = len(manager.journal.segment_paths())
             manager.snapshot(network)
             assert len(manager.journal.segment_paths()) < before
+
+    def test_damaged_newest_snapshot_falls_back_without_a_gap(self, tmp_path):
+        # The WAL is pruned through the oldest retained snapshot, so when the
+        # newest one is damaged, recovery from the older one still finds
+        # every record after it.
+        make = _make_network_factory(8, 8, seed=7)
+        batches = _effective_batches(make(), 30, seed=43, size=1)
+        reference = reference_state(make, batches)
+        network = make()
+        feed = TrafficFeed(network)
+        with DurabilityManager(tmp_path, segment_max_bytes=300) as manager:
+            feed.attach_journal(manager)
+            for index, batch in enumerate(batches):
+                feed.apply(batch)
+                if index + 1 in (10, 20):
+                    newest = manager.snapshot(network)
+            assert manager.journal.rotations > 0
+        blob = bytearray(newest.read_bytes())
+        blob[-1] ^= 0xFF
+        newest.write_bytes(bytes(blob))
+
+        recovered = make()
+        with DurabilityManager(tmp_path) as manager:
+            report = manager.recover(recovered, TrafficFeed(recovered))
+        assert report.snapshot_version == make().cost_version + 10
+        assert not report.gap and report.replayed == 20
+        assert states_identical(final_state(recovered), reference)
 
     def test_replay_does_not_rejournal(self, tmp_path):
         network = _make_network_factory()()
@@ -552,7 +573,7 @@ class TestDiskFaults:
         # One frame write per append: record 1 lands, record 2's write
         # fails with EIO — the failed append must not corrupt the log.
         disk = FaultInjector(seed=5).disk(write_script=["ok", "eio", "ok"])
-        journal = DiskJournal(tmp_path, opener=disk, fsync="never")
+        journal = DiskJournal(tmp_path, opener=disk, fsync="interval")
         try:
             journal.append(_record(1))
             with pytest.raises(OSError):
@@ -582,6 +603,22 @@ class TestDiskFaults:
         try:
             scan = reopened.read_records()
             assert [r.base_version for r in scan.records] == [1, 2]
+        finally:
+            reopened.close()
+
+    def test_crash_before_interval_fsync_keeps_the_synced_prefix(self, tmp_path):
+        # Under "interval" the first FSYNC_INTERVAL appends are fsynced
+        # together; the crash at the second fsync loses exactly the second
+        # interval's records, which were never acknowledged as durable.
+        disk = FaultInjector(seed=8).disk(flush_script=["ok", "crash-before-fsync"])
+        journal = DiskJournal(tmp_path, opener=disk, fsync="interval")
+        with pytest.raises(SimulatedCrash):
+            for version in range(2 * FSYNC_INTERVAL):
+                journal.append(_record(version))
+        reopened = DiskJournal(tmp_path)
+        try:
+            scan = reopened.read_records()
+            assert [r.base_version for r in scan.records] == list(range(FSYNC_INTERVAL))
         finally:
             reopened.close()
 

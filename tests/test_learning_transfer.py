@@ -17,6 +17,7 @@ from repro.preferences import (
     conjugate_gradient,
     evaluate_transfer_accuracy,
     learn_t_edge_preferences,
+    learning,
     materialize_b_edge_paths,
     transfer_to_b_edges,
 )
@@ -68,8 +69,9 @@ class TestPreferenceLearner:
         assert len(learned.per_path_preferences) == 2
         assert learned.unique_preference_count >= 1
 
-    def test_learn_t_edge_preferences_annotates_edges(self, tiny, tiny_region_graph):
-        results = learn_t_edge_preferences(tiny.network, tiny_region_graph, max_paths_per_edge=3)
+    def test_learn_t_edge_preferences_annotates_edges(self, tiny, tiny_region_graph, monkeypatch):
+        monkeypatch.setattr(learning, "MAX_PATHS_PER_EDGE", 3)
+        results = learn_t_edge_preferences(tiny.network, tiny_region_graph)
         assert results
         for edge in tiny_region_graph.t_edges():
             assert edge.preference is not None
@@ -195,9 +197,9 @@ class TestApply:
         for edge in with_paths[:10]:
             assert all(path.is_valid(tiny.network) for path in edge.paths())
 
-    def test_materialize_is_idempotent_in_count_shape(self, tiny, tiny_region_graph):
-        learn_kwargs = dict(max_paths_per_edge=2)
-        learn_t_edge_preferences(tiny.network, tiny_region_graph, **learn_kwargs)
+    def test_materialize_is_idempotent_in_count_shape(self, tiny, tiny_region_graph, monkeypatch):
+        monkeypatch.setattr(learning, "MAX_PATHS_PER_EDGE", 2)
+        learn_t_edge_preferences(tiny.network, tiny_region_graph)
         if tiny_region_graph.b_edges():
             transfer_to_b_edges(tiny_region_graph)
         first = materialize_b_edge_paths(tiny.network, tiny_region_graph)

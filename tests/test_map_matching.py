@@ -11,11 +11,11 @@ from repro.routing import fastest_path, shortest_path
 from repro.trajectories import (
     GPSRecord,
     HMMMapMatcher,
-    MatchingConfig,
     Trajectory,
     high_frequency_sampler,
     sample_path,
 )
+from repro.trajectories import map_matching
 
 
 class TestSpatialIndex:
@@ -26,10 +26,6 @@ class TestSpatialIndex:
         assert candidates
         distances = [d for _, d in candidates]
         assert distances == sorted(distances)
-
-    def test_invalid_cell_size(self, grid_network):
-        with pytest.raises(ValueError):
-            SpatialIndex(grid_network, cell_size_m=0.0)
 
 
 class TestHMMMapMatcher:
@@ -96,10 +92,11 @@ class TestHMMMapMatcher:
         with pytest.raises(MapMatchingError):
             matcher.match_many([bad], skip_failures=False)
 
-    def test_low_frequency_matching_still_connected(self, grid_network):
+    def test_low_frequency_matching_still_connected(self, grid_network, monkeypatch):
         from repro.trajectories import low_frequency_sampler
 
-        matcher = HMMMapMatcher(grid_network, config=MatchingConfig(candidate_radius_m=150.0))
+        monkeypatch.setattr(map_matching, "CANDIDATE_RADIUS_M", 150.0)
+        matcher = HMMMapMatcher(grid_network)
         ground_truth = fastest_path(grid_network, 0, 99)
         raw = sample_path(grid_network, ground_truth, low_frequency_sampler(25.0, 5.0), 3, 1)
         matched = matcher.match(raw)

@@ -33,12 +33,7 @@ from hypothesis import strategies as st
 from repro.network import grid_city_network
 from repro.network.compiled import shm
 from repro.routing import CostFeature, cost_function, dijkstra
-from repro.service import (
-    CircuitBreakerConfig,
-    RouteRequest,
-    RoutingService,
-    ShardedRoutingService,
-)
+from repro.service import RouteRequest, RoutingService, ShardedRoutingService, resilience
 from repro.service.sharding import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -56,6 +51,7 @@ from repro.service.sharding import (
     send_frame,
 )
 from repro.service.sharding import coordinator as coordinator_module
+from repro.service.sharding import transport as transport_module
 from repro.service.sharding.overlay import path_cost
 from repro.traffic.updates import TrafficUpdate
 
@@ -368,15 +364,13 @@ class TestSocketEndpoints:
             pass
         return False
 
-    def test_reconnect_budget_exhaustion_surfaces_as_eof(self):
+    def test_reconnect_budget_exhaustion_surfaces_as_eof(self, monkeypatch):
         hub = TcpHub()
         address = hub.address
         hub.close()
-        from repro.service.resilience import RetryPolicy
-
-        transport = SocketTransport(
-            address, retry=RetryPolicy(max_retries=1, base_delay_s=0.001)
-        )
+        monkeypatch.setattr(transport_module, "RECONNECT_RETRIES", 1)
+        monkeypatch.setattr(transport_module, "RECONNECT_BASE_DELAY_S", 0.001)
+        transport = SocketTransport(address)
         with pytest.raises(EOFError):
             transport.recv(timeout_s=0.05)
 
@@ -500,12 +494,9 @@ class TestFaultTolerantDeployment:
         served before the partition."""
         network = grid_city_network(4, 4, seed=3)
         with ShardCoordinator(network, shard_count=2) as coordinator:
-            service = RoutingService(
-                enable_cache=False,
-                breaker=CircuitBreakerConfig(
-                    min_samples=1, failure_threshold=0.5, recovery_s=60.0
-                ),
-            )
+            monkeypatch.setattr(resilience, "BREAKER_MIN_SAMPLES", 1)
+            monkeypatch.setattr(resilience, "BREAKER_RECOVERY_S", 60.0)
+            service = RoutingService(enable_cache=False, breaker=True)
             service.register("Fastest", coordinator.engine("Fastest"))
             shard_one = [
                 v for v in sorted(network.vertex_ids()) if coordinator.plan.shard_of(v) == 1

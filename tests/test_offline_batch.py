@@ -79,14 +79,12 @@ def _reference_similarity(network, ground_truth, constructed) -> float:
 class _ReferenceLearner:
     """One point-to-point search per (path, preference), no table."""
 
-    def __init__(self, network, catalog=None, min_improvement=1e-9, max_paths_per_edge=12):
+    def __init__(self, network, catalog=None):
         self._network = network
         self._catalog = catalog or FeatureCatalog()
-        self._min_improvement = min_improvement
-        self._max_paths_per_edge = max_paths_per_edge
 
     def learn(self, paths) -> LearnedPreference:
-        usable = [p for p in paths if len(p) >= 2][: self._max_paths_per_edge]
+        usable = [p for p in paths if len(p) >= 2][: learning.MAX_PATHS_PER_EDGE]
         if not usable:
             default = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=None)
             return LearnedPreference(preference=default, similarity=0.0)
@@ -125,7 +123,7 @@ class _ReferenceLearner:
             return PreferenceVector(master=best_master, slave=None)
         ground_truth_types = {self._network.w_rt(u, v) for u, v in path.edge_keys}
         best_slave = None
-        best_gain = self._min_improvement
+        best_gain = learning.MIN_IMPROVEMENT
         for road_feature in self._catalog.road_condition_features:
             if not (road_feature.road_types & ground_truth_types):
                 continue
@@ -163,11 +161,9 @@ def _t_edge_path_sets(network, trajectories) -> list[list[Path]]:
     return [edge.paths() for edge in region_graph.t_edges()]
 
 
-def _assert_same_as_reference(network, path_sets, catalog=None, max_paths_per_edge=12):
-    learned = PreferenceLearner(
-        network, catalog=catalog, max_paths_per_edge=max_paths_per_edge
-    ).learn_many(path_sets)
-    reference = _ReferenceLearner(network, catalog=catalog, max_paths_per_edge=max_paths_per_edge)
+def _assert_same_as_reference(network, path_sets, catalog=None):
+    learned = PreferenceLearner(network, catalog=catalog).learn_many(path_sets)
+    reference = _ReferenceLearner(network, catalog=catalog)
     assert len(learned) == len(path_sets)
     for paths, got in zip(path_sets, learned):
         # Dataclass equality: preference, similarity and per-path preferences, all ==.
@@ -200,9 +196,10 @@ class TestTableFirstLearner:
         assert len({result.preference for result in learned}) > 1
         assert any(result.preference.slave is not None for result in learned)
 
-    def test_city_scenario(self, city_sets):
+    def test_city_scenario(self, city_sets, monkeypatch):
         network, path_sets = city_sets
-        _assert_same_as_reference(network, path_sets, max_paths_per_edge=4)
+        monkeypatch.setattr(learning, "MAX_PATHS_PER_EDGE", 4)
+        _assert_same_as_reference(network, path_sets)
 
     def test_single_cost_feature_catalog(self, tiny_sets):
         network, path_sets = tiny_sets
@@ -416,18 +413,18 @@ class TestTransferSolve:
         transfer = PreferenceTransfer()
         result = transfer.transfer(edges, labels)
         # Eq. 3 solved densely: (S + mu1 (D - M) + mu2 I) Yhat = S Y.
-        config = transfer.config
+        mu1, mu2 = transfer_module.MU1, transfer_module.MU2
         adjacency = transfer.build_adjacency(edges)
         y, s_diag = transfer.build_labels(edges, labels)
-        system = np.diag(s_diag + config.mu1 * adjacency.sum(axis=1) + config.mu2)
-        system -= config.mu1 * adjacency
+        system = np.diag(s_diag + mu1 * adjacency.sum(axis=1) + mu2)
+        system -= mu1 * adjacency
         direct = np.linalg.solve(system, s_diag[:, None] * y)
         assert np.abs(result.y_hat - direct).max() <= 1e-8
         decoded = [
             known
             if known is not None
             else PreferenceVector.from_row(
-                row, transfer.catalog, slave_threshold=config.null_threshold
+                row, transfer.catalog, slave_threshold=transfer_module.NULL_THRESHOLD
             )
             for known, row in zip(labels, direct)
         ]

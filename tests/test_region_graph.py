@@ -7,6 +7,7 @@ import pytest
 from repro.exceptions import RegionGraphError
 from repro.network import RoadType
 from repro.regions import Region, RegionGraph, TrajectoryGraph, build_region_graph, cluster_trajectory_graph
+from repro.regions import region_graph as region_graph_module
 from repro.routing import Path
 from repro.trajectories import MatchedTrajectory
 
@@ -126,13 +127,13 @@ class TestBuildRegionGraph:
         assert {"regions", "t_edges", "b_edges", "mean_region_size", "connected"} <= set(stats)
         assert stats["connected"] == 1.0
 
-    def test_region_pair_cap_limits_edges(self, tiny, tiny_split):
+    def test_region_pair_cap_limits_edges(self, tiny, tiny_split, monkeypatch):
         graph = TrajectoryGraph.from_trajectories(tiny.network, tiny_split.train)
         clustering = cluster_trajectory_graph(graph)
-        capped = build_region_graph(
-            tiny.network, clustering, tiny_split.train, max_region_pairs_per_trajectory=1
-        )
-        uncapped = build_region_graph(
-            tiny.network, clustering, tiny_split.train, max_region_pairs_per_trajectory=None
-        )
-        assert len(capped.t_edges()) <= len(uncapped.t_edges())
+
+        def t_edges_under(cap):
+            monkeypatch.setattr(region_graph_module, "MAX_REGION_PAIRS_PER_TRAJECTORY", cap)
+            built = build_region_graph(tiny.network, clustering, tiny_split.train)
+            return len(built.t_edges())
+
+        assert t_edges_under(1) <= t_edges_under(10**9)

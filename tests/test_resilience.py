@@ -41,7 +41,6 @@ from repro.service import (
     AdmissionController,
     AlgorithmEngine,
     CircuitBreaker,
-    CircuitBreakerConfig,
     DeadlineBudget,
     FaultInjector,
     FunctionEngine,
@@ -49,6 +48,7 @@ from repro.service import (
     RouteRequest,
     RoutingService,
 )
+from repro.service import resilience
 from repro.service.resilience import is_transient_failure, sleep_within
 from repro.service.sharding import ShardCoordinator
 from repro.traffic import TrafficFeed, TrafficUpdate
@@ -75,6 +75,12 @@ def gate_coordinator():
     (booting the worker processes takes about a second)."""
     with ShardCoordinator(grid_city_network(12, 12, seed=1), shard_count=2) as coordinator:
         yield coordinator
+
+
+def tune_breaker(monkeypatch, **values):
+    """Set ``BREAKER_<NAME>`` constants for the breakers this test builds."""
+    for name, value in values.items():
+        monkeypatch.setattr(resilience, f"BREAKER_{name.upper()}", value)
 
 
 def _engine(network, name="engine"):
@@ -172,16 +178,13 @@ class TestRetryPolicy:
 # CircuitBreaker
 # ---------------------------------------------------------------------- #
 class TestCircuitBreaker:
-    def _breaker(self, **overrides):
-        config = CircuitBreakerConfig(
-            window=8,
-            failure_threshold=0.5,
-            min_samples=2,
-            recovery_s=10.0,
-            **overrides,
-        )
+    @pytest.fixture(autouse=True)
+    def _tuning(self, monkeypatch):
+        tune_breaker(monkeypatch, window=8, min_samples=2, recovery_s=10.0)
+
+    def _breaker(self):
         now = [0.0]
-        return CircuitBreaker(config, clock=lambda: now[0]), now
+        return CircuitBreaker(clock=lambda: now[0]), now
 
     def test_trips_open_after_failure_rate(self):
         breaker, _ = self._breaker()
@@ -302,16 +305,11 @@ class TestServiceResilience:
         assert response.retries == 1
         assert service.stats().retries == 1
 
-    def test_scripted_breaker_transitions(self, network):
+    def test_scripted_breaker_transitions(self, network, monkeypatch):
+        tune_breaker(monkeypatch, window=4, min_samples=2, recovery_s=60.0)
         injector = FaultInjector(seed=0)
         faulty = injector.engine(_engine(network), script=["error"])
-        service = RoutingService(
-            breaker=CircuitBreakerConfig(
-                window=4, failure_threshold=0.5, min_samples=2, recovery_s=60.0
-            ),
-            enable_cache=False,
-            serve_degraded=False,
-        )
+        service = RoutingService(breaker=True, enable_cache=False)
         service.register("primary", faulty, fallback="backup", default=True)
         service.register("backup", _engine(network, "backup"))
 
@@ -329,16 +327,11 @@ class TestServiceResilience:
             "backup": "closed",
         }
 
-    def test_breaker_half_open_recovery_through_service(self, network):
+    def test_breaker_half_open_recovery_through_service(self, network, monkeypatch):
+        tune_breaker(monkeypatch, window=4, min_samples=2, recovery_s=0.0)
         injector = FaultInjector(seed=0)
         flaky = injector.engine(_engine(network), script=["error", "error", "ok"])
-        service = RoutingService(
-            breaker=CircuitBreakerConfig(
-                window=4, failure_threshold=0.5, min_samples=2, recovery_s=0.0
-            ),
-            enable_cache=False,
-            serve_degraded=False,
-        )
+        service = RoutingService(breaker=True, enable_cache=False)
         service.register("flaky", flaky, fallback="backup", default=True)
         service.register("backup", _engine(network, "backup"))
         service.route(RouteRequest(0, 20))
@@ -349,11 +342,28 @@ class TestServiceResilience:
         assert response.ok and not response.fallback_used
         assert service.breaker("flaky").state == "closed"
 
-    def test_no_path_error_does_not_trip_breaker_or_degrade(self, network):
+    def test_retries_stop_once_the_breaker_opens(self, network):
+        # Default breaker: the fourth consecutive failure trips it, which is
+        # the second request's first attempt — an open breaker skips the
+        # engine, so that request's retries must not call it again.
+        flaky = FaultInjector(seed=0).engine(_engine(network), script=["error"])
         service = RoutingService(
-            breaker=CircuitBreakerConfig(min_samples=1, failure_threshold=0.1),
+            breaker=True,
+            retry_policy=RetryPolicy(max_retries=2, base_delay_s=0.0, seed=0),
             enable_cache=False,
         )
+        service.register("flaky", flaky)
+        calls = []
+        for _ in range(3):
+            before = flaky.counters.calls
+            assert not service.route(RouteRequest(0, 20)).ok
+            calls.append(flaky.counters.calls - before)
+        assert calls == [3, 1, 0]
+        assert service.breaker("flaky").state == "open"
+
+    def test_no_path_error_does_not_trip_breaker_or_degrade(self, network, monkeypatch):
+        tune_breaker(monkeypatch, min_samples=1, failure_threshold=0.1)
+        service = RoutingService(breaker=True, enable_cache=False)
         service.register("nopath", _no_path_engine(network))
         for _ in range(5):
             response = service.route(RouteRequest(0, 20))
@@ -420,7 +430,7 @@ class TestServiceResilience:
         assert not response.ok and not response.degraded
 
     def test_deadline_expiry_yields_structured_error(self, network):
-        service = RoutingService(enable_cache=False, serve_degraded=False)
+        service = RoutingService(enable_cache=False)
         service.register("slow", _engine(network))
         response = service.route(RouteRequest(0, 20, deadline_s=1e-12))
         assert not response.ok
@@ -510,13 +520,11 @@ class TestServiceResilience:
 
     @pytest.mark.parametrize("fallback", [None, "backup"])
     @pytest.mark.parametrize("deployment, via", GATE_CASES)
-    def test_gate_open_breaker_skips_the_engine(self, request, deployment, via, fallback):
-        service, serve = self._gated(
-            request,
-            deployment,
-            via,
-            breaker=CircuitBreakerConfig(min_samples=1, failure_threshold=0.1, recovery_s=60.0),
-        )
+    def test_gate_open_breaker_skips_the_engine(
+        self, request, monkeypatch, deployment, via, fallback
+    ):
+        tune_breaker(monkeypatch, min_samples=1, failure_threshold=0.1, recovery_s=60.0)
+        service, serve = self._gated(request, deployment, via, breaker=True)
         if fallback is not None:
             backup = _engine(service.engine("Fastest").network, "backup")
             service.register("backup", backup)
@@ -544,14 +552,14 @@ class TestServiceResilience:
                 assert response.ok and not response.degraded
         assert sanitizer.findings == []
 
-    def test_chaos_run_is_deterministic(self, network):
+    def test_chaos_run_is_deterministic(self, network, monkeypatch):
+        tune_breaker(monkeypatch, window=4, min_samples=2, recovery_s=60.0)
+
         def run(seed: int):
             injector = FaultInjector(seed=seed)
             flaky = injector.engine(_engine(network), error_rate=0.4)
             service = RoutingService(
-                breaker=CircuitBreakerConfig(
-                    window=4, failure_threshold=0.5, min_samples=2, recovery_s=60.0
-                ),
+                breaker=True,
                 retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.0, seed=seed),
                 enable_cache=False,
             )

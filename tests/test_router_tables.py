@@ -59,7 +59,7 @@ def own_tiny():
 
 
 class TestPathIdentity:
-    def test_compiled_corridor_equals_dict_reference_in_every_case(self):
+    def test_compiled_corridor_equals_dict_reference_in_every_case(self, monkeypatch):
         cases = set()
         for scenario in (
             tiny_scenario(seed=3, n_trajectories=120),
@@ -71,7 +71,9 @@ class TestPathIdentity:
             # pieces (few trajectories, no B-edges): some region pairs have
             # no region path and fall back to the fastest path.
             clustering = cluster_trajectory_graph(TrajectoryGraph.from_trajectories(network, train))
-            pieces = build_region_graph(network, clustering, train[:12], connect=False)
+            with monkeypatch.context() as unconnected:
+                unconnected.setattr(RegionGraph, "connect_with_bfs", lambda graph: 0)
+                pieces = build_region_graph(network, clustering, train[:12])
             ods = _random_ods(network, 150, seed=11)
             for router in (_fit(scenario).model.router, RegionRouter(pieces)):
                 compiled = _answers(router, ods)

@@ -323,11 +323,12 @@ class TestRoutingService:
         assert not replayed.cache_hit
         assert replayed.path.vertices == (0, 2, 1)
 
-    def test_latency_samples_are_a_ring_buffer(self):
-        from repro.service import StatsAccumulator
+    def test_latency_samples_are_a_ring_buffer(self, monkeypatch):
+        from repro.service import StatsAccumulator, stats
         from repro.service.cache import CacheStats
 
-        accumulator = StatsAccumulator(max_latency_samples=4)
+        monkeypatch.setattr(stats, "MAX_LATENCY_SAMPLES", 4)
+        accumulator = StatsAccumulator()
         for latency in (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0):
             accumulator.record(
                 RouteResponse(
@@ -569,6 +570,16 @@ class TestPersistence:
         with gzip.open(target, "wb") as handle:
             handle.write(b"c" + missing.encode() + b"\n)R.")
         with pytest.raises(ModelPersistenceError, match=f"version {MODEL_FORMAT_VERSION}"):
+            load_model(target)
+
+    def test_format_2_file_is_refused(self, fitted_l2r, tmp_path, monkeypatch):
+        from repro.service import persistence
+
+        target = tmp_path / "format2.pkl.gz"
+        with monkeypatch.context() as older:
+            older.setattr(persistence, "MODEL_FORMAT_VERSION", 2)
+            save_model(fitted_l2r, target)
+        with pytest.raises(ModelPersistenceError, match="format version 2"):
             load_model(target)
 
 
