@@ -7,11 +7,13 @@ The main modules:
   :class:`Topology` plus a monotonically-versioned :class:`CostStore` holding
   one flat numpy cost array per travel-cost feature (patched in place by
   live-traffic updates, see :mod:`repro.traffic`);
-* :mod:`~repro.network.compiled.kernels` — array-based Dijkstra / ALT-A* /
-  bidirectional kernels over preallocated, generation-stamped
-  :class:`SearchWorkspace` state (Algorithm 2 needs no kernel of its own: it
-  is Dijkstra over a masked cost view,
-  :func:`~repro.routing.preference_dijkstra.preference_cost`);
+* :mod:`~repro.network.compiled.sparse` — point-to-point Dijkstra on scipy's
+  C implementation over the CSR arrays, with a reference-identical backward
+  path walk (Algorithm 2 needs no search of its own: it is Dijkstra over a
+  masked cost view, :func:`~repro.routing.preference_dijkstra.preference_cost`);
+* :mod:`~repro.network.compiled.kernels` — the array-based ALT-A* /
+  bidirectional kernels scipy has no form for, over preallocated,
+  generation-stamped :class:`SearchWorkspace` state;
 * :mod:`~repro.network.compiled.dispatch` — the bridge the public routing
   functions call: eligible queries run on the kernels, opaque ones fall back
   to the dict-based reference implementations;
@@ -35,12 +37,7 @@ references).
 """
 
 from .workspace import SearchWorkspace
-from .kernels import (
-    astar_kernel,
-    bidirectional_kernel,
-    dijkstra_costs_kernel,
-    dijkstra_kernel,
-)
+from .kernels import astar_kernel, bidirectional_kernel
 from .dispatch import alt_disabled, compiled_disabled, is_enabled
 from .graph import EDGE_COST_ATTRIBUTES, CompiledGraph, CostStore, Topology
 from .ch import CompiledHierarchy
@@ -61,8 +58,6 @@ __all__ = [
     "bidirectional_kernel",
     "build_landmark_table",
     "compiled_disabled",
-    "dijkstra_costs_kernel",
-    "dijkstra_kernel",
     "dijkstra_many",
     "is_enabled",
     "shortest_paths_many",

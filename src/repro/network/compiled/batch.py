@@ -1,16 +1,14 @@
 """Batched multi-source SSSP over the compiled CSR arrays.
 
 ``dijkstra_many`` answers *k* independent single-source shortest-path
-problems over one shared CSR cost view in a single call: with scipy
-installed it runs ``scipy.sparse.csgraph.dijkstra`` (one C call for the
-whole batch, no GIL between sources); without it, the pure-python array
-kernel fills the same distance matrix one source at a time.  Both backends
-produce exact Dijkstra distances, so the deterministic backward walk in
-:mod:`~repro.network.compiled.sparse` reconstructs reference-identical
-paths from the rows.  On request both also return the predecessor matrix of
-their search trees, in one convention (negative = none): a caller that needs
-*a* shortest path per row entry rather than the reference's — the sharding
-layer's boundary tables — follows it, one int per hop, instead of walking.
+problems over one shared CSR cost view in one ``scipy.sparse.csgraph.dijkstra``
+call (no GIL between sources).  The distances are exact, so the
+deterministic backward walk in :mod:`~repro.network.compiled.sparse`
+reconstructs reference-identical paths from the rows.  On request it also
+returns the predecessor matrix of the search trees (negative = none): a
+caller that needs *a* shortest path per row entry rather than the
+reference's — the sharding layer's boundary tables — follows it, one int
+per hop, instead of walking.
 
 ``shortest_paths_many`` builds on that: a batch of ``(source, destination)``
 pairs shares one distance row per distinct source, which is how an engine's
@@ -29,7 +27,6 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 import numpy as np
 
 from . import sparse
-from .kernels import dijkstra_costs_kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import CompiledGraph
@@ -64,8 +61,7 @@ def _reverse_matrix(
     return graph.memo(("sparse-rmatrix", key), build, version=version)
 
 
-#: "No predecessor" in a predecessor matrix — scipy's value, for both backends;
-#: readers test ``< 0``.
+#: "No predecessor" in a predecessor matrix — scipy's value; readers test ``< 0``.
 NO_PREDECESSOR = -9999
 
 
@@ -82,9 +78,9 @@ def dijkstra_many(
 
     ``reverse=True`` searches the predecessor graph (distances *to* each
     source in the forward graph) — what the backward landmark tables need.
-    Unreachable vertices hold ``inf``.  The scipy backend handles the whole
-    batch in one C call; the fallback runs the python array kernel per
-    source into the same matrix.
+    Unreachable vertices hold ``inf``.  Weights must be non-negative, which
+    :meth:`~repro.network.road_network.RoadNetwork.add_edge` and the cost
+    constructors guarantee.
 
     ``return_predecessors=True`` returns ``(distances, predecessors)``:
     ``predecessors[i, j]`` is the vertex before ``j`` in the search tree of
@@ -92,48 +88,25 @@ def dijkstra_many(
     unreached vertices), so following it from ``j`` ends at the source after
     one step per hop.  In a reverse search the tree runs against the edges:
     the "predecessor" of ``j`` is the vertex *after* it on the way to the
-    source.  The tree comes out of the same sweep as the distances (scipy:
-    185-191 us per source without, 189-199 with, at 1,800 vertices), and each
+    source.  The tree comes out of the same sweep as the distances (185-191
+    us per source without, 189-199 with, at 1,800 vertices), and each
     distance is the float sum of its tree path's weights, accumulated from
     the source.
     """
-    n = graph.vertex_count
-    matrix_sources = list(sources)
-    if sparse.HAVE_SCIPY and sparse.min_weight(graph, key, array, version) >= 0.0:
-        if reverse:
-            matrix = _reverse_matrix(graph, key, array, version)
-        else:
-            matrix = sparse._matrix(graph, key, array, version)
-        found = sparse._csgraph_dijkstra(
-            matrix, indices=matrix_sources, return_predecessors=return_predecessors
-        )
-        if not return_predecessors:
-            return np.atleast_2d(np.asarray(found, dtype=np.float64))
-        distances, predecessors = found
-        return (
-            np.atleast_2d(np.asarray(distances, dtype=np.float64)),
-            np.atleast_2d(np.asarray(predecessors, dtype=np.int32)),
-        )
-
     if reverse:
-        offsets, targets = graph.r_offsets, graph.r_targets
-        weights = graph.reverse_weights(key, array, version)
+        matrix = _reverse_matrix(graph, key, array, version)
     else:
-        offsets, targets = graph.offsets, graph.targets
-        weights = graph.forward_weights(key, array, version)
-    out = np.full((len(matrix_sources), n), np.inf, dtype=np.float64)
-    predecessors = (
-        np.full(out.shape, NO_PREDECESSOR, dtype=np.int32) if return_predecessors else None
+        matrix = sparse._matrix(graph, key, array, version)
+    found = sparse._csgraph_dijkstra(
+        matrix, indices=list(sources), return_predecessors=return_predecessors
     )
-    with graph.borrowed_workspace() as ws:
-        for row, source in enumerate(matrix_sources):
-            settled = dijkstra_costs_kernel(offsets, targets, weights, source, ws)
-            for vertex, cost in settled:
-                out[row, vertex] = cost
-            if predecessors is not None:
-                reached = [vertex for vertex, _ in settled[1:]]  # the source settles first
-                predecessors[row, reached] = [ws.parent[vertex] for vertex in reached]
-    return out if predecessors is None else (out, predecessors)
+    if not return_predecessors:
+        return np.atleast_2d(np.asarray(found, dtype=np.float64))
+    distances, predecessors = found
+    return (
+        np.atleast_2d(np.asarray(distances, dtype=np.float64)),
+        np.atleast_2d(np.asarray(predecessors, dtype=np.int32)),
+    )
 
 
 def shortest_paths_many(
@@ -148,11 +121,11 @@ def shortest_paths_many(
     Pairs are grouped by source so each distinct source pays one SSSP; the
     deterministic backward walk then reconstructs each destination's
     reference-identical path from its source's distance row.  Returns
-    ``None`` when this backend cannot answer at all (non-positive weights,
-    where the walk could cycle); otherwise a list aligned with ``pairs``
-    whose entries are index paths, the empty tuple ``()`` for a provably
-    unreachable destination, or ``None`` for a pair the caller must answer
-    with the per-query kernel (reconstruction anomaly).
+    ``None`` when the walk cannot answer at all (a zero weight, where it
+    could cycle); otherwise a list aligned with ``pairs`` whose entries are
+    index paths, the empty tuple ``()`` for a provably unreachable
+    destination, or ``None`` for a pair the caller must answer with the
+    per-query search (reconstruction anomaly).
     """
     if not pairs:
         return []

@@ -5,8 +5,9 @@ The functions here are the bridge between the dict-based routing API
 
 * a vertex-id path (or cost rows) when the compiled kernel ran,
 * ``None`` when the query is not eligible — compiled search disabled, the
-  edge-cost callable opaque, or (A*) no landmark table to run on — in which
-  case the caller falls back to its dict-based reference implementation,
+  edge-cost callable opaque, (Dijkstra) a zero weight in the cost view, or
+  (A*) no landmark table to run on — in which case the caller falls back to
+  its dict-based reference implementation,
 
 and raises :class:`~repro.exceptions.NoPathError` when the kernel ran and
 proved the destination unreachable.
@@ -24,7 +25,7 @@ import numpy as np
 
 from ...exceptions import NoPathError
 from . import sparse
-from .kernels import astar_kernel, bidirectional_kernel, dijkstra_kernel
+from .kernels import astar_kernel, bidirectional_kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..road_network import RoadNetwork, VertexId
@@ -123,16 +124,12 @@ def try_dijkstra(
     graph, key, array, version = resolved
     source_index = graph.index_of[source]
     destination_index = graph.index_of[destination]
-    # Fast path: scipy's C Dijkstra over the same CSR arrays, with an exact
-    # (reference-identical) path reconstruction.  A full SSSP has no
-    # destination early-stop; in C that still beats the early-exiting python
-    # kernel below once a query settles more than about a sixth of the graph,
-    # memoized matrix (keyed arrays) or not (per-query arrays, key None, e.g.
-    # corridor costs).  Keyed arrays on graphs large enough first try a search
-    # bounded by the landmark table.  Only the attribute views, a fixed few,
-    # get a table built for that (16 SSSPs): a weighted or per-driver view may
-    # be new with every request and is bounded only by a table something else
-    # already built.
+    # scipy's C Dijkstra over the same CSR arrays, with an exact
+    # (reference-identical) path reconstruction.  Keyed arrays on graphs
+    # large enough first try a search bounded by the landmark table.  Only
+    # the attribute views, a fixed few, get a table built for that (16
+    # SSSPs): a weighted or per-driver view may be new with every request and
+    # is bounded only by a table something else already built.
     table = None
     if graph.vertex_count >= BOUNDED_DIJKSTRA_MIN_VERTICES and _alt_enabled and key is not None:
         table = graph.landmark_table(key, array, version, build=key[0] == "attr")
@@ -143,16 +140,7 @@ def try_dijkstra(
     )
     if result == ():
         raise NoPathError(source, destination)
-    if result is not None:
-        return graph.path_ids(result)
-    weights = graph.forward_weights(key, array, version)
-    with graph.borrowed_workspace() as ws:
-        indices = dijkstra_kernel(
-            graph.offsets, graph.targets, weights, source_index, destination_index, ws
-        )
-    if indices is None:
-        raise NoPathError(source, destination)
-    return graph.path_ids(indices)
+    return None if result is None else graph.path_ids(result)
 
 
 def _alt_table(graph: "CompiledGraph", key, array, version):
@@ -323,7 +311,7 @@ def try_route_many(
     """Batch point-to-point search over one shared cost view.
 
     Returns ``None`` when the batch backend cannot run at all (opaque cost,
-    compiled search disabled, non-positive weights); otherwise a list
+    compiled search disabled, a zero weight); otherwise a list
     aligned with ``pairs``: a vertex-id path, the empty tuple ``()`` for a
     provably unreachable pair, or ``None`` for a pair that must fall back
     to the per-request path (unknown vertex / reconstruction anomaly).

@@ -356,7 +356,7 @@ class CostStore:
         A keyed array comes back as its memoized list.  A per-query array
         (``key`` None) has nothing to memoize and comes back as a memoryview
         of the permuted array, whose items are Python floats like a list's:
-        its readers — backward walks, early-exit kernels — touch a few
+        its readers — backward walks, the bidirectional kernel — touch a few
         hundred items, and listing every weight first would cost more.
         """
 

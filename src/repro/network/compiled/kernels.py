@@ -1,13 +1,15 @@
-"""Array-based search kernels over a CSR graph.
+"""Array-based goal-directed search kernels over a CSR graph.
 
-The Dijkstra and bidirectional kernels mirror their dict-based reference
-implementations in :mod:`repro.routing` *exactly* — same relaxation order,
-same strict-less tie-breaking, same termination conditions — so the two
-produce identical paths, not merely cost-identical ones.  (Vertex indices are
-assigned in sorted vertex-id order and CSR slots preserve adjacency insertion
-order, which makes heap tie-breaking order-isomorphic to the dict kernels'.)
-The A* kernel runs on ALT landmark bounds only, which no dict search has: its
-answers are cost-identical to Dijkstra's, not path-identical to ``dict_astar``.
+These are the searches scipy has no form for; Dijkstra runs on scipy's C
+implementation (:mod:`~repro.network.compiled.sparse`).  The bidirectional
+kernel mirrors its dict-based reference in :mod:`repro.routing` *exactly* —
+same relaxation order, same strict-less tie-breaking, same stopping rule —
+so the two produce identical paths, not merely cost-identical ones.  (Vertex
+indices are assigned in sorted vertex-id order and CSR slots preserve
+adjacency insertion order, which makes heap tie-breaking order-isomorphic to
+the dict kernel's.)  The A* kernel runs on ALT landmark bounds only, which no
+dict search has: its answers are cost-identical to Dijkstra's, not
+path-identical to ``dict_astar``.
 
 The kernels work on plain Python lists (CSR ``offsets`` / ``targets`` plus a
 per-query ``weights`` list) and a generation-stamped
@@ -35,87 +37,6 @@ def _walk_parents(parent: list[int], source: int, destination: int) -> list[int]
         out.append(current)
     out.reverse()
     return out
-
-
-def dijkstra_kernel(
-    offsets: list[int],
-    targets: list[int],
-    weights: list[float],
-    source: int,
-    destination: int,
-    ws: SearchWorkspace,
-) -> list[int] | None:
-    """Point-to-point Dijkstra; returns the index path or ``None``."""
-    gen = ws.begin()
-    dist = ws.dist
-    parent = ws.parent
-    stamp = ws.stamp
-    dist[source] = 0.0
-    stamp[source] = gen
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        cost_u, u = heappop(heap)
-        if cost_u > dist[u]:
-            continue
-        if u == destination:
-            return _walk_parents(parent, source, destination)
-        for i in range(offsets[u], offsets[u + 1]):
-            v = targets[i]
-            candidate = cost_u + weights[i]
-            if stamp[v] != gen:
-                if candidate != _INF:
-                    stamp[v] = gen
-                    dist[v] = candidate
-                    parent[v] = u
-                    heappush(heap, (candidate, v))
-            elif candidate < dist[v]:
-                dist[v] = candidate
-                parent[v] = u
-                heappush(heap, (candidate, v))
-    return None
-
-
-def dijkstra_costs_kernel(
-    offsets: list[int],
-    targets: list[int],
-    weights: list[float],
-    source: int,
-    ws: SearchWorkspace,
-) -> list[tuple[int, float]]:
-    """Single-source settle order: ``(vertex index, cost)`` pairs.
-
-    On return ``ws.parent`` holds the search-tree parent of every settled
-    vertex but ``source`` (other slots are stale).
-    """
-    gen = ws.begin()
-    dist = ws.dist
-    parent = ws.parent
-    stamp = ws.stamp
-    dist[source] = 0.0
-    stamp[source] = gen
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    settled: list[tuple[int, float]] = []
-    while heap:
-        cost_u, u = heappop(heap)
-        if cost_u > dist[u]:
-            continue
-        # A vertex pops at its final distance exactly once: later duplicates
-        # carry a strictly larger key and are skipped above.
-        settled.append((u, cost_u))
-        for i in range(offsets[u], offsets[u + 1]):
-            v = targets[i]
-            candidate = cost_u + weights[i]
-            if stamp[v] != gen:
-                if candidate != _INF:
-                    stamp[v] = gen
-                    dist[v] = candidate
-                    parent[v] = u
-                    heappush(heap, (candidate, v))
-            elif candidate < dist[v]:
-                dist[v] = candidate
-                parent[v] = u
-                heappush(heap, (candidate, v))
-    return settled
 
 
 def astar_kernel(

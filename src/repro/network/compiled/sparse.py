@@ -1,10 +1,9 @@
-"""Optional scipy-accelerated SSSP over the compiled CSR arrays.
+"""Shortest paths over the compiled CSR arrays with scipy's C Dijkstra.
 
 The :class:`~repro.network.compiled.graph.CompiledGraph` layout (``offsets`` /
-``targets`` / flat cost arrays) *is* scipy's native CSR format, so when scipy
-is installed point-to-point Dijkstra runs ``scipy.sparse.csgraph.dijkstra``
-(a C implementation) for the distance array and reconstructs the path with a
-deterministic backward walk.
+``targets`` / flat cost arrays) *is* scipy's native CSR format, so
+point-to-point Dijkstra runs ``scipy.sparse.csgraph.dijkstra`` for the
+distance array and reconstructs the path with a deterministic backward walk.
 
 The walk picks, at every vertex ``v``, the predecessor ``u`` minimizing
 ``(dist[u], u)`` among those with ``dist[u] + w(u, v) == dist[v]`` exactly —
@@ -13,9 +12,9 @@ first equal-cost relaxer to settle wins there, and settle order is
 ``(dist, index)``-lexicographic), so the reconstructed path is identical to
 the reference one, not merely cost-identical.
 
-Everything degrades gracefully: without scipy, with non-positive weights
-(where the backward walk could cycle), or on any reconstruction anomaly the
-caller falls back to the pure-python array kernels.
+With a zero weight (where the backward walk could cycle) or on a
+reconstruction anomaly there is no answer here, and the caller runs the
+dict-based reference.
 """
 
 from __future__ import annotations
@@ -25,16 +24,8 @@ import math
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
-
-try:  # scipy is optional; the pure-python kernels cover its absence.
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    _csr_matrix = None
-    _csgraph_dijkstra = None
-    HAVE_SCIPY = False
+from scipy.sparse import csr_matrix as _csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import CompiledGraph
@@ -108,30 +99,21 @@ def _matrix(
     return graph.memo(("sparse-matrix", key), build, version=version)
 
 
-def min_weight(
-    graph: "CompiledGraph",
-    key: Hashable | None,
-    array: np.ndarray,
-    version: int | None,
-) -> float:
-    """The smallest weight (``inf`` without edges), memoized per keyed array."""
-
-    def scan() -> float:
-        return float(array.min()) if array.size else math.inf
-
-    if key is None:
-        return scan()
-    return graph.memo(("sparse-min", key), scan, version=version)  # type: ignore[return-value]
-
-
 def _all_positive(
     graph: "CompiledGraph",
     key: Hashable | None,
     array: np.ndarray,
     version: int | None,
 ) -> bool:
-    """Strictly positive weights guarantee the backward walk terminates."""
-    return min_weight(graph, key, array, version) > 0.0
+    """Strictly positive weights guarantee the backward walk terminates
+    (memoized per keyed array)."""
+
+    def scan() -> bool:
+        return not array.size or float(array.min()) > 0.0
+
+    if key is None:
+        return scan()
+    return graph.memo(("sparse-positive", key), scan, version=version)  # type: ignore[return-value]
 
 
 def slot_targets(graph: "CompiledGraph") -> np.ndarray:
@@ -152,17 +134,15 @@ def reconstruct_path_indices(
 ) -> list[int] | None:
     """The deterministic backward walk over an exact distance array.
 
-    ``dist`` holds the single-source distances from ``source`` (any exact
-    Dijkstra backend — scipy's C implementation or the python array kernel —
-    produces suitable values; vertices on no shortest path to
-    ``destination`` may hold ``inf`` instead) and ``r_weights`` the cost
-    array in reverse CSR slot order.  Both are any sequence whose items are
-    Python floats: a list, or a ``memoryview`` of a float64 array, which
-    makes a float only of the items the walk reads.  Returns the
-    reference-identical vertex-index path, or ``None`` on a float anomaly
-    (the caller falls back to the exact per-query kernel).  Weights must be
-    strictly positive or the walk could cycle — callers guard with
-    :func:`_all_positive`.
+    ``dist`` holds the exact single-source distances from ``source``
+    (vertices on no shortest path to ``destination`` may hold ``inf``
+    instead) and ``r_weights`` the cost array in reverse CSR slot order.
+    Both are any sequence whose items are Python floats: a list, or a
+    ``memoryview`` of a float64 array, which makes a float only of the items
+    the walk reads.  Returns the reference-identical vertex-index path, or
+    ``None`` on a float anomaly (the caller runs the dict-based reference).
+    Weights must be strictly positive or the walk could cycle — callers
+    guard with :func:`_all_positive`.
     """
     r_offsets = graph.r_offsets
     r_targets = graph.r_targets
@@ -183,11 +163,11 @@ def reconstruct_path_indices(
                 if best_key is None or candidate < best_key:
                     best_key = candidate
                     best = u
-        if best < 0:  # pragma: no cover - float anomaly; use the exact kernel
+        if best < 0:  # pragma: no cover - float anomaly; the reference answers
             return None
         path.append(best)
         current = best
-    return None  # pragma: no cover - cycle guard tripped; use the exact kernel
+    return None  # pragma: no cover - cycle guard tripped; the reference answers
 
 
 def _corridor_distances(
@@ -246,11 +226,11 @@ def shortest_path_indices(
     bounds admissible for ``array``) asks for a bounded first attempt, see
     :func:`_corridor_distances`; the path is the same with or without it.
     Returns the vertex-index path, the empty tuple ``()`` when the
-    destination is provably unreachable, or ``None`` when this backend
-    cannot answer (scipy missing / non-positive weights / reconstruction
-    anomaly) and the pure-python kernel should run instead.
+    destination is provably unreachable, or ``None`` when the walk cannot
+    answer (a zero weight / reconstruction anomaly) and the caller should
+    run the dict-based reference.
     """
-    if not HAVE_SCIPY or not _all_positive(graph, key, array, version):
+    if not _all_positive(graph, key, array, version):
         return None
     distances = None
     if table is not None:

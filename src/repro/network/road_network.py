@@ -161,7 +161,9 @@ class RoadNetwork:
 
         Missing weights are derived: distance from vertex coordinates, speed
         from the road-type default, travel time from distance and speed, and
-        fuel from the environmental model in :mod:`repro.routing.fuel`.
+        fuel from the environmental model in :mod:`repro.routing.fuel`.  A
+        speed, travel time or fuel that is not a finite positive number
+        raises :class:`NetworkError`.
         """
         if source not in self._vertices:
             raise VertexNotFoundError(source)
@@ -169,6 +171,16 @@ class RoadNetwork:
             raise VertexNotFoundError(target)
         if source == target:
             raise NetworkError(f"self-loop edges are not allowed (vertex {source})")
+        for name, value in (
+            ("speed_kmh", speed_kmh),
+            ("travel_time_s", travel_time_s),
+            ("fuel_ml", fuel_ml),
+        ):
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise NetworkError(
+                    f"edge ({source}, {target}) {name} must be a finite positive "
+                    f"number, got {value!r}"
+                )
 
         if distance_m is None:
             distance_m = equirectangular_m(

@@ -8,9 +8,11 @@ routing algorithms can consume.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable
 
+from ..exceptions import ConfigurationError
 from ..network.road_network import Edge
 
 EdgeCost = Callable[[Edge], float]
@@ -83,9 +85,15 @@ def weighted_cost(weights: dict[CostFeature, float]) -> EdgeCost:
     """A linear combination of the three cost features.
 
     Used by the Dom baseline, which learns per-driver trade-off weights over
-    distance, travel time, and fuel.  Weights may be any non-negative numbers;
-    they are used as-is (callers normalize if they need to).
+    distance, travel time, and fuel.  Weights may be any finite non-negative
+    numbers; they are used as-is (callers normalize if they need to).  A
+    negative or non-finite weight raises :class:`ConfigurationError`.
     """
+    for feature, weight in weights.items():
+        if not math.isfinite(weight) or weight < 0.0:
+            raise ConfigurationError(
+                f"weight of {feature.name} must be a finite non-negative number, got {weight!r}"
+            )
     items = [(cost_function(feature), float(weight)) for feature, weight in weights.items()]
 
     def combined(edge: Edge) -> float:

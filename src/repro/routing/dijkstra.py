@@ -4,9 +4,10 @@ This is the workhorse single-source shortest-path routine used by the
 Shortest / Fastest baselines, by preference learning (lowest-cost paths per
 cost feature), and as a building block inside the L2R pipeline.
 
-Queries whose edge cost maps onto a compiled cost array run on the array-based
-CSR kernel (:mod:`repro.network.compiled`); opaque edge-cost callables fall
-back to :func:`dict_dijkstra`, the dict-based reference implementation.  Both
+Queries whose edge cost maps onto a compiled cost array run on scipy's C
+Dijkstra over the CSR view (:mod:`repro.network.compiled`); opaque edge-cost
+callables, and cost views with a zero weight, fall back to
+:func:`dict_dijkstra`, the dict-based reference implementation.  Both
 produce identical paths.
 """
 
@@ -55,8 +56,9 @@ def dict_dijkstra(
 ) -> Path:
     """The dict-based reference implementation (no compiled dispatch).
 
-    Kept as the fallback for opaque edge costs and as the ground truth the
-    equivalence tests and benchmarks compare the compiled kernel against.
+    Kept as the fallback for opaque edge costs and zero weights, and as the
+    ground truth the equivalence tests and benchmarks compare the compiled
+    search against.
     """
     if source not in network:
         raise VertexNotFoundError(source)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -286,23 +285,6 @@ class TestDijkstraMany:
         for (source, destination), answer in zip(pairs, answers):
             per_query = dijkstra(network, source, destination, COST)
             assert tuple(answer) == per_query.vertices
-
-    def test_python_fallback_matches_scipy(self, monkeypatch):
-        network = _grid(9)
-        graph, key, array, version = _resolved(network)
-        sources = [0, 5, 17]
-        with_scipy = compiled_batch.dijkstra_many(graph, key, array, version, sources)
-        monkeypatch.setattr(compiled_batch.sparse, "HAVE_SCIPY", False)
-        without = compiled_batch.dijkstra_many(graph, key, array, version, sources)
-        assert np.array_equal(with_scipy, without)
-        reverse_with = compiled_batch.dijkstra_many(
-            graph, key, array, version, sources, reverse=True
-        )
-        monkeypatch.undo()
-        assert np.array_equal(
-            reverse_with,
-            compiled_batch.dijkstra_many(graph, key, array, version, sources, reverse=True),
-        )
 
 
 class TestBatchedRouteMany:

@@ -27,10 +27,6 @@ from repro.traffic import TrafficFeed, synthetic_congestion
 
 FEATURES = (CostFeature.TRAVEL_TIME, CostFeature.DISTANCE)
 
-# The bounded attempt is scipy's ``limit=`` search: without scipy there is no
-# attempt to test (CI's two scipy-less legs; 10 of these failed there).
-pytestmark = pytest.mark.skipif(not sparse.HAVE_SCIPY, reason="needs scipy")
-
 
 @pytest.fixture()
 def engage_all(monkeypatch):
@@ -301,15 +297,15 @@ class TestBuffers:
         key, array, version = graph.resolve_cost(cost_function(CostFeature.DISTANCE))
         counted = array.view(Counting)
         for _ in range(3):
-            batch.dijkstra_many(graph, key, counted, version, [0, 1])
+            batch.dijkstra_many(graph, key, counted, version, [0, 1])  # no check: no scan
             assert batch.shortest_paths_many(graph, key, counted, version, [(0, 5)])[0]
         assert Counting.scans == 1
-        batch.dijkstra_many(graph, None, counted, version, [0])  # per-query: scanned
+        batch.shortest_paths_many(graph, None, counted, version, [(0, 5)])  # per-query: scanned
         assert Counting.scans == 2
         edge = next(iter(network.edges()))
         network.update_edge_costs({edge.key: {"distance_m": edge.distance_m * 2}})
         key, array, version = graph.resolve_cost(cost_function(CostFeature.DISTANCE))
-        batch.dijkstra_many(graph, key, array.view(Counting), version, [0])
+        batch.shortest_paths_many(graph, key, array.view(Counting), version, [(0, 5)])
         assert Counting.scans == 3  # new cost version, new scan
 
     def test_rows_are_walked_without_a_list_copy(self, grid_network):

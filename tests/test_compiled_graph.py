@@ -3,9 +3,7 @@
 The compiled kernels (:mod:`repro.network.compiled`) must be drop-in
 replacements for the dict-based reference implementations: identical paths
 (not merely cost-identical), identical exceptions, across random graphs, all
-cost features, weighted combinations, and unreachable pairs — with scipy's C
-Dijkstra and, ``HAVE_SCIPY`` patched off, with the python kernels that CI's
-no-scipy legs run.
+cost features, weighted combinations, and unreachable pairs.
 """
 
 from __future__ import annotations
@@ -13,11 +11,11 @@ from __future__ import annotations
 import math
 import pickle
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NoPathError
@@ -28,8 +26,8 @@ from repro.network import (
     compiled_disabled,
     grid_city_network,
 )
-from repro.network.compiled import CompiledGraph, SearchWorkspace, batch, sparse
-from repro.network.compiled.dispatch import try_cost_rows
+from repro.network.compiled import CompiledGraph, SearchWorkspace, batch
+from repro.network.compiled.dispatch import try_cost_rows, try_dijkstra, try_route_many
 from repro.network.compiled.graph import MEMO_SIZE
 from repro.preferences import PreferenceVector
 from repro.preferences.features import MAJOR_ROADS, LOCAL_ROADS, single_type_feature
@@ -96,15 +94,6 @@ def _both(fn_compiled, fn_dict):
     return compiled_result, dict_result
 
 
-@contextmanager
-def _scipy(available: bool):
-    """Run the block with the scipy backends as found, or switched off."""
-    with pytest.MonkeyPatch.context() as patch:
-        if not available:
-            patch.setattr(sparse, "HAVE_SCIPY", False)
-        yield
-
-
 #: Algorithm 2's slave road-condition features under test.
 SLAVES = [MAJOR_ROADS, LOCAL_ROADS] + [single_type_feature(rt) for rt in RoadType]
 
@@ -116,16 +105,15 @@ HYPOTHESIS_SETTINGS = settings(
 
 class TestDijkstraEquivalence:
     @HYPOTHESIS_SETTINGS
-    @given(random_networks(), st.integers(min_value=0, max_value=1_000), st.booleans())
-    def test_all_cost_features(self, network, pair_seed, scipy):
+    @given(random_networks(), st.integers(min_value=0, max_value=1_000))
+    def test_all_cost_features(self, network, pair_seed):
         source, destination = _pair(network, pair_seed)
         for feature in ALL_COST_FEATURES:
             cost = cost_function(feature)
-            with _scipy(scipy):
-                compiled_path, dict_path = _both(
-                    lambda: dijkstra(network, source, destination, cost),
-                    lambda: dict_dijkstra(network, source, destination, cost),
-                )
+            compiled_path, dict_path = _both(
+                lambda: dijkstra(network, source, destination, cost),
+                lambda: dict_dijkstra(network, source, destination, cost),
+            )
             if compiled_path == "no-path":
                 assert dict_path == "no-path"
             else:
@@ -137,38 +125,41 @@ class TestDijkstraEquivalence:
         st.integers(min_value=0, max_value=1_000),
         st.floats(min_value=0.0, max_value=5.0),
         st.floats(min_value=0.0, max_value=5.0),
-        st.booleans(),
+        st.sampled_from([1.0, 0.0]),
     )
-    def test_weighted_combination(self, network, pair_seed, w_distance, w_time, scipy):
+    @example(grid_city_network(rows=4, cols=4, seed=1), 2, 0.0, 0.0, 0.0)
+    def test_weighted_combination(self, network, pair_seed, w_distance, w_time, w_fuel):
+        """All-zero weights included: the backward walk could cycle on zero
+        costs, so the view is answered by the dict reference and the batch
+        backend declines it."""
         source, destination = _pair(network, pair_seed)
         cost = weighted_cost(
             {
                 CostFeature.DISTANCE: w_distance,
                 CostFeature.TRAVEL_TIME: w_time,
-                CostFeature.FUEL: 1.0,
+                CostFeature.FUEL: w_fuel,
             }
         )
-        with _scipy(scipy):
-            compiled_path, dict_path = _both(
-                lambda: dijkstra(network, source, destination, cost),
-                lambda: dict_dijkstra(network, source, destination, cost),
-            )
+        compiled_path, dict_path = _both(
+            lambda: dijkstra(network, source, destination, cost),
+            lambda: dict_dijkstra(network, source, destination, cost),
+        )
         if compiled_path == "no-path":
             assert dict_path == "no-path"
         else:
             assert compiled_path.vertices == dict_path.vertices
+        if w_distance == w_time == w_fuel == 0.0 and network.edge_count:
+            assert try_dijkstra(network, source, destination, cost) is None
+            assert try_route_many(network, [(source, destination)], cost) is None
 
     @HYPOTHESIS_SETTINGS
-    @given(
-        random_networks(), st.integers(min_value=0, max_value=1_000), st.booleans(), st.booleans()
-    )
-    def test_dijkstra_costs(self, network, pair_seed, scipy, reverse):
+    @given(random_networks(), st.integers(min_value=0, max_value=1_000), st.booleans())
+    def test_dijkstra_costs(self, network, pair_seed, reverse):
         """The compiled cost rows against the dict-based single-source costs,
         and the path each row's predecessors hold against the row's cost."""
         source, _ = _pair(network, pair_seed)
         cost = cost_function(CostFeature.TRAVEL_TIME)
-        with _scipy(scipy):
-            rows = try_cost_rows(network, [source], cost, reverse=reverse)
+        rows = try_cost_rows(network, [source], cost, reverse=reverse)
         assert rows.predecessors.dtype == np.int32 and rows.reverse is reverse
         reference = dict_dijkstra_costs(network, source, cost)
         for vertex, column in rows.column_of.items():
@@ -260,18 +251,17 @@ class TestOtherKernels:
         st.integers(min_value=0, max_value=1_000),
         st.integers(0, 7),
         st.booleans(),
-        st.booleans(),
     )
-    def test_preference_dijkstra(self, network, pair_seed, slave_index, scipy, compiled):
-        """Algorithm 2 against its dict reference: on the compiled searches
-        (scipy or the python kernel) and, under ``compiled_disabled()``, on
-        ``dict_dijkstra`` pricing the masked view one edge at a time."""
+    def test_preference_dijkstra(self, network, pair_seed, slave_index, compiled):
+        """Algorithm 2 against its dict reference: on the compiled search and,
+        under ``compiled_disabled()``, on ``dict_dijkstra`` pricing the masked
+        view one edge at a time."""
         source, destination = _pair(network, pair_seed)
         slave = ([None] + SLAVES)[slave_index % (len(SLAVES) + 1)]
         preference = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=slave)
         if source == destination:
             return
-        with _scipy(scipy), nullcontext() if compiled else compiled_disabled():
+        with nullcontext() if compiled else compiled_disabled():
             compiled_path, dict_path = _both(
                 lambda: preference_dijkstra(network, source, destination, preference),
                 lambda: _dict_preference_search(network, source, destination, preference),

@@ -1,8 +1,8 @@
 """The batched offline fit (ISSUE 14) against the per-item code it replaced.
 
 Step 1: the table-first learner must decide exactly what the per-path
-learner decided — a copy of that learner lives here as the reference — on
-every backend the batch search can run on, and the masked cost view must
+learner decided — a copy of that learner lives here as the reference — with
+the batch search and pair by pair, and the masked cost view must
 construct Algorithm 2's paths.  Step 2: the blocked adjacency must equal
 pairwise ``reSim``, and the one multi-column conjugate-gradient solve must
 match a dense ``np.linalg.solve`` of Eq. 3 at every size.
@@ -25,7 +25,7 @@ from repro.datasets import d2_like_scenario, tiny_scenario
 from repro.datasets.splits import split_by_id
 from repro.exceptions import NoPathError, TransferError
 from repro.network import RoadNetwork, RoadType, compiled_disabled
-from repro.network.compiled import dispatch, sparse
+from repro.network.compiled import dispatch
 from repro.preferences import (
     FeatureCatalog,
     LearnedPreference,
@@ -224,11 +224,6 @@ class TestTableFirstLearner:
         network, path_sets = tiny_sets
         with compiled_disabled():
             _assert_same_as_reference(network, path_sets[:40])
-
-    def test_without_scipy(self, tiny_sets, monkeypatch):
-        network, path_sets = tiny_sets
-        monkeypatch.setattr(sparse, "HAVE_SCIPY", False)
-        _assert_same_as_reference(network, path_sets[:80])
 
     def test_batch_answers_with_holes_fall_back_per_pair(self, tiny_sets, monkeypatch):
         network, path_sets = tiny_sets

@@ -7,8 +7,8 @@ the shard's boundary and its vertices.  What is pinned here:
 * **cost identity** against the dict-Dijkstra reference on directed grids
   (one-way streets make the reverse tables differ from the forward ones, a
   disconnected pocket puts ``inf`` in them), for every feature, before and
-  after single-attribute traffic — with scipy, without it, and (through the
-  worker's per-pair fallback) with the compiled path disabled;
+  after single-attribute traffic — and, through the worker's per-pair
+  fallback, with the compiled path disabled;
 * **degenerate shards**: no boundary at all, and a single vertex;
 * **no last resort** on the benchmark's 60x60 grid — and the last resort,
   counted, for a table whose predecessor chains break;
@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.network import RoadNetwork, compiled_disabled, grid_city_network
-from repro.network.compiled import batch, dispatch, shm, sparse
+from repro.network.compiled import batch, dispatch, shm
 from repro.routing import CostFeature, cost_function
 from repro.routing.costs import FEATURE_EDGE_ATTRIBUTES
 from repro.routing.dijkstra import dict_dijkstra_costs
@@ -265,22 +265,8 @@ def test_a_one_vertex_shard():
 
 
 # -------------------------------------------------------------------- #
-# (c) without scipy; with the compiled path disabled
+# (c) broken chains; the compiled path disabled
 # -------------------------------------------------------------------- #
-def test_cost_identity_without_scipy(monkeypatch):
-    monkeypatch.setattr(sparse, "HAVE_SCIPY", False)
-    for pocket in (False, True):
-        network = _directed_grid(5, 5, seed=21, pocket=pocket)
-        overlay = BoundaryOverlay(network, build_shard_plan(network, 3))
-        router = CrossShardRouter(network, overlay)
-        rng = random.Random(4)
-        pairs = _random_pairs(network, rng, 12)
-        _assert_cost_identity(network, router, pairs)
-        _apply_traffic(network, overlay, rng, "distance_m")
-        _assert_cost_identity(network, router, pairs)
-        assert router.fallbacks == 0
-
-
 def test_a_table_whose_chains_break_sends_the_pair_to_the_full_search():
     network = _directed_grid(5, 5, seed=8)
     overlay = BoundaryOverlay(network, build_shard_plan(network, 2))

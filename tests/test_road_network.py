@@ -47,6 +47,13 @@ class TestConstruction:
         with pytest.raises(NetworkError):
             small_network.add_edge(1, 1)
 
+    @pytest.mark.parametrize("name", ["travel_time_s", "fuel_ml", "speed_kmh"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_cost_rejected(self, small_network, name, value):
+        with pytest.raises(NetworkError, match=name):
+            small_network.add_edge(3, 1, **{name: value})
+        assert not small_network.has_edge(3, 1)
+
     def test_derived_distance_positive(self, small_network):
         assert small_network.w_di(1, 2) > 0
 

@@ -23,7 +23,7 @@ from repro.core.router import _CorridorCost, _hop_counts, _plan
 from repro.datasets import d1_like_scenario, d2_like_scenario, tiny_scenario
 from repro.datasets.splits import split_by_id
 from repro.network import RoadNetwork, RoadType
-from repro.network.compiled import compiled_disabled, sparse
+from repro.network.compiled import compiled_disabled
 from repro.regions import TrajectoryGraph, build_region_graph, cluster_trajectory_graph
 from repro.regions.region import Region
 from repro.regions.region_graph import RegionGraph
@@ -171,13 +171,6 @@ class TestCorridorArrays:
         assert plan.divisors.max() == tables.discount[-1]
 
 
-@pytest.fixture(params=[True, False], ids=["scipy", "no-scipy"])
-def scipy(request, monkeypatch):
-    """Run the test with scipy's searches as found, then with them off."""
-    if not request.param:
-        monkeypatch.setattr(sparse, "HAVE_SCIPY", False)
-
-
 @pytest.fixture(scope="module")
 def d2_like():
     scenario = d2_like_scenario(scale=0.25, seed=7)
@@ -221,7 +214,6 @@ def _priced(plans, graph) -> dict:
     return priced
 
 
-@pytest.mark.usefixtures("scipy")
 class TestPlans:
     def test_plan_arrays_equal_the_per_request_assembly(self, tiny, fitted_l2r):
         router = fitted_l2r.model.router

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import NetworkError, NoPathError, VertexNotFoundError
+from repro.exceptions import ConfigurationError, NetworkError, NoPathError, VertexNotFoundError
 from repro.network import RoadNetwork
 from repro.routing import (
     CostFeature,
@@ -43,6 +43,11 @@ class TestCosts:
         edge = line_network.edge(0, 1)
         combined = weighted_cost({CostFeature.DISTANCE: 1.0, CostFeature.TRAVEL_TIME: 2.0})
         assert combined(edge) == pytest.approx(edge.distance_m + 2.0 * edge.travel_time_s)
+
+    @pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf")])
+    def test_weighted_cost_rejects_negative_or_non_finite_weights(self, weight):
+        with pytest.raises(ConfigurationError, match="TRAVEL_TIME"):
+            weighted_cost({CostFeature.DISTANCE: 1.0, CostFeature.TRAVEL_TIME: weight})
 
     def test_short_names(self):
         assert CostFeature.DISTANCE.short_name == "DI"
