@@ -106,8 +106,12 @@ def _resolved(
 #: The bounded first attempt of :func:`try_dijkstra` pays two landmark-bound
 #: passes and an O(edges) pruning pass per query, and a landmark build per
 #: attribute cost view; below this vertex count the full C search is as
-#: fast.  Gain over the full search on grid cities: 40x40 1.01x, 50x50 1.02x,
-#: 55x55 1.20x, 60x60 1.17x, 80x80 1.31x, 100x100 1.40x, 140x140 1.66x.
+#: fast.  Gain over the full search on grid cities, set before the landmark
+#: upper bound capped the corridor: 40x40 1.01x, 50x50 1.02x, 55x55 1.20x,
+#: 60x60 1.17x, 80x80 1.31x, 100x100 1.40x, 140x140 1.66x.  With the cap (600
+#: uniform pairs, travel time and distance alternating, median of 5 runs):
+#: 40x40 1.04x, 50x50 1.36x, 55x55 1.27x, 60x60 1.31x, 80x80 1.46x, 100x100
+#: 1.76x — the crossover now lies between 40x40 and 50x50.
 BOUNDED_DIJKSTRA_MIN_VERTICES = 3_000
 
 

@@ -13,6 +13,12 @@ computed vectorized over all vertices in one numpy pass.  The resulting
 bounds are *consistent* (each inequality is tight along shortest paths of
 the build metric), so the closed-set A* kernel stays exact.
 
+The same rows also give an *upper* bound per pair, the cheapest detour
+``min_L d(s, L) + d(L, t)`` (:meth:`LandmarkTable.tightest`).  It is the
+cost of a real walk at the build costs, so it holds on the table's
+``build_array`` only: after any cost patch it says nothing, even where the
+lower bounds stay admissible.
+
 Tables are **topology-stamped** artifacts: they live on one
 :class:`~repro.network.compiled.graph.CompiledGraph` snapshot and die with
 it on any structural mutation.  Against live-traffic *cost* updates they
@@ -255,15 +261,23 @@ class LandmarkTable:
         (in ``scratch.frm``)."""
         return self._bounds(self.dist_from[:, source], self.dist_to[:, source], -1, scratch, rows)
 
-    def tightest(self, source: int, target: int, count: int) -> tuple[float, list[int] | None]:
-        """The lower bound on ``d(source, target)`` and the ``count``
-        landmarks bounding it best (``None``: all of them)."""
+    def tightest(
+        self, source: int, target: int, count: int
+    ) -> tuple[float, float, list[int] | None]:
+        """The lower bound on ``d(source, target)``, the upper bound, and the
+        ``count`` landmarks bounding it best from below (``None``: all).
+
+        The upper bound is the cheapest detour ``d(source, L) + d(L, target)``
+        through a landmark — the cost of a real walk at the *build* costs,
+        so it bounds the pair only on :attr:`build_array` (``inf`` when no
+        landmark links the pair)."""
         lf, lt = self.dist_from, self.dist_to
         with np.errstate(invalid="ignore"):
             per = np.fmax(lf[:, target] - lf[:, source], lt[:, source] - lt[:, target])
         per[np.isnan(per)] = -np.inf
         rows = np.argsort(per)[-count:].tolist() if count < self.count else None
-        return float(per.max()) * self.scale, rows
+        upper = float((lt[:, source] + lf[:, target]).min())
+        return float(per.max()) * self.scale, upper, rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,6 +12,13 @@ first equal-cost relaxer to settle wins there, and settle order is
 ``(dist, index)``-lexicographic), so the reconstructed path is identical to
 the reference one, not merely cost-identical.
 
+Given a landmark table, the search first tries a corridor: edges into
+vertices whose landmark bounds put them off every path of cost ``U`` cost
+``inf``, and the search stops at ``U = min(1.4 * LB, UB)`` — the lower bound
+``LB`` stretched, capped by the cheapest landmark detour ``UB`` while the
+costs are the table's build costs.  A capped corridor always reaches the
+destination; otherwise a miss falls back to the full search.
+
 With a zero weight (where the backward walk could cycle) or on a
 reconstruction anomaly there is no answer here, and the caller runs the
 dict-based reference.
@@ -46,12 +53,15 @@ CORRIDOR_RATIO = 1.4
 #: 8 measured 1.34x, 1.40x, 1.39x, 1.32x there.
 CORRIDOR_LANDMARKS = 4
 
-#: No attempt for a pair whose lower bound exceeds this share of the table's
-#: span (its largest landmark distance, about the diameter): the corridor then
-#: holds most of the graph and the attempt costs more than the full search.
-#: Attempt / full time by bound / span on the 60x60 and 100x100 grid cities:
-#: 0.3-0.4 0.84 / 0.63, 0.4-0.5 0.98 / 0.80, 0.5-0.6 1.13 / 1.00, 0.6-0.7 1.34
-#: / 1.16, above 1.4 / 1.28 — these pairs were the slowest requests.
+#: No attempt for an *uncapped* pair (no landmark detour within the stretched
+#: lower bound, or costs off the table's build costs) whose lower bound
+#: exceeds this share of the table's span (its largest landmark distance,
+#: about the diameter): the corridor then holds most of the graph and the
+#: attempt costs more than the full search.  Uncapped attempt / full time by
+#: bound / span on the 60x60 and 100x100 grid cities: 0.3-0.4 0.84 / 0.63,
+#: 0.4-0.5 0.98 / 0.80, 0.5-0.6 1.13 / 1.00, 0.6-0.7 1.34 / 1.16, above 1.4 /
+#: 1.28.  A capped pair is attempted at any span: at build costs the detour
+#: caps 96 to 100 % of the far pairs there.
 CORRIDOR_MAX_SPAN = 0.5
 
 #: Landmark bounds are differences of float path sums, so one may exceed the
@@ -176,20 +186,27 @@ def _corridor_distances(
     """Distances from ``source`` within a landmark corridor, or ``None``.
 
     With ``limit`` = lower bound on the source-destination cost times
-    :data:`CORRIDOR_RATIO`, every vertex ``v`` on a shortest path of cost
-    ``<= limit`` has ``d(source, v) + d(v, destination) <= limit``, so edges
-    into vertices whose landmark bound on that sum exceeds ``limit`` cost
-    ``inf`` in a scratch copy and the C Dijkstra stops at ``limit``.  A
-    finite distance at ``destination`` is then exact, as is the distance of
-    every vertex on every shortest path to it — all the backward walk reads
-    to pick the same predecessors.  ``None``: the destination lies beyond
-    ``limit`` (or the bounds say nothing, or the pair is too far apart for a
-    corridor, :data:`CORRIDOR_MAX_SPAN`) and the full search must run.
+    :data:`CORRIDOR_RATIO`, capped by the landmark detour's cost (the upper
+    bound, while ``array`` is the table's build array), every vertex ``v``
+    on a shortest path of cost ``<= limit`` has ``d(source, v) + d(v,
+    destination) <= limit``, so edges into vertices whose landmark bound on
+    that sum exceeds ``limit`` cost ``inf`` in a scratch copy and the C
+    Dijkstra stops at ``limit``.  A finite distance at ``destination`` is
+    then exact, as is the distance of every vertex on every shortest path to
+    it — all the backward walk reads to pick the same predecessors; a capped
+    limit always reaches it.  ``None``: the destination lies beyond
+    ``limit`` (or the bounds say nothing, or the pair is too far apart for
+    an uncapped corridor, :data:`CORRIDOR_MAX_SPAN`) and the full search
+    must run.
     """
-    lower, rows = table.tightest(source, destination, CORRIDOR_LANDMARKS)
-    if not 0.0 < lower <= CORRIDOR_MAX_SPAN * table.span:
+    lower, upper, rows = table.tightest(source, destination, CORRIDOR_LANDMARKS)
+    if not 0.0 < lower:
         return None
     limit = lower * CORRIDOR_RATIO
+    if array is table.build_array and upper * _CORRIDOR_SLACK < limit:
+        limit = upper * _CORRIDOR_SLACK
+    elif lower > CORRIDOR_MAX_SPAN * table.span:
+        return None
     with graph.borrowed_scratch() as scratch:
         through = table.bounds_to(destination, scratch, rows)
         through += table.bounds_from(source, scratch, rows)

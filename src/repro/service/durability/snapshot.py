@@ -201,12 +201,15 @@ class SnapshotStore:
             or state.get("format_version") != SNAPSHOT_FORMAT_VERSION
         ):
             return None
-        return SnapshotState(
-            path=path,
-            cost_version=int(state["cost_version"]),
-            topology=dict(state["topology"]),
-            arrays={name: np.asarray(a) for name, a in state["arrays"].items()},
-        )
+        try:
+            return SnapshotState(
+                path=path,
+                cost_version=int(state["cost_version"]),
+                topology=dict(state["topology"]),
+                arrays={name: np.asarray(a) for name, a in state["arrays"].items()},
+            )
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return None  # an intact body of the wrong shape == invalid snapshot
 
     def latest(self, *, topology: dict | None = None) -> SnapshotState | None:
         """Newest snapshot that validates (and, if given, matches ``topology``).

@@ -22,7 +22,15 @@ from repro.network import RoadNetwork, RoadType, alt_disabled, country_network, 
 from repro.network.compiled import batch, dispatch, sparse
 from repro.network.compiled.graph import LANDMARK_TABLE_LIMIT
 from repro.network.compiled.landmarks import ATTEMPT_WINDOW, SKIPPED_SAMPLE
-from repro.routing import CostFeature, astar, cost_function, dict_dijkstra, dijkstra, weighted_cost
+from repro.routing import (
+    CostFeature,
+    astar,
+    cost_function,
+    dict_dijkstra,
+    dict_dijkstra_costs,
+    dijkstra,
+    weighted_cost,
+)
 from repro.traffic import TrafficFeed, synthetic_congestion
 
 FEATURES = (CostFeature.TRAVEL_TIME, CostFeature.DISTANCE)
@@ -85,6 +93,20 @@ def _assert_identical(network, pairs, features=FEATURES):
             with alt_disabled():
                 full = _path(dijkstra, network, s, t, cost)
             assert bounded == full == _path(dict_dijkstra, network, s, t, cost), (feature, s, t)
+
+
+def _raise_costs(network, factor=1.5):
+    """One live-traffic rise on the last edge: every cost array is patched,
+    so the landmark detours bound no pair any more (the lower bounds stay)."""
+    edge = max(network.edges(), key=lambda e: e.key)
+    network.update_edge_costs(
+        {
+            edge.key: {
+                "travel_time_s": edge.travel_time_s * factor,
+                "distance_m": edge.distance_m * factor,
+            }
+        }
+    )
 
 
 def _unit_grid(rows, cols):
@@ -219,6 +241,68 @@ class TestPathIdentity:
 
 
 # ---------------------------------------------------------------------- #
+# The landmark upper bound
+# ---------------------------------------------------------------------- #
+def _capped_far_pairs(network, feature, count, seed):
+    """Pairs too far apart for an uncapped corridor whose landmark detour
+    caps the limit."""
+    graph = network.compiled()
+    key, array, version = graph.resolve_cost(cost_function(feature))
+    table = graph.landmark_table(key, array, version)
+    index_of = graph.index_of
+    pairs = []
+    for s, t in _pairs(network, 100 * count, seed):
+        lower, upper, _ = table.tightest(index_of[s], index_of[t], sparse.CORRIDOR_LANDMARKS)
+        far = lower > sparse.CORRIDOR_MAX_SPAN * table.span
+        if far and upper * sparse._CORRIDOR_SLACK < lower * sparse.CORRIDOR_RATIO:
+            pairs.append((s, t))
+            if len(pairs) == count:
+                break
+    assert len(pairs) == count
+    return pairs
+
+
+class TestUpperBound:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: grid_city_network(rows=100, cols=100, seed=5), country_network],
+        ids=["grid-100x100", "country"],
+    )
+    def test_far_pairs_capped_by_a_landmark_detour_are_attempted(
+        self, engage_all, attempts, make
+    ):
+        network = make()
+        far = {feature: _capped_far_pairs(network, feature, 6, seed=13) for feature in FEATURES}
+        for feature, pairs in far.items():
+            _assert_identical(network, pairs, features=(feature,))
+        assert attempts == [True] * sum(len(pairs) for pairs in far.values())
+        attempts.clear()
+        _raise_costs(network)  # off the build costs: declined as before
+        for feature, pairs in far.items():
+            _assert_identical(network, pairs, features=(feature,))
+        assert attempts == []
+
+    def test_upper_bound_is_at_least_the_reference_cost(self):
+        network = grid_city_network(rows=8, cols=8, seed=5)
+        island = max(network.vertex_ids()) + 1
+        anchor = sorted(network.vertex_ids())[0]
+        network.add_vertex(island, lon=10.3, lat=56.3)
+        network.add_edge(island, anchor, RoadType.RESIDENTIAL)  # out of the island only
+        graph = network.compiled()
+        index_of = graph.index_of
+        for feature in FEATURES:
+            cost = cost_function(feature)
+            table = network.prepare_landmarks(cost)
+            for s in sorted(network.vertex_ids()):
+                reference = dict_dijkstra_costs(network, s, cost)
+                for t in network.vertex_ids():
+                    upper = table.tightest(index_of[s], index_of[t], table.count)[1]
+                    want = reference.get(t, math.inf)  # a float sum: equal up to rounding
+                    assert upper >= want * (1 - 1e-12), (feature, s, t)
+            assert table.tightest(index_of[anchor], index_of[island], 4)[1] == math.inf
+
+
+# ---------------------------------------------------------------------- #
 # What never attempts it
 # ---------------------------------------------------------------------- #
 class TestBypasses:
@@ -276,11 +360,11 @@ class TestBuffers:
                 assert table.bounds_from(v, scratch) is scratch.frm
                 assert stacked(table, v, +1).tobytes() == scratch.to.tobytes()
                 assert stacked(table, v, -1).tobytes() == scratch.frm.tobytes()
-                lower, rows = table.tightest(0, v, 3)
+                lower, _, rows = table.tightest(0, v, 3)
                 assert len(rows) == 3 and lower == scratch.to[0]
                 assert table.bounds_to(v, nested, rows)[0] == lower  # the tightest carry it
                 assert (nested.to <= scratch.to).all()
-            assert table.tightest(0, 17, table.count)[1] is None
+            assert table.tightest(0, 17, table.count)[2] is None
         with graph.borrowed_scratch() as again:
             assert again is scratch or again is nested  # pooled, not reallocated
 
@@ -411,18 +495,24 @@ class TestLowSuccessRule:
     def test_reaching_by_settling_most_of_the_graph_does_not_pay_off(self, engage_all, attempts):
         network = _unit_grid(12, 12)
         cost = cost_function(CostFeature.DISTANCE)
-        dijkstra(network, 3 * 12 + 3, 8 * 12 + 8, cost)  # mid-range: the corridor is most of the grid
+        mid = (3 * 12 + 3, 8 * 12 + 8)
+        dijkstra(network, *mid, cost)  # a landmark detour caps the corridor: it pays off
         table = _table(network, CostFeature.DISTANCE)
-        assert attempts == [True] and (table.attempts, table.paid_off) == (1, 0)
-        dijkstra(network, 0, 1, cost)
+        assert attempts == [True] and (table.attempts, table.paid_off) == (1, 1)
+        _raise_costs(network)  # mid-range, uncapped: the corridor is most of the grid
+        dijkstra(network, *mid, cost)
         assert attempts == [True, True] and (table.attempts, table.paid_off) == (2, 1)
+        dijkstra(network, 0, 1, cost)
+        assert attempts == [True, True, True] and (table.attempts, table.paid_off) == (3, 2)
 
     def test_far_apart_pairs_go_straight_to_the_full_search(self, engage_all, attempts):
         network = _unit_grid(12, 12)
         cost = cost_function(CostFeature.DISTANCE)
-        corner = dijkstra(network, 0, 143, cost).vertices  # bound == span: no corridor to speak of
-        table = _table(network, CostFeature.DISTANCE)
+        table = network.prepare_landmarks(cost)
         assert table.span == 22 * 100.0
+        _raise_costs(network)  # no landmark detour caps the corridor any more
+        corner = dijkstra(network, 0, 143, cost).vertices  # bound == span: no corridor to speak of
+        assert _table(network, CostFeature.DISTANCE) is table
         assert attempts == [] and table.attempts == 0  # declined, and not counted
         assert corner == dict_dijkstra(network, 0, 143, cost).vertices
 

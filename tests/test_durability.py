@@ -11,7 +11,9 @@ everything after it.
 from __future__ import annotations
 
 import os
+import pickle
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from repro.service.durability import (
     topology_stamp,
 )
 from repro.service.durability import journal as journal_module
+from repro.service.durability import snapshot as snapshot_module
 from repro.service.durability.journal import _HEADER, FSYNC_INTERVAL
 from repro.traffic import TrafficFeed
 from repro.traffic.updates import TrafficUpdate
@@ -299,6 +302,88 @@ class TestSnapshotStore:
         large = grid_city_network(4, 4, seed=1).compiled().topology
         assert topology_stamp(small) == topology_stamp(small)
         assert topology_stamp(small) != topology_stamp(large)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("cost_version", None), ("cost_version", "x"), ("topology", 5)],
+        ids=["no-cost-version", "cost-version-not-a-number", "topology-not-a-mapping"],
+    )
+    def test_intact_body_of_the_wrong_shape_is_invalid(self, tmp_path, name, value):
+        store = SnapshotStore(tmp_path)
+        store.save(1, _arrays(4, 1.0), STAMP)
+        state = {
+            "format": "repro-cost-snapshot",
+            "format_version": snapshot_module.SNAPSHOT_FORMAT_VERSION,
+            "cost_version": 2,
+            "topology": dict(STAMP),
+            "arrays": _arrays(4, 2.0),
+        }
+        if value is None:
+            del state[name]
+        else:
+            state[name] = value
+        body = pickle.dumps(state)  # a valid CRC over malformed contents
+        newest = tmp_path / "snapshot-000000000002.snap"
+        newest.write_bytes(
+            snapshot_module._MAGIC + snapshot_module._CRC.pack(zlib.crc32(body)) + body
+        )
+        assert store._decode(newest) is None
+        assert store.latest().cost_version == 1  # falls back to the older one
+        assert store.invalid_skipped == 1
+
+
+# -------------------------------------------------------------------- #
+# Both disk decoders under damaged bytes
+# -------------------------------------------------------------------- #
+_WRITTEN = [_record(version, payload=("p", version, "x" * version)) for version in range(4)]
+_SEGMENT = b"".join(journal_module._encode_frame(record) for record in _WRITTEN)
+
+
+def _damaged(blob: bytes):
+    """``blob`` truncated at any offset, with any one bit flipped, or with
+    random bytes appended."""
+
+    def flip(bit: int) -> bytes:
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        return bytes(damaged)
+
+    return st.one_of(
+        st.integers(min_value=0, max_value=len(blob) - 1).map(lambda end: blob[:end]),
+        st.integers(min_value=0, max_value=8 * len(blob) - 1).map(flip),
+        st.binary(min_size=1, max_size=64).map(lambda tail: blob + tail),
+    )
+
+
+@pytest.fixture(scope="module")
+def saved_snapshot(tmp_path_factory):
+    """A published snapshot and its bytes."""
+    store = SnapshotStore(tmp_path_factory.mktemp("snapshots"))
+    path = store.save(5, _arrays(4, 3.0), STAMP)
+    return store, path.read_bytes()
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_damaged(_SEGMENT))
+    def test_scan_frames_returns_a_prefix_of_the_written_records(self, buffer):
+        records, valid_end, clean = journal_module._scan_frames(buffer)
+        assert records == _WRITTEN[: len(records)]
+        assert 0 <= valid_end <= len(buffer)
+        assert clean == (valid_end == len(buffer))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_snapshot_decode_returns_none_or_the_saved_state(self, saved_snapshot, data):
+        store, blob = saved_snapshot
+        damaged = store.directory / "damaged.snap"
+        damaged.write_bytes(data.draw(_damaged(blob)))
+        state = store._decode(damaged)
+        if state is not None:
+            assert (state.cost_version, state.topology) == (5, STAMP)
+            assert state.arrays.keys() == _arrays(4).keys()
+            for name, array in _arrays(4, 3.0).items():
+                assert np.array_equal(state.arrays[name], array)
 
 
 # -------------------------------------------------------------------- #
