@@ -8,9 +8,10 @@ The main modules:
   one flat numpy cost array per travel-cost feature (patched in place by
   live-traffic updates, see :mod:`repro.traffic`);
 * :mod:`~repro.network.compiled.sparse` — point-to-point Dijkstra on scipy's
-  C implementation over the CSR arrays, with a reference-identical backward
-  path walk (Algorithm 2 needs no search of its own: it is Dijkstra over a
-  masked cost view, :func:`~repro.routing.preference_dijkstra.preference_cost`);
+  C implementation over the CSR arrays, with the reference-identical path
+  read off scipy's search tree (Algorithm 2 needs no search of its own: it
+  is Dijkstra over a masked cost view,
+  :func:`~repro.routing.preference_dijkstra.preference_cost`);
 * :mod:`~repro.network.compiled.kernels` — the array-based ALT-A* /
   bidirectional kernels scipy has no form for, over preallocated,
   generation-stamped :class:`SearchWorkspace` state;

@@ -2,19 +2,20 @@
 
 ``dijkstra_many`` answers *k* independent single-source shortest-path
 problems over one shared CSR cost view in one ``scipy.sparse.csgraph.dijkstra``
-call (no GIL between sources).  The distances are exact, so the
-deterministic backward walk in :mod:`~repro.network.compiled.sparse`
-reconstructs reference-identical paths from the rows.  On request it also
-returns the predecessor matrix of the search trees (negative = none): a
-caller that needs *a* shortest path per row entry rather than the
-reference's — the sharding layer's boundary tables — follows it, one int
-per hop, instead of walking.
+call (no GIL between sources).  On request it also returns the predecessor
+matrix of the search trees (negative = none): a caller that needs *a*
+shortest path per row entry rather than the reference's — the sharding
+layer's boundary tables — follows it, one int per hop.
 
 ``shortest_paths_many`` builds on that: a batch of ``(source, destination)``
-pairs shares one distance row per distinct source, which is how an engine's
-``route_batch`` (:meth:`~repro.service.engine.BaseEngine.route_batch`) turns
-the requests of a ``route_many`` that repeat a source into one row each
-instead of a search each.  The landmark tables in
+pairs shares one distance row and one tree row per distinct source, which is
+how an engine's ``route_batch``
+(:meth:`~repro.service.engine.BaseEngine.route_batch`) turns the requests of
+a ``route_many`` that repeat a source into one row each instead of a search
+each, and how the offline fit's Step 1 builds its lowest-cost paths.  Each
+path is read off the tree, checked by the cost view's tie certificate, as in
+:func:`~repro.network.compiled.sparse.reconstruct_path_indices`, so it is the
+reference's path, not merely one of equal cost.  The landmark tables in
 :mod:`~repro.network.compiled.landmarks` use ``dijkstra_many`` for their
 per-landmark forward/backward distance rows.
 """
@@ -88,10 +89,10 @@ def dijkstra_many(
     unreached vertices), so following it from ``j`` ends at the source after
     one step per hop.  In a reverse search the tree runs against the edges:
     the "predecessor" of ``j`` is the vertex *after* it on the way to the
-    source.  The tree comes out of the same sweep as the distances (185-191
-    us per source without, 189-199 with, at 1,800 vertices), and each
-    distance is the float sum of its tree path's weights, accumulated from
-    the source.
+    source.  The tree comes out of the same sweep as the distances (at
+    1,800 vertices, 64 sources a call: quartiles 237-247 us per source
+    without, 238-247 with), and each distance is the float sum of its tree
+    path's weights, accumulated from the source.
     """
     if reverse:
         matrix = _reverse_matrix(graph, key, array, version)
@@ -118,14 +119,16 @@ def shortest_paths_many(
 ) -> list[list[int] | tuple[()] | None] | None:
     """Point-to-point paths for a batch of index pairs sharing cost view.
 
-    Pairs are grouped by source so each distinct source pays one SSSP; the
-    deterministic backward walk then reconstructs each destination's
-    reference-identical path from its source's distance row.  Returns
-    ``None`` when the walk cannot answer at all (a zero weight, where it
-    could cycle); otherwise a list aligned with ``pairs`` whose entries are
-    index paths, the empty tuple ``()`` for a provably unreachable
-    destination, or ``None`` for a pair the caller must answer with the
-    per-query search (reconstruction anomaly).
+    Pairs are grouped by source so each distinct source pays one SSSP; each
+    destination's reference-identical path is then read off its source's
+    tree row, with an in-edge scan at the vertices the keyed view's
+    certificate flags, and at every hop of a per-query view (``key`` None),
+    which has none (:func:`~repro.network.compiled.sparse.path_reader`).
+    Returns ``None`` when the walk cannot answer at all (a zero weight,
+    where it could cycle); otherwise a list aligned with ``pairs`` whose
+    entries are index paths, the empty tuple ``()`` for a provably
+    unreachable destination, or ``None`` for a pair the caller must answer
+    with the per-query search (reconstruction anomaly).
     """
     if not pairs:
         return []
@@ -136,24 +139,24 @@ def shortest_paths_many(
     for source, _ in pairs:
         if source not in by_source:
             by_source[source] = len(by_source)
-    unique_sources = list(by_source)
-    distances = dijkstra_many(graph, key, array, version, unique_sources)
+    distances, predecessors = dijkstra_many(
+        graph, key, array, version, list(by_source), return_predecessors=True
+    )
 
-    r_weights = graph.reverse_weights(key, array, version)
-    rows: dict[int, memoryview] = {}
+    read = sparse.path_reader(graph, key, array, version)
+    rows: dict[int, tuple[memoryview, np.ndarray]] = {}
     results: list[list[int] | tuple[()] | None] = []
     for source, destination in pairs:
         row = rows.get(source)
         if row is None:
-            # The walk reads a few hundred of the row's floats: no list of all.
-            row = rows[source] = memoryview(distances[by_source[source]])
+            # The walk reads a few hundred of the row's items: no list of all.
+            index = by_source[source]
+            row = rows[source] = (memoryview(distances[index]), predecessors[index])
         if source == destination:
             results.append([source])
             continue
-        if math.isinf(row[destination]):
+        if math.isinf(row[0][destination]):
             results.append(())
             continue
-        results.append(
-            sparse.reconstruct_path_indices(graph, row, r_weights, source, destination)
-        )
+        results.append(read(*row, source, destination))
     return results

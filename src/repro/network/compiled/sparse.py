@@ -3,14 +3,19 @@
 The :class:`~repro.network.compiled.graph.CompiledGraph` layout (``offsets`` /
 ``targets`` / flat cost arrays) *is* scipy's native CSR format, so
 point-to-point Dijkstra runs ``scipy.sparse.csgraph.dijkstra`` for the
-distance array and reconstructs the path with a deterministic backward walk.
+distance array and the search tree, and reads the path off the tree.
 
-The walk picks, at every vertex ``v``, the predecessor ``u`` minimizing
-``(dist[u], u)`` among those with ``dist[u] + w(u, v) == dist[v]`` exactly —
-which is provably the parent the dict-based reference Dijkstra records (the
-first equal-cost relaxer to settle wins there, and settle order is
-``(dist, index)``-lexicographic), so the reconstructed path is identical to
-the reference one, not merely cost-identical.
+The reference path is the one of a deterministic backward walk: at every
+vertex ``v`` it picks the predecessor ``u`` minimizing ``(dist[u], u)``
+among those with ``dist[u] + w(u, v) == dist[v]`` exactly — provably the
+parent the dict-based reference Dijkstra records (the first equal-cost
+relaxer to settle wins there, and settle order is ``(dist, index)``-
+lexicographic), so the path is identical to the reference one, not merely
+cost-identical.  scipy's tree parent is that ``u`` wherever no two in-edges
+of ``v`` can tie; a per-view certificate flags the vertices where two can,
+and only there does the walk scan the in-edges (see
+:func:`reconstruct_path_indices`).  A per-query cost array gets no
+certificate and is scanned at every hop.
 
 Given a landmark table, the search first tries a corridor: edges into
 vertices whose landmark bounds put them off every path of cost ``U`` cost
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix as _csr_matrix
@@ -135,24 +140,132 @@ def slot_targets(graph: "CompiledGraph") -> np.ndarray:
     )
 
 
+def _slot_rows(offsets: Sequence[int]) -> tuple[np.ndarray, int]:
+    """The row of every slot of a CSR layout, and the largest row length."""
+    lengths = np.diff(np.asarray(offsets, dtype=np.int64))
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    return rows, int(lengths.max(initial=0))
+
+
+def tie_flags(graph: "CompiledGraph", array: np.ndarray) -> np.ndarray:
+    """Per vertex: could two of its in-edges tie in a path sum under ``array``?
+
+    Two in-edges ``(u1, v)``, ``(u2, v)`` tie when ``dist[u1] == dist[u2]``
+    and the float sums ``dist[u1] + w1`` and ``dist[u2] + w2`` are equal —
+    which equal weights guarantee, and nearly equal ones allow: rounding to
+    nearest moves each sum by at most ``2**-53`` of its value, and a shortest
+    path sum is at most about the total ``T`` of the finite weights, so a tie
+    needs ``|w1 - w2| <= 2**-52 * T``.  A vertex is flagged when two in-edge
+    weights are within twice that (room for the rounding of ``T`` and of the
+    path sums).  Each reverse-CSR slot is compared with the next ``k`` slots
+    of its row for every ``k`` below the largest in-degree: O(edges) numpy
+    per ``k``; sorting every row (``np.lexsort``) measured 18x slower at
+    10^4 vertices.
+    """
+    n = graph.vertex_count
+    tied = np.zeros(n, dtype=bool)
+    if not len(array):
+        return tied
+    heads, most = graph.memo(  # the row (head vertex) of every reverse-CSR slot
+        ("sparse-r-heads",),
+        lambda: _slot_rows(graph.r_offsets),
+        cost_dependent=False,
+    )
+    weights = array.take(graph.topology.r_slots)
+    headroom = 2.0**-51 * float(np.sum(weights, where=np.isfinite(weights)))
+    with np.errstate(invalid="ignore"):  # inf - inf: never a tie of finite sums
+        for k in range(1, most):
+            close = np.abs(weights[k:] - weights[:-k]) <= headroom
+            close &= heads[k:] == heads[:-k]
+            tied[heads[k:][close]] = True
+    return tied
+
+
+def _certificate(
+    graph: "CompiledGraph", key: Hashable, array: np.ndarray, version: int | None
+) -> memoryview | None:
+    """:func:`tie_flags` of a keyed array as a memoryview of bools, or
+    ``None`` when it flags no vertex (memoized per key and cost version)."""
+
+    def build() -> memoryview | None:
+        tied = tie_flags(graph, array)
+        return memoryview(tied) if tied.any() else None
+
+    return graph.memo(("sparse-tied", key), build, version=version)  # type: ignore[return-value]
+
+
+def path_reader(
+    graph: "CompiledGraph", key: Hashable | None, array: np.ndarray, version: int | None
+) -> Callable[[Sequence[float], np.ndarray | None, int, int], list[int] | None]:
+    """``read(dist, parents, source, destination)``: the reference path out of
+    one scipy search over this cost view, by :func:`reconstruct_path_indices`
+    (``dist`` a sequence of floats, ``parents`` the search's predecessor
+    array).
+
+    A keyed view reads the search tree, checked by its memoized certificate;
+    its reverse weights are only fetched when the certificate flags a vertex
+    to scan.  A per-query view (``key`` None) has no certificate, and every
+    hop is scanned.
+    """
+    if key is None:
+        r_weights = graph.reverse_weights(None, array, version)
+        return lambda dist, parents, source, destination: reconstruct_path_indices(
+            graph, dist, r_weights, source, destination
+        )
+    tied = _certificate(graph, key, array, version)
+    r_weights = None if tied is None else graph.reverse_weights(key, array, version)
+    return lambda dist, parents, source, destination: reconstruct_path_indices(
+        graph, dist, r_weights, source, destination, memoryview(parents), tied
+    )
+
+
 def reconstruct_path_indices(
     graph: "CompiledGraph",
     dist: Sequence[float],
-    r_weights: Sequence[float],
+    r_weights: Sequence[float] | None,
     source: int,
     destination: int,
+    parents: Sequence[int] | None = None,
+    tied: Sequence[bool] | None = None,
 ) -> list[int] | None:
-    """The deterministic backward walk over an exact distance array.
+    """The reference path, read backwards over an exact distance array.
 
     ``dist`` holds the exact single-source distances from ``source``
     (vertices on no shortest path to ``destination`` may hold ``inf``
     instead) and ``r_weights`` the cost array in reverse CSR slot order.
     Both are any sequence whose items are Python floats: a list, or a
     ``memoryview`` of a float64 array, which makes a float only of the items
-    the walk reads.  Returns the reference-identical vertex-index path, or
-    ``None`` on a float anomaly (the caller runs the dict-based reference).
-    Weights must be strictly positive or the walk could cycle — callers
-    guard with :func:`_all_positive`.
+    the walk reads.
+
+    At a vertex ``v`` the reference parent is the ``u`` minimizing
+    ``(dist[u], u)`` among the exact relaxers (``dist[u] + w(u, v) ==
+    dist[v]``).  Without ``parents`` every hop scans ``v``'s in-edges for
+    it.  ``parents`` is the predecessor row of the scipy search that
+    produced ``dist``, and ``tied`` its cost view's certificate
+    (:func:`tie_flags`; ``None``: no vertex flagged, and ``r_weights`` is
+    not read).  At a vertex the certificate does not flag, the hop is the
+    tree parent ``p``, which is the reference parent:
+
+    - scipy sets ``p`` when a relaxation *strictly* lowers ``dist[v]``, so
+      ``p`` is the first relaxer, in settle order, to reach the final value;
+      it is an exact relaxer;
+    - Dijkstra settles in nondecreasing ``dist``, so an exact relaxer with a
+      smaller ``dist`` than ``p`` would have settled and reached the final
+      value first: ``dist[p]`` is the least ``dist`` of any exact relaxer;
+    - another exact relaxer ``u`` with ``dist[u] == dist[p]`` would need
+      ``dist[u] + w == dist[p] + w_p`` for two in-edges of ``v``, which the
+      certificate rules out at an unflagged vertex — so ``p`` is the only
+      exact relaxer of least ``dist``, the ``(dist[u], u)`` minimum.
+
+    The argument holds for any positive weights the search ran on.  The
+    corridor attempt searches a copy whose pruned vertices' in-edges cost
+    ``inf``; a vertex on the path has a finite distance, so it is not
+    pruned, and its in-edges keep the weights the certificate was built on.
+
+    Returns the reference-identical vertex-index path, or ``None`` on a
+    float anomaly (the caller runs the dict-based reference).  Weights must
+    be strictly positive or the walk could cycle — callers guard with
+    :func:`_all_positive`.
     """
     r_offsets = graph.r_offsets
     r_targets = graph.r_targets
@@ -163,16 +276,19 @@ def reconstruct_path_indices(
         if current == source:
             path.reverse()
             return path
-        best = -1
-        best_key: tuple[float, int] | None = None
-        dist_v = dist[current]
-        for j in range(r_offsets[current], r_offsets[current + 1]):
-            u = r_targets[j]
-            if dist[u] + r_weights[j] == dist_v:
-                candidate = (dist[u], u)
-                if best_key is None or candidate < best_key:
-                    best_key = candidate
-                    best = u
+        if parents is not None and (tied is None or not tied[current]):
+            best = parents[current]
+        else:
+            best = -1
+            best_key: tuple[float, int] | None = None
+            dist_v = dist[current]
+            for j in range(r_offsets[current], r_offsets[current + 1]):
+                u = r_targets[j]
+                if dist[u] + r_weights[j] == dist_v:  # type: ignore[index]
+                    candidate = (dist[u], u)
+                    if best_key is None or candidate < best_key:
+                        best_key = candidate
+                        best = u
         if best < 0:  # pragma: no cover - float anomaly; the reference answers
             return None
         path.append(best)
@@ -182,8 +298,9 @@ def reconstruct_path_indices(
 
 def _corridor_distances(
     graph: "CompiledGraph", array: np.ndarray, table: "LandmarkTable", source: int, destination: int
-) -> np.ndarray | None:
-    """Distances from ``source`` within a landmark corridor, or ``None``.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Distances and search tree from ``source`` within a landmark corridor,
+    or ``None``.
 
     With ``limit`` = lower bound on the source-destination cost times
     :data:`CORRIDOR_RATIO`, capped by the landmark detour's cost (the upper
@@ -193,11 +310,12 @@ def _corridor_distances(
     that sum exceeds ``limit`` cost ``inf`` in a scratch copy and the C
     Dijkstra stops at ``limit``.  A finite distance at ``destination`` is
     then exact, as is the distance of every vertex on every shortest path to
-    it — all the backward walk reads to pick the same predecessors; a capped
-    limit always reaches it.  ``None``: the destination lies beyond
-    ``limit`` (or the bounds say nothing, or the pair is too far apart for
-    an uncapped corridor, :data:`CORRIDOR_MAX_SPAN`) and the full search
-    must run.
+    it — all the backward walk reads to pick the same predecessors, and the
+    tree's parents of those vertices are the walk's
+    (:func:`reconstruct_path_indices`); a capped limit always reaches it.
+    ``None``: the destination lies beyond ``limit`` (or the bounds say
+    nothing, or the pair is too far apart for an uncapped corridor,
+    :data:`CORRIDOR_MAX_SPAN`) and the full search must run.
     """
     lower, upper, rows = table.tightest(source, destination, CORRIDOR_LANDMARKS)
     if not 0.0 < lower:
@@ -216,14 +334,14 @@ def _corridor_distances(
         np.putmask(scratch.costs, scratch.pruned, math.inf)
         if scratch.matrix is None:
             scratch.matrix = _matrix(graph, None, scratch.costs, None)
-        distances = _csgraph_dijkstra(
-            scratch.matrix, indices=source, return_predecessors=False, limit=limit
+        distances, parents = _csgraph_dijkstra(
+            scratch.matrix, indices=source, return_predecessors=True, limit=limit
         )
     reached = bool(distances[destination] != math.inf)
     table.note_attempt(
         reached and 2 * np.count_nonzero(distances != math.inf) <= len(distances)
     )
-    return distances if reached else None
+    return (distances, parents) if reached else None
 
 
 def shortest_path_indices(
@@ -238,8 +356,9 @@ def shortest_path_indices(
     """Point-to-point shortest path via scipy's C Dijkstra.
 
     ``version`` is the cost version ``array`` was resolved under; it stamps
-    the memoized matrix / positivity artifacts so a patch racing the query
-    cannot leave pre-update data cached as current.  ``table`` (landmark
+    the memoized matrix / positivity / certificate artifacts so a patch
+    racing the query cannot leave pre-update data cached as current.
+    ``table`` (landmark
     bounds admissible for ``array``) asks for a bounded first attempt, see
     :func:`_corridor_distances`; the path is the same with or without it.
     Returns the vertex-index path, the empty tuple ``()`` when the
@@ -249,13 +368,17 @@ def shortest_path_indices(
     """
     if not _all_positive(graph, key, array, version):
         return None
-    distances = None
+    searched = None
     if table is not None:
-        distances = _corridor_distances(graph, array, table, source, destination)
-    if distances is None:
+        searched = _corridor_distances(graph, array, table, source, destination)
+    if searched is None:
         matrix = _matrix(graph, key, array, version)
-        distances = _csgraph_dijkstra(matrix, indices=source, return_predecessors=False)
-        if distances[destination] == math.inf:
+        if key is None:  # no certificate: no tree to read
+            searched = _csgraph_dijkstra(matrix, indices=source), None
+        else:
+            searched = _csgraph_dijkstra(matrix, indices=source, return_predecessors=True)
+        if searched[0][destination] == math.inf:
             return ()
-    r_weights = graph.reverse_weights(key, array, version)
-    return reconstruct_path_indices(graph, memoryview(distances), r_weights, source, destination)
+    distances, parents = searched
+    read = path_reader(graph, key, array, version)
+    return read(memoryview(distances), parents, source, destination)

@@ -95,6 +95,16 @@ def _assert_identical(network, pairs, features=FEATURES):
             assert bounded == full == _path(dict_dijkstra, network, s, t, cost), (feature, s, t)
 
 
+def _assert_batched_identical(network, pairs, features=FEATURES):
+    """route_many's batched search == dict reference, path for path."""
+    for feature in features:
+        cost = cost_function(feature)
+        routes = dispatch.try_route_many(network, pairs, cost)
+        for (s, t), route in zip(pairs, routes):
+            want = _path(dict_dijkstra, network, s, t, cost)
+            assert route == (() if want is None else list(want)), (feature, s, t)
+
+
 def _raise_costs(network, factor=1.5):
     """One live-traffic rise on the last edge: every cost array is patched,
     so the landmark detours bound no pair any more (the lower bounds stay)."""
@@ -152,8 +162,12 @@ class TestPathIdentity:
 
     def test_unit_weight_grid_ties_everywhere(self, engage_all, attempts):
         network = _unit_grid(14, 14)
-        _assert_identical(network, _pairs(network, 40, seed=2))
+        pairs = _pairs(network, 40, seed=2)
+        _assert_identical(network, pairs)
         assert attempts and all(attempts)  # exact bounds: every attempt reaches
+        # Shared sources too: each row's paths come out of one search tree.
+        shared = [(s, t) for s, _ in pairs[:10] for t in (0, 195)]
+        _assert_batched_identical(network, pairs + shared)
 
     def test_country_network_with_one_way_edges(self, engage_all, attempts):
         network = country_network()
@@ -238,6 +252,128 @@ class TestPathIdentity:
             assert scratch.costs.shape == (after_graph.edge_count,)
         table = _table(network, CostFeature.DISTANCE)
         assert table.dist_from.shape[1] == after_graph.vertex_count
+
+
+# ---------------------------------------------------------------------- #
+# The tie certificate: where the search tree is not read
+# ---------------------------------------------------------------------- #
+def _tied_block(network, rows, cols, cols_total):
+    """Every edge inside the block costs the same, so shortest paths across
+    it tie and each block vertex has equal in-edges; returns its vertices."""
+    block = {r * cols_total + c for r in rows for c in cols}
+    network.update_edge_costs(
+        {
+            (u, v): {"travel_time_s": 20.0, "distance_m": 250.0}
+            for u in block
+            for v in network.successors(u)
+            if v in block
+        }
+    )
+    return block
+
+
+class TestTieCertificate:
+    SIDE = 12
+
+    def _flagged(self, network):
+        graph = network.compiled()
+        flagged = []
+        for feature in FEATURES:
+            _, array, _ = graph.resolve_cost(cost_function(feature))
+            indices = np.flatnonzero(sparse.tie_flags(graph, array))
+            flagged.append({graph.vertex_ids[i] for i in indices})
+        return flagged
+
+    def test_flags_exactly_the_vertices_with_equal_in_edges(self):
+        network = grid_city_network(rows=self.SIDE, cols=self.SIDE, seed=5)
+        assert self._flagged(network) == [set(), set()]  # jittered: no ties
+        # Each patched vertex's in-edges all cost its cheapest one's; its
+        # out-edges, and every other vertex's in-edges, stay distinct.
+        patch = {v for v in network.vertex_ids() if v % 5 == 1}
+        updates = {}
+        for v in patch:
+            ins = [network.edge(u, v) for u in network.predecessors(v)]
+            cheapest = {
+                "travel_time_s": min(e.travel_time_s for e in ins),
+                "distance_m": min(e.distance_m for e in ins),
+            }
+            updates.update({e.key: cheapest for e in ins})
+        network.update_edge_costs(updates)
+        assert self._flagged(network) == [patch, patch]
+        block = _tied_block(network, range(3, 9), range(2, 8), self.SIDE)
+        assert self._flagged(network) == [patch | block, patch | block]
+        graph = network.compiled()  # the pairwise form of the same rows
+        _, array, _ = graph.resolve_cost(cost_function(CostFeature.DISTANCE))
+        weights = array[graph.topology.r_slots]
+        offsets = graph.r_offsets
+        rows = [weights[offsets[v] : offsets[v + 1]].tolist() for v in range(graph.vertex_count)]
+        pairwise = [len(set(row)) < len(row) for row in rows]
+        assert sparse.tie_flags(graph, array).tolist() == pairwise
+
+    def test_near_equal_in_edges_are_flagged_when_their_sums_can_round_equal(self):
+        network = grid_city_network(rows=6, cols=6, seed=5)
+        graph = network.compiled()
+        v = 14
+        u1, u2 = sorted(network.predecessors(v))[:2]
+        base = network.edge(u2, v).distance_m
+        _, array, _ = graph.resolve_cost(cost_function(CostFeature.DISTANCE))
+        total = float(array.sum())
+        assert total + (base + 1e-12) == total + base  # a path sum rounds the gap away
+        for gap, flagged in ((1e-12, True), (1e-9, False)):
+            network.update_edge_costs({(u1, v): {"distance_m": base + gap}})
+            _, array, _ = graph.resolve_cost(cost_function(CostFeature.DISTANCE))
+            assert bool(sparse.tie_flags(graph, array)[graph.index_of[v]]) is flagged
+
+    def test_paths_across_the_tied_block_match_the_reference(self, engage_all, attempts):
+        network = grid_city_network(rows=self.SIDE, cols=self.SIDE, seed=5)
+        block = _tied_block(network, range(3, 9), range(2, 8), self.SIDE)
+        ids = sorted(network.vertex_ids())
+        above = [v for v in ids if v // self.SIDE < 3]
+        below = [v for v in ids if v // self.SIDE > 8]
+        rng = random.Random(21)
+        crossing = [(rng.choice(above), rng.choice(below)) for _ in range(20)]
+        crossing += [(t, s) for s, t in crossing[:10]]
+        inside = sorted(block)
+        crossing += [(inside[0], inside[-1]), (inside[5], inside[30])]
+        pairs = crossing + _pairs(network, 20, seed=22)
+        _assert_identical(network, pairs)
+        assert attempts
+        _assert_batched_identical(network, pairs + [(crossing[0][0], t) for t in below[:6]])
+
+    def test_built_once_per_cost_version_and_follows_patches(self, monkeypatch):
+        builds = []
+        flags = sparse.tie_flags
+
+        def counted(graph, array):
+            builds.append(graph.cost_version)
+            return flags(graph, array)
+
+        monkeypatch.setattr(sparse, "tie_flags", counted)
+        network = grid_city_network(rows=6, cols=6, seed=5)
+        graph = network.compiled()
+        cost = cost_function(CostFeature.DISTANCE)
+        key, array, version = graph.resolve_cost(cost)
+        for _ in range(3):
+            dijkstra(network, 0, 35, cost)
+            batch.shortest_paths_many(graph, key, array, version, [(0, 5), (0, 30)])
+        assert builds == [version]
+        batch.shortest_paths_many(graph, None, array, version, [(0, 5)])  # per-query: none
+        assert builds == [version]
+
+        v = 14
+        u1, u2 = sorted(network.predecessors(v))[:2]
+        original = network.edge(u1, v).distance_m
+        network.update_edge_costs({(u1, v): {"distance_m": network.edge(u2, v).distance_m}})
+        key, array, version = graph.resolve_cost(cost)
+        tied = sparse._certificate(graph, key, array, version)
+        assert [i for i in range(graph.vertex_count) if tied[i]] == [graph.index_of[v]]
+        want = dict_dijkstra(network, 0, 35, cost).vertices
+        assert dijkstra(network, 0, 35, cost).vertices == want
+        assert len(builds) == 2
+        network.update_edge_costs({(u1, v): {"distance_m": original}})  # the tie is gone
+        key, array, version = graph.resolve_cost(cost)
+        assert sparse._certificate(graph, key, array, version) is None
+        assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------- #
