@@ -2,10 +2,11 @@
 
 ``dijkstra_many`` answers *k* independent single-source shortest-path
 problems over one shared CSR cost view in one ``scipy.sparse.csgraph.dijkstra``
-call (no GIL between sources).  On request it also returns the predecessor
-matrix of the search trees (negative = none): a caller that needs *a*
-shortest path per row entry rather than the reference's — the sharding
-layer's boundary tables — follows it, one int per hop.
+call: no Python runs between sources, but the call holds the GIL, so
+threads running searches do not overlap them.  On request it also returns
+the predecessor matrix of the search trees (negative = none): a caller that
+needs *a* shortest path per row entry rather than the reference's — the
+sharding layer's boundary tables — follows it, one int per hop.
 
 ``shortest_paths_many`` builds on that: a batch of ``(source, destination)``
 pairs shares one distance row and one tree row per distinct source, which is

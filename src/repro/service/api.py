@@ -14,7 +14,7 @@ worker threads, cached, and logged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from ..core.router import RouteDiagnostics
 from ..network.road_network import VertexId
@@ -110,5 +110,25 @@ class RouteResponse:
         )
 
     def with_request(self, request: RouteRequest, **changes: object) -> "RouteResponse":
-        """A copy of this response bound to another request (cache replays)."""
-        return replace(self, request=request, **changes)
+        """A copy of this response bound to another request (cache replays).
+
+        Equal to ``dataclasses.replace(self, request=request, **changes)``,
+        and an unknown field name raises ``TypeError`` as there, but built
+        as one shallow copy: every cache hit pays for it, and ``replace``
+        walks the fields and reruns the frozen ``__init__``.  The copy takes
+        this object's instance ``__dict__`` and writes the changed fields
+        in, so it runs no ``__init__`` — correct only while the class has no
+        ``__post_init__`` (or other work in ``__init__``) to skip.
+        """
+        if not _RESPONSE_FIELDS.issuperset(changes):
+            unknown = sorted(set(changes) - _RESPONSE_FIELDS)
+            raise TypeError(f"RouteResponse has no field(s) {unknown}")
+        copy = object.__new__(type(self))
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state.update(changes)
+        state["request"] = request
+        return copy
+
+
+_RESPONSE_FIELDS = frozenset(field.name for field in fields(RouteResponse))

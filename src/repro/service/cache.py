@@ -113,10 +113,15 @@ class RouteCache:
             if probe and self._misses > 0:
                 self._misses -= 1
         # A replay is a cache answer whatever computed the entry: it ran no
-        # fallback chain this time, and clearing ``batched`` keeps the batch
-        # counters at one count per computation.
+        # fallback chain and no retries this time, and clearing ``batched``
+        # keeps the batch counters at one count per computation.
         return cached.with_request(
-            request, cache_hit=True, latency_s=0.0, batched=False, fallback_used=False
+            request,
+            cache_hit=True,
+            latency_s=0.0,
+            batched=False,
+            fallback_used=False,
+            retries=0,
         )
 
     def put(

@@ -52,6 +52,17 @@ if TYPE_CHECKING:  # pragma: no cover
 STALE_ROUTE_CAPACITY = 512
 
 
+def _cache_tag(engine: RoutingEngine) -> object:
+    """The engine's optional ``cache_version`` tag (``None`` for most).
+
+    Folded into route-cache keys so engines whose answers depend on mutable
+    internal state (a contraction hierarchy's re-weightable shortcut
+    weights) never replay answers across a state change that involved no
+    re-registration.
+    """
+    return getattr(engine, "cache_version", None)
+
+
 class RoutingService:
     """Unified serving facade over interchangeable routing engines."""
 
@@ -146,17 +157,6 @@ class RoutingService:
             self._breakers[name] = CircuitBreaker()
         return self
 
-    def _cache_tag(self, name: str) -> object:
-        """The engine's optional ``cache_version`` tag (``None`` for most).
-
-        Folded into route-cache keys so engines whose answers depend on
-        mutable internal state (a contraction hierarchy's re-weightable
-        shortcut weights) never replay answers across a state change that
-        involved no re-registration.
-        """
-        engine = self._engines.get(name)
-        return getattr(engine, "cache_version", None) if engine is not None else None
-
     def engines(self) -> list[str]:
         """Names of the registered engines (registration order)."""
         return list(self._engines)
@@ -211,10 +211,10 @@ class RoutingService:
         name = engine or self._default_engine
         if name is None:
             raise ConfigurationError("no engines registered with this RoutingService")
-        self.engine(name)  # validates the name before cache lookup
-
+        # One registry lookup validates the name and gives the cache tag.
+        served = self.engine(name)
         if self._cache is not None:
-            cached = self._cache.get(name, request, version=self._cache_tag(name))
+            cached = self._cache.get(name, request, version=_cache_tag(served))
             if cached is not None:
                 self._stats.record(cached)
                 return cached
@@ -334,7 +334,7 @@ class RoutingService:
             # the engine bumps it, and the answer must land under the state
             # that produced it.
             self._cache.put(
-                name, response, guard=_still_current, version=self._cache_tag(name)
+                name, response, guard=_still_current, version=_cache_tag(self._engines[name])
             )
         if response.ok and not response.degraded:
             self._remember_last_good(name, response)
@@ -363,11 +363,12 @@ class RoutingService:
         name = engine or self._default_engine
         if name is None:
             raise ConfigurationError("no engines registered with this RoutingService")
-        together = getattr(self.engine(name), "route_batch", None)
+        served = self.engine(name)
+        together = getattr(served, "route_batch", None)
 
         responses: list[RouteResponse | None] = [None] * len(batch)
         if self._cache is not None:
-            tag = self._cache_tag(name)
+            tag = _cache_tag(served)
             for position, request in enumerate(batch):
                 cached = self._cache.get(name, request, version=tag)
                 if cached is not None:
@@ -433,7 +434,10 @@ class RoutingService:
             # covers the failed primary attempt(s) that got us here.
             if position > 0 and self._cache is not None:
                 cached = self._cache.get(
-                    engine_name, request, probe=True, version=self._cache_tag(engine_name)
+                    engine_name,
+                    request,
+                    probe=True,
+                    version=_cache_tag(self._engines[engine_name]),
                 )
                 if cached is not None and cached.ok:
                     return cached.with_request(

@@ -23,8 +23,8 @@ from repro.baselines import (
     ShortestBaseline,
     TripBaseline,
 )
-from repro.core import LearnToRoute
-from repro.exceptions import ConfigurationError, NoPathError
+from repro.core import LearnToRoute, RouteDiagnostics
+from repro.exceptions import ConfigurationError, NoPathError, TransientEngineError
 from repro.network import grid_city_network
 from repro.network.compiled import dispatch
 from repro.routing import CostFeature, Path, shortest_path
@@ -34,6 +34,7 @@ from repro.service import (
     FunctionEngine,
     L2REngine,
     ModelPersistenceError,
+    RetryPolicy,
     RouteCache,
     RouteRequest,
     RouteResponse,
@@ -85,6 +86,62 @@ class TestRequestResponse:
         with pytest.raises(dataclasses.FrozenInstanceError):
             response.engine = "y"  # type: ignore[misc]
         assert not response.ok
+
+    @staticmethod
+    def _answer() -> RouteResponse:
+        return RouteResponse(
+            request=RouteRequest(source=1, destination=2),
+            path=Path.of([1, 2]),
+            engine="x",
+            diagnostics=RouteDiagnostics(case="in-region"),
+            latency_s=0.25,
+        )
+
+    def test_with_request_equals_dataclasses_replace(self):
+        # The replay copies the instance dict instead of rerunning __init__;
+        # that is only equivalent while __init__ does no extra work.
+        assert not hasattr(RouteResponse, "__post_init__")
+        answer = self._answer()
+        other = RouteRequest(source=1, destination=2, request_id="caller")
+        new_values = {
+            "path": Path.of([1, 3, 2]),
+            "engine": "y",
+            "diagnostics": RouteDiagnostics(case="cost-override"),
+            "latency_s": 0.0,
+            "cache_hit": True,
+            "fallback_used": True,
+            "batched": True,
+            "degraded": True,
+            "retries": 3,
+            "error": "boom",
+        }
+        names = {field.name for field in dataclasses.fields(RouteResponse)}
+        assert set(new_values) == names - {"request"}  # a new field needs a value here
+        expected = dataclasses.replace(answer, request=other)
+        copy = answer.with_request(other)
+        assert copy == expected and type(copy) is RouteResponse
+        assert copy.request is other
+        for name, value in new_values.items():
+            copy = answer.with_request(other, **{name: value})
+            assert copy == dataclasses.replace(answer, request=other, **{name: value})
+            assert type(copy) is RouteResponse
+            assert getattr(copy, name) is value
+        assert answer == self._answer()  # the source object is never written
+
+    def test_with_request_rejects_unknown_fields(self):
+        answer = self._answer()
+        with pytest.raises(TypeError):
+            dataclasses.replace(answer, colour="red")  # the behaviour kept
+        with pytest.raises(TypeError, match="colour"):
+            answer.with_request(answer.request, colour="red")
+        with pytest.raises(TypeError):
+            answer.with_request(answer.request, cache_hit=True, colour="red")
+
+    def test_with_request_copy_is_frozen(self):
+        copy = self._answer().with_request(RouteRequest(source=1, destination=2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.engine = "y"  # type: ignore[misc]
+        assert hash(copy) == hash(dataclasses.replace(copy))
 
     def test_departure_time_recorded_even_when_model_ignores_it(self, fitted_l2r):
         # The requested time does not change the path, but the response still
@@ -469,6 +526,78 @@ class TestRoutingService:
         stats = service.stats()
         assert stats.fallbacks == 1  # the chain ran once; 4 cache replays
         assert stats.cache.hits == 4
+
+    def test_cache_replays_do_not_inflate_retry_count(self, tiny):
+        calls = []
+
+        def flaky(source, destination):
+            calls.append((source, destination))
+            if len(calls) == 1:
+                raise TransientEngineError("first call fails")
+            return Path.of([source, destination])
+
+        service = RoutingService(retry_policy=RetryPolicy(max_retries=2, base_delay_s=0.0))
+        service.register("A", FunctionEngine(tiny.network, flaky, name="A"))
+        request = RouteRequest(source=0, destination=1)
+        first = service.route(request)
+        assert first.ok and first.retries == 1
+        replays = [service.route(request) for _ in range(5)]
+        assert len(calls) == 2  # one miss with one retry; 5 cache replays
+        assert all(r.cache_hit and r.retries == 0 for r in replays)
+        assert service.stats().retries == 1
+
+    def test_cache_hit_is_a_replay_of_the_entry(self, fitted_l2r, requests):
+        service = RoutingService()
+        service.register("L2R", L2REngine(fitted_l2r))
+        first = service.route(requests[0])  # the object the cache now holds
+        entry = dataclasses.replace(first)
+        caller = dataclasses.replace(requests[0], request_id="caller", departure_time=60.0)
+        hit = service.route(caller)
+        assert hit.request is caller
+        assert hit.cache_hit and hit.latency_s == 0.0
+        assert first.diagnostics is not None
+        assert hit.path is first.path and hit.diagnostics is first.diagnostics
+        assert first == entry
+
+    def test_cache_replay_leaves_the_cached_entry_unchanged(self):
+        cache = RouteCache(max_size=4)
+        stored = RouteResponse(
+            request=RouteRequest(source=1, destination=2, request_id="stored"),
+            path=Path.of([1, 2]),
+            engine="A",
+            latency_s=0.5,
+            fallback_used=True,
+            batched=True,
+            retries=2,
+        )
+        snapshot = dataclasses.replace(stored)
+        cache.put("A", stored)
+        caller = RouteRequest(source=1, destination=2, request_id="caller")
+        hit = cache.get("A", caller)
+        assert hit is not stored and hit.request is caller
+        assert hit == dataclasses.replace(
+            stored,
+            request=caller,
+            cache_hit=True,
+            latency_s=0.0,
+            fallback_used=False,
+            batched=False,
+            retries=0,
+        )
+        assert stored == snapshot and stored.request.request_id == "stored"
+        assert cache.get("A", caller) == hit
+
+    def test_unregistered_engine_moves_no_cache_counter(self, tiny):
+        service = RoutingService()
+        service.register("A", FunctionEngine(tiny.network, lambda s, d: Path.of([s, d]), name="A"))
+        request = RouteRequest(source=0, destination=1)
+        service.route(request)
+        service.route(request)
+        before = service.stats().cache
+        with pytest.raises(ConfigurationError):
+            service.route(request, engine="B")
+        assert service.stats().cache == before
+        assert (before.hits, before.misses) == (1, 1)
 
     def test_stats_snapshot(self, tiny, fitted_l2r, requests):
         service = RoutingService()
