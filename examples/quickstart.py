@@ -23,7 +23,6 @@ from repro.baselines import FastestBaseline, ShortestBaseline
 from repro.datasets import tiny_scenario
 from repro.datasets.splits import split_by_id
 from repro.preferences import path_similarity
-from repro.service import ContractionEngine
 
 
 def main() -> None:
@@ -47,17 +46,11 @@ def main() -> None:
     )
 
     # 4. One serving facade, many engines: L2R falls back to Fastest when it
-    #    cannot answer, and every answer is cached for repeat queries.  The
-    #    CH engine answers exact fastest paths from a precompiled
-    #    contraction hierarchy — the cheapest backend for repeated queries,
-    #    and live-traffic updates re-weight it in place instead of
-    #    rebuilding.
-    network.prepare_hierarchy()  # pay all CH preprocessing up front (optional)
+    #    cannot answer, and every answer is cached for repeat queries.
     service = RoutingService(cache_size=1024)
     service.register("L2R", pipeline.as_engine(), fallback="Fastest", default=True)
     service.register("Shortest", ShortestBaseline(network).as_engine())
     service.register("Fastest", FastestBaseline(network).as_engine())
-    service.register("CH", ContractionEngine(network))
 
     requests = [
         RouteRequest(
@@ -71,8 +64,8 @@ def main() -> None:
 
     # 5. Batch-route through every engine and compare with the drivers' paths.
     print("\nPer-query Eq. 1 similarity against the driver's actual path:")
-    print(f"{'query':>6} {'L2R':>8} {'Shortest':>10} {'Fastest':>10} {'CH':>8}")
-    engine_names = ("L2R", "Shortest", "Fastest", "CH")
+    print(f"{'query':>6} {'L2R':>8} {'Shortest':>10} {'Fastest':>10}")
+    engine_names = ("L2R", "Shortest", "Fastest")
     per_engine = {name: service.route_many(requests, engine=name) for name in engine_names}
     for index, trajectory in enumerate(split.test[:8]):
         # Failed requests carry path=None plus an error instead of raising.
@@ -82,7 +75,7 @@ def main() -> None:
         ]
         print(
             f"{trajectory.trajectory_id:>6} {scores[0] * 100:>7.1f}% "
-            f"{scores[1] * 100:>9.1f}% {scores[2] * 100:>9.1f}% {scores[3] * 100:>7.1f}%"
+            f"{scores[1] * 100:>9.1f}% {scores[2] * 100:>9.1f}%"
         )
 
     # 6. Inspect one response in detail (diagnostics, latency, cache).

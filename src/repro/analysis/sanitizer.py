@@ -12,7 +12,7 @@ Two probes are installed while the :func:`sanitize` context is active:
 * **CostStore probe** — wraps the single choke point every versioned
   per-snapshot cache goes through
   (:meth:`~repro.network.compiled.graph.CostStore._cached`, backing
-  ``memo()`` / ``linear_array`` / ``forward_weights`` / ``reverse_weights``).
+  ``memo()`` / ``linear_array`` / ``reverse_weights``).
   A hit whose stamp is neither :data:`~repro.network.compiled.graph.TOPOLOGY_STAMP`
   nor the store's **current** cost version is recorded as a
   ``stale-cost-cache-hit``: some caller replayed an artifact that predates a

@@ -24,7 +24,6 @@ from .compiled import (
     CompiledHierarchy,
     CostStore,
     LandmarkTable,
-    SearchWorkspace,
     Topology,
     alt_disabled,
     compiled_disabled,
@@ -54,7 +53,6 @@ __all__ = [
     "NetworkStatistics",
     "RoadNetwork",
     "RoadType",
-    "SearchWorkspace",
     "SpatialIndex",
     "Topology",
     "Vertex",

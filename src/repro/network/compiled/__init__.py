@@ -12,15 +12,12 @@ The main modules:
   read off scipy's search tree (Algorithm 2 needs no search of its own: it
   is Dijkstra over a masked cost view,
   :func:`~repro.routing.preference_dijkstra.preference_cost`);
-* :mod:`~repro.network.compiled.kernels` — the array-based ALT-A* /
-  bidirectional kernels scipy has no form for, over preallocated,
-  generation-stamped :class:`SearchWorkspace` state;
 * :mod:`~repro.network.compiled.dispatch` — the bridge the public routing
-  functions call: eligible queries run on the kernels, opaque ones fall back
-  to the dict-based reference implementations;
-* :mod:`~repro.network.compiled.landmarks` — ALT landmark lower bounds
+  functions call: eligible queries run on scipy, opaque ones fall back to
+  the dict-based reference implementations;
+* :mod:`~repro.network.compiled.landmarks` — ALT landmark bounds
   (:class:`LandmarkTable`): topology-stamped, cost-version-aware artifacts
-  that make the compiled A* / bidirectional kernels goal-directed;
+  whose lower and upper bounds cap the corridor of the bounded Dijkstra;
 * :mod:`~repro.network.compiled.batch` — :func:`dijkstra_many`, batched
   multi-source SSSP over the shared CSR arrays (one scipy C call for a whole
   batch) feeding both the landmark builds and ``RoutingService.route_many``;
@@ -32,13 +29,10 @@ The main modules:
 Use :func:`compiled_disabled` to force the reference implementations (the
 equivalence tests and the end-to-end output checks do — it is the switch
 that reaches the oracle, not a serving mode), and :func:`alt_disabled` to
-turn off goal-directed ALT search (A* then runs its dict reference, the
-bidirectional search its plain kernel: exact path-identity with the
-references).
+turn off the landmark corridor (the point-to-point search is then the full
+scipy SSSP, the reference the corridor tests compare against).
 """
 
-from .workspace import SearchWorkspace
-from .kernels import astar_kernel, bidirectional_kernel
 from .dispatch import alt_disabled, compiled_disabled, is_enabled
 from .graph import EDGE_COST_ATTRIBUTES, CompiledGraph, CostStore, Topology
 from .ch import CompiledHierarchy
@@ -53,10 +47,7 @@ __all__ = [
     "EDGE_COST_ATTRIBUTES",
     "LandmarkTable",
     "Topology",
-    "SearchWorkspace",
     "alt_disabled",
-    "astar_kernel",
-    "bidirectional_kernel",
     "build_landmark_table",
     "compiled_disabled",
     "dijkstra_many",

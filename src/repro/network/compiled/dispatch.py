@@ -1,15 +1,18 @@
-"""Dispatch from the public routing functions onto the compiled kernels.
+"""Dispatch from the public routing functions onto the compiled searches.
 
 The functions here are the bridge between the dict-based routing API
-(:mod:`repro.routing`) and the CSR kernels.  Each ``try_*`` function returns
+(:mod:`repro.routing`) and scipy's C Dijkstra over the CSR arrays: one
+point-to-point search (:func:`try_dijkstra`, bounded first by the landmark
+corridor on large graphs), one batch of point-to-point searches
+(:func:`try_route_many`) and batched cost rows (:func:`try_cost_rows`).
+Each ``try_*`` function returns
 
-* a vertex-id path (or cost rows) when the compiled kernel ran,
+* a vertex-id path (or cost rows) when the compiled search ran,
 * ``None`` when the query is not eligible — compiled search disabled, the
-  edge-cost callable opaque, (Dijkstra) a zero weight in the cost view, or
-  (A*) no landmark table to run on — in which case the caller falls back to
-  its dict-based reference implementation,
+  edge-cost callable opaque, or a zero weight in the cost view — in which
+  case the caller falls back to its dict-based reference implementation,
 
-and raises :class:`~repro.exceptions.NoPathError` when the kernel ran and
+and raises :class:`~repro.exceptions.NoPathError` when the search ran and
 proved the destination unreachable.
 
 This module deliberately imports nothing from :mod:`repro.routing` (the
@@ -25,7 +28,6 @@ import numpy as np
 
 from ...exceptions import NoPathError
 from . import sparse
-from .kernels import astar_kernel, bidirectional_kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..road_network import RoadNetwork, VertexId
@@ -60,13 +62,11 @@ def compiled_disabled() -> Iterator[None]:
 
 @contextmanager
 def alt_disabled() -> Iterator[None]:
-    """Turn off goal-directed (ALT) search.
+    """Turn off the landmark corridor of :func:`try_dijkstra`.
 
-    ALT-A* and ALT-bidirectional answers are cost-optimal but may pick a
-    different equal-cost path than the dict-based references.  Under this
-    context A* runs :func:`~repro.routing.astar.dict_astar` with the
-    caller's heuristic and the bidirectional search its plain kernel, which
-    the exact path-identity tests compare against the references.
+    Under this context the point-to-point search is the full scipy SSSP,
+    with no bounded first attempt: the reference the corridor tests compare
+    the bounded answers against, path for path.
     """
     global _alt_enabled
     previous = _alt_enabled
@@ -145,166 +145,6 @@ def try_dijkstra(
     if result == ():
         raise NoPathError(source, destination)
     return None if result is None else graph.path_ids(result)
-
-
-def _alt_table(graph: "CompiledGraph", key, array, version):
-    """The landmark table for this cost view, or ``None`` when ALT is off."""
-    if not _alt_enabled or key is None:
-        return None
-    return graph.landmark_table(key, array, version)
-
-
-def try_astar(
-    network: "RoadNetwork",
-    source: "VertexId",
-    destination: "VertexId",
-    edge_cost,
-) -> list["VertexId"] | None:
-    """Compiled ALT A*: the landmark lower bounds are the heuristic.
-
-    One vectorized bound pass per query, then pure lookups inside the
-    kernel; on road networks the bounds are far tighter than geometric ones.
-    Returns ``None`` when there is no landmark table to run on — opaque or
-    per-query cost, compiled search or ALT disabled — and the caller runs
-    its dict reference with its own heuristic.
-    """
-    resolved = _resolved(network, edge_cost)
-    if resolved is None:
-        return None
-    graph, key, array, version = resolved
-    table = _alt_table(graph, key, array, version)
-    if table is None:
-        return None
-    weights = graph.forward_weights(key, array, version)
-    destination_index = graph.index_of[destination]
-    # The kernel reads the bounds of the vertices it opens, out of the buffer.
-    with graph.borrowed_workspace() as ws, graph.borrowed_scratch() as scratch:
-        indices = astar_kernel(
-            graph.offsets,
-            graph.targets,
-            weights,
-            graph.index_of[source],
-            destination_index,
-            memoryview(table.bounds_to(destination_index, scratch)),
-            ws,
-        )
-    if indices is None:
-        raise NoPathError(source, destination)
-    return graph.path_ids(indices)
-
-
-#: Sentinel: the ALT-bidirectional path could not run (fall through to plain).
-_ALT_SKIP = object()
-
-#: ALT-bidirectional pays O(edges) per query up front (reduced-cost arrays +
-#: list conversions, since the potentials depend on the endpoints).  Past
-#: this edge count that setup can outweigh the pruning on queries whose
-#: frontiers settle only a small fraction of the graph, so the plain kernel
-#: runs instead.  ALT-A* is unaffected: its per-query work is O(k * vertices)
-#: numpy plus one O(vertices) list conversion.
-ALT_BIDIRECTIONAL_MAX_EDGES = 200_000
-
-
-def _bidirectional_alt_indices(
-    graph: "CompiledGraph", key, array, version, table, source_index, destination_index
-):
-    """Goal-directed bidirectional search via consistent average potentials.
-
-    With ``p(v) = (pi_t(v) - pi_s(v)) / 2`` the forward and backward reduced
-    edge costs coincide (``w'(u,v) = w(u,v) - p(u) + p(v) >= 0`` by
-    consistency of the landmark bounds), so the *plain* bidirectional
-    kernel — stopping rule included — runs unchanged on the reduced arrays
-    and returns a path that is optimal under the true costs.  Returns the
-    index path, ``None`` for unreachable, or :data:`_ALT_SKIP` when the
-    potentials are unusable (non-finite entries on partially reachable
-    graphs) and the caller should run the plain kernel.
-    """
-    with graph.borrowed_scratch() as scratch, graph.borrowed_workspace() as ws:
-        potentials = table.bounds_to(destination_index, scratch)
-        with np.errstate(invalid="ignore"):  # inf - inf on partially reachable graphs
-            potentials -= table.bounds_from(source_index, scratch)
-        potentials *= 0.5
-        if not np.isfinite(potentials).all():
-            return _ALT_SKIP
-        slot_sources = graph.memo(
-            ("csr-slot-sources",),
-            lambda: np.repeat(
-                np.arange(graph.vertex_count, dtype=np.int64),
-                np.diff(np.asarray(graph.offsets, dtype=np.int64)),
-            ),
-            cost_dependent=False,
-        )
-        # reduced = array - p[tail] + p[head], in the scratch buffers.
-        reduced, r_reduced = scratch.costs, scratch.r_costs
-        np.subtract(array, potentials.take(slot_sources, out=r_reduced), out=reduced)
-        reduced += potentials.take(sparse.slot_targets(graph), out=r_reduced)
-        # Mathematically >= 0; clip the float-rounding dust so Dijkstra's
-        # invariant holds (the perturbation is ~ulp-sized and cost-neutral).
-        np.maximum(reduced, 0.0, out=reduced)
-        reduced.take(graph.topology.r_slots, out=r_reduced)
-        # The frontiers read the weights of the edges they relax, not all.
-        return bidirectional_kernel(
-            graph.offsets,
-            graph.targets,
-            memoryview(reduced),  # type: ignore[arg-type]
-            graph.r_offsets,
-            graph.r_targets,
-            memoryview(r_reduced),  # type: ignore[arg-type]
-            source_index,
-            destination_index,
-            ws,
-        )
-
-
-def try_bidirectional(
-    network: "RoadNetwork",
-    source: "VertexId",
-    destination: "VertexId",
-    edge_cost,
-) -> list["VertexId"] | None:
-    """Compiled bidirectional Dijkstra over the forward and reverse CSR.
-
-    With ALT enabled and a cacheable cost view, both frontiers run on
-    landmark-reduced costs (goal-directed from each end); otherwise — and
-    whenever the potentials cannot cover the whole graph — the plain
-    mirror-of-the-reference kernel runs.
-    """
-    resolved = _resolved(network, edge_cost)
-    if resolved is None:
-        return None
-    graph, key, array, version = resolved
-    source_index = graph.index_of[source]
-    destination_index = graph.index_of[destination]
-
-    table = None
-    if graph.edge_count <= ALT_BIDIRECTIONAL_MAX_EDGES:
-        table = _alt_table(graph, key, array, version)
-    if table is not None:
-        indices = _bidirectional_alt_indices(
-            graph, key, array, version, table, source_index, destination_index
-        )
-        if indices is not _ALT_SKIP:
-            if indices is None:
-                raise NoPathError(source, destination)
-            return graph.path_ids(indices)
-
-    weights = graph.forward_weights(key, array, version)
-    r_weights = graph.reverse_weights(key, array, version)
-    with graph.borrowed_workspace() as ws:
-        indices = bidirectional_kernel(
-            graph.offsets,
-            graph.targets,
-            weights,
-            graph.r_offsets,
-            graph.r_targets,
-            r_weights,
-            source_index,
-            destination_index,
-            ws,
-        )
-    if indices is None:
-        raise NoPathError(source, destination)
-    return graph.path_ids(indices)
 
 
 def try_route_many(

@@ -15,8 +15,8 @@ parts with very different lifetimes:
 
 * a :class:`CostStore` — the monotonically-versioned cost state: one flat
   numpy array per travel-cost feature, the linear-combination views derived
-  from them, the forward / reverse weight-list caches, and the generic
-  ``memo()`` artifact cache.  Live-traffic updates patch the store through
+  from them, the reverse weight-list cache, and the generic ``memo()``
+  artifact cache.  Live-traffic updates patch the store through
   :meth:`CompiledGraph.apply_cost_updates` *without* recompiling the
   topology: touched arrays are swapped for patched copies (readers holding
   the old array keep a consistent pre-update view), the cost version is
@@ -27,11 +27,11 @@ parts with very different lifetimes:
   that differ, followed by :meth:`CostStore.rewind`, which *sets* the version
   to the adopted state's and clears the caches outright.
 
-Search scratch state lives in per-thread
-:class:`~repro.network.compiled.workspace.SearchWorkspace` objects obtained
-from :meth:`CompiledGraph.borrowed_workspace`, so concurrent queries
+Landmark-bound scratch buffers live in per-thread
+:class:`~repro.network.compiled.landmarks.BoundScratch` objects obtained
+from :meth:`CompiledGraph.borrowed_scratch`, so concurrent queries
 (``RoutingService.route`` is safe to call from many threads) never share
-``dist`` / ``parent`` arrays.
+them.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from contextlib import AbstractContextManager, contextmanager
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-
-from .workspace import SearchWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..road_network import Edge, RoadNetwork, VertexId
@@ -186,7 +184,6 @@ class CostStore:
         self.road_type_values = road_type_values
         self._arrays = arrays
         self._version = 0
-        self._weight_lists: OrderedDict[Hashable, tuple[int, list[float]]] = OrderedDict()
         self._r_weight_lists: OrderedDict[Hashable, tuple[int, list[float]]] = OrderedDict()
         self._memo: OrderedDict[Hashable, tuple[int, object]] = OrderedDict()
         self._memo_lock = threading.Lock()
@@ -264,7 +261,6 @@ class CostStore:
         """
         with self._memo_lock:
             self._version = int(version)
-            self._weight_lists.clear()
             self._r_weight_lists.clear()
             self._memo.clear()
 
@@ -334,20 +330,6 @@ class CostStore:
         # the right stamp (a racing patch only makes the data newer).
         return self._cached(self._memo, ("linear", terms), build, self._version)  # type: ignore[return-value]
 
-    def forward_weights(
-        self, key: Hashable | None, array: np.ndarray, version: int | None = None
-    ) -> list[float]:
-        """The cost array as a plain list in forward CSR slot order.
-
-        ``version`` is the cost version ``array`` was resolved under (see
-        :meth:`CompiledGraph.resolve_cost`); omitting it assumes the array is
-        current, which is only safe when no patch can be racing the caller.
-        """
-        if key is None:
-            return array.tolist()
-        stamp = self._stamp(True, version)
-        return self._cached(self._weight_lists, key, array.tolist, stamp)  # type: ignore[return-value]
-
     def reverse_weights(
         self, key: Hashable | None, array: np.ndarray, version: int | None = None
     ) -> Sequence[float]:
@@ -356,8 +338,12 @@ class CostStore:
         A keyed array comes back as its memoized list.  A per-query array
         (``key`` None) has nothing to memoize and comes back as a memoryview
         of the permuted array, whose items are Python floats like a list's:
-        its readers — backward walks, the bidirectional kernel — touch a few
-        hundred items, and listing every weight first would cost more.
+        its readers, the backward path walks, touch a few hundred items, and
+        listing every weight first would cost more.
+
+        ``version`` is the cost version ``array`` was resolved under (see
+        :meth:`CompiledGraph.resolve_cost`); omitting it assumes the array is
+        current, which is only safe when no patch can be racing the caller.
         """
 
         def build():
@@ -482,7 +468,7 @@ class CompiledGraph:
         per-query arrays, and ``version`` is the cost version the array was
         resolved under (captured *before* reading, so a concurrent patch can
         only make the array newer than the stamp, never older — callers pass
-        it back to :meth:`forward_weights` / :meth:`reverse_weights` so
+        it back to :meth:`reverse_weights` / :meth:`memo` so
         derived caches are never poisoned with pre-update data stamped as
         current).  Returns ``None`` when the callable is opaque and the
         caller must fall back to the dict-based implementation.
@@ -508,12 +494,6 @@ class CompiledGraph:
                 key = ("built", key)
             return key, np.asarray(built, dtype=np.float64), version
         return None
-
-    def forward_weights(
-        self, key: Hashable | None, array: np.ndarray, version: int | None = None
-    ) -> list[float]:
-        """The cost array as a plain list in forward CSR slot order."""
-        return self.costs.forward_weights(key, array, version)
 
     def reverse_weights(
         self, key: Hashable | None, array: np.ndarray, version: int | None = None
@@ -640,18 +620,13 @@ class CompiledGraph:
         finally:
             pool.append(item)
 
-    def borrowed_workspace(self) -> AbstractContextManager[SearchWorkspace]:
-        """Check a preallocated workspace out of the calling thread's pool.
-
-        Nested compiled searches each borrow their own workspace, so an
-        inner search can never corrupt the generation stamps of an outer one.
-        The pool grows to the maximum nesting depth ever seen per thread.
-        """
-        return self._borrowed("pool", SearchWorkspace, self.vertex_count)
-
     def borrowed_scratch(self) -> AbstractContextManager["BoundScratch"]:
-        """Landmark-bound buffers, pooled like :meth:`borrowed_workspace`: what
-        a bounds call returned must not be read after the ``with`` block."""
+        """Check landmark-bound buffers out of the calling thread's pool.
+
+        Nested borrows each get their own instance, so an inner search can
+        never overwrite the bounds an outer one is reading; the pool grows to
+        the maximum nesting depth ever seen per thread.  What a bounds call
+        returned must not be read after the ``with`` block."""
         from .landmarks import BoundScratch
 
         return self._borrowed("scratch", BoundScratch, self.vertex_count, self.edge_count)

@@ -1,17 +1,17 @@
 """ALT landmark lower bounds (A*, Landmarks, Triangle inequality) on the CSR.
 
-A :class:`LandmarkTable` turns goal-directed search from "one Python
-heuristic call per relaxation" into pure array lookups: for a handful of
-landmark vertices it precomputes the forward (``d(L, v)``) and backward
-(``d(v, L)``) distance rows with the batched compiled Dijkstra
+A :class:`LandmarkTable` bounds distances with pure array lookups: for a
+handful of landmark vertices it precomputes the forward (``d(L, v)``) and
+backward (``d(v, L)``) distance rows with the batched compiled Dijkstra
 (:func:`~repro.network.compiled.batch.dijkstra_many`), and the triangle
 inequality then yields per-query lower bounds
 
     ``d(v, t) >= max_L max( d(L, t) - d(L, v),  d(v, L) - d(t, L) )``
 
-computed vectorized over all vertices in one numpy pass.  The resulting
-bounds are *consistent* (each inequality is tight along shortest paths of
-the build metric), so the closed-set A* kernel stays exact.
+computed vectorized over all vertices in one numpy pass.  The bounded
+point-to-point Dijkstra (``sparse.shortest_path_indices``) prunes every
+vertex whose lower bound on ``d(s, v) + d(v, t)`` exceeds its search
+limit.
 
 The same rows also give an *upper* bound per pair, the cheapest detour
 ``min_L d(s, L) + d(L, t)`` (:meth:`LandmarkTable.tightest`).  It is the
@@ -79,7 +79,7 @@ class BoundScratch:
     mutation), so a query allocates no temporaries.
     """
 
-    __slots__ = ("work", "to", "frm", "outside", "costs", "r_costs", "pruned", "matrix")
+    __slots__ = ("work", "to", "frm", "outside", "costs", "pruned", "matrix")
 
     def __init__(self, vertex_count: int, edge_count: int) -> None:
         self.work = np.empty((2, vertex_count), dtype=np.float64)
@@ -87,7 +87,6 @@ class BoundScratch:
         self.frm = np.empty(vertex_count, dtype=np.float64)
         self.outside = np.empty(vertex_count, dtype=np.bool_)
         self.costs = np.empty(edge_count, dtype=np.float64)
-        self.r_costs = np.empty(edge_count, dtype=np.float64)
         self.pruned = np.empty(edge_count, dtype=np.bool_)
         self.matrix = None  # scipy CSR over ``costs``, made by its first user
 

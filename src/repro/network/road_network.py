@@ -110,7 +110,7 @@ class RoadNetwork:
         self._hierarchy_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        # The compiled view holds thread-local workspaces and is cheap to
+        # The compiled view holds thread-local scratch buffers and is cheap to
         # rebuild, so it (and the build lock) is dropped from pickles
         # (model persistence).  Prepared contraction hierarchies likewise
         # carry large arrays and locks; prepare_hierarchy() builds them anew.
@@ -256,14 +256,14 @@ class RoadNetwork:
         dictionaries; the patchable attributes are exactly the compiled cost
         features (``distance_m`` / ``travel_time_s`` / ``fuel_ml``).  Values
         must be finite and strictly positive.  Caution: the geometric A*
-        heuristics (:mod:`repro.routing.astar`, which steer the dict
-        reference A*) are lower bounds assuming ``distance_m`` >=
-        straight-line distance and ``travel_time_s`` >= straight-line time at
-        motorway speed — pushing an edge *below* those bounds (as
+        heuristics (:mod:`repro.routing.astar`) are lower bounds assuming
+        ``distance_m`` >= straight-line distance and ``travel_time_s`` >=
+        straight-line time at motorway speed — pushing an edge *below* those bounds (as
         :meth:`add_edge` also allows) makes them inadmissible and their
         routes possibly suboptimal; congestion-style updates (costs at or
-        above free flow) are always safe, and the Dijkstra family and ALT
-        (whose landmark bounds rescale when costs fall) stay exact either way.
+        above free flow) are always safe, and the Dijkstra family and its
+        landmark corridor (whose bounds rescale when costs fall) stay exact
+        either way.
 
         The whole batch is validated before anything is touched, so a bad
         entry leaves the network unchanged (transactional semantics — the
@@ -520,9 +520,9 @@ class RoadNetwork:
     ):
         """Eagerly build (or re-configure) the ALT landmark table for a cost.
 
-        Goal-directed search builds its landmark tables lazily on the first
-        A* / bidirectional query per cost view; call this to pay that cost
-        up front (e.g. before opening a service to traffic) or to pick a
+        The bounded Dijkstra builds the tables of the attribute cost views
+        lazily, on their first query on a large graph; call this to pay that
+        cost up front (e.g. before opening a service to traffic) or to pick a
         non-default landmark ``count`` (at least 1, else
         :class:`~repro.exceptions.ConfigurationError`).  ``edge_cost``
         defaults to the travel-time feature; any callable recognized by the
@@ -550,10 +550,9 @@ class RoadNetwork:
     def prepare_hierarchy(self, feature=None, *, edge_cost=None):
         """Build (or refresh) the cached contraction hierarchy for one cost.
 
-        The :func:`~repro.routing.contraction.ch_shortest_path` family and
-        the service layer's ``ContractionEngine`` answer from a prebuilt
-        :class:`~repro.routing.contraction.ContractionHierarchy`; call this
-        to pay the whole preprocessing up front (mirroring
+        :func:`~repro.routing.contraction.ch_shortest_path` answers from a
+        prebuilt :class:`~repro.routing.contraction.ContractionHierarchy`;
+        call this to pay the whole preprocessing up front (mirroring
         :meth:`prepare_landmarks` — the first query afterwards builds
         nothing) and to share one hierarchy per ``(feature, edge_cost)``
         across callers.  ``feature`` defaults to travel time.  A cached

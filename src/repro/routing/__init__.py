@@ -1,4 +1,5 @@
-"""Path-finding substrate: Dijkstra, A*, bidirectional search, CH, Algorithm 2."""
+"""Path-finding substrate: Dijkstra (scipy, with its dict reference), A* and
+bidirectional search over the dict adjacency, CH, Algorithm 2."""
 
 from .costs import (
     ALL_COST_FEATURES,
@@ -19,12 +20,8 @@ from .dijkstra import (
     lowest_cost_path,
     shortest_path,
 )
-from .astar import astar, astar_by_feature, dict_astar, heuristic_for
-from .bidirectional import (
-    bidirectional_by_feature,
-    bidirectional_dijkstra,
-    dict_bidirectional_dijkstra,
-)
+from .astar import astar, astar_by_feature, heuristic_for
+from .bidirectional import bidirectional_by_feature, bidirectional_dijkstra
 from .contraction import ContractionHierarchy, build_contraction_hierarchy, ch_shortest_path
 from .preference_dijkstra import preference_dijkstra
 from .fuel import fuel_consumption_ml, fuel_per_km_ml, fuel_rate_ml_per_s, most_economical_speed_kmh
@@ -42,8 +39,6 @@ __all__ = [
     "build_contraction_hierarchy",
     "ch_shortest_path",
     "cost_function",
-    "dict_astar",
-    "dict_bidirectional_dijkstra",
     "dict_dijkstra",
     "dict_dijkstra_costs",
     "dijkstra",

@@ -1,16 +1,11 @@
-"""A* search: ALT on compiled cost views, the dict reference elsewhere.
+"""A* search over the dict adjacency, with admissible heuristics.
 
 A library search, off the serving path (the engines answer single-cost
-queries with the corridor-bounded Dijkstra, which has the better tail): the
-external routing-service simulator and the benchmark's layer table call it.
-A cost view with an ALT landmark table runs the compiled kernel on the
-landmark bounds, far tighter than geometric ones on road networks, so a
-``heuristic`` argument only steers the dict reference: opaque costs (the
-external service's), and every query under ``compiled_disabled()`` or
-``alt_disabled()``.  The heuristics here are admissible lower bounds for
-each travel-cost feature (straight-line distance; straight-line distance at
-the maximum speed for travel time; at the most economical fuel rate for
-fuel).
+queries with the corridor-bounded scipy Dijkstra): the external
+routing-service simulator and the benchmark's layer table call it.  The
+heuristics here are admissible lower bounds for each travel-cost feature
+(straight-line distance; straight-line distance at the maximum speed for
+travel time; at the most economical fuel rate for fuel).
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ import math
 from typing import Callable
 
 from ..exceptions import NoPathError, VertexNotFoundError
-from ..network.compiled import dispatch as _compiled
 from ..network.road_network import RoadNetwork, VertexId
 from ..network.road_types import DEFAULT_SPEED_KMH, RoadType
 from .costs import CostFeature, EdgeCost, cost_function
@@ -85,36 +79,9 @@ def astar(
 ) -> Path:
     """A* lowest-cost path; raises :class:`NoPathError` if unreachable.
 
-    A cost view with an ALT landmark table (a cacheable view of a compiled
-    network) runs the compiled kernel with the landmark bounds as its
-    heuristic; ``heuristic`` is then not consulted.  The answer is
-    cost-optimal but may be a different equal-cost path than
-    :func:`dict_astar`.  Everywhere else — an opaque or per-query cost, or
-    under ``compiled_disabled()`` / ``alt_disabled()`` — :func:`dict_astar`
-    runs with ``heuristic`` (the zero bound when omitted).
+    ``heuristic`` must be an admissible lower bound on the cost to
+    ``destination``; omitted, it is the zero bound (plain Dijkstra order).
     """
-    if source not in network:
-        raise VertexNotFoundError(source)
-    if destination not in network:
-        raise VertexNotFoundError(destination)
-    if source == destination:
-        return Path.of([source])
-
-    vertices = _compiled.try_astar(network, source, destination, edge_cost)
-    if vertices is not None:
-        return Path.of(vertices)
-    return dict_astar(network, source, destination, edge_cost, heuristic)
-
-
-def dict_astar(
-    network: RoadNetwork,
-    source: VertexId,
-    destination: VertexId,
-    edge_cost: EdgeCost,
-    heuristic: Heuristic | None = None,
-) -> Path:
-    """The dict-based reference A* (no compiled dispatch); ``heuristic=None``
-    is the zero bound."""
     if source not in network:
         raise VertexNotFoundError(source)
     if destination not in network:

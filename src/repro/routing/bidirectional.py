@@ -1,11 +1,10 @@
-"""Bidirectional Dijkstra.
+"""Bidirectional Dijkstra over the dict adjacency.
 
 Searches simultaneously from the source (forward edges) and from the
 destination (reverse edges) and stops when the frontiers provably cannot
 improve the best meeting point.  An exact alternative to plain Dijkstra that
 only the benchmarks call: the ``routing.bidirectional_us`` row of
-``benchmarks/e2e --trace`` places it behind both the bounded Dijkstra and
-ALT-A* on either tier.
+``benchmarks/e2e --trace`` places it behind the bounded scipy Dijkstra.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import heapq
 import math
 
 from ..exceptions import NoPathError, VertexNotFoundError
-from ..network.compiled import dispatch as _compiled
 from ..network.road_network import RoadNetwork, VertexId
 from .costs import CostFeature, EdgeCost, cost_function
 from .path import Path
@@ -26,36 +24,7 @@ def bidirectional_dijkstra(
     destination: VertexId,
     edge_cost: EdgeCost,
 ) -> Path:
-    """Lowest-cost path via simultaneous forward and backward search.
-
-    Recognized edge costs run both frontiers on the compiled CSR (the reverse
-    frontier reuses the forward cost array through the predecessor layout);
-    opaque ones use :func:`dict_bidirectional_dijkstra`.  Cacheable cost
-    views are additionally goal-directed by default: both frontiers search
-    on ALT landmark-reduced costs, which is cost-optimal but may pick a
-    different equal-cost path than the reference — wrap calls in
-    ``repro.network.compiled.alt_disabled()`` for the exact mirror.
-    """
-    if source not in network:
-        raise VertexNotFoundError(source)
-    if destination not in network:
-        raise VertexNotFoundError(destination)
-    if source == destination:
-        return Path.of([source])
-
-    vertices = _compiled.try_bidirectional(network, source, destination, edge_cost)
-    if vertices is not None:
-        return Path.of(vertices)
-    return dict_bidirectional_dijkstra(network, source, destination, edge_cost)
-
-
-def dict_bidirectional_dijkstra(
-    network: RoadNetwork,
-    source: VertexId,
-    destination: VertexId,
-    edge_cost: EdgeCost,
-) -> Path:
-    """The dict-based reference implementation (no compiled dispatch)."""
+    """Lowest-cost path via simultaneous forward and backward search."""
     if source not in network:
         raise VertexNotFoundError(source)
     if destination not in network:

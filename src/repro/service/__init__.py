@@ -35,7 +35,6 @@ from .durability import (
 from .engine import (
     AlgorithmEngine,
     BaseEngine,
-    ContractionEngine,
     FunctionEngine,
     L2REngine,
     RoutingEngine,
@@ -66,7 +65,6 @@ __all__ = [
     "BaseEngine",
     "CacheStats",
     "CircuitBreaker",
-    "ContractionEngine",
     "DeadlineBudget",
     "DiskJournal",
     "DurabilityManager",

@@ -1,9 +1,9 @@
 """A thread-safe LRU cache for served routes, indexed by the vertices they visit.
 
-Answers are keyed by ``(engine, source, destination, driver, cost override,
-engine cache version)``.  The departure time is not part of the key: no
-engine's answer depends on it, so every departure time of one OD pair shares
-a single cache line.  Driver id and cost override are part of the key so
+Answers are keyed by ``(engine, source, destination, driver, cost
+override)``.  The departure time is not part of the key: no engine's answer
+depends on it, so every departure time of one OD pair shares a single cache
+line.  Driver id and cost override are part of the key so
 personalized answers are never replayed to the wrong caller.
 
 Beside the LRU table the cache keeps an inverted index *vertex -> entries
@@ -14,7 +14,7 @@ walking every cached path under the lock.  The index is keyed by vertex, not
 by edge — one dict lookup and one set insert per path vertex with no tuple to
 build or hash, which is what a miss pays on ``put`` (a few microseconds on a
 40-vertex path) — and its sets hold one small integer token per live entry
-rather than the six-field cache key.  Every way an entry is born or dies
+rather than the five-field cache key.  Every way an entry is born or dies
 (``put`` including an overwrite, LRU overflow, each ``invalidate_*``,
 ``clear``) goes through ``_index`` / ``_unindex`` /
 ``_drop_all``: an empty cache has an empty index.
@@ -69,21 +69,14 @@ class RouteCache:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def key_for(engine: str, request: RouteRequest, version: object = None) -> CacheKey:
-        """The cache key of ``request`` answered by ``engine``.
-
-        ``version`` is the engine's optional ``cache_version`` tag (e.g. a
-        contraction hierarchy's weights version): answers computed under a
-        different tag never shadow each other, so an engine whose internal
-        state moved — without any re-registration — starts with fresh lines.
-        """
+    def key_for(engine: str, request: RouteRequest) -> CacheKey:
+        """The cache key of ``request`` answered by ``engine``."""
         return (
             engine,
             request.source,
             request.destination,
             request.driver_id,
             request.cost_override,
-            version,
         )
 
     def get(
@@ -91,7 +84,6 @@ class RouteCache:
         engine: str,
         request: RouteRequest,
         probe: bool = False,
-        version: object = None,
     ) -> RouteResponse | None:
         """The cached answer for this request, or ``None``.
 
@@ -101,7 +93,7 @@ class RouteCache:
         nothing, and a probe hit reclassifies that earlier miss as a hit —
         the counters stay at one outcome per logical request.
         """
-        key = self.key_for(engine, request, version)
+        key = self.key_for(engine, request)
         with self._lock:
             cached = self._entries.get(key)
             if cached is None:
@@ -129,20 +121,16 @@ class RouteCache:
         engine: str,
         response: RouteResponse,
         guard: Callable[[], bool] | None = None,
-        version: object = None,
     ) -> None:
         """Remember a successful response; failed responses are not cached.
 
         ``guard`` is evaluated under the cache lock and vetoes the insert
         when it returns False — the service uses it to drop answers computed
         by an engine that was re-registered while the request was in flight.
-        ``version`` must be the engine's ``cache_version`` tag observed
-        *after* the answer was computed, so the entry lands under the state
-        that produced it.
         """
         if not response.ok:
             return
-        key = self.key_for(engine, response.request, version)
+        key = self.key_for(engine, response.request)
         with self._lock:
             if guard is not None and not guard():
                 return

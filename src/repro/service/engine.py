@@ -17,7 +17,6 @@ pipeline with full routing diagnostics.
 from __future__ import annotations
 
 import abc
-import threading
 import time
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -25,8 +24,7 @@ from ..core.router import RouteDiagnostics
 from ..exceptions import ReproError
 from ..network.compiled import dispatch
 from ..network.road_network import RoadNetwork
-from ..routing.contraction import ContractionHierarchy, ch_shortest_path
-from ..routing.costs import CostFeature, cost_function
+from ..routing.costs import cost_function
 from ..routing.dijkstra import lowest_cost_path
 from ..routing.path import Path
 from .api import RouteRequest, RouteResponse
@@ -206,106 +204,6 @@ class L2REngine(BaseEngine):
         return self._pipeline.route_with_diagnostics(
             request.source, request.destination, departure_time=request.departure_time
         )
-
-
-ON_STALE = "rebuild"
-"""How :class:`ContractionEngine` meets a stale hierarchy: re-weight
-shortcuts after cost drift, rebuild after a topology change."""
-
-
-class ContractionEngine(BaseEngine):
-    """Single-cost engine answering through a contraction hierarchy.
-
-    The hierarchy comes from
-    :meth:`~repro.network.road_network.RoadNetwork.prepare_hierarchy` on
-    first use (shared with every other caller for the same feature — call
-    it before opening to traffic, or the first request pays the whole
-    preprocessing) and is queried through
-    :func:`~repro.routing.contraction.ch_shortest_path` with
-    ``on_stale="rebuild"`` (:data:`ON_STALE`): live-traffic cost drift is
-    absorbed by a shortcut re-weight at the next query, a topology change by
-    a rebuild.  Answers are exact single-cost optima — cost-identical to the
-    Shortest / Fastest baselines for the same feature, at hub-label query
-    speed on repeated queries.
-
-    The engine exposes ``cache_version`` (the hierarchy's weights version
-    plus the network's mutation counter), which the service folds into its
-    route-cache keys so a re-weighted hierarchy is never shadowed by
-    pre-update cached answers, and ``hierarchy_reweights`` for
-    :class:`~repro.service.stats.ServiceStats` monitoring.
-    """
-
-    name = "CH"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        feature: CostFeature = CostFeature.TRAVEL_TIME,
-        *,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(network)
-        self.cost_feature = feature
-        self._hierarchy: ContractionHierarchy | None = None
-        self._hierarchy_lock = threading.Lock()
-        if name is not None:
-            self.name = name
-
-    def hierarchy(self) -> ContractionHierarchy:
-        """The (lazily built) hierarchy this engine answers from."""
-        built = self._hierarchy
-        if built is None:
-            with self._hierarchy_lock:
-                if self._hierarchy is None:
-                    self._hierarchy = self._network.prepare_hierarchy(self.cost_feature)
-                built = self._hierarchy
-        return built
-
-    @property
-    def cache_version(self) -> tuple:
-        """Route-cache key component; moves with every re-weight / mutation.
-
-        Including ``network.version`` means a stale hierarchy (costs moved,
-        re-weight not yet triggered) can never replay its pre-update cached
-        answers: the first post-update request misses, refreshes the
-        hierarchy through :data:`ON_STALE`, and caches under the new tag.
-        """
-        built = self._hierarchy
-        weights = built.weights_version if built is not None else None
-        return ("ch", weights, self._network.version)
-
-    @property
-    def current_hierarchy(self) -> ContractionHierarchy | None:
-        """The hierarchy if already built (never triggers a build).
-
-        Exposed so the service can de-duplicate re-weight counters when
-        several engines share one ``prepare_hierarchy``-cached hierarchy.
-        """
-        return self._hierarchy
-
-    @property
-    def hierarchy_reweights(self) -> int:
-        """Live-traffic re-weights absorbed by this engine's hierarchy."""
-        built = self._hierarchy
-        return built.reweight_count if built is not None else 0
-
-    def _static_cost(self):
-        """CH answers one fixed feature: advertise it for request batching.
-
-        Batched answers run on the *live* cost arrays, which matches a
-        hierarchy that refreshes itself on drift (:data:`ON_STALE`).
-        """
-        return cost_function(self.cost_feature)
-
-    def _answer(self, request: RouteRequest) -> tuple[Path, RouteDiagnostics | None]:
-        path = ch_shortest_path(
-            self._network,
-            request.source,
-            request.destination,
-            self.hierarchy(),
-            on_stale=ON_STALE,
-        )
-        return path, RouteDiagnostics(case="contraction-hierarchy")
 
 
 class FunctionEngine(BaseEngine):

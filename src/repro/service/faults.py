@@ -172,10 +172,10 @@ class FaultyEngine:
     """A routing engine that injects scheduled latency spikes and errors.
 
     Satisfies the :class:`~repro.service.engine.RoutingEngine` protocol.
-    ``cache_version`` and ``network`` are forwarded from
-    the wrapped engine (cache and degraded-serving semantics must not
-    change); the optional ``route_batch`` is *not* offered, so every request
-    of a ``route_many`` is one ``route`` call and one draw of the schedule.
+    ``network`` is forwarded from the wrapped engine (degraded-serving
+    semantics must not change); the optional ``route_batch`` is *not*
+    offered, so every request of a ``route_many`` is one ``route`` call and
+    one draw of the schedule.
     """
 
     def __init__(
@@ -200,10 +200,6 @@ class FaultyEngine:
     @property
     def counters(self) -> FaultCounters:
         return self._schedule.counters
-
-    @property
-    def cache_version(self):
-        return getattr(self.inner, "cache_version", None)
 
     @property
     def network(self):

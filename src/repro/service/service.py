@@ -52,17 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
 STALE_ROUTE_CAPACITY = 512
 
 
-def _cache_tag(engine: RoutingEngine) -> object:
-    """The engine's optional ``cache_version`` tag (``None`` for most).
-
-    Folded into route-cache keys so engines whose answers depend on mutable
-    internal state (a contraction hierarchy's re-weightable shortcut
-    weights) never replay answers across a state change that involved no
-    re-registration.
-    """
-    return getattr(engine, "cache_version", None)
-
-
 class RoutingService:
     """Unified serving facade over interchangeable routing engines."""
 
@@ -211,10 +200,9 @@ class RoutingService:
         name = engine or self._default_engine
         if name is None:
             raise ConfigurationError("no engines registered with this RoutingService")
-        # One registry lookup validates the name and gives the cache tag.
-        served = self.engine(name)
+        self.engine(name)  # validates the name
         if self._cache is not None:
-            cached = self._cache.get(name, request, version=_cache_tag(served))
+            cached = self._cache.get(name, request)
             if cached is not None:
                 self._stats.record(cached)
                 return cached
@@ -330,12 +318,7 @@ class RoutingService:
                     for involved in (name, response.engine)
                 )
 
-            # The tag is re-read after computing: an on_stale refresh inside
-            # the engine bumps it, and the answer must land under the state
-            # that produced it.
-            self._cache.put(
-                name, response, guard=_still_current, version=_cache_tag(self._engines[name])
-            )
+            self._cache.put(name, response, guard=_still_current)
         if response.ok and not response.degraded:
             self._remember_last_good(name, response)
         self._stats.record(response)
@@ -368,9 +351,8 @@ class RoutingService:
 
         responses: list[RouteResponse | None] = [None] * len(batch)
         if self._cache is not None:
-            tag = _cache_tag(served)
             for position, request in enumerate(batch):
-                cached = self._cache.get(name, request, version=tag)
+                cached = self._cache.get(name, request)
                 if cached is not None:
                     self._stats.record(cached)
                     responses[position] = cached
@@ -433,12 +415,7 @@ class RoutingService:
             # own key — serve it instead of recomputing.  The latency still
             # covers the failed primary attempt(s) that got us here.
             if position > 0 and self._cache is not None:
-                cached = self._cache.get(
-                    engine_name,
-                    request,
-                    probe=True,
-                    version=_cache_tag(self._engines[engine_name]),
-                )
+                cached = self._cache.get(engine_name, request, probe=True)
                 if cached is not None and cached.ok:
                     return cached.with_request(
                         request,
@@ -557,24 +534,13 @@ class RoutingService:
     # ------------------------------------------------------------------ #
     # Degraded serving (stale-route store)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _stale_key(name: str, request: RouteRequest) -> tuple:
-        """Identity of one (engine, OD-pair, preference) answer line.
-
-        Deliberately coarser than the route-cache key: no cost version —
-        degraded serving *wants* the last known good answer even when it is
-        stale, that is the point."""
-        return (
-            name,
-            request.source,
-            request.destination,
-            request.driver_id,
-            request.cost_override,
-        )
-
     def _remember_last_good(self, name: str, response: RouteResponse) -> None:
-        """Keep the freshest good answer per OD line for degraded serving."""
-        key = self._stale_key(name, response.request)
+        """Keep the freshest good answer per OD line for degraded serving.
+
+        Keyed like the route cache, but traffic never evicts here: degraded
+        serving *wants* the last known good answer even when it is stale,
+        that is the point."""
+        key = RouteCache.key_for(name, response.request)
         answering = self._engines.get(response.engine)
         network = getattr(answering, "network", None)
         version = getattr(network, "cost_version", None) if network is not None else None
@@ -593,12 +559,14 @@ class RoutingService:
         breakers): a ``NoPathError`` is a correct answer about the request
         and must stay an error.  The served response carries
         ``degraded=True`` and diagnostics recording the cost version it was
-        computed under; it is never re-cached.
+        computed under; it is never re-cached.  Its work counters
+        (``retries``, ``batched``) are the failing call's, not the stored
+        answer's: a replay reports no work it did not do.
         """
         if not is_transient_failure(failure.error):
             return None
         with self._stale_lock:
-            entry = self._stale_routes.get(self._stale_key(name, request))
+            entry = self._stale_routes.get(RouteCache.key_for(name, request))
         if entry is None:
             return None
         stale, served_version = entry
@@ -612,6 +580,8 @@ class RoutingService:
             cache_hit=False,
             fallback_used=False,
             latency_s=failure.latency_s,
+            retries=failure.retries,
+            batched=failure.batched,
             error=None,
         )
 
@@ -686,22 +656,8 @@ class RoutingService:
             cache_stats = self._cache.stats()
         else:
             cache_stats = CacheStats(hits=0, misses=0, size=0, max_size=0)
-        # Engines may share one prepared hierarchy: count each hierarchy
-        # object once, whatever number of engines serve it.
-        reweights = 0
-        counted: set[int] = set()
-        for engine in self._engines.values():
-            count = getattr(engine, "hierarchy_reweights", 0)
-            if not count:
-                continue
-            shared = getattr(engine, "current_hierarchy", None)
-            key = id(shared) if shared is not None else id(engine)
-            if key not in counted:
-                counted.add(key)
-                reweights += count
         return self._stats.snapshot(
             cache_stats,
-            hierarchy_reweights=reweights,
             shed=self._admission.shed if self._admission is not None else 0,
             breaker_trips=sum(b.trips for b in self._breakers.values()),
             breaker_states={n: b.state for n, b in self._breakers.items()},

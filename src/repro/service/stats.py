@@ -62,9 +62,6 @@ class ServiceStats:
     """Cached routes evicted by delta-aware traffic invalidation."""
     cost_version: int = 0
     """Latest network cost version reported by the traffic feed."""
-    hierarchy_reweights: int = 0
-    """Live-traffic shortcut re-weights absorbed by contraction-hierarchy
-    engines (cheap in-place re-customizations instead of full rebuilds)."""
     shed: int = 0
     """Requests rejected by admission control (``ServiceOverloadedError``).
     Counts requests: a ``route_many`` kernel call that finds no slot is not a
@@ -190,17 +187,15 @@ class StatsAccumulator:
     def snapshot(
         self,
         cache: CacheStats,
-        hierarchy_reweights: int = 0,
         shed: int = 0,
         breaker_trips: int = 0,
         breaker_states: dict[str, str] | None = None,
     ) -> ServiceStats:
-        """Freeze the counters; ``hierarchy_reweights``, ``shed`` and the
-        breaker fields are sampled by the service from its engines /
-        admission controller / breakers (component state, not window
-        counters, so :meth:`reset` does not zero them).  The sharding fields
-        stay at their defaults here; a sharded service fills them in from its
-        coordinator."""
+        """Freeze the counters; ``shed`` and the breaker fields are sampled
+        by the service from its admission controller / breakers (component
+        state, not window counters, so :meth:`reset` does not zero them).
+        The sharding fields stay at their defaults here; a sharded service
+        fills them in from its coordinator."""
         with self._lock:
             latencies = list(self._latencies)
             batch_latencies = list(self._batch_latencies)
@@ -224,7 +219,6 @@ class StatsAccumulator:
                 traffic_touched_edges=self._traffic_touched,
                 traffic_evicted_routes=self._traffic_evicted,
                 cost_version=self._cost_version,
-                hierarchy_reweights=hierarchy_reweights,
                 shed=shed,
                 retries=self._retries,
                 deadline_exceeded=self._deadline_exceeded,

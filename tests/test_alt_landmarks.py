@@ -5,8 +5,8 @@ Property-based contracts:
 * landmark lower bounds are admissible (never exceed true distances) on
   randomized grids — including after randomized ``TrafficUpdate`` sequences
   that move costs both up and down (the table rescales or rebuilds);
-* goal-directed ALT-A* and ALT-bidirectional answers are cost-identical to
-  the dict-based reference Dijkstra;
+* A* and bidirectional answers stay cost-identical to the dict-based
+  reference Dijkstra on networks whose landmark tables are built;
 * ``dijkstra_many`` (and the batched ``route_many``) produce results
   identical to per-query compiled Dijkstra;
 * contraction hierarchies detect staleness instead of silently answering
@@ -186,7 +186,7 @@ class TestGoalDirectedCostIdentity:
         ids = sorted(network.vertex_ids())
         source, destination = rng.sample(ids, 2)
         reference = dict_dijkstra(network, source, destination, COST)
-        alt_path = astar(network, source, destination, COST)  # ALT by default
+        alt_path = astar(network, source, destination, COST)
         assert network.is_path(alt_path.vertices)
         assert _path_cost(network, alt_path) == pytest.approx(
             _path_cost(network, reference), rel=1e-9

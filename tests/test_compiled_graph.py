@@ -22,11 +22,10 @@ from repro.exceptions import NoPathError
 from repro.network import (
     RoadNetwork,
     RoadType,
-    alt_disabled,
     compiled_disabled,
     grid_city_network,
 )
-from repro.network.compiled import CompiledGraph, SearchWorkspace, batch
+from repro.network.compiled import CompiledGraph, batch
 from repro.network.compiled.dispatch import try_cost_rows, try_dijkstra, try_route_many
 from repro.network.compiled.graph import MEMO_SIZE
 from repro.preferences import PreferenceVector
@@ -37,8 +36,6 @@ from repro.routing import (
     astar,
     bidirectional_dijkstra,
     cost_function,
-    dict_astar,
-    dict_bidirectional_dijkstra,
     dict_dijkstra,
     dict_dijkstra_costs,
     dijkstra,
@@ -209,41 +206,48 @@ class TestDijkstraEquivalence:
         assert path.vertices == reference.vertices
 
 
+def _assert_same_cost(network, cost, found, reference) -> None:
+    """``found`` is a path as cheap as ``reference`` (both ``"no-path"`` when
+    the pair is unreachable)."""
+    if reference == "no-path":
+        assert found == "no-path"
+        return
+    assert network.is_path(found.vertices)
+    assert (found.source, found.destination) == (reference.source, reference.destination)
+
+    def priced(path):
+        return sum(cost(edge) for edge in network.path_edges(path.vertices))
+
+    assert priced(found) == pytest.approx(priced(reference), rel=1e-9)
+
+
 class TestOtherKernels:
     @HYPOTHESIS_SETTINGS
     @given(random_networks(), st.integers(min_value=0, max_value=1_000))
     def test_astar(self, network, pair_seed):
-        # Path *identity* holds for the plain (non-ALT) kernel, which mirrors
-        # the reference relaxation order exactly; goal-directed ALT answers
-        # are cost-identical and covered by tests/test_alt_landmarks.py.
+        """A* with each feature's geometric heuristic against dict Dijkstra,
+        cost for cost, unreachable pairs included."""
         source, destination = _pair(network, pair_seed)
         for feature in ALL_COST_FEATURES:
             cost = cost_function(feature)
             heuristic = heuristic_for(network, destination, feature)
-            with alt_disabled():
-                compiled_path, dict_path = _both(
-                    lambda: astar(network, source, destination, cost, heuristic),
-                    lambda: dict_astar(network, source, destination, cost, heuristic),
-                )
-            if compiled_path == "no-path":
-                assert dict_path == "no-path"
-            else:
-                assert compiled_path.vertices == dict_path.vertices
+            found, reference = _both(
+                lambda: astar(network, source, destination, cost, heuristic),
+                lambda: dict_dijkstra(network, source, destination, cost),
+            )
+            _assert_same_cost(network, cost, found, reference)
 
     @HYPOTHESIS_SETTINGS
     @given(random_networks(), st.integers(min_value=0, max_value=1_000))
     def test_bidirectional(self, network, pair_seed):
+        """The bidirectional search against dict Dijkstra, cost for cost."""
         source, destination = _pair(network, pair_seed)
         cost = cost_function(CostFeature.TRAVEL_TIME)
-        with alt_disabled():
-            compiled_path, dict_path = _both(
-                lambda: bidirectional_dijkstra(network, source, destination, cost),
-                lambda: dict_bidirectional_dijkstra(network, source, destination, cost),
-            )
-        if compiled_path == "no-path":
-            assert dict_path == "no-path"
-        else:
-            assert compiled_path.vertices == dict_path.vertices
+        found, reference = _both(
+            lambda: bidirectional_dijkstra(network, source, destination, cost),
+            lambda: dict_dijkstra(network, source, destination, cost),
+        )
+        _assert_same_cost(network, cost, found, reference)
 
     @HYPOTHESIS_SETTINGS
     @given(
@@ -294,12 +298,12 @@ class TestOtherKernels:
         assert_forms_agree()
 
     def test_custom_heuristic_steers_only_the_dict_reference(self):
-        """With a landmark table, A* runs on the landmark bounds and never
-        calls the caller's heuristic; under ``alt_disabled()`` it is
-        ``dict_astar`` with that heuristic, path for path."""
+        """A* is the dict search on every cost view: the caller's heuristic
+        steers it, and the answer is cost-identical to Dijkstra's."""
         network = grid_city_network(rows=8, cols=8, seed=3)
         cost = cost_function(CostFeature.TRAVEL_TIME)
         plain_heuristic = heuristic_for(network, 63, CostFeature.TRAVEL_TIME)
+        network.prepare_landmarks(cost)  # a landmark table changes nothing
         calls = []
 
         def counting_heuristic(vertex):
@@ -310,19 +314,15 @@ class TestOtherKernels:
             return sum(cost(edge) for edge in network.path_edges(path.vertices))
 
         for source in (0, 7, 56, 27):
-            alt = astar(network, source, 63, cost, counting_heuristic)
-            assert calls == []
-            optimal = dict_dijkstra(network, source, 63, cost)
-            assert path_cost(alt) == pytest.approx(path_cost(optimal), rel=1e-12)
-            with alt_disabled():
-                steered = astar(network, source, 63, cost, counting_heuristic)
+            steered = astar(network, source, 63, cost, counting_heuristic)
             assert calls
             calls.clear()
-            reference = dict_astar(network, source, 63, cost, plain_heuristic)
-            assert steered.vertices == reference.vertices
+            optimal = dict_dijkstra(network, source, 63, cost)
+            assert path_cost(steered) == pytest.approx(path_cost(optimal), rel=1e-12)
+            assert steered.vertices == astar(network, source, 63, cost, plain_heuristic).vertices
 
     def test_workspace_reuse_is_stateless(self, grid_network):
-        """Interleaved queries on the shared workspace stay reproducible."""
+        """Interleaved queries on the shared per-graph state stay reproducible."""
         cost = cost_function(CostFeature.TRAVEL_TIME)
         rng = random.Random(4)
         ids = sorted(grid_network.vertex_ids())
@@ -456,15 +456,15 @@ class TestCompiledView:
 
     def test_workspace_sized_to_graph(self, demo_network):
         view = demo_network.compiled()
-        # Pooled workspaces are reused per thread once released...
-        with view.borrowed_workspace() as first:
-            assert isinstance(first, SearchWorkspace)
-            assert first.size == view.vertex_count
-        with view.borrowed_workspace() as second:
+        # Pooled landmark-bound buffers are reused per thread once released...
+        with view.borrowed_scratch() as first:
+            assert first.to.shape == (view.vertex_count,)
+            assert first.costs.shape == (view.edge_count,)
+        with view.borrowed_scratch() as second:
             assert second is first
         # ... but nested borrows get their own instance.
-        with view.borrowed_workspace() as outer:
-            with view.borrowed_workspace() as inner:
+        with view.borrowed_scratch() as outer:
+            with view.borrowed_scratch() as inner:
                 assert inner is not outer
 
     def test_unpickles_pre_slots_states(self):

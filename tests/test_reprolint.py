@@ -188,7 +188,7 @@ class TestRL003DispatchOnly:
         assert _codes(result) == ["RL003"]
 
     def test_kernel_name_import_is_flagged(self):
-        source = "from repro.network.compiled import kernels\n"
+        source = "from repro.network.compiled import sparse\n"
         assert _codes(_lint(source, SERVICE_PATH)) == ["RL003"]
 
     def test_dict_reference_import_is_flagged(self):
@@ -214,13 +214,13 @@ class TestRL003DispatchOnly:
         assert _lint(source, SERVICE_PATH).ok
 
     def test_out_of_scope_path_is_clean(self):
-        source = "from repro.network.compiled import kernels\n"
+        source = "from repro.network.compiled import sparse\n"
         assert _lint(source, UNSCOPED_PATH).ok
 
     def test_file_suppression(self):
         source = (
             "# reprolint: disable-file=RL003 — benchmark harness measures kernels raw.\n"
-            "from repro.network.compiled import kernels\n"
+            "from repro.network.compiled import sparse\n"
         )
         result = _lint(source, SERVICE_PATH)
         assert result.ok

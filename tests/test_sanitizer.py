@@ -21,7 +21,9 @@ from repro.routing import (
     build_contraction_hierarchy,
     ch_shortest_path,
 )
-from repro.service import ContractionEngine, RouteRequest, RoutingService
+from repro.baselines import FastestBaseline
+from repro.service import RouteRequest, RoutingService
+from repro.traffic import TrafficFeed, TrafficUpdate
 
 
 def _bump_cost(network, factor: float = 3.0) -> None:
@@ -40,14 +42,14 @@ class TestCostStoreProbe:
         key = ("attr", "travel_time_s")
         array = store.array("travel_time_s")
         stale_stamp = store.version
-        store.forward_weights(key, array, version=stale_stamp)
+        store.reverse_weights(key, array, version=stale_stamp)
         _bump_cost(network)
         assert store.version == stale_stamp + 1
         with sanitize(**(sanitizer_kwargs or {})) as sanitizer:
             # The entry's stamp matches the caller's claimed version, so the
             # real lookup serves it as a hit — an artifact from before the
             # patch answering after it.  This is what the probe exists for.
-            store.forward_weights(key, array, version=stale_stamp)
+            store.reverse_weights(key, array, version=stale_stamp)
         return sanitizer, stale_stamp
 
     def test_detects_deliberate_stale_cache_hit(self):
@@ -76,8 +78,8 @@ class TestCostStoreProbe:
         key = ("attr", "travel_time_s")
         array = store.array("travel_time_s")
         with sanitize() as sanitizer:
-            first = store.forward_weights(key, array, version=store.version)
-            again = store.forward_weights(key, array, version=store.version)
+            first = store.reverse_weights(key, array, version=store.version)
+            again = store.reverse_weights(key, array, version=store.version)
         assert again == first
         sanitizer.assert_clean()
 
@@ -124,13 +126,15 @@ class TestCleanServiceCycle:
     def test_route_update_route_records_nothing(self):
         network = grid_city_network(rows=6, cols=6, seed=9)
         service = RoutingService()
-        service.register("CH", ContractionEngine(network), default=True)
+        service.register("Fastest", FastestBaseline(network).as_engine(), default=True)
+        feed = TrafficFeed(network, services=[service])
         try:
             with sanitize() as sanitizer:
                 first = service.route(RouteRequest(source=0, destination=35))
                 assert first.ok
                 assert service.route(RouteRequest(source=0, destination=35)).cache_hit
-                _bump_cost(network, factor=50.0)
+                hops = zip(first.path.vertices, first.path.vertices[1:])
+                feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=50.0) for u, v in hops])
                 second = service.route(RouteRequest(source=0, destination=35))
                 assert second.ok and not second.cache_hit
                 third = service.route(RouteRequest(source=1, destination=34))

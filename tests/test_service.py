@@ -30,7 +30,6 @@ from repro.network.compiled import dispatch
 from repro.routing import CostFeature, Path, shortest_path
 from repro.service import (
     AlgorithmEngine,
-    ContractionEngine,
     FunctionEngine,
     L2REngine,
     ModelPersistenceError,
@@ -546,6 +545,27 @@ class TestRoutingService:
         assert all(r.cache_hit and r.retries == 0 for r in replays)
         assert service.stats().retries == 1
 
+    def test_degraded_replays_report_the_failing_calls_retries(self, tiny):
+        calls = []
+
+        def fails_once_then_dies(source, destination):
+            calls.append((source, destination))
+            if len(calls) == 2:
+                return Path.of([source, destination])
+            raise TransientEngineError(f"call {len(calls)} fails")
+
+        service = RoutingService(
+            enable_cache=False, retry_policy=RetryPolicy(max_retries=2, base_delay_s=0.0)
+        )
+        service.register("A", FunctionEngine(tiny.network, fails_once_then_dies, name="A"))
+        request = RouteRequest(source=0, destination=1)
+        first = service.route(request)
+        assert first.ok and first.retries == 1 and not first.degraded
+        degraded = service.route(request)
+        assert len(calls) == 5  # 2 attempts, then 3 that all fail
+        assert degraded.degraded and degraded.retries == 2 and not degraded.batched
+        assert service.stats().retries == 3
+
     def test_cache_hit_is_a_replay_of_the_entry(self, fitted_l2r, requests):
         service = RoutingService()
         service.register("L2R", L2REngine(fitted_l2r))
@@ -710,91 +730,6 @@ class TestPersistence:
             save_model(fitted_l2r, target)
         with pytest.raises(ModelPersistenceError, match="format version 2"):
             load_model(target)
-
-
-class TestContractionEngine:
-    """The CH engine: exact answers, weights-version-keyed caching, stats."""
-
-    def _service(self, seed: int = 9):
-        from repro.network import grid_city_network
-
-        network = grid_city_network(rows=6, cols=6, seed=seed)
-        service = RoutingService()
-        service.register("CH", ContractionEngine(network), default=True)
-        return network, service
-
-    def test_answers_are_single_cost_optimal(self):
-        from repro.routing import cost_function, dijkstra
-
-        network, service = self._service()
-        cost = cost_function(CostFeature.TRAVEL_TIME)
-        response = service.route(RouteRequest(source=0, destination=35))
-        assert response.ok
-        assert response.diagnostics.case == "contraction-hierarchy"
-        reference = dijkstra(network, 0, 35, cost)
-        got = sum(cost(e) for e in network.path_edges(response.path.vertices))
-        expected = sum(cost(e) for e in network.path_edges(reference.vertices))
-        assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_cache_not_replayed_across_weights_version_bumps(self):
-        """A cost update must invalidate CH cache lines even without a
-        TrafficFeed subscription: the cache key carries the engine's
-        ``cache_version`` tag."""
-        from repro.routing import cost_function, dijkstra
-
-        network, service = self._service(10)
-        cost = cost_function(CostFeature.TRAVEL_TIME)
-        request = RouteRequest(source=0, destination=35)
-        first = service.route(request)
-        assert service.route(request).cache_hit
-
-        updates = {}
-        for edge in network.path_edges(first.path.vertices):
-            updates[(edge.source, edge.target)] = {
-                "travel_time_s": edge.travel_time_s * 50
-            }
-        network.update_edge_costs(updates)  # no feed: generation unchanged
-
-        fresh = service.route(request)
-        assert not fresh.cache_hit
-        reference = dijkstra(network, 0, 35, cost)
-        got = sum(cost(e) for e in network.path_edges(fresh.path.vertices))
-        expected = sum(cost(e) for e in network.path_edges(reference.vertices))
-        assert got == pytest.approx(expected, rel=1e-9)
-        # And the refreshed answer is cached under the new tag.
-        assert service.route(request).cache_hit
-
-    def test_stats_count_hierarchy_reweights(self):
-        network, service = self._service(11)
-        service.route(RouteRequest(source=0, destination=35))
-        assert service.stats().hierarchy_reweights == 0
-        edge = next(network.edges())
-        network.update_edge_costs(
-            {(edge.source, edge.target): {"travel_time_s": edge.travel_time_s * 4}}
-        )
-        service.route(RouteRequest(source=1, destination=34))
-        stats = service.stats()
-        assert stats.hierarchy_reweights == 1
-        # reset_stats keeps it: engine state, not a monitoring-window counter
-        service.reset_stats()
-        assert service.stats().hierarchy_reweights == 1
-
-    def test_route_many_batches_ch_requests(self):
-        network, service = self._service(12)
-        requests = [RouteRequest(source=0, destination=d) for d in range(18, 34)]
-        responses = service.route_many(requests)
-        assert all(r.ok for r in responses)
-        assert all(r.batched for r in responses)
-        service.close()
-
-    def test_prebuilt_hierarchy_is_shared(self):
-        from repro.network import grid_city_network
-
-        network = grid_city_network(rows=4, cols=4, seed=14)
-        prepared = network.prepare_hierarchy(CostFeature.TRAVEL_TIME)
-        engine = ContractionEngine(network)
-        assert engine.current_hierarchy is None  # built on first use
-        assert engine.hierarchy() is prepared  # prepare_hierarchy cache shared
 
 
 # --------------------------------------------------------------------------- #

@@ -23,14 +23,9 @@ from repro.preferences import PreferenceVector
 from repro.preferences.features import MAJOR_ROADS
 from repro.routing import (
     CostFeature,
-    astar,
-    bidirectional_dijkstra,
     cost_function,
-    dict_astar,
-    dict_bidirectional_dijkstra,
     dict_dijkstra,
     dijkstra,
-    heuristic_for,
     preference_dijkstra,
     weighted_cost,
 )
@@ -363,22 +358,20 @@ class TestCostStoreInvalidation:
         view = network.compiled()
         cost = cost_function(CostFeature.TRAVEL_TIME)
         key, array, version = view.resolve_cost(cost)
-        stale_forward = view.forward_weights(key, array, version)
         stale_reverse = view.reverse_weights(key, array, version)
         terms = (("travel_time_s", 1.0), ("fuel_ml", 0.5))
         stale_linear = view.linear_array(terms)
 
         slot = view.slot(0, 1)
+        position = view.topology.r_slots.tolist().index(slot)
         network.update_edge_costs({(0, 1): {"travel_time_s": 4_321.0}})
 
         key, array, version = view.resolve_cost(cost)
         assert version == 1
         assert array[slot] == 4_321.0
-        fresh_forward = view.forward_weights(key, array, version)
-        assert fresh_forward[slot] == 4_321.0
-        assert stale_forward[slot] != 4_321.0
         fresh_reverse = view.reverse_weights(key, array, version)
-        assert fresh_reverse != stale_reverse
+        assert fresh_reverse[position] == 4_321.0
+        assert stale_reverse[position] != 4_321.0
         assert view.linear_array(terms)[slot] != stale_linear[slot]
 
     def test_stale_resolved_array_cannot_poison_weight_cache(self):
@@ -388,17 +381,17 @@ class TestCostStoreInvalidation:
         network = _line_network()
         view = network.compiled()
         cost = cost_function(CostFeature.TRAVEL_TIME)
-        slot = view.slot(0, 1)
+        position = view.topology.r_slots.tolist().index(view.slot(0, 1))
 
         key, old_array, old_version = view.resolve_cost(cost)
         # A patch lands between resolve and the weight-list build.
         network.update_edge_costs({(0, 1): {"travel_time_s": 8_888.0}})
-        stale = view.forward_weights(key, old_array, old_version)
-        assert stale[slot] != 8_888.0  # the caller's own view is pre-update
+        stale = view.reverse_weights(key, old_array, old_version)
+        assert stale[position] != 8_888.0  # the caller's own view is pre-update
         # ... but the shared cache was not poisoned: a fresh resolve sees
         # the updated cost.
         key, array, version = view.resolve_cost(cost)
-        assert view.forward_weights(key, array, version)[slot] == 8_888.0
+        assert view.reverse_weights(key, array, version)[position] == 8_888.0
 
     def test_edges_list_swaps_instead_of_mutating(self):
         """A captured graph.edges snapshot never changes under a patch."""
@@ -853,15 +846,8 @@ class TestCompiledEqualsFreshDictAfterUpdates:
             return compiled_path, dict_path
 
         compiled_path, dict_path = paths(
-            lambda: bidirectional_dijkstra(network, source, destination, cost),
-            lambda: dict_bidirectional_dijkstra(network, source, destination, cost),
-        )
-        assert compiled_path == dict_path
-
-        heuristic = heuristic_for(network, destination, CostFeature.TRAVEL_TIME)
-        compiled_path, dict_path = paths(
-            lambda: astar(network, source, destination, cost, heuristic),
-            lambda: dict_astar(network, source, destination, cost, heuristic),
+            lambda: dijkstra(network, source, destination, cost),
+            lambda: dict_dijkstra(network, source, destination, cost),
         )
         assert compiled_path == dict_path
 

@@ -285,13 +285,13 @@ class LockDisciplineRule(Rule):
 # ---------------------------------------------------------------------- #
 #: Kernel-layer modules the serving/traffic/baseline layers must never
 #: import directly; ``dispatch`` (and the ``graph`` constants) are the API.
-_KERNEL_MODULES = frozenset({"kernels", "sparse", "batch", "workspace", "ch"})
+_KERNEL_MODULES = frozenset({"sparse", "batch", "ch"})
 
 
 class DispatchOnlyRule(Rule):
     """RL003: service/traffic/baselines reach kernels only via ``dispatch``.
 
-    Importing ``kernels`` / ``sparse`` / ``batch`` / ``ch`` (or the
+    Importing ``sparse`` / ``batch`` / ``ch`` (or the
     ``dict_*`` reference implementations) directly from the serving layers
     bypasses the fallback protocol, the ``compiled_disabled()`` escape
     hatch, and the version-stamp plumbing the dispatch layer carries.  The
