@@ -15,12 +15,19 @@ Each ``try_*`` function returns
 and raises :class:`~repro.exceptions.NoPathError` when the search ran and
 proved the destination unreachable.
 
+Inside :func:`proving` a point-to-point search over the armed cost view
+also leaves a :class:`RouteProof` of its path, and :func:`reprove` decides,
+after costs rose, which of those paths are still the reference path (the
+route cache's traffic invalidation; see :mod:`~repro.network.compiled.sparse`
+for the rule and its proof).
+
 This module deliberately imports nothing from :mod:`repro.routing` (the
 routing modules import *it*), keeping the dependency graph acyclic.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -35,6 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _enabled = True
 _alt_enabled = True
+class _Armed(threading.local):
+    """Per thread, ``(edge_cost, proofs)`` while :func:`proving` is armed
+    (the class attribute answers every thread that never armed it)."""
+
+    armed: "tuple[object, list[RouteProof]] | None" = None
+
+
+_local = _Armed()
 
 
 def is_enabled() -> bool:
@@ -75,6 +90,75 @@ def alt_disabled() -> Iterator[None]:
         yield
     finally:
         _alt_enabled = previous
+
+
+class RouteProof(NamedTuple):
+    """What re-proves one point-to-point answer after costs rose.
+
+    ``hops`` and ``margins`` are :func:`~repro.network.compiled.sparse.
+    arrival_margins` of ``vertices`` on ``graph``, the compiled snapshot the
+    search ran on, under ``edge_cost``; ``topology_version`` is the
+    network's at the search.
+    """
+
+    network: "RoadNetwork"
+    topology_version: int
+    graph: "CompiledGraph"
+    edge_cost: object
+    vertices: tuple["VertexId", ...]
+    hops: np.ndarray
+    margins: np.ndarray
+
+
+class proving:
+    """Arm this thread: every :func:`try_dijkstra` over ``edge_cost`` (the
+    same object) that runs inside appends the :class:`RouteProof` of its
+    path to the list ``with`` yields.  Searches over other costs, per-query
+    cost arrays and dict-reference fallbacks leave none.  (A class, not a
+    generator: every cached miss enters one.)"""
+
+    __slots__ = ("_armed", "_previous")
+
+    def __init__(self, edge_cost) -> None:
+        self._armed = (edge_cost, [])
+
+    def __enter__(self) -> list[RouteProof]:
+        self._previous = _local.armed
+        _local.armed = self._armed
+        return self._armed[1]
+
+    def __exit__(self, *exc_info) -> None:
+        _local.armed = self._previous
+
+
+def reprove(proofs: Sequence[RouteProof]) -> list[bool]:
+    """Per proof: is its path provably still the reference path now?
+
+    Valid only while every cost of the proof's view is at or above what it
+    was at the search (the caller drops proofs when a cost falls).  A proof
+    passes only while its graph is still its network's live compiled
+    snapshot — a topology change retires it — and then by
+    :func:`~repro.network.compiled.sparse.still_reference` at the view's
+    current costs, one pass per graph and cost view.
+    """
+    kept = [False] * len(proofs)
+    groups: dict[tuple, list[int]] = {}
+    for position, proof in enumerate(proofs):
+        groups.setdefault(proof[:4], []).append(position)
+    for (network, version, graph, edge_cost), members in groups.items():
+        if network.topology_version != version or network.compiled() is not graph:
+            continue
+        resolved = graph.resolve_cost(edge_cost)
+        if resolved is None or resolved[0] is None:
+            continue
+        passed = sparse.still_reference(
+            resolved[1],
+            [proofs[position].hops for position in members],
+            [proofs[position].margins for position in members],
+        )
+        for position, ok in zip(members, passed.tolist()):
+            kept[position] = ok
+    return kept
 
 
 def _resolved(
@@ -120,7 +204,7 @@ def try_dijkstra(
     source: "VertexId",
     destination: "VertexId",
     edge_cost,
-) -> list["VertexId"] | None:
+) -> Sequence["VertexId"] | None:
     """Compiled point-to-point Dijkstra (see module docstring for protocol)."""
     resolved = _resolved(network, edge_cost)
     if resolved is None:
@@ -139,12 +223,26 @@ def try_dijkstra(
         table = graph.landmark_table(key, array, version, build=key[0] == "attr")
         if table is not None and not table.wants_attempt():
             table = None
+    armed = _local.armed
+    prove = armed is not None and armed[0] is edge_cost and key is not None
     result = sparse.shortest_path_indices(
-        graph, key, array, source_index, destination_index, version, table
+        graph, key, array, source_index, destination_index, version, table, prove
     )
     if result == ():
         raise NoPathError(source, destination)
-    return None if result is None else graph.path_ids(result)
+    if result is None:
+        return None
+    if not prove or isinstance(result, list):  # a one-vertex path has no proof
+        return graph.path_ids(result)
+    indices, hops, margins = result
+    # A tuple, which ``Path.of`` adopts as is: the proof shares the path's.
+    vertices = tuple(graph.path_ids(indices))
+    armed[1].append(
+        RouteProof(
+            network, network.topology_version, graph, edge_cost, vertices, hops, margins
+        )
+    )
+    return vertices
 
 
 def try_route_many(

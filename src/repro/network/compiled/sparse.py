@@ -24,6 +24,20 @@ vertices whose landmark bounds put them off every path of cost ``U`` cost
 costs are the table's build costs.  A capped corridor always reaches the
 destination; otherwise a miss falls back to the full search.
 
+A search whose answer goes into the route cache also leaves the path's
+*arrival margins* (:func:`arrival_margins`): per vertex ``v`` after the
+source, the cheapest arrival ``fl(dist[u] + w(u, v))`` over every in-edge
+but the path's own hop.  After a batch that only raised costs, the path is
+still the reference path if every margin is strictly greater than the
+left-to-right float sum of the path's current hop costs up to ``v``
+(:func:`still_reference`).  Proof: raising costs only raises every
+distance, so every other in-edge of ``v`` still arrives at or above its
+margin, above the path's sum; by induction along the path each vertex's
+distance is that sum and the path's hop is its *only* exact relaxer, so the
+reference walk, whatever its tie rule, picks the hop.  A corridor search
+proves less: an in-neighbour's distance counts only where the corridor
+provably contains its shortest path (see :func:`arrival_margins`).
+
 With a zero weight (where the backward walk could cycle) or on a
 reconstruction anomaly there is no answer here, and the caller runs the
 dict-based reference.
@@ -298,9 +312,9 @@ def reconstruct_path_indices(
 
 def _corridor_distances(
     graph: "CompiledGraph", array: np.ndarray, table: "LandmarkTable", source: int, destination: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Distances and search tree from ``source`` within a landmark corridor,
-    or ``None``.
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Distances, search tree and ``limit`` from ``source`` within a
+    landmark corridor, or ``None``.
 
     With ``limit`` = lower bound on the source-destination cost times
     :data:`CORRIDOR_RATIO`, capped by the landmark detour's cost (the upper
@@ -341,7 +355,7 @@ def _corridor_distances(
     table.note_attempt(
         reached and 2 * np.count_nonzero(distances != math.inf) <= len(distances)
     )
-    return (distances, parents) if reached else None
+    return (distances, parents, limit) if reached else None
 
 
 def shortest_path_indices(
@@ -352,7 +366,8 @@ def shortest_path_indices(
     destination: int,
     version: int | None = None,
     table: "LandmarkTable | None" = None,
-) -> list[int] | None | tuple[()]:
+    margins: bool = False,
+) -> list[int] | None | tuple[()] | tuple[list[int], np.ndarray, np.ndarray]:
     """Point-to-point shortest path via scipy's C Dijkstra.
 
     ``version`` is the cost version ``array`` was resolved under; it stamps
@@ -364,7 +379,9 @@ def shortest_path_indices(
     Returns the vertex-index path, the empty tuple ``()`` when the
     destination is provably unreachable, or ``None`` when the walk cannot
     answer (a zero weight / reconstruction anomaly) and the caller should
-    run the dict-based reference.
+    run the dict-based reference.  With ``margins`` a path of two or more
+    vertices comes back as ``(path, hops, margins)`` of
+    :func:`arrival_margins`, over the search the path was read from.
     """
     if not _all_positive(graph, key, array, version):
         return None
@@ -374,11 +391,96 @@ def shortest_path_indices(
     if searched is None:
         matrix = _matrix(graph, key, array, version)
         if key is None:  # no certificate: no tree to read
-            searched = _csgraph_dijkstra(matrix, indices=source), None
+            searched = _csgraph_dijkstra(matrix, indices=source), None, None
         else:
-            searched = _csgraph_dijkstra(matrix, indices=source, return_predecessors=True)
+            searched = (
+                *_csgraph_dijkstra(matrix, indices=source, return_predecessors=True),
+                None,
+            )
         if searched[0][destination] == math.inf:
             return ()
-    distances, parents = searched
+    distances, parents, limit = searched
     read = path_reader(graph, key, array, version)
-    return read(memoryview(distances), parents, source, destination)
+    path = read(memoryview(distances), parents, source, destination)
+    if not margins or path is None or len(path) < 2:
+        return path
+    return (path, *arrival_margins(graph, array, distances, path, limit))
+
+
+def arrival_margins(
+    graph: "CompiledGraph",
+    array: np.ndarray,
+    distances: np.ndarray,
+    path: Sequence[int],
+    limit: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hops, margins)`` of ``path``, read off the search that found it:
+    ``hops[i]`` is the CSR slot of the path's ``i``-th hop, and
+    ``margins[i]`` bounds from below the arrival at the hop's head over any
+    other in-edge ``(u, v)``, ``fl(dist[u] + w(u, v))`` with ``dist`` the
+    exact distances from the source.  ``distances`` are that search's, over
+    ``array``.
+
+    A full search's distances are exact.  A corridor search (``limit`` its
+    bound, ``d`` its distance to the destination) has exact distances only
+    where the corridor holds every near-shortest path: for an in-neighbour
+    ``u`` of a path vertex ``v`` with ``d(u) + w + (d - d(v)) <= limit``
+    every vertex of such a path has ``d(s, x) + d(x, t) <= limit``, is
+    neither pruned nor cut off, and ``u``'s distance is exact.  Any other
+    ``u`` arrives above ``limit - d + d(v)``.  So the margin is the least of
+    the corridor's arrivals and that bound, shrunk by
+    :data:`_CORRIDOR_SLACK` for the rounding of the float path sums.
+    """
+    walk = np.asarray(path, dtype=np.int32)
+    heads = walk[1:]
+    tails, slots = _in_edges(graph).take(heads, axis=2)
+    arrivals = distances.take(tails)
+    arrivals += array.take(slots)
+    on_path = tails == walk[:-1]
+    np.putmask(arrivals, on_path, math.inf)
+    margins = arrivals.min(axis=0)
+    if limit is not None:
+        beyond = limit / _CORRIDOR_SLACK - distances[walk[-1]] + distances.take(heads)
+        np.minimum(margins, beyond, out=margins)
+    return slots.max(axis=0, where=on_path, initial=-1), margins
+
+
+def _in_edges(graph: "CompiledGraph") -> np.ndarray:
+    """The reverse CSR as one int32 ``(2, largest in-degree, vertices)``
+    array (memoized): ``[0, k, v]`` and ``[1, k, v]`` are the tail and the
+    forward CSR slot of an in-edge of ``v``.  A row shorter than the largest
+    in-degree repeats its first in-edge, which changes no minimum (and no
+    vertex without in-edges lies on a path after its source)."""
+
+    def build() -> np.ndarray:
+        r_offsets = np.asarray(graph.r_offsets, dtype=np.int64)
+        starts = r_offsets[:-1]
+        ranks = np.arange(int(np.diff(r_offsets).max(initial=0)), dtype=np.int64)[:, None]
+        index = np.where(starts + ranks < r_offsets[1:], starts + ranks, starts)
+        index = np.minimum(index, max(len(graph.r_targets) - 1, 0))
+        tails = np.asarray(graph.r_targets, dtype=np.int32)[index]
+        return np.stack([tails, graph.topology.r_slots[index].astype(np.int32)])
+
+    return graph.memo(("sparse-in-edges",), build, cost_dependent=False)  # type: ignore[return-value]
+
+
+def still_reference(
+    array: np.ndarray, hops: Sequence[np.ndarray], margins: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Per cached path (its ``hops`` and ``margins`` from
+    :func:`arrival_margins`): is it provably still the reference path under
+    the current costs ``array``, all of them at or above those it was found
+    under?
+
+    A path passes when every margin is strictly greater than the running
+    float sum of its current hop costs, summed left to right as Dijkstra
+    sums them: one ``cumsum`` along the rows of a zero-padded matrix, each
+    row summed in order and padded after the path's end.
+    """
+    lengths = np.fromiter(map(len, hops), dtype=np.int64, count=len(hops))
+    filled = np.arange(int(lengths.max()), dtype=np.int64) < lengths[:, None]
+    sums = np.zeros(filled.shape, dtype=np.float64)
+    sums[filled] = array.take(np.concatenate(hops))
+    np.cumsum(sums, axis=1, out=sums)
+    below = sums[filled] < np.concatenate(margins)
+    return np.logical_and.reduceat(below, np.cumsum(lengths) - lengths)

@@ -8,30 +8,53 @@ personalized answers are never replayed to the wrong caller.
 
 Beside the LRU table the cache keeps an inverted index *vertex -> entries
 whose path visits it*, so that a live-traffic batch costs what it touches:
-:meth:`RouteCache.invalidate_edges` intersects the entry sets of a touched
-edge's two endpoints and confirms the hop on those few candidates instead of
-walking every cached path under the lock.  The index is keyed by vertex, not
-by edge — one dict lookup and one set insert per path vertex with no tuple to
-build or hash, which is what a miss pays on ``put`` (a few microseconds on a
-40-vertex path) — and its sets hold one small integer token per live entry
-rather than the five-field cache key.  Every way an entry is born or dies
+for a touched edge ``(tail, head)``, :meth:`RouteCache.invalidate_edges`
+reads the entries at ``tail`` and keeps those whose path goes on to ``head``
+instead of walking every cached path under the lock.  The index is keyed by
+vertex, not by edge — one dict lookup and one insert per path vertex with no
+tuple to build or hash, which is what a miss pays on ``put`` (a few
+microseconds on a 40-vertex path) — and each vertex maps one small integer
+token per live entry, rather than the five-field cache key, to the vertex its
+path visits next (``None`` at the destination; ``_REVISITED`` when the path
+leaves the vertex twice by different hops, and only then is the path itself
+read).  Every way an entry is born or dies
 (``put`` including an overwrite, LRU overflow, each ``invalidate_*``,
 ``clear``) goes through ``_index`` / ``_unindex`` /
 ``_drop_all``: an empty cache has an empty index.
+
+A crossing route is not necessarily a stale one.  An entry computed inside
+:meth:`RouteCache.proving` by exactly one search over its engine's cost
+view keeps that search's *re-proof* (``dispatch.RouteProof``): per vertex of
+the path after the source, the cheapest arrival over every other in-edge.
+After a batch that only raised costs, a crossing entry stays when every such
+margin is strictly greater than the left-to-right float sum of its path's
+current hop costs — checked in one numpy pass over all crossing entries of a
+batch.  Costs only rose, so every other in-edge still arrives at or above
+its margin, above the path's sum; by induction along the path each hop is
+then its head's only exact relaxer, and the reference search returns the
+path again, identical, not merely as cheap.  Entries without a proof (L2R's
+per-query cost arrays, batched or fallback answers, dict-reference
+searches) and proofs whose compiled snapshot is no longer the network's are
+evicted as before; a batch that lowered a cost still drops everything.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Callable, Collection
 
+from ..network.compiled import dispatch
 from ..network.road_network import VertexId
 from ..routing.path import Path
 from .api import RouteRequest, RouteResponse
 
 CacheKey = tuple[object, ...]
+
+#: The index's next vertex of a path that leaves a vertex by two different hops.
+_REVISITED = object()
 
 
 @dataclass(frozen=True)
@@ -42,6 +65,8 @@ class CacheStats:
     misses: int
     size: int
     max_size: int
+    reproved: int = 0
+    """Entries whose path crossed a raised edge and that a re-proof kept."""
 
     @property
     def hit_rate(self) -> float:
@@ -61,11 +86,13 @@ class RouteCache:
         # cached, and that token sits in the set of every vertex on its path.
         self._tokens: dict[CacheKey, int] = {}
         self._keys: dict[int, CacheKey] = {}
-        self._visits: dict[VertexId, set[int]] = {}
+        self._visits: dict[VertexId, dict[int, object]] = {}
+        self._proofs: dict[int, dispatch.RouteProof] = {}
         self._next_token = 0
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        self._reproved = 0
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -116,21 +143,37 @@ class RouteCache:
             retries=0,
         )
 
+    @staticmethod
+    def proving(edge_cost: object) -> "AbstractContextManager[list[dispatch.RouteProof]]":
+        """Collect the re-proofs of the searches over ``edge_cost`` that run
+        inside; pass the list to :meth:`put` with the answer they produced.
+        ``edge_cost`` is the cost view whose reference path *is* the
+        answering engine's answer (``BaseEngine.cost_view``)."""
+        return dispatch.proving(edge_cost)
+
     def put(
         self,
         engine: str,
         response: RouteResponse,
         guard: Callable[[], bool] | None = None,
+        proofs: list[dispatch.RouteProof] | None = None,
     ) -> None:
         """Remember a successful response; failed responses are not cached.
 
         ``guard`` is evaluated under the cache lock and vetoes the insert
         when it returns False — the service uses it to drop answers computed
         by an engine that was re-registered while the request was in flight.
+        ``proofs`` is what :meth:`proving` collected while ``response`` was
+        computed: the entry keeps a re-proof only when that is exactly one
+        search, its path is the response's, and no fallback answered.
         """
         if not response.ok:
             return
         key = self.key_for(engine, response.request)
+        proof = None
+        if proofs is not None and len(proofs) == 1 and not response.fallback_used:
+            if proofs[0].vertices == response.path.vertices:
+                proof = proofs[0]
         with self._lock:
             if guard is not None and not guard():
                 return
@@ -142,11 +185,15 @@ class RouteCache:
                 self._next_token += 1
                 self._index(token, response.path)
             else:
+                token = self._tokens[key]
                 self._entries.move_to_end(key)
                 if replaced.path is not response.path:
-                    token = self._tokens[key]
                     self._unindex(token, replaced.path)
                     self._index(token, response.path)
+            if proof is not None:
+                self._proofs[token] = proof
+            else:
+                self._proofs.pop(token, None)
             while len(self._entries) > self._max_size:
                 self._forget(*self._entries.popitem(last=False))
 
@@ -155,20 +202,22 @@ class RouteCache:
     # ------------------------------------------------------------------ #
     def _index(self, token: int, path: Path) -> None:
         visits = self._visits
-        for vertex in path.vertices:
-            try:
-                visits[vertex].add(token)
-            except KeyError:
-                visits[vertex] = {token}
+        vertices = path.vertices
+        for vertex, successor in zip(vertices, vertices[1:] + (None,)):
+            at_vertex = visits.get(vertex)
+            if at_vertex is None:
+                visits[vertex] = {token: successor}
+            elif at_vertex.setdefault(token, successor) != successor:
+                at_vertex[token] = _REVISITED
 
     def _unindex(self, token: int, path: Path) -> None:
         visits = self._visits
         for vertex in path.vertices:
             # ``None`` on the second visit of a non-simple path whose first
-            # visit emptied (and removed) the vertex's set.
+            # visit emptied (and removed) the vertex's map.
             at_vertex = visits.get(vertex)
             if at_vertex is not None:
-                at_vertex.discard(token)
+                at_vertex.pop(token, None)
                 if not at_vertex:
                     del visits[vertex]
 
@@ -176,6 +225,7 @@ class RouteCache:
         """Drop the index state of an entry already taken out of the table."""
         token = self._tokens.pop(key)
         del self._keys[token]
+        self._proofs.pop(token, None)
         self._unindex(token, response.path)
 
     def _drop_all(self) -> int:
@@ -184,6 +234,7 @@ class RouteCache:
         self._tokens.clear()
         self._keys.clear()
         self._visits.clear()
+        self._proofs.clear()
         return dropped
 
     def invalidate_edges(
@@ -191,18 +242,20 @@ class RouteCache:
         edges: Collection[tuple[object, object]],
         threshold: int | None = None,
     ) -> int:
-        """Drop cached routes that cross any of the given directed edges.
+        """Drop cached routes that cross any of the given directed edges,
+        unless a re-proof shows they are still the reference path.
 
         The delta-aware remedy for live-traffic updates that only *raise*
         costs: a cached optimal answer stays optimal while none of its hops
         changed cost and no edge anywhere got cheaper, so after congestion
-        only responses whose path crosses a touched edge are evicted.  They
-        are found through the vertex index, not by scanning the cache: the
-        entries visiting both ``tail`` and ``head`` are the only candidates
-        for a touched ``(tail, head)``, and each is confirmed against its
-        path (it may visit the two vertices without taking that hop, or take
-        it in the other direction), so the work is proportional to the routes
-        through the touched vertices, whatever the cache holds.
+        only responses whose path crosses a touched edge are candidates.
+        They are found through the vertex index, not by scanning the cache:
+        the entries at ``tail`` whose next vertex is ``head`` cross a touched
+        ``(tail, head)``, so the work is proportional to the routes through
+        the touched vertices, whatever the cache holds.
+        The candidates that carry a re-proof are then checked together at
+        the current costs (see the module docstring); those that pass stay
+        and are counted in :attr:`CacheStats.reproved`.
 
         A batch that lowered any cost can improve on routes that cross none
         of its edges — the caller passes ``threshold=0`` for those: when
@@ -218,14 +271,20 @@ class RouteCache:
             stale: set[int] = set()
             for tail, head in edges:
                 at_tail = visits.get(tail)
-                at_head = visits.get(head)
-                if not at_tail or not at_head:
+                if not at_tail:
                     continue
-                for token in at_tail & at_head:
-                    if token not in stale and entries[keys[token]].path.contains_edge(
-                        tail, head
+                for token, successor in at_tail.items():
+                    if successor == head or (
+                        successor is _REVISITED
+                        and entries[keys[token]].path.contains_edge(tail, head)
                     ):
                         stale.add(token)
+            proved = [token for token in stale if token in self._proofs]
+            if proved:
+                proofs = self._proofs
+                kept = dispatch.reprove([proofs[token] for token in proved])
+                stale.difference_update(t for t, ok in zip(proved, kept) if ok)
+                self._reproved += sum(kept)
             for token in stale:
                 key = keys[token]
                 self._forget(key, entries.pop(key))
@@ -249,16 +308,18 @@ class RouteCache:
             return len(stale)
 
     def reset_counters(self) -> None:
-        """Zero the hit/miss counters without dropping cached entries."""
+        """Zero the hit/miss/re-proof counters without dropping cached entries."""
         with self._lock:
             self._hits = 0
             self._misses = 0
+            self._reproved = 0
 
     def clear(self) -> None:
         with self._lock:
             self._drop_all()
             self._hits = 0
             self._misses = 0
+            self._reproved = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -271,4 +332,5 @@ class RouteCache:
                 misses=self._misses,
                 size=len(self._entries),
                 max_size=self._max_size,
+                reproved=self._reproved,
             )

@@ -46,7 +46,10 @@ class RoutingEngine(Protocol):
     ``RoutingService.route_many`` calls it as one unit of work (one admission
     slot, one deadline budget, one outcome for this engine's breaker: a
     failure if any slot holds an engine-health error); an engine without the
-    method is never batched.
+    method is never batched.  An engine whose answer to a request is the
+    reference shortest path of one cost view may name it with
+    ``cost_view(request)`` (see :meth:`BaseEngine.cost_view`); the route
+    cache then keeps those answers across cost rises they provably survive.
     """
 
     name: str
@@ -109,24 +112,33 @@ class BaseEngine(abc.ABC):
         """
         return None
 
+    def cost_view(self, request: RouteRequest):
+        """The edge cost whose reference shortest path *is* this engine's
+        answer to ``request`` — its ``cost_override``, else
+        :meth:`_static_cost` — or ``None`` when the answer is not one search.
+
+        Requests sharing a view may share a search (:meth:`route_batch`),
+        and the route cache keeps such an answer's re-proof.
+        """
+        override = request.cost_override
+        return cost_function(override) if override is not None else self._static_cost()
+
     def route_batch(self, requests: Sequence[RouteRequest]) -> list[RouteResponse | None]:
         """The optional batch method of :class:`RoutingEngine`.
 
         A request shares a search when it reduces to one shortest-path query
-        over a cost view this engine can name (its ``cost_override``, else
-        :meth:`_static_cost`) *and* its source is asked for another
+        over a cost view this engine can name (:meth:`cost_view`) *and* its
+        source is asked for another
         destination under that view: one SSSP row per such source.  A source
         asked once, an unreachable pair or an unknown vertex is left to
         :meth:`route` — the bounded point-to-point search beats a whole row,
         and errors are reported there.
         """
-        static = self._static_cost()
         # cost_function returns per-feature singletons, so the callable
         # itself (hashed by identity) is the cost view.
         views: dict[object, dict[object, list[int]]] = {}
         for position, request in enumerate(requests):
-            override = request.cost_override
-            cost = cost_function(override) if override is not None else static
+            cost = self.cost_view(request)
             if cost is not None:
                 views.setdefault(cost, {}).setdefault(request.source, []).append(position)
 

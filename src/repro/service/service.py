@@ -19,6 +19,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
+from contextlib import AbstractContextManager, nullcontext
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.router import RouteDiagnostics
@@ -260,8 +261,12 @@ class RoutingService:
                 min((limit for limit in limits if limit is not None), default=None)
             )
             responses: list[RouteResponse | None]
-            if together is None:
+            proofs = None
+            if together is None and self._cache is None:
                 responses = [self._route_with_fallbacks(name, requests[0], budget)]
+            elif together is None:
+                with self._proving(name, requests[0]) as proofs:
+                    responses = [self._route_with_fallbacks(name, requests[0], budget)]
             else:
                 breaker = self._breakers.get(name)
                 if (budget is not None and budget.expired) or (
@@ -293,12 +298,20 @@ class RoutingService:
                         self._degraded_response(name, requests[position], response) or response
                     )
                 responses[position] = self._finish(
-                    name, response, generations, traffic_generation
+                    name, response, generations, traffic_generation, proofs
                 )
             return responses
         finally:
             if admission is not None:
                 admission.release()
+
+    def _proving(self, name: str, request: RouteRequest) -> AbstractContextManager:
+        """Around one request's work for the cache: its collector of
+        re-proofs over the engine's cost view when the engine names one
+        (``cost_view``), else a context yielding ``None``."""
+        cost_view = getattr(self._engines[name], "cost_view", None)
+        cost = cost_view(request) if cost_view is not None else None
+        return nullcontext() if cost is None else self._cache.proving(cost)  # type: ignore[union-attr]
 
     def _finish(
         self,
@@ -306,10 +319,11 @@ class RoutingService:
         response: RouteResponse,
         generations: dict[str, int],
         traffic_generation: int,
+        proofs: list | None = None,
     ) -> RouteResponse:
         """The last step of the gate: cache insert under the in-flight
-        guard (the generations are the snapshot from before computing),
-        last-good store, stats."""
+        guard (the generations are the snapshot from before computing) with
+        the re-proofs collected while computing, last-good store, stats."""
         if self._cache is not None and not response.degraded:
 
             def _still_current() -> bool:
@@ -318,7 +332,7 @@ class RoutingService:
                     for involved in (name, response.engine)
                 )
 
-            self._cache.put(name, response, guard=_still_current)
+            self._cache.put(name, response, guard=_still_current, proofs=proofs)
         if response.ok and not response.degraded:
             self._remember_last_good(name, response)
         self._stats.record(response)

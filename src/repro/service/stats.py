@@ -60,6 +60,9 @@ class ServiceStats:
     """Total edges touched across all observed traffic batches."""
     traffic_evicted_routes: int = 0
     """Cached routes evicted by delta-aware traffic invalidation."""
+    traffic_reproved_routes: int = 0
+    """Cached routes that crossed a raised edge and were kept because their
+    re-proof showed them still the reference path (``cache.reproved``)."""
     cost_version: int = 0
     """Latest network cost version reported by the traffic feed."""
     shed: int = 0
@@ -218,6 +221,7 @@ class StatsAccumulator:
                 traffic_updates=self._traffic_updates,
                 traffic_touched_edges=self._traffic_touched,
                 traffic_evicted_routes=self._traffic_evicted,
+                traffic_reproved_routes=cache.reproved,
                 cost_version=self._cost_version,
                 shed=shed,
                 retries=self._retries,

@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import FastestBaseline
-from repro.network import grid_city_network
-from repro.routing import CostFeature, Path, cost_function, dict_dijkstra_costs
+from repro.network import compiled_disabled, grid_city_network
+from repro.routing import CostFeature, Path, cost_function, dict_dijkstra_costs, fastest_path
 from repro.service import RouteCache, RouteRequest, RouteResponse, RoutingService
+from repro.service.cache import _REVISITED
 from repro.traffic import TrafficFeed, TrafficUpdate
 
 MAX_SIZE = 3
@@ -45,20 +46,26 @@ def scan_reference(entries, edges, threshold):
 
 
 def assert_index_is_exact(cache: RouteCache) -> None:
-    """Tokens and keys are one-to-one over the live entries, and a vertex's
-    set names exactly the entries whose path visits it."""
+    """Tokens and keys are one-to-one over the live entries, a vertex's map
+    names exactly the entries whose path visits it with the vertex the path
+    takes next (the revisit marker where it leaves by two hops), and every
+    re-proof belongs to a live entry."""
     entries = cache._entries
     assert set(cache._tokens) == set(entries)
     assert {token: key for key, token in cache._tokens.items()} == cache._keys
-    expected: dict[object, set[object]] = {}
+    expected: dict[object, dict[object, object]] = {}
     for key, response in entries.items():
-        for vertex in response.path.vertices:
-            expected.setdefault(vertex, set()).add(key)
+        vertices = response.path.vertices
+        for vertex, successor in zip(vertices, vertices[1:] + (None,)):
+            at_vertex = expected.setdefault(vertex, {})
+            if at_vertex.setdefault(key, successor) != successor:
+                at_vertex[key] = _REVISITED
     indexed = {
-        vertex: {cache._keys[token] for token in tokens}
+        vertex: {cache._keys[token]: successor for token, successor in tokens.items()}
         for vertex, tokens in cache._visits.items()
     }
     assert indexed == expected
+    assert set(cache._proofs) <= set(cache._keys)  # re-proofs only of live entries
 
 
 # --------------------------------------------------------------------------- #
@@ -189,7 +196,7 @@ class TestSurvivorsStayOptimal:
         def price(path: Path) -> float:
             return sum(cost(network.edge(u, v)) for u, v in path.edge_keys)
 
-        evicted_total = 0
+        evicted_total = kept_total = 0
         for _ in range(5):
             for request in requests:
                 assert service.route(request).ok
@@ -199,19 +206,28 @@ class TestSurvivorsStayOptimal:
             feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.8) for u, v in touched])
             after = dict(cache._entries)
 
+            # Only crossing routes go, and a crossing route stays only when
+            # its re-proof keeps it.
             evicted = set(before) - set(after)
-            assert evicted == scan_reference(before, touched, None)
+            crossing = scan_reference(before, touched, None)
+            assert evicted <= crossing
             assert set(after) <= set(before)
             evicted_total += len(evicted)
+            kept_total += len(crossing - evicted)
             assert service.stats().traffic_evicted_routes == evicted_total
+            assert service.stats().traffic_reproved_routes == kept_total
             for response in after.values():
                 request = response.request
                 best = dict_dijkstra_costs(
                     network, request.source, cost, targets=[request.destination]
                 )[request.destination]
                 assert price(response.path) == pytest.approx(best)
+                with compiled_disabled():
+                    reference = fastest_path(network, request.source, request.destination)
+                assert response.path.vertices == reference.vertices
             assert_index_is_exact(cache)
         assert evicted_total > 0
+        assert kept_total > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -26,6 +26,7 @@ from repro.routing import (
     cost_function,
     dict_dijkstra,
     dijkstra,
+    fastest_path,
     preference_dijkstra,
     weighted_cost,
 )
@@ -596,7 +597,8 @@ class TestServiceInvalidation:
 
     def test_a_large_batch_evicts_only_crossing_routes(self):
         """No batch size switches the delta-aware eviction off: 65 raised
-        edges cost the cache only the routes that cross one of them."""
+        edges cost the cache at most the routes that cross one of them, and
+        a crossing route that stays is the live reference path."""
         network = grid_city_network(rows=6, cols=6, seed=1)
         service = _service_on(network)
         feed = TrafficFeed(network, services=[service])
@@ -611,16 +613,25 @@ class TestServiceInvalidation:
         assert all(service.route(request).cache_hit for request in requests)
 
         # 65 again, three of them hops of the first route: whether the other
-        # two routes go is decided by what they cross, not by the batch size.
+        # two routes go is decided by what they cross, not by the batch size;
+        # a crossing route goes unless its re-proof keeps it.
         on_path = list(routes[0].path.edge_keys[:3])
         hit = [any(hop in route.path.edge_keys for hop in on_path) for route in routes]
         assert hit[0] and not all(hit)
         feed.apply(
             [TrafficUpdate.scale_by(u, v, travel_time_s=1.2) for u, v in off_path[:62] + on_path]
         )
-        assert service.stats().traffic_evicted_routes == sum(hit)
-        for request, crossing in zip(requests, hit):
-            assert service.route(request).cache_hit is (not crossing)
+        stats = service.stats()
+        assert stats.traffic_evicted_routes + stats.traffic_reproved_routes == sum(hit)
+        for request, route, crossing in zip(requests, routes, hit):
+            again = service.route(request)
+            if not crossing:
+                assert again.cache_hit
+            with compiled_disabled():
+                reference = fastest_path(network, request.source, request.destination)
+            assert again.path.vertices == reference.vertices
+            if again.cache_hit:
+                assert again.path.vertices == route.path.vertices
 
     def test_a_cost_decrease_off_the_path_retires_the_cached_route(self):
         """Raising costs off a cached path leaves it optimal; lowering them
