@@ -24,22 +24,28 @@ tables survive a diff elsewhere.
   with ``d_A(s, ·)`` a column of the source shard's reverse table and
   ``d_T(·, t)`` a column of the destination shard's forward table.  The same
   bound is the *escape check* for an in-shard pair (a path may leave its
-  shard and re-enter); only the in-shard answer itself still searches — one
-  forward row per distinct in-shard source.
+  shard and re-enter).
+* The in-shard answer comes from one more level: the shard's sub-network
+  bisected once more into two **cells**, with an overlay of its own over
+  them (the multi-level overlay of Customizable Route Planning, Delling et
+  al., SEA 2011).  A pair whose ends share a cell searches that cell, one
+  forward row per distinct source; a cross-cell pair is lookups again, in
+  the cell tables.  A cell overlay has no further level.
 * Paths come from the same tables without a search, each leg by following
   its row's predecessors, one int per hop: the head from the exit vertex's
   reverse row, the overlay walk hop by hop from ``D``, each shortcut hop and
-  the tail from a boundary vertex's forward row, an in-shard answer from its
+  the tail from a boundary vertex's forward row, a same-cell answer from its
   source's row.  A leg is therefore *a* shortest path, the one the search
   tree holds — cost-identical to the reference, not hop-identical.
 
 A table costs |boundary| x |shard| floats and as many int32 — everything
-here scales with the boundary the shard plan leaves (60 x 1,800 per table on
-the 60x60 grid at two shards), small on planar networks, not guaranteed
-small on hub-heavy ones.  Cost updates never change reachability
-(all edge costs stay positive), so everything but the costs is fixed at build
-time; :meth:`BoundaryOverlay.apply` patches costs and
-:meth:`BoundaryOverlay.refresh` rebuilds what the patch made stale.
+here scales with the boundary the shard plan leaves (60 x 1,800 per shard
+table and 30 x 900 per cell table on the 60x60 grid at two shards), small on
+planar networks, not guaranteed small on hub-heavy ones.  Cost updates never
+change reachability (all edge costs stay positive), so everything but the
+costs is fixed at build time; :meth:`BoundaryOverlay.apply` patches costs and
+:meth:`BoundaryOverlay.refresh` rebuilds what the patch made stale, both down
+into the cells.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from ...network.compiled import dispatch as _compiled
 from ...network.road_network import RoadNetwork
 from ...routing.costs import FEATURE_EDGE_ATTRIBUTES, CostFeature, cost_function
 from ...routing.dijkstra import dijkstra
+from .plan import build_shard_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...network.road_network import VertexId
@@ -149,6 +156,8 @@ class BoundaryOverlay:
         #: What has been served, and so what :meth:`refresh` keeps current.
         self._live_tables: set[tuple[int, CostFeature, bool]] = set()
         self._closures: dict[CostFeature, tuple[tuple[int, ...], Closure]] = {}
+        #: Per shard that has served an in-shard pair, the router over its cells.
+        self.cell_routers: dict[int, CrossShardRouter] = {}
 
     # ------------------------------------------------------------------ #
     # Live traffic
@@ -187,6 +196,8 @@ class BoundaryOverlay:
         local: set[tuple["VertexId", "VertexId"]] = set()
         for shard_id, shard_changes in per_shard.items():
             local.update(self.subnets[shard_id].update_edge_costs(shard_changes))
+            if shard_id in self.cell_routers:
+                self.cell_routers[shard_id].overlay.apply(shard_changes)
         return frozenset(local)
 
     def refresh(self) -> None:
@@ -198,6 +209,20 @@ class BoundaryOverlay:
             self.table(*key)
         for feature in tuple(self._closures):
             self.closure(feature)
+        for cells in self.cell_routers.values():
+            cells.overlay.refresh()
+
+    def cells(self, shard_id: int) -> "CrossShardRouter | None":
+        """The router over the shard's cells: its sub-network bisected once
+        more (one cell when the shard is a single vertex), built on the
+        shard's first in-shard pair.  ``None`` in a cell overlay."""
+        router = self.cell_routers.get(shard_id)
+        if router is None:
+            subnet = self.subnets[shard_id]
+            plan = build_shard_plan(subnet, min(2, subnet.vertex_count))
+            router = CrossShardRouter(subnet, _CellOverlay(subnet, plan))
+            self.cell_routers[shard_id] = router
+        return router
 
     # ------------------------------------------------------------------ #
     # Boundary tables and the dense overlay
@@ -283,24 +308,41 @@ class BoundaryOverlay:
         return None
 
 
+class _CellOverlay(BoundaryOverlay):
+    """The overlay over one shard's cells; it has no further level."""
+
+    def cells(self, shard_id: int) -> None:
+        return None
+
+
 #: A stitch the tables found: total cost, exit vertex, entry vertex.
 _Stitch = tuple[float, "VertexId", "VertexId"]
+
+#: A routed pair: its path (``None``: unreachable) and that path's cost.
+_Priced = tuple[tuple["VertexId", ...] | None, float]
 
 
 class CrossShardRouter:
     """Exact stitched routing over a :class:`BoundaryOverlay`.
 
-    Stateless between calls apart from the overlay's tables and
-    :attr:`fallbacks`, the number of pairs whose path the tables could not
-    produce (or whose spliced path failed the cost audit) and that a search
-    over the full network answered instead.
+    Stateless between calls apart from the overlay's tables and the count
+    behind :attr:`fallbacks`.
     """
 
     def __init__(self, network: RoadNetwork, overlay: BoundaryOverlay) -> None:
         self.network = network
         self.overlay = overlay
         self.plan = overlay.plan
-        self.fallbacks = 0
+        self._fallbacks = 0
+
+    @property
+    def fallbacks(self) -> int:
+        """How many pairs the last resort answered — pairs whose path the
+        tables could not produce, or whose spliced path failed the cost
+        audit — the cell routers' included (theirs search the shard)."""
+        return self._fallbacks + sum(
+            cells.fallbacks for cells in self.overlay.cell_routers.values()
+        )
 
     def route_pairs(
         self,
@@ -309,11 +351,23 @@ class CrossShardRouter:
     ) -> list[tuple[tuple["VertexId", ...] | None, bool]] | None:
         """Route pairs through the overlay; ``(vertices, used_overlay)`` each.
 
-        In-shard pairs are answered by the shard-local search unless the
+        In-shard pairs are answered through the shard's cells unless the
         stitch bound shows an escape path is strictly cheaper.  A ``None``
         *return* means the batched machinery is unavailable and the caller
         must fall back to full-network routing.
         """
+        answers = self.answer_pairs(pairs, feature)
+        if answers is None:
+            return None
+        return [(vertices, used_overlay) for vertices, used_overlay, _ in answers]
+
+    def answer_pairs(
+        self,
+        pairs: Sequence[tuple["VertexId", "VertexId"]],
+        feature: CostFeature,
+    ) -> list[tuple[tuple["VertexId", ...] | None, bool, float]] | None:
+        """:meth:`route_pairs` with each answer's cost:
+        ``(vertices, used_overlay, cost)``, ``inf`` when unreachable."""
         closure = self.overlay.closure(feature)
         if closure is None:
             return None
@@ -325,8 +379,9 @@ class CrossShardRouter:
                 return None
             groups.setdefault((shard_s, shard_t), []).append(index)
 
-        cost = cost_function(feature)
-        answers: list[tuple[tuple["VertexId", ...] | None, bool]] = [(None, True)] * len(pairs)
+        answers: list[tuple[tuple["VertexId", ...] | None, bool, float]] = [
+            (None, True, math.inf)
+        ] * len(pairs)
         rebuilds: list[tuple[int, _Stitch]] = []
         for (shard_s, shard_t), members in groups.items():
             group = [pairs[index] for index in members]
@@ -340,30 +395,53 @@ class CrossShardRouter:
                     if stitch is not None
                 )
                 continue
-            # In-shard: one forward row per distinct source prices the local
-            # answer and, where it stands against the escape, reconstructs it.
-            subnet = self.overlay.subnets[shard_s]
-            sources = list(dict.fromkeys(source for source, _ in group))
-            searched = _compiled.try_cost_rows(subnet, sources, cost)
-            if searched is None:
+            local = self._local(shard_s, group, feature)
+            if local is None:
                 return None
-            for index, (source, destination), stitch in zip(members, group, stitches):
-                local = float(
-                    searched.costs[searched.row_of[source], searched.column_of[destination]]
-                )
-                if stitch is not None and _improves(stitch[0], local):
+            for index, (vertices, cost), stitch in zip(members, local, stitches):
+                if stitch is not None and _improves(stitch[0], cost):
                     rebuilds.append((index, stitch))
-                elif math.isfinite(local):
-                    vertices = searched.path(source, destination)
-                    answers[index] = (
-                        tuple(vertices) if vertices else self._search(source, destination, cost),
-                        False,
-                    )
                 else:
-                    answers[index] = (None, False)
-        for index, vertices in self._reconstruct(pairs, rebuilds, feature, closure):
-            answers[index] = (vertices, True)
+                    answers[index] = (vertices, False, cost)
+        for index, (vertices, cost) in self._reconstruct(pairs, rebuilds, feature, closure):
+            answers[index] = (vertices, True, cost)
         return answers
+
+    def _local(
+        self,
+        shard_id: int,
+        group: Sequence[tuple["VertexId", "VertexId"]],
+        feature: CostFeature,
+    ) -> list[_Priced] | None:
+        """The shard-local answer of every pair of one in-shard group.
+
+        Through the shard's cell router; in a cell overlay, which has no
+        cells, one forward row per distinct source over the cell prices each
+        answer and its predecessors give the path.
+        """
+        cells = self.overlay.cells(shard_id)
+        if cells is not None:
+            answers = cells.answer_pairs(group, feature)
+            if answers is None:
+                return None
+            return [(vertices, cost) for vertices, _, cost in answers]
+        sources = list(dict.fromkeys(source for source, _ in group))
+        searched = _compiled.try_cost_rows(
+            self.overlay.subnets[shard_id], sources, cost_function(feature)
+        )
+        if searched is None:
+            return None
+        local: list[_Priced] = []
+        for source, destination in group:
+            cost = float(searched.costs[searched.row_of[source], searched.column_of[destination]])
+            if not math.isfinite(cost):
+                local.append((None, cost))
+                continue
+            vertices = searched.path(source, destination)
+            local.append(
+                (tuple(vertices), cost) if vertices else self._search(source, destination, feature)
+            )
+        return local
 
     def _stitch(
         self,
@@ -412,8 +490,9 @@ class CrossShardRouter:
         rebuilds: Sequence[tuple[int, _Stitch]],
         feature: CostFeature,
         closure: Closure,
-    ) -> list[tuple[int, tuple["VertexId", ...] | None]]:
-        """The full-network path realizing each stitch, audited for cost.
+    ) -> list[tuple[int, _Priced]]:
+        """The full-network path realizing each stitch, audited for cost,
+        with the stitch cost as its cost.
 
         Every leg inside a shard — head, shortcut hops of the overlay walk,
         tail — is read off a boundary table row's predecessors, no search;
@@ -425,7 +504,6 @@ class CrossShardRouter:
         """
         overlay = self.overlay
         assignment = self.plan.assignment
-        cost = cost_function(feature)
         tables: dict[tuple[int, bool], "_compiled.CostRows | None"] = {}
 
         def leg(anchor: "VertexId", vertex: "VertexId", reverse: bool):
@@ -464,7 +542,7 @@ class CrossShardRouter:
         graph = self.network.compiled()
         slot_of = graph.topology.slot_of
         prices = graph.array(FEATURE_EDGE_ATTRIBUTES[feature])
-        results: list[tuple[int, tuple["VertexId", ...] | None]] = []
+        results: list[tuple[int, _Priced]] = []
         for index, (expected, exit_vertex, entry_vertex) in rebuilds:
             source, destination = pairs[index]
             vertices = splice(source, destination, exit_vertex, entry_vertex)
@@ -472,17 +550,18 @@ class CrossShardRouter:
                 slots = [slot_of.get(hop, -1) for hop in zip(vertices, vertices[1:])]
                 realized = float(prices[slots].sum()) if -1 not in slots else math.inf
                 if abs(realized - expected) <= AUDIT_REL_TOL * max(1.0, abs(expected)):
-                    results.append((index, tuple(vertices)))
+                    results.append((index, (tuple(vertices), expected)))
                     continue
-            results.append((index, self._search(source, destination, cost)))
+            results.append((index, self._search(source, destination, feature)))
         return results
 
     def _search(
-        self, source: "VertexId", destination: "VertexId", cost
-    ) -> tuple["VertexId", ...] | None:
+        self, source: "VertexId", destination: "VertexId", feature: CostFeature
+    ) -> _Priced:
         """The last resort: one search over the full network."""
-        self.fallbacks += 1
+        self._fallbacks += 1
         try:
-            return tuple(dijkstra(self.network, source, destination, cost))
+            vertices = tuple(dijkstra(self.network, source, destination, cost_function(feature)))
         except NoPathError:
-            return None
+            return None, math.inf
+        return vertices, path_cost(self.network, vertices, feature)

@@ -12,7 +12,10 @@ Boot protocol (the order matters):
    — the pickle may predate live-traffic batches); the worker serves from
    its own arrays, and the owner's later patches reach it as messages only;
 4. build the :class:`~repro.service.sharding.overlay.BoundaryOverlay` and
-   start answering.
+   start answering.  The overlay builds nothing yet: a feature's boundary
+   tables come with its first request, and a shard's cells — its
+   sub-network bisected once more, with an overlay of their own — with its
+   first in-shard pair.
 
 Live traffic arrives as versioned :class:`CostDiff` broadcasts; a worker
 whose version does not match the diff's base resyncs from the segment (the
@@ -20,8 +23,8 @@ authoritative state) instead of applying the diff, and so does one the
 coordinator orders to (:class:`ResyncRequired`, sent when a worker
 reconnects behind the current version) — the one catch-up path, whatever
 the gap, and the same adoption step 3 is.  Either way the overlay's live
-boundary tables are rebuilt before the acknowledgement, so an acked version
-is one the next request finds ready.
+boundary tables, the cells' included, are rebuilt before the
+acknowledgement, so an acked version is one the next request finds ready.
 """
 
 from __future__ import annotations

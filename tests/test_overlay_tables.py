@@ -2,19 +2,25 @@
 
 The overlay, the stitch and the leg reconstruction all read one mechanism —
 per (shard, feature, direction) a memoized table of shard-local costs between
-the shard's boundary and its vertices.  What is pinned here:
+the shard's boundary and its vertices — at two levels: the shards, and the
+cells each shard is bisected into for its in-shard pairs.  What is pinned
+here:
 
-* **cost identity** against the dict-Dijkstra reference on directed grids
-  (one-way streets make the reverse tables differ from the forward ones, a
-  disconnected pocket puts ``inf`` in them), for every feature, before and
-  after single-attribute traffic — and, through the worker's per-pair
-  fallback, with the compiled path disabled;
-* **degenerate shards**: no boundary at all, and a single vertex;
+* **cost identity** of the two-level router against the dict-Dijkstra
+  reference on directed grids (one-way streets make the reverse tables
+  differ from the forward ones, a disconnected pocket puts ``inf`` in them),
+  for every feature, in-shard pairs of both kinds included, before and after
+  rising and falling traffic and through a worker resync — and, through the
+  worker's per-pair fallback, with the compiled path disabled;
+* **degenerate shards and cells**: no boundary at all, a single vertex (one
+  cell), and a shard whose bisection cuts no edge;
 * **no last resort** on the benchmark's 60x60 grid — and the last resort,
-  counted, for a table whose predecessor chains break;
+  counted at the top level, for a shard or cell table whose predecessor
+  chains break;
 * **what searches when**: nothing before the first request, nothing for a
-  feature nobody serves, nothing for a shard a diff did not touch, nothing
-  per request for a cross-shard pair.
+  feature nobody serves, nothing for a shard or cell a diff did not touch,
+  nothing per request for a cross-shard or cross-cell pair, one row per
+  distinct source per cell for a same-cell pair.
 """
 
 from __future__ import annotations
@@ -74,6 +80,22 @@ def _directed_grid(rows: int, cols: int, seed: int, pocket: bool = False) -> Roa
             fuel_ml=edge.fuel_ml,
         )
     return network
+
+
+def _copy_grid(network, source, shift: int, lon_shift: float) -> None:
+    """Add ``source`` to ``network``, vertex ids moved by ``shift`` and
+    longitudes by ``lon_shift``."""
+    for vertex in source.vertices():
+        network.add_vertex(vertex.vertex_id + shift, vertex.lon + lon_shift, vertex.lat)
+    for edge in source.edges():
+        _link(network, edge.source + shift, edge.target + shift, edge)
+
+
+def _link(network, source, target, like) -> None:
+    network.add_edge(
+        source, target, road_type=like.road_type, distance_m=like.distance_m,
+        speed_kmh=like.speed_kmh, travel_time_s=like.travel_time_s, fuel_ml=like.fuel_ml,
+    )
 
 
 def _plan_of(network: RoadNetwork, assignment: dict[int, int]) -> ShardPlan:
@@ -137,6 +159,47 @@ def _random_pairs(network, rng, count: int) -> list[tuple[int, int]]:
     return [(rng.choice(vertices), rng.choice(vertices)) for _ in range(count)]
 
 
+def _in_shard_pairs(plan, rng, count: int) -> list[tuple[int, int]]:
+    """Pairs with both ends in one shard, about half of them in one cell."""
+    pairs = []
+    for _ in range(count):
+        shard = rng.choice(plan.shards)
+        pairs.append((rng.choice(shard), rng.choice(shard)))
+    return pairs
+
+
+def _diff(network, batch, segment=None) -> CostDiff:
+    """Apply ``batch`` on the owner's side — network, then the segment if
+    given — and return the broadcast that would follow."""
+    graph = network.compiled()
+    base = network.cost_version
+    result = TrafficFeed(network).apply(batch)
+    if segment is not None:
+        segment.patch(
+            graph, [graph.topology.slot_of[key] for key in result.touched_edges],
+            result.cost_version,
+        )
+    return CostDiff(
+        version=result.cost_version,
+        base_version=base,
+        changes=tuple(
+            (key, tuple((attr, float(getattr(network.edge(*key), attr))) for attr in ATTRIBUTES))
+            for key in sorted(result.touched_edges)
+        ),
+    )
+
+
+def _scaled(network, rng, rise: bool, count: int = 6) -> list[TrafficUpdate]:
+    """One batch scaling one attribute on random edges, all up or all down."""
+    edges = [edge.key for edge in network.edges()]
+    attribute = rng.choice(ATTRIBUTES)
+    low, high = (1.1, 3.0) if rise else (0.3, 0.9)
+    return [
+        TrafficUpdate.scale_by(*rng.choice(edges), **{attribute: rng.uniform(low, high)})
+        for _ in range(count)
+    ]
+
+
 class _CountingRows:
     """``dispatch.try_cost_rows`` with a record of every call."""
 
@@ -164,20 +227,60 @@ class _CountingRows:
     cols=st.integers(min_value=3, max_value=6),
     shard_count=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
-    rounds=st.integers(min_value=1, max_value=3),
+    pocket=st.booleans(),
+    rises=st.lists(st.booleans(), min_size=1, max_size=3),
 )
 def test_stitched_costs_equal_the_reference_on_directed_grids(
-    rows, cols, shard_count, seed, rounds
+    rows, cols, shard_count, seed, pocket, rises
 ):
-    network = _directed_grid(rows, cols, seed % 1000)
-    overlay = BoundaryOverlay(network, build_shard_plan(network, shard_count))
+    network = _directed_grid(rows, cols, seed % 1000, pocket=pocket)
+    plan = build_shard_plan(network, shard_count)
+    overlay = BoundaryOverlay(network, plan)
     router = CrossShardRouter(network, overlay)
     rng = random.Random(seed)
-    pairs = _random_pairs(network, rng, 10)
+    pairs = _random_pairs(network, rng, 10) + _in_shard_pairs(plan, rng, 10)
     _assert_cost_identity(network, router, pairs)
-    for _ in range(rounds):
-        _apply_traffic(network, overlay, rng, rng.choice(ATTRIBUTES))
+    assert set(overlay.cell_routers) == {
+        plan.shard_of(s) for s, t in pairs if plan.shard_of(s) == plan.shard_of(t)
+    }
+    for rise in rises:
+        diff = _diff(network, _scaled(network, rng, rise))
+        overlay.apply(diff.as_updates())
+        overlay.refresh()
         _assert_cost_identity(network, router, pairs)
+    assert router.fallbacks == 0
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shard_count=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    rises=st.lists(st.booleans(), min_size=2, max_size=4),
+)
+def test_cell_answers_stay_exact_through_diffs_and_a_resync(shard_count, seed, rises):
+    """A worker's two-level router, through broadcast diffs and then a
+    segment patch it only catches up with by resyncing."""
+    network = _directed_grid(6, 6, seed % 1000, pocket=seed % 2 == 0)
+    plan = build_shard_plan(network, shard_count)
+    rng = random.Random(seed)
+    pairs = _in_shard_pairs(plan, rng, 12) + _random_pairs(network, rng, 6)
+    with shm.export_graph(network.compiled(), cost_version=network.cost_version) as segment:
+        workers = _booted_workers(network, plan, segment)
+        worker = workers[0]
+        try:
+            _assert_cost_identity(network, worker.router, pairs)
+            *broadcast, missed = rises
+            for rise in broadcast:
+                worker.apply_diff(_diff(network, _scaled(network, rng, rise), segment))
+                _assert_cost_identity(network, worker.router, pairs)
+            _diff(network, _scaled(network, rng, missed), segment)
+            worker.resync()
+            assert worker.version == network.cost_version
+            _assert_cost_identity(network, worker.router, pairs)
+            assert worker.router.fallbacks == 0
+        finally:
+            for each in workers:
+                each.close()
 
 
 def test_one_way_streets_make_reverse_tables_differ():
@@ -222,14 +325,7 @@ def test_a_shard_without_boundary_is_routed_locally():
     network = RoadNetwork(name="two-islands")
     offset = max(left.vertex_ids()) + 1
     for shift in (0, offset):
-        for vertex in left.vertices():
-            network.add_vertex(vertex.vertex_id + shift, vertex.lon + shift, vertex.lat)
-        for edge in left.edges():
-            network.add_edge(
-                edge.source + shift, edge.target + shift, road_type=edge.road_type,
-                distance_m=edge.distance_m, speed_kmh=edge.speed_kmh,
-                travel_time_s=edge.travel_time_s, fuel_ml=edge.fuel_ml,
-            )
+        _copy_grid(network, left, shift, shift)
     plan = _plan_of(network, {v: int(v >= offset) for v in network.vertex_ids()})
     assert plan.boundary == ((), ()) and not plan.boundary_vertices
     overlay = BoundaryOverlay(network, plan)
@@ -262,6 +358,42 @@ def test_a_one_vertex_shard():
     _assert_cost_identity(network, router, pairs)
     _apply_traffic(network, overlay, rng, "travel_time_s")
     _assert_cost_identity(network, router, pairs)
+    # The lone vertex is its own single cell, with nothing to stitch.
+    cells = overlay.cell_routers[1]
+    assert cells.plan.shards == ((alone,),) and cells.overlay.order == ()
+    assert router.route_pairs([(alone, alone)], CostFeature.FUEL) == [((alone,), False)]
+
+
+def test_a_shard_whose_bisection_cuts_no_edge():
+    # Three islands side by side; shard 0 is the outer two, which its
+    # bisection separates without cutting an edge, and the only way between
+    # them runs through shard 1, the middle island.
+    island = grid_city_network(3, 3, seed=6)
+    size = island.vertex_count
+    network = RoadNetwork(name="three-islands")
+    for k in range(3):
+        _copy_grid(network, island, k * size, 0.1 * k)
+    middle = {v for v in network.vertex_ids() if size <= v < 2 * size}
+    like = next(island.edges())
+    for west, east in ((2, size), (2 * size + 3, size + 5)):
+        _link(network, west, east, like)
+        _link(network, east, west, like)
+    plan = _plan_of(network, {v: int(v in middle) for v in network.vertex_ids()})
+    overlay = BoundaryOverlay(network, plan)
+    router = CrossShardRouter(network, overlay)
+    left, right = range(size), range(2 * size, 3 * size)
+    pairs = [(s, t) for s in left[::2] for t in right[::3]]
+    pairs += [(t, s) for s, t in pairs] + [(0, size - 1), (2 * size, 3 * size - 1)]
+    _assert_cost_identity(network, router, pairs)
+    cells = overlay.cell_routers[0]
+    assert cells.plan.cut_edges == () and cells.overlay.order == ()
+    assert {frozenset(shard) for shard in cells.plan.shards} == {
+        frozenset(left), frozenset(right)
+    }
+    answers = router.route_pairs(pairs, CostFeature.DISTANCE)
+    assert all(used_overlay for _, used_overlay in answers[:-2])  # only the escape leads across
+    assert not any(used_overlay for _, used_overlay in answers[-2:])
+    assert router.fallbacks == 0
 
 
 # -------------------------------------------------------------------- #
@@ -278,6 +410,18 @@ def test_a_table_whose_chains_break_sends_the_pair_to_the_full_search():
         overlay.table(shard_id, CostFeature.FUEL).predecessors[:] = batch.NO_PREDECESSOR
     _assert_cost_identity(network, router, pairs, features=(CostFeature.FUEL,))
     assert router.fallbacks > 0
+    # A cell router's last resort searches its shard and counts at the top.
+    overlay = BoundaryOverlay(network, overlay.plan)
+    router = CrossShardRouter(network, overlay)
+    local = _in_shard_pairs(overlay.plan, random.Random(4), 16)
+    _assert_cost_identity(network, router, local, features=(CostFeature.FUEL,))
+    assert router.fallbacks == 0
+    for cells in overlay.cell_routers.values():
+        for cell_id in range(cells.plan.shard_count):
+            cells.overlay.table(cell_id, CostFeature.FUEL).predecessors[:] = batch.NO_PREDECESSOR
+    _assert_cost_identity(network, router, local, features=(CostFeature.FUEL,))
+    nested = sum(cells.fallbacks for cells in overlay.cell_routers.values())
+    assert nested > 0 and router.fallbacks == nested
 
 
 def _booted_workers(network, plan, segment, **payload):
@@ -361,6 +505,7 @@ def test_no_pair_takes_the_full_network_fallback_on_the_60x60_grid():
 def test_tables_are_built_lazily_per_feature_and_kept_per_shard(monkeypatch):
     network = grid_city_network(8, 8, seed=4)
     plan = build_shard_plan(network, 2)
+    cell_plan = build_shard_plan(plan.subnetwork(network, 0), 2)  # shard 0's cells
     rng = random.Random(12)
     vertices = sorted(network.vertex_ids())
     cross = [
@@ -368,20 +513,17 @@ def test_tables_are_built_lazily_per_feature_and_kept_per_shard(monkeypatch):
         for s, t in ((rng.choice(vertices), rng.choice(vertices)) for _ in range(200))
         if plan.shard_of(s) == 0 and plan.shard_of(t) == 1
     ][:12]
-    local = [(s, t) for s in plan.shards[0][:3] for t in plan.shards[0][-3:]]
-    edge_in_0 = next(
-        e.key for e in network.edges() if plan.shard_of(e.source) == plan.shard_of(e.target) == 0
+    first, second = cell_plan.shards
+    same_cell = [(s, t) for s in first[:3] for t in first[-2:]]
+    same_cell += [(s, t) for s in second[:2] for t in second[-3:]]
+    cross_cell = [(s, t) for s in first[:3] for t in second[-3:]]
+    edge_in_cell_0 = next(
+        e.key for e in network.edges() if cell_plan.shard_of(e.source) == cell_plan.shard_of(e.target) == 0
     )
     rows = _CountingRows(monkeypatch)
 
     def diff(scale: float) -> CostDiff:
-        base = network.cost_version
-        TrafficFeed(network).apply([TrafficUpdate.scale_by(*edge_in_0, travel_time_s=scale)])
-        return CostDiff(
-            version=network.cost_version,
-            base_version=base,
-            changes=((edge_in_0, (("travel_time_s", network.edge(*edge_in_0).travel_time_s),)),),
-        )
+        return _diff(network, [TrafficUpdate.scale_by(*edge_in_cell_0, travel_time_s=scale)])
 
     with shm.export_graph(network.compiled(), cost_version=network.cost_version) as segment:
         (worker, other) = _booted_workers(network, plan, segment, cache_size=0)
@@ -407,38 +549,65 @@ def test_tables_are_built_lazily_per_feature_and_kept_per_shard(monkeypatch):
             )
 
             # Now cross-shard pairs are lookups: no search at all.
-            answers = worker.serve(_work(cross[::-1])).answers
+            stitched = worker.serve(_work(cross[::-1])).answers
             assert rows.take() == []
-            assert all(answer.cross_shard and answer.vertices for answer in answers)
+            assert all(answer.cross_shard and answer.vertices for answer in stitched)
 
-            # In-shard pairs search once, one row per distinct source.
-            worker.serve(_work(local))
-            assert rows.take() == [(worker.overlay.subnets[0].name, "travel_time_s", False, 3)]
+            # The first in-shard call builds shard 0's cells and their tables
+            # the same way, one level down: forward for both cells, reverse
+            # for the source cells.
+            worker.serve(_work(same_cell + cross_cell))
+            cells = worker.overlay.cell_routers[0]
+            assert cells.plan == cell_plan and list(worker.overlay.cell_routers) == [0]
+            names = [subnet.name for subnet in cells.overlay.subnets]
+            searched = [(names[0], "travel_time_s", False, 3), (names[1], "travel_time_s", False, 2)]
+            assert sorted(rows.take()) == sorted(
+                [
+                    (name, "travel_time_s", reverse, len(cell_plan.boundary[cell]))
+                    for cell, name in enumerate(names)
+                    for reverse in (False, True)
+                ]
+                + searched
+            )
 
-            # A diff inside shard 0 rebuilds shard 0's live tables before it
-            # returns; shard 1's table is the same object as before.
+            # Then a same-cell pair searches its cell, one row per distinct
+            # source per cell; a cross-cell pair searches nothing.
+            worker.serve(_work(same_cell))
+            assert sorted(rows.take()) == sorted(searched)
+            worker.serve(_work(cross_cell))
+            assert rows.take() == []
+
+            # A diff inside cell 0 of shard 0 rebuilds shard 0's and cell 0's
+            # live tables before it returns; shard 1's and cell 1's tables
+            # are the same objects as before.
             kept = worker.overlay.table(1, CostFeature.TRAVEL_TIME)
+            kept_cell = cells.overlay.table(1, CostFeature.TRAVEL_TIME, reverse=True)
             retired = worker.overlay.table(0, CostFeature.TRAVEL_TIME)
             worker.apply_diff(diff(2.0))
             assert sorted(rows.take()) == sorted(
                 [
                     (worker.overlay.subnets[0].name, "travel_time_s", False, len(plan.boundary[0])),
                     (worker.overlay.subnets[0].name, "travel_time_s", True, len(plan.boundary[0])),
+                    (names[0], "travel_time_s", False, len(cell_plan.boundary[0])),
+                    (names[0], "travel_time_s", True, len(cell_plan.boundary[0])),
                 ]
             )
             assert worker.overlay.table(1, CostFeature.TRAVEL_TIME) is kept
+            assert cells.overlay.table(1, CostFeature.TRAVEL_TIME, reverse=True) is kept_cell
             assert worker.overlay.table(0, CostFeature.TRAVEL_TIME) is not retired
             worker.serve(_work(cross))
-            assert rows.take() == []  # the request after the diff finds them ready
+            worker.serve(_work(cross_cell))
+            assert rows.take() == []  # the requests after the diff find them ready
 
             # A Fastest-only worker never built a distance or fuel table.
             assert {attribute for _, attribute, _, _ in built} == {"travel_time_s"}
-            assert {feature for _, feature, _ in worker.overlay._live_tables} == {
-                CostFeature.TRAVEL_TIME
-            }
+            for overlay in (worker.overlay, cells.overlay):
+                assert {feature for _, feature, _ in overlay._live_tables} == {
+                    CostFeature.TRAVEL_TIME
+                }
             assert worker.router.fallbacks == 0
         finally:
             worker.close()
             other.close()
-    for (source, destination), answer in zip(cross, answers[::-1]):
+    for (source, destination), answer in zip(cross, stitched[::-1]):
         assert answer.vertices[0] == source and answer.vertices[-1] == destination

@@ -2,6 +2,7 @@
 
     python -m tools.ab --base REV --workload grid_hot_traffic --seed 7 --seconds 10 --pairs 5
     python -m tools.ab --base REV --workload l2r_city grid_cold grid_hot_traffic sharded_tcp
+    python -m tools.ab --table
 
 Checks ``REV`` out into a temporary ``git worktree`` and, for each of
 ``--pairs`` pairs and each workload, runs ``benchmarks/e2e/run.py --workload W
@@ -17,6 +18,10 @@ quartiles, B/A, the number of pairs B won and the verdict.
 It runs what it is told and records every run: it picks no seed, drops no
 pair and retries nothing.  A run that exits non-zero is recorded with its
 exit status, and its pair then carries no values.
+
+``--table`` runs nothing: it prints the README's numbers table, per workload
+the change side's medians in the newest record that holds the workload, and
+names those records.
 """
 
 from __future__ import annotations
@@ -98,6 +103,48 @@ def summarise(pairs: list[tuple[dict, dict]]) -> dict:
     return summary
 
 
+#: The README table's rows: each workload and what it stresses.
+ROLES = {
+    "l2r_city": "fit + L2R region routing, 576-vertex city",
+    "grid_cold": "kernel-bound: 100×100 grid, cache off",
+    "grid_hot_traffic": "cache hits + live traffic, 60×60 grid",
+    "sharded_tcp": "2 shard workers over TCP; an operation is one `route_many(64)`",
+}
+
+#: The README table's columns: metric, heading, format of the median.
+COLUMNS = (
+    ("routes_per_s", "routes/s", "{:,.0f}"),
+    ("route_p50_ms", "route p50 ms", "{:#.3g}"),
+    ("route_p95_ms", "route p95 ms", "{:#.3g}"),
+    ("setup_s", "setup s", "{:.2f}"),
+    ("peak_rss_mb", "peak RSS MiB", "{:.0f}"),
+)
+
+
+def table(records: list[dict]) -> str:
+    """The README numbers table from ``records`` (oldest first), then a line
+    naming the record each row comes from."""
+    lines = [
+        "| workload | what it stresses | " + " | ".join(head for _, head, _ in COLUMNS) + " |",
+        "| --- | --- |" + " --- |" * len(COLUMNS),
+    ]
+    sources = []
+    for workload, role in ROLES.items():
+        holding = [n for n, record in enumerate(records, 1) if workload in record["workloads"]]
+        if not holding:
+            continue
+        number = holding[-1]
+        record = records[number - 1]
+        summary = record["workloads"][workload]
+        cells = [form.format(summary["metrics"][name]["head"]["median"]) for name, _, form in COLUMNS]
+        lines.append(f"| `{workload}` | {role} | " + " | ".join(cells) + " |")
+        sources.append(
+            f"`{workload}`: record {number} (seed {record['seed']}, "
+            f"{summary['complete_pairs']} pairs)"
+        )
+    return "\n".join(lines) + "\n\nRows from " + "; ".join(sources) + "."
+
+
 def print_summary(workload: str, summary: dict) -> None:
     pairs = summary["complete_pairs"]
     print(f"{workload}: {pairs} complete pairs, digests "
@@ -110,12 +157,19 @@ def print_summary(workload: str, summary: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="the revision to compare against (A)")
-    parser.add_argument("--workload", nargs="+", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--base", help="the revision to compare against (A)")
+    parser.add_argument("--workload", nargs="+")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--table", action="store_true",
+                        help=f"print the README numbers table from {RECORD.name} and exit")
     args = parser.parse_args(argv)
+    if args.table:
+        print(table(json.loads(RECORD.read_text())["records"]))
+        return 0
+    if args.base is None or args.workload is None or args.seed is None:
+        parser.error("--base, --workload and --seed are required unless --table is given")
 
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
