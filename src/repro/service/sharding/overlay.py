@@ -33,10 +33,17 @@ tables survive a diff elsewhere.
   the cell tables.  A cell overlay has no further level.
 * Paths come from the same tables without a search, each leg by following
   its row's predecessors, one int per hop: the head from the exit vertex's
-  reverse row, the overlay walk hop by hop from ``D``, each shortcut hop and
-  the tail from a boundary vertex's forward row, a same-cell answer from its
-  source's row.  A leg is therefore *a* shortest path, the one the search
-  tree holds — cost-identical to the reference, not hop-identical.
+  reverse row, the overlay walk from ``D`` (one successor column per goal),
+  each shortcut hop and the tail from a boundary vertex's forward row, a
+  same-cell answer from its source's row.  A leg is therefore *a* shortest
+  path, the one the search tree holds — cost-identical to the reference,
+  not hop-identical.
+* The middle of a stitched path — the walk from exit to entry vertex with
+  its shortcut hops expanded — depends on those two vertices alone, so it is
+  **read once per cost version**: memoized on the feature's closure, it is
+  retired with it by the first diff to that feature's costs.  Head and tail
+  are read per pair, and every spliced path of a call is audited against
+  the full network's edges and costs in one vectorized pass.
 
 A table costs |boundary| x |shard| floats and as many int32 — everything
 here scales with the boundary the shard plan leaves (60 x 1,800 per shard
@@ -50,8 +57,10 @@ into the cells.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+import operator
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +72,7 @@ from ...routing.dijkstra import dijkstra
 from .plan import build_shard_plan
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...network.compiled.graph import Topology
     from ...network.road_network import VertexId
     from .plan import ShardPlan
 
@@ -83,6 +93,16 @@ def path_cost(
     for source, target in zip(vertices, vertices[1:]):
         total += getattr(network.edge(source, target), attribute)
     return total
+
+
+def _edge_keys(topology: "Topology") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A topology's vertex ids (sorted, as its indices are) and its edges'
+    ``tail * n + head`` index keys, sorted, with each key's CSR slot."""
+    size = topology.vertex_count
+    tails = np.repeat(np.arange(size, dtype=np.int64), np.diff(topology.offsets))
+    keys = tails * size + np.asarray(topology.targets, dtype=np.int64)
+    slots = np.argsort(keys, kind="stable")
+    return np.asarray(topology.vertex_ids, dtype=np.int64), keys[slots], slots
 
 
 def _improves(candidate: float, incumbent: float, rel_tol: float = ESCAPE_REL_TOL) -> bool:
@@ -109,13 +129,34 @@ def _all_pairs(weights: np.ndarray) -> np.ndarray:
     return distances
 
 
-class Closure(NamedTuple):
-    """One feature's dense overlay at one cost state."""
+class Closure:
+    """One feature's dense overlay at one cost state, and what is read off
+    it at that state: successor columns, built lazily, and the router's
+    expanded boundary segments.  Both die with the closure when a diff
+    retires its cost state."""
 
-    weights: np.ndarray
-    """Single overlay hops: shortcuts and cut edges, ``inf`` elsewhere."""
-    distances: np.ndarray
-    """All-pairs boundary distances — the boundary matrix."""
+    __slots__ = ("weights", "distances", "segments", "_successors")
+
+    def __init__(self, weights: np.ndarray, distances: np.ndarray) -> None:
+        self.weights = weights
+        """Single overlay hops: shortcuts and cut edges, ``inf`` elsewhere."""
+        self.distances = distances
+        """All-pairs boundary distances — the boundary matrix."""
+        self.segments: dict[tuple["VertexId", "VertexId"], tuple["VertexId", ...] | None] = {}
+        """Per (exit, entry) vertex pair, the overlay walk between them with
+        every shortcut hop expanded into its shard-local leg (``None``: the
+        tables do not realize it); filled by :class:`CrossShardRouter`."""
+        self._successors: dict[int, list[int]] = {}
+
+    def successors(self, goal: int) -> list[int]:
+        """Per boundary position, the next hop of a shortest overlay walk to
+        position ``goal``: the first position minimizing hop weight plus
+        remaining distance, one ``argmin`` row per position."""
+        column = self._successors.get(goal)
+        if column is None:
+            column = (self.weights + self.distances[:, goal]).argmin(axis=1).tolist()
+            self._successors[goal] = column
+        return column
 
 
 class BoundaryOverlay:
@@ -152,10 +193,13 @@ class BoundaryOverlay:
             )
             for attribute in FEATURE_EDGE_ATTRIBUTES.values()
         }
-        self._cut_version = 0
+        #: Per cost attribute, how many times a cut edge's value changed.
+        self._cut_versions = dict.fromkeys(self._cut_costs, 0)
         #: What has been served, and so what :meth:`refresh` keeps current.
         self._live_tables: set[tuple[int, CostFeature, bool]] = set()
-        self._closures: dict[CostFeature, tuple[tuple[int, ...], Closure]] = {}
+        #: Per feature: the cut-edge version and sub-network cost arrays it
+        #: was assembled under, and the closure.
+        self._closures: dict[CostFeature, tuple[int, tuple[np.ndarray, ...], Closure]] = {}
         #: Per shard that has served an in-shard pair, the router over its cells.
         self.cell_routers: dict[int, CrossShardRouter] = {}
 
@@ -192,7 +236,7 @@ class BoundaryOverlay:
                 costs = self._cut_costs[attribute]
                 if costs[slot] != value:
                     costs[slot] = value
-                    self._cut_version += 1
+                    self._cut_versions[attribute] += 1
         local: set[tuple["VertexId", "VertexId"]] = set()
         for shard_id, shard_changes in per_shard.items():
             local.update(self.subnets[shard_id].update_edge_costs(shard_changes))
@@ -254,14 +298,20 @@ class BoundaryOverlay:
     def closure(self, feature: CostFeature) -> Closure | None:
         """The dense overlay and its all-pairs pass for one feature.
 
-        Kept per feature under the cost state it was assembled from (every
-        sub-network's cost version and the cut edges'), so a diff retires it.
-        ``None`` when a table is unavailable.
+        Kept per feature under the state of that feature's costs it was
+        assembled from, so a diff that changes them retires it and a diff to
+        another feature's costs does not.  That state is the cut edges'
+        version for the attribute and every sub-network's compiled array of
+        it: a cost patch swaps the arrays it touches for patched copies and
+        leaves the others the same objects.  ``None`` when a table is
+        unavailable.
         """
-        stamp = (self._cut_version, *(subnet.cost_version for subnet in self.subnets))
+        attribute = FEATURE_EDGE_ATTRIBUTES[feature]
+        version = self._cut_versions[attribute]
+        arrays = tuple(subnet.compiled().array(attribute) for subnet in self.subnets)
         held = self._closures.get(feature)
-        if held is not None and held[0] == stamp:
-            return held[1]
+        if held is not None and held[0] == version and all(map(operator.is_, held[1], arrays)):
+            return held[2]
         size = len(self.order)
         weights = np.full((size, size), np.inf, dtype=np.float64)
         for shard_id, positions in enumerate(self.positions):
@@ -273,11 +323,9 @@ class BoundaryOverlay:
             columns = [table.column_of[vertex] for vertex in self.plan.boundary[shard_id]]
             weights[np.ix_(positions, positions)] = table.costs[:, columns]
         np.fill_diagonal(weights, np.inf)
-        weights[self._cut_tails, self._cut_heads] = self._cut_costs[
-            FEATURE_EDGE_ATTRIBUTES[feature]
-        ]
+        weights[self._cut_tails, self._cut_heads] = self._cut_costs[attribute]
         closure = Closure(weights, _all_pairs(weights))
-        self._closures[feature] = (stamp, closure)
+        self._closures[feature] = (version, arrays, closure)
         return closure
 
     def matrix(self, feature: CostFeature) -> tuple[np.ndarray, Mapping["VertexId", int]]:
@@ -294,17 +342,19 @@ class BoundaryOverlay:
         """A shortest overlay walk, read back from the boundary matrix.
 
         Each hop goes to the vertex minimizing hop weight plus remaining
-        distance; with positive costs the remaining distance falls every hop.
-        ``None`` when the matrix does not lead to ``entry_vertex``.
+        distance, read from the closure's successor column for the goal;
+        with positive costs the remaining distance falls every hop.  ``None``
+        when the matrix does not lead to ``entry_vertex``.
         """
         current, goal = self._index[exit_vertex], self._index[entry_vertex]
-        remaining = closure.distances[:, goal]
+        successors = closure.successors(goal)
+        order = self.order
         hops = [exit_vertex]
-        for _ in self.order:
+        for _ in order:
             if current == goal:
                 return hops
-            current = int(np.argmin(closure.weights[current] + remaining))
-            hops.append(self.order[current])
+            current = successors[current]
+            hops.append(order[current])
         return None
 
 
@@ -496,14 +546,18 @@ class CrossShardRouter:
 
         Every leg inside a shard — head, shortcut hops of the overlay walk,
         tail — is read off a boundary table row's predecessors, no search;
-        cut-edge hops are real edges.  The spliced path must walk real edges
-        and price at the stitch cost (within :data:`AUDIT_REL_TOL`); a pair
-        that does not, or whose legs the tables could not produce, gets a
-        direct full-network search, so a stitching bug can degrade throughput
-        but never correctness.
+        cut-edge hops are real edges.  The walk between exit and entry with
+        its shortcut hops expanded depends on nothing but the two boundary
+        vertices, so it is read once per closure and memoized on it.  The
+        spliced paths must walk real edges and price at the stitch cost
+        (within :data:`AUDIT_REL_TOL`), checked for the whole call in one
+        pass; a pair that does not, or whose legs the tables could not
+        produce, gets a direct full-network search, so a stitching bug can
+        degrade throughput but never correctness.
         """
         overlay = self.overlay
         assignment = self.plan.assignment
+        segments = closure.segments
         tables: dict[tuple[int, bool], "_compiled.CostRows | None"] = {}
 
         def leg(anchor: "VertexId", vertex: "VertexId", reverse: bool):
@@ -515,45 +569,90 @@ class CrossShardRouter:
             table = tables[(shard_id, reverse)]
             return None if table is None else table.path(anchor, vertex)
 
-        def splice(
-            source: "VertexId",
-            destination: "VertexId",
-            exit_vertex: "VertexId",
-            entry_vertex: "VertexId",
-        ) -> list["VertexId"] | None:
+        def segment(
+            exit_vertex: "VertexId", entry_vertex: "VertexId"
+        ) -> tuple["VertexId", ...] | None:
+            """The overlay walk between the two boundary vertices with each
+            shortcut hop expanded, out of the closure's memo."""
+            key = (exit_vertex, entry_vertex)
+            if key in segments:
+                return segments[key]
             walk = overlay.walk(closure, exit_vertex, entry_vertex)
-            if walk is None:
-                return None
-            legs = [leg(exit_vertex, source, True)]
-            legs += [
-                leg(tail, head, False) if assignment[tail] == assignment[head] else [tail, head]
-                for tail, head in zip(walk, walk[1:])  # shortcut hops and cut edges
-            ]
-            legs.append(leg(entry_vertex, destination, False))
-            if not all(legs):
-                return None
-            vertices = legs[0]
-            for part in legs[1:]:
-                vertices.extend(part[1:])
-            return vertices
+            expanded: tuple["VertexId", ...] | None = None
+            if walk is not None:
+                legs = [
+                    leg(tail, head, False) if assignment[tail] == assignment[head] else [tail, head]
+                    for tail, head in zip(walk, walk[1:])  # shortcut hops and cut edges
+                ]
+                if all(legs):
+                    vertices = [exit_vertex]
+                    for part in legs:
+                        vertices.extend(part[1:])
+                    expanded = tuple(vertices)
+            segments[key] = expanded
+            return expanded
 
-        # The audit prices each hop once, from the full network's compiled
-        # slot lookup and cost array; a hop with no slot is not an edge.
-        graph = self.network.compiled()
-        slot_of = graph.topology.slot_of
-        prices = graph.array(FEATURE_EDGE_ATTRIBUTES[feature])
         results: list[tuple[int, _Priced]] = []
+        spliced: list[tuple[int, float, list["VertexId"]]] = []
         for index, (expected, exit_vertex, entry_vertex) in rebuilds:
             source, destination = pairs[index]
-            vertices = splice(source, destination, exit_vertex, entry_vertex)
-            if vertices is not None:
-                slots = [slot_of.get(hop, -1) for hop in zip(vertices, vertices[1:])]
-                realized = float(prices[slots].sum()) if -1 not in slots else math.inf
-                if abs(realized - expected) <= AUDIT_REL_TOL * max(1.0, abs(expected)):
-                    results.append((index, (tuple(vertices), expected)))
-                    continue
-            results.append((index, self._search(source, destination, feature)))
+            head = leg(exit_vertex, source, True)
+            middle = segment(exit_vertex, entry_vertex)
+            tail = leg(entry_vertex, destination, False)
+            if head and middle and tail:
+                head.extend(middle[1:])
+                head.extend(tail[1:])
+                spliced.append((index, expected, head))
+            else:
+                results.append((index, self._search(source, destination, feature)))
+        passed = self._audit(
+            [vertices for _, _, vertices in spliced],
+            np.fromiter((expected for _, expected, _ in spliced), np.float64, len(spliced)),
+            feature,
+        )
+        for (index, expected, vertices), sound in zip(spliced, passed):
+            if sound:
+                results.append((index, (tuple(vertices), expected)))
+            else:
+                results.append((index, self._search(*pairs[index], feature)))
         return results
+
+    def _audit(
+        self,
+        paths: Sequence[Sequence["VertexId"]],
+        expected: np.ndarray,
+        feature: CostFeature,
+    ) -> np.ndarray:
+        """Per path, whether every hop is an edge of the full network and
+        the hops' costs sum to ``expected`` within :data:`AUDIT_REL_TOL`.
+
+        One pass over all hops: each is looked up among the network's
+        ``(tail, head)`` keys, sorted once per topology, by one
+        ``searchsorted``; a hop between vertices the network does not have,
+        or with no key, prices at ``inf``.
+        """
+        graph = self.network.compiled()
+        vertex_ids, keys, slots = graph.memo(
+            ("sharding-audit-keys",), lambda: _edge_keys(graph.topology), cost_dependent=False
+        )
+        lengths = np.fromiter(map(len, paths), np.intp, len(paths))
+        flat = np.fromiter(itertools.chain.from_iterable(paths), np.int64, int(lengths.sum()))
+        indices = np.searchsorted(vertex_ids, flat)
+        known = indices < len(vertex_ids)
+        known[known] = vertex_ids[indices[known]] == flat[known]
+        hops = np.ones(len(flat), dtype=bool)
+        hops[np.cumsum(lengths) - 1] = False  # a path's last vertex starts no hop
+        starts = np.flatnonzero(hops)
+        wanted = indices[starts] * len(vertex_ids) + indices[starts + 1]
+        position = np.searchsorted(keys, wanted)
+        real = known[starts] & known[starts + 1] & (position < len(keys))
+        real[real] = keys[position[real]] == wanted[real]
+        prices = np.full(len(starts), np.inf)
+        prices[real] = graph.array(FEATURE_EDGE_ATTRIBUTES[feature])[slots[position[real]]]
+        realized = np.bincount(
+            np.repeat(np.arange(len(paths)), lengths - 1), weights=prices, minlength=len(paths)
+        )
+        return np.abs(realized - expected) <= AUDIT_REL_TOL * np.maximum(1.0, np.abs(expected))
 
     def _search(
         self, source: "VertexId", destination: "VertexId", feature: CostFeature

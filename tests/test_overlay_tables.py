@@ -20,7 +20,13 @@ here:
 * **what searches when**: nothing before the first request, nothing for a
   feature nobody serves, nothing for a shard or cell a diff did not touch,
   nothing per request for a cross-shard or cross-cell pair, one row per
-  distinct source per cell for a same-cell pair.
+  distinct source per cell for a same-cell pair;
+* **what is read once per cost version**: overlay walks through successor
+  columns equal the per-hop ``argmin`` scan, exact ties included, at both
+  levels; an expanded exit→entry segment lives exactly as long as its
+  feature's closure; and the one-pass audit rejects exactly the spliced
+  paths that step over a non-edge or misprice, which the last resort then
+  answers.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -611,3 +618,196 @@ def test_tables_are_built_lazily_per_feature_and_kept_per_shard(monkeypatch):
             other.close()
     for (source, destination), answer in zip(cross, stitched[::-1]):
         assert answer.vertices[0] == source and answer.vertices[-1] == destination
+
+
+# -------------------------------------------------------------------- #
+# (f) paths read once per cost version, audited in one pass
+# -------------------------------------------------------------------- #
+def _integer_grid(rows: int, cols: int, seed: int) -> RoadNetwork:
+    """A directed grid whose costs are integers 1–3, so that equal-cost
+    overlay walks — exact ties in the boundary matrix — are common."""
+    network = _directed_grid(rows, cols, seed)
+    rng = random.Random(seed)
+    network.update_edge_costs(
+        {
+            edge.key: {attr: float(rng.randint(1, 3)) for attr in ATTRIBUTES}
+            for edge in network.edges()
+        }
+    )
+    return network
+
+
+def _scanned_walk(overlay, closure, exit_vertex, entry_vertex):
+    """The reference walk: one ``argmin`` over the current vertex's hop row
+    plus the remaining distances, per hop."""
+    position = {vertex: index for index, vertex in enumerate(overlay.order)}
+    current, goal = position[exit_vertex], position[entry_vertex]
+    remaining = closure.distances[:, goal]
+    hops = [exit_vertex]
+    for _ in overlay.order:
+        if current == goal:
+            return hops
+        current = int(np.argmin(closure.weights[current] + remaining))
+        hops.append(overlay.order[current])
+    return None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_successor_column_walks_equal_the_per_hop_scan_through_ties(seed):
+    network = _integer_grid(7, 7, seed)
+    plan = build_shard_plan(network, 2)
+    overlay = BoundaryOverlay(network, plan)
+    levels = [overlay] + [overlay.cells(shard_id).overlay for shard_id in range(2)]
+    rng = random.Random(seed)
+    edges = sorted(edge.key for edge in network.edges())
+    tied = 0
+    for _ in range(3):
+        for level in levels:
+            for feature in (CostFeature.DISTANCE, CostFeature.FUEL):
+                closure = level.closure(feature)
+                for goal in range(len(level.order)):
+                    hops = closure.weights + closure.distances[:, goal]
+                    lowest = hops.min(axis=1, keepdims=True)
+                    ties = (hops == lowest).sum(axis=1) > 1
+                    tied += int(ties[np.isfinite(lowest[:, 0])].sum())
+                for exit_vertex in level.order:
+                    for entry_vertex in level.order:
+                        assert level.walk(closure, exit_vertex, entry_vertex) == _scanned_walk(
+                            level, closure, exit_vertex, entry_vertex
+                        )
+        # Integer rises and falls, through the network and both levels.
+        changes = {
+            key: {attr: float(rng.randint(1, 3)) for attr in ("distance_m", "fuel_ml")}
+            for key in rng.sample(edges, 12)
+        }
+        network.update_edge_costs(changes)
+        overlay.apply(changes)
+        overlay.refresh()
+    assert tied > 0  # the grid does produce ties for the columns to break
+
+
+def test_a_segment_is_memoized_per_closure_and_retired_with_its_costs():
+    network = grid_city_network(8, 8, seed=4)
+    plan = build_shard_plan(network, 2)
+    overlay = BoundaryOverlay(network, plan)
+    router = CrossShardRouter(network, overlay)
+    feature = CostFeature.DISTANCE
+    rng = random.Random(21)
+    vertices = sorted(network.vertex_ids())
+    pairs = [
+        (s, t)
+        for s, t in ((rng.choice(vertices), rng.choice(vertices)) for _ in range(200))
+        if plan.shard_of(s) != plan.shard_of(t)
+    ][:24]
+    first = router.route_pairs(pairs, feature)
+
+    # A repeated call reads every segment from the memo: no walk at all.
+    walks = []
+    real_walk = overlay.walk
+    overlay.walk = lambda *args: walks.append(args) or real_walk(*args)
+    assert router.route_pairs(pairs, feature) == first
+    assert walks == []
+
+    # Two identical reconstructions of one exit→entry stitch whose walk has
+    # a shortcut hop, with a diff between them that raises an edge of that
+    # hop's leg: the second must follow the new costs, from the tables.
+    closure = overlay.closure(feature)
+    exit_vertex, entry_vertex = next(
+        (x, e)
+        for x in plan.boundary[0]
+        for e in plan.boundary[1]
+        if len(overlay.walk(closure, x, e)) > 2
+    )
+
+    def reconstruct():
+        distances, index = overlay.matrix(feature)
+        cost = float(distances[index[exit_vertex], index[entry_vertex]])
+        stitch = (cost, exit_vertex, entry_vertex)
+        [(_, answer)] = router._reconstruct(
+            [(exit_vertex, entry_vertex)], [(0, stitch)], feature, overlay.closure(feature)
+        )
+        return answer
+
+    before, _ = reconstruct()
+    raised = next(
+        hop for hop in zip(before, before[1:]) if plan.shard_of(hop[0]) == plan.shard_of(hop[1])
+    )
+    changes = {raised: {"distance_m": network.edge(*raised).distance_m * 1000.0}}
+    network.update_edge_costs(changes)
+    overlay.apply(changes)
+    overlay.refresh()
+    assert overlay.closure(feature) is not closure
+    after, cost = reconstruct()
+    assert raised not in zip(after, after[1:])
+    assert math.isclose(cost, _reference_cost(network, exit_vertex, entry_vertex, feature))
+    assert math.isclose(path_cost(network, after, feature), cost)
+    assert router.fallbacks == 0
+    second = router.route_pairs(pairs, feature)
+    _assert_cost_identity(network, router, pairs, features=(feature,))
+    assert router.fallbacks == 0
+
+    # A diff to another feature's costs keeps the closure and its memo.
+    closure = overlay.closure(feature)
+    memo = dict(closure.segments)
+    changes = {raised: {"travel_time_s": network.edge(*raised).travel_time_s * 3.0}}
+    network.update_edge_costs(changes)
+    overlay.apply(changes)
+    overlay.refresh()
+    assert overlay.closure(feature) is closure and closure.segments == memo
+    walks.clear()
+    assert router.route_pairs(pairs, feature) == second
+    assert walks == [] and router.fallbacks == 0
+
+
+def test_the_audit_rejects_exactly_a_non_edge_leg_and_a_mispriced_splice():
+    network = grid_city_network(8, 8, seed=4)
+    plan = build_shard_plan(network, 2)
+    overlay = BoundaryOverlay(network, plan)
+    router = CrossShardRouter(network, overlay)
+    feature = CostFeature.FUEL
+    closure = overlay.closure(feature)
+    entering = overlay.table(1, feature)
+    leaving = overlay.table(0, feature, reverse=True)
+    boundary = set(plan.boundary_vertices)
+    sources = [v for v in plan.shards[0] if v not in boundary]
+    destinations = [v for v in plan.shards[1] if v not in boundary]
+    rng = random.Random(6)
+    rng.shuffle(sources)
+    rng.shuffle(destinations)
+    pairs = list(zip(sources, destinations))[:16]
+    stitches = router._stitch(0, 1, pairs, feature, closure)
+    assert None not in stitches
+
+    # (1) A tail leg over a non-edge: the destination's predecessor in its
+    # entry vertex's row becomes the entry vertex itself.  The destination
+    # is a leaf of that row, so no other leg runs through it, and the chain
+    # stays whole, so the leg comes back — it is the audit that must object.
+    def leaf_without_edge(pair, stitch):
+        _, destination = pair
+        entry = stitch[2]
+        row = entering.predecessors[entering.row_of[entry]]
+        return entering.column_of[destination] not in row and not network.has_edge(
+            entry, destination
+        )
+
+    broken = next(i for i, pair in enumerate(pairs) if leaf_without_edge(pair, stitches[i]))
+    _, destination = pairs[broken]
+    entry = stitches[broken][2]
+    entering.predecessors[entering.row_of[entry], entering.column_of[destination]] = (
+        entering.column_of[entry]
+    )
+    assert entering.path(entry, destination) == [entry, destination]
+
+    # (2) A mispriced splice: the cost from one source to its exit vertex
+    # drops by half; the stitch keeps that exit and undercuts the path.
+    mispriced = (broken + 1) % len(pairs)
+    source, _ = pairs[mispriced]
+    exit_vertex = stitches[mispriced][1]
+    leaving.costs[leaving.row_of[exit_vertex], leaving.column_of[source]] *= 0.5
+
+    searched = []
+    real_search = router._search
+    router._search = lambda *args: searched.append(args[:2]) or real_search(*args)
+    _assert_cost_identity(network, router, pairs, features=(feature,))
+    assert sorted(searched) == sorted([pairs[broken], pairs[mispriced]])
+    assert router.fallbacks == 2

@@ -11,7 +11,8 @@ repository's working tree (B, the change, uncommitted edits included), A
 first in even pairs and B first in odd ones, so drift favours neither.  The
 verdicts come from ``benchmarks/e2e/compare.py`` of the working tree,
 unchanged.  One record per invocation is appended to ``BENCH_e2e.json`` at the
-repository root: both commits, the seed, the pairs, and per workload the host
+repository root: both commits (and, for an uncommitted change, the sha256
+of its diff), the seed, the pairs, and per workload the host
 factors, every pair's values and, per end-to-end metric, both medians and
 quartiles, B/A, the number of pairs B won and the verdict.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import subprocess
 import sys
@@ -48,6 +50,25 @@ def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def head_block(root: Path = ROOT) -> dict:
+    """The change side of a record: the commit of ``root``'s working tree
+    and whether its tracked files differ from it; when they do, also the
+    sha256 of ``git diff HEAD``, which names the edit that was measured.
+    The record file itself is left out of both, so the records that
+    consecutive invocations append over one edit name the same diff."""
+    pathspec = ["--", ".", f":(exclude){RECORD.name}"]
+    block: dict = {
+        "commit": git("rev-parse", "HEAD", cwd=root),
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no", *pathspec, cwd=root)),
+    }
+    if block["dirty"]:
+        diff = subprocess.run(
+            ["git", "diff", "HEAD", *pathspec], cwd=root, check=True, capture_output=True
+        ).stdout
+        block["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+    return block
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, out: Path) -> dict:
@@ -174,10 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "base": {"rev": args.base, "commit": git("rev-parse", f"{args.base}^{{commit}}")},
-        "head": {
-            "commit": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        },
+        "head": head_block(),
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
