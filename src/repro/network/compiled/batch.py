@@ -111,6 +111,184 @@ def dijkstra_many(
     )
 
 
+def repair_many(
+    graph: "CompiledGraph",
+    before: np.ndarray,
+    after: np.ndarray,
+    distances: np.ndarray,
+    predecessors: np.ndarray,
+    reverse: bool = False,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`dijkstra_many`'s ``(distances, predecessors)``, found over the
+    cost array ``before``, brought to ``after`` without searching again:
+    new arrays, or the inputs themselves when no entry changes (the inputs
+    are never written).  ``None`` when a cost fell: only a batch of rises is
+    repaired, the increase case of Ramalingam and Reps (J. Algorithms,
+    1996), for every row at once.
+
+    1. The slots whose cost changed; a fall returns ``None``.
+    2. Per row, the raised edges that are edges of the row's search tree:
+       ``predecessors[row, head] == tail`` (in a reverse search the tree
+       runs against the edges, so ``predecessors[row, tail] == head``).
+       Their lower ends are marked.
+    3. The marks are carried down to every descendant, all rows at once, one
+       tree level per pass over flat indices into ``predecessors``: the
+       frontier's neighbours one edge further in the search's direction
+       whose predecessor is the frontier entry are its children.
+    4. Every affected ``(row, vertex)`` is seeded with its cheapest
+       *unaffected* in-neighbour in the search's direction,
+       ``distances[row, u] + after[slot]``.
+    5. One search from a super-source over the stacked subgraphs the rows'
+       affected sets induce, its edges to each seeded entry weighted by the
+       seed, re-settles them all; distances and predecessors are scattered
+       back.
+
+    Exact: an unaffected entry's tree path kept its cost and no distance can
+    fall, so its distance stands.  An affected vertex's new shortest path
+    enters the affected set from an unaffected vertex for the last time and
+    stays inside it after that, which is a path of the stacked search.  A
+    seed is ``dist[u] + w``, summed as a full search sums it, so each
+    distance is still the float sum of its tree path, accumulated from the
+    source.  The tree may differ from a fresh search's where paths tie.
+    """
+    changed = np.flatnonzero(before != after)
+    if (after[changed] < before[changed]).any():
+        return None
+    rows, n = distances.shape
+    if not len(changed) or not rows:
+        return distances, predecessors
+    if distances.size >= 2**31:
+        return None  # the flat indices below are int32
+    heads = sparse.slot_targets(graph)[changed]
+    tails = sparse.slot_tails(graph)[changed]
+    parents, children = (heads, tails) if reverse else (tails, heads)
+    hit_rows, hit = np.nonzero(predecessors[:, children] == parents)
+    if not len(hit_rows):
+        return distances, predecessors
+    # Each step runs in a helper of its own, so that the step's temporaries
+    # are freed before the next one allocates.
+    marked = (hit_rows * n + children[hit]).astype(np.int32)
+    affected = _descendants(graph, predecessors, marked, reverse)
+    entries = np.flatnonzero(affected).astype(np.int32)
+    seeds, seeded_by = _seeds(graph, distances, after, affected, entries, reverse)
+    size = len(entries)
+    settled, tree = sparse._csgraph_dijkstra(
+        _stacked(graph, after, entries, seeds, rows * n, reverse),
+        indices=size,
+        return_predecessors=True,
+    )
+    settled = settled[:size]
+    if not np.isfinite(settled).all():
+        return None  # not a tree of these costs: the caller searches
+    seeded = tree[:size] == size
+    parent = entries.take(np.where(seeded, 0, tree[:size])) - (entries - entries % n)
+    parent[seeded] = seeded_by[seeded]
+
+    repaired = distances.copy()
+    repaired.ravel()[entries] = settled
+    rewired = predecessors.copy()
+    rewired.ravel()[entries] = parent
+    return repaired, rewired
+
+
+def _descendants(
+    graph: "CompiledGraph", predecessors: np.ndarray, marked: np.ndarray, reverse: bool
+) -> np.ndarray:
+    """Step 3 of :func:`repair_many`: the flat ``(row, vertex)`` entries of
+    ``predecessors`` at or below the ``marked`` ones, as a boolean mask."""
+    n = predecessors.shape[1]
+    affected = np.zeros(predecessors.size, dtype=bool)
+    affected[marked] = True
+    hops = _next_hops(graph, reverse)[0]
+    links = predecessors.ravel()
+    frontier = marked
+    while len(frontier):
+        vertices = frontier % n
+        candidates = hops.take(vertices, axis=1) + (frontier - vertices)
+        candidates = candidates[links.take(candidates) == vertices]
+        frontier = candidates[~affected.take(candidates)]
+        affected[frontier] = True
+    return affected
+
+
+def _seeds(
+    graph: "CompiledGraph",
+    distances: np.ndarray,
+    after: np.ndarray,
+    affected: np.ndarray,
+    entries: np.ndarray,
+    reverse: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step 4 of :func:`repair_many`: per affected entry, the cheapest
+    arrival ``distances[row, u] + after[slot]`` over its unaffected
+    in-neighbours ``u`` in the search's direction (``inf`` when it has
+    none), and that ``u``."""
+    vertices = entries % graph.vertex_count
+    neighbours, slots = (sparse._out_edges if reverse else sparse._in_edges)(graph).take(
+        vertices, axis=2
+    )
+    sources = neighbours + (entries - vertices)
+    arrivals = distances.ravel().take(sources)
+    arrivals += after.take(slots)
+    arrivals[affected.take(sources)] = np.inf
+    best = arrivals.argmin(axis=0)
+    columns = np.arange(len(entries), dtype=np.intp)
+    return arrivals[best, columns], neighbours[best, columns]
+
+
+def _stacked(
+    graph: "CompiledGraph",
+    after: np.ndarray,
+    entries: np.ndarray,
+    seeds: np.ndarray,
+    flat_size: int,
+    reverse: bool,
+):
+    """Step 5 of :func:`repair_many`: the graph the re-settling search runs
+    on, as a scipy CSR matrix — one vertex per affected entry, in
+    ``entries``' order, with its edges to the affected entries of its own
+    row at the costs ``after``, then a super-source with an edge to every
+    entry of finite seed, weighted by the seed."""
+    hops, hop_slots = _next_hops(graph, reverse)
+    size = len(entries)
+    vertices = entries % graph.vertex_count
+    heads = hops.take(vertices, axis=1).T + (entries - vertices)[:, None]
+    compact = np.full(flat_size, -1, dtype=np.int32)
+    compact[entries] = np.arange(size, dtype=np.int32)
+    inner = compact.take(heads)
+    kept = (inner >= 0) & (heads != entries[:, None])
+    reached = np.isfinite(seeds)
+    indptr = np.zeros(size + 2, dtype=np.int32)
+    np.cumsum(kept.sum(axis=1), out=indptr[1 : size + 1])
+    indptr[size + 1] = indptr[size] + int(reached.sum())
+    return sparse._csr_matrix(
+        (
+            np.concatenate([after.take(hop_slots.take(vertices, axis=1).T[kept]), seeds[reached]]),
+            np.concatenate([inner[kept], np.flatnonzero(reached).astype(np.int32)]),
+            indptr,
+        ),
+        shape=(size + 1, size + 1),
+    )
+
+
+def _next_hops(graph: "CompiledGraph", reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank and vertex, the edges one step further in a search's
+    direction — :func:`~repro.network.compiled.sparse._out_edges`, or with
+    ``reverse`` :func:`~repro.network.compiled.sparse._in_edges` — as int32
+    ``(vertices, slots)``, a short row's vertices padded with the vertex
+    itself: never its own child nor its own edge, so each edge is listed
+    once (memoized)."""
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        padded = (sparse._in_edges if reverse else sparse._out_edges)(graph)
+        offsets = np.asarray(graph.r_offsets if reverse else graph.offsets, dtype=np.int64)
+        ranks = np.arange(padded.shape[1], dtype=np.int64)[:, None]
+        itself = np.arange(graph.vertex_count, dtype=np.int32)
+        return np.where(ranks < np.diff(offsets), padded[0], itself), padded[1]
+
+    return graph.memo(("batch-next-hops", reverse), build, cost_dependent=False)  # type: ignore[return-value]
+
+
 def shortest_paths_many(
     graph: "CompiledGraph",
     key: Hashable | None,

@@ -4,7 +4,8 @@ The functions here are the bridge between the dict-based routing API
 (:mod:`repro.routing`) and scipy's C Dijkstra over the CSR arrays: one
 point-to-point search (:func:`try_dijkstra`, bounded first by the landmark
 corridor on large graphs), one batch of point-to-point searches
-(:func:`try_route_many`) and batched cost rows (:func:`try_cost_rows`).
+(:func:`try_route_many`) and batched cost rows (:func:`try_cost_rows`), which
+:func:`repair_cost_rows` brings forward after a batch of cost rises.
 Each ``try_*`` function returns
 
 * a vertex-id path (or cost rows) when the compiled search ran,
@@ -365,3 +366,29 @@ def try_cost_rows(
     )
     row_of = {source: row for row, source in enumerate(sources)}
     return CostRows(costs, predecessors, row_of, index_of, graph.vertex_ids, reverse)
+
+
+def repair_cost_rows(
+    network: "RoadNetwork", rows: CostRows, before: np.ndarray, after: np.ndarray
+) -> CostRows | None:
+    """``rows``, priced over the network's cost array ``before``, repaired
+    to its array ``after`` (:func:`~repro.network.compiled.batch.repair_many`):
+    a new :class:`CostRows`, with the same sources.
+
+    Returns ``None`` when the repair cannot run — a cost fell, compiled
+    search is disabled, or the rows were not read off the network's current
+    compiled snapshot — and the caller runs :func:`try_cost_rows` instead.
+    """
+    if not _enabled:
+        return None
+    graph = network.compiled()
+    if rows.column_of is not graph.index_of:
+        return None
+    from . import batch
+
+    repaired = batch.repair_many(
+        graph, before, after, rows.costs, rows.predecessors, reverse=rows.reverse
+    )
+    if repaired is None:
+        return None
+    return rows._replace(costs=repaired[0], predecessors=repaired[1])

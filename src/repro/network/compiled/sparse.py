@@ -154,6 +154,15 @@ def slot_targets(graph: "CompiledGraph") -> np.ndarray:
     )
 
 
+def slot_tails(graph: "CompiledGraph") -> np.ndarray:
+    """The tail vertex of every CSR slot as an int64 array (memoized)."""
+    return graph.memo(  # type: ignore[return-value]
+        ("csr-slot-tails",),
+        lambda: _slot_rows(graph.offsets)[0],
+        cost_dependent=False,
+    )
+
+
 def _slot_rows(offsets: Sequence[int]) -> tuple[np.ndarray, int]:
     """The row of every slot of a CSR layout, and the largest row length."""
     lengths = np.diff(np.asarray(offsets, dtype=np.int64))
@@ -451,17 +460,39 @@ def _in_edges(graph: "CompiledGraph") -> np.ndarray:
     forward CSR slot of an in-edge of ``v``.  A row shorter than the largest
     in-degree repeats its first in-edge, which changes no minimum (and no
     vertex without in-edges lies on a path after its source)."""
+    return graph.memo(  # type: ignore[return-value]
+        ("sparse-in-edges",),
+        lambda: _padded(graph.r_offsets, graph.r_targets, graph.topology.r_slots),
+        cost_dependent=False,
+    )
 
-    def build() -> np.ndarray:
-        r_offsets = np.asarray(graph.r_offsets, dtype=np.int64)
-        starts = r_offsets[:-1]
-        ranks = np.arange(int(np.diff(r_offsets).max(initial=0)), dtype=np.int64)[:, None]
-        index = np.where(starts + ranks < r_offsets[1:], starts + ranks, starts)
-        index = np.minimum(index, max(len(graph.r_targets) - 1, 0))
-        tails = np.asarray(graph.r_targets, dtype=np.int32)[index]
-        return np.stack([tails, graph.topology.r_slots[index].astype(np.int32)])
 
-    return graph.memo(("sparse-in-edges",), build, cost_dependent=False)  # type: ignore[return-value]
+def _out_edges(graph: "CompiledGraph") -> np.ndarray:
+    """:func:`_in_edges`' twin over the forward CSR (memoized): ``[0, k, v]``
+    and ``[1, k, v]`` are the head and the CSR slot of an out-edge of ``v``,
+    a short row repeating its first out-edge — the in-edges of ``v`` in the
+    reverse graph, which a reverse search runs on."""
+    return graph.memo(  # type: ignore[return-value]
+        ("sparse-out-edges",),
+        lambda: _padded(
+            graph.offsets, graph.targets, np.arange(len(graph.targets), dtype=np.int64)
+        ),
+        cost_dependent=False,
+    )
+
+
+def _padded(offsets: Sequence[int], neighbours: Sequence[int], slots: np.ndarray) -> np.ndarray:
+    """A CSR layout as the ``(2, largest row length, rows)`` int32 array of
+    :func:`_in_edges`: neighbour and slot per rank, short rows padded with
+    their first entry."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    starts = offsets[:-1]
+    ranks = np.arange(int(np.diff(offsets).max(initial=0)), dtype=np.int64)[:, None]
+    index = np.where(starts + ranks < offsets[1:], starts + ranks, starts)
+    index = np.minimum(index, max(len(neighbours) - 1, 0))
+    return np.stack(
+        [np.asarray(neighbours, dtype=np.int32)[index], slots[index].astype(np.int32)]
+    )
 
 
 def still_reference(

@@ -674,14 +674,6 @@ class RoadNetwork:
         """Distance weight ``wDI`` in meters."""
         return self.edge(source, target).distance_m
 
-    def w_tt(self, source: VertexId, target: VertexId) -> float:
-        """Travel-time weight ``wTT`` in seconds."""
-        return self.edge(source, target).travel_time_s
-
-    def w_fc(self, source: VertexId, target: VertexId) -> float:
-        """Fuel-consumption weight ``wFC`` in milliliters."""
-        return self.edge(source, target).fuel_ml
-
     def w_rt(self, source: VertexId, target: VertexId) -> RoadType:
         """Road-type weight ``wRT``."""
         return self.edge(source, target).road_type

@@ -335,22 +335,6 @@ class RegionGraph:
                     stack.append(neighbor)
         return len(seen) == len(self._regions)
 
-    def statistics(self) -> dict[str, float]:
-        """Summary statistics used in reports and tests."""
-        t_edges = self.t_edges()
-        b_edges = self.b_edges()
-        return {
-            "regions": float(self.region_count),
-            "t_edges": float(len(t_edges)),
-            "b_edges": float(len(b_edges)),
-            "mean_region_size": (
-                sum(len(r) for r in self._regions.values()) / self.region_count
-                if self.region_count
-                else 0.0
-            ),
-            "connected": 1.0 if self.is_connected() else 0.0,
-        }
-
 
 def build_region_graph(
     network: RoadNetwork,

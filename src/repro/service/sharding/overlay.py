@@ -7,10 +7,10 @@ that decomposition: per (shard, feature, direction) a **boundary table** —
 the shard-local costs from (``reverse``: to) each of the shard's boundary
 vertices to (from) every vertex of the shard, with the predecessor matrix of
 the searches that priced them, one batched SSSP call through the compiled
-dispatch layer (:class:`~repro.network.compiled.dispatch.CostRows`), memoized
-on the sub-network's cost-versioned ``graph.memo``.  Tables are built lazily,
-so a feature nobody serves never costs a search and an untouched shard's
-tables survive a diff elsewhere.
+dispatch layer (:class:`~repro.network.compiled.dispatch.CostRows`), held
+with the sub-network cost array it was priced over.  Tables are built
+lazily, so a feature nobody serves never costs a search and an untouched
+shard's tables survive a diff elsewhere.
 
 * The **overlay** is, per feature, a dense |B| x |B| weight array over all
   boundary vertices B: column selections of the forward tables (the shard's
@@ -51,8 +51,11 @@ table and 30 x 900 per cell table on the 60x60 grid at two shards), small on
 planar networks, not guaranteed small on hub-heavy ones.  Cost updates never
 change reachability (all edge costs stay positive), so everything but the
 costs is fixed at build time; :meth:`BoundaryOverlay.apply` patches costs and
-:meth:`BoundaryOverlay.refresh` rebuilds what the patch made stale, both down
-into the cells.
+:meth:`BoundaryOverlay.refresh` brings what the patch made stale to the new
+costs, both down into the cells: a table whose costs only rose is repaired
+(:func:`~repro.network.compiled.batch.repair_many` re-settles the entries
+under a raised edge of its search trees, a few percent of the table on the
+60x60 grid), any other one is searched again.
 """
 
 from __future__ import annotations
@@ -195,8 +198,12 @@ class BoundaryOverlay:
         }
         #: Per cost attribute, how many times a cut edge's value changed.
         self._cut_versions = dict.fromkeys(self._cut_costs, 0)
-        #: What has been served, and so what :meth:`refresh` keeps current.
-        self._live_tables: set[tuple[int, CostFeature, bool]] = set()
+        #: Every table that has been served, and so what :meth:`refresh`
+        #: keeps current: per (shard, feature, reverse), the sub-network
+        #: cost array it was priced over and the table.
+        self._live_tables: dict[
+            tuple[int, CostFeature, bool], tuple[np.ndarray, "_compiled.CostRows"]
+        ] = {}
         #: Per feature: the cut-edge version and sub-network cost arrays it
         #: was assembled under, and the closure.
         self._closures: dict[CostFeature, tuple[int, tuple[np.ndarray, ...], Closure]] = {}
@@ -213,8 +220,8 @@ class BoundaryOverlay:
         """Propagate master-network cost changes into subnets and cut edges.
 
         Intra-shard changes patch the owning sub-network (the worker's
-        serving graph), which bumps its cost version and so retires its
-        tables; cut-edge changes patch the overlay's own cost arrays.
+        serving graph), which swaps its patched cost arrays and so makes its
+        tables stale; cut-edge changes patch the overlay's own cost arrays.
         Nothing is rebuilt here — see :meth:`refresh`.  Returns the changed
         intra-shard edge keys (the set a serving cache over the sub-networks
         must invalidate against).
@@ -245,9 +252,9 @@ class BoundaryOverlay:
         return frozenset(local)
 
     def refresh(self) -> None:
-        """Rebuild, at the current cost state, every table and boundary
-        matrix that has been served — so the request after a diff finds them
-        ready.  Current ones are memo hits; what was never asked for stays
+        """Bring every table and boundary matrix that has been served to the
+        current cost state — so the request after a diff finds them ready.
+        Current ones are kept as they are; what was never asked for stays
         unbuilt."""
         for key in tuple(self._live_tables):
             self.table(*key)
@@ -277,23 +284,33 @@ class BoundaryOverlay:
         """The shard's boundary table (the shard must have a boundary): one
         row per vertex of ``plan.boundary[shard_id]``, in that order.
 
-        Memoized on the subnet's compiled snapshot; live-traffic updates bump
-        its cost version and invalidate automatically.  ``None`` when the
-        compiled path is unavailable; callers fall back to reference routing.
+        Held with the sub-network's cost array it was priced over, and
+        current while that array is the same object: a cost patch swaps the
+        arrays it touches for patched copies.  A stale table is repaired
+        when none of its costs fell
+        (:func:`~repro.network.compiled.dispatch.repair_cost_rows`) and
+        searched again otherwise.  ``None`` when the compiled path is
+        unavailable; callers fall back to reference routing.
         """
         if not _compiled.is_enabled():
-            return None  # and no ``None`` memoized past the disabled stretch
+            return None
         subnet = self.subnets[shard_id]
-
-        def build() -> "_compiled.CostRows | None":
-            return _compiled.try_cost_rows(
+        array = subnet.compiled().array(FEATURE_EDGE_ATTRIBUTES[feature])
+        key = (shard_id, feature, reverse)
+        held = self._live_tables.get(key)
+        if held is not None and held[0] is array:
+            return held[1]
+        table = None
+        if held is not None:
+            table = _compiled.repair_cost_rows(subnet, held[1], held[0], array)
+        if table is None:
+            table = _compiled.try_cost_rows(
                 subnet, self.plan.boundary[shard_id], cost_function(feature), reverse=reverse
             )
-
-        table = subnet.compiled().memo(("sharding-boundary-table", feature, reverse), build)
-        if table is not None:
-            self._live_tables.add((shard_id, feature, reverse))
-        return table  # type: ignore[return-value]
+            if table is None:
+                return None
+        self._live_tables[key] = (array, table)
+        return table
 
     def closure(self, feature: CostFeature) -> Closure | None:
         """The dense overlay and its all-pairs pass for one feature.

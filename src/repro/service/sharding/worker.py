@@ -23,8 +23,10 @@ authoritative state) instead of applying the diff, and so does one the
 coordinator orders to (:class:`ResyncRequired`, sent when a worker
 reconnects behind the current version) — the one catch-up path, whatever
 the gap, and the same adoption step 3 is.  Either way the overlay's live
-boundary tables, the cells' included, are rebuilt before the
-acknowledgement, so an acked version is one the next request finds ready.
+boundary tables, the cells' included, are brought to the new costs before
+the acknowledgement — repaired where no cost fell, a resync's adopted state
+included, searched again otherwise — so an acked version is one the next
+request finds ready.
 """
 
 from __future__ import annotations

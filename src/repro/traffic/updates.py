@@ -160,7 +160,3 @@ class TrafficUpdateResult:
     updates hit the same edge)."""
     attributes: frozenset[str] = field(default_factory=frozenset)
     """Union of cost attributes touched by the batch."""
-
-    @property
-    def touched_count(self) -> int:
-        return len(self.touched_edges)

@@ -1,7 +1,7 @@
 """Boundary tables (:mod:`repro.service.sharding.overlay`).
 
 The overlay, the stitch and the leg reconstruction all read one mechanism —
-per (shard, feature, direction) a memoized table of shard-local costs between
+per (shard, feature, direction) a held table of shard-local costs between
 the shard's boundary and its vertices — at two levels: the shards, and the
 cells each shard is bisected into for its in-shard pairs.  What is pinned
 here:
@@ -12,6 +12,11 @@ here:
   for every feature, in-shard pairs of both kinds included, before and after
   rising and falling traffic and through a worker resync — and, through the
   worker's per-pair fallback, with the compiled path disabled;
+* **repair through long chains of rises**: after every rise-only batch each
+  live table of both levels, repaired without a search, has a fresh
+  search's reachability and costs, and its predecessors form a tree of the
+  current costs; a batch with a fall searches the tables it touched again,
+  and a rise-only resync repairs;
 * **degenerate shards and cells**: no boundary at all, a single vertex (one
   cell), and a shard whose bisection cuts no edge;
 * **no last resort** on the benchmark's 60x60 grid — and the last resort,
@@ -19,8 +24,9 @@ here:
   chains break;
 * **what searches when**: nothing before the first request, nothing for a
   feature nobody serves, nothing for a shard or cell a diff did not touch,
-  nothing per request for a cross-shard or cross-cell pair, one row per
-  distinct source per cell for a same-cell pair;
+  nothing for a rise where it did, nothing per request for a cross-shard or
+  cross-cell pair, one row per distinct source per cell for a same-cell
+  pair;
 * **what is read once per cost version**: overlay walks through successor
   columns equal the per-hop ``argmin`` scan, exact ties included, at both
   levels; an expanded exit→entry segment lives exactly as long as its
@@ -47,7 +53,7 @@ from repro.routing.costs import FEATURE_EDGE_ATTRIBUTES
 from repro.routing.dijkstra import dict_dijkstra_costs
 from repro.service import RouteRequest, build_shard_plan
 from repro.service.sharding import BoundaryOverlay, CostDiff, CrossShardRouter, ShardPlan
-from repro.service.sharding.overlay import path_cost
+from repro.service.sharding.overlay import ESCAPE_REL_TOL, path_cost
 from repro.service.sharding.plan import _boundary_structure
 from repro.service.sharding.protocol import RouteWork, WorkerPayload
 from repro.service.sharding.worker import ShardWorker
@@ -324,6 +330,151 @@ def test_a_disconnected_pocket_is_unreachable_not_an_error(shard_count):
 
 
 # -------------------------------------------------------------------- #
+# (a') repaired tables through long chains of rises
+# -------------------------------------------------------------------- #
+def _levels(overlay):
+    """The overlay and the cell overlays under it."""
+    return [overlay] + [cells.overlay for cells in overlay.cell_routers.values()]
+
+
+def _assert_tables_exact(overlay, fresh_rows) -> None:
+    """Every live table of both levels against a fresh search of its own
+    sub-network: the same reachability, costs within ``ESCAPE_REL_TOL``,
+    and a predecessor matrix that is a tree of the current costs — each
+    reached entry but the source is its predecessor's cost plus the cost
+    of the edge between them, to the bit, so every chain ends at the source
+    and prices at its row cost."""
+    for level in _levels(overlay):
+        for (shard_id, feature, reverse), (_, table) in level._live_tables.items():
+            subnet = level.subnets[shard_id]
+            sources = level.plan.boundary[shard_id]
+            fresh = fresh_rows(subnet, sources, cost_function(feature), reverse=reverse)
+            reached = np.isfinite(fresh.costs)
+            assert (np.isfinite(table.costs) == reached).all()
+            expected = fresh.costs[reached]
+            assert (
+                np.abs(table.costs[reached] - expected)
+                <= ESCAPE_REL_TOL * np.maximum(1.0, expected)
+            ).all()
+            attribute = FEATURE_EDGE_ATTRIBUTES[feature]
+            ids = table.vertex_ids
+            for source in sources:
+                row = table.row_of[source]
+                for column, before in enumerate(table.predecessors[row]):
+                    cost = table.costs[row, column]
+                    if before < 0:
+                        assert math.isinf(cost) or ids[column] == source
+                        continue
+                    hop = (ids[column], ids[before]) if reverse else (ids[before], ids[column])
+                    step = getattr(subnet.edge(*hop), attribute)
+                    assert cost == table.costs[row, before] + step
+
+
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    size=st.integers(min_value=5, max_value=7),
+    shard_count=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    batches=st.integers(min_value=15, max_value=25),
+)
+def test_rise_only_batches_repair_every_table_exactly(size, shard_count, seed, batches):
+    network = _directed_grid(size, size, seed % 1000, pocket=True)
+    plan = build_shard_plan(network, shard_count)
+    overlay = BoundaryOverlay(network, plan)
+    router = CrossShardRouter(network, overlay)
+    rng = random.Random(seed)
+    pairs = _random_pairs(network, rng, 8) + _in_shard_pairs(plan, rng, 8)
+    fresh_rows = dispatch.try_cost_rows
+    moved = 0
+    with pytest.MonkeyPatch.context() as patch:
+        rows = _CountingRows(patch)
+        _assert_cost_identity(network, router, pairs)
+        for _ in range(batches):
+            rows.take()
+            held = {
+                (id(level), key): table.costs
+                for level in _levels(overlay)
+                for key, (_, table) in level._live_tables.items()
+            }
+            diff = _diff(network, _scaled(network, rng, rise=True))
+            overlay.apply(diff.as_updates())
+            overlay.refresh()
+            assert rows.take() == []  # every live table was repaired
+            moved += sum(
+                table.costs is not held[(id(level), key)]
+                for level in _levels(overlay)
+                for key, (_, table) in level._live_tables.items()
+            )
+            _assert_tables_exact(overlay, fresh_rows)
+            _assert_cost_identity(network, router, pairs)
+    assert moved > 0  # some repair did re-settle entries
+    assert router.fallbacks == 0
+
+
+def test_a_fall_rebuilds_a_rise_repairs_and_a_rise_only_resync_repairs(monkeypatch):
+    network = _directed_grid(8, 8, seed=17, pocket=True)
+    plan = build_shard_plan(network, 2)
+    rng = random.Random(17)
+    pairs = _random_pairs(network, rng, 12) + _in_shard_pairs(plan, rng, 12)
+    fresh_rows = dispatch.try_cost_rows
+    rows = _CountingRows(monkeypatch)
+    shard_0 = [e.key for e in network.edges() if plan.shard_of(e.source) == plan.shard_of(e.target) == 0]
+    shard_1 = [e.key for e in network.edges() if plan.shard_of(e.source) == plan.shard_of(e.target) == 1]
+
+    def scaled(edges, factor):
+        return [TrafficUpdate.scale_by(*edge, distance_m=factor) for edge in edges]
+
+    with shm.export_graph(network.compiled(), cost_version=network.cost_version) as segment:
+        (worker, other) = _booted_workers(network, plan, segment, cache_size=0)
+        try:
+            _assert_cost_identity(network, worker.router, pairs, features=(CostFeature.DISTANCE,))
+            overlay = worker.overlay
+            cells = overlay.cell_routers[0].overlay
+            assert any(key[0] == 0 for key in overlay._live_tables)
+            assert cells._live_tables
+
+            # Rises in both shards: every live table is repaired, none searched.
+            rows.take()
+            worker.apply_diff(_diff(network, scaled(shard_0[:4] + shard_1[:4], 1.7), segment))
+            assert rows.take() == []
+            _assert_tables_exact(overlay, fresh_rows)
+
+            # One fall in shard 0 among rises in shard 1: the tables over
+            # shard 0's changed cost array are searched again, the rest repaired.
+            fallen = shard_0[5]
+            rebuilt = {
+                level.subnets[shard_id].name
+                for level in _levels(overlay)
+                for shard_id, feature, _ in level._live_tables
+                if feature is CostFeature.DISTANCE and level.subnets[shard_id].has_edge(*fallen)
+            }
+            worker.apply_diff(
+                _diff(network, scaled([fallen], 0.5) + scaled(shard_1[4:8], 1.3), segment)
+            )
+            calls = rows.take()
+            assert calls and {name for name, *_ in calls} == rebuilt
+            assert {attribute for _, attribute, _, _ in calls} == {"distance_m"}
+            _assert_tables_exact(overlay, fresh_rows)
+
+            # A rise-only batch the worker misses and catches up with by
+            # resyncing from the segment is repaired too.
+            _diff(network, scaled(shard_0[8:12] + shard_1[8:12], 1.4), segment)
+            worker.resync()
+            assert worker.version == network.cost_version
+            assert rows.take() == []
+            _assert_tables_exact(overlay, fresh_rows)
+            _assert_cost_identity(network, worker.router, pairs, features=(CostFeature.DISTANCE,))
+            assert worker.router.fallbacks == 0
+        finally:
+            worker.close()
+            other.close()
+
+
+# -------------------------------------------------------------------- #
 # (b) degenerate shards
 # -------------------------------------------------------------------- #
 def test_a_shard_without_boundary_is_routed_locally():
@@ -584,13 +735,23 @@ def test_tables_are_built_lazily_per_feature_and_kept_per_shard(monkeypatch):
             worker.serve(_work(cross_cell))
             assert rows.take() == []
 
-            # A diff inside cell 0 of shard 0 rebuilds shard 0's and cell 0's
-            # live tables before it returns; shard 1's and cell 1's tables
-            # are the same objects as before.
+            # A rise inside cell 0 of shard 0 repairs shard 0's and cell 0's
+            # live tables before it returns, searching nothing; shard 1's and
+            # cell 1's tables are the same objects as before.
             kept = worker.overlay.table(1, CostFeature.TRAVEL_TIME)
             kept_cell = cells.overlay.table(1, CostFeature.TRAVEL_TIME, reverse=True)
             retired = worker.overlay.table(0, CostFeature.TRAVEL_TIME)
+            retired_cell = cells.overlay.table(0, CostFeature.TRAVEL_TIME, reverse=True)
             worker.apply_diff(diff(2.0))
+            assert rows.take() == []
+            assert worker.overlay.table(1, CostFeature.TRAVEL_TIME) is kept
+            assert cells.overlay.table(1, CostFeature.TRAVEL_TIME, reverse=True) is kept_cell
+            assert worker.overlay.table(0, CostFeature.TRAVEL_TIME) is not retired
+            assert cells.overlay.table(0, CostFeature.TRAVEL_TIME, reverse=True) is not retired_cell
+
+            # A fall there rebuilds shard 0's and cell 0's live tables.
+            retired = worker.overlay.table(0, CostFeature.TRAVEL_TIME)
+            worker.apply_diff(diff(0.5))
             assert sorted(rows.take()) == sorted(
                 [
                     (worker.overlay.subnets[0].name, "travel_time_s", False, len(plan.boundary[0])),

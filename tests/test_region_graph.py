@@ -123,9 +123,9 @@ class TestBuildRegionGraph:
                 assert path.is_valid(tiny.network)
 
     def test_statistics_keys(self, tiny_region_graph):
-        stats = tiny_region_graph.statistics()
-        assert {"regions", "t_edges", "b_edges", "mean_region_size", "connected"} <= set(stats)
-        assert stats["connected"] == 1.0
+        assert tiny_region_graph.region_count > 0
+        assert tiny_region_graph.t_edges()
+        assert tiny_region_graph.is_connected()
 
     def test_region_pair_cap_limits_edges(self, tiny, tiny_split, monkeypatch):
         graph = TrajectoryGraph.from_trajectories(tiny.network, tiny_split.train)

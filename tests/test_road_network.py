@@ -63,7 +63,7 @@ class TestConstruction:
         assert edge.travel_time_s == pytest.approx(expected)
 
     def test_fuel_positive(self, small_network):
-        assert small_network.w_fc(1, 2) > 0
+        assert small_network.edge(1, 2).fuel_ml > 0
 
     def test_bidirectional_creates_reverse_edge(self, small_network):
         assert small_network.has_edge(2, 1)
@@ -114,7 +114,9 @@ class TestPathHelpers:
         distance = small_network.path_distance_m([1, 2, 3])
         assert distance == pytest.approx(small_network.w_di(1, 2) + small_network.w_di(2, 3))
         time = small_network.path_travel_time_s([1, 2, 3])
-        assert time == pytest.approx(small_network.w_tt(1, 2) + small_network.w_tt(2, 3))
+        assert time == pytest.approx(
+            small_network.edge(1, 2).travel_time_s + small_network.edge(2, 3).travel_time_s
+        )
 
     def test_path_edges_missing_hop_raises(self, small_network):
         with pytest.raises(EdgeNotFoundError):

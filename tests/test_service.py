@@ -654,7 +654,10 @@ class TestPersistence:
 
     def test_round_trip_preserves_region_graph(self, fitted_l2r, tmp_path):
         restored = LearnToRoute.load(fitted_l2r.save(tmp_path / "m.pkl.gz"))
-        assert restored.region_graph.statistics() == fitted_l2r.region_graph.statistics()
+        def summary(graph):
+            return graph.region_count, len(graph.t_edges()), len(graph.b_edges()), graph.is_connected()
+
+        assert summary(restored.region_graph) == summary(fitted_l2r.region_graph)
 
     def test_loaded_model_serves_through_service(self, tiny, tiny_split, fitted_l2r, tmp_path):
         restored = LearnToRoute.load(fitted_l2r.save(tmp_path / "m.pkl.gz"))

@@ -445,7 +445,7 @@ class TestTrafficFeed:
                 TrafficUpdate.shift(0, 1, travel_time_s=10.0),
             ]
         )
-        assert result.touched_count == 1
+        assert len(result.touched_edges) == 1
         assert network.edge(0, 1).travel_time_s == pytest.approx(base * 2.0 + 10.0)
 
     def test_failed_batch_changes_nothing_and_notifies_nobody(self):
@@ -530,7 +530,7 @@ class TestTrafficFeed:
         seen = []
         feed.subscribe(seen.append)
         result = feed.apply([])
-        assert result.touched_count == 0
+        assert len(result.touched_edges) == 0
         assert network.cost_version == 0
         assert seen == []
 

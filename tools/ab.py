@@ -52,13 +52,13 @@ def git(*args: str, cwd: Path = ROOT) -> str:
     ).stdout.strip()
 
 
-def head_block(root: Path = ROOT) -> dict:
+def head_block(root: Path = ROOT, record: str = RECORD.name) -> dict:
     """The change side of a record: the commit of ``root``'s working tree
     and whether its tracked files differ from it; when they do, also the
     sha256 of ``git diff HEAD``, which names the edit that was measured.
-    The record file itself is left out of both, so the records that
-    consecutive invocations append over one edit name the same diff."""
-    pathspec = ["--", ".", f":(exclude){RECORD.name}"]
+    The record file ``record`` itself is left out of both, so the records
+    that consecutive invocations append over one edit name the same diff."""
+    pathspec = ["--", ".", f":(exclude){record}"]
     block: dict = {
         "commit": git("rev-parse", "HEAD", cwd=root),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no", *pathspec, cwd=root)),
