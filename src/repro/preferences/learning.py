@@ -133,13 +133,19 @@ class PreferenceLearner:
         per_path = [self._slave(table, i, *masters[i], options[i]) for i in everything]
 
         # The representative preference is the most common per-path preference
-        # (ties broken by re-scoring against the path set).
+        # (ties broken by re-scoring against the path set).  A path whose top
+        # similarity two or more masters share cannot tell them apart, so it
+        # casts no vote.
+        voters = [
+            sum(table[i, master] == masters[i][1] for master in self._masters) < 2
+            for i in everything
+        ]
         members: list[range] = []
         tied: list[list[PreferenceVector]] = []
         for group in groups:
             start = members[-1].stop if members else 0
             members.append(range(start, start + len(group)))
-            counted = Counter(per_path[i] for i in members[-1])
+            counted = Counter(per_path[i] for i in members[-1] if voters[i])
             top_count = max(counted.values(), default=0)
             tied.append([pref for pref, count in counted.items() if count == top_count])
         table.fill(
@@ -151,10 +157,17 @@ class PreferenceLearner:
 
         results: list[LearnedPreference] = []
         for span, prefs in zip(members, tied):
-            if not span:
-                # Degenerate path sets carry no information: default to fastest.
+            if not prefs:
+                # Degenerate path sets, and sets where no path voted, carry no
+                # information: default to fastest.
                 default = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=None)
-                results.append(LearnedPreference(preference=default, similarity=0.0))
+                results.append(
+                    LearnedPreference(
+                        preference=default,
+                        similarity=0.0,
+                        per_path_preferences=[per_path[i] for i in span],
+                    )
+                )
                 continue
             best_pref, best_score = prefs[0], -1.0
             for pref in prefs:

@@ -20,6 +20,9 @@ from ..network.spatial import LonLat, centroid, max_diameter_km, polygon_area_km
 
 RegionId = int
 
+FUNCTIONALITY_TOP_K = 2
+"""Top road types describing a region's functionality (``re.F``)."""
+
 
 @dataclass
 class Region:
@@ -65,14 +68,15 @@ class Region:
         """Maximum pairwise distance between member vertices in km (Table IV)."""
         return max_diameter_km(self.coordinates(network))
 
-    def functionality(self, network: RoadNetwork, top_k: int = 2) -> tuple[RoadType, ...]:
-        """Top-k road types of the edges incident to the region's vertices."""
-        if self._functionality is None or len(self._functionality) != top_k:
+    def functionality(self, network: RoadNetwork) -> tuple[RoadType, ...]:
+        """The :data:`FUNCTIONALITY_TOP_K` most common road types of the
+        edges incident to the region's vertices (memoized)."""
+        if self._functionality is None:
             counter: Counter[RoadType] = Counter()
             for vertex in self.vertices:
                 for edge in network.iter_incident_edges(vertex):
                     counter[edge.road_type] += 1
-            ranked = [rt for rt, _ in counter.most_common(top_k)]
+            ranked = [rt for rt, _ in counter.most_common(FUNCTIONALITY_TOP_K)]
             object.__setattr__(self, "_functionality", tuple(ranked))
         return self._functionality  # type: ignore[return-value]
 

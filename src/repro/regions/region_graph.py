@@ -33,9 +33,6 @@ from .region import Region, RegionId
 if TYPE_CHECKING:  # pragma: no cover
     from ..preferences.model import PreferenceVector
 
-FUNCTIONALITY_TOP_K = 2
-"""Top road types describing a region's functionality (``re.F``)."""
-
 MAX_REGION_PAIRS_PER_TRAJECTORY = 200
 """Cap on the T-edges one trajectory produces: a trajectory through ``m``
 regions yields up to ``m(m-1)/2`` of them."""
@@ -194,8 +191,8 @@ class RegionGraph:
     def _edge_functionality(
         self, region_a: RegionId, region_b: RegionId
     ) -> frozenset[tuple[RoadType, RoadType]]:
-        fa = self.region(region_a).functionality(self._network, FUNCTIONALITY_TOP_K)
-        fb = self.region(region_b).functionality(self._network, FUNCTIONALITY_TOP_K)
+        fa = self.region(region_a).functionality(self._network)
+        fb = self.region(region_b).functionality(self._network)
         return frozenset((a, b) for a in fa for b in fb)
 
     def _get_or_create_edge(self, region_a: RegionId, region_b: RegionId, kind: str) -> RegionEdge:

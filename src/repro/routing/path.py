@@ -55,11 +55,6 @@ class Path:
             (self.vertices[i], self.vertices[i + 1]) for i in range(len(self.vertices) - 1)
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        """True if the path has a single vertex (source == destination)."""
-        return len(self.vertices) == 1
-
     # -- aggregate costs -------------------------------------------------- #
     def distance_m(self, network: RoadNetwork) -> float:
         return network.path_distance_m(self.vertices)

@@ -13,7 +13,6 @@ and runs on whatever search :func:`~repro.routing.dijkstra.dijkstra` picks.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import TYPE_CHECKING
 
@@ -116,58 +115,3 @@ class _SlaveMaskedCost:
         none_allowed = np.bincount(tails[allowed], minlength=graph.vertex_count) == 0
         relaxed = allowed | none_allowed[tails]
         return np.where(relaxed, graph.array(self._master.cost_attr), math.inf)
-
-
-def _dict_preference_search(
-    network: RoadNetwork,
-    source: VertexId,
-    destination: VertexId,
-    preference: "PreferenceVector",
-) -> Path:
-    """Dict-based reference implementation of Algorithm 2."""
-    master_cost = cost_function(preference.master)
-    slave = preference.slave
-
-    def satisfies_slave(edge: Edge) -> bool:
-        return slave is None or slave.satisfied_by(edge.road_type)
-
-    dist: dict[VertexId, float] = {source: 0.0}
-    parent: dict[VertexId, VertexId] = {}
-    settled: set[VertexId] = set()
-    heap: list[tuple[float, VertexId]] = [(0.0, source)]
-
-    while heap:
-        cost_u, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        if u == destination:
-            vertices: list[VertexId] = [destination]
-            current = destination
-            while current != source:
-                current = parent[current]
-                vertices.append(current)
-            vertices.reverse()
-            return Path.of(vertices)
-
-        successors = network.successors(u)
-        # Case (i): at least one outgoing edge satisfies the slave preference
-        # -> expand only those edges.  Case (ii): none does -> expand all.
-        none_satisfies = not any(satisfies_slave(edge) for edge in successors.values())
-        for v, edge in successors.items():
-            if v in settled:
-                continue
-            if not (satisfies_slave(edge) or none_satisfies):
-                continue
-            candidate = cost_u + master_cost(edge)
-            if candidate < dist.get(v, math.inf):
-                dist[v] = candidate
-                parent[v] = u
-                heapq.heappush(heap, (candidate, v))
-
-    if slave is not None:
-        # The road-condition restriction pruned every route; fall back to the
-        # unconstrained master-cost search (Algorithm 2 is best-effort on the
-        # slave dimension).
-        return dijkstra(network, source, destination, master_cost)
-    raise NoPathError(source, destination, reason="preference-constrained search exhausted")

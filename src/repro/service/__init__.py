@@ -9,7 +9,7 @@
 * :mod:`repro.service.stats` — :class:`ServiceStats` monitoring snapshots
 * :mod:`repro.service.resilience` — deadline budgets, bounded retries,
   per-engine circuit breakers, admission control
-* :mod:`repro.service.faults` — deterministic fault injection for chaos tests
+* :mod:`repro.service.faults` — seeded engine fault injection for chaos runs
 * :mod:`repro.service.persistence` — save / load fitted L2R models
 * :mod:`repro.service.sharding` — sharded multi-process serving over a
   shared-memory compiled graph (:class:`ShardedRoutingService`)
@@ -25,10 +25,8 @@ from .durability import (
     DurabilityManager,
     JournalError,
     JournalRecord,
-    KillSwitch,
     RecoveryError,
     RecoveryReport,
-    SimulatedCrash,
     SnapshotError,
     SnapshotStore,
 )
@@ -74,13 +72,11 @@ __all__ = [
     "JournalError",
     "JournalRecord",
     "KILL_POINTS",
-    "KillSwitch",
     "L2REngine",
     "ModelPersistenceError",
     "RecoveryError",
     "RecoveryReport",
     "RetryPolicy",
-    "SimulatedCrash",
     "SnapshotError",
     "SnapshotStore",
     "RouteCache",

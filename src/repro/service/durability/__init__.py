@@ -12,20 +12,12 @@ Three layers, bottom up:
   which wires both into the :class:`~repro.traffic.feed.TrafficFeed`
   write path and owns the snapshot-restore + WAL-replay recovery flow.
 
-:mod:`~repro.service.durability.killpoints` and
-:mod:`~repro.service.durability.chaos` are the proof obligations: named
-crash instants threaded through every durable write, and a harness showing
-recovery from each one is bit-identical to an uninterrupted run.
+:mod:`~repro.service.durability.killpoints` names the crash instants
+threaded through every durable write (the ``kill=`` hook of both stores);
+the test suite crashes at each one and checks that recovery is
+bit-identical to an uninterrupted run.
 """
 
-from .chaos import (
-    ChaosResult,
-    crash_and_recover,
-    final_state,
-    reference_state,
-    run_killpoint_matrix,
-    states_identical,
-)
 from .journal import (
     FSYNC_POLICIES,
     RECORD_TRAFFIC,
@@ -34,12 +26,18 @@ from .journal import (
     JournalRecord,
     JournalScan,
 )
-from .killpoints import KILL_POINTS, KillSwitch, SimulatedCrash
+from .killpoints import KILL_POINTS
 from .manager import DurabilityManager, RecoveryError, RecoveryReport
-from .snapshot import SnapshotError, SnapshotState, SnapshotStore, topology_stamp
+from .snapshot import (
+    SnapshotError,
+    SnapshotState,
+    SnapshotStore,
+    final_state,
+    states_identical,
+    topology_stamp,
+)
 
 __all__ = [
-    "ChaosResult",
     "DiskJournal",
     "DurabilityManager",
     "FSYNC_POLICIES",
@@ -47,18 +45,13 @@ __all__ = [
     "JournalRecord",
     "JournalScan",
     "KILL_POINTS",
-    "KillSwitch",
     "RECORD_TRAFFIC",
     "RecoveryError",
     "RecoveryReport",
-    "SimulatedCrash",
     "SnapshotError",
     "SnapshotState",
     "SnapshotStore",
-    "crash_and_recover",
     "final_state",
-    "reference_state",
-    "run_killpoint_matrix",
     "states_identical",
     "topology_stamp",
 ]

@@ -32,12 +32,12 @@ Durability is governed by the ``fsync`` policy, one of two:
 
 Segment files are opened **unbuffered** (the default opener passes
 ``buffering=0``), so with a plain opener every byte handed to ``write`` is
-visible to a same-process recovery scan immediately; the buffered-data-
-loss failure mode of a real power cut is modeled by the
-:meth:`~repro.service.faults.FaultInjector.disk` file wrapper, which
-buffers internally and drops its buffer at a ``crash-before-fsync`` fault.
-The ``kill`` hook threads :mod:`~repro.service.durability.killpoints`
-through every dangerous instant for deterministic crash testing.
+visible to a same-process recovery scan immediately.  The ``opener`` hook
+lets a test stand in a file wrapper that buffers internally and drops its
+buffer at a simulated crash — the buffered-data-loss failure mode of a real
+power cut.  The ``kill`` hook threads
+:mod:`~repro.service.durability.killpoints` through every dangerous instant
+for deterministic crash testing.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ Every durable-write sequence in this package threads an optional ``kill``
 hook through its dangerous instants — immediately before a WAL frame hits
 the file, halfway through the frame, before/after the fsync, around segment
 rotation, and around the snapshot temp-write → fsync → rename → dir-fsync
-dance.  A :class:`KillSwitch` armed on one :data:`KILL_POINTS` name raises
-:class:`SimulatedCrash` the *n*-th time execution reaches it, which the
-chaos harness (:mod:`repro.service.durability.chaos`) treats as the process
-dying on the spot: it abandons every open handle and recovers from the
-directory alone, exactly like a restart after ``kill -9`` or power loss.
+dance.  The hook is called with the point's name; a test harness arms one
+that raises there, treats the raise as the process dying on the spot,
+abandons every open handle and recovers from the directory alone, exactly
+like a restart after ``kill -9`` or power loss.
 
 The points are data (:data:`KILL_POINTS`), not prose, so the property suite
 can assert recovery at *every* crash point by iterating the tuple — a new
@@ -17,7 +16,6 @@ durable write path that adds a point is automatically covered.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 #: Every instrumented crash instant, in rough execution order.  Tests
@@ -38,56 +36,3 @@ KILL_POINTS: tuple[str, ...] = (
 
 #: Signature of the hook the durable writers call at each point.
 KillHook = Callable[[str], None]
-
-
-class SimulatedCrash(RuntimeError):
-    """The simulated process death raised by an armed :class:`KillSwitch`.
-
-    Deliberately *not* an ``OSError``: the durability code must never catch
-    it — it unwinds through every layer like a real crash would, and only
-    the chaos harness (standing in for init/systemd) is allowed to observe
-    it.
-    """
-
-    def __init__(self, point: str) -> None:
-        super().__init__(f"simulated crash at kill point {point!r}")
-        self.point = point
-
-
-class KillSwitch:
-    """Raise :class:`SimulatedCrash` the ``hits``-th time ``point`` is hit.
-
-    Thread-safe and single-shot: once fired it never fires again, so the
-    recovery that follows can reuse the same hook (or none).  ``hits``
-    selects the *n*-th occurrence, letting a schedule crash on the third
-    append rather than the first.
-    """
-
-    def __init__(self, point: str, hits: int = 1) -> None:
-        if point not in KILL_POINTS:
-            raise ValueError(
-                f"unknown kill point {point!r}; known points: {KILL_POINTS}"
-            )
-        if hits < 1:
-            raise ValueError(f"hits must be >= 1, got {hits}")
-        self.point = point
-        self.hits = hits
-        self.seen = 0
-        self.fired = False
-        self._lock = threading.Lock()
-
-    def __call__(self, name: str) -> None:
-        with self._lock:
-            if self.fired or name != self.point:
-                return
-            self.seen += 1
-            if self.seen < self.hits:
-                return
-            self.fired = True
-        raise SimulatedCrash(name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"KillSwitch(point={self.point!r}, hits={self.hits}, "
-            f"fired={self.fired})"
-        )

@@ -37,11 +37,13 @@ from typing import TYPE_CHECKING, Callable, Mapping
 import numpy as np
 
 from ...exceptions import ReproError
+from ...network.compiled.graph import EDGE_COST_ATTRIBUTES
 from .journal import _default_opener, _fsync_dir
 from .killpoints import KillHook
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...network.compiled.graph import Topology
+    from ...network.road_network import RoadNetwork
 
 _MAGIC = b"RSNAP1\n"
 _CRC = struct.Struct(">I")
@@ -69,6 +71,24 @@ def topology_stamp(topology: "Topology") -> dict:
     """
     vertices, edges, crc = topology.stamp
     return {"vertices": vertices, "edges": edges, "crc": crc}
+
+
+def final_state(network: "RoadNetwork") -> tuple[dict[str, np.ndarray], int]:
+    """The comparable endpoint of a run: cost arrays + cost version."""
+    return network.compiled().costs.export_arrays(), network.cost_version
+
+
+def states_identical(
+    left: tuple[dict[str, np.ndarray], int],
+    right: tuple[dict[str, np.ndarray], int],
+) -> bool:
+    """Bit-identical comparison: exact version, exact float arrays."""
+    if left[1] != right[1]:
+        return False
+    return all(
+        np.array_equal(left[0][attr], right[0][attr])
+        for attr in EDGE_COST_ATTRIBUTES
+    )
 
 
 @dataclass(frozen=True)

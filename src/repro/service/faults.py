@@ -1,29 +1,20 @@
 """Deterministic fault injection for chaos-testing the serving stack.
 
 A :class:`FaultInjector` wraps a :class:`~repro.service.engine.RoutingEngine`
-or a file with a *seeded* schedule of latency spikes, raised
-:class:`~repro.exceptions.TransientEngineError`\\ s and failing writes.
-Every random decision comes from a per-wrapper ``np.random.Generator``
-derived from the injector seed (in the style of the seeded condition grids
-of SNIPPETS.md Snippet 3), so a chaos run is exactly replayable: the same
-seed produces the same fault sequence, the same breaker trips, and the same
-shed / degraded counters — in tests and in CI.
+with a *seeded* schedule of latency spikes and raised
+:class:`~repro.exceptions.TransientEngineError`\\ s.  Every random decision
+comes from a per-wrapper ``np.random.Generator`` derived from the injector
+seed (in the style of the seeded condition grids of SNIPPETS.md Snippet 3),
+so a chaos run is exactly replayable: the same seed produces the same fault
+sequence, the same breaker trips, and the same shed / degraded counters — in
+tests and in CI.
 
-Two wrapper kinds, one schedule core (:class:`_Schedule`) under both:
-
-* :meth:`FaultInjector.engine` — a :class:`FaultyEngine` that, per call,
-  may sleep (latency spike) and/or raise a ``TransientEngineError`` before
-  delegating.  It deliberately does **not** offer the optional
-  ``route_batch``, so a seeded schedule stays one draw per request.
-* :meth:`FaultInjector.disk` — a :class:`FaultyDisk` that wraps file-like
-  objects (or stands in as the ``opener`` hook of a
-  :class:`~repro.service.durability.journal.DiskJournal` /
-  :class:`~repro.service.durability.snapshot.SnapshotStore`) with seeded
-  short writes, ``EIO`` / ``ENOSPC`` errors, and crash-before/after-fsync
-  schedules.  Its :class:`FaultyFile` buffers writes in memory and only
-  pushes them to the real file on flush — modeling the OS page cache, so a
-  ``crash-before-fsync`` genuinely *loses* unflushed bytes the way a power
-  cut would, which an in-process crash simulation otherwise cannot do.
+:meth:`FaultInjector.engine` returns a :class:`FaultyEngine` that, per call,
+may sleep (latency spike) and/or raise a ``TransientEngineError`` before
+delegating.  It deliberately does **not** offer the optional
+``route_batch``, so a seeded schedule stays one draw per request.  The
+schedule core (:class:`_Schedule`) is shared with the disk-fault wrappers of
+the test suite, which wrap the ``opener=`` hook of the durability stores.
 
 Instead of probabilities, an explicit ``script`` (sequence of action names,
 cycled) pins the exact failure pattern — the breaker state-transition tests
@@ -54,14 +45,6 @@ class FaultCounters:
     calls: int = 0
     injected_errors: int = 0
     injected_spikes: int = 0
-    short_writes: int = 0
-    disk_errors: int = 0
-    """Injected ``EIO`` / ``ENOSPC`` write failures."""
-    disk_crashes: int = 0
-    """Injected crash-before/after-fsync events (power-cut simulation)."""
-    lost_bytes: int = 0
-    """Bytes dropped from the simulated page cache by crash-before-fsync
-    (plus the unwritten suffix of short writes)."""
     actions: list[str] = field(default_factory=list)
     """Action taken per call, in order — the replayable schedule itself."""
 
@@ -90,22 +73,6 @@ class FaultInjector:
         """Wrap a routing engine with a seeded (or scripted) fault schedule;
         ``schedule`` holds :class:`FaultyEngine`'s keywords."""
         return FaultyEngine(engine, rng=self._child_rng(), **schedule)
-
-    def disk(self, **schedule) -> "FaultyDisk":
-        """A seeded (or scripted) disk-fault layer for file-like objects;
-        ``schedule`` holds :class:`FaultyDisk`'s keywords.
-
-        The returned :class:`FaultyDisk` is callable with ``(path, mode)``
-        so it can be handed directly to the ``opener=`` hook of
-        :class:`~repro.service.durability.journal.DiskJournal` /
-        :class:`~repro.service.durability.snapshot.SnapshotStore`, or wrap
-        an already-open handle via :meth:`FaultyDisk.wrap`.  Write faults
-        and flush faults draw from independent child generators so the
-        write schedule never perturbs the crash schedule.
-        """
-        return FaultyDisk(
-            write_rng=self._child_rng(), flush_rng=self._child_rng(), **schedule
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultInjector(seed={self.seed}, wrappers={self._wrappers})"
@@ -220,170 +187,3 @@ class FaultyEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultyEngine({self.inner!r}, calls={self.counters.calls})"
-
-
-class FaultyDisk:
-    """Factory for :class:`FaultyFile` wrappers sharing one fault schedule.
-
-    Callable as an ``opener(path, mode)`` (opens the real file unbuffered
-    underneath) and usable as :meth:`wrap` around any binary file-like
-    object.  All files opened through one ``FaultyDisk`` consume the same
-    two schedules — one per-``write`` (short / ``EIO`` / ``ENOSPC``), one
-    per-``flush`` (crash before / after fsync) — so a multi-file component
-    like the segmented journal sees one coherent, replayable fault
-    sequence.
-    """
-
-    def __init__(
-        self,
-        *,
-        write_rng: np.random.Generator,
-        flush_rng: np.random.Generator,
-        short_rate: float = 0.0,
-        eio_rate: float = 0.0,
-        enospc_rate: float = 0.0,
-        crash_before_fsync_rate: float = 0.0,
-        crash_after_fsync_rate: float = 0.0,
-        write_script: Sequence[str] | None = None,
-        flush_script: Sequence[str] | None = None,
-    ) -> None:
-        self._writes = _Schedule(
-            write_rng,
-            write_script,
-            (
-                ("short", short_rate, "short_writes"),
-                ("eio", eio_rate, "disk_errors"),
-                ("enospc", enospc_rate, "disk_errors"),
-            ),
-        )
-        self._flushes = _Schedule(
-            flush_rng,
-            flush_script,
-            (
-                ("crash-before-fsync", crash_before_fsync_rate, "disk_crashes"),
-                ("crash-after-fsync", crash_after_fsync_rate, "disk_crashes"),
-            ),
-        )
-
-    @property
-    def write_counters(self) -> FaultCounters:
-        return self._writes.counters
-
-    @property
-    def flush_counters(self) -> FaultCounters:
-        return self._flushes.counters
-
-    def __call__(self, path: str, mode: str) -> "FaultyFile":
-        # Opener hook: ownership moves to the caller, which closes the
-        # wrapping FaultyFile.
-        # reprolint: disable-next-line=RL011
-        return self.wrap(open(path, mode, buffering=0))
-
-    def wrap(self, inner) -> "FaultyFile":
-        """Wrap an already-open binary file-like object."""
-        return FaultyFile(inner, self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FaultyDisk(writes={self.write_counters.calls}, "
-            f"flushes={self.flush_counters.calls})"
-        )
-
-
-class FaultyFile:
-    """A binary file wrapper with a simulated page cache and fault schedule.
-
-    ``write`` appends to an in-memory buffer (the "page cache"); ``flush``
-    pushes the buffer to the real file.  Faults:
-
-    * ``short`` — a seeded prefix of the data reaches the buffer, then
-      ``OSError(EIO)`` is raised (a partial write the caller sees fail);
-    * ``eio`` / ``enospc`` — nothing is written, ``OSError`` raised;
-    * ``crash-before-fsync`` — the buffer is *discarded* and
-      :class:`~repro.service.durability.killpoints.SimulatedCrash` raised:
-      power died before the data left the page cache;
-    * ``crash-after-fsync`` — the buffer is pushed, flushed, and fsynced,
-      *then* the crash is raised: the data is durable but the writer never
-      learned so.
-
-    ``fileno`` forwards to the real file, so an ``os.fsync(f.fileno())``
-    after a clean ``flush`` behaves exactly like production code expects.
-    """
-
-    def __init__(self, inner, disk: FaultyDisk) -> None:
-        self.inner = inner
-        self._disk = disk
-        self._buffer = bytearray()
-        self._closed = False
-
-    # -- write path ------------------------------------------------------ #
-    def write(self, data) -> int:
-        import errno as _errno
-
-        data = bytes(data)
-        writes = self._disk._writes
-        action = writes.next()
-        if action == "short":
-            # The prefix length is a seeded draw from the *write* stream so
-            # replays tear the frame at the same byte every time.
-            with writes.lock:
-                cut = int(writes.rng.integers(0, len(data))) if data else 0
-                writes.counters.lost_bytes += len(data) - cut
-            self._buffer.extend(data[:cut])
-            raise OSError(_errno.EIO, f"simulated short write ({cut}/{len(data)} bytes)")
-        if action == "eio":
-            raise OSError(_errno.EIO, "simulated I/O error")
-        if action == "enospc":
-            raise OSError(_errno.ENOSPC, "simulated: no space left on device")
-        self._buffer.extend(data)
-        return len(data)
-
-    def _push(self) -> None:
-        if self._buffer:
-            self.inner.write(bytes(self._buffer))
-            self._buffer.clear()
-        self.inner.flush()
-
-    def flush(self) -> None:
-        from .durability.killpoints import SimulatedCrash
-
-        flushes = self._disk._flushes
-        action = flushes.next()
-        if action == "crash-before-fsync":
-            with flushes.lock:
-                flushes.counters.lost_bytes += len(self._buffer)
-            self._buffer.clear()
-            raise SimulatedCrash("disk.crash-before-fsync")
-        if action == "crash-after-fsync":
-            self._push()
-            import os as _os
-
-            _os.fsync(self.inner.fileno())
-            raise SimulatedCrash("disk.crash-after-fsync")
-        self._push()
-
-    # -- passthrough ----------------------------------------------------- #
-    def fileno(self) -> int:
-        return self.inner.fileno()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._push()
-        finally:
-            self.inner.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "FaultyFile":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultyFile({self.inner!r}, buffered={len(self._buffer)})"

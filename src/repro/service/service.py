@@ -168,12 +168,6 @@ class RoutingService:
         self.engine(name)  # validates
         self._default_engine = name
 
-    def set_fallback(self, name: str, fallback: str) -> None:
-        """Declare ``fallback`` as the next engine when ``name`` fails."""
-        self.engine(name)
-        self.engine(fallback)
-        self._fallbacks[name] = fallback
-
     def breaker(self, name: str) -> CircuitBreaker | None:
         """The engine's circuit breaker (``None`` unless ``breaker=True``)."""
         self.engine(name)  # validates

@@ -25,7 +25,8 @@ wholesale — the one catch-up path, the same one boot and recovery use.
 A worker whose heartbeat probe goes unanswered has its link severed, which
 routes it through the same reconnect machinery as a real network fault.
 
-Serving, traffic, durability and the chaos hooks are serialized by one lock.
+Serving, traffic, durability and the network-fault hooks are serialized by
+one lock.
 The coordinator is the segment *owner* — :meth:`ShardCoordinator.close`
 shuts the pool down, then closes and unlinks the segment; use it as a context
 manager so no test or bench path can leak a segment.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ...exceptions import ConfigurationError, ShardingError
@@ -133,8 +133,6 @@ class ShardCoordinator:
         self._broadcast_lag_s = 0.0
         self._worker_resyncs = 0
         self._reconnected: set[int] = set()
-        self._crash_worker: int | None = None
-        self._crash_diff_workers: tuple[int, ...] = ()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -170,9 +168,7 @@ class ShardCoordinator:
         self, requests: Sequence[RouteRequest], engine: str, *, batched: bool
     ) -> list[RouteResponse]:
         """Answer ``requests`` with the named worker engine, in order: one
-        :class:`RouteWork` per source shard involved.  A resubmitted batch
-        has any chaos crash hook stripped, so a crash test observes exactly
-        one crash."""
+        :class:`RouteWork` per source shard involved."""
         with self._lock:
             self._open_pool()
             responses: list[RouteResponse | None] = [None] * len(requests)
@@ -193,16 +189,11 @@ class ShardCoordinator:
 
             for shard_id, positions in by_shard.items():
                 self._task_counter += 1
-                crash_at = None
-                if self._crash_worker == shard_id:
-                    crash_at = 0
-                    self._crash_worker = None
                 work = RouteWork(
                     task_id=self._task_counter,
                     engine=engine,
                     requests=tuple(requests[position] for position in positions),
                     positions=tuple(positions),
-                    crash_at=crash_at,
                 )
                 # A link down at dispatch heals in the wait loop (resent on
                 # reconnect, or failed at the timeout).
@@ -266,11 +257,9 @@ class ShardCoordinator:
         assert self._pool is not None
         reconnected, self._reconnected = self._reconnected, set()
         restarted = set(self._pool.restart_dead())
-        for task_id, (shard_id, work) in pending.items():
+        for shard_id, work in pending.values():
             if shard_id in reconnected or shard_id in restarted:
-                clean = replace(work, crash_at=None)
-                pending[task_id] = (shard_id, clean)
-                self._pool.submit(shard_id, clean)
+                self._pool.submit(shard_id, work)
 
     def _pump(self, timeout_s: float) -> None:
         """Drain one coordinator-bound message into the routing tables."""
@@ -375,9 +364,7 @@ class ShardCoordinator:
                     (key, tuple((a, float(getattr(edge(*key), a))) for a in _COST_ATTRIBUTES))
                     for key in sorted(result.touched_edges)
                 ),
-                crash_workers=self._crash_diff_workers,
             )
-            self._crash_diff_workers = ()
             self._pool.broadcast(diff)
             if wait:
                 self._await_acks(result.cost_version)
@@ -468,26 +455,8 @@ class ShardCoordinator:
             self._in_shard = 0
 
     # ------------------------------------------------------------------ #
-    # Chaos hooks (tests only; recovery must serve identical results)
+    # Network faults (the hub's accept path consults the partition set)
     # ------------------------------------------------------------------ #
-    def inject_crash(self, shard_id: int, phase: str = "work") -> None:
-        """Hard-kill the shard's worker at a chosen point.
-
-        ``phase="work"`` crashes it on its next :class:`RouteWork` batch;
-        ``phase="diff"`` crashes it on the next :class:`CostDiff` broadcast
-        *between receipt and ack* — the window the traffic barrier must
-        survive.
-        """
-        if phase not in ("work", "diff"):
-            raise ConfigurationError(
-                f"unknown crash phase {phase!r} (expected 'work' or 'diff')"
-            )
-        with self._lock:
-            if phase == "work":
-                self._crash_worker = shard_id
-            else:
-                self._crash_diff_workers = (*self._crash_diff_workers, shard_id)
-
     def drop_connection(self, worker_id: int) -> bool:
         """Sever one worker's link — a network fault, not a crash; the
         worker redials and re-identifies on its own.  Returns whether a live

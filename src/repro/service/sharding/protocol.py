@@ -4,8 +4,8 @@ Every message crossing the process boundary is a small frozen dataclass,
 framed over TCP sockets (:mod:`~repro.service.sharding.transport`; loopback
 on one host, the same wire across nodes).  The worker loop is written
 against the two-method :class:`Transport` protocol, which is what lets the
-chaos wrapper and the tests' in-memory fake stand in for a socket.  The
-coordinator-to-worker direction carries :class:`RouteWork` batches,
+tests' in-memory fake stand in for a socket.  The coordinator-to-worker
+direction carries :class:`RouteWork` batches,
 versioned :class:`CostDiff` broadcasts, :class:`Ping` heartbeats,
 :class:`ResyncRequired`, and :class:`Shutdown`; the worker-to-coordinator
 direction carries :class:`Hello` (boot handshake *and* reconnect
@@ -86,17 +86,16 @@ class Fatal:
 
 @dataclass(frozen=True)
 class RouteWork:
-    """One batch of requests for a single worker, all from its shard."""
+    """One batch of requests for a single worker, all from its shard.
+
+    Resubmitted unchanged to a reconnected or restarted worker; a duplicate
+    answer is last-write-wins."""
 
     task_id: int
     engine: str
     requests: tuple["RouteRequest", ...]
     positions: tuple[int, ...]
     """Caller-side slot of each request in the originating batch."""
-    crash_at: int | None = None
-    """Chaos-test hook: the worker hard-exits (``os._exit``) before
-    answering the request at this index.  Stripped by the pool before any
-    resubmission, so a restarted worker serves the batch normally."""
 
 
 @dataclass(frozen=True)
@@ -130,16 +129,14 @@ class CostDiff:
     which is what makes worker restarts and diffs landing on top of a
     resync safe).  A worker whose current version is not ``base_version``
     missed a broadcast and resyncs from the shared segment instead of
-    applying the diff.
+    applying the diff.  A worker that dies before acknowledging is
+    respawned at the segment's version, which the ack barrier counts as
+    its ack.
     """
 
     version: int
     base_version: int
     changes: tuple[tuple[tuple["VertexId", "VertexId"], tuple[tuple[str, float], ...]], ...]
-    crash_workers: tuple[int, ...] = ()
-    """Chaos-test hook: the named workers hard-exit (``os._exit``) on
-    receipt, *before* applying or acknowledging — the crash-between-
-    broadcast-and-ack scenario the ack barrier must survive."""
 
     def as_updates(self) -> dict[tuple["VertexId", "VertexId"], dict[str, float]]:
         return {key: dict(values) for key, values in self.changes}

@@ -9,8 +9,9 @@ coordinator.ShardEngine` per worker engine (``Shortest``, the default, and
 therefore passes the service's one gate — admission, deadline,
 breaker, degraded serving, request and latency statistics — exactly as it
 does in process; ``stats()`` adds the coordinator's shard counters.  The
-remaining verbs (heartbeats, snapshot / recover, chaos hooks) are called on
-:attr:`ShardedRoutingService.coordinator`.
+remaining verbs (heartbeats, snapshot / recover, and the network-fault
+hooks ``drop_connection`` / ``partition_worker`` / ``heal_worker``) are
+called on :attr:`ShardedRoutingService.coordinator`.
 """
 
 from __future__ import annotations

@@ -90,9 +90,9 @@ def encode_frame(message: object) -> bytes:
     return _LENGTH_STRUCT.pack(len(payload)) + payload
 
 
-def send_frame(sock: socket.socket, message: object, timeout_s: float = _IO_TIMEOUT_S) -> None:
-    """Write one frame under an explicit timeout (``sendall`` semantics)."""
-    sock.settimeout(timeout_s)
+def send_frame(sock: socket.socket, message: object) -> None:
+    """Write one frame under the I/O timeout (``sendall`` semantics)."""
+    sock.settimeout(_IO_TIMEOUT_S)
     sock.sendall(encode_frame(message))
 
 

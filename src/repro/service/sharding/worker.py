@@ -132,10 +132,6 @@ class ShardWorker:
         if isinstance(message, RouteWork):
             self.transport.send(self.serve(message))
         elif isinstance(message, CostDiff):
-            if self.payload.worker_id in message.crash_workers:
-                # Chaos hook: die between broadcast receipt and ack — the
-                # exact window the coordinator's ack barrier must survive.
-                os._exit(23)
             self.apply_diff(message)
             self.transport.send(
                 VersionAck(worker_id=self.payload.worker_id, version=self.version)
@@ -164,10 +160,6 @@ class ShardWorker:
     # Serving
     # ------------------------------------------------------------------ #
     def serve(self, work: RouteWork) -> RouteResults:
-        if work.crash_at is not None:
-            # Chaos hook: die the way a segfaulting worker would — no
-            # goodbye message, no cleanup, mid-batch.
-            os._exit(23)
         started = time.perf_counter()
         engine = work.engine
         # The coordinator only hands out engines named in the payload.

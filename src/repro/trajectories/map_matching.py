@@ -53,9 +53,9 @@ class _Candidate:
 class HMMMapMatcher:
     """Hidden-Markov-model map matcher over a fixed road network."""
 
-    def __init__(self, network: RoadNetwork, spatial_index: SpatialIndex | None = None) -> None:
+    def __init__(self, network: RoadNetwork) -> None:
         self._network = network
-        self._index = spatial_index or SpatialIndex(network)
+        self._index = SpatialIndex(network)
         self._distance_cost = cost_function(CostFeature.DISTANCE)
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,10 @@
-"""Deterministic crash-recovery harness for the durability layer.
+"""Simulated crashes and a crash-recovery harness for the durability layer.
+
+A :class:`KillSwitch` armed on one
+:data:`~repro.service.durability.killpoints.KILL_POINTS` name is the
+``kill=`` hook of a :class:`~repro.service.durability.DurabilityManager`: it
+raises :class:`SimulatedCrash` the first time execution reaches the point,
+which the harness treats as the process dying on the spot.
 
 The harness answers one question, mechanically, for every instrumented
 crash instant: *if the process dies exactly here, does restart + recovery
@@ -23,7 +29,7 @@ write-ahead limbo case: the client never got an acknowledgment, and
 recovery's redo of the record is the WAL contract working as designed).
 
 :func:`run_killpoint_matrix` sweeps :data:`KILL_POINTS` with parameters
-chosen so each point actually fires (tiny segments for rotation, a
+chosen so each point actually fires (512-byte segments for rotation, a
 mid-sequence snapshot for the snapshot points) and reports a
 :class:`ChaosResult` per point; a point that never fired is still checked
 (the run degenerates to fault-free) but flagged ``crashed=False``.
@@ -31,23 +37,70 @@ mid-sequence snapshot for the snapshot points) and reports a
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ...network.compiled.graph import EDGE_COST_ATTRIBUTES
-from ...traffic.feed import TrafficFeed
-from .killpoints import KILL_POINTS, KillSwitch, SimulatedCrash
-from .manager import DurabilityManager, RecoveryReport
+from repro.service.durability import (
+    KILL_POINTS,
+    DurabilityManager,
+    RecoveryReport,
+    final_state,
+    states_identical,
+)
+from repro.traffic.feed import TrafficFeed
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...network.road_network import RoadNetwork
-    from ...traffic.updates import TrafficUpdate
+    from repro.network.road_network import RoadNetwork
+    from repro.traffic.updates import TrafficUpdate
+
+
+class SimulatedCrash(RuntimeError):
+    """The simulated process death raised by an armed :class:`KillSwitch`.
+
+    Deliberately *not* an ``OSError``: the durability code must never catch
+    it — it unwinds through every layer like a real crash would, and only
+    the test harness (standing in for init/systemd) is allowed to observe
+    it.
+    """
+
+    def __init__(self, point: str) -> None:
+        super().__init__(f"simulated crash at kill point {point!r}")
+        self.point = point
+
+
+class KillSwitch:
+    """Raise :class:`SimulatedCrash` the first time ``point`` is hit.
+
+    Thread-safe and single-shot: once fired it never fires again, so the
+    recovery that follows can reuse the same hook (or none).
+    """
+
+    def __init__(self, point: str) -> None:
+        if point not in KILL_POINTS:
+            raise ValueError(
+                f"unknown kill point {point!r}; known points: {KILL_POINTS}"
+            )
+        self.point = point
+        self.fired = False
+        self._lock = threading.Lock()
+
+    def __call__(self, name: str) -> None:
+        with self._lock:
+            if self.fired or name != self.point:
+                return
+            self.fired = True
+        raise SimulatedCrash(name)
+
 
 NetworkFactory = Callable[[], "RoadNetwork"]
 Batch = Sequence["TrafficUpdate"]
+
+#: WAL segment size of the harness runs: small, so the rotation points fire.
+SEGMENT_MAX_BYTES = 512
 
 
 @dataclass
@@ -55,18 +108,10 @@ class ChaosResult:
     """Outcome of one crash-at-point / recover / resume / compare cycle."""
 
     point: str
-    hits: int
     crashed: bool
-    crash_batch: int | None
-    report: RecoveryReport | None
-    resumed: int
+    report: RecoveryReport
     identical: bool
     detail: str = ""
-
-
-def final_state(network: "RoadNetwork") -> tuple[dict[str, np.ndarray], int]:
-    """The comparable endpoint of a run: cost arrays + cost version."""
-    return network.compiled().costs.export_arrays(), network.cost_version
 
 
 def reference_state(
@@ -80,29 +125,13 @@ def reference_state(
     return final_state(network)
 
 
-def states_identical(
-    left: tuple[dict[str, np.ndarray], int],
-    right: tuple[dict[str, np.ndarray], int],
-) -> bool:
-    """Bit-identical comparison: exact version, exact float arrays."""
-    if left[1] != right[1]:
-        return False
-    return all(
-        np.array_equal(left[0][attr], right[0][attr])
-        for attr in EDGE_COST_ATTRIBUTES
-    )
-
-
 def crash_and_recover(
     make_network: NetworkFactory,
     batches: Sequence[Batch],
     directory: str | Path,
     point: str,
     *,
-    hits: int = 1,
-    fsync: str = "always",
-    segment_max_bytes: int = 1 << 20,
-    snapshot_after: int | None = None,
+    snapshot_after: int,
     reference: tuple[dict[str, np.ndarray], int] | None = None,
 ) -> ChaosResult:
     """Crash at ``point``, recover, resume, and compare to the reference.
@@ -110,9 +139,8 @@ def crash_and_recover(
     ``batches`` must all be effective (see module docstring).  The crashed
     run's manager is deliberately never closed — a simulated process death
     leaves no one to flush; recovery must cope with whatever the directory
-    holds.  ``snapshot_after`` takes a snapshot after that batch index,
-    which is what puts the ``snapshot.*`` kill points in the execution
-    path.
+    holds.  A snapshot after batch ``snapshot_after`` is what puts the
+    ``snapshot.*`` kill points in the execution path.
     """
     directory = Path(directory)
     if reference is None:
@@ -120,98 +148,65 @@ def crash_and_recover(
 
     network = make_network()
     initial_version = network.cost_version
-    switch = KillSwitch(point, hits)
-    manager = DurabilityManager(
-        directory, fsync=fsync, segment_max_bytes=segment_max_bytes, kill=switch
-    )
+    switch = KillSwitch(point)
+    manager = DurabilityManager(directory, segment_max_bytes=SEGMENT_MAX_BYTES, kill=switch)
     feed = TrafficFeed(network)
     feed.attach_journal(manager)
-    crash_batch: int | None = None
     try:
         for index, batch in enumerate(batches):
             feed.apply(batch)
-            if snapshot_after is not None and index == snapshot_after:
+            if index == snapshot_after:
                 manager.snapshot(network)
     except SimulatedCrash:
-        crash_batch = index
+        pass
     # The crashed manager is abandoned, never closed: its open handles die
     # with the "process", and only the bytes already on disk survive.
 
     recovered = make_network()
-    recovery_manager = DurabilityManager(
-        directory, fsync=fsync, segment_max_bytes=segment_max_bytes
-    )
-    try:
+    with DurabilityManager(directory, segment_max_bytes=SEGMENT_MAX_BYTES) as recovery_manager:
         recovered_feed = TrafficFeed(recovered)
         report = recovery_manager.recover(recovered, recovered_feed)
         durable_prefix = report.recovered_version - initial_version
-        if durable_prefix < 0 or durable_prefix > len(batches):
+        if not 0 <= durable_prefix <= len(batches):
             return ChaosResult(
                 point=point,
-                hits=hits,
-                crashed=crash_batch is not None,
-                crash_batch=crash_batch,
+                crashed=switch.fired,
                 report=report,
-                resumed=0,
                 identical=False,
                 detail=(
                     f"recovered version {report.recovered_version} is outside "
                     f"[{initial_version}, {initial_version + len(batches)}]"
                 ),
             )
-        remaining = batches[durable_prefix:]
         recovered_feed.attach_journal(recovery_manager)
-        for batch in remaining:
+        for batch in batches[durable_prefix:]:
             recovered_feed.apply(batch)
         identical = states_identical(final_state(recovered), reference)
         return ChaosResult(
             point=point,
-            hits=hits,
-            crashed=crash_batch is not None,
-            crash_batch=crash_batch,
+            crashed=switch.fired,
             report=report,
-            resumed=len(remaining),
             identical=identical,
             detail="" if identical else "recovered+resumed state diverged",
         )
-    finally:
-        recovery_manager.close()
 
 
 def run_killpoint_matrix(
-    make_network: NetworkFactory,
-    batches: Sequence[Batch],
-    root: str | Path,
-    *,
-    points: Sequence[str] = KILL_POINTS,
-    hits: int = 1,
-    fsync: str = "always",
-    segment_max_bytes: int = 512,
-    snapshot_after: int | None = None,
+    make_network: NetworkFactory, batches: Sequence[Batch], root: str | Path
 ) -> list[ChaosResult]:
-    """One :func:`crash_and_recover` cycle per kill point, isolated dirs.
-
-    ``segment_max_bytes`` defaults tiny so rotation points fire; pass
-    ``snapshot_after`` (e.g. the middle batch) to put the snapshot points
-    in play.  The reference run is computed once and shared.
-    """
+    """One :func:`crash_and_recover` cycle per kill point, isolated dirs,
+    with the snapshot after the middle batch.  The reference run is
+    computed once and shared."""
     root = Path(root)
     reference = reference_state(make_network, batches)
-    if snapshot_after is None:
-        snapshot_after = len(batches) // 2
-    results = []
-    for point in points:
-        results.append(
-            crash_and_recover(
-                make_network,
-                batches,
-                root / point.replace(".", "_").replace("-", "_"),
-                point,
-                hits=hits,
-                fsync=fsync,
-                segment_max_bytes=segment_max_bytes,
-                snapshot_after=snapshot_after,
-                reference=reference,
-            )
+    return [
+        crash_and_recover(
+            make_network,
+            batches,
+            root / point.replace(".", "_").replace("-", "_"),
+            point,
+            snapshot_after=len(batches) // 2,
+            reference=reference,
         )
-    return results
+        for point in KILL_POINTS
+    ]

@@ -96,7 +96,7 @@ class TestCompiledQueries:
     def test_trivial_and_unknown_vertices(self):
         network = _grid(13, rows=3, cols=3)
         hierarchy = build_contraction_hierarchy(network, CostFeature.TRAVEL_TIME)
-        assert ch_shortest_path(network, 4, 4, hierarchy).is_trivial
+        assert ch_shortest_path(network, 4, 4, hierarchy).vertices == (4,)
         from repro.exceptions import VertexNotFoundError
 
         with pytest.raises(VertexNotFoundError):

@@ -43,8 +43,10 @@ from repro.routing import (
     preference_dijkstra,
     weighted_cost,
 )
-from repro.routing.preference_dijkstra import _dict_preference_search, preference_cost
+from repro.routing.preference_dijkstra import preference_cost
 from repro.traffic import TrafficFeed, synthetic_congestion
+
+from support.reference import dict_preference_search
 
 
 # --------------------------------------------------------------------------- #
@@ -268,7 +270,7 @@ class TestOtherKernels:
         with nullcontext() if compiled else compiled_disabled():
             compiled_path, dict_path = _both(
                 lambda: preference_dijkstra(network, source, destination, preference),
-                lambda: _dict_preference_search(network, source, destination, preference),
+                lambda: dict_preference_search(network, source, destination, preference),
             )
         if compiled_path == "no-path":
             assert dict_path == "no-path"

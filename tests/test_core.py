@@ -57,7 +57,7 @@ class TestLearnToRoute:
 
     def test_route_same_vertex(self, fitted_l2r, tiny_split):
         vertex = tiny_split.test[0].source
-        assert fitted_l2r.route(vertex, vertex).is_trivial
+        assert fitted_l2r.route(vertex, vertex).vertices == (vertex,)
 
     def test_diagnostics_reported(self, fitted_l2r, tiny_split):
         trajectory = tiny_split.test[0]

@@ -5,7 +5,9 @@ mid-frame, pre-fsync, mid-rotation, mid-snapshot-publish — restart recovery
 plus a resume of the non-durable suffix reaches a state bit-identical to an
 uninterrupted run.  Torn or corrupted records are detected and discarded,
 never silently replayed; a defect in the middle of the chain quarantines
-everything after it.
+everything after it.  Whole-stack recovery — snapshot fallback, the WAL
+suffix, the service and sharded restarts — is checked against a model by
+``tests/test_oracle.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import check_cost_coherence
@@ -30,28 +32,20 @@ from repro.service import (
     FaultInjector,
     JournalError,
     JournalRecord,
-    KillSwitch,
     RecoveryError,
-    RoutingService,
-    SimulatedCrash,
     SnapshotStore,
     load_model,
     save_model,
 )
-from repro.service.durability import (
-    RECORD_TRAFFIC,
-    crash_and_recover,
-    final_state,
-    reference_state,
-    run_killpoint_matrix,
-    states_identical,
-    topology_stamp,
-)
+from repro.service.durability import RECORD_TRAFFIC, topology_stamp
 from repro.service.durability import journal as journal_module
 from repro.service.durability import snapshot as snapshot_module
 from repro.service.durability.journal import _HEADER, FSYNC_INTERVAL
 from repro.traffic import TrafficFeed
 from repro.traffic.updates import TrafficUpdate
+
+from support.crash import KillSwitch, SimulatedCrash, crash_and_recover, run_killpoint_matrix
+from support.disk import faulty_disk
 
 
 def _record(version: int, payload: object = None) -> JournalRecord:
@@ -291,7 +285,7 @@ class TestSnapshotStore:
     def test_crash_before_rename_leaves_previous_snapshot_intact(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save(1, _arrays(4, 1.0), STAMP)
-        crashing = SnapshotStore(tmp_path, kill=KillSwitch("snapshot.pre-rename", 1))
+        crashing = SnapshotStore(tmp_path, kill=KillSwitch("snapshot.pre-rename"))
         with pytest.raises(SimulatedCrash):
             crashing.save(2, _arrays(4, 2.0), STAMP)
         reopened = SnapshotStore(tmp_path)
@@ -390,45 +384,6 @@ class TestDecoderFuzz:
 # DurabilityManager: end-to-end recovery semantics
 # -------------------------------------------------------------------- #
 class TestRecovery:
-    def test_wal_only_recovery_is_bit_identical(self, tmp_path):
-        make = _make_network_factory()
-        batches = _effective_batches(make(), 6, seed=11)
-        reference = reference_state(make, batches)
-
-        network = make()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path) as manager:
-            feed.attach_journal(manager)
-            for batch in batches:
-                feed.apply(batch)
-
-        recovered = make()
-        with DurabilityManager(tmp_path) as manager:
-            report = manager.recover(recovered, TrafficFeed(recovered))
-        assert report.replayed == 6 and report.verified and not report.gap
-        assert states_identical(final_state(recovered), reference)
-
-    def test_snapshot_plus_suffix_recovery(self, tmp_path):
-        make = _make_network_factory()
-        batches = _effective_batches(make(), 6, seed=13)
-        reference = reference_state(make, batches)
-
-        network = make()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path, segment_max_bytes=256) as manager:
-            feed.attach_journal(manager)
-            for index, batch in enumerate(batches):
-                feed.apply(batch)
-                if index == 3:
-                    manager.snapshot(network)
-
-        recovered = make()
-        with DurabilityManager(tmp_path) as manager:
-            report = manager.recover(recovered, TrafficFeed(recovered))
-        assert report.snapshot_version == make().cost_version + 4
-        assert report.replayed == 2  # only the post-snapshot suffix
-        assert states_identical(final_state(recovered), reference)
-
     def test_snapshot_prunes_covered_wal_segments(self, tmp_path):
         network = _make_network_factory()()
         feed = TrafficFeed(network)
@@ -439,33 +394,6 @@ class TestRecovery:
             before = len(manager.journal.segment_paths())
             manager.snapshot(network)
             assert len(manager.journal.segment_paths()) < before
-
-    def test_damaged_newest_snapshot_falls_back_without_a_gap(self, tmp_path):
-        # The WAL is pruned through the oldest retained snapshot, so when the
-        # newest one is damaged, recovery from the older one still finds
-        # every record after it.
-        make = _make_network_factory(8, 8, seed=7)
-        batches = _effective_batches(make(), 30, seed=43, size=1)
-        reference = reference_state(make, batches)
-        network = make()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path, segment_max_bytes=300) as manager:
-            feed.attach_journal(manager)
-            for index, batch in enumerate(batches):
-                feed.apply(batch)
-                if index + 1 in (10, 20):
-                    newest = manager.snapshot(network)
-            assert manager.journal.rotations > 0
-        blob = bytearray(newest.read_bytes())
-        blob[-1] ^= 0xFF
-        newest.write_bytes(bytes(blob))
-
-        recovered = make()
-        with DurabilityManager(tmp_path) as manager:
-            report = manager.recover(recovered, TrafficFeed(recovered))
-        assert report.snapshot_version == make().cost_version + 10
-        assert not report.gap and report.replayed == 20
-        assert states_identical(final_state(recovered), reference)
 
     def test_replay_does_not_rejournal(self, tmp_path):
         network = _make_network_factory()()
@@ -540,14 +468,7 @@ class TestKillPointChaos:
     def test_crash_at_point_recovers_exactly(self, point, tmp_path):
         make = _make_network_factory()
         batches = _effective_batches(make(), 9, seed=17)
-        result = crash_and_recover(
-            make,
-            batches,
-            tmp_path,
-            point,
-            segment_max_bytes=512,
-            snapshot_after=4,
-        )
+        result = crash_and_recover(make, batches, tmp_path, point, snapshot_after=4)
         assert result.crashed, f"kill point {point} never fired"
         assert result.identical, f"{point}: {result.detail}"
         assert result.report is not None and result.report.verified
@@ -561,42 +482,13 @@ class TestKillPointChaos:
             (r.point, r.detail) for r in results if not r.identical
         ]
 
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        point=st.sampled_from(KILL_POINTS),
-        hits=st.integers(min_value=1, max_value=3),
-    )
-    def test_randomized_sequences_recover_exactly(
-        self, seed, point, hits, tmp_path
-    ):
-        make = _make_network_factory(3, 3, seed=2)
-        batches = _effective_batches(make(), 6, seed=seed)
-        result = crash_and_recover(
-            make,
-            batches,
-            tmp_path / f"{seed}_{point.replace('.', '_')}_{hits}",
-            point,
-            hits=hits,
-            segment_max_bytes=384,
-            snapshot_after=2,
-        )
-        # A later `hits` may land past the run's end (no crash) — then the
-        # run degenerates to fault-free and must still match exactly.
-        assert result.identical, f"{point} x{hits} seed={seed}: {result.detail}"
-
-
 # -------------------------------------------------------------------- #
-# Seeded disk faults (FaultInjector.disk)
+# Seeded disk faults (support.disk)
 # -------------------------------------------------------------------- #
 class TestDiskFaults:
     def test_write_script_actions(self, tmp_path):
-        disk = FaultInjector(seed=1).disk(
-            write_script=["ok", "eio", "enospc", "short", "ok"]
+        disk = faulty_disk(
+            FaultInjector(seed=1), write_script=["ok", "eio", "enospc", "short", "ok"]
         )
         target = tmp_path / "f.bin"
         handle = disk(str(target), "wb")
@@ -617,7 +509,7 @@ class TestDiskFaults:
         assert counters.lost_bytes >= 1  # at least the short write's cut
 
     def test_crash_before_fsync_loses_buffered_bytes(self, tmp_path):
-        disk = FaultInjector(seed=2).disk(flush_script=["crash-before-fsync"])
+        disk = faulty_disk(FaultInjector(seed=2), flush_script=["crash-before-fsync"])
         target = tmp_path / "f.bin"
         handle = disk(str(target), "wb")
         handle.write(b"doomed")
@@ -628,7 +520,7 @@ class TestDiskFaults:
         assert disk.flush_counters.lost_bytes == 6
 
     def test_crash_after_fsync_keeps_the_bytes(self, tmp_path):
-        disk = FaultInjector(seed=3).disk(flush_script=["crash-after-fsync"])
+        disk = faulty_disk(FaultInjector(seed=3), flush_script=["crash-after-fsync"])
         target = tmp_path / "f.bin"
         handle = disk(str(target), "wb")
         handle.write(b"durable")
@@ -639,7 +531,7 @@ class TestDiskFaults:
 
     def test_seeded_schedules_replay_identically(self, tmp_path):
         def run(sub: str) -> tuple[bytes, int, int]:
-            disk = FaultInjector(seed=99).disk(short_rate=0.3, eio_rate=0.2)
+            disk = faulty_disk(FaultInjector(seed=99), short_rate=0.3, eio_rate=0.2)
             target = tmp_path / sub
             handle = disk(str(target), "wb")
             written = errors = 0
@@ -657,7 +549,7 @@ class TestDiskFaults:
     def test_journal_survives_transient_write_faults(self, tmp_path):
         # One frame write per append: record 1 lands, record 2's write
         # fails with EIO — the failed append must not corrupt the log.
-        disk = FaultInjector(seed=5).disk(write_script=["ok", "eio", "ok"])
+        disk = faulty_disk(FaultInjector(seed=5), write_script=["ok", "eio", "ok"])
         journal = DiskJournal(tmp_path, opener=disk, fsync="interval")
         try:
             journal.append(_record(1))
@@ -675,8 +567,8 @@ class TestDiskFaults:
     def test_crash_before_fsync_drops_unacked_journal_suffix(self, tmp_path):
         # With the faulty page cache, bytes not yet fsynced die with the
         # crash: recovery sees only the records whose fsync completed.
-        disk = FaultInjector(seed=6).disk(
-            flush_script=["ok", "ok", "crash-before-fsync"]
+        disk = faulty_disk(
+            FaultInjector(seed=6), flush_script=["ok", "ok", "crash-before-fsync"]
         )
         journal = DiskJournal(tmp_path, opener=disk, fsync="always")
         journal.append(_record(1))
@@ -695,7 +587,7 @@ class TestDiskFaults:
         # Under "interval" the first FSYNC_INTERVAL appends are fsynced
         # together; the crash at the second fsync loses exactly the second
         # interval's records, which were never acknowledged as durable.
-        disk = FaultInjector(seed=8).disk(flush_script=["ok", "crash-before-fsync"])
+        disk = faulty_disk(FaultInjector(seed=8), flush_script=["ok", "crash-before-fsync"])
         journal = DiskJournal(tmp_path, opener=disk, fsync="interval")
         with pytest.raises(SimulatedCrash):
             for version in range(2 * FSYNC_INTERVAL):
@@ -710,108 +602,15 @@ class TestDiskFaults:
     def test_invalid_script_action_is_rejected(self):
         injector = FaultInjector(seed=1)
         with pytest.raises(ValueError):
-            injector.disk(write_script=["ok", "explode"])
+            faulty_disk(injector, write_script=["ok", "explode"])
         with pytest.raises(ValueError):
-            injector.disk(flush_script=["short"])  # a write action, not flush
-
-
-# -------------------------------------------------------------------- #
-# RoutingService.recover
-# -------------------------------------------------------------------- #
-class TestServiceRecovery:
-    def test_service_recover_restores_and_invalidates_cache(self, tmp_path):
-        make = _make_network_factory()
-        batches = _effective_batches(make(), 4, seed=31)
-        reference = reference_state(make, batches)
-
-        network = make()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path) as manager:
-            feed.attach_journal(manager)
-            for batch in batches:
-                feed.apply(batch)
-
-        recovered = make()
-        recovered_feed = TrafficFeed(recovered)
-        service = RoutingService(cache_size=8)
-        with DurabilityManager(tmp_path) as manager:
-            report = service.recover(manager, recovered_feed)
-        assert report.verified
-        assert states_identical(final_state(recovered), reference)
-        stats = service.stats()
-        assert stats.cost_version == recovered.cost_version
+            faulty_disk(injector, flush_script=["short"])  # a write action, not flush
 
 
 # -------------------------------------------------------------------- #
 # Sharded coordinator restart
 # -------------------------------------------------------------------- #
 class TestShardedRecovery:
-    def test_coordinator_restart_recovers_and_resyncs_workers(self, tmp_path):
-        import math
-
-        from repro.routing import fastest_path
-        from repro.service import RouteRequest, ShardedRoutingService
-        from repro.service.sharding.overlay import path_cost
-        from repro.routing import CostFeature
-
-        make = _make_network_factory(5, 5, seed=19)
-        batches = _effective_batches(make(), 5, seed=37, size=6)
-        reference = reference_state(make, batches)
-
-        # "Crashed" run: journal through the coordinator's feed, snapshot
-        # mid-way, then tear the service down without any durable handoff.
-        network = make()
-        manager = DurabilityManager(tmp_path, segment_max_bytes=2048)
-        try:
-            with ShardedRoutingService(
-                network, shard_count=2, durability=manager
-            ) as service:
-                for index, batch in enumerate(batches):
-                    result = service.apply_traffic(batch, wait=True)
-                    assert result.applied
-                    if index == 2:
-                        service.coordinator.snapshot()
-        finally:
-            manager.close()
-
-        # Restart: fresh network, fresh manager over the same directory.
-        recovered = make()
-        manager = DurabilityManager(tmp_path)
-        try:
-            with ShardedRoutingService(
-                recovered, shard_count=2, durability=manager
-            ) as service:
-                report = service.coordinator.recover()
-                assert report.verified
-                assert states_identical(final_state(recovered), reference)
-
-                # Workers resynced from the repatched segment: routed costs
-                # match a full-network reference at the recovered state.
-                rng = random.Random(41)
-                ids = sorted(recovered.vertex_ids())
-                requests = [
-                    RouteRequest(source=rng.choice(ids), destination=rng.choice(ids))
-                    for _ in range(8)
-                ]
-                responses = service.route_many(requests, engine="Fastest")
-                for request, response in zip(requests, responses):
-                    expected = path_cost(
-                        recovered,
-                        tuple(
-                            fastest_path(
-                                recovered, request.source, request.destination
-                            )
-                        ),
-                        CostFeature.TRAVEL_TIME,
-                    )
-                    assert response.path is not None
-                    got = path_cost(
-                        recovered, tuple(response.path), CostFeature.TRAVEL_TIME
-                    )
-                    assert math.isclose(got, expected, rel_tol=1e-9)
-        finally:
-            manager.close()
-
     def test_wal_holds_one_traffic_record_per_effective_batch(self, tmp_path):
         """The WAL stores inputs only: the sharded coordinator adds nothing
         to what its feed write-ahead logs."""

@@ -6,11 +6,11 @@ Four layers:
 * **endpoints** — :class:`SocketTransport` reconnect behaviour and the
   :class:`TcpHub` registry (displacement, drops, partitions);
 * **replication** — :class:`HeartbeatMonitor` with an injected clock;
-* **deployment** — a healed partition caught up by a segment resync, a
-  batch resent over a dropped link, an unanswering shard seen by the
-  serving gate as an engine-health failure, the
-  crash-between-broadcast-and-ack barrier, and shutdown stragglers — with
-  100% cost identity against full-network Dijkstra throughout.
+* **deployment** — a batch resent over a dropped link, heartbeats, an
+  unanswering shard seen by the serving gate as an engine-health failure,
+  and shutdown stragglers — with cost identity against full-network
+  Dijkstra throughout.  Healed partitions and worker kills are driven by
+  the model-based oracle in ``tests/test_oracle.py``.
 
 The deployment tests boot real worker processes over loopback TCP, so they
 keep grids small and share deployments per scenario.
@@ -53,7 +53,6 @@ from repro.service.sharding import (
 from repro.service.sharding import coordinator as coordinator_module
 from repro.service.sharding import transport as transport_module
 from repro.service.sharding.overlay import path_cost
-from repro.traffic.updates import TrafficUpdate
 
 
 def _reference_cost(network, source, destination, feature) -> float:
@@ -113,7 +112,7 @@ class TestFrameCodec:
         left, right = socket.socketpair()
         try:
             message = Hello(worker_id=3, shard_id=1, pid=123, cost_version=7)
-            send_frame(left, message, timeout_s=2.0)
+            send_frame(left, message)
             assert recv_frame(right, timeout_s=2.0) == message
         finally:
             left.close()
@@ -421,38 +420,6 @@ class TestHeartbeatMonitor:
 # Deployments
 # -------------------------------------------------------------------- #
 class TestFaultTolerantDeployment:
-    @pytest.mark.parametrize("missed", [1, 3])
-    def test_healed_partition_catches_up_by_resync(self, missed):
-        """A partitioned worker misses ``missed`` broadcasts; on heal its
-        reconnect Hello carries the stale version and the coordinator orders
-        one resync from the shared segment, whatever the gap — and identity
-        against the single-process reference holds."""
-        network = grid_city_network(5, 5, seed=3)
-        rng = random.Random(5)
-        edges = [(e.source, e.target) for e in network.edges()]
-        requests = _requests(network, 12)
-
-        def batch():
-            return [
-                TrafficUpdate.scale_by(
-                    *rng.choice(edges), travel_time_s=rng.uniform(1.5, 2.5)
-                )
-                for _ in range(6)
-            ]
-
-        with ShardedRoutingService(network, shard_count=2) as service:
-            assert service.coordinator.partition_worker(1)
-            for _ in range(missed):
-                service.apply_traffic(batch(), wait=False)
-            service.coordinator.heal_worker(1)
-            # The next acked barrier cannot pass until the healed worker has
-            # caught up to the current version.
-            service.apply_traffic(batch(), wait=True)
-            stats = service.stats()
-            assert stats.worker_resyncs == 1
-            assert stats.worker_restarts == 0  # a network fault, not a crash
-            _assert_identity(network, service, requests, engine="Fastest")
-
     def test_duplicate_results_do_not_accumulate(self, monkeypatch):
         """A link dropped right after a batch went out gets the batch resent
         on reconnect, so it may be answered twice; the spare RouteResults
@@ -522,35 +489,6 @@ class TestFaultTolerantDeployment:
             # Healed: the worker redials and answers again.
             monkeypatch.undo()
             assert coordinator.engine("Fastest").route(served).path == fresh.path
-
-
-class TestAckBarrierUnderCrash:
-    def test_worker_crashing_between_broadcast_and_ack(self, monkeypatch):
-        """The regression the barrier must survive: a worker dies *after*
-        the CostDiff broadcast but *before* acking.  apply_traffic(wait=True)
-        must complete (respawn + boot-resync counts as the ack), well inside
-        the traffic timeout, and identity must hold right after."""
-        monkeypatch.setattr(coordinator_module, "TRAFFIC_TIMEOUT_S", 60.0)
-        network = grid_city_network(5, 5, seed=3)
-        rng = random.Random(9)
-        edges = [(e.source, e.target) for e in network.edges()]
-        requests = _requests(network, 12)
-        with ShardedRoutingService(network, shard_count=2) as service:
-            service.coordinator.inject_crash(0, phase="diff")
-            batch = [
-                TrafficUpdate.scale_by(
-                    *rng.choice(edges), travel_time_s=rng.uniform(1.5, 2.5)
-                )
-                for _ in range(6)
-            ]
-            started = time.monotonic()
-            result = service.apply_traffic(batch, wait=True)
-            elapsed = time.monotonic() - started
-            assert result.applied
-            assert elapsed < 60.0  # completed, did not ride the timeout out
-            stats = service.stats()
-            assert stats.worker_restarts >= 1
-            _assert_identity(network, service, requests, engine="Fastest")
 
 
 class TestShutdownStragglers:

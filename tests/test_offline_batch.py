@@ -10,7 +10,6 @@ match a dense ``np.linalg.solve`` of Eq. 3 at every size.
 
 from __future__ import annotations
 
-import importlib
 import random
 import sys
 from collections import Counter
@@ -47,11 +46,11 @@ from repro.regions.region_graph import RegionEdge
 from repro.routing import CostFeature, cost_function, dijkstra, preference_dijkstra
 from repro.routing.dijkstra import lowest_cost_path
 from repro.routing.path import Path
-from repro.routing.preference_dijkstra import _dict_preference_search, preference_cost
+from repro.routing.preference_dijkstra import preference_cost
 from repro.traffic import TrafficFeed, synthetic_congestion
 
-# The module, not the function the routing package re-exports under its name.
-preference_module = importlib.import_module("repro.routing.preference_dijkstra")
+from support import reference as reference_module
+from support.reference import dict_preference_search
 
 REPO_ROOT = FilePath(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # `tools` lives at the repo root, not in src/
@@ -88,8 +87,15 @@ class _ReferenceLearner:
         if not usable:
             default = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=None)
             return LearnedPreference(preference=default, similarity=0.0)
-        per_path = [self._learn_single(path) for path in usable]
-        counted = Counter(per_path)
+        learned = [self._learn_single(path) for path in usable]
+        per_path = [preference for preference, _ in learned]
+        # A path whose masters tie on its top similarity casts no vote.
+        counted = Counter(preference for preference, votes in learned if votes)
+        if not counted:
+            default = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=None)
+            return LearnedPreference(
+                preference=default, similarity=0.0, per_path_preferences=per_path
+            )
         top_count = counted.most_common(1)[0][1]
         candidates = [pref for pref, count in counted.items() if count == top_count]
         best_pref = candidates[0]
@@ -106,21 +112,26 @@ class _ReferenceLearner:
             preference=best_pref, similarity=best_score, per_path_preferences=per_path
         )
 
-    def _learn_single(self, path) -> PreferenceVector:
+    def _learn_single(self, path) -> tuple[PreferenceVector, bool]:
+        """The path's preference, and whether its master is unambiguous
+        (no other master reaches its top similarity)."""
         source, destination = path.source, path.destination
         best_master = self._catalog.cost_features[0]
         best_similarity = -1.0
+        similarities = []
         for feature in self._catalog.cost_features:
             try:
                 candidate = lowest_cost_path(self._network, source, destination, feature)
             except NoPathError:
                 continue
             similarity = _reference_similarity(self._network, path, candidate)
+            similarities.append(similarity)
             if similarity > best_similarity:
                 best_similarity = similarity
                 best_master = feature
+        votes = similarities.count(best_similarity) < 2
         if best_similarity >= 1.0 - 1e-9:
-            return PreferenceVector(master=best_master, slave=None)
+            return PreferenceVector(master=best_master, slave=None), votes
         ground_truth_types = {self._network.w_rt(u, v) for u, v in path.edge_keys}
         best_slave = None
         best_gain = learning.MIN_IMPROVEMENT
@@ -136,7 +147,7 @@ class _ReferenceLearner:
             if gain > best_gain:
                 best_gain = gain
                 best_slave = road_feature
-        return PreferenceVector(master=best_master, slave=best_slave)
+        return PreferenceVector(master=best_master, slave=best_slave), votes
 
     def _score(self, preference, paths, sample=4) -> float:
         total = 0.0
@@ -311,15 +322,15 @@ class TestMaskedCostView:
                     if answer == ():
                         exhausted += 1
                         with monkeypatch.context() as patch:
-                            patch.setattr(preference_module, "dijkstra", recording_dijkstra)
-                            _dict_preference_search(network, source, destination, preference)
+                            patch.setattr(reference_module, "dijkstra", recording_dijkstra)
+                            dict_preference_search(network, source, destination, preference)
                         assert fallbacks == [(source, destination)]
                         fallbacks.clear()
                         continue
                     assert Path.of(answer) == preference_dijkstra(
                         network, source, destination, preference
                     )
-                    assert Path.of(answer) == _dict_preference_search(
+                    assert Path.of(answer) == dict_preference_search(
                         network, source, destination, preference
                     )
         assert exhausted  # the fallback is not a corner case on these cities

@@ -38,7 +38,7 @@ class TestPreferenceDijkstra:
 
     def test_same_source_destination(self, line_network):
         preference = PreferenceVector(master=CostFeature.DISTANCE)
-        assert preference_dijkstra(line_network, 2, 2, preference).is_trivial
+        assert preference_dijkstra(line_network, 2, 2, preference).vertices == (2,)
 
     def test_disconnected_raises(self):
         network = RoadNetwork()

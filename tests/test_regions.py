@@ -219,9 +219,22 @@ class TestRegion:
 
     def test_functionality_top_k(self, grid_network):
         region = Region(region_id=1, vertices=frozenset(range(10)))
-        functionality = region.functionality(grid_network, top_k=2)
+        functionality = region.functionality(grid_network)
         assert 1 <= len(functionality) <= 2
         assert all(isinstance(rt, RoadType) for rt in functionality)
+
+    def test_functionality_is_memoized_for_a_single_road_type(self):
+        """A region whose edges share one road type has a one-entry
+        functionality; the second call returns the memoized tuple."""
+        network = RoadNetwork(name="one-road-type")
+        for vertex in range(3):
+            network.add_vertex(vertex, lon=10.0 + vertex * 0.01, lat=56.0)
+        network.add_edge(0, 1, road_type=RoadType.RESIDENTIAL, bidirectional=True)
+        network.add_edge(1, 2, road_type=RoadType.RESIDENTIAL, bidirectional=True)
+        region = Region(region_id=3, vertices=frozenset({0, 1, 2}))
+        first = region.functionality(network)
+        assert first == (RoadType.RESIDENTIAL,)
+        assert region.functionality(network) is first
 
     def test_contains_and_len(self):
         region = Region(region_id=2, vertices=frozenset({5, 6}))

@@ -528,7 +528,7 @@ class TestServiceResilience:
         if fallback is not None:
             backup = _engine(service.engine("Fastest").network, "backup")
             service.register("backup", backup)
-            service.set_fallback("Fastest", "backup")
+            service.register("Fastest", service.engine("Fastest"), fallback="backup")
         service.breaker("Fastest").record_failure()
         assert service.breaker("Fastest").state == "open"
         responses = serve()

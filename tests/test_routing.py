@@ -81,7 +81,7 @@ class TestPath:
 
     def test_single_vertex_path_is_trivial(self):
         path = Path.of([7])
-        assert path.is_trivial
+        assert path.vertices == (7,)
         assert path.source == path.destination == 7
 
     def test_edge_keys(self):
@@ -145,7 +145,7 @@ class TestDijkstra:
         assert path.vertices == (0, 9, 4)
 
     def test_same_source_destination(self, line_network):
-        assert shortest_path(line_network, 2, 2).is_trivial
+        assert shortest_path(line_network, 2, 2).vertices == (2,)
 
     def test_unknown_vertex_raises(self, line_network):
         with pytest.raises(VertexNotFoundError):
@@ -208,10 +208,10 @@ class TestAlternativeAlgorithms:
         assert candidate.is_valid(grid_network)
 
     def test_bidirectional_trivial(self, grid_network):
-        assert bidirectional_by_feature(grid_network, 3, 3).is_trivial
+        assert bidirectional_by_feature(grid_network, 3, 3).vertices == (3,)
 
     def test_astar_trivial(self, grid_network):
-        assert astar_by_feature(grid_network, 3, 3).is_trivial
+        assert astar_by_feature(grid_network, 3, 3).vertices == (3,)
 
 
 class TestContractionHierarchy:
@@ -232,7 +232,7 @@ class TestContractionHierarchy:
 
     def test_query_same_vertex(self, line_network, hierarchy):
         assert hierarchy.query_cost(2, 2) == 0.0
-        assert ch_shortest_path(line_network, 2, 2, hierarchy).is_trivial
+        assert ch_shortest_path(line_network, 2, 2, hierarchy).vertices == (2,)
 
     def test_grid_queries_match_dijkstra(self, demo_network):
         hierarchy = build_contraction_hierarchy(demo_network, CostFeature.DISTANCE)

