@@ -106,9 +106,6 @@ class CoherenceSanitizer:
         if self.findings:
             raise CoherenceViolation(self.findings[0])
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CoherenceSanitizer(findings={len(self.findings)}, strict={self.strict})"
-
 
 def _probed_cached(
     original: Callable, sanitizer: CoherenceSanitizer

@@ -52,9 +52,6 @@ class RoutingAlgorithm(abc.ABC):
 
         return AlgorithmEngine(self, name=name)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 class L2RAlgorithm(RoutingAlgorithm):
     """Adapter exposing a fitted :class:`~repro.core.l2r.LearnToRoute` pipeline."""
@@ -64,11 +61,6 @@ class L2RAlgorithm(RoutingAlgorithm):
     def __init__(self, pipeline) -> None:
         super().__init__(pipeline.network)
         self._pipeline = pipeline
-
-    @property
-    def pipeline(self):
-        """The wrapped :class:`~repro.core.l2r.LearnToRoute` pipeline."""
-        return self._pipeline
 
     def route(
         self,

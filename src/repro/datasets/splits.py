@@ -21,11 +21,6 @@ class TrainTestSplit:
     train: list[MatchedTrajectory]
     test: list[MatchedTrajectory]
 
-    @property
-    def train_fraction(self) -> float:
-        total = len(self.train) + len(self.test)
-        return len(self.train) / total if total else 0.0
-
 
 def split_by_id(
     trajectories: Sequence[MatchedTrajectory], train_fraction: float = 0.75, modulus: int = 100

@@ -1,7 +1,7 @@
 """Road-network substrate: graphs, road types, spatial tools, and synthetic
 generators.  Networks are generated in process; there is no file loader."""
 
-from .road_network import Edge, NetworkStatistics, RoadNetwork, Vertex, VertexId
+from .road_network import Edge, RoadNetwork, Vertex, VertexId
 from .road_types import ALL_ROAD_TYPES, DEFAULT_SPEED_KMH, RoadType
 from .spatial import (
     BoundingBox,
@@ -35,7 +35,6 @@ from .generators import (
     country_network,
     denmark_like_network,
     grid_city_network,
-    small_demo_network,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "LandmarkTable",
     "LocalProjection",
     "LonLat",
-    "NetworkStatistics",
     "RoadNetwork",
     "RoadType",
     "SpatialIndex",
@@ -74,5 +72,4 @@ __all__ = [
     "point_segment_distance_m",
     "polygon_area_km2",
     "project_point_to_segment",
-    "small_demo_network",
 ]

@@ -149,9 +149,6 @@ class Topology:
             stamp = self._stamp = (self.vertex_count, self.edge_count, crc)
         return stamp
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Topology(vertices={self.vertex_count}, edges={self.edge_count})"
-
 
 class CostStore:
     """Versioned per-feature cost arrays plus every cost-derived cache.
@@ -369,9 +366,6 @@ class CostStore:
         """
         return self._cached(self._memo, key, build, self._stamp(cost_dependent, version))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CostStore(edges={len(self.edges)}, version={self._version})"
-
 
 class CompiledGraph:
     """A CSR snapshot of a road network: immutable topology + versioned costs.
@@ -423,11 +417,6 @@ class CompiledGraph:
         return len(self.edges)
 
     @property
-    def cost_version(self) -> int:
-        """The cost store's monotonic version (0 until the first patch)."""
-        return self.costs.version
-
-    @property
     def edges(self) -> list["Edge"]:
         """The edge objects in CSR slot order.
 
@@ -441,19 +430,12 @@ class CompiledGraph:
     def road_type_values(self) -> np.ndarray:
         return self.costs.road_type_values
 
-    def slot(self, source: "VertexId", target: "VertexId") -> int | None:
-        """CSR slot of the directed edge ``(source, target)`` or ``None``."""
-        return self.topology.slot_of.get((source, target))
-
     # ------------------------------------------------------------------ #
     # Cost arrays (delegated to the versioned store)
     # ------------------------------------------------------------------ #
     def array(self, attribute: str) -> np.ndarray:
         """The read-only cost array for one compiled edge attribute."""
         return self.costs.array(attribute)
-
-    def linear_array(self, terms: tuple[tuple[str, float], ...]) -> np.ndarray:
-        return self.costs.linear_array(terms)
 
     def resolve_cost(
         self, edge_cost: Callable
@@ -635,9 +617,3 @@ class CompiledGraph:
         """Translate an index path back into original vertex ids."""
         ids = self.vertex_ids
         return [ids[i] for i in indices]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledGraph(vertices={self.vertex_count}, edges={self.edge_count}, "
-            f"cost_version={self.cost_version})"
-        )

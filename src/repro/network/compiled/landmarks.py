@@ -278,12 +278,6 @@ class LandmarkTable:
         upper = float((lt[:, source] + lf[:, target]).min())
         return float(per.max()) * self.scale, upper, rows
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LandmarkTable(landmarks={self.count}, scale={self.scale:.3f}, "
-            f"build_version={self.build_version})"
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Landmark selection

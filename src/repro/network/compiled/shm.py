@@ -256,17 +256,6 @@ class SharedGraphSegment:
         }
         self._unlinked = False
 
-    @property
-    def name(self) -> str:
-        return self.spec.segment_name
-
-    @property
-    def cost_version(self) -> int:
-        return int(self._header[_SLOT_COST_VERSION])
-
-    def array(self, name: str) -> np.ndarray:
-        return self._views[name]
-
     def patch(
         self, graph: "CompiledGraph", slots: Iterable[int], cost_version: int
     ) -> int:

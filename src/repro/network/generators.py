@@ -7,9 +7,7 @@ so this module builds structurally comparable synthetic networks:
 * :func:`grid_city_network` — a dense urban grid with an arterial hierarchy
   (ring roads, radial primaries, residential blocks), mimicking N2 (Chengdu);
 * :func:`country_network` — several cities connected by motorway / trunk
-  corridors with suburban sprawl, mimicking N1 (Denmark) at reduced scale;
-* :func:`small_demo_network` — the hand-drawn Figure 1 style network used in
-  examples and tests.
+  corridors with suburban sprawl, mimicking N1 (Denmark) at reduced scale.
 
 All generators are deterministic given a ``seed``.
 """
@@ -194,15 +192,6 @@ def country_network(
                 motorway_ids[j], trunk_ids[j], road_type=RoadType.SECONDARY, bidirectional=True
             )
     return network
-
-
-def small_demo_network(seed: int = 3) -> RoadNetwork:
-    """A small, Figure-1-flavoured demo network (a 6x6 grid with arterials).
-
-    Small enough to inspect by hand in examples and unit tests while still
-    exhibiting multiple road types and region structure.
-    """
-    return grid_city_network(rows=6, cols=6, block_m=400.0, seed=seed, name="demo")
 
 
 def chengdu_like_network(seed: int = 7) -> RoadNetwork:

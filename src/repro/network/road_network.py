@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..exceptions import (
@@ -612,9 +612,6 @@ class RoadNetwork:
         except KeyError:
             raise VertexNotFoundError(vertex_id) from None
 
-    def has_edge(self, source: VertexId, target: VertexId) -> bool:
-        return (source, target) in self._edges
-
     def edge(self, source: VertexId, target: VertexId) -> Edge:
         try:
             return self._edges[(source, target)]
@@ -632,10 +629,6 @@ class RoadNetwork:
         if vertex_id not in self._vertices:
             raise VertexNotFoundError(vertex_id)
         return self._reverse[vertex_id]
-
-    def neighbors(self, vertex_id: VertexId) -> set[VertexId]:
-        """Union of successors and predecessors (undirected neighbourhood)."""
-        return set(self.iter_neighbors(vertex_id))
 
     def iter_neighbors(self, vertex_id: VertexId) -> Iterator[VertexId]:
         """Lazily iterate the undirected neighbourhood without building a set.
@@ -681,13 +674,6 @@ class RoadNetwork:
     # ------------------------------------------------------------------ #
     # Path helpers
     # ------------------------------------------------------------------ #
-    def is_path(self, vertices: Iterable[VertexId]) -> bool:
-        """Check that consecutive vertices are connected by edges."""
-        seq = list(vertices)
-        if len(seq) < 2:
-            return all(v in self._vertices for v in seq)
-        return all(self.has_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
-
     def path_edges(self, vertices: Iterable[VertexId]) -> list[Edge]:
         """Edges along a vertex path; raises if any hop is missing."""
         seq = list(vertices)
@@ -702,35 +688,3 @@ class RoadNetwork:
     def path_fuel_ml(self, vertices: Iterable[VertexId]) -> float:
         return sum(e.fuel_ml for e in self.path_edges(vertices))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RoadNetwork(name={self.name!r}, vertices={self.vertex_count}, "
-            f"edges={self.edge_count})"
-        )
-
-
-@dataclass
-class NetworkStatistics:
-    """Descriptive statistics of a road network (used in reports and docs)."""
-
-    vertex_count: int
-    edge_count: int
-    total_length_km: float
-    road_type_counts: dict[RoadType, int] = field(default_factory=dict)
-    bounding_box: BoundingBox | None = None
-
-    @classmethod
-    def of(cls, network: RoadNetwork) -> "NetworkStatistics":
-        counts: dict[RoadType, int] = {}
-        total_m = 0.0
-        for edge in network.edges():
-            counts[edge.road_type] = counts.get(edge.road_type, 0) + 1
-            total_m += edge.distance_m
-        box = network.bounding_box() if network.vertex_count else None
-        return cls(
-            vertex_count=network.vertex_count,
-            edge_count=network.edge_count,
-            total_length_km=total_m / 1000.0,
-            road_type_counts=counts,
-            bounding_box=box,
-        )

@@ -49,11 +49,6 @@ def path_length_m(points: Sequence[LonLat]) -> float:
     return sum(equirectangular_m(points[i], points[i + 1]) for i in range(len(points) - 1))
 
 
-def midpoint(a: LonLat, b: LonLat) -> LonLat:
-    """Planar midpoint of two points (sufficient at city scale)."""
-    return ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-
-
 def centroid(points: Iterable[LonLat]) -> LonLat:
     """Arithmetic centroid of a non-empty collection of points."""
     pts = list(points)
@@ -193,24 +188,6 @@ class BoundingBox:
         lons = [p[0] for p in pts]
         lats = [p[1] for p in pts]
         return cls(min(lons), min(lats), max(lons), max(lats))
-
-    def contains(self, point: LonLat) -> bool:
-        return (
-            self.min_lon <= point[0] <= self.max_lon
-            and self.min_lat <= point[1] <= self.max_lat
-        )
-
-    def expanded(self, margin_m: float) -> "BoundingBox":
-        """Return a box expanded by ``margin_m`` meters on every side."""
-        lat_margin = math.degrees(margin_m / EARTH_RADIUS_M)
-        lat_mid = math.radians((self.min_lat + self.max_lat) / 2.0)
-        lon_margin = math.degrees(margin_m / (EARTH_RADIUS_M * max(1e-9, math.cos(lat_mid))))
-        return BoundingBox(
-            self.min_lon - lon_margin,
-            self.min_lat - lat_margin,
-            self.max_lon + lon_margin,
-            self.max_lat + lat_margin,
-        )
 
 
 def match_waypoints_to_polyline(

@@ -10,7 +10,7 @@ of the label matrix ``Y``; :class:`FeatureCatalog` owns that flattening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..network.road_types import RoadType
 from ..routing.costs import ALL_COST_FEATURES, CostFeature
@@ -26,9 +26,6 @@ class RoadConditionFeature:
     def satisfied_by(self, road_type: RoadType) -> bool:
         """True if an edge of ``road_type`` satisfies this preference."""
         return road_type in self.road_types
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
 
 
 def single_type_feature(road_type: RoadType) -> RoadConditionFeature:
@@ -106,10 +103,6 @@ class FeatureCatalog:
         """Total number of columns ``p`` in the label matrix."""
         return self.n_cost + self.n_road
 
-    def column_names(self) -> list[str]:
-        """Human-readable names for all columns, in column order."""
-        return [f.short_name for f in self._cost_features] + [f.name for f in self._road_features]
-
     # ------------------------------------------------------------------ #
     def cost_column(self, feature: CostFeature) -> int:
         """Column index of a travel-cost feature."""
@@ -126,9 +119,6 @@ class FeatureCatalog:
     def road_feature_at(self, column: int) -> RoadConditionFeature:
         """Road-condition feature stored at a slave-dimension column."""
         return self._road_features[column - self.n_cost]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.column_names())
 
     def __len__(self) -> int:
         return self.n_features

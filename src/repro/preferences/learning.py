@@ -112,10 +112,6 @@ class PreferenceLearner:
         self._masters = [PreferenceVector(feature) for feature in self._catalog.cost_features]
 
     # ------------------------------------------------------------------ #
-    def learn(self, paths: Sequence[Path]) -> LearnedPreference:
-        """Learn the representative preference for a T-edge path set."""
-        return self.learn_many([paths])[0]
-
     def learn_many(self, path_sets: Sequence[Sequence[Path]]) -> list[LearnedPreference]:
         """Learn the representative preference of each path set (one per T-edge)."""
         groups = [

@@ -24,10 +24,6 @@ class PreferenceVector:
     master: CostFeature
     slave: RoadConditionFeature | None = None
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        slave = self.slave.name if self.slave is not None else "-"
-        return f"<{self.master.short_name}, {slave}>"
-
     def to_row(self, catalog: FeatureCatalog) -> np.ndarray:
         """Encode this vector as a 0/1 row of the label matrix ``Y``.
 

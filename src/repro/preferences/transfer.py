@@ -78,14 +78,6 @@ class PreferenceTransfer:
         self._catalog = catalog or FeatureCatalog()
         self._config = config or TransferConfig()
 
-    @property
-    def config(self) -> TransferConfig:
-        return self._config
-
-    @property
-    def catalog(self) -> FeatureCatalog:
-        return self._catalog
-
     # ------------------------------------------------------------------ #
     def build_adjacency(self, edges: Sequence) -> np.ndarray:
         """The thresholded similarity matrix ``M`` over region edges.

@@ -1,7 +1,7 @@
 """Region construction: trajectory graph, modularity clustering, region graph."""
 
 from .trajectory_graph import TrajectoryGraph, TrajectoryGraphEdge
-from .modularity import modularity, modularity_gain
+from .modularity import modularity_gain
 from .clustering import (
     BottomUpClustering,
     ClusteringResult,
@@ -31,7 +31,6 @@ __all__ = [
     "build_region_graph",
     "cluster_trajectory_graph",
     "format_region_size_table",
-    "modularity",
     "modularity_gain",
     "region_size_table",
 ]

@@ -53,14 +53,6 @@ class ClusteringResult:
     def cluster_count(self) -> int:
         return len(self.clusters)
 
-    def assignment(self) -> dict[VertexId, int]:
-        """Mapping vertex id -> cluster index."""
-        mapping: dict[VertexId, int] = {}
-        for index, members in enumerate(self.clusters):
-            for vertex in members:
-                mapping[vertex] = index
-        return mapping
-
 
 @dataclass
 class _WorkingGraph:

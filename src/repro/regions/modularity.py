@@ -30,34 +30,3 @@ def modularity_gain(
     return (edge_popularity / total_popularity) - (
         popularity_i * popularity_j / (total_popularity * total_popularity)
     )
-
-
-def modularity(
-    cluster_assignment: dict[int, int],
-    edge_popularities: dict[tuple[int, int], float],
-    total_popularity: float,
-) -> float:
-    """Global modularity ``Q`` of a clustering (used in tests and ablations).
-
-    ``Q = sum_c [ s_in(c)/S - (S_c / S)^2 ]`` with ``s_in(c)`` the popularity
-    of edges inside cluster ``c`` and ``S_c`` the popularity incident to it.
-    """
-    if total_popularity <= 0:
-        return 0.0
-    internal: dict[int, float] = {}
-    incident: dict[int, float] = {}
-    for (u, v), weight in edge_popularities.items():
-        cu = cluster_assignment.get(u)
-        cv = cluster_assignment.get(v)
-        if cu is None or cv is None:
-            continue
-        incident[cu] = incident.get(cu, 0.0) + weight
-        incident[cv] = incident.get(cv, 0.0) + weight
-        if cu == cv:
-            internal[cu] = internal.get(cu, 0.0) + weight
-    quality = 0.0
-    for cluster in incident:
-        s_in = internal.get(cluster, 0.0)
-        s_tot = incident[cluster]
-        quality += s_in / total_popularity - (s_tot / (2.0 * total_popularity)) ** 2
-    return quality

@@ -41,12 +41,6 @@ class Region:
         if not self.vertices:
             raise ValueError(f"region {self.region_id} has no member vertices")
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __contains__(self, vertex: VertexId) -> bool:
-        return vertex in self.vertices
-
     # ------------------------------------------------------------------ #
     def coordinates(self, network: RoadNetwork) -> list[LonLat]:
         return [network.coordinates(v) for v in self.vertices]

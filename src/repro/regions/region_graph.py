@@ -70,11 +70,6 @@ class RegionEdge:
     def is_b_edge(self) -> bool:
         return self.kind == "B"
 
-    @property
-    def popularity(self) -> int:
-        """Number of trajectory traversals recorded on this edge."""
-        return sum(self.path_counts.values())
-
     def add_path(self, path: Path, count: int = 1) -> None:
         self.path_counts[path.vertices] += count
 
@@ -109,10 +104,6 @@ class RegionGraph:
     def region_count(self) -> int:
         return len(self._regions)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
     def regions(self) -> Iterator[Region]:
         return iter(self._regions.values())
 
@@ -144,9 +135,6 @@ class RegionGraph:
         except KeyError:
             raise RegionGraphError(f"no region edge ({region_a}, {region_b})") from None
 
-    def neighbors(self, region_id: RegionId) -> set[RegionId]:
-        return set(self._adjacency.get(region_id, set()))
-
     def transfer_centers(self, region_id: RegionId) -> set[VertexId]:
         """Vertices where trajectories entered or left the region."""
         centers = self._transfer_centers.get(region_id, set())
@@ -155,10 +143,6 @@ class RegionGraph:
         # Regions never traversed across their boundary fall back to all of
         # their vertices as potential connection points.
         return set(self.region(region_id).vertices)
-
-    def inner_paths(self, region_id: RegionId) -> list[tuple[Path, int]]:
-        """Inner-region paths with their traversal counts."""
-        return [(Path(vertices=v), c) for v, c in self.inner_path_counts(region_id)]
 
     def adjacency(self) -> dict[RegionId, frozenset[RegionId]]:
         """Every region's neighbours as one immutable snapshot.

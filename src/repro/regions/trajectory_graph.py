@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..network.road_network import RoadNetwork, VertexId
 from ..network.road_types import RoadType
@@ -27,10 +27,6 @@ class TrajectoryGraphEdge:
     v: VertexId
     popularity: int
     road_type: RoadType
-
-    @property
-    def key(self) -> tuple[VertexId, VertexId]:
-        return _ordered(self.u, self.v)
 
 
 def _ordered(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
@@ -73,10 +69,6 @@ class TrajectoryGraph:
     def vertex_count(self) -> int:
         return len(self._adjacency)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._popularity)
-
     def vertices(self) -> Iterator[VertexId]:
         return iter(self._adjacency.keys())
 
@@ -86,21 +78,9 @@ class TrajectoryGraph:
                 u=u, v=v, popularity=popularity, road_type=self._road_type[(u, v)]
             )
 
-    def __contains__(self, vertex: VertexId) -> bool:
-        return vertex in self._adjacency
-
-    def neighbors(self, vertex: VertexId) -> set[VertexId]:
-        return set(self._adjacency.get(vertex, set()))
-
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return _ordered(u, v) in self._popularity
-
     def edge_popularity(self, u: VertexId, v: VertexId) -> int:
         """``s_ij`` — the number of trajectories that traversed the edge."""
         return self._popularity.get(_ordered(u, v), 0)
-
-    def edge_road_type(self, u: VertexId, v: VertexId) -> RoadType:
-        return self._road_type[_ordered(u, v)]
 
     def vertex_popularity(self, vertex: VertexId) -> int:
         """``S_i = sum_j s_ij`` over edges incident to ``vertex``."""

@@ -11,7 +11,7 @@ from .costs import (
     edge_travel_time,
     weighted_cost,
 )
-from .path import Path, splice_all
+from .path import Path
 from .dijkstra import (
     dict_dijkstra,
     dict_dijkstra_costs,
@@ -24,7 +24,7 @@ from .astar import astar, astar_by_feature, heuristic_for
 from .bidirectional import bidirectional_by_feature, bidirectional_dijkstra
 from .contraction import ContractionHierarchy, build_contraction_hierarchy, ch_shortest_path
 from .preference_dijkstra import preference_dijkstra
-from .fuel import fuel_consumption_ml, fuel_per_km_ml, fuel_rate_ml_per_s, most_economical_speed_kmh
+from .fuel import fuel_consumption_ml, fuel_rate_ml_per_s
 
 __all__ = [
     "ALL_COST_FEATURES",
@@ -47,13 +47,10 @@ __all__ = [
     "edge_travel_time",
     "fastest_path",
     "fuel_consumption_ml",
-    "fuel_per_km_ml",
     "fuel_rate_ml_per_s",
     "heuristic_for",
     "lowest_cost_path",
-    "most_economical_speed_kmh",
     "preference_dijkstra",
     "shortest_path",
-    "splice_all",
     "weighted_cost",
 ]

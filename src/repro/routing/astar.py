@@ -5,7 +5,7 @@ queries with the corridor-bounded scipy Dijkstra): the external
 routing-service simulator and the benchmark's layer table call it.  The
 heuristics here are admissible lower bounds for each travel-cost feature
 (straight-line distance; straight-line distance at the maximum speed for
-travel time; at the most economical fuel rate for fuel).
+travel time; zero for fuel).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from ..exceptions import NoPathError, VertexNotFoundError
 from ..network.road_network import RoadNetwork, VertexId
 from ..network.road_types import DEFAULT_SPEED_KMH, RoadType
 from .costs import CostFeature, EdgeCost, cost_function
-from .fuel import fuel_per_km_ml, most_economical_speed_kmh
 from .path import Path
 from ..network.spatial import equirectangular_m
 
@@ -46,24 +45,13 @@ def travel_time_heuristic(network: RoadNetwork, destination: VertexId) -> Heuris
     return h
 
 
-def fuel_heuristic(network: RoadNetwork, destination: VertexId) -> Heuristic:
-    """Straight-line fuel (ml) at the most economical speed."""
-    goal = network.coordinates(destination)
-    best_rate_per_m = fuel_per_km_ml(most_economical_speed_kmh()) / 1000.0
-
-    def h(vertex: VertexId) -> float:
-        return equirectangular_m(network.coordinates(vertex), goal) * best_rate_per_m
-
-    return h
-
-
 def heuristic_for(network: RoadNetwork, destination: VertexId, feature: CostFeature) -> Heuristic:
     """An admissible heuristic for the given travel-cost feature."""
     if feature is CostFeature.DISTANCE:
         return euclidean_heuristic(network, destination)
     if feature is CostFeature.TRAVEL_TIME:
         return travel_time_heuristic(network, destination)
-    return fuel_heuristic(network, destination)
+    return _zero
 
 
 def _zero(vertex: VertexId) -> float:

@@ -35,22 +35,3 @@ def fuel_consumption_ml(distance_m: float, speed_kmh: float) -> float:
     speed = max(5.0, float(speed_kmh))
     duration_s = float(distance_m) / (speed / 3.6)
     return fuel_rate_ml_per_s(speed) * duration_s
-
-
-def fuel_per_km_ml(speed_kmh: float) -> float:
-    """Fuel in milliliters per kilometer at a constant ``speed_kmh``."""
-    return fuel_consumption_ml(1000.0, speed_kmh)
-
-
-def most_economical_speed_kmh(lo: float = 20.0, hi: float = 130.0, step: float = 1.0) -> float:
-    """Speed (km/h) that minimizes fuel per kilometer under this model."""
-    best_speed = lo
-    best_rate = fuel_per_km_ml(lo)
-    speed = lo
-    while speed <= hi:
-        rate = fuel_per_km_ml(speed)
-        if rate < best_rate:
-            best_rate = rate
-            best_speed = speed
-        speed += step
-    return best_speed

@@ -37,9 +37,6 @@ class Path:
     def __iter__(self) -> Iterator[VertexId]:
         return iter(self.vertices)
 
-    def __getitem__(self, index: int) -> VertexId:
-        return self.vertices[index]
-
     @property
     def source(self) -> VertexId:
         return self.vertices[0]
@@ -66,8 +63,10 @@ class Path:
         return network.path_fuel_ml(self.vertices)
 
     def is_valid(self, network: RoadNetwork) -> bool:
-        """True if every hop of the path is an edge of ``network``."""
-        return network.is_path(self.vertices)
+        """True if every vertex and every hop of the path is in ``network``."""
+        return all(vertex in network for vertex in self.vertices) and all(
+            head in network.successors(tail) for tail, head in self.edge_keys
+        )
 
     # -- composition ------------------------------------------------------ #
     def splice(self, other: "Path") -> "Path":
@@ -83,25 +82,6 @@ class Path:
             )
         return Path(vertices=self.vertices + other.vertices[1:])
 
-    def reversed(self) -> "Path":
-        """The same vertex sequence in reverse order.
-
-        Only meaningful on networks where the reverse edges exist; callers
-        should verify with :meth:`is_valid`.
-        """
-        return Path(vertices=tuple(reversed(self.vertices)))
-
-    def sub_path(self, start: VertexId, end: VertexId) -> "Path":
-        """The sub-path between the first occurrences of ``start`` and ``end``."""
-        try:
-            i = self.vertices.index(start)
-            j = self.vertices.index(end, i)
-        except ValueError as exc:
-            raise NetworkError(
-                f"sub_path endpoints {start} -> {end} not found in order on this path"
-            ) from exc
-        return Path(vertices=self.vertices[i : j + 1])
-
     def contains_edge(self, source: VertexId, target: VertexId) -> bool:
         """True if some hop of the path is the directed ``source -> target``."""
         return (source, target) in zip(self.vertices, self.vertices[1:])
@@ -109,13 +89,3 @@ class Path:
     def coordinates(self, network: RoadNetwork) -> list[tuple[float, float]]:
         """The ``(lon, lat)`` polyline of the path."""
         return [network.coordinates(v) for v in self.vertices]
-
-
-def splice_all(paths: Sequence[Path]) -> Path:
-    """Splice a sequence of paths that chain end-to-start into one path."""
-    if not paths:
-        raise NetworkError("splice_all() requires at least one path")
-    result = paths[0]
-    for nxt in paths[1:]:
-        result = result.splice(nxt)
-    return result

@@ -18,7 +18,7 @@ token per live entry, rather than the five-field cache key, to the vertex its
 path visits next (``None`` at the destination; ``_REVISITED`` when the path
 leaves the vertex twice by different hops, and only then is the path itself
 read).  Every way an entry is born or dies
-(``put`` including an overwrite, LRU overflow, each ``invalidate_*``,
+(``put`` including an overwrite, LRU overflow, ``invalidate_edges``,
 ``clear``) goes through ``_index`` / ``_unindex`` /
 ``_drop_all``: an empty cache has an empty index.
 
@@ -162,7 +162,8 @@ class RouteCache:
 
         ``guard`` is evaluated under the cache lock and vetoes the insert
         when it returns False — the service uses it to drop answers computed
-        by an engine that was re-registered while the request was in flight.
+        before a traffic batch, a recovery or an engine re-registration that
+        landed while the request was in flight.
         ``proofs`` is what :meth:`proving` collected while ``response`` was
         computed: the entry keeps a re-proof only when that is exactly one
         search, its path is the response's, and no fallback answered.
@@ -260,9 +261,8 @@ class RouteCache:
         A batch that lowered any cost can improve on routes that cross none
         of its edges — the caller passes ``threshold=0`` for those: when
         ``edges`` (distinct edges, taken as given) number more than
-        ``threshold`` the whole cache is dropped instead (same effect as
-        :meth:`clear` but with the hit/miss counters kept).  Returns the
-        number of entries dropped.
+        ``threshold`` the whole cache is dropped instead (as by
+        :meth:`clear`).  Returns the number of entries dropped.
         """
         with self._lock:
             if threshold is not None and len(edges) > threshold:
@@ -290,23 +290,6 @@ class RouteCache:
                 self._forget(key, entries.pop(key))
             return len(stale)
 
-    def invalidate_engine(self, engine: str) -> int:
-        """Drop every entry cached for *or produced by* ``engine``.
-
-        An answer can sit under another engine's key when it arrived through
-        a fallback chain, so both the key's engine and the response's
-        answering engine are checked.  Returns the count dropped.
-        """
-        with self._lock:
-            stale = [
-                key
-                for key, response in self._entries.items()
-                if key[0] == engine or response.engine == engine
-            ]
-            for key in stale:
-                self._forget(key, self._entries.pop(key))
-            return len(stale)
-
     def reset_counters(self) -> None:
         """Zero the hit/miss/re-proof counters without dropping cached entries."""
         with self._lock:
@@ -315,15 +298,9 @@ class RouteCache:
             self._reproved = 0
 
     def clear(self) -> None:
+        """Drop every entry; the counters stay (:meth:`reset_counters`)."""
         with self._lock:
             self._drop_all()
-            self._hits = 0
-            self._misses = 0
-            self._reproved = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def stats(self) -> CacheStats:
         with self._lock:

@@ -347,12 +347,6 @@ class DiskJournal:
         self._hit("journal.rotate.post-create")
         _fsync_dir(self.directory)
 
-    def sync(self) -> None:
-        """Force everything appended so far to disk, whatever the policy."""
-        with self._lock:
-            self._ensure_open()
-            self._sync_active()
-
     # ------------------------------------------------------------------ #
     # Read-back / retention
     # ------------------------------------------------------------------ #
@@ -430,9 +424,3 @@ class DiskJournal:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DiskJournal(dir={str(self.directory)!r}, segments={len(self.segment_paths())}, "
-            f"appended={self.records_appended}, fsync={self.fsync_policy!r})"
-        )

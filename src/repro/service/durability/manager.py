@@ -16,7 +16,9 @@ and stitches the two halves together with the live serving stack:
 * **Snapshots** — :meth:`snapshot` captures the cost arrays + version +
   topology stamp atomically, then prunes the WAL segments that the *oldest*
   retained snapshot covers (recovery falls back to it when a newer one is
-  damaged, and then replays everything after it).
+  damaged, and then replays everything after it).  While only one snapshot
+  exists nothing is pruned: a damaged lone snapshot falls back to the
+  model's base state and the whole WAL.
 * **Recovery** — :meth:`recover` restores the newest valid snapshot, replays
   the WAL suffix through the normal update machinery, and always verifies
   the result with the runtime sanitizer.
@@ -124,7 +126,8 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
     def snapshot(self, network: "RoadNetwork") -> Path:
         """Atomically snapshot the current cost state, then prune the WAL
-        through the oldest retained snapshot's version.
+        through the oldest retained snapshot's version once
+        :data:`~repro.service.durability.snapshot.RETAIN` are retained.
 
         Must not race a concurrent ``feed.apply`` (call it from a feed
         subscriber, a quiesced maintenance window, or the serving loop's
@@ -137,7 +140,9 @@ class DurabilityManager:
         stamp = topology_stamp(compiled.topology)
         path = self.snapshots.save(version, arrays, stamp)
         self._hit("snapshot.pre-prune")
-        self.journal.prune_through(self.snapshots.oldest_version())
+        oldest = self.snapshots.oldest_version()
+        if oldest is not None:
+            self.journal.prune_through(oldest)
         return path
 
     # ------------------------------------------------------------------ #
@@ -238,10 +243,3 @@ class DurabilityManager:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DurabilityManager(dir={str(self.directory)!r}, "
-            f"appended={self.journal.records_appended}, "
-            f"snapshots={len(self.snapshots.snapshot_paths())})"
-        )

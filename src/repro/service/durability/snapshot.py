@@ -192,19 +192,23 @@ class SnapshotStore:
         return sorted(self.directory.glob("snapshot-*.snap"))
 
     def oldest_version(self) -> int | None:
-        """Cost version of the oldest published snapshot, ``None`` if none.
+        """Cost version of the oldest published snapshot, ``None`` while
+        fewer than :data:`RETAIN` are published.
 
         The WAL must keep every record from here on: :meth:`latest` falls
-        back to this snapshot when the newer ones are damaged.
+        back to this snapshot when the newer ones are damaged.  A lone
+        snapshot has nothing to fall back on, so the WAL is kept whole until
+        a second one is published.
         """
         published = self.snapshot_paths()
-        return int(published[0].stem.split("-", 1)[1]) if published else None
+        return int(published[0].stem.split("-", 1)[1]) if len(published) >= RETAIN else None
 
     def _decode(self, path: Path) -> SnapshotState | None:
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
+        """The snapshot in ``path``, ``None`` if its bytes are invalid.
+
+        A failed read raises :class:`OSError`: the file may be fine.
+        """
+        blob = path.read_bytes()
         if not blob.startswith(_MAGIC) or len(blob) < len(_MAGIC) + _CRC.size:
             return None
         (crc,) = _CRC.unpack_from(blob, len(_MAGIC))
@@ -236,20 +240,24 @@ class SnapshotStore:
 
         Damaged or mismatched snapshots are skipped, not errors: recovery
         falls back to the next-oldest valid image plus a longer WAL replay.
+        A file whose bytes are invalid is deleted: no recovery can use it,
+        and it must not count as a retained snapshot that the WAL is pruned
+        through.  A file that cannot be read now (``EIO``, ``EMFILE``,
+        ``EACCES``) is skipped but kept, so a retry can still use it.
         """
         for path in reversed(self.snapshot_paths()):
-            state = self._decode(path)
+            try:
+                state = self._decode(path)
+            except OSError:
+                self.invalid_skipped += 1
+                continue
             if state is None:
                 self.invalid_skipped += 1
+                path.unlink(missing_ok=True)
+                _fsync_dir(self.directory)
                 continue
             if topology is not None and state.topology != topology:
                 self.invalid_skipped += 1
                 continue
             return state
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SnapshotStore(dir={str(self.directory)!r}, "
-            f"snapshots={len(self.snapshot_paths())})"
-        )

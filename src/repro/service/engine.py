@@ -164,9 +164,6 @@ class BaseEngine(abc.ABC):
                     )
         return answers
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 class AlgorithmEngine(BaseEngine):
     """Adapter exposing a legacy :class:`RoutingAlgorithm` as an engine."""
@@ -175,10 +172,6 @@ class AlgorithmEngine(BaseEngine):
         super().__init__(algorithm.network)
         self._algorithm = algorithm
         self.name = name or algorithm.name
-
-    @property
-    def algorithm(self) -> "RoutingAlgorithm":
-        return self._algorithm
 
     def _static_cost(self):
         """Cost-centric algorithms advertise their feature for batching."""
@@ -207,10 +200,6 @@ class L2REngine(BaseEngine):
         self._pipeline = pipeline
         if name is not None:
             self.name = name
-
-    @property
-    def pipeline(self) -> "LearnToRoute":
-        return self._pipeline
 
     def _answer(self, request: RouteRequest) -> tuple[Path, RouteDiagnostics | None]:
         return self._pipeline.route_with_diagnostics(

@@ -74,9 +74,6 @@ class FaultInjector:
         ``schedule`` holds :class:`FaultyEngine`'s keywords."""
         return FaultyEngine(engine, rng=self._child_rng(), **schedule)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultInjector(seed={self.seed}, wrappers={self._wrappers})"
-
 
 class _Schedule:
     """One fault schedule: scripted actions, or seeded draws.
@@ -184,6 +181,3 @@ class FaultyEngine:
                 f"(call {self.counters.calls})"
             )
         return self.inner.route(request)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultyEngine({self.inner!r}, calls={self.counters.calls})"

@@ -90,9 +90,6 @@ class DeadlineBudget:
     def expired(self) -> bool:
         return self._clock() >= self._deadline
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DeadlineBudget(budget_s={self.budget_s}, remaining={self.remaining():.3f})"
-
 
 # ---------------------------------------------------------------------- #
 # Retry policy
@@ -154,12 +151,6 @@ class RetryPolicy:
         if isinstance(failure, BaseException):
             return isinstance(failure, TransientEngineError)
         return failure.split(":", 1)[0].strip() in _TRANSIENT_ERROR_NAMES
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RetryPolicy(max_retries={self.max_retries}, "
-            f"base_delay_s={self.base_delay_s}, multiplier={self.multiplier})"
-        )
 
 
 def _transient_subclass_names() -> frozenset[str]:
@@ -312,9 +303,6 @@ class CircuitBreaker:
         """The structured error describing a skipped call."""
         return CircuitOpenError(engine, state=self.state)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CircuitBreaker(state={self.state!r}, trips={self.trips})"
-
 
 # ---------------------------------------------------------------------- #
 # Admission control
@@ -334,23 +322,12 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._in_flight = 0
         self._shed = 0
-        self._admitted = 0
-
-    @property
-    def in_flight(self) -> int:
-        with self._lock:
-            return self._in_flight
 
     @property
     def shed(self) -> int:
         """Requests rejected with :class:`ServiceOverloadedError`."""
         with self._lock:
             return self._shed
-
-    @property
-    def admitted(self) -> int:
-        with self._lock:
-            return self._admitted
 
     def acquire(self) -> None:
         """Admit one request or count a shed and raise
@@ -369,18 +346,11 @@ class AdmissionController:
             if self._in_flight >= self.max_in_flight:
                 return False
             self._in_flight += 1
-            self._admitted += 1
             return True
 
     def release(self) -> None:
         with self._lock:
             self._in_flight = max(0, self._in_flight - 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AdmissionController(in_flight={self.in_flight}/"
-            f"{self.max_in_flight}, shed={self.shed})"
-        )
 
 
 def sleep_within(

@@ -5,6 +5,9 @@ backends (the fitted L2R pipeline, the baselines, anything satisfying the
 protocol) and answers a request from its LRU route cache or through **one
 gate**, :meth:`RoutingService._compute`: admission slot, cache-generation
 snapshot, deadline budget, circuit breaker, work, degraded serving, finish.
+The generation is one counter that every event outdating cached answers
+bumps — a traffic batch, a recovery, re-registering an engine — so an
+answer computed before the event is never inserted after it.
 :meth:`RoutingService.route` is *cache lookup, else the gate on one request*
 (the work: the engine's fallback chain, e.g. L2R -> Fastest on
 ``NoPathError``); :meth:`RoutingService.route_many` is *cache lookup per
@@ -89,8 +92,8 @@ class RoutingService:
         self._cache: RouteCache | None = (
             RouteCache(max_size=cache_size) if enable_cache else None
         )
-        self._engine_generation: dict[str, int] = {}
-        self._traffic_generation = 0
+        #: Bumped by whatever outdates cached answers; see :meth:`_finish`.
+        self._generation = 0
         #: Per engine network, the ``cost_fell_version`` already acted on.
         self._cost_falls_seen: "weakref.WeakKeyDictionary[RoadNetwork, int]" = (
             weakref.WeakKeyDictionary()
@@ -124,21 +127,20 @@ class RoutingService:
         ``fallback`` names the engine to consult when this one fails (chains
         are followed transitively); the first registered engine — or the one
         registered with ``default=True`` — becomes the default.
+
+        Registering a name again (e.g. a refit model) replaces its engine
+        and drops every cached answer, the hit and miss counters kept: an
+        answer of the old engine may sit under any engine's key, reached
+        through a fallback chain.  The generation bump vetoes the cache
+        insert of every request still in flight on the old engine.
         """
         reregistration = name in self._engines
         # Swap before bumping: a route() that observes the bumped generation
         # is then guaranteed to have computed on the new engine.
         self._engines[name] = engine
-        if reregistration and self._cache is not None:
-            # Re-registration (e.g. a refit model): the old engine's answers
-            # must not be replayed for the new one — including answers it
-            # produced through another engine's fallback chain, which sit
-            # under the calling engine's key but carry this registry name.
-            # The generation bump vetoes in-flight old-engine puts (the
-            # guard is evaluated under the cache lock); the invalidation
-            # drops the entries that already landed.
-            self._engine_generation[name] = self._engine_generation.get(name, 0) + 1
-            self._cache.invalidate_engine(name)
+        if reregistration:
+            self._generation += 1
+            self.clear_cache()
         if fallback is not None:
             self._fallbacks[name] = fallback
         if default or self._default_engine is None:
@@ -146,10 +148,6 @@ class RoutingService:
         if self._breakers_on and name not in self._breakers:
             self._breakers[name] = CircuitBreaker()
         return self
-
-    def engines(self) -> list[str]:
-        """Names of the registered engines (registration order)."""
-        return list(self._engines)
 
     def engine(self, name: str) -> RoutingEngine:
         try:
@@ -159,24 +157,10 @@ class RoutingService:
                 f"no engine named {name!r} is registered (have: {sorted(self._engines)})"
             ) from None
 
-    @property
-    def default_engine(self) -> str | None:
-        return self._default_engine
-
-    @default_engine.setter
-    def default_engine(self, name: str) -> None:
-        self.engine(name)  # validates
-        self._default_engine = name
-
     def breaker(self, name: str) -> CircuitBreaker | None:
         """The engine's circuit breaker (``None`` unless ``breaker=True``)."""
         self.engine(name)  # validates
         return self._breakers.get(name)
-
-    @property
-    def admission(self) -> AdmissionController | None:
-        """The admission controller (``None`` without ``max_in_flight``)."""
-        return self._admission
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -236,17 +220,15 @@ class RoutingService:
                     self._stats.record(shed)
                     return [shed]
         try:
-            # Snapshot generations before computing: the guard in _finish
-            # rejects the insert if either the requested engine or the engine
-            # that actually answered (a fallback) was re-registered — or any
-            # live-traffic batch landed — while this work was in flight.
-            # Without the traffic check, a response computed with pre-update
-            # costs could be inserted *after* on_traffic_update evicted the
-            # stale entries, and then be replayed forever.  The veto is coarse
-            # (the path may not cross a touched edge) but a missed insert only
+            # Snapshot the generation before computing: the guard in _finish
+            # rejects the insert if a live-traffic batch landed, a recovery
+            # ran or an engine was re-registered while this work was in
+            # flight.  Without it, a response computed with pre-update costs
+            # could be inserted *after* on_traffic_update evicted the stale
+            # entries, and then be replayed forever.  The veto is coarse (the
+            # path may not cross a touched edge) but a missed insert only
             # costs one recompute.
-            generations = dict(self._engine_generation)
-            traffic_generation = self._traffic_generation
+            generation = self._generation
             limits = [
                 r.deadline_s if r.deadline_s is not None else self._deadline_s
                 for r in requests
@@ -291,9 +273,7 @@ class RoutingService:
                     response = (
                         self._degraded_response(name, requests[position], response) or response
                     )
-                responses[position] = self._finish(
-                    name, response, generations, traffic_generation, proofs
-                )
+                responses[position] = self._finish(name, response, generation, proofs)
             return responses
         finally:
             if admission is not None:
@@ -311,22 +291,19 @@ class RoutingService:
         self,
         name: str,
         response: RouteResponse,
-        generations: dict[str, int],
-        traffic_generation: int,
+        generation: int,
         proofs: list | None = None,
     ) -> RouteResponse:
         """The last step of the gate: cache insert under the in-flight
-        guard (the generations are the snapshot from before computing) with
+        guard (``generation`` is the snapshot from before computing) with
         the re-proofs collected while computing, last-good store, stats."""
         if self._cache is not None and not response.degraded:
-
-            def _still_current() -> bool:
-                return self._traffic_generation == traffic_generation and all(
-                    self._engine_generation.get(involved, 0) == generations.get(involved, 0)
-                    for involved in (name, response.engine)
-                )
-
-            self._cache.put(name, response, guard=_still_current, proofs=proofs)
+            self._cache.put(
+                name,
+                response,
+                guard=lambda: self._generation == generation,
+                proofs=proofs,
+            )
         if response.ok and not response.degraded:
             self._remember_last_good(name, response)
         self._stats.record(response)
@@ -629,7 +606,7 @@ class RoutingService:
         # generation is then vetoed at put() time (guard under the cache
         # lock), and anything it managed to insert earlier is dropped by the
         # eviction below — either way no pre-update answer survives.
-        self._traffic_generation += 1
+        self._generation += 1
         if self._cache is not None and touched:
             evicted = self._cache.invalidate_edges(touched, threshold=threshold)
         self._stats.record_traffic(len(touched), evicted, cost_version or 0)
@@ -643,14 +620,14 @@ class RoutingService:
         Runs the full durability recovery (newest snapshot + WAL replay +
         coherence verification) against ``feed``'s network, drops the route
         cache outright — every cached answer predates the restart — and
-        bumps the traffic generation so in-flight requests racing the
+        bumps the generation so in-flight requests racing the
         recovery cannot re-insert pre-crash routes.  The feed is reused for
         replay so resolution semantics match production exactly; reattach
         the durability manager (``feed.attach_journal``) after this returns
         if it was not already attached.
         """
         report = durability.recover(feed.network, feed)
-        self._traffic_generation += 1
+        self._generation += 1
         self.clear_cache()
         self._stats.record_traffic(0, 0, report.recovered_version)
         return report
@@ -680,9 +657,3 @@ class RoutingService:
     def clear_cache(self) -> None:
         if self._cache is not None:
             self._cache.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RoutingService(engines={list(self._engines)}, "
-            f"default={self._default_engine!r})"
-        )

@@ -150,7 +150,7 @@ class ShardCoordinator:
     @property
     def segment_name(self) -> str | None:
         """The shared segment's OS name (``None`` after close)."""
-        return self._segment.name if self._segment is not None else None
+        return self._segment.spec.segment_name if self._segment is not None else None
 
     def engine(self, name: str) -> "ShardEngine":
         """The engine answering with the workers' ``name`` cost feature."""
@@ -433,7 +433,9 @@ class ShardCoordinator:
     # Monitoring
     # ------------------------------------------------------------------ #
     def counters(self) -> dict[str, object]:
-        """The sharding fields of :class:`~repro.service.stats.ServiceStats`."""
+        """The sharding fields of :class:`~repro.service.stats.ServiceStats`,
+        and its ``cost_version`` read from the network (it moves on
+        :meth:`recover` too, which reports no traffic batch to the gate)."""
         with self._lock:
             return {
                 "shards": self._plan.shard_count,
@@ -445,6 +447,7 @@ class ShardCoordinator:
                 "heartbeats_sent": self._monitor.pings_sent,
                 "heartbeat_timeouts": self._monitor.timeouts,
                 "worker_resyncs": self._worker_resyncs,
+                "cost_version": self._network.cost_version,
             }
 
     def reset_counters(self) -> None:

@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ...exceptions import EdgeNotFoundError, NoPathError, ShardingError
+from ...exceptions import EdgeNotFoundError, NoPathError
 from ...network.compiled import dispatch as _compiled
 from ...network.road_network import RoadNetwork
 from ...routing.costs import FEATURE_EDGE_ATTRIBUTES, CostFeature, cost_function
@@ -344,14 +344,6 @@ class BoundaryOverlay:
         closure = Closure(weights, _all_pairs(weights))
         self._closures[feature] = (version, arrays, closure)
         return closure
-
-    def matrix(self, feature: CostFeature) -> tuple[np.ndarray, Mapping["VertexId", int]]:
-        """The all-pairs boundary distance matrix for one feature, with the
-        position of every boundary vertex in it (:attr:`order`)."""
-        closure = self.closure(feature)
-        if closure is None:
-            raise ShardingError("boundary tables need the compiled search path")
-        return closure.distances, self._index
 
     def walk(
         self, closure: Closure, exit_vertex: "VertexId", entry_vertex: "VertexId"

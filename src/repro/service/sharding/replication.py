@@ -87,9 +87,3 @@ class HeartbeatMonitor:
                 self._last_ping_at[worker_id] = self._clock()
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HeartbeatMonitor(workers={sorted(self._last_seen)}, "
-            f"pings={self._pings_sent}, timeouts={self._timeouts})"
-        )
-

@@ -276,10 +276,6 @@ class SocketTransport:
                 ) from exc
             raise queue.Empty() from None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "connected" if self._sock is not None else "disconnected"
-        return f"SocketTransport({self.address}, {state}, connects={self._connects})"
-
 
 # ---------------------------------------------------------------------- #
 # Coordinator side: TcpHub
@@ -505,6 +501,3 @@ class TcpHub:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TcpHub({self.address}, connected={self.connected_workers()})"

@@ -106,10 +106,6 @@ class ServiceStats:
     def cache_hit_rate(self) -> float:
         return self.cache.hit_rate
 
-    @property
-    def error_rate(self) -> float:
-        return self.errors / self.requests if self.requests else 0.0
-
 
 class StatsAccumulator:
     """Thread-safe recorder behind :class:`ServiceStats` snapshots."""

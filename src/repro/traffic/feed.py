@@ -62,7 +62,6 @@ class TrafficFeed:
         self._lock = threading.RLock()
         self._subscribers: list[Subscriber] = []
         self._journal: "TrafficJournal | None" = None
-        self._batches_applied = 0
         for service in services or ():
             self.subscribe(
                 lambda result, _service=service: _service.on_traffic_update(
@@ -73,11 +72,6 @@ class TrafficFeed:
     @property
     def network(self) -> RoadNetwork:
         return self._network
-
-    @property
-    def batches_applied(self) -> int:
-        """Number of successfully applied batches."""
-        return self._batches_applied
 
     def attach_journal(self, journal: "TrafficJournal | None") -> None:
         """Write-ahead every future batch through ``journal`` (``None``
@@ -145,7 +139,6 @@ class TrafficFeed:
                 attributes=frozenset(attributes),
             )
             if changed:
-                self._batches_applied += 1
                 first_error: BaseException | None = None
                 for callback in self._subscribers:
                     try:
@@ -156,9 +149,3 @@ class TrafficFeed:
                 if first_error is not None:
                     raise first_error
         return result
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TrafficFeed(network={self._network.name!r}, "
-            f"batches={self._batches_applied}, subscribers={len(self._subscribers)})"
-        )

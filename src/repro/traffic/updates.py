@@ -72,19 +72,6 @@ class TrafficUpdate:
     scale: tuple[tuple[str, float], ...] = ()
     delta: tuple[tuple[str, float], ...] = ()
 
-    @property
-    def key(self) -> EdgeKey:
-        """The directed edge this update targets."""
-        return (self.source, self.target)
-
-    @property
-    def attributes(self) -> frozenset[str]:
-        """The cost attributes this update touches."""
-        return frozenset(
-            attribute for terms in (self.absolute, self.scale, self.delta)
-            for attribute, _ in terms
-        )
-
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #

@@ -2,14 +2,13 @@
 and files: raw GPS written as CSV, matched trajectories as JSON Lines."""
 
 from .models import GPSRecord, MatchedTrajectory, Trajectory, TrajectorySet
-from .sampling import SamplingSpec, high_frequency_sampler, low_frequency_sampler, sample_path
+from .sampling import SamplingSpec, high_frequency_sampler, sample_path
 from .map_matching import HMMMapMatcher
 from .generator import (
     DriverProfile,
     GeneratedData,
     GeneratorConfig,
     TrajectoryGenerator,
-    emit_and_match,
 )
 from .statistics import (
     D1_DISTANCE_BANDS_KM,
@@ -41,11 +40,9 @@ __all__ = [
     "TrajectorySet",
     "band_index",
     "distance_band_statistics",
-    "emit_and_match",
     "format_distance_table",
     "high_frequency_sampler",
     "load_matched_jsonl",
-    "low_frequency_sampler",
     "sample_path",
     "save_matched_jsonl",
     "save_raw_csv",

@@ -17,9 +17,8 @@ embody:
   transfers.
 
 Generated ground-truth paths are returned as :class:`MatchedTrajectory`
-objects directly (as if perfectly map matched).  Raw GPS emission +
-HMM matching can be layered on with :func:`emit_and_match` to exercise the
-full paper pipeline.
+objects directly (as if perfectly map matched); ``examples/gps_pipeline.py``
+emits raw GPS from them and HMM-matches it back.
 """
 
 from __future__ import annotations
@@ -42,9 +41,7 @@ from ..preferences.model import PreferenceVector
 from ..routing.costs import CostFeature
 from ..routing.dijkstra import fastest_path
 from ..routing.preference_dijkstra import preference_dijkstra
-from .map_matching import HMMMapMatcher
-from .models import MatchedTrajectory, Trajectory
-from .sampling import SamplingSpec, high_frequency_sampler, sample_path
+from .models import MatchedTrajectory
 
 
 @dataclass(frozen=True)
@@ -379,32 +376,3 @@ class TrajectoryGenerator:
             base = 8 * 3600 if self._rng.random() < 0.5 else 17 * 3600
             return base + self._rng.uniform(0, 3600)
         return self._rng.uniform(10 * 3600, 15 * 3600)
-
-
-def emit_and_match(
-    network: RoadNetwork,
-    trajectories: Sequence[MatchedTrajectory],
-    sampling: SamplingSpec | None = None,
-    matcher: HMMMapMatcher | None = None,
-) -> list[MatchedTrajectory]:
-    """Run the full GPS pipeline: emit raw GPS, then HMM-match it back.
-
-    This exercises the same noisy observation process the paper's real data
-    went through.  It is slower than using the ground-truth paths directly,
-    so the large evaluation benchmarks use it on a sample only.
-    """
-    sampling = sampling or high_frequency_sampler()
-    matcher = matcher or HMMMapMatcher(network)
-    raw: list[Trajectory] = []
-    for matched in trajectories:
-        raw.append(
-            sample_path(
-                network,
-                matched.path,
-                sampling,
-                trajectory_id=matched.trajectory_id,
-                driver_id=matched.driver_id,
-                departure_time=matched.departure_time,
-            )
-        )
-    return matcher.match_many(raw, skip_failures=True)

@@ -10,7 +10,6 @@ learning, and the evaluation harness consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 from ..exceptions import TrajectoryError
 from ..network.road_network import RoadNetwork, VertexId
@@ -57,9 +56,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self) -> Iterator[GPSRecord]:
-        return iter(self.records)
-
     @property
     def departure_time(self) -> float:
         return self.records[0].timestamp
@@ -71,9 +67,6 @@ class Trajectory:
     @property
     def duration_s(self) -> float:
         return self.arrival_time - self.departure_time
-
-    def coordinates(self) -> list[LonLat]:
-        return [r.lonlat for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -101,18 +94,11 @@ class MatchedTrajectory:
     def destination(self) -> VertexId:
         return self.path.destination
 
-    @property
-    def vertices(self) -> tuple[VertexId, ...]:
-        return self.path.vertices
-
     def distance_m(self, network: RoadNetwork) -> float:
         return self.path.distance_m(network)
 
     def distance_km(self, network: RoadNetwork) -> float:
         return self.distance_m(network) / 1000.0
-
-    def edges(self) -> Sequence[tuple[VertexId, VertexId]]:
-        return self.path.edge_keys
 
 
 TrajectorySet = list[MatchedTrajectory]

@@ -2,9 +2,8 @@
 
 Turns a ground-truth road-network path into a raw GPS trajectory by driving
 along the path at edge speeds and emitting observations at a configurable
-sampling interval with Gaussian position noise.  Two presets mirror the
-paper's data sets: :func:`high_frequency_sampler` (1 Hz, D1-style) and
-:func:`low_frequency_sampler` (0.03–0.1 Hz, D2-style).
+sampling interval with Gaussian position noise.
+:func:`high_frequency_sampler` (1 Hz) mirrors the paper's D1 data set.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ class SamplingSpec:
 def high_frequency_sampler(noise_std_m: float = 4.0) -> SamplingSpec:
     """1 Hz sampling with modest noise — mirrors the paper's D1 fleet."""
     return SamplingSpec(interval_s=1.0, noise_std_m=noise_std_m)
-
-
-def low_frequency_sampler(interval_s: float = 20.0, noise_std_m: float = 8.0) -> SamplingSpec:
-    """10–30 s sampling with larger noise — mirrors the paper's D2 taxis."""
-    return SamplingSpec(interval_s=interval_s, noise_std_m=noise_std_m)
 
 
 def _jitter(point: LonLat, noise_std_m: float, rng: random.Random) -> LonLat:

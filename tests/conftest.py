@@ -12,7 +12,7 @@ import pytest
 from repro.core import L2RConfig, LearnToRoute
 from repro.datasets import tiny_scenario
 from repro.datasets.splits import split_by_id
-from repro.network import RoadNetwork, RoadType, grid_city_network, small_demo_network
+from repro.network import RoadNetwork, RoadType, grid_city_network
 from repro.regions import TrajectoryGraph, build_region_graph, cluster_trajectory_graph
 from repro.trajectories import GeneratorConfig, TrajectoryGenerator
 
@@ -42,7 +42,7 @@ def relabelled_network():
 @pytest.fixture(scope="session")
 def demo_network() -> RoadNetwork:
     """A 6x6 grid network with arterials (36 vertices, deterministic)."""
-    return small_demo_network(seed=3)
+    return grid_city_network(rows=6, cols=6, block_m=400.0, seed=3, name="demo")
 
 
 @pytest.fixture(scope="session")

@@ -187,12 +187,12 @@ class TestGoalDirectedCostIdentity:
         source, destination = rng.sample(ids, 2)
         reference = dict_dijkstra(network, source, destination, COST)
         alt_path = astar(network, source, destination, COST)
-        assert network.is_path(alt_path.vertices)
+        assert alt_path.is_valid(network)
         assert _path_cost(network, alt_path) == pytest.approx(
             _path_cost(network, reference), rel=1e-9
         )
         bidi = bidirectional_dijkstra(network, source, destination, COST)
-        assert network.is_path(bidi.vertices)
+        assert bidi.is_valid(network)
         assert _path_cost(network, bidi) == pytest.approx(
             _path_cost(network, reference), rel=1e-9
         )

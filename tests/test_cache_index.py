@@ -88,7 +88,6 @@ operations = st.one_of(
     *[puts] * 8,
     st.tuples(st.just("get"), st.sampled_from(ENGINES), st.integers(0, len(REQUESTS) - 1)),
     st.tuples(st.just("edges"), edge_sets, st.sampled_from([None, None, 0, 2, 64])),
-    st.tuples(st.just("engine"), st.sampled_from(ENGINES)),
     st.tuples(st.just("clear")),
 )
 
@@ -127,11 +126,6 @@ class TestIndexedCacheEqualsScannedModel:
                 assert cache.invalidate_edges(edges, threshold=threshold) == len(stale)
                 for key in stale:
                     del model[key]
-            elif kind == "engine":
-                stale = [k for k, r in model.items() if operation[1] in (k[0], r.engine)]
-                assert cache.invalidate_engine(operation[1]) == len(stale)
-                for key in stale:
-                    del model[key]
             else:
                 cache.clear()
                 model.clear()
@@ -154,7 +148,7 @@ class TestIndexedCacheEqualsScannedModel:
         assert refill().invalidate_edges({(3, 1)}) == 1
         assert refill().invalidate_edges({(2, 1), (4, 1), (1, 3), (2, 4)}) == 0  # reversed / not hops
         assert refill().invalidate_edges({(9, 1), (1, 9)}) == 0  # a vertex no path visits
-        assert len(cache) == 1
+        assert cache.stats().size == 1
         assert cache.invalidate_edges({(2, 1), (1, 2)}) == 1
         assert_index_is_exact(cache)
         assert not cache._visits
@@ -169,7 +163,7 @@ class TestIndexedCacheEqualsScannedModel:
         for copy in range(4):
             for response in shared:
                 cache.put(f"A-{copy}", response)
-        assert len(cache) == 6  # copies 0 and 1 overflowed
+        assert cache.stats().size == 6  # copies 0 and 1 overflowed
         assert_index_is_exact(cache)
         assert cache.invalidate_edges({(0, 5)}) == 2
         assert cache.invalidate_edges({(5, 6)}) == 4
@@ -200,7 +194,7 @@ class TestSurvivorsStayOptimal:
         for _ in range(5):
             for request in requests:
                 assert service.route(request).ok
-            assert len(cache) == 150
+            assert cache.stats().size == 150
             before = dict(cache._entries)
             touched = set(rng.sample(edge_keys, 32))
             feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.8) for u, v in touched])

@@ -214,7 +214,7 @@ def _assert_same_cost(network, cost, found, reference) -> None:
     if reference == "no-path":
         assert found == "no-path"
         return
-    assert network.is_path(found.vertices)
+    assert found.is_valid(network)
     assert (found.source, found.destination) == (reference.source, reference.destination)
 
     def priced(path):
@@ -296,7 +296,7 @@ class TestOtherKernels:
         feed = TrafficFeed(network)
         for updates in synthetic_congestion(network, seed=seed, fraction=0.5, steps=1):
             feed.apply(updates)
-        assert graph.cost_version > 0 and network.compiled() is graph
+        assert graph.costs.version > 0 and network.compiled() is graph
         assert_forms_agree()
 
     def test_custom_heuristic_steers_only_the_dict_reference(self):
@@ -382,11 +382,11 @@ class TestCompiledView:
         assert not builder.is_alive()
 
         stale = results["view"]
-        assert stale.slot(0, 6) is None  # predates the mutation
+        assert (0, 6) not in stale.topology.slot_of  # predates the mutation
         assert network._compiled is None  # ... and was not cached
         fresh = network.compiled()
         assert fresh is not stale
-        assert fresh.slot(0, 6) is not None
+        assert (0, 6) in fresh.topology.slot_of
         assert fresh.edge_count == network.edge_count
         assert network.compiled() is fresh  # the fresh snapshot is cached
         path = dijkstra(network, 0, 6, cost_function(CostFeature.DISTANCE))
@@ -419,7 +419,7 @@ class TestCompiledView:
         assert not errors
         assert network.cost_version == 90
         final = network.compiled()
-        slot = final.slot(0, 1)
+        slot = final.topology.slot_of[0, 1]
         assert final.array("travel_time_s")[slot] == network.edge(0, 1).travel_time_s
         assert views  # builds interleaved with patches never crashed
 
@@ -514,7 +514,9 @@ class TestCompiledView:
         for vertex in demo_network.vertex_ids():
             lazy = list(demo_network.iter_neighbors(vertex))
             assert len(lazy) == len(set(lazy))  # no duplicates
-            assert set(lazy) == demo_network.neighbors(vertex)
+            assert set(lazy) == set(demo_network.successors(vertex)) | set(
+                demo_network.predecessors(vertex)
+            )
 
     def test_iter_incident_edges_matches_incident_edges(self, demo_network):
         for vertex in demo_network.vertex_ids():

@@ -12,10 +12,12 @@ suffix, the service and sharded restarts — is checked against a model by
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import random
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from repro.service import (
     load_model,
     save_model,
 )
-from repro.service.durability import RECORD_TRAFFIC, topology_stamp
+from repro.service.durability import RECORD_TRAFFIC, final_state, states_identical, topology_stamp
 from repro.service.durability import journal as journal_module
 from repro.service.durability import snapshot as snapshot_module
 from repro.service.durability.journal import _HEADER, FSYNC_INTERVAL
@@ -197,8 +199,6 @@ class TestDiskJournal:
             for version in range(7):
                 journal.append(_record(version))
             assert journal.syncs == 2  # after the 3rd and 6th appends
-            journal.sync()  # explicit sync works under any policy
-            assert journal.syncs == 3
 
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = DiskJournal(tmp_path)
@@ -387,13 +387,109 @@ class TestRecovery:
     def test_snapshot_prunes_covered_wal_segments(self, tmp_path):
         network = _make_network_factory()()
         feed = TrafficFeed(network)
+        batches = _effective_batches(network, 8, seed=3)
         with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
             feed.attach_journal(manager)
-            for batch in _effective_batches(network, 5, seed=3):
+            for batch in batches[:5]:
+                feed.apply(batch)
+            before = len(manager.journal.segment_paths())
+            manager.snapshot(network)
+            # A lone snapshot has nothing to fall back on: the WAL stays whole.
+            assert len(manager.journal.segment_paths()) == before
+            for batch in batches[5:]:
                 feed.apply(batch)
             before = len(manager.journal.segment_paths())
             manager.snapshot(network)
             assert len(manager.journal.segment_paths()) < before
+
+    def test_damaged_lone_snapshot_recovers_every_batch_from_the_wal(self, tmp_path):
+        network = _make_network_factory()()
+        initial = network.cost_version
+        feed = TrafficFeed(network)
+        batches = _effective_batches(network, 6, seed=3)
+        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
+            feed.attach_journal(manager)
+            for batch in batches[:4]:
+                feed.apply(batch)
+            snapshot = manager.snapshot(network)
+            for batch in batches[4:]:
+                feed.apply(batch)
+        snapshot.write_bytes(snapshot.read_bytes()[: snapshot.stat().st_size // 2])
+
+        recovered = _make_network_factory()()
+        with DurabilityManager(tmp_path) as manager:
+            report = manager.recover(recovered, TrafficFeed(recovered))
+        assert not report.gap and report.verified
+        assert report.snapshot_version is None
+        assert report.recovered_version == network.cost_version == initial + 6
+        assert report.replayed == 6
+        assert states_identical(final_state(recovered), final_state(network))
+
+    def test_snapshot_damaged_at_recovery_is_not_a_fallback_later(self, tmp_path):
+        network = _make_network_factory()()
+        feed = TrafficFeed(network)
+        batches = iter(_effective_batches(network, 6, seed=3))
+        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
+            feed.attach_journal(manager)
+            feed.apply(next(batches))
+            manager.snapshot(network)
+            feed.apply(next(batches))
+            damaged = manager.snapshot(network)
+        damaged.write_bytes(damaged.read_bytes()[:16])
+
+        network = _make_network_factory()()
+        feed = TrafficFeed(network)
+        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
+            manager.recover(network, feed)
+            assert not damaged.exists()  # recovery drops what it cannot use
+            feed.attach_journal(manager)
+            feed.apply(next(batches))
+            newest = manager.snapshot(network)
+            for batch in batches:
+                feed.apply(batch)
+        newest.write_bytes(newest.read_bytes()[:16])
+
+        recovered = _make_network_factory()()
+        with DurabilityManager(tmp_path) as manager:
+            report = manager.recover(recovered, TrafficFeed(recovered))
+        assert not report.gap and report.verified
+        assert report.recovered_version == network.cost_version
+        assert states_identical(final_state(recovered), final_state(network))
+
+    def test_unreadable_snapshots_are_kept_for_a_retry(self, tmp_path, monkeypatch):
+        network = _make_network_factory()()
+        feed = TrafficFeed(network)
+        batches = iter(_effective_batches(network, 4, seed=3))
+        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
+            feed.attach_journal(manager)
+            feed.apply(next(batches))
+            manager.snapshot(network)
+            feed.apply(next(batches))
+            newest = manager.snapshot(network)
+            for batch in batches:
+                feed.apply(batch)
+        snapshots = sorted(tmp_path.rglob("*.snap"))
+        assert len(snapshots) == 2
+
+        read_bytes = Path.read_bytes
+
+        def out_of_descriptors(path):
+            if path.suffix == ".snap":
+                raise OSError(errno.EMFILE, "Too many open files")
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", out_of_descriptors)
+        with DurabilityManager(tmp_path) as manager:
+            manager.recover(_make_network_factory()())
+        assert all(path.exists() for path in snapshots)
+        monkeypatch.undo()
+
+        recovered = _make_network_factory()()
+        with DurabilityManager(tmp_path) as manager:
+            report = manager.recover(recovered, TrafficFeed(recovered))
+        assert not report.gap and report.verified
+        assert report.snapshot_path == str(newest)
+        assert states_identical(final_state(recovered), final_state(network))
 
     def test_replay_does_not_rejournal(self, tmp_path):
         network = _make_network_factory()()
@@ -626,6 +722,23 @@ class TestShardedRecovery:
                     assert service.apply_traffic(batch, wait=True).applied
             kinds = [record.kind for record in manager.journal.read_records().records]
         assert kinds == [RECORD_TRAFFIC] * len(batches)
+
+    def test_stats_report_the_recovered_cost_version(self, tmp_path):
+        from repro.service import ShardedRoutingService
+
+        make = _make_network_factory(3, 3, seed=2)
+        network = make()
+        feed = TrafficFeed(network)
+        with DurabilityManager(tmp_path) as manager:
+            feed.attach_journal(manager)
+            for batch in _effective_batches(network, 3, seed=5):
+                feed.apply(batch)
+        recovered = make()
+        with DurabilityManager(tmp_path) as manager:
+            with ShardedRoutingService(recovered, shard_count=2, durability=manager) as service:
+                report = service.coordinator.recover()
+                assert report.recovered_version == network.cost_version
+                assert service.stats().cost_version == network.cost_version
 
     def test_recover_without_durability_manager_is_refused(self):
         from repro.exceptions import ConfigurationError

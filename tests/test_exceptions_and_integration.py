@@ -1,9 +1,14 @@
-"""Exception hierarchy tests and an end-to-end integration test."""
+"""Exception hierarchy tests, an end-to-end integration test, and a check
+that every package's ``__all__`` names something it defines."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro import LearnToRoute, ReproError
 from repro.exceptions import (
     ClusteringError,
@@ -99,3 +104,19 @@ class TestEndToEndIntegration:
     def test_unfitted_pipeline_raises_repro_error(self):
         with pytest.raises(ReproError):
             LearnToRoute().route(0, 1)
+
+
+def _packages() -> list[str]:
+    return ["repro"] + [
+        module.name
+        for module in pkgutil.walk_packages(repro.__path__, "repro.")
+        if module.ispkg
+    ]
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_every_public_name_resolves(package):
+    module = importlib.import_module(package)
+    assert module.__all__, package
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names what it does not define: {missing}"

@@ -8,7 +8,7 @@ import pytest
 
 from repro.datasets import d2_like_scenario, tiny_scenario
 from repro.datasets.splits import k_fold_partitions, split_by_id
-from repro.trajectories import GeneratorConfig, TrajectoryGenerator, emit_and_match
+from repro.trajectories import GeneratorConfig, TrajectoryGenerator
 from repro.trajectories.generator import DriverProfile
 
 
@@ -65,13 +65,6 @@ class TestGenerator:
     def test_departure_times_within_day(self, generated_grid):
         assert all(0 <= t.departure_time < 86_400 for t in generated_grid.trajectories)
 
-    def test_emit_and_match_round_trip(self, grid_network, generated_grid):
-        sample = generated_grid.trajectories[:5]
-        rematched = emit_and_match(grid_network, sample)
-        assert len(rematched) >= 4  # occasional HMM failure tolerated
-        for trajectory in rematched:
-            assert trajectory.path.is_valid(grid_network)
-
 
 class TestScenarios:
     def test_tiny_scenario_contents(self, tiny):
@@ -95,7 +88,7 @@ class TestSplits:
         b = split_by_id(tiny.trajectories, train_fraction=0.75)
         assert [t.trajectory_id for t in a.train] == [t.trajectory_id for t in b.train]
         assert len(a.train) + len(a.test) == len(tiny.trajectories)
-        assert 0.5 < a.train_fraction < 0.95
+        assert 0.5 < len(a.train) / len(tiny.trajectories) < 0.95
 
     @pytest.mark.parametrize("fraction, buckets", [(0.29, 29), (0.57, 57), (0.75, 75)])
     def test_split_by_id_selects_rounded_bucket_count(self, fraction, buckets):

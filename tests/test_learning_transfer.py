@@ -30,13 +30,13 @@ class TestPreferenceLearner:
     def test_learns_distance_preference_from_shortest_paths(self, grid_network):
         learner = PreferenceLearner(grid_network)
         paths = [shortest_path(grid_network, 0, 27), shortest_path(grid_network, 3, 56)]
-        learned = learner.learn(paths)
+        learned = learner.learn_many([paths])[0]
         assert learned.preference.master is CostFeature.DISTANCE
 
     def test_learns_travel_time_preference_from_fastest_paths(self, grid_network):
         learner = PreferenceLearner(grid_network)
         paths = [fastest_path(grid_network, 0, 99), fastest_path(grid_network, 9, 90)]
-        learned = learner.learn(paths)
+        learned = learner.learn_many([paths])[0]
         assert learned.preference.master is CostFeature.TRAVEL_TIME
 
     def test_learns_slave_road_preference(self, grid_network):
@@ -47,7 +47,7 @@ class TestPreferenceLearner:
             preference_dijkstra(grid_network, 0, 99, preference),
             preference_dijkstra(grid_network, 5, 95, preference),
         ]
-        learned = PreferenceLearner(grid_network).learn(paths)
+        learned = PreferenceLearner(grid_network).learn_many([paths])[0]
         constructed = preference_dijkstra(grid_network, 0, 99, learned.preference)
         from repro.preferences import path_similarity
 
@@ -55,17 +55,17 @@ class TestPreferenceLearner:
 
     def test_similarity_reported_high_for_consistent_paths(self, grid_network):
         paths = [shortest_path(grid_network, 1, 88)]
-        learned = PreferenceLearner(grid_network).learn(paths)
+        learned = PreferenceLearner(grid_network).learn_many([paths])[0]
         assert learned.similarity > 0.9
 
     def test_empty_path_set_defaults_to_fastest(self, grid_network):
-        learned = PreferenceLearner(grid_network).learn([])
+        learned = PreferenceLearner(grid_network).learn_many([[]])[0]
         assert learned.preference.master is CostFeature.TRAVEL_TIME
         assert learned.similarity == 0.0
 
     def test_per_path_preferences_counted(self, grid_network):
         paths = [shortest_path(grid_network, 0, 27), fastest_path(grid_network, 0, 99)]
-        learned = PreferenceLearner(grid_network).learn(paths)
+        learned = PreferenceLearner(grid_network).learn_many([paths])[0]
         assert len(learned.per_path_preferences) == 2
         assert learned.unique_preference_count >= 1
 

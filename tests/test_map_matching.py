@@ -11,6 +11,7 @@ from repro.routing import fastest_path, shortest_path
 from repro.trajectories import (
     GPSRecord,
     HMMMapMatcher,
+    SamplingSpec,
     Trajectory,
     high_frequency_sampler,
     sample_path,
@@ -93,12 +94,11 @@ class TestHMMMapMatcher:
             matcher.match_many([bad], skip_failures=False)
 
     def test_low_frequency_matching_still_connected(self, grid_network, monkeypatch):
-        from repro.trajectories import low_frequency_sampler
-
         monkeypatch.setattr(map_matching, "CANDIDATE_RADIUS_M", 150.0)
         matcher = HMMMapMatcher(grid_network)
         ground_truth = fastest_path(grid_network, 0, 99)
-        raw = sample_path(grid_network, ground_truth, low_frequency_sampler(25.0, 5.0), 3, 1)
+        sampling = SamplingSpec(interval_s=25.0, noise_std_m=5.0)
+        raw = sample_path(grid_network, ground_truth, sampling, 3, 1)
         matched = matcher.match(raw)
         assert matched.path.is_valid(grid_network)
         assert matched.source == ground_truth.source

@@ -221,15 +221,15 @@ class TestTableFirstLearner:
     def test_single_edge_is_the_batch_of_one(self, tiny_sets):
         network, path_sets = tiny_sets
         learner = PreferenceLearner(network)
-        assert [learner.learn(paths) for paths in path_sets[:25]] == learner.learn_many(
+        assert [learner.learn_many([paths])[0] for paths in path_sets[:25]] == learner.learn_many(
             path_sets[:25]
         )
-        assert learner.learn([]) == LearnedPreference(
-            preference=PreferenceVector(CostFeature.TRAVEL_TIME), similarity=0.0
-        )
+        assert learner.learn_many([[]]) == [
+            LearnedPreference(preference=PreferenceVector(CostFeature.TRAVEL_TIME), similarity=0.0)
+        ]
         # Empty and too-short path sets in the middle of a batch keep their slots.
         mixed = [path_sets[0], [], [Path.of([path_sets[1][0].source])], path_sets[1]]
-        assert learner.learn_many(mixed) == [learner.learn(paths) for paths in mixed]
+        assert learner.learn_many(mixed) == [learner.learn_many([paths])[0] for paths in mixed]
 
     def test_compiled_disabled_searches_pair_by_pair(self, tiny_sets):
         network, path_sets = tiny_sets
@@ -253,7 +253,7 @@ class TestTableFirstLearner:
         monkeypatch.setattr(
             learning, "try_route_many", lambda network, pairs, cost: [()] * len(pairs)
         )
-        learned = PreferenceLearner(network).learn(paths)
+        learned = PreferenceLearner(network).learn_many([paths])[0]
         # What the per-path learner returns when every search raises NoPathError.
         first = PreferenceVector(FeatureCatalog().cost_features[0])
         assert learned == LearnedPreference(
@@ -271,7 +271,7 @@ class TestTableFirstLearner:
                 feed.apply(updates)
                 _assert_same_as_reference(network, path_sets[:30])
             key, after, version = graph.resolve_cost(preference_cost(network, preference))
-        assert version == graph.cost_version > 0
+        assert version == graph.costs.version > 0
         assert key == ("built", ("slave-masked", "travel_time_s", preference.slave))
         assert not np.array_equal(before, after)
         finite = np.isfinite(after)
@@ -362,7 +362,8 @@ class TestMaskedCostView:
         table = _SimilarityTable(network, [truth])
         table.fill([(0, master), (0, constrained)])
         assert table[0, constrained] == table[0, master] == path_similarity(network, truth, fallback)
-        assert PreferenceLearner(network).learn([truth]) == _ReferenceLearner(network).learn([truth])
+        learned = PreferenceLearner(network).learn_many([[truth]])
+        assert learned == [_ReferenceLearner(network).learn([truth])]
 
 
 # --------------------------------------------------------------------------- #
@@ -430,7 +431,7 @@ class TestTransferSolve:
             known
             if known is not None
             else PreferenceVector.from_row(
-                row, transfer.catalog, slave_threshold=transfer_module.NULL_THRESHOLD
+                row, FeatureCatalog(), slave_threshold=transfer_module.NULL_THRESHOLD
             )
             for known, row in zip(labels, direct)
         ]

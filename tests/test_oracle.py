@@ -108,7 +108,7 @@ class _Model:
         self.successors: dict[int, list[int]] = {v: [] for v in network.vertex_ids()}
         for tail, head in self.costs:
             self.successors[tail].append(head)
-        self.version = network.cost_version
+        self.version = self.base_version = network.cost_version
 
     def apply(self, batch) -> None:
         for key, scale in batch:
@@ -161,6 +161,8 @@ class _Oracle(RuleBasedStateMachine):
         self.switch: KillSwitch | None = None
         self.snapshots: dict[int, bool] = {}
         """Snapshot files on disk: version -> intact."""
+        self.pruned_through: int | None = None
+        """The WAL may have lost every record below this version."""
         self.answered: dict[str, set[RouteRequest]] = {}
         self.restarts = 0
         self.network = None
@@ -247,6 +249,8 @@ class _Oracle(RuleBasedStateMachine):
     def snapshot(self) -> None:
         self._snapshot()
         self._published(retained=True)
+        if len(self.snapshots) >= RETAIN:
+            self.pruned_through = min(self.snapshots)
 
     def _published(self, *, retained: bool) -> None:
         self.snapshots[self.network.cost_version] = True
@@ -254,15 +258,27 @@ class _Oracle(RuleBasedStateMachine):
             for stale in sorted(self.snapshots)[:-RETAIN]:
                 del self.snapshots[stale]
 
+    def _newest_has_a_fallback(self) -> bool:
+        """Recovery without the newest snapshot reaches the next intact one,
+        or the base state when none is left; the WAL must still hold every
+        record from there on.  Two snapshots are retained, so one damaged
+        snapshot is tolerated: after a fallback recovery the survivor is the
+        newest, the WAL already pruned through it."""
+        intact = sorted(version for version, ok in self.snapshots.items() if ok)
+        fallback = intact[-2] if len(intact) >= 2 else self.model.base_version
+        return self.pruned_through is None or fallback >= self.pruned_through
+
     @precondition(
         lambda self: self.restarts < self.restart_budget
-        and sum(self.snapshots.values()) >= 2
+        and sum(self.snapshots.values()) >= 1
         and self.snapshots[max(self.snapshots)]
+        and self._newest_has_a_fallback()
     )
     @rule()
     def damage_newest_snapshot_and_restart(self) -> None:
         """Truncate the newest snapshot file and restart: recovery falls back
-        to the older intact one and replays the longer WAL suffix after it."""
+        to the older intact one, or to the base state when it was the only
+        one, and replays the longer WAL suffix after it."""
         newest = self.manager.snapshots.snapshot_paths()[-1]
         assert int(newest.stem.split("-", 1)[1]) == max(self.snapshots)
         newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
@@ -306,6 +322,12 @@ class _Oracle(RuleBasedStateMachine):
         start = initial if report.snapshot_version is None else report.snapshot_version
         assert report.replayed == report.recovered_version - start, report
         assert report.recovered_version == network.cost_version
+        assert self.service.stats().cost_version == network.cost_version
+        # Recovery deletes the damaged snapshots it skipped: those newer
+        # than the one it restored.
+        for version in list(self.snapshots):
+            if report.snapshot_version is None or version > report.snapshot_version:
+                del self.snapshots[version]
         if interrupted is not None and report.recovered_version == acknowledged + 1:
             self.model.apply(interrupted)  # wholly present
             self.model.version += 1
@@ -341,9 +363,7 @@ class LocalOracle(_Oracle):
 
     def _recover(self, network):
         self._boot(network)
-        report = self.service.recover(self.manager, self.feed)
-        assert self.service.stats().cost_version == network.cost_version
-        return report
+        return self.service.recover(self.manager, self.feed)
 
     @invariant()
     def compiled_view_is_patched_not_rebuilt(self) -> None:

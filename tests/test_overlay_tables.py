@@ -447,10 +447,13 @@ def test_a_fall_rebuilds_a_rise_repairs_and_a_rise_only_resync_repairs(monkeypat
             # shard 0's changed cost array are searched again, the rest repaired.
             fallen = shard_0[5]
             rebuilt = {
-                level.subnets[shard_id].name
+                subnet.name
                 for level in _levels(overlay)
                 for shard_id, feature, _ in level._live_tables
-                if feature is CostFeature.DISTANCE and level.subnets[shard_id].has_edge(*fallen)
+                for subnet in [level.subnets[shard_id]]
+                if feature is CostFeature.DISTANCE
+                and fallen[0] in subnet
+                and fallen[1] in subnet.successors(fallen[0])
             }
             worker.apply_diff(
                 _diff(network, scaled([fallen], 0.5) + scaled(shard_1[4:8], 1.3), segment)
@@ -488,7 +491,7 @@ def test_a_shard_without_boundary_is_routed_locally():
     assert plan.boundary == ((), ()) and not plan.boundary_vertices
     overlay = BoundaryOverlay(network, plan)
     assert overlay.order == ()
-    assert overlay.matrix(CostFeature.FUEL)[0].shape == (0, 0)
+    assert overlay.closure(CostFeature.FUEL).distances.shape == (0, 0)
     router = CrossShardRouter(network, overlay)
     pairs = [(0, offset - 1), (offset, offset + 4), (0, offset), (offset + 2, 3), (5, 5)]
     _assert_cost_identity(network, router, pairs)
@@ -616,8 +619,7 @@ def test_compiled_disabled_is_served_by_the_per_pair_fallback():
         try:
             with compiled_disabled():
                 assert worker.router.route_pairs(pairs, CostFeature.TRAVEL_TIME) is None
-                with pytest.raises(Exception, match="compiled"):
-                    worker.overlay.matrix(CostFeature.TRAVEL_TIME)
+                assert worker.overlay.closure(CostFeature.TRAVEL_TIME) is None
                 results = worker.serve(_work(pairs))
             # Nothing unusable was memoized while the compiled path was off.
             assert worker.router.route_pairs(pairs, CostFeature.TRAVEL_TIME) is not None
@@ -881,7 +883,7 @@ def test_a_segment_is_memoized_per_closure_and_retired_with_its_costs():
     )
 
     def reconstruct():
-        distances, index = overlay.matrix(feature)
+        distances, index = overlay.closure(feature).distances, overlay._index
         cost = float(distances[index[exit_vertex], index[entry_vertex]])
         stitch = (cost, exit_vertex, entry_vertex)
         [(_, answer)] = router._reconstruct(
@@ -947,8 +949,8 @@ def test_the_audit_rejects_exactly_a_non_edge_leg_and_a_mispriced_splice():
         _, destination = pair
         entry = stitch[2]
         row = entering.predecessors[entering.row_of[entry]]
-        return entering.column_of[destination] not in row and not network.has_edge(
-            entry, destination
+        return entering.column_of[destination] not in row and destination not in (
+            network.successors(entry)
         )
 
     broken = next(i for i, pair in enumerate(pairs) if leaf_without_edge(pair, stitches[i]))

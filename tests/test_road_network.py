@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import EdgeNotFoundError, NetworkError, VertexNotFoundError
-from repro.network import NetworkStatistics, RoadNetwork, RoadType
+from repro.network import RoadNetwork, RoadType
+from repro.routing import Path
 
 
 @pytest.fixture()
@@ -52,7 +53,7 @@ class TestConstruction:
     def test_non_positive_or_non_finite_cost_rejected(self, small_network, name, value):
         with pytest.raises(NetworkError, match=name):
             small_network.add_edge(3, 1, **{name: value})
-        assert not small_network.has_edge(3, 1)
+        assert 1 not in small_network.successors(3)
 
     def test_derived_distance_positive(self, small_network):
         assert small_network.w_di(1, 2) > 0
@@ -66,8 +67,8 @@ class TestConstruction:
         assert small_network.edge(1, 2).fuel_ml > 0
 
     def test_bidirectional_creates_reverse_edge(self, small_network):
-        assert small_network.has_edge(2, 1)
-        assert not small_network.has_edge(3, 2)
+        assert 1 in small_network.successors(2)
+        assert 2 not in small_network.successors(3)
 
     def test_contains(self, small_network):
         assert 1 in small_network
@@ -88,8 +89,8 @@ class TestQueries:
         assert set(small_network.predecessors(3)) == {2}
 
     def test_neighbors_union(self, small_network):
-        assert small_network.neighbors(3) == {2}
-        assert small_network.neighbors(2) == {1, 3}
+        assert set(small_network.iter_neighbors(3)) == {2}
+        assert set(small_network.iter_neighbors(2)) == {1, 3}
 
     def test_incident_edges(self, small_network):
         incident = list(small_network.iter_incident_edges(2))
@@ -102,13 +103,15 @@ class TestQueries:
     def test_bounding_box_covers_vertices(self, small_network):
         box = small_network.bounding_box()
         for vertex in small_network.vertices():
-            assert box.contains(vertex.lonlat)
+            lon, lat = vertex.lonlat
+            assert box.min_lon <= lon <= box.max_lon and box.min_lat <= lat <= box.max_lat
 
 
 class TestPathHelpers:
     def test_is_path(self, small_network):
-        assert small_network.is_path([1, 2, 3])
-        assert not small_network.is_path([1, 3])
+        assert Path.of([1, 2, 3]).is_valid(small_network)
+        assert not Path.of([1, 3]).is_valid(small_network)
+        assert not Path.of([3, 2]).is_valid(small_network)  # 2 -> 3 is one-way
 
     def test_path_costs_are_sums(self, small_network):
         distance = small_network.path_distance_m([1, 2, 3])
@@ -121,15 +124,6 @@ class TestPathHelpers:
     def test_path_edges_missing_hop_raises(self, small_network):
         with pytest.raises(EdgeNotFoundError):
             small_network.path_edges([1, 3])
-
-
-class TestConversions:
-    def test_statistics(self, small_network):
-        stats = NetworkStatistics.of(small_network)
-        assert stats.vertex_count == 3
-        assert stats.edge_count == 3
-        assert stats.total_length_km > 0
-        assert stats.road_type_counts[RoadType.PRIMARY] == 2
 
 
 class TestGeneratedNetworks:

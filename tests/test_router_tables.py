@@ -114,12 +114,9 @@ class TestCorridorArrays:
         assert corridor[(0, 1)] == corridor[(1, 0)] == 4  # 3 traversals + 1, added
         assert corridor[(3, 2)] == 1  # counted by the dict, but not a road edge
         compiled = network.compiled()
-        assert compiled.slot(3, 2) is None
-        expected = {
-            compiled.slot(*hop): count
-            for hop, count in corridor.items()
-            if compiled.slot(*hop) is not None
-        }
+        slot_of = compiled.topology.slot_of
+        assert (3, 2) not in slot_of
+        expected = {slot_of[hop]: count for hop, count in corridor.items() if hop in slot_of}
         assert plan.slots.tolist() == sorted(expected)
         assert plan.divisors.tolist() == [1.0 + math.log1p(expected[s]) for s in plan.slots]
 
@@ -252,7 +249,7 @@ class TestPlans:
         old = router._current_tables()
         ids = sorted(network.vertex_ids())
         source, target = next(
-            (s, t) for s in ids for t in reversed(ids) if s != t and not network.has_edge(s, t)
+            (s, t) for s in ids for t in reversed(ids) if s != t and t not in network.successors(s)
         )
         network.add_edge(source, target, road_type=RoadType.RESIDENTIAL)
         answers = _answers(router, ods)
@@ -320,7 +317,7 @@ class TestStaleness:
         assert router._current_tables() is tables
         ids = sorted(network.vertex_ids())
         source, target = next(
-            (s, t) for s in ids for t in reversed(ids) if s != t and not network.has_edge(s, t)
+            (s, t) for s in ids for t in reversed(ids) if s != t and t not in network.successors(s)
         )
         network.add_edge(source, target, road_type=RoadType.RESIDENTIAL)
         rebuilt = router._current_tables()
@@ -378,7 +375,7 @@ class TestSharing:
         ods = _random_ods(network, 40, seed=17)
         ids = sorted(network.vertex_ids())
         source, target = next(
-            (s, t) for s in ids for t in reversed(ids) if s != t and not network.has_edge(s, t)
+            (s, t) for s in ids for t in reversed(ids) if s != t and t not in network.successors(s)
         )
         network.add_edge(source, target, road_type=RoadType.RESIDENTIAL)
         expected = _answers(RegionRouter(pipeline.region_graph), ods)

@@ -17,11 +17,8 @@ from repro.routing import (
     dict_dijkstra_costs,
     fastest_path,
     fuel_consumption_ml,
-    fuel_per_km_ml,
     lowest_cost_path,
-    most_economical_speed_kmh,
     shortest_path,
-    splice_all,
     weighted_cost,
 )
 
@@ -55,20 +52,24 @@ class TestCosts:
         assert CostFeature.FUEL.short_name == "FC"
 
 
+def _most_economical_speed_kmh() -> float:
+    return min(range(20, 131), key=lambda speed: fuel_consumption_ml(1000.0, speed))
+
+
 class TestFuelModel:
     def test_fuel_positive(self):
         assert fuel_consumption_ml(1000.0, 50.0) > 0
 
     def test_fuel_per_km_convex(self):
         # Fuel per km should be high at very low and very high speeds.
-        slow = fuel_per_km_ml(10.0)
-        optimal = fuel_per_km_ml(most_economical_speed_kmh())
-        fast = fuel_per_km_ml(130.0)
+        slow = fuel_consumption_ml(1000.0, 10.0)
+        optimal = fuel_consumption_ml(1000.0, _most_economical_speed_kmh())
+        fast = fuel_consumption_ml(1000.0, 130.0)
         assert optimal < slow
         assert optimal < fast
 
     def test_economical_speed_in_sensible_range(self):
-        assert 40.0 <= most_economical_speed_kmh() <= 90.0
+        assert 40.0 <= _most_economical_speed_kmh() <= 90.0
 
     def test_more_distance_more_fuel(self):
         assert fuel_consumption_ml(2000.0, 60.0) > fuel_consumption_ml(1000.0, 60.0)
@@ -104,25 +105,6 @@ class TestPath:
     def test_splice_mismatch_raises(self):
         with pytest.raises(NetworkError):
             Path.of([1, 2]).splice(Path.of([3, 4]))
-
-    def test_splice_all(self):
-        result = splice_all([Path.of([1, 2]), Path.of([2, 3]), Path.of([3, 4])])
-        assert result.vertices == (1, 2, 3, 4)
-
-    def test_splice_all_empty_raises(self):
-        with pytest.raises(NetworkError):
-            splice_all([])
-
-    def test_sub_path(self):
-        path = Path.of([1, 2, 3, 4, 5])
-        assert path.sub_path(2, 4).vertices == (2, 3, 4)
-
-    def test_sub_path_missing_raises(self):
-        with pytest.raises(NetworkError):
-            Path.of([1, 2, 3]).sub_path(3, 1)
-
-    def test_reversed(self):
-        assert Path.of([1, 2, 3]).reversed().vertices == (3, 2, 1)
 
     def test_contains_edge(self):
         path = Path.of([1, 2, 3])

@@ -159,7 +159,7 @@ class TestRequestResponse:
 
 class TestEngines:
     def test_all_seven_engines_answer_batches(self, all_engine_service, requests, tiny):
-        for name in all_engine_service.engines():
+        for name in all_engine_service._engines:
             responses = all_engine_service.route_many(requests, engine=name)
             assert len(responses) == len(requests)
             for request, response in zip(requests, responses):
@@ -208,8 +208,8 @@ class TestRoutingService:
         with pytest.raises(ConfigurationError):
             all_engine_service.route(requests[0], engine="nope")
 
-    def test_default_engine_is_first_registered(self, all_engine_service):
-        assert all_engine_service.default_engine == "L2R"
+    def test_default_engine_is_first_registered(self, all_engine_service, requests):
+        assert all_engine_service.route(requests[0]).engine == "L2R"
 
     def test_route_many_preserves_order(self, all_engine_service, requests):
         responses = all_engine_service.route_many(requests, engine="Shortest")
@@ -278,7 +278,7 @@ class TestRoutingService:
                 "e",
                 RouteResponse(request=request, path=Path.of([0, destination]), engine="e"),
             )
-        assert len(cache) == 2
+        assert cache.stats().size == 2
         assert cache.get("e", RouteRequest(source=0, destination=10)) is None
 
     def test_fallback_chain_answers_on_engine_failure(self, tiny):
@@ -419,9 +419,14 @@ class TestRoutingService:
         assert service.route(request, engine="l2r-v2").engine == "l2r-v2"
         stats = service.stats()
         assert stats.requests_by_engine == {"l2r-v1": 1, "l2r-v2": 1}
-        # Re-registering one alias keeps the other alias's cache line.
+        # Re-registering one alias drops every cache line, the other alias's
+        # too, and keeps the cache counters.
+        before = service.stats().cache
         service.register("l2r-v1", L2REngine(fitted_l2r))
-        assert service.route(request, engine="l2r-v2").cache_hit
+        assert service.stats().cache.size == 0
+        assert not service.route(request, engine="l2r-v2").cache_hit
+        after = service.stats().cache
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
 
     def test_close_is_idempotent_and_leaves_the_service_usable(self, fitted_l2r, requests):
         service = RoutingService(enable_cache=False)
@@ -631,7 +636,7 @@ class TestRoutingService:
         assert stats.requests_by_engine == {"L2R": 15, "Fastest": 5}
         assert stats.latency_p95_s >= stats.latency_p50_s >= 0.0
         assert sum(stats.case_histogram.values()) >= 1  # L2R reports cases
-        assert stats.error_rate == 0.0
+        assert stats.errors == 0
         service.reset_stats()
         fresh = service.stats()
         assert fresh.requests == 0

@@ -50,7 +50,7 @@ class TestRoundTrip:
             graph = network.compiled()
             for spec in segment.spec.arrays:
                 attached = view.array(spec.name)
-                assert np.array_equal(attached, segment.array(spec.name)), spec.name
+                assert np.array_equal(attached, segment._views[spec.name]), spec.name
                 assert attached.dtype == shm.expected_dtype(spec.name), spec.name
                 assert attached.flags.c_contiguous, spec.name
                 assert not attached.flags.writeable, spec.name
@@ -70,7 +70,7 @@ class TestRoundTrip:
         view = shm.attach(segment.spec)
         view.close()
         view.close()
-        assert _segment_exists(segment.name)
+        assert _segment_exists(segment.spec.segment_name)
 
 
 class TestExportNormalization:
@@ -195,7 +195,7 @@ class TestTopologyVerification:
 class TestLifecycle:
     def test_unlink_removes_the_name(self, network):
         handle = shm.export_graph(network.compiled())
-        name = handle.name
+        name = handle.spec.segment_name
         assert _segment_exists(name)
         handle.close()
         handle.unlink()
@@ -211,7 +211,7 @@ class TestLifecycle:
 
     def test_context_manager_closes_and_unlinks(self, network):
         with shm.export_graph(network.compiled()) as handle:
-            name = handle.name
+            name = handle.spec.segment_name
             assert _segment_exists(name)
         assert not _segment_exists(name)
 

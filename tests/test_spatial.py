@@ -15,7 +15,6 @@ from repro.network.spatial import (
     haversine_m,
     match_waypoints_to_polyline,
     max_diameter_km,
-    midpoint,
     path_length_m,
     point_segment_distance_m,
     polygon_area_km2,
@@ -57,9 +56,6 @@ class TestDistances:
 
 
 class TestCentroidAndMidpoint:
-    def test_midpoint_is_average(self):
-        assert midpoint((0.0, 0.0), (2.0, 4.0)) == (1.0, 2.0)
-
     def test_centroid_of_square(self):
         points = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
         assert centroid(points) == (1.0, 1.0)
@@ -135,17 +131,6 @@ class TestConvexHull:
 
 
 class TestBoundingBox:
-    def test_contains(self):
-        box = BoundingBox.of([(10.0, 56.0), (10.1, 56.1)])
-        assert box.contains((10.05, 56.05))
-        assert not box.contains((10.2, 56.05))
-
-    def test_expanded_grows_box(self):
-        box = BoundingBox.of([(10.0, 56.0), (10.1, 56.1)])
-        bigger = box.expanded(1_000.0)
-        assert bigger.min_lon < box.min_lon
-        assert bigger.max_lat > box.max_lat
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             BoundingBox.of([])
