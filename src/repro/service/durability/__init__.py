@@ -3,8 +3,8 @@
 Three layers, bottom up:
 
 * :mod:`~repro.service.durability.journal` — :class:`DiskJournal`, a
-  segmented CRC-framed write-ahead log with an ``"always"`` / ``"interval"``
-  fsync policy and torn-tail repair;
+  CRC-framed write-ahead log, cut into segments at snapshots, with an
+  ``"always"`` / ``"interval"`` fsync policy and torn-tail repair;
 * :mod:`~repro.service.durability.snapshot` — :class:`SnapshotStore`,
   atomic (temp → fsync → ``os.replace`` → dir fsync) snapshots of the cost
   arrays, the newest two kept;
@@ -14,8 +14,8 @@ Three layers, bottom up:
 
 :mod:`~repro.service.durability.killpoints` names the crash instants
 threaded through every durable write (the ``kill=`` hook of both stores);
-the test suite crashes at each one and checks that recovery is
-bit-identical to an uninterrupted run.
+the test suite crashes at each one and checks that recovery keeps every
+acknowledged batch, bit for bit.
 """
 
 from .journal import (

@@ -7,8 +7,8 @@ record per batch, inputs only.  Records are opaque :class:`JournalRecord`
 envelopes — the journal neither interprets nor orders them beyond append
 order.
 
-On-disk format (one ``wal-<index>.seg`` file per segment, strictly
-increasing indices)::
+On-disk format: one ``wal-<start>.seg`` file per segment, named by the
+cost version the segment starts at (the first one is labelled 0)::
 
     ┌────────────┬────────────┬──────────────────────┐
     │ length  u32│ crc32   u32│ payload (pickle)     │  repeated
@@ -18,14 +18,21 @@ Each frame is length-prefixed and CRC-checked, so a torn tail — the frame a
 crash cut short mid-write — is *detected*, truncated away on the next open,
 and never replayed; a CRC mismatch or unpicklable payload anywhere marks the
 rest of the log unreplayable (a broken chain must not be bridged) and the
-suffix is discarded.  Segments rotate at ``segment_max_bytes`` so snapshots
-can retire covered history by deleting whole files
-(:meth:`DiskJournal.prune_through`).
+suffix is discarded.
+
+A new segment starts only at a snapshot: just before
+:class:`~repro.service.durability.manager.DurabilityManager` publishes the
+snapshot at version *v*, it asks :meth:`DiskJournal.rotate` to seal the
+active segment and open ``wal-<v>.seg``.  Every record in a segment is then
+anchored below the start of the next one, so a snapshot at version *o*
+covers every segment that is followed by one starting at or below *o*, and
+:meth:`DiskJournal.prune_through` deletes those, deciding from the file
+names alone.
 
 Durability is governed by the ``fsync`` policy, one of two:
 
 * ``"always"`` — fsync after every append: an acknowledged batch survives
-  power loss (the bar the crash-chaos suite holds recovery to);
+  power loss (the bar the crash tests hold recovery to);
 * ``"interval"`` — fsync every :data:`FSYNC_INTERVAL` appends (and on
   rotation and close): bounded loss window, near-in-memory append latency
   (the serving policy of the benchmarks).
@@ -199,7 +206,6 @@ class DiskJournal:
         directory: str | Path,
         *,
         fsync: str = "always",
-        segment_max_bytes: int = 1 << 20,
         opener: Callable[[str, str], object] | None = None,
         kill: KillHook | None = None,
     ) -> None:
@@ -207,23 +213,17 @@ class DiskJournal:
             raise JournalError(
                 f"unknown fsync policy {fsync!r}; choose one of {FSYNC_POLICIES}"
             )
-        if segment_max_bytes < 1:
-            raise JournalError(f"segment_max_bytes must be >= 1, got {segment_max_bytes}")
         self.directory = Path(directory)
         self.fsync_policy = fsync
-        self.segment_max_bytes = int(segment_max_bytes)
         self._opener = opener or _default_opener
         self._kill = kill
         self._lock = threading.Lock()
         self._active = None
-        self._active_index = 0
-        self._active_size = 0
+        self._active_start = 0
         self._appends_since_sync = 0
-        self._spans: dict[int, tuple[int, int]] = {}
         self._closed = False
         self.records_appended = 0
         self.syncs = 0
-        self.rotations = 0
         self.torn_records_dropped = 0
         self.discarded_segments = 0
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -232,27 +232,22 @@ class DiskJournal:
     # ------------------------------------------------------------------ #
     # Open / repair
     # ------------------------------------------------------------------ #
-    def _segment_path(self, index: int) -> Path:
-        return self.directory / f"wal-{index:08d}.seg"
+    def _segment_path(self, start: int) -> Path:
+        return self.directory / f"wal-{start:012d}.seg"
 
     def segment_paths(self) -> list[Path]:
-        """Existing segment files, oldest first."""
+        """Existing segment files, oldest first (names sort by start)."""
         return sorted(self.directory.glob("wal-*.seg"))
 
     @staticmethod
-    def _segment_index(path: Path) -> int:
+    def _segment_start(path: Path) -> int:
         return int(path.stem.split("-", 1)[1])
 
     def _open_and_repair(self) -> None:
         segments = self.segment_paths()
         broken_at: int | None = None
         for position, path in enumerate(segments):
-            index = self._segment_index(path)
-            data = path.read_bytes()
-            records, valid_end, clean = _scan_frames(data)
-            if records:
-                bases = [record.base_version for record in records]
-                self._spans[index] = (min(bases), max(bases))
+            _, valid_end, clean = _scan_frames(path.read_bytes())
             if not clean:
                 # Repair: drop the defective suffix of this segment...
                 os.truncate(path, valid_end)
@@ -264,21 +259,16 @@ class DiskJournal:
             # ... and quarantine everything after a mid-chain defect: those
             # records sit past a gap and must never be replayed.
             for path in segments[broken_at + 1 :]:
-                self._spans.pop(self._segment_index(path), None)
                 path.unlink()
                 self.discarded_segments += 1
             _fsync_dir(self.directory)
             segments = segments[: broken_at + 1]
         if segments:
-            tail = segments[-1]
-            self._active_index = self._segment_index(tail)
-            self._active_size = tail.stat().st_size
+            self._active_start = self._segment_start(segments[-1])
         else:
-            self._active_index = 1
-            self._active_size = 0
-            self._segment_path(1).touch()
+            self._segment_path(0).touch()
             _fsync_dir(self.directory)
-        self._active = self._opener(str(self._segment_path(self._active_index)), "ab")
+        self._active = self._opener(str(self._segment_path(self._active_start)), "ab")
 
     # ------------------------------------------------------------------ #
     # Appends
@@ -317,35 +307,30 @@ class DiskJournal:
                 self._active.write(frame[: _HEADER.size])
                 self._hit("journal.append.mid-write")
                 self._active.write(frame[_HEADER.size :])
-            self._active_size += len(frame)
             self._appends_since_sync += 1
             self.records_appended += 1
-            base = int(record.base_version)
-            span = self._spans.get(self._active_index)
-            self._spans[self._active_index] = (
-                (base, base) if span is None else (min(span[0], base), max(span[1], base))
-            )
             self._hit("journal.append.pre-fsync")
             if self.fsync_policy == "always" or self._appends_since_sync >= FSYNC_INTERVAL:
                 self._sync_active()
             self._hit("journal.append.post-fsync")
-            if self._active_size >= self.segment_max_bytes:
-                self._rotate()
             return self.records_appended
 
-    def _rotate(self) -> None:
-        """Seal the active segment and start the next one (durably)."""
-        assert self._active is not None
-        self._hit("journal.rotate.pre-create")
-        self._sync_active()
-        self._active.close()
-        self._active_index += 1
-        path = self._segment_path(self._active_index)
-        self._active = self._opener(str(path), "ab")
-        self._active_size = 0
-        self.rotations += 1
-        self._hit("journal.rotate.post-create")
-        _fsync_dir(self.directory)
+    def rotate(self, version: int) -> None:
+        """Seal the active segment and start ``wal-<version>.seg`` (durably),
+        just before a snapshot at ``version`` is published.  A segment that
+        already starts there or above (left by a crashed snapshot) stays
+        active; the kill points fire either way."""
+        with self._lock:
+            self._ensure_open()
+            assert self._active is not None
+            self._hit("journal.rotate.pre-create")
+            if version > self._active_start:
+                self._sync_active()
+                self._active.close()
+                self._active_start = version
+                self._active = self._opener(str(self._segment_path(version)), "ab")
+            self._hit("journal.rotate.post-create")
+            _fsync_dir(self.directory)
 
     # ------------------------------------------------------------------ #
     # Read-back / retention
@@ -376,25 +361,17 @@ class DiskJournal:
         return scan
 
     def prune_through(self, version: int) -> int:
-        """Delete sealed segments fully covered by a snapshot at ``version``.
-
-        A segment is deletable when every record in it has
-        ``base_version < version`` (its effects are inside the snapshot) and
-        every *earlier* segment is deletable too — retention never punches
-        holes in the replayable chain.  Returns the number of segments
-        removed; the active segment is never touched.
-        """
+        """Delete every segment followed by one that starts at or below
+        ``version``: its records are inside a snapshot at ``version``.  The
+        deleted segments are a prefix of the chain, never the active one;
+        returns how many."""
         removed = 0
         with self._lock:
             self._ensure_open()
-            for path in self.segment_paths():
-                index = self._segment_index(path)
-                if index == self._active_index:
+            segments = self.segment_paths()
+            for path, successor in zip(segments, segments[1:]):
+                if self._segment_start(successor) > version:
                     break
-                span = self._spans.get(index)
-                if span is not None and span[1] >= version:
-                    break
-                self._spans.pop(index, None)
                 path.unlink()
                 removed += 1
             if removed:

@@ -3,7 +3,7 @@
 :class:`DurabilityManager` owns one on-disk layout::
 
     <directory>/
-        wal/        wal-00000001.seg ...   (DiskJournal)
+        wal/        wal-000000000000.seg ...  (DiskJournal)
         snapshots/  snapshot-000000000042.snap ...  (SnapshotStore)
 
 and stitches the two halves together with the live serving stack:
@@ -13,15 +13,17 @@ and stitches the two halves together with the live serving stack:
   is journaled *before* it is applied, stamped with the pre-apply
   ``cost_version`` — one ``traffic`` record per batch, whether the feed
   belongs to an in-process service or to the sharded coordinator.
-* **Snapshots** — :meth:`snapshot` captures the cost arrays + version +
-  topology stamp atomically, then prunes the WAL segments that the *oldest*
-  retained snapshot covers (recovery falls back to it when a newer one is
-  damaged, and then replays everything after it).  While only one snapshot
-  exists nothing is pruned: a damaged lone snapshot falls back to the
-  model's base state and the whole WAL.
+* **Snapshots** — :meth:`snapshot` starts a new WAL segment at the current
+  version, captures the cost arrays + version + topology stamp atomically,
+  then prunes the WAL segments that the *oldest* retained snapshot covers
+  (recovery falls back to it when a newer one is damaged, and then replays
+  everything after it).  While only one snapshot exists nothing is pruned:
+  a damaged lone snapshot falls back to the model's base state and the
+  whole WAL.
 * **Recovery** — :meth:`recover` restores the newest valid snapshot, replays
   the WAL suffix through the normal update machinery, and always verifies
-  the result with the runtime sanitizer.
+  the result with the runtime sanitizer.  A recovery that skipped a damaged
+  snapshot publishes a fresh one, so a fallback is retained again.
 
 Replay is deterministic because the WAL stores *inputs* anchored to exact
 versions: a traffic record with ``base_version == v`` is resolved against
@@ -89,18 +91,11 @@ class DurabilityManager:
         directory: str | Path,
         *,
         fsync: str = "always",
-        segment_max_bytes: int = 1 << 20,
         opener: Callable[[str, str], object] | None = None,
         kill: KillHook | None = None,
     ) -> None:
         self.directory = Path(directory)
-        self.journal = DiskJournal(
-            self.directory / "wal",
-            fsync=fsync,
-            segment_max_bytes=segment_max_bytes,
-            opener=opener,
-            kill=kill,
-        )
+        self.journal = DiskJournal(self.directory / "wal", fsync=fsync, opener=opener, kill=kill)
         self.snapshots = SnapshotStore(self.directory / "snapshots", opener=opener, kill=kill)
         self._kill = kill
         self._replaying = False
@@ -125,9 +120,12 @@ class DurabilityManager:
     # Snapshots
     # ------------------------------------------------------------------ #
     def snapshot(self, network: "RoadNetwork") -> Path:
-        """Atomically snapshot the current cost state, then prune the WAL
-        through the oldest retained snapshot's version once
+        """Atomically snapshot the current cost state at version *v*, then
+        prune the WAL through the oldest retained snapshot's version once
         :data:`~repro.service.durability.snapshot.RETAIN` are retained.
+
+        The WAL first rotates to a segment starting at *v*, so the records
+        the snapshot covers are whole files.
 
         Must not race a concurrent ``feed.apply`` (call it from a feed
         subscriber, a quiesced maintenance window, or the serving loop's
@@ -138,6 +136,7 @@ class DurabilityManager:
         version = network.cost_version
         arrays = compiled.costs.export_arrays()
         stamp = topology_stamp(compiled.topology)
+        self.journal.rotate(version)
         path = self.snapshots.save(version, arrays, stamp)
         self._hit("snapshot.pre-prune")
         oldest = self.snapshots.oldest_version()
@@ -161,6 +160,10 @@ class DurabilityManager:
         semantics — absolute → scale → delta against current state — are
         byte-for-byte the production ones.  The recovered state must pass
         the runtime coherence check or :class:`RecoveryError` is raised.
+
+        A recovery that skipped a damaged snapshot and replayed without a gap
+        publishes the recovered state as a fresh snapshot, so the fallback it
+        used is not left as the only one.
         """
         from ...traffic.feed import TrafficFeed
 
@@ -169,6 +172,7 @@ class DurabilityManager:
         try:
             compiled = network.compiled()
             stamp = topology_stamp(compiled.topology)
+            invalid_before = self.snapshots.invalid_skipped
             state = self.snapshots.latest(topology=stamp)
             if state is not None:
                 try:
@@ -216,6 +220,9 @@ class DurabilityManager:
                 report.replayed += 1
             report.recovered_version = network.cost_version
             self._verify(network, report)
+            if self.snapshots.invalid_skipped > invalid_before and not report.gap:
+                self.snapshot(network)
+                report.notes.append(f"published a fresh snapshot at {network.cost_version}")
             return report
         finally:
             self._replaying = False

@@ -6,7 +6,7 @@ A snapshot is the compaction point of the durability layer: it captures the
 counts plus a CRC of the CSR ``offsets``/``targets`` and the vertex ids), so
 recovery can refuse a snapshot taken against a different graph.  Once the
 *oldest* retained snapshot, at version *v*, is durable, every WAL segment
-whose records all have ``base_version < v`` is dead history and may be
+followed by one that starts at or below *v* is dead history and may be
 deleted; newer records stay, since recovery falls back to that snapshot
 when a newer one is damaged.
 

@@ -629,6 +629,13 @@ class RoutingService:
         report = durability.recover(feed.network, feed)
         self._generation += 1
         self.clear_cache()
+        # The cache is empty, so a cost the restore lowered outdates nothing:
+        # the next rise-only batch evicts only the routes it crosses.
+        for engine in self._engines.values():
+            network = getattr(engine, "network", None)
+            fell = getattr(network, "cost_fell_version", 0)
+            if fell:
+                self._cost_falls_seen[network] = fell
         self._stats.record_traffic(0, 0, report.recovered_version)
         return report
 

@@ -1,3 +1,3 @@
-"""Test-only harness: seeded disk faults, simulated crashes and the
-crash-recovery harness (:mod:`support.crash`, :mod:`support.disk`), and the
-dict reference of Algorithm 2 (:mod:`support.reference`)."""
+"""Test-only harness: seeded disk faults and simulated crashes
+(:mod:`support.disk`, :mod:`support.crash`), and the dict reference of
+Algorithm 2 (:mod:`support.reference`)."""

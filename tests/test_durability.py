@@ -1,12 +1,11 @@
-"""Crash-consistent durability: WAL framing, snapshots, recovery, chaos.
+"""Crash-consistent durability: WAL framing, rotation and retention,
+snapshots, decoders under damaged bytes, seeded disk faults.
 
-The contract under test: after a crash at *any* instrumented instant —
-mid-frame, pre-fsync, mid-rotation, mid-snapshot-publish — restart recovery
-plus a resume of the non-durable suffix reaches a state bit-identical to an
-uninterrupted run.  Torn or corrupted records are detected and discarded,
-never silently replayed; a defect in the middle of the chain quarantines
-everything after it.  Whole-stack recovery — snapshot fallback, the WAL
-suffix, the service and sharded restarts — is checked against a model by
+Torn or corrupted records are detected and discarded, never silently
+replayed; a defect in the middle of the chain quarantines everything after
+it.  Whole-stack recovery — a crash at every
+:data:`~repro.service.durability.KILL_POINTS` entry, snapshot fallback, the
+WAL suffix, the service and sharded restarts — is checked against a model by
 ``tests/test_oracle.py``.
 """
 
@@ -28,7 +27,6 @@ from repro.analysis import check_cost_coherence
 from repro.network import grid_city_network
 from repro.network.compiled.graph import EDGE_COST_ATTRIBUTES
 from repro.service import (
-    KILL_POINTS,
     DiskJournal,
     DurabilityManager,
     FaultInjector,
@@ -39,14 +37,14 @@ from repro.service import (
     load_model,
     save_model,
 )
-from repro.service.durability import RECORD_TRAFFIC, final_state, states_identical, topology_stamp
+from repro.service.durability import final_state, states_identical, topology_stamp
 from repro.service.durability import journal as journal_module
 from repro.service.durability import snapshot as snapshot_module
 from repro.service.durability.journal import _HEADER, FSYNC_INTERVAL
 from repro.traffic import TrafficFeed
 from repro.traffic.updates import TrafficUpdate
 
-from support.crash import KillSwitch, SimulatedCrash, crash_and_recover, run_killpoint_matrix
+from support.crash import KillSwitch, SimulatedCrash
 from support.disk import faulty_disk
 
 
@@ -145,11 +143,12 @@ class TestDiskJournal:
         assert scan.truncated is False or scan.dropped_bytes == 0  # repaired on open
 
     def test_mid_chain_defect_quarantines_later_segments(self, tmp_path):
-        with DiskJournal(tmp_path, segment_max_bytes=1) as journal:
+        with DiskJournal(tmp_path) as journal:
             for version in range(4):
+                journal.rotate(version)
                 journal.append(_record(version))  # one record per segment
             segments = journal.segment_paths()
-            assert len(segments) >= 4
+            assert len(segments) == 4
         # Corrupt the second segment's payload; segments 3+ must be deleted.
         victim = segments[1]
         data = bytearray(victim.read_bytes())
@@ -163,28 +162,41 @@ class TestDiskJournal:
         finally:
             journal.close()
 
-    def test_rotation_at_segment_cap(self, tmp_path):
-        with DiskJournal(tmp_path, segment_max_bytes=64) as journal:
-            for version in range(6):
-                journal.append(_record(version))
-            assert journal.rotations >= 1
-            assert len(journal.segment_paths()) == journal.rotations + 1
+    def test_rotate_starts_a_segment_named_by_its_start_version(self, tmp_path):
+        with DiskJournal(tmp_path) as journal:
+            journal.append(_record(0))
+            journal.rotate(1)
+            journal.append(_record(1))
+            journal.append(_record(2))
+            journal.rotate(3)
+            journal.rotate(3)  # a segment already starts there: no new file
+            journal.append(_record(3))
+            names = [path.name for path in journal.segment_paths()]
+            assert names == [
+                "wal-000000000000.seg", "wal-000000000001.seg", "wal-000000000003.seg"
+            ]
+        with DiskJournal(tmp_path) as journal:  # appends resume in the newest segment
+            journal.append(_record(4))
+            assert len(journal.segment_paths()) == 3
             scan = journal.read_records()
-        assert [r.base_version for r in scan.records] == list(range(6))
+        assert [r.base_version for r in scan.records] == [0, 1, 2, 3, 4]
 
     def test_prune_through_deletes_only_covered_sealed_segments(self, tmp_path):
-        with DiskJournal(tmp_path, segment_max_bytes=1) as journal:
-            for version in range(5):
-                journal.append(_record(version))
-            before = len(journal.segment_paths())
-            removed = journal.prune_through(3)  # records 0..2 covered
-            assert removed == 3
-            assert len(journal.segment_paths()) == before - 3
+        with DiskJournal(tmp_path) as journal:
+            for start in (0, 2, 4):
+                journal.rotate(start)
+                journal.append(_record(start))
+                journal.append(_record(start + 1))
+            # wal-0 is followed by wal-2, at or below 2: records 0 and 1 are
+            # covered.  wal-2 itself starts at 2 and holds records 2 and 3,
+            # which a snapshot at 2 or 3 does not cover.
+            assert journal.prune_through(2) == 1
+            assert journal.prune_through(3) == 0
             scan = journal.read_records()
-            assert [r.base_version for r in scan.records] == [3, 4]
+            assert [r.base_version for r in scan.records] == [2, 3, 4, 5]
             # The active segment is never pruned, whatever the version.
-            assert journal.prune_through(10**9) <= before - 3 - 1
-            assert journal.segment_paths()
+            assert journal.prune_through(10**9) == 1
+            assert [path.name for path in journal.segment_paths()] == ["wal-000000000004.seg"]
 
     def test_fsync_policy_validation_and_counting(self, tmp_path, monkeypatch):
         for unknown in ("sometimes", "never"):
@@ -388,79 +400,31 @@ class TestRecovery:
         network = _make_network_factory()()
         feed = TrafficFeed(network)
         batches = _effective_batches(network, 8, seed=3)
-        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
+
+        def starts():
+            return [int(p.stem.split("-")[1]) for p in manager.journal.segment_paths()]
+
+        with DurabilityManager(tmp_path) as manager:
             feed.attach_journal(manager)
             for batch in batches[:5]:
                 feed.apply(batch)
-            before = len(manager.journal.segment_paths())
             manager.snapshot(network)
-            # A lone snapshot has nothing to fall back on: the WAL stays whole.
-            assert len(manager.journal.segment_paths()) == before
-            for batch in batches[5:]:
+            # Each snapshot starts a segment; a lone snapshot has nothing to
+            # fall back on, so the WAL stays whole.
+            assert starts() == [0, 5]
+            for batch in batches[5:7]:
                 feed.apply(batch)
-            before = len(manager.journal.segment_paths())
             manager.snapshot(network)
-            assert len(manager.journal.segment_paths()) < before
-
-    def test_damaged_lone_snapshot_recovers_every_batch_from_the_wal(self, tmp_path):
-        network = _make_network_factory()()
-        initial = network.cost_version
-        feed = TrafficFeed(network)
-        batches = _effective_batches(network, 6, seed=3)
-        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
-            feed.attach_journal(manager)
-            for batch in batches[:4]:
-                feed.apply(batch)
-            snapshot = manager.snapshot(network)
-            for batch in batches[4:]:
-                feed.apply(batch)
-        snapshot.write_bytes(snapshot.read_bytes()[: snapshot.stat().st_size // 2])
-
-        recovered = _make_network_factory()()
-        with DurabilityManager(tmp_path) as manager:
-            report = manager.recover(recovered, TrafficFeed(recovered))
-        assert not report.gap and report.verified
-        assert report.snapshot_version is None
-        assert report.recovered_version == network.cost_version == initial + 6
-        assert report.replayed == 6
-        assert states_identical(final_state(recovered), final_state(network))
-
-    def test_snapshot_damaged_at_recovery_is_not_a_fallback_later(self, tmp_path):
-        network = _make_network_factory()()
-        feed = TrafficFeed(network)
-        batches = iter(_effective_batches(network, 6, seed=3))
-        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
-            feed.attach_journal(manager)
-            feed.apply(next(batches))
+            assert starts() == [5, 7]
+            feed.apply(batches[7])
             manager.snapshot(network)
-            feed.apply(next(batches))
-            damaged = manager.snapshot(network)
-        damaged.write_bytes(damaged.read_bytes()[:16])
-
-        network = _make_network_factory()()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
-            manager.recover(network, feed)
-            assert not damaged.exists()  # recovery drops what it cannot use
-            feed.attach_journal(manager)
-            feed.apply(next(batches))
-            newest = manager.snapshot(network)
-            for batch in batches:
-                feed.apply(batch)
-        newest.write_bytes(newest.read_bytes()[:16])
-
-        recovered = _make_network_factory()()
-        with DurabilityManager(tmp_path) as manager:
-            report = manager.recover(recovered, TrafficFeed(recovered))
-        assert not report.gap and report.verified
-        assert report.recovered_version == network.cost_version
-        assert states_identical(final_state(recovered), final_state(network))
+            assert starts() == [7, 8]
 
     def test_unreadable_snapshots_are_kept_for_a_retry(self, tmp_path, monkeypatch):
         network = _make_network_factory()()
         feed = TrafficFeed(network)
         batches = iter(_effective_batches(network, 4, seed=3))
-        with DurabilityManager(tmp_path, segment_max_bytes=1) as manager:
+        with DurabilityManager(tmp_path) as manager:
             feed.attach_journal(manager)
             feed.apply(next(batches))
             manager.snapshot(network)
@@ -491,48 +455,6 @@ class TestRecovery:
         assert report.snapshot_path == str(newest)
         assert states_identical(final_state(recovered), final_state(network))
 
-    def test_replay_does_not_rejournal(self, tmp_path):
-        network = _make_network_factory()()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path) as manager:
-            feed.attach_journal(manager)
-            for batch in _effective_batches(network, 3, seed=5):
-                feed.apply(batch)
-
-        recovered = _make_network_factory()()
-        with DurabilityManager(tmp_path) as manager:
-            appended_before = manager.journal.records_appended
-            manager.recover(recovered, TrafficFeed(recovered))
-            assert manager.journal.records_appended == appended_before
-
-    def test_recovery_with_no_state_is_a_clean_noop(self, tmp_path):
-        network = _make_network_factory()()
-        with DurabilityManager(tmp_path) as manager:
-            report = manager.recover(network)
-        assert report.replayed == 0 and report.snapshot_version is None
-        assert report.verified
-        assert report.recovered_version == network.cost_version
-
-    def test_recovery_skips_records_below_snapshot(self, tmp_path):
-        network = _make_network_factory()()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path) as manager:
-            feed.attach_journal(manager)
-            batches = _effective_batches(network, 4, seed=9)
-            for batch in batches[:3]:
-                feed.apply(batch)
-            manager.snapshot(network)
-            # One extra pre-snapshot record survives pruning because it
-            # shares the active segment with the post-snapshot tail.
-            feed.apply(batches[3])
-
-        recovered = _make_network_factory()()
-        with DurabilityManager(tmp_path) as manager:
-            report = manager.recover(recovered, TrafficFeed(recovered))
-        assert report.gap is False
-        assert report.replayed >= 1
-        assert recovered.cost_version == network.cost_version
-
     def test_verification_failure_raises_recovery_error(self, tmp_path):
         network = _make_network_factory()()
         edge_count = network.compiled().topology.edge_count
@@ -555,28 +477,6 @@ class TestRecovery:
         sanitizer = check_cost_coherence(network)
         assert sanitizer.ok
 
-
-# -------------------------------------------------------------------- #
-# Kill-point chaos: crash anywhere, recover bit-identically
-# -------------------------------------------------------------------- #
-class TestKillPointChaos:
-    @pytest.mark.parametrize("point", KILL_POINTS)
-    def test_crash_at_point_recovers_exactly(self, point, tmp_path):
-        make = _make_network_factory()
-        batches = _effective_batches(make(), 9, seed=17)
-        result = crash_and_recover(make, batches, tmp_path, point, snapshot_after=4)
-        assert result.crashed, f"kill point {point} never fired"
-        assert result.identical, f"{point}: {result.detail}"
-        assert result.report is not None and result.report.verified
-
-    def test_matrix_runs_all_points(self, tmp_path):
-        make = _make_network_factory(3, 3, seed=5)
-        batches = _effective_batches(make(), 7, seed=23)
-        results = run_killpoint_matrix(make, batches, tmp_path)
-        assert {r.point for r in results} == set(KILL_POINTS)
-        assert all(r.identical for r in results), [
-            (r.point, r.detail) for r in results if not r.identical
-        ]
 
 # -------------------------------------------------------------------- #
 # Seeded disk faults (support.disk)
@@ -707,39 +607,6 @@ class TestDiskFaults:
 # Sharded coordinator restart
 # -------------------------------------------------------------------- #
 class TestShardedRecovery:
-    def test_wal_holds_one_traffic_record_per_effective_batch(self, tmp_path):
-        """The WAL stores inputs only: the sharded coordinator adds nothing
-        to what its feed write-ahead logs."""
-        from repro.service import ShardedRoutingService
-
-        make = _make_network_factory(4, 4, seed=19)
-        batches = _effective_batches(make(), 4, seed=37, size=6)
-        with DurabilityManager(tmp_path) as manager:
-            with ShardedRoutingService(
-                make(), shard_count=2, durability=manager
-            ) as service:
-                for batch in batches:
-                    assert service.apply_traffic(batch, wait=True).applied
-            kinds = [record.kind for record in manager.journal.read_records().records]
-        assert kinds == [RECORD_TRAFFIC] * len(batches)
-
-    def test_stats_report_the_recovered_cost_version(self, tmp_path):
-        from repro.service import ShardedRoutingService
-
-        make = _make_network_factory(3, 3, seed=2)
-        network = make()
-        feed = TrafficFeed(network)
-        with DurabilityManager(tmp_path) as manager:
-            feed.attach_journal(manager)
-            for batch in _effective_batches(network, 3, seed=5):
-                feed.apply(batch)
-        recovered = make()
-        with DurabilityManager(tmp_path) as manager:
-            with ShardedRoutingService(recovered, shard_count=2, durability=manager) as service:
-                report = service.coordinator.recover()
-                assert report.recovered_version == network.cost_version
-                assert service.stats().cost_version == network.cost_version
-
     def test_recover_without_durability_manager_is_refused(self):
         from repro.exceptions import ConfigurationError
         from repro.service import ShardedRoutingService

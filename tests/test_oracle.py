@@ -10,12 +10,13 @@ traffic call has returned, and a ten-line heapq Dijkstra over it.
 Verbs: route and route_many on random ODs; traffic batches of ``scale_by``
 rises and falls (the kind whose double replay would corrupt state), each
 followed by asking every request answered so far again (the route cache's
-hits); snapshot; damage the newest snapshot file and restart; crash at a
-:data:`KILL_POINTS` entry and recover into a fresh network and deployment
-over the same directory.  Sharded only: SIGKILL a worker through the pool's
-process handle before a route and before a broadcast (every example starts
-with one); partition a worker, apply batches it misses, heal it (the resync
-path).
+hits); snapshot; reset the stats window; damage the newest snapshot file
+and restart; crash at a :data:`KILL_POINTS` entry — the append points
+during a traffic batch, the rotation and snapshot points during a snapshot
+— and recover into a fresh network and deployment over the same directory.
+Sharded only: SIGKILL a worker through the pool's process handle before a
+route and before a broadcast (every example starts with one); partition a
+worker, apply batches it misses, heal it (the resync path).
 
 Invariants:
 
@@ -26,10 +27,25 @@ Invariants:
 * recovery keeps every acknowledged batch, and a batch the crash interrupted
   is wholly present or wholly absent; it restores the newest intact snapshot
   and replays exactly the versions after it;
+* a recovery that skipped a damaged snapshot publishes the recovered state
+  as a fresh one, and the snapshot files on disk are the model's;
+* the WAL gains exactly one record per acknowledged batch and none during
+  recovery;
 * ``ServiceStats`` counts only the work of the call (requests, shard
-  requests, traffic updates, worker restarts and resyncs);
+  requests, traffic updates, worker restarts and resyncs), and a reset
+  zeroes the window but keeps ``cost_version``;
+* local only: after a batch that only raised costs, every cached answer
+  whose path crosses no touched edge is a hit, and evictions plus re-proofs
+  are the crossing entries; after a batch with a fall, every entry is
+  evicted and nothing hits; ``traffic_touched_edges`` counts the batch's
+  edges;
 * the local machine runs under ``sanitize(strict=True)``;
 * no shared-memory segment outlives a closed sharded deployment.
+
+Pinned walks replay fixed step sequences through the local machine: one
+crash per :data:`KILL_POINTS` entry, so every point fires in every run, two
+damaged snapshots in a row, and a rise-only batch far larger than the drawn
+ones.
 
 Faults come from outside the serving code: a kill switch on the managers'
 ``kill=`` hook, a truncated snapshot file, ``SIGKILL``, and the hub's
@@ -42,6 +58,7 @@ import heapq
 import math
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -108,7 +125,7 @@ class _Model:
         self.successors: dict[int, list[int]] = {v: [] for v in network.vertex_ids()}
         for tail, head in self.costs:
             self.successors[tail].append(head)
-        self.version = self.base_version = network.cost_version
+        self.version = network.cost_version
 
     def apply(self, batch) -> None:
         for key, scale in batch:
@@ -161,8 +178,6 @@ class _Oracle(RuleBasedStateMachine):
         self.switch: KillSwitch | None = None
         self.snapshots: dict[int, bool] = {}
         """Snapshot files on disk: version -> intact."""
-        self.pruned_through: int | None = None
-        """The WAL may have lost every record below this version."""
         self.answered: dict[str, set[RouteRequest]] = {}
         self.restarts = 0
         self.network = None
@@ -174,7 +189,7 @@ class _Oracle(RuleBasedStateMachine):
             self.switch(point)
 
     def _new_manager(self) -> DurabilityManager:
-        return DurabilityManager(self.directory.name, segment_max_bytes=128, kill=self._kill)
+        return DurabilityManager(self.directory.name, kill=self._kill)
 
     @initialize()
     def boot(self) -> None:
@@ -202,14 +217,20 @@ class _Oracle(RuleBasedStateMachine):
     def route_many(self, engine, requests) -> None:
         self._serve(engine, requests, lambda: self.service.route_many(requests, engine))
 
-    def _ask_again(self) -> None:
+    def _ask_again(self) -> dict:
         """Ask every request answered so far again: each cached answer that
-        survived the batches since is a hit, and must still be optimal."""
+        survived the batches since is a hit, and must still be optimal.
+        Returns the answers by ``(engine, request)``."""
+        replies = {}
         for engine, asked in sorted(self.answered.items()):
             requests = sorted(asked, key=repr)
-            self._serve(engine, requests, lambda: self.service.route_many(requests, engine))
+            responses = self._serve(
+                engine, requests, lambda: self.service.route_many(requests, engine)
+            )
+            replies.update(((engine, r), response) for r, response in zip(requests, responses))
+        return replies
 
-    def _serve(self, engine, requests, call) -> None:
+    def _serve(self, engine, requests, call) -> list:
         self.answered.setdefault(engine, set()).update(requests)
         before = self.service.stats().requests
         responses = call()
@@ -225,6 +246,16 @@ class _Oracle(RuleBasedStateMachine):
             assert (math.isinf(got) and math.isinf(want)) or math.isclose(
                 got, want, rel_tol=1e-9
             ), (engine, request, response, got, want)
+        return responses
+
+    @rule()
+    def reset_stats(self) -> None:
+        """A fresh monitoring window: the counters restart, the cost version
+        stays (it mirrors the network, not the window)."""
+        self.service.reset_stats()
+        stats = self.service.stats()
+        assert stats.requests == stats.traffic_updates == 0
+        assert stats.cost_version == self.network.cost_version
 
     # ------------------------------------------------------------------ #
     # Traffic and durability
@@ -233,24 +264,25 @@ class _Oracle(RuleBasedStateMachine):
     def traffic(self, batch) -> None:
         self._traffic(batch)
 
-    def _traffic(self, batch, *, wait: bool = True) -> None:
+    def _traffic(self, batch, *, wait: bool = True) -> dict:
+        """Apply one batch; returns the answers asked again after it (none
+        without ``wait``)."""
         before = self.service.stats().traffic_updates
+        appended = self.manager.journal.records_appended
         updates = [TrafficUpdate.scale_by(*key, **scale) for key, scale in batch]
         result = self._apply(updates, wait=wait)
         self.model.apply(batch)
         assert result.cost_version == self.network.cost_version == self.model.version + 1
         self.model.version = result.cost_version
         assert self.service.stats().traffic_updates == before + 1
-        if wait:
-            self._ask_again()
+        assert self.manager.journal.records_appended == appended + 1
+        return self._ask_again() if wait else {}
 
     @precondition(lambda self: self.network.cost_version not in self.snapshots)
     @rule()
     def snapshot(self) -> None:
         self._snapshot()
         self._published(retained=True)
-        if len(self.snapshots) >= RETAIN:
-            self.pruned_through = min(self.snapshots)
 
     def _published(self, *, retained: bool) -> None:
         self.snapshots[self.network.cost_version] = True
@@ -258,27 +290,17 @@ class _Oracle(RuleBasedStateMachine):
             for stale in sorted(self.snapshots)[:-RETAIN]:
                 del self.snapshots[stale]
 
-    def _newest_has_a_fallback(self) -> bool:
-        """Recovery without the newest snapshot reaches the next intact one,
-        or the base state when none is left; the WAL must still hold every
-        record from there on.  Two snapshots are retained, so one damaged
-        snapshot is tolerated: after a fallback recovery the survivor is the
-        newest, the WAL already pruned through it."""
-        intact = sorted(version for version, ok in self.snapshots.items() if ok)
-        fallback = intact[-2] if len(intact) >= 2 else self.model.base_version
-        return self.pruned_through is None or fallback >= self.pruned_through
-
     @precondition(
         lambda self: self.restarts < self.restart_budget
         and sum(self.snapshots.values()) >= 1
         and self.snapshots[max(self.snapshots)]
-        and self._newest_has_a_fallback()
     )
     @rule()
     def damage_newest_snapshot_and_restart(self) -> None:
         """Truncate the newest snapshot file and restart: recovery falls back
         to the older intact one, or to the base state when it was the only
-        one, and replays the longer WAL suffix after it."""
+        one, replays the longer WAL suffix after it, and publishes a fresh
+        snapshot in place of the damaged one."""
         newest = self.manager.snapshots.snapshot_paths()[-1]
         assert int(newest.stem.split("-", 1)[1]) == max(self.snapshots)
         newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
@@ -288,22 +310,22 @@ class _Oracle(RuleBasedStateMachine):
     @precondition(lambda self: self.restarts < self.restart_budget)
     @rule(point=st.sampled_from(KILL_POINTS), batch=batches)
     def crash_and_recover(self, point, batch) -> None:
-        """Crash at ``point`` during a traffic batch (journal points) or a
-        snapshot (snapshot points) — or right after it, when the point is
-        not on that call's path — then recover from the directory alone."""
+        """Crash at ``point`` during a traffic batch (append points) or a
+        snapshot (rotation and snapshot points), then recover from the
+        directory alone."""
         interrupted = None
-        self.switch = KillSwitch(point)
+        switch = self.switch = KillSwitch(point)
         try:
-            if point.startswith("journal."):
+            if point.startswith("journal.append."):
                 interrupted = batch
                 self._traffic(batch)
-                interrupted = None
             else:
                 self.snapshot()
         except SimulatedCrash:
             if point in ("snapshot.post-rename", "snapshot.pre-prune"):
                 self._published(retained=point == "snapshot.pre-prune")
         self.switch = None
+        assert switch.fired, point
         self._restart(interrupted)
 
     def _restart(self, interrupted=None) -> None:
@@ -317,17 +339,13 @@ class _Oracle(RuleBasedStateMachine):
         initial = network.cost_version
         report = self._recover(network)
         assert report.verified and not report.gap, report
+        assert self.manager.journal.records_appended == 0  # replay journals nothing
         intact = [version for version, ok in self.snapshots.items() if ok]
         assert report.snapshot_version == (max(intact) if intact else None), report
         start = initial if report.snapshot_version is None else report.snapshot_version
         assert report.replayed == report.recovered_version - start, report
         assert report.recovered_version == network.cost_version
         assert self.service.stats().cost_version == network.cost_version
-        # Recovery deletes the damaged snapshots it skipped: those newer
-        # than the one it restored.
-        for version in list(self.snapshots):
-            if report.snapshot_version is None or version > report.snapshot_version:
-                del self.snapshots[version]
         if interrupted is not None and report.recovered_version == acknowledged + 1:
             self.model.apply(interrupted)  # wholly present
             self.model.version += 1
@@ -335,11 +353,28 @@ class _Oracle(RuleBasedStateMachine):
         for key, costs in self.model.costs.items():
             edge = network.edge(*key)
             assert all(getattr(edge, a) == cost for a, cost in costs.items()), key
+        # Recovery deletes the damaged snapshots it skipped, those newer than
+        # the one it restored, and publishes the recovered state in their
+        # place, so a fallback is retained again.
+        skipped = [
+            version
+            for version in self.snapshots
+            if report.snapshot_version is None or version > report.snapshot_version
+        ]
+        for version in skipped:
+            del self.snapshots[version]
+        if skipped:
+            self._published(retained=True)
 
     @invariant()
-    def version_is_the_acknowledged_one(self) -> None:
+    def matches_the_model(self) -> None:
         if self.network is not None:
-            assert self.network.cost_version == self.model.version
+            self._check()
+
+    def _check(self) -> None:
+        assert self.network.cost_version == self.model.version
+        on_disk = [int(p.stem.split("-", 1)[1]) for p in self.manager.snapshots.snapshot_paths()]
+        assert on_disk == sorted(self.snapshots), (on_disk, self.snapshots)
 
 
 class LocalOracle(_Oracle):
@@ -348,6 +383,8 @@ class LocalOracle(_Oracle):
     def _boot(self, network) -> None:
         self.network = network
         self.view = network.compiled()
+        self.cached: dict[tuple[str, RouteRequest], object] = {}
+        """The route cache's live entries: ``(engine, request)`` -> path."""
         self.manager = self._new_manager()
         self.service = RoutingService()
         self.service.register("Shortest", ShortestBaseline(network).as_engine("Shortest"))
@@ -358,6 +395,34 @@ class LocalOracle(_Oracle):
     def _apply(self, updates, *, wait: bool):
         return self.feed.apply(updates)
 
+    def _serve(self, engine, requests, call) -> list:
+        responses = super()._serve(engine, requests, call)
+        for request, response in zip(requests, responses):
+            if response.ok:
+                self.cached[engine, request] = response.path
+        return responses
+
+    def _traffic(self, batch, *, wait: bool = True) -> dict:
+        """The route cache drops what the batch may have made stale, and
+        only that: a rise leaves every path that crosses no touched edge
+        optimal, a fall can improve any path."""
+        before = self.service.stats()
+        live = dict(self.cached)
+        replies = super()._traffic(batch, wait=wait)
+        after = self.service.stats()
+        touched = {key for key, _ in batch}
+        assert after.traffic_touched_edges == before.traffic_touched_edges + len(touched)
+        evicted = after.traffic_evicted_routes - before.traffic_evicted_routes
+        if any(factor < 1 for _, scale in batch for factor in scale.values()):
+            assert evicted == len(live)
+            assert not any(replies[asked].cache_hit for asked in live)
+        else:
+            crossing = {asked for asked, path in live.items() if touched & set(path.edge_keys)}
+            reproved = after.traffic_reproved_routes - before.traffic_reproved_routes
+            assert evicted + reproved == len(crossing)
+            assert all(replies[asked].cache_hit for asked in live.keys() - crossing)
+        return replies
+
     def _snapshot(self) -> None:
         self.manager.snapshot(self.network)
 
@@ -365,10 +430,9 @@ class LocalOracle(_Oracle):
         self._boot(network)
         return self.service.recover(self.manager, self.feed)
 
-    @invariant()
-    def compiled_view_is_patched_not_rebuilt(self) -> None:
-        if self.network is not None:
-            assert self.network.compiled() is self.view
+    def _check(self) -> None:
+        super()._check()
+        assert self.network.compiled() is self.view  # patched, not rebuilt
 
 
 class ShardedOracle(_Oracle):
@@ -404,14 +468,15 @@ class ShardedOracle(_Oracle):
         self._boot(network)
         return self.service.coordinator.recover()
 
-    def _serve(self, engine, requests, call) -> None:
+    def _serve(self, engine, requests, call) -> list:
         before = self.service.stats()
-        super()._serve(engine, requests, call)
+        responses = super()._serve(engine, requests, call)
         after = self.service.stats()
         answered = after.cross_shard_requests + after.in_shard_requests
         assert answered == before.cross_shard_requests + before.in_shard_requests + len(requests)
         dispatched = sum(after.shard_requests.values())
         assert dispatched == sum(before.shard_requests.values()) + len(requests)
+        return responses
 
     def _sigkill(self, worker: int) -> None:
         process = self.service.coordinator._pool._processes[worker]
@@ -491,3 +556,83 @@ def test_sharded_deployment_matches_the_model(monkeypatch):
     monkeypatch.setattr(coordinator_module, "REQUEST_TIMEOUT_S", 5.0)
     monkeypatch.setattr(coordinator_module, "TRAFFIC_TIMEOUT_S", 5.0)
     run_state_machine_as_test(ShardedOracle, settings=SHARDED_SETTINGS)
+
+
+# -------------------------------------------------------------------- #
+# Pinned walks
+# -------------------------------------------------------------------- #
+RISE = [(EDGES[0], {"travel_time_s": 2.0}), (EDGES[9], {"distance_m": 1.5, "fuel_ml": 3.0})]
+FALL = [(EDGES[4], {"travel_time_s": 0.25}), (EDGES[17], {"distance_m": 2.0})]
+ASKED = [RouteRequest(VERTICES[0], VERTICES[-1]), RouteRequest(VERTICES[3], VERTICES[12])]
+
+
+def _walk(*steps) -> None:
+    """Run ``(rule, arguments)`` steps on a booted :class:`LocalOracle`,
+    checking the invariants after each, as a drawn example would."""
+    machine = LocalOracle()
+    try:
+        with sanitize(strict=True):
+            machine.boot()
+            machine._check()
+            for name, arguments in steps:
+                getattr(machine, name)(**arguments)
+                machine._check()
+    finally:
+        machine.teardown()
+
+
+@pytest.mark.parametrize("point", KILL_POINTS)
+def test_crash_at_each_kill_point_keeps_acked_batches(point):
+    """The point fires first with no state on disk, then with two snapshots
+    retained and the WAL pruned through the older one."""
+    _walk(
+        ("crash_and_recover", {"point": point, "batch": RISE}),
+        ("route_many", {"engine": "Fastest", "requests": ASKED}),
+        ("traffic", {"batch": RISE}),
+        ("snapshot", {}),
+        ("traffic", {"batch": FALL}),
+        ("snapshot", {}),
+        ("traffic", {"batch": RISE}),
+        ("crash_and_recover", {"point": point, "batch": FALL}),
+        ("traffic", {"batch": RISE}),
+    )
+
+
+def test_two_damaged_snapshots_in_a_row_keep_every_acknowledged_batch():
+    """After the first fallback recovery a fresh snapshot is retained beside
+    the survivor, and the WAL is still whole from the survivor on."""
+    _walk(
+        ("traffic", {"batch": RISE}),
+        ("snapshot", {}),
+        ("traffic", {"batch": FALL}),
+        ("snapshot", {}),
+        ("traffic", {"batch": RISE}),
+        ("damage_newest_snapshot_and_restart", {}),
+        ("damage_newest_snapshot_and_restart", {}),
+        ("route_many", {"engine": "Shortest", "requests": ASKED}),
+    )
+
+
+def test_a_large_rise_only_batch_keeps_every_route_it_does_not_cross():
+    """No batch size switches the delta-aware eviction off: 40 raised edges,
+    none on the two one-hop routes, which must hit afterwards."""
+    ends = {VERTICES[0], VERTICES[1]}
+    near = [RouteRequest(VERTICES[0], VERTICES[1]), RouteRequest(VERTICES[1], VERTICES[0])]
+    far = [(edge, {"travel_time_s": 1.2, "distance_m": 1.2}) for edge in EDGES if not ends & set(edge)]
+    _walk(
+        ("route_many", {"engine": "Fastest", "requests": near + ASKED}),
+        ("traffic", {"batch": far}),
+    )
+
+
+def test_the_first_rise_after_a_snapshot_recovery_keeps_routes_it_does_not_cross():
+    """Restoring a snapshot may lower costs, but recovery empties the route
+    cache with it, so the first rise-only batch after the restart still
+    drops only the routes it crosses."""
+    _walk(
+        ("traffic", {"batch": RISE}),
+        ("snapshot", {}),
+        ("crash_and_recover", {"point": "journal.append.pre-write", "batch": RISE}),
+        ("route_many", {"engine": "Fastest", "requests": ASKED}),
+        ("traffic", {"batch": RISE}),
+    )

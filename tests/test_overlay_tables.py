@@ -883,8 +883,8 @@ def test_a_segment_is_memoized_per_closure_and_retired_with_its_costs():
     )
 
     def reconstruct():
-        distances, index = overlay.closure(feature).distances, overlay._index
-        cost = float(distances[index[exit_vertex], index[entry_vertex]])
+        distances, order = overlay.closure(feature).distances, overlay.order
+        cost = float(distances[order.index(exit_vertex), order.index(entry_vertex)])
         stitch = (cost, exit_vertex, entry_vertex)
         [(_, answer)] = router._reconstruct(
             [(exit_vertex, entry_vertex)], [(0, stitch)], feature, overlay.closure(feature)

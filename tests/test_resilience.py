@@ -23,6 +23,7 @@ Properties under chaos:
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -97,6 +98,31 @@ def _no_path_engine(network, name="nopath"):
         raise NoPathError(source, destination)
 
     return FunctionEngine(network, fail, name=name)
+
+
+@contextmanager
+def _slot_held(service):
+    """Hold the service's only admission slot for the ``with`` body: a
+    request on another thread, to an engine blocked on an event until the
+    body exits (it then completes and frees the slot)."""
+    network = _demo_network()
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked(source, destination):
+        entered.set()
+        release.wait(10.0)
+        return fastest_path(network, source, destination)
+
+    service.register("blocked", FunctionEngine(network, blocked, name="blocked"))
+    holder = threading.Thread(target=service.route, args=(RouteRequest(0, 20), "blocked"))
+    holder.start()
+    try:
+        assert entered.wait(10.0)
+        yield
+    finally:
+        release.set()
+        holder.join(10.0)
+    assert not holder.is_alive()
 
 
 # ---------------------------------------------------------------------- #
@@ -246,10 +272,12 @@ class TestAdmissionController:
         controller.acquire()
         with pytest.raises(ServiceOverloadedError):
             controller.acquire()
-        assert controller.shed == 1 and controller._in_flight == 2
+        assert controller.shed == 1 and not controller.try_acquire()  # a probe sheds nothing
         controller.release()
         controller.acquire()  # a freed slot admits again
-        assert controller.shed == 1 and controller._in_flight == 2
+        assert controller.shed == 1 and not controller.try_acquire()
+        controller.release()
+        assert controller.try_acquire()
 
 
 # ---------------------------------------------------------------------- #
@@ -453,13 +481,10 @@ class TestServiceResilience:
     def test_admission_shed_is_counted_and_recovers(self, network):
         service = RoutingService(enable_cache=False, max_in_flight=1)
         service.register("engine", _engine(network))
-        service._admission.acquire()  # saturate the only slot
-        try:
+        with _slot_held(service):
             response = service.route(RouteRequest(0, 20))
             assert not response.ok
             assert "ServiceOverloadedError" in response.error
-        finally:
-            service._admission.release()
         assert service.stats().shed == 1
         assert service.route(RouteRequest(0, 20)).ok  # slot freed, serves again
 
@@ -468,12 +493,12 @@ class TestServiceResilience:
         service.register("engine", _engine(network))
         warm = service.route(RouteRequest(0, 20))
         assert warm.ok
-        service._admission.acquire()
-        try:
+        with _slot_held(service):
             hit = service.route(RouteRequest(0, 20))
             assert hit.ok and hit.cache_hit  # no engine work -> always served
-        finally:
-            service._admission.release()
+            miss = service.route(RouteRequest(0, 21))
+            assert "ServiceOverloadedError" in miss.error
+        assert service.stats().shed == 1
 
     # -- one gate: a batch is admitted, bounded and broken like a request -- #
     @staticmethod
@@ -508,19 +533,18 @@ class TestServiceResilience:
     @pytest.mark.parametrize("deployment, via", GATE_CASES)
     def test_gate_held_slot_sheds_every_member(self, request, deployment, via):
         service, serve = self._gated(request, deployment, via, max_in_flight=1)
-        service._admission.acquire()  # saturate the only slot
-        try:
+        with _slot_held(service):
             responses = serve()
-        finally:
-            service._admission.release()
+            held = service.stats()  # the holder's own request is not counted yet
         assert ["ServiceOverloadedError" in (r.error or "") for r in responses] == [True] * 16
         # shed counts requests: the kernel call that found no slot is not one.
-        assert service.stats().shed == 16 and service.stats().requests == 16
-        served = serve()  # slot freed, serves again
-        assert all(r.ok and r.batched == (via == "route_many") for r in served)
-        assert [r.path.vertices[-1] for r in served] == list(range(100, 116))
-        assert service._admission._in_flight == 0
-        assert service.stats().batched_requests == (16 if via == "route_many" else 0)
+        assert held.shed == 16 and held.requests == 16
+        for _ in range(2):  # slot freed, serves again: no call leaks its slot
+            served = serve()
+            assert all(r.ok and r.batched == (via == "route_many") for r in served)
+            assert [r.path.vertices[-1] for r in served] == list(range(100, 116))
+        assert service.stats().shed == 16
+        assert service.stats().batched_requests == (32 if via == "route_many" else 0)
         assert service.stats().errors == 16
 
     @pytest.mark.parametrize("fallback", [None, "backup"])

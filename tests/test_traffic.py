@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import FastestBaseline
 from repro.exceptions import EdgeNotFoundError, NetworkError, NoPathError
-from repro.network import RoadNetwork, RoadType, compiled_disabled, grid_city_network
+from repro.network import RoadNetwork, RoadType, grid_city_network
 from repro.network.compiled.graph import EDGE_COST_ATTRIBUTES, TOPOLOGY_STAMP
 from repro.preferences import PreferenceVector
 from repro.preferences.features import MAJOR_ROADS
@@ -559,118 +559,10 @@ class TestSyntheticCongestion:
 
 
 # --------------------------------------------------------------------------- #
-# Service-layer delta-aware invalidation
+# Service-layer traffic counters and the in-flight race (the delta-aware
+# eviction itself is checked against a model by tests/test_oracle.py)
 # --------------------------------------------------------------------------- #
-def _service_on(network) -> RoutingService:
-    service = RoutingService()
-    service.register("Fastest", FastestBaseline(network).as_engine(), default=True)
-    return service
-
-
 class TestServiceInvalidation:
-    def test_only_crossing_routes_are_evicted(self):
-        network = grid_city_network(rows=6, cols=6, seed=1)
-        service = _service_on(network)
-        feed = TrafficFeed(network, services=[service])
-
-        touched_route = service.route(RouteRequest(source=0, destination=35))
-        untouched_route = service.route(RouteRequest(source=5, destination=30))
-        assert service.route(RouteRequest(source=0, destination=35)).cache_hit
-
-        u, v = touched_route.path.edge_keys[1]
-        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=100.0)])
-
-        stats = service.stats()
-        assert stats.traffic_updates == 1
-        assert stats.traffic_touched_edges == 1
-        assert stats.traffic_evicted_routes == 1
-        assert stats.cost_version == network.cost_version
-
-        recomputed = service.route(RouteRequest(source=0, destination=35))
-        assert not recomputed.cache_hit
-        assert (u, v) not in recomputed.path.edge_keys
-        assert untouched_route.path is not None
-        assert service.route(RouteRequest(source=5, destination=30)).cache_hit
-
-    def test_a_large_batch_evicts_only_crossing_routes(self):
-        """No batch size switches the delta-aware eviction off: 65 raised
-        edges cost the cache at most the routes that cross one of them, and
-        a crossing route that stays is the live reference path."""
-        network = grid_city_network(rows=6, cols=6, seed=1)
-        service = _service_on(network)
-        feed = TrafficFeed(network, services=[service])
-        requests = [RouteRequest(source=s, destination=d) for s, d in ((5, 30), (0, 35), (2, 33))]
-        routes = [service.route(request) for request in requests]
-        crossed = {hop for route in routes for hop in route.path.edge_keys}
-        off_path = [e.key for e in network.edges() if e.key not in crossed]
-
-        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.2) for u, v in off_path[:65]])
-        assert service.stats().traffic_touched_edges == 65
-        assert service.stats().traffic_evicted_routes == 0
-        assert all(service.route(request).cache_hit for request in requests)
-
-        # 65 again, three of them hops of the first route: whether the other
-        # two routes go is decided by what they cross, not by the batch size;
-        # a crossing route goes unless its re-proof keeps it.
-        on_path = list(routes[0].path.edge_keys[:3])
-        hit = [any(hop in route.path.edge_keys for hop in on_path) for route in routes]
-        assert hit[0] and not all(hit)
-        feed.apply(
-            [TrafficUpdate.scale_by(u, v, travel_time_s=1.2) for u, v in off_path[:62] + on_path]
-        )
-        stats = service.stats()
-        assert stats.traffic_evicted_routes + stats.traffic_reproved_routes == sum(hit)
-        for request, route, crossing in zip(requests, routes, hit):
-            again = service.route(request)
-            if not crossing:
-                assert again.cache_hit
-            with compiled_disabled():
-                reference = fastest_path(network, request.source, request.destination)
-            assert again.path.vertices == reference.vertices
-            if again.cache_hit:
-                assert again.path.vertices == route.path.vertices
-
-    def test_a_cost_decrease_off_the_path_retires_the_cached_route(self):
-        """Raising costs off a cached path leaves it optimal; lowering them
-        does not.  40 edges, none on the cached corner-to-corner route, get
-        ~free: the next answer must be the new optimum, not a hit on the old
-        one."""
-        network = grid_city_network(rows=12, cols=12, seed=1)
-        service = _service_on(network)
-        feed = TrafficFeed(network, services=[service])
-        request = RouteRequest(source=0, destination=143)
-        first = service.route(request)
-        other = service.route(RouteRequest(source=11, destination=132))
-        on_path = set(first.path.edge_keys) | set(other.path.edge_keys)
-        off_path = [e.key for e in network.edges() if e.key not in on_path][:40]
-
-        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.5) for u, v in off_path])
-        assert service.route(request).cache_hit  # congestion elsewhere: still optimal
-        assert service.stats().traffic_evicted_routes == 0
-
-        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=0.001) for u, v in off_path])
-        assert service.stats().traffic_evicted_routes == 2  # crossing or not
-        hits_before = service.stats().cache.hits
-        again = service.route(request)
-        assert not again.cache_hit
-        assert service.stats().cache.hits == hits_before > 0  # counters kept, entries gone
-        with compiled_disabled():
-            reference = dict_dijkstra(network, 0, 143, cost_function(CostFeature.TRAVEL_TIME))
-        cost = cost_function(CostFeature.TRAVEL_TIME)
-
-        def price(path) -> float:
-            return sum(cost(network.edge(u, v)) for u, v in path.edge_keys)
-
-        assert price(again.path) == pytest.approx(price(reference))
-        assert price(again.path) < price(first.path)
-        assert network.cost_fell_version == network.version
-
-        # The fall is acted on once: the next congestion-only batch is delta-aware again.
-        service.route(RouteRequest(source=11, destination=132))
-        u, v = again.path.edge_keys[0]
-        feed.apply([TrafficUpdate.scale_by(u, v, travel_time_s=1.2)])
-        assert service.route(RouteRequest(source=11, destination=132)).cache_hit
-
     def test_cache_disabled_service_still_counts_updates(self):
         network = _line_network()
         service = RoutingService(enable_cache=False)
@@ -680,16 +572,6 @@ class TestServiceInvalidation:
         stats = service.stats()
         assert stats.traffic_updates == 1
         assert stats.traffic_evicted_routes == 0
-
-    def test_reset_stats_keeps_cost_version(self):
-        network = _line_network()
-        service = _service_on(network)
-        feed = TrafficFeed(network, services=[service])
-        feed.apply([TrafficUpdate.scale_by(0, 1, travel_time_s=2.0)])
-        service.reset_stats()
-        stats = service.stats()
-        assert stats.traffic_updates == 0
-        assert stats.cost_version == 1
 
     def test_in_flight_route_is_not_cached_across_a_traffic_update(self):
         """A response computed with pre-update costs must not land in the
