@@ -188,15 +188,13 @@ def _resolved(
     return (graph, *resolved)
 
 
-#: The bounded first attempt of :func:`try_dijkstra` pays two landmark-bound
-#: passes and an O(edges) pruning pass per query, and a landmark build per
-#: attribute cost view; below this vertex count the full C search is as
-#: fast.  Gain over the full search on grid cities, set before the landmark
-#: upper bound capped the corridor: 40x40 1.01x, 50x50 1.02x, 55x55 1.20x,
-#: 60x60 1.17x, 80x80 1.31x, 100x100 1.40x, 140x140 1.66x.  With the cap (600
+#: The bounded first attempt of :func:`try_dijkstra` pays a per-cell bound
+#: pass and an O(edges) pruning pass per query, and a landmark build per
+#: attribute cost view.  Gain over the full search on grid cities (600
 #: uniform pairs, travel time and distance alternating, median of 5 runs):
-#: 40x40 1.04x, 50x50 1.36x, 55x55 1.27x, 60x60 1.31x, 80x80 1.46x, 100x100
-#: 1.76x — the crossover now lies between 40x40 and 50x50.
+#: 40x40 1.31x, 50x50 1.56x, 55x55 1.63x, 60x60 1.65x, 80x80 2.06x, 100x100
+#: 1.89x.  The crossover lies below 40x40; the bound stays where it is, so
+#: a city's few hundred vertices and a shard's build no landmark tables.
 BOUNDED_DIJKSTRA_MIN_VERTICES = 3_000
 
 

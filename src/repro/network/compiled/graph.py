@@ -27,7 +27,7 @@ parts with very different lifetimes:
   that differ, followed by :meth:`CostStore.rewind`, which *sets* the version
   to the adopted state's and clears the caches outright.
 
-Landmark-bound scratch buffers live in per-thread
+Corridor-search scratch buffers live in per-thread
 :class:`~repro.network.compiled.landmarks.BoundScratch` objects obtained
 from :meth:`CompiledGraph.borrowed_scratch`, so concurrent queries
 (``RoutingService.route`` is safe to call from many threads) never share
@@ -603,15 +603,15 @@ class CompiledGraph:
             pool.append(item)
 
     def borrowed_scratch(self) -> AbstractContextManager["BoundScratch"]:
-        """Check landmark-bound buffers out of the calling thread's pool.
+        """Check corridor-search buffers out of the calling thread's pool.
 
         Nested borrows each get their own instance, so an inner search can
-        never overwrite the bounds an outer one is reading; the pool grows to
-        the maximum nesting depth ever seen per thread.  What a bounds call
-        returned must not be read after the ``with`` block."""
+        never overwrite the costs an outer one is searching; the pool grows
+        to the maximum nesting depth ever seen per thread.  The buffers must
+        not be read after the ``with`` block."""
         from .landmarks import BoundScratch
 
-        return self._borrowed("scratch", BoundScratch, self.vertex_count, self.edge_count)
+        return self._borrowed("scratch", BoundScratch, self.edge_count)
 
     def path_ids(self, indices: Iterable[int]) -> list["VertexId"]:
         """Translate an index path back into original vertex ids."""

@@ -3,21 +3,17 @@
 A :class:`LandmarkTable` bounds distances with pure array lookups: for a
 handful of landmark vertices it precomputes the forward (``d(L, v)``) and
 backward (``d(v, L)``) distance rows with the batched compiled Dijkstra
-(:func:`~repro.network.compiled.batch.dijkstra_many`), and the triangle
-inequality then yields per-query lower bounds
-
-    ``d(v, t) >= max_L max( d(L, t) - d(L, v),  d(v, L) - d(t, L) )``
-
-computed vectorized over all vertices in one numpy pass.  The bounded
-point-to-point Dijkstra (``sparse.shortest_path_indices``) prunes every
-vertex whose lower bound on ``d(s, v) + d(v, t)`` exceeds its search
-limit.
+(:func:`~repro.network.compiled.batch.dijkstra_many`) and keeps them
+vertex-major, ``rows[v] = (d(L, v) ..., -d(v, L) ...)``, so the triangle
+inequality reads ``d(u, w) >= max_j (rows[w, j] - rows[u, j])``.  The
+bounded point-to-point Dijkstra (``sparse.shortest_path_indices``) prunes
+the vertices whose lower bound on ``d(s, v) + d(v, t)`` exceeds its search
+limit a *cell* at a time (:meth:`LandmarkTable.cell_bounds`, :func:`_cells`).
 
 The same rows also give an *upper* bound per pair, the cheapest detour
-``min_L d(s, L) + d(L, t)`` (:meth:`LandmarkTable.tightest`).  It is the
-cost of a real walk at the build costs, so it holds on the table's
-``build_array`` only: after any cost patch it says nothing, even where the
-lower bounds stay admissible.
+``min_L d(s, L) + d(L, t)``.  It is the cost of a real walk at the build
+costs, so it holds on the table's ``build_array`` only: after any cost
+patch it says nothing, even where the lower bounds stay admissible.
 
 Tables are **topology-stamped** artifacts: they live on one
 :class:`~repro.network.compiled.graph.CompiledGraph` snapshot and die with
@@ -40,11 +36,14 @@ set (cheap, deterministic, good spread).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable
+import copy
+import math
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
 from . import batch
+from .sparse import slot_targets
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import CompiledGraph
@@ -59,11 +58,11 @@ REBUILD_RATIO = 0.5
 
 #: Bounded first attempts (``sparse.shortest_path_indices``) counted per table
 #: before both counts are halved, so the share that paid off follows the
-#: recent ones; a verdict needs half a window.  On the 60x60 and 100x100 grid
-#: cities 0.83 to 0.89 of the attempts pay off (1.15x and 1.4x over the full
-#: search); on ``country_network`` scaled to 5,060 and 11,220 vertices 0.46 to
-#: 0.50 do, and there the attempt is worth what the full search is (0.86x to
-#: 1.25x over eight runs), so a verdict that flips back and forth costs nothing.
+#: recent ones; a verdict needs half a window.  Paid off, travel time |
+#: distance, over 600 pairs: 0.81 | 0.96 and 0.84 | 0.97 on the 60x60 and
+#: 100x100 grid cities (1.84x and 2.07x over the full search); 0.28 | 0.71
+#: and 0.26 | 0.78 on ``country_network`` scaled to 5,060 and 11,220
+#: vertices (1.09x and 1.28x), where travel time is sampled only.
 ATTEMPT_WINDOW = 512
 
 #: While under half pay off, one query in this many still makes the attempt,
@@ -71,34 +70,39 @@ ATTEMPT_WINDOW = 512
 SKIPPED_SAMPLE = 32
 
 
+#: Cells of the corridor's prune mask hold ``min(CELL_SIZE, n // MIN_CELLS)``
+#: of a graph's ``n`` vertices (:func:`_cells`): one per cell under 512.
+CELL_SIZE = 24
+MIN_CELLS = 256
+
+
 class BoundScratch:
-    """Preallocated buffers for landmark bounds over one graph snapshot.
+    """Preallocated buffers for the corridor search over one graph snapshot.
 
     Borrowed per call from :meth:`CompiledGraph.borrowed_scratch` (one per
     thread and nesting depth, dying with the snapshot on a structural
-    mutation), so a query allocates no temporaries.
+    mutation), so a query allocates no edge-sized temporaries.
     """
 
-    __slots__ = ("work", "to", "frm", "outside", "costs", "pruned", "matrix")
+    __slots__ = ("costs", "pruned", "matrix")
 
-    def __init__(self, vertex_count: int, edge_count: int) -> None:
-        self.work = np.empty((2, vertex_count), dtype=np.float64)
-        self.to = np.empty(vertex_count, dtype=np.float64)
-        self.frm = np.empty(vertex_count, dtype=np.float64)
-        self.outside = np.empty(vertex_count, dtype=np.bool_)
+    def __init__(self, edge_count: int) -> None:
         self.costs = np.empty(edge_count, dtype=np.float64)
         self.pruned = np.empty(edge_count, dtype=np.bool_)
         self.matrix = None  # scipy CSR over ``costs``, made by its first user
 
 
 class LandmarkTable:
-    """Per-landmark distance rows plus the cost-version admissibility state."""
+    """Per-vertex landmark potentials, their per-cell ranges, and the
+    cost-version admissibility state."""
 
     __slots__ = (
         "key",
         "indices",
-        "dist_from",
-        "dist_to",
+        "rows",
+        "low",
+        "high",
+        "slot_cell",
         "build_array",
         "build_version",
         "requested_count",
@@ -114,16 +118,18 @@ class LandmarkTable:
         self,
         key: Hashable,
         indices: list[int],
-        dist_from: np.ndarray,
-        dist_to: np.ndarray,
+        rows: np.ndarray,
+        cells: tuple[np.ndarray, np.ndarray, np.ndarray],
         build_array: np.ndarray,
         build_version: int,
         requested_count: int | None = None,
     ) -> None:
         self.key = key
         self.indices = indices
-        self.dist_from = dist_from  # (k, n): d(landmark, v) on the build metric
-        self.dist_to = dist_to  # (k, n): d(v, landmark) on the build metric
+        # (n, 2k): d(L, v) for every landmark L, then -d(v, L), so that
+        # rows[w] - rows[u] bounds d(u, w) from below landmark by landmark.
+        self.rows = rows
+        self.low, self.high, self.slot_cell = cells  # see :func:`_cells`
         self.build_array = build_array
         self.build_version = build_version
         # Selection may legitimately yield fewer landmarks than asked for
@@ -132,8 +138,8 @@ class LandmarkTable:
         self.requested_count = requested_count if requested_count is not None else len(indices)
         self.scale = 1.0
         self.validated_version = build_version
-        finite = dist_from[np.isfinite(dist_from)]
-        self.span = float(finite.max()) if finite.size else 0.0  # ~ the graph's diameter
+        forward = rows[:, : len(indices)]  # span: ~ the graph's diameter
+        self.span = float(forward.max(initial=0.0, where=np.isfinite(forward)))
         self.attempts = 0  # recent bounded first attempts ...
         self.paid_off = 0  # ... how many of them paid off ...
         self.skipped = 0  # ... and queries that went without while few did
@@ -171,7 +177,7 @@ class LandmarkTable:
         """This table re-established against the caller's cost array.
 
         Returns ``self`` when nothing changed, a *copy-on-write* twin
-        (sharing the distance matrices, carrying the new scale) when the
+        (sharing the rows and cells, carrying the new scale) when the
         bounds had to be rescaled, or ``None`` when they degraded past
         :data:`REBUILD_RATIO` and the table must be rebuilt.  Served tables
         are never mutated: a query that resolved its cost arrays under an
@@ -198,94 +204,81 @@ class LandmarkTable:
         if scale == self.scale:
             self.validated_version = current_version
             return self
-        twin = LandmarkTable(
-            self.key,
-            self.indices,
-            self.dist_from,
-            self.dist_to,
-            build,
-            self.build_version,
-            requested_count=self.requested_count,
-        )
+        twin = copy.copy(self)
         twin.scale = scale
         twin.validated_version = current_version
-        twin.attempts, twin.paid_off, twin.skipped = self.attempts, self.paid_off, self.skipped
         return twin
 
     # ------------------------------------------------------------------ #
-    # Triangle-inequality bounds (vectorized over all vertices)
+    # Triangle-inequality bounds
     # ------------------------------------------------------------------ #
-    def _bounds(self, fwd_ref, bwd_ref, sign: int, scratch, rows) -> np.ndarray:
-        # One landmark row at a time (the work vectors stay in cache, and a
-        # subset of landmarks costs its share).  ``inf - inf`` (both sides
-        # unreachable from a landmark) is NaN and carries no information:
-        # np.fmax drops NaNs in favour of any real bound, and starting from
-        # 0.0 leaves 0 where every landmark said NaN.
-        lf = self.dist_from
-        lt = self.dist_to
-        a, b = scratch.work
-        h = scratch.to if sign > 0 else scratch.frm
-        h.fill(0.0)
+    def pair_bounds(self, source: int, target: int) -> tuple[float, float]:
+        """The lower bound on ``d(source, target)``, the largest landmark
+        difference (NaN, ``inf - inf``, says nothing), and the upper bound,
+        the cheapest detour ``d(source, L) + d(L, target)`` — the cost of a
+        real walk at the *build* costs, so it bounds the pair only on
+        :attr:`build_array` (``inf`` when no landmark links the pair)."""
+        rows, k = self.rows, len(self.indices)
         with np.errstate(invalid="ignore"):
-            for i in range(len(lf)) if rows is None else rows:
-                if sign > 0:
-                    np.subtract(fwd_ref[i], lf[i], out=a)
-                    np.subtract(lt[i], bwd_ref[i], out=b)
-                else:
-                    np.subtract(lf[i], fwd_ref[i], out=a)
-                    np.subtract(bwd_ref[i], lt[i], out=b)
-                np.fmax(a, b, out=a)
-                np.fmax(h, a, out=h)
+            lower = float(np.fmax.reduce(rows[target] - rows[source], initial=-math.inf))
+        upper = float((rows[target, :k] - rows[source, k:]).min())
+        return lower * self.scale, upper
+
+    def cell_bounds(self, source: int, target: int) -> np.ndarray:
+        """Per cell, a lower bound on ``d(source, v) + d(v, target)`` for all
+        its members ``v`` at once (a fresh array, times :attr:`scale`):
+        ``low - rows[source]`` and ``rows[target] - high`` are at most every
+        member's own differences, float subtraction being monotone; NaN
+        terms are dropped and each sum starts from 0."""
+        rows = self.rows
+        with np.errstate(invalid="ignore"):
+            into = np.fmax.reduce(rows[target][:, None] - self.high, axis=0, initial=0.0)
+            into += np.fmax.reduce(self.low - rows[source][:, None], axis=0, initial=0.0)
         if self.scale != 1.0:
-            h *= self.scale
-        return h
+            into *= self.scale
+        return into
 
-    def bounds_to(
-        self, target: int, scratch: BoundScratch, rows: Iterable[int] | None = None
-    ) -> np.ndarray:
-        """Lower bounds on ``d(v, target)`` for every vertex ``v`` at once.
 
-        ``inf`` entries are exact: a finite landmark row proving ``target``
-        unreachable from ``v`` transfers through the triangle inequality.
-        The result is ``scratch.to`` (no allocation), valid until the scratch
-        is next used or handed back; ``rows`` restricts the bounds to those
-        landmarks (looser, cheaper).
-        """
-        return self._bounds(self.dist_from[:, target], self.dist_to[:, target], +1, scratch, rows)
+def _cells(
+    graph: "CompiledGraph", potentials: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(low, high, slot_cell)``: each cell's ``(2k, cells)`` minimum and
+    maximum of every row of ``potentials`` (the rows landmark-major), and the
+    int32 cell of every CSR slot's head vertex.
 
-    def bounds_from(
-        self, source: int, scratch: BoundScratch, rows: Iterable[int] | None = None
-    ) -> np.ndarray:
-        """Lower bounds on ``d(source, v)`` — the backward-search potential
-        (in ``scratch.frm``)."""
-        return self._bounds(self.dist_from[:, source], self.dist_to[:, source], -1, scratch, rows)
-
-    def tightest(
-        self, source: int, target: int, count: int
-    ) -> tuple[float, float, list[int] | None]:
-        """The lower bound on ``d(source, target)``, the upper bound, and the
-        ``count`` landmarks bounding it best from below (``None``: all).
-
-        The upper bound is the cheapest detour ``d(source, L) + d(L, target)``
-        through a landmark — the cost of a real walk at the *build* costs,
-        so it bounds the pair only on :attr:`build_array` (``inf`` when no
-        landmark links the pair)."""
-        lf, lt = self.dist_from, self.dist_to
-        with np.errstate(invalid="ignore"):
-            per = np.fmax(lf[:, target] - lf[:, source], lt[:, source] - lt[:, target])
-        per[np.isnan(per)] = -np.inf
-        rows = np.argsort(per)[-count:].tolist() if count < self.count else None
-        upper = float((lt[:, source] + lf[:, target]).min())
-        return float(per.max()) * self.scale, upper, rows
+    Recursive bisection in the rows' own space: each group over the cell
+    size splits at its median along its row of largest spread, one level
+    per vectorized pass (in float32, infinities clipped: the split only
+    steers how tight the cells are).
+    """
+    n = potentials.shape[1]
+    size = max(1, min(CELL_SIZE, n // MIN_CELLS))
+    far = 2.0 * float(np.abs(potentials).max(initial=0.0, where=np.isfinite(potentials))) + 1
+    points = np.clip(potentials, -far, far).astype(np.float32)
+    order = np.arange(n)
+    everyone = np.arange(n)
+    starts = np.zeros(1, dtype=np.int64)
+    while (sizes := np.diff(starts, append=n)).max() > size:
+        split = sizes > size
+        spread = np.maximum.reduceat(points, starts, axis=1)
+        spread -= np.minimum.reduceat(points, starts, axis=1)
+        group = np.repeat(np.arange(len(starts)), sizes)
+        value = points[spread.argmax(axis=0)[group], everyone]
+        perm = np.argsort(group * (4.0 * far) + value)  # by group, then value
+        order = order[perm]
+        points = points.take(perm, axis=1)  # C order: row reductions stay fast
+        starts = np.sort(np.concatenate((starts, (starts + (sizes + 1) // 2)[split])))
+    cell_of = np.empty(n, dtype=np.int32)
+    cell_of[order] = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts, append=n))
+    grouped = potentials.take(order, axis=1)
+    low = np.minimum.reduceat(grouped, starts, axis=1)
+    high = np.maximum.reduceat(grouped, starts, axis=1)
+    return low, high, cell_of.take(slot_targets(graph))
 
 
 # ---------------------------------------------------------------------- #
 # Landmark selection
 # ---------------------------------------------------------------------- #
-def _sssp_rows(graph, key, array, version, sources: list[int]) -> np.ndarray:
-    return batch.dijkstra_many(graph, key, array, version, sources)
-
-
 def _seed_index(graph: "CompiledGraph") -> int:
     """A deterministic seed vertex that actually has outgoing edges.
 
@@ -327,11 +320,11 @@ def _select_farthest(
     disconnected graphs still get bounds everywhere a search can run.
     """
     seed = _seed_index(graph)
-    seed_row = _sssp_rows(graph, key, array, version, [seed])[0]
+    seed_row = batch.dijkstra_many(graph, key, array, version, [seed])[0]
     finite = np.where(np.isfinite(seed_row), seed_row, -1.0)
     first = int(np.argmax(finite))
     chosen = [first]
-    rows = [_sssp_rows(graph, key, array, version, [first])[0]]
+    rows = [batch.dijkstra_many(graph, key, array, version, [first])[0]]
     min_dist = rows[0].copy()
     while len(chosen) < count:
         candidates = np.where(np.isfinite(min_dist), min_dist, -1.0)
@@ -342,7 +335,7 @@ def _select_farthest(
             if nxt < 0:
                 break  # every reachable vertex is a landmark (or at one)
         chosen.append(nxt)
-        row = _sssp_rows(graph, key, array, version, [nxt])[0]
+        row = batch.dijkstra_many(graph, key, array, version, [nxt])[0]
         rows.append(row)
         np.minimum(min_dist, row, out=min_dist)
     return chosen, np.vstack(rows)
@@ -362,7 +355,14 @@ def build_landmark_table(
     count = min(count or DEFAULT_LANDMARK_COUNT, n)
     chosen, dist_from = _select_farthest(graph, key, array, version, count)
     dist_to = batch.dijkstra_many(graph, key, array, version, chosen, reverse=True)
+    potentials = np.vstack((dist_from, np.negative(dist_to, out=dist_to)))
     build_version = version if version is not None else graph.costs.version
     return LandmarkTable(
-        key, chosen, dist_from, dist_to, array, build_version, requested_count=count
+        key,
+        chosen,
+        np.ascontiguousarray(potentials.T),
+        _cells(graph, potentials),
+        array,
+        build_version,
+        requested_count=count,
     )

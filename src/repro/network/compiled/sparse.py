@@ -21,8 +21,10 @@ Given a landmark table, the search first tries a corridor: edges into
 vertices whose landmark bounds put them off every path of cost ``U`` cost
 ``inf``, and the search stops at ``U = min(1.4 * LB, UB)`` — the lower bound
 ``LB`` stretched, capped by the cheapest landmark detour ``UB`` while the
-costs are the table's build costs.  A capped corridor always reaches the
-destination; otherwise a miss falls back to the full search.
+costs are the table's build costs.  One bound covers each *cell* of the
+table (up to 24 vertices close in landmark space).  A capped corridor
+always reaches the destination; otherwise a miss falls back to the full
+search.
 
 A search whose answer goes into the route cache also leaves the path's
 *arrival margins* (:func:`arrival_margins`): per vertex ``v`` after the
@@ -67,19 +69,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ninetieth percentile, and congestion loosens them further.
 CORRIDOR_RATIO = 1.4
 
-#: Landmarks the corridor is bounded by — the tightest for the pair.  Each
-#: costs ~40 us per query at 10^4 vertices and prunes a little more; 2, 3, 4,
-#: 8 measured 1.34x, 1.40x, 1.39x, 1.32x there.
-CORRIDOR_LANDMARKS = 4
-
 #: No attempt for an *uncapped* pair (no landmark detour within the stretched
 #: lower bound, or costs off the table's build costs) whose lower bound
 #: exceeds this share of the table's span (its largest landmark distance,
 #: about the diameter): the corridor then holds most of the graph and the
-#: attempt costs more than the full search.  Uncapped attempt / full time by
-#: bound / span on the 60x60 and 100x100 grid cities: 0.3-0.4 0.84 / 0.63,
-#: 0.4-0.5 0.98 / 0.80, 0.5-0.6 1.13 / 1.00, 0.6-0.7 1.34 / 1.16, above 1.4 /
-#: 1.28.  A capped pair is attempted at any span: at build costs the detour
+#: attempt gains little or costs more than the full search.  Uncapped
+#: attempt / full time by bound / span on the 60x60 and 100x100 grid cities
+#: (1,500 pairs each, travel time | distance): 0.4-0.5 0.82 | 0.81 / 0.74 |
+#: 0.75, 0.5-0.6 0.94 | 0.95 / 0.88 | 0.90, 0.6-0.7 1.09 | 1.14 / 1.03 |
+#: 1.04.  A capped pair is attempted at any span: at build costs the detour
 #: caps 96 to 100 % of the far pairs there.
 CORRIDOR_MAX_SPAN = 0.5
 
@@ -329,18 +327,19 @@ def _corridor_distances(
     :data:`CORRIDOR_RATIO`, capped by the landmark detour's cost (the upper
     bound, while ``array`` is the table's build array), every vertex ``v``
     on a shortest path of cost ``<= limit`` has ``d(source, v) + d(v,
-    destination) <= limit``, so edges into vertices whose landmark bound on
-    that sum exceeds ``limit`` cost ``inf`` in a scratch copy and the C
-    Dijkstra stops at ``limit``.  A finite distance at ``destination`` is
-    then exact, as is the distance of every vertex on every shortest path to
-    it — all the backward walk reads to pick the same predecessors, and the
-    tree's parents of those vertices are the walk's
+    destination) <= limit``, so edges into the members of every cell whose
+    bound on that sum (:meth:`LandmarkTable.cell_bounds`) exceeds ``limit``
+    cost ``inf`` in a scratch copy and the C Dijkstra stops at ``limit``.
+    A finite distance at ``destination`` is then exact, as is the distance
+    of every vertex on every shortest path to it — all the backward walk
+    reads to pick the same predecessors, and the tree's parents of those
+    vertices are the walk's
     (:func:`reconstruct_path_indices`); a capped limit always reaches it.
     ``None``: the destination lies beyond ``limit`` (or the bounds say
     nothing, or the pair is too far apart for an uncapped corridor,
     :data:`CORRIDOR_MAX_SPAN`) and the full search must run.
     """
-    lower, upper, rows = table.tightest(source, destination, CORRIDOR_LANDMARKS)
+    lower, upper = table.pair_bounds(source, destination)
     if not 0.0 < lower:
         return None
     limit = lower * CORRIDOR_RATIO
@@ -348,11 +347,9 @@ def _corridor_distances(
         limit = upper * _CORRIDOR_SLACK
     elif lower > CORRIDOR_MAX_SPAN * table.span:
         return None
+    outside = table.cell_bounds(source, destination) > limit * _CORRIDOR_SLACK
     with graph.borrowed_scratch() as scratch:
-        through = table.bounds_to(destination, scratch, rows)
-        through += table.bounds_from(source, scratch, rows)
-        np.greater(through, limit * _CORRIDOR_SLACK, out=scratch.outside)
-        np.take(scratch.outside, slot_targets(graph), out=scratch.pruned)
+        np.take(outside, table.slot_cell, out=scratch.pruned)
         np.copyto(scratch.costs, array)
         np.putmask(scratch.costs, scratch.pruned, math.inf)
         if scratch.matrix is None:

@@ -636,7 +636,7 @@ class RoutingService:
             fell = getattr(network, "cost_fell_version", 0)
             if fell:
                 self._cost_falls_seen[network] = fell
-        self._stats.record_traffic(0, 0, report.recovered_version)
+        self._stats.record_cost_version(report.recovered_version)
         return report
 
     # ------------------------------------------------------------------ #

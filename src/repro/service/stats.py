@@ -183,6 +183,11 @@ class StatsAccumulator:
             # (feeds over different networks just report the latest bump).
             self._cost_version = max(self._cost_version, cost_version)
 
+    def record_cost_version(self, cost_version: int) -> None:
+        """Raise the newest observed cost version without counting a batch."""
+        with self._lock:
+            self._cost_version = max(self._cost_version, cost_version)
+
     def snapshot(
         self,
         cache: CacheStats,

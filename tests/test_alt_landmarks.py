@@ -67,11 +67,9 @@ def _assert_admissible(network, table, sample_targets):
     graph = network.compiled()
     ids = sorted(network.vertex_ids())
     for target in sample_targets:
-        with graph.borrowed_scratch() as scratch:
-            bounds = table.bounds_to(graph.index_of[target], scratch).copy()
         for source in ids:
             true = _true_costs_from(network, source).get(target, math.inf)
-            bound = bounds[graph.index_of[source]]
+            bound = table.pair_bounds(graph.index_of[source], graph.index_of[target])[0]
             assert bound <= true + 1e-6 * max(1.0, abs(true)) or (
                 math.isinf(bound) and math.isinf(true)
             ), f"bound {bound} exceeds true distance {true} for {source}->{target}"
@@ -128,8 +126,8 @@ class TestAdmissibility:
         # Copy-on-write: the served table is never mutated — a twin sharing
         # the distance matrices carries the new scale (no rebuild).
         assert revalidated is not table
-        assert revalidated.dist_from is table.dist_from
-        assert revalidated.dist_to is table.dist_to
+        assert revalidated.rows is table.rows
+        assert revalidated.low is table.low and revalidated.slot_cell is table.slot_cell
         assert table.scale == 1.0
         assert revalidated.scale == pytest.approx(0.8)
         # A collapse below REBUILD_RATIO evicts and rebuilds at scale 1.

@@ -247,10 +247,10 @@ class TestPathIdentity:
         after_graph = network.compiled()
         assert after_graph is not before_graph
         with after_graph.borrowed_scratch() as scratch:
-            assert scratch.to.shape == (after_graph.vertex_count,)
             assert scratch.costs.shape == (after_graph.edge_count,)
         table = _table(network, CostFeature.DISTANCE)
-        assert table.dist_from.shape[1] == after_graph.vertex_count
+        assert table.rows.shape[0] == after_graph.vertex_count
+        assert table.slot_cell.shape == (after_graph.edge_count,)
 
 
 # ---------------------------------------------------------------------- #
@@ -387,7 +387,7 @@ def _capped_far_pairs(network, feature, count, seed):
     index_of = graph.index_of
     pairs = []
     for s, t in _pairs(network, 100 * count, seed):
-        lower, upper, _ = table.tightest(index_of[s], index_of[t], sparse.CORRIDOR_LANDMARKS)
+        lower, upper = table.pair_bounds(index_of[s], index_of[t])
         far = lower > sparse.CORRIDOR_MAX_SPAN * table.span
         if far and upper * sparse._CORRIDOR_SLACK < lower * sparse.CORRIDOR_RATIO:
             pairs.append((s, t))
@@ -431,10 +431,10 @@ class TestUpperBound:
             for s in sorted(network.vertex_ids()):
                 reference = dict_dijkstra_costs(network, s, cost)
                 for t in network.vertex_ids():
-                    upper = table.tightest(index_of[s], index_of[t], table.count)[1]
+                    upper = table.pair_bounds(index_of[s], index_of[t])[1]
                     want = reference.get(t, math.inf)  # a float sum: equal up to rounding
                     assert upper >= want * (1 - 1e-12), (feature, s, t)
-            assert table.tightest(index_of[anchor], index_of[island], 4)[1] == math.inf
+            assert table.pair_bounds(index_of[anchor], index_of[island])[1] == math.inf
 
 
 # ---------------------------------------------------------------------- #
@@ -474,35 +474,6 @@ class TestBypasses:
 # Buffers, memoized checks, zero-copy rows
 # ---------------------------------------------------------------------- #
 class TestBuffers:
-    def test_buffered_bounds_equal_the_stacked_form_bit_for_bit(self):
-        def stacked(table, v, sign):  # the (k, n) temporaries the buffers replaced
-            lf, lt = table.dist_from, table.dist_to
-            with np.errstate(invalid="ignore"):
-                if sign > 0:
-                    b = np.fmax(lf[:, v][:, None] - lf, lt - lt[:, v][:, None])
-                else:
-                    b = np.fmax(lf - lf[:, v][:, None], lt[:, v][:, None] - lt)
-                return np.fmax(np.fmax.reduce(b, axis=0), 0.0) * table.scale
-
-        network = country_network()
-        graph = network.compiled()
-        key, array, version = graph.resolve_cost(cost_function(CostFeature.TRAVEL_TIME))
-        table = graph.landmark_table(key, array, version)
-        with graph.borrowed_scratch() as scratch, graph.borrowed_scratch() as nested:
-            assert nested is not scratch
-            for v in (0, 17, graph.vertex_count - 1):
-                assert table.bounds_to(v, scratch) is scratch.to
-                assert table.bounds_from(v, scratch) is scratch.frm
-                assert stacked(table, v, +1).tobytes() == scratch.to.tobytes()
-                assert stacked(table, v, -1).tobytes() == scratch.frm.tobytes()
-                lower, _, rows = table.tightest(0, v, 3)
-                assert len(rows) == 3 and lower == scratch.to[0]
-                assert table.bounds_to(v, nested, rows)[0] == lower  # the tightest carry it
-                assert (nested.to <= scratch.to).all()
-            assert table.tightest(0, 17, table.count)[2] is None
-        with graph.borrowed_scratch() as again:
-            assert again is scratch or again is nested  # pooled, not reallocated
-
     def test_keyed_weight_checks_scan_once_per_cost_version(self):
         class Counting(np.ndarray):
             scans = 0

@@ -458,9 +458,9 @@ class TestCompiledView:
 
     def test_workspace_sized_to_graph(self, demo_network):
         view = demo_network.compiled()
-        # Pooled landmark-bound buffers are reused per thread once released...
+        # Pooled corridor buffers are reused per thread once released...
         with view.borrowed_scratch() as first:
-            assert first.to.shape == (view.vertex_count,)
+            assert first.pruned.shape == (view.edge_count,)
             assert first.costs.shape == (view.edge_count,)
         with view.borrowed_scratch() as second:
             assert second is first

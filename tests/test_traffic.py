@@ -30,7 +30,7 @@ from repro.routing import (
     preference_dijkstra,
     weighted_cost,
 )
-from repro.service import RouteRequest, RoutingService
+from repro.service import DurabilityManager, RouteRequest, RoutingService
 from repro.service.durability import final_state, states_identical
 from repro.traffic import TrafficFeed, TrafficUpdate, synthetic_congestion
 
@@ -602,6 +602,51 @@ class TestServiceInvalidation:
         assert not repeat.cache_hit
         # ... and once no update races the request, caching resumes.
         assert service.route(RouteRequest(source=0, destination=35)).cache_hit
+
+
+class TestServiceRecovery:
+    """``RoutingService.recover`` adopts a state; it applies no batch itself."""
+
+    @staticmethod
+    def _fed_service(network):
+        service = RoutingService(enable_cache=False)
+        service.register("Fastest", FastestBaseline(network).as_engine(), default=True)
+        return service, TrafficFeed(network, services=[service])
+
+    def test_recovery_over_an_empty_directory_counts_no_update(self, tmp_path):
+        network = grid_city_network(rows=4, cols=4, seed=1)
+        service, feed = self._fed_service(network)
+        with DurabilityManager(tmp_path) as manager:
+            report = service.recover(manager, feed)
+        stats = service.stats()
+        assert report.replayed == 0
+        assert stats.traffic_updates == 0
+        assert stats.cost_version == report.recovered_version == network.cost_version
+
+    def test_recovery_after_journaled_batches_leaves_the_count(self, tmp_path):
+        network = grid_city_network(rows=4, cols=4, seed=1)
+        service, feed = self._fed_service(network)
+        edges = sorted(edge.key for edge in network.edges())
+        batches = [[TrafficUpdate.scale_by(*key, travel_time_s=1.5)] for key in edges[:3]]
+        with DurabilityManager(tmp_path) as manager:
+            feed.attach_journal(manager)
+            for batch in batches:
+                feed.apply(batch)
+            assert service.stats().traffic_updates == len(batches)
+            report = service.recover(manager, feed)  # the live state: nothing to replay
+        stats = service.stats()
+        assert report.replayed == 0
+        assert stats.traffic_updates == len(batches)
+        assert stats.cost_version == report.recovered_version == network.cost_version
+
+        restarted = grid_city_network(rows=4, cols=4, seed=1)
+        fresh, fresh_feed = self._fed_service(restarted)
+        with DurabilityManager(tmp_path) as manager:
+            report = fresh.recover(manager, fresh_feed)  # each replayed batch counts once
+        stats = fresh.stats()
+        assert report.replayed == len(batches)
+        assert stats.traffic_updates == len(batches)
+        assert stats.cost_version == report.recovered_version == network.cost_version
 
 
 # --------------------------------------------------------------------------- #
