@@ -1,11 +1,14 @@
 """The spawn-based worker pool behind a :class:`ShardCoordinator`.
 
-One process per worker, each booted from a :class:`WorkerPayload` pickled
-exactly once; all later coordination flows over TCP sockets through a
-:class:`~repro.service.sharding.transport.TcpHub` (the multi-node wire, run
-here over loopback).  ``spawn`` — not ``fork`` — so workers never inherit
-the coordinator's thread/lock state and behave identically on every
-platform.
+One process per worker; the spawn carries only its worker id and the
+:class:`~repro.service.sharding.transport.TcpHub` address, and everything
+else flows over TCP sockets through that hub (the multi-node wire, run here
+over loopback).  A worker dials in with an :class:`Attach`, which the pool
+answers with its :class:`WorkerPayload`, and boots from that.  The spawn
+pipe stays tiny, so ``Process.start()`` returns without waiting for the
+child to finish importing, and the workers import side by side.
+``spawn`` — not ``fork`` — so workers never inherit the coordinator's
+thread/lock state and behave identically on every platform.
 
 The pool is deliberately dumb about routing: it moves protocol messages,
 tracks liveness (process handles *and* link state), and restarts
@@ -23,7 +26,7 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from ...exceptions import ShardingError
-from .protocol import Fatal, Hello, Shutdown
+from .protocol import Attach, Fatal, Hello, Shutdown
 from .transport import HANDSHAKE_TIMEOUT_S, TcpHub
 from .worker import _worker_entry
 
@@ -81,7 +84,7 @@ class ShardWorkerPool:
     def _spawn(self, worker_id: int) -> None:
         process = self._ctx.Process(
             target=_worker_entry,
-            args=(self._payloads[worker_id], self._hub.address),
+            args=(worker_id, self._hub.address),
             name=f"shard-worker-{worker_id}",
             daemon=True,
         )
@@ -89,7 +92,8 @@ class ShardWorkerPool:
         self._processes[worker_id] = process
 
     def _await_hello(self, expected: set[int]) -> None:
-        """Collect boot handshakes; stash unrelated traffic for recv()."""
+        """Answer boot Attaches with payloads and collect boot Hellos; stash
+        unrelated traffic for recv()."""
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         waiting = set(expected)
         while waiting:
@@ -108,11 +112,14 @@ class ShardWorkerPool:
                         f"workers {dead} died during boot without a report"
                     ) from None
                 continue
-            if isinstance(message, Fatal) and message.worker_id in waiting:
+            if isinstance(message, Attach) and message.worker_id in waiting:
+                # Answer every Attach: a re-dialed link asks again.
+                self._hub.send(message.worker_id, self._payloads[message.worker_id])
+            elif isinstance(message, Fatal) and message.worker_id in waiting:
                 raise ShardingError(
                     f"worker {message.worker_id} failed to boot: {message.error}"
                 )
-            if isinstance(message, Hello) and message.worker_id in waiting:
+            elif isinstance(message, Hello) and message.worker_id in waiting:
                 waiting.discard(message.worker_id)
             else:
                 self._stash.append(message)
@@ -141,9 +148,10 @@ class ShardWorkerPool:
     def restart_dead(self) -> list[int]:
         """Respawn every dead worker; returns the restarted ids.
 
-        The respawned process re-runs the whole boot protocol (attach,
-        topology check, segment resync), so whatever state died with its
-        predecessor is rebuilt from the authoritative shared segment.
+        The respawned process re-runs the whole boot protocol (payload over
+        its link, segment attach, topology check, segment resync), so
+        whatever state died with its predecessor is rebuilt from the
+        authoritative shared segment.
         """
         if self._closed:
             raise ShardingError("worker pool is closed")

@@ -5,12 +5,12 @@ framed over TCP sockets (:mod:`~repro.service.sharding.transport`; loopback
 on one host, the same wire across nodes).  The worker loop is written
 against the two-method :class:`Transport` protocol, which is what lets the
 tests' in-memory fake stand in for a socket.  The coordinator-to-worker
-direction carries :class:`RouteWork` batches,
-versioned :class:`CostDiff` broadcasts, :class:`Ping` heartbeats,
+direction carries the boot :class:`WorkerPayload`, :class:`RouteWork`
+batches, versioned :class:`CostDiff` broadcasts, :class:`Ping` heartbeats,
 :class:`ResyncRequired`, and :class:`Shutdown`; the worker-to-coordinator
-direction carries :class:`Hello` (boot handshake *and* reconnect
-re-identification), :class:`RouteResults`, :class:`Pong`, and
-:class:`VersionAck` (broadcast-lag accounting).
+direction carries :class:`Attach` (the payload request), :class:`Hello`
+(boot handshake *and* reconnect re-identification), :class:`RouteResults`,
+:class:`Pong`, and :class:`VersionAck` (broadcast-lag accounting).
 
 Answers travel as compact :class:`RouteAnswer` records — vertex tuples, not
 :class:`~repro.service.api.RouteResponse` objects — because the coordinator
@@ -34,7 +34,8 @@ Frames are written with ``sendall`` and read with an exact-length loop;
 every socket operation runs under an explicit timeout (reprolint RL010
 enforces this), so a stalled peer surfaces as a timeout, never as a hung
 coordinator or worker.  The first frame a worker sends on every connection
-— initial dial *and* every reconnect — is a :class:`Hello` carrying its
+— initial dial *and* every reconnect — is an :class:`Attach` until it has
+booted (answered with its payload), then a :class:`Hello` carrying its
 current ``cost_version``; the coordinator uses it to route the connection
 and, when the version is stale, to order a resync from the shared segment.
 """
@@ -61,12 +62,20 @@ DEFAULT_ENGINES: tuple[tuple[str, CostFeature], ...] = (
 
 
 @dataclass(frozen=True)
+class Attach:
+    """A spawned worker's request for its :class:`WorkerPayload`: the first
+    frame of each of its connections until it has booted."""
+
+    worker_id: int
+
+
+@dataclass(frozen=True)
 class Hello:
     """Worker boot handshake — and reconnect re-identification.
 
-    Sent once at boot, and again as the first frame of every re-dialed
-    connection.  ``cost_version`` tells the coordinator whether this worker
-    is behind: a stale version gets a :class:`ResyncRequired` order.
+    Sent once at boot, and again as the first frame of every connection
+    re-dialed after it.  ``cost_version`` tells the coordinator whether this
+    worker is behind: a stale version gets a :class:`ResyncRequired` order.
     """
 
     worker_id: int
@@ -190,8 +199,9 @@ class Shutdown:
 
 @dataclass(frozen=True)
 class WorkerPayload:
-    """Everything one spawned worker needs to boot (ships over the spawn
-    pickle exactly once; all later state flows through the transport)."""
+    """Everything one spawned worker needs to boot: the pool's answer to
+    its :class:`Attach`, over the worker's own link (the spawn carries only
+    the worker id and the hub address); all later state flows the same way."""
 
     worker_id: int
     shard_id: int

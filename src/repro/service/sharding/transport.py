@@ -9,9 +9,11 @@ endpoints.
   *reconnecting* with :class:`~repro.service.resilience.RetryPolicy`
   seeded-jitter backoff when the link dies.  ``recv`` raises
   ``queue.Empty`` on a poll timeout (the worker loop's contract).  The
-  first frame of every re-dialed connection is the ``identify`` message (a
+  first frame of every re-dialed connection is the ``identify`` message:
+  an :class:`~repro.service.sharding.protocol.Attach` until the worker has
+  booted (the pool answers it with the worker's payload), then a
   :class:`~repro.service.sharding.protocol.Hello` carrying the worker's
-  current cost version), which is what tells the coordinator to order a
+  current cost version, which is what tells the coordinator to order a
   segment resync.
 * :class:`TcpHub` — the coordinator side.  One listening socket, a
   background accept thread, and one reader thread per live connection;
@@ -66,9 +68,9 @@ RECONNECT_BASE_DELAY_S = 0.01
 #: for shutdown.
 ACCEPT_TIMEOUT_S = 0.2
 
-#: Seconds a new connection gets to send its identify frame.  A spawned
-#: worker sends it once it has attached and verified, so this is also the
-#: pool's boot deadline.
+#: Seconds a new connection gets to send its identify frame.  Also the
+#: pool's boot deadline (a worker's ``Attach`` to its ``Hello``) and how
+#: long a spawned worker waits for its payload.
 HANDSHAKE_TIMEOUT_S = 120.0
 
 
@@ -173,9 +175,10 @@ class SocketTransport:
         )
         self.identify = identify
         """Zero-arg factory for the re-identification message sent as the
-        first frame of every connection (set by the worker entry to a
-        :class:`~repro.service.sharding.protocol.Hello` closure over the
-        worker's live cost version)."""
+        first frame of every re-dialed connection (set by the worker entry:
+        an :class:`~repro.service.sharding.protocol.Attach` until it has
+        booted, then a :class:`~repro.service.sharding.protocol.Hello`
+        closure over the worker's live cost version)."""
         self._sock: socket.socket | None = None
         self._connects = 0
 
@@ -207,10 +210,8 @@ class SocketTransport:
         self._connects += 1
         self._sock = sock
         # Re-identification happens on reconnects only: on the very first
-        # connection the worker's own first frame (its boot Hello, or a
-        # Fatal for a worker dying at boot) is the identify frame, and
-        # injecting a transport-level Hello ahead of a Fatal would make the
-        # pool mark a dead worker as booted.
+        # connection the worker's own first frame (its Attach) is the
+        # identify frame.
         if self._connects > 1 and self.identify is not None:
             try:
                 send_frame(sock, self.identify())
@@ -307,8 +308,9 @@ class TcpHub:
     """The coordinator's socket endpoint: accept, route, collect.
 
     Connections self-identify: the first frame a worker sends on any
-    connection carries its ``worker_id`` (a ``Hello``, or a ``Fatal`` for a
-    worker dying at boot), and the hub binds the connection to that id —
+    connection carries its ``worker_id`` (an ``Attach`` from a worker that
+    has not booted yet, a ``Hello`` from one that has), and the hub binds
+    the connection to that id —
     displacing any previous connection, so reconnects always win.  Every
     inbound message (the identify frame included) lands in one queue that
     :meth:`recv` drains with a bounded wait; outbound :meth:`send` /

@@ -2,6 +2,8 @@
 
 Boot protocol (the order matters):
 
+0. dial the coordinator's hub and send :class:`Attach`, which the pool
+   answers with this worker's :class:`WorkerPayload` over the same link;
 1. attach the shared segment (:func:`repro.network.compiled.shm.attach` —
    close-only lifecycle, the worker never unlinks);
 2. verify the pickled network snapshot compiles to the *same* CSR topology
@@ -36,12 +38,13 @@ import queue
 import time
 from typing import TYPE_CHECKING, Mapping
 
-from ...exceptions import NetworkError, ReproError
+from ...exceptions import NetworkError, ReproError, ShardingError
 from ...network.compiled import shm
 from ...routing.costs import FEATURE_EDGE_ATTRIBUTES, CostFeature, cost_function
 from ...routing.dijkstra import dijkstra
 from .overlay import BoundaryOverlay, CrossShardRouter
 from .protocol import (
+    Attach,
     CostDiff,
     Fatal,
     Hello,
@@ -56,7 +59,7 @@ from .protocol import (
     VersionAck,
     WorkerPayload,
 )
-from .transport import SocketTransport
+from .transport import HANDSHAKE_TIMEOUT_S, SocketTransport
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...network.road_network import VertexId
@@ -297,32 +300,43 @@ class ShardWorker:
         self.version = version
 
 
-def _worker_entry(payload: WorkerPayload, address: tuple[str, int]) -> None:
-    """Spawn target: dial the coordinator's hub, boot, serve, always close
-    the segment view.
+def _worker_entry(worker_id: int, address: tuple[str, int]) -> None:
+    """Spawn target: dial the coordinator's hub, fetch the payload, boot,
+    serve, always close the segment view.
 
-    Module-level so the spawn pickle can import it; boot failures are
-    reported as :class:`Fatal` so the pool does not hang on the handshake.
-    The transport's ``identify`` hook sends a fresh :class:`Hello` carrying
-    the worker's *live* cost version as the first frame of every re-dialed
-    connection, which is what tells the coordinator to order a resync.
+    Module-level so the spawn pickle can import it; a missing payload and
+    boot failures end the process (the latter reported as :class:`Fatal`),
+    so the pool does not hang on the handshake.  The transport's
+    ``identify`` hook re-sends :class:`Attach` on every re-dialed connection
+    until the worker has booted, then a fresh :class:`Hello` carrying its
+    *live* cost version, which is what tells the coordinator to order a
+    resync.
     """
-    transport = SocketTransport(address)
+    transport = SocketTransport(address, identify=lambda: Attach(worker_id=worker_id))
+    transport.send(Attach(worker_id=worker_id))
+    deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
+    payload: object = None
+    while not isinstance(payload, (WorkerPayload, Shutdown)):
+        if time.monotonic() > deadline:
+            raise ShardingError(f"worker {worker_id}: no payload within {HANDSHAKE_TIMEOUT_S:.0f}s")
+        try:
+            payload = transport.recv(timeout_s=_POLL_TIMEOUT_S)
+        except queue.Empty:
+            pass
+    if isinstance(payload, Shutdown):
+        return transport.close()
     worker = ShardWorker(payload, transport)
-    transport.identify = lambda: Hello(
-        worker_id=payload.worker_id,
-        shard_id=payload.shard_id,
-        pid=os.getpid(),
-        cost_version=worker.version,
-    )
     try:
         worker.boot()
     except BaseException as exc:  # noqa: BLE001 - reported, then re-raised
         try:
-            transport.send(Fatal(worker_id=payload.worker_id, error=f"{type(exc).__name__}: {exc}"))
+            transport.send(Fatal(worker_id=worker_id, error=f"{type(exc).__name__}: {exc}"))
         except (OSError, EOFError):
             pass  # the hub is gone too; exiting loudly is all that is left
         raise
+    transport.identify = lambda: Hello(
+        worker_id=worker_id, shard_id=payload.shard_id, pid=os.getpid(), cost_version=worker.version
+    )
     try:
         worker.run()
     finally:

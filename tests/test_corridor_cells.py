@@ -164,3 +164,103 @@ def test_cells_partition_the_vertices_and_range_their_rows():
     assert (table.low[:, cell_of] <= members).all() and (members <= table.high[:, cell_of]).all()
     grouped = members[:, np.argsort(cell_of, kind="stable")]
     assert (table.low == np.minimum.reduceat(grouped, np.cumsum(counts) - counts, axis=1)).all()
+
+
+# -------------------------------------------------------------------- #
+# The in-place build against the stacked construction it replaced
+# -------------------------------------------------------------------- #
+def _stacked_select(graph, key, array, version, count):
+    """The former selection: forward rows kept in a list, then stacked."""
+    seed = landmarks._seed_index(graph)
+    seed_row = landmarks.batch.dijkstra_many(graph, key, array, version, [seed])[0]
+    first = int(np.argmax(np.where(np.isfinite(seed_row), seed_row, -1.0)))
+    chosen = [first]
+    rows = [landmarks.batch.dijkstra_many(graph, key, array, version, [first])[0]]
+    min_dist = rows[0].copy()
+    while len(chosen) < count:
+        candidates = np.where(np.isfinite(min_dist), min_dist, -1.0)
+        candidates[chosen] = -1.0
+        nxt = int(np.argmax(candidates))
+        if candidates[nxt] <= 0.0:
+            nxt = landmarks._uncovered_seed(graph, min_dist, chosen)
+            if nxt < 0:
+                break
+        chosen.append(nxt)
+        row = landmarks.batch.dijkstra_many(graph, key, array, version, [nxt])[0]
+        rows.append(row)
+        np.minimum(min_dist, row, out=min_dist)
+    return chosen, np.vstack(rows)
+
+
+def _stacked_cells(graph, potentials):
+    """The former ``_cells``, over the ``(2k, n)`` stacked potentials."""
+    n = potentials.shape[1]
+    size = max(1, min(landmarks.CELL_SIZE, n // landmarks.MIN_CELLS))
+    far = 2.0 * float(np.abs(potentials).max(initial=0.0, where=np.isfinite(potentials))) + 1
+    points = np.clip(potentials, -far, far).astype(np.float32)
+    order = np.arange(n)
+    everyone = np.arange(n)
+    starts = np.zeros(1, dtype=np.int64)
+    while (sizes := np.diff(starts, append=n)).max() > size:
+        split = sizes > size
+        spread = np.maximum.reduceat(points, starts, axis=1)
+        spread -= np.minimum.reduceat(points, starts, axis=1)
+        group = np.repeat(np.arange(len(starts)), sizes)
+        value = points[spread.argmax(axis=0)[group], everyone]
+        perm = np.argsort(group * (4.0 * far) + value)
+        order = order[perm]
+        points = points.take(perm, axis=1)
+        starts = np.sort(np.concatenate((starts, (starts + (sizes + 1) // 2)[split])))
+    cell_of = np.empty(n, dtype=np.int32)
+    cell_of[order] = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts, append=n))
+    grouped = potentials.take(order, axis=1)
+    low = np.minimum.reduceat(grouped, starts, axis=1)
+    high = np.maximum.reduceat(grouped, starts, axis=1)
+    return low, high, cell_of.take(landmarks.slot_targets(graph))
+
+
+def _stacked_build(graph, key, array, version, count):
+    count = min(count or landmarks.DEFAULT_LANDMARK_COUNT, graph.vertex_count)
+    chosen, dist_from = _stacked_select(graph, key, array, version, count)
+    dist_to = landmarks.batch.dijkstra_many(graph, key, array, version, chosen, reverse=True)
+    potentials = np.vstack((dist_from, np.negative(dist_to, out=dist_to)))
+    return chosen, np.ascontiguousarray(potentials.T), _stacked_cells(graph, potentials)
+
+
+def _with_isolated(network, count):
+    """``network`` plus ``count`` vertices without edges, which selection
+    cannot reach or start from: it stops short of the requested count."""
+    first = max(network.vertex_ids()) + 1
+    for i in range(count):
+        network.add_vertex(first + i, lon=9.9, lat=56.0 + i * 0.001)
+    return network
+
+
+def _bitwise_equal(left, right):
+    return left.dtype == right.dtype and left.shape == right.shape and left.tobytes() == right.tobytes()
+
+
+@pytest.mark.parametrize(
+    "network, count, built",
+    [
+        (grid_city_network(rows=40, cols=40, seed=5), None, 8),
+        (grid_city_network(rows=25, cols=25, seed=9), 5, 5),
+        (_grid(7, 6, 11, one_way_share=0.3, pocket=True, unit=False), None, 8),
+        (_grid(5, 5, 4, one_way_share=0.0, pocket=False, unit=True), 3, 3),
+        # Fewer landmarks than asked for: the table is cut down to 2k columns.
+        (_with_isolated(_grid(3, 3, 1, one_way_share=0.0, pocket=False, unit=False), 4), 12, 9),
+    ],
+    ids=["grid-40", "grid-25-k5", "pocket", "unit", "capped"],
+)
+@pytest.mark.parametrize("feature", FEATURES)
+def test_in_place_build_is_bit_identical_to_the_stacked_one(network, count, built, feature):
+    graph = network.compiled()
+    key, array, version = graph.resolve_cost(cost_function(feature))
+    table = landmarks.build_landmark_table(graph, key, array, version, count=count)
+    chosen, rows, (low, high, slot_cell) = _stacked_build(graph, key, array, version, count)
+    assert table.indices == chosen and table.count == built
+    assert table.rows.flags.c_contiguous and table.low.flags.c_contiguous
+    assert _bitwise_equal(table.rows, rows)
+    assert _bitwise_equal(table.low, low)
+    assert _bitwise_equal(table.high, high)
+    assert _bitwise_equal(table.slot_cell, slot_cell)

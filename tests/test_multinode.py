@@ -8,8 +8,9 @@ Four layers:
 * **replication** — :class:`HeartbeatMonitor` with an injected clock;
 * **deployment** — a batch resent over a dropped link, heartbeats, an
   unanswering shard seen by the serving gate as an engine-health failure,
-  and shutdown stragglers — with cost identity against full-network
-  Dijkstra throughout.  Healed partitions and worker kills are driven by
+  shutdown stragglers, and the boot handshake (a worker's payload travels
+  over its link, not the spawn pipe) — with cost identity against
+  full-network Dijkstra throughout.  Healed partitions and worker kills are driven by
   the model-based oracle in ``tests/test_oracle.py``.
 
 The deployment tests boot real worker processes over loopback TCP, so they
@@ -33,12 +34,15 @@ from hypothesis import strategies as st
 from repro.network import grid_city_network
 from repro.network.compiled import shm
 from repro.routing import CostFeature, cost_function, dijkstra
+from repro.exceptions import ShardingError
 from repro.service import RouteRequest, RoutingService, ShardedRoutingService, resilience
 from repro.service.sharding import (
     MAX_FRAME_BYTES,
     FrameError,
     Hello,
     HeartbeatMonitor,
+    Ping,
+    Pong,
     RouteWork,
     ShardCoordinator,
     ShardWorkerPool,
@@ -51,6 +55,7 @@ from repro.service.sharding import (
     send_frame,
 )
 from repro.service.sharding import coordinator as coordinator_module
+from repro.service.sharding import pool as pool_module
 from repro.service.sharding import transport as transport_module
 from repro.service.sharding.overlay import path_cost
 
@@ -545,6 +550,140 @@ class TestShutdownStragglers:
             pool = ShardWorkerPool(payloads)
             pool.start()
             assert pool.close(timeout_s=15.0) is True
+        finally:
+            segment.close()
+            segment.unlink()
+
+
+def _payloads(network, segment, plan=None):
+    plan = plan or build_shard_plan(network, 2)
+    return [
+        WorkerPayload(
+            worker_id=worker_id,
+            shard_id=worker_id,
+            plan=plan,
+            network=network,
+            spec=segment.spec,
+        )
+        for worker_id in range(2)
+    ]
+
+
+class TestBootOverTheLink:
+    """Each worker fetches its payload over its own link (``Attach`` →
+    ``WorkerPayload`` → ``Hello``), so the spawn pipe carries only the
+    worker id and the hub address."""
+
+    def test_spawn_arguments_fit_in_one_pipe_buffer(self, monkeypatch):
+        """``Process.start()`` writes the pickled process into a 64 KiB
+        pipe and blocks until the child reads it, which a spawned child does
+        only after importing: a larger pickle would make each start wait
+        for the previous child's imports."""
+        network = grid_city_network(60, 60, seed=5)
+        segment = shm.export_graph(network.compiled(), cost_version=network.cost_version)
+        built = []
+
+        class _Unstarted:
+            def __init__(self, **kwargs):
+                built.append(kwargs)
+
+            def start(self):
+                pass
+
+            def is_alive(self):
+                return False
+
+            def join(self, timeout=None):
+                pass
+
+        try:
+            pool = ShardWorkerPool(_payloads(network, segment))
+            monkeypatch.setattr(pool._ctx, "Process", _Unstarted)
+            for worker_id in range(pool.size):
+                pool._spawn(worker_id)
+            pool.close()
+            assert len(pickle.dumps(pool._payloads[0])) > 256 * 1024  # what used to ride along
+            for kwargs in built:
+                spawned = pickle.dumps((kwargs["target"], kwargs["args"]), pickle.HIGHEST_PROTOCOL)
+                assert len(spawned) < 64 * 1024
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_link_dropped_before_the_payload_reattaches_and_boots(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "HANDSHAKE_TIMEOUT_S", 30.0)  # fail, not hang
+        network = grid_city_network(4, 4, seed=3)
+        segment = shm.export_graph(network.compiled(), cost_version=network.cost_version)
+        try:
+            pool = ShardWorkerPool(_payloads(network, segment))
+            hub = pool._hub
+            send = hub.send
+            withheld = []
+
+            def drop_the_first_payload(worker_id, message):
+                if isinstance(message, WorkerPayload) and not withheld:
+                    withheld.append(worker_id)
+                    assert hub.drop_connection(worker_id)
+                    return False
+                return send(worker_id, message)
+
+            hub.send = drop_the_first_payload
+            try:
+                pool.start()
+                assert len(withheld) == 1 and hub.drops == 1
+                assert all(pool.alive())
+                # Both booted and serve: each answers a heartbeat.
+                assert pool.broadcast(Ping(sequence=1)) == 2
+                pongs = set()
+                deadline = time.monotonic() + 10.0
+                while len(pongs) < 2 and time.monotonic() < deadline:
+                    message = pool.recv(timeout_s=1.0)
+                    if isinstance(message, Pong):
+                        pongs.add(message.worker_id)
+                assert pongs == {0, 1}
+            finally:
+                assert pool.close(timeout_s=15.0) is True
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_a_worker_without_a_payload_fails_the_start_in_bounded_time(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "HANDSHAKE_TIMEOUT_S", 3.0)
+        network = grid_city_network(4, 4, seed=3)
+        segment = shm.export_graph(network.compiled(), cost_version=network.cost_version)
+        try:
+            pool = ShardWorkerPool(_payloads(network, segment))
+            send = pool._hub.send
+            pool._hub.send = lambda worker_id, message: (
+                True if isinstance(message, WorkerPayload) else send(worker_id, message)
+            )
+            started = time.monotonic()
+            with pytest.raises(ShardingError, match="did not finish booting"):
+                pool.start()
+            assert time.monotonic() - started < 30.0
+            # Still waiting for a payload, the workers honour the stop.
+            assert pool.close(timeout_s=15.0) is True
+            assert not any(pool.alive())
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_a_boot_failure_is_reported_over_the_same_link(self):
+        network = grid_city_network(4, 4, seed=3)
+        other = grid_city_network(5, 5, seed=3)
+        segment = shm.export_graph(other.compiled(), cost_version=other.cost_version)
+        try:
+            pool = ShardWorkerPool(_payloads(network, segment))
+            try:
+                with pytest.raises(ShardingError, match="failed to boot.*CSR topology"):
+                    pool.start()
+            finally:
+                # A sibling that attaches after the stop went out waits for
+                # a payload that never comes: the close deadline ends it.
+                pool.close(timeout_s=2.0)
+            assert not any(pool.alive())
         finally:
             segment.close()
             segment.unlink()
