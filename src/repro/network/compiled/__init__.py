@@ -6,7 +6,8 @@ The main modules:
   snapshot of a :class:`~repro.network.road_network.RoadNetwork`: an immutable
   :class:`Topology` plus a monotonically-versioned :class:`CostStore` holding
   one flat numpy cost array per travel-cost feature (patched in place by
-  live-traffic updates, see :mod:`repro.traffic`);
+  live-traffic updates, see :mod:`repro.traffic`) — the one store of the
+  network's edge attributes;
 * :mod:`~repro.network.compiled.sparse` — point-to-point Dijkstra on scipy's
   C implementation over the CSR arrays, with the reference-identical path
   read off scipy's search tree (Algorithm 2 needs no search of its own: it
@@ -34,7 +35,7 @@ scipy SSSP, the reference the corridor tests compare against).
 """
 
 from .dispatch import alt_disabled, compiled_disabled, is_enabled
-from .graph import EDGE_COST_ATTRIBUTES, CompiledGraph, CostStore, Topology
+from .graph import EDGE_COST_ATTRIBUTES, CompiledGraph, CostStore, EdgeRows, Topology
 from .ch import CompiledHierarchy
 from .batch import dijkstra_many, shortest_paths_many
 from .landmarks import DEFAULT_LANDMARK_COUNT, LandmarkTable, build_landmark_table
@@ -45,6 +46,7 @@ __all__ = [
     "CostStore",
     "DEFAULT_LANDMARK_COUNT",
     "EDGE_COST_ATTRIBUTES",
+    "EdgeRows",
     "LandmarkTable",
     "Topology",
     "alt_disabled",

@@ -160,7 +160,7 @@ def repair_many(
     if distances.size >= 2**31:
         return None  # the flat indices below are int32
     heads = sparse.slot_targets(graph)[changed]
-    tails = sparse.slot_tails(graph)[changed]
+    tails = graph.topology.tails[changed]
     parents, children = (heads, tails) if reverse else (tails, heads)
     hit_rows, hit = np.nonzero(predecessors[:, children] == parents)
     if not len(hit_rows):

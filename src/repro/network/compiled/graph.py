@@ -1,31 +1,34 @@
 """The compiled (CSR) view of a :class:`~repro.network.road_network.RoadNetwork`.
 
-A :class:`CompiledGraph` flattens the dict-of-dicts adjacency into the classic
-array layout used by every serious routing engine.  It is composed of two
-parts with very different lifetimes:
+A :class:`CompiledGraph` is where a road network keeps its edges: every edge
+attribute lives in one flat array in CSR slot order, and the network's
+``Edge`` objects are values built from these arrays when read.  A snapshot is
+built from :class:`EdgeRows` (the edges as columns in insertion order) and is
+composed of two parts with very different lifetimes:
 
 * a :class:`Topology` — the immutable CSR structure: vertex ids mapped to
   dense integer indices (in sorted-id order, so heap tie-breaking stays
   order-isomorphic with the dict-based kernels), forward ``offsets`` /
-  ``targets`` arrays whose slots preserve adjacency insertion order, a reverse
-  (predecessor) CSR whose slots index back into the forward slots, and the
-  ``(source, target) -> slot`` lookup.  The topology never changes for the
-  lifetime of the snapshot; any structural mutation of the network drops the
-  whole :class:`CompiledGraph`.
+  ``targets`` arrays whose slots preserve per-source insertion order, a
+  reverse (predecessor) CSR whose slots index back into the forward slots,
+  the ``(source, target) -> slot`` lookup (iterating in edge insertion
+  order), and the two attributes traffic never changes, road type and speed.
+  The topology never changes for the lifetime of the snapshot; a structural
+  mutation of the network builds a new :class:`CompiledGraph`, carrying the
+  current costs across by key.
 
 * a :class:`CostStore` — the monotonically-versioned cost state: one flat
   numpy array per travel-cost feature, the linear-combination views derived
   from them, the reverse weight-list cache, and the generic ``memo()``
   artifact cache.  Live-traffic updates patch the store through
-  :meth:`CompiledGraph.apply_cost_updates` *without* recompiling the
-  topology: touched arrays are swapped for patched copies (readers holding
-  the old array keep a consistent pre-update view), the cost version is
-  bumped, and every memoized artifact that was stamped with the old version
-  self-evicts on its next lookup.  Adopting a whole cost state (crash
-  recovery, a shard worker's boot and resync —
-  :meth:`RoadNetwork.restore_cost_state`) is the same patch over the slots
-  that differ, followed by :meth:`CostStore.rewind`, which *sets* the version
-  to the adopted state's and clears the caches outright.
+  :meth:`CostStore.apply_updates` *without* recompiling the topology:
+  touched arrays are swapped for patched copies (readers holding the old
+  array keep a consistent pre-update view), the cost version is bumped, and
+  every memoized artifact that was stamped with the old version self-evicts
+  on its next lookup.  Adopting a whole cost state (crash recovery, a shard
+  worker's boot and resync — :meth:`RoadNetwork.restore_cost_state`) swaps
+  in the adopted arrays through :meth:`CostStore.rewind`, which *sets* the
+  version to the adopted state's and clears the caches outright.
 
 Corridor-search scratch buffers live in per-thread
 :class:`~repro.network.compiled.landmarks.BoundScratch` objects obtained
@@ -40,12 +43,23 @@ import threading
 import zlib
 from collections import OrderedDict
 from contextlib import AbstractContextManager, contextmanager
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 import numpy as np
 
+from ..road_types import ROAD_TYPE_BY_VALUE
+
 if TYPE_CHECKING:  # pragma: no cover
-    from ..road_network import Edge, RoadNetwork, VertexId
+    from ..road_network import VertexId
     from .landmarks import BoundScratch
 
 #: Edge attributes compiled into flat cost arrays (the paper's wDI/wTT/wFC).
@@ -69,13 +83,71 @@ LANDMARK_TABLE_LIMIT = 8
 TOPOLOGY_STAMP = -1
 
 
+#: Column dtypes of :class:`EdgeRows`, in field order.
+_ROW_DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.int64, np.float64)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _offsets(indices: np.ndarray, n: int) -> list[int]:
+    """CSR row offsets of ``indices`` (each entry's row) over ``n`` rows."""
+    return [0] + np.cumsum(np.bincount(indices, minlength=n)).tolist()
+
+
+class EdgeRows(NamedTuple):
+    """A network's edges as columns, in insertion order.
+
+    What a :class:`CompiledGraph` is built from and what a pickled network
+    carries: vertex ids at both ends, the three cost columns of
+    :data:`EDGE_COST_ATTRIBUTES`, the road type's integer value and the
+    speed.  A key may repeat (an edge added again): its first row fixes its
+    position, its last row its values.
+    """
+
+    sources: np.ndarray
+    targets: np.ndarray
+    distance_m: np.ndarray
+    travel_time_s: np.ndarray
+    fuel_ml: np.ndarray
+    road_type: np.ndarray
+    speed_kmh: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Sequence[tuple]) -> "EdgeRows":
+        """Columns of row tuples laid out like the fields."""
+        columns = list(zip(*rows)) or [()] * len(_ROW_DTYPES)
+        return cls(*(np.array(c, dtype=dtype) for c, dtype in zip(columns, _ROW_DTYPES)))
+
+    def then(self, later: "EdgeRows") -> "EdgeRows":
+        """These rows followed by ``later``'s."""
+        return EdgeRows(*(np.concatenate(pair) for pair in zip(self, later)))
+
+    def deduplicated(self, vertex_ids: np.ndarray) -> "EdgeRows":
+        """One row per key: at its first row's position, with its last
+        row's values (``vertex_ids``: the sorted ids of every end)."""
+        n = len(vertex_ids)
+        codes = np.searchsorted(vertex_ids, self.sources) * n + np.searchsorted(
+            vertex_ids, self.targets
+        )
+        unique, first = np.unique(codes, return_index=True)
+        if len(unique) == len(codes):
+            return self
+        _, from_end = np.unique(codes[::-1], return_index=True)
+        order = np.argsort(first)
+        first, last = first[order], (len(codes) - 1 - from_end)[order]
+        return EdgeRows(self.sources[first], self.targets[first], *(c[last] for c in self[2:]))
+
+
 class Topology:
     """The immutable CSR structure of one road-network snapshot.
 
     Holds everything that cost updates can never change: the dense index
-    maps, the forward and reverse CSR layout, and the slot lookup.  Shared
-    by reference between the :class:`CompiledGraph` facade and the
-    :class:`CostStore`.
+    maps, the forward and reverse CSR layout, the slot lookup, and the tail
+    vertex, road type and speed of every slot.  Shared by reference between the
+    :class:`CompiledGraph` facade and the :class:`CostStore`.
     """
 
     __slots__ = (
@@ -87,40 +159,41 @@ class Topology:
         "r_offsets",
         "r_targets",
         "r_slots",
+        "row_slots",
+        "tails",
+        "road_type_values",
+        "speed_kmh",
         "_stamp",
     )
 
-    def __init__(self, network: "RoadNetwork") -> None:
-        ids: list["VertexId"] = sorted(network.vertex_ids())
-        index_of: dict["VertexId", int] = {vid: i for i, vid in enumerate(ids)}
-        n = len(ids)
+    def __init__(self, vertex_ids: Sequence["VertexId"], rows: EdgeRows) -> None:
+        """``vertex_ids`` sorted; ``rows`` one per key (see
+        :meth:`EdgeRows.deduplicated`).  A source's slots keep its edges'
+        insertion order, and so do a target's reverse slots."""
+        ids = np.asarray(vertex_ids, dtype=np.int64)
+        n, m = len(ids), len(rows.sources)
+        tails = np.searchsorted(ids, rows.sources)
+        heads = np.searchsorted(ids, rows.targets)
+        order = np.argsort(tails, kind="stable")  # insertion rows in slot order
+        row_slots = np.empty(m, dtype=np.int64)
+        row_slots[order] = np.arange(m, dtype=np.int64)
+        r_order = np.argsort(heads, kind="stable")
 
-        offsets: list[int] = [0] * (n + 1)
-        targets: list[int] = []
-        slot_of: dict[tuple["VertexId", "VertexId"], int] = {}
-        for i, vid in enumerate(ids):
-            for tid in network.successors(vid):
-                slot_of[(vid, tid)] = len(targets)
-                targets.append(index_of[tid])
-            offsets[i + 1] = len(targets)
-
-        r_offsets: list[int] = [0] * (n + 1)
-        r_targets: list[int] = []
-        r_slots: list[int] = []
-        for i, vid in enumerate(ids):
-            for sid in network.predecessors(vid):
-                r_targets.append(index_of[sid])
-                r_slots.append(slot_of[(sid, vid)])
-            r_offsets[i + 1] = len(r_targets)
-
-        self.vertex_ids = ids
-        self.index_of = index_of
-        self.offsets = offsets
-        self.targets = targets
-        self.slot_of = slot_of
-        self.r_offsets = r_offsets
-        self.r_targets = r_targets
-        self.r_slots = np.asarray(r_slots, dtype=np.int64)
+        self.vertex_ids = list(vertex_ids)
+        self.index_of = {vid: i for i, vid in enumerate(self.vertex_ids)}
+        self.offsets = _offsets(tails, n)
+        self.targets = heads[order].tolist()
+        # Keys in insertion order: RoadNetwork.edges() iterates this dict.
+        self.slot_of: dict[tuple["VertexId", "VertexId"], int] = dict(
+            zip(zip(rows.sources.tolist(), rows.targets.tolist()), row_slots.tolist())
+        )
+        self.r_offsets = _offsets(heads, n)
+        self.r_targets = tails[r_order].tolist()
+        self.r_slots = row_slots[r_order]
+        self.row_slots = _frozen(row_slots)
+        self.tails = _frozen(tails[order])
+        self.road_type_values = _frozen(rows.road_type[order])
+        self.speed_kmh = _frozen(rows.speed_kmh[order])
         self._stamp: tuple[int, int, int] | None = None
 
     @property
@@ -130,6 +203,11 @@ class Topology:
     @property
     def edge_count(self) -> int:
         return len(self.targets)
+
+    def ends(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The source and target vertex ids of the edges at ``slots``."""
+        ids = np.asarray(self.vertex_ids, dtype=np.int64)
+        return ids[self.tails[slots]], ids[np.asarray(self.targets, dtype=np.int64)[slots]]
 
     @property
     def stamp(self) -> tuple[int, int, int]:
@@ -162,24 +240,11 @@ class CostStore:
     with :data:`TOPOLOGY_STAMP` and survive cost updates.
     """
 
-    def __init__(self, topology: Topology, edges: list["Edge"]) -> None:
+    def __init__(self, topology: Topology, arrays: Mapping[str, np.ndarray]) -> None:
+        """``arrays``: one cost array per compiled attribute, in slot order."""
         self.topology = topology
-        self.edges = edges
-        m = len(edges)
-        arrays: dict[str, np.ndarray] = {}
-        for attr in EDGE_COST_ATTRIBUTES:
-            arr = np.fromiter(
-                (getattr(edge, attr) for edge in edges), dtype=np.float64, count=m
-            )
-            arr.flags.writeable = False
-            arrays[attr] = arr
-        road_type_values = np.fromiter(
-            (int(edge.road_type) for edge in edges), dtype=np.int64, count=m
-        )
-        road_type_values.flags.writeable = False
-
-        self.road_type_values = road_type_values
-        self._arrays = arrays
+        self._arrays = {attr: _frozen(arrays[attr]) for attr in EDGE_COST_ATTRIBUTES}
+        self._values: tuple[int, tuple[list, ...]] | None = None
         self._version = 0
         self._r_weight_lists: OrderedDict[Hashable, tuple[int, list[float]]] = OrderedDict()
         self._memo: OrderedDict[Hashable, tuple[int, object]] = OrderedDict()
@@ -198,20 +263,14 @@ class CostStore:
         """The read-only cost array for one compiled edge attribute."""
         return self._arrays[attribute]
 
-    def apply_updates(
-        self,
-        changes: Mapping[int, Mapping[str, float]],
-        new_edges: Mapping[int, "Edge"],
-    ) -> None:
+    def apply_updates(self, changes: Mapping[int, Mapping[str, float]]) -> None:
         """Patch cost values in place of a full recompilation.
 
-        ``changes`` maps CSR slots to ``{attribute: new value}``; ``new_edges``
-        carries the replacement :class:`Edge` objects for the same slots
-        (readers of ``graph.edges`` must observe the updated costs).  Touched
-        arrays *and* the edge list are swapped for patched copies, never
-        mutated: a search that already resolved an array (or captured the
-        edge list) keeps one consistent pre-update view; the version bump
-        evicts every stamped derived artifact lazily.
+        ``changes`` maps CSR slots to ``{attribute: new value}``.  Touched
+        arrays are swapped for patched copies, never mutated: a search (or an
+        ``Edge`` view) that already resolved an array keeps one consistent
+        pre-update view; the version bump evicts every stamped derived
+        artifact lazily.
         """
         if not changes:
             return
@@ -223,41 +282,65 @@ class CostStore:
                     if arr is None:
                         arr = patched[attr] = self._arrays[attr].copy()
                     arr[slot] = value
-            for attr, arr in patched.items():
-                arr.flags.writeable = False
-                self._arrays[attr] = arr
-            if new_edges:
-                edges = self.edges.copy()
-                for slot, edge in new_edges.items():
-                    edges[slot] = edge
-                self.edges = edges
+            # One assignment swaps the whole set, so a lock-free reader of
+            # the arrays sees a batch entirely or not at all.
+            self._arrays = {**self._arrays, **{a: _frozen(arr) for a, arr in patched.items()}}
             self._version += 1
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         """A consistent ``{attribute: array}`` snapshot of every cost array.
 
-        The returned arrays are the store's own immutable (read-only) arrays
-        captured under the memo lock, so a concurrent :meth:`apply_updates`
-        can never hand back a half-patched batch — the durability layer's
-        :class:`~repro.service.durability.snapshot.SnapshotStore` persists
-        exactly this view together with :attr:`version`.
+        The returned arrays are the store's own immutable (read-only) arrays.
+        Writers swap the whole ``{attribute: array}`` mapping in one
+        assignment, so a concurrent :meth:`apply_updates` can never hand back
+        a half-patched batch, and readers take no lock — the durability
+        layer's :class:`~repro.service.durability.snapshot.SnapshotStore`
+        persists exactly this view together with :attr:`version`, and every
+        ``Edge`` view is read from one.
+        """
+        return dict(self._arrays)
+
+    def edge_values(self) -> tuple[list, ...]:
+        """Every edge attribute in slot order as a list of Python values —
+        the costs in :data:`EDGE_COST_ATTRIBUTES` order, the road type
+        (:class:`~repro.network.road_types.RoadType`) and the speed: what
+        the per-vertex ``Edge`` views are read from, an item per attribute
+        rather than a call into numpy.
+
+        Built on first use per cost version, under the memo lock so no patch
+        or rewind interleaves with the build.
+        """
+        entry = self._values
+        if entry is not None and entry[0] == self._version:
+            return entry[1]
+        with self._memo_lock:
+            arrays, topology = self._arrays, self.topology
+            values = (
+                *(arrays[attr].tolist() for attr in EDGE_COST_ATTRIBUTES),
+                [ROAD_TYPE_BY_VALUE[value] for value in topology.road_type_values.tolist()],
+                topology.speed_kmh.tolist(),
+            )
+            self._values = (self._version, values)
+        return values
+
+    def rewind(self, version: int, arrays: Mapping[str, np.ndarray] | None = None) -> None:
+        """Set the cost version, swap in ``arrays`` if given, and drop every
+        derived cache.
+
+        How a cost state is adopted wholesale
+        (:meth:`RoadNetwork.restore_cost_state`): ``arrays`` maps every
+        compiled attribute to a validated full-length array, which the store
+        takes over (read-only) as its own.  Unlike :meth:`apply_updates` the
+        version is *set*, not bumped — adoption must land on exactly the
+        version the state was captured at — and every derived cache is
+        cleared outright: entries stamped under the pre-adoption counter
+        could otherwise alias the adopted version when recovery rewinds it.
         """
         with self._memo_lock:
-            return dict(self._arrays)
-
-    def rewind(self, version: int) -> None:
-        """Set the cost version and drop every derived cache.
-
-        The last step of adopting a cost state wholesale
-        (:meth:`RoadNetwork.restore_cost_state`), after the differing slots
-        went through :meth:`apply_updates`.  Unlike there the version is
-        *set*, not bumped — adoption must land on exactly the version the
-        state was captured at — and every derived cache is cleared outright:
-        entries stamped under the pre-adoption counter could otherwise alias
-        the adopted version when recovery rewinds it.
-        """
-        with self._memo_lock:
+            if arrays is not None:
+                self._arrays = {attr: _frozen(arrays[attr]) for attr in EDGE_COST_ATTRIBUTES}
             self._version = int(version)
+            self._values = None
             self._r_weight_lists.clear()
             self._memo.clear()
 
@@ -317,7 +400,7 @@ class CostStore:
         """
 
         def build():
-            acc = np.zeros(len(self.edges), dtype=np.float64)
+            acc = np.zeros(self.topology.edge_count, dtype=np.float64)
             for attribute, weight in terms:
                 acc += self._arrays[attribute] * weight
             acc.flags.writeable = False
@@ -371,21 +454,24 @@ class CompiledGraph:
     """A CSR snapshot of a road network: immutable topology + versioned costs.
 
     The facade exposes the flat arrays the kernels consume (``offsets`` /
-    ``targets`` / ``edges`` / per-feature cost arrays) and delegates all
-    cost-derived caching to its :class:`CostStore`.  The topology of a
-    snapshot never changes; its costs may be patched through
-    :meth:`apply_cost_updates` (driven by
+    ``targets`` / per-feature cost arrays) and delegates all cost-derived
+    caching to its :class:`CostStore`.  The topology of a snapshot never
+    changes; its costs are patched by
     :meth:`~repro.network.road_network.RoadNetwork.update_edge_costs` and
-    :meth:`~repro.network.road_network.RoadNetwork.restore_cost_state`), which
-    bumps :attr:`cost_version` instead of forcing a rebuild.
+    :meth:`~repro.network.road_network.RoadNetwork.restore_cost_state`, which
+    move :attr:`CostStore.version` instead of forcing a rebuild.
     """
 
-    def __init__(self, network: "RoadNetwork") -> None:
-        topology = Topology(network)
-        edges: list["Edge"] = [None] * topology.edge_count  # type: ignore[list-item]
-        for (source, target), slot in topology.slot_of.items():
-            edges[slot] = network.edge(source, target)
-        costs = CostStore(topology, edges)
+    def __init__(self, vertex_ids: Sequence["VertexId"], rows: EdgeRows) -> None:
+        """``vertex_ids`` sorted; ``rows`` every edge, in insertion order."""
+        rows = rows.deduplicated(np.asarray(vertex_ids, dtype=np.int64))
+        topology = Topology(vertex_ids, rows)
+        slot_of_row = topology.row_slots
+        arrays = {}
+        for attr in EDGE_COST_ATTRIBUTES:
+            arrays[attr] = np.empty(topology.edge_count, dtype=np.float64)
+            arrays[attr][slot_of_row] = getattr(rows, attr)
+        costs = CostStore(topology, arrays)
 
         self.topology = topology
         self.costs = costs
@@ -414,21 +500,27 @@ class CompiledGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def edges(self) -> list["Edge"]:
-        """The edge objects in CSR slot order.
-
-        Cost patches swap the whole list, so capturing ``graph.edges`` once
-        gives a consistent snapshot — e.g. a ``zip(graph.edges, weights)``
-        never observes a half-applied batch.
-        """
-        return self.costs.edges
+        return self.topology.edge_count
 
     @property
     def road_type_values(self) -> np.ndarray:
-        return self.costs.road_type_values
+        return self.topology.road_type_values
+
+    def edge_columns(self) -> tuple[np.ndarray, ...]:
+        """Every edge attribute in slot order, read consistently: the three
+        cost arrays in :data:`EDGE_COST_ATTRIBUTES` order, the road type
+        values and the speeds."""
+        costs, topology = self.costs.export_arrays(), self.topology
+        return (
+            *(costs[attr] for attr in EDGE_COST_ATTRIBUTES),
+            topology.road_type_values,
+            topology.speed_kmh,
+        )
+
+    def rows(self) -> EdgeRows:
+        """The edges as insertion-ordered columns, at the current costs."""
+        slots = self.topology.row_slots
+        return EdgeRows(*self.topology.ends(slots), *(c[slots] for c in self.edge_columns()))
 
     # ------------------------------------------------------------------ #
     # Cost arrays (delegated to the versioned store)
@@ -482,25 +574,6 @@ class CompiledGraph:
     ) -> Sequence[float]:
         """The cost array permuted into reverse (predecessor) slot order."""
         return self.costs.reverse_weights(key, array, version)
-
-    # ------------------------------------------------------------------ #
-    # Live-traffic patching
-    # ------------------------------------------------------------------ #
-    def apply_cost_updates(
-        self,
-        changes: Mapping[int, Mapping[str, float]],
-        new_edges: Mapping[int, "Edge"],
-    ) -> int:
-        """Patch cost values by CSR slot; returns the new cost version.
-
-        Called by the network's one cost writer — the patch body behind
-        :meth:`RoadNetwork.update_edge_costs` and
-        :meth:`RoadNetwork.restore_cost_state` — under the network's
-        compiled-view lock; see :meth:`CostStore.apply_updates` for the
-        cache-eviction semantics.
-        """
-        self.costs.apply_updates(changes, new_edges)
-        return self.costs.version
 
     # ------------------------------------------------------------------ #
     # Derived-artifact cache and scratch state

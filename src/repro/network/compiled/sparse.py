@@ -152,15 +152,6 @@ def slot_targets(graph: "CompiledGraph") -> np.ndarray:
     )
 
 
-def slot_tails(graph: "CompiledGraph") -> np.ndarray:
-    """The tail vertex of every CSR slot as an int64 array (memoized)."""
-    return graph.memo(  # type: ignore[return-value]
-        ("csr-slot-tails",),
-        lambda: _slot_rows(graph.offsets)[0],
-        cost_dependent=False,
-    )
-
-
 def _slot_rows(offsets: Sequence[int]) -> tuple[np.ndarray, int]:
     """The row of every slot of a CSR layout, and the largest row length."""
     lengths = np.diff(np.asarray(offsets, dtype=np.int64))

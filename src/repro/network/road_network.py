@@ -9,8 +9,10 @@ segments carrying the four weight functions of the paper:
 * ``wFC``  — fuel consumption in milliliters,
 * ``wRT``  — road type (:class:`~repro.network.road_types.RoadType`).
 
-The class is a thin, explicit wrapper around adjacency dictionaries rather
-than a :mod:`networkx` graph so that the hot routing loops touch plain dicts.
+The edges are stored once, as the flat per-attribute arrays of the network's
+compiled CSR view (:mod:`repro.network.compiled`).  :meth:`RoadNetwork.add_edge`
+stages a row that the next read merges into new arrays, and every
+:class:`Edge` a reader gets is a value built from the arrays when read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from ..exceptions import (
     ConfigurationError,
@@ -26,7 +30,7 @@ from ..exceptions import (
     NetworkError,
     VertexNotFoundError,
 )
-from .road_types import RoadType
+from .road_types import ROAD_TYPE_BY_VALUE, RoadType
 from .spatial import BoundingBox, LonLat, equirectangular_m
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,26 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 VertexId = int
 """Vertices are identified by integers."""
-
-
-def _slotted_setstate(self, state) -> None:
-    """Unpickle compat: accept both slots-era and pre-slots (dict) states.
-
-    ``Vertex``/``Edge`` gained ``slots=True``; models persisted by earlier
-    versions pickled instance ``__dict__`` states, which the generated
-    dataclass ``__setstate__`` would silently misinterpret (it zips field
-    values positionally).  Restoring by field name keeps old model files
-    loading correctly.
-    """
-    if isinstance(state, dict):  # pre-slots pickle
-        values = [state[name] for name in self.__slots__]
-    elif isinstance(state, tuple) and len(state) == 2:  # (dict, slots) form
-        merged = {**(state[0] or {}), **(state[1] or {})}
-        values = [merged[name] for name in self.__slots__]
-    else:  # list of field values (generated slots __getstate__)
-        values = state
-    for name, value in zip(self.__slots__, values):
-        object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,16 +48,17 @@ class Vertex:
     lon: float
     lat: float
 
-    __setstate__ = _slotted_setstate
-
     @property
     def lonlat(self) -> LonLat:
         return (self.lon, self.lat)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """A directed road segment with the paper's four weight functions."""
+class Edge(NamedTuple):
+    """A directed road segment with the paper's four weight functions.
+
+    A value: the network stores none, and builds one from its arrays on
+    every read (a named tuple, the cheapest immutable value to build).
+    """
 
     source: VertexId
     target: VertexId
@@ -83,11 +68,27 @@ class Edge:
     road_type: RoadType
     speed_kmh: float
 
-    __setstate__ = _slotted_setstate
-
     @property
     def key(self) -> tuple[VertexId, VertexId]:
         return (self.source, self.target)
+
+
+def _edge_at(graph: "CompiledGraph", source: VertexId, target: VertexId, slot: int) -> Edge:
+    """The edge at one CSR slot, read off the arrays."""
+    distance, travel, fuel, road_type, speed = graph.edge_columns()
+    return Edge(
+        source,
+        target,
+        distance.item(slot),
+        travel.item(slot),
+        fuel.item(slot),
+        ROAD_TYPE_BY_VALUE[road_type.item(slot)],
+        speed.item(slot),
+    )
+
+
+#: The mutation counters a pickle carries.
+_VERSIONS = ("_version", "_cost_version", "_cost_fell_version", "_topology_version")
 
 
 class RoadNetwork:
@@ -96,9 +97,12 @@ class RoadNetwork:
     def __init__(self, name: str = "road-network") -> None:
         self.name = name
         self._vertices: dict[VertexId, Vertex] = {}
-        self._edges: dict[tuple[VertexId, VertexId], Edge] = {}
-        self._adjacency: dict[VertexId, dict[VertexId, Edge]] = {}
-        self._reverse: dict[VertexId, dict[VertexId, Edge]] = {}
+        # Edge rows added since the last published snapshot, as
+        # (source, target, distance, travel time, fuel, road type, speed).
+        self._staged: list[tuple] = []
+        # What the next build starts from: the last published snapshot, at
+        # its current costs (a pickle's arrays, built but not yet published).
+        self._base: "CompiledGraph | None" = None
         self._compiled: "CompiledGraph | None" = None
         self._compiled_lock = threading.Lock()
         self._bounding_box: BoundingBox | None = None
@@ -110,29 +114,28 @@ class RoadNetwork:
         self._hierarchy_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        # The compiled view holds thread-local scratch buffers and is cheap to
-        # rebuild, so it (and the build lock) is dropped from pickles
-        # (model persistence).  Prepared contraction hierarchies likewise
-        # carry large arrays and locks; prepare_hierarchy() builds them anew.
-        state = self.__dict__.copy()
-        state["_compiled"] = None
-        state["_hierarchies"] = {}
-        state.pop("_compiled_lock", None)
-        state.pop("_hierarchy_lock", None)
-        return state
+        # Vertices and edges travel as arrays (model files, the shard worker
+        # payload); the snapshot is built again, unpublished, on unpickling,
+        # and prepared contraction hierarchies and the locks are dropped.
+        vertices = self._vertices.values()
+        return {
+            "name": self.name,
+            "versions": [getattr(self, name) for name in _VERSIONS],
+            "vertex_ids": np.array([v.vertex_id for v in vertices], dtype=np.int64),
+            "lonlat": np.array([(v.lon, v.lat) for v in vertices], dtype=np.float64),
+            "edges": self.compiled().rows()._asdict(),
+        }
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Defaults for pickles written before these fields existed.
-        self.__dict__.setdefault("_compiled", None)
-        self.__dict__.setdefault("_bounding_box", None)
-        self.__dict__.setdefault("_version", 0)
-        self.__dict__.setdefault("_cost_version", 0)
-        self.__dict__.setdefault("_cost_fell_version", 0)
-        self.__dict__.setdefault("_topology_version", 0)
-        self.__dict__.setdefault("_hierarchies", {})
-        self._compiled_lock = threading.Lock()
-        self._hierarchy_lock = threading.Lock()
+        from .compiled.graph import CompiledGraph, EdgeRows
+
+        self.__init__(state["name"])  # type: ignore[misc]
+        for name, value in zip(_VERSIONS, state["versions"]):
+            setattr(self, name, value)
+        lonlat = state["lonlat"].reshape(-1, 2).tolist()
+        ids = state["vertex_ids"].tolist()
+        self._vertices = {vid: Vertex(vid, x, y) for vid, (x, y) in zip(ids, lonlat)}
+        self._base = CompiledGraph(sorted(self._vertices), EdgeRows(**state["edges"]))
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -141,8 +144,6 @@ class RoadNetwork:
         """Add (or replace) a vertex and return it."""
         vertex = Vertex(vertex_id=vertex_id, lon=float(lon), lat=float(lat))
         self._vertices[vertex_id] = vertex
-        self._adjacency.setdefault(vertex_id, {})
-        self._reverse.setdefault(vertex_id, {})
         self._invalidate(bounding_box=True)
         return vertex
 
@@ -157,13 +158,16 @@ class RoadNetwork:
         fuel_ml: float | None = None,
         bidirectional: bool = False,
     ) -> Edge:
-        """Add a directed road segment.
+        """Add (or replace) a directed road segment; returns it.
 
-        Missing weights are derived: distance from vertex coordinates, speed
-        from the road-type default, travel time from distance and speed, and
-        fuel from the environmental model in :mod:`repro.routing.fuel`.  A
-        speed, travel time or fuel that is not a finite positive number
-        raises :class:`NetworkError`.
+        The row is staged, and the next read merges it into the network's
+        arrays: an edge added again keeps its place and takes the new
+        values, while every other edge keeps its current (possibly
+        traffic-patched) costs.  Missing weights are derived: distance from
+        vertex coordinates, speed from the road-type default, travel time from
+        distance and speed, and fuel from the environmental model in
+        :mod:`repro.routing.fuel`.  A speed, travel time or fuel that is not a
+        finite positive number raises :class:`NetworkError`.
         """
         if source not in self._vertices:
             raise VertexNotFoundError(source)
@@ -197,18 +201,8 @@ class RoadNetwork:
 
             fuel_ml = fuel_consumption_ml(distance_m, speed_kmh)
 
-        edge = Edge(
-            source=source,
-            target=target,
-            distance_m=float(distance_m),
-            travel_time_s=float(travel_time_s),
-            fuel_ml=float(fuel_ml),
-            road_type=road_type,
-            speed_kmh=float(speed_kmh),
-        )
-        self._edges[(source, target)] = edge
-        self._adjacency[source][target] = edge
-        self._reverse[target][source] = edge
+        row = (source, target, float(distance_m), float(travel_time_s), float(fuel_ml))
+        self._staged.append((*row, road_type, float(speed_kmh)))
         self._invalidate()
 
         if bidirectional:
@@ -222,7 +216,7 @@ class RoadNetwork:
                 fuel_ml=fuel_ml,
                 bidirectional=False,
             )
-        return edge
+        return Edge(*row, road_type, float(speed_kmh))
 
     def _invalidate(self, bounding_box: bool = False) -> None:
         """Drop derived views after a *topology* mutation.
@@ -268,12 +262,11 @@ class RoadNetwork:
         The whole batch is validated before anything is touched, so a bad
         entry leaves the network unchanged (transactional semantics — the
         :class:`~repro.traffic.TrafficFeed` relies on this).  On success the
-        edge objects are replaced, :attr:`version` and :attr:`cost_version`
-        are bumped, and — unlike a topology mutation — a cached compiled view
-        is patched in place through
-        :meth:`~repro.network.compiled.graph.CompiledGraph.apply_cost_updates`
-        rather than dropped, so live-traffic updates cost O(touched edges)
-        instead of a full CSR rebuild.
+        compiled view's cost arrays — the one store of edge costs — are
+        patched through
+        :meth:`~repro.network.compiled.graph.CostStore.apply_updates` (so
+        live-traffic updates cost O(touched edges), not a CSR rebuild), and
+        :attr:`version` and :attr:`cost_version` are bumped.
 
         Returns the keys of the edges whose costs actually *changed* —
         values equal to the current ones are validated but skipped, so an
@@ -285,12 +278,17 @@ class RoadNetwork:
 
         allowed = frozenset(EDGE_COST_ATTRIBUTES)
         isfinite = math.isfinite
-        known_edges = self._edges
+        graph, staged = self._sources()
+        slot_of = {} if graph is None else graph.topology.slot_of
+        columns = [] if graph is None else [graph.array(attr) for attr in EDGE_COST_ATTRIBUTES]
         resolved: dict[tuple[VertexId, VertexId], dict[str, float]] = {}
         fell = False
         for key, changes in updates.items():
-            old = known_edges.get(key)
-            if old is None:
+            if key in staged:
+                costs = staged[key][1][2:5]
+            elif key in slot_of:
+                costs = [column.item(slot_of[key]) for column in columns]
+            else:
                 raise EdgeNotFoundError(*key)
             clean: dict[str, float] = {}
             for attribute, value in changes.items():
@@ -305,71 +303,51 @@ class RoadNetwork:
                         f"edge {key} attribute {attribute!r} must be "
                         f"a finite positive number, got {value!r}"
                     )
-                current = getattr(old, attribute)
-                if value != current:  # skip no-op writes
+                old = costs[EDGE_COST_ATTRIBUTES.index(attribute)]
+                if value != old:  # skip no-op writes
                     clean[attribute] = value
-                    fell = fell or value < current
+                    fell = fell or value < old
             if clean:
                 resolved[key] = clean
         if not resolved:
             return frozenset()
 
-        # The compiled-view lock serializes cost patches against snapshot
-        # builds: a build in progress finishes (and caches) before the patch
-        # lands, so the cached snapshot and the dicts never diverge.
+        # A write never builds: it lands where the edge's values live — the
+        # cached snapshot's arrays, or else the staged row or the base's
+        # arrays the next build merges — located again under the lock that
+        # builds hold, so no build carries half a batch across.
         with self._compiled_lock:
-            compiled = self._compiled
-            if compiled is not None and not resolved.keys() <= compiled.topology.slot_of.keys():
-                self._compiled = None  # pragma: no cover - snapshot out of sync
-            self._patch_costs(resolved, fell)
+            graph, staged = self._sources()
+            changes: dict[int, dict[str, float]] = {}
+            for key, clean in resolved.items():
+                if key in staged:
+                    index, (source, target, *costs, road_type, speed) = staged[key]
+                    costs = [clean.get(attr, old) for attr, old in zip(EDGE_COST_ATTRIBUTES, costs)]
+                    self._staged[index] = (source, target, *costs, road_type, speed)
+                else:
+                    changes[graph.topology.slot_of[key]] = clean
+            self._version += 1
+            self._cost_version += 1
+            if fell:
+                self._cost_fell_version = self._version
+            if changes:
+                graph.costs.apply_updates(changes)
         return frozenset(resolved)
 
-    def _patch_costs(
+    def _sources(
         self,
-        resolved: Mapping[tuple[VertexId, VertexId], Mapping[str, float]],
-        fell: bool,
-    ) -> None:
-        """The one writer of edge costs; the caller holds ``_compiled_lock``.
-
-        ``resolved`` is a validated batch in which every edge changes, over
-        edges the compiled view (if any) knows.  Edge objects, the three
-        dicts, the version counters and the compiled
-        :class:`~repro.network.compiled.graph.CostStore` move together.
-        """
-        compiled = self._compiled
-        slot_of = compiled.topology.slot_of if compiled is not None else None
-        slot_changes: dict[int, Mapping[str, float]] = {}
-        slot_edges: dict[int, Edge] = {}
-        edges = self._edges
-        adjacency = self._adjacency
-        reverse = self._reverse
-        for key, clean in resolved.items():
-            old = edges[key]
-            # Direct construction instead of dataclasses.replace(): this
-            # loop is the live-traffic hot path, and replace() costs ~3x
-            # as much per edge through the dataclass machinery.
-            edge = Edge(
-                old.source,
-                old.target,
-                clean.get("distance_m", old.distance_m),
-                clean.get("travel_time_s", old.travel_time_s),
-                clean.get("fuel_ml", old.fuel_ml),
-                old.road_type,
-                old.speed_kmh,
-            )
-            edges[key] = edge
-            adjacency[key[0]][key[1]] = edge
-            reverse[key[1]][key[0]] = edge
-            if slot_of is not None:
-                slot = slot_of[key]
-                slot_changes[slot] = clean
-                slot_edges[slot] = edge
-        self._version += 1
-        self._cost_version += 1
-        if fell:
-            self._cost_fell_version = self._version
-        if compiled is not None:
-            compiled.apply_cost_updates(slot_changes, slot_edges)
+    ) -> tuple["CompiledGraph | None", dict[tuple[VertexId, VertexId], tuple[int, tuple]]]:
+        """Where the current edge values live: the snapshot holding every
+        edge not staged since (the cached one, else the base), and each
+        staged edge's latest row with its index (stable while the caller
+        holds ``_compiled_lock``)."""
+        graph = self._compiled
+        if graph is not None:
+            return graph, {}
+        # Staged rows before the base: a build publishing in between leaves
+        # them duplicated in the new base, never missing.
+        staged = {(row[0], row[1]): (index, row) for index, row in enumerate(self._staged[:])}
+        return self._base, staged
 
     def restore_cost_state(
         self,
@@ -385,28 +363,25 @@ class RoadNetwork:
         captured and the durability layer's snapshot store persisted, or a
         copy of the shared segment's cost arrays.  Every value must be finite
         and strictly positive (same contract as :meth:`update_edge_costs`),
-        and nothing is touched unless all of them are.  The slots that differ
-        are found by comparing against the compiled store's arrays — they
-        mirror the edge objects, every cost write patching both under the
-        compiled-view lock — and go through the same writer as a live-traffic
-        batch; then :attr:`cost_version` is *set* to ``cost_version`` (not
-        bumped), so replaying the write-ahead log from the restored state
-        reproduces the original version sequence bit for bit.  Returns the
-        keys of the edges whose costs actually changed.
+        and nothing is touched unless all of them are.  Validate, diff
+        against the compiled store's arrays, swap copies of the adopted
+        arrays in when any slot differs, and rewind:
+        :attr:`cost_version` is *set* to ``cost_version`` (not bumped), so
+        replaying the write-ahead log from the restored state reproduces the
+        original version sequence bit for bit.  Returns the keys of the
+        edges whose costs actually changed.
         """
-        import numpy as np
-
         from .compiled.graph import EDGE_COST_ATTRIBUTES
 
         if cost_version < 0:
             raise NetworkError(f"cost_version must be >= 0, got {cost_version}")
-        compiled = self.compiled()
-        edge_count = compiled.topology.edge_count
-        clean: dict[str, "np.ndarray"] = {}
+        graph = self.compiled()
+        edge_count = graph.edge_count
+        clean: dict[str, np.ndarray] = {}
         for attr in EDGE_COST_ATTRIBUTES:
             if attr not in arrays:
                 raise NetworkError(f"restored cost state is missing {attr!r}")
-            values = np.asarray(arrays[attr], dtype=np.float64)
+            values = np.array(arrays[attr], dtype=np.float64)
             if values.shape != (edge_count,):
                 raise NetworkError(
                     f"restored array for {attr!r} has shape {values.shape}; "
@@ -420,32 +395,22 @@ class RoadNetwork:
             clean[attr] = values
 
         with self._compiled_lock:
-            if self._compiled is not compiled:
+            if self._compiled is not graph:
                 raise NetworkError(
                     "network was mutated while restoring its cost state"
                 )
+            current = graph.costs.export_arrays()
             differs = np.zeros(edge_count, dtype=bool)
             for attr, values in clean.items():
-                differs |= values != compiled.array(attr)
+                differs |= values != current[attr]
             slots = np.flatnonzero(differs)
-            # One tolist() per column and one dict display per slot: indexing
-            # the arrays element by element doubles the cost of a full restore.
-            distance, travel, fuel = (
-                clean[attr][slots].tolist()
-                for attr in ("distance_m", "travel_time_s", "fuel_ml")
-            )
-            slot_edges = compiled.edges
-            resolved: dict[tuple[VertexId, VertexId], dict[str, float]] = {}
-            for slot, d, t, f in zip(slots.tolist(), distance, travel, fuel):
-                old = slot_edges[slot]
-                resolved[old.source, old.target] = {
-                    "distance_m": d, "travel_time_s": t, "fuel_ml": f
-                }
-            if resolved:
-                self._patch_costs(resolved, fell=True)  # a restore may lower costs
+            if slots.size:
+                self._version += 1
+                self._cost_fell_version = self._version  # a restore may lower costs
             self._cost_version = int(cost_version)
-            compiled.costs.rewind(self._cost_version)
-        return frozenset(resolved)
+            graph.costs.rewind(self._cost_version, clean if slots.size else None)
+        sources, targets = graph.topology.ends(slots)
+        return frozenset(zip(sources.tolist(), targets.tolist()))
 
     # ------------------------------------------------------------------ #
     # Compiled view
@@ -491,26 +456,45 @@ class RoadNetwork:
         return self._topology_version
 
     def compiled(self) -> "CompiledGraph":
-        """The lazily-built CSR view used by the array-based search kernels.
+        """The lazily-built CSR view: the network's one store of edges, read
+        by the array-based search kernels and by every edge accessor.
 
-        The snapshot is cached until the next mutation; see
-        :mod:`repro.network.compiled`.  Double-checked locking keeps
-        concurrent ``route()`` callers from compiling one snapshot each.
+        The snapshot is cached until the next topology mutation; see
+        :mod:`repro.network.compiled`.  A build merges the base's rows, at
+        their current costs, with the rows staged since.  Double-checked
+        locking keeps concurrent ``route()`` callers from compiling one
+        snapshot each.
         """
         view = self._compiled
         if view is None:
             with self._compiled_lock:
                 view = self._compiled
                 if view is None:
-                    from .compiled.graph import CompiledGraph
-
-                    version = self._version
-                    view = CompiledGraph(self)
+                    view, version, count = self._build()
                     if version == self._version:
-                        self._compiled = view
+                        self._compiled = self._base = view
+                        del self._staged[:count]
                     # else: a concurrent mutation invalidated the snapshot
-                    # mid-build — serve it uncached; the next call rebuilds.
+                    # mid-build — serve it uncached; the next call rebuilds
+                    # from the same base and staged rows.
         return view
+
+    def _build(self) -> tuple["CompiledGraph", int, int]:
+        """A snapshot of the current vertices and edges, with the version
+        and the number of staged rows it was built from: the base itself
+        when no edge or vertex was added since (an unpickled network, or
+        vertices moved in place)."""
+        from .compiled.graph import CompiledGraph, EdgeRows
+
+        version = self._version
+        count = len(self._staged)
+        base = self._base
+        if base is not None and not count and base.vertex_count == len(self._vertices):
+            return base, version, count
+        rows = EdgeRows.of(self._staged[:count])
+        if base is not None:
+            rows = base.rows().then(rows)
+        return CompiledGraph(sorted(self._vertices), rows), version, count
 
     def prepare_landmarks(
         self,
@@ -590,7 +574,7 @@ class RoadNetwork:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self.compiled().edge_count
 
     def __contains__(self, vertex_id: VertexId) -> bool:
         return vertex_id in self._vertices
@@ -603,8 +587,17 @@ class RoadNetwork:
         return iter(self._vertices.keys())
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over all edges."""
-        return iter(self._edges.values())
+        """Iterate over all edges, in insertion order."""
+        graph = self.compiled()
+        distance, travel, fuel, road_type, speed = (c.tolist() for c in graph.edge_columns())
+        road_types = [ROAD_TYPE_BY_VALUE[value] for value in road_type]
+        new = tuple.__new__
+        return iter(
+            [
+                new(Edge, (s, t, distance[k], travel[k], fuel[k], road_types[k], speed[k]))
+                for (s, t), k in graph.topology.slot_of.items()
+            ]
+        )
 
     def vertex(self, vertex_id: VertexId) -> Vertex:
         try:
@@ -612,23 +605,59 @@ class RoadNetwork:
         except KeyError:
             raise VertexNotFoundError(vertex_id) from None
 
+    def _slot(self, source: VertexId, target: VertexId) -> tuple["CompiledGraph", int]:
+        """The current snapshot and the CSR slot of one edge."""
+        graph = self.compiled()
+        slot = graph.topology.slot_of.get((source, target))
+        if slot is None:
+            raise EdgeNotFoundError(source, target)
+        return graph, slot
+
     def edge(self, source: VertexId, target: VertexId) -> Edge:
-        try:
-            return self._edges[(source, target)]
-        except KeyError:
-            raise EdgeNotFoundError(source, target) from None
+        graph, slot = self._slot(source, target)
+        return _edge_at(graph, source, target, slot)
+
+    def _index(self, vertex_id: VertexId) -> tuple["CompiledGraph", int]:
+        """The current snapshot and a vertex's dense index in it."""
+        graph = self.compiled()
+        index = graph.index_of.get(vertex_id)
+        if index is None:
+            raise VertexNotFoundError(vertex_id)
+        return graph, index
+
+    def out_edges(self, vertex_id: VertexId) -> list[Edge]:
+        """A vertex's outgoing edges, in insertion order (what the dict
+        searches expand: :meth:`successors` without the mapping)."""
+        graph, index = self._index(vertex_id)
+        ids = graph.vertex_ids
+        distance, travel, fuel, road_type, speed = graph.costs.edge_values()
+        lo, hi = graph.offsets[index], graph.offsets[index + 1]
+        new = tuple.__new__  # skips the named tuple's Python-level __new__
+        return [
+            new(Edge, (vertex_id, ids[t], distance[k], travel[k], fuel[k], road_type[k], speed[k]))
+            for k, t in enumerate(graph.targets[lo:hi], lo)
+        ]
+
+    def in_edges(self, vertex_id: VertexId) -> list[Edge]:
+        """A vertex's incoming edges, in insertion order."""
+        graph, index = self._index(vertex_id)
+        ids = graph.vertex_ids
+        distance, travel, fuel, road_type, speed = graph.costs.edge_values()
+        lo, hi = graph.r_offsets[index], graph.r_offsets[index + 1]
+        slots = graph.topology.r_slots[lo:hi].tolist()
+        new = tuple.__new__
+        return [
+            new(Edge, (ids[s], vertex_id, distance[k], travel[k], fuel[k], road_type[k], speed[k]))
+            for s, k in zip(graph.r_targets[lo:hi], slots)
+        ]
 
     def successors(self, vertex_id: VertexId) -> Mapping[VertexId, Edge]:
         """Outgoing neighbours with the connecting edge."""
-        if vertex_id not in self._vertices:
-            raise VertexNotFoundError(vertex_id)
-        return self._adjacency[vertex_id]
+        return {edge.target: edge for edge in self.out_edges(vertex_id)}
 
     def predecessors(self, vertex_id: VertexId) -> Mapping[VertexId, Edge]:
         """Incoming neighbours with the connecting edge."""
-        if vertex_id not in self._vertices:
-            raise VertexNotFoundError(vertex_id)
-        return self._reverse[vertex_id]
+        return {edge.source: edge for edge in self.in_edges(vertex_id)}
 
     def iter_neighbors(self, vertex_id: VertexId) -> Iterator[VertexId]:
         """Lazily iterate the undirected neighbourhood without building a set.
@@ -636,20 +665,18 @@ class RoadNetwork:
         Search loops (region BFS, clustering) should prefer this over
         :meth:`neighbors`, which materializes a fresh set per call.
         """
-        if vertex_id not in self._vertices:
-            raise VertexNotFoundError(vertex_id)
-        successors = self._adjacency[vertex_id]
+        graph, index = self._index(vertex_id)
+        ids = graph.vertex_ids
+        successors = [ids[t] for t in graph.targets[graph.offsets[index] : graph.offsets[index + 1]]]
         yield from successors
-        for predecessor in self._reverse[vertex_id]:
-            if predecessor not in successors:
-                yield predecessor
+        for s in graph.r_targets[graph.r_offsets[index] : graph.r_offsets[index + 1]]:
+            if ids[s] not in successors:
+                yield ids[s]
 
     def iter_incident_edges(self, vertex_id: VertexId) -> Iterator[Edge]:
         """Lazily iterate incident edges (outgoing first, then incoming)."""
-        if vertex_id not in self._vertices:
-            raise VertexNotFoundError(vertex_id)
-        yield from self._adjacency[vertex_id].values()
-        yield from self._reverse[vertex_id].values()
+        yield from self.out_edges(vertex_id)
+        yield from self.in_edges(vertex_id)
 
     def coordinates(self, vertex_id: VertexId) -> LonLat:
         return self.vertex(vertex_id).lonlat
@@ -665,11 +692,13 @@ class RoadNetwork:
     # ------------------------------------------------------------------ #
     def w_di(self, source: VertexId, target: VertexId) -> float:
         """Distance weight ``wDI`` in meters."""
-        return self.edge(source, target).distance_m
+        graph, slot = self._slot(source, target)
+        return graph.array("distance_m").item(slot)
 
     def w_rt(self, source: VertexId, target: VertexId) -> RoadType:
         """Road-type weight ``wRT``."""
-        return self.edge(source, target).road_type
+        graph, slot = self._slot(source, target)
+        return ROAD_TYPE_BY_VALUE[graph.road_type_values.item(slot)]
 
     # ------------------------------------------------------------------ #
     # Path helpers
@@ -679,12 +708,18 @@ class RoadNetwork:
         seq = list(vertices)
         return [self.edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
 
+    def _path_total(self, attribute: str, vertices: Iterable[VertexId]) -> float:
+        """One cost attribute summed along a vertex path, read off its column."""
+        seq = list(vertices)
+        slots = [self._slot(seq[i], seq[i + 1])[1] for i in range(len(seq) - 1)]
+        column = self.compiled().array(attribute)
+        return sum(column.item(slot) for slot in slots)
+
     def path_distance_m(self, vertices: Iterable[VertexId]) -> float:
-        return sum(e.distance_m for e in self.path_edges(vertices))
+        return self._path_total("distance_m", vertices)
 
     def path_travel_time_s(self, vertices: Iterable[VertexId]) -> float:
-        return sum(e.travel_time_s for e in self.path_edges(vertices))
+        return self._path_total("travel_time_s", vertices)
 
     def path_fuel_ml(self, vertices: Iterable[VertexId]) -> float:
-        return sum(e.fuel_ml for e in self.path_edges(vertices))
-
+        return self._path_total("fuel_ml", vertices)

@@ -59,3 +59,6 @@ DEFAULT_SPEED_KMH: dict[RoadType, float] = {
 
 ALL_ROAD_TYPES: tuple[RoadType, ...] = tuple(RoadType)
 """All road types in importance order (motorway first)."""
+
+ROAD_TYPE_BY_VALUE: dict[int, RoadType] = {int(road_type): road_type for road_type in RoadType}
+"""Road types by integer value (a dict lookup, cheaper than ``RoadType(value)``)."""

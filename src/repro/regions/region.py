@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..network.road_network import RoadNetwork, VertexId
-from ..network.road_types import RoadType
+from ..network.road_types import ROAD_TYPE_BY_VALUE, RoadType
 from ..network.spatial import LonLat, centroid, max_diameter_km, polygon_area_km2, convex_hull
 
 RegionId = int
@@ -66,10 +66,16 @@ class Region:
         """The :data:`FUNCTIONALITY_TOP_K` most common road types of the
         edges incident to the region's vertices (memoized)."""
         if self._functionality is None:
+            # Read off the road-type column, incident edges in
+            # iter_incident_edges order (outgoing, then incoming).
+            graph = network.compiled()
+            road_types = graph.road_type_values
             counter: Counter[RoadType] = Counter()
             for vertex in self.vertices:
-                for edge in network.iter_incident_edges(vertex):
-                    counter[edge.road_type] += 1
+                i = graph.index_of[vertex]
+                out = road_types[graph.offsets[i] : graph.offsets[i + 1]].tolist()
+                into = road_types[graph.topology.r_slots[graph.r_offsets[i] : graph.r_offsets[i + 1]]]
+                counter.update(map(ROAD_TYPE_BY_VALUE.__getitem__, out + into.tolist()))
             ranked = [rt for rt, _ in counter.most_common(FUNCTIONALITY_TOP_K)]
             object.__setattr__(self, "_functionality", tuple(ranked))
         return self._functionality  # type: ignore[return-value]

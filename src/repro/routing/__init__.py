@@ -1,5 +1,5 @@
 """Path-finding substrate: Dijkstra (scipy, with its dict reference), A* and
-bidirectional search over the dict adjacency, CH, Algorithm 2."""
+bidirectional search over the network's Edge views, CH, Algorithm 2."""
 
 from .costs import (
     ALL_COST_FEATURES,

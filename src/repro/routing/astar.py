@@ -1,4 +1,4 @@
-"""A* search over the dict adjacency, with admissible heuristics.
+"""A* search over the network's Edge views, with admissible heuristics.
 
 A library search, off the serving path (the engines answer single-cost
 queries with the corridor-bounded scipy Dijkstra): the external
@@ -97,7 +97,8 @@ def astar(
                 vertices.append(current)
             vertices.reverse()
             return Path.of(vertices)
-        for v, edge in network.successors(u).items():
+        for edge in network.out_edges(u):
+            v = edge.target
             if v in closed:
                 continue
             tentative = g_score[u] + edge_cost(edge)

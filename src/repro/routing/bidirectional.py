@@ -1,4 +1,4 @@
-"""Bidirectional Dijkstra over the dict adjacency.
+"""Bidirectional Dijkstra over the network's Edge views.
 
 Searches simultaneously from the source (forward edges) and from the
 destination (reverse edges) and stops when the frontiers provably cannot
@@ -46,7 +46,8 @@ def bidirectional_dijkstra(
 
     def relax_forward(u: VertexId, cost_u: float) -> None:
         nonlocal best_cost, meeting
-        for v, edge in network.successors(u).items():
+        for edge in network.out_edges(u):
+            v = edge.target
             if v in settled_f:
                 continue
             candidate = cost_u + edge_cost(edge)
@@ -60,7 +61,8 @@ def bidirectional_dijkstra(
 
     def relax_backward(u: VertexId, cost_u: float) -> None:
         nonlocal best_cost, meeting
-        for v, edge in network.predecessors(u).items():
+        for edge in network.in_edges(u):
+            v = edge.source
             if v in settled_b:
                 continue
             candidate = cost_u + edge_cost(edge)

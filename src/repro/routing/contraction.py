@@ -109,7 +109,8 @@ class ContractionHierarchy:
             if resolved is not None:
                 weights = np.asarray(resolved[1], dtype=np.float64)
             else:  # opaque callable: price every edge through it
-                weights = np.array([cost_fn(edge) for edge in graph.edges], dtype=np.float64)
+                weights = np.empty(graph.edge_count, dtype=np.float64)
+                weights[graph.topology.row_slots] = [cost_fn(edge) for edge in network.edges()]
             topology = graph.topology
             compiled = self._compiled
             if compiled is not None and compiled.topology is topology:

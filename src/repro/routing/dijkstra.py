@@ -79,7 +79,8 @@ def dict_dijkstra(
         visited.add(u)
         if u == destination:
             return _reconstruct(parent, source, destination)
-        for v, edge in network.successors(u).items():
+        for edge in network.out_edges(u):
+            v = edge.target
             if v in visited:
                 continue
             candidate = cost_u + edge_cost(edge)
@@ -123,7 +124,8 @@ def dict_dijkstra_costs(
             remaining.discard(u)
             if not remaining:
                 break
-        for v, edge in network.successors(u).items():
+        for edge in network.out_edges(u):
+            v = edge.target
             if v in visited:
                 continue
             candidate = cost_u + edge_cost(edge)

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..exceptions import NoPathError
 from ..network.road_network import Edge, RoadNetwork, VertexId
+from ..network.road_types import RoadType
 from .costs import cost_function
 from .dijkstra import dijkstra
 from .path import Path
@@ -75,15 +76,13 @@ def slave_mask(graph: "CompiledGraph", slave: "RoadConditionFeature") -> np.ndar
 
     Road types never change under traffic, so the mask outlives cost patches.
     """
-    return graph.memo(  # type: ignore[return-value]
-        ("slave-mask", slave),
-        lambda: np.fromiter(
-            (slave.satisfied_by(edge.road_type) for edge in graph.edges),
-            dtype=bool,
-            count=graph.edge_count,
-        ),
-        cost_dependent=False,
-    )
+    def build() -> np.ndarray:
+        satisfied = np.zeros(max(RoadType) + 1, dtype=bool)
+        for road_type in RoadType:
+            satisfied[road_type] = slave.satisfied_by(road_type)
+        return satisfied[graph.road_type_values]
+
+    return graph.memo(("slave-mask", slave), build, cost_dependent=False)  # type: ignore[return-value]
 
 
 class _SlaveMaskedCost:
@@ -98,7 +97,7 @@ class _SlaveMaskedCost:
     def __call__(self, edge: Edge) -> float:
         satisfied = self._slave.satisfied_by
         if satisfied(edge.road_type) or not any(
-            satisfied(out.road_type) for out in self._network.successors(edge.source).values()
+            satisfied(out.road_type) for out in self._network.out_edges(edge.source)
         ):
             return self._master(edge)
         return math.inf
@@ -111,7 +110,7 @@ class _SlaveMaskedCost:
 
     def _masked(self, graph: "CompiledGraph") -> np.ndarray:
         allowed = slave_mask(graph, self._slave)
-        tails = np.repeat(np.arange(graph.vertex_count), np.diff(graph.offsets))
+        tails = graph.topology.tails
         none_allowed = np.bincount(tails[allowed], minlength=graph.vertex_count) == 0
         relaxed = allowed | none_allowed[tails]
         return np.where(relaxed, graph.array(self._master.cost_attr), math.inf)

@@ -6,14 +6,17 @@ start.  :func:`save_model` persists a fitted
 :class:`~repro.core.l2r.LearnToRoute` — the road network, the region graph
 with learned and transferred preferences, and the materialized B-edge paths —
 into one gzip-compressed pickle with a format header; :func:`load_model`
-restores it and verifies the header.  A round-tripped model answers every
-query identically to the in-memory original (the state is carried verbatim;
-routing is deterministic).  A file of another format version fails with
+restores it and verifies the header.  Format 4 carries the road network as
+a handful of numpy buffers (vertex ids and coordinates, and the edges as
+insertion-ordered columns) rather than pickled ``Vertex`` and ``Edge``
+objects.  A round-tripped model answers every query identically to the
+in-memory original (the state is carried verbatim; routing is
+deterministic).  A file of another format version fails with
 :class:`ModelPersistenceError`, never a bare unpickling error — format 2
 pickled a seven-field ``L2RConfig`` (one field an ``ApplyConfig``), format 3
-an ``L2RConfig`` holding only ``transfer`` — and so does a file that names a
-class or module this library no longer has, or whose gzip body or pickle
-bytes are corrupt.
+the road network's ``Vertex`` and ``Edge`` objects — and so does a file that
+names a class or module this library no longer has, or carries state its
+classes no longer take, or whose gzip body or pickle bytes are corrupt.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.l2r import LearnToRoute
 
 MODEL_FORMAT = "repro-l2r-model"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 class ModelPersistenceError(ReproError):
@@ -109,8 +112,9 @@ def load_model(path: str | FilePath) -> "LearnToRoute":
         # ValueError (UnicodeDecodeError among them) is how the unpickler
         # reports many corrupt byte strings; zlib.error a corrupt gzip body.
         raise ModelPersistenceError(f"could not read model from {source}: {exc}") from exc
-    except (AttributeError, ImportError) as exc:
-        # The pickle names a class or module that is gone: an older format.
+    except (AttributeError, ImportError, KeyError, TypeError) as exc:
+        # The pickle names a class or module that is gone, or carries state
+        # today's classes do not take (a format-3 network): an older format.
         raise ModelPersistenceError(
             f"{source} was written by an incompatible library version ({exc}); "
             f"this library reads model format version {MODEL_FORMAT_VERSION}"

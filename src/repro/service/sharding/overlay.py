@@ -102,8 +102,7 @@ def _edge_keys(topology: "Topology") -> tuple[np.ndarray, np.ndarray, np.ndarray
     """A topology's vertex ids (sorted, as its indices are) and its edges'
     ``tail * n + head`` index keys, sorted, with each key's CSR slot."""
     size = topology.vertex_count
-    tails = np.repeat(np.arange(size, dtype=np.int64), np.diff(topology.offsets))
-    keys = tails * size + np.asarray(topology.targets, dtype=np.int64)
+    keys = topology.tails * size + np.asarray(topology.targets, dtype=np.int64)
     slots = np.argsort(keys, kind="stable")
     return np.asarray(topology.vertex_ids, dtype=np.int64), keys[slots], slots
 

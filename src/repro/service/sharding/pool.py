@@ -171,24 +171,33 @@ class ShardWorkerPool:
     def close(self, timeout_s: float = _JOIN_TIMEOUT_S) -> bool:
         """Orderly shutdown; idempotent; returns False on terminate().
 
-        Shutdown is broadcast to every link, workers get ``timeout_s`` to
-        drain and exit (closing their segment views on the way out), and
-        stragglers are terminated.
+        Shutdown is broadcast to every link, and until the deadline every
+        worker that dials in afterwards — one still importing when the
+        broadcast went out, or one re-dialing a dropped link — is answered
+        with Shutdown too.  Workers get ``timeout_s`` to drain and exit
+        (closing their segment views on the way out), and stragglers are
+        terminated.
         """
         if self._closed:
             return True
         self._closed = True
-        # Someone alive with no link to hear the stop cannot exit cleanly.
-        clean = self._hub.broadcast(Shutdown()) >= sum(self.alive())
+        self._hub.broadcast(Shutdown())
         deadline = time.monotonic() + timeout_s
-        for worker_id, process in enumerate(self._processes):
+        while any(self.alive()) and (remaining := deadline - time.monotonic()) > 0:
+            try:
+                message = self._hub.recv(timeout_s=min(0.05, remaining))
+            except queue.Empty:
+                continue
+            if isinstance(message, (Attach, Hello)):
+                self._hub.send(message.worker_id, Shutdown())
+        clean = True
+        for process in self._processes:
             if process is None:
                 continue
-            process.join(timeout=max(0.1, deadline - time.monotonic()))
             if process.is_alive():
                 clean = False
                 process.terminate()
-                process.join(timeout=_JOIN_TIMEOUT_S)
+            process.join(timeout=_JOIN_TIMEOUT_S)
         self._hub.close()
         return clean
 

@@ -262,11 +262,13 @@ class ShardWorker:
         """Adopt the shared segment's cost state wholesale."""
         assert self.view is not None
         version, changed = self._adopt(self.view)
-        attributes = tuple(FEATURE_EDGE_ATTRIBUTES.values())
-        updates = {}
-        for key in changed:
-            edge = self.network.edge(*key)
-            updates[key] = {attribute: getattr(edge, attribute) for attribute in attributes}
+        graph = self.network.compiled()
+        slot_of = graph.topology.slot_of
+        columns = {attribute: graph.array(attribute) for attribute in FEATURE_EDGE_ATTRIBUTES.values()}
+        updates = {
+            key: {attribute: column.item(slot_of[key]) for attribute, column in columns.items()}
+            for key in changed
+        }
         self._advance(updates, version)
 
     def _adopt(

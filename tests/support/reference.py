@@ -18,6 +18,13 @@ from repro.preferences.model import PreferenceVector
 from repro.routing import Path, cost_function, dijkstra
 
 
+def edges_by_slot(network: RoadNetwork) -> list[Edge]:
+    """The network's edges in CSR slot order: the per-edge side of a
+    slot-for-slot check against a compiled cost array."""
+    slot_of = network.compiled().topology.slot_of
+    return sorted(network.edges(), key=lambda edge: slot_of[edge.key])
+
+
 def dict_preference_search(
     network: RoadNetwork,
     source: VertexId,
@@ -50,11 +57,12 @@ def dict_preference_search(
             vertices.reverse()
             return Path.of(vertices)
 
-        successors = network.successors(u)
+        out_edges = network.out_edges(u)
         # Case (i): at least one outgoing edge satisfies the slave preference
         # -> expand only those edges.  Case (ii): none does -> expand all.
-        none_satisfies = not any(satisfies_slave(edge) for edge in successors.values())
-        for v, edge in successors.items():
+        none_satisfies = not any(satisfies_slave(edge) for edge in out_edges)
+        for edge in out_edges:
+            v = edge.target
             if v in settled:
                 continue
             if not (satisfies_slave(edge) or none_satisfies):

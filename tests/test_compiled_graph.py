@@ -46,7 +46,7 @@ from repro.routing import (
 from repro.routing.preference_dijkstra import preference_cost
 from repro.traffic import TrafficFeed, synthetic_congestion
 
-from support.reference import dict_preference_search
+from support.reference import dict_preference_search, edges_by_slot
 
 
 # --------------------------------------------------------------------------- #
@@ -289,7 +289,7 @@ class TestOtherKernels:
         graph = network.compiled()
 
         def assert_forms_agree():
-            per_edge = [view(edge) for edge in graph.edges]
+            per_edge = [view(edge) for edge in edges_by_slot(network)]
             assert per_edge == view.build_cost_array(graph).tolist()
 
         assert_forms_agree()
@@ -468,32 +468,6 @@ class TestCompiledView:
         with view.borrowed_scratch() as outer:
             with view.borrowed_scratch() as inner:
                 assert inner is not outer
-
-    def test_unpickles_pre_slots_states(self):
-        """Models persisted before Vertex/Edge gained slots still load."""
-        from repro.network import Edge, Vertex
-
-        vertex = Vertex.__new__(Vertex)
-        vertex.__setstate__({"vertex_id": 7, "lon": 10.5, "lat": 56.25})
-        assert vertex == Vertex(vertex_id=7, lon=10.5, lat=56.25)
-
-        edge = Edge.__new__(Edge)
-        edge.__setstate__(
-            {
-                "source": 1,
-                "target": 2,
-                "distance_m": 100.0,
-                "travel_time_s": 9.0,
-                "fuel_ml": 8.0,
-                "road_type": RoadType.PRIMARY,
-                "speed_kmh": 40.0,
-            }
-        )
-        assert edge.key == (1, 2)
-        assert edge.road_type is RoadType.PRIMARY
-        # Current-format pickles still round-trip through the compat path.
-        assert pickle.loads(pickle.dumps(vertex)) == vertex
-        assert pickle.loads(pickle.dumps(edge)) == edge
 
     def test_memo_cache_is_bounded(self, demo_network):
         view = demo_network.compiled()

@@ -606,6 +606,10 @@ class TestBootOverTheLink:
             for kwargs in built:
                 spawned = pickle.dumps((kwargs["target"], kwargs["args"]), pickle.HIGHEST_PROTOCOL)
                 assert len(spawned) < 64 * 1024
+            # The payload frame carries the network as arrays: 910,727 bytes
+            # for this grid (1,386,849 while it pickled Edge and Vertex
+            # objects), bounded with ~25 % headroom.
+            assert len(transport_module.encode_frame(pool._payloads[0])) < 1_140_000
         finally:
             segment.close()
             segment.unlink()
@@ -680,9 +684,13 @@ class TestBootOverTheLink:
                 with pytest.raises(ShardingError, match="failed to boot.*CSR topology"):
                     pool.start()
             finally:
-                # A sibling that attaches after the stop went out waits for
-                # a payload that never comes: the close deadline ends it.
-                pool.close(timeout_s=2.0)
+                # A sibling that attaches after the stop went out is answered
+                # with a stop of its own, not left to the close deadline.
+                started = time.monotonic()
+                clean = pool.close()
+                elapsed = time.monotonic() - started
+            assert clean is True
+            assert elapsed < pool_module._JOIN_TIMEOUT_S / 2
             assert not any(pool.alive())
         finally:
             segment.close()

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import EdgeNotFoundError, NetworkError, VertexNotFoundError
 from repro.network import RoadNetwork, RoadType
+from repro.network.compiled import EDGE_COST_ATTRIBUTES
 from repro.routing import Path
 
 
@@ -159,3 +165,108 @@ class TestGeneratedNetworks:
         motorway_edges = [e for e in network.edges() if e.road_type is RoadType.MOTORWAY]
         assert motorway_edges
         assert network.vertex_count > 200
+
+
+# --------------------------------------------------------------------------- #
+# The arrays against a plain-dict model of the graph
+# --------------------------------------------------------------------------- #
+_FACTORS = st.sampled_from([0.5, 1.0, 2.0])  # falls, no-op writes, rises
+_ADD_EDGE = st.tuples(
+    st.just("edge"),
+    st.sampled_from([(s, t) for s in range(4) for t in range(4) if s != t]),
+    st.sampled_from(list(RoadType)),
+    st.one_of(st.none(), st.floats(10.0, 500.0)),
+)
+_OPERATIONS = st.lists(
+    st.one_of(
+        _ADD_EDGE,  # listed three times: most steps add (or re-add) an edge
+        _ADD_EDGE,
+        _ADD_EDGE,
+        st.tuples(st.just("vertex"), st.integers(0, 3), st.floats(-1.0, 1.0)),
+        st.tuples(st.just("costs"), st.lists(st.tuples(st.integers(0, 30), _FACTORS, _FACTORS))),
+        st.tuples(st.just("restore"), _FACTORS, _FACTORS, st.integers(0, 30)),
+        st.tuples(st.just("pickle")),
+        st.tuples(st.just("read")),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+def _assert_matches(network: RoadNetwork, edges: dict) -> None:
+    """Every reader agrees with ``edges`` (key -> Edge, in insertion order)."""
+    assert list(network.edges()) == list(edges.values())
+    graph = network.compiled()
+    for key, edge in edges.items():
+        assert network.edge(*key) == edge
+        slot = graph.topology.slot_of[key]
+        for attr in EDGE_COST_ATTRIBUTES:
+            assert graph.array(attr)[slot] == getattr(edge, attr)
+    for vertex in network.vertex_ids():
+        out = [(t, e) for (s, t), e in edges.items() if s == vertex]
+        into = [(s, e) for (s, t), e in edges.items() if t == vertex]
+        assert list(network.successors(vertex).items()) == out
+        assert list(network.predecessors(vertex).items()) == into
+
+
+class TestArraysMatchADictModel:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_OPERATIONS)
+    def test_every_reader_agrees_with_the_model_through_any_history(self, operations):
+        """Edges added (again), traffic rises and falls, whole cost states
+        adopted and pickle round trips, interleaved: the views read off the
+        arrays stay what a dict of edges in insertion order says — a re-added
+        edge keeps its place and takes its new values, and every other edge
+        keeps its patched costs across the rebuild."""
+        network, edges = RoadNetwork(name="model"), {}
+        for vertex in range(3):
+            network.add_vertex(vertex, 10.0 + 0.01 * vertex, 56.0)
+        for operation in operations:
+            kind, *args = operation
+            if kind == "vertex":
+                vertex, shift = args
+                network.add_vertex(vertex, 10.0 + 0.01 * vertex, 56.0 + 0.01 * shift)
+            elif kind == "edge":
+                (source, target), road_type, distance = args
+                if not {source, target} <= set(network.vertex_ids()):
+                    continue
+                edges[source, target] = network.add_edge(
+                    source, target, road_type=road_type, distance_m=distance
+                )
+            elif kind == "costs" and edges:
+                keys = list(edges)
+                updates, expected = {}, {}
+                for index, time_factor, fuel_factor in args[0]:
+                    key = keys[index % len(keys)]
+                    edge = expected.get(key, edges[key])
+                    changes = {
+                        "travel_time_s": edge.travel_time_s * time_factor,
+                        "fuel_ml": edge.fuel_ml * fuel_factor,
+                    }
+                    updates[key] = changes
+                    expected[key] = edges[key]._replace(**changes)
+                touched = network.update_edge_costs(updates)
+                assert touched == {key for key, edge in expected.items() if edge != edges[key]}
+                edges.update(expected)
+            elif kind == "restore" and edges:
+                distance_factor, time_factor, every = args
+                slot_of = network.compiled().topology.slot_of
+                arrays = {attr: np.empty(len(edges)) for attr in EDGE_COST_ATTRIBUTES}
+                adopted = {}
+                for position, (key, edge) in enumerate(edges.items()):
+                    if every and position % (every + 1) == 0:
+                        edge = edge._replace(
+                            distance_m=edge.distance_m * distance_factor,
+                            travel_time_s=edge.travel_time_s * time_factor,
+                        )
+                    adopted[key] = edge
+                    for attr in EDGE_COST_ATTRIBUTES:
+                        arrays[attr][slot_of[key]] = getattr(edge, attr)
+                changed = network.restore_cost_state(arrays, network.cost_version + 1)
+                assert changed == {key for key, edge in adopted.items() if edge != edges[key]}
+                edges = adopted
+            elif kind == "pickle":
+                network = pickle.loads(pickle.dumps(network))
+            elif kind == "read":  # else writes land on staged rows, unread
+                _assert_matches(network, edges)
+        _assert_matches(network, edges)

@@ -33,6 +33,8 @@ from repro.service import L2REngine, RouteRequest, RoutingService, load_model, s
 from repro.traffic import TrafficFeed, synthetic_congestion
 from repro.trajectories import MatchedTrajectory
 
+from support.reference import edges_by_slot
+
 ALL_CASES = {"in-region-same", "in-region", "in-out-region", "out-region", "fallback-fastest"}
 
 
@@ -123,7 +125,7 @@ class TestCorridorArrays:
         # The same numbers, seen as costs: array form == per-edge reference.
         cost = _CorridorCost(plan)
         weights = cost.build_cost_array(compiled)
-        assert weights.tolist() == [cost(edge) for edge in compiled.edges]
+        assert weights.tolist() == [cost(edge) for edge in edges_by_slot(network)]
 
     def test_discount_table_covers_inner_counts_above_every_region_edge(self):
         # 0 - 1 - 2 - 3 - 4 - 5: eleven drives inside region {0, 1, 2} and a
@@ -199,15 +201,16 @@ def _assembled(tables, plan, graph) -> np.ndarray:
     return weights
 
 
-def _priced(plans, graph) -> dict:
+def _priced(plans, network) -> dict:
     """Each plan's cost array, checked against the per-edge reference."""
     priced = {}
+    graph, edges = network.compiled(), edges_by_slot(network)
     for pair, plan in plans.items():
         if plan is not None:
             cost = _CorridorCost(plan)
             priced[pair] = cost.build_cost_array(graph)
             with compiled_disabled():
-                assert priced[pair].tolist() == [cost(edge) for edge in graph.edges]
+                assert priced[pair].tolist() == [cost(edge) for edge in edges]
     return priced
 
 
@@ -217,7 +220,7 @@ class TestPlans:
         _answers(router, _random_ods(tiny.network, 200, seed=21))
         tables = router._current_tables()
         graph = tiny.network.compiled()
-        priced = _priced(tables.plans, graph)
+        priced = _priced(tables.plans, tiny.network)
         assert len(priced) > 20
         for pair, weights in priced.items():
             assert weights.tobytes() == _assembled(tables, tables.plans[pair], graph).tobytes()
@@ -230,14 +233,14 @@ class TestPlans:
         _answers(router, ods)
         tables = router._current_tables()
         plans = dict(tables.plans)
-        before = _priced(plans, network.compiled())
+        before = _priced(plans, network)
         for batch in synthetic_congestion(network, seed=2, fraction=0.5, steps=1):
             TrafficFeed(network).apply(batch)
         after = _answers(router, ods)
         assert router._current_tables() is tables
         assert all(tables.plans[pair] is plan for pair, plan in plans.items())
         assert after == _answers(RegionRouter(pipeline.region_graph), ods)
-        repriced = _priced(plans, network.compiled())
+        repriced = _priced(plans, network)
         assert any(not np.array_equal(before[pair], repriced[pair]) for pair in before)
 
     def test_a_topology_change_rebuilds_the_plans(self, own_tiny):
@@ -260,7 +263,7 @@ class TestPlans:
             for pair, plan in old.plans.items()
             if plan is not None
         )
-        _priced(tables.plans, network.compiled())
+        _priced(tables.plans, network)
         assert answers == _answers(RegionRouter(pipeline.region_graph), ods)
 
     def test_a_loaded_model_routes_the_same_paths_from_empty_plans(

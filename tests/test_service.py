@@ -740,6 +740,39 @@ class TestPersistence:
         with pytest.raises(ModelPersistenceError, match="format version 2"):
             load_model(target)
 
+    def test_format_3_file_is_refused(self, fitted_l2r, tmp_path, monkeypatch):
+        """Format 3 pickled the network's Edge and Vertex objects; format 4
+        carries arrays, and a format-3 header is refused before use."""
+        from repro.service import persistence
+
+        import copyreg
+        import gzip
+        import pickle
+
+        from repro.network import RoadNetwork
+
+        target = tmp_path / "format3.pkl.gz"
+        with monkeypatch.context() as older:
+            older.setattr(persistence, "MODEL_FORMAT_VERSION", 3)
+            save_model(fitted_l2r, target)
+        with pytest.raises(ModelPersistenceError, match="format version 3"):
+            load_model(target)
+
+        class Format3Network:
+            """Pickles the way a format-3 network did: its instance dict."""
+
+            def __reduce__(self):
+                state = {"name": "n", "_vertices": {}, "_edges": {}, "_adjacency": {}}
+                return copyreg._reconstructor, (RoadNetwork, object, None), state
+
+        with gzip.open(target, "wb") as handle:
+            pickle.dump(
+                {"format": persistence.MODEL_FORMAT, "format_version": 3, "network": Format3Network()},
+                handle,
+            )
+        with pytest.raises(ModelPersistenceError, match=f"version {persistence.MODEL_FORMAT_VERSION}"):
+            load_model(target)
+
 
 # --------------------------------------------------------------------------- #
 # route_many == a route() loop, whatever the batch looks like

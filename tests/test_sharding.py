@@ -380,7 +380,6 @@ def test_a_segment_patch_is_invisible_to_a_worker_until_a_diff_or_a_resync():
 
 def test_a_resync_that_finds_nothing_changed_keeps_every_live_table():
     network = grid_city_network(8, 8, seed=3)
-    edges = sorted(e.key for e in network.edges())
     with shm.export_graph(network.compiled(), cost_version=0) as segment:
         worker = _booted_worker(network, segment)
         try:
@@ -393,7 +392,8 @@ def test_a_resync_that_finds_nothing_changed_keeps_every_live_table():
             ]
             tables = [overlay.table(*key) for key in live]
             closures = [overlay.closure(feature) for feature in ALL_FEATURES]
-            kept = [worker.network.edge(*key) for key in edges]
+            graph = worker.network.compiled()
+            kept = graph.costs.export_arrays()
 
             worker.resync()
 
@@ -402,7 +402,8 @@ def test_a_resync_that_finds_nothing_changed_keeps_every_live_table():
                 overlay.closure(feature) is closure
                 for feature, closure in zip(ALL_FEATURES, closures)
             )
-            assert all(worker.network.edge(*key) is edge for key, edge in zip(edges, kept))
+            assert worker.network.compiled() is graph
+            assert all(graph.array(attr) is array for attr, array in kept.items())
         finally:
             worker.close()
 

@@ -123,7 +123,6 @@ class TestUpdateEdgeCosts:
         # The snapshot survived, was patched in place, and bumped versions.
         assert network.compiled() is view
         assert view.array("travel_time_s")[slot] == 777.0
-        assert view.edges[slot].travel_time_s == 777.0
         assert view.costs.version == 1
         assert network.cost_version == 1
         assert network.version == version + 1
@@ -204,27 +203,12 @@ class TestPickleCostVersion:
         network.update_edge_costs({(0, 1): {"travel_time_s": 42.0}})
         network.update_edge_costs({(1, 2): {"fuel_ml": 42.0}})
         clone = pickle.loads(pickle.dumps(network))
-        assert clone.cost_version == 2
-        assert clone.edge(0, 1).travel_time_s == 42.0
         # The compiled view is dropped from pickles and rebuilds on demand.
         assert clone._compiled is None
+        assert clone.cost_version == 2
+        assert clone.edge(0, 1).travel_time_s == 42.0
         view = clone.compiled()
         assert view.array("travel_time_s")[view.topology.slot_of[0, 1]] == 42.0
-
-    def test_old_pickle_state_without_cost_version_loads(self):
-        """Pickles written before the cost-version split restore cleanly
-        (mirrors the Vertex/Edge slots compat handling)."""
-        network = _line_network()
-        state = network.__getstate__()
-        assert "_cost_version" in state
-        del state["_cost_version"]  # simulate a pre-split pickle
-        old = RoadNetwork.__new__(RoadNetwork)
-        old.__setstate__(state)
-        assert old.cost_version == 0
-        assert old.edge_count == network.edge_count
-        # ... and the restored network accepts live updates.
-        old.update_edge_costs({(0, 1): {"travel_time_s": 7.0}})
-        assert old.cost_version == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -274,18 +258,19 @@ class TestRestoreCostState:
         assert states_identical(final_state(adopter), final_state(replayed))
         graph = adopter.compiled()
         assert graph.costs.version == adopter.cost_version == source.cost_version
-        for slot, edge in enumerate(graph.edges):
-            assert edge is adopter.edge(*edge.key) is adopter.successors(edge.source)[edge.target]
+        for edge in adopter.edges():
+            slot = graph.topology.slot_of[edge.key]
+            assert edge == adopter.edge(*edge.key) == adopter.successors(edge.source)[edge.target]
             assert edge == source.edge(*edge.key)
-            assert edge is before[edge.key] or edge.key in changed
+            assert (edge != before[edge.key]) == (edge.key in changed)
             for attr in EDGE_COST_ATTRIBUTES:
                 assert getattr(edge, attr) == graph.array(attr)[slot]
 
-        # An already identical state: nothing to report, no Edge replaced.
-        kept = list(graph.edges)
+        # An already identical state: nothing to report, no array swapped.
+        kept = graph.costs.export_arrays()
         assert adopter.restore_cost_state(target, source.cost_version) == frozenset()
-        assert all(now is then for now, then in zip(adopter.compiled().edges, kept))
-        assert all(adopter.edge(*edge.key) is edge for edge in kept)
+        assert adopter.compiled() is graph
+        assert all(graph.array(attr) is kept[attr] for attr in EDGE_COST_ATTRIBUTES)
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -300,14 +285,14 @@ class TestRestoreCostState:
         network = grid_city_network(rows=3, cols=3, seed=1)
         network.update_edge_costs({(0, 1): {"travel_time_s": 50.0}})
         graph = network.compiled()
-        state, edges, version = final_state(network), list(graph.edges), network.version
+        state, kept, version = final_state(network), graph.costs.export_arrays(), network.version
         arrays = {attr: array * 2.0 for attr, array in state[0].items()}
         damage(arrays)
         with pytest.raises(NetworkError, match=message):
             network.restore_cost_state(arrays, 7)
         assert states_identical(final_state(network), state)
         assert network.version == version and network.compiled() is graph
-        assert all(now is then for now, then in zip(graph.edges, edges))
+        assert all(graph.array(attr) is kept[attr] for attr in EDGE_COST_ATTRIBUTES)
 
     def test_a_cached_artifact_of_the_old_state_is_not_served_at_the_adopted_version(self):
         """The version is set, not bumped, so it can land on a number the
@@ -394,17 +379,6 @@ class TestCostStoreInvalidation:
         # the updated cost.
         key, array, version = view.resolve_cost(cost)
         assert view.reverse_weights(key, array, version)[position] == 8_888.0
-
-    def test_edges_list_swaps_instead_of_mutating(self):
-        """A captured graph.edges snapshot never changes under a patch."""
-        network = _line_network()
-        view = network.compiled()
-        snapshot = view.edges
-        before = snapshot[view.topology.slot_of[0, 1]].travel_time_s
-        network.update_edge_costs({(0, 1): {"travel_time_s": 3_333.0}})
-        assert snapshot[view.topology.slot_of[0, 1]].travel_time_s == before
-        assert view.edges is not snapshot
-        assert view.edges[view.topology.slot_of[0, 1]].travel_time_s == 3_333.0
 
     def test_readers_holding_old_arrays_see_consistent_snapshot(self):
         """Patches swap arrays; an in-flight reader's array never changes."""
